@@ -12,7 +12,8 @@ test:
 	$(GO) test -race ./...
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race -count=2 -run 'TestEndpointConcurrent|TestConcurrentEndpointSmoke|TestEndpointStreamsDuringWrites' ./internal/strabon
-	$(GO) test -race -count=2 -run 'TestShardStreamsDuringWrites|TestShardedPipelineMatchesSingle|TestShardResultCacheInvalidation' ./internal/shard
+	$(GO) test -race -count=2 -run 'TestShardStreamsDuringWrites|TestShardedPipelineMatchesSingle|TestNoPartialRefinementVisible|TestShardResultCacheInvalidation' ./internal/shard
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Full benchmark sweep; CI runs the 1x smoke variant of the end-to-end
 # and pipeline benchmarks plus the served-query and streamed-select

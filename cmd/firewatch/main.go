@@ -25,6 +25,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mapgen"
 	"repro/internal/obs"
+	"repro/internal/refine"
 	"repro/internal/seviri"
 	"repro/internal/shard"
 	"repro/internal/strabon"
@@ -63,6 +64,7 @@ func main() {
 		reg = obs.NewRegistry()
 		qlog = obs.NewQueryLog(256)
 		svc.Metrics = core.NewPipelineMetrics(reg)
+		svc.Refiner.Metrics = refine.NewMetrics(reg)
 		opsLn, err := net.Listen("tcp", *opsAddr)
 		fail(err)
 		go http.Serve(opsLn, obs.NewOpsMux(reg, qlog))

@@ -46,6 +46,7 @@ import (
 	"repro/internal/auxdata"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/refine"
 	"repro/internal/resultcache"
 	"repro/internal/seviri"
 	"repro/internal/shard"
@@ -108,6 +109,7 @@ func main() {
 		svc.Workers = *workers
 		if reg != nil {
 			svc.Metrics = core.NewPipelineMetrics(reg)
+			svc.Refiner.Metrics = refine.NewMetrics(reg)
 		}
 		sens := seviri.MSG1
 		if *sensor == "MSG2" {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/refine"
 	"repro/internal/seviri"
 )
@@ -165,5 +168,49 @@ func TestVaultLazinessInService(t *testing.T) {
 	}
 	if s.Vault.Stats().Loads == 0 {
 		t.Fatal("processing should trigger lazy loads")
+	}
+}
+
+// TestStepExportsRefineStages pins that Step is flush of one: a
+// sequential (-workers 1) service exports the flush and refine stage
+// histograms exactly like the pipeline does, and the runner's per-rule
+// families carry one observation per rule per acquisition, under the
+// benchmark's rule names.
+func TestStepExportsRefineStages(t *testing.T) {
+	s := newTestService(t)
+	reg := obs.NewRegistry()
+	s.Metrics = NewPipelineMetrics(reg)
+	s.Refiner.Metrics = refine.NewMetrics(reg)
+	rep, err := s.Step(seviri.MSG1, time.Date(2007, 8, 24, 12, 0, 0, 0, time.UTC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	text := b.String()
+	want := []string{
+		`core_pipeline_flush_products_count 1`,
+	}
+	for _, stage := range []string{"acquire", "ingest", "chain", "flush", "refine"} {
+		want = append(want, fmt.Sprintf(`core_pipeline_stage_seconds_count{stage=%q} 1`, stage))
+	}
+	for _, rule := range []string{"municipalities", "delete_in_sea", "invalid_for_fires", "refine_in_coast", "time_persistence"} {
+		want = append(want, fmt.Sprintf(`refine_rule_seconds_count{rule=%q} 1`, rule))
+	}
+	for _, line := range want {
+		if !strings.Contains(text, line+"\n") {
+			t.Errorf("metrics lack %q", line)
+		}
+	}
+	// The affected counters are the report's.
+	for _, op := range rep.RefineOps[1:] {
+		rule := strings.ReplaceAll(strings.ToLower(string(op.Op)), " ", "_")
+		line := fmt.Sprintf(`refine_rule_affected_total{rule=%q} %d`, rule, op.Affected)
+		if !strings.Contains(text, line+"\n") {
+			t.Errorf("metrics lack %q", line)
+		}
+	}
+	if t.Failed() {
+		t.Log(text)
 	}
 }

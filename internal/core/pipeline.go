@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"repro/internal/products"
-	"repro/internal/rdf"
-	"repro/internal/refine"
 	"repro/internal/seviri"
 )
 
@@ -24,32 +22,38 @@ import (
 //	workers (Workers goroutines)          writer (one goroutine)
 //	┌────────────────────────────┐        ┌──────────────────────────────┐
 //	│ acquire → ingest → chain   │ ─────▶ │ reorder by sequence          │
-//	│ (per-acquisition, parallel)│        │ flush: batch RDF-ize +       │
-//	└────────────────────────────┘        │   one strabon InsertAll      │
-//	                                      │ scoped refinement, evaluated │
-//	                                      │   once per flush (range)     │
-//	                                      │ time persistence (in order)  │
+//	│ (per-acquisition, parallel)│        │ flush = refine.Runner.Apply: │
+//	└────────────────────────────┘        │   RDF-ize the batch          │
+//	                                      │   ┌ one strabon.ApplyFlush ─┐│
+//	                                      │   │ insert into an overlay  ││
+//	                                      │   │ 4 rules seeded with the ││
+//	                                      │   │   batch's hotspots      ││
+//	                                      │   │ time persistence, per   ││
+//	                                      │   │   product, in order     ││
+//	                                      │   │ commit: one write hold, ││
+//	                                      │   │   one generation bump   ││
+//	                                      │   └─────────────────────────┘│
+//	                                      │ reports, in order            │
 //	                                      └──────────────────────────────┘
 //
 // The front half of an acquisition — downlink simulation, vault attach,
 // SciQL chain — touches only the simulator (read-only), the vault
 // (internally locked) and a per-worker SciQL engine, so acquisitions
 // stream through it concurrently. Completed products funnel into the
-// writer, which restores acquisition order and batches store writes:
-// each flush RDF-izes every product in the batch and performs a single
-// strabon.InsertAll (one write-lock acquisition, one R-tree bulk load)
-// instead of a per-hotspot insert.
+// writer, which restores acquisition order and hands every in-order
+// batch to flush — the ONE implementation of an acquisition's back half,
+// which Step calls with a batch of one.
 //
-// Refinement is split along its data dependencies (see package refine):
-// the acquisition-scoped operations act hotspot-by-hotspot, so the
-// writer evaluates each of them once over the whole flush's acquisition
-// range (refine.RunScopedRange) — batching the rule evaluation the way
-// the store insert is batched, paying each update's scan-and-join setup
-// per flush instead of per acquisition. Time Persistence reads the
-// preceding hour of history and therefore runs strictly in acquisition
-// order on the writer. This decomposition keeps the refined output
-// identical to the sequential run for every worker count — the
-// invariant the stress test in pipeline_test.go pins down.
+// A flush is one atomic transition of the store (see the flush contract
+// in package strabon): the batch's triples and every effect of the five
+// refinement rules on them become visible together, or not at all. The
+// four hotspot-by-hotspot rules run once over the whole batch, seeded
+// with the hotspot subjects the batch wrote; Time Persistence reads the
+// preceding hour of history — the batch's own earlier products and their
+// reinstated hotspots included — and so runs product by product, in
+// acquisition order, inside the same flush. That keeps the refined
+// output identical to the sequential run for every worker count and
+// flush size — the invariant the stress test in pipeline_test.go pins.
 
 // errAborted marks jobs skipped after an earlier acquisition failed.
 var errAborted = errors.New("core: pipeline aborted")
@@ -197,9 +201,8 @@ func (s *Service) runPipeline(sensor seviri.Sensor, times []time.Time) error {
 			}
 			if err := s.flush(sensor, batch); err != nil {
 				// A flush failure cannot be attributed to one acquisition
-				// mid-batch; surface it at the batch start. (Unlike the
-				// sequential loop, the whole batch's store insert has
-				// already landed at this point.)
+				// mid-batch; surface it at the batch start. Nothing of a
+				// failed flush reaches the store.
 				fail(batch[0].seq, err)
 				break
 			}
@@ -224,59 +227,33 @@ func drainReady(pending map[int]chainResult, next *int, maxFlush, errSeq int) []
 	return batch
 }
 
-// flush commits one in-order batch of products: a single batched store
-// insert, one range-scoped refinement evaluation for the whole batch,
-// then ordered history-dependent refinement and report assembly.
-//
-// In this mode the per-report RefineOps are flush-level measurements:
-// each product's Store and scoped-op durations are its share of the
-// batched execution, and the scoped-op Affected counts are flush totals.
+// flush is the back half of servicing acquisitions, for Step's batch of
+// one and the pipeline writer's in-order batches alike: the products are
+// stored and refined as one atomic store transition (refine.Runner.Apply)
+// and their reports assembled in order. The per-report RefineOps are the
+// runner's: Store and the four hotspot-by-hotspot rules report the
+// product's share of the batch, Time Persistence its own run.
 func (s *Service) flush(sensor seviri.Sensor, batch []chainResult) error {
-	// Batched RDF-ization + one InsertAll for the whole flush.
-	groups := make([][]rdf.Triple, len(batch))
+	delta := make([]*products.Product, len(batch))
 	for i, res := range batch {
-		p := res.product
-		groups[i] = p.TriplesInto(make([]rdf.Triple, 0, 9*len(p.Hotspots)+5))
+		delta[i] = res.product
 	}
-	insertStart := time.Now()
-	counts := s.Strabon.InsertAll(groups...)
-	share := func(d time.Duration) time.Duration { return d / time.Duration(len(batch)) }
-	storeShare := share(time.Since(insertStart))
-	s.Metrics.observe("flush", time.Since(insertStart))
-	s.Metrics.observeFlush(len(batch))
-
-	// Scoped refinement, evaluated once over the batch's acquisition
-	// range: the batch-rule-evaluation trade — one scan-and-join setup
-	// per flush instead of per acquisition — with hotspot-identical
-	// effect, since every scoped operation acts per hotspot.
-	refineStart := time.Now()
-	scoped, err := s.Refiner.RunScopedRange(batch[0].at, batch[len(batch)-1].at)
+	start := time.Now()
+	outcomes, err := s.Refiner.Apply(delta)
 	if err != nil {
 		return err
 	}
-	s.Metrics.observe("refine", time.Since(refineStart))
+	var stored time.Duration
+	for _, o := range outcomes {
+		stored += o.Timings[0].Duration // refine.OpStore
+	}
+	s.Metrics.observe("flush", stored)
+	s.Metrics.observe("refine", time.Since(start)-stored)
+	s.Metrics.observeFlush(len(batch))
 
-	// History-dependent refinement and report assembly, in order.
 	for i, res := range batch {
-		timings := make([]refine.Timing, 0, 2+len(scoped))
-		timings = append(timings, refine.Timing{
-			Op: refine.OpStore, At: res.at, Duration: storeShare, Affected: counts[i],
-		})
-		for _, op := range scoped {
-			timings = append(timings, refine.Timing{
-				Op: op.Op, At: res.at, Duration: share(op.Duration), Affected: op.Affected,
-			})
-		}
-		timings, err := s.Refiner.RunHistorical(res.product, timings)
-		if err != nil {
-			return err
-		}
-		refined, err := s.Refiner.CurrentHotspots(res.at)
-		if err != nil {
-			return err
-		}
-		var total time.Duration
-		for _, t := range timings {
+		total := res.chainTime
+		for _, t := range outcomes[i].Timings {
 			total += t.Duration
 		}
 		s.PlainProducts = append(s.PlainProducts, res.product)
@@ -284,10 +261,10 @@ func (s *Service) flush(sensor seviri.Sensor, batch []chainResult) error {
 			Sensor:      sensor.Name,
 			At:          res.at,
 			RawHotspot:  len(res.product.Hotspots),
-			Refined:     len(refined.Rows),
+			Refined:     outcomes[i].Refined,
 			ChainTime:   res.chainTime,
-			RefineOps:   timings,
-			DeadlineMet: res.chainTime+total < sensor.Cadence,
+			RefineOps:   outcomes[i].Timings,
+			DeadlineMet: total < sensor.Cadence,
 		})
 	}
 	return nil

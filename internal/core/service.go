@@ -99,39 +99,19 @@ func NewServiceWithStore(seed int64, cfg seviri.ScenarioConfig, st strabon.API) 
 	}, nil
 }
 
-// Step services one acquisition: downlink simulation, vault attach,
-// processing chain, refinement.
+// Step services one acquisition: the front half on the calling
+// goroutine, then a flush of one — the same back half the pipeline's
+// writer runs for a batch.
 func (s *Service) Step(sensor seviri.Sensor, at time.Time) (*AcquisitionReport, error) {
 	product, chainTime, err := s.frontHalf(s.Chain, sensor, at)
 	if err != nil {
 		return nil, err
 	}
-	s.PlainProducts = append(s.PlainProducts, product)
-
-	timings, err := s.Refiner.RunAll(product)
-	if err != nil {
+	if err := s.flush(sensor, []chainResult{{at: at, product: product, chainTime: chainTime}}); err != nil {
 		return nil, err
 	}
-	refined, err := s.Refiner.CurrentHotspots(at)
-	if err != nil {
-		return nil, err
-	}
-
-	var total time.Duration
-	for _, t := range timings {
-		total += t.Duration
-	}
-	rep := &AcquisitionReport{
-		Sensor:      sensor.Name,
-		At:          at,
-		RawHotspot:  len(product.Hotspots),
-		Refined:     len(refined.Rows),
-		ChainTime:   chainTime,
-		RefineOps:   timings,
-		DeadlineMet: chainTime+total < sensor.Cadence,
-	}
-	s.Reports = append(s.Reports, *rep)
-	return rep, nil
+	rep := s.Reports[len(s.Reports)-1]
+	return &rep, nil
 }
 
 // RunWindow services every acquisition of a sensor over a time window.

@@ -17,8 +17,8 @@ import (
 //
 // The analyzer checks, within each function of a package named shard
 // that calls track(), that no member-store mutation (a method named
-// Add, Remove, InsertAll, or ApplyPlan on a Store type declared in
-// another package) and no direct generation bump (.Add on a field
+// Add, Remove, InsertAll, InsertAllLocked, or ApplyPlan on a Store type
+// declared in another package) and no direct generation bump (.Add on a field
 // named gen or knowGen) lexically precedes the first track() call.
 // Functions without a track() call — pure helpers, read paths — are
 // out of scope, as is track itself.
@@ -33,7 +33,9 @@ var mutatingMethods = map[string]bool{
 	"Add":       true,
 	"Remove":    true,
 	"InsertAll": true,
-	"ApplyPlan": true,
+
+	"InsertAllLocked": true,
+	"ApplyPlan":       true,
 }
 
 func runGenOrder(prog *Program) []Diagnostic {

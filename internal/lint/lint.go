@@ -23,9 +23,11 @@
 //     methods are banned outside the blessed strabon.MaterialiseQuery /
 //     strabon.TimedQuery wrappers and test files.
 //   - lockdiscipline: no write-lock acquisition (writeMu, RWMutex
-//     write Lock, Store.Lock, lockAllWrite) is reachable from the
-//     reader entry points (QueryStream, QueryStreamCtx, Explain) via a
-//     static call-graph walk.
+//     write Lock, Store.Lock, lockWrite) is reachable from the reader
+//     entry points (QueryStream, QueryStreamCtx, Explain) via a static
+//     call-graph walk; and the flush entry point (ApplyFlush), a write
+//     path that reads before it commits, never takes a write lock
+//     while still holding the read lock it took on the same mutex.
 //   - genorder: in package shard's write paths, routing knowledge must
 //     be tracked BEFORE member-store generations bump, or the result
 //     cache validates against stale routing vectors.

@@ -26,11 +26,23 @@ import (
 //   - .Lock() on a field named writeMu,
 //   - .Lock() on a sync.RWMutex (the write side; readers use RLock),
 //   - .Lock() on a type named Store (the exported member write lock),
-//   - any call to a function named lockAllWrite.
+//   - any call to a function named lockWrite or lockAllWrite.
+//
+// The flush entry point — methods named ApplyFlush — is the opposite
+// kind of path: a WRITE path that refines under read locks and commits
+// under write locks. There the hazard is the upgrade: taking a write
+// lock while the read lock taken earlier on the same mutex is still
+// held deadlocks against oneself (RWMutex is not upgradable), and a
+// reader admitted in between would see the flush half applied. In every
+// function reachable from a flush entry the analyzer therefore flags a
+// write acquisition (X.Lock(), lockWrite/lockAllWrite) that lexically
+// follows a read acquisition of the same thing (X.RLock(), or a
+// lockRead/lockAllRead helper whose returned release is still
+// uncalled) with no release (X.RUnlock(), release()) in between.
 
 var analyzerLockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "no write-lock acquisition may be reachable from the reader entry points (QueryStream/QueryStreamCtx/Explain/ExplainAnalyze)",
+	Doc:  "no write-lock acquisition may be reachable from the reader entry points (QueryStream/QueryStreamCtx/Explain/ExplainAnalyze); no read-to-write lock upgrade inside the flush entry point (ApplyFlush)",
 	Run:  runLockDiscipline,
 }
 
@@ -40,6 +52,10 @@ var readerEntryNames = map[string]bool{
 	"Explain":        true,
 	"ExplainAnalyze": true,
 }
+
+// writerEntryNames are the flush entry points: write paths whose
+// read-then-write locking must release before it upgrades.
+var writerEntryNames = map[string]bool{"ApplyFlush": true}
 
 type forbiddenOp struct {
 	pos  token.Pos
@@ -119,11 +135,12 @@ func runLockDiscipline(prog *Program) []Diagnostic {
 		}
 	}
 
+	diags := flushUpgrades(nodes, order)
+
 	// BFS from each reader entry, remembering one parent per visited
 	// function so diagnostics can show a witness call chain. A
 	// forbidden site is reported once, for the first entry reaching it.
 	reported := make(map[token.Pos]bool)
-	var diags []Diagnostic
 	sort.Slice(order, func(i, j int) bool { return order[i].Pos() < order[j].Pos() })
 	for _, entry := range order {
 		if !readerEntryNames[entry.Name()] {
@@ -168,6 +185,102 @@ func runLockDiscipline(prog *Program) []Diagnostic {
 	return diags
 }
 
+// flushUpgrades walks the call graph from every flush entry and reports
+// read-to-write lock upgrades in the functions it reaches.
+func flushUpgrades(nodes map[*types.Func]*funcNode, order []*types.Func) []Diagnostic {
+	var diags []Diagnostic
+	seen := make(map[*types.Func]bool)
+	for _, entry := range order {
+		if !writerEntryNames[entry.Name()] {
+			continue
+		}
+		queue := []*types.Func{entry}
+		for len(queue) > 0 {
+			fn := queue[0]
+			queue = queue[1:]
+			node := nodes[fn]
+			if node == nil || seen[fn] {
+				continue
+			}
+			seen[fn] = true
+			diags = append(diags, upgradeSites(node, entry)...)
+			queue = append(queue, node.callees...)
+		}
+	}
+	return diags
+}
+
+// upgradeSites scans one function in source order, tracking which read
+// acquisitions are still unreleased when a write acquisition appears.
+func upgradeSites(node *funcNode, entry *types.Func) []Diagnostic {
+	info := node.pkg.Info
+	held := make(map[string]bool)    // receiver text of X.RLock() not yet RUnlock()ed
+	pending := make(map[string]bool) // release funcs of lockRead-style helpers not yet called
+	deferred := false                // a lockRead-style helper released only by defer
+	var diags []Diagnostic
+	report := func(pos token.Pos, what, read string) {
+		diags = append(diags, Diagnostic{
+			Pos:      node.pkg.Fset.Position(pos),
+			Analyzer: "lockdiscipline",
+			Message: fmt.Sprintf("%s while the read lock from %s is still held, inside flush entry %s (%s): release before upgrading",
+				what, read, funcName(entry), funcName(node.fn)),
+		})
+	}
+	readHelper := func(call *ast.CallExpr) bool {
+		fn := calleeFunc(info, call)
+		return fn != nil && (fn.Name() == "lockRead" || fn.Name() == "lockAllRead")
+	}
+	ast.Inspect(node.decl.Body, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.AssignStmt:
+			// release := s.lockRead(...)
+			if len(v.Lhs) == 1 && len(v.Rhs) == 1 {
+				if call, ok := v.Rhs[0].(*ast.CallExpr); ok && readHelper(call) {
+					if id, ok := v.Lhs[0].(*ast.Ident); ok {
+						pending[id.Name] = true
+					}
+				}
+			}
+		case *ast.DeferStmt:
+			// defer s.lockRead(...)(): held to the end of the function.
+			if inner, ok := v.Call.Fun.(*ast.CallExpr); ok && readHelper(inner) {
+				deferred = true
+			}
+		case *ast.CallExpr:
+			if id, ok := v.Fun.(*ast.Ident); ok && pending[id.Name] {
+				delete(pending, id.Name)
+				return true
+			}
+			if fn := calleeFunc(info, v); fn != nil && (fn.Name() == "lockWrite" || fn.Name() == "lockAllWrite") {
+				for name := range pending {
+					report(v.Pos(), fn.Name(), name)
+				}
+				if deferred {
+					report(v.Pos(), fn.Name(), "a deferred lockRead")
+				}
+				return true
+			}
+			sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			recv := types.ExprString(sel.X)
+			switch sel.Sel.Name {
+			case "RLock":
+				held[recv] = true
+			case "RUnlock":
+				delete(held, recv)
+			case "Lock":
+				if desc, isWrite := forbiddenLock(info, sel); isWrite && held[recv] {
+					report(v.Pos(), desc, recv+".RLock")
+				}
+			}
+		}
+		return true
+	})
+	return diags
+}
+
 // chain renders the witness call path entry → ... → fn.
 func chain(parent map[*types.Func]*types.Func, fn *types.Func) string {
 	var names []string
@@ -206,8 +319,8 @@ func collectCallsAndLocks(pkg *Package, fd *ast.FuncDecl, node *funcNode) {
 		}
 
 		if fn := calleeFunc(info, call); fn != nil {
-			if fn.Name() == "lockAllWrite" {
-				node.forbidden = append(node.forbidden, forbiddenOp{pos: call.Pos(), desc: "lockAllWrite (every member write lock)"})
+			if fn.Name() == "lockAllWrite" || fn.Name() == "lockWrite" {
+				node.forbidden = append(node.forbidden, forbiddenOp{pos: call.Pos(), desc: fn.Name() + " (member write locks)"})
 			}
 			node.callees = append(node.callees, fn)
 		}

@@ -82,3 +82,38 @@ func (i *impl) Acquire() {
 	i.mu.Lock() // bad: reached through interface dispatch
 	i.mu.Unlock()
 }
+
+// ApplyFlush is the flush entry: a write path that refines under the
+// read lock and commits under the write lock. Releasing first is fine.
+func (s *Store) ApplyFlush() {
+	s.mu.RLock()
+	s.mu.RUnlock()
+	s.mu.Lock()
+	s.mu.Unlock()
+	s.flushHelperUpgrade()
+	s.flushMemberUpgrade()
+}
+
+func (s *Store) lockRead() func()  { s.m.RLock(); return s.m.RUnlock }
+func (s *Store) lockWrite() func() { s.m.Lock(); return s.m.Unlock }
+
+// flushHelperUpgrade takes the write locks while the read helper's
+// release is still pending: the RWMutex is not upgradable.
+func (s *Store) flushHelperUpgrade() {
+	release := s.lockRead()
+	unlock := s.lockWrite() // bad: release() has not run yet
+	unlock()
+	release()
+
+	release = s.lockRead()
+	release()
+	defer s.lockWrite()() // fine: released first
+}
+
+// flushMemberUpgrade upgrades one mutex in place.
+func (s *Store) flushMemberUpgrade() {
+	s.mu.RLock()
+	s.mu.Lock() // bad: still read-locked
+	s.mu.Unlock()
+	s.mu.RUnlock()
+}

@@ -52,12 +52,17 @@ func NewDictionary() *Dictionary {
 }
 
 // Encode interns a term, returning its ID (allocating one if new). Write
-// lock only; see the concurrency contract above.
+// lock only; see the concurrency contract above. Like Lookup it probes
+// with a stack-built key: most terms of a bulk insert (predicates,
+// classes, shared literals) are already interned, and only a new term
+// pays for a key string.
 func (d *Dictionary) Encode(t Term) ID {
-	k := t.key()
-	if id, ok := d.byKey[k]; ok {
+	var arr [256]byte
+	b := t.appendKey(arr[:0])
+	if id, ok := d.byKey[string(b)]; ok {
 		return id
 	}
+	k := string(b)
 	d.terms = append(d.terms, t)
 	id := ID(len(d.terms))
 	d.byKey[k] = id
@@ -70,7 +75,7 @@ func (d *Dictionary) Encode(t Term) ID {
 // bind joins call Lookup per probe row, so this path must not allocate
 // for ordinary-sized terms.
 func (d *Dictionary) Lookup(t Term) (ID, bool) {
-	var arr [128]byte
+	var arr [256]byte
 	id, ok := d.byKey[string(t.appendKey(arr[:0]))]
 	return id, ok
 }

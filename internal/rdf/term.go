@@ -137,12 +137,8 @@ func (t Term) Bool() (bool, bool) {
 	return v, err == nil
 }
 
-// key returns a unique string encoding of the term for dictionary lookup.
-func (t Term) key() string {
-	return string(t.appendKey(nil))
-}
-
-// appendKey appends the term's dictionary key to b. Callers probing a
+// appendKey appends the term's dictionary key — a unique string
+// encoding of the term — to b. Callers probing a
 // map can pass a stack buffer and index with string(b) — the compiler
 // elides the string copy, so the lookup does not allocate. Literal
 // fields are length-prefixed rather than separator-joined so that no

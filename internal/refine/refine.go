@@ -1,13 +1,23 @@
 // Package refine implements the semantic refinement step of Section
-// 3.2.4: the sequence of stSPARQL updates that runs against Strabon after
-// every acquisition's product is stored. The six operations are the ones
+// 3.2.4: the stSPARQL updates that run against Strabon after every
+// acquisition's product is stored. The six operations are the ones
 // timed in the paper's Figure 8: Store, Municipalities, Delete In Sea,
 // Invalid For Fires, Refine In Coast, and Time Persistence.
+//
+// Refinement is one event-condition-action step per flush: the event is
+// the flush (the hotspot subjects just written), the conditions are the
+// five rules of rules.go evaluated over the event's bindings, and the
+// action — every delete and insert the rules derive — is applied
+// together with the flush's own insert as a single transition of the
+// store (strabon.API.ApplyFlush). Runner.Apply is the one
+// implementation; the per-operation methods run one rule of it.
 package refine
 
 import (
 	"context"
 	"fmt"
+	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/geom"
@@ -49,8 +59,8 @@ type Timing struct {
 	Affected int
 }
 
-// Runner executes the refinement sequence against a Strabon store —
-// the single strabon.Store or the sharded store, through strabon.API.
+// Runner executes the refinement rules against a Strabon store — the
+// single strabon.Store or the sharded store, through strabon.API.
 type Runner struct {
 	Store strabon.API
 	// PersistenceWindow is the look-back of the Time Persistence
@@ -59,6 +69,13 @@ type Runner struct {
 	// PersistenceMin is how many sightings within the window confirm a
 	// location.
 	PersistenceMin int
+	// Metrics, when set (NewMetrics), exports per-rule timings and
+	// affected counts; nil disables instrumentation.
+	Metrics *Metrics
+
+	compile sync.Once
+	rules   *ruleSet
+	err     error
 }
 
 // NewRunner returns a Runner with the paper's defaults.
@@ -68,215 +85,59 @@ func NewRunner(s strabon.API) *Runner {
 
 func xsdTime(t time.Time) string { return t.UTC().Format("2006-01-02T15:04:05") }
 
-// RunAll stores a product and applies every refinement operation,
-// returning the per-operation timings (one Figure 8 column).
-func (r *Runner) RunAll(p *products.Product) ([]Timing, error) {
-	out, err := r.runSteps(p, nil, []step{{OpStore, r.StoreProduct}})
-	if err != nil {
-		return out, err
-	}
-	out, err = r.RunScoped(p, out)
-	if err != nil {
-		return out, err
-	}
-	return r.RunHistorical(p, out)
+// Outcome is what Apply did for one product of the delta.
+type Outcome struct {
+	// Timings holds one entry per operation, in AllOps order. Store and
+	// the four hotspot-by-hotspot rules run once over the whole delta and
+	// report an equal share of that duration; the rules' Affected is the
+	// delta-wide count, Store's the product's own new triples. Time
+	// Persistence runs per product.
+	Timings []Timing
+	// Refined is the number of the product's hotspots in the store after
+	// refinement: raw, minus those the rules deleted, plus those Time
+	// Persistence reinstated.
+	Refined int
 }
 
-type step struct {
-	op Op
-	fn func(*products.Product) (int, error)
+// Apply stores the delta — one flush's products, in acquisition order —
+// and refines it, as one atomic transition of the store: a reader sees
+// none of the delta or all of it refined. It returns one Outcome per
+// product.
+func (r *Runner) Apply(delta []*products.Product) ([]Outcome, error) {
+	return r.apply(delta, "")
 }
 
-func (r *Runner) runSteps(p *products.Product, out []Timing, steps []step) ([]Timing, error) {
-	for _, s := range steps {
-		start := time.Now()
-		n, err := s.fn(p)
-		if err != nil {
-			return out, fmt.Errorf("refine: %s: %w", s.op, err)
-		}
-		out = append(out, Timing{Op: s.op, At: p.AcquiredAt, Duration: time.Since(start), Affected: n})
-	}
-	return out, nil
-}
-
-// RunScoped applies the acquisition-scoped refinement operations —
-// Municipalities, Delete In Sea, Invalid For Fires, Refine In Coast —
-// appending their timings to out. Every one of these updates filters on
-// the product's own acquisition timestamp and reads otherwise static
-// auxiliary data, so RunScoped calls for DIFFERENT acquisitions are
-// mutually independent. The product's triples must already be stored.
-func (r *Runner) RunScoped(p *products.Product, out []Timing) ([]Timing, error) {
-	return r.runSteps(p, out, []step{
-		{OpMunicipalities, r.Municipalities},
-		{OpDeleteInSea, r.DeleteInSea},
-		{OpInvalidForFires, r.InvalidForFires},
-		{OpRefineInCoast, r.RefineInCoast},
-	})
-}
-
-// RunScopedRange is the batch-rule-evaluation form of RunScoped: each
-// scoped operation is evaluated ONCE over the whole acquisition range
-// [from, to] instead of once per acquisition. Because every scoped
-// operation acts hotspot-by-hotspot (scoping merely selects which
-// hotspots), a range evaluation over a batch of acquisitions deletes,
-// clips and annotates exactly the hotspots the per-acquisition runs
-// would — while paying the evaluation's scan and join setup once per
-// flush instead of once per acquisition. The pipeline writer calls this
-// with the first and last timestamps of a flush; the range must cover no
-// acquisitions outside the flush. Timings carry the whole batch's cost
-// and the At of the range start.
-func (r *Runner) RunScopedRange(from, to time.Time) ([]Timing, error) {
-	var out []Timing
-	scope := scopeRange(from, to)
-	for _, s := range []struct {
-		op Op
-		fn func(string) (int, error)
-	}{
-		{OpMunicipalities, r.municipalitiesScope},
-		{OpDeleteInSea, r.deleteInSeaScope},
-		{OpInvalidForFires, r.invalidForFiresScope},
-		{OpRefineInCoast, r.refineInCoastScope},
-	} {
-		start := time.Now()
-		n, err := s.fn(scope)
-		if err != nil {
-			return out, fmt.Errorf("refine: %s: %w", s.op, err)
-		}
-		out = append(out, Timing{Op: s.op, At: from, Duration: time.Since(start), Affected: n})
-	}
-	return out, nil
-}
-
-// scopeEq renders the acquisition filter selecting exactly one
-// acquisition's hotspots.
-func scopeEq(at time.Time) string {
-	return fmt.Sprintf(`FILTER( str(?at) = "%s" )`, xsdTime(at))
-}
-
-// scopeRange renders the filter selecting every acquisition in the
-// inclusive range; the xsd:dateTime text format compares chronologically
-// as strings.
-func scopeRange(from, to time.Time) string {
-	if from.Equal(to) {
-		return scopeEq(from)
-	}
-	return fmt.Sprintf(`FILTER( str(?at) >= "%s" )
-  FILTER( str(?at) <= "%s" )`, xsdTime(from), xsdTime(to))
-}
-
-// RunHistorical applies the operations that read other acquisitions'
-// history — currently Time Persistence, whose sighting window spans the
-// preceding hour. These must run in acquisition order, after every
-// earlier acquisition has been fully refined; the pipeline serialises
-// them on its writer goroutine.
-func (r *Runner) RunHistorical(p *products.Product, out []Timing) ([]Timing, error) {
-	return r.runSteps(p, out, []step{{OpTimePersistence, r.TimePersistence}})
-}
-
-// StoreProduct inserts the product's RDF-ization (the "Store" series).
+// StoreProduct inserts the product's RDF-ization without refining it
+// (the "Store" series on its own).
 func (r *Runner) StoreProduct(p *products.Product) (int, error) {
 	return r.Store.LoadTriples(p.Triples()), nil
 }
 
-// Municipalities associates each fresh hotspot with the municipalities
-// its pixel interacts with — the operation the paper singles out as the
-// slowest ("labeled as Municipalities ... there are cases where it needs
-// four seconds").
+// Municipalities associates each hotspot of an already stored product
+// with the municipalities its pixel interacts with — the operation the
+// paper singles out as the slowest ("labeled as Municipalities ... there
+// are cases where it needs four seconds").
 func (r *Runner) Municipalities(p *products.Product) (int, error) {
-	return r.municipalitiesScope(scopeEq(p.AcquiredAt))
+	return r.only(p, OpMunicipalities)
 }
 
-func (r *Runner) municipalitiesScope(scope string) (int, error) {
-	st, err := r.Store.UpdateScoped(fmt.Sprintf(`
-INSERT { ?h noa:isInMunicipality ?m }
-WHERE {
-  ?h a noa:Hotspot ;
-     noa:hasAcquisitionDateTime ?at ;
-     strdf:hasGeometry ?hGeo .
-  ?m a gag:Municipality ;
-     strdf:hasGeometry ?mGeo .
-  %s
-  FILTER( strdf:anyInteract(?hGeo, ?mGeo) )
-}`, scope))
-	return st.Inserted, err
-}
-
-// DeleteInSea removes fresh hotspots that touch no coastline polygon —
-// the paper's first refinement update, scoped to the acquisition.
+// DeleteInSea removes the product's hotspots that touch no coastline
+// polygon — the paper's first refinement update.
 func (r *Runner) DeleteInSea(p *products.Product) (int, error) {
-	return r.deleteInSeaScope(scopeEq(p.AcquiredAt))
+	return r.only(p, OpDeleteInSea)
 }
 
-func (r *Runner) deleteInSeaScope(scope string) (int, error) {
-	st, err := r.Store.UpdateScoped(fmt.Sprintf(`
-DELETE { ?h ?hProperty ?hObject }
-WHERE {
-  ?h a noa:Hotspot ;
-     noa:hasAcquisitionDateTime ?at ;
-     strdf:hasGeometry ?hGeo ;
-     ?hProperty ?hObject .
-  %s
-  OPTIONAL {
-    ?c a coast:Coastline ;
-       strdf:hasGeometry ?cGeo .
-    FILTER( strdf:anyInteract(?hGeo, ?cGeo) )
-  }
-  FILTER( !bound(?c) )
-}`, scope))
-	return st.Deleted, err
-}
-
-// InvalidForFires removes fresh hotspots lying entirely on land-cover
-// classes where forest fires are implausible (urban fabric, arable
-// plains) — the paper's "hotspots located outside forested areas".
+// InvalidForFires removes the product's hotspots lying entirely on
+// land-cover classes where forest fires are implausible (urban fabric,
+// arable plains) — the paper's "hotspots located outside forested areas".
 func (r *Runner) InvalidForFires(p *products.Product) (int, error) {
-	return r.invalidForFiresScope(scopeEq(p.AcquiredAt))
+	return r.only(p, OpInvalidForFires)
 }
 
-func (r *Runner) invalidForFiresScope(scope string) (int, error) {
-	st, err := r.Store.UpdateScoped(fmt.Sprintf(`
-DELETE { ?h ?hProperty ?hObject }
-WHERE {
-  ?h a noa:Hotspot ;
-     noa:hasAcquisitionDateTime ?at ;
-     strdf:hasGeometry ?hGeo ;
-     ?hProperty ?hObject .
-  ?a a clc:Area ;
-     clc:hasLandUse ?use ;
-     strdf:hasGeometry ?aGeo .
-  %s
-  FILTER( ?use = <%s> || ?use = <%s> )
-  FILTER( strdf:coveredBy(?hGeo, ?aGeo) )
-}`, scope, ontology.ClassArable, ontology.ClassUrbanFabric))
-	return st.Deleted, err
-}
-
-// RefineInCoast clips fresh hotspots that straddle the coastline to
-// their land part — the paper's second refinement update.
+// RefineInCoast clips the product's hotspots that straddle the
+// coastline to their land part — the paper's second refinement update.
 func (r *Runner) RefineInCoast(p *products.Product) (int, error) {
-	return r.refineInCoastScope(scopeEq(p.AcquiredAt))
-}
-
-func (r *Runner) refineInCoastScope(scope string) (int, error) {
-	st, err := r.Store.UpdateScoped(fmt.Sprintf(`
-DELETE { ?h strdf:hasGeometry ?hGeo }
-INSERT { ?h strdf:hasGeometry ?dif }
-WHERE {
-  SELECT DISTINCT ?h ?hGeo
-    (strdf:intersection(?hGeo, strdf:union(?cGeo)) AS ?dif)
-  WHERE {
-    ?h a noa:Hotspot ;
-       noa:hasAcquisitionDateTime ?at ;
-       strdf:hasGeometry ?hGeo .
-    ?c a coast:Coastline ;
-       strdf:hasGeometry ?cGeo .
-    %s
-    FILTER( strdf:anyInteract(?hGeo, ?cGeo) )
-  }
-  GROUP BY ?h ?hGeo
-  HAVING strdf:overlap(?hGeo, strdf:union(?cGeo))
-}`, scope))
-	return st.Inserted, err
+	return r.only(p, OpRefineInCoast)
 }
 
 // TimePersistence implements the paper's persistence heuristic: "check
@@ -284,105 +145,173 @@ WHERE {
 // the same geographic location during the last hour(s) ... attributing a
 // level of confidence to each detected pixel". Two effects:
 //
-//  1. Fresh hotspots whose location was sighted at least PersistenceMin
-//     times within the window are confirmed (confidence raised to 1.0).
-//  2. Persistent locations missing from the fresh product are
-//     reinstated as virtual hotspots — this is what grows the refined
-//     chain's hotspot count in Table 1 and cuts the omission error.
+//  1. The product's hotspots whose location was sighted at least
+//     PersistenceMin times within the window are confirmed (confidence
+//     raised to 1.0).
+//  2. Persistent locations missing from the product are reinstated as
+//     virtual hotspots — this is what grows the refined chain's hotspot
+//     count in Table 1 and cuts the omission error.
 func (r *Runner) TimePersistence(p *products.Product) (int, error) {
-	since := p.AcquiredAt.Add(-r.PersistenceWindow)
-	affected := 0
-
-	// Effect 1: confirm persistent fresh hotspots.
-	for _, h := range p.Hotspots {
-		n, err := r.sightings(h, since, p.AcquiredAt)
-		if err != nil {
-			return affected, err
-		}
-		if n >= r.PersistenceMin {
-			uri := products.HotspotURI(h)
-			st, err := r.Store.Update(fmt.Sprintf(`
-DELETE { <%[1]s> noa:hasConfidence ?c . <%[1]s> noa:hasConfirmation ?cf }
-INSERT { <%[1]s> noa:hasConfidence 1.0 . <%[1]s> noa:hasConfirmation noa:confirmed }
-WHERE  { <%[1]s> noa:hasConfidence ?c ; noa:hasConfirmation ?cf . }`, uri))
-			if err != nil {
-				return affected, err
-			}
-			affected += st.Inserted / 2
-		}
-	}
-
-	// Effect 2: reinstate persistent locations absent from this product.
-	res, err := strabon.MaterialiseQuery(context.Background(), r.Store, fmt.Sprintf(`
-SELECT DISTINCT ?hGeo (COUNT(?h) AS ?n)
-WHERE {
-  ?h a noa:Hotspot ;
-     noa:hasAcquisitionDateTime ?at ;
-     strdf:hasGeometry ?hGeo .
-  FILTER( str(?at) >= "%s" )
-  FILTER( str(?at) < "%s" )
-}
-GROUP BY ?hGeo
-HAVING (COUNT(?h) >= %d)`, xsdTime(since), xsdTime(p.AcquiredAt), r.PersistenceMin))
-	if err != nil {
-		return affected, err
-	}
-	fresh := make(map[string]bool, len(p.Hotspots))
-	for _, h := range p.Hotspots {
-		fresh[geomKey(rdf.NewGeometry(wktOf(h)))] = true
-	}
-	virt := 0
-	for _, row := range res.Rows {
-		g := row["hGeo"]
-		if fresh[geomKey(g)] {
-			continue
-		}
-		virt++
-		uri := fmt.Sprintf("%sHotspot_%s_%s_persist%d", ontology.NOA,
-			p.Sensor, p.AcquiredAt.UTC().Format("20060102T150405"), virt)
-		ins := fmt.Sprintf(`
-INSERT DATA {
-  <%s> a noa:Hotspot ;
-    noa:hasAcquisitionDateTime "%s"^^xsd:dateTime ;
-    noa:hasConfidence 0.5 ;
-    noa:hasConfirmation noa:unconfirmed ;
-    strdf:hasGeometry %s ;
-    noa:isDerivedFromSensor "%s"^^xsd:string ;
-    noa:isProducedBy noa:noa ;
-    noa:isFromProcessingChain "time-persistence"^^xsd:string .
-}`, uri, xsdTime(p.AcquiredAt), g.String(), p.Sensor)
-		if _, err := r.Store.Update(ins); err != nil {
-			return affected, err
-		}
-		affected++
-	}
-	return affected, nil
+	return r.only(p, OpTimePersistence)
 }
 
-// sightings counts prior hotspots interacting with h's pixel within the
-// window.
-func (r *Runner) sightings(h products.Hotspot, since, until time.Time) (int, error) {
-	res, err := strabon.MaterialiseQuery(context.Background(), r.Store, fmt.Sprintf(`
-SELECT ?h WHERE {
-  ?h a noa:Hotspot ;
-     noa:hasAcquisitionDateTime ?at ;
-     strdf:hasGeometry ?g .
-  FILTER( str(?at) >= "%s" )
-  FILTER( str(?at) < "%s" )
-  FILTER( strdf:anyInteract(?g, "%s"^^strdf:WKT) )
-}`, xsdTime(since), xsdTime(until), wktOf(h)))
+// only runs one rule over an already stored product and returns its
+// Affected count.
+func (r *Runner) only(p *products.Product, op Op) (int, error) {
+	out, err := r.apply([]*products.Product{p}, op)
 	if err != nil {
 		return 0, err
 	}
-	return len(res.Rows), nil
+	return out[0].Timings[0].Affected, nil
 }
 
-func wktOf(h products.Hotspot) string {
-	return geom.WKT(h.Geometry)
+// apply is the one implementation of refinement. With only == "" it
+// stores the delta and runs every rule; otherwise the delta is already
+// stored and the one named rule runs.
+func (r *Runner) apply(delta []*products.Product, only Op) ([]Outcome, error) {
+	if len(delta) == 0 {
+		return nil, nil
+	}
+	rules, err := r.compiled()
+	if err != nil {
+		return nil, err
+	}
+	all := only == ""
+
+	// The event: every hotspot subject of the delta, and which product
+	// wrote it.
+	f := strabon.Flush{Since: delta[0].AcquiredAt.Add(-r.PersistenceWindow)}
+	var seed []stsparql.Binding
+	owner := make(map[string]int)
+	out := make([]Outcome, len(delta))
+	for i, p := range delta {
+		f.At = append(f.At, p.AcquiredAt)
+		if all {
+			f.Groups = append(f.Groups, p.TriplesInto(make([]rdf.Triple, 0, 9*len(p.Hotspots)+5)))
+		}
+		for _, h := range p.Hotspots {
+			uri := products.HotspotURI(h)
+			owner[uri] = i
+			seed = append(seed, stsparql.Binding{"h": rdf.NewIRI(uri)})
+		}
+		out[i].Refined = len(p.Hotspots)
+	}
+	share := func(d time.Duration) time.Duration { return d / time.Duration(len(delta)) }
+	record := func(i int, op Op, d time.Duration, affected int) {
+		out[i].Timings = append(out[i].Timings, Timing{Op: op, At: delta[i].AcquiredAt, Duration: d, Affected: affected})
+	}
+
+	start := time.Now()
+	err = r.Store.ApplyFlush(f, func(tx *strabon.FlushTx) error {
+		if all {
+			// The store applied the insert before calling the rules.
+			d := share(time.Since(start))
+			for i := range delta {
+				record(i, OpStore, d, tx.Inserted[i])
+			}
+		}
+		for _, rule := range rules.scoped {
+			if !all && only != rule.op {
+				continue
+			}
+			t0 := time.Now()
+			plan, err := tx.Plan(rule.prepared, seed)
+			if err != nil {
+				return fmt.Errorf("refine: %s: %w", rule.op, err)
+			}
+			st := tx.Apply(plan)
+			affected := st.Inserted
+			if rule.deletes {
+				affected = st.Deleted
+				for _, t := range plan.Deletes() {
+					if i, ok := owner[t.S.Value]; ok && t.P.Value == rdf.RDFType && t.O.Value == ontology.ClassHotspot {
+						out[i].Refined--
+					}
+				}
+			}
+			d := time.Since(t0)
+			r.Metrics.observe(rule.op, d, affected)
+			for i := range delta {
+				record(i, rule.op, share(d), affected)
+			}
+		}
+		if !all && only != OpTimePersistence {
+			return nil
+		}
+		// Time Persistence reads the history before each acquisition —
+		// the virtual hotspots of the delta's earlier products included
+		// — so it runs product by product, in order.
+		for i, p := range delta {
+			t0 := time.Now()
+			confirmed, reinstated, err := r.persist(tx, rules, p)
+			if err != nil {
+				return fmt.Errorf("refine: %s: %w", OpTimePersistence, err)
+			}
+			out[i].Refined += reinstated
+			d := time.Since(t0)
+			r.Metrics.observe(OpTimePersistence, d, confirmed+reinstated)
+			record(i, OpTimePersistence, d, confirmed+reinstated)
+		}
+		return nil
+	})
+	return out, err
 }
 
-// geomKey normalises a geometry term for set membership.
-func geomKey(t rdf.Term) string { return t.Value }
+// persist runs Time Persistence for one product inside a flush: the
+// confirmations and the reinstated virtual hotspots form ONE plan,
+// applied once. Virtual hotspots are numbered in sorted-WKT order, so
+// every store topology mints the same URIs.
+func (r *Runner) persist(tx *strabon.FlushTx, rules *ruleSet, p *products.Product) (confirmed, reinstated int, err error) {
+	window := stsparql.Binding{
+		"since": rdf.NewLiteral(xsdTime(p.AcquiredAt.Add(-r.PersistenceWindow))),
+		"now":   rdf.NewLiteral(xsdTime(p.AcquiredAt)),
+		"min":   rdf.NewInteger(int64(r.PersistenceMin)),
+	}
+	fresh := make(map[string]bool, len(p.Hotspots))
+	seed := make([]stsparql.Binding, len(p.Hotspots))
+	for i, h := range p.Hotspots {
+		pixel := rdf.NewGeometry(geom.WKT(h.Geometry))
+		fresh[pixel.Value] = true
+		seed[i] = stsparql.Binding{"h": rdf.NewIRI(products.HotspotURI(h)), "pixel": pixel}
+		for k, v := range window {
+			seed[i][k] = v
+		}
+	}
+	plan, err := tx.Plan(rules.confirm, seed)
+	if err != nil {
+		return 0, 0, err
+	}
+	confirmed = plan.InsertCount() / 2
+
+	res, err := tx.Select(rules.persistent, []stsparql.Binding{window})
+	if err != nil {
+		return 0, 0, err
+	}
+	var absent []rdf.Term
+	for _, row := range res.Rows {
+		if g := row["hGeo"]; !fresh[g.Value] {
+			absent = append(absent, g)
+		}
+	}
+	sort.Slice(absent, func(i, j int) bool { return absent[i].Value < absent[j].Value })
+	iri := rdf.NewIRI
+	for n, g := range absent {
+		s := iri(fmt.Sprintf("%sHotspot_%s_%s_persist%d", ontology.NOA,
+			p.Sensor, p.AcquiredAt.UTC().Format("20060102T150405"), n+1))
+		plan.Insert(
+			rdf.Triple{S: s, P: iri(rdf.RDFType), O: iri(ontology.ClassHotspot)},
+			rdf.Triple{S: s, P: iri(ontology.PropAcquisitionDateTime), O: rdf.NewDateTime(xsdTime(p.AcquiredAt))},
+			rdf.Triple{S: s, P: iri(ontology.PropConfidence), O: rdf.NewTypedLiteral("0.5", rdf.XSDDouble)},
+			rdf.Triple{S: s, P: iri(ontology.PropConfirmation), O: iri(ontology.UnconfirmedFire)},
+			rdf.Triple{S: s, P: iri(ontology.HasGeometry), O: g},
+			rdf.Triple{S: s, P: iri(ontology.PropSensor), O: rdf.NewTypedLiteral(p.Sensor, rdf.XSDString)},
+			rdf.Triple{S: s, P: iri(ontology.PropProducedBy), O: iri(ontology.NOA + "noa")},
+			rdf.Triple{S: s, P: iri(ontology.PropProcessingChain), O: rdf.NewTypedLiteral("time-persistence", rdf.XSDString)},
+		)
+	}
+	tx.Apply(plan)
+	return confirmed, len(absent), nil
+}
 
 // CurrentHotspots lists the hotspot URIs and geometries present in the
 // store for one acquisition (post-refinement product extraction).

@@ -231,16 +231,16 @@ func (s *Store) Explain(src string) (string, error) {
 		return nil
 	}
 
+	// Updates always plan over the union view (see Update).
 	var where *stsparql.GroupPattern
-	label := "fan-out"
 	switch {
 	case q.Select != nil:
 		where = q.Select.Where
 	case q.Ask != nil:
 		where = q.Ask.Where
 	case q.Update != nil:
-		where = q.Update.Where
-		label = "scoped-update fan-out"
+		fmt.Fprintf(&b, "shard union: single evaluation over static+%d slices\n", n)
+		return b.String(), inner(nil, q)
 	}
 	dec := s.analyzeGroup(where)
 
@@ -253,15 +253,11 @@ func (s *Store) Explain(src string) (string, error) {
 			shardQ, merge = fp.shardQ, fp.mode.String()
 		}
 	}
-	if q.Update != nil {
-		merge = "per-shard apply"
-	}
-
 	if !dec.fanout {
 		fmt.Fprintf(&b, "shard union: single evaluation over static+%d slices\n", n)
 		return b.String(), inner(nil, q)
 	}
-	fmt.Fprintf(&b, "shard %s: %d/%d slices %v merge=%s\n", label, len(dec.shards), n, dec.shards, merge)
+	fmt.Fprintf(&b, "shard fan-out: %d/%d slices %v merge=%s\n", len(dec.shards), n, dec.shards, merge)
 	if len(dec.shards) < len(dec.keyShards) {
 		fmt.Fprintf(&b, "  (observed time ranges prune %v of window candidates %v)\n",
 			diffInts(dec.keyShards, dec.shards), dec.keyShards)

@@ -3,6 +3,8 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -11,14 +13,18 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/products"
+	"repro/internal/rdf"
+	"repro/internal/refine"
 	"repro/internal/seviri"
 	"repro/internal/strabon"
+	"repro/internal/stsparql"
 )
 
 // TestShardStreamsDuringWrites races streaming fan-out queries,
-// recombined aggregates and union-view scans against a writer appending
-// acquisitions to the live slice — the shard-local lock discipline
-// under -race (the CI race step runs this package).
+// recombined aggregates and union-view scans against a writer flushing
+// acquisitions (insert + refinement, one hold) into the live slice and
+// an atomic Update taking every write lock — the shard-local lock
+// discipline under -race (the CI race step runs this package).
 func TestShardStreamsDuringWrites(t *testing.T) {
 	sh := newSharded(4)
 	loadFixture(sh)
@@ -27,7 +33,9 @@ func TestShardStreamsDuringWrites(t *testing.T) {
 	stop := make(chan struct{})
 
 	// Writer: new products marching forward in time (always landing in
-	// the "live" bucket of the moment).
+	// the "live" bucket of the moment), each stored and refined as one
+	// flush.
+	runner := refine.NewRunner(sh)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -43,7 +51,10 @@ func TestShardStreamsDuringWrites(t *testing.T) {
 				ID: fmt.Sprintf("race_%d", i), Geometry: geom.NewSquare(2, 5, 0.5),
 				Confidence: 1.0, AcquiredAt: at, Sensor: "MSG1", Chain: "race", Producer: "noa",
 			})
-			sh.InsertAll(p.Triples())
+			if _, err := runner.Apply([]*products.Product{p}); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 
@@ -80,12 +91,12 @@ func TestShardStreamsDuringWrites(t *testing.T) {
 			}
 		}(r)
 	}
-	// Scoped-update thread: shard-local plan+apply racing the readers.
+	// Atomic-update thread: every write lock, racing readers and flushes.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			_, err := sh.UpdateScoped(`INSERT { ?h noa:isInMunicipality ?m }
+			_, err := sh.Update(`INSERT { ?h noa:isInMunicipality ?m }
 WHERE {
   ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at ; strdf:hasGeometry ?hg .
   ?m a gag:Municipality ; strdf:hasGeometry ?mg .
@@ -110,10 +121,28 @@ WHERE {
 	}
 }
 
+// hotspotTriples fingerprints every triple of every hotspot in a store,
+// sorted — URIs of virtual hotspots included.
+func hotspotTriples(t *testing.T, st strabon.API) []string {
+	t.Helper()
+	res, err := st.Query(`SELECT ?h ?p ?o WHERE { ?h a noa:Hotspot ; ?p ?o . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		out[i] = rdf.Triple{S: row["h"], P: row["p"], O: row["o"]}.String()
+	}
+	sort.Strings(out)
+	return out
+}
+
 // TestShardedPipelineMatchesSingle runs the full acquisition pipeline —
-// batched writes, scoped refinement, time persistence — over a single
-// store and over a sharded store whose slices are narrower than the
-// persistence window, and requires identical refined output.
+// batched flushes of insert + refinement + time persistence — over a
+// single store and over sharded stores of 1, 2 and 4 slices narrower
+// than the persistence window, and requires identical refined output:
+// the same refined products AND the same hotspot triples, virtual
+// hotspot URIs included.
 func TestShardedPipelineMatchesSingle(t *testing.T) {
 	cfg := seviri.DefaultScenarioConfig()
 	run := func(st strabon.API) *core.Service {
@@ -129,48 +158,172 @@ func TestShardedPipelineMatchesSingle(t *testing.T) {
 		return svc
 	}
 	single := run(strabon.New())
-	sharded := run(New(Config{Slices: 3, Width: 10 * time.Minute, Epoch: cfg.Start}))
-
-	if len(single.Reports) != len(sharded.Reports) {
-		t.Fatalf("report counts differ: %d vs %d", len(single.Reports), len(sharded.Reports))
-	}
-	for i := range single.Reports {
-		if single.Reports[i].Refined != sharded.Reports[i].Refined {
-			t.Fatalf("acquisition %d refined count: single=%d sharded=%d",
-				i, single.Reports[i].Refined, sharded.Reports[i].Refined)
-		}
-	}
 	rp1, err := single.RefinedProducts()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp2, err := sharded.RefinedProducts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1 := core.SortedHotspotKeys(rp1)
-	k2 := core.SortedHotspotKeys(rp2)
-	if len(k1) != len(k2) {
-		t.Fatalf("refined hotspot counts differ: %d vs %d", len(k1), len(k2))
-	}
-	for i := range k1 {
-		if k1[i] != k2[i] {
-			t.Fatalf("refined hotspot %d differs:\nsingle:  %s\nsharded: %s", i, k1[i], k2[i])
+	k1, t1 := core.SortedHotspotKeys(rp1), hotspotTriples(t, single.Strabon)
+
+	for _, n := range []int{1, 2, 3, 4} {
+		sharded := run(New(Config{Slices: n, Width: 10 * time.Minute, Epoch: cfg.Start}))
+		if len(single.Reports) != len(sharded.Reports) {
+			t.Fatalf("N=%d: report counts differ: %d vs %d", n, len(single.Reports), len(sharded.Reports))
+		}
+		for i := range single.Reports {
+			if single.Reports[i].Refined != sharded.Reports[i].Refined {
+				t.Fatalf("N=%d: acquisition %d refined count: single=%d sharded=%d",
+					n, i, single.Reports[i].Refined, sharded.Reports[i].Refined)
+			}
+		}
+		rp2, err := sharded.RefinedProducts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k2 := core.SortedHotspotKeys(rp2); !slices.Equal(k1, k2) {
+			t.Fatalf("N=%d: refined products differ: single %d hotspots, sharded %d", n, len(k1), len(k2))
+		}
+		if t2 := hotspotTriples(t, sharded.Strabon); !slices.Equal(t1, t2) {
+			t.Fatalf("N=%d: hotspot triples differ: single %d, sharded %d", n, len(t1), len(t2))
+		}
+		if single.Strabon.Len() != sharded.Strabon.Len() {
+			t.Fatalf("N=%d: store sizes differ: single=%d sharded=%d", n, single.Strabon.Len(), sharded.Strabon.Len())
+		}
+
+		// The pipeline's write patterns (flushed product inserts, rule
+		// effects, virtual hotspots) must never trip the co-location
+		// safety latch — fan-out has to survive real operation.
+		out, err := sharded.Strabon.(*Store).Explain(
+			`SELECT ?h WHERE { ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at . }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "shard fan-out") {
+			t.Fatalf("N=%d: pipeline writes tripped the split latch; queries degraded to union-only:\n%s", n, out)
 		}
 	}
-	if single.Strabon.Len() != sharded.Strabon.Len() {
-		t.Fatalf("store sizes differ: single=%d sharded=%d", single.Strabon.Len(), sharded.Strabon.Len())
-	}
+}
 
-	// The pipeline's write patterns (batched product inserts, scoped
-	// refinement, persistence updates) must never trip the co-location
-	// safety latch — fan-out has to survive real operation.
-	out, err := sharded.Strabon.(*Store).Explain(
-		`SELECT ?h WHERE { ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at . }`)
-	if err != nil {
-		t.Fatal(err)
+// TestNoPartialRefinementVisible is the flush contract seen from a
+// dashboard: while RunWindow services a window, a reader polling the
+// window's hotspots — and, separately, any hotspot touching no
+// coastline, which Delete In Sea removes — never sees a row the final
+// state lacks. Raw hotspots in the sea, unclipped coastal pixels and
+// not-yet-confirmed confidences exist only inside a flush's hold. With
+// one product per flush, every flush moves exactly one generation: the
+// one of the slice (or store) it lands in.
+func TestNoPartialRefinementVisible(t *testing.T) {
+	cfg := seviri.DefaultScenarioConfig()
+	from := cfg.Start.Add(11 * time.Hour)
+	const span = 40 * time.Minute
+	polls := []string{
+		fmt.Sprintf(`SELECT ?h ?g ?conf ?cf WHERE {
+  ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at ; noa:hasConfidence ?conf ;
+     noa:hasConfirmation ?cf ; strdf:hasGeometry ?g .
+  FILTER( str(?at) >= "%s" ) }`, from.Format("2006-01-02T15:04:05")),
+		`SELECT ?h ?g WHERE {
+  ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at ; strdf:hasGeometry ?g .
+  OPTIONAL { ?c a coast:Coastline ; strdf:hasGeometry ?cg . FILTER( strdf:anyInteract(?g, ?cg) ) }
+  FILTER( !bound(?c) ) }`,
 	}
-	if !strings.Contains(out, "shard fan-out") {
-		t.Fatalf("pipeline writes tripped the split latch; queries degraded to union-only:\n%s", out)
+	rows := func(st strabon.API, q string) map[string]bool {
+		res, err := st.Query(q)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		out := make(map[string]bool, len(res.Rows))
+		for _, row := range res.Rows {
+			out[string(stsparql.RowKey(nil, row, res.Vars))] = true
+		}
+		return out
+	}
+	gens := func(st strabon.API) []uint64 {
+		if sh, ok := st.(*Store); ok {
+			var out []uint64
+			for _, ss := range sh.ShardStats() {
+				out = append(out, ss.Gen)
+			}
+			return out // static first, then slices
+		}
+		return []uint64{0, st.(*strabon.Store).Generation()}
+	}
+	for name, mk := range map[string]func() strabon.API{
+		"single": func() strabon.API { return strabon.New() },
+		"shard4": func() strabon.API { return New(Config{Slices: 4, Width: 10 * time.Minute, Epoch: cfg.Start}) },
+	} {
+		for _, flush := range []int{1, 4} {
+			st := mk()
+			svc, err := core.NewServiceWithStore(42, cfg, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc.Workers, svc.FlushBatch = 4, flush
+			before := gens(st)
+
+			seen := make([]map[string]bool, len(polls))
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					k := i % len(polls)
+					if seen[k] == nil {
+						seen[k] = make(map[string]bool)
+					}
+					for row := range rows(st, polls[k]) {
+						seen[k][row] = true
+					}
+				}
+			}()
+			err = svc.RunWindow(seviri.MSG1, from, span)
+			close(done)
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for k, q := range polls {
+				final := rows(st, q)
+				for row := range seen[k] {
+					if !final[row] {
+						t.Fatalf("%s flush=%d: poll %d saw a row the final state lacks (partial refinement visible): %q", name, flush, k, row)
+					}
+				}
+			}
+			if len(seen[0]) == 0 {
+				t.Fatalf("%s flush=%d: the reader never saw a hotspot", name, flush)
+			}
+
+			after := gens(st)
+			if after[0] != before[0] {
+				t.Fatalf("%s flush=%d: the static store's generation moved %d -> %d", name, flush, before[0], after[0])
+			}
+			want := make([]uint64, len(after))
+			var moved, total uint64
+			for _, rep := range svc.Reports {
+				i := 1
+				if sh, ok := st.(*Store); ok {
+					i += sh.sliceFor(rep.At)
+				}
+				want[i]++
+				total++
+			}
+			for i := 1; i < len(after); i++ {
+				d := after[i] - before[i]
+				moved += d
+				if flush == 1 && d != want[i] {
+					t.Fatalf("%s: member %d generation advanced %d times over %d one-product flushes landing in it", name, i, d, want[i])
+				}
+			}
+			if moved == 0 || moved > total {
+				t.Fatalf("%s flush=%d: generations advanced %d times over %d acquisitions", name, flush, moved, total)
+			}
+		}
 	}
 }

@@ -44,8 +44,16 @@
 // store-global write bottleneck into a shard-local one. A fan-out
 // cursor holds read locks on the static store and the relevant slices
 // (acquired in fixed order: static, then slices ascending) until Close;
-// a union-view cursor holds all of them. Cross-store write locks are
-// only ever taken by atomic Update, in the same fixed order.
+// a union-view cursor holds all of them. Write paths take the writer
+// mutex first and member locks in the same fixed order: InsertAll locks
+// one target at a time, the atomic Update write-locks every member, and
+// ApplyFlush — the acquisition pipeline's insert-and-refine, see the
+// flush contract in package strabon — read-locks the static store and
+// the slices its rules look at while they run over an overlay, then
+// write-locks only the slice(s) its acquisitions land in for the
+// commit. A flush therefore never stalls a reader of older history,
+// stalls a reader of the live slice for the length of a bulk insert,
+// and is visible to it entirely or not at all.
 package shard
 
 import (
@@ -336,9 +344,12 @@ func (s *Store) bucket(t time.Time) int64 {
 
 // sliceFor maps a timestamp to its owning slice (buckets round-robin
 // over the slices).
-func (s *Store) sliceFor(t time.Time) int {
+func (s *Store) sliceFor(t time.Time) int { return s.sliceOf(s.bucket(t)) }
+
+// sliceOf maps a time bucket to its owning slice.
+func (s *Store) sliceOf(bucket int64) int {
 	n := int64(len(s.slices))
-	return int(((s.bucket(t) % n) + n) % n)
+	return int(((bucket % n) + n) % n)
 }
 
 // groupTime finds the routing timestamp of a triple group: the object of
@@ -360,8 +371,8 @@ func (s *Store) groupTime(group []rdf.Triple) (time.Time, bool) {
 // track records routing knowledge for inserted groups: predicate and
 // rdf:type-object membership per side, and the observed acquisition-
 // time range per slice — every parseable time object in a slice-routed
-// group extends that slice's range, scoped-update inserts (which carry
-// no routing timestamp of their own) included. targets[i] is the slice
+// group extends that slice's range, rule and update inserts (which may
+// carry no routing timestamp of their own) included. targets[i] is the slice
 // index of groups[i], or -1 for static. Deletions never untrack — the
 // sets are conservative supersets and the ranges conservative
 // envelopes, which only costs fan-out/pruning opportunities, never
@@ -403,13 +414,55 @@ func (s *Store) track(groups [][]rdf.Triple, targets []int) {
 	}
 }
 
+// held names the member stores a write path has locked while it routes
+// and commits: the slices it may read (ascending; the static store
+// always), which of them it may write, and whether it may write the
+// static store. A nil *held means no lock is held — probes then
+// read-lock members briefly, one at a time.
+type held struct {
+	slices      []int
+	write       []bool // indexed by slice
+	staticWrite bool
+}
+
+// writable reports whether target (slice index, or -1 for static) is
+// write-locked.
+func (h *held) writable(target int) bool {
+	if target < 0 {
+		return h.staticWrite
+	}
+	return h.write[target]
+}
+
+// probe runs fn over the member stores a routing probe may read: every
+// member, each briefly read-locked, when h is nil; otherwise exactly
+// the held ones, as they are. fn returns true to stop.
+func (s *Store) probe(h *held, fn func(slice int, m *strabon.Store) bool) {
+	if h != nil {
+		if fn(-1, s.static) {
+			return
+		}
+		for _, i := range h.slices {
+			if fn(i, s.slices[i]) {
+				return
+			}
+		}
+		return
+	}
+	for i, m := range s.members() {
+		m.RLock()
+		stop := fn(i-1, m)
+		m.RUnlock()
+		if stop {
+			return
+		}
+	}
+}
+
 // groupSplits reports whether inserting the group into target (slice
 // index, or -1 for static) would place a subject's triples outside the
-// store where that subject already lives. locked=true when the caller
-// already holds every member's lock; otherwise members are briefly
-// read-locked one at a time (safe in any caller context: at most one
-// lock is held at a time).
-func (s *Store) groupSplits(group []rdf.Triple, target int, locked bool) bool {
+// store where that subject already lives, as far as h can see.
+func (s *Store) groupSplits(group []rdf.Triple, target int, h *held) bool {
 	seen := make(map[string]bool)
 	var subjects []rdf.Term
 	for _, t := range group {
@@ -419,32 +472,20 @@ func (s *Store) groupSplits(group []rdf.Triple, target int, locked bool) bool {
 		}
 	}
 	var zero rdf.Term
-	targetStore := s.static
-	if target >= 0 {
-		targetStore = s.slices[target]
-	}
-	for _, m := range s.members() {
-		if m == targetStore {
-			continue
+	found := false
+	s.probe(h, func(slice int, m *strabon.Store) bool {
+		if slice == target {
+			return false
 		}
-		if !locked {
-			m.RLock()
-		}
-		found := false
 		for _, sub := range subjects {
 			if m.CountPattern(sub, zero, zero) > 0 {
 				found = true
-				break
+				return true
 			}
 		}
-		if !locked {
-			m.RUnlock()
-		}
-		if found {
-			return true
-		}
-	}
-	return false
+		return false
+	})
+	return found
 }
 
 // noteTimeConflict latches the split flag when one group carries
@@ -469,36 +510,30 @@ func (s *Store) noteTimeConflict(group []rdf.Triple, at time.Time) {
 
 // noteSplits latches the split flag if any group lands away from its
 // subjects' existing home.
-func (s *Store) noteSplits(groups [][]rdf.Triple, targets []int, locked bool) {
+func (s *Store) noteSplits(groups [][]rdf.Triple, targets []int, h *held) {
 	if s.split.Load() {
 		return
 	}
 	for gi, g := range groups {
-		if s.groupSplits(g, targets[gi], locked) {
+		if s.groupSplits(g, targets[gi], h) {
 			s.split.Store(true)
 			return
 		}
 	}
 }
 
-// findOwner locates the slice already holding a subject's triples
-// (locked=true when the caller already holds every member's lock).
-// Returns -1 when no slice knows the subject.
-func (s *Store) findOwner(sub rdf.Term, locked bool) int {
+// findOwner locates the slice already holding a subject's triples, as
+// far as h can see. Returns -1 when no slice knows the subject.
+func (s *Store) findOwner(sub rdf.Term, h *held) int {
 	var zero rdf.Term
-	for i, sl := range s.slices {
-		if !locked {
-			sl.RLock()
+	owner := -1
+	s.probe(h, func(slice int, m *strabon.Store) bool {
+		if slice >= 0 && m.CountPattern(sub, zero, zero) > 0 {
+			owner = slice
 		}
-		n := sl.CountPattern(sub, zero, zero)
-		if !locked {
-			sl.RUnlock()
-		}
-		if n > 0 {
-			return i
-		}
-	}
-	return -1
+		return owner >= 0
+	})
+	return owner
 }
 
 // --- write paths ---
@@ -522,10 +557,10 @@ func (s *Store) insertRouted(groups [][]rdf.Triple, probeOwner bool) []int {
 			targets[gi] = s.sliceFor(at)
 			s.noteTimeConflict(g, at)
 		} else if probeOwner && len(g) > 0 {
-			targets[gi] = s.findOwner(g[0].S, false)
+			targets[gi] = s.findOwner(g[0].S, nil)
 		}
 	}
-	s.noteSplits(groups, targets, false)
+	s.noteSplits(groups, targets, nil)
 	s.track(groups, targets)
 
 	counts := make([]int, len(groups))
@@ -632,216 +667,166 @@ func (s *Store) Update(src string) (stsparql.UpdateStats, error) {
 	s.countUpdate()
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	unlock := s.lockAllWrite()
-	defer unlock()
+	h := &held{write: make([]bool, len(s.slices)), staticWrite: true}
+	for i := range s.slices {
+		h.slices = append(h.slices, i)
+		h.write[i] = true
+	}
+	defer s.lockWrite(h)()
 	ev := stsparql.NewEvaluatorWithCache(s.viewAll(), s.cache)
 	plan, err := ev.PlanUpdate(q.Update)
 	if err != nil {
 		return stsparql.UpdateStats{}, err
 	}
-	return s.applyRouted(plan), nil
+	groups, targets, err := s.route(plan.Inserts(), h)
+	if err != nil {
+		return stsparql.UpdateStats{}, err
+	}
+	stats := s.commit(plan.Deletes(), groups, targets, h)
+	stats.Matched = plan.Matched
+	return stats, nil
 }
 
-// applyRouted applies a computed update plan with every member write
-// lock held: deletes try each store (the partition means exactly one can
-// hold the triple), inserts group by subject and route by timestamp,
-// then owning slice, then static. Routing decisions (targets, the
-// split latch) and the track() registration all happen BEFORE the
-// first member-store mutation: generation bumps are observed lock-free
-// by the result cache's validators, so routing knowledge must already
-// cover the new data when the first bump lands (genorder invariant,
-// enforced by reprolint).
-func (s *Store) applyRouted(plan *stsparql.UpdatePlan) stsparql.UpdateStats {
-	stats := stsparql.UpdateStats{Matched: plan.Matched}
+// ApplyFlush implements strabon.API for the acquisition pipeline's
+// write. The slices the groups (routed by acquisition timestamp, like
+// InsertAll) and f.At land in are the flush's write set; those plus the
+// slices covering [f.Since, latest acquisition] and the static store
+// are read-locked while the rules run over a strabon.Overlay of them —
+// readers proceed beside the refinement. The overlay's net effect is
+// then routed and committed under the write locks of the write set
+// alone: one short hold, one generation bump per written slice, readers
+// of every other slice never stalled. writeMu is held throughout, so
+// the state the rules read is the state the commit lands on.
+func (s *Store) ApplyFlush(f strabon.Flush, rules func(*strabon.FlushTx) error) error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 
-	groups := groupBySubject(plan.Inserts)
-	targets := make([]int, len(groups))
-	times := make([]time.Time, len(groups))
-	for i := range groups {
+	h := &held{write: make([]bool, len(s.slices))}
+	latest := f.Since
+	lands := func(at time.Time) {
+		if at.After(latest) {
+			latest = at
+		}
+		h.write[s.sliceFor(at)] = true
+	}
+	for gi, g := range f.Groups {
+		at, ok := s.groupTime(g)
+		if !ok {
+			return fmt.Errorf("shard: flush group %d carries no acquisition timestamp", gi)
+		}
+		lands(at)
+	}
+	for _, at := range f.At {
+		lands(at)
+	}
+	reads := append([]bool(nil), h.write...)
+	if !f.Since.IsZero() {
+		for b, n := s.bucket(f.Since), 0; b <= s.bucket(latest) && n < len(s.slices); b, n = b+1, n+1 {
+			reads[s.sliceOf(b)] = true
+		}
+	}
+	base := strabon.View{s.static}
+	for i, r := range reads {
+		if r {
+			h.slices = append(h.slices, i)
+			base = append(base, s.slices[i])
+		}
+	}
+
+	// Read phase: refine the overlay, then route its net effect — both
+	// only read the held members.
+	release := s.lockRead(h.slices)
+	o, inserted := strabon.NewOverlay(base, f.Groups)
+	err := rules(strabon.NewFlushTx(inserted, o, s.cache))
+	var deletes []rdf.Triple
+	var groups [][]rdf.Triple
+	var targets []int
+	if err == nil {
+		var inserts []rdf.Triple
+		deletes, inserts = o.Effect()
+		groups, targets, err = s.route(inserts, h)
+	}
+	release()
+	if err != nil {
+		return err
+	}
+
+	// Write phase: the write set only.
+	defer s.lockWrite(h)()
+	s.commit(deletes, groups, targets, h)
+	return nil
+}
+
+// route groups the triples a write path is about to insert by subject
+// and decides where each group lands — by timestamp, then owning slice,
+// then static — reading only the members h holds. A group routed to a
+// store h may not write fails the whole write before anything is
+// applied. Co-location violations latch the split flag here, BEFORE the
+// first member-store mutation.
+func (s *Store) route(inserts []rdf.Triple, h *held) (groups [][]rdf.Triple, targets []int, err error) {
+	groups = groupBySubject(inserts)
+	targets = make([]int, len(groups))
+	for i, g := range groups {
 		targets[i] = -1
-		if at, ok := s.groupTime(groups[i]); ok {
+		if at, ok := s.groupTime(g); ok {
 			targets[i] = s.sliceFor(at)
-			times[i] = at
-		} else if idx := s.findOwner(groups[i][0].S, true); idx >= 0 {
+			s.noteTimeConflict(g, at)
+		} else if idx := s.findOwner(g[0].S, h); idx >= 0 {
 			targets[i] = idx
 		}
-		if targets[i] >= 0 && !times[i].IsZero() {
-			s.noteTimeConflict(groups[i], times[i])
+		if !h.writable(targets[i]) {
+			return nil, nil, fmt.Errorf("shard: write of %s lands outside the stores the write path holds", g[0].S)
 		}
-		if !s.split.Load() && s.groupSplits(groups[i], targets[i], true) {
+		if !s.split.Load() && s.groupSplits(g, targets[i], h) {
 			s.split.Store(true)
 		}
 	}
+	return groups, targets, nil
+}
+
+// commit applies routed deletes and inserts under the write locks h
+// names: deletes try each write-held store (the partition means at most
+// one can hold the triple), inserts land in bulk per target. The
+// track() registration happens BEFORE the first member-store mutation:
+// routing knowledge must already cover the new data when the member
+// generations move (genorder invariant, enforced by reprolint).
+func (s *Store) commit(deletes []rdf.Triple, groups [][]rdf.Triple, targets []int, h *held) stsparql.UpdateStats {
+	var stats stsparql.UpdateStats
 	s.track(groups, targets)
 
-	for _, t := range plan.Deletes {
+	for _, t := range deletes {
 		removed := false
-		for _, sl := range s.slices {
-			if sl.Remove(t) {
+		for _, i := range h.slices {
+			if h.write[i] && s.slices[i].Remove(t) {
 				removed = true
 				break
 			}
 		}
-		if !removed {
-			removed = s.static.Remove(t)
-		}
-		if removed {
+		if removed || (h.staticWrite && s.static.Remove(t)) {
 			stats.Deleted++
 		}
 	}
 
-	for i := range groups {
-		st := s.static
-		if targets[i] >= 0 {
-			st = s.slices[targets[i]]
-		}
-		for _, t := range groups[i] {
-			if st.Add(t) {
-				stats.Inserted++
+	land := func(target int, st *strabon.Store) {
+		var batch [][]rdf.Triple
+		for i, tg := range targets {
+			if tg == target {
+				batch = append(batch, groups[i])
 			}
+		}
+		for _, n := range st.InsertAllLocked(batch...) {
+			stats.Inserted += n
+		}
+	}
+	if h.staticWrite {
+		land(-1, s.static)
+	}
+	for _, i := range h.slices {
+		if h.write[i] {
+			land(i, s.slices[i])
 		}
 	}
 	return stats
-}
-
-// UpdateScoped executes a DELETE/INSERT with relaxed atomicity, like
-// strabon.Store.UpdateScoped. When the WHERE clause is provably
-// shard-decomposable (the refinement updates are: every pattern anchors
-// on one acquisition-scoped subject), it is planned and applied
-// shard-by-shard — the WHERE phase under that slice's read lock, the
-// application under its write lock — so scoped updates for different
-// acquisition ranges run concurrently and never block other shards.
-// Otherwise the WHERE phase runs once over the union view under every
-// read lock and applies under every write lock.
-func (s *Store) UpdateScoped(src string) (stsparql.UpdateStats, error) {
-	q, err := s.parseUpdate(src)
-	if err != nil {
-		return stsparql.UpdateStats{}, err
-	}
-	s.countUpdate()
-	dec := s.analyzeGroup(q.Update.Where)
-	if !dec.fanout {
-		return s.updateScopedGlobal(q)
-	}
-
-	var total stsparql.UpdateStats
-	for _, idx := range dec.shards {
-		sl := s.slices[idx]
-		s.static.RLock()
-		sl.RLock()
-		// Re-validate the routing decision under the read locks: a
-		// concurrent write may have latched the split flag or grown
-		// routing knowledge since the unlocked analysis. Knowledge
-		// only moves toward the union fallback, so on mismatch the
-		// whole update re-plans globally (scoped refinement updates
-		// are idempotent per row, so re-touching already-processed
-		// shards is harmless).
-		if !s.recheckFanout(q.Update.Where, dec) {
-			sl.RUnlock()
-			s.static.RUnlock()
-			st, err := s.updateScopedGlobal(q)
-			st.Matched += total.Matched
-			st.Deleted += total.Deleted
-			st.Inserted += total.Inserted
-			return st, err
-		}
-		ev := stsparql.NewEvaluatorWithCache(s.view(idx), s.cache)
-		plan, err := ev.PlanUpdate(q.Update)
-		sl.RUnlock()
-		s.static.RUnlock()
-		if err != nil {
-			return total, err
-		}
-		total.Matched += plan.Matched
-
-		// Shard-local application: the plan's rows anchor on this
-		// slice's subjects, so inserts land here. A delete the slice
-		// does not hold — a template can name a static or other-slice
-		// triple through an object variable — is retried against every
-		// other member store, each under its own lock.
-		s.writeMu.Lock()
-		if len(plan.Inserts) > 0 {
-			// BEFORE the inserts become visible: register routing
-			// knowledge (e.g. noa:isInMunicipality on the first
-			// Municipalities run) and latch the co-location flag if a
-			// template writes onto a subject living outside this slice
-			// — no concurrent analysis may see the data under a
-			// pre-write classification.
-			s.track([][]rdf.Triple{plan.Inserts}, []int{idx})
-			groups := groupBySubject(plan.Inserts)
-			targets := make([]int, len(groups))
-			for i := range targets {
-				targets[i] = idx
-			}
-			s.noteSplits(groups, targets, false)
-			// A template may mint an acquisition timestamp belonging to
-			// a different routing bucket than the slice it lands in —
-			// window pruning would then look in the wrong slice. Latch
-			// the union fallback, as noteTimeConflict does for loads.
-			for _, t := range plan.Inserts {
-				if t.P.Value != s.cfg.TimePredicate || s.split.Load() {
-					continue
-				}
-				if at, ok := stsparql.ParseDateTime(t.O.Value); !ok || s.sliceFor(at) != idx {
-					s.split.Store(true)
-				}
-			}
-		}
-		var leftovers []rdf.Triple
-		sl.Lock()
-		for _, t := range plan.Deletes {
-			if sl.Remove(t) {
-				total.Deleted++
-			} else {
-				leftovers = append(leftovers, t)
-			}
-		}
-		for _, t := range plan.Inserts {
-			if sl.Add(t) {
-				total.Inserted++
-			}
-		}
-		sl.Unlock()
-		for _, m := range s.members() {
-			if len(leftovers) == 0 {
-				break
-			}
-			if m == sl {
-				continue
-			}
-			remaining := leftovers[:0]
-			m.Lock()
-			for _, t := range leftovers {
-				if m.Remove(t) {
-					total.Deleted++
-				} else {
-					remaining = append(remaining, t)
-				}
-			}
-			m.Unlock()
-			leftovers = remaining
-		}
-		s.writeMu.Unlock()
-	}
-	return total, nil
-}
-
-// updateScopedGlobal is UpdateScoped's union-view path: the WHERE
-// phase plans once over every member under read locks, application
-// runs under every write lock with routed inserts.
-func (s *Store) updateScopedGlobal(q *stsparql.Query) (stsparql.UpdateStats, error) {
-	runlock := s.lockAllRead()
-	ev := stsparql.NewEvaluatorWithCache(s.viewAll(), s.cache)
-	plan, err := ev.PlanUpdate(q.Update)
-	runlock()
-	if err != nil {
-		return stsparql.UpdateStats{}, err
-	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	unlock := s.lockAllWrite()
-	defer unlock()
-	return s.applyRouted(plan), nil
 }
 
 // --- lock helpers ---
@@ -876,17 +861,28 @@ func (s *Store) lockRead(idxs []int) func() {
 	}
 }
 
-// lockAllWrite write-locks every member store in fixed order.
-func (s *Store) lockAllWrite() func() {
-	s.static.Lock()
-	for _, sl := range s.slices {
-		sl.Lock()
+// lockWrite write-locks the stores h may write, in fixed order — static
+// if staticWrite, then the write slices ascending — and returns the
+// matching unlock. Write paths only: the caller holds writeMu and no
+// member read lock.
+func (s *Store) lockWrite(h *held) func() {
+	if h.staticWrite {
+		s.static.Lock()
+	}
+	for _, i := range h.slices {
+		if h.write[i] {
+			s.slices[i].Lock()
+		}
 	}
 	return func() {
-		for i := len(s.slices) - 1; i >= 0; i-- {
-			s.slices[i].Unlock()
+		for j := len(h.slices) - 1; j >= 0; j-- {
+			if i := h.slices[j]; h.write[i] {
+				s.slices[i].Unlock()
+			}
 		}
-		s.static.Unlock()
+		if h.staticWrite {
+			s.static.Unlock()
+		}
 	}
 }
 

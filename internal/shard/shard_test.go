@@ -297,8 +297,9 @@ func TestShardEquivalence(t *testing.T) {
 }
 
 // TestShardUpdateEquivalence applies the refinement-shaped updates —
-// a scoped spatial INSERT, a scoped DELETE, an atomic per-subject
-// Update and an INSERT DATA with a routing timestamp — to a single and
+// a windowed spatial INSERT, a DELETE with OPTIONAL against static data,
+// an atomic per-subject Update and an INSERT DATA with a routing
+// timestamp — to a single and
 // a sharded store and compares the full dataset afterwards.
 func TestShardUpdateEquivalence(t *testing.T) {
 	updates := []string{
@@ -344,13 +345,7 @@ WHERE  { <%[1]s> noa:hasConfidence ?c . }`
 	uri := products.HotspotURI(fixtureProducts()[0].Hotspots[0])
 	for _, st := range []strabon.API{single, sh} {
 		for i, u := range updates {
-			var err error
-			if i == 0 || i == 1 {
-				_, err = st.UpdateScoped(u)
-			} else {
-				_, err = st.Update(u)
-			}
-			if err != nil {
+			if _, err := st.Update(u); err != nil {
 				t.Fatalf("update %d: %v", i, err)
 			}
 		}
@@ -418,11 +413,11 @@ func TestShardSplitSubjectFallback(t *testing.T) {
 	}
 }
 
-// TestShardScopedDeleteCrossSlice pins leftover-delete routing: a
-// scoped update whose DELETE template names another slice's triple
-// (reached through an object variable) must remove it wherever it
-// lives, not just in the anchoring slice or the static store.
-func TestShardScopedDeleteCrossSlice(t *testing.T) {
+// TestShardDeleteCrossSlice pins delete routing: an update whose DELETE
+// template names another slice's triple (reached through an object
+// variable) must remove it wherever it lives, not just in the anchoring
+// slice or the static store.
+func TestShardDeleteCrossSlice(t *testing.T) {
 	mk := func(st strabon.API) {
 		// h1 (10:00 bucket) links to h2 (13:00 bucket) which carries a
 		// confirmation; the link crosses slices.
@@ -443,7 +438,7 @@ func TestShardScopedDeleteCrossSlice(t *testing.T) {
 	u := `DELETE { ?x noa:hasConfirmation noa:unconfirmed }
 WHERE { ?h noa:isExtractedFrom ?x ; noa:hasAcquisitionDateTime ?at . }`
 	for _, st := range []strabon.API{single, sh} {
-		if _, err := st.UpdateScoped(u); err != nil {
+		if _, err := st.Update(u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -456,7 +451,7 @@ WHERE { ?h noa:isExtractedFrom ?x ; noa:hasAcquisitionDateTime ?at . }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertEquivalent(t, "cross-slice scoped delete", want, got, false)
+	assertEquivalent(t, "cross-slice delete", want, got, false)
 }
 
 // TestShardGroupWithConflictingTimes pins the multi-bucket-group latch:

@@ -1,37 +1,11 @@
 package shard
 
-import (
-	"repro/internal/geom"
-	"repro/internal/rdf"
-	"repro/internal/strabon"
-	"repro/internal/stsparql"
-)
+import "repro/internal/strabon"
 
-// view is the composite triple source one shard evaluation runs over:
-// the static store plus zero or more slices, presented to the engine as
-// a single stsparql Source/StatSource/SpatialSource. The members
-// partition the data (nothing is replicated), so concatenating their
-// scans and summing their statistics is exact. The caller holds every
-// member's lock for the lifetime of the evaluation — the view itself
-// calls only the unlocked stsparql interface methods.
-//
-// A view deliberately does NOT implement stsparql.IDSource: each member
-// store owns its own dictionary, so one term maps to different IDs in
-// different members and no single ID space covers the composite. The
-// engine detects this and runs in local-dictionary mode — scan output
-// is interned into an evaluation-local dictionary, preserving the
-// ID-native operator pipeline at the cost of one intern per scanned
-// term (see stsparql/iddict.go).
-type view struct {
-	members []*strabon.Store
-}
-
-var _ stsparql.StatSource = view{}
-var _ stsparql.SpatialSource = view{}
-
-// view returns the composite source of one slice evaluation.
-func (s *Store) view(idx int) view {
-	return view{members: []*strabon.Store{s.static, s.slices[idx]}}
+// view returns the composite source of one slice evaluation: the static
+// store plus that slice (see strabon.View).
+func (s *Store) view(idx int) strabon.View {
+	return strabon.View{s.static, s.slices[idx]}
 }
 
 // members enumerates every member store, static first then slices
@@ -44,84 +18,4 @@ func (s *Store) members() []*strabon.Store {
 }
 
 // viewAll returns the union view over every member store.
-func (s *Store) viewAll() view {
-	return view{members: s.members()}
-}
-
-// MatchTerms implements stsparql.Source: member scans concatenate, with
-// the visitor's early stop propagating across members.
-func (v view) MatchTerms(sub, pred, obj rdf.Term, visit func(rdf.Triple) bool) {
-	cont := true
-	wrapped := func(t rdf.Triple) bool {
-		cont = visit(t)
-		return cont
-	}
-	for _, m := range v.members {
-		if !cont {
-			return
-		}
-		m.MatchTerms(sub, pred, obj, wrapped)
-	}
-}
-
-// CountPattern implements stsparql.StatSource (exact: members are
-// disjoint).
-func (v view) CountPattern(sub, pred, obj rdf.Term) int {
-	n := 0
-	for _, m := range v.members {
-		n += m.CountPattern(sub, pred, obj)
-	}
-	return n
-}
-
-// PredicateCard implements stsparql.StatSource. The distinct counts sum
-// member-wise — an overestimate when a subject or object spans members,
-// which only skews estimates, never results.
-func (v view) PredicateCard(pred rdf.Term) (triples, distinctS, distinctO int) {
-	for _, m := range v.members {
-		t, ds, do := m.PredicateCard(pred)
-		triples += t
-		distinctS += ds
-		distinctO += do
-	}
-	return
-}
-
-// StoreCard implements stsparql.StatSource.
-func (v view) StoreCard() (triples, subjects, predicates, objects int) {
-	for _, m := range v.members {
-		t, s2, p2, o2 := m.StoreCard()
-		triples += t
-		subjects += s2
-		predicates += p2
-		objects += o2
-	}
-	return
-}
-
-// SpatialIndexEnabled implements stsparql.SpatialSource: the window
-// path is available only when every member can serve it.
-func (v view) SpatialIndexEnabled() bool {
-	for _, m := range v.members {
-		if !m.SpatialIndexEnabled() {
-			return false
-		}
-	}
-	return true
-}
-
-// MatchGeometryWindow implements stsparql.SpatialSource: every member's
-// R-tree is searched, with early stop propagating.
-func (v view) MatchGeometryWindow(env geom.Envelope, visit func(rdf.Triple) bool) {
-	cont := true
-	wrapped := func(t rdf.Triple) bool {
-		cont = visit(t)
-		return cont
-	}
-	for _, m := range v.members {
-		if !cont {
-			return
-		}
-		m.MatchGeometryWindow(env, wrapped)
-	}
-}
+func (s *Store) viewAll() strabon.View { return s.members() }

@@ -31,7 +31,64 @@ type API interface {
 	Explain(src string) (string, error)
 
 	Update(src string) (stsparql.UpdateStats, error)
-	UpdateScoped(src string) (stsparql.UpdateStats, error)
+
+	// ApplyFlush is the acquisition pipeline's write: it inserts the
+	// flush's triple groups and runs rules — the refinement of what was
+	// just written — as ONE transition of the store. The rules evaluate
+	// and apply against a private Overlay while the store stays readable;
+	// the overlay's net effect then lands under a single short hold of
+	// the write lock(s) the flush lands in, and the generation of every
+	// store it touches advances exactly once. A reader sees the flush
+	// entirely or not at all; no other writer runs between the rules'
+	// first read and the commit; a flush whose rules fail writes nothing.
+	ApplyFlush(f Flush, rules func(*FlushTx) error) error
+}
+
+// Flush describes one ApplyFlush: the triple groups to insert (one per
+// product, each carrying its acquisition timestamp; may be empty when
+// the products are already stored), the acquisition times the rules
+// write at, and how far back in valid time they read. A sharded store
+// commits into the slices owning At and the groups' timestamps, and
+// shows the rules those slices plus the ones covering [Since, latest
+// At]; rules reaching outside that reach nothing.
+type Flush struct {
+	Groups [][]rdf.Triple
+	At     []time.Time
+	Since  time.Time
+}
+
+// FlushTx is the store as the rules of one ApplyFlush see it: the
+// flush's Overlay, an evaluator over it, and plan application onto it.
+// It is only valid inside the rules callback.
+type FlushTx struct {
+	// Inserted is the number of new triples per group of the flush.
+	Inserted []int
+
+	overlay *Overlay
+	ev      *stsparql.Evaluator
+}
+
+// NewFlushTx assembles a FlushTx over a flush's overlay; the sharded
+// store builds its own over the members it holds.
+func NewFlushTx(inserted []int, o *Overlay, cache *stsparql.Cache) *FlushTx {
+	return &FlushTx{Inserted: inserted, overlay: o, ev: stsparql.NewEvaluatorWithCache(o, cache)}
+}
+
+// Plan runs a prepared DELETE/INSERT rule over the seed rows against
+// the flush's current state, without applying it.
+func (tx *FlushTx) Plan(rule *stsparql.Prepared, seed []stsparql.Binding) (*stsparql.UpdatePlan, error) {
+	return tx.ev.PlanPrepared(rule, seed)
+}
+
+// Select runs a prepared SELECT over the seed rows.
+func (tx *FlushTx) Select(q *stsparql.Prepared, seed []stsparql.Binding) (*stsparql.Result, error) {
+	return tx.ev.SelectPrepared(q, seed)
+}
+
+// Apply applies a computed plan to the flush's state: deletes, then
+// inserts. Later rules of the flush see it; the store does at commit.
+func (tx *FlushTx) Apply(plan *stsparql.UpdatePlan) stsparql.UpdateStats {
+	return stsparql.ApplyPlan(tx.overlay, plan)
 }
 
 // QueryCursor is the streaming result surface shared by single-store
@@ -238,8 +295,9 @@ func (s *Store) RUnlock() { s.mu.RUnlock() }
 // Lock takes the store's write lock (composite-store use only).
 func (s *Store) Lock() { s.mu.Lock() }
 
-// Unlock releases the store's write lock.
-func (s *Store) Unlock() { s.mu.Unlock() }
+// Unlock releases the store's write lock; if the hold mutated the store
+// the generation advances first, once.
+func (s *Store) Unlock() { s.unlock() }
 
 // Generation reports the mutation generation compiled plans and cached
 // results are pinned to. It is an atomic load: callers holding the

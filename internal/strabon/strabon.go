@@ -8,19 +8,20 @@
 // # Locking discipline
 //
 // The store is safe for concurrent use through its endpoint API (Query,
-// Update, UpdateScoped, LoadTriples, InsertAll, ...). Internally a single
+// Update, LoadTriples, InsertAll, ApplyFlush, ...). Internally a single
 // RWMutex guards the triple store, the spatial index and the geometry
-// entry table:
+// entry table, and a writer mutex serialises the write paths among
+// themselves:
 //
 //   - Query and QueryStream evaluate under a read lock, so any number
-//     of queries — and the read-only planning phases of UpdateScoped —
-//     run concurrently. A streaming cursor HOLDS the read lock from
-//     QueryStream until Close: writers queue behind open cursors, which
-//     is what makes a half-consumed result set immune to concurrent
-//     mutation. Clients must Close cursors promptly.
-//   - Update, InsertAll and plan application take the write lock;
-//     mutations are serialised. Every mutation bumps the store
-//     generation, invalidating cached query plans.
+//     of queries run concurrently. A streaming cursor HOLDS the read
+//     lock from QueryStream until Close: writers queue behind open
+//     cursors, which is what makes a half-consumed result set immune to
+//     concurrent mutation. Clients must Close cursors promptly.
+//   - Update and InsertAll take the writer mutex, then the write lock;
+//     mutations are serialised. A write-lock hold that changed anything
+//     bumps the store generation exactly once, on release, invalidating
+//     cached query plans and results.
 //   - The stsparql interface methods (MatchTerms, Add, Remove,
 //     MatchGeometryWindow, SpatialIndexEnabled) do NOT lock: they are
 //     called by the evaluator while an endpoint method already holds the
@@ -28,12 +29,25 @@
 //   - Endpoint statistics live behind a separate mutex so read-locked
 //     queries can still count index hits.
 //
-// UpdateScoped relaxes SPARQL Update atomicity: the WHERE phase runs
-// under the read lock and application under the write lock, so a
-// conflicting writer could land in between. It exists for the refinement
-// loop, whose per-acquisition updates are scope-disjoint (every pattern is
-// filtered to one acquisition timestamp), making the interleaving
-// unobservable; callers with overlapping updates must use Update.
+// # The flush contract
+//
+// ApplyFlush is the acquisition pipeline's write: a batch of products
+// and the refinement of exactly those products, as one transition of
+// the store. Readers see a flush entirely or not at all — never a raw
+// hotspot the rules are about to delete, an unclipped coastal pixel or a
+// confidence about to be confirmed — and the generation moves once per
+// flush, however many rules ran.
+//
+// It gets there without making readers wait for the refinement. Under
+// the writer mutex (no other writer from here to the commit) and the
+// READ lock, the flush's triples go into a private Overlay; the rules
+// evaluate over store + overlay and apply to the overlay, each seeing
+// the effects of those before it. Only the overlay's net effect — the
+// refined products — is then committed under the write lock, a hold of
+// a bulk insert's length. The read lock is released before the write
+// lock is taken (RWMutex does not upgrade; reprolint's lockdiscipline
+// checks it); the writer mutex is what keeps the state from moving in
+// between. A flush whose rules fail commits nothing.
 package strabon
 
 import (
@@ -53,7 +67,11 @@ import (
 // Store is a spatially indexed RDF store with an stSPARQL endpoint. See
 // the package comment for the locking discipline.
 type Store struct {
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// writeMu serialises the write paths among themselves. ApplyFlush
+	// holds it from its read phase to its commit, so the state it refined
+	// against is the state it commits onto; readers never take it.
+	writeMu sync.Mutex
 	triples *rdf.Store
 	ns      *rdf.Namespaces
 	cache   *stsparql.Cache
@@ -67,12 +85,17 @@ type Store struct {
 	// still sees a stable value.
 	plans *stsparql.PlanCache
 	gen   atomic.Uint64
+	// mutated records that the current write-lock hold changed a triple;
+	// unlock turns it into exactly one generation bump.
+	mutated bool
 
 	indexOn bool
 	index   *rtree.Tree
-	// geomEntries remembers what was inserted in the index so Remove can
-	// delete the exact entry again.
-	geomEntries map[string]indexedGeom
+	// geomEntries remembers what was inserted in the index, keyed by the
+	// encoded geometry triple, so removeEncoded can delete the exact
+	// entry again. The R-tree payload is the entry itself: a window hit
+	// reads its triple without a lookup.
+	geomEntries map[rdf.EncodedTriple]*indexedGeom
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -83,10 +106,9 @@ type Store struct {
 const defaultPlanCacheSize = 256
 
 type indexedGeom struct {
-	env    geom.Envelope
-	triple rdf.Triple
-	// enc is the dictionary encoding of triple, captured at insert time so
-	// window scans can stay in ID space (MatchGeometryWindowIDs).
+	env geom.Envelope
+	// enc is the dictionary encoding of the geometry triple, so window
+	// scans can stay in ID space (MatchGeometryWindowIDs).
 	enc rdf.EncodedTriple
 }
 
@@ -108,7 +130,7 @@ func New() *Store {
 		plans:       stsparql.NewPlanCache(defaultPlanCacheSize),
 		indexOn:     true,
 		index:       rtree.New(),
-		geomEntries: make(map[string]indexedGeom),
+		geomEntries: make(map[rdf.EncodedTriple]*indexedGeom),
 	}
 }
 
@@ -179,15 +201,21 @@ func (s *Store) MatchTerms(sub, pred, obj rdf.Term, visit func(rdf.Triple) bool)
 	s.triples.MatchTerms(sub, pred, obj, visit)
 }
 
-// Add implements stsparql.UpdatableSource, maintaining the spatial
-// index and the plan-invalidating generation (it is only called with
-// the write lock held).
+// Add implements stsparql.UpdatableSource (write lock held).
 func (s *Store) Add(t rdf.Triple) bool {
-	if !s.triples.Add(t) {
+	d := s.triples.Dict()
+	return s.addEncoded(rdf.EncodedTriple{S: d.Encode(t.S), P: d.Encode(t.P), O: d.Encode(t.O)})
+}
+
+// addEncoded adds an already-encoded triple, maintaining the spatial
+// index. Like every mutation it only marks the hold mutated;
+// the generation moves once, when the write lock is released.
+func (s *Store) addEncoded(enc rdf.EncodedTriple) bool {
+	if !s.triples.AddEncoded(enc) {
 		return false
 	}
-	s.gen.Add(1)
-	if item, ok := s.geomItem(t); ok {
+	s.mutated = true
+	if item, ok := s.geomItem(enc); ok {
 		s.index.Insert(item.Box, item.Data)
 	}
 	return true
@@ -195,38 +223,61 @@ func (s *Store) Add(t rdf.Triple) bool {
 
 // geomItem prepares the spatial-index entry for a geometry triple,
 // recording it in geomEntries. ok is false for non-geometry triples.
-func (s *Store) geomItem(t rdf.Triple) (rtree.Item, bool) {
-	if !t.O.IsGeometry() || !stsparql.GeometryPredicates[t.P.Value] {
+func (s *Store) geomItem(enc rdf.EncodedTriple) (rtree.Item, bool) {
+	d := s.triples.Dict()
+	o := d.Decode(enc.O)
+	if !o.IsGeometry() || !stsparql.GeometryPredicates[d.Decode(enc.P).Value] {
 		return rtree.Item{}, false
 	}
-	g, err := geom.ParseWKT(t.O.Value)
+	g, err := geom.ParseWKT(o.Value)
 	if err != nil {
 		return rtree.Item{}, false
 	}
-	env := g.Envelope()
-	key := t.String()
-	// The triple was just added, so all three terms are interned; the
-	// encoding lets window scans yield IDs without a per-visit lookup.
-	dict := s.triples.Dict()
-	var enc rdf.EncodedTriple
-	enc.S, _ = dict.Lookup(t.S)
-	enc.P, _ = dict.Lookup(t.P)
-	enc.O, _ = dict.Lookup(t.O)
-	s.geomEntries[key] = indexedGeom{env: env, triple: t, enc: enc}
-	return rtree.Item{Box: env, Data: key}, true
+	e := &indexedGeom{env: g.Envelope(), enc: enc}
+	s.geomEntries[enc] = e
+	return rtree.Item{Box: e.env, Data: e}, true
 }
 
-// Remove implements stsparql.UpdatableSource.
+// Remove implements stsparql.UpdatableSource (write lock held).
 func (s *Store) Remove(t rdf.Triple) bool {
-	if !s.triples.Remove(t) {
+	d := s.triples.Dict()
+	var enc rdf.EncodedTriple
+	var ok bool
+	if enc.S, ok = d.Lookup(t.S); !ok {
 		return false
 	}
-	s.gen.Add(1)
-	if e, ok := s.geomEntries[t.String()]; ok {
-		s.index.Delete(e.env, t.String())
-		delete(s.geomEntries, t.String())
+	if enc.P, ok = d.Lookup(t.P); !ok {
+		return false
+	}
+	if enc.O, ok = d.Lookup(t.O); !ok {
+		return false
+	}
+	return s.removeEncoded(enc)
+}
+
+// removeEncoded removes an encoded triple and its spatial-index entry.
+func (s *Store) removeEncoded(enc rdf.EncodedTriple) bool {
+	if !s.triples.RemoveEncoded(enc) {
+		return false
+	}
+	s.mutated = true
+	if e, ok := s.geomEntries[enc]; ok {
+		s.index.Delete(e.env, e)
+		delete(s.geomEntries, enc)
 	}
 	return true
+}
+
+// unlock releases the write lock, first publishing the hold's mutations
+// as one generation bump: however many triples a hold adds and removes
+// — a bulk load, an update, a whole refined flush — plan- and
+// result-cache entries pinned to the store are invalidated once.
+func (s *Store) unlock() {
+	if s.mutated {
+		s.mutated = false
+		s.gen.Add(1)
+	}
+	s.mu.Unlock()
 }
 
 // CountPattern implements stsparql.StatSource.
@@ -253,9 +304,10 @@ func (s *Store) MatchGeometryWindow(env geom.Envelope, visit func(rdf.Triple) bo
 	s.statsMu.Lock()
 	s.stats.IndexHits++
 	s.statsMu.Unlock()
+	d := s.triples.Dict()
 	s.index.Search(env, func(it rtree.Item) bool {
-		e := s.geomEntries[it.Data.(string)]
-		return visit(e.triple)
+		enc := it.Data.(*indexedGeom).enc
+		return visit(rdf.Triple{S: d.Decode(enc.S), P: d.Decode(enc.P), O: d.Decode(enc.O)})
 	})
 }
 
@@ -284,8 +336,7 @@ func (s *Store) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.Encoded
 	s.stats.IndexHits++
 	s.statsMu.Unlock()
 	s.index.Search(env, func(it rtree.Item) bool {
-		e := s.geomEntries[it.Data.(string)]
-		return visit(e.enc)
+		return visit(it.Data.(*indexedGeom).enc)
 	})
 }
 
@@ -308,32 +359,42 @@ func (s *Store) LoadTriples(triples []rdf.Triple) int {
 }
 
 // InsertAll bulk-inserts several triple groups under one write-lock
-// acquisition, returning the number of new triples per group. Geometry
-// triples are gathered across the whole flush and bulk-loaded into the
-// R-tree once, instead of one quadratic-split insertion per triple — the
-// batched write path of the acquisition pipeline's writer.
+// acquisition, returning the number of new triples per group — the
+// bulk-load path (auxiliary datasets, a prior archive).
 func (s *Store) InsertAll(groups ...[]rdf.Triple) []int {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	s.mu.Lock()
+	defer s.unlock()
+	return s.InsertAllLocked(groups...)
+}
+
+// InsertAllLocked is InsertAll for a caller already holding the write
+// lock (ApplyFlush here, the sharded store's routed writes). Geometry
+// triples are gathered across the groups and bulk-loaded into the
+// R-tree once, instead of one quadratic-split insertion per triple.
+func (s *Store) InsertAllLocked(groups ...[]rdf.Triple) []int {
 	counts := make([]int, len(groups))
 	total := 0
-	s.mu.Lock()
+	d := s.triples.Dict()
 	var items []rtree.Item
 	for gi, group := range groups {
 		for _, t := range group {
-			if !s.triples.Add(t) {
+			enc := rdf.EncodedTriple{S: d.Encode(t.S), P: d.Encode(t.P), O: d.Encode(t.O)}
+			if !s.triples.AddEncoded(enc) {
 				continue
 			}
 			counts[gi]++
 			total++
-			if item, ok := s.geomItem(t); ok {
+			if item, ok := s.geomItem(enc); ok {
 				items = append(items, item)
 			}
 		}
 	}
 	if total > 0 {
-		s.gen.Add(1)
+		s.mutated = true
 	}
 	s.index.InsertAll(items)
-	s.mu.Unlock()
 
 	s.statsMu.Lock()
 	s.stats.TriplesLoaded += total
@@ -493,34 +554,38 @@ func (s *Store) Update(src string) (stsparql.UpdateStats, error) {
 	if err != nil {
 		return stsparql.UpdateStats{}, err
 	}
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	ev := stsparql.NewEvaluatorWithCache(s, s.cache)
 	return ev.Update(q.Update)
 }
 
-// UpdateScoped executes a DELETE/INSERT request with its WHERE phase
-// under the read lock and its application under the write lock. Several
-// scoped updates can therefore match concurrently — the property the
-// refinement stage of the acquisition pipeline relies on, since its
-// spatial-join WHERE clauses dominate the cost while touching only one
-// acquisition's triples. Atomicity across the two phases is NOT
-// guaranteed; see the package comment for when this is sound.
-func (s *Store) UpdateScoped(src string) (stsparql.UpdateStats, error) {
-	q, err := s.parseUpdate(src)
-	if err != nil {
-		return stsparql.UpdateStats{}, err
-	}
+// ApplyFlush implements API. The rules run over an Overlay of the store
+// under the READ lock — queries proceed beside them — and the overlay's
+// net effect is committed under one short hold of the write lock, with
+// one generation bump. writeMu keeps every other writer out from the
+// first read to the commit, so the flush is atomic to readers and
+// writers alike.
+func (s *Store) ApplyFlush(f Flush, rules func(*FlushTx) error) error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	s.mu.RLock()
-	ev := stsparql.NewEvaluatorWithCache(s, s.cache)
-	plan, err := ev.PlanUpdate(q.Update)
+	o, inserted := NewOverlay(View{s}, f.Groups)
+	err := rules(NewFlushTx(inserted, o, s.cache))
 	s.mu.RUnlock()
 	if err != nil {
-		return stsparql.UpdateStats{}, err
+		return err
 	}
+	deletes, inserts := o.Effect()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return stsparql.ApplyPlan(s, plan), nil
+	defer s.unlock()
+	for _, t := range deletes {
+		s.Remove(t)
+	}
+	s.InsertAllLocked(inserts)
+	return nil
 }
 
 func (s *Store) parseUpdate(src string) (*stsparql.Query, error) {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/rdf"
+	"repro/internal/stsparql"
 )
 
 const fixtureTurtle = `
@@ -392,9 +393,26 @@ SELECT ?h WHERE {
 	}
 }
 
-// TestUpdateScopedMatchesUpdate runs the same scoped delete through both
-// update paths and checks identical effect.
-func TestUpdateScopedMatchesUpdate(t *testing.T) {
+// seaRule deletes hotspots that touch no coastline; prepared with ?h as
+// its seed it only looks at the seeded subjects.
+const seaRule = `
+DELETE { ?h ?p ?o }
+WHERE {
+  ?h a noa:Hotspot ; strdf:hasGeometry ?g .
+  OPTIONAL {
+    ?c a coast:Coastline ; strdf:hasGeometry ?cg .
+    FILTER( strdf:anyInteract(?g, ?cg) )
+  }
+  FILTER( !bound(?c) )
+  ?h ?p ?o .
+}`
+
+// TestApplyFlushIsOneTransition pins the flush contract on the single
+// store: the groups and every rule effect land under one hold, the
+// generation advances exactly once however many triples moved, a seeded
+// rule touches the seeded subjects only, and the effect equals the same
+// delete run as an ad-hoc Update.
+func TestApplyFlushIsOneTransition(t *testing.T) {
 	mk := func() *Store {
 		s := New()
 		if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
@@ -402,33 +420,84 @@ func TestUpdateScopedMatchesUpdate(t *testing.T) {
 		}
 		return s
 	}
-	del := `
-DELETE { ?h ?p ?o }
-WHERE {
-  ?h a noa:Hotspot ; strdf:hasGeometry ?g ; ?p ?o .
-  OPTIONAL {
-    ?c a coast:Coastline ; strdf:hasGeometry ?cg .
-    FILTER( strdf:anyInteract(?g, ?cg) )
-  }
-  FILTER( !bound(?c) )
-}`
 	a, b := mk(), mk()
-	stA, err := a.Update(del)
+	inSea := hotspotGroup(7, 40) // far from the coastline, like Hotspot_2
+	a.InsertAll(inSea)
+	stA, err := a.Update(seaRule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stB, err := b.UpdateScoped(del)
+
+	rule, err := stsparql.Prepare(seaRule, b.Namespaces(), "h")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stA.Deleted == 0 || stA.Deleted != stB.Deleted || a.Len() != b.Len() {
-		t.Fatalf("Update deleted %d (len %d), UpdateScoped deleted %d (len %d)",
-			stA.Deleted, a.Len(), stB.Deleted, b.Len())
+	seed := func(subjects ...rdf.Term) []stsparql.Binding {
+		var rows []stsparql.Binding
+		for _, s := range subjects {
+			rows = append(rows, stsparql.Binding{"h": s})
+		}
+		return rows
+	}
+	gen := b.Generation()
+	deleted := 0
+	onLand := hotspotGroup(8, 3) // inside the coastline polygon
+	a.InsertAll(onLand)
+	err = b.ApplyFlush(Flush{Groups: [][]rdf.Triple{inSea, onLand}}, func(tx *FlushTx) error {
+		if tx.Inserted[0] != len(inSea) || tx.Inserted[1] != len(onLand) {
+			t.Errorf("Inserted = %v, want [%d %d]", tx.Inserted, len(inSea), len(onLand))
+		}
+		// Seeded with the flushed subjects only: Hotspot_2 is in the sea
+		// too, but it is not part of this flush.
+		plan, err := tx.Plan(rule, seed(inSea[0].S, onLand[0].S))
+		if err != nil {
+			return err
+		}
+		deleted += tx.Apply(plan).Deleted
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deleted != len(inSea) {
+		t.Fatalf("seeded rule deleted %d triples, want the flushed hotspot's %d", deleted, len(inSea))
+	}
+	if got := b.Generation(); got != gen+1 {
+		t.Fatalf("generation moved %d -> %d over one flush, want exactly +1", gen, got)
+	}
+	// An empty seed does no work and leaves the generation alone.
+	gen = b.Generation()
+	if err := b.ApplyFlush(Flush{}, func(tx *FlushTx) error {
+		plan, err := tx.Plan(rule, nil)
+		if err == nil {
+			tx.Apply(plan)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Generation(); got != gen {
+		t.Fatalf("an empty flush moved the generation %d -> %d", gen, got)
+	}
+	// Seeding the remaining sea hotspot converges on the Update's state.
+	if err := b.ApplyFlush(Flush{}, func(tx *FlushTx) error {
+		plan, err := tx.Plan(rule, seed(rdf.NewIRI("http://teleios.di.uoa.gr/ontologies/noaOntology.owl#Hotspot_2")))
+		if err != nil {
+			return err
+		}
+		deleted += tx.Apply(plan).Deleted
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if stA.Deleted == 0 || stA.Deleted != deleted || a.Len() != b.Len() {
+		t.Fatalf("Update deleted %d (len %d), seeded flushes deleted %d (len %d)",
+			stA.Deleted, a.Len(), deleted, b.Len())
 	}
 }
 
 // TestConcurrentEndpointSmoke hammers the endpoint from many goroutines —
-// queries, scoped updates and batch inserts at once. Run under -race it
+// queries, updates and batch inserts at once. Run under -race it
 // validates the store's locking discipline.
 func TestConcurrentEndpointSmoke(t *testing.T) {
 	s := New()
@@ -450,7 +519,7 @@ func TestConcurrentEndpointSmoke(t *testing.T) {
 				case 1:
 					s.InsertAll(hotspotGroup(1000+w*100+i, float64(w*30+i)))
 				default:
-					if _, err := s.UpdateScoped(fmt.Sprintf(`
+					if _, err := s.Update(fmt.Sprintf(`
 INSERT { ?h noa:hasConfidence %d.0 }
 WHERE  { ?h a noa:Hotspot . FILTER( strdf:area("POLYGON ((0 0, 1 0, 1 1, 0 1, 0 0))"^^strdf:WKT) > 2 ) }`, w)); err != nil {
 						t.Error(err)

@@ -203,6 +203,11 @@ type Evaluator struct {
 	// applyFunction must not retain the slice it is handed.
 	argScratch []Value
 
+	// seed and subRes carry one prepared run's state (see prepare.go):
+	// the seed rows its sub-selects share, and their per-run solutions.
+	seed   []Binding
+	subRes map[*subSelectOp][]Binding
+
 	// trace, when armed (SetTrace), collects per-operator actuals for
 	// EXPLAIN ANALYZE. The disabled path costs one nil check per
 	// operator at open time — nothing per row or batch.
@@ -265,79 +270,149 @@ func (e *Evaluator) evalSelect(q *SelectQuery, seed []Binding) (*Result, error) 
 	return e.newPlanner().planSelect(q, false).run(e, seed)
 }
 
-// evalWhere compiles and runs an update's WHERE pattern. Update WHERE
-// clauses are always fully drained — no LIMIT, no early exit — so their
-// joins use buffered scans (streaming through a pull coroutine would
-// cost switches without ever terminating early).
-func (e *Evaluator) evalWhere(gp *GroupPattern) ([]Binding, error) {
-	plan := e.newPlanner().planGroupRoot(gp, true)
-	return plan.run(e, []Binding{{}})
-}
-
 // UpdatePlan is a computed but not yet applied DELETE/INSERT request: the
 // WHERE solutions have been matched and both templates instantiated
-// against the pre-update state. Splitting planning from application lets a
-// store evaluate the (expensive, read-only) match phase under a shared
-// read lock and serialise only the mutation.
+// against the pre-update state. It is ID-native: template instances are
+// ID tuples of the evaluation's dictionary, deduplicated on the tuple,
+// and terms materialise only when the plan is applied or inspected. A
+// plan is meant to be applied to the state it was computed against.
 type UpdatePlan struct {
-	Matched int
-	Deletes []rdf.Triple
-	Inserts []rdf.Triple
+	Matched int // WHERE solutions
+
+	dict    *execDict
+	deletes []idTriple
+	inserts []idTriple
+}
+
+type idTriple [3]termID
+
+func (t idTriple) decode(d *execDict) rdf.Triple {
+	return rdf.Triple{S: d.decode(t[0]), P: d.decode(t[1]), O: d.decode(t[2])}
+}
+
+// Deletes decodes the triples the plan removes.
+func (p *UpdatePlan) Deletes() []rdf.Triple { return p.decode(p.deletes) }
+
+// Inserts decodes the triples the plan adds.
+func (p *UpdatePlan) Inserts() []rdf.Triple { return p.decode(p.inserts) }
+
+// InsertCount reports how many distinct triples the plan adds.
+func (p *UpdatePlan) InsertCount() int { return len(p.inserts) }
+
+func (p *UpdatePlan) decode(ts []idTriple) []rdf.Triple {
+	out := make([]rdf.Triple, len(ts))
+	for i, t := range ts {
+		out[i] = t.decode(p.dict)
+	}
+	return out
+}
+
+// Insert appends ground triples to the plan's insert set — data a caller
+// derived from the same pre-update state and wants applied in the same
+// step (the refinement's virtual hotspots).
+func (p *UpdatePlan) Insert(ts ...rdf.Triple) {
+	for _, t := range ts {
+		p.inserts = append(p.inserts, idTriple{p.dict.encode(t.S), p.dict.encode(t.P), p.dict.encode(t.O)})
+	}
+}
+
+// tplSlot is one template component resolved against a plan schema: a
+// constant's ID, or the column its variable reads (-1 when the WHERE
+// clause never binds it, which voids every instance).
+type tplSlot struct {
+	id  termID
+	col int
+}
+
+func (e *Evaluator) tplSlots(tpls []TriplePattern, schema *varSchema) [][3]tplSlot {
+	out := make([][3]tplSlot, len(tpls))
+	for i, tpl := range tpls {
+		for j, tv := range [3]TermOrVar{tpl.S, tpl.P, tpl.O} {
+			if !tv.IsVar() {
+				out[i][j] = tplSlot{id: e.dict.encode(tv.Term)}
+			} else if c, ok := schema.col(tv.Var); ok {
+				out[i][j] = tplSlot{col: c}
+			} else {
+				out[i][j] = tplSlot{col: -1}
+			}
+		}
+	}
+	return out
 }
 
 // PlanUpdate evaluates an update's WHERE clause and instantiates its
-// templates without mutating the source. The returned plan reflects the
-// source state at planning time; callers that apply it later are
-// responsible for ensuring no conflicting write lands in between (see
-// strabon.UpdateScoped for the discipline used by the refinement loop).
+// templates without mutating the source. Update WHERE clauses are always
+// fully drained — no LIMIT, no early exit — so their joins use buffered
+// scans.
 func (e *Evaluator) PlanUpdate(q *UpdateQuery) (*UpdatePlan, error) {
-	var solutions []Binding
-	if q.Where != nil {
-		rows, err := e.evalWhere(q.Where)
+	where := e.newPlanner().planGroupRoot(q.Where, true)
+	return e.planUpdate(q, where, []Binding{{}})
+}
+
+// planUpdate drains the WHERE pipeline batch by batch and instantiates
+// both templates per solution row straight off the ID columns. SPARQL
+// Update semantics: both instantiations are computed against the
+// pre-update state; ApplyPlan then deletes before it inserts.
+func (e *Evaluator) planUpdate(q *UpdateQuery, where *groupPlan, seed []Binding) (*UpdatePlan, error) {
+	plan := &UpdatePlan{dict: e.dict}
+	it := where.open(e, seedIter(e.dict, where.schema, seed))
+	defer it.close()
+	del, ins := e.tplSlots(q.Delete, where.schema), e.tplSlots(q.Insert, where.schema)
+	seenD, seenI := make(map[idTriple]struct{}), make(map[idTriple]struct{})
+	emit := func(b *Batch, i int, slots [][3]tplSlot, seen map[idTriple]struct{}, out []idTriple) []idTriple {
+	next:
+		for _, sl := range slots {
+			var t idTriple
+			for j, c := range sl {
+				switch {
+				case c.id != 0:
+					t[j] = c.id
+				case c.col >= 0:
+					t[j] = b.cols[c.col][i]
+				}
+				if t[j] == 0 {
+					continue next
+				}
+			}
+			if _, dup := seen[t]; dup {
+				continue
+			}
+			if e.dict.decode(t[0]).IsLiteral() || !e.dict.decode(t[1]).IsIRI() {
+				continue
+			}
+			seen[t] = struct{}{}
+			out = append(out, t)
+		}
+		return out
+	}
+	for {
+		b, err := it.next()
 		if err != nil {
 			return nil, err
 		}
-		solutions = rows
-	} else {
-		solutions = []Binding{{}}
-	}
-	plan := &UpdatePlan{Matched: len(solutions)}
-
-	// SPARQL Update semantics: both template instantiations are computed
-	// against the pre-update state, then deletes apply before inserts.
-	seen := make(map[string]bool)
-	for _, row := range solutions {
-		for _, tpl := range q.Delete {
-			if t, ok := instantiate(tpl, row); ok {
-				if k := t.String(); !seen["D"+k] {
-					seen["D"+k] = true
-					plan.Deletes = append(plan.Deletes, t)
-				}
-			}
+		if b == nil {
+			return plan, nil
 		}
-		for _, tpl := range q.Insert {
-			if t, ok := instantiate(tpl, row); ok {
-				if k := t.String(); !seen["I"+k] {
-					seen["I"+k] = true
-					plan.Inserts = append(plan.Inserts, t)
-				}
-			}
+		plan.Matched += b.live()
+		for ord := 0; ord < b.live(); ord++ {
+			i := b.row(ord)
+			plan.deletes = emit(b, i, del, seenD, plan.deletes)
+			plan.inserts = emit(b, i, ins, seenI, plan.inserts)
 		}
 	}
-	return plan, nil
 }
 
 // ApplyPlan applies a computed update plan to a source: deletes before
 // inserts, per SPARQL Update semantics.
 func ApplyPlan(up UpdatableSource, plan *UpdatePlan) UpdateStats {
 	stats := UpdateStats{Matched: plan.Matched}
-	for _, t := range plan.Deletes {
-		if up.Remove(t) {
+	for _, t := range plan.deletes {
+		if up.Remove(t.decode(plan.dict)) {
 			stats.Deleted++
 		}
 	}
-	for _, t := range plan.Inserts {
-		if up.Add(t) {
+	for _, t := range plan.inserts {
+		if up.Add(t.decode(plan.dict)) {
 			stats.Inserted++
 		}
 	}
@@ -355,23 +430,6 @@ func (e *Evaluator) Update(q *UpdateQuery) (UpdateStats, error) {
 		return UpdateStats{}, err
 	}
 	return ApplyPlan(up, plan), nil
-}
-
-func instantiate(tpl TriplePattern, row Binding) (rdf.Triple, bool) {
-	resolve := func(tv TermOrVar) (rdf.Term, bool) {
-		if !tv.IsVar() {
-			return tv.Term, true
-		}
-		t, ok := row[tv.Var]
-		return t, ok && !t.IsZero()
-	}
-	s, ok1 := resolve(tpl.S)
-	p, ok2 := resolve(tpl.P)
-	o, ok3 := resolve(tpl.O)
-	if !ok1 || !ok2 || !ok3 || s.IsLiteral() || !p.IsIRI() {
-		return rdf.Triple{}, false
-	}
-	return rdf.Triple{S: s, P: p, O: o}, true
 }
 
 // --- projection / modifier helpers (used by the tail operators) ---

@@ -83,6 +83,9 @@ type joinOp struct {
 	// scans open with a batch of that size and still grow geometrically
 	// if the slice turns out not to stop them.
 	first int
+	// perRun marks a prepared plan's join (prepare.go): the plan outlives
+	// store generations, so the build side below is never shared.
+	perRun bool
 
 	// Hash build side, built at most once per plan lifetime in NATIVE
 	// mode: the table is a function of the source (pinned while the plan
@@ -182,7 +185,7 @@ func (it *joinIter) ensureTable() {
 	if it.table != nil {
 		return
 	}
-	if it.e.dict.native() {
+	if it.e.dict.native() && !it.op.perRun {
 		it.op.tableOnce.Do(func() {
 			it.op.build, it.op.table = it.op.makeTable(it.e)
 		})
@@ -783,6 +786,9 @@ func (op *nestedGroupOp) explain(b *strings.Builder, indent string) {
 type subSelectOp struct {
 	sub    *selectPlan
 	schema *varSchema
+	// seeded marks a prepared plan's sub-select (prepare.go): it runs
+	// over the evaluator's current seed rows, once per run.
+	seeded bool
 
 	once sync.Once
 	res  []Binding
@@ -794,6 +800,20 @@ func (op *subSelectOp) open(e *Evaluator, in batchIter) batchIter {
 }
 
 func (op *subSelectOp) solutions(e *Evaluator) ([]Binding, error) {
+	if op.seeded {
+		if rows, ok := e.subRes[op]; ok {
+			return rows, nil
+		}
+		res, err := op.sub.run(e, e.seed)
+		if err != nil {
+			return nil, err
+		}
+		if e.subRes == nil {
+			e.subRes = make(map[*subSelectOp][]Binding)
+		}
+		e.subRes[op] = res.Rows
+		return res.Rows, nil
+	}
 	op.once.Do(func() {
 		res, err := op.sub.run(e, []Binding{{}})
 		if err != nil {

@@ -63,6 +63,11 @@ type planner struct {
 	// exit abandons the index scan after ~LIMIT visits, not a full
 	// minimum slab. 0 means no hint (batchSizeMin).
 	firstBatch int
+	// seed lists the variables the plan's seed rows bind. Non-nil marks a
+	// prepared plan (prepare.go): seed variables join every schema and
+	// start certainly bound, sub-selects take the seed too, and operators
+	// keep no state across runs.
+	seed []string
 
 	totalTriples, totalSubj, totalPred, totalObj int
 }
@@ -169,7 +174,7 @@ func (p *selectPlan) explain(b *strings.Builder, indent string) {
 // materialise scan matches per probe row instead of streaming them
 // through a pull coroutine: sub-plans a parent re-opens once per input
 // row (OPTIONAL and UNION), and plans that are always fully drained
-// (update WHERE clauses, see evalWhere).
+// (update WHERE clauses, see PlanUpdate).
 func (p *planner) planSelect(q *SelectQuery, buffered bool) *selectPlan {
 	grouped := len(q.GroupBy) > 0 || len(q.Having) > 0 || projectionHasAggregates(q)
 	pushed := !grouped && !q.Distinct && len(q.OrderBy) == 0 && !q.Star
@@ -220,11 +225,15 @@ func (p *planner) planSelect(q *SelectQuery, buffered bool) *selectPlan {
 // planGroupRoot compiles the root group of a WHERE clause: it derives
 // the shared column schema from the full variable set of the pattern
 // tree (sub-selects contributing only their projected variables) and
-// compiles the group against it.
+// compiles the group against it. A prepared plan's seed variables are
+// part of every root schema and bound from the start.
 func (p *planner) planGroupRoot(gp *GroupPattern, buffered bool) *groupPlan {
-	vars := map[string]bool{}
+	vars, bound := map[string]bool{}, map[string]bool{}
 	collectGroupVars(gp, vars)
-	return p.planGroup(gp, map[string]bool{}, 1, buffered, schemaOf(vars))
+	for _, v := range p.seed {
+		vars[v], bound[v] = true, true
+	}
+	return p.planGroup(gp, bound, 1, buffered, schemaOf(vars))
 }
 
 // collectGroupVars accumulates every variable a group graph pattern can
@@ -330,7 +339,7 @@ func (p *planner) planGroup(gp *GroupPattern, bound map[string]bool, inEst float
 			// own schema; only its projected solution rows join back into
 			// the enclosing layout.
 			sub := p.planSelect(v.Select, false)
-			g.ops = append(g.ops, &subSelectOp{sub: sub, schema: schema})
+			g.ops = append(g.ops, &subSelectOp{sub: sub, schema: schema, seeded: p.seed != nil})
 			// The sub-select's projected variables are NOT certainly bound:
 			// a projection can come from an OPTIONAL-only variable or an
 			// erroring expression, leaving it unbound in some rows. Marking
@@ -398,7 +407,7 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 		pat := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
 
-		op := &joinOp{pat: pat, filters: filters, strategy: joinBind, buffered: buffered, schema: schema, first: p.firstBatch}
+		op := &joinOp{pat: pat, filters: filters, strategy: joinBind, buffered: buffered, schema: schema, first: p.firstBatch, perRun: p.seed != nil}
 		for _, tv := range []TermOrVar{pat.S, pat.P, pat.O} {
 			if tv.IsVar() && bound[tv.Var] && !containsVar(op.shared, tv.Var) {
 				op.shared = append(op.shared, tv.Var)
@@ -446,6 +455,9 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 				}
 			}
 			if all && !usesBoundFn(f.Cond) {
+				if p.seed != nil && costlyFilter(f.Cond) && hasGroundPattern(remaining, bound) {
+					continue // the cheap existence check runs first
+				}
 				applied[f] = true
 				ops = append(ops, newFilterOp(f.Cond, true))
 				inEst *= eagerFilterSelectivity
@@ -453,6 +465,45 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 		}
 	}
 	return ops, inEst
+}
+
+// costlyFilter reports whether a filter calls a spatial function: orders
+// of magnitude dearer per row than an index probe.
+func costlyFilter(e Expr) bool {
+	switch v := e.(type) {
+	case *CallExpr:
+		if strings.HasPrefix(v.Name, "strdf:") {
+			return true
+		}
+		for _, a := range v.Args {
+			if costlyFilter(a) {
+				return true
+			}
+		}
+	case *BinaryExpr:
+		return costlyFilter(v.L) || costlyFilter(v.R)
+	case *UnaryExpr:
+		return costlyFilter(v.X)
+	}
+	return false
+}
+
+// hasGroundPattern reports whether some remaining pattern has every
+// component constant or certainly bound — a pure existence check, which
+// the class ranking of planBGP picks next.
+func hasGroundPattern(remaining []TriplePattern, bound map[string]bool) bool {
+	for _, pat := range remaining {
+		ground := true
+		for _, tv := range []TermOrVar{pat.S, pat.P, pat.O} {
+			if tv.IsVar() && !bound[tv.Var] {
+				ground = false
+			}
+		}
+		if ground {
+			return true
+		}
+	}
+	return false
 }
 
 // estimateFanout estimates how many matches one input row finds in the
