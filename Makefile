@@ -12,7 +12,7 @@ test:
 	$(GO) test -race ./...
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race -count=2 -run 'TestEndpointConcurrent|TestConcurrentEndpointSmoke|TestEndpointStreamsDuringWrites' ./internal/strabon
-	$(GO) test -race -count=2 -run 'TestShardStreamsDuringWrites|TestShardedPipelineMatchesSingle|TestNoPartialRefinementVisible|TestShardResultCacheInvalidation' ./internal/shard
+	$(GO) test -race -count=2 -run 'TestShardStreamsDuringWrites|TestShardedPipelineMatchesSingle|TestNoPartialRefinementVisible|TestShardResultCacheInvalidation|TestTimeRangeDifferential|TestShardZonedTimeLiteral' ./internal/shard
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Full benchmark sweep; CI runs the 1x smoke variant of the end-to-end

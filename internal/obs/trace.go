@@ -57,7 +57,8 @@ type QueryRecord struct {
 	TraceID    string        `json:"trace_id"`
 	Query      string        `json:"query"`
 	PlanDigest string        `json:"plan_digest,omitempty"`
-	Outcome    string        `json:"outcome"` // hit | miss | error | rejected
+	AccessPath string        `json:"access_path,omitempty"` // the plan's first operator, e.g. scan[time-range]
+	Outcome    string        `json:"outcome"`               // hit | miss | error | rejected
 	Rows       int           `json:"rows"`
 	ElapsedUs  int64         `json:"elapsed_us"`
 	At         time.Time     `json:"at"`

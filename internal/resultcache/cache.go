@@ -15,7 +15,12 @@
 // hot dashboard queries ("hotspots last hour per municipality")
 // effectively never expire. A validator callback supplied by the store
 // compares the vector against the live generations at Get time; a
-// stale entry is dropped and the caller re-evaluates.
+// stale entry is dropped and the caller re-evaluates. Generations only
+// advance, so a stale entry can never become valid again: besides the
+// one a Get trips over, the cache walks itself whenever half of what it
+// holds was admitted since the last walk and drops every stale entry —
+// the result of a one-off text over a slice since written would
+// otherwise sit on its rows until the LRU reached it.
 //
 // The cache is bounded both by entry count and by total byte estimate,
 // LRU-evicted, and safe for concurrent use.
@@ -84,6 +89,7 @@ type Cache struct {
 	bytes      int64
 	lru        *list.List // of *cacheEntry; front = most recently used
 	entries    map[string]*list.Element
+	admitted   int // entries admitted since the last sweep
 
 	hits, misses, evictions, invalidations uint64
 }
@@ -121,6 +127,9 @@ func (c *Cache) MaxEntryBytes() int64 {
 func (c *Cache) Get(key string, valid func(GenVector) bool) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if valid != nil && c.admitted > 0 && 2*c.admitted >= c.lru.Len() {
+		c.sweepLocked(valid)
+	}
 	el, ok := c.entries[key]
 	if ok {
 		ce := el.Value.(*cacheEntry)
@@ -160,6 +169,7 @@ func (c *Cache) Put(key string, e *Entry, vec GenVector) {
 	} else {
 		c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, e: e})
 		c.bytes += e.bytes
+		c.admitted++
 	}
 	for c.lru.Len() > c.maxEntries || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
 		back := c.lru.Back()
@@ -168,6 +178,20 @@ func (c *Cache) Put(key string, e *Entry, vec GenVector) {
 		}
 		c.removeLocked(back)
 		c.evictions++
+	}
+}
+
+// sweepLocked drops every stale entry: two validations per admission,
+// amortised.
+func (c *Cache) sweepLocked(valid func(GenVector) bool) {
+	c.admitted = 0
+	for el := c.lru.Back(); el != nil; {
+		prev := el.Prev()
+		if !valid(el.Value.(*cacheEntry).e.vec) {
+			c.removeLocked(el)
+			c.invalidations++
+		}
+		el = prev
 	}
 }
 

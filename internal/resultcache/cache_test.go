@@ -101,3 +101,31 @@ func TestCacheNilSafe(t *testing.T) {
 		t.Fatal("nil cache MaxEntryBytes")
 	}
 }
+
+// TestCacheSweepsStaleEntries: results of texts nobody asks again are
+// not left to the LRU once their generation has passed — once half of
+// what the cache holds is new, the next Get drops every stale entry and
+// keeps the rest.
+func TestCacheSweepsStaleEntries(t *testing.T) {
+	c := New(64, 0)
+	live := uint64(1)
+	valid := func(v GenVector) bool { return v.Gens[0].Gen >= live }
+	for i := 0; i < 8; i++ {
+		c.Get(fmt.Sprintf("old%d", i), valid)
+		c.Put(fmt.Sprintf("old%d", i), &Entry{Snap: snapOf(1)}, vec(1))
+	}
+	live = 2 // the store mutated: all eight are dead, none is asked again
+	for i := 0; i < 8; i++ {
+		c.Get(fmt.Sprintf("new%d", i), valid)
+		c.Put(fmt.Sprintf("new%d", i), &Entry{Snap: snapOf(1)}, vec(2))
+	}
+	c.Get("another", valid)
+	if st := c.Stats(); st.Entries != 8 || st.Invalidations != 8 {
+		t.Fatalf("after the sweep: %+v, want the 8 live entries and 8 invalidations", st)
+	}
+	for i := 0; i < 8; i++ {
+		if _, ok := c.Get(fmt.Sprintf("new%d", i), valid); !ok {
+			t.Fatalf("the sweep dropped live entry new%d", i)
+		}
+	}
+}

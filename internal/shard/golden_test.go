@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -54,6 +55,38 @@ func TestGoldenEquivalence(t *testing.T) {
 			got := renderGolden(res, true)
 			compareGolden(t, filepath.Join("testdata", "golden", tc.name+".txt"), got)
 		})
+	}
+}
+
+// timeWindowText recognises a corpus text that confines an acquisition
+// time to a window.
+var timeWindowText = regexp.MustCompile(`FILTER\(\s*str\(\?\w+\)\s*(>=|<=|=)\s*"`)
+
+// TestGoldenPlans pins the single store's plan for every corpus text.
+// The time-range scan is the only access path that may differ from the
+// plans of the scan-and-filter engine: a text carrying a time window
+// opens with it, and no other text mentions it.
+func TestGoldenPlans(t *testing.T) {
+	single := strabon.New()
+	loadFixture(single)
+	texts := map[string]string{}
+	for _, tc := range corpus {
+		texts[tc.name] = tc.query
+	}
+	for _, tc := range askCorpus {
+		texts[tc.name] = tc.query
+	}
+	for name, query := range texts {
+		plan, err := single.Explain(query)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		compareGolden(t, filepath.Join("testdata", "golden", name+".plan"), plan)
+		first := strings.TrimSpace(strings.SplitN(plan, "\n", 3)[1])
+		if windowed := timeWindowText.MatchString(query); windowed != strings.HasPrefix(first, "scan[time-range]") ||
+			(!windowed && strings.Contains(plan, "time-range")) {
+			t.Errorf("%s: carries a time window: %v, but plans\n%s", name, windowed, plan)
+		}
 	}
 }
 

@@ -212,7 +212,9 @@ func (s *Store) Explain(src string) (string, error) {
 	var b strings.Builder
 	n := len(s.slices)
 
-	inner := func(idxs []int, query *stsparql.Query) error {
+	// inner appends the member-level plan to the routing header and
+	// returns the whole rendering.
+	inner := func(idxs []int, query *stsparql.Query) (string, error) {
 		var ev *stsparql.Evaluator
 		var release func()
 		if idxs == nil {
@@ -224,11 +226,8 @@ func (s *Store) Explain(src string) (string, error) {
 		}
 		defer release()
 		plan, err := ev.Explain(query)
-		if err != nil {
-			return err
-		}
 		b.WriteString(plan)
-		return nil
+		return b.String(), err
 	}
 
 	// Updates always plan over the union view (see Update).
@@ -240,7 +239,7 @@ func (s *Store) Explain(src string) (string, error) {
 		where = q.Ask.Where
 	case q.Update != nil:
 		fmt.Fprintf(&b, "shard union: single evaluation over static+%d slices\n", n)
-		return b.String(), inner(nil, q)
+		return inner(nil, q)
 	}
 	dec := s.analyzeGroup(where)
 
@@ -255,7 +254,7 @@ func (s *Store) Explain(src string) (string, error) {
 	}
 	if !dec.fanout {
 		fmt.Fprintf(&b, "shard union: single evaluation over static+%d slices\n", n)
-		return b.String(), inner(nil, q)
+		return inner(nil, q)
 	}
 	fmt.Fprintf(&b, "shard fan-out: %d/%d slices %v merge=%s\n", len(dec.shards), n, dec.shards, merge)
 	if len(dec.shards) < len(dec.keyShards) {
@@ -266,7 +265,7 @@ func (s *Store) Explain(src string) (string, error) {
 		b.WriteString("  (no slice intersects the query window)\n")
 		return b.String(), nil
 	}
-	return b.String(), inner(dec.shards, shardQ)
+	return inner(dec.shards, shardQ)
 }
 
 // diffInts returns the members of a absent from b (both ascending).

@@ -146,10 +146,12 @@ func hotspotTriples(t *testing.T, st strabon.API) []string {
 func TestShardedPipelineMatchesSingle(t *testing.T) {
 	cfg := seviri.DefaultScenarioConfig()
 	run := func(st strabon.API) *core.Service {
-		svc, err := core.NewServiceWithStore(42, cfg, st)
+		// Every flush must leave the members' time indexes exact.
+		svc, err := core.NewServiceWithStore(42, cfg, verifyingStore{st, t})
 		if err != nil {
 			t.Fatal(err)
 		}
+		svc.Strabon = st
 		svc.Workers = 4
 		from := cfg.Start.Add(11 * time.Hour)
 		if err := svc.RunWindow(seviri.MSG1, from, 30*time.Minute); err != nil {

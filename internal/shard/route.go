@@ -2,7 +2,6 @@ package shard
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/rdf"
 	"repro/internal/stsparql"
@@ -156,7 +155,7 @@ func collectSubsels(sc *scopeInfo, out []subselInfo) []subselInfo {
 // an unprojected inner time variable is invisible outside, and an
 // inner filter on a name that only an outer pattern binds constrains a
 // fresh local variable, not the outer one.
-func scopeWindows(sc *scopeInfo) (wins []windowBounds, visible map[string]bool) {
+func scopeWindows(sc *scopeInfo) (wins []stsparql.TimeWindow, visible map[string]bool) {
 	visible = make(map[string]bool, len(sc.timeVars))
 	for v := range sc.timeVars {
 		visible[v] = true
@@ -170,7 +169,7 @@ func scopeWindows(sc *scopeInfo) (wins []windowBounds, visible map[string]bool) 
 			}
 		}
 	}
-	for _, w := range extractWindows(sc.filters, visible) {
+	for _, w := range stsparql.ExtractTimeWindows(sc.filters, visible) {
 		wins = append(wins, *w)
 	}
 	return wins, visible
@@ -276,6 +275,7 @@ func (s *Store) analyzeGroup(gp *stsparql.GroupPattern) decision {
 	// shard set is intersected — each solution needs the anchor's
 	// (single, group-routing) time value inside all of them.
 	wins, _ := scopeWindows(w.root)
+	wins = s.usableWindows(wins)
 	keyShards := s.shardSetFor(wins)
 	shards := s.refineObserved(keyShards, wins)
 	return decision{
@@ -297,7 +297,7 @@ func (s *Store) analyzeGroup(gp *stsparql.GroupPattern) decision {
 // under-lock recheckFanout re-analysis sees it, finds the locked slice
 // set no longer covers the re-derived one, and falls back to the union
 // view.
-func (s *Store) refineObserved(cand []int, wins []windowBounds) []int {
+func (s *Store) refineObserved(cand []int, wins []stsparql.TimeWindow) []int {
 	s.routeMu.RLock()
 	defer s.routeMu.RUnlock()
 	out := make([]int, 0, len(cand))
@@ -307,8 +307,7 @@ func (s *Store) refineObserved(cand []int, wins []windowBounds) []int {
 		}
 		drop := false
 		for _, w := range wins {
-			if (w.hasHi && s.sliceMin[i].After(w.hi)) ||
-				(w.hasLo && s.sliceMax[i].Before(w.lo)) {
+			if s.sliceMin[i].Unix() > w.Hi || s.sliceMax[i].Unix() < w.Lo {
 				drop = true
 				break
 			}
@@ -409,112 +408,34 @@ func subselProjects(sel *stsparql.SelectQuery, v string) bool {
 	return false
 }
 
-// --- window extraction ---
+// --- window pruning ---
+//
+// The windows come from stsparql.ExtractTimeWindows, the extractor the
+// planner's time-range scans share.
 
-type windowBounds struct {
-	lo, hi       time.Time
-	hasLo, hasHi bool
-}
-
-// extractWindows folds conjunctive filter constraints into one [lo, hi]
-// window PER acquisition-time variable (constraints on different
-// variables must not be conflated into one window — their shard sets
-// intersect instead). Strict bounds relax to inclusive ones (pruning
-// one slice too few is sound; one too many is not). The datasets
-// compare str(?at) against ISO strings, whose lexicographic order is
-// chronological — both the str() form and direct comparisons are
-// recognised.
-func extractWindows(filters []stsparql.Expr, timeVars map[string]bool) map[string]*windowBounds {
-	wins := make(map[string]*windowBounds)
-	for _, f := range filters {
-		collectBounds(f, timeVars, wins)
+// usableWindows drops the windows that may not prune: groups route by
+// the INSTANT of their time literal, so a lexical window — string order
+// — agrees with the routing only while every slice-routed time literal
+// is canonical (see stsparql.TimeWindow).
+func (s *Store) usableWindows(wins []stsparql.TimeWindow) []stsparql.TimeWindow {
+	s.routeMu.RLock()
+	loose := s.looseTimes
+	s.routeMu.RUnlock()
+	if !loose {
+		return wins
 	}
-	return wins
-}
-
-func collectBounds(e stsparql.Expr, timeVars map[string]bool, wins map[string]*windowBounds) {
-	b, ok := e.(*stsparql.BinaryExpr)
-	if !ok {
-		return
-	}
-	if b.Op == "&&" {
-		collectBounds(b.L, timeVars, wins)
-		collectBounds(b.R, timeVars, wins)
-		return
-	}
-	op := b.Op
-	name, lOK := timeVarOf(b.L, timeVars)
-	t, tOK := timeConstOf(b.R)
-	if !lOK || !tOK {
-		// Mirror: constant OP var.
-		var rOK bool
-		name, rOK = timeVarOf(b.R, timeVars)
-		if !rOK {
-			return
-		}
-		t, tOK = timeConstOf(b.L)
-		if !tOK {
-			return
-		}
-		switch op {
-		case ">=", ">":
-			op = "<="
-		case "<=", "<":
-			op = ">="
+	out := wins[:0]
+	for _, w := range wins {
+		if !w.Lexical {
+			out = append(out, w)
 		}
 	}
-	w := wins[name]
-	if w == nil {
-		w = &windowBounds{}
-		wins[name] = w
-	}
-	switch op {
-	case ">=", ">":
-		if !w.hasLo || t.After(w.lo) {
-			w.lo, w.hasLo = t, true
-		}
-	case "<=", "<":
-		if !w.hasHi || t.Before(w.hi) {
-			w.hi, w.hasHi = t, true
-		}
-	case "=":
-		if !w.hasLo || t.After(w.lo) {
-			w.lo, w.hasLo = t, true
-		}
-		if !w.hasHi || t.Before(w.hi) {
-			w.hi, w.hasHi = t, true
-		}
-	}
-}
-
-// timeVarOf recognises ?t and str(?t) for a tracked time variable.
-func timeVarOf(e stsparql.Expr, timeVars map[string]bool) (string, bool) {
-	switch v := e.(type) {
-	case *stsparql.VarExpr:
-		if timeVars[v.Name] {
-			return v.Name, true
-		}
-	case *stsparql.CallExpr:
-		if v.Name == "str" && len(v.Args) == 1 {
-			if ve, ok := v.Args[0].(*stsparql.VarExpr); ok && timeVars[ve.Name] {
-				return ve.Name, true
-			}
-		}
-	}
-	return "", false
-}
-
-func timeConstOf(e stsparql.Expr) (time.Time, bool) {
-	c, ok := e.(*stsparql.ConstExpr)
-	if !ok {
-		return time.Time{}, false
-	}
-	return stsparql.ParseDateTime(c.Term.Value)
+	return out
 }
 
 // shardSetFor intersects the windows' slice sets: a solution's owning
 // slice must satisfy every extracted window.
-func (s *Store) shardSetFor(wins []windowBounds) []int {
+func (s *Store) shardSetFor(wins []stsparql.TimeWindow) []int {
 	keep := make(map[int]bool, len(s.slices))
 	for i := range s.slices {
 		keep[i] = true
@@ -541,18 +462,18 @@ func (s *Store) shardSetFor(wins []windowBounds) []int {
 // shardsFor maps one window to the slice indices whose buckets
 // intersect it. An unbounded side touches every slice (buckets are
 // round-robin over the slices); an empty window touches none.
-func (s *Store) shardsFor(w windowBounds) []int {
+func (s *Store) shardsFor(w stsparql.TimeWindow) []int {
 	all := make([]int, len(s.slices))
 	for i := range all {
 		all[i] = i
 	}
-	if !w.hasLo || !w.hasHi {
+	if !w.Bounded() {
 		return all
 	}
-	if w.hi.Before(w.lo) {
+	if w.Hi < w.Lo {
 		return nil
 	}
-	b1, b2 := s.bucket(w.lo), s.bucket(w.hi)
+	b1, b2 := s.bucketOf(w.Lo), s.bucketOf(w.Hi)
 	if b2-b1+1 >= int64(len(s.slices)) {
 		return all
 	}

@@ -115,15 +115,20 @@ type Store struct {
 	staticTypes map[string]bool
 	sliceMin    []time.Time
 	sliceMax    []time.Time
+	// looseTimes latches once a slice-routed group carries a time literal
+	// that is not a canonical xsd:dateTime: from then on lexical windows
+	// no longer prune (see usableWindows).
+	looseTimes bool
 
 	// knowGen is the routing-knowledge generation: it advances whenever
-	// the predicate or rdf:type provenance sets above gain a member —
-	// the events that can flip a query's fan-out verdict without
-	// touching any member store the query read. Partial result-cache
-	// vectors are pinned to it (see fanVector); in steady state the
-	// vocabulary is fixed and it never moves. Pure observed-range
-	// extension does NOT advance it: the write extending a range bumps
-	// its own slice's generation, which the affected vectors carry.
+	// the predicate or rdf:type provenance sets above gain a member or
+	// looseTimes latches — the events that can flip a query's fan-out
+	// verdict or widen its slice set without touching any member store
+	// the query read. Partial result-cache vectors are pinned to it (see
+	// fanVector); in steady state the vocabulary is fixed and it never
+	// moves. Pure observed-range extension does NOT advance it: the write
+	// extending a range bumps its own slice's generation, which the
+	// affected vectors carry.
 	knowGen atomic.Uint64
 
 	// writeMu serialises the write paths: routing is check-then-act
@@ -284,32 +289,28 @@ func (s *Store) Stats() strabon.Stats {
 }
 
 // ShardStats reports per-shard cardinality, generation and observed
-// temporal range for /stats and the /metrics per-shard gauges.
+// temporal range for /stats and the /metrics per-shard gauges. The
+// range is read off the slice's time index — the first and last entry of
+// the routing predicate's run — so it follows deletions too.
 func (s *Store) ShardStats() []strabon.ShardStat {
-	se, sb := s.static.DictStats()
-	out := []strabon.ShardStat{{
-		Name:        "static",
-		Triples:     s.static.Len(),
-		Gen:         s.static.Generation(),
-		DictEntries: se,
-		DictBytes:   sb,
-	}}
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
-	for i, sl := range s.slices {
-		de, db := sl.DictStats()
+	timePred := rdf.NewIRI(s.cfg.TimePredicate)
+	out := make([]strabon.ShardStat, 0, len(s.slices)+1)
+	for i, m := range s.members() {
+		de, db := m.DictStats()
 		st := strabon.ShardStat{
-			Name:        fmt.Sprintf("s%d", i),
-			Triples:     sl.Len(),
-			Gen:         sl.Generation(),
+			Name:        fmt.Sprintf("s%d", i-1),
+			Triples:     m.Len(),
+			Gen:         m.Generation(),
 			DictEntries: de,
 			DictBytes:   db,
 		}
-		if !s.sliceMin[i].IsZero() {
-			st.Range = s.sliceMin[i].UTC().Format("2006-01-02T15:04:05") +
-				"/" + s.sliceMax[i].UTC().Format("2006-01-02T15:04:05")
-			st.MinUnix = s.sliceMin[i].Unix()
-			st.MaxUnix = s.sliceMax[i].Unix()
+		if i == 0 {
+			st.Name = "static"
+		}
+		st.TimeEntries, st.MinUnix, st.MaxUnix = m.TimeIndexStats(timePred)
+		if st.TimeEntries > 0 {
+			st.Range = time.Unix(st.MinUnix, 0).UTC().Format("2006-01-02T15:04:05") +
+				"/" + time.Unix(st.MaxUnix, 0).UTC().Format("2006-01-02T15:04:05")
 		}
 		out = append(out, st)
 	}
@@ -333,8 +334,11 @@ func (s *Store) DictStats() (entries, bytes int) {
 // --- routing ---
 
 // bucket maps a timestamp to its time bucket index.
-func (s *Store) bucket(t time.Time) int64 {
-	d := t.Unix() - s.epoch
+func (s *Store) bucket(t time.Time) int64 { return s.bucketOf(t.Unix()) }
+
+// bucketOf maps a unix-seconds instant to its time bucket index.
+func (s *Store) bucketOf(unix int64) int64 {
+	d := unix - s.epoch
 	b := d / s.width
 	if d%s.width < 0 {
 		b--
@@ -372,13 +376,14 @@ func (s *Store) groupTime(group []rdf.Triple) (time.Time, bool) {
 // rdf:type-object membership per side, and the observed acquisition-
 // time range per slice — every parseable time object in a slice-routed
 // group extends that slice's range, rule and update inserts (which may
-// carry no routing timestamp of their own) included. targets[i] is the slice
-// index of groups[i], or -1 for static. Deletions never untrack — the
-// sets are conservative supersets and the ranges conservative
+// carry no routing timestamp of their own) included, and one that is
+// not a canonical xsd:dateTime latches looseTimes. targets[i] is the
+// slice index of groups[i], or -1 for static. Deletions never untrack —
+// the sets are conservative supersets and the ranges conservative
 // envelopes, which only costs fan-out/pruning opportunities, never
-// correctness. Growth of the predicate or type sets advances knowGen,
-// invalidating partial result-cache vectors whose fan-out verdict the
-// new knowledge could flip.
+// correctness. Growth of the predicate or type sets, and the looseTimes
+// latch, advance knowGen, invalidating partial result-cache vectors
+// whose fan-out verdict the new knowledge could flip.
 func (s *Store) track(groups [][]rdf.Triple, targets []int) {
 	s.routeMu.Lock()
 	defer s.routeMu.Unlock()
@@ -404,6 +409,11 @@ func (s *Store) track(groups [][]rdf.Triple, targets []int) {
 					}
 					if at.After(s.sliceMax[i]) {
 						s.sliceMax[i] = at
+					}
+				}
+				if !s.looseTimes {
+					if _, canonical, _ := stsparql.TimeKey(t.O); !canonical {
+						s.looseTimes, grew = true, true
 					}
 				}
 			}

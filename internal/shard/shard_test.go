@@ -576,6 +576,11 @@ SELECT ?h WHERE {
 	if !strings.Contains(out, "shard fan-out: 1/4 slices") {
 		t.Fatalf("windowed query not pruned to 1/4:\n%s", out)
 	}
+	// The routing header is followed by the member plan, which reads the
+	// surviving slice through its time index.
+	if !strings.Contains(out, "\n  scan[time-range] {?h <"+nsNOA+"hasAcquisitionDateTime> ?at} [2007-08-25T10:00:00, 2007-08-25T10:59:00]") {
+		t.Fatalf("member plan missing or not a time-range scan:\n%s", out)
+	}
 
 	out, err = sh.Explain(`SELECT ?h WHERE { ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at . }`)
 	if err != nil {
@@ -657,6 +662,11 @@ func TestShardStatsAndCursors(t *testing.T) {
 			}
 			if st.DictEntries == 0 || st.DictBytes == 0 {
 				t.Fatalf("populated shard %s missing dictionary stats: %+v", st.Name, st)
+			}
+			// The observed range is the time index's first and last
+			// entry: each slice holds one hour of the fixture.
+			if st.TimeEntries == 0 || st.MaxUnix-st.MinUnix != 45*60 {
+				t.Fatalf("shard %s: time index stats %+v", st.Name, st)
 			}
 		}
 	}

@@ -178,8 +178,8 @@ func TimedQuery(s Streamer, src string) (*stsparql.Result, time.Duration, error)
 
 // ShardStat describes one shard of a sharded backend for /stats and
 // the /metrics per-shard gauges: cardinality, mutation generation and
-// the observed temporal range (zero MinUnix/MaxUnix when the shard has
-// seen no timestamped data).
+// the observed temporal range — the first and last entry of the shard's
+// time index (zero MinUnix/MaxUnix when it holds no timestamped data).
 type ShardStat struct {
 	Name    string `json:"name"`
 	Range   string `json:"range,omitempty"`
@@ -187,6 +187,9 @@ type ShardStat struct {
 	Gen     uint64 `json:"generation"`
 	MinUnix int64  `json:"min_unix,omitempty"`
 	MaxUnix int64  `json:"max_unix,omitempty"`
+	// TimeEntries is the size of the shard's time index over the routing
+	// predicate.
+	TimeEntries int `json:"time_index_entries"`
 
 	// Dictionary size of the shard's term dictionary: distinct terms
 	// interned and the approximate heap bytes they pin. Each shard owns

@@ -393,8 +393,9 @@ func (ep *Endpoint) serveQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // recordMiss lands a completed (or failed) evaluation in the telemetry:
-// outcome miss or error, with a plan digest computed only for queries
-// the slow-query log will actually keep.
+// outcome miss or error, with the plan rendered — Explain parses and
+// plans but does not evaluate — only for queries the slow-query log will
+// actually keep.
 func (ep *Endpoint) recordMiss(traceID, q string, rows int, elapsed time.Duration, failed bool) {
 	tel := ep.Metrics
 	if tel == nil {
@@ -404,11 +405,11 @@ func (ep *Endpoint) recordMiss(traceID, q string, rows int, elapsed time.Duratio
 	if failed {
 		outcome = "error"
 	}
-	digest := ""
+	plan := ""
 	if tel.Queries != nil && (failed || elapsed >= tel.SlowQuery) {
-		digest = ep.planDigest(q)
+		plan, _ = ep.store.Explain(q) // a query that fails to plan logs without one
 	}
-	tel.recordQuery(traceID, q, outcome, rows, elapsed, digest)
+	tel.recordQuery(traceID, q, outcome, rows, elapsed, plan)
 }
 
 // validator adapts the backend's generation check for cache lookups; a

@@ -1,9 +1,11 @@
 package strabon
 
 import (
+	"strings"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rdf"
 )
 
 // Telemetry is the endpoint's observability bundle: the /metrics
@@ -121,6 +123,24 @@ func EnableTelemetry(ep *Endpoint, reg *obs.Registry, qlog *obs.QueryLog) *Telem
 			func() float64 { return float64(ad.Stats().Queued) })
 	}
 
+	reg.NewCollectFunc("strabon_time_index_entries",
+		"Entries in the store's time index (per member store of a sharded backend).",
+		"gauge", []string{"store"}, func() []obs.Sample {
+			switch st := ep.store.(type) {
+			case ShardStatser:
+				sts := st.ShardStats()
+				out := make([]obs.Sample, len(sts))
+				for i, s := range sts {
+					out[i] = obs.Sample{LabelValues: []string{s.Name}, Value: float64(s.TimeEntries)}
+				}
+				return out
+			case *Store:
+				n, _, _ := st.TimeIndexStats(rdf.Term{})
+				return []obs.Sample{{LabelValues: []string{"single"}, Value: float64(n)}}
+			}
+			return nil
+		})
+
 	if ss, ok := ep.store.(ShardStatser); ok {
 		shardLabels := []string{"shard"}
 		reg.NewCollectFunc("strabon_shard_triples",
@@ -206,7 +226,7 @@ func (t *Telemetry) observeWait(d time.Duration) {
 // recordQuery lands one finished query in the latency histogram, the
 // row counter, and — for errors, rejections and slow misses — the
 // slow-query log.
-func (t *Telemetry) recordQuery(traceID, query, outcome string, rows int, elapsed time.Duration, planDigest string) {
+func (t *Telemetry) recordQuery(traceID, query, outcome string, rows int, elapsed time.Duration, plan string) {
 	if t == nil {
 		return
 	}
@@ -225,20 +245,32 @@ func (t *Telemetry) recordQuery(traceID, query, outcome string, rows int, elapse
 	t.Queries.Record(obs.QueryRecord{
 		TraceID:    traceID,
 		Query:      query,
-		PlanDigest: planDigest,
+		PlanDigest: planDigest(plan),
+		AccessPath: accessPath(plan),
 		Outcome:    outcome,
 		Rows:       rows,
 		Elapsed:    elapsed,
 	})
 }
 
-// planDigest fingerprints the plan the store would choose for q — the
-// slow-query log's grouping key. Explain parses and plans but does not
-// evaluate; it is only called for queries already deemed worth logging.
-func (ep *Endpoint) planDigest(q string) string {
-	plan, err := ep.store.Explain(q)
-	if err != nil {
+// planDigest fingerprints a rendered plan — the slow-query log's
+// grouping key.
+func planDigest(plan string) string {
+	if plan == "" {
 		return ""
 	}
 	return obs.Digest(plan)
+}
+
+// accessPath names how a rendered plan opens: the label of its first
+// scan or join — scan[time-range], join[bind] (a predicate scan),
+// join[window] — so a slow-log entry tells a range scan from a full one.
+func accessPath(plan string) string {
+	for _, line := range strings.Split(plan, "\n") {
+		line = strings.TrimSpace(line)
+		if strings.HasPrefix(line, "scan[") || strings.HasPrefix(line, "join[") {
+			return line[:strings.IndexByte(line, ']')+1]
+		}
+	}
+	return ""
 }

@@ -121,6 +121,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"strabon_store_triples 8",
 		"strabon_plan_cache_entries 1",
 		"# TYPE strabon_dict_entries gauge",
+		`strabon_time_index_entries{store="single"} 0`,
 		"# TYPE strabon_dict_bytes gauge",
 		"# TYPE strabon_query_seconds histogram",
 	} {
@@ -184,6 +185,20 @@ func TestTraceIDAndSlowQueryLog(t *testing.T) {
 	}
 	if recs[0].PlanDigest == "" {
 		t.Fatal("no plan digest on logged miss")
+	}
+	if recs[0].AccessPath != "join[bind]" {
+		t.Fatalf("access path of a type scan = %q, want join[bind]", recs[0].AccessPath)
+	}
+
+	// A windowed query is logged under the access path it took instead.
+	obsGet(t, srv, "/sparql?query="+url.QueryEscape(`SELECT ?h WHERE { ?h noa:hasAcquisitionDateTime ?at .
+  FILTER( str(?at) >= "2007-08-24T18:00:00" ) }`))
+	_, body, _ = obsGet(t, srv, "/debug/queries")
+	if err := json.Unmarshal([]byte(body), &recs); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].AccessPath != "scan[time-range]" {
+		t.Fatalf("windowed query not logged as a time-range scan: %s", body)
 	}
 }
 

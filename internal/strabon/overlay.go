@@ -16,7 +16,10 @@ import (
 // lock(s). A flush that fails is simply dropped.
 //
 // It implements the engine's source interfaces like a View does, and
-// stsparql.UpdatableSource on top.
+// stsparql.UpdatableSource on top — all but stsparql.TimeRangeSource:
+// the rules take their windows from seed variables, which the planner
+// cannot turn into index ranges, so a plan over an overlay visibly opens
+// with a plain scan where the store's own would say scan[time-range].
 type Overlay struct {
 	base  View
 	added *Store // private: no lock needed

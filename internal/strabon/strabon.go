@@ -1,17 +1,19 @@
 // Package strabon is the geospatial RDF store of the reproduction: the
 // role Strabon (Kyzirakos, Karpathiotakis, Koubarakis — ISWC 2012) plays
 // in the paper's architecture. It combines the dictionary-encoded triple
-// store of package rdf with an R-tree over strdf:hasGeometry objects and
-// the stSPARQL engine, exposing an endpoint-style API used by the
-// refinement step of the fire-monitoring service.
+// store of package rdf with an R-tree over strdf:hasGeometry objects, a
+// time index over xsd:dateTime objects (stSPARQL's two dimensions, each
+// an access path the planner can see) and the stSPARQL engine, exposing
+// an endpoint-style API used by the refinement step of the
+// fire-monitoring service.
 //
 // # Locking discipline
 //
 // The store is safe for concurrent use through its endpoint API (Query,
 // Update, LoadTriples, InsertAll, ApplyFlush, ...). Internally a single
-// RWMutex guards the triple store, the spatial index and the geometry
-// entry table, and a writer mutex serialises the write paths among
-// themselves:
+// RWMutex guards the triple store, the spatial index with its geometry
+// entry table and the time index, and a writer mutex serialises the
+// write paths among themselves:
 //
 //   - Query and QueryStream evaluate under a read lock, so any number
 //     of queries run concurrently. A streaming cursor HOLDS the read
@@ -23,7 +25,7 @@
 //     bumps the store generation exactly once, on release, invalidating
 //     cached query plans and results.
 //   - The stsparql interface methods (MatchTerms, Add, Remove,
-//     MatchGeometryWindow, SpatialIndexEnabled) do NOT lock: they are
+//     MatchGeometryWindow, MatchTimeRange, ...) do NOT lock: they are
 //     called by the evaluator while an endpoint method already holds the
 //     lock. External callers must go through the endpoint API.
 //   - Endpoint statistics live behind a separate mutex so read-locked
@@ -96,6 +98,8 @@ type Store struct {
 	// entry again. The R-tree payload is the entry itself: a window hit
 	// reads its triple without a lookup.
 	geomEntries map[rdf.EncodedTriple]*indexedGeom
+	// times is the time index, keyed by predicate (see timeindex.go).
+	times map[rdf.ID]*timeRun
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -131,6 +135,7 @@ func New() *Store {
 		indexOn:     true,
 		index:       rtree.New(),
 		geomEntries: make(map[rdf.EncodedTriple]*indexedGeom),
+		times:       make(map[rdf.ID]*timeRun),
 	}
 }
 
@@ -208,7 +213,7 @@ func (s *Store) Add(t rdf.Triple) bool {
 }
 
 // addEncoded adds an already-encoded triple, maintaining the spatial
-// index. Like every mutation it only marks the hold mutated;
+// and time indexes. Like every mutation it only marks the hold mutated;
 // the generation moves once, when the write lock is released.
 func (s *Store) addEncoded(enc rdf.EncodedTriple) bool {
 	if !s.triples.AddEncoded(enc) {
@@ -217,6 +222,9 @@ func (s *Store) addEncoded(enc rdf.EncodedTriple) bool {
 	s.mutated = true
 	if item, ok := s.geomItem(enc); ok {
 		s.index.Insert(item.Box, item.Data)
+	}
+	if s.timeAdd(enc) {
+		s.settleTimes()
 	}
 	return true
 }
@@ -255,7 +263,7 @@ func (s *Store) Remove(t rdf.Triple) bool {
 	return s.removeEncoded(enc)
 }
 
-// removeEncoded removes an encoded triple and its spatial-index entry.
+// removeEncoded removes an encoded triple and its index entries.
 func (s *Store) removeEncoded(enc rdf.EncodedTriple) bool {
 	if !s.triples.RemoveEncoded(enc) {
 		return false
@@ -265,6 +273,7 @@ func (s *Store) removeEncoded(enc rdf.EncodedTriple) bool {
 		s.index.Delete(e.env, e)
 		delete(s.geomEntries, enc)
 	}
+	s.timeRemove(enc)
 	return true
 }
 
@@ -372,12 +381,15 @@ func (s *Store) InsertAll(groups ...[]rdf.Triple) []int {
 // InsertAllLocked is InsertAll for a caller already holding the write
 // lock (ApplyFlush here, the sharded store's routed writes). Geometry
 // triples are gathered across the groups and bulk-loaded into the
-// R-tree once, instead of one quadratic-split insertion per triple.
+// R-tree once, instead of one quadratic-split insertion per triple; the
+// time index takes its entries as appends and is sorted once, and only
+// if the load brought data older than what it held.
 func (s *Store) InsertAllLocked(groups ...[]rdf.Triple) []int {
 	counts := make([]int, len(groups))
 	total := 0
 	d := s.triples.Dict()
 	var items []rtree.Item
+	unsorted := false
 	for gi, group := range groups {
 		for _, t := range group {
 			enc := rdf.EncodedTriple{S: d.Encode(t.S), P: d.Encode(t.P), O: d.Encode(t.O)}
@@ -389,12 +401,16 @@ func (s *Store) InsertAllLocked(groups ...[]rdf.Triple) []int {
 			if item, ok := s.geomItem(enc); ok {
 				items = append(items, item)
 			}
+			unsorted = s.timeAdd(enc) || unsorted
 		}
 	}
 	if total > 0 {
 		s.mutated = true
 	}
 	s.index.InsertAll(items)
+	if unsorted {
+		s.settleTimes()
+	}
 
 	s.statsMu.Lock()
 	s.stats.TriplesLoaded += total

@@ -8,12 +8,12 @@ import (
 
 // View is a composite triple source over several member stores,
 // presented to the engine as a single stsparql Source / StatSource /
-// SpatialSource: the sharded store's static store plus some slices, or a
-// flush's base stores (see Overlay). The members partition the data
-// (nothing is replicated), so concatenating their scans and summing
-// their statistics is exact. The caller holds every member's lock for
-// the lifetime of the evaluation — the view itself calls only the
-// unlocked stsparql interface methods.
+// SpatialSource / TimeRangeSource: the sharded store's static store plus
+// some slices, or a flush's base stores (see Overlay). The members
+// partition the data (nothing is replicated), so concatenating their
+// scans and summing their statistics is exact. The caller holds every
+// member's lock for the lifetime of the evaluation — the view itself
+// calls only the unlocked stsparql interface methods.
 //
 // A View deliberately does NOT implement stsparql.IDSource: each member
 // store owns its own dictionary, so one term maps to different IDs in
@@ -26,6 +26,7 @@ type View []*Store
 
 var _ stsparql.StatSource = View{}
 var _ stsparql.SpatialSource = View{}
+var _ stsparql.TimeRangeSource = View{}
 
 // MatchTerms implements stsparql.Source: member scans concatenate, with
 // the visitor's early stop propagating across members.
@@ -102,5 +103,35 @@ func (v View) MatchGeometryWindow(env geom.Envelope, visit func(rdf.Triple) bool
 			return
 		}
 		m.MatchGeometryWindow(env, wrapped)
+	}
+}
+
+// CountTimeRange implements stsparql.TimeRangeSource: the view serves a
+// time range when every member does, and the counts add up.
+func (v View) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {
+	total := 0
+	for _, m := range v {
+		n, ok := m.CountTimeRange(p, w)
+		if !ok {
+			return 0, false
+		}
+		total += n
+	}
+	return total, true
+}
+
+// MatchTimeRange implements stsparql.TimeRangeSource: member ranges
+// concatenate, with early stop propagating.
+func (v View) MatchTimeRange(p rdf.Term, w stsparql.TimeWindow, visit func(rdf.Triple) bool) {
+	cont := true
+	wrapped := func(t rdf.Triple) bool {
+		cont = visit(t)
+		return cont
+	}
+	for _, m := range v {
+		if !cont {
+			return
+		}
+		m.MatchTimeRange(p, w, wrapped)
 	}
 }

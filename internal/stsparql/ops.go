@@ -58,6 +58,11 @@ const (
 	joinBind   = "bind"   // per-row indexed scan
 	joinHash   = "hash"   // scan once, hash on shared vars, probe
 	joinWindow = "window" // per-row R-tree window scan (spatial join)
+	// joinTimeRange scans the source's time index over the window the
+	// group's filters put on the pattern's object. Planned only for a
+	// pattern with both variables fresh, so it opens a pipeline like a
+	// plain first scan and Explain calls it scan[time-range].
+	joinTimeRange = "time-range"
 )
 
 // joinOp extends each input row through one triple pattern. The planner
@@ -86,6 +91,8 @@ type joinOp struct {
 	// perRun marks a prepared plan's join (prepare.go): the plan outlives
 	// store generations, so the build side below is never shared.
 	perRun bool
+	// trange is the index range of a joinTimeRange scan.
+	trange *TimeWindow
 
 	// Hash build side, built at most once per plan lifetime in NATIVE
 	// mode: the table is a function of the source (pinned while the plan
@@ -105,7 +112,7 @@ type joinOp struct {
 // and a downstream LIMIT (or an abandoned cursor) stops the index scan
 // itself.
 func (op *joinOp) streams() bool {
-	return op.strategy == joinBind && len(op.shared) == 0 && !op.buffered
+	return (op.strategy == joinBind || op.strategy == joinTimeRange) && len(op.shared) == 0 && !op.buffered
 }
 
 func (op *joinOp) open(e *Evaluator, in batchIter) batchIter {
@@ -130,7 +137,7 @@ func (op *joinOp) makeTable(e *Evaluator) (*Batch, map[string][]int32) {
 	}
 	sort.Strings(names)
 	b := newBatch(e.dict, newSchema(names), batchSizeMax)
-	e.scanPatternInto(op.pat, rowRef{}, nil, func() *Batch { return b }, alwaysScan)
+	newPatScan(e, op, nil, func() *Batch { return b }, alwaysScan).run(rowRef{})
 	table := make(map[string][]int32)
 	var kb []byte
 	for r := 0; r < b.n; r++ {
@@ -234,7 +241,7 @@ func (it *joinIter) next() (*Batch, error) {
 			it.probeHash(probe, out)
 		} else {
 			if it.scan == nil {
-				it.scan = newPatScan(it.e, it.op.pat, it.op.filters, func() *Batch { return it.scanOut }, alwaysScan)
+				it.scan = newPatScan(it.e, it.op, it.op.filters, func() *Batch { return it.scanOut }, alwaysScan)
 			}
 			it.scanOut = out
 			it.scan.run(probe)
@@ -323,7 +330,7 @@ func (it *joinIter) startStream(probe rowRef) {
 	it.pull, it.stop = iter.Pull(func(yield func(*Batch) bool) {
 		target := op.firstTarget()
 		out := newBatch(e.dict, op.schema, target)
-		e.scanPatternInto(op.pat, probe, op.filters, func() *Batch { return out }, func() bool {
+		newPatScan(e, op, op.filters, func() *Batch { return out }, func() bool {
 			if out.n >= target {
 				if !yield(out) {
 					return false
@@ -338,7 +345,7 @@ func (it *joinIter) startStream(probe rowRef) {
 				}
 			}
 			return true
-		})
+		}).run(probe)
 		if out.n > 0 {
 			yield(out)
 		}
@@ -392,8 +399,15 @@ func (it *joinIter) close() {
 }
 
 func (op *joinOp) explain(b *strings.Builder, indent string) {
-	fmt.Fprintf(b, "%sjoin[%s] {%s %s %s}", indent, op.strategy,
+	kind := "join"
+	if op.strategy == joinTimeRange {
+		kind = "scan"
+	}
+	fmt.Fprintf(b, "%s%s[%s] {%s %s %s}", indent, kind, op.strategy,
 		termOrVarString(op.pat.S), termOrVarString(op.pat.P), termOrVarString(op.pat.O))
+	if op.trange != nil {
+		fmt.Fprintf(b, " %s", op.trange)
+	}
 	if len(op.shared) > 0 {
 		fmt.Fprintf(b, " on %s", strings.Join(op.shared, ","))
 	}
@@ -1382,19 +1396,6 @@ func (op *sliceOp) explain(b *strings.Builder, indent string) {
 
 // --- pattern scanning (shared by bind joins and hash build sides) ---
 
-// scanPatternInto matches one triple pattern under a probe row,
-// appending extended rows to the batch out returns. onRow runs after
-// each appended row and reports whether to continue the scan; the
-// streaming coroutine yields full batches from it and swaps in a fresh
-// slab, which is why out is fetched per row rather than passed once.
-// When the pattern binds a fresh geometry variable that a pending
-// spatial filter constrains against an already-known geometry, and the
-// source has a spatial index, the scan is served by an R-tree window
-// query instead of a full predicate scan.
-func (e *Evaluator) scanPatternInto(pat TriplePattern, probe rowRef, filters []*FilterElement, out func() *Batch, onRow func() bool) {
-	newPatScan(e, pat, filters, out, onRow).run(probe)
-}
-
 // patScan is one pattern scan's reusable context. Bind joins run a
 // scan per probe row, so everything a visit needs lives in fields and
 // the visit callbacks are bound once at construction — a re-run
@@ -1404,9 +1405,14 @@ func (e *Evaluator) scanPatternInto(pat TriplePattern, probe rowRef, filters []*
 // the batch columns without a single term materialisation. Composite
 // sources (the sharded store's multi-dictionary views) take the term
 // path and intern each bound term into the evaluation-local dictionary.
+//
+// out is fetched per row rather than passed once — the streaming
+// coroutine yields full batches from onRow and swaps in a fresh slab —
+// and onRow, run after each appended row, reports whether to continue.
 type patScan struct {
 	e       *Evaluator
 	pat     TriplePattern
+	trange  *TimeWindow // non-nil for a time-range scan
 	filters []*FilterElement
 	out     func() *Batch
 	onRow   func() bool
@@ -1423,8 +1429,8 @@ type patScan struct {
 	visitWindowIDs func(rdf.EncodedTriple) bool // bound windowVisitIDs
 }
 
-func newPatScan(e *Evaluator, pat TriplePattern, filters []*FilterElement, out func() *Batch, onRow func() bool) *patScan {
-	sc := &patScan{e: e, pat: pat, filters: filters, out: out, onRow: onRow}
+func newPatScan(e *Evaluator, op *joinOp, filters []*FilterElement, out func() *Batch, onRow func() bool) *patScan {
+	sc := &patScan{e: e, pat: op.pat, trange: op.trange, filters: filters, out: out, onRow: onRow}
 	sc.visit = sc.tryBind
 	sc.visitWindow = sc.windowVisit
 	sc.visitIDs = sc.tryBindIDs
@@ -1436,7 +1442,10 @@ func newPatScan(e *Evaluator, pat TriplePattern, filters []*FilterElement, out f
 // fresh geometry variable that a pending spatial filter constrains
 // against an already-known geometry, and the source has a spatial
 // index, the scan is served by an R-tree window query instead of a
-// full predicate scan.
+// full predicate scan; a time-range scan reads the source's time index
+// over its window, unless the probe row turns out to bind the subject
+// or the time after all (an OPTIONAL upstream may), which an ordinary
+// index lookup serves better.
 func (sc *patScan) run(probe rowRef) {
 	sc.probe = probe
 	if sc.e.idsrc != nil {
@@ -1449,6 +1458,12 @@ func (sc *patScan) run(probe rowRef) {
 		!sc.p.IsZero() && GeometryPredicates[sc.p.Value] && sc.pat.O.IsVar() && sc.o.IsZero() {
 		if env, found := sc.e.spatialWindowFor(sc.pat.O.Var, probe, sc.filters); found {
 			ss.MatchGeometryWindow(env, sc.visitWindow)
+			return
+		}
+	}
+	if sc.trange != nil && sc.s.IsZero() && sc.o.IsZero() {
+		if ts, ok := sc.e.src.(TimeRangeSource); ok {
+			ts.MatchTimeRange(sc.p, *sc.trange, sc.visit)
 			return
 		}
 	}
@@ -1480,6 +1495,12 @@ func (sc *patScan) runIDs(probe rowRef) {
 				ss.MatchGeometryWindowIDs(env, sc.visitWindowIDs)
 				return
 			}
+		}
+	}
+	if sc.trange != nil && sid == 0 && oid == 0 {
+		if ts, ok := sc.e.src.(TimeRangeIDSource); ok {
+			ts.MatchTimeRangeIDs(pid, *sc.trange, sc.visitIDs)
+			return
 		}
 	}
 	sc.e.idsrc.MatchIDs(sid, pid, oid, sc.visitIDs)

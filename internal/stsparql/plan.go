@@ -13,9 +13,10 @@ import (
 // basic graph patterns by cardinality estimates drawn from the source's
 // maintained statistics (StatSource), pushes filters down to the
 // earliest point where their variables are certainly bound, routes
-// R-tree-servable geometry patterns through window scans, and picks hash
-// joins for large or disconnected intermediate results. Explain renders
-// the chosen plan.
+// R-tree-servable geometry patterns through window scans and
+// time-windowed patterns through the source's dateTime index (the
+// filters stay behind as residuals), and picks hash joins for large or
+// disconnected intermediate results. Explain renders the chosen plan.
 
 // StatSource is an optional Source extension providing the cardinality
 // statistics the planner costs join orders with. All methods must be
@@ -57,6 +58,7 @@ type planner struct {
 	e       *Evaluator
 	stats   StatSource // nil when the source keeps no statistics
 	spatial bool
+	timed   TimeRangeSource // nil when the source keeps no time index
 	// firstBatch is the first-batch size hint for the SELECT currently
 	// being compiled: when a pushed LIMIT bounds the reachable rows below
 	// batchSizeMin, scans open with a batch of that size so the early
@@ -81,6 +83,7 @@ func (e *Evaluator) newPlanner() *planner {
 	if ss, ok := e.src.(SpatialSource); ok {
 		p.spatial = ss.SpatialIndexEnabled()
 	}
+	p.timed, _ = e.src.(TimeRangeSource)
 	return p
 }
 
@@ -366,19 +369,23 @@ func (p *planner) planGroup(gp *GroupPattern, bound map[string]bool, inEst float
 func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, applied map[*FilterElement]bool, bound map[string]bool, inEst float64, buffered bool, schema *varSchema) ([]operator, float64) {
 	remaining := append([]TriplePattern(nil), patterns...)
 	var ops []operator
+	wins := p.timeWindows(patterns, filters)
 
 	for len(remaining) > 0 {
 		// Pick the next pattern by (boundness class, cardinality estimate):
 		// the class ranks patterns by how many components are constant or
 		// certainly bound — with R-tree-servable geometry patterns promoted
 		// when a pending spatial filter joins their fresh geometry variable
-		// against a bound one — and the statistics break ties within a
-		// class with the lowest estimated matches per input row. The class
-		// ordering is the heuristic the tree-walking evaluator pinned
-		// (selective scans first, window scans as soon as servable); the
-		// estimates refine choices the class cannot rank, such as two type
-		// scans of different sizes.
+		// against a bound one, and time-indexed patterns promoted alike when
+		// the group's filters confine their fresh time variable to a window
+		// (the index's exact range count is their estimate) — and the
+		// statistics break ties within a class with the lowest estimated
+		// matches per input row. The class ordering is the heuristic the
+		// tree-walking evaluator pinned (selective scans first, window
+		// scans as soon as servable); the estimates refine choices the
+		// class cannot rank, such as two type scans of different sizes.
 		best, bestScore, bestEst, bestWindow := 0, -1, 0.0, false
+		var bestRange *TimeWindow
 		for i, pat := range remaining {
 			score := 0
 			for _, tv := range []TermOrVar{pat.S, pat.P, pat.O} {
@@ -397,11 +404,14 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 				window = true
 			}
 			est := p.estimateFanout(pat, bound)
+			var trange *TimeWindow
 			if window {
 				est *= spatialWindowSelectivity
+			} else if w, n, ok := p.timeRangeFor(pat, wins, bound); ok {
+				score, est, trange = 6, float64(n), w
 			}
 			if score > bestScore || (score == bestScore && est < bestEst) {
-				best, bestScore, bestEst, bestWindow = i, score, est, window
+				best, bestScore, bestEst, bestWindow, bestRange = i, score, est, window, trange
 			}
 		}
 		pat := remaining[best]
@@ -419,6 +429,8 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 		switch {
 		case bestWindow:
 			op.strategy = joinWindow
+		case bestRange != nil:
+			op.strategy, op.trange = joinTimeRange, bestRange
 		case p.stats != nil && len(op.shared) == 0 && inEst >= crossJoinHashMinRows:
 			// Disconnected pattern: bind degenerates to a rescan per row.
 			op.strategy = joinHash
@@ -465,6 +477,42 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 		}
 	}
 	return ops, inEst
+}
+
+// timeWindows extracts the windows the group's filters confine the
+// BGP's object variables to, when the source keeps a time index. The
+// filters are not consumed: a window is their inclusive superset.
+func (p *planner) timeWindows(patterns []TriplePattern, filters []*FilterElement) map[string]*TimeWindow {
+	if p.timed == nil || len(filters) == 0 {
+		return nil
+	}
+	vars := make(map[string]bool)
+	for _, pat := range patterns {
+		if pat.O.IsVar() {
+			vars[pat.O.Var] = true
+		}
+	}
+	conds := make([]Expr, len(filters))
+	for i, f := range filters {
+		conds[i] = f.Cond
+	}
+	return ExtractTimeWindows(conds, vars)
+}
+
+// timeRangeFor reports the window of pattern `?s <p> ?t` — both
+// variables fresh — and the exact number of index entries inside it,
+// when the source can serve p's time ranges.
+func (p *planner) timeRangeFor(pat TriplePattern, wins map[string]*TimeWindow, bound map[string]bool) (*TimeWindow, int, bool) {
+	if len(wins) == 0 || pat.P.IsVar() || !pat.S.IsVar() || !pat.O.IsVar() ||
+		bound[pat.S.Var] || bound[pat.O.Var] || pat.S.Var == pat.O.Var {
+		return nil, 0, false
+	}
+	w := wins[pat.O.Var]
+	if w == nil {
+		return nil, 0, false
+	}
+	n, ok := p.timed.CountTimeRange(pat.P.Term, *w)
+	return w, n, ok
 }
 
 // costlyFilter reports whether a filter calls a spatial function: orders

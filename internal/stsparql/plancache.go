@@ -110,13 +110,18 @@ type PlanCacheStats struct {
 }
 
 // PlanCache is a bounded, LRU-evicted cache of compiled plans keyed by
-// query text, invalidated by source generation: an entry only hits when
-// the caller's generation matches the one it was compiled at. It is
-// safe for concurrent use, but the plans it stores are tied to one
-// source — do not share a PlanCache across stores.
+// query text, invalidated by source generation: every resident entry
+// was compiled at the generation the cache last saw, and the first call
+// at another generation empties it — generations only advance, so a
+// plan pinned to an older one can never hit again and would only pin
+// its memory until the LRU got round to it (a slice under live writes
+// collects the plans of every one-off text otherwise). It is safe for
+// concurrent use, but the plans it stores are tied to one source — do
+// not share a PlanCache across stores.
 type PlanCache struct {
 	mu        sync.Mutex
 	max       int
+	gen       uint64     // generation of every resident entry
 	lru       *list.List // of *planEntry; front = most recently used
 	entries   map[string]*list.Element
 	hits      uint64
@@ -126,7 +131,6 @@ type PlanCache struct {
 
 type planEntry struct {
 	key string
-	gen uint64
 	c   *Compiled
 }
 
@@ -151,21 +155,26 @@ func (pc *PlanCache) Stats() PlanCacheStats {
 	}
 }
 
+// at moves the cache to generation gen, dropping what was planned
+// against another state of the source. Caller holds mu.
+func (pc *PlanCache) at(gen uint64) {
+	if gen == pc.gen {
+		return
+	}
+	pc.gen = gen
+	pc.evictions += uint64(len(pc.entries))
+	pc.lru.Init()
+	clear(pc.entries)
+}
+
 func (pc *PlanCache) get(key string, gen uint64) (*Compiled, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	el, ok := pc.entries[key]
-	if ok {
-		ent := el.Value.(*planEntry)
-		if ent.gen == gen {
-			pc.lru.MoveToFront(el)
-			pc.hits++
-			return ent.c, true
-		}
-		// Planned against an older store state: drop it.
-		pc.lru.Remove(el)
-		delete(pc.entries, key)
-		pc.evictions++
+	pc.at(gen)
+	if el, ok := pc.entries[key]; ok {
+		pc.lru.MoveToFront(el)
+		pc.hits++
+		return el.Value.(*planEntry).c, true
 	}
 	pc.misses++
 	return nil, false
@@ -177,12 +186,13 @@ func (pc *PlanCache) put(key string, gen uint64, c *Compiled) {
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
+	pc.at(gen)
 	if el, ok := pc.entries[key]; ok {
-		el.Value = &planEntry{key: key, gen: gen, c: c}
+		el.Value = &planEntry{key: key, c: c}
 		pc.lru.MoveToFront(el)
 		return
 	}
-	pc.entries[key] = pc.lru.PushFront(&planEntry{key: key, gen: gen, c: c})
+	pc.entries[key] = pc.lru.PushFront(&planEntry{key: key, c: c})
 	for pc.lru.Len() > pc.max {
 		back := pc.lru.Back()
 		pc.lru.Remove(back)

@@ -3,6 +3,9 @@
 // DELETE-INSERT-WHERE over RDF with the strdf:* spatial filter functions,
 // spatial aggregates, grouping, ordering and sub-selects — the exact
 // dialect the paper's refinement queries (Section 3.2.4) are written in.
+// Both of stSPARQL's dimensions are access paths, not only filters: a
+// spatial join is served by the source's R-tree and a valid-time window
+// by its dateTime index, when it keeps them (plan.go, timewindow.go).
 package stsparql
 
 import (
