@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-endpoint bench-stream bench-shard bench-batch bench-serve bench-engine alloc-gate lint fmt
+.PHONY: build test bench bench-endpoint bench-stream bench-shard bench-batch alloc-gate lint fmt
 
 build:
 	$(GO) build ./...
@@ -12,7 +12,7 @@ test:
 	$(GO) test -race ./...
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race -count=2 -run 'TestEndpointConcurrent|TestConcurrentEndpointSmoke|TestEndpointStreamsDuringWrites' ./internal/strabon
-	$(GO) test -race -count=2 -run 'TestShardStreamsDuringWrites|TestShardedPipelineMatchesSingle|TestNoPartialRefinementVisible|TestShardResultCacheInvalidation|TestTimeRangeDifferential|TestShardZonedTimeLiteral' ./internal/shard
+	$(GO) test -race -count=2 -run 'TestShardStreamsDuringWrites|TestShardedPipelineMatchesSingle|TestNoPartialRefinementVisible|TestShardResultCacheInvalidation|TestTimeRangeDifferential|TestShardZonedTimeLiteral|TestReaderComputesWhatWriterInterns' ./internal/shard
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Full benchmark sweep; CI runs the 1x smoke variant of the end-to-end
@@ -43,27 +43,9 @@ bench-batch:
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamedSelect' -benchmem ./internal/strabon
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedQueries' -benchmem ./internal/shard
 
-# Closed-loop serving smoke: clients replay the hot/cold thematic mix
-# over HTTP against a live writer with the result cache + admission
-# gate on, reporting p50/p99 and the hot-set hit ratio — and failing
-# when the hit ratio collapses below 0.5 (a keying or invalidation
-# regression in the serving tier). -json writes the machine-readable
-# latency/hit-ratio report (BENCH_serve.json holds the committed
-# baseline); -ops-addr stands up the ops surface and self-checks that
-# /metrics scrapes cleanly with every expected family present.
-bench-serve:
-	$(GO) run ./cmd/benchserve -clients 4 -requests 200 -min-hot-hit 0.5 \
-		-json BENCH_serve.json -ops-addr 127.0.0.1:0
-
-# Headline engine benchmarks (streamed select, sharded join, served
-# queries) recorded machine-readably in BENCH_engine.json — the
-# engine-level counterpart of BENCH_serve.json.
-bench-engine:
-	./scripts/bench_engine.sh BENCH_engine.json
-
 # Fails if a gated benchmark's allocs/op regresses 1.5x above its
 # committed baseline (what CI runs): full/streamed in internal/strabon
-# and the single-store sharded-queries case in internal/shard.
+# and both cases of the sharded-queries join in internal/shard.
 alloc-gate:
 	./scripts/check_streamed_allocs.sh
 

@@ -363,7 +363,7 @@ func BenchmarkAblationDictionary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		s.Match(0, p3, 0, func(rdf.EncodedTriple) bool { n++; return true })
+		s.MatchIDs(0, p3, 0, func(rdf.EncodedTriple) bool { n++; return true })
 		if n == 0 {
 			b.Fatal("no matches")
 		}

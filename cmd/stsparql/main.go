@@ -51,13 +51,12 @@ func main() {
 		*repeat = 1
 	}
 
-	// The geometry cache is created here and shared with the store, so
-	// every evaluation — across -repeat runs — reuses parsed WKT instead
-	// of re-parsing the same coastline literals. The store's built-in
-	// plan cache does the same for compiled plans: run 1 parses and
-	// plans, runs 2..N hit the cache.
-	cache := stsparql.NewCache()
-	st := strabon.NewWithCache(cache)
+	// The store's geometry cache serves every evaluation — across
+	// -repeat runs — so parsed WKT is reused instead of re-parsing the
+	// same coastline literals. Its plan cache does the same for compiled
+	// plans: run 1 parses and plans, runs 2..N hit the cache.
+	st := strabon.New()
+	cache := st.GeomCache()
 	if *seed != 0 {
 		world := auxdata.Generate(*seed)
 		n := st.LoadTriples(world.AllTriples())

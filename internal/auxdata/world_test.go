@@ -117,8 +117,9 @@ func TestRDFExports(t *testing.T) {
 	}
 	// Every exported geometry literal must be parseable WKT.
 	bad := 0
-	s.MatchTerms(rdf.Term{}, rdf.NewIRI(ontology.HasGeometry), rdf.Term{}, func(tp rdf.Triple) bool {
-		if _, err := geom.ParseWKT(tp.O.Value); err != nil {
+	hasGeom, _ := s.Dict().Lookup(rdf.NewIRI(ontology.HasGeometry))
+	s.MatchIDs(rdf.Wildcard, hasGeom, rdf.Wildcard, func(tp rdf.EncodedTriple) bool {
+		if _, err := geom.ParseWKT(s.Dict().Decode(tp.O).Value); err != nil {
 			bad++
 		}
 		return true

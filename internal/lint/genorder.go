@@ -17,8 +17,8 @@ import (
 //
 // The analyzer checks, within each function of a package named shard
 // that calls track(), that no member-store mutation (a method named
-// Add, Remove, InsertAll, InsertAllLocked, or ApplyPlan on a Store type
-// declared in another package) and no direct generation bump (.Add on a field
+// Add, Remove, RemoveEncoded, InsertAll, InsertEncodedLocked, or ApplyPlan
+// on a Store type declared in another package) and no direct generation bump (.Add on a field
 // named gen or knowGen) lexically precedes the first track() call.
 // Functions without a track() call — pure helpers, read paths — are
 // out of scope, as is track itself.
@@ -30,12 +30,13 @@ var analyzerGenOrder = &Analyzer{
 }
 
 var mutatingMethods = map[string]bool{
-	"Add":       true,
-	"Remove":    true,
-	"InsertAll": true,
+	"Add":           true,
+	"Remove":        true,
+	"RemoveEncoded": true,
+	"InsertAll":     true,
 
-	"InsertAllLocked": true,
-	"ApplyPlan":       true,
+	"InsertEncodedLocked": true,
+	"ApplyPlan":           true,
 }
 
 func runGenOrder(prog *Program) []Diagnostic {

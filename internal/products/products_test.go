@@ -77,8 +77,9 @@ func TestHotspotTriples(t *testing.T) {
 	}
 	// The geometry literal parses.
 	var wkt string
-	s.MatchTerms(rdf.Term{}, rdf.NewIRI(ontology.HasGeometry), rdf.Term{}, func(tp rdf.Triple) bool {
-		wkt = tp.O.Value
+	hasGeom, _ := s.Dict().Lookup(rdf.NewIRI(ontology.HasGeometry))
+	s.MatchIDs(rdf.Wildcard, hasGeom, rdf.Wildcard, func(tp rdf.EncodedTriple) bool {
+		wkt = s.Dict().Decode(tp.O).Value
 		return false
 	})
 	if _, err := geom.ParseWKT(wkt); err != nil {

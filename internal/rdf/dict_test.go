@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -52,6 +53,60 @@ func TestDictionaryAppendOnly(t *testing.T) {
 	}
 }
 
+// readWhileAppending runs n readers beside the calling appender until
+// the returned stop function is called: each keeps reading the length,
+// decoding every ID it covers — across chunk boundaries — and looking
+// the term up again, which must lead back to the ID. Under -race this is
+// the concurrency contract: lock-free Decode/Len and read-locked Lookup
+// beside one Encode.
+func readWhileAppending(t *testing.T, d *Dictionary, n int) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for id := ID(d.Len()); id >= 1; id-- {
+					tm := d.Decode(id)
+					if got, ok := d.Lookup(tm); !ok || got != id {
+						t.Errorf("id %d decodes to %#v, which looks up as %d,%v", id, tm, got, ok)
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	return func() { close(done); wg.Wait() }
+}
+
+// TestDictionaryConcurrentReaders pins what one dictionary per store
+// topology needs: an appender working under one member's lock while
+// readers holding other members' locks decode and look up.
+func TestDictionaryConcurrentReaders(t *testing.T) {
+	d := NewDictionary()
+	stop := readWhileAppending(t, d, 4)
+	const n = 3<<dictChunkBits + 17 // several chunks, the last one partial
+	for i := 0; i < n; i++ {
+		want := ID(i + 1)
+		if got := d.Encode(NewIRI(fmt.Sprintf("http://example.org/t/%d", i))); got != want {
+			t.Fatalf("Encode #%d = %d, want dense id %d", i, got, want)
+		}
+	}
+	stop()
+	if d.Len() != n {
+		t.Fatalf("Len = %d, want %d", d.Len(), n)
+	}
+	if got := d.Decode(ID(n + 1)); !got.IsZero() {
+		t.Fatalf("Decode past the end = %v, want zero term", got)
+	}
+}
+
 // TestDictionaryZeroAndUnknown pins the wildcard/unknown edges.
 func TestDictionaryZeroAndUnknown(t *testing.T) {
 	d := NewDictionary()
@@ -93,7 +148,8 @@ func TestDictionaryDistinguishesLiteralShapes(t *testing.T) {
 // FuzzDictionaryRoundTrip fuzzes encode/decode round-trips over every
 // term shape, including language-tagged and datatyped literals: Encode
 // then Decode must reproduce the exact term, Lookup must agree with
-// Encode, and distinct terms must never share an ID.
+// Encode, and distinct terms must never share an ID — all beside two
+// concurrent readers.
 func FuzzDictionaryRoundTrip(f *testing.F) {
 	f.Add(uint8(0), "http://example.org/x", "", "")
 	f.Add(uint8(1), "b1", "", "")
@@ -118,6 +174,7 @@ func FuzzDictionaryRoundTrip(f *testing.F) {
 			t.Skip()
 		}
 		d := NewDictionary()
+		defer readWhileAppending(t, d, 2)()
 		// Pre-populate with near-miss terms so collisions would surface.
 		d.Encode(NewLiteral(value))
 		d.Encode(NewIRI(value))

@@ -153,7 +153,16 @@ func TestStoreMatchPatterns(t *testing.T) {
 	p2, _ := d.Lookup(NewIRI("http://e/p2"))
 	o0, _ := d.Lookup(NewIRI("http://e/o0"))
 
-	count := func(a, b, c ID) int { return s.Count(a, b, c) }
+	// Every pattern is enumerated through its index ordering and must
+	// agree with the O(1) count.
+	count := func(a, b, c ID) int {
+		n := 0
+		s.MatchIDs(a, b, c, func(EncodedTriple) bool { n++; return true })
+		if fast := s.Count(a, b, c); fast != n {
+			t.Fatalf("Count(%d,%d,%d) = %d, MatchIDs visited %d", a, b, c, fast, n)
+		}
+		return n
+	}
 
 	if got := count(s0, Wildcard, Wildcard); got != 5 {
 		t.Fatalf("S-bound count = %d, want 5", got)
@@ -181,22 +190,24 @@ func TestStoreMatchPatterns(t *testing.T) {
 	}
 }
 
-func TestStoreMatchTermsWildcards(t *testing.T) {
+// TestStoreMatchIDsReportsEarlyStop pins the return value composite
+// sources concatenate scans by: true for a scan that ran to its end
+// (an empty one included), false once the visitor stopped it.
+func TestStoreMatchIDsReportsEarlyStop(t *testing.T) {
 	s := NewStore()
 	s.Add(tr("http://e/s", "http://e/p", "http://e/o"))
+	s.Add(tr("http://e/s", "http://e/p", "http://e/o2"))
+	p, _ := s.Dict().Lookup(NewIRI("http://e/p"))
 	var seen int
-	s.MatchTerms(Term{}, NewIRI("http://e/p"), Term{}, func(Triple) bool {
-		seen++
-		return true
-	})
-	if seen != 1 {
-		t.Fatalf("matched %d", seen)
+	if !s.MatchIDs(Wildcard, p, Wildcard, func(EncodedTriple) bool { seen++; return true }) || seen != 2 {
+		t.Fatalf("full scan: visited %d, want 2 and a true return", seen)
 	}
-	// Unknown term short-circuits.
-	s.MatchTerms(NewIRI("http://unknown/"), Term{}, Term{}, func(Triple) bool {
-		t.Fatal("should not match")
-		return false
-	})
+	if s.MatchIDs(Wildcard, p, Wildcard, func(EncodedTriple) bool { return false }) {
+		t.Fatal("a stopped scan reported running to its end")
+	}
+	if !s.MatchIDs(p, Wildcard, Wildcard, func(EncodedTriple) bool { return false }) {
+		t.Fatal("an empty scan reported being stopped")
+	}
 }
 
 func TestStoreSubjects(t *testing.T) {
@@ -417,12 +428,15 @@ func brutePredicateCard(s *Store, pred Term) (int, int, int) {
 	n := 0
 	subj := make(map[string]bool)
 	obj := make(map[string]bool)
-	s.MatchTerms(Term{}, pred, Term{}, func(t Triple) bool {
+	pid, _ := s.Dict().Lookup(pred)
+	for _, t := range s.Triples() {
+		if got, _ := s.Dict().Lookup(t.P); got != pid {
+			continue
+		}
 		n++
 		subj[t.S.String()] = true
 		obj[t.O.String()] = true
-		return true
-	})
+	}
 	return n, len(subj), len(obj)
 }
 

@@ -70,9 +70,13 @@ type Store struct {
 }
 
 // NewStore returns an empty store with a fresh dictionary.
-func NewStore() *Store {
+func NewStore() *Store { return NewStoreOver(NewDictionary()) }
+
+// NewStoreOver returns an empty store encoding into dict — how the
+// members of one store topology share a single ID space.
+func NewStoreOver(dict *Dictionary) *Store {
 	return &Store{
-		dict:      NewDictionary(),
+		dict:      dict,
 		spo:       make(index),
 		pos:       make(index),
 		osp:       make(index),
@@ -88,13 +92,7 @@ func (s *Store) Dict() *Dictionary { return s.dict }
 func (s *Store) Len() int { return s.size }
 
 // Add inserts a triple; it reports whether the triple was new.
-func (s *Store) Add(t Triple) bool {
-	return s.AddEncoded(EncodedTriple{
-		S: s.dict.Encode(t.S),
-		P: s.dict.Encode(t.P),
-		O: s.dict.Encode(t.O),
-	})
-}
+func (s *Store) Add(t Triple) bool { return s.AddEncoded(s.dict.EncodeTriple(t)) }
 
 // AddEncoded inserts an already-encoded triple.
 func (s *Store) AddEncoded(t EncodedTriple) bool {
@@ -113,19 +111,8 @@ func (s *Store) AddEncoded(t EncodedTriple) bool {
 
 // Remove deletes a triple; it reports whether the triple was present.
 func (s *Store) Remove(t Triple) bool {
-	sid, ok := s.dict.Lookup(t.S)
-	if !ok {
-		return false
-	}
-	pid, ok := s.dict.Lookup(t.P)
-	if !ok {
-		return false
-	}
-	oid, ok := s.dict.Lookup(t.O)
-	if !ok {
-		return false
-	}
-	return s.RemoveEncoded(EncodedTriple{S: sid, P: pid, O: oid})
+	enc, ok := s.dict.LookupTriple(t)
+	return ok && s.RemoveEncoded(enc)
 }
 
 // RemoveEncoded deletes an encoded triple.
@@ -149,109 +136,61 @@ func (s *Store) RemoveEncoded(t EncodedTriple) bool {
 
 // Has reports whether the triple is present.
 func (s *Store) Has(t Triple) bool {
-	sid, ok := s.dict.Lookup(t.S)
-	if !ok {
-		return false
-	}
-	pid, ok := s.dict.Lookup(t.P)
-	if !ok {
-		return false
-	}
-	oid, ok := s.dict.Lookup(t.O)
-	if !ok {
-		return false
-	}
-	m1, ok := s.spo[sid]
-	if !ok {
-		return false
-	}
-	m2, ok := m1[pid]
-	if !ok {
-		return false
-	}
-	_, ok = m2[oid]
-	return ok
+	enc, ok := s.dict.LookupTriple(t)
+	return ok && s.Count(enc.S, enc.P, enc.O) > 0
 }
 
-// Match streams every encoded triple matching the pattern, where Wildcard
-// (0) components match anything. The visit function returns false to stop.
-// The best available index ordering is selected from the bound components.
-func (s *Store) Match(sub, pred, obj ID, visit func(EncodedTriple) bool) {
+// MatchIDs streams every encoded triple matching the pattern, where
+// Wildcard (0) components match anything, choosing the index ordering
+// from the bound components. visit returns false to stop the scan;
+// MatchIDs reports whether it ran to its end, so a caller concatenating
+// several scans knows when to stop without wrapping the visitor.
+func (s *Store) MatchIDs(sub, pred, obj ID, visit func(EncodedTriple) bool) bool {
 	switch {
+	case sub != Wildcard && pred != Wildcard && obj != Wildcard:
+		if _, ok := s.spo[sub][pred][obj]; ok {
+			return visit(EncodedTriple{sub, pred, obj})
+		}
+	case sub != Wildcard && pred != Wildcard:
+		for o := range s.spo[sub][pred] {
+			if !visit(EncodedTriple{sub, pred, o}) {
+				return false
+			}
+		}
 	case sub != Wildcard:
-		m1, ok := s.spo[sub]
-		if !ok {
-			return
-		}
-		if pred != Wildcard {
-			m2, ok := m1[pred]
-			if !ok {
-				return
-			}
+		for p, m2 := range s.spo[sub] {
 			if obj != Wildcard {
-				if _, ok := m2[obj]; ok {
-					visit(EncodedTriple{sub, pred, obj})
+				// S and O bound: scan predicates of subject.
+				if _, ok := m2[obj]; ok && !visit(EncodedTriple{sub, p, obj}) {
+					return false
 				}
-				return
+				continue
 			}
-			for o := range m2 {
-				if !visit(EncodedTriple{sub, pred, o}) {
-					return
-				}
-			}
-			return
-		}
-		if obj != Wildcard {
-			// S and O bound: scan predicates of subject.
-			for p, m2 := range m1 {
-				if _, ok := m2[obj]; ok {
-					if !visit(EncodedTriple{sub, p, obj}) {
-						return
-					}
-				}
-			}
-			return
-		}
-		for p, m2 := range m1 {
 			for o := range m2 {
 				if !visit(EncodedTriple{sub, p, o}) {
-					return
+					return false
 				}
+			}
+		}
+	case pred != Wildcard && obj != Wildcard:
+		for sid := range s.pos[pred][obj] {
+			if !visit(EncodedTriple{sid, pred, obj}) {
+				return false
 			}
 		}
 	case pred != Wildcard:
-		m1, ok := s.pos[pred]
-		if !ok {
-			return
-		}
-		if obj != Wildcard {
-			m2, ok := m1[obj]
-			if !ok {
-				return
-			}
-			for sid := range m2 {
-				if !visit(EncodedTriple{sid, pred, obj}) {
-					return
-				}
-			}
-			return
-		}
-		for o, m2 := range m1 {
+		for o, m2 := range s.pos[pred] {
 			for sid := range m2 {
 				if !visit(EncodedTriple{sid, pred, o}) {
-					return
+					return false
 				}
 			}
 		}
 	case obj != Wildcard:
-		m1, ok := s.osp[obj]
-		if !ok {
-			return
-		}
-		for sid, m2 := range m1 {
+		for sid, m2 := range s.osp[obj] {
 			for p := range m2 {
 				if !visit(EncodedTriple{sid, p, obj}) {
-					return
+					return false
 				}
 			}
 		}
@@ -260,60 +199,21 @@ func (s *Store) Match(sub, pred, obj ID, visit func(EncodedTriple) bool) {
 			for p, m2 := range m1 {
 				for o := range m2 {
 					if !visit(EncodedTriple{sid, p, o}) {
-						return
+						return false
 					}
 				}
 			}
 		}
 	}
-}
-
-// MatchTerms streams decoded triples matching a term pattern; zero Terms
-// act as wildcards.
-func (s *Store) MatchTerms(sub, pred, obj Term, visit func(Triple) bool) {
-	var sid, pid, oid ID
-	var ok bool
-	if !sub.IsZero() {
-		if sid, ok = s.dict.Lookup(sub); !ok {
-			return
-		}
-	}
-	if !pred.IsZero() {
-		if pid, ok = s.dict.Lookup(pred); !ok {
-			return
-		}
-	}
-	if !obj.IsZero() {
-		if oid, ok = s.dict.Lookup(obj); !ok {
-			return
-		}
-	}
-	s.Match(sid, pid, oid, func(t EncodedTriple) bool {
-		return visit(Triple{
-			S: s.dict.Decode(t.S),
-			P: s.dict.Decode(t.P),
-			O: s.dict.Decode(t.O),
-		})
-	})
-}
-
-// Count returns the number of triples matching the pattern.
-func (s *Store) Count(sub, pred, obj ID) int {
-	n := 0
-	s.Match(sub, pred, obj, func(EncodedTriple) bool { n++; return true })
-	return n
+	return true
 }
 
 // Triples returns all triples, decoded. Intended for tests and small
-// exports; large scans should use Match.
+// exports; large scans should use MatchIDs.
 func (s *Store) Triples() []Triple {
 	out := make([]Triple, 0, s.size)
-	s.Match(Wildcard, Wildcard, Wildcard, func(t EncodedTriple) bool {
-		out = append(out, Triple{
-			S: s.dict.Decode(t.S),
-			P: s.dict.Decode(t.P),
-			O: s.dict.Decode(t.O),
-		})
+	s.MatchIDs(Wildcard, Wildcard, Wildcard, func(t EncodedTriple) bool {
+		out = append(out, s.dict.DecodeTriple(t))
 		return true
 	})
 	return out
@@ -321,11 +221,11 @@ func (s *Store) Triples() []Triple {
 
 // --- cardinality statistics (the planner's cost inputs) ---
 
-// countEncoded returns the exact number of triples matching an encoded
-// pattern without enumerating them: every case is answered from index map
+// Count returns the exact number of triples matching an encoded pattern
+// without enumerating them: every case is answered from index map
 // lengths or the maintained per-predicate counters. Worst case is O(number
 // of predicates of one subject or object), typically a handful.
-func (s *Store) countEncoded(sub, pred, obj ID) int {
+func (s *Store) Count(sub, pred, obj ID) int {
 	switch {
 	case sub != Wildcard && pred != Wildcard && obj != Wildcard:
 		if _, ok := s.spo[sub][pred][obj]; ok {
@@ -384,7 +284,7 @@ func (s *Store) CountPattern(sub, pred, obj Term) int {
 			return 0
 		}
 	}
-	return s.countEncoded(sid, pid, oid)
+	return s.Count(sid, pid, oid)
 }
 
 // PredicateCard reports per-predicate cardinalities: total triples,
@@ -408,7 +308,7 @@ func (s *Store) StoreCard() (triples, subjects, predicates, objects int) {
 func (s *Store) Subjects(pred, obj ID) []ID {
 	seen := make(map[ID]struct{})
 	var out []ID
-	s.Match(Wildcard, pred, obj, func(t EncodedTriple) bool {
+	s.MatchIDs(Wildcard, pred, obj, func(t EncodedTriple) bool {
 		if _, dup := seen[t.S]; !dup {
 			seen[t.S] = struct{}{}
 			out = append(out, t.S)

@@ -183,12 +183,10 @@ func pickSeeds(n int, boxAt func(int) geom.Envelope) (int, int) {
 }
 
 // Search visits every item whose box intersects the query window. The
-// visit function returns false to stop early.
-func (t *Tree) Search(window geom.Envelope, visit func(Item) bool) {
-	if t.root == nil {
-		return
-	}
-	searchNode(t.root, window, visit)
+// visit function returns false to stop early; Search reports whether it
+// ran to its end.
+func (t *Tree) Search(window geom.Envelope, visit func(Item) bool) bool {
+	return t.root == nil || searchNode(t.root, window, visit)
 }
 
 func searchNode(n *node, window geom.Envelope, visit func(Item) bool) bool {

@@ -19,10 +19,13 @@ import (
 // the locked stores.
 //
 // The fan-out boundary is also the engine's late-materialisation
-// boundary: each shard evaluation runs ID-native over its own
-// dictionary, and dictionary IDs are meaningless outside their owning
-// evaluation — so rows cross between shard cursors and the merge as
-// decoded terms (the Clone below materialises them), never as IDs.
+// boundary. The shard evaluations run ID-native over the store's one
+// dictionary, but each keeps an overflow table of its own for the terms
+// it computes, and the merge-side operators (ordered merge, partial-
+// aggregate recombination, DISTINCT) still work on map rows — so rows
+// cross between shard cursors and the merge as decoded terms (the Clone
+// below materialises them). Shipping ID chunks instead is ROADMAP
+// item 3.
 
 // fanMode selects the merge strategy.
 type fanMode int

@@ -329,3 +329,160 @@ func TestNoPartialRefinementVisible(t *testing.T) {
 		}
 	}
 }
+
+// TestReaderComputesWhatWriterInterns is the shard-level face of the
+// one-term-two-IDs hazard (stsparql's TestComputedTermKeepsOneID pins
+// it deterministically): readers of the 10:00 slice compute str(?tag)
+// — one literal per tag, the same for many rows — while flushes into
+// the 12:00 slice intern exactly those literals into the shared
+// dictionary, under locks the readers do not hold. Every DISTINCT and
+// GROUP BY over the computed value must still answer what the untouched
+// single store answers. Under -race this is also the dictionary's
+// appender-beside-readers contract end to end.
+func TestReaderComputesWhatWriterInterns(t *testing.T) {
+	const tags, perTag = 24, 40
+	const ex = "http://example.org/"
+	tag := func(c int) rdf.Term { return iri(fmt.Sprintf("%stag%d", ex, c)) }
+	// Tags rotate from one hotspot to the next, so a scan in index order
+	// meets every tag from its first batch to its last.
+	var base [][]rdf.Triple
+	for i := 0; i < perTag; i++ {
+		for c := 0; c < tags; c++ {
+			h := iri(fmt.Sprintf("%sh%d_%d", ex, c, i))
+			base = append(base, []rdf.Triple{
+				{S: h, P: iri(rdf.RDFType), O: iri(nsNOA + "Hotspot")},
+				{S: h, P: iri(nsNOA + "hasAcquisitionDateTime"), O: rdf.NewDateTime("2007-08-25T10:15:00")},
+				{S: h, P: iri(ex + "tag"), O: tag(c)},
+			})
+		}
+	}
+	const where = `?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at ; <` + ex + `tag> ?c .
+  FILTER( str(?at) >= "2007-08-25T10:00:00" ) FILTER( str(?at) <= "2007-08-25T10:59:00" )`
+	queries := []string{
+		`SELECT DISTINCT (str(?c) AS ?x) WHERE { ` + where + ` }`,
+		`SELECT ?x (COUNT(?h) AS ?n) WHERE { { SELECT ?h (str(?c) AS ?x) WHERE { ` + where + ` } } } GROUP BY ?x`,
+	}
+	rows := func(st strabon.API, q string) []string {
+		res, err := st.Query(q)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		out := make([]string, len(res.Rows))
+		for i, row := range res.Rows {
+			out[i] = string(stsparql.RowKey(nil, row, res.Vars))
+		}
+		sort.Strings(out)
+		return out
+	}
+	reference := strabon.New()
+	reference.InsertAll(base...)
+	want := make([][]string, len(queries))
+	for k, q := range queries {
+		if want[k] = rows(reference, q); len(want[k]) != tags {
+			t.Fatalf("reference answers %d rows to query %d, want one per tag", len(want[k]), k)
+		}
+	}
+
+	for name, st := range map[string]strabon.API{"single": strabon.New(), "shard4": newSharded(4)} {
+		st.InsertAll(base...)
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for i := r; ; i++ {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					k := i % len(queries)
+					if got := rows(st, queries[k]); !slices.Equal(got, want[k]) {
+						t.Errorf("%s: query %d answered %d rows beside the writer, the single store %d", name, k, len(got), len(want[k]))
+						return
+					}
+				}
+			}(r)
+		}
+		// The writer: one flush per tag into the 12:00 slice, carrying the
+		// literal the readers compute for that tag.
+		at := day.Add(12 * time.Hour)
+		for c := 0; c < tags; c++ {
+			w := iri(fmt.Sprintf("%sw%d", ex, c))
+			group := []rdf.Triple{
+				{S: w, P: iri(nsNOA + "hasAcquisitionDateTime"), O: rdf.NewDateTime(at.Format("2006-01-02T15:04:05"))},
+				{S: w, P: iri(ex + "note"), O: rdf.NewLiteral(tag(c).Value)},
+			}
+			err := st.ApplyFlush(strabon.Flush{Groups: [][]rdf.Triple{group}, At: []time.Time{at}},
+				func(*strabon.FlushTx) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+		close(done)
+		wg.Wait()
+		if _, ok := dictOf(st).Lookup(rdf.NewLiteral(tag(tags - 1).Value)); !ok {
+			t.Fatalf("%s: the flushes interned nothing the readers compute", name)
+		}
+	}
+}
+
+func dictOf(st strabon.API) *rdf.Dictionary {
+	if sh, ok := st.(*Store); ok {
+		return sh.dict
+	}
+	return st.(*strabon.Store).Dict()
+}
+
+// TestFailedFlushLeavesTriplesUntouched pins what a failing flush
+// leaves behind now that its overlay encodes into the store's own
+// dictionary: the terms it interned (append-only, referenced by
+// nothing) and not one triple, index entry or generation.
+func TestFailedFlushLeavesTriplesUntouched(t *testing.T) {
+	for name, st := range map[string]strabon.API{"single": strabon.New(), "shard4": newSharded(4)} {
+		loadFixture(st)
+		triples, entries := hotspotTriples(t, st), dictOf(st).Len()
+		size, gens := st.Len(), fmt.Sprint(memberGens(st))
+
+		at := day.Add(12 * time.Hour)
+		p := &products.Product{Sensor: "MSG1", Chain: "doomed", AcquiredAt: at}
+		p.Hotspots = append(p.Hotspots, products.Hotspot{
+			ID: "doomed_0", Geometry: geom.NewSquare(2, 5, 0.5),
+			Confidence: 1.0, AcquiredAt: at, Sensor: "MSG1", Chain: "doomed", Producer: "noa",
+		})
+		failure := fmt.Errorf("rule failed")
+		err := st.ApplyFlush(strabon.Flush{Groups: [][]rdf.Triple{p.Triples()}, At: []time.Time{at}},
+			func(tx *strabon.FlushTx) error {
+				if tx.Inserted[0] == 0 {
+					t.Errorf("%s: the overlay took none of the flush's triples", name)
+				}
+				return failure
+			})
+		if err != failure {
+			t.Fatalf("%s: ApplyFlush = %v, want the rules' error", name, err)
+		}
+		if dictOf(st).Len() <= entries {
+			t.Fatalf("%s: the failed flush interned nothing — its overlay no longer shares the store's dictionary?", name)
+		}
+		if st.Len() != size || fmt.Sprint(memberGens(st)) != gens || !slices.Equal(hotspotTriples(t, st), triples) {
+			t.Fatalf("%s: a failed flush changed the store (%d -> %d triples, generations %s -> %v)",
+				name, size, st.Len(), gens, memberGens(st))
+		}
+		verifyTimeIndexes(t, st)
+	}
+}
+
+// memberGens lists the generations of a store's members (static first).
+func memberGens(st strabon.API) []uint64 {
+	if sh, ok := st.(*Store); ok {
+		var out []uint64
+		for _, m := range sh.members() {
+			out = append(out, m.Generation())
+		}
+		return out
+	}
+	return []uint64{st.(*strabon.Store).Generation()}
+}

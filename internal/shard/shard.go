@@ -3,8 +3,8 @@
 // time-range slices — each its own strabon.Store with its own RWMutex,
 // R-tree and compiled-plan cache — plus a catch-all store for the
 // static/georeference datasets (municipalities, coastline, land cover),
-// all behind the same strabon.API the endpoint and the serving binaries
-// already consume.
+// all encoding into ONE term dictionary and all behind the same
+// strabon.API the endpoint and the serving binaries already consume.
 //
 // # Partitioning
 //
@@ -96,6 +96,10 @@ type Store struct {
 	slices []*strabon.Store
 	ns     *rdf.Namespaces
 	cache  *stsparql.Cache // shared geometry-parse cache
+	// dict is the one term dictionary every member encodes into. Appends
+	// happen under writeMu only; see rdf.Dictionary for what readers may
+	// do beside them.
+	dict *rdf.Dictionary
 
 	// Compiled-plan caches: one per slice view plus one for the union
 	// view. Guarded by planMu only for replacement (SetPlanCacheSize);
@@ -177,7 +181,6 @@ func New(cfg Config) *Store {
 		cfg:         cfg,
 		width:       int64(cfg.Width / time.Second),
 		epoch:       cfg.Epoch.Unix(),
-		cache:       stsparql.NewCache(),
 		slicePreds:  make(map[string]bool),
 		staticPreds: make(map[string]bool),
 		sliceTypes:  make(map[string]bool),
@@ -188,10 +191,10 @@ func New(cfg Config) *Store {
 	if s.width < 1 {
 		s.width = 1
 	}
-	s.static = strabon.NewWithCache(s.cache)
-	s.ns = s.static.Namespaces()
+	s.static = strabon.New()
+	s.ns, s.cache, s.dict = s.static.Namespaces(), s.static.GeomCache(), s.static.Dict()
 	for i := 0; i < cfg.Slices; i++ {
-		s.slices = append(s.slices, strabon.NewWithCache(s.cache))
+		s.slices = append(s.slices, strabon.NewMember(s.static))
 	}
 	s.resetPlanCaches(cfg.PlanCacheSize)
 	return s
@@ -296,13 +299,10 @@ func (s *Store) ShardStats() []strabon.ShardStat {
 	timePred := rdf.NewIRI(s.cfg.TimePredicate)
 	out := make([]strabon.ShardStat, 0, len(s.slices)+1)
 	for i, m := range s.members() {
-		de, db := m.DictStats()
 		st := strabon.ShardStat{
-			Name:        fmt.Sprintf("s%d", i-1),
-			Triples:     m.Len(),
-			Gen:         m.Generation(),
-			DictEntries: de,
-			DictBytes:   db,
+			Name:    fmt.Sprintf("s%d", i-1),
+			Triples: m.Len(),
+			Gen:     m.Generation(),
 		}
 		if i == 0 {
 			st.Name = "static"
@@ -317,19 +317,9 @@ func (s *Store) ShardStats() []strabon.ShardStat {
 	return out
 }
 
-// DictStats sums the member dictionaries' sizes (strabon.DictStatser).
-// Each shard interns terms independently, so the entry total is an
-// upper bound on the number of distinct terms across the store.
-func (s *Store) DictStats() (entries, bytes int) {
-	e, b := s.static.DictStats()
-	entries, bytes = e, b
-	for _, sl := range s.slices {
-		e, b = sl.DictStats()
-		entries += e
-		bytes += b
-	}
-	return entries, bytes
-}
+// DictStats implements strabon.API: the members share one dictionary,
+// so this is the exact distinct-term count of the whole store.
+func (s *Store) DictStats() (entries, bytes int) { return s.static.DictStats() }
 
 // --- routing ---
 
@@ -356,15 +346,23 @@ func (s *Store) sliceOf(bucket int64) int {
 	return int(((bucket % n) + n) % n)
 }
 
+// timePredID is the dictionary ID of the routing predicate, or
+// rdf.Wildcard while no triple has carried it.
+func (s *Store) timePredID() rdf.ID {
+	id, _ := s.dict.Lookup(rdf.NewIRI(s.cfg.TimePredicate))
+	return id
+}
+
 // groupTime finds the routing timestamp of a triple group: the object of
-// its first acquisition-time triple. Routing is group-atomic — every
-// triple of one acquisition's product lands in the same slice — which is
-// what keeps subject-connected data co-located (the assumption the
-// fan-out analysis leans on).
-func (s *Store) groupTime(group []rdf.Triple) (time.Time, bool) {
+// its first acquisition-time triple — the one term of a routed write
+// that is decoded. Routing is group-atomic — every triple of one
+// acquisition's product lands in the same slice — which is what keeps
+// subject-connected data co-located (the assumption the fan-out
+// analysis leans on).
+func (s *Store) groupTime(group []rdf.EncodedTriple, timePred rdf.ID) (time.Time, bool) {
 	for _, t := range group {
-		if t.P.Value == s.cfg.TimePredicate {
-			if at, ok := stsparql.ParseDateTime(t.O.Value); ok {
+		if t.P == timePred {
+			if at, ok := stsparql.ParseDateTime(s.dict.Decode(t.O).Value); ok {
 				return at, true
 			}
 		}
@@ -384,7 +382,7 @@ func (s *Store) groupTime(group []rdf.Triple) (time.Time, bool) {
 // correctness. Growth of the predicate or type sets, and the looseTimes
 // latch, advance knowGen, invalidating partial result-cache vectors
 // whose fan-out verdict the new knowledge could flip.
-func (s *Store) track(groups [][]rdf.Triple, targets []int) {
+func (s *Store) track(groups [][]rdf.EncodedTriple, targets []int) {
 	s.routeMu.Lock()
 	defer s.routeMu.Unlock()
 	grew := false
@@ -393,17 +391,23 @@ func (s *Store) track(groups [][]rdf.Triple, targets []int) {
 		if targets[gi] < 0 {
 			preds, types = s.staticPreds, s.staticTypes
 		}
-		for _, t := range group {
-			if !preds[t.P.Value] {
-				preds[t.P.Value] = true
+		for _, enc := range group {
+			p := s.dict.Decode(enc.P).Value
+			if !preds[p] {
+				preds[p] = true
 				grew = true
 			}
-			if t.P.Value == rdf.RDFType && t.O.IsIRI() && !types[t.O.Value] {
-				types[t.O.Value] = true
+			timed := targets[gi] >= 0 && p == s.cfg.TimePredicate
+			if p != rdf.RDFType && !timed {
+				continue
+			}
+			o := s.dict.Decode(enc.O)
+			if p == rdf.RDFType && o.IsIRI() && !types[o.Value] {
+				types[o.Value] = true
 				grew = true
 			}
-			if i := targets[gi]; i >= 0 && t.P.Value == s.cfg.TimePredicate {
-				if at, ok := stsparql.ParseDateTime(t.O.Value); ok {
+			if i := targets[gi]; timed {
+				if at, ok := stsparql.ParseDateTime(o.Value); ok {
 					if s.sliceMin[i].IsZero() || at.Before(s.sliceMin[i]) {
 						s.sliceMin[i] = at
 					}
@@ -412,7 +416,7 @@ func (s *Store) track(groups [][]rdf.Triple, targets []int) {
 					}
 				}
 				if !s.looseTimes {
-					if _, canonical, _ := stsparql.TimeKey(t.O); !canonical {
+					if _, canonical, _ := stsparql.TimeKey(o); !canonical {
 						s.looseTimes, grew = true, true
 					}
 				}
@@ -472,23 +476,22 @@ func (s *Store) probe(h *held, fn func(slice int, m *strabon.Store) bool) {
 // groupSplits reports whether inserting the group into target (slice
 // index, or -1 for static) would place a subject's triples outside the
 // store where that subject already lives, as far as h can see.
-func (s *Store) groupSplits(group []rdf.Triple, target int, h *held) bool {
-	seen := make(map[string]bool)
-	var subjects []rdf.Term
+func (s *Store) groupSplits(group []rdf.EncodedTriple, target int, h *held) bool {
+	seen := make(map[rdf.ID]bool)
+	var subjects []rdf.ID
 	for _, t := range group {
-		if k := t.S.String(); !seen[k] {
-			seen[k] = true
+		if !seen[t.S] {
+			seen[t.S] = true
 			subjects = append(subjects, t.S)
 		}
 	}
-	var zero rdf.Term
 	found := false
 	s.probe(h, func(slice int, m *strabon.Store) bool {
 		if slice == target {
 			return false
 		}
 		for _, sub := range subjects {
-			if m.CountPattern(sub, zero, zero) > 0 {
+			if m.CountIDs(sub, rdf.Wildcard, rdf.Wildcard) > 0 {
 				found = true
 				return true
 			}
@@ -498,47 +501,41 @@ func (s *Store) groupSplits(group []rdf.Triple, target int, h *held) bool {
 	return found
 }
 
-// noteTimeConflict latches the split flag when one group carries
-// acquisition-time values in different routing buckets: the whole
-// group lands in at's slice, so window pruning for the other value
-// would look in the wrong slice.
-func (s *Store) noteTimeConflict(group []rdf.Triple, at time.Time) {
-	if s.split.Load() {
-		return
-	}
-	want := s.bucket(at)
-	for _, t := range group {
-		if t.P.Value != s.cfg.TimePredicate {
-			continue
+// routeGroup decides where one group lands — the slice owning its
+// acquisition timestamp, else (when probeOwner) the slice already
+// holding its first subject, else the static store — and latches the
+// split flag when the group carries acquisition-time values in
+// different routing buckets: the whole group lands in one slice, so
+// window pruning for the other value would look in the wrong one.
+func (s *Store) routeGroup(g []rdf.EncodedTriple, timePred rdf.ID, probeOwner bool, h *held) int {
+	at, ok := s.groupTime(g, timePred)
+	if !ok {
+		if probeOwner && len(g) > 0 {
+			return s.findOwner(g[0].S, h)
 		}
-		if other, ok := stsparql.ParseDateTime(t.O.Value); !ok || s.bucket(other) != want {
-			s.split.Store(true)
-			return
-		}
+		return -1
 	}
-}
-
-// noteSplits latches the split flag if any group lands away from its
-// subjects' existing home.
-func (s *Store) noteSplits(groups [][]rdf.Triple, targets []int, h *held) {
-	if s.split.Load() {
-		return
-	}
-	for gi, g := range groups {
-		if s.groupSplits(g, targets[gi], h) {
-			s.split.Store(true)
-			return
+	if !s.split.Load() {
+		want := s.bucket(at)
+		for _, t := range g {
+			if t.P != timePred {
+				continue
+			}
+			if other, ok := stsparql.ParseDateTime(s.dict.Decode(t.O).Value); !ok || s.bucket(other) != want {
+				s.split.Store(true)
+				break
+			}
 		}
 	}
+	return s.sliceFor(at)
 }
 
 // findOwner locates the slice already holding a subject's triples, as
 // far as h can see. Returns -1 when no slice knows the subject.
-func (s *Store) findOwner(sub rdf.Term, h *held) int {
-	var zero rdf.Term
+func (s *Store) findOwner(sub rdf.ID, h *held) int {
 	owner := -1
 	s.probe(h, func(slice int, m *strabon.Store) bool {
-		if slice >= 0 && m.CountPattern(sub, zero, zero) > 0 {
+		if slice >= 0 && m.CountIDs(sub, rdf.Wildcard, rdf.Wildcard) > 0 {
 			owner = slice
 		}
 		return owner >= 0
@@ -550,52 +547,47 @@ func (s *Store) findOwner(sub rdf.Term, h *held) int {
 
 // InsertAll bulk-inserts triple groups, routing each group by its
 // acquisition timestamp (groups without one go to the static store) and
-// batching one member InsertAll per target store. The write lock taken
-// is the target slice's own — inserts into the live slice leave every
-// other shard readable.
+// batching one bulk insert per target store. The write lock taken is the
+// target slice's own — inserts into the live slice leave every other
+// shard readable.
 func (s *Store) InsertAll(groups ...[]rdf.Triple) []int {
-	return s.insertRouted(groups, false)
-}
-
-func (s *Store) insertRouted(groups [][]rdf.Triple, probeOwner bool) []int {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	return s.insertRouted(strabon.EncodeGroups(s.dict, groups), false)
+}
+
+// insertRouted routes and lands encoded groups; the caller holds
+// writeMu.
+func (s *Store) insertRouted(groups [][]rdf.EncodedTriple, probeOwner bool) []int {
+	timePred := s.timePredID()
 	targets := make([]int, len(groups))
 	for gi, g := range groups {
-		targets[gi] = -1
-		if at, ok := s.groupTime(g); ok {
-			targets[gi] = s.sliceFor(at)
-			s.noteTimeConflict(g, at)
-		} else if probeOwner && len(g) > 0 {
-			targets[gi] = s.findOwner(g[0].S, nil)
+		targets[gi] = s.routeGroup(g, timePred, probeOwner, nil)
+		if !s.split.Load() && s.groupSplits(g, targets[gi], nil) {
+			s.split.Store(true)
 		}
 	}
-	s.noteSplits(groups, targets, nil)
 	s.track(groups, targets)
 
 	counts := make([]int, len(groups))
-	apply := func(target int, st *strabon.Store) {
+	for i, m := range s.members() {
 		var idxs []int
+		var batch [][]rdf.EncodedTriple
 		for gi, tg := range targets {
-			if tg == target {
+			if tg == i-1 {
 				idxs = append(idxs, gi)
+				batch = append(batch, groups[gi])
 			}
 		}
 		if len(idxs) == 0 {
-			return
+			continue
 		}
-		batch := make([][]rdf.Triple, len(idxs))
-		for i, gi := range idxs {
-			batch[i] = groups[gi]
+		m.Lock()
+		res := m.InsertEncodedLocked(batch...)
+		m.Unlock()
+		for j, gi := range idxs {
+			counts[gi] = res[j]
 		}
-		res := st.InsertAll(batch...)
-		for i, gi := range idxs {
-			counts[gi] = res[i]
-		}
-	}
-	apply(-1, s.static)
-	for i, sl := range s.slices {
-		apply(i, sl)
 	}
 	return counts
 }
@@ -603,17 +595,16 @@ func (s *Store) insertRouted(groups [][]rdf.Triple, probeOwner bool) []int {
 // groupBySubject splits triples into per-subject groups, preserving
 // first-seen subject order — the grouping unit of routed loads and
 // routed update-plan application.
-func groupBySubject(triples []rdf.Triple) [][]rdf.Triple {
-	var order []string
-	bySubj := make(map[string][]rdf.Triple)
+func groupBySubject(triples []rdf.EncodedTriple) [][]rdf.EncodedTriple {
+	var order []rdf.ID
+	bySubj := make(map[rdf.ID][]rdf.EncodedTriple)
 	for _, t := range triples {
-		k := t.S.String()
-		if _, ok := bySubj[k]; !ok {
-			order = append(order, k)
+		if _, ok := bySubj[t.S]; !ok {
+			order = append(order, t.S)
 		}
-		bySubj[k] = append(bySubj[k], t)
+		bySubj[t.S] = append(bySubj[t.S], t)
 	}
-	groups := make([][]rdf.Triple, len(order))
+	groups := make([][]rdf.EncodedTriple, len(order))
 	for i, k := range order {
 		groups[i] = bySubj[k]
 	}
@@ -625,8 +616,10 @@ func groupBySubject(triples []rdf.Triple) [][]rdf.Triple {
 // subject-ownership probe for groups carrying no timestamp (so later
 // additions to an already-stored acquisition follow it to its slice).
 func (s *Store) LoadTriples(triples []rdf.Triple) int {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	total := 0
-	for _, n := range s.insertRouted(groupBySubject(triples), true) {
+	for _, n := range s.insertRouted(groupBySubject(s.dict.EncodeTriples(triples)), true) {
 		total += n
 	}
 	return total
@@ -688,11 +681,17 @@ func (s *Store) Update(src string) (stsparql.UpdateStats, error) {
 	if err != nil {
 		return stsparql.UpdateStats{}, err
 	}
-	groups, targets, err := s.route(plan.Inserts(), h)
+	groups, targets, err := s.route(s.dict.EncodeTriples(plan.Inserts()), h)
 	if err != nil {
 		return stsparql.UpdateStats{}, err
 	}
-	stats := s.commit(plan.Deletes(), groups, targets, h)
+	var deletes []rdf.EncodedTriple
+	for _, t := range plan.Deletes() {
+		if enc, ok := s.dict.LookupTriple(t); ok { // a term never interned is in no triple
+			deletes = append(deletes, enc)
+		}
+	}
+	stats := s.commit(deletes, groups, targets, h)
 	stats.Matched = plan.Matched
 	return stats, nil
 }
@@ -719,8 +718,10 @@ func (s *Store) ApplyFlush(f strabon.Flush, rules func(*strabon.FlushTx) error) 
 		}
 		h.write[s.sliceFor(at)] = true
 	}
-	for gi, g := range f.Groups {
-		at, ok := s.groupTime(g)
+	groups := strabon.EncodeGroups(s.dict, f.Groups)
+	timePred := s.timePredID()
+	for gi, g := range groups {
+		at, ok := s.groupTime(g, timePred)
 		if !ok {
 			return fmt.Errorf("shard: flush group %d carries no acquisition timestamp", gi)
 		}
@@ -746,15 +747,15 @@ func (s *Store) ApplyFlush(f strabon.Flush, rules func(*strabon.FlushTx) error) 
 	// Read phase: refine the overlay, then route its net effect — both
 	// only read the held members.
 	release := s.lockRead(h.slices)
-	o, inserted := strabon.NewOverlay(base, f.Groups)
+	o, inserted := strabon.NewOverlay(base, groups)
 	err := rules(strabon.NewFlushTx(inserted, o, s.cache))
-	var deletes []rdf.Triple
-	var groups [][]rdf.Triple
+	var deletes []rdf.EncodedTriple
+	var routed [][]rdf.EncodedTriple
 	var targets []int
 	if err == nil {
-		var inserts []rdf.Triple
+		var inserts []rdf.EncodedTriple
 		deletes, inserts = o.Effect()
-		groups, targets, err = s.route(inserts, h)
+		routed, targets, err = s.route(inserts, h)
 	}
 	release()
 	if err != nil {
@@ -763,7 +764,7 @@ func (s *Store) ApplyFlush(f strabon.Flush, rules func(*strabon.FlushTx) error) 
 
 	// Write phase: the write set only.
 	defer s.lockWrite(h)()
-	s.commit(deletes, groups, targets, h)
+	s.commit(deletes, routed, targets, h)
 	return nil
 }
 
@@ -773,19 +774,14 @@ func (s *Store) ApplyFlush(f strabon.Flush, rules func(*strabon.FlushTx) error) 
 // store h may not write fails the whole write before anything is
 // applied. Co-location violations latch the split flag here, BEFORE the
 // first member-store mutation.
-func (s *Store) route(inserts []rdf.Triple, h *held) (groups [][]rdf.Triple, targets []int, err error) {
+func (s *Store) route(inserts []rdf.EncodedTriple, h *held) (groups [][]rdf.EncodedTriple, targets []int, err error) {
 	groups = groupBySubject(inserts)
 	targets = make([]int, len(groups))
+	timePred := s.timePredID()
 	for i, g := range groups {
-		targets[i] = -1
-		if at, ok := s.groupTime(g); ok {
-			targets[i] = s.sliceFor(at)
-			s.noteTimeConflict(g, at)
-		} else if idx := s.findOwner(g[0].S, h); idx >= 0 {
-			targets[i] = idx
-		}
+		targets[i] = s.routeGroup(g, timePred, true, h)
 		if !h.writable(targets[i]) {
-			return nil, nil, fmt.Errorf("shard: write of %s lands outside the stores the write path holds", g[0].S)
+			return nil, nil, fmt.Errorf("shard: write of %s lands outside the stores the write path holds", s.dict.Decode(g[0].S))
 		}
 		if !s.split.Load() && s.groupSplits(g, targets[i], h) {
 			s.split.Store(true)
@@ -800,31 +796,31 @@ func (s *Store) route(inserts []rdf.Triple, h *held) (groups [][]rdf.Triple, tar
 // track() registration happens BEFORE the first member-store mutation:
 // routing knowledge must already cover the new data when the member
 // generations move (genorder invariant, enforced by reprolint).
-func (s *Store) commit(deletes []rdf.Triple, groups [][]rdf.Triple, targets []int, h *held) stsparql.UpdateStats {
+func (s *Store) commit(deletes []rdf.EncodedTriple, groups [][]rdf.EncodedTriple, targets []int, h *held) stsparql.UpdateStats {
 	var stats stsparql.UpdateStats
 	s.track(groups, targets)
 
 	for _, t := range deletes {
 		removed := false
 		for _, i := range h.slices {
-			if h.write[i] && s.slices[i].Remove(t) {
+			if h.write[i] && s.slices[i].RemoveEncoded(t) {
 				removed = true
 				break
 			}
 		}
-		if removed || (h.staticWrite && s.static.Remove(t)) {
+		if removed || (h.staticWrite && s.static.RemoveEncoded(t)) {
 			stats.Deleted++
 		}
 	}
 
 	land := func(target int, st *strabon.Store) {
-		var batch [][]rdf.Triple
+		var batch [][]rdf.EncodedTriple
 		for i, tg := range targets {
 			if tg == target {
 				batch = append(batch, groups[i])
 			}
 		}
-		for _, n := range st.InsertAllLocked(batch...) {
+		for _, n := range st.InsertEncodedLocked(batch...) {
 			stats.Inserted += n
 		}
 	}
@@ -954,7 +950,7 @@ func (s *Store) fanVector(keyShards []int) resultcache.GenVector {
 	return resultcache.GenVector{Gens: gens, Know: s.knowGen.Load(), Partial: true}
 }
 
-// GensValid implements strabon.GenValidator: a cached result is valid
+// GensValid implements strabon.API: a cached result is valid
 // iff every member generation its vector lists is unchanged — and, for
 // partial vectors, the routing knowledge that scoped the fan-out to
 // those members is unchanged too. Lock-free: generations are atomics,

@@ -660,9 +660,6 @@ func TestShardStatsAndCursors(t *testing.T) {
 			if st.Range == "" {
 				t.Fatalf("populated shard %s missing range", st.Name)
 			}
-			if st.DictEntries == 0 || st.DictBytes == 0 {
-				t.Fatalf("populated shard %s missing dictionary stats: %+v", st.Name, st)
-			}
 			// The observed range is the time index's first and last
 			// entry: each slice holds one hour of the fixture.
 			if st.TimeEntries == 0 || st.MaxUnix-st.MinUnix != 45*60 {
@@ -673,14 +670,23 @@ func TestShardStatsAndCursors(t *testing.T) {
 	if populated != 4 {
 		t.Fatalf("want 4 populated slices, got %d", populated)
 	}
-	entries, bytes := sh.DictStats()
-	var sumE, sumB int
-	for _, st := range ss {
-		sumE += st.DictEntries
-		sumB += st.DictBytes
+	// One dictionary per topology: every member, and the overlay a
+	// flush refines over, encode into the same one, so the store's
+	// DictStats is the exact distinct-term count a single store reports
+	// for the same data.
+	release := sh.lockAllRead()
+	o, _ := strabon.NewOverlay(sh.viewAll(), nil)
+	for _, src := range []stsparql.Source{sh.static, sh.slices[0], sh.slices[3], sh.view(2), sh.viewAll(), o} {
+		if src.Dict() != sh.dict {
+			t.Fatalf("%T encodes into a dictionary of its own", src)
+		}
 	}
-	if entries != sumE || bytes != sumB {
-		t.Fatalf("DictStats (%d, %d) != sum of shard stats (%d, %d)", entries, bytes, sumE, sumB)
+	release()
+	single := strabon.New()
+	loadFixture(single)
+	entries, bytes := sh.DictStats()
+	if wantE, wantB := single.DictStats(); entries != wantE || bytes != wantB || entries == 0 {
+		t.Fatalf("DictStats (%d, %d) != the single store's (%d, %d)", entries, bytes, wantE, wantB)
 	}
 
 	q := `SELECT ?h WHERE { ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at .

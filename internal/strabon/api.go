@@ -29,6 +29,17 @@ type API interface {
 	TimedQuery(src string) (*stsparql.Result, time.Duration, error)
 	QueryStreamCtx(ctx context.Context, src string) (QueryCursor, error)
 	Explain(src string) (string, error)
+	// ExplainAnalyze executes a SELECT or ASK with per-operator
+	// instrumentation and renders the annotated plan.
+	ExplainAnalyze(ctx context.Context, src string) (string, error)
+
+	// DictStats reports the size of the store's term dictionary: the
+	// distinct terms interned and the approximate heap bytes they pin.
+	DictStats() (entries, bytes int)
+	// GensValid checks a cached result's generation vector against the
+	// live state. Validation is lock-free (generations are atomics), so
+	// it runs on every cache Get without touching the stores' RWMutexes.
+	GensValid(v resultcache.GenVector) bool
 
 	Update(src string) (stsparql.UpdateStats, error)
 
@@ -107,24 +118,11 @@ type QueryCursor interface {
 	Err() error
 	Rows() int
 	Close() error
-}
-
-// CacheInfo is implemented by cursors that can report what their rows
-// were derived from: the generation vector captured while the
-// evaluation held its read locks, and whether the result is
-// deterministic enough to cache at all (false for SAMPLE-bearing
-// plans). The endpoint's result-cache tee only stores results from
-// cursors offering this.
-type CacheInfo interface {
+	// CacheVector reports what the rows were derived from: the
+	// generation vector captured while the evaluation held its read
+	// locks, and whether the result is deterministic enough to cache at
+	// all (false for SAMPLE-bearing plans).
 	CacheVector() (resultcache.GenVector, bool)
-}
-
-// GenValidator is implemented by stores that can check a cached
-// result's generation vector against their live state. Validation is
-// lock-free (generations are atomics), so it runs on every cache Get
-// without touching the stores' RWMutexes.
-type GenValidator interface {
-	GensValid(v resultcache.GenVector) bool
 }
 
 // Streamer is the canonical query surface: one context-first streaming
@@ -190,13 +188,6 @@ type ShardStat struct {
 	// TimeEntries is the size of the shard's time index over the routing
 	// predicate.
 	TimeEntries int `json:"time_index_entries"`
-
-	// Dictionary size of the shard's term dictionary: distinct terms
-	// interned and the approximate heap bytes they pin. Each shard owns
-	// its own dictionary (IDs are never comparable across shards), so
-	// these do not sum to a global distinct-term count.
-	DictEntries int `json:"dict_entries"`
-	DictBytes   int `json:"dict_bytes"`
 }
 
 // ShardStatser is implemented by backends that partition their data;
@@ -204,23 +195,6 @@ type ShardStat struct {
 // backend offers them.
 type ShardStatser interface {
 	ShardStats() []ShardStat
-}
-
-// DictStatser is implemented by backends that can report the size of
-// their term dictionary (distinct terms interned and the approximate
-// heap bytes pinned). For a sharded backend the figures are sums over
-// the member dictionaries — an upper bound on distinct terms, since
-// each shard interns independently.
-type DictStatser interface {
-	DictStats() (entries, bytes int)
-}
-
-// Analyzer is implemented by backends that can execute a query with
-// per-operator instrumentation and render the annotated plan — EXPLAIN
-// ANALYZE. Like the other capability interfaces it is optional: the
-// endpoint's /explain?analyze=1 answers 501 when the backend lacks it.
-type Analyzer interface {
-	ExplainAnalyze(ctx context.Context, src string) (string, error)
 }
 
 // QueryStreamCtx is QueryStream bound to a context: once ctx is
@@ -284,10 +258,10 @@ func (c *ctxCursor) Close() error {
 //
 // The sharded store (internal/shard) evaluates one query across several
 // member stores: it holds each member's lock itself and calls the
-// unlocked stsparql interface methods (MatchTerms, CountPattern,
-// MatchGeometryWindow, Add, Remove) directly. These exports hand it the
-// lock and the plan-invalidation generation; ordinary clients should
-// use the endpoint API and never touch them.
+// unlocked source and write methods (MatchIDs, CountPattern,
+// MatchGeometryWindowIDs, RemoveEncoded, InsertEncodedLocked) directly.
+// These exports hand it the lock and the plan-invalidation generation;
+// ordinary clients should use the endpoint API and never touch them.
 
 // RLock takes the store's read lock (composite-store use only).
 func (s *Store) RLock() { s.mu.RLock() }
@@ -309,9 +283,9 @@ func (s *Store) Unlock() { s.unlock() }
 // latest published one.
 func (s *Store) Generation() uint64 { return s.gen.Load() }
 
-// GensValid implements GenValidator for the single store: a cached
-// result is valid iff its vector is the whole-store generation and the
-// store has not mutated since.
+// GensValid implements API for the single store: a cached result is
+// valid iff its vector is the whole-store generation and the store has
+// not mutated since.
 func (s *Store) GensValid(v resultcache.GenVector) bool {
 	if v.Partial || len(v.Gens) != 1 {
 		return false

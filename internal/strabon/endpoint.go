@@ -68,10 +68,9 @@ type Endpoint struct {
 	// RowWriter pipeline — byte-identical to a fresh evaluation,
 	// trailers included — without taking any store lock or admission
 	// slot. Entries carry the generation vector of the slices their
-	// evaluation read and are validated against the store (GenValidator)
+	// evaluation read and are validated against the store (GensValid)
 	// on every Get, so a write to any of those slices invalidates
-	// exactly the results that read it. Requires the backend to
-	// implement GenValidator; otherwise every lookup misses.
+	// exactly the results that read it.
 	Results *resultcache.Cache
 
 	// Admission, when set, gates the cache-miss path: bounded concurrent
@@ -226,7 +225,7 @@ func (ep *Endpoint) serveQuery(w http.ResponseWriter, r *http.Request) {
 	// and validation checks the entry's generation vector against the
 	// live store without taking any lock.
 	if ep.Results != nil {
-		if ent, ok := ep.Results.Get(q, ep.validator()); ok {
+		if ent, ok := ep.Results.Get(q, ep.store.GensValid); ok {
 			start := time.Now()
 			rows := ep.serveCached(w, media, ent, start)
 			ep.Metrics.recordQuery(traceID, q, "hit", rows, time.Since(start), "")
@@ -293,11 +292,9 @@ func (ep *Endpoint) serveQuery(w http.ResponseWriter, r *http.Request) {
 	var snap *stsparql.RowSnapshot
 	var vec resultcache.GenVector
 	if ep.Results != nil {
-		if ci, ok := cur.(CacheInfo); ok {
-			if v, cacheOK := ci.CacheVector(); cacheOK {
-				vec = v
-				snap = stsparql.NewRowSnapshot(cur.Vars())
-			}
+		if v, cacheOK := cur.CacheVector(); cacheOK {
+			vec = v
+			snap = stsparql.NewRowSnapshot(cur.Vars())
 		}
 	}
 
@@ -412,15 +409,6 @@ func (ep *Endpoint) recordMiss(traceID, q string, rows int, elapsed time.Duratio
 	tel.recordQuery(traceID, q, outcome, rows, elapsed, plan)
 }
 
-// validator adapts the backend's generation check for cache lookups; a
-// backend without one fails every entry (nothing is ever served stale).
-func (ep *Endpoint) validator() func(resultcache.GenVector) bool {
-	if gv, ok := ep.store.(GenValidator); ok {
-		return gv.GensValid
-	}
-	return func(resultcache.GenVector) bool { return false }
-}
-
 // serveCached replays a cached result through the same encoding
 // pipeline a fresh evaluation streams through, so the response bytes —
 // headers, body and trailers — match a miss of the same query, with
@@ -518,19 +506,13 @@ func (ep *Endpoint) serveExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	var plan string
 	if analyzeParam(r) {
-		an, ok := ep.store.(Analyzer)
-		if !ok {
-			ep.count(0, true)
-			http.Error(w, "backend does not support EXPLAIN ANALYZE", http.StatusNotImplemented)
-			return
-		}
 		ctx := r.Context()
 		if ep.QueryTimeout > 0 {
 			var cancel func()
 			ctx, cancel = context.WithTimeout(ctx, ep.QueryTimeout)
 			defer cancel()
 		}
-		plan, err = an.ExplainAnalyze(ctx, q)
+		plan, err = ep.store.ExplainAnalyze(ctx, q)
 	} else {
 		plan, err = ep.store.Explain(q)
 	}
@@ -562,7 +544,7 @@ func (ep *Endpoint) serveStats(w http.ResponseWriter, r *http.Request) {
 	doc := struct {
 		Triples     int                     `json:"triples"`
 		Store       Stats                   `json:"store"`
-		Dict        *dictStats              `json:"dictionary,omitempty"`
+		Dict        dictStats               `json:"dictionary"`
 		Endpoint    EndpointStats           `json:"endpoint"`
 		PlanCache   stsparql.PlanCacheStats `json:"plan_cache"`
 		ResultCache *resultcache.Stats      `json:"result_cache,omitempty"`
@@ -574,10 +556,7 @@ func (ep *Endpoint) serveStats(w http.ResponseWriter, r *http.Request) {
 		Endpoint:  ep.Stats(),
 		PlanCache: ep.store.PlanStats(),
 	}
-	if ds, ok := ep.store.(DictStatser); ok {
-		entries, bytes := ds.DictStats()
-		doc.Dict = &dictStats{Entries: entries, Bytes: bytes}
-	}
+	doc.Dict.Entries, doc.Dict.Bytes = ep.store.DictStats()
 	if ep.Results != nil {
 		rc := ep.Results.Stats()
 		doc.ResultCache = &rc

@@ -54,14 +54,12 @@ func EnableTelemetry(ep *Endpoint, reg *obs.Registry, qlog *obs.QueryLog) *Telem
 	reg.NewGaugeFunc("strabon_store_triples",
 		"Triples in the store.", func() float64 { return float64(ep.store.Len()) })
 
-	if ds, ok := ep.store.(DictStatser); ok {
-		reg.NewGaugeFunc("strabon_dict_entries",
-			"Distinct terms interned in the store dictionary (summed over shards).",
-			func() float64 { entries, _ := ds.DictStats(); return float64(entries) })
-		reg.NewGaugeFunc("strabon_dict_bytes",
-			"Approximate heap bytes pinned by the store dictionary (summed over shards).",
-			func() float64 { _, bytes := ds.DictStats(); return float64(bytes) })
-	}
+	reg.NewGaugeFunc("strabon_dict_entries",
+		"Distinct terms interned in the store dictionary (one per store, shared by its shards).",
+		func() float64 { entries, _ := ep.store.DictStats(); return float64(entries) })
+	reg.NewGaugeFunc("strabon_dict_bytes",
+		"Approximate heap bytes pinned by the store dictionary.",
+		func() float64 { _, bytes := ep.store.DictStats(); return float64(bytes) })
 
 	reg.NewCollectFunc("strabon_plan_cache_hits_total",
 		"Plan cache hits.", "counter", nil, func() []obs.Sample {
@@ -158,24 +156,6 @@ func EnableTelemetry(ep *Endpoint, reg *obs.Registry, qlog *obs.QueryLog) *Telem
 				out := make([]obs.Sample, len(sts))
 				for i, st := range sts {
 					out[i] = obs.Sample{LabelValues: []string{st.Name}, Value: float64(st.Gen)}
-				}
-				return out
-			})
-		reg.NewCollectFunc("strabon_shard_dict_entries",
-			"Distinct terms interned in the shard's dictionary.", "gauge", shardLabels, func() []obs.Sample {
-				sts := ss.ShardStats()
-				out := make([]obs.Sample, len(sts))
-				for i, st := range sts {
-					out[i] = obs.Sample{LabelValues: []string{st.Name}, Value: float64(st.DictEntries)}
-				}
-				return out
-			})
-		reg.NewCollectFunc("strabon_shard_dict_bytes",
-			"Approximate heap bytes pinned by the shard's dictionary.", "gauge", shardLabels, func() []obs.Sample {
-				sts := ss.ShardStats()
-				out := make([]obs.Sample, len(sts))
-				for i, st := range sts {
-					out[i] = obs.Sample{LabelValues: []string{st.Name}, Value: float64(st.DictBytes)}
 				}
 				return out
 			})

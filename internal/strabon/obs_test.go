@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rdf"
 	"repro/internal/resultcache"
 )
 
@@ -26,11 +27,25 @@ func newObsEndpoint(t *testing.T) (*Endpoint, *Store) {
 	if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
 		t.Fatal(err)
 	}
-	ep := NewEndpoint(s)
+	return obsEndpointOver(s), s
+}
+
+func obsEndpointOver(st API) *Endpoint {
+	ep := NewEndpoint(st)
 	ep.Results = resultcache.New(64, 1<<20)
 	ep.Admission = NewAdmission(4, 16)
 	EnableTelemetry(ep, obs.NewRegistry(), obs.NewQueryLog(32))
-	return ep, s
+	return ep
+}
+
+// shardReporting lends the single store the one optional capability,
+// ShardStatser (its real implementer, internal/shard, imports this
+// package), so a scrape runs the per-shard collectors too.
+type shardReporting struct{ *Store }
+
+func (s shardReporting) ShardStats() []ShardStat {
+	n, lo, hi := s.TimeIndexStats(rdf.Term{})
+	return []ShardStat{{Name: "static", Triples: s.Len(), Gen: s.Generation(), TimeEntries: n, MinUnix: lo, MaxUnix: hi}}
 }
 
 func obsGet(t *testing.T, srv *httptest.Server, path string) (int, string, http.Header) {
@@ -72,6 +87,10 @@ func TestStatsJSONShape(t *testing.T) {
 			t.Errorf("/stats lacks %q: %s", key, body)
 		}
 	}
+	var dict struct{ Entries, Bytes int }
+	if err := json.Unmarshal(doc["dictionary"], &dict); err != nil || dict.Entries == 0 || dict.Bytes == 0 {
+		t.Fatalf("dictionary = %s (%v), want the store's term count and bytes", doc["dictionary"], err)
+	}
 	var rc resultcache.Stats
 	if err := json.Unmarshal(doc["result_cache"], &rc); err != nil {
 		t.Fatal(err)
@@ -89,7 +108,7 @@ func TestStatsJSONShape(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	ep, _ := newObsEndpoint(t)
+	ep, store := newObsEndpoint(t)
 	srv := httptest.NewServer(ep)
 	defer srv.Close()
 
@@ -139,6 +158,27 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 		if !sample.MatchString(line) {
 			t.Errorf("malformed sample line %q", line)
+		}
+	}
+
+	// Over a backend that reports shards the scrape stays clean and
+	// declares every family a dashboard names, the per-shard ones
+	// included.
+	shardSrv := httptest.NewServer(obsEndpointOver(shardReporting{store}))
+	defer shardSrv.Close()
+	obsGet(t, shardSrv, "/sparql?query="+hot)
+	code, body, _ = obsGet(t, shardSrv, "/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics over a shard-reporting backend -> %d", code)
+	}
+	for _, family := range []string{
+		"strabon_query_seconds", "strabon_http_requests_total", "strabon_result_rows_total",
+		"strabon_result_cache_hits_total", "strabon_admission_admitted_total",
+		"strabon_store_triples", "strabon_dict_entries", "strabon_dict_bytes",
+		"strabon_shard_triples", "strabon_shard_generation", "strabon_time_index_entries",
+	} {
+		if !strings.Contains(body, "# TYPE "+family+" ") {
+			t.Errorf("/metrics over a shard-reporting backend does not declare %s", family)
 		}
 	}
 }

@@ -13,7 +13,13 @@ import (
 // rules deleted. The rules evaluate over it and apply to it, each
 // seeing the effect of those before; nobody else sees anything until
 // the store commits the overlay's net effect (Effect) under its write
-// lock(s). A flush that fails is simply dropped.
+// lock(s).
+//
+// The overlay lives in the base's ID space: its private store is one
+// more member over the same dictionary, so what it hands the commit is
+// already encoded. A flush that fails is simply dropped — its triples
+// with it; the terms it interned stay in the append-only dictionary,
+// referenced by nothing.
 //
 // It implements the engine's source interfaces like a View does, and
 // stsparql.UpdatableSource on top — all but stsparql.TimeRangeSource:
@@ -26,10 +32,11 @@ type Overlay struct {
 	all   View   // base + added
 	// addLog lists what was ever added, goneLog what was ever deleted
 	// from the base, in order; Effect replays them so a commit is
-	// deterministic. gone is the live deleted set.
+	// deterministic. gone is the live deleted set, masked out of every
+	// scan.
 	addLog  []rdf.EncodedTriple
-	gone    map[rdf.Triple]struct{}
-	goneLog []rdf.Triple
+	gone    map[rdf.EncodedTriple]struct{}
+	goneLog []rdf.EncodedTriple
 }
 
 var _ stsparql.UpdatableSource = (*Overlay)(nil)
@@ -37,22 +44,21 @@ var _ stsparql.StatSource = (*Overlay)(nil)
 var _ stsparql.SpatialSource = (*Overlay)(nil)
 
 // NewOverlay starts a working copy over the read-locked base stores
-// holding the flush's groups, and reports how many triples of each
-// group the base did not already hold.
-func NewOverlay(base View, groups [][]rdf.Triple) (*Overlay, []int) {
-	o := &Overlay{base: base, added: NewWithCache(base[0].GeomCache()), gone: make(map[rdf.Triple]struct{})}
+// holding the flush's groups (encoded in the base's dictionary), and
+// reports how many triples of each group the base did not already hold.
+func NewOverlay(base View, groups [][]rdf.EncodedTriple) (*Overlay, []int) {
+	o := &Overlay{base: base, added: NewMember(base[0]), gone: make(map[rdf.EncodedTriple]struct{})}
 	o.all = append(append(View(nil), base...), o.added)
-	var zero rdf.Term
 	counts := make([]int, len(groups))
 	for gi, g := range groups {
 		// A subject the base has never seen — every hotspot of a new
 		// product — cannot collide with it, so only triples of known
 		// subjects are looked up one by one.
-		known := make(map[rdf.Term]bool)
+		known := make(map[rdf.ID]bool)
 		for _, t := range g {
 			k, seen := known[t.S]
 			if !seen {
-				k = base.CountPattern(t.S, zero, zero) > 0
+				k = base.CountIDs(t.S, rdf.Wildcard, rdf.Wildcard) > 0
 				known[t.S] = k
 			}
 			if (!k || !o.inBase(t)) && o.add(t) {
@@ -64,70 +70,74 @@ func NewOverlay(base View, groups [][]rdf.Triple) (*Overlay, []int) {
 }
 
 // add puts a triple the base does not hold into the private store.
-func (o *Overlay) add(t rdf.Triple) bool {
-	d := o.added.Dict()
-	enc := rdf.EncodedTriple{S: d.Encode(t.S), P: d.Encode(t.P), O: d.Encode(t.O)}
-	if !o.added.addEncoded(enc) {
+func (o *Overlay) add(t rdf.EncodedTriple) bool {
+	if !o.added.addEncoded(t) {
 		return false
 	}
-	o.addLog = append(o.addLog, enc)
+	o.addLog = append(o.addLog, t)
 	return true
 }
 
-func (o *Overlay) inBase(t rdf.Triple) bool { return o.base.CountPattern(t.S, t.P, t.O) > 0 }
+func (o *Overlay) inBase(t rdf.EncodedTriple) bool { return o.base.CountIDs(t.S, t.P, t.O) > 0 }
 
 // Effect is the flush's net effect on the base, in the order it came
 // about: the base triples to remove and the triples to add.
-func (o *Overlay) Effect() (deletes, inserts []rdf.Triple) {
+func (o *Overlay) Effect() (deletes, inserts []rdf.EncodedTriple) {
 	for _, t := range o.goneLog {
 		if _, still := o.gone[t]; still {
 			deletes = append(deletes, t)
 			delete(o.gone, t)
 		}
 	}
-	d := o.added.Dict()
 	seen := make(map[rdf.EncodedTriple]struct{}, len(o.addLog))
-	for _, enc := range o.addLog {
-		if _, dup := seen[enc]; dup {
+	for _, t := range o.addLog {
+		if _, dup := seen[t]; dup {
 			continue
 		}
-		seen[enc] = struct{}{}
-		o.added.MatchIDs(enc.S, enc.P, enc.O, func(rdf.EncodedTriple) bool {
-			inserts = append(inserts, rdf.Triple{S: d.Decode(enc.S), P: d.Decode(enc.P), O: d.Decode(enc.O)})
-			return false
-		})
+		seen[t] = struct{}{}
+		if o.added.CountIDs(t.S, t.P, t.O) > 0 {
+			inserts = append(inserts, t)
+		}
 	}
 	return deletes, inserts
 }
 
+// Dict implements stsparql.Source.
+func (o *Overlay) Dict() *rdf.Dictionary { return o.base.Dict() }
+
 // Add implements stsparql.UpdatableSource.
 func (o *Overlay) Add(t rdf.Triple) bool {
-	if _, was := o.gone[t]; was {
-		delete(o.gone, t)
+	enc := o.Dict().EncodeTriple(t)
+	if _, was := o.gone[enc]; was {
+		delete(o.gone, enc)
 		return true
 	}
-	return !o.inBase(t) && o.add(t)
+	return !o.inBase(enc) && o.add(enc)
 }
 
 // Remove implements stsparql.UpdatableSource.
 func (o *Overlay) Remove(t rdf.Triple) bool {
-	if o.added.Remove(t) {
-		return true
-	}
-	if _, was := o.gone[t]; was || !o.inBase(t) {
+	enc, ok := o.Dict().LookupTriple(t)
+	if !ok {
 		return false
 	}
-	o.gone[t] = struct{}{}
-	o.goneLog = append(o.goneLog, t)
+	if o.added.RemoveEncoded(enc) {
+		return true
+	}
+	if _, was := o.gone[enc]; was || !o.inBase(enc) {
+		return false
+	}
+	o.gone[enc] = struct{}{}
+	o.goneLog = append(o.goneLog, enc)
 	return true
 }
 
 // visible wraps a base visitor so it skips the triples the flush deleted.
-func (o *Overlay) visible(visit func(rdf.Triple) bool) func(rdf.Triple) bool {
+func (o *Overlay) visible(visit func(rdf.EncodedTriple) bool) func(rdf.EncodedTriple) bool {
 	if len(o.gone) == 0 {
 		return visit
 	}
-	return func(t rdf.Triple) bool {
+	return func(t rdf.EncodedTriple) bool {
 		if _, was := o.gone[t]; was {
 			return true
 		}
@@ -135,16 +145,16 @@ func (o *Overlay) visible(visit func(rdf.Triple) bool) func(rdf.Triple) bool {
 	}
 }
 
-// MatchTerms implements stsparql.Source. (A deleted base triple is
-// never also an added one — re-adding it just undeletes it — so the
-// filter can run over both.)
-func (o *Overlay) MatchTerms(sub, pred, obj rdf.Term, visit func(rdf.Triple) bool) {
-	o.all.MatchTerms(sub, pred, obj, o.visible(visit))
+// MatchIDs implements stsparql.Source. (A deleted base triple is never
+// also an added one — re-adding it just undeletes it — so the filter
+// can run over both.)
+func (o *Overlay) MatchIDs(sub, pred, obj rdf.ID, visit func(rdf.EncodedTriple) bool) bool {
+	return o.all.MatchIDs(sub, pred, obj, o.visible(visit))
 }
 
-// MatchGeometryWindow implements stsparql.SpatialSource.
-func (o *Overlay) MatchGeometryWindow(env geom.Envelope, visit func(rdf.Triple) bool) {
-	o.all.MatchGeometryWindow(env, o.visible(visit))
+// MatchGeometryWindowIDs implements stsparql.SpatialSource.
+func (o *Overlay) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) bool {
+	return o.all.MatchGeometryWindowIDs(env, o.visible(visit))
 }
 
 // SpatialIndexEnabled implements stsparql.SpatialSource.

@@ -24,10 +24,14 @@
 //     mutations are serialised. A write-lock hold that changed anything
 //     bumps the store generation exactly once, on release, invalidating
 //     cached query plans and results.
-//   - The stsparql interface methods (MatchTerms, Add, Remove,
-//     MatchGeometryWindow, MatchTimeRange, ...) do NOT lock: they are
-//     called by the evaluator while an endpoint method already holds the
-//     lock. External callers must go through the endpoint API.
+//   - The stsparql interface methods (MatchIDs, Add, Remove,
+//     MatchGeometryWindowIDs, MatchTimeRangeIDs, ...) do NOT lock: they
+//     are called by the evaluator while an endpoint method already holds
+//     the lock. External callers must go through the endpoint API.
+//   - The term dictionary is not under the RWMutex at all: one
+//     rdf.Dictionary serves a whole store topology (a sharded store's
+//     members, a flush's overlay) and synchronises itself. Appends are
+//     serialised by the topology's writer mutex.
 //   - Endpoint statistics live behind a separate mutex so read-locked
 //     queries can still count index hits.
 //
@@ -94,7 +98,7 @@ type Store struct {
 	indexOn bool
 	index   *rtree.Tree
 	// geomEntries remembers what was inserted in the index, keyed by the
-	// encoded geometry triple, so removeEncoded can delete the exact
+	// encoded geometry triple, so RemoveEncoded can delete the exact
 	// entry again. The R-tree payload is the entry itself: a window hit
 	// reads its triple without a lookup.
 	geomEntries map[rdf.EncodedTriple]*indexedGeom
@@ -127,10 +131,22 @@ type Stats struct {
 // New returns an empty store with the spatial index enabled and a
 // default-sized plan cache.
 func New() *Store {
+	return newStore(rdf.NewDictionary(), rdf.NewNamespaces(), stsparql.NewCache())
+}
+
+// NewMember returns an empty store that is one more member of the
+// topology of belongs to: it encodes into the same dictionary — IDs
+// compare across members, and a View of them scans in one ID space —
+// and shares the geometry-parse cache and the prefix table. The members
+// of a sharded store and a flush's private overlay store are built so.
+// Whoever builds a topology serialises its writers (see rdf.Dictionary).
+func NewMember(of *Store) *Store { return newStore(of.triples.Dict(), of.ns, of.cache) }
+
+func newStore(dict *rdf.Dictionary, ns *rdf.Namespaces, cache *stsparql.Cache) *Store {
 	return &Store{
-		triples:     rdf.NewStore(),
-		ns:          rdf.NewNamespaces(),
-		cache:       stsparql.NewCache(),
+		triples:     rdf.NewStoreOver(dict),
+		ns:          ns,
+		cache:       cache,
 		plans:       stsparql.NewPlanCache(defaultPlanCacheSize),
 		indexOn:     true,
 		index:       rtree.New(),
@@ -161,17 +177,6 @@ func (s *Store) PlanStats() stsparql.PlanCacheStats {
 	return s.plans.Stats()
 }
 
-// NewWithCache returns an empty store sharing an externally-owned
-// geometry cache, so several stores — or a store and direct evaluator
-// use — can reuse parsed WKT across query runs.
-func NewWithCache(cache *stsparql.Cache) *Store {
-	s := New()
-	if cache != nil {
-		s.cache = cache
-	}
-	return s
-}
-
 // NewWithoutIndex returns a store with spatial index acceleration
 // disabled; used by the ablation benchmarks.
 func NewWithoutIndex() *Store {
@@ -197,20 +202,23 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// --- stsparql.Source / UpdatableSource / SpatialSource ---
-// These run with the store lock already held by the calling endpoint
-// method; they must not lock s.mu themselves.
+// --- stsparql.Source / UpdatableSource / StatSource / SpatialSource ---
+// The engine scans, joins and deduplicates on the dictionary's IDs and
+// materialises terms late. These run with the store lock already held
+// by the calling endpoint method; they must not lock s.mu themselves.
 
-// MatchTerms implements stsparql.Source.
-func (s *Store) MatchTerms(sub, pred, obj rdf.Term, visit func(rdf.Triple) bool) {
-	s.triples.MatchTerms(sub, pred, obj, visit)
+// Dict implements stsparql.Source, exposing the topology's append-only
+// term dictionary (IDs are stable for its life; decode is lock-free).
+func (s *Store) Dict() *rdf.Dictionary { return s.triples.Dict() }
+
+// MatchIDs implements stsparql.Source: it streams encoded triples
+// matching an encoded pattern (rdf.Wildcard components match anything).
+func (s *Store) MatchIDs(sub, pred, obj rdf.ID, visit func(rdf.EncodedTriple) bool) bool {
+	return s.triples.MatchIDs(sub, pred, obj, visit)
 }
 
 // Add implements stsparql.UpdatableSource (write lock held).
-func (s *Store) Add(t rdf.Triple) bool {
-	d := s.triples.Dict()
-	return s.addEncoded(rdf.EncodedTriple{S: d.Encode(t.S), P: d.Encode(t.P), O: d.Encode(t.O)})
-}
+func (s *Store) Add(t rdf.Triple) bool { return s.addEncoded(s.triples.Dict().EncodeTriple(t)) }
 
 // addEncoded adds an already-encoded triple, maintaining the spatial
 // and time indexes. Like every mutation it only marks the hold mutated;
@@ -248,23 +256,13 @@ func (s *Store) geomItem(enc rdf.EncodedTriple) (rtree.Item, bool) {
 
 // Remove implements stsparql.UpdatableSource (write lock held).
 func (s *Store) Remove(t rdf.Triple) bool {
-	d := s.triples.Dict()
-	var enc rdf.EncodedTriple
-	var ok bool
-	if enc.S, ok = d.Lookup(t.S); !ok {
-		return false
-	}
-	if enc.P, ok = d.Lookup(t.P); !ok {
-		return false
-	}
-	if enc.O, ok = d.Lookup(t.O); !ok {
-		return false
-	}
-	return s.removeEncoded(enc)
+	enc, ok := s.triples.Dict().LookupTriple(t)
+	return ok && s.RemoveEncoded(enc)
 }
 
-// removeEncoded removes an encoded triple and its index entries.
-func (s *Store) removeEncoded(enc rdf.EncodedTriple) bool {
+// RemoveEncoded removes an encoded triple and its index entries (write
+// lock held).
+func (s *Store) RemoveEncoded(enc rdf.EncodedTriple) bool {
 	if !s.triples.RemoveEncoded(enc) {
 		return false
 	}
@@ -294,6 +292,9 @@ func (s *Store) CountPattern(sub, pred, obj rdf.Term) int {
 	return s.triples.CountPattern(sub, pred, obj)
 }
 
+// CountIDs is CountPattern for an already-encoded pattern.
+func (s *Store) CountIDs(sub, pred, obj rdf.ID) int { return s.triples.Count(sub, pred, obj) }
+
 // PredicateCard implements stsparql.StatSource.
 func (s *Store) PredicateCard(pred rdf.Term) (triples, distinctS, distinctO int) {
 	return s.triples.PredicateCard(pred)
@@ -307,54 +308,21 @@ func (s *Store) StoreCard() (triples, subjects, predicates, objects int) {
 // SpatialIndexEnabled implements stsparql.SpatialSource.
 func (s *Store) SpatialIndexEnabled() bool { return s.indexOn }
 
-// MatchGeometryWindow implements stsparql.SpatialSource: it streams the
-// geometry triples whose envelope intersects the window.
-func (s *Store) MatchGeometryWindow(env geom.Envelope, visit func(rdf.Triple) bool) {
-	s.statsMu.Lock()
-	s.stats.IndexHits++
-	s.statsMu.Unlock()
-	d := s.triples.Dict()
-	s.index.Search(env, func(it rtree.Item) bool {
-		enc := it.Data.(*indexedGeom).enc
-		return visit(rdf.Triple{S: d.Decode(enc.S), P: d.Decode(enc.P), O: d.Decode(enc.O)})
-	})
-}
-
-// --- stsparql.IDSource / SpatialIDSource ---
-// The ID-native scan surface: the engine joins, filters and deduplicates
-// on the store's dictionary IDs and materialises terms late (cursor row
-// views, ORDER BY, aggregation). Like the term-level methods above,
-// these run with the store lock already held.
-
-// Dict implements stsparql.IDSource, exposing the append-only term
-// dictionary (IDs are stable for the life of the store; decode is
-// lock-free for readers holding the read lock).
-func (s *Store) Dict() *rdf.Dictionary { return s.triples.Dict() }
-
-// MatchIDs implements stsparql.IDSource: it streams encoded triples
-// matching an encoded pattern (rdf.Wildcard components match anything).
-func (s *Store) MatchIDs(sub, pred, obj rdf.ID, visit func(rdf.EncodedTriple) bool) {
-	s.triples.Match(sub, pred, obj, visit)
-}
-
-// MatchGeometryWindowIDs implements stsparql.SpatialIDSource: the
-// encoded counterpart of MatchGeometryWindow, serving window scans
+// MatchGeometryWindowIDs implements stsparql.SpatialSource: it streams
+// the encoded geometry triples whose envelope intersects the window,
 // without decoding a single term.
-func (s *Store) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) {
+func (s *Store) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) bool {
 	s.statsMu.Lock()
 	s.stats.IndexHits++
 	s.statsMu.Unlock()
-	s.index.Search(env, func(it rtree.Item) bool {
+	return s.index.Search(env, func(it rtree.Item) bool {
 		return visit(it.Data.(*indexedGeom).enc)
 	})
 }
 
-// DictStats reports the term dictionary's size: interned terms and
-// approximate retained bytes. Exported as gauges next to the
-// cardinality statistics (see /metrics and /stats).
+// DictStats implements API: the distinct terms the topology's
+// dictionary holds and the approximate bytes they retain.
 func (s *Store) DictStats() (entries, bytes int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	d := s.triples.Dict()
 	return d.Len(), d.ApproxBytes()
 }
@@ -373,26 +341,38 @@ func (s *Store) LoadTriples(triples []rdf.Triple) int {
 func (s *Store) InsertAll(groups ...[]rdf.Triple) []int {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	enc := EncodeGroups(s.triples.Dict(), groups)
 	s.mu.Lock()
 	defer s.unlock()
-	return s.InsertAllLocked(groups...)
+	return s.InsertEncodedLocked(enc...)
 }
 
-// InsertAllLocked is InsertAll for a caller already holding the write
-// lock (ApplyFlush here, the sharded store's routed writes). Geometry
-// triples are gathered across the groups and bulk-loaded into the
-// R-tree once, instead of one quadratic-split insertion per triple; the
-// time index takes its entries as appends and is sorted once, and only
-// if the load brought data older than what it held.
-func (s *Store) InsertAllLocked(groups ...[]rdf.Triple) []int {
+// EncodeGroups interns triple groups into a topology's dictionary. It
+// needs the topology's writer mutex and no member lock, so a bulk write
+// encodes before it takes the write lock it lands under.
+func EncodeGroups(d *rdf.Dictionary, groups [][]rdf.Triple) [][]rdf.EncodedTriple {
+	out := make([][]rdf.EncodedTriple, len(groups))
+	for gi, group := range groups {
+		out[gi] = d.EncodeTriples(group)
+	}
+	return out
+}
+
+// InsertEncodedLocked bulk-inserts encoded triple groups for a caller
+// holding the write lock (InsertAll and the ApplyFlush commit here, the
+// sharded store's routed writes), returning the number of new triples
+// per group. Geometry triples are gathered across the groups and
+// bulk-loaded into the R-tree once, instead of one quadratic-split
+// insertion per triple; the time index takes its entries as appends and
+// is sorted once, and only if the load brought data older than what it
+// held.
+func (s *Store) InsertEncodedLocked(groups ...[]rdf.EncodedTriple) []int {
 	counts := make([]int, len(groups))
 	total := 0
-	d := s.triples.Dict()
 	var items []rtree.Item
 	unsorted := false
 	for gi, group := range groups {
-		for _, t := range group {
-			enc := rdf.EncodedTriple{S: d.Encode(t.S), P: d.Encode(t.P), O: d.Encode(t.O)}
+		for _, enc := range group {
 			if !s.triples.AddEncoded(enc) {
 				continue
 			}
@@ -446,7 +426,7 @@ type Cursor struct {
 	cacheable bool
 }
 
-// CacheVector implements CacheInfo: the generation vector this
+// CacheVector implements QueryCursor: the generation vector this
 // cursor's rows were derived from, and whether the result may be
 // cached at all (false for non-deterministic plans such as SAMPLE).
 func (c *Cursor) CacheVector() (resultcache.GenVector, bool) {
@@ -587,8 +567,9 @@ func (s *Store) Update(src string) (stsparql.UpdateStats, error) {
 func (s *Store) ApplyFlush(f Flush, rules func(*FlushTx) error) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	groups := EncodeGroups(s.triples.Dict(), f.Groups)
 	s.mu.RLock()
-	o, inserted := NewOverlay(View{s}, f.Groups)
+	o, inserted := NewOverlay(View{s}, groups)
 	err := rules(NewFlushTx(inserted, o, s.cache))
 	s.mu.RUnlock()
 	if err != nil {
@@ -598,9 +579,9 @@ func (s *Store) ApplyFlush(f Flush, rules func(*FlushTx) error) error {
 	s.mu.Lock()
 	defer s.unlock()
 	for _, t := range deletes {
-		s.Remove(t)
+		s.RemoveEncoded(t)
 	}
-	s.InsertAllLocked(inserts)
+	s.InsertEncodedLocked(inserts)
 	return nil
 }
 

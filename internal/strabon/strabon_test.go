@@ -124,15 +124,15 @@ WHERE {
 	}
 	// The index must no longer return the deleted geometry.
 	found := 0
-	s.MatchGeometryWindow(geom.Envelope{MinX: 19, MinY: 19, MaxX: 22, MaxY: 22},
-		func(rdf.Triple) bool { found++; return true })
+	s.MatchGeometryWindowIDs(geom.Envelope{MinX: 19, MinY: 19, MaxX: 22, MaxY: 22},
+		func(rdf.EncodedTriple) bool { found++; return true })
 	if found != 0 {
 		t.Fatalf("index still holds %d deleted entries", found)
 	}
 	// The remaining hotspot and the coastline must still be indexed.
 	found = 0
-	s.MatchGeometryWindow(geom.Envelope{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5},
-		func(rdf.Triple) bool { found++; return true })
+	s.MatchGeometryWindowIDs(geom.Envelope{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5},
+		func(rdf.EncodedTriple) bool { found++; return true })
 	if found != 2 {
 		t.Fatalf("index returned %d entries, want hotspot + coastline", found)
 	}
@@ -149,8 +149,8 @@ INSERT DATA {
 		t.Fatal(err)
 	}
 	found := 0
-	s.MatchGeometryWindow(geom.Envelope{MinX: 4, MinY: 4, MaxX: 7, MaxY: 7},
-		func(rdf.Triple) bool { found++; return true })
+	s.MatchGeometryWindowIDs(geom.Envelope{MinX: 4, MinY: 4, MaxX: 7, MaxY: 7},
+		func(rdf.EncodedTriple) bool { found++; return true })
 	if found != 1 {
 		t.Fatalf("found %d indexed geometries, want 1", found)
 	}

@@ -16,7 +16,7 @@ import (
 // comparison per row. Acquisitions arrive in order, so maintenance is an
 // append; a bulk load that does bring older data sorts the run once.
 // Like the spatial index it is guarded by the store's RWMutex and exact
-// under every write path (Add, Remove, InsertAllLocked and through them
+// under every write path (Add, Remove, InsertEncodedLocked and through them
 // the ApplyFlush commit), inside the write-lock hold whose release
 // publishes the generation.
 
@@ -63,7 +63,7 @@ func (s *Store) timeAdd(enc rdf.EncodedTriple) bool {
 		}
 		// The predicate's first dateTime: whatever it carried before is
 		// unindexed.
-		run = &timeRun{other: s.predicateTriples(enc.P) - 1}
+		run = &timeRun{other: s.triples.Count(rdf.Wildcard, enc.P, rdf.Wildcard) - 1}
 		s.times[enc.P] = run
 	}
 	if !ok {
@@ -78,11 +78,6 @@ func (s *Store) timeAdd(enc rdf.EncodedTriple) bool {
 	}
 	run.entries = append(run.entries, timeEntry{unix: unix, s: enc.S, o: enc.O})
 	return run.unsorted
-}
-
-// predicateTriples is the store's O(1) triple count of one predicate.
-func (s *Store) predicateTriples(p rdf.ID) int {
-	return s.triples.CountPattern(rdf.Term{}, s.triples.Dict().Decode(p), rdf.Term{})
 }
 
 // settleTimes sorts the runs out-of-order inserts left unsorted.
@@ -118,7 +113,7 @@ func (s *Store) timeRemove(enc rdf.EncodedTriple) {
 	}
 }
 
-// --- stsparql.TimeRangeSource / TimeRangeIDSource ---
+// --- stsparql.TimeRangeSource ---
 // Like the other source methods these run with the store lock already
 // held by the calling endpoint method.
 
@@ -132,7 +127,7 @@ func (s *Store) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {
 	}
 	run := s.times[pid]
 	if run == nil {
-		return 0, s.predicateTriples(pid) == 0
+		return 0, s.triples.Count(rdf.Wildcard, pid, rdf.Wildcard) == 0
 	}
 	if !run.serves(w) {
 		return 0, false
@@ -141,30 +136,20 @@ func (s *Store) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {
 	return j - i, true
 }
 
-// MatchTimeRange implements stsparql.TimeRangeSource.
-func (s *Store) MatchTimeRange(p rdf.Term, w stsparql.TimeWindow, visit func(rdf.Triple) bool) {
-	d := s.triples.Dict()
-	if pid, ok := d.Lookup(p); ok {
-		s.MatchTimeRangeIDs(pid, w, func(t rdf.EncodedTriple) bool {
-			return visit(rdf.Triple{S: d.Decode(t.S), P: p, O: d.Decode(t.O)})
-		})
-	}
-}
-
-// MatchTimeRangeIDs implements stsparql.TimeRangeIDSource: the index
+// MatchTimeRangeIDs implements stsparql.TimeRangeSource: the index
 // range when it is exact for w, the whole predicate otherwise.
-func (s *Store) MatchTimeRangeIDs(p rdf.ID, w stsparql.TimeWindow, visit func(rdf.EncodedTriple) bool) {
+func (s *Store) MatchTimeRangeIDs(p rdf.ID, w stsparql.TimeWindow, visit func(rdf.EncodedTriple) bool) bool {
 	run := s.times[p]
 	if run == nil || !run.serves(w) {
-		s.triples.Match(rdf.Wildcard, p, rdf.Wildcard, visit)
-		return
+		return s.triples.MatchIDs(rdf.Wildcard, p, rdf.Wildcard, visit)
 	}
 	i, j := run.span(w)
 	for _, e := range run.entries[i:j] {
 		if !visit(rdf.EncodedTriple{S: e.s, P: p, O: e.o}) {
-			return
+			return false
 		}
 	}
+	return true
 }
 
 // TimeIndexStats reports the time index's size and the instants of its
@@ -205,7 +190,7 @@ func (s *Store) VerifyTimeIndex() error {
 	d := s.triples.Dict()
 	type tally struct{ indexed, nonCanonical, other int }
 	want := make(map[rdf.ID]*tally)
-	s.triples.Match(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
+	s.triples.MatchIDs(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
 		c := want[t.P]
 		if c == nil {
 			c = &tally{}
@@ -246,7 +231,7 @@ func (s *Store) VerifyTimeIndex() error {
 				return fmt.Errorf("time index of %s out of order at entry %d", p, i)
 			}
 			t := rdf.Triple{S: d.Decode(e.s), P: p, O: d.Decode(e.o)}
-			if seen[[2]rdf.ID{e.s, e.o}] || !s.triples.Has(t) {
+			if seen[[2]rdf.ID{e.s, e.o}] || s.triples.Count(e.s, pid, e.o) == 0 {
 				return fmt.Errorf("time index of %s holds a removed or repeated triple %s", p, t)
 			}
 			seen[[2]rdf.ID{e.s, e.o}] = true

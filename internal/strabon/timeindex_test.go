@@ -80,7 +80,7 @@ func TestTimeIndexFollowsEveryWritePath(t *testing.T) {
 // from the index: never while the predicate carries an object the index
 // cannot key, for typed windows whatever the literals' form, for
 // lexical windows only while every literal is canonical — and again
-// once the offending triple is gone. MatchTimeRange stays a superset
+// once the offending triple is gone. MatchTimeRangeIDs stays a superset
 // either way.
 func TestTimeRangeServedOnlyWhenExact(t *testing.T) {
 	s := New()
@@ -94,7 +94,9 @@ func TestTimeRangeServedOnlyWhenExact(t *testing.T) {
 	lexical.Lexical = true
 	visits := func(w stsparql.TimeWindow) int {
 		n := 0
-		s.MatchTimeRange(p, w, func(rdf.Triple) bool { n++; return true })
+		if pid, ok := s.Dict().Lookup(p); ok {
+			s.MatchTimeRangeIDs(pid, w, func(rdf.EncodedTriple) bool { n++; return true })
+		}
 		return n
 	}
 	check := func(when string, w stsparql.TimeWindow, wantN int, wantOK bool, wantVisits int) {
@@ -104,7 +106,7 @@ func TestTimeRangeServedOnlyWhenExact(t *testing.T) {
 			t.Errorf("%s: CountTimeRange = %d, %v; want %d, %v", when, n, ok, wantN, wantOK)
 		}
 		if got := visits(w); got != wantVisits {
-			t.Errorf("%s: MatchTimeRange visited %d triples, want %d", when, got, wantVisits)
+			t.Errorf("%s: MatchTimeRangeIDs visited %d triples, want %d", when, got, wantVisits)
 		}
 	}
 	check("canonical, typed", typed, 2, true, 2)

@@ -6,42 +6,34 @@ import (
 	"repro/internal/stsparql"
 )
 
-// View is a composite triple source over several member stores,
-// presented to the engine as a single stsparql Source / StatSource /
-// SpatialSource / TimeRangeSource: the sharded store's static store plus
-// some slices, or a flush's base stores (see Overlay). The members
-// partition the data (nothing is replicated), so concatenating their
-// scans and summing their statistics is exact. The caller holds every
-// member's lock for the lifetime of the evaluation — the view itself
-// calls only the unlocked stsparql interface methods.
-//
-// A View deliberately does NOT implement stsparql.IDSource: each member
-// store owns its own dictionary, so one term maps to different IDs in
-// different members and no single ID space covers the composite. The
-// engine detects this and runs in local-dictionary mode — scan output
-// is interned into an evaluation-local dictionary, preserving the
-// ID-native operator pipeline at the cost of one intern per scanned
-// term (see stsparql/iddict.go).
+// View is a composite triple source over several member stores of one
+// topology, presented to the engine as a single stsparql Source /
+// StatSource / SpatialSource / TimeRangeSource: the sharded store's
+// static store plus some slices, or a flush's base stores (see
+// Overlay). The members were built over one dictionary (NewMember), so
+// their scans emit IDs of one space, and they partition the data
+// (nothing is replicated), so concatenating their scans and summing
+// their statistics is exact. The caller holds every member's lock for
+// the lifetime of the evaluation — the view itself calls only the
+// unlocked stsparql interface methods.
 type View []*Store
 
 var _ stsparql.StatSource = View{}
 var _ stsparql.SpatialSource = View{}
 var _ stsparql.TimeRangeSource = View{}
 
-// MatchTerms implements stsparql.Source: member scans concatenate, with
-// the visitor's early stop propagating across members.
-func (v View) MatchTerms(sub, pred, obj rdf.Term, visit func(rdf.Triple) bool) {
-	cont := true
-	wrapped := func(t rdf.Triple) bool {
-		cont = visit(t)
-		return cont
-	}
+// Dict implements stsparql.Source: the members' shared dictionary.
+func (v View) Dict() *rdf.Dictionary { return v[0].Dict() }
+
+// MatchIDs implements stsparql.Source: member scans concatenate, and a
+// scan the visitor stopped stops the rest.
+func (v View) MatchIDs(sub, pred, obj rdf.ID, visit func(rdf.EncodedTriple) bool) bool {
 	for _, m := range v {
-		if !cont {
-			return
+		if !m.MatchIDs(sub, pred, obj, visit) {
+			return false
 		}
-		m.MatchTerms(sub, pred, obj, wrapped)
 	}
+	return true
 }
 
 // CountPattern implements stsparql.StatSource (exact: members are
@@ -50,6 +42,15 @@ func (v View) CountPattern(sub, pred, obj rdf.Term) int {
 	n := 0
 	for _, m := range v {
 		n += m.CountPattern(sub, pred, obj)
+	}
+	return n
+}
+
+// CountIDs is CountPattern for an already-encoded pattern.
+func (v View) CountIDs(sub, pred, obj rdf.ID) int {
+	n := 0
+	for _, m := range v {
+		n += m.CountIDs(sub, pred, obj)
 	}
 	return n
 }
@@ -90,20 +91,15 @@ func (v View) SpatialIndexEnabled() bool {
 	return true
 }
 
-// MatchGeometryWindow implements stsparql.SpatialSource: every member's
-// R-tree is searched, with early stop propagating.
-func (v View) MatchGeometryWindow(env geom.Envelope, visit func(rdf.Triple) bool) {
-	cont := true
-	wrapped := func(t rdf.Triple) bool {
-		cont = visit(t)
-		return cont
-	}
+// MatchGeometryWindowIDs implements stsparql.SpatialSource: every
+// member's R-tree is searched, with early stop propagating.
+func (v View) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) bool {
 	for _, m := range v {
-		if !cont {
-			return
+		if !m.MatchGeometryWindowIDs(env, visit) {
+			return false
 		}
-		m.MatchGeometryWindow(env, wrapped)
 	}
+	return true
 }
 
 // CountTimeRange implements stsparql.TimeRangeSource: the view serves a
@@ -120,18 +116,13 @@ func (v View) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {
 	return total, true
 }
 
-// MatchTimeRange implements stsparql.TimeRangeSource: member ranges
+// MatchTimeRangeIDs implements stsparql.TimeRangeSource: member ranges
 // concatenate, with early stop propagating.
-func (v View) MatchTimeRange(p rdf.Term, w stsparql.TimeWindow, visit func(rdf.Triple) bool) {
-	cont := true
-	wrapped := func(t rdf.Triple) bool {
-		cont = visit(t)
-		return cont
-	}
+func (v View) MatchTimeRangeIDs(p rdf.ID, w stsparql.TimeWindow, visit func(rdf.EncodedTriple) bool) bool {
 	for _, m := range v {
-		if !cont {
-			return
+		if !m.MatchTimeRangeIDs(p, w, visit) {
+			return false
 		}
-		m.MatchTimeRange(p, w, wrapped)
 	}
+	return true
 }

@@ -25,7 +25,5 @@ func NewEvaluatorWithCache(src Source, cache *Cache) *Evaluator {
 	if cache == nil {
 		return NewEvaluator(src)
 	}
-	e := &Evaluator{src: src, cache: cache.inner}
-	e.initDict()
-	return e
+	return newEvaluator(src, cache.inner)
 }

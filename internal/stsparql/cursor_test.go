@@ -15,8 +15,8 @@ type countingSource struct {
 	visited int
 }
 
-func (c *countingSource) MatchTerms(s, p, o rdf.Term, visit func(rdf.Triple) bool) {
-	c.Source.MatchTerms(s, p, o, func(t rdf.Triple) bool {
+func (c *countingSource) MatchIDs(s, p, o rdf.ID, visit func(rdf.EncodedTriple) bool) bool {
+	return c.Source.MatchIDs(s, p, o, func(t rdf.EncodedTriple) bool {
 		c.visited++
 		return visit(t)
 	})

@@ -34,11 +34,17 @@ func RowKey(dst []byte, row Binding, vars []string) []byte {
 	return bindingKey(dst, row, vars)
 }
 
-// emptySource is a Source with no triples, backing evaluators that only
-// evaluate expressions over existing bindings (comparators, mergers).
+// emptySource is a Source with no triples and an empty dictionary,
+// backing evaluators that only evaluate expressions over existing
+// bindings (comparators, mergers).
 type emptySource struct{}
 
-func (emptySource) MatchTerms(s, p, o rdf.Term, visit func(rdf.Triple) bool) {}
+// emptyDict is never appended to, so every emptySource shares it.
+var emptyDict = rdf.NewDictionary()
+
+func (emptySource) Dict() *rdf.Dictionary { return emptyDict }
+
+func (emptySource) MatchIDs(s, p, o rdf.ID, visit func(rdf.EncodedTriple) bool) bool { return true }
 
 // NewOrderComparator returns a three-way comparator of result rows under
 // the ORDER BY keys: negative when a sorts before b. Mergers use it to

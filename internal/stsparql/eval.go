@@ -8,11 +8,18 @@ import (
 	"repro/internal/rdf"
 )
 
-// Source is the triple source queries run against.
+// Source is the triple source queries run against: dictionary-encoded
+// triples and the dictionary they are encoded in. The engine scans,
+// joins and deduplicates on the source's IDs and decodes late.
 type Source interface {
-	// MatchTerms streams triples matching a pattern; zero Terms are
-	// wildcards.
-	MatchTerms(s, p, o rdf.Term, visit func(rdf.Triple) bool)
+	// Dict exposes the source's term dictionary. It must honour the
+	// rdf.Dictionary contract: append-only, IDs stable, safe to read
+	// beside an appender.
+	Dict() *rdf.Dictionary
+	// MatchIDs streams encoded triples matching an encoded pattern;
+	// rdf.Wildcard components match anything. visit returns false to
+	// stop; MatchIDs reports whether the scan ran to its end.
+	MatchIDs(s, p, o rdf.ID, visit func(rdf.EncodedTriple) bool) bool
 }
 
 // UpdatableSource additionally supports mutation, required by
@@ -30,9 +37,10 @@ type SpatialSource interface {
 	Source
 	// SpatialIndexEnabled reports whether the window path may be used.
 	SpatialIndexEnabled() bool
-	// MatchGeometryWindow streams (subject, hasGeometry-pred, geometry)
-	// triples whose geometry envelope intersects env.
-	MatchGeometryWindow(env geom.Envelope, visit func(rdf.Triple) bool)
+	// MatchGeometryWindowIDs streams the encoded (subject,
+	// hasGeometry-pred, geometry) triples whose geometry envelope
+	// intersects env, reporting like MatchIDs whether it ran to its end.
+	MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) bool
 }
 
 // GeometryPredicates lists the predicate IRIs treated as geometry
@@ -189,12 +197,13 @@ type Evaluator struct {
 	src   Source
 	cache *geomCache
 
-	// dict is this evaluation's term codec (see iddict.go): batches carry
-	// IDs, and every encode/decode of the evaluation goes through it.
+	// dict is this evaluator's term codec (see iddict.go): batches carry
+	// IDs, and every encode/decode of an evaluation goes through it.
 	dict *execDict
-	// idsrc is non-nil when the source supports ID-native scans; set once
-	// at construction so the scan hot path costs one nil check.
-	idsrc IDSource
+	// spatial and timed are the source's optional capabilities, resolved
+	// once at construction so planner and scans cost a nil check.
+	spatial SpatialSource
+	timed   TimeRangeSource
 
 	// argScratch is the function-call argument stack of expression
 	// evaluation: evalExpr frames append their argument Values and
@@ -215,17 +224,23 @@ type Evaluator struct {
 }
 
 // NewEvaluator returns an evaluator over src.
-func NewEvaluator(src Source) *Evaluator {
-	e := &Evaluator{src: src, cache: newGeomCache()}
-	e.initDict()
+func NewEvaluator(src Source) *Evaluator { return newEvaluator(src, newGeomCache()) }
+
+func newEvaluator(src Source, cache *geomCache) *Evaluator {
+	e := &Evaluator{src: src, cache: cache, dict: &execDict{store: src.Dict()}}
+	e.spatial, _ = src.(SpatialSource)
+	e.timed, _ = src.(TimeRangeSource)
 	return e
 }
 
-func (e *Evaluator) initDict() {
-	e.dict = newExecDict(e.src)
-	if is, ok := e.src.(IDSource); ok {
-		e.idsrc = is
-	}
+// begin starts one top-level evaluation — callers hold whatever locks
+// the source needs by now: the dictionary watermark is pinned (see
+// iddict.go), and a prepared run parks its seed where its sub-selects
+// read it and leave their per-run solutions.
+func (e *Evaluator) begin(seed []Binding) {
+	e.dict.pin()
+	e.seed = seed
+	clear(e.subRes)
 }
 
 // Run compiles a SELECT or ASK query and returns a streaming cursor
@@ -252,22 +267,19 @@ func (e *Evaluator) Run(q *Query) (Cursor, error) {
 
 // Select evaluates a SELECT query, materialising the full result.
 func (e *Evaluator) Select(q *SelectQuery) (*Result, error) {
-	return e.evalSelect(q, []Binding{{}})
+	e.begin(nil)
+	return e.newPlanner().planSelect(q, false).run(e, []Binding{{}})
 }
 
 // Ask evaluates an ASK query; the pull pipeline stops at the first
 // live batch (whose first slab is batchSizeMin rows).
 func (e *Evaluator) Ask(q *AskQuery) (bool, error) {
+	e.begin(nil)
 	plan := e.newPlanner().planGroupRoot(q.Where, false)
 	it := plan.open(e, seedIter(e.dict, plan.schema, []Binding{{}}))
 	defer it.close()
 	b, err := nextLive(it)
 	return b != nil, err
-}
-
-// evalSelect compiles and runs a SELECT.
-func (e *Evaluator) evalSelect(q *SelectQuery, seed []Binding) (*Result, error) {
-	return e.newPlanner().planSelect(q, false).run(e, seed)
 }
 
 // UpdatePlan is a computed but not yet applied DELETE/INSERT request: the
@@ -345,6 +357,7 @@ func (e *Evaluator) tplSlots(tpls []TriplePattern, schema *varSchema) [][3]tplSl
 // fully drained — no LIMIT, no early exit — so their joins use buffered
 // scans.
 func (e *Evaluator) PlanUpdate(q *UpdateQuery) (*UpdatePlan, error) {
+	e.begin(nil)
 	where := e.newPlanner().planGroupRoot(q.Where, true)
 	return e.planUpdate(q, where, []Binding{{}})
 }

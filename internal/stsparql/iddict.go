@@ -3,7 +3,6 @@ package stsparql
 import (
 	"encoding/binary"
 
-	"repro/internal/geom"
 	"repro/internal/rdf"
 )
 
@@ -14,27 +13,28 @@ import (
 // engine's uint64 IDs to terms and interns terms the evaluation computes
 // itself (projection expressions, constants, sub-select solutions).
 //
-// Two modes:
+// Every source exposes the append-only rdf.Dictionary its triples are
+// encoded in — one per store topology, shared by the members of a
+// sharded store and by a flush's overlay — so scans emit store IDs
+// straight from the index visitors and the hot path never touches a
+// term. Terms no triple carries intern into an evaluation-local
+// overflow table whose IDs start above the 32-bit store range. encode
+// is canonical — store dictionary first — so within one evaluation ID
+// equality coincides exactly with term equality.
 //
-//   - native: the source exposes its own append-only rdf.Dictionary
-//     (IDSource — the single strabon store). Scans emit store IDs
-//     directly from the index visitors, so the hot path never touches a
-//     term; computed terms intern into an evaluation-local overflow
-//     table whose IDs start above the 32-bit store range. encode is
-//     canonical — store dictionary first — so within one evaluation ID
-//     equality coincides exactly with term equality.
-//   - local: the source is a composite (the sharded store's views span
-//     member stores with unrelated dictionaries, so member IDs cannot
-//     be compared). Every term the evaluation sees interns into the
-//     overflow table instead; same term, same local ID, so joins,
-//     DISTINCT and grouping stay sound, just without the zero-cost scan
-//     emission of native mode.
+// The dictionary may grow while an evaluation runs: a flush into
+// another slice interns under locks this evaluation does not hold. A
+// term the evaluation computed before that append sits in the overflow
+// table, and would resolve to the new store ID after it — one term, two
+// IDs, and DISTINCT, GROUP BY, joins and update dedup keys silently
+// split. The evaluation therefore pins the dictionary's length when it
+// starts (pin; the caller has taken its locks by then) and treats store
+// IDs above the mark as misses. Nothing it scans can carry one: a
+// triple of a locked member was encoded before that member's lock was
+// released to this reader.
 //
-// A termID is private to one evaluation except in native mode, where
-// IDs below overflowBase are store IDs and therefore stable for the
-// life of the store — which is what lets a cached plan's hash-join
-// build side (built from pure scan output) be shared across
-// evaluations in native mode only.
+// IDs below overflowBase are stable for the life of the store;
+// overflow IDs are private to one evaluator.
 
 // termID is the engine's native value currency: a dictionary ID widened
 // to 64 bits so evaluation-local overflow IDs can sit above the store
@@ -45,47 +45,18 @@ type termID uint64
 // so anything at or above this never collides with a scan emission.
 const overflowBase termID = 1 << 32
 
-// IDSource is an optional Source extension: a store whose triples are
-// dictionary-encoded can let the engine scan and join on its IDs
-// directly. Implementations must guarantee the rdf.Dictionary
-// append-only contract (IDs stable and dense, Decode lock-free for
-// readers holding the store's read lock).
-type IDSource interface {
-	Source
-	// Dict exposes the source's term dictionary.
-	Dict() *rdf.Dictionary
-	// MatchIDs streams encoded triples matching an encoded pattern;
-	// rdf.Wildcard components match anything.
-	MatchIDs(s, p, o rdf.ID, visit func(rdf.EncodedTriple) bool)
-}
-
-// SpatialIDSource extends a spatial source with an encoded window scan,
-// so R-tree window joins can stay in ID space too.
-type SpatialIDSource interface {
-	SpatialSource
-	// MatchGeometryWindowIDs streams the encoded (subject,
-	// hasGeometry-pred, geometry) triples whose envelope intersects env.
-	MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool)
-}
-
-// execDict is one evaluation's term codec. It is single-goroutine, like
+// execDict is one evaluator's term codec. It is single-goroutine, like
 // the Evaluator owning it.
 type execDict struct {
-	store *rdf.Dictionary     // non-nil in native mode
+	store *rdf.Dictionary
+	mark  rdf.ID              // store IDs above it postdate the evaluation
 	over  []rdf.Term          // overflow terms; over[i] has ID overflowBase+i
 	ids   map[rdf.Term]termID // term → overflow ID (terms are comparable)
 }
 
-func newExecDict(src Source) *execDict {
-	if is, ok := src.(IDSource); ok {
-		return &execDict{store: is.Dict()}
-	}
-	return &execDict{}
-}
-
-// native reports whether IDs below overflowBase are store IDs — the
-// precondition for sharing ID-keyed operator state across evaluations.
-func (d *execDict) native() bool { return d.store != nil }
+// pin marks the start of one evaluation: store IDs interned from now on
+// are invisible to it.
+func (d *execDict) pin() { d.mark = rdf.ID(d.store.Len()) }
 
 // encode interns a term, canonicalising store-dictionary-first so equal
 // terms always map to equal IDs within the evaluation.
@@ -93,10 +64,8 @@ func (d *execDict) encode(t rdf.Term) termID {
 	if t.IsZero() {
 		return 0
 	}
-	if d.store != nil {
-		if id, ok := d.store.Lookup(t); ok {
-			return termID(id)
-		}
+	if id, ok := d.storeID(t); ok {
+		return termID(id)
 	}
 	if id, ok := d.ids[t]; ok {
 		return id
@@ -122,15 +91,13 @@ func (d *execDict) decode(id termID) rdf.Term {
 	return d.over[id-overflowBase]
 }
 
-// storeID resolves a term against the store dictionary only — the scan
-// path's constant resolution. ok=false means no indexed triple can
-// carry the term, so a pattern bound to it matches nothing.
+// storeID resolves a term against the store dictionary as of the pin —
+// also the scan path's constant resolution. ok=false means no triple
+// this evaluation can see carries the term, so a pattern bound to it
+// matches nothing.
 func (d *execDict) storeID(t rdf.Term) (rdf.ID, bool) {
-	if d.store == nil {
-		return 0, false
-	}
 	id, ok := d.store.Lookup(t)
-	return id, ok
+	return id, ok && id <= d.mark
 }
 
 // appendIDKey appends the fixed-width encoding of one ID to a composite

@@ -16,13 +16,12 @@ import (
 // vectorised pull model: open wires an operator over its input and
 // returns a batchIter, and columnar *Batch slabs of up to batchSizeMax
 // rows are pulled through the pipeline (see batch.go). Scans fill
-// batches directly from the index iterators — in ID space when the
-// source exposes its dictionary (IDSource), so the hot path never
-// materialises a term — filters and slices mark rows dead in the
-// selection vector without copying, bind joins and hash probes run
-// tight loops over fixed-width ID columns, and the blocking operators
-// (order, aggregate, the SELECT * projection) consume whole batches
-// before yielding.
+// batches directly from the index iterators, in the source's ID space,
+// so the hot path never materialises a term; filters and slices mark
+// rows dead in the selection vector without copying, bind joins and
+// hash probes run tight loops over fixed-width ID columns, and the
+// blocking operators (order, aggregate, the SELECT * projection)
+// consume whole batches before yielding.
 //
 // Pulling instead of pushing keeps early termination cheap: a
 // downstream LIMIT simply stops pulling, an ASK stops at the first
@@ -36,12 +35,8 @@ import (
 // Operator values themselves are immutable once planned — all
 // per-execution state lives in the iterators open returns — so a
 // compiled plan can be cached and run concurrently (see plancache.go).
-// The two operator-level caches, a hash join's build side and a
-// sub-select's solution set, are guarded by sync.Once. The sub-select
-// cache holds decoded terms and is always shareable; the hash build
-// side holds IDs, which are only stable across evaluations in native
-// mode (store IDs — see iddict.go), so local-mode evaluations build
-// their table per iterator instead.
+// The one operator-level cache, a sub-select's solution set, holds
+// decoded terms and is guarded by sync.Once.
 
 // operator is one stage of a compiled query pipeline.
 type operator interface {
@@ -88,22 +83,8 @@ type joinOp struct {
 	// scans open with a batch of that size and still grow geometrically
 	// if the slice turns out not to stop them.
 	first int
-	// perRun marks a prepared plan's join (prepare.go): the plan outlives
-	// store generations, so the build side below is never shared.
-	perRun bool
 	// trange is the index range of a joinTimeRange scan.
 	trange *TimeWindow
-
-	// Hash build side, built at most once per plan lifetime in NATIVE
-	// mode: the table is a function of the source (pinned while the plan
-	// is live) and its keys are store IDs, stable across evaluations, so
-	// concurrent and repeated executions share it. Local-mode (composite
-	// source) evaluations key on evaluation-local IDs and build per
-	// iterator instead. The build side is itself columnar: one batch
-	// over the pattern's variables, indexed by shared-var ID key.
-	tableOnce sync.Once
-	build     *Batch
-	table     map[string][]int32
 }
 
 // streams reports whether probe rows scan through a pull coroutine: no
@@ -165,7 +146,11 @@ type joinIter struct {
 	target  int    // batch size target, growing geometrically
 	kb      []byte // reused probe key buffer
 
-	build *Batch // hash build side (shared in native mode)
+	// Hash build side, built on first use: one batch over the pattern's
+	// variables, indexed by shared-var ID key. It lives as long as the
+	// iterator — a cached plan pins none (a repeat at the same generation
+	// is the result cache's to absorb).
+	build *Batch
 	table map[string][]int32
 
 	scan    *patScan // reused per-probe-row bind scan
@@ -183,23 +168,6 @@ func (it *joinIter) outBatch() *Batch {
 		it.out.reset()
 	}
 	return it.out
-}
-
-// ensureTable resolves the hash build side: shared and built at most
-// once per plan in native mode, per iterator in local mode (see the
-// file comment).
-func (it *joinIter) ensureTable() {
-	if it.table != nil {
-		return
-	}
-	if it.e.dict.native() && !it.op.perRun {
-		it.op.tableOnce.Do(func() {
-			it.op.build, it.op.table = it.op.makeTable(it.e)
-		})
-		it.build, it.table = it.op.build, it.op.table
-		return
-	}
-	it.build, it.table = it.op.makeTable(it.e)
 }
 
 func (it *joinIter) next() (*Batch, error) {
@@ -354,9 +322,11 @@ func (it *joinIter) startStream(probe rowRef) {
 
 // probeHash extends one probe row with every compatible build row. The
 // compatibility loop runs entirely on IDs: equal IDs are equal terms
-// within an evaluation (and across evaluations in native mode).
+// within an evaluation.
 func (it *joinIter) probeHash(probe rowRef, out *Batch) {
-	it.ensureTable()
+	if it.table == nil {
+		it.build, it.table = it.op.makeTable(it.e)
+	}
 	it.kb = rowKey(it.kb[:0], probe, it.op.shared)
 	build := it.build
 	for _, bi := range it.table[string(it.kb)] {
@@ -795,8 +765,8 @@ func (op *nestedGroupOp) explain(b *strings.Builder, indent string) {
 // subSelectOp evaluates a nested SELECT once and joins its solutions
 // with the input rows on their shared variables. The sub-evaluation is
 // lazy (an empty input never runs it) and cached on the operator as
-// decoded terms — sound across evaluations in both dictionary modes —
-// so OPTIONAL re-entry and cached plans reuse the solution set.
+// decoded terms — overflow IDs are private to one evaluator — so
+// OPTIONAL re-entry and cached plans reuse the solution set.
 type subSelectOp struct {
 	sub    *selectPlan
 	schema *varSchema
@@ -1399,12 +1369,10 @@ func (op *sliceOp) explain(b *strings.Builder, indent string) {
 // patScan is one pattern scan's reusable context. Bind joins run a
 // scan per probe row, so everything a visit needs lives in fields and
 // the visit callbacks are bound once at construction — a re-run
-// mutates probe state and allocates nothing. Against an IDSource the
-// scan runs in ID space end to end: the pattern resolves to store IDs,
-// the index visitor yields encoded triples and the matched IDs land in
-// the batch columns without a single term materialisation. Composite
-// sources (the sharded store's multi-dictionary views) take the term
-// path and intern each bound term into the evaluation-local dictionary.
+// mutates probe state and allocates nothing. The scan runs in ID space
+// end to end: the pattern resolves to store IDs, the index visitor
+// yields encoded triples and the matched IDs land in the batch columns
+// without a single term materialisation.
 //
 // out is fetched per row rather than passed once — the streaming
 // coroutine yields full batches from onRow and swaps in a fresh slab —
@@ -1417,162 +1385,93 @@ type patScan struct {
 	out     func() *Batch
 	onRow   func() bool
 
-	probe   rowRef   // current probe row
-	s, p, o rdf.Term // pattern components resolved under probe (term path)
+	probe    rowRef // current probe row
+	sid, pid rdf.ID // subject and predicate resolved under probe
 
-	sid, pid, oid rdf.ID // pattern components resolved under probe (ID path)
-
-	visit       func(rdf.Triple) bool // bound tryBind
-	visitWindow func(rdf.Triple) bool // bound windowVisit
-
-	visitIDs       func(rdf.EncodedTriple) bool // bound tryBindIDs
-	visitWindowIDs func(rdf.EncodedTriple) bool // bound windowVisitIDs
+	visit       func(rdf.EncodedTriple) bool // bound bind
+	visitWindow func(rdf.EncodedTriple) bool // bound windowBind
 }
 
 func newPatScan(e *Evaluator, op *joinOp, filters []*FilterElement, out func() *Batch, onRow func() bool) *patScan {
 	sc := &patScan{e: e, pat: op.pat, trange: op.trange, filters: filters, out: out, onRow: onRow}
-	sc.visit = sc.tryBind
-	sc.visitWindow = sc.windowVisit
-	sc.visitIDs = sc.tryBindIDs
-	sc.visitWindowIDs = sc.windowVisitIDs
+	sc.visit = sc.bind
+	sc.visitWindow = sc.windowBind
 	return sc
 }
 
-// run scans the pattern under one probe row. When the pattern binds a
-// fresh geometry variable that a pending spatial filter constrains
-// against an already-known geometry, and the source has a spatial
-// index, the scan is served by an R-tree window query instead of a
-// full predicate scan; a time-range scan reads the source's time index
-// over its window, unless the probe row turns out to bind the subject
-// or the time after all (an OPTIONAL upstream may), which an ordinary
-// index lookup serves better.
+// run scans the pattern under one probe row. A bound component the
+// store dictionary has never seen (including evaluation-computed
+// overflow terms) matches nothing, so the scan is skipped outright.
+// When the pattern binds a fresh geometry variable that a pending
+// spatial filter constrains against an already-known geometry, and the
+// source has a spatial index, the scan is served by an R-tree window
+// query instead of a full predicate scan; a time-range scan reads the
+// source's time index over its window, unless the probe row turns out
+// to bind the subject or the time after all (an OPTIONAL upstream may),
+// which an ordinary index lookup serves better.
 func (sc *patScan) run(probe rowRef) {
 	sc.probe = probe
-	if sc.e.idsrc != nil {
-		sc.runIDs(probe)
+	sid, ok := resolveTV(sc.pat.S, probe, sc.e.dict)
+	if !ok {
 		return
 	}
-	sc.s, sc.p, sc.o = resolveTV(sc.pat.S, probe), resolveTV(sc.pat.P, probe), resolveTV(sc.pat.O, probe)
+	pid, ok := resolveTV(sc.pat.P, probe, sc.e.dict)
+	if !ok {
+		return
+	}
+	oid, ok := resolveTV(sc.pat.O, probe, sc.e.dict)
+	if !ok {
+		return
+	}
+	sc.sid, sc.pid = sid, pid
 
-	if ss, ok := sc.e.src.(SpatialSource); ok && ss.SpatialIndexEnabled() &&
-		!sc.p.IsZero() && GeometryPredicates[sc.p.Value] && sc.pat.O.IsVar() && sc.o.IsZero() {
+	if ss := sc.e.spatial; ss != nil && pid != 0 && sc.pat.O.IsVar() && oid == 0 &&
+		GeometryPredicates[sc.e.dict.decode(termID(pid)).Value] && ss.SpatialIndexEnabled() {
 		if env, found := sc.e.spatialWindowFor(sc.pat.O.Var, probe, sc.filters); found {
-			ss.MatchGeometryWindow(env, sc.visitWindow)
+			ss.MatchGeometryWindowIDs(env, sc.visitWindow)
 			return
 		}
 	}
-	if sc.trange != nil && sc.s.IsZero() && sc.o.IsZero() {
-		if ts, ok := sc.e.src.(TimeRangeSource); ok {
-			ts.MatchTimeRange(sc.p, *sc.trange, sc.visit)
-			return
-		}
-	}
-	sc.e.src.MatchTerms(sc.s, sc.p, sc.o, sc.visit)
-}
-
-// runIDs is the native scan: the pattern resolves to store IDs and the
-// index visitors stay encoded. A bound component the store dictionary
-// has never seen (including evaluation-computed overflow terms) matches
-// nothing, so the scan is skipped outright.
-func (sc *patScan) runIDs(probe rowRef) {
-	sid, ok := resolveTVID(sc.pat.S, probe, sc.e.dict)
-	if !ok {
+	if sc.trange != nil && sid == 0 && oid == 0 && sc.e.timed != nil {
+		sc.e.timed.MatchTimeRangeIDs(pid, *sc.trange, sc.visit)
 		return
 	}
-	pid, ok := resolveTVID(sc.pat.P, probe, sc.e.dict)
-	if !ok {
-		return
-	}
-	oid, ok := resolveTVID(sc.pat.O, probe, sc.e.dict)
-	if !ok {
-		return
-	}
-	sc.sid, sc.pid, sc.oid = sid, pid, oid
-
-	if pid != 0 && sc.pat.O.IsVar() && oid == 0 && GeometryPredicates[sc.e.dict.decode(termID(pid)).Value] {
-		if ss, ok := sc.e.src.(SpatialIDSource); ok && ss.SpatialIndexEnabled() {
-			if env, found := sc.e.spatialWindowFor(sc.pat.O.Var, probe, sc.filters); found {
-				ss.MatchGeometryWindowIDs(env, sc.visitWindowIDs)
-				return
-			}
-		}
-	}
-	if sc.trange != nil && sid == 0 && oid == 0 {
-		if ts, ok := sc.e.src.(TimeRangeIDSource); ok {
-			ts.MatchTimeRangeIDs(pid, *sc.trange, sc.visitIDs)
-			return
-		}
-	}
-	sc.e.idsrc.MatchIDs(sid, pid, oid, sc.visitIDs)
+	sc.e.src.MatchIDs(sid, pid, oid, sc.visit)
 }
 
-// windowVisit filters R-tree window candidates down to the pattern
-// before binding (the window over-approximates).
-func (sc *patScan) windowVisit(t rdf.Triple) bool {
-	if !sc.p.IsZero() && t.P.Value != sc.p.Value {
-		return true
-	}
-	if !sc.s.IsZero() && !t.S.Equal(sc.s) {
-		return true
-	}
-	return sc.tryBind(t)
-}
-
-// windowVisitIDs is windowVisit in ID space: one integer compare per
-// over-approximated component.
-func (sc *patScan) windowVisitIDs(t rdf.EncodedTriple) bool {
+// windowBind filters R-tree window candidates down to the pattern
+// before binding (the window over-approximates): one integer compare
+// per component.
+func (sc *patScan) windowBind(t rdf.EncodedTriple) bool {
 	if sc.pid != 0 && t.P != sc.pid {
 		return true
 	}
 	if sc.sid != 0 && t.S != sc.sid {
 		return true
 	}
-	return sc.tryBindIDs(t)
+	return sc.bind(t)
 }
 
-// tryBind stages one matched triple's bindings and reports whether the
-// scan should continue. The staged row is discarded (never committed)
-// on a conflicting repeated-variable binding.
-func (sc *patScan) tryBind(t rdf.Triple) bool {
+// bind stages one matched triple's bindings — three ID stores per row,
+// no term in sight — and reports whether the scan should continue. The
+// staged row is discarded (never committed) on a conflicting
+// repeated-variable binding.
+func (sc *patScan) bind(t rdf.EncodedTriple) bool {
 	b := sc.out()
 	r := b.beginRow(sc.probe)
-	if !bindStaged(b, r, sc.pat.S, t.S) || !bindStaged(b, r, sc.pat.P, t.P) || !bindStaged(b, r, sc.pat.O, t.O) {
+	if !stageBinding(b, r, sc.pat.S, termID(t.S)) || !stageBinding(b, r, sc.pat.P, termID(t.P)) || !stageBinding(b, r, sc.pat.O, termID(t.O)) {
 		return true
 	}
 	b.commitRow()
 	return sc.onRow()
 }
 
-// tryBindIDs stages one matched encoded triple's bindings — the native
-// hot path: three ID stores per row, no term in sight.
-func (sc *patScan) tryBindIDs(t rdf.EncodedTriple) bool {
-	b := sc.out()
-	r := b.beginRow(sc.probe)
-	if !bindStagedID(b, r, sc.pat.S, termID(t.S)) || !bindStagedID(b, r, sc.pat.P, termID(t.P)) || !bindStagedID(b, r, sc.pat.O, termID(t.O)) {
-		return true
-	}
-	b.commitRow()
-	return sc.onRow()
-}
-
-// resolveTV resolves a pattern component under a probe row: constants
-// pass through, bound variables take the probe's term, free variables
-// resolve to the zero term (a scan wildcard).
-func resolveTV(tv TermOrVar, probe rowRef) rdf.Term {
-	if !tv.IsVar() {
-		return tv.Term
-	}
-	if t, ok := probe.lookup(tv.Var); ok {
-		return t
-	}
-	return rdf.Term{}
-}
-
-// resolveTVID resolves a pattern component to a store ID. ok=false
-// means the component is bound to a term no indexed triple can carry
-// (a dictionary miss or an evaluation-local overflow ID): the scan
-// matches nothing.
-func resolveTVID(tv TermOrVar, probe rowRef, d *execDict) (rdf.ID, bool) {
+// resolveTV resolves a pattern component to a store ID under a probe
+// row: constants and bound variables to their ID, free variables to the
+// wildcard. ok=false means the component is bound to a term no indexed
+// triple can carry (a dictionary miss or an evaluation-local overflow
+// ID): the scan matches nothing.
+func resolveTV(tv TermOrVar, probe rowRef, d *execDict) (rdf.ID, bool) {
 	if !tv.IsVar() {
 		return d.storeID(tv.Term)
 	}
@@ -1597,28 +1496,9 @@ func resolveTVID(tv TermOrVar, probe rowRef, d *execDict) (rdf.ID, bool) {
 // function so passing it allocates no closure.
 func alwaysScan() bool { return true }
 
-// bindStaged binds one pattern component into the staged row r of b,
-// reporting false on a conflicting repeated-variable binding. Term
-// path: the value interns into the evaluation dictionary only if the
-// variable actually lands in the schema.
-func bindStaged(b *Batch, r int, tv TermOrVar, val rdf.Term) bool {
-	if !tv.IsVar() {
-		return true
-	}
-	c, ok := b.schema.col(tv.Var)
-	if !ok {
-		return true
-	}
-	id := b.dict.encode(val)
-	if ex := b.cols[c][r]; ex != 0 {
-		return ex == id
-	}
-	b.cols[c][r] = id
-	return true
-}
-
-// bindStagedID is bindStaged for already-encoded values.
-func bindStagedID(b *Batch, r int, tv TermOrVar, id termID) bool {
+// stageBinding binds one pattern component into the staged row r of b,
+// reporting false on a conflicting repeated-variable binding.
+func stageBinding(b *Batch, r int, tv TermOrVar, id termID) bool {
 	if !tv.IsVar() {
 		return true
 	}

@@ -58,7 +58,6 @@ type planner struct {
 	e       *Evaluator
 	stats   StatSource // nil when the source keeps no statistics
 	spatial bool
-	timed   TimeRangeSource // nil when the source keeps no time index
 	// firstBatch is the first-batch size hint for the SELECT currently
 	// being compiled: when a pushed LIMIT bounds the reachable rows below
 	// batchSizeMin, scans open with a batch of that size so the early
@@ -80,10 +79,7 @@ func (e *Evaluator) newPlanner() *planner {
 		p.stats = st
 		p.totalTriples, p.totalSubj, p.totalPred, p.totalObj = st.StoreCard()
 	}
-	if ss, ok := e.src.(SpatialSource); ok {
-		p.spatial = ss.SpatialIndexEnabled()
-	}
-	p.timed, _ = e.src.(TimeRangeSource)
+	p.spatial = e.spatial != nil && e.spatial.SpatialIndexEnabled()
 	return p
 }
 
@@ -417,7 +413,7 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 		pat := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
 
-		op := &joinOp{pat: pat, filters: filters, strategy: joinBind, buffered: buffered, schema: schema, first: p.firstBatch, perRun: p.seed != nil}
+		op := &joinOp{pat: pat, filters: filters, strategy: joinBind, buffered: buffered, schema: schema, first: p.firstBatch}
 		for _, tv := range []TermOrVar{pat.S, pat.P, pat.O} {
 			if tv.IsVar() && bound[tv.Var] && !containsVar(op.shared, tv.Var) {
 				op.shared = append(op.shared, tv.Var)
@@ -483,7 +479,7 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 // BGP's object variables to, when the source keeps a time index. The
 // filters are not consumed: a window is their inclusive superset.
 func (p *planner) timeWindows(patterns []TriplePattern, filters []*FilterElement) map[string]*TimeWindow {
-	if p.timed == nil || len(filters) == 0 {
+	if p.e.timed == nil || len(filters) == 0 {
 		return nil
 	}
 	vars := make(map[string]bool)
@@ -511,7 +507,7 @@ func (p *planner) timeRangeFor(pat TriplePattern, wins map[string]*TimeWindow, b
 	if w == nil {
 		return nil, 0, false
 	}
-	n, ok := p.timed.CountTimeRange(pat.P.Term, *w)
+	n, ok := p.e.timed.CountTimeRange(pat.P.Term, *w)
 	return w, n, ok
 }
 

@@ -18,18 +18,21 @@ type spatialFixture struct {
 
 func (s spatialFixture) SpatialIndexEnabled() bool { return true }
 
-func (s spatialFixture) MatchGeometryWindow(env geom.Envelope, visit func(rdf.Triple) bool) {
-	s.MatchTerms(rdf.Term{}, rdf.NewIRI("http://strdf.di.uoa.gr/ontology#hasGeometry"), rdf.Term{},
-		func(t rdf.Triple) bool {
-			g, err := geom.ParseWKT(t.O.Value)
-			if err != nil {
-				return true
-			}
-			if g.Envelope().Intersects(env) {
-				return visit(t)
-			}
+func (s spatialFixture) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) bool {
+	p, ok := s.Dict().Lookup(rdf.NewIRI("http://strdf.di.uoa.gr/ontology#hasGeometry"))
+	if !ok {
+		return true
+	}
+	return s.MatchIDs(rdf.Wildcard, p, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
+		g, err := geom.ParseWKT(s.Dict().Decode(t.O).Value)
+		if err != nil {
 			return true
-		})
+		}
+		if g.Envelope().Intersects(env) {
+			return visit(t)
+		}
+		return true
+	})
 }
 
 // clcFixture extends the fixture with one Corine land-cover area so the

@@ -21,11 +21,9 @@ import (
 // Compiled is a parsed query together with its physical plan. Plan
 // nodes are immutable (all per-execution state lives in iterators), so
 // one Compiled may be run repeatedly and concurrently — against the
-// unchanged source it was compiled for. Operator-level caches are built
-// at most once per Compiled and shared across runs: sub-select
-// solutions always (they hold decoded terms), hash-join build sides
-// only when the source dictionary is native (store IDs are stable
-// across evaluations; evaluation-local IDs are not — see iddict.go).
+// unchanged source it was compiled for. A sub-select's solutions are
+// computed at most once per Compiled and shared across runs; nothing
+// else is kept between them.
 type Compiled struct {
 	Query *Query
 	sel   *selectPlan
@@ -84,6 +82,7 @@ func (e *Evaluator) RunCompiled(c *Compiled) (Cursor, error) {
 	if c.sel == nil {
 		return nil, fmt.Errorf("stsparql: RunCompiled wants a SELECT")
 	}
+	e.begin(nil)
 	it, vars := c.sel.open(e, []Binding{{}})
 	return &planCursor{it: it, vars: vars}, nil
 }
@@ -93,6 +92,7 @@ func (e *Evaluator) AskCompiled(c *Compiled) (bool, error) {
 	if c.ask == nil {
 		return false, fmt.Errorf("stsparql: AskCompiled wants an ASK")
 	}
+	e.begin(nil)
 	it := c.ask.open(e, seedIter(e.dict, c.ask.schema, []Binding{{}}))
 	defer it.close()
 	b, err := nextLive(it)

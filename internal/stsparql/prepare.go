@@ -64,13 +64,6 @@ func (p *Prepared) plan(e *Evaluator) {
 	})
 }
 
-// begin arms the evaluator for one seeded run: sub-selects read the
-// seed from it and park their per-run solutions on it.
-func (e *Evaluator) begin(seed []Binding) {
-	e.seed = seed
-	clear(e.subRes)
-}
-
 // PlanPrepared runs a prepared DELETE/INSERT over the seed rows and
 // returns its computed plan; an empty seed does no work.
 func (e *Evaluator) PlanPrepared(p *Prepared, seed []Binding) (*UpdatePlan, error) {

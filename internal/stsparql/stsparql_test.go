@@ -590,8 +590,5 @@ func TestUpdateOnNonUpdatableSource(t *testing.T) {
 	}
 }
 
-type readOnlySource struct{ s *rdf.Store }
-
-func (r readOnlySource) MatchTerms(s, p, o rdf.Term, visit func(rdf.Triple) bool) {
-	r.s.MatchTerms(s, p, o, visit)
-}
+// readOnlySource hides the store's Add/Remove behind the plain Source.
+type readOnlySource struct{ Source }

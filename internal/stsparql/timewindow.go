@@ -190,17 +190,11 @@ type TimeRangeSource interface {
 	Source
 	// CountTimeRange reports whether p's triples inside w can be served
 	// from the index — every object of p is indexed, and canonical when w
-	// is lexical — and if so how many MatchTimeRange will visit (exact).
+	// is lexical — and if so how many MatchTimeRangeIDs will visit (exact).
 	CountTimeRange(p rdf.Term, w TimeWindow) (n int, ok bool)
-	// MatchTimeRange streams a superset of the triples (?s, p, ?t) whose
-	// ?t can satisfy w: the index range when CountTimeRange says ok,
-	// every triple of p otherwise.
-	MatchTimeRange(p rdf.Term, w TimeWindow, visit func(rdf.Triple) bool)
-}
-
-// TimeRangeIDSource is the encoded form of the range scan, keeping
-// time-range scans of an IDSource in ID space.
-type TimeRangeIDSource interface {
-	TimeRangeSource
-	MatchTimeRangeIDs(p rdf.ID, w TimeWindow, visit func(rdf.EncodedTriple) bool)
+	// MatchTimeRangeIDs streams a superset of the encoded triples
+	// (?s, p, ?t) whose ?t can satisfy w: the index range when
+	// CountTimeRange says ok, every triple of p otherwise. Like MatchIDs
+	// it reports whether it ran to its end.
+	MatchTimeRangeIDs(p rdf.ID, w TimeWindow, visit func(rdf.EncodedTriple) bool) bool
 }

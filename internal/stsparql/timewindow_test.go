@@ -125,18 +125,20 @@ type timedFixture struct {
 
 func (f timedFixture) CountTimeRange(p rdf.Term, w TimeWindow) (int, bool) {
 	n := 0
-	f.match(p, w, func(rdf.Triple) bool { n++; return true })
+	if pid, ok := f.Dict().Lookup(p); ok {
+		f.match(pid, w, func(rdf.EncodedTriple) bool { n++; return true })
+	}
 	return n, true
 }
 
-func (f timedFixture) MatchTimeRange(p rdf.Term, w TimeWindow, visit func(rdf.Triple) bool) {
+func (f timedFixture) MatchTimeRangeIDs(p rdf.ID, w TimeWindow, visit func(rdf.EncodedTriple) bool) bool {
 	*f.scans++
-	f.match(p, w, visit)
+	return f.match(p, w, visit)
 }
 
-func (f timedFixture) match(p rdf.Term, w TimeWindow, visit func(rdf.Triple) bool) {
-	f.MatchTerms(rdf.Term{}, p, rdf.Term{}, func(t rdf.Triple) bool {
-		if unix, _, ok := TimeKey(t.O); ok && unix >= w.Lo && unix <= w.Hi {
+func (f timedFixture) match(p rdf.ID, w TimeWindow, visit func(rdf.EncodedTriple) bool) bool {
+	return f.MatchIDs(rdf.Wildcard, p, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
+		if unix, _, ok := TimeKey(f.Dict().Decode(t.O)); ok && unix >= w.Lo && unix <= w.Hi {
 			return visit(t)
 		}
 		return true

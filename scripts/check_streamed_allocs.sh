@@ -11,6 +11,10 @@
 #   BenchmarkShardedQueries/single (internal/shard) — the join-heavy
 #     spatial workload on one store: scan + hash join + spatial filter,
 #     exercising the ID-native path end to end.
+#   BenchmarkShardedQueries/sharded4 (internal/shard) — the same join
+#     fanned out over composite static+slice views: what the serving
+#     stack runs. A jump here means a composite source left ID space
+#     (an intern or a closure per scanned triple).
 #
 # Baselines are committed next to the package they measure and hold the
 # allocs/op of a -benchtime=3x run (short runs amortise plan compilation
@@ -55,5 +59,7 @@ check ./internal/strabon 'BenchmarkStreamedSelect/full/streamed' \
     internal/strabon/testdata/streamed_select_allocs.baseline
 check ./internal/shard 'BenchmarkShardedQueries/single' \
     internal/shard/testdata/sharded_single_allocs.baseline
+check ./internal/shard 'BenchmarkShardedQueries/sharded4' \
+    internal/shard/testdata/sharded_fanout_allocs.baseline
 
 exit "$fail"
