@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-endpoint bench-stream bench-shard bench-batch alloc-gate lint fmt
+.PHONY: build test fuzz bench bench-endpoint bench-stream bench-shard bench-batch alloc-gate lint fmt
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,14 @@ test:
 	$(GO) test -race -count=2 -run 'TestEndpointConcurrent|TestConcurrentEndpointSmoke|TestEndpointStreamsDuringWrites' ./internal/strabon
 	$(GO) test -race -count=2 -run 'TestShardStreamsDuringWrites|TestShardedPipelineMatchesSingle|TestNoPartialRefinementVisible|TestShardResultCacheInvalidation|TestTimeRangeDifferential|TestShardZonedTimeLiteral|TestReaderComputesWhatWriterInterns' ./internal/shard
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Fuzz smoke: each target mutates its corpus for 15 s. The geometry
+# target holds the predicate kernel to the oracle copies in
+# internal/geom/oracle_test.go; the dictionary target to encode/decode
+# round trips.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzIntersectsMatchesOracle -fuzztime 15s ./internal/geom
+	$(GO) test -run '^$$' -fuzz FuzzDictionaryRoundTrip -fuzztime 15s ./internal/rdf
 
 # Full benchmark sweep; CI runs the 1x smoke variant of the end-to-end
 # and pipeline benchmarks plus the served-query and streamed-select

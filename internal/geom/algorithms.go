@@ -12,9 +12,21 @@ func cross(a, b, c Point) float64 {
 }
 
 // orient classifies c relative to the directed segment a->b with an
-// area-scaled tolerance: +1 left, -1 right, 0 collinear.
+// area-scaled tolerance: +1 left, -1 right, 0 collinear. The tolerance
+// is Epsilon*max(1, |ab|); 1+|dx|+|dy| bounds max(1, |ab|) from above —
+// in floating point too, since rounding is monotone and |dx|+|dy| never
+// rounds below Hypot(dx, dy) — so a cross product outside that wider
+// band has its sign decided without the square root, and only one inside
+// it pays for the exact form. Both return the same value everywhere.
 func orient(a, b, c Point) int {
 	v := cross(a, b, c)
+	band := Epsilon * (1 + math.Abs(b.X-a.X) + math.Abs(b.Y-a.Y))
+	if v > band {
+		return 1
+	}
+	if v < -band {
+		return -1
+	}
 	scale := math.Max(1, a.DistanceTo(b))
 	if v > Epsilon*scale {
 		return 1
@@ -25,10 +37,19 @@ func orient(a, b, c Point) int {
 	return 0
 }
 
-// onSegment reports whether collinear point p lies within segment a-b.
+// onSegment reports whether collinear point p lies within segment a-b:
+// a box test, cheap enough to run before orient wherever both are asked.
 func onSegment(a, b, p Point) bool {
-	return math.Min(a.X, b.X)-Epsilon <= p.X && p.X <= math.Max(a.X, b.X)+Epsilon &&
-		math.Min(a.Y, b.Y)-Epsilon <= p.Y && p.Y <= math.Max(a.Y, b.Y)+Epsilon
+	loX, hiX := a.X, b.X
+	if loX > hiX {
+		loX, hiX = hiX, loX
+	}
+	loY, hiY := a.Y, b.Y
+	if loY > hiY {
+		loY, hiY = hiY, loY
+	}
+	return loX-Epsilon <= p.X && p.X <= hiX+Epsilon &&
+		loY-Epsilon <= p.Y && p.Y <= hiY+Epsilon
 }
 
 // segIntersection classifies the intersection of segments a-b and c-d.
@@ -121,7 +142,7 @@ func locateInRing(p Point, r Ring) ringLocation {
 	inside := false
 	for i := 1; i < len(r); i++ {
 		a, b := r[i-1], r[i]
-		if orient(a, b, p) == 0 && onSegment(a, b, p) {
+		if onSegment(a, b, p) && orient(a, b, p) == 0 {
 			return locBoundary
 		}
 		// Standard ray-casting: count edges crossing the horizontal ray to +X.

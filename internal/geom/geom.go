@@ -112,13 +112,7 @@ type MultiPoint []Point
 func (MultiPoint) Kind() Kind { return KindMultiPoint }
 
 // Envelope implements Geometry.
-func (m MultiPoint) Envelope() Envelope {
-	e := EmptyEnvelope()
-	for _, p := range m {
-		e = e.ExpandPoint(p)
-	}
-	return e
-}
+func (m MultiPoint) Envelope() Envelope { return envelopeOf(m) }
 
 // IsEmpty implements Geometry.
 func (m MultiPoint) IsEmpty() bool { return len(m) == 0 }
@@ -133,13 +127,7 @@ type LineString []Point
 func (LineString) Kind() Kind { return KindLineString }
 
 // Envelope implements Geometry.
-func (l LineString) Envelope() Envelope {
-	e := EmptyEnvelope()
-	for _, p := range l {
-		e = e.ExpandPoint(p)
-	}
-	return e
-}
+func (l LineString) Envelope() Envelope { return envelopeOf(l) }
 
 // IsEmpty implements Geometry.
 func (l LineString) IsEmpty() bool { return len(l) == 0 }
@@ -217,13 +205,7 @@ func (r Ring) Reversed() Ring {
 }
 
 // Envelope returns the ring's bounding box.
-func (r Ring) Envelope() Envelope {
-	e := EmptyEnvelope()
-	for _, p := range r {
-		e = e.ExpandPoint(p)
-	}
-	return e
-}
+func (r Ring) Envelope() Envelope { return envelopeOf(r) }
 
 // Centroid returns the area centroid of the ring.
 func (r Ring) Centroid() Point {
@@ -383,6 +365,29 @@ func EmptyEnvelope() Envelope {
 		MinX: math.Inf(1), MinY: math.Inf(1),
 		MaxX: math.Inf(-1), MaxY: math.Inf(-1),
 	}
+}
+
+// envelopeOf is the bounding box of a vertex run. It accumulates with
+// plain comparisons — the predicates recompute envelopes per call, and
+// math.Min/Max pay for NaN and signed-zero handling per vertex that
+// finite coordinates (all ParseWKT admits) never need.
+func envelopeOf(pts []Point) Envelope {
+	e := EmptyEnvelope()
+	for _, p := range pts {
+		if p.X < e.MinX {
+			e.MinX = p.X
+		}
+		if p.X > e.MaxX {
+			e.MaxX = p.X
+		}
+		if p.Y < e.MinY {
+			e.MinY = p.Y
+		}
+		if p.Y > e.MaxY {
+			e.MaxY = p.Y
+		}
+	}
+	return e
 }
 
 // IsEmpty reports whether the envelope contains no points.

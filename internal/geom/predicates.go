@@ -8,6 +8,22 @@ import "math"
 // implementation decomposes every geometry into points, segments and
 // polygons and evaluates the predicate pairwise, which matches the OGC
 // semantics for the geometry subset used by the paper's datasets.
+//
+// The spatial joins run Intersects once per candidate row, so its
+// evaluation order is cost order, never a change of answer (the
+// differential test holds every step to the plain decomposition kept in
+// oracle_test.go): envelopes first; then a dispatch on the concrete
+// pair, Polygon x MultiPolygon included — a pixel against a municipality
+// literal — which skips flatten's slices; and inside
+// polygonPolygonIntersect the two O(n) containment probes before the
+// O(n*m) boundary sweep, the three being one OR and the usual hit a
+// pixel lying inside the cell. Point location asks the box test
+// (onSegment) before orient, and orient takes a square root only inside
+// its tolerance band (see algorithms.go). lineLineIntersect keeps its
+// whole-line envelope reject and gets no per-segment one: orient's band
+// is Epsilon/length wide in distance, so a vertex can touch a short
+// segment's line from outside the segment's Epsilon-box
+// (TestSegmentBoxRejectIsNotEquivalent).
 
 // flatten decomposes any geometry into its atomic members.
 func flatten(g Geometry) (pts []Point, lines []LineString, polys []Polygon) {
@@ -65,24 +81,45 @@ func Intersects(g1, g2 Geometry) bool {
 	if g1 == nil || g2 == nil || g1.IsEmpty() || g2.IsEmpty() {
 		return false
 	}
-	if !g1.Envelope().Intersects(g2.Envelope()) {
-		return false
-	}
+	return g1.Envelope().Intersects(g2.Envelope()) && intersectsExact(g1, g2)
+}
+
+// intersectsExact is Intersects for two non-empty geometries whose
+// envelopes meet.
+func intersectsExact(g1, g2 Geometry) bool {
 	// Atomic-pair fast paths: the spatial joins of the service compare one
 	// stored geometry against one query geometry per candidate row, and
-	// those are overwhelmingly simple polygons and points — dispatching on
-	// the concrete pair skips the flatten decomposition (three slice
-	// allocations per side) entirely. Emptiness is already excluded above,
-	// so these branches match flatten's non-empty members exactly.
+	// those are overwhelmingly simple polygons, points and the
+	// multipolygons municipality literals parse to — dispatching on the
+	// concrete pair skips the flatten decomposition (three slice
+	// allocations per side) entirely. Emptiness is excluded by the caller
+	// (and per member below), so these branches match flatten's non-empty
+	// members exactly, in its argument order.
 	switch a := g1.(type) {
 	case Polygon:
 		switch b := g2.(type) {
 		case Polygon:
 			return polygonPolygonIntersect(a, b)
+		case MultiPolygon:
+			for _, m := range b {
+				if !m.IsEmpty() && polygonPolygonIntersect(a, m) {
+					return true
+				}
+			}
+			return false
 		case Point:
 			return locateInPolygon(b, a) != locOutside
 		case LineString:
 			return linePolygonIntersect(b, a)
+		}
+	case MultiPolygon:
+		if b, ok := g2.(Polygon); ok {
+			for _, m := range a {
+				if !m.IsEmpty() && polygonPolygonIntersect(m, b) {
+					return true
+				}
+			}
+			return false
 		}
 	case Point:
 		switch b := g2.(type) {
@@ -166,7 +203,7 @@ func anyPointHit(p Point, pts []Point, lines []LineString, polys []Polygon) bool
 
 func pointOnLine(p Point, l LineString) bool {
 	for i := 1; i < len(l); i++ {
-		if orient(l[i-1], l[i], p) == 0 && onSegment(l[i-1], l[i], p) {
+		if onSegment(l[i-1], l[i], p) && orient(l[i-1], l[i], p) == 0 {
 			return true
 		}
 	}
@@ -208,6 +245,11 @@ func polygonPolygonIntersect(a, b Polygon) bool {
 	if !a.Envelope().Intersects(b.Envelope()) {
 		return false
 	}
+	// One reaching into the other? Two point locations, against a sweep
+	// over every pair of edges.
+	if locateInPolygon(a.Shell[0], b) != locOutside || locateInPolygon(b.Shell[0], a) != locOutside {
+		return true
+	}
 	// Boundary crossing?
 	for i := 0; i < ringCount(a); i++ {
 		ra := LineString(ringAt(a, i))
@@ -216,13 +258,6 @@ func polygonPolygonIntersect(a, b Polygon) bool {
 				return true
 			}
 		}
-	}
-	// One fully inside the other?
-	if locateInPolygon(a.Shell[0], b) != locOutside {
-		return true
-	}
-	if locateInPolygon(b.Shell[0], a) != locOutside {
-		return true
 	}
 	return false
 }
@@ -236,8 +271,7 @@ func Contains(g1, g2 Geometry) bool {
 	if g1 == nil || g2 == nil || g1.IsEmpty() || g2.IsEmpty() {
 		return false
 	}
-	if !g1.Envelope().Contains(g2.Envelope().Intersection(g1.Envelope())) ||
-		!g1.Envelope().Contains(g2.Envelope()) {
+	if !g1.Envelope().Contains(g2.Envelope()) {
 		return false
 	}
 	p2, l2, a2 := flatten(g2)
@@ -261,7 +295,9 @@ func Contains(g1, g2 Geometry) bool {
 			return false
 		}
 	}
-	return Intersects(g1, g2)
+	// Both non-empty, one envelope inside the other: past Intersects' own
+	// checks already.
+	return intersectsExact(g1, g2)
 }
 
 // Within is the converse of Contains.

@@ -2,8 +2,12 @@ package shard
 
 import (
 	"context"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/strabon"
 )
 
 const analyzeWindowSelect = `
@@ -129,6 +133,93 @@ func TestShardExplainAnalyzeRejectsUpdate(t *testing.T) {
 	sh := newSharded(2)
 	if _, err := sh.ExplainAnalyze(context.Background(), `INSERT DATA { noa:x a noa:Hotspot . }`); err == nil {
 		t.Fatal("update accepted by ExplainAnalyze")
+	}
+}
+
+// spatialJoinFourSlices is the corpus' spatial join widened to every
+// acquisition of the fixture day: with four hour-wide slices it fans out
+// to all of them.
+const spatialJoinFourSlices = `
+SELECT ?h ?m WHERE {
+  ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at ; strdf:hasGeometry ?hg .
+  ?m a gag:Municipality ; strdf:hasGeometry ?mg .
+  FILTER( str(?at) >= "2007-08-25T10:00:00" )
+  FILTER( str(?at) <= "2007-08-25T13:45:00" )
+  FILTER( strdf:anyInteract(?hg, ?mg) )
+}`
+
+var analyzedRows = regexp.MustCompile(`\(actual rows=(\d+) `)
+
+// TestSpatialJoinChecksTypeBeforeGeometry reads the planner's ordering
+// rule off the executed plan: the exact anyInteract test runs directly
+// behind the ground `?m a gag:Municipality` probe, so it sees only the
+// municipalities among the R-tree window's candidates — the same rows
+// whatever the topology, summed over a fan-out's sections (the window
+// itself returns fewer candidates the fewer slices a section's view
+// holds).
+func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
+	var spatialJoin string
+	for _, tc := range corpus {
+		if tc.name == "spatial-join-municipality" {
+			spatialJoin = tc.query
+		}
+	}
+	single := strabon.New()
+	loadFixture(single)
+	stores := map[string]strabon.API{"single": single}
+	for _, n := range []int{1, 2, 4} {
+		sh := newSharded(n)
+		loadFixture(sh)
+		stores["sharded"+itoa(n)] = sh
+	}
+	for name, text := range map[string]string{"one-acquisition": spatialJoin, "four-slices": spatialJoinFourSlices} {
+		wantTyped := -1
+		for _, topo := range []string{"single", "sharded1", "sharded2", "sharded4"} {
+			out, err := stores[topo].ExplainAnalyze(context.Background(), text)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, topo, err)
+			}
+			if name == "four-slices" && topo == "sharded4" && !strings.Contains(out, "shard fan-out: 4/4 slices") {
+				t.Fatalf("the four-slice text does not fan out to four slices:\n%s", out)
+			}
+			var window, typed, tested int
+			prev := ""
+			for _, line := range strings.Split(out, "\n") {
+				m := analyzedRows.FindStringSubmatch(line)
+				if m == nil {
+					continue
+				}
+				n, _ := strconv.Atoi(m[1])
+				switch {
+				case strings.Contains(line, "join[window]"):
+					window += n
+					prev = "window"
+				case strings.Contains(line, "gagOntology.owl#Municipality>}"):
+					if prev != "window" {
+						t.Errorf("%s on %s: the type probe does not follow the window join:\n%s", name, topo, out)
+					}
+					typed += n
+					prev = "type"
+				case strings.Contains(line, "strdf:anyinteract"):
+					if prev != "type" {
+						t.Errorf("%s on %s: the exact test does not follow the type probe:\n%s", name, topo, out)
+					}
+					tested += n
+					prev = "filter"
+				default:
+					prev = ""
+				}
+			}
+			if typed == 0 || typed >= window {
+				t.Errorf("%s on %s: %d window candidates, %d past the type probe: the probe discards nothing\n%s", name, topo, window, typed, out)
+			}
+			if wantTyped < 0 {
+				wantTyped = typed
+			}
+			if typed != wantTyped || tested > typed {
+				t.Errorf("%s on %s: %d rows reach the exact test and %d pass, the single store sends %d", name, topo, typed, tested, wantTyped)
+			}
+		}
 	}
 }
 

@@ -336,8 +336,9 @@ func TestNoPartialRefinementVisible(t *testing.T) {
 // — one literal per tag, the same for many rows — while flushes into
 // the 12:00 slice intern exactly those literals into the shared
 // dictionary, under locks the readers do not hold. Every DISTINCT and
-// GROUP BY over the computed value must still answer what the untouched
-// single store answers. Under -race this is also the dictionary's
+// GROUP BY over the computed value, and every scan whose pattern names a
+// term the flushes intern, must still answer what the untouched single
+// store answers. Under -race this is also the dictionary's
 // appender-beside-readers contract end to end.
 func TestReaderComputesWhatWriterInterns(t *testing.T) {
 	const tags, perTag = 24, 40
@@ -361,6 +362,11 @@ func TestReaderComputesWhatWriterInterns(t *testing.T) {
 	queries := []string{
 		`SELECT DISTINCT (str(?c) AS ?x) WHERE { ` + where + ` }`,
 		`SELECT ?x (COUNT(?h) AS ?n) WHERE { { SELECT ?h (str(?c) AS ?x) WHERE { ` + where + ` } } } GROUP BY ?x`,
+		// A pattern constant the first flush interns (the note predicate),
+		// in a scan OPTIONAL re-opens per hotspot: every open resolves it,
+		// before the flush or after, and every one must miss — the notes
+		// belong to the 12:00 slice.
+		`SELECT DISTINCT ?c ?n WHERE { ` + where + ` OPTIONAL { ?h <` + ex + `note> ?n } }`,
 	}
 	rows := func(st strabon.API, q string) []string {
 		res, err := st.Query(q)

@@ -1388,6 +1388,20 @@ type patScan struct {
 	probe    rowRef // current probe row
 	sid, pid rdf.ID // subject and predicate resolved under probe
 
+	// Resolved when the scan opens, never per probe row: the store IDs of
+	// the pattern's constants (miss: one of them is a term no visible
+	// triple carries, so no probe row matches anything), whether the
+	// source's spatial index could serve the pattern's object, and whether
+	// a constant predicate is a geometry predicate. That is sound because
+	// Evaluator.begin pins the dictionary watermark for the whole
+	// evaluation — a constant that misses at open misses until its end —
+	// and it lives here, in per-evaluation state, because the joinOp is
+	// shared by every evaluation running the cached plan.
+	consts   [3]rdf.ID
+	miss     bool
+	indexed  bool
+	geomPred bool
+
 	visit       func(rdf.EncodedTriple) bool // bound bind
 	visitWindow func(rdf.EncodedTriple) bool // bound windowBind
 }
@@ -1396,11 +1410,20 @@ func newPatScan(e *Evaluator, op *joinOp, filters []*FilterElement, out func() *
 	sc := &patScan{e: e, pat: op.pat, trange: op.trange, filters: filters, out: out, onRow: onRow}
 	sc.visit = sc.bind
 	sc.visitWindow = sc.windowBind
+	for i, tv := range [3]TermOrVar{op.pat.S, op.pat.P, op.pat.O} {
+		if !tv.IsVar() {
+			id, ok := e.dict.storeID(tv.Term)
+			sc.consts[i], sc.miss = id, sc.miss || !ok
+		}
+	}
+	sc.indexed = e.spatial != nil && op.pat.O.IsVar() && e.spatial.SpatialIndexEnabled()
+	sc.geomPred = !op.pat.P.IsVar() && GeometryPredicates[op.pat.P.Term.Value]
 	return sc
 }
 
-// run scans the pattern under one probe row. A bound component the
-// store dictionary has never seen (including evaluation-computed
+// run scans the pattern under one probe row: constants come resolved
+// from the open, variables resolve against the row. A bound component
+// the store dictionary has never seen (including evaluation-computed
 // overflow terms) matches nothing, so the scan is skipped outright.
 // When the pattern binds a fresh geometry variable that a pending
 // spatial filter constrains against an already-known geometry, and the
@@ -1410,25 +1433,30 @@ func newPatScan(e *Evaluator, op *joinOp, filters []*FilterElement, out func() *
 // to bind the subject or the time after all (an OPTIONAL upstream may),
 // which an ordinary index lookup serves better.
 func (sc *patScan) run(probe rowRef) {
+	if sc.miss {
+		return
+	}
 	sc.probe = probe
-	sid, ok := resolveTV(sc.pat.S, probe, sc.e.dict)
+	sid, ok := sc.resolve(0, sc.pat.S)
 	if !ok {
 		return
 	}
-	pid, ok := resolveTV(sc.pat.P, probe, sc.e.dict)
+	pid, ok := sc.resolve(1, sc.pat.P)
 	if !ok {
 		return
 	}
-	oid, ok := resolveTV(sc.pat.O, probe, sc.e.dict)
+	oid, ok := sc.resolve(2, sc.pat.O)
 	if !ok {
 		return
 	}
 	sc.sid, sc.pid = sid, pid
 
-	if ss := sc.e.spatial; ss != nil && pid != 0 && sc.pat.O.IsVar() && oid == 0 &&
-		GeometryPredicates[sc.e.dict.decode(termID(pid)).Value] && ss.SpatialIndexEnabled() {
+	// A predicate bound by the row, not by the pattern, is the one case
+	// left to decode per row.
+	if sc.indexed && pid != 0 && oid == 0 &&
+		(sc.geomPred || sc.pat.P.IsVar() && GeometryPredicates[sc.e.dict.decode(termID(pid)).Value]) {
 		if env, found := sc.e.spatialWindowFor(sc.pat.O.Var, probe, sc.filters); found {
-			ss.MatchGeometryWindowIDs(env, sc.visitWindow)
+			sc.e.spatial.MatchGeometryWindowIDs(env, sc.visitWindow)
 			return
 		}
 	}
@@ -1466,17 +1494,17 @@ func (sc *patScan) bind(t rdf.EncodedTriple) bool {
 	return sc.onRow()
 }
 
-// resolveTV resolves a pattern component to a store ID under a probe
-// row: constants and bound variables to their ID, free variables to the
-// wildcard. ok=false means the component is bound to a term no indexed
-// triple can carry (a dictionary miss or an evaluation-local overflow
-// ID): the scan matches nothing.
-func resolveTV(tv TermOrVar, probe rowRef, d *execDict) (rdf.ID, bool) {
+// resolve resolves component i of the pattern to a store ID under the
+// current probe row: constants to the ID found at open, bound variables
+// to their ID, free variables to the wildcard. ok=false means the
+// variable is bound to a term no indexed triple can carry (a dictionary
+// miss or an evaluation-local overflow ID): the scan matches nothing.
+func (sc *patScan) resolve(i int, tv TermOrVar) (rdf.ID, bool) {
 	if !tv.IsVar() {
-		return d.storeID(tv.Term)
+		return sc.consts[i], true
 	}
-	if probe.b != nil {
-		if id := probe.lookupID(tv.Var); id != 0 {
+	if sc.probe.b != nil {
+		if id := sc.probe.lookupID(tv.Var); id != 0 {
 			if id >= overflowBase {
 				return 0, false
 			}
@@ -1484,9 +1512,9 @@ func resolveTV(tv TermOrVar, probe rowRef, d *execDict) (rdf.ID, bool) {
 		}
 		return 0, true
 	}
-	if probe.m != nil {
-		if t, ok := probe.m[tv.Var]; ok && !t.IsZero() {
-			return d.storeID(t)
+	if sc.probe.m != nil {
+		if t, ok := sc.probe.m[tv.Var]; ok && !t.IsZero() {
+			return sc.e.dict.storeID(t)
 		}
 	}
 	return 0, true

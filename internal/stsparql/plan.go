@@ -362,6 +362,17 @@ func (p *planner) planGroup(gp *GroupPattern, bound map[string]bool, inEst float
 // planBGP orders a basic graph pattern's triples by cardinality
 // estimates and interleaves eagerly-applicable filters, returning the
 // operators and the updated cumulative row estimate.
+//
+// One ordering rule places the filters, for a rule's prepared plan and a
+// query's alike: a filter is pushed behind the pattern that binds the
+// last of its variables — except a costly one (costlyFilter: it calls a
+// strdf: function, an exact geometry test per row), which waits while a
+// ground pattern remains (hasGroundPattern: every component constant or
+// certainly bound, so the join is an index probe that only drops rows).
+// The class ranking below scores such a pattern 7 and picks it next, so
+// the costly filter lands directly behind the existence checks: a
+// spatial join tests `?m a gag:Municipality` on every R-tree candidate
+// and the exact geometry only on the municipalities among them.
 func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, applied map[*FilterElement]bool, bound map[string]bool, inEst float64, buffered bool, schema *varSchema) ([]operator, float64) {
 	remaining := append([]TriplePattern(nil), patterns...)
 	var ops []operator
@@ -463,7 +474,7 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 				}
 			}
 			if all && !usesBoundFn(f.Cond) {
-				if p.seed != nil && costlyFilter(f.Cond) && hasGroundPattern(remaining, bound) {
+				if costlyFilter(f.Cond) && hasGroundPattern(remaining, bound) {
 					continue // the cheap existence check runs first
 				}
 				applied[f] = true

@@ -70,7 +70,8 @@ WHERE {
 // acquisition-scope filter is pushed directly below the pattern binding
 // ?at, and the land-cover geometry (the second basic graph pattern — the
 // parser splits subject blocks) is joined through an R-tree window scan
-// as soon as the plan reaches it, with ?hGeo already bound.
+// as soon as the plan reaches it, with ?hGeo already bound — and the
+// exact coveredBy test waits for the ground `?a a clc:Area` probe.
 func TestExplainInvalidForFiresGolden(t *testing.T) {
 	q := mustParse(t, invalidForFiresQuery)
 	got, err := NewEvaluator(clcFixture()).Explain(q)
@@ -84,13 +85,108 @@ func TestExplainInvalidForFiresGolden(t *testing.T) {
   join[bind] {?h <http://strdf.di.uoa.gr/ontology#hasGeometry> ?hGeo} on h est=0.75
   join[bind] {?h ?hProperty ?hObject} on h est=3
   join[window] {?a <http://strdf.di.uoa.gr/ontology#hasGeometry> ?aGeo} est=0.21
+  join[bind] {?a <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#Area>} on a est=0.03
   filter[pushed] strdf:coveredby(?hGeo, ?aGeo)
-  join[bind] {?a <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#Area>} on a est=0.0075
   join[bind] {?a <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#hasLandUse> ?use} on a est=0.0075
   filter[pushed] ((?use = <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#NonIrrigatedArableLand>) || (?use = <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#ContinuousUrbanFabric>))
 `
 	if got != want {
 		t.Fatalf("explain mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// planLines explains src over the spatial fixture, for a query plan and
+// for the same text prepared with ?h as its seed — the ordering rule is
+// one rule for both — and returns the operator lines of each.
+func planLines(t *testing.T, src string) map[string][]string {
+	t.Helper()
+	e := NewEvaluator(clcFixture())
+	query, err := e.Explain(mustParse(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := Prepare(src, nil, "h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]string{}
+	for kind, plan := range map[string]string{"query": query, "prepared": prep.Explain(e)} {
+		for _, line := range strings.Split(plan, "\n")[1:] {
+			if line = strings.TrimSpace(line); line != "" {
+				out[kind] = append(out[kind], line)
+			}
+		}
+	}
+	return out
+}
+
+// lineWith returns the index of the one plan line containing sub.
+func lineWith(t *testing.T, lines []string, sub string) int {
+	t.Helper()
+	at := -1
+	for i, l := range lines {
+		if strings.Contains(l, sub) {
+			if at >= 0 {
+				t.Fatalf("%q matches two plan lines:\n%s", sub, strings.Join(lines, "\n"))
+			}
+			at = i
+		}
+	}
+	if at < 0 {
+		t.Fatalf("no plan line contains %q:\n%s", sub, strings.Join(lines, "\n"))
+	}
+	return at
+}
+
+// TestCostlyFilterWaitsForGroundPatterns pins the one filter-ordering
+// rule of planBGP on query and prepared plans alike.
+func TestCostlyFilterWaitsForGroundPatterns(t *testing.T) {
+	// A ground pattern remains once the window join has bound ?m: the type
+	// probe runs next and the exact test directly behind it.
+	for kind, lines := range planLines(t, `
+SELECT ?h ?m WHERE {
+  ?h a noa:Hotspot ; strdf:hasGeometry ?hGeo .
+  ?m strdf:hasGeometry ?mGeo ; a gag:Municipality .
+  FILTER( strdf:anyInteract(?hGeo, ?mGeo) )
+}`) {
+		window := lineWith(t, lines, "join[window] {?m ")
+		typed := lineWith(t, lines, "gagOntology.owl#Municipality>}")
+		exact := lineWith(t, lines, "filter[pushed] strdf:anyinteract")
+		if typed != window+1 || exact != typed+1 {
+			t.Errorf("%s plan: want window join, type probe, exact test in a row:\n%s", kind, strings.Join(lines, "\n"))
+		}
+	}
+	// Nothing ground remains (?pop is fresh): the exact test is pushed at
+	// once, ahead of the join that only adds a column.
+	for kind, lines := range planLines(t, `
+SELECT ?h ?m ?pop WHERE {
+  ?h a noa:Hotspot ; strdf:hasGeometry ?hGeo .
+  ?m strdf:hasGeometry ?mGeo ; gag:hasPopulation ?pop .
+  FILTER( strdf:anyInteract(?hGeo, ?mGeo) )
+}`) {
+		window := lineWith(t, lines, "join[window] {?m ")
+		exact := lineWith(t, lines, "filter[pushed] strdf:anyinteract")
+		pop := lineWith(t, lines, "hasPopulation> ?pop}")
+		if exact != window+1 || pop < exact {
+			t.Errorf("%s plan: want the exact test directly behind the window join:\n%s", kind, strings.Join(lines, "\n"))
+		}
+	}
+	// A cheap filter never waits: ready at the same moment as the exact
+	// test, it runs ahead of the ground pattern the exact test waits for.
+	for kind, lines := range planLines(t, `
+SELECT ?h ?m WHERE {
+  ?h a noa:Hotspot ; strdf:hasGeometry ?hGeo .
+  ?m strdf:hasGeometry ?mGeo ; a gag:Municipality .
+  FILTER( strdf:anyInteract(?hGeo, ?mGeo) )
+  FILTER( ?m != gag:nowhere )
+}`) {
+		window := lineWith(t, lines, "join[window] {?m ")
+		cheap := lineWith(t, lines, "filter[pushed] (?m != ")
+		typed := lineWith(t, lines, "gagOntology.owl#Municipality>}")
+		exact := lineWith(t, lines, "filter[pushed] strdf:anyinteract")
+		if cheap != window+1 || typed != cheap+1 || exact != typed+1 {
+			t.Errorf("%s plan: want window join, comparison, type probe, exact test:\n%s", kind, strings.Join(lines, "\n"))
+		}
 	}
 }
 

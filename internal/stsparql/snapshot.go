@@ -3,20 +3,30 @@ package stsparql
 import "repro/internal/rdf"
 
 // RowSnapshot is a compact, immutable copy of a materialised result:
-// the header plus a flat row-major term slab. The streaming cursors
+// the header plus a flat row-major cell slab. The streaming cursors
 // yield Bindings that are views into the engine's current columnar
 // batch, reused on the next pull — a snapshot copies each row's terms
 // out of that view as it streams past (the result-cache tee of the
 // endpoint), so the retained result shares nothing with the engine.
 //
-// A zero Term in the slab is an unbound column; the result encoders
-// skip zero terms, so replaying through them is byte-identical to the
-// original streamed encoding.
+// A cell keeps a term's lexical value and an index into the snapshot's
+// table of term shapes — the (Kind, Datatype, Lang) combinations, of
+// which a result has a handful (IRI, geometry literal, dateTime, …) —
+// so a cached row costs 24 bytes a column, not the 56 of an rdf.Term.
+// Row and Result put the terms back together exactly: an unbound column
+// is the zero Term again, which the result encoders skip, so replaying
+// through them is byte-identical to the original streamed encoding.
 type RowSnapshot struct {
-	vars  []string
-	terms []rdf.Term // row-major; len == rows*len(vars)
-	rows  int
-	bytes int64
+	vars   []string
+	cells  []snapCell // row-major; len == rows*len(vars)
+	shapes []rdf.Term // Value empty: what a cell's value completes
+	rows   int
+	bytes  int64
+}
+
+type snapCell struct {
+	value string
+	shape uint32
 }
 
 // NewRowSnapshot returns an empty snapshot with the given header. The
@@ -36,10 +46,32 @@ func NewRowSnapshot(vars []string) *RowSnapshot {
 func (s *RowSnapshot) Append(row Binding) {
 	for _, v := range s.vars {
 		t := row[v] // zero Term when unbound
-		s.terms = append(s.terms, t)
-		s.bytes += int64(len(t.Value)+len(t.Datatype)+len(t.Lang)) + 48
+		s.cells = append(s.cells, snapCell{value: t.Value, shape: s.shapeOf(t)})
+		s.bytes += int64(len(t.Value)) + 24
 	}
 	s.rows++
+}
+
+// shapeOf returns the table index of t's shape, adding it on first
+// sight; the table stays short enough for a linear search.
+func (s *RowSnapshot) shapeOf(t rdf.Term) uint32 {
+	t.Value = ""
+	for i, sh := range s.shapes {
+		if sh == t {
+			return uint32(i)
+		}
+	}
+	s.shapes = append(s.shapes, t)
+	s.bytes += int64(len(t.Datatype)+len(t.Lang)) + 56
+	return uint32(len(s.shapes) - 1)
+}
+
+// term rebuilds cell i's term.
+func (s *RowSnapshot) term(i int) rdf.Term {
+	c := s.cells[i]
+	t := s.shapes[c.shape]
+	t.Value = c.value
+	return t
 }
 
 // Vars is the result header.
@@ -63,7 +95,7 @@ func (s *RowSnapshot) Row(i int, dst Binding) Binding {
 	clear(dst)
 	base := i * len(s.vars)
 	for j, v := range s.vars {
-		if t := s.terms[base+j]; !t.IsZero() {
+		if t := s.term(base + j); !t.IsZero() {
 			dst[v] = t
 		}
 	}

@@ -1,0 +1,53 @@
+package stsparql
+
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"repro/internal/rdf"
+)
+
+// TestRowSnapshotRebuildsTerms pins the replay contract of the compact
+// cell layout: every term comes back field for field — kind, datatype
+// and language included — an unbound column stays absent, and the
+// shape table holds one entry per distinct (Kind, Datatype, Lang).
+func TestRowSnapshotRebuildsTerms(t *testing.T) {
+	rows := []Binding{
+		{"a": rdf.NewIRI("http://e/x"), "b": rdf.NewGeometry("POINT (1 2)"), "c": rdf.NewLangLiteral("Αθήνα", "el")},
+		{"a": rdf.NewIRI("http://e/y"), "c": rdf.NewLiteral("plain")},
+		{"b": rdf.NewDateTime("2007-08-25T10:00:00"), "c": rdf.NewLangLiteral("Athens", "en")},
+		{"a": rdf.NewBlank("n1"), "b": rdf.NewGeometry("POINT (3 4)"), "c": rdf.NewLiteral("")},
+	}
+	snap := NewRowSnapshot([]string{"a", "b", "c"})
+	for _, row := range rows {
+		snap.Append(row)
+	}
+	if snap.Len() != len(rows) {
+		t.Fatalf("Len = %d, want %d", snap.Len(), len(rows))
+	}
+	var dst Binding
+	for i, want := range rows {
+		if dst = snap.Row(i, dst); !reflect.DeepEqual(dst, want) {
+			t.Errorf("row %d = %v, want %v", i, dst, want)
+		}
+	}
+	if got := snap.Result().Rows; !reflect.DeepEqual(got, rows) {
+		t.Errorf("Result rows = %v, want %v", got, rows)
+	}
+	// IRI (the unbound cell is the zero IRI), blank node, geometry,
+	// dateTime, plain literal and two language tags.
+	if len(snap.shapes) != 7 {
+		t.Errorf("%d shapes for 7 distinct (Kind, Datatype, Lang): %v", len(snap.shapes), snap.shapes)
+	}
+	if size := unsafe.Sizeof(snapCell{}); size != 24 {
+		t.Errorf("a cell takes %d bytes, its doc comment says 24", size)
+	}
+	var values int64
+	for _, c := range snap.cells {
+		values += int64(len(c.value))
+	}
+	if floor := values + int64(len(snap.cells))*24; snap.Bytes() < floor {
+		t.Errorf("Bytes = %d, below the %d the cells alone take", snap.Bytes(), floor)
+	}
+}

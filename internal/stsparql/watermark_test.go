@@ -2,6 +2,7 @@ package stsparql
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/rdf"
@@ -111,4 +112,104 @@ func TestComputedTermKeepsOneID(t *testing.T) {
 			t.Fatalf("matched %d, %d distinct inserts; want %d and 1", plan.Matched, plan.InsertCount(), n)
 		}
 	})
+}
+
+// flushingSource commits, once its scans have visited `after` triples,
+// what a flush into another member of the topology commits beside a
+// running reader: it interns new terms into the shared dictionary and
+// adds the triples carrying them.
+type flushingSource struct {
+	Source  // the store behind the plain interface: no statistics, so every join is a bind join
+	store   *rdf.Store
+	flush   []rdf.Triple
+	after   int
+	visited int
+}
+
+func (s *flushingSource) MatchIDs(sub, p, o rdf.ID, visit func(rdf.EncodedTriple) bool) bool {
+	return s.Source.MatchIDs(sub, p, o, func(t rdf.EncodedTriple) bool {
+		if s.visited++; s.visited == s.after {
+			for _, tr := range s.flush {
+				s.store.Add(tr)
+			}
+		}
+		return visit(t)
+	})
+}
+
+// TestPatternConstantMissesUntilNextEvaluation pins what lets a scan
+// resolve its pattern's constants once per open: a constant the
+// dictionary learns in mid-evaluation stays a miss for that evaluation,
+// whichever side of the flush a scan opens on — no row appears half-way
+// — and the next evaluation of the same compiled plan finds it, so the
+// resolution cannot have been cached on the shared operator.
+func TestPatternConstantMissesUntilNextEvaluation(t *testing.T) {
+	const n = 300
+	const midScan = batchSizeMin + 10
+	iri := func(format string, a ...any) rdf.Term { return rdf.NewIRI("http://e/" + fmt.Sprintf(format, a...)) }
+	for name, tc := range map[string]struct {
+		query string
+		bound func(Binding) bool // after the flush: is the row complete
+		first int                // rows of the evaluation the flush interrupts
+	}{
+		// One scan object serves every probe row of the join.
+		"bind join": {`SELECT ?s WHERE { ?s e:p ?o . ?s e:q e:fresh }`, func(Binding) bool { return true }, 0},
+		// OPTIONAL re-opens its sub-plan, and with it the scan, per outer
+		// row: some opens precede the flush and some follow it.
+		"optional": {`SELECT ?s ?f WHERE { ?s e:p ?o . OPTIONAL { ?s e:q ?f . ?f e:r e:fresh } }`,
+			func(row Binding) bool { return !row["f"].IsZero() }, n},
+	} {
+		t.Run(name, func(t *testing.T) {
+			store := rdf.NewStore()
+			src := &flushingSource{Source: store, store: store, after: midScan}
+			for i := 0; i < n; i++ {
+				store.Add(rdf.Triple{S: iri("s%d", i), P: iri("p"), O: iri("o")})
+				src.flush = append(src.flush,
+					rdf.Triple{S: iri("s%d", i), P: iri("q"), O: iri("fresh")},
+					rdf.Triple{S: iri("fresh"), P: iri("r"), O: iri("fresh")})
+			}
+			plan := NewEvaluator(src).Compile(mustParse(t, `PREFIX e: <http://e/> `+tc.query))
+			var out strings.Builder
+			plan.sel.explain(&out, "")
+			if strings.Contains(out.String(), "join[hash]") {
+				t.Fatalf("the fixture plans a hash join, which scans once whatever the scan caches:\n%s", &out)
+			}
+			run := func() []Binding {
+				cur, err := NewEvaluator(src).RunCompiled(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cur.Close()
+				var rows []Binding
+				for row, ok := cur.Next(); ok; row, ok = cur.Next() {
+					rows = append(rows, row.Clone())
+				}
+				if err := cur.Err(); err != nil {
+					t.Fatal(err)
+				}
+				return rows
+			}
+			rows := run()
+			if _, ok := src.Dict().Lookup(iri("fresh")); !ok {
+				t.Fatal("the fixture never flushed: the test exercised nothing")
+			}
+			if len(rows) != tc.first {
+				t.Fatalf("the interrupted evaluation returned %d rows, want %d", len(rows), tc.first)
+			}
+			for _, row := range rows {
+				if tc.bound(row) {
+					t.Fatalf("a row of the interrupted evaluation carries the flush: %v", row)
+				}
+			}
+			rows = run()
+			if len(rows) != n {
+				t.Fatalf("the next evaluation returned %d rows, want %d", len(rows), n)
+			}
+			for _, row := range rows {
+				if !tc.bound(row) {
+					t.Fatalf("the next evaluation misses the flushed constant: %v", row)
+				}
+			}
+		})
+	}
 }
