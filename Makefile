@@ -17,10 +17,12 @@ test:
 
 # Fuzz smoke: each target mutates its corpus for 15 s. The geometry
 # target holds the predicate kernel to the oracle copies in
-# internal/geom/oracle_test.go; the dictionary target to encode/decode
-# round trips.
+# internal/geom/oracle_test.go, the evaluator target the SciQL evaluator
+# to internal/sciql/oracle_test.go; the dictionary target checks
+# encode/decode round trips.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntersectsMatchesOracle -fuzztime 15s ./internal/geom
+	$(GO) test -run '^$$' -fuzz FuzzEvaluatorMatchesOracle -fuzztime 15s ./internal/sciql
 	$(GO) test -run '^$$' -fuzz FuzzDictionaryRoundTrip -fuzztime 15s ./internal/rdf
 
 # Full benchmark sweep; CI runs the 1x smoke variant of the end-to-end
@@ -53,7 +55,9 @@ bench-batch:
 
 # Fails if a gated benchmark's allocs/op regresses 1.5x above its
 # committed baseline (what CI runs): full/streamed in internal/strabon
-# and both cases of the sharded-queries join in internal/shard.
+# and both cases of the sharded-queries join in internal/shard; and if
+# the front half's B/op rises 1.1x above its baseline: the SciQL chain
+# (root package) and the downlink simulator (internal/seviri).
 alloc-gate:
 	./scripts/check_streamed_allocs.sh
 

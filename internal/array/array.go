@@ -235,7 +235,8 @@ func (a *Dense) Summary() Stats {
 // structural grouping "GROUP BY a[x-1:x+2][y-1:y+2]" in the paper's
 // classification query.
 func (a *Dense) WindowMean(r int) *Dense {
-	sat := a.summedAreaTable()
+	sat := make([]float64, (a.w+1)*(a.h+1))
+	summedAreaTable(sat, a.vals, a.w, a.h)
 	cnt := a.countTable(r)
 	out := NewWithOrigin(a.x0, a.y0, a.w, a.h)
 	for y := 0; y < a.h; y++ {
@@ -288,18 +289,19 @@ func (a *Dense) WindowStdDev(r int) *Dense {
 	return out
 }
 
-// summedAreaTable returns the (w+1)×(h+1) inclusive prefix-sum table.
-func (a *Dense) summedAreaTable() []float64 {
-	w1 := a.w + 1
-	sat := make([]float64, w1*(a.h+1))
-	for y := 0; y < a.h; y++ {
+// summedAreaTable fills sat with the (w+1)×(h+1) inclusive prefix-sum
+// table of the w×h row-major src.
+func summedAreaTable(sat, src []float64, w, h int) {
+	w1 := w + 1
+	clear(sat[:w1])
+	for y := 0; y < h; y++ {
+		sat[(y+1)*w1] = 0
 		var rowSum float64
-		for x := 0; x < a.w; x++ {
-			rowSum += a.vals[y*a.w+x]
+		for x := 0; x < w; x++ {
+			rowSum += src[y*w+x]
 			sat[(y+1)*w1+(x+1)] = sat[y*w1+(x+1)] + rowSum
 		}
 	}
-	return sat
 }
 
 // windowSum sums the clamped window around (x, y) from a SAT.

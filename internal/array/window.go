@@ -3,7 +3,9 @@ package array
 // This file provides the generalised structural-grouping kernels used by
 // the SciQL executor: rectangular sliding windows with independent
 // relative bounds, e.g. SciQL's "GROUP BY a[x-1:x+2][y-1:y+2]" denotes
-// the window dx ∈ [-1, +2), dy ∈ [-1, +2) around each anchor cell.
+// the window dx ∈ [-1, +2), dy ∈ [-1, +2) around each anchor cell. The
+// kernels write every cell of a caller's w×h row-major buffer (0 for a
+// window clamped to nothing), so an executor can recycle its buffers.
 
 // WindowSpec is a relative window: lo bounds inclusive, hi bounds
 // exclusive, matching SciQL slice syntax.
@@ -11,101 +13,99 @@ type WindowSpec struct {
 	XLo, XHi, YLo, YHi int
 }
 
-// Window3x3 is the classification window of the paper's Figure 4.
-var Window3x3 = WindowSpec{XLo: -1, XHi: 2, YLo: -1, YHi: 2}
-
-// Size returns the unclamped window population.
-func (w WindowSpec) Size() int { return (w.XHi - w.XLo) * (w.YHi - w.YLo) }
-
-// WindowSum computes, per cell, the sum of the window around it (clamped
-// at array edges) in O(1) per cell via a summed-area table.
-func (a *Dense) WindowSum(spec WindowSpec) *Dense {
-	sat := a.summedAreaTable()
-	out := NewWithOrigin(a.x0, a.y0, a.w, a.h)
-	w1 := a.w + 1
-	for y := 0; y < a.h; y++ {
+// WindowSum writes, per cell, the sum of the window around it (clamped
+// at the edges) in O(1) per cell via a summed-area table built in sat,
+// which must hold (w+1)·(h+1) cells. dst may be src: the table holds
+// every cell before the first is written.
+func WindowSum(dst, sat, src []float64, w, h int, spec WindowSpec) {
+	summedAreaTable(sat, src, w, h)
+	w1 := w + 1
+	for y := 0; y < h; y++ {
 		y0 := max(y+spec.YLo, 0)
-		y1 := min(y+spec.YHi-1, a.h-1)
-		for x := 0; x < a.w; x++ {
+		y1 := min(y+spec.YHi-1, h-1)
+		for x := 0; x < w; x++ {
 			x0 := max(x+spec.XLo, 0)
-			x1 := min(x+spec.XHi-1, a.w-1)
+			x1 := min(x+spec.XHi-1, w-1)
 			if x1 < x0 || y1 < y0 {
+				dst[y*w+x] = 0
 				continue
 			}
-			out.vals[y*a.w+x] = sat[(y1+1)*w1+(x1+1)] - sat[y0*w1+(x1+1)] -
+			dst[y*w+x] = sat[(y1+1)*w1+(x1+1)] - sat[y0*w1+(x1+1)] -
 				sat[(y1+1)*w1+x0] + sat[y0*w1+x0]
 		}
 	}
-	return out
 }
 
-// WindowCount returns the clamped population of the window per cell.
-func (a *Dense) WindowCount(spec WindowSpec) *Dense {
-	out := NewWithOrigin(a.x0, a.y0, a.w, a.h)
-	for y := 0; y < a.h; y++ {
-		ny := min(y+spec.YHi-1, a.h-1) - max(y+spec.YLo, 0) + 1
-		if ny < 0 {
-			ny = 0
+// windowPopulation is the clamped population of the window at (x, y).
+func windowPopulation(x, y, w, h int, spec WindowSpec) int {
+	ny := min(y+spec.YHi-1, h-1) - max(y+spec.YLo, 0) + 1
+	if ny < 0 {
+		ny = 0
+	}
+	nx := min(x+spec.XHi-1, w-1) - max(x+spec.XLo, 0) + 1
+	if nx < 0 {
+		nx = 0
+	}
+	return nx * ny
+}
+
+// WindowCount writes the clamped population of the window per cell.
+func WindowCount(dst []float64, w, h int, spec WindowSpec) {
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			dst[y*w+x] = float64(windowPopulation(x, y, w, h, spec))
 		}
-		for x := 0; x < a.w; x++ {
-			nx := min(x+spec.XHi-1, a.w-1) - max(x+spec.XLo, 0) + 1
-			if nx < 0 {
-				nx = 0
+	}
+}
+
+// WindowAvg is WindowSum divided by the window population; like it, dst
+// may be src.
+func WindowAvg(dst, sat, src []float64, w, h int, spec WindowSpec) {
+	WindowSum(dst, sat, src, w, h, spec)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if n := float64(windowPopulation(x, y, w, h, spec)); n > 0 {
+				dst[y*w+x] /= n
 			}
-			out.vals[y*a.w+x] = float64(nx * ny)
 		}
 	}
-	return out
 }
 
-// WindowAvg is WindowSum / WindowCount.
-func (a *Dense) WindowAvg(spec WindowSpec) *Dense {
-	sum := a.WindowSum(spec)
-	cnt := a.WindowCount(spec)
-	for i := range sum.vals {
-		if cnt.vals[i] > 0 {
-			sum.vals[i] /= cnt.vals[i]
-		}
-	}
-	return sum
+// WindowMin writes the windowed minimum (naive scan; windows in the
+// service are 3×3, so the constant factor is small). dst must not be
+// src.
+func WindowMin(dst, src []float64, w, h int, spec WindowSpec) {
+	windowExtreme(dst, src, w, h, spec, func(a, b float64) bool { return a < b })
 }
 
-// WindowMin computes the windowed minimum (naive scan; windows in the
-// service are 3×3, so the constant factor is small).
-func (a *Dense) WindowMin(spec WindowSpec) *Dense {
-	return a.windowExtreme(spec, func(a, b float64) bool { return a < b })
+// WindowMax writes the windowed maximum; dst must not be src.
+func WindowMax(dst, src []float64, w, h int, spec WindowSpec) {
+	windowExtreme(dst, src, w, h, spec, func(a, b float64) bool { return a > b })
 }
 
-// WindowMax computes the windowed maximum.
-func (a *Dense) WindowMax(spec WindowSpec) *Dense {
-	return a.windowExtreme(spec, func(a, b float64) bool { return a > b })
-}
-
-func (a *Dense) windowExtreme(spec WindowSpec, better func(a, b float64) bool) *Dense {
-	out := NewWithOrigin(a.x0, a.y0, a.w, a.h)
-	for y := 0; y < a.h; y++ {
-		for x := 0; x < a.w; x++ {
+func windowExtreme(dst, src []float64, w, h int, spec WindowSpec, better func(a, b float64) bool) {
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
 			first := true
 			var best float64
 			for dy := spec.YLo; dy < spec.YHi; dy++ {
 				yy := y + dy
-				if yy < 0 || yy >= a.h {
+				if yy < 0 || yy >= h {
 					continue
 				}
 				for dx := spec.XLo; dx < spec.XHi; dx++ {
 					xx := x + dx
-					if xx < 0 || xx >= a.w {
+					if xx < 0 || xx >= w {
 						continue
 					}
-					v := a.vals[yy*a.w+xx]
+					v := src[yy*w+xx]
 					if first || better(v, best) {
 						best = v
 						first = false
 					}
 				}
 			}
-			out.vals[y*a.w+x] = best
+			dst[y*w+x] = best
 		}
 	}
-	return out
 }

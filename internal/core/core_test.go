@@ -172,10 +172,11 @@ func TestVaultLazinessInService(t *testing.T) {
 }
 
 // TestStepExportsRefineStages pins that Step is flush of one: a
-// sequential (-workers 1) service exports the flush and refine stage
-// histograms exactly like the pipeline does, and the runner's per-rule
-// families carry one observation per rule per acquisition, under the
-// benchmark's rule names.
+// sequential (-workers 1) service exports the insert and refine stage
+// histograms exactly like the pipeline does, every stage under the
+// benchmark's layer name, and the runner's per-rule families carry one
+// observation per rule per acquisition, under the benchmark's rule
+// names.
 func TestStepExportsRefineStages(t *testing.T) {
 	s := newTestService(t)
 	reg := obs.NewRegistry()
@@ -191,7 +192,7 @@ func TestStepExportsRefineStages(t *testing.T) {
 	want := []string{
 		`core_pipeline_flush_products_count 1`,
 	}
-	for _, stage := range []string{"acquire", "ingest", "chain", "flush", "refine"} {
+	for _, stage := range []string{"seviri.acquire", "vault.attach", "sciql.chain", "strabon.insert", "refine"} {
 		want = append(want, fmt.Sprintf(`core_pipeline_stage_seconds_count{stage=%q} 1`, stage))
 	}
 	for _, rule := range []string{"municipalities", "delete_in_sea", "invalid_for_fires", "refine_in_coast", "time_persistence"} {

@@ -7,8 +7,9 @@ import (
 )
 
 // PipelineMetrics instruments the acquisition pipeline for /metrics:
-// per-stage wall-time histograms (acquire, ingest, chain, flush,
-// refine) and the distribution of products per batched store flush.
+// per-stage wall-time histograms and the distribution of products per
+// batched store flush. Stages carry the benchmark's layer names
+// (seviri.acquire, vault.attach, sciql.chain, strabon.insert, refine).
 // All instruments are atomics shared safely by the worker pool; a nil
 // *PipelineMetrics disables everything at the cost of one nil check
 // per stage.
@@ -21,7 +22,7 @@ type PipelineMetrics struct {
 func NewPipelineMetrics(reg *obs.Registry) *PipelineMetrics {
 	return &PipelineMetrics{
 		stage: reg.NewHistogramVec("core_pipeline_stage_seconds",
-			"Acquisition pipeline stage wall time (acquire, ingest, chain, flush, refine).",
+			"Acquisition pipeline stage wall time (seviri.acquire, vault.attach, sciql.chain, strabon.insert, refine).",
 			[]string{"stage"}, nil),
 		flushBatch: reg.NewHistogram("core_pipeline_flush_products",
 			"Products committed per batched store flush.",

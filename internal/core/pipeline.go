@@ -109,19 +109,19 @@ func (s *Service) frontHalf(chain Chain, sensor seviri.Sensor, at time.Time) (*p
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: acquire: %w", err)
 	}
-	s.Metrics.observe("acquire", time.Since(acqStart))
+	s.Metrics.observe("seviri.acquire", time.Since(acqStart))
 	ingestStart := time.Now()
 	if err := IngestAcquisition(s.Vault, acq); err != nil {
 		return nil, 0, fmt.Errorf("core: ingest: %w", err)
 	}
-	s.Metrics.observe("ingest", time.Since(ingestStart))
+	s.Metrics.observe("vault.attach", time.Since(ingestStart))
 	chainStart := time.Now()
 	product, err := chain.Process(sensor.Name, at)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: chain: %w", err)
 	}
 	chainTime := time.Since(chainStart)
-	s.Metrics.observe("chain", chainTime)
+	s.Metrics.observe("sciql.chain", chainTime)
 	return product, chainTime, nil
 }
 
@@ -247,7 +247,7 @@ func (s *Service) flush(sensor seviri.Sensor, batch []chainResult) error {
 	for _, o := range outcomes {
 		stored += o.Timings[0].Duration // refine.OpStore
 	}
-	s.Metrics.observe("flush", stored)
+	s.Metrics.observe("strabon.insert", stored)
 	s.Metrics.observe("refine", time.Since(start)-stored)
 	s.Metrics.observeFlush(len(batch))
 

@@ -15,7 +15,12 @@ import (
 // (never a scan), reaches the auxiliary data through an R-tree window
 // join, checks the candidate's class before paying for the spatial
 // predicate, and — for the two delete rules — expands ?h into all its
-// properties last, for the survivors only.
+// properties last, for the survivors only. Time Persistence reads the
+// window's hour: the reinstatement aggregate opens with a time-range scan
+// bounded by the seed's [?since, ?now], and the confirm join opens with
+// whichever of that scan and the R-tree window around ?pixel its
+// estimates pick, checking the class before the spatial predicate
+// either way.
 func TestRulePlansAreDeltaDriven(t *testing.T) {
 	s := strabon.New()
 	s.LoadTriples(auxdata.Generate(42).AllTriples())
@@ -52,5 +57,15 @@ func TestRulePlansAreDeltaDriven(t *testing.T) {
 			}
 		}
 	}
-	inOrder("confirm", rules.confirm.Explain(ev), "sub-select", "join[window] {?p ", "rdf-syntax-ns#type", "aggregate group=?h", "join[bind] {?h ")
+	confirm := rules.confirm.Explain(ev)
+	inOrder("confirm", confirm, "sub-select", "rdf-syntax-ns#type", "filter[pushed] strdf:anyinteract", "aggregate group=?h", "join[bind] {?h ")
+	if first := strings.TrimSpace(strings.Split(confirm, "\n")[3]); !strings.HasPrefix(first, "join[window] {?p ") &&
+		!strings.HasPrefix(first, "scan[time-range] {?p ") {
+		t.Fatalf("confirm: the sub-select opens with neither access path:\n%s", confirm)
+	}
+	persistent := rules.persistent.Explain(ev)
+	if first := strings.Split(persistent, "\n")[1]; !strings.HasPrefix(first, "  scan[time-range] {?h ") ||
+		!strings.Contains(first, "hasAcquisitionDateTime> ?hAt} [?since, ?now] est=") {
+		t.Fatalf("persistent: first operator is not the seed's time range:\n%s", persistent)
+	}
 }

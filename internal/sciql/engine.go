@@ -3,6 +3,7 @@ package sciql
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,21 +45,6 @@ func (e *Engine) RegisterArray(name string, d *array.Dense, colName string) {
 
 // RegisterFrame installs a multi-column frame into the catalog.
 func (e *Engine) RegisterFrame(name string, f *Frame) { e.arrays[name] = f }
-
-// Array fetches a stored array's column as a Dense.
-func (e *Engine) Array(name, col string) (*array.Dense, error) {
-	f, ok := e.arrays[name]
-	if !ok {
-		return nil, fmt.Errorf("sciql: unknown array %q", name)
-	}
-	return f.Dense(col)
-}
-
-// Frame fetches a stored frame.
-func (e *Engine) Frame(name string) (*Frame, bool) {
-	f, ok := e.arrays[name]
-	return f, ok
-}
 
 // Names lists the catalog entries, sorted.
 func (e *Engine) Names() []string {
@@ -115,13 +101,13 @@ func (e *Engine) ExecStmt(stmt Stmt) (*Frame, error) {
 	case *InsertValues:
 		return nil, e.insertValues(s)
 	case *InsertSelect:
-		f, err := e.evalSelect(s.Sel)
+		f, err := e.newEvaluator().result(s.Sel)
 		if err != nil {
 			return nil, err
 		}
 		return nil, e.storeInto(s.Name, f)
 	case *Select:
-		return e.evalSelect(s)
+		return e.newEvaluator().result(s)
 	default:
 		return nil, fmt.Errorf("sciql: unsupported statement %T", stmt)
 	}
@@ -215,11 +201,83 @@ func (e *Engine) storeInto(name string, f *Frame) error {
 
 // --- SELECT evaluation ---
 
-func (e *Engine) evalSelect(s *Select) (*Frame, error) {
-	base, err := e.evalFrom(s.From)
+// An evaluator runs the SELECT blocks of one statement (see the package
+// comment): it owns the columns it computes, recycles them through its
+// free list, and dies with the statement.
+type evaluator struct {
+	e     *Engine
+	free  [][]float64
+	owned map[*float64]bool // buffers handed out and not yet released
+}
+
+func (e *Engine) newEvaluator() *evaluator {
+	return &evaluator{e: e, owned: make(map[*float64]bool)}
+}
+
+// key identifies a buffer by its first cell; empty buffers are never
+// tracked.
+func key(buf []float64) *float64 {
+	if cap(buf) == 0 {
+		return nil
+	}
+	return &buf[:1][0]
+}
+
+// get returns an n-cell temporary of unspecified contents: the smallest
+// free buffer that fits, else a fresh one.
+func (ev *evaluator) get(n int) []float64 {
+	best := -1
+	for i, b := range ev.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(ev.free[best])) {
+			best = i
+		}
+	}
+	var buf []float64
+	if best < 0 {
+		buf = make([]float64, n)
+	} else {
+		buf = ev.free[best][:n]
+		ev.free[best] = ev.free[len(ev.free)-1]
+		ev.free = ev.free[:len(ev.free)-1]
+	}
+	if k := key(buf); k != nil {
+		ev.owned[k] = true
+	}
+	return buf
+}
+
+// release returns an owned buffer to the free list; anything else — a
+// catalog or table-function column, a buffer already released — is left
+// alone.
+func (ev *evaluator) release(buf []float64) {
+	if k := key(buf); k != nil && ev.owned[k] {
+		delete(ev.owned, k)
+		ev.free = append(ev.free, buf)
+	}
+}
+
+// result evaluates a statement's top-level SELECT. Its frame outlives the
+// statement, so columns it shares with the catalog or a table function
+// are copied out.
+func (ev *evaluator) result(s *Select) (*Frame, error) {
+	f, err := ev.evalSelect(s)
 	if err != nil {
 		return nil, err
 	}
+	for i, c := range f.cols {
+		if k := key(c.Data); k != nil && !ev.owned[k] {
+			f.cols[i].Data = append([]float64(nil), c.Data...)
+		}
+	}
+	return f, nil
+}
+
+func (ev *evaluator) evalSelect(s *Select) (*Frame, error) {
+	base, err := ev.evalFrom(s.From)
+	if err != nil {
+		return nil, err
+	}
+	n := base.Len()
 
 	// WHERE: split the conjunction into dimension-range constraints
 	// (cropping, the paper's range query) and residual cell predicates
@@ -227,14 +285,17 @@ func (e *Engine) evalSelect(s *Select) (*Frame, error) {
 	if s.Where != nil {
 		crop, residual := splitWhere(s.Where)
 		if crop != nil {
-			base = base.Crop(crop.x0, crop.x1, crop.y0, crop.y1)
+			base = ev.crop(base, crop.x0, crop.x1, crop.y0, crop.y1)
+			n = base.Len()
 		}
-		if residual != nil && base.Len() > 0 {
-			mask, err := e.evalExprCol(base, residual, nil)
+		if residual != nil && n > 0 {
+			mask, err := ev.eval(base, residual, nil)
 			if err != nil {
 				return nil, err
 			}
-			base.MaskInvalid(mask)
+			mask = ev.materialise(mask, n)
+			base.MaskInvalid(mask.col)
+			ev.done(operand{}, mask)
 		}
 	}
 
@@ -247,14 +308,12 @@ func (e *Engine) evalSelect(s *Select) (*Frame, error) {
 
 	out := NewFrame(base.X0, base.Y0, base.W, base.H)
 	out.valid = base.valid
-	sawDim := map[string]bool{}
 	anon := 0
 	for _, item := range s.Items {
 		if item.Dim != "" {
-			sawDim[item.Dim] = true
-			continue
+			continue // dimension projections are implicit in the array result
 		}
-		col, err := e.evalExprCol(base, item.Expr, s.GroupBy)
+		col, err := ev.eval(base, item.Expr, s.GroupBy)
 		if err != nil {
 			return nil, err
 		}
@@ -267,14 +326,19 @@ func (e *Engine) evalSelect(s *Select) (*Frame, error) {
 				name = fmt.Sprintf("col%d", anon)
 			}
 		}
-		if err := out.AddColumn("", name, col); err != nil {
+		if err := out.AddColumn("", name, ev.materialise(col, n).col); err != nil {
 			return nil, err
 		}
 	}
 	if len(out.cols) == 0 {
 		return nil, fmt.Errorf("sciql: SELECT projects no value columns")
 	}
-	_ = sawDim // dimension projections are implicit in the array result
+	// The source's columns this block did not project are dead.
+	for _, c := range base.cols {
+		if !slices.ContainsFunc(out.cols, func(o Column) bool { return key(o.Data) == key(c.Data) }) {
+			ev.release(c.Data)
+		}
+	}
 	return out, nil
 }
 
@@ -289,25 +353,26 @@ func frameHasQualifier(f *Frame, q string) bool {
 	return len(f.cols) > 0 && f.cols[0].Qualifier == ""
 }
 
-func (e *Engine) evalFrom(fc FromClause) (*Frame, error) {
+func (ev *evaluator) evalFrom(fc FromClause) (*Frame, error) {
 	switch src := fc.(type) {
 	case *TableRef:
-		stored, ok := e.arrays[src.Name]
+		stored, ok := ev.e.arrays[src.Name]
 		if !ok {
 			return nil, fmt.Errorf("sciql: unknown array %q", src.Name)
 		}
-		f := stored.Clone()
+		f := *stored // the catalog's cells, read-only, under column headers of its own
+		f.cols = slices.Clone(stored.cols)
 		alias := src.Alias
 		if alias == "" {
 			alias = src.Name
 		}
 		f.Requalify(alias)
 		if src.Slice != nil {
-			f = f.Crop(src.Slice.X0, src.Slice.X1, src.Slice.Y0, src.Slice.Y1)
+			return ev.crop(&f, src.Slice.X0, src.Slice.X1, src.Slice.Y0, src.Slice.Y1), nil
 		}
-		return f, nil
+		return &f, nil
 	case *FuncRef:
-		fn, ok := e.fns[src.Name]
+		fn, ok := ev.e.fns[src.Name]
 		if !ok {
 			return nil, fmt.Errorf("sciql: unknown table function %q", src.Name)
 		}
@@ -320,25 +385,25 @@ func (e *Engine) evalFrom(fc FromClause) (*Frame, error) {
 		}
 		return f, nil
 	case *SubqueryRef:
-		f, err := e.evalSelect(src.Sel)
+		f, err := ev.evalSelect(src.Sel)
 		if err != nil {
 			return nil, err
 		}
 		f.Requalify(src.Alias)
 		return f, nil
 	case *JoinRef:
-		l, err := e.evalFrom(src.L)
+		l, err := ev.evalFrom(src.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := e.evalFrom(src.R)
+		r, err := ev.evalFrom(src.R)
 		if err != nil {
 			return nil, err
 		}
 		if !isDimEquiJoin(src.On) {
 			return nil, fmt.Errorf("sciql: only dimension equi-joins (x = x AND y = y) are supported")
 		}
-		return joinFrames(l, r)
+		return ev.joinFrames(l, r), nil
 	default:
 		return nil, fmt.Errorf("sciql: unsupported FROM clause %T", fc)
 	}
@@ -363,13 +428,13 @@ func isDimEquiJoin(e Expr) bool {
 
 // joinFrames aligns two frames on the overlap of their domains and merges
 // their columns.
-func joinFrames(l, r *Frame) (*Frame, error) {
+func (ev *evaluator) joinFrames(l, r *Frame) *Frame {
 	x0 := max(l.X0, r.X0)
 	y0 := max(l.Y0, r.Y0)
 	x1 := min(l.X0+l.W, r.X0+r.W)
 	y1 := min(l.Y0+l.H, r.Y0+r.H)
-	lc := l.Crop(x0, x1, y0, y1)
-	rc := r.Crop(x0, x1, y0, y1)
+	lc := ev.crop(l, x0, x1, y0, y1)
+	rc := ev.crop(r, x0, x1, y0, y1)
 	out := NewFrame(lc.X0, lc.Y0, lc.W, lc.H)
 	out.cols = append(out.cols, lc.cols...)
 	out.cols = append(out.cols, rc.cols...)
@@ -379,7 +444,45 @@ func joinFrames(l, r *Frame) (*Frame, error) {
 			out.valid[i] = lc.Valid(i) && rc.Valid(i)
 		}
 	}
-	return out, nil
+	return out
+}
+
+// crop returns the sub-frame covering [x0,x1) × [y0,y1) in absolute
+// dimension coordinates, clamped to the frame: f itself when that is the
+// whole frame, else a copy into temporaries, releasing f's columns.
+func (ev *evaluator) crop(f *Frame, x0, x1, y0, y1 int) *Frame {
+	x0 = max(x0, f.X0)
+	y0 = max(y0, f.Y0)
+	x1 = min(x1, f.X0+f.W)
+	y1 = min(y1, f.Y0+f.H)
+	if x0 == f.X0 && y0 == f.Y0 && x1 == f.X0+f.W && y1 == f.Y0+f.H && f.Len() > 0 {
+		return f
+	}
+	defer func() {
+		for _, c := range f.cols {
+			ev.release(c.Data)
+		}
+	}()
+	if x1 <= x0 || y1 <= y0 {
+		return NewFrame(x0, y0, 0, 0)
+	}
+	out := NewFrame(x0, y0, x1-x0, y1-y0)
+	for _, c := range f.cols {
+		data := ev.get(out.Len())
+		for y := 0; y < out.H; y++ {
+			srcOff := (y0-f.Y0+y)*f.W + (x0 - f.X0)
+			copy(data[y*out.W:(y+1)*out.W], c.Data[srcOff:srcOff+out.W])
+		}
+		out.cols = append(out.cols, Column{Qualifier: c.Qualifier, Name: c.Name, Data: data})
+	}
+	if f.valid != nil {
+		out.valid = make([]bool, out.Len())
+		for y := 0; y < out.H; y++ {
+			srcOff := (y0-f.Y0+y)*f.W + (x0 - f.X0)
+			copy(out.valid[y*out.W:(y+1)*out.W], f.valid[srcOff:srcOff+out.W])
+		}
+	}
+	return out
 }
 
 // cropBox accumulates dimension constraints from a WHERE conjunction.
@@ -486,169 +589,216 @@ func applyDimBound(box *cropBox, dim, op string, v float64) {
 
 // --- expression evaluation (vectorised per column) ---
 
-func (e *Engine) evalExprCol(f *Frame, expr Expr, win *GroupSpec) ([]float64, error) {
-	n := f.Len()
-	switch v := expr.(type) {
-	case *NumLit:
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = v.V
+// operand is an evaluated expression: a column of the frame's cells, or
+// a broadcast scalar held as a one-cell column. Kernels read cell i of
+// an operand at col[i&o.mask()], so a scalar is read at 0 by every cell.
+// tmp marks a column this evaluation computed that nothing else
+// references: its consumer may write into it, and releases it.
+type operand struct {
+	col    []float64
+	scalar bool
+	tmp    bool
+}
+
+func (o operand) mask() int {
+	if o.scalar {
+		return 0
+	}
+	return -1
+}
+
+func scalar(v float64) operand { return operand{col: []float64{v}, scalar: true} }
+
+// dest picks what an elementwise operator over ops writes: a scalar when
+// every operand is one, else the first temporary column among them, else
+// a fresh temporary.
+func (ev *evaluator) dest(n int, ops ...operand) operand {
+	all := true
+	for _, o := range ops {
+		if o.tmp {
+			return o
 		}
-		return out, nil
-	case *ColRef:
-		col, err := f.Resolve(v.Qualifier, v.Name)
-		if err != nil {
-			return nil, err
+		all = all && o.scalar
+	}
+	if all {
+		return scalar(0)
+	}
+	return operand{col: ev.get(n), tmp: true}
+}
+
+// done releases the temporaries among ops that the operator did not
+// write its result into.
+func (ev *evaluator) done(out operand, ops ...operand) {
+	for _, o := range ops {
+		if o.tmp && key(o.col) != key(out.col) {
+			ev.release(o.col)
 		}
-		return col, nil
-	case *DimRef:
-		return f.DimColumn(v.Name)
-	case *UnaryExpr:
-		x, err := e.evalExprCol(f, v.X, win)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, n)
-		switch v.Op {
-		case "-":
-			for i := range out {
-				out[i] = -x[i]
-			}
-		case "NOT":
-			for i := range out {
-				if x[i] == 0 {
-					out[i] = 1
-				}
-			}
-		default:
-			return nil, fmt.Errorf("sciql: unknown unary operator %q", v.Op)
-		}
-		return out, nil
-	case *BinExpr:
-		l, err := e.evalExprCol(f, v.L, win)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.evalExprCol(f, v.R, win)
-		if err != nil {
-			return nil, err
-		}
-		return applyBinOp(v.Op, l, r)
-	case *BetweenExpr:
-		x, err := e.evalExprCol(f, v.X, win)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := e.evalExprCol(f, v.Lo, win)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := e.evalExprCol(f, v.Hi, win)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, n)
-		for i := range out {
-			if x[i] >= lo[i] && x[i] <= hi[i] {
-				out[i] = 1
-			}
-		}
-		return out, nil
-	case *CaseExpr:
-		out := make([]float64, n)
-		decided := make([]bool, n)
-		for _, w := range v.Whens {
-			cond, err := e.evalExprCol(f, w.Cond, win)
-			if err != nil {
-				return nil, err
-			}
-			then, err := e.evalExprCol(f, w.Then, win)
-			if err != nil {
-				return nil, err
-			}
-			for i := range out {
-				if !decided[i] && cond[i] != 0 {
-					out[i] = then[i]
-					decided[i] = true
-				}
-			}
-		}
-		if v.Else != nil {
-			els, err := e.evalExprCol(f, v.Else, win)
-			if err != nil {
-				return nil, err
-			}
-			for i := range out {
-				if !decided[i] {
-					out[i] = els[i]
-				}
-			}
-		}
-		return out, nil
-	case *FuncExpr:
-		return e.evalFuncCol(f, v, win)
-	default:
-		return nil, fmt.Errorf("sciql: unsupported expression %T", expr)
 	}
 }
 
-func applyBinOp(op string, l, r []float64) ([]float64, error) {
-	out := make([]float64, len(l))
+// materialise turns a scalar into a temporary column of n cells.
+func (ev *evaluator) materialise(o operand, n int) operand {
+	if !o.scalar {
+		return o
+	}
+	col := ev.get(n)
+	for i := range col {
+		col[i] = o.col[0]
+	}
+	return operand{col: col, tmp: true}
+}
+
+func (ev *evaluator) eval(f *Frame, expr Expr, win *GroupSpec) (operand, error) {
+	n := f.Len()
+	switch v := expr.(type) {
+	case *NumLit:
+		return scalar(v.V), nil
+	case *ColRef:
+		col, err := f.Resolve(v.Qualifier, v.Name)
+		return operand{col: col}, err
+	case *DimRef:
+		if v.Name != "x" && v.Name != "y" {
+			return operand{}, fmt.Errorf("sciql: unknown dimension %q", v.Name)
+		}
+		col := ev.get(n)
+		for i := range col {
+			if v.Name == "x" {
+				col[i] = float64(f.X0 + i%f.W)
+			} else {
+				col[i] = float64(f.Y0 + i/f.W)
+			}
+		}
+		return operand{col: col, tmp: true}, nil
+	case *UnaryExpr:
+		if v.Op == "NOT" { // cell for cell, NOT x is x = 0
+			return ev.eval(f, &BinExpr{Op: "=", L: v.X, R: &NumLit{}}, win)
+		}
+		x, err := ev.eval(f, v.X, win)
+		if err != nil {
+			return operand{}, err
+		}
+		if v.Op != "-" {
+			return operand{}, fmt.Errorf("sciql: unknown unary operator %q", v.Op)
+		}
+		out, xc, xm := ev.dest(n, x), x.col, x.mask()
+		for i := range out.col {
+			out.col[i] = -xc[i&xm]
+		}
+		return out, nil
+	case *BinExpr:
+		l, err := ev.eval(f, v.L, win)
+		if err != nil {
+			return operand{}, err
+		}
+		r, err := ev.eval(f, v.R, win)
+		if err != nil {
+			return operand{}, err
+		}
+		out := ev.dest(n, l, r)
+		if err := applyBinOp(v.Op, out.col, l, r); err != nil {
+			return operand{}, err
+		}
+		ev.done(out, l, r)
+		return out, nil
+	case *BetweenExpr: // cell for cell, (x >= lo) AND (x <= hi)
+		return ev.eval(f, &BinExpr{Op: "AND", L: &BinExpr{Op: ">=", L: v.X, R: v.Lo}, R: &BinExpr{Op: "<=", L: v.X, R: v.Hi}}, win)
+	case *CaseExpr:
+		out := operand{col: ev.get(n), tmp: true}
+		decided := make([]bool, n)
+		for _, w := range v.Whens {
+			cond, err := ev.eval(f, w.Cond, win)
+			if err != nil {
+				return operand{}, err
+			}
+			then, err := ev.eval(f, w.Then, win)
+			if err != nil {
+				return operand{}, err
+			}
+			cc, cm, tc, tm := cond.col, cond.mask(), then.col, then.mask()
+			for i := range out.col {
+				if !decided[i] && cc[i&cm] != 0 {
+					out.col[i] = tc[i&tm]
+					decided[i] = true
+				}
+			}
+			ev.done(out, cond, then)
+		}
+		els := scalar(0)
+		if v.Else != nil {
+			var err error
+			if els, err = ev.eval(f, v.Else, win); err != nil {
+				return operand{}, err
+			}
+		}
+		ec, em := els.col, els.mask()
+		for i := range out.col {
+			if !decided[i] {
+				out.col[i] = ec[i&em]
+			}
+		}
+		ev.done(out, els)
+		return out, nil
+	case *FuncExpr:
+		return ev.evalFunc(f, v, win)
+	default:
+		return operand{}, fmt.Errorf("sciql: unsupported expression %T", expr)
+	}
+}
+
+// applyBinOp writes l op r into out, cell by cell.
+func applyBinOp(op string, out []float64, l, r operand) error {
+	lc, lm, rc, rm := l.col, l.mask(), r.col, r.mask()
 	switch op {
 	case "+":
 		for i := range out {
-			out[i] = l[i] + r[i]
+			out[i] = lc[i&lm] + rc[i&rm]
 		}
 	case "-":
 		for i := range out {
-			out[i] = l[i] - r[i]
+			out[i] = lc[i&lm] - rc[i&rm]
 		}
 	case "*":
 		for i := range out {
-			out[i] = l[i] * r[i]
+			out[i] = lc[i&lm] * rc[i&rm]
 		}
 	case "/":
 		for i := range out {
-			if r[i] != 0 {
-				out[i] = l[i] / r[i]
+			if d := rc[i&rm]; d != 0 {
+				out[i] = lc[i&lm] / d
+			} else {
+				out[i] = 0
 			}
 		}
 	case "=":
 		for i := range out {
-			out[i] = b2f(l[i] == r[i])
+			out[i] = b2f(lc[i&lm] == rc[i&rm])
 		}
 	case "<>":
 		for i := range out {
-			out[i] = b2f(l[i] != r[i])
+			out[i] = b2f(lc[i&lm] != rc[i&rm])
 		}
 	case "<":
 		for i := range out {
-			out[i] = b2f(l[i] < r[i])
+			out[i] = b2f(lc[i&lm] < rc[i&rm])
 		}
 	case "<=":
 		for i := range out {
-			out[i] = b2f(l[i] <= r[i])
+			out[i] = b2f(lc[i&lm] <= rc[i&rm])
 		}
-	case ">":
-		for i := range out {
-			out[i] = b2f(l[i] > r[i])
-		}
-	case ">=":
-		for i := range out {
-			out[i] = b2f(l[i] >= r[i])
-		}
+	case ">", ">=": // l > r is r < l
+		return applyBinOp(strings.Replace(op, ">", "<", 1), out, r, l)
 	case "AND":
 		for i := range out {
-			out[i] = b2f(l[i] != 0 && r[i] != 0)
+			out[i] = b2f(lc[i&lm] != 0 && rc[i&rm] != 0)
 		}
 	case "OR":
 		for i := range out {
-			out[i] = b2f(l[i] != 0 || r[i] != 0)
+			out[i] = b2f(lc[i&lm] != 0 || rc[i&rm] != 0)
 		}
 	default:
-		return nil, fmt.Errorf("sciql: unknown operator %q", op)
+		return fmt.Errorf("sciql: unknown operator %q", op)
 	}
-	return out, nil
+	return nil
 }
 
 func b2f(b bool) float64 {
@@ -658,88 +808,102 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-func (e *Engine) evalFuncCol(f *Frame, fn *FuncExpr, win *GroupSpec) ([]float64, error) {
+func (ev *evaluator) evalFunc(f *Frame, fn *FuncExpr, win *GroupSpec) (operand, error) {
+	n := f.Len()
 	if aggregateFns[fn.Name] {
 		if win == nil {
-			return nil, fmt.Errorf("sciql: aggregate %s outside structural GROUP BY", fn.Name)
+			return operand{}, fmt.Errorf("sciql: aggregate %s outside structural GROUP BY", fn.Name)
 		}
 		spec := array.WindowSpec{XLo: win.XLo, XHi: win.XHi, YLo: win.YLo, YHi: win.YHi}
 		if fn.Name == "COUNT" {
-			d := array.NewWithOrigin(f.X0, f.Y0, f.W, f.H)
-			return d.WindowCount(spec).Values(), nil
+			out := operand{col: ev.get(n), tmp: true}
+			array.WindowCount(out.col, f.W, f.H, spec)
+			return out, nil
 		}
 		if len(fn.Args) != 1 {
-			return nil, fmt.Errorf("sciql: %s wants one argument", fn.Name)
+			return operand{}, fmt.Errorf("sciql: %s wants one argument", fn.Name)
 		}
-		arg, err := e.evalExprCol(f, fn.Args[0], win)
+		arg, err := ev.eval(f, fn.Args[0], win)
 		if err != nil {
-			return nil, err
+			return operand{}, err
 		}
-		d := array.NewWithOrigin(f.X0, f.Y0, f.W, f.H)
-		copy(d.Values(), arg)
+		arg = ev.materialise(arg, n)
+		var out operand
 		switch fn.Name {
-		case "AVG":
-			return d.WindowAvg(spec).Values(), nil
-		case "SUM":
-			return d.WindowSum(spec).Values(), nil
+		case "AVG", "SUM":
+			// The summed-area table holds the whole argument before a cell
+			// is written, so a temporary argument takes the result.
+			out = ev.dest(n, arg)
+			sat := ev.get((f.W + 1) * (f.H + 1))
+			if fn.Name == "AVG" {
+				array.WindowAvg(out.col, sat, arg.col, f.W, f.H, spec)
+			} else {
+				array.WindowSum(out.col, sat, arg.col, f.W, f.H, spec)
+			}
+			ev.release(sat)
 		case "MIN":
-			return d.WindowMin(spec).Values(), nil
+			out = operand{col: ev.get(n), tmp: true}
+			array.WindowMin(out.col, arg.col, f.W, f.H, spec)
 		case "MAX":
-			return d.WindowMax(spec).Values(), nil
+			out = operand{col: ev.get(n), tmp: true}
+			array.WindowMax(out.col, arg.col, f.W, f.H, spec)
 		}
-	}
-	// Scalar functions.
-	args := make([][]float64, len(fn.Args))
-	for i, a := range fn.Args {
-		col, err := e.evalExprCol(f, a, win)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = col
-	}
-	unary := func(g func(float64) float64) ([]float64, error) {
-		if len(args) != 1 {
-			return nil, fmt.Errorf("sciql: %s wants one argument", fn.Name)
-		}
-		out := make([]float64, len(args[0]))
-		for i, v := range args[0] {
-			out[i] = g(v)
-		}
+		ev.done(out, arg)
 		return out, nil
 	}
+	// Scalar functions.
+	args := make([]operand, len(fn.Args))
+	for i, a := range fn.Args {
+		var err error
+		if args[i], err = ev.eval(f, a, win); err != nil {
+			return operand{}, err
+		}
+	}
+	var g func(float64) float64
 	switch fn.Name {
 	case "SQRT":
-		return unary(func(v float64) float64 {
+		g = func(v float64) float64 {
 			if v < 0 {
 				return 0
 			}
 			return math.Sqrt(v)
-		})
+		}
 	case "ABS":
-		return unary(math.Abs)
+		g = math.Abs
 	case "FLOOR":
-		return unary(math.Floor)
+		g = math.Floor
 	case "CEIL", "CEILING":
-		return unary(math.Ceil)
+		g = math.Ceil
 	case "EXP":
-		return unary(math.Exp)
+		g = math.Exp
 	case "LN", "LOG":
-		return unary(func(v float64) float64 {
+		g = func(v float64) float64 {
 			if v <= 0 {
 				return 0
 			}
 			return math.Log(v)
-		})
+		}
 	case "POWER", "POW":
 		if len(args) != 2 {
-			return nil, fmt.Errorf("sciql: POWER wants two arguments")
+			return operand{}, fmt.Errorf("sciql: POWER wants two arguments")
 		}
-		out := make([]float64, len(args[0]))
-		for i := range out {
-			out[i] = math.Pow(args[0][i], args[1][i])
+		out := ev.dest(n, args...)
+		bc, bm, ec, em := args[0].col, args[0].mask(), args[1].col, args[1].mask()
+		for i := range out.col {
+			out.col[i] = math.Pow(bc[i&bm], ec[i&em])
 		}
+		ev.done(out, args...)
 		return out, nil
 	default:
-		return nil, fmt.Errorf("sciql: unknown function %s", fn.Name)
+		return operand{}, fmt.Errorf("sciql: unknown function %s", fn.Name)
 	}
+	if len(args) != 1 {
+		return operand{}, fmt.Errorf("sciql: %s wants one argument", fn.Name)
+	}
+	x := args[0]
+	out, xc, xm := ev.dest(n, x), x.col, x.mask()
+	for i := range out.col {
+		out.col[i] = g(xc[i&xm])
+	}
+	return out, nil
 }

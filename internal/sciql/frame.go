@@ -33,18 +33,6 @@ func NewFrame(x0, y0, w, h int) *Frame {
 // Len returns the cell count.
 func (f *Frame) Len() int { return f.W * f.H }
 
-// Columns returns the column descriptors in order.
-func (f *Frame) Columns() []Column { return f.cols }
-
-// ColumnNames returns the unqualified column names in order.
-func (f *Frame) ColumnNames() []string {
-	out := make([]string, len(f.cols))
-	for i, c := range f.cols {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // AddColumn appends a column; the data length must match the domain.
 func (f *Frame) AddColumn(qualifier, name string, data []float64) error {
 	if len(data) != f.Len() {
@@ -82,57 +70,6 @@ func (f *Frame) Resolve(qualifier, name string) ([]float64, error) {
 	}
 }
 
-// DimColumn materialises the x or y dimension as a per-cell column.
-func (f *Frame) DimColumn(dim string) ([]float64, error) {
-	out := make([]float64, f.Len())
-	switch dim {
-	case "x":
-		for y := 0; y < f.H; y++ {
-			for x := 0; x < f.W; x++ {
-				out[y*f.W+x] = float64(f.X0 + x)
-			}
-		}
-	case "y":
-		for y := 0; y < f.H; y++ {
-			for x := 0; x < f.W; x++ {
-				out[y*f.W+x] = float64(f.Y0 + y)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("sciql: unknown dimension %q", dim)
-	}
-	return out, nil
-}
-
-// Crop returns the sub-frame covering [x0,x1) × [y0,y1) in absolute
-// dimension coordinates, clamped to the frame.
-func (f *Frame) Crop(x0, x1, y0, y1 int) *Frame {
-	x0 = max(x0, f.X0)
-	y0 = max(y0, f.Y0)
-	x1 = min(x1, f.X0+f.W)
-	y1 = min(y1, f.Y0+f.H)
-	if x1 <= x0 || y1 <= y0 {
-		return NewFrame(x0, y0, 0, 0)
-	}
-	out := NewFrame(x0, y0, x1-x0, y1-y0)
-	for _, c := range f.cols {
-		data := make([]float64, out.Len())
-		for y := 0; y < out.H; y++ {
-			srcOff := (y0-f.Y0+y)*f.W + (x0 - f.X0)
-			copy(data[y*out.W:(y+1)*out.W], c.Data[srcOff:srcOff+out.W])
-		}
-		out.cols = append(out.cols, Column{Qualifier: c.Qualifier, Name: c.Name, Data: data})
-	}
-	if f.valid != nil {
-		out.valid = make([]bool, out.Len())
-		for y := 0; y < out.H; y++ {
-			srcOff := (y0-f.Y0+y)*f.W + (x0 - f.X0)
-			copy(out.valid[y*out.W:(y+1)*out.W], f.valid[srcOff:srcOff+out.W])
-		}
-	}
-	return out
-}
-
 // Requalify rewrites every column's qualifier (used when a source gets an
 // alias).
 func (f *Frame) Requalify(alias string) {
@@ -141,37 +78,17 @@ func (f *Frame) Requalify(alias string) {
 	}
 }
 
-// Clone deep-copies the frame.
-func (f *Frame) Clone() *Frame {
-	out := NewFrame(f.X0, f.Y0, f.W, f.H)
-	for _, c := range f.cols {
-		out.cols = append(out.cols, Column{
-			Qualifier: c.Qualifier, Name: c.Name,
-			Data: append([]float64(nil), c.Data...),
-		})
-	}
-	if f.valid != nil {
-		out.valid = append([]bool(nil), f.valid...)
-	}
-	return out
-}
-
 // Valid reports per-cell validity by linear index.
 func (f *Frame) Valid(i int) bool { return f.valid == nil || f.valid[i] }
 
-// MaskInvalid marks cells where mask is zero as invalid.
+// MaskInvalid marks cells where mask is zero as invalid. The validity is
+// copied on write: the old one may be shared with a catalog array.
 func (f *Frame) MaskInvalid(mask []float64) {
-	if f.valid == nil {
-		f.valid = make([]bool, f.Len())
-		for i := range f.valid {
-			f.valid[i] = true
-		}
-	}
+	valid := make([]bool, f.Len())
 	for i, m := range mask {
-		if m == 0 {
-			f.valid[i] = false
-		}
+		valid[i] = f.Valid(i) && m != 0
 	}
+	f.valid = valid
 }
 
 // FromDense wraps a storage array as a single-column frame.

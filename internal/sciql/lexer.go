@@ -4,6 +4,12 @@
 // slicing "a[x0:x1][y0:y1]", dimension joins, and the structural grouping
 // "GROUP BY a[x-1:x+2][y-1:y+2]" that generalises window queries. The
 // classification query of the paper's Figure 4 runs verbatim.
+//
+// An expression evaluates to a column or a broadcast scalar. Columns are
+// temporaries of their statement — an operator writes into one its
+// operands released, a subquery's unprojected columns are recycled — and
+// none outlives Exec; catalog arrays are shared read-only, never cloned.
+// oracle_test.go holds this to the allocating evaluator, bit for bit.
 package sciql
 
 import (

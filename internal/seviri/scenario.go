@@ -7,6 +7,11 @@
 // emitted as raw HRIT segment files on a distorted scan grid, so the full
 // chain — vault ingest, crop, georeference, classify — exercises the same
 // code paths as the operational service.
+//
+// A Simulator computes the grid-only part of the scene (land/cover class,
+// latitude terms) once; an acquisition pays for what changes with the
+// instant, and its downlink is byte-identical to rendering everything
+// per pixel, which oracle_test.go keeps as the oracle.
 package seviri
 
 import (

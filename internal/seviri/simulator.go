@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/array"
@@ -33,7 +34,7 @@ const PixelDeg = 0.04
 // PixelKm is the nominal MSG pixel size.
 const PixelKm = 4.0
 
-// Simulator renders acquisitions of a scenario.
+// Simulator renders acquisitions of a scenario; workers share one.
 type Simulator struct {
 	Scenario *Scenario
 	// Geo grid covering auxdata.Region at PixelDeg.
@@ -43,6 +44,35 @@ type Simulator struct {
 	// geoToRaw maps geo pixel coordinates to raw pixel coordinates — the
 	// "precalculated" polynomial the chain's georeferencing step applies.
 	geoToRaw georef.Transform
+
+	// The grid-only part of the scene (sceneGrid), about 20 KB.
+	gridOnce       sync.Once
+	sinLat, cosLat []float64 // per row: the zenith's latitude terms
+	surface        []int8    // per pixel: -1 sea, else its cover's coverBonus
+}
+
+// coverBonus lifts the 10.8 µm land base by cover class.
+var coverBonus = map[auxdata.CoverClass]int8{auxdata.CoverUrban: 3, auxdata.CoverAgricultural: 2, auxdata.CoverScrub: 1}
+
+// sceneGrid computes the grid-only part of the scene, once per Simulator:
+// the land/cover class at each pixel centre and the latitude terms.
+func (s *Simulator) sceneGrid() {
+	s.gridOnce.Do(func() {
+		world := s.Scenario.World
+		s.sinLat, s.cosLat = make([]float64, s.GeoHeight), make([]float64, s.GeoHeight)
+		s.surface = make([]int8, s.GeoWidth*s.GeoHeight)
+		for y := range s.sinLat {
+			_, lat := s.geoToRaw.PixelToGeo(0, y)
+			s.sinLat[y], s.cosLat[y] = solar.Latitude(lat)
+			for x := 0; x < s.GeoWidth; x++ {
+				lon, _ := s.geoToRaw.PixelToGeo(x, y)
+				s.surface[y*s.GeoWidth+x] = -1
+				if p := (geom.Point{X: lon, Y: lat}); world.LandAt(p) {
+					s.surface[y*s.GeoWidth+x] = coverBonus[world.CoverAt(p)]
+				}
+			}
+		}
+	})
 }
 
 // NewSimulator builds the simulator and its scan geometry.
@@ -95,79 +125,96 @@ func (s *Simulator) ControlPoints(n int) []georef.ControlPoint {
 
 // GeoTemperatures renders the two brightness-temperature fields on the
 // geographic grid at time t (the physical scene before scan distortion).
+// A pixel sums its surface base, every active fire's bump in scenario
+// order, every active artifact's, then its noise, drawn in pixel order.
 func (s *Simulator) GeoTemperatures(t time.Time) (t039, t108 *array.Dense) {
+	s.sceneGrid()
 	w, h := s.GeoWidth, s.GeoHeight
 	t039 = array.New(w, h)
 	t108 = array.New(w, h)
-	world := s.Scenario.World
-	active := s.Scenario.ActiveAt(t)
-	var arts []Artifact
-	for _, a := range s.Scenario.Artifacts {
-		if !t.Before(a.Start) && !t.After(a.End) {
-			arts = append(arts, a)
-		}
+	v039, v108 := t039.Values(), t108.Values()
+	sun := solar.At(t)
+	cosHA := make([]float64, w)
+	for x := range cosHA {
+		lon, _ := s.geoToRaw.PixelToGeo(x, 0)
+		cosHA[x] = sun.CosHourAngle(lon)
 	}
-	// Deterministic per-acquisition sensor noise.
-	noise := rand.New(rand.NewSource(s.Scenario.Seed ^ t.Unix()))
+	daylightAt := func(x, y int) float64 {
+		zen := sun.Zenith(s.sinLat[y], s.cosLat[y], cosHA[x])
+		return math.Max(0, math.Cos(zen*math.Pi/180))
+	}
 
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			lon, lat := s.geoToRaw.PixelToGeo(x, y)
-			p := geom.Point{X: lon, Y: lat}
-			zen := solar.ZenithAngle(t, lon, lat)
-			daylight := math.Max(0, math.Cos(zen*math.Pi/180))
-
+			daylight := daylightAt(x, y)
 			var base108 float64
-			if world.LandAt(p) {
+			if bonus := s.surface[y*w+x]; bonus >= 0 {
 				base108 = 286 + 16*daylight
-				switch world.CoverAt(p) {
-				case auxdata.CoverUrban:
-					base108 += 3
-				case auxdata.CoverAgricultural:
-					base108 += 2
-				case auxdata.CoverScrub:
-					base108 += 1
-				}
+				base108 += float64(bonus)
 			} else {
 				base108 = 291 + 1.5*daylight
 			}
-			base039 := base108 + 1.0 + 0.5*daylight
-
-			// Ground-truth fires: strong sub-pixel-sensitive 3.9 µm bump.
-			for _, f := range active {
-				frac := coverageFraction(p, f.Event.Center, f.RadiusKm, PixelKm)
-				if frac <= 0 {
-					continue
-				}
-				// The 3.9 µm channel saturates quickly with fire fraction
-				// (the paper: "a small portion of a pixel ... will
-				// suffice").
-				bump := f.Event.Intensity * math.Min(1, 6*math.Sqrt(frac))
-				base039 += bump
-				base108 += f.Event.Intensity * 0.25 * frac
-			}
-			// Artifacts.
-			for _, a := range arts {
-				frac := coverageFraction(p, a.Center, 2.0, PixelKm)
-				if frac <= 0 {
-					continue
-				}
-				switch a.Kind {
-				case ArtifactGlint:
-					// Glint needs daylight.
-					base039 += a.Strength * frac * daylight * 2.5
-				case ArtifactAgriBurn:
-					base039 += a.Strength * math.Min(1, 3*frac)
-					base108 += a.Strength * 0.15 * frac
-				case ArtifactSmoke:
-					base039 += a.Strength * math.Min(1, 2*frac)
-				}
-			}
-			t039.Set(x, y, base039+noise.NormFloat64()*0.4)
-			t108.Set(x, y, base108+noise.NormFloat64()*0.3)
+			v108[y*w+x] = base108
+			v039[y*w+x] = base108 + 1.0 + 0.5*daylight
 		}
 	}
+
+	// Ground-truth fires: strong sub-pixel-sensitive 3.9 µm bump.
+	for _, f := range s.Scenario.ActiveAt(t) {
+		s.visitReach(f.Event.Center, f.RadiusKm, func(x, y int, frac float64) {
+			// The 3.9 µm channel saturates quickly with fire fraction
+			// (the paper: "a small portion of a pixel ... will suffice").
+			bump := f.Event.Intensity * math.Min(1, 6*math.Sqrt(frac))
+			v039[y*w+x] += bump
+			v108[y*w+x] += f.Event.Intensity * 0.25 * frac
+		})
+	}
+	// Artifacts.
+	for _, a := range s.Scenario.Artifacts {
+		if t.Before(a.Start) || t.After(a.End) {
+			continue
+		}
+		s.visitReach(a.Center, 2.0, func(x, y int, frac float64) {
+			switch a.Kind {
+			case ArtifactGlint:
+				// Glint needs daylight.
+				v039[y*w+x] += a.Strength * frac * daylightAt(x, y) * 2.5
+			case ArtifactAgriBurn:
+				v039[y*w+x] += a.Strength * math.Min(1, 3*frac)
+				v108[y*w+x] += a.Strength * 0.15 * frac
+			case ArtifactSmoke:
+				v039[y*w+x] += a.Strength * math.Min(1, 2*frac)
+			}
+		})
+	}
+
+	// Deterministic per-acquisition sensor noise.
+	noise := rand.New(rand.NewSource(s.Scenario.Seed ^ t.Unix()))
+	for i := range v039 {
+		v039[i] += noise.NormFloat64() * 0.4
+		v108[i] += noise.NormFloat64() * 0.3
+	}
 	return t039, t108
+}
+
+// visitReach calls visit, in pixel order, for every pixel a disk of
+// radiusKm at c covers a positive fraction of, testing only the box of
+// the disk's reach (widened a pixel against rounding).
+func (s *Simulator) visitReach(c geom.Point, radiusKm float64, visit func(x, y int, frac float64)) {
+	reach := radiusKm + PixelKm/2*math.Sqrt2
+	tr := s.geoToRaw
+	x0 := max(0, int(math.Floor((c.X-reach/KmPerDegLon-tr.LonMin)/tr.LonStep))-1)
+	x1 := min(s.GeoWidth-1, int(math.Ceil((c.X+reach/KmPerDegLon-tr.LonMin)/tr.LonStep))+1)
+	y0 := max(0, int(math.Floor((tr.LatMax-c.Y-reach/KmPerDegLat)/tr.LatStep))-1)
+	y1 := min(s.GeoHeight-1, int(math.Ceil((tr.LatMax-c.Y+reach/KmPerDegLat)/tr.LatStep))+1)
+	for y := y0; y <= y1; y++ {
+		for x := x0; x <= x1; x++ {
+			lon, lat := tr.PixelToGeo(x, y)
+			if frac := coverageFraction(geom.Point{X: lon, Y: lat}, c, radiusKm, PixelKm); frac > 0 {
+				visit(x, y, frac)
+			}
+		}
+	}
 }
 
 // RawAcquisition is one acquisition in raw form: per-channel HRIT
@@ -184,9 +231,7 @@ type RawAcquisition struct {
 // Acquire renders the scene at t, warps it to the raw scan grid,
 // calibrates temperatures to 10-bit counts, and encodes HRIT segments.
 func (s *Simulator) Acquire(sensor Sensor, t time.Time, segments int, compressed bool) (*RawAcquisition, error) {
-	t039, t108 := s.GeoTemperatures(t)
-	raw039 := s.warpToRaw(t039)
-	raw108 := s.warpToRaw(t108)
+	raw039, raw108 := s.warpToRaw(s.GeoTemperatures(t))
 
 	out := &RawAcquisition{Sensor: sensor, Timestamp: t, Segments: make(map[string][][]byte)}
 	shuffle := rand.New(rand.NewSource(s.Scenario.Seed ^ t.Unix() ^ int64(len(sensor.Name))))
@@ -232,42 +277,53 @@ func (s *Simulator) Acquire(sensor Sensor, t time.Time, segments int, compressed
 	return out, nil
 }
 
-// warpToRaw resamples a geo-grid field onto the raw scan grid using the
-// inverse of the chain's transform (Newton iteration on the polynomial).
-func (s *Simulator) warpToRaw(geoImg *array.Dense) *array.Dense {
-	inv := func(u, v int) (float64, float64) {
-		// Solve geoToRaw(x, y) = (u, v) for (x, y).
-		x, y := float64(u)-6, float64(v)-5 // affine initial guess
-		for iter := 0; iter < 4; iter++ {
-			fx := s.geoToRaw.SrcX.Eval(x, y) - float64(u)
-			fy := s.geoToRaw.SrcY.Eval(x, y) - float64(v)
-			// Jacobian of the near-affine transform.
-			j11 := s.geoToRaw.SrcX[1] + 2*s.geoToRaw.SrcX[3]*x + s.geoToRaw.SrcX[4]*y
-			j12 := s.geoToRaw.SrcX[2] + s.geoToRaw.SrcX[4]*x + 2*s.geoToRaw.SrcX[5]*y
-			j21 := s.geoToRaw.SrcY[1] + 2*s.geoToRaw.SrcY[3]*x + s.geoToRaw.SrcY[4]*y
-			j22 := s.geoToRaw.SrcY[2] + s.geoToRaw.SrcY[4]*x + 2*s.geoToRaw.SrcY[5]*y
-			det := j11*j22 - j12*j21
-			if math.Abs(det) < 1e-12 {
-				break
-			}
-			x -= (fx*j22 - fy*j12) / det
-			y -= (fy*j11 - fx*j21) / det
+// rawToGeo inverts the chain's transform at raw pixel (u, v): Newton
+// iteration on the polynomial for the geo position it samples.
+func (s *Simulator) rawToGeo(u, v int) (float64, float64) {
+	// Solve geoToRaw(x, y) = (u, v) for (x, y).
+	x, y := float64(u)-6, float64(v)-5 // affine initial guess
+	for iter := 0; iter < 4; iter++ {
+		fx := s.geoToRaw.SrcX.Eval(x, y) - float64(u)
+		fy := s.geoToRaw.SrcY.Eval(x, y) - float64(v)
+		// Jacobian of the near-affine transform.
+		j11 := s.geoToRaw.SrcX[1] + 2*s.geoToRaw.SrcX[3]*x + s.geoToRaw.SrcX[4]*y
+		j12 := s.geoToRaw.SrcX[2] + s.geoToRaw.SrcX[4]*x + 2*s.geoToRaw.SrcX[5]*y
+		j21 := s.geoToRaw.SrcY[1] + 2*s.geoToRaw.SrcY[3]*x + s.geoToRaw.SrcY[4]*y
+		j22 := s.geoToRaw.SrcY[2] + s.geoToRaw.SrcY[4]*x + 2*s.geoToRaw.SrcY[5]*y
+		det := j11*j22 - j12*j21
+		if math.Abs(det) < 1e-12 {
+			break
 		}
-		return x, y
+		x -= (fx*j22 - fy*j12) / det
+		y -= (fy*j11 - fx*j21) / det
 	}
-	out := array.New(s.RawWidth, s.RawHeight)
-	// Fill with a sane background so border pixels calibrate validly.
-	out.Fill(280)
-	resampled := geoImg.Resample(s.RawWidth, s.RawHeight, inv)
-	x0, y0 := resampled.Origin()
+	return x, y
+}
+
+// warpToRaw resamples both geo-grid bands onto the raw scan grid from
+// one inverse transform per raw pixel, bilinearly; pixels sampling off
+// the geo grid get a sane background, so border pixels calibrate.
+func (s *Simulator) warpToRaw(geo039, geo108 *array.Dense) (raw039, raw108 *array.Dense) {
+	gw, gh := geo039.Width(), geo039.Height()
+	g039, g108 := geo039.Values(), geo108.Values()
+	raw039, raw108 = array.New(s.RawWidth, s.RawHeight), array.New(s.RawWidth, s.RawHeight)
+	r039, r108 := raw039.Values(), raw108.Values()
 	for y := 0; y < s.RawHeight; y++ {
 		for x := 0; x < s.RawWidth; x++ {
-			if resampled.Valid(x0+x, y0+y) {
-				out.Set(x, y, resampled.Get(x0+x, y0+y))
+			i := y*s.RawWidth + x
+			fx, fy := s.rawToGeo(x, y)
+			ix, iy := int(math.Floor(fx)), int(math.Floor(fy))
+			if ix < 0 || iy < 0 || ix >= gw-1 || iy >= gh-1 {
+				r039[i], r108[i] = 280, 280
+				continue
 			}
+			tx, ty := fx-float64(ix), fy-float64(iy)
+			j := iy*gw + ix
+			r039[i] = g039[j]*(1-tx)*(1-ty) + g039[j+1]*tx*(1-ty) + g039[j+gw]*(1-tx)*ty + g039[j+gw+1]*tx*ty
+			r108[i] = g108[j]*(1-tx)*(1-ty) + g108[j+1]*tx*(1-ty) + g108[j+gw]*(1-tx)*ty + g108[j+gw+1]*tx*ty
 		}
 	}
-	return out
+	return raw039, raw108
 }
 
 // AcquisitionTimes lists a sensor's acquisition timestamps over a window.

@@ -169,7 +169,7 @@ func scopeWindows(sc *scopeInfo) (wins []stsparql.TimeWindow, visible map[string
 			}
 		}
 	}
-	for _, w := range stsparql.ExtractTimeWindows(sc.filters, visible) {
+	for _, w := range stsparql.ExtractTimeWindows(sc.filters, visible, nil) {
 		wins = append(wins, *w)
 	}
 	return wins, visible
@@ -411,7 +411,9 @@ func subselProjects(sel *stsparql.SelectQuery, v string) bool {
 // --- window pruning ---
 //
 // The windows come from stsparql.ExtractTimeWindows, the extractor the
-// planner's time-range scans share.
+// planner's time-range scans share. Routing happens before any row
+// exists, so it asks for constant bounds only: a side bounded by a
+// variable is open here.
 
 // usableWindows drops the windows that may not prune: groups route by
 // the INSTANT of their time literal, so a lexical window — string order

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -267,7 +268,10 @@ func genQuery(r *rand.Rand) string {
 // acquisition histories — loaded out of order, partly deleted again —
 // times random windows in every recognised form, on a single store and
 // on sharded stores of 1, 2 and 4 slices. Row sets must be equal and
-// every member's time index exact.
+// every member's time index exact. Each history is also read through
+// prepared requests whose windows are seed variables, inside a flush
+// whose overlay has deleted and added entries in the window
+// (checkSeededWindows).
 func TestTimeRangeDifferential(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -314,9 +318,133 @@ func TestTimeRangeDifferential(t *testing.T) {
 				ranged++
 			}
 		}
+		checkSeededWindows(t, seed, r, groups, gone, stores)
 	}
 	// The comparison is only worth something if the access path ran.
 	if ranged < seeds*5 {
 		t.Fatalf("only %d of %d generated queries planned a time-range scan", ranged, seeds*25)
+	}
+}
+
+// seededQueries bound their time variable by the seed variables ?since
+// and ?now, in the rules' str() idiom, typed and mirrored.
+var seededQueries = []string{
+	`SELECT ?h ?t WHERE { ?h noa:hasAcquisitionDateTime ?t . FILTER( str(?t) >= ?since ) FILTER( str(?t) < ?now ) }`,
+	`SELECT ?h ?t WHERE { ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?t . FILTER( ?t >= ?since && ?t <= ?now ) }`,
+	`SELECT ?h ?t WHERE { ?h noa:hasAcquisitionDateTime ?t . FILTER( ?since <= str(?t) ) FILTER( ?now > str(?t) ) }`,
+}
+
+// genSeedWindow draws the seed of one window: canonical plain bounds
+// (lexical), typed ones (chronological), a zoned plain bound (which
+// bounds nothing), or since after now (empty).
+func genSeedWindow(r *rand.Rand) stsparql.Binding {
+	since := day.Add(9*time.Hour + 30*time.Minute + time.Duration(r.Intn(240))*time.Minute)
+	now := since.Add(time.Duration(r.Intn(120)) * time.Minute)
+	lit := func(at time.Time) rdf.Term { return rdf.NewLiteral(at.Format("2006-01-02T15:04:05")) }
+	switch r.Intn(4) {
+	case 0:
+		return stsparql.Binding{"since": lit(since), "now": lit(now)}
+	case 1:
+		return stsparql.Binding{"since": rdf.NewDateTime(since.Format("2006-01-02T15:04:05")), "now": rdf.NewDateTime(now.Format("2006-01-02T15:04:05"))}
+	case 2:
+		return stsparql.Binding{"since": rdf.NewLiteral(since.Format("2006-01-02T15:04:05") + "+02:00"), "now": lit(now)}
+	default:
+		return stsparql.Binding{"since": lit(now.Add(time.Minute)), "now": lit(since)}
+	}
+}
+
+var errDiscard = errors.New("discard the flush")
+
+// checkSeededWindows runs the seeded queries inside a flush on every
+// store — over its Overlay, after the flush deleted one hotspot and added
+// another inside the history's hours — and compares each result with
+// the capability-free engine over a single store holding the same
+// state. The flush is then discarded. Over a canonical history every
+// plan must read the time index.
+func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Triple, gone string, stores []strabon.API) {
+	t.Helper()
+	ns := stores[0].Namespaces()
+	prepare := func(src string, vars ...string) *stsparql.Prepared {
+		p, err := stsparql.Prepare(src, ns, vars...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	victim := groups[r.Intn(len(groups))][0].S
+	born := iri(fmt.Sprintf("%sborn%d", nsEx, seed))
+	added := []rdf.Triple{
+		{S: born, P: iri(rdf.RDFType), O: iri(nsNOA + "Hotspot")},
+		{S: born, P: iri(nsNOA + "hasAcquisitionDateTime"), O: rdf.NewDateTime(day.Add(11*time.Hour + time.Duration(r.Intn(120))*time.Minute).Format("2006-01-02T15:04:05"))},
+	}
+	seeds := make([]stsparql.Binding, 6)
+	for i := range seeds {
+		seeds[i] = genSeedWindow(r)
+	}
+
+	// The oracle: the same state, applied directly, read without indexes.
+	mod := strabon.New()
+	half := len(groups) / 2
+	mod.InsertAll(groups[:half]...)
+	mod.InsertAll(groups[half:]...)
+	for _, u := range []string{gone, fmt.Sprintf("DELETE { <%s> ?p ?o } WHERE { <%s> ?p ?o }", victim.Value, victim.Value)} {
+		if _, err := mod.Update(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mod.InsertAll(added)
+	want := make([][]*stsparql.Result, len(seededQueries))
+	mod.RLock()
+	oracle := stsparql.NewEvaluatorWithCache(capabilityFree{strabon.View{mod}}, mod.GeomCache())
+	for qi, q := range seededQueries {
+		p := prepare(q, "since", "now")
+		for _, sd := range seeds {
+			res, err := oracle.SelectPrepared(p, []stsparql.Binding{sd})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[qi] = append(want[qi], res)
+		}
+	}
+	mod.RUnlock()
+
+	del := prepare(`DELETE { ?victim ?p ?o } WHERE { ?victim ?p ?o }`, "victim")
+	for _, st := range stores {
+		name := fmt.Sprintf("seed %d, single store", seed)
+		if sh, ok := st.(*Store); ok {
+			name = fmt.Sprintf("seed %d, %d slices", seed, sh.Slices())
+		}
+		prepared := make([]*stsparql.Prepared, len(seededQueries))
+		f := strabon.Flush{Since: day.Add(9 * time.Hour), At: []time.Time{day.Add(15 * time.Hour)}}
+		err := st.ApplyFlush(f, func(tx *strabon.FlushTx) error {
+			plan, err := tx.Plan(del, []stsparql.Binding{{"victim": victim}})
+			if err != nil {
+				return err
+			}
+			plan.Insert(added...)
+			tx.Apply(plan)
+			for qi, q := range seededQueries {
+				prepared[qi] = prepare(q, "since", "now")
+				for si, sd := range seeds {
+					got, err := tx.Select(prepared[qi], []stsparql.Binding{sd})
+					if err != nil {
+						return err
+					}
+					assertEquivalent(t, fmt.Sprintf("%s, overlay\n%s\nseed %v", name, q, sd), want[qi][si], got, false)
+				}
+			}
+			return errDiscard
+		})
+		if !errors.Is(err, errDiscard) {
+			t.Fatalf("%s: flush: %v", name, err)
+		}
+		for qi, p := range prepared {
+			if seed%2 == 1 {
+				break // a mixed history holds objects no index serves
+			}
+			if plan := p.Explain(stsparql.NewEvaluator(capabilityFree{strabon.View{mod}})); !strings.Contains(plan, "scan[time-range]") || !strings.Contains(plan, "[?since, ?now]") {
+				t.Fatalf("%s: %s planned without the seeded time range:\n%s", name, seededQueries[qi], plan)
+			}
+		}
 	}
 }

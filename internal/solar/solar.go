@@ -4,7 +4,10 @@
 // interpolates thresholds in between. The implementation uses the
 // standard low-precision solar position algorithm (declination from day
 // of year, hour angle from the equation of time), accurate to a fraction
-// of a degree — far below the 20° width of the twilight band.
+// of a degree — far below the 20° width of the twilight band. A caller
+// evaluating it over a grid pays each term once: At computes the
+// per-instant terms, CosHourAngle the per-longitude one, Latitude the
+// per-latitude pair, and Zenith combines them, as ZenithAngle does.
 package solar
 
 import (
@@ -14,9 +17,14 @@ import (
 
 const deg = math.Pi / 180
 
-// ZenithAngle returns the solar zenith angle in degrees at the given UTC
-// time and geographic position (longitude east, latitude north, degrees).
-func ZenithAngle(t time.Time, lon, lat float64) float64 {
+// Sun holds the terms of the zenith formula that depend on the time alone.
+type Sun struct {
+	hours, eqTime    float64
+	sinDecl, cosDecl float64
+}
+
+// At computes the per-instant terms at a UTC time.
+func At(t time.Time) Sun {
 	t = t.UTC()
 	doy := float64(t.YearDay())
 	// Fractional year (radians).
@@ -29,17 +37,38 @@ func ZenithAngle(t time.Time, lon, lat float64) float64 {
 	decl := 0.006918 - 0.399912*math.Cos(gamma) + 0.070257*math.Sin(gamma) -
 		0.006758*math.Cos(2*gamma) + 0.000907*math.Sin(2*gamma) -
 		0.002697*math.Cos(3*gamma) + 0.00148*math.Sin(3*gamma)
+	return Sun{hours: hours, eqTime: eqTime, sinDecl: math.Sin(decl), cosDecl: math.Cos(decl)}
+}
 
+// CosHourAngle is the cosine of the hour angle at longitude lon.
+func (s Sun) CosHourAngle(lon float64) float64 {
 	// True solar time (minutes).
-	timeOffset := eqTime + 4*lon
-	tst := hours*60 + timeOffset
+	timeOffset := s.eqTime + 4*lon
+	tst := s.hours*60 + timeOffset
 	// Hour angle (degrees): 0 at solar noon.
 	ha := tst/4 - 180
+	return math.Cos(ha * deg)
+}
 
-	cosZen := math.Sin(lat*deg)*math.Sin(decl) +
-		math.Cos(lat*deg)*math.Cos(decl)*math.Cos(ha*deg)
+// Latitude is the sine and cosine of lat.
+func Latitude(lat float64) (sin, cos float64) {
+	return math.Sin(lat * deg), math.Cos(lat * deg)
+}
+
+// Zenith returns the zenith angle in degrees from the latitude and
+// hour-angle terms.
+func (s Sun) Zenith(sinLat, cosLat, cosHourAngle float64) float64 {
+	cosZen := sinLat*s.sinDecl + cosLat*s.cosDecl*cosHourAngle
 	cosZen = math.Max(-1, math.Min(1, cosZen))
 	return math.Acos(cosZen) / deg
+}
+
+// ZenithAngle returns the solar zenith angle in degrees at the given UTC
+// time and geographic position (longitude east, latitude north, degrees).
+func ZenithAngle(t time.Time, lon, lat float64) float64 {
+	s := At(t)
+	sinLat, cosLat := Latitude(lat)
+	return s.Zenith(sinLat, cosLat, s.CosHourAngle(lon))
 }
 
 // Regime classifies illumination per the paper's thresholds.

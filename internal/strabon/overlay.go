@@ -22,10 +22,10 @@ import (
 // referenced by nothing.
 //
 // It implements the engine's source interfaces like a View does, and
-// stsparql.UpdatableSource on top — all but stsparql.TimeRangeSource:
-// the rules take their windows from seed variables, which the planner
-// cannot turn into index ranges, so a plan over an overlay visibly opens
-// with a plain scan where the store's own would say scan[time-range].
+// stsparql.UpdatableSource on top. Its time ranges are the base's minus
+// what the flush deleted, then the private store's: a rule windowed by
+// its seed variables reads the window's hour through the time indexes,
+// not the hotspot history.
 type Overlay struct {
 	base  View
 	added *Store // private: no lock needed
@@ -42,6 +42,7 @@ type Overlay struct {
 var _ stsparql.UpdatableSource = (*Overlay)(nil)
 var _ stsparql.StatSource = (*Overlay)(nil)
 var _ stsparql.SpatialSource = (*Overlay)(nil)
+var _ stsparql.TimeRangeSource = (*Overlay)(nil)
 
 // NewOverlay starts a working copy over the read-locked base stores
 // holding the flush's groups (encoded in the base's dictionary), and
@@ -155,6 +156,17 @@ func (o *Overlay) MatchIDs(sub, pred, obj rdf.ID, visit func(rdf.EncodedTriple) 
 // MatchGeometryWindowIDs implements stsparql.SpatialSource.
 func (o *Overlay) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) bool {
 	return o.all.MatchGeometryWindowIDs(env, o.visible(visit))
+}
+
+// CountTimeRange implements stsparql.TimeRangeSource. Like the
+// statistics it ignores the deleted set: an upper bound.
+func (o *Overlay) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {
+	return o.all.CountTimeRange(p, w)
+}
+
+// MatchTimeRangeIDs implements stsparql.TimeRangeSource.
+func (o *Overlay) MatchTimeRangeIDs(p rdf.ID, w stsparql.TimeWindow, visit func(rdf.EncodedTriple) bool) bool {
+	return o.all.MatchTimeRangeIDs(p, w, o.visible(visit))
 }
 
 // SpatialIndexEnabled implements stsparql.SpatialSource.

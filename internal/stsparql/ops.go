@@ -1429,9 +1429,10 @@ func newPatScan(e *Evaluator, op *joinOp, filters []*FilterElement, out func() *
 // spatial filter constrains against an already-known geometry, and the
 // source has a spatial index, the scan is served by an R-tree window
 // query instead of a full predicate scan; a time-range scan reads the
-// source's time index over its window, unless the probe row turns out
-// to bind the subject or the time after all (an OPTIONAL upstream may),
-// which an ordinary index lookup serves better.
+// source's time index over its window — its variable bounds evaluated
+// under the probe row, as the R-tree window's envelope is — unless the
+// probe row turns out to bind the subject or the time after all (an
+// OPTIONAL upstream may), which an ordinary index lookup serves better.
 func (sc *patScan) run(probe rowRef) {
 	if sc.miss {
 		return
@@ -1461,7 +1462,7 @@ func (sc *patScan) run(probe rowRef) {
 		}
 	}
 	if sc.trange != nil && sid == 0 && oid == 0 && sc.e.timed != nil {
-		sc.e.timed.MatchTimeRangeIDs(pid, *sc.trange, sc.visit)
+		sc.e.timed.MatchTimeRangeIDs(pid, sc.trange.under(probe), sc.visit)
 		return
 	}
 	sc.e.src.MatchIDs(sid, pid, oid, sc.visit)

@@ -376,7 +376,7 @@ func (p *planner) planGroup(gp *GroupPattern, bound map[string]bool, inEst float
 func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, applied map[*FilterElement]bool, bound map[string]bool, inEst float64, buffered bool, schema *varSchema) ([]operator, float64) {
 	remaining := append([]TriplePattern(nil), patterns...)
 	var ops []operator
-	wins := p.timeWindows(patterns, filters)
+	wins := p.timeWindows(patterns, filters, bound)
 
 	for len(remaining) > 0 {
 		// Pick the next pattern by (boundness class, cardinality estimate):
@@ -487,9 +487,10 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 }
 
 // timeWindows extracts the windows the group's filters confine the
-// BGP's object variables to, when the source keeps a time index. The
+// BGP's object variables to, when the source keeps a time index: bounded
+// by constants or by variables certainly bound before the BGP. The
 // filters are not consumed: a window is their inclusive superset.
-func (p *planner) timeWindows(patterns []TriplePattern, filters []*FilterElement) map[string]*TimeWindow {
+func (p *planner) timeWindows(patterns []TriplePattern, filters []*FilterElement, bound map[string]bool) map[string]*TimeWindow {
 	if p.e.timed == nil || len(filters) == 0 {
 		return nil
 	}
@@ -503,12 +504,14 @@ func (p *planner) timeWindows(patterns []TriplePattern, filters []*FilterElement
 	for i, f := range filters {
 		conds[i] = f.Cond
 	}
-	return ExtractTimeWindows(conds, vars)
+	return ExtractTimeWindows(conds, vars, bound)
 }
 
 // timeRangeFor reports the window of pattern `?s <p> ?t` — both
-// variables fresh — and the exact number of index entries inside it,
-// when the source can serve p's time ranges.
+// variables fresh — and the number of index entries inside its constant
+// bounds (all of p's when its bounds are variables, whose values are not
+// known until the scan opens), when the source can serve p's time
+// ranges.
 func (p *planner) timeRangeFor(pat TriplePattern, wins map[string]*TimeWindow, bound map[string]bool) (*TimeWindow, int, bool) {
 	if len(wins) == 0 || pat.P.IsVar() || !pat.S.IsVar() || !pat.O.IsVar() ||
 		bound[pat.S.Var] || bound[pat.O.Var] || pat.S.Var == pat.O.Var {

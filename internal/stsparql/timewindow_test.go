@@ -68,7 +68,7 @@ func TestExtractTimeWindows(t *testing.T) {
 					conds = append(conds, f.Cond)
 				}
 			}
-			wins := ExtractTimeWindows(conds, map[string]bool{"at": true})
+			wins := ExtractTimeWindows(conds, map[string]bool{"at": true}, nil)
 			w := wins["at"]
 			if tc.none {
 				if len(wins) != 0 {
