@@ -369,6 +369,40 @@ func TestDifferenceSharedEdge(t *testing.T) {
 	}
 }
 
+// TestHoleAlgebraAreas pins the boolean operations on polygons with
+// holes — a donut losing rings nested in its body used to recurse until
+// the stack overflowed — against areas worked out by hand.
+func TestHoleAlgebraAreas(t *testing.T) {
+	donut := Polygon{Shell: NewSquare(0, 0, 10).Shell, Holes: []Ring{NewSquare(-2, 0, 2).Shell.Reversed()}} // 96
+	other := Polygon{Shell: NewSquare(1, 1, 10).Shell, Holes: []Ring{NewSquare(3, 3, 2).Shell.Reversed()}}  // 96
+	twoHoles := Difference(donut, NewSquare(3, 0.3, 2))
+	uShape := Ring{{4, 4}, {12, 4}, {12, 10}, {10, 10}, {10, 6}, {6, 6}, {6, 10}, {4, 10}, {4, 4}} // 32
+	cupped := Polygon{Shell: NewSquare(10, 10, 20).Shell, Holes: []Ring{uShape.Reversed()}}
+	for _, tc := range []struct {
+		name string
+		got  MultiPolygon
+		want float64
+	}{
+		{"donut - ring in its body", twoHoles, 96 - 4},
+		{"donut - ring overlapping its hole", Difference(donut, NewSquare(-1.5, 0.5, 2)), 100 - (4 + 4 - 2.25)},
+		{"donut - ring across shell and hole", Difference(donut, NewSquare(-4.2, 0.2, 3)), 96 - (6.9 - 0.6)},
+		{"two holes - a third ring", Difference(twoHoles, NewSquare(0, 3, 2)), 92 - 4},
+		{"donut ∩ holed", Intersection(donut, other), 81 - 4 - 4},
+		{"donut ∪ holed", Union(donut, other), 100 + 100 - 81},
+		{"ring in the hole - donut", Difference(NewSquare(-2, 0, 1), donut), 1},
+		{"ring in the hole ∩ donut", Intersection(NewSquare(-2, 0, 1), donut), 0},
+		// Concentric shells: each interior point lies in the other shell.
+		{"square - concentric square", Difference(NewSquare(0, 0, 10), NewSquare(0, 0, 2)), 96},
+		{"square ∩ concentric square", Intersection(NewSquare(0, 0, 10), NewSquare(0, 0, 2)), 4},
+		// The lid and the U-shaped hole enclose a pocket of the polygon.
+		{"U-shaped hole - a lid", Difference(cupped, Polygon{Shell: Ring{{3.5, 9}, {12.5, 9}, {12.5, 14}, {3.5, 14}, {3.5, 9}}}), 400 - (32 + 45 - 4)},
+	} {
+		if got := tc.got.Area(); math.Abs(got-tc.want) > 1e-6 {
+			t.Errorf("%s: area %g, want %g (%s)", tc.name, got, tc.want, WKT(tc.got))
+		}
+	}
+}
+
 func TestIdenticalPolygonsOps(t *testing.T) {
 	a := MustParseWKT("POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))")
 	if got := Intersection(a, a).Area(); math.Abs(got-16) > 1e-3 {

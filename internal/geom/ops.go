@@ -308,7 +308,53 @@ func holeAsShell(h Ring) Ring {
 }
 
 func subtractRing(mp MultiPolygon, h Ring) MultiPolygon {
-	return subtractPolygon(mp, Polygon{Shell: holeAsShell(h)})
+	var out MultiPolygon
+	for _, m := range mp {
+		out = append(out, removeRing(m, holeAsShell(h))...)
+	}
+	return out
+}
+
+// removeRing returns p minus the area inside the CCW ring r, handing
+// clipShells hole-free operands only: through clipPolygons, every piece
+// would subtract p's holes again, and pieces holding two holes trade
+// them for ever. The holes r overlaps merge with it into one cut
+// (pockets the merge encloses are p's area again), the cut leaves the
+// bare shell, and the other holes go back into the piece that holds
+// them.
+func removeRing(p Polygon, r Ring) MultiPolygon {
+	if len(p.Holes) == 0 {
+		return clipShells(Polygon{Shell: p.Shell}, Polygon{Shell: r}, opDifference)
+	}
+	cut := Polygon{Shell: r}
+	var keep []Ring
+	var pockets MultiPolygon
+	for _, h := range p.Holes {
+		hp := Polygon{Shell: holeAsShell(h)}
+		var u MultiPolygon
+		if polygonPolygonIntersect(hp, Polygon{Shell: r}) {
+			u = clipShells(hp, cut, opUnion)
+		}
+		if len(u) != 1 { // apart, or touching only
+			keep = append(keep, h)
+			continue
+		}
+		cut = Polygon{Shell: u[0].Shell}
+		for _, ph := range u[0].Holes {
+			pockets = append(pockets, clipShells(Polygon{Shell: holeAsShell(ph)}, Polygon{Shell: p.Shell}, opIntersection)...)
+		}
+	}
+	out := append(clipShells(Polygon{Shell: p.Shell}, cut, opDifference), pockets...)
+	for _, h := range keep {
+		ip := interiorPoint(Polygon{Shell: holeAsShell(h)})
+		for i := range out {
+			if locateInPolygon(ip, out[i]) == locInside {
+				out[i].Holes = append(out[i].Holes, h)
+				break
+			}
+		}
+	}
+	return out
 }
 
 func subtractPolygon(mp MultiPolygon, p Polygon) MultiPolygon {
@@ -383,8 +429,8 @@ func disjointResult(a, b Polygon, op boolOp) MultiPolygon {
 
 // disjointOrNested resolves the no-boundary-intersection cases.
 func disjointOrNested(a, b Polygon, op boolOp) MultiPolygon {
-	aInB := locateInPolygon(interiorPoint(a), b) == locInside
-	bInA := locateInPolygon(interiorPoint(b), a) == locInside
+	aInB := ringWithin(a.Shell, b.Shell)
+	bInA := ringWithin(b.Shell, a.Shell)
 	switch op {
 	case opIntersection:
 		if aInB {
@@ -680,14 +726,10 @@ func assemblePolygons(rings []Ring) MultiPolygon {
 	for i, r := range rings {
 		nodes[i] = node{ring: r}
 	}
-	// Depth = number of other rings containing this ring's interior point.
+	// Depth = number of other rings containing this ring.
 	for i := range nodes {
-		ip := interiorPoint(Polygon{Shell: ccw(nodes[i].ring)})
 		for j := range nodes {
-			if i == j {
-				continue
-			}
-			if locateInRing(ip, nodes[j].ring) == locInside {
+			if i != j && ringWithin(nodes[i].ring, nodes[j].ring) {
 				nodes[i].depth++
 			}
 		}
@@ -700,9 +742,8 @@ func assemblePolygons(rings []Ring) MultiPolygon {
 			out = append(out, Polygon{Shell: ccw(n.ring)})
 		} else {
 			// Attach hole to the innermost containing shell.
-			ip := interiorPoint(Polygon{Shell: ccw(n.ring)})
 			for i := len(out) - 1; i >= 0; i-- {
-				if locateInRing(ip, out[i].Shell) == locInside {
+				if ringWithin(n.ring, out[i].Shell) {
 					out[i].Holes = append(out[i].Holes, cw(n.ring))
 					break
 				}
@@ -710,6 +751,22 @@ func assemblePolygons(rings []Ring) MultiPolygon {
 		}
 	}
 	return out
+}
+
+// ringWithin reports whether ring r lies inside ring o, for rings whose
+// edges do not cross: r's first vertex off o's boundary decides (an
+// interior point would not — the outer of two concentric rings has one
+// inside the inner).
+func ringWithin(r, o Ring) bool {
+	for _, v := range r {
+		switch locateInRing(v, o) {
+		case locInside:
+			return true
+		case locOutside:
+			return false
+		}
+	}
+	return locateInRing(interiorPoint(Polygon{Shell: ccw(r)}), o) == locInside
 }
 
 func ccw(r Ring) Ring {

@@ -303,6 +303,11 @@ func (s *Store) StoreCard() (triples, subjects, predicates, objects int) {
 	return s.size, len(s.spo), len(s.pos), len(s.osp)
 }
 
+// SubjectSet returns the set of subjects carrying (pred, obj), both
+// bound: the store's own index entry, nil when there is none. Callers
+// only read it, and only while the store is not being written.
+func (s *Store) SubjectSet(pred, obj ID) map[ID]struct{} { return s.pos[pred][obj] }
+
 // Subjects returns the distinct subject IDs with predicate pred and object
 // obj (either may be Wildcard).
 func (s *Store) Subjects(pred, obj ID) []ID {

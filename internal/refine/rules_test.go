@@ -50,7 +50,7 @@ func TestRulePlansAreDeltaDriven(t *testing.T) {
 		if !strings.Contains(first, "join[bind] {?h ") || !strings.Contains(first, "} on h") {
 			t.Fatalf("%s: first operator is not a probe of the seeded ?h:\n%s", r.op, plan)
 		}
-		inOrder(string(r.op), plan, "join[window]", "rdf-syntax-ns#type", "filter[pushed] strdf:")
+		inOrder(string(r.op), plan, "join[window class=", "rdf-syntax-ns#type", "filter[pushed] strdf:")
 		if r.deletes {
 			if last := lines[len(lines)-1]; !strings.Contains(last, "{?h ?hProperty ?hObject}") && !strings.Contains(lines[len(lines)-2], "{?h ?hProperty ?hObject}") {
 				t.Fatalf("%s: the all-properties expansion is not last:\n%s", r.op, plan)

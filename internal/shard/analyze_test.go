@@ -148,22 +148,20 @@ SELECT ?h ?m WHERE {
   FILTER( strdf:anyInteract(?hg, ?mg) )
 }`
 
-var analyzedRows = regexp.MustCompile(`\(actual rows=(\d+) `)
+var (
+	analyzedRows = regexp.MustCompile(`\(actual rows=(\d+) `)
+	classDropped = regexp.MustCompile(` class-dropped=(\d+)\)`)
+)
 
 // TestSpatialJoinChecksTypeBeforeGeometry reads the planner's ordering
-// rule off the executed plan: the exact anyInteract test runs directly
-// behind the ground `?m a gag:Municipality` probe, so it sees only the
-// municipalities among the R-tree window's candidates — the same rows
-// whatever the topology, summed over a fan-out's sections (the window
-// itself returns fewer candidates the fewer slices a section's view
-// holds).
+// rule off the executed plan: the window join checks its candidates'
+// class against the `?m a gag:Municipality` pattern's subject sets, so
+// every row it stages passes the type probe that still follows it, and
+// the exact anyInteract test directly behind the probe sees only
+// municipalities — the same rows whatever the topology, summed over a
+// fan-out's sections (the window itself drops fewer candidates the
+// fewer slices a section's view holds).
 func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
-	var spatialJoin string
-	for _, tc := range corpus {
-		if tc.name == "spatial-join-municipality" {
-			spatialJoin = tc.query
-		}
-	}
 	single := strabon.New()
 	loadFixture(single)
 	stores := map[string]strabon.API{"single": single}
@@ -172,7 +170,7 @@ func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
 		loadFixture(sh)
 		stores["sharded"+itoa(n)] = sh
 	}
-	for name, text := range map[string]string{"one-acquisition": spatialJoin, "four-slices": spatialJoinFourSlices} {
+	for name, text := range map[string]string{"one-acquisition": corpusQuery("spatial-join-municipality"), "four-slices": spatialJoinFourSlices} {
 		wantTyped := -1
 		for _, topo := range []string{"single", "sharded1", "sharded2", "sharded4"} {
 			out, err := stores[topo].ExplainAnalyze(context.Background(), text)
@@ -182,7 +180,7 @@ func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
 			if name == "four-slices" && topo == "sharded4" && !strings.Contains(out, "shard fan-out: 4/4 slices") {
 				t.Fatalf("the four-slice text does not fan out to four slices:\n%s", out)
 			}
-			var window, typed, tested int
+			var window, dropped, typed, tested int
 			prev := ""
 			for _, line := range strings.Split(out, "\n") {
 				m := analyzedRows.FindStringSubmatch(line)
@@ -191,8 +189,12 @@ func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
 				}
 				n, _ := strconv.Atoi(m[1])
 				switch {
-				case strings.Contains(line, "join[window]"):
+				case strings.Contains(line, "join[window class=<http://teleios.di.uoa.gr/ontologies/gagOntology.owl#Municipality>]"):
 					window += n
+					if d := classDropped.FindStringSubmatch(line); d != nil {
+						k, _ := strconv.Atoi(d[1])
+						dropped += k
+					}
 					prev = "window"
 				case strings.Contains(line, "gagOntology.owl#Municipality>}"):
 					if prev != "window" {
@@ -210,8 +212,8 @@ func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
 					prev = ""
 				}
 			}
-			if typed == 0 || typed >= window {
-				t.Errorf("%s on %s: %d window candidates, %d past the type probe: the probe discards nothing\n%s", name, topo, window, typed, out)
+			if typed == 0 || typed != window || dropped == 0 {
+				t.Errorf("%s on %s: the window staged %d rows and dropped %d, %d passed the type probe: want every staged row typed and some dropped\n%s", name, topo, window, dropped, typed, out)
 			}
 			if wantTyped < 0 {
 				wantTyped = typed

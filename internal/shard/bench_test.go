@@ -10,41 +10,15 @@ import (
 	"repro/internal/strabon"
 )
 
-// BenchmarkShardedQueries compares single-store vs sharded read
-// throughput on the paper's dominant workload shape — "hotspots in
-// acquisition window X" joined against reference data — while a writer
-// keeps appending acquisitions to the live slice. On the sharded store
-// the historical window prunes to one slice and never contends with the
-// writer's shard-local lock; on the single store every query queues
-// behind every write. Run with -cpu 1,4: like the pipeline bench, the
-// spread only shows on multicore hosts (the CI/dev container is 1-CPU,
-// where the variants converge).
+// BenchmarkShardedQueries compares single-store vs sharded query cost
+// on the paper's dominant workload shape — "hotspots in acquisition
+// window X" joined against reference data — beside a writer appending
+// acquisitions to the live slice. The write is issued from the loop,
+// one before every query, so allocs/op repeats exactly (CI gates it):
+// on the sharded store the historical window prunes to one slice that
+// no write touches, so its compiled plan survives; on the single store
+// every write invalidates it.
 func BenchmarkShardedQueries(b *testing.B) {
-	benchProducts := func(hours int) []*products.Product {
-		var out []*products.Product
-		for i := 0; i < hours*4; i++ {
-			at := day.Add(time.Duration(i) * 15 * time.Minute)
-			p := &products.Product{Sensor: "MSG1", Chain: "bench", AcquiredAt: at}
-			for j := 0; j < 6; j++ {
-				p.Hotspots = append(p.Hotspots, products.Hotspot{
-					ID:         fmt.Sprintf("b%d_%d", i, j),
-					Geometry:   geom.NewSquare(float64((i+5*j)%19)+0.5, 5, 0.5),
-					Confidence: 0.5 + 0.5*float64((i+j)%2),
-					AcquiredAt: at, Sensor: "MSG1", Chain: "bench", Producer: "noa",
-				})
-			}
-			out = append(out, p)
-		}
-		return out
-	}
-	load := func(st strabon.API) {
-		st.LoadTriples(staticTriples())
-		for _, p := range benchProducts(12) {
-			st.InsertAll(p.Triples())
-		}
-	}
-	// The window is the scenario's first hour: on the 4-slice store it
-	// prunes to 1/4 shards, far from the live slice the writer hits.
 	q := `SELECT ?h ?m WHERE {
   ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at ; strdf:hasGeometry ?hg .
   ?m a gag:Municipality ; strdf:hasGeometry ?mg .
@@ -52,7 +26,6 @@ func BenchmarkShardedQueries(b *testing.B) {
   FILTER( str(?at) <= "2007-08-25T00:59:00" )
   FILTER( strdf:anyInteract(?hg, ?mg) )
 }`
-
 	for _, tc := range []struct {
 		name string
 		mk   func() strabon.API
@@ -64,45 +37,84 @@ func BenchmarkShardedQueries(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			st := tc.mk()
-			load(st)
-			stop := make(chan struct{})
-			writerDone := make(chan struct{})
-			go func() {
-				defer close(writerDone)
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					at := day.Add(13*time.Hour + time.Duration(i)*5*time.Minute)
-					p := &products.Product{Sensor: "MSG1", Chain: "bench", AcquiredAt: at}
-					p.Hotspots = append(p.Hotspots, products.Hotspot{
-						ID: fmt.Sprintf("w%d", i), Geometry: geom.NewSquare(3, 5, 0.5),
-						Confidence: 1.0, AcquiredAt: at, Sensor: "MSG1", Chain: "bench", Producer: "noa",
-					})
-					st.InsertAll(p.Triples())
-					time.Sleep(100 * time.Microsecond)
-				}
-			}()
+			loadBenchStore(st)
 			rows := 0
 			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					res, err := st.Query(q)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(res.Rows) == 0 {
-						b.Fatal("windowed query returned no rows")
-					}
-					rows = len(res.Rows)
+			for i := 0; i < b.N; i++ {
+				at := day.Add(13*time.Hour + time.Duration(i)*5*time.Minute)
+				p := &products.Product{Sensor: "MSG1", Chain: "bench", AcquiredAt: at}
+				p.Hotspots = append(p.Hotspots, products.Hotspot{
+					ID: fmt.Sprintf("w%d", i), Geometry: geom.NewSquare(3, 5, 0.5),
+					Confidence: 1.0, AcquiredAt: at, Sensor: "MSG1", Chain: "bench", Producer: "noa",
+				})
+				st.InsertAll(p.Triples())
+				res, err := st.Query(q)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-			b.StopTimer()
-			close(stop)
-			<-writerDone
+				if len(res.Rows) == 0 {
+					b.Fatal("windowed query returned no rows")
+				}
+				rows = len(res.Rows)
+			}
 			b.ReportMetric(float64(rows), "rows/req")
 		})
+	}
+}
+
+// BenchmarkOrderedWindowJoin is the heavy cold request of the serving
+// benchmark: a four-hour window join against the municipalities, ordered,
+// fanned out to all four slices and merged — new text every time, so it
+// pays parse, plan, scans, the order operator and the ordered merge. The
+// cursor is drained row by row, as the endpoint's encoder drains it.
+func BenchmarkOrderedWindowJoin(b *testing.B) {
+	st := New(Config{Slices: 4, Width: time.Hour, Epoch: day})
+	loadBenchStore(st)
+	rows := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := day.Add(time.Duration(i%60) * time.Second)
+		text := fmt.Sprintf(`SELECT ?h ?m WHERE {
+  ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at ; strdf:hasGeometry ?hg .
+  ?m a gag:Municipality ; strdf:hasGeometry ?mg .
+  FILTER( str(?at) >= "%s" )
+  FILTER( str(?at) <= "%s" )
+  FILTER( strdf:anyInteract(?hg, ?mg) )
+}
+ORDER BY ?h ?m`, lo.Format("2006-01-02T15:04:05"), lo.Add(4*time.Hour).Format("2006-01-02T15:04:05"))
+		cur, err := st.QueryStream(text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows = 0
+		for _, ok := cur.Next(); ok; _, ok = cur.Next() {
+			rows++
+		}
+		if err := cur.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if rows == 0 {
+			b.Fatal("window join returned no rows")
+		}
+	}
+	b.ReportMetric(float64(rows), "rows/req")
+}
+
+// loadBenchStore loads the reference data and twelve hours of
+// quarter-hourly acquisitions, six hotspots each.
+func loadBenchStore(st strabon.API) {
+	st.LoadTriples(staticTriples())
+	for i := 0; i < 12*4; i++ {
+		at := day.Add(time.Duration(i) * 15 * time.Minute)
+		p := &products.Product{Sensor: "MSG1", Chain: "bench", AcquiredAt: at}
+		for j := 0; j < 6; j++ {
+			p.Hotspots = append(p.Hotspots, products.Hotspot{
+				ID:         fmt.Sprintf("b%d_%d", i, j),
+				Geometry:   geom.NewSquare(float64((i+5*j)%19)+0.5, 5, 0.5),
+				Confidence: 0.5 + 0.5*float64((i+j)%2),
+				AcquiredAt: at, Sensor: "MSG1", Chain: "bench", Producer: "noa",
+			})
+		}
+		st.InsertAll(p.Triples())
 	}
 }

@@ -18,14 +18,14 @@ import (
 // them at shutdown — after every worker has exited, since workers scan
 // the locked stores.
 //
-// The fan-out boundary is also the engine's late-materialisation
-// boundary. The shard evaluations run ID-native over the store's one
-// dictionary, but each keeps an overflow table of its own for the terms
-// it computes, and the merge-side operators (ordered merge, partial-
-// aggregate recombination, DISTINCT) still work on map rows — so rows
-// cross between shard cursors and the merge as decoded terms (the Clone
-// below materialises them). Shipping ID chunks instead is ROADMAP
-// item 3.
+// Rows cross the fan-out boundary as terms: the shard evaluations run
+// over the store's one dictionary, but each keeps an overflow table of
+// its own for the terms it computes, so IDs do not compare across
+// streams. A worker copies each row's terms positionally — in its
+// stream's header order — into one growing slab per chunk, and the merge
+// reads them in place: the ordered merge evaluates each stream head's
+// ORDER BY keys once, and Next fills one reused Binding view. Partial-
+// aggregate recombination still takes map rows (AggMerge).
 
 // fanMode selects the merge strategy.
 type fanMode int
@@ -53,7 +53,7 @@ type fanPlan struct {
 	shardQ *stsparql.Query // per-shard AST (possibly rewritten)
 	key    string          // plan-cache key (distinct per rewrite)
 	agg    *stsparql.AggMerge
-	cmp    func(a, b stsparql.Binding) int
+	order  *stsparql.OrderKeys
 
 	distinct      bool     // re-deduplicate at the merger
 	offset, limit int      // merger-side slice; limit -1 = none
@@ -79,7 +79,7 @@ func planFanout(src string, q *stsparql.Query) (*fanPlan, bool) {
 	fp := &fanPlan{mode: fanConcat, distinct: sel.Distinct, offset: sel.Offset, limit: sel.Limit}
 	if len(sel.OrderBy) > 0 {
 		fp.mode = fanOrdered
-		fp.cmp = stsparql.NewOrderComparator(sel.OrderBy)
+		fp.order = stsparql.NewOrderKeys(sel.OrderBy)
 	}
 	if sel.Offset > 0 || sel.Limit >= 0 {
 		// Per-shard rewrite: each shard computes the first OFFSET+LIMIT
@@ -159,20 +159,29 @@ func askResult(ok bool) *listCursor {
 	}
 }
 
-// chunkRows is the worker-to-merger transfer unit: rows are cloned out
-// of the engine's reused cursor view and shipped in chunks, amortising
-// the channel synchronisation over many rows.
+// chunkRows is the rows per worker-to-merger transfer, amortising the
+// channel synchronisation over many rows.
 const chunkRows = 128
+
+// chunk is one transfer: n rows of a stream, each its header's width of
+// terms in header order.
+type chunk struct {
+	terms []rdf.Term
+	n     int
+}
 
 // shardStream is one worker's output.
 type shardStream struct {
-	ch      chan []stsparql.Binding
-	ready   chan struct{} // closed once vars (or an open error) are set
-	vars    []string
-	err     error // valid once ch is closed
-	buf     []stsparql.Binding
-	pos     int
-	head    stsparql.Binding
+	ch    chan chunk
+	ready chan struct{} // closed once vars (or an open error) are set
+	vars  []string      // the stream's header; read only after ready
+	err   error         // valid once ch is closed
+	buf   chunk
+	pos   int
+
+	// ordered merge: the stream's lookahead row and its key values
+	head    []rdf.Term
+	key     []stsparql.Value
 	hasHead bool
 	drained bool
 }
@@ -188,6 +197,7 @@ type mergeCursor struct {
 
 	streams []*shardStream
 	vars    []string
+	view    stsparql.Binding // the row Next hands out, refilled per call
 
 	cur int         // concat: current stream
 	agg *listCursor // fanAgg: recombined output
@@ -218,7 +228,7 @@ func startMerge(ctx context.Context, fp *fanPlan, evs []*stsparql.Evaluator, cs 
 	m := &mergeCursor{plan: fp, ctx: ctx, stop: make(chan struct{}), release: release}
 	for range cs {
 		m.streams = append(m.streams, &shardStream{
-			ch:    make(chan []stsparql.Binding, 4),
+			ch:    make(chan chunk, 4),
 			ready: make(chan struct{}),
 		})
 	}
@@ -255,32 +265,35 @@ func (m *mergeCursor) run(ev *stsparql.Evaluator, c *stsparql.Compiled, st *shar
 		close(st.ready)
 		return
 	}
-	st.vars = cur.Vars()
+	vars := cur.Vars()
+	st.vars = vars
 	close(st.ready)
 	defer cur.Close()
-	chunk := make([]stsparql.Binding, 0, chunkRows)
+	// The first slab grows by append, so a short answer allocates for the
+	// rows it has; a stream that filled one gets full-sized slabs after.
+	var out chunk
 	for {
 		row, ok := cur.Next()
 		if !ok {
 			st.err = cur.Err()
-			if len(chunk) > 0 && st.err == nil {
+			if out.n > 0 && st.err == nil {
 				select {
-				case st.ch <- chunk:
+				case st.ch <- out:
 				case <-m.stop:
 				}
 			}
 			return
 		}
-		// The cursor's row is a view reused on the next Next; it crosses
-		// a goroutine boundary here, so it must be cloned out.
-		chunk = append(chunk, row.Clone())
-		if len(chunk) == chunkRows {
+		for _, v := range vars {
+			out.terms = append(out.terms, row[v])
+		}
+		if out.n++; out.n == chunkRows {
 			select {
-			case st.ch <- chunk:
+			case st.ch <- out:
 			case <-m.stop:
 				return
 			}
-			chunk = make([]stsparql.Binding, 0, chunkRows)
+			out = chunk{terms: make([]rdf.Term, 0, chunkRows*len(vars))}
 		}
 	}
 }
@@ -288,27 +301,43 @@ func (m *mergeCursor) run(ev *stsparql.Evaluator, c *stsparql.Compiled, st *shar
 // nextRow returns one stream's next row, pulling a fresh chunk when the
 // buffered one is spent. ok=false means the stream is exhausted, its
 // worker failed, or the context fired — the latter two set m.err.
-func (m *mergeCursor) nextRow(st *shardStream) (stsparql.Binding, bool) {
+func (m *mergeCursor) nextRow(st *shardStream) ([]rdf.Term, bool) {
 	for {
-		if st.pos < len(st.buf) {
-			row := st.buf[st.pos]
+		if st.pos < st.buf.n {
+			w := len(st.vars)
+			row := st.buf.terms[st.pos*w : (st.pos+1)*w]
 			st.pos++
 			return row, true
 		}
 		select {
-		case chunk, ok := <-st.ch:
+		case c, ok := <-st.ch:
 			if !ok {
 				if st.err != nil {
 					m.fail(st.err)
 				}
 				return nil, false
 			}
-			st.buf, st.pos = chunk, 0
+			<-st.ready // closed before the first send; vars are final
+			st.buf, st.pos = c, 0
 		case <-m.ctx.Done():
 			m.fail(m.ctx.Err())
 			return nil, false
 		}
 	}
+}
+
+// fill makes the view hold one of st's rows.
+func (m *mergeCursor) fill(st *shardStream, row []rdf.Term) stsparql.Binding {
+	if m.view == nil {
+		m.view = make(stsparql.Binding, len(st.vars))
+	}
+	clear(m.view)
+	for i, v := range st.vars {
+		if !row[i].IsZero() {
+			m.view[v] = row[i]
+		}
+	}
+	return m.view
 }
 
 func (m *mergeCursor) Vars() []string { return m.vars }
@@ -340,12 +369,13 @@ func (m *mergeCursor) Next() (stsparql.Binding, bool) {
 			m.shutdown()
 			return nil, false
 		}
-		var row stsparql.Binding
+		var st *shardStream
+		var terms []rdf.Term
 		var ok bool
 		if m.plan.mode == fanOrdered {
-			row, ok = m.pullOrdered()
+			st, terms, ok = m.pullOrdered()
 		} else {
-			row, ok = m.pullConcat()
+			st, terms, ok = m.pullConcat()
 		}
 		if !ok {
 			if m.err == nil {
@@ -354,6 +384,7 @@ func (m *mergeCursor) Next() (stsparql.Binding, bool) {
 			m.shutdown() // exhausted (or failed): release locks now
 			return nil, false
 		}
+		row := m.fill(st, terms)
 		if m.plan.distinct {
 			if m.seen == nil {
 				m.seen = make(map[string]bool)
@@ -376,54 +407,50 @@ func (m *mergeCursor) Next() (stsparql.Binding, bool) {
 
 // pullConcat streams the shards one after another — shard order, with
 // every worker prefetching into its buffer concurrently.
-func (m *mergeCursor) pullConcat() (stsparql.Binding, bool) {
+func (m *mergeCursor) pullConcat() (*shardStream, []rdf.Term, bool) {
 	for m.cur < len(m.streams) {
-		row, ok := m.nextRow(m.streams[m.cur])
+		st := m.streams[m.cur]
+		row, ok := m.nextRow(st)
 		if !ok {
 			if m.err != nil {
-				return nil, false
+				return nil, nil, false
 			}
 			m.cur++
 			continue
 		}
-		return row, true
+		return st, row, true
 	}
-	return nil, false
+	return nil, nil, false
 }
 
 // pullOrdered k-way merges the pre-sorted shard streams: one lookahead
-// row per stream, emitting the smallest under the ORDER BY comparator
-// (ties to the lower shard, keeping the merge deterministic).
-func (m *mergeCursor) pullOrdered() (stsparql.Binding, bool) {
+// row per stream, its ORDER BY keys evaluated once when it becomes the
+// head, emitting the smallest (ties to the lower shard, keeping the merge
+// deterministic).
+func (m *mergeCursor) pullOrdered() (*shardStream, []rdf.Term, bool) {
+	var best *shardStream
 	for _, st := range m.streams {
-		if st.drained || st.hasHead {
-			continue
-		}
-		row, ok := m.nextRow(st)
-		if !ok {
-			if m.err != nil {
-				return nil, false
+		if !st.drained && !st.hasHead {
+			row, ok := m.nextRow(st)
+			if !ok {
+				if m.err != nil {
+					return nil, nil, false
+				}
+				st.drained = true
+				continue
 			}
-			st.drained = true
-			continue
+			st.head, st.hasHead = row, true
+			st.key = m.plan.order.Eval(st.key[:0], m.fill(st, row))
 		}
-		st.head, st.hasHead = row, true
-	}
-	best := -1
-	for i, st := range m.streams {
-		if !st.hasHead {
-			continue
-		}
-		if best < 0 || m.plan.cmp(st.head, m.streams[best].head) < 0 {
-			best = i
+		if st.hasHead && (best == nil || m.plan.order.Compare(st.key, best.key) < 0) {
+			best = st
 		}
 	}
-	if best < 0 {
-		return nil, false
+	if best == nil {
+		return nil, nil, false
 	}
-	row := m.streams[best].head
-	m.streams[best].head, m.streams[best].hasHead = nil, false
-	return row, true
+	best.hasHead = false
+	return best, best.head, true
 }
 
 // finalizeAgg is the barrier of the aggregate merge: every shard's
@@ -433,14 +460,14 @@ func (m *mergeCursor) finalizeAgg() bool {
 	var rows []stsparql.Binding
 	for _, st := range m.streams {
 		for {
-			row, ok := m.nextRow(st)
+			terms, ok := m.nextRow(st)
 			if !ok {
 				if m.err != nil {
 					return false
 				}
 				break
 			}
-			rows = append(rows, row)
+			rows = append(rows, m.fill(st, terms).Clone())
 		}
 	}
 	m.shutdown() // partials shipped: recombination needs no locks

@@ -232,6 +232,7 @@ func (s *Store) PlanStats() stsparql.PlanCacheStats {
 		out.Hits += st.Hits
 		out.Misses += st.Misses
 		out.Evictions += st.Evictions
+		out.Declined += st.Declined
 		out.Entries += st.Entries
 	}
 	for _, pc := range s.caches {

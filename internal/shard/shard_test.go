@@ -643,7 +643,7 @@ SELECT ?s (COUNT(?h) AS ?n) WHERE {
 }
 
 // TestShardStatsAndCursors covers the plumbing: per-shard stats, plan
-// cache hits on repeats, and early cursor Close releasing the shard
+// cache admission and hits on repeats, and early cursor Close releasing the shard
 // read locks (a subsequent write must not deadlock).
 func TestShardStatsAndCursors(t *testing.T) {
 	sh := newSharded(4)
@@ -694,8 +694,13 @@ func TestShardStatsAndCursors(t *testing.T) {
 	if _, err := sh.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Query(q); err != nil {
-		t.Fatal(err)
+	if ps := sh.PlanStats(); ps.Hits != 0 || ps.Declined == 0 || ps.Entries != 0 {
+		t.Fatalf("a first sighting should be declined: %+v", ps)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := sh.Query(q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if ps := sh.PlanStats(); ps.Hits == 0 {
 		t.Fatalf("repeated query should hit the plan cache: %+v", ps)

@@ -107,10 +107,11 @@ func (tx *FlushTx) Apply(plan *stsparql.UpdatePlan) stsparql.UpdateStats {
 // creation until Close — close promptly. See Store.QueryStream for the
 // single-store semantics.
 //
-// The Binding a streaming cursor yields is a view into the engine's
-// current batch, reused on the next Next: it is only valid until the
-// next call to Next (or Close). Callers that retain rows past that —
-// materialising wrappers, fan-out workers — must Clone them.
+// The Binding a streaming cursor yields is a view — of the engine's
+// current batch, or of the fan-out merge's current row — reused on the
+// next Next: it is only valid until the next call to Next (or Close).
+// Callers that retain rows past that must copy them: materialising
+// wrappers Clone them, fan-out workers copy their terms into chunks.
 type QueryCursor interface {
 	Vars() []string
 	IsAsk() bool

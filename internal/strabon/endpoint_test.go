@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/resultcache"
 )
 
 func endpointFixture(t testing.TB) (*Store, *Endpoint) {
@@ -74,6 +76,33 @@ func TestEndpointQueryTSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "<") {
 		t.Fatalf("tsv term encoding: %q", lines[1])
+	}
+}
+
+// TestEndpointHoledGeometryOperations: strdf:difference of a polygon
+// with a hole and a ring nested in its body, and strdf:intersection of
+// two polygons with holes, used to recurse in the clipping until the
+// stack overflowed — one query took the served process down. They must
+// answer.
+func TestEndpointHoledGeometryOperations(t *testing.T) {
+	_, ep := endpointFixture(t)
+	const (
+		donut = `"POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (1 1, 1 3, 3 3, 3 1, 1 1))"^^strdf:WKT`
+		ring  = `"POLYGON ((5 5, 7 5, 7 7, 5 7, 5 5))"^^strdf:WKT`
+		holed = `"POLYGON ((2 2, 12 2, 12 12, 2 12, 2 2), (8 8, 8 9, 9 9, 9 8, 8 8))"^^strdf:WKT`
+	)
+	for expr, area := range map[string]string{
+		"strdf:difference(" + donut + ", " + ring + ")":    "92",
+		"strdf:intersection(" + donut + ", " + holed + ")": "62",
+	} {
+		q := `SELECT (strdf:area(` + expr + `) AS ?a) WHERE { ?h a noa:Hotspot . }`
+		w := get(t, ep, "/sparql?query="+url.QueryEscape(q))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", expr, w.Code, w.Body)
+		}
+		if !strings.Contains(w.Body.String(), `"value":"`+area+`"`) {
+			t.Errorf("%s: area is not %s: %s", expr, area, w.Body)
+		}
 	}
 }
 
@@ -153,7 +182,7 @@ SELECT ?h ?c WHERE {
 	if w.Code != http.StatusOK {
 		t.Fatalf("explain: %d %s", w.Code, w.Body)
 	}
-	for _, want := range []string{"select\n", "join[window]", "est="} {
+	for _, want := range []string{"select\n", "join[window class=<http://teleios.di.uoa.gr/ontologies/coastlineOntology.owl#Coastline>]", "est="} {
 		if !strings.Contains(w.Body.String(), want) {
 			t.Fatalf("explain missing %q:\n%s", want, w.Body)
 		}
@@ -248,6 +277,33 @@ SELECT ?h WHERE {
 		}
 	})
 	b.ReportMetric(float64(ep.Stats().Rows)/float64(b.N), "rows/req")
+}
+
+// BenchmarkCachedReplay is one result-cache hit through the endpoint —
+// the serving tier's hot path: the request parsed, the cached rows
+// replayed through the JSON encoder — over a hundred-row answer. CI
+// gates its allocs/op.
+func BenchmarkCachedReplay(b *testing.B) {
+	s, ep := endpointFixture(b)
+	for i := 0; i < 100; i++ {
+		s.InsertAll(hotspotGroup(i, float64(i%50)))
+	}
+	ep.Results = resultcache.New(16, 1<<20)
+	target := "/sparql?query=" + url.QueryEscape(`SELECT ?h ?g WHERE { ?h a noa:Hotspot ; strdf:hasGeometry ?g . }`)
+	if w := get(b, ep, target); w.Code != http.StatusOK {
+		b.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := httptest.NewRecorder()
+		ep.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+	}
+	if st := ep.Results.Stats(); st.Hits != uint64(b.N) {
+		b.Fatalf("%d of %d requests hit the cache", st.Hits, b.N)
+	}
 }
 
 func TestEndpointAcceptNegotiation(t *testing.T) {

@@ -138,7 +138,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"strabon_admission_admitted_total 2",  // ...and passes the admission gate too
 		"strabon_admission_wait_seconds_count 2",
 		"strabon_store_triples 8",
-		"strabon_plan_cache_entries 1",
+		"strabon_plan_cache_entries 0", // one compile of one text: declined
 		"# TYPE strabon_dict_entries gauge",
 		`strabon_time_index_entries{store="single"} 0`,
 		"# TYPE strabon_dict_bytes gauge",

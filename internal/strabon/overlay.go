@@ -158,6 +158,13 @@ func (o *Overlay) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.Encod
 	return o.all.MatchGeometryWindowIDs(env, o.visible(visit))
 }
 
+// SubjectSets implements stsparql.SpatialSource: the base's sets and the
+// private store's. A subject whose (p, o) the flush deleted stays in
+// them — the sets only need to be a superset.
+func (o *Overlay) SubjectSets(p, obj rdf.ID, dst []map[rdf.ID]struct{}) []map[rdf.ID]struct{} {
+	return o.all.SubjectSets(p, obj, dst)
+}
+
 // CountTimeRange implements stsparql.TimeRangeSource. Like the
 // statistics it ignores the deleted set: an upper bound.
 func (o *Overlay) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {

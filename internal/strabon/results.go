@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/rdf"
 	"repro/internal/stsparql"
@@ -25,81 +27,134 @@ type RowWriter interface {
 	End() error
 }
 
-// jsonTerm is one RDF term in the SPARQL results JSON format.
-type jsonTerm struct {
-	Type     string `json:"type"` // "uri" | "literal" | "bnode"
-	Value    string `json:"value"`
-	Datatype string `json:"datatype,omitempty"`
-	Lang     string `json:"xml:lang,omitempty"`
-}
-
-func termToJSON(t rdf.Term) jsonTerm {
-	switch {
-	case t.IsIRI():
-		return jsonTerm{Type: "uri", Value: t.Value}
-	case t.IsBlank():
-		return jsonTerm{Type: "bnode", Value: t.Value}
-	default:
-		return jsonTerm{Type: "literal", Value: t.Value, Datatype: t.Datatype, Lang: t.Lang}
-	}
-}
-
+// jsonRowWriter appends each row into one reused buffer and writes it
+// with a single Write, without reflection. Its output is byte for byte
+// what encoding/json made of the row as a map[string]{type, value,
+// datatype, xml:lang} (omitempty): keys in sorted order, a repeated
+// header variable once, strings escaped HTML-safe, U+2028/U+2029 escaped
+// and invalid UTF-8 replaced by \ufffd (results_oracle_test.go holds it
+// to that encoder).
 type jsonRowWriter struct {
-	w       io.Writer
-	vars    []string
-	started bool
-	first   bool
+	w    io.Writer
+	keys []jsonKey // distinct header variables, sorted
+	buf  []byte    // reused; holds the document head until the first write
+	rows int
+}
+
+// jsonKey is one header variable with its encoded `"name":` prefix.
+type jsonKey struct {
+	name   string
+	prefix []byte
 }
 
 // NewJSONRowWriter returns a RowWriter emitting the SPARQL 1.1 Query
 // Results JSON format.
 func NewJSONRowWriter(w io.Writer, vars []string) RowWriter {
-	return &jsonRowWriter{w: w, vars: vars, first: true}
-}
-
-func (jw *jsonRowWriter) begin() error {
-	if jw.started {
-		return nil
+	head, _ := json.Marshal(vars) // a []string always marshals
+	jw := &jsonRowWriter{w: w, buf: fmt.Appendf(nil, `{"head":{"vars":%s},"results":{"bindings":[`, head)}
+	sorted := slices.Clone(vars)
+	slices.Sort(sorted)
+	for _, v := range slices.Compact(sorted) {
+		jw.keys = append(jw.keys, jsonKey{name: v, prefix: append(appendJSONString(nil, v), ':')})
 	}
-	jw.started = true
-	head, err := json.Marshal(jw.vars)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(jw.w, `{"head":{"vars":%s},"results":{"bindings":[`, head)
-	return err
+	return jw
 }
 
 func (jw *jsonRowWriter) Row(row stsparql.Binding) error {
-	if err := jw.begin(); err != nil {
-		return err
+	buf := jw.buf
+	if jw.rows > 0 {
+		buf = append(buf, ',')
 	}
-	b := make(map[string]jsonTerm, len(jw.vars))
-	for _, v := range jw.vars {
-		if t, ok := row[v]; ok && !t.IsZero() {
-			b[v] = termToJSON(t)
+	jw.rows++
+	buf = append(buf, '{')
+	sep := false
+	for _, k := range jw.keys {
+		t, ok := row[k.name]
+		if !ok || t.IsZero() {
+			continue
 		}
-	}
-	doc, err := json.Marshal(b)
-	if err != nil {
-		return err
-	}
-	if !jw.first {
-		if _, err := io.WriteString(jw.w, ","); err != nil {
-			return err
+		if sep {
+			buf = append(buf, ',')
 		}
+		sep = true
+		buf = append(buf, k.prefix...)
+		buf = appendJSONTerm(buf, t)
 	}
-	jw.first = false
-	_, err = jw.w.Write(doc)
+	buf = append(buf, '}')
+	_, err := jw.w.Write(buf)
+	jw.buf = buf[:0]
 	return err
 }
 
 func (jw *jsonRowWriter) End() error {
-	if err := jw.begin(); err != nil {
-		return err
-	}
-	_, err := io.WriteString(jw.w, "]}}\n")
+	_, err := jw.w.Write(append(jw.buf, "]}}\n"...))
 	return err
+}
+
+func appendJSONTerm(buf []byte, t rdf.Term) []byte {
+	switch {
+	case t.IsIRI():
+		buf = append(buf, `{"type":"uri","value":`...)
+		return append(appendJSONString(buf, t.Value), '}')
+	case t.IsBlank():
+		buf = append(buf, `{"type":"bnode","value":`...)
+		return append(appendJSONString(buf, t.Value), '}')
+	}
+	buf = append(buf, `{"type":"literal","value":`...)
+	buf = appendJSONString(buf, t.Value)
+	if t.Datatype != "" {
+		buf = append(buf, `,"datatype":`...)
+		buf = appendJSONString(buf, t.Datatype)
+	}
+	if t.Lang != "" {
+		buf = append(buf, `,"xml:lang":`...)
+		buf = appendJSONString(buf, t.Lang)
+	}
+	return append(buf, '}')
+}
+
+// appendJSONString appends s as a JSON string, escaped the way
+// encoding/json escapes with HTML escaping on.
+func appendJSONString(buf []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			buf = append(buf, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				buf = append(buf, '\\', b)
+			case '\b', '\t', '\n', '\f', '\r':
+				buf = append(buf, '\\', "btn_fr"[b-'\b'])
+			default:
+				buf = append(buf, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	buf = append(buf, s[start:]...)
+	return append(buf, '"')
 }
 
 type tsvRowWriter struct {

@@ -109,6 +109,8 @@ type Store struct {
 	stats   Stats
 }
 
+var _ stsparql.SpatialSource = (*Store)(nil)
+
 // defaultPlanCacheSize bounds the compiled-plan cache: the endpoint's
 // repeated thematic-query catalogue is far smaller than this.
 const defaultPlanCacheSize = 256
@@ -318,6 +320,14 @@ func (s *Store) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.Encoded
 	return s.index.Search(env, func(it rtree.Item) bool {
 		return visit(it.Data.(*indexedGeom).enc)
 	})
+}
+
+// SubjectSets implements stsparql.SpatialSource.
+func (s *Store) SubjectSets(p, o rdf.ID, dst []map[rdf.ID]struct{}) []map[rdf.ID]struct{} {
+	if set := s.triples.SubjectSet(p, o); len(set) > 0 {
+		dst = append(dst, set)
+	}
+	return dst
 }
 
 // DictStats implements API: the distinct terms the topology's

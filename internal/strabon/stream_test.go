@@ -111,7 +111,8 @@ func TestQueryStreamHoldsLockUntilClose(t *testing.T) {
 	}
 }
 
-// TestPlanCacheHitsAndInvalidation pins the generation discipline:
+// TestPlanCacheHitsAndInvalidation pins the admission and generation
+// discipline: a text's first compile is declined, its second cached,
 // repeats hit, any mutation invalidates, and /stats-visible counters
 // move accordingly.
 func TestPlanCacheHitsAndInvalidation(t *testing.T) {
@@ -120,18 +121,26 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = `SELECT ?h WHERE { ?h a noa:Hotspot . }`
+	if _, err := s.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	ps := s.PlanStats()
+	if ps.Misses != 1 || ps.Declined != 1 || ps.Entries != 0 {
+		t.Fatalf("after a first sighting: %+v", ps)
+	}
 	for i := 0; i < 3; i++ {
 		if _, err := s.Query(q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ps := s.PlanStats()
-	if ps.Misses != 1 || ps.Hits != 2 || ps.Entries != 1 {
+	ps = s.PlanStats()
+	if ps.Misses != 2 || ps.Hits != 2 || ps.Entries != 1 || ps.Declined != 1 {
 		t.Fatalf("after repeats: %+v", ps)
 	}
 
 	// A mutation bumps the generation: the stale plan is dropped and
-	// replanned once, then hits resume.
+	// replanned once — a text seen before enters at once — then hits
+	// resume.
 	if _, err := s.Update(`INSERT DATA { noa:hx a noa:Hotspot . }`); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +152,7 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 		t.Fatalf("post-update rows = %d, want 3 (stale plan served?)", len(res.Rows))
 	}
 	ps = s.PlanStats()
-	if ps.Misses != 2 || ps.Evictions != 1 {
+	if ps.Misses != 3 || ps.Evictions != 1 || ps.Entries != 1 {
 		t.Fatalf("after invalidation: %+v", ps)
 	}
 	if _, err := s.Query(q); err != nil {

@@ -102,6 +102,15 @@ func (v View) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTr
 	return true
 }
 
+// SubjectSets implements stsparql.SpatialSource: every member's sets, so
+// a subject typed in one member and located in another still passes.
+func (v View) SubjectSets(p, o rdf.ID, dst []map[rdf.ID]struct{}) []map[rdf.ID]struct{} {
+	for _, m := range v {
+		dst = m.SubjectSets(p, o, dst)
+	}
+	return dst
+}
+
 // CountTimeRange implements stsparql.TimeRangeSource: the view serves a
 // time range when every member does, and the counts add up.
 func (v View) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {

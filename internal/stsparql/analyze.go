@@ -28,6 +28,9 @@ type OpStats struct {
 	Batches atomic.Int64 // batches emitted
 	Opens   atomic.Int64 // times the operator was opened
 	Nanos   atomic.Int64 // cumulative wall time in next(), inclusive of upstream
+	// ClassDropped counts the candidates a class-filtered window join
+	// dropped before staging them.
+	ClassDropped atomic.Int64
 }
 
 // ExecTrace maps a compiled plan's operators to their runtime actuals.
@@ -189,6 +192,9 @@ func (t *ExecTrace) annotate(b *strings.Builder, op operator) {
 		st.Rows.Load(), st.Batches.Load(), time.Duration(st.Nanos.Load()).Round(time.Microsecond))
 	if n := st.Opens.Load(); n > 1 {
 		fmt.Fprintf(b, " opens=%d", n)
+	}
+	if j, ok := op.(*joinOp); ok && !j.class.IsZero() {
+		fmt.Fprintf(b, " class-dropped=%d", st.ClassDropped.Load())
 	}
 	b.WriteString(")")
 }

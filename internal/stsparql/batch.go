@@ -130,12 +130,18 @@ func (b *Batch) beginRow(probe rowRef) int {
 	if b.n == b.cap {
 		b.grow()
 	}
-	r := b.n
+	b.setRow(b.n, probe)
+	return b.n
+}
+
+// setRow overwrites physical row r with probe's bindings (zeroed where
+// probe is unbound).
+func (b *Batch) setRow(r int, probe rowRef) {
 	if probe.b != nil && probe.b.schema == b.schema {
 		for c := range b.cols {
 			b.cols[c][r] = probe.b.cols[c][probe.i]
 		}
-		return r
+		return
 	}
 	if probe.m != nil {
 		for c, name := range b.schema.names {
@@ -145,7 +151,7 @@ func (b *Batch) beginRow(probe rowRef) int {
 				b.cols[c][r] = 0
 			}
 		}
-		return r
+		return
 	}
 	for c, name := range b.schema.names {
 		if probe.b != nil {
@@ -156,7 +162,6 @@ func (b *Batch) beginRow(probe rowRef) int {
 		}
 		b.cols[c][r] = 0
 	}
-	return r
 }
 
 func (b *Batch) commitRow() { b.n++ }

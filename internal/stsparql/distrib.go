@@ -12,8 +12,9 @@ import (
 // per-shard evaluations and merges their cursors; the pieces that need
 // engine internals live here:
 //
-//   - NewOrderComparator: the ORDER BY comparator a k-way ordered merge
-//     ranks pre-sorted shard streams with.
+//   - OrderKeys: the ORDER BY keys a k-way ordered merge ranks
+//     pre-sorted shard streams by, evaluated once per stream head and
+//     compared with the order operator's own comparator.
 //   - CompileASTCached: plan caching for rewritten per-shard ASTs that
 //     have no surface text of their own.
 //   - AggMerge: partial-aggregate recombination — a grouped SELECT is
@@ -46,14 +47,27 @@ func (emptySource) Dict() *rdf.Dictionary { return emptyDict }
 
 func (emptySource) MatchIDs(s, p, o rdf.ID, visit func(rdf.EncodedTriple) bool) bool { return true }
 
-// NewOrderComparator returns a three-way comparator of result rows under
-// the ORDER BY keys: negative when a sorts before b. Mergers use it to
-// combine per-shard streams that are each already sorted by the same
-// keys.
-func NewOrderComparator(keys []OrderKey) func(a, b Binding) int {
-	e := NewEvaluator(emptySource{})
-	return func(a, b Binding) int { return e.compareOrderKeys(a, b, keys) }
+// OrderKeys evaluates ORDER BY keys over result rows, and compares them
+// as the order operator does, for a merger of streams each sorted by
+// the keys. It is single-goroutine, like an Evaluator.
+type OrderKeys struct {
+	keys []OrderKey
+	e    *Evaluator
 }
+
+// NewOrderKeys returns the evaluator of keys.
+func NewOrderKeys(keys []OrderKey) *OrderKeys {
+	return &OrderKeys{keys: keys, e: NewEvaluator(emptySource{})}
+}
+
+// Eval appends the row's key values to dst.
+func (o *OrderKeys) Eval(dst []Value, row Binding) []Value {
+	return o.e.appendKeys(dst, o.keys, mapRow(row))
+}
+
+// Compare compares two rows' key values from Eval: negative when a sorts
+// before b, zero when they tie.
+func (o *OrderKeys) Compare(a, b []Value) int { return compareKeys(a, b, o.keys) }
 
 // CompileASTCached returns the cached plan for key at gen, or compiles q
 // against this evaluator's source and stores it. Unlike CompileCached
@@ -309,7 +323,11 @@ func (m *AggMerge) Finalize(rows []Binding) (*Result, error) {
 		out = distinctRows(out, vars)
 	}
 	if len(m.q.OrderBy) > 0 {
-		e.orderRows(out, m.q.OrderBy)
+		it := (&orderOp{keys: m.q.OrderBy}).open(e, seedIter(e.dict, bindingsSchema(out), out))
+		var err error
+		if out, err = drainMaterialise(it); err != nil {
+			return nil, err
+		}
 	}
 	if m.q.Offset > 0 {
 		if m.q.Offset >= len(out) {

@@ -281,16 +281,17 @@ func TestAggMergeRejections(t *testing.T) {
 	}
 }
 
-// TestNewOrderComparator pins the merge comparator against orderRows.
-func TestNewOrderComparator(t *testing.T) {
+// TestOrderKeysCompare pins the merge comparator's direction and ties;
+// TestOrderMatchesOracle holds it to the map-row comparator.
+func TestOrderKeysCompare(t *testing.T) {
 	q := mustParse(t, `SELECT ?s ?v WHERE { ?s <http://example.org/val> ?v . } ORDER BY DESC(?v)`)
-	cmp := NewOrderComparator(q.Select.OrderBy)
-	lo := Binding{"v": rdf.NewInteger(1)}
-	hi := Binding{"v": rdf.NewInteger(5)}
-	if cmp(hi, lo) >= 0 {
+	ok := NewOrderKeys(q.Select.OrderBy)
+	lo := ok.Eval(nil, Binding{"v": rdf.NewInteger(1)})
+	hi := ok.Eval(nil, Binding{"v": rdf.NewInteger(5)})
+	if ok.Compare(hi, lo) >= 0 {
 		t.Fatal("DESC: higher value must sort first")
 	}
-	if cmp(lo, lo) != 0 {
+	if ok.Compare(lo, lo) != 0 {
 		t.Fatal("equal keys must tie")
 	}
 }

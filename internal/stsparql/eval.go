@@ -41,6 +41,12 @@ type SpatialSource interface {
 	// hasGeometry-pred, geometry) triples whose geometry envelope
 	// intersects env, reporting like MatchIDs whether it ran to its end.
 	MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) bool
+	// SubjectSets appends to dst the subject sets of (p, o), one per
+	// member store holding any — read-only, valid while the evaluation
+	// holds its locks. Their union must hold every subject a scan of
+	// (?x, p, o) finds, and may hold more: a window scan drops the
+	// candidates in none of them, the type pattern still runs.
+	SubjectSets(p, o rdf.ID, dst []map[rdf.ID]struct{}) []map[rdf.ID]struct{}
 }
 
 // GeometryPredicates lists the predicate IRIs treated as geometry
@@ -501,20 +507,24 @@ func distinctRows(rows []Binding, vars []string) []Binding {
 	return out
 }
 
-func (e *Evaluator) orderRows(rows []Binding, keys []OrderKey) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		return e.compareOrderKeys(rows[i], rows[j], keys) < 0
-	})
+// appendKeys appends the row's ORDER BY key values to dst.
+func (e *Evaluator) appendKeys(dst []Value, keys []OrderKey, row rowRef) []Value {
+	for _, k := range keys {
+		dst = append(dst, e.evalExpr(k.Expr, row))
+	}
+	return dst
 }
 
-// compareOrderKeys compares two rows under the ORDER BY keys: negative
-// when a sorts before b, zero when the keys tie (incomparable values
-// tie, like orderRows always did).
-func (e *Evaluator) compareOrderKeys(a, b Binding, keys []OrderKey) int {
-	for _, k := range keys {
-		va := e.evalExpr(k.Expr, mapRow(a))
-		vb := e.evalExpr(k.Expr, mapRow(b))
-		c, err := va.compare(vb)
+// compareKeys compares two rows' evaluated ORDER BY keys — the one
+// comparator of the order operator (AggMerge's too), its top-k heap and
+// the sharded store's ordered merge: negative when a sorts before b,
+// zero when every key ties (unbound and incomparable values tie).
+func compareKeys(a, b []Value, keys []OrderKey) int {
+	for i, k := range keys {
+		if a[i].Kind == VUnbound || b[i].Kind == VUnbound {
+			continue // compare would only build the error that says so
+		}
+		c, err := a[i].compare(b[i])
 		if err != nil || c == 0 {
 			continue
 		}
@@ -888,22 +898,6 @@ func geomParts(g geom.Geometry) ([]geom.Point, []geom.LineString, []geom.Polygon
 		return pts, ls, ps
 	}
 	return nil, nil, nil
-}
-
-// mergeCompatible merges two bindings, failing on conflicting values for
-// a shared variable.
-func mergeCompatible(a, b Binding) (Binding, bool) {
-	out := a.clone()
-	for k, v := range b {
-		if existing, ok := out[k]; ok && !existing.IsZero() {
-			if !existing.Equal(v) {
-				return nil, false
-			}
-			continue
-		}
-		out[k] = v
-	}
-	return out, true
 }
 
 // usesBoundFn reports whether the expression calls bound(); such filters

@@ -3,6 +3,7 @@ package stsparql
 import (
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -85,6 +86,9 @@ type joinOp struct {
 	first int
 	// trange is the index range of a joinTimeRange scan.
 	trange *TimeWindow
+	// class, for a window join, is the C of the BGP's `?x rdf:type C` on
+	// the pattern's subject (see windowClass); zero when there is none.
+	class rdf.Term
 }
 
 // streams reports whether probe rows scan through a pull coroutine: no
@@ -361,6 +365,11 @@ func (it *joinIter) close() {
 		return
 	}
 	it.closed = true
+	if it.e.trace != nil && it.scan != nil && it.scan.dropped > 0 {
+		if st, ok := it.e.trace.stats[it.op]; ok {
+			st.ClassDropped.Add(it.scan.dropped)
+		}
+	}
 	if it.stop != nil {
 		it.stop()
 		it.pull, it.stop = nil, nil
@@ -369,11 +378,14 @@ func (it *joinIter) close() {
 }
 
 func (op *joinOp) explain(b *strings.Builder, indent string) {
-	kind := "join"
+	kind, strategy := "join", op.strategy
 	if op.strategy == joinTimeRange {
 		kind = "scan"
 	}
-	fmt.Fprintf(b, "%s%s[%s] {%s %s %s}", indent, kind, op.strategy,
+	if !op.class.IsZero() {
+		strategy += " class=" + op.class.String()
+	}
+	fmt.Fprintf(b, "%s%s[%s] {%s %s %s}", indent, kind, strategy,
 		termOrVarString(op.pat.S), termOrVarString(op.pat.P), termOrVarString(op.pat.O))
 	if op.trange != nil {
 		fmt.Fprintf(b, " %s", op.trange)
@@ -1117,12 +1129,12 @@ func (op *distinctOp) explain(b *strings.Builder, indent string) {
 }
 
 // orderOp sorts rows by the ORDER BY keys (stable; incomparable values
-// tie). Blocking: sorting needs the full input, drained batch by batch —
-// rows materialise to terms here, the ORDER BY comparator being one of
-// the engine's late-materialisation points — but when a downstream
-// LIMIT bounds how many sorted rows can ever be consumed (topK > 0),
-// the operator keeps only the top K rows in a bounded heap instead of
-// materialising the whole input.
+// tie). Blocking: the input drains into one owned batch of ID rows, each
+// key is evaluated once per row, and the output is that batch under a
+// selection vector listing its rows in sorted order — no row becomes a
+// map, none is copied twice. When a downstream LIMIT bounds how many
+// sorted rows can ever be consumed (topK > 0), the batch holds at most K
+// rows, a bounded heap over their slots deciding which.
 type orderOp struct {
 	keys []OrderKey
 	// topK > 0 bounds how many rows of the sorted output are reachable
@@ -1136,134 +1148,124 @@ func (op *orderOp) open(e *Evaluator, in batchIter) batchIter {
 }
 
 type orderIter struct {
-	op  *orderOp
-	e   *Evaluator
-	in  batchIter
-	out *batchesIter
+	op   *orderOp
+	e    *Evaluator
+	in   batchIter
+	done bool
+
+	// The kept rows: slot i of rows has its key values at
+	// vals[i*len(keys):] and its arrival number at seq[i].
+	rows *Batch
+	vals []Value
+	seq  []int
 }
 
 func (it *orderIter) next() (*Batch, error) {
-	if it.out == nil {
-		var rows []Binding
-		var schema *varSchema
-		var err error
-		if it.op.topK > 0 {
-			rows, schema, err = it.drainTopK(it.op.topK)
-		} else {
-			rows, schema, err = it.drainAll()
-			if err == nil {
-				it.e.orderRows(rows, it.op.keys)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		if schema == nil {
-			schema = newSchema(nil)
-		}
-		it.out = &batchesIter{batches: []*Batch{batchFromBindings(it.e.dict, schema, rows)}}
+	if it.done {
+		return nil, nil
 	}
-	return it.out.next()
-}
-
-// drainAll materialises the input, remembering its schema for the
-// sorted output batches.
-func (it *orderIter) drainAll() ([]Binding, *varSchema, error) {
-	var rows []Binding
-	var schema *varSchema
-	for {
-		b, err := it.in.next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if b == nil {
-			return rows, schema, nil
-		}
-		schema = b.schema
-		for ord := 0; ord < b.live(); ord++ {
-			rows = append(rows, b.binding(b.row(ord)))
-		}
+	it.done = true
+	heap, err := it.drain()
+	if err != nil || it.rows == nil {
+		return nil, err
 	}
+	// The comparisons are the map-row sort's, made in the same order —
+	// incomparable values tie, so only the same algorithm over the same
+	// input order reproduces its output: a stable sort of the arrivals,
+	// or an unstable one of the heap by (keys, arrival).
+	if it.op.topK == 0 {
+		perm := make([]int32, it.rows.n)
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		slices.SortStableFunc(perm, func(a, b int32) int {
+			return compareKeys(it.slotKeys(int(a)), it.slotKeys(int(b)), it.op.keys)
+		})
+		it.rows.sel = perm
+		return it.rows, nil
+	}
+	slices.SortFunc(heap, func(a, b int32) int {
+		if it.after(it.slotKeys(int(b)), it.seq[b], int(a)) {
+			return -1
+		}
+		return 1
+	})
+	it.rows.sel = heap
+	return it.rows, nil
 }
 
-// seqRow tags a row with its arrival sequence so the bounded heap can
-// reproduce the stable sort exactly: among equal keys the earliest
-// arrivals win, and the final order breaks key ties by arrival.
-type seqRow struct {
-	row Binding
-	seq int
+func (it *orderIter) slotKeys(i int) []Value {
+	n := len(it.op.keys)
+	return it.vals[i*n : (i+1)*n]
 }
 
-// drainTopK pulls the input to exhaustion keeping only the k first rows
-// of the stable sort order in a max-heap: the root is the worst kept row
-// (by key, later arrival losing ties), so each new row either replaces
-// it or is dropped. O(n log k) comparisons, O(k) memory — also the
+// after reports whether a row with key values keys and arrival number
+// seq sorts strictly after kept slot j.
+func (it *orderIter) after(keys []Value, seq, j int) bool {
+	if c := compareKeys(keys, it.slotKeys(j), it.op.keys); c != 0 {
+		return c > 0
+	}
+	return seq > it.seq[j]
+}
+
+// drain pulls the input to exhaustion. Without a bound every row is
+// kept; with topK the kept slots form a max-heap under after — the root
+// is the worst kept row — so a new row either replaces the root or is
+// dropped: O(n log k) comparisons, O(k) memory. That is also the
 // per-shard pre-merge truncation of the sharded store's ordered merge.
-func (it *orderIter) drainTopK(k int) ([]Binding, *varSchema, error) {
-	// after reports whether a sorts strictly after b in the final order.
-	after := func(a, b seqRow) bool {
-		if c := it.e.compareOrderKeys(a.row, b.row, it.op.keys); c != 0 {
-			return c > 0
-		}
-		return a.seq > b.seq
-	}
-	var heap []seqRow // max-heap under after(): root = worst kept row
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			worst := i
-			if l < len(heap) && after(heap[l], heap[worst]) {
-				worst = l
-			}
-			if r < len(heap) && after(heap[r], heap[worst]) {
-				worst = r
-			}
-			if worst == i {
-				return
-			}
-			heap[i], heap[worst] = heap[worst], heap[i]
-			i = worst
-		}
-	}
-	var schema *varSchema
-	seq := 0
-	for {
+// It returns the heap.
+func (it *orderIter) drain() ([]int32, error) {
+	k := it.op.topK
+	var heap []int32 // topK: kept slots, worst at the root
+	var cand []Value // topK: key values of the row on trial
+	worse := func(a, b int) bool { return it.after(it.slotKeys(int(heap[a])), it.seq[heap[a]], int(heap[b])) }
+	for arrival := 0; ; {
 		b, err := it.in.next()
-		if err != nil {
-			return nil, nil, err
+		if err != nil || b == nil {
+			return heap, err
 		}
-		if b == nil {
-			break
+		if it.rows == nil {
+			it.rows = newBatch(it.e.dict, b.schema, batchSizeMin)
 		}
-		schema = b.schema
-		for ord := 0; ord < b.live(); ord++ {
-			e := seqRow{row: b.binding(b.row(ord)), seq: seq}
-			seq++
-			if len(heap) < k {
-				heap = append(heap, e)
-				for i := len(heap) - 1; i > 0; { // sift up
-					p := (i - 1) / 2
-					if !after(heap[i], heap[p]) {
-						break
-					}
-					heap[i], heap[p] = heap[p], heap[i]
-					i = p
+		for ord := 0; ord < b.live(); ord, arrival = ord+1, arrival+1 {
+			row := rowRef{b: b, i: b.row(ord)}
+			if k == 0 || it.rows.n < k {
+				it.rows.beginRow(row)
+				it.rows.commitRow()
+				it.vals = it.e.appendKeys(it.vals, it.op.keys, row)
+				it.seq = append(it.seq, arrival)
+				if k == 0 {
+					continue
+				}
+				heap = append(heap, int32(it.rows.n-1))
+				for i := len(heap) - 1; i > 0 && worse(i, (i-1)/2); i = (i - 1) / 2 {
+					heap[i], heap[(i-1)/2] = heap[(i-1)/2], heap[i]
 				}
 				continue
 			}
-			if after(e, heap[0]) {
+			cand = it.e.appendKeys(cand[:0], it.op.keys, row)
+			if it.after(cand, arrival, int(heap[0])) {
 				continue // sorts after the worst kept row: unreachable
 			}
-			heap[0] = e
-			siftDown(0)
+			slot := int(heap[0])
+			it.rows.setRow(slot, row)
+			copy(it.slotKeys(slot), cand)
+			it.seq[slot] = arrival
+			for i := 0; ; { // sift down
+				w := i
+				for _, c := range []int{2*i + 1, 2*i + 2} {
+					if c < len(heap) && worse(c, w) {
+						w = c
+					}
+				}
+				if w == i {
+					break
+				}
+				heap[i], heap[w] = heap[w], heap[i]
+				i = w
+			}
 		}
 	}
-	sort.Slice(heap, func(i, j int) bool { return after(heap[j], heap[i]) })
-	rows := make([]Binding, len(heap))
-	for i, e := range heap {
-		rows[i] = e.row
-	}
-	return rows, schema, nil
 }
 
 func (it *orderIter) close() { it.in.close() }
@@ -1401,6 +1403,12 @@ type patScan struct {
 	miss     bool
 	indexed  bool
 	geomPred bool
+	// A class-filtered window keeps only candidates in one of the
+	// source's (rdf:type, class) subject sets — none when the class or
+	// rdf:type is a term no visible triple carries — and counts the rest.
+	classOn   bool
+	classSets []map[rdf.ID]struct{}
+	dropped   int64
 
 	visit       func(rdf.EncodedTriple) bool // bound bind
 	visitWindow func(rdf.EncodedTriple) bool // bound windowBind
@@ -1418,6 +1426,14 @@ func newPatScan(e *Evaluator, op *joinOp, filters []*FilterElement, out func() *
 	}
 	sc.indexed = e.spatial != nil && op.pat.O.IsVar() && e.spatial.SpatialIndexEnabled()
 	sc.geomPred = !op.pat.P.IsVar() && GeometryPredicates[op.pat.P.Term.Value]
+	if sc.indexed && !op.class.IsZero() {
+		sc.classOn = true
+		typ, okT := e.dict.storeID(rdfType)
+		class, okC := e.dict.storeID(op.class)
+		if okT && okC {
+			sc.classSets = e.spatial.SubjectSets(typ, class, nil)
+		}
+	}
 	return sc
 }
 
@@ -1470,7 +1486,7 @@ func (sc *patScan) run(probe rowRef) {
 
 // windowBind filters R-tree window candidates down to the pattern
 // before binding (the window over-approximates): one integer compare
-// per component.
+// per component, and a map lookup per subject set for the class.
 func (sc *patScan) windowBind(t rdf.EncodedTriple) bool {
 	if sc.pid != 0 && t.P != sc.pid {
 		return true
@@ -1478,7 +1494,20 @@ func (sc *patScan) windowBind(t rdf.EncodedTriple) bool {
 	if sc.sid != 0 && t.S != sc.sid {
 		return true
 	}
+	if sc.classOn && !sc.inClass(t.S) {
+		sc.dropped++
+		return true
+	}
 	return sc.bind(t)
+}
+
+func (sc *patScan) inClass(s rdf.ID) bool {
+	for _, set := range sc.classSets {
+		if _, ok := set[s]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // bind stages one matched triple's bindings — three ID stores per row,

@@ -435,7 +435,7 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 		// planner sticks to bind joins.
 		switch {
 		case bestWindow:
-			op.strategy = joinWindow
+			op.strategy, op.class = joinWindow, windowClass(pat, remaining, bound)
 		case bestRange != nil:
 			op.strategy, op.trange = joinTimeRange, bestRange
 		case p.stats != nil && len(op.shared) == 0 && inEst >= crossJoinHashMinRows:
@@ -485,6 +485,24 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 	}
 	return ops, inEst
 }
+
+// windowClass returns the constant C of a `?x rdf:type C` pattern the
+// BGP still has to place for a window pattern's fresh subject ?x — the
+// class the window scan checks its candidates against before staging
+// them — or the zero term. The type pattern stays in the plan.
+func windowClass(pat TriplePattern, remaining []TriplePattern, bound map[string]bool) rdf.Term {
+	if !pat.S.IsVar() || bound[pat.S.Var] {
+		return rdf.Term{}
+	}
+	for _, p := range remaining {
+		if p.S.IsVar() && p.S.Var == pat.S.Var && !p.P.IsVar() && p.P.Term.Equal(rdfType) && !p.O.IsVar() {
+			return p.O.Term
+		}
+	}
+	return rdf.Term{}
+}
+
+var rdfType = rdf.NewIRI(rdf.RDFType)
 
 // timeWindows extracts the windows the group's filters confine the
 // BGP's object variables to, when the source keeps a time index: bounded

@@ -16,7 +16,16 @@ type spatialFixture struct {
 	*rdf.Store
 }
 
+var _ SpatialSource = spatialFixture{}
+
 func (s spatialFixture) SpatialIndexEnabled() bool { return true }
+
+func (s spatialFixture) SubjectSets(p, o rdf.ID, dst []map[rdf.ID]struct{}) []map[rdf.ID]struct{} {
+	if set := s.SubjectSet(p, o); set != nil {
+		dst = append(dst, set)
+	}
+	return dst
+}
 
 func (s spatialFixture) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) bool {
 	p, ok := s.Dict().Lookup(rdf.NewIRI("http://strdf.di.uoa.gr/ontology#hasGeometry"))
@@ -84,7 +93,7 @@ func TestExplainInvalidForFiresGolden(t *testing.T) {
   filter[pushed] (str(?at) = "2007-08-24T18:15:00")
   join[bind] {?h <http://strdf.di.uoa.gr/ontology#hasGeometry> ?hGeo} on h est=0.75
   join[bind] {?h ?hProperty ?hObject} on h est=3
-  join[window] {?a <http://strdf.di.uoa.gr/ontology#hasGeometry> ?aGeo} est=0.21
+  join[window class=<http://teleios.di.uoa.gr/ontologies/clcOntology.owl#Area>] {?a <http://strdf.di.uoa.gr/ontology#hasGeometry> ?aGeo} est=0.21
   join[bind] {?a <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#Area>} on a est=0.03
   filter[pushed] strdf:coveredby(?hGeo, ?aGeo)
   join[bind] {?a <http://teleios.di.uoa.gr/ontologies/clcOntology.owl#hasLandUse> ?use} on a est=0.0075
@@ -149,7 +158,7 @@ SELECT ?h ?m WHERE {
   ?m strdf:hasGeometry ?mGeo ; a gag:Municipality .
   FILTER( strdf:anyInteract(?hGeo, ?mGeo) )
 }`) {
-		window := lineWith(t, lines, "join[window] {?m ")
+		window := lineWith(t, lines, "join[window class=<http://teleios.di.uoa.gr/ontologies/gagOntology.owl#Municipality>] {?m ")
 		typed := lineWith(t, lines, "gagOntology.owl#Municipality>}")
 		exact := lineWith(t, lines, "filter[pushed] strdf:anyinteract")
 		if typed != window+1 || exact != typed+1 {
@@ -180,7 +189,7 @@ SELECT ?h ?m WHERE {
   FILTER( strdf:anyInteract(?hGeo, ?mGeo) )
   FILTER( ?m != gag:nowhere )
 }`) {
-		window := lineWith(t, lines, "join[window] {?m ")
+		window := lineWith(t, lines, "join[window class=<http://teleios.di.uoa.gr/ontologies/gagOntology.owl#Municipality>] {?m ")
 		cheap := lineWith(t, lines, "filter[pushed] (?m != ")
 		typed := lineWith(t, lines, "gagOntology.owl#Municipality>}")
 		exact := lineWith(t, lines, "filter[pushed] strdf:anyinteract")
@@ -268,7 +277,7 @@ SELECT ?h WHERE {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"optional\n", "join[window] {?c <http://strdf.di.uoa.gr/ontology#hasGeometry> ?cGeo}", "filter !bound(?c)"} {
+	for _, want := range []string{"optional\n", "join[window class=<http://teleios.di.uoa.gr/ontologies/coastlineOntology.owl#Coastline>] {?c <http://strdf.di.uoa.gr/ontology#hasGeometry> ?cGeo}", "filter !bound(?c)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q:\n%s", want, out)
 		}

@@ -3,6 +3,7 @@ package stsparql
 import (
 	"container/list"
 	"fmt"
+	"hash/maphash"
 	"sync"
 
 	"repro/internal/rdf"
@@ -101,11 +102,13 @@ func (e *Evaluator) AskCompiled(c *Compiled) (bool, error) {
 
 // PlanCacheStats is a snapshot of cache effectiveness counters.
 // Evictions counts both capacity evictions and generation
-// invalidations.
+// invalidations; Declined counts the plans not stored because their
+// key was compiled for the first time.
 type PlanCacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
+	Declined  uint64 `json:"declined"`
 	Entries   int    `json:"entries"`
 }
 
@@ -115,9 +118,12 @@ type PlanCacheStats struct {
 // at another generation empties it — generations only advance, so a
 // plan pinned to an older one can never hit again and would only pin
 // its memory until the LRU got round to it (a slice under live writes
-// collects the plans of every one-off text otherwise). It is safe for
-// concurrent use, but the plans it stores are tied to one source — do
-// not share a PlanCache across stores.
+// collects the plans of every one-off text otherwise). A plan enters on
+// the second compile of its key: the cache remembers the hashes of the
+// last max keys it declined, so one-off texts — a dashboard's unique
+// windows — never displace the plans of texts that repeat. It is safe
+// for concurrent use, but the plans it stores are tied to one source —
+// do not share a PlanCache across stores.
 type PlanCache struct {
 	mu        sync.Mutex
 	max       int
@@ -127,6 +133,13 @@ type PlanCache struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
+	declined  uint64
+
+	// seen holds the hashes of the last max keys declined, queued oldest
+	// first.
+	seed   maphash.Seed
+	seen   map[uint64]struct{}
+	queued []uint64
 }
 
 type planEntry struct {
@@ -140,6 +153,8 @@ func NewPlanCache(max int) *PlanCache {
 		max:     max,
 		lru:     list.New(),
 		entries: make(map[string]*list.Element),
+		seed:    maphash.MakeSeed(),
+		seen:    make(map[uint64]struct{}),
 	}
 }
 
@@ -151,6 +166,7 @@ func (pc *PlanCache) Stats() PlanCacheStats {
 		Hits:      pc.hits,
 		Misses:    pc.misses,
 		Evictions: pc.evictions,
+		Declined:  pc.declined,
 		Entries:   len(pc.entries),
 	}
 }
@@ -190,6 +206,16 @@ func (pc *PlanCache) put(key string, gen uint64, c *Compiled) {
 	if el, ok := pc.entries[key]; ok {
 		el.Value = &planEntry{key: key, c: c}
 		pc.lru.MoveToFront(el)
+		return
+	}
+	h := maphash.String(pc.seed, key)
+	if _, again := pc.seen[h]; !again {
+		pc.seen[h] = struct{}{}
+		if pc.queued = append(pc.queued, h); len(pc.queued) > pc.max {
+			delete(pc.seen, pc.queued[0])
+			pc.queued = pc.queued[1:]
+		}
+		pc.declined++
 		return
 	}
 	pc.entries[key] = pc.lru.PushFront(&planEntry{key: key, c: c})

@@ -219,10 +219,41 @@ func (v Value) compare(o Value) (int, error) {
 			return 0, nil
 		}
 	case v.Kind == VTerm && o.Kind == VTerm:
-		return strings.Compare(v.Term.String(), o.Term.String()), nil
+		return compareTermStrings(v.Term, o.Term), nil
 	default:
 		return 0, fmt.Errorf("stsparql: incomparable value kinds %d and %d", v.Kind, o.Kind)
 	}
+}
+
+// compareTermStrings returns strings.Compare(a.String(), b.String()) —
+// the order of IRIs and blank nodes, the terms a VTerm holds — without
+// building the strings for them: "<v>" against "<w>" is v against w
+// with the terminator '>' after each, "_:v" against "_:w" is v against
+// w, and every IRI sorts before every blank node ('<' < '_'). Literals
+// take String.
+func compareTermStrings(a, b rdf.Term) int {
+	switch {
+	case a.Kind > rdf.TermBlank || b.Kind > rdf.TermBlank:
+		return strings.Compare(a.String(), b.String())
+	case a.Kind != b.Kind:
+		return int(a.Kind) - int(b.Kind) // TermIRI < TermBlank
+	case a.Kind == rdf.TermBlank:
+		return strings.Compare(a.Value, b.Value)
+	}
+	n := min(len(a.Value), len(b.Value))
+	if c := strings.Compare(a.Value[:n], b.Value[:n]); c != 0 || len(a.Value) == len(b.Value) {
+		return c
+	}
+	if len(a.Value) < len(b.Value) {
+		if b.Value[n] < '>' {
+			return 1
+		}
+		return -1
+	}
+	if a.Value[n] < '>' {
+		return -1
+	}
+	return 1
 }
 
 // equalValue implements "=" with term-equality fallbacks.

@@ -1,20 +1,27 @@
 #!/usr/bin/env bash
 # Allocation gates. For the batch execution engine: fails when a gated
-# benchmark allocates more than 1.5x its committed allocs/op baseline.
-# allocs/op is scheduling-independent, so even the CI smoke benchtime
-# measures it exactly — a regression here means a per-row allocation
-# crept back into the batch pipeline.
+# benchmark allocates more than its committed allocs/op baseline times a
+# factor — 1.5x for the streamed select, 1.1x for the rest. Every gate
+# runs at GOMAXPROCS 1: the shard benchmarks fan out to goroutines, and
+# only one P makes their channel waits — and the runtime's allocations
+# for them — repeat, so allocs/op is exact even at the CI smoke
+# benchtime; a regression means a per-row allocation crept back.
 #
 # Gated benchmarks:
 #   BenchmarkStreamedSelect/full/streamed (internal/strabon) — the
 #     single-store streaming drain, the purest view of per-batch cost.
+#   BenchmarkCachedReplay (internal/strabon) — a result-cache hit through
+#     the endpoint: request parsing and the JSON encoder over 100 rows,
+#     the serving tier's hot path.
 #   BenchmarkShardedQueries/single (internal/shard) — the join-heavy
-#     spatial workload on one store: scan + hash join + spatial filter,
-#     exercising the ID-native path end to end.
+#     spatial workload on one store, one live-slice write per query.
 #   BenchmarkShardedQueries/sharded4 (internal/shard) — the same join
 #     fanned out over composite static+slice views: what the serving
 #     stack runs. A jump here means a composite source left ID space
 #     (an intern or a closure per scanned triple).
+#   BenchmarkOrderedWindowJoin (internal/shard) — the heavy cold request:
+#     a new four-slice window join with ORDER BY, through the order
+#     operator and the ordered merge.
 #
 # Byte gates for the acquisition's front half: B/op, limit 1.1x. These
 # benchmarks run one deterministic stage each (no free-running writer),
@@ -27,7 +34,7 @@
 #     simulator, its grid-only scene part computed once per simulator.
 #
 # Baselines are committed next to the package they measure and hold the
-# allocs/op (or B/op) of a -benchtime=3x run (short runs amortise plan
+# allocs/op (or B/op) of a -benchtime=3x -cpu 1 run (short runs amortise plan
 # compilation over fewer iterations, so the baseline must be measured the
 # same way this script measures).
 set -euo pipefail
@@ -41,7 +48,7 @@ check() {
     if [ ! -f "$baseline_file" ]; then
         echo "missing baseline file $baseline_file" >&2
         echo "run the bench once and commit its $unit:" >&2
-        echo "  go test -run '^\$' -bench '$bench' -benchtime=3x -benchmem $pkg" >&2
+        echo "  go test -run '^\$' -bench '$bench' -benchtime=3x -benchmem -cpu 1 $pkg" >&2
         exit 1
     fi
     local baseline
@@ -49,7 +56,7 @@ check() {
     [ -n "$baseline" ] || { echo "empty baseline in $baseline_file" >&2; exit 1; }
 
     local out
-    out=$(go test -run '^$' -bench "$bench" -benchtime=3x -benchmem "$pkg")
+    out=$(go test -run '^$' -bench "$bench" -benchtime=3x -benchmem -cpu 1 "$pkg")
     echo "$out"
 
     local got
@@ -69,10 +76,14 @@ check() {
 
 check ./internal/strabon 'BenchmarkStreamedSelect/full/streamed' \
     internal/strabon/testdata/streamed_select_allocs.baseline
+check ./internal/strabon 'BenchmarkCachedReplay' \
+    internal/strabon/testdata/cached_replay_allocs.baseline allocs/op 11 10
 check ./internal/shard 'BenchmarkShardedQueries/single' \
-    internal/shard/testdata/sharded_single_allocs.baseline
+    internal/shard/testdata/sharded_single_allocs.baseline allocs/op 11 10
 check ./internal/shard 'BenchmarkShardedQueries/sharded4' \
-    internal/shard/testdata/sharded_fanout_allocs.baseline
+    internal/shard/testdata/sharded_fanout_allocs.baseline allocs/op 11 10
+check ./internal/shard 'BenchmarkOrderedWindowJoin' \
+    internal/shard/testdata/ordered_window_join_allocs.baseline allocs/op 11 10
 check . 'BenchmarkTable2SciQLChain' \
     testdata/table2_sciql_chain_bytes.baseline B/op 11 10
 check ./internal/seviri 'BenchmarkSimulatorAcquire' \
