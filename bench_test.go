@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -225,7 +226,7 @@ SELECT ?m WHERE {
 }`
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.Query(q); err != nil {
+		if _, err := strabon.MaterialiseQuery(context.Background(), st, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -168,8 +168,8 @@ func renderTable(cur strabon.QueryCursor) error {
 	fmt.Fprintln(w)
 	n := 0
 	for row, ok := cur.Next(); ok; row, ok = cur.Next() {
-		for _, v := range cur.Vars() {
-			fmt.Fprintf(w, "%-40s", truncate(row[v].String(), 38))
+		for _, t := range row {
+			fmt.Fprintf(w, "%-40s", truncate(t.String(), 38))
 		}
 		fmt.Fprintln(w)
 		if n++; n%tableFlushRows == 0 {

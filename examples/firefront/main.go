@@ -56,8 +56,9 @@ func main() {
 		}
 		var frontArea float64
 		pixels, confirmed := 0, 0
+		gc, cc := res.Col("g"), res.Col("conf")
 		for _, row := range res.Rows {
-			g, err := geom.ParseWKT(row["g"].Value)
+			g, err := geom.ParseWKT(row[gc].Value)
 			if err != nil {
 				continue
 			}
@@ -66,7 +67,7 @@ func main() {
 			}
 			pixels++
 			frontArea += geom.Area(g)
-			if c, _ := row["conf"].Float(); c >= 1.0 {
+			if c, _ := row[cc].Float(); c >= 1.0 {
 				confirmed++
 			}
 		}

@@ -52,11 +52,11 @@ SELECT ?h ?g ?conf WHERE {
 		log.Fatal(err)
 	}
 	fmt.Printf("stored hotspots:\n")
-	for _, row := range res.Rows {
-		g, _ := geom.ParseWKT(row["g"].Value)
+	for _, row := range res.Rows { // ?h ?g ?conf
+		g, _ := geom.ParseWKT(row[1].Value)
 		c := geom.Centroid(g)
 		fmt.Printf("  %-60s conf=%s at (%.3f, %.3f)\n",
-			shorten(row["h"].Value), row["conf"].Value, c.X, c.Y)
+			shorten(row[0].Value), row[2].Value, c.X, c.Y)
 	}
 }
 

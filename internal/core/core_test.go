@@ -110,8 +110,9 @@ func TestRefinementDeletesSeaHotspots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gc := res.Col("g")
 	for _, row := range res.Rows {
-		g, err := rowGeometry(row["g"].Value)
+		g, err := rowGeometry(row[gc].Value)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -158,12 +158,13 @@ func (s *Service) RefinedProducts() ([]*products.Product, error) {
 			Chain:      plain.Chain + "+refined",
 			AcquiredAt: plain.AcquiredAt,
 		}
+		gc, cc := res.Col("g"), res.Col("conf")
 		for i, row := range res.Rows {
-			g, err := rowGeometry(row["g"].Value)
+			g, err := rowGeometry(row[gc].Value)
 			if err != nil {
 				continue
 			}
-			conf, _ := row["conf"].Float()
+			conf, _ := row[cc].Float()
 			p.Hotspots = append(p.Hotspots, products.Hotspot{
 				ID:         fmt.Sprintf("refined_%d_%s", i, plain.AcquiredAt.Format("150405")),
 				Geometry:   g,

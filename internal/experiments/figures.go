@@ -20,9 +20,13 @@ import (
 func geomsOf(res *stsparql.Result, geomVar, labelVar string) ([]geom.Geometry, []string) {
 	var gs []geom.Geometry
 	var labels []string
+	gc, lc := res.Col(geomVar), res.Col(labelVar)
+	if gc < 0 {
+		return nil, nil
+	}
 	for _, row := range res.Rows {
-		t, ok := row[geomVar]
-		if !ok {
+		t := row[gc]
+		if t.IsZero() {
 			continue
 		}
 		g, err := geom.ParseWKT(t.Value)
@@ -31,8 +35,8 @@ func geomsOf(res *stsparql.Result, geomVar, labelVar string) ([]geom.Geometry, [
 		}
 		gs = append(gs, g)
 		label := ""
-		if labelVar != "" {
-			label = row[labelVar].Value
+		if lc >= 0 {
+			label = row[lc].Value
 		}
 		labels = append(labels, label)
 	}

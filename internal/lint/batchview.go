@@ -8,7 +8,7 @@ import (
 
 // batchview: the *Batch a batch iterator's next yields is owned by the
 // producer and reused (or overwritten in place) on the next pull — the
-// columnar analogue of the Binding row-view contract bindingclone
+// columnar analogue of the Row view contract bindingclone
 // enforces. Retaining such a batch — appending it to a slice, storing
 // it into a struct field, map, array element or through a pointer, or
 // sending it over a channel — without an interposing cloneBatch means

@@ -6,22 +6,24 @@ import (
 	"go/types"
 )
 
-// bindingclone: the Binding a streaming cursor's Next yields is a thin
-// view over the engine's current columnar batch, reused on the next
-// pull (PR 6's row-view contract). Retaining such a row — appending it
-// to a slice, storing it into a struct field, map, or array element, or
-// sending it over a channel — without an interposing Clone() means the
-// retained row mutates under the holder at the next Next.
+// bindingclone: the Row a streaming cursor's Next yields is a thin
+// view — one slice refilled from the engine's current columnar batch,
+// or the fan-out merge's reused permuted row — that changes at the next
+// pull. Retaining such a row — appending it to a slice, storing it into
+// a struct field, map, or array element, or sending it over a channel
+// — without an interposing Clone() means the retained row mutates under
+// the holder at the next Next.
 //
 // The check is a per-function taint pass: variables bound from a
-// `row, ok := cur.Next()` call whose first result is a named Binding
-// type are tainted; any retention of a tainted variable that is not a
+// `row, ok := cur.Next()` call whose first result is a named Row type
+// are tainted; any retention of a tainted variable that is not a
 // direct .Clone() call is flagged. Immediate consumption — passing the
-// row to an encoder, reading fields — is fine and not flagged.
+// row to an encoder, reading its columns, appending its terms with
+// append(dst, row...) — is fine and not flagged.
 
 var analyzerBindingClone = &Analyzer{
 	Name: "bindingclone",
-	Doc:  "Binding row views from Cursor.Next must be Cloned before being retained",
+	Doc:  "Row views from Cursor.Next must be Cloned before being retained",
 	Run:  runBindingClone,
 }
 
@@ -42,7 +44,7 @@ func runBindingClone(prog *Program) []Diagnostic {
 }
 
 // isNextRowCall reports whether the call is a cursor pull: a method
-// named Next whose first result is a named Binding.
+// named Next whose first result is a named Row.
 func isNextRowCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Next" || !isMethodCall(info, sel) {
@@ -57,7 +59,7 @@ func isNextRowCall(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	n := namedOf(tuple.At(0).Type())
-	return n != nil && n.Obj().Name() == "Binding"
+	return n != nil && n.Obj().Name() == "Row"
 }
 
 func bindingCloneFunc(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
@@ -99,7 +101,7 @@ func bindingCloneFunc(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 		diags = append(diags, Diagnostic{
 			Pos:      pkg.Fset.Position(n.Pos()),
 			Analyzer: "bindingclone",
-			Message: fmt.Sprintf("Binding row view %q from Next is %s without Clone: the view is reused on the next pull — retain %s.Clone() instead",
+			Message: fmt.Sprintf("Row view %q from Next is %s without Clone: the view is reused on the next pull — retain %s.Clone() instead",
 				obj.Name(), how, obj.Name()),
 		})
 	}
@@ -109,7 +111,11 @@ func bindingCloneFunc(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "append" && len(n.Args) > 1 {
-				for _, arg := range n.Args[1:] {
+				args := n.Args[1:]
+				if n.Ellipsis.IsValid() {
+					args = args[:len(args)-1] // row... copies the terms out
+				}
+				for _, arg := range args {
 					if obj, ok := isTainted(arg); ok {
 						report(arg, obj, "appended to a slice")
 					}

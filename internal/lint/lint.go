@@ -11,17 +11,13 @@
 //     QueryStreamCtx, Evaluator.Run or Evaluator.RunCompiled must be
 //     Closed, returned, or handed to an owner — a leaked cursor pins a
 //     store read lock forever.
-//   - bindingclone: a Binding yielded by Cursor.Next is a view into
-//     the engine's current batch, reused on the next pull; retaining
-//     one (struct field, slice, map, channel) requires an interposing
-//     Clone call.
+//   - bindingclone: a Row yielded by Cursor.Next is a view into the
+//     engine's current batch (or the fan-out merge's current row),
+//     reused on the next pull; retaining one (struct field, slice,
+//     map, channel) requires an interposing Clone call.
 //   - batchview: the columnar analogue — a *Batch yielded by a batch
 //     iterator's next is owned by the producer and reused on the next
 //     pull; retaining one requires an interposing cloneBatch call.
-//   - ctxapi: internal callers use the canonical context-first
-//     QueryStreamCtx surface; the legacy materialising Query/TimedQuery
-//     methods are banned outside the blessed strabon.MaterialiseQuery /
-//     strabon.TimedQuery wrappers and test files.
 //   - lockdiscipline: no write-lock acquisition (writeMu, RWMutex
 //     write Lock, Store.Lock, lockWrite) is reachable from the reader
 //     entry points (QueryStream, QueryStreamCtx, Explain) via a static
@@ -96,7 +92,6 @@ func All() []*Analyzer {
 		analyzerCursorClose,
 		analyzerBindingClone,
 		analyzerBatchView,
-		analyzerCtxAPI,
 		analyzerLockDiscipline,
 		analyzerGenOrder,
 	}
@@ -205,8 +200,7 @@ func RunAnalyzers(prog *Program, analyzers []*Analyzer) []Diagnostic {
 
 // --- shared AST/type helpers ---
 
-// isTestFile reports whether the position's file is a _test.go file
-// (ctxapi exempts tests; fixtures include a _test.go case to pin it).
+// isTestFile reports whether the position's file is a _test.go file.
 func isTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }

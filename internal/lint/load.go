@@ -150,8 +150,7 @@ func displayPath(p string) string {
 // LoadPackages loads and type-checks the module packages matching the
 // given `go list` patterns (plus their in-module dependencies, which
 // are type-checked but not analyzed). Test files are not loaded: the
-// invariants gate production code, and ctxapi explicitly exempts
-// tests.
+// invariants gate production code.
 func LoadPackages(patterns ...string) (*Program, error) {
 	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Name,Dir,GoFiles,Imports,Export,Standard,DepOnly"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -203,8 +202,7 @@ func LoadPackages(patterns ...string) (*Program, error) {
 // every subdirectory holding .go files is one package whose import
 // path is its slash-separated path relative to dir. Fixture packages
 // may import each other by those relative paths and the standard
-// library; _test.go files ARE loaded (the ctxapi fixtures pin the
-// test-file exemption with one).
+// library; _test.go files are loaded too.
 func LoadFixtureTree(dir string) (*Program, error) {
 	pkgFiles := make(map[string][]string)
 	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {

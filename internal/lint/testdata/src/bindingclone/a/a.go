@@ -4,24 +4,22 @@ package a
 
 type Term struct{ V string }
 
-type Binding map[string]Term
+type Row []Term
 
-func (b Binding) Clone() Binding {
-	out := make(Binding, len(b))
-	for k, v := range b {
-		out[k] = v
-	}
+func (r Row) Clone() Row {
+	out := make(Row, len(r))
+	copy(out, r)
 	return out
 }
 
 type Cursor struct{}
 
-func (c *Cursor) Next() (Binding, bool) { return nil, false }
+func (c *Cursor) Next() (Row, bool) { return nil, false }
 
 type sink struct {
-	rows []Binding
-	last Binding
-	byID map[string]Binding
+	rows []Row
+	last Row
+	byID map[string]Row
 }
 
 func retainAppend(c *Cursor, s *sink) {
@@ -46,7 +44,7 @@ func retainMap(c *Cursor, s *sink) {
 	s.byID["k"] = row // bad: view stored into a map
 }
 
-func retainChan(c *Cursor, ch chan Binding) {
+func retainChan(c *Cursor, ch chan Row) {
 	row, _ := c.Next()
 	ch <- row // bad: view crosses a channel
 }
@@ -68,7 +66,12 @@ func clonedField(c *Cursor, s *sink) {
 	s.last = row.Clone() // ok
 }
 
-func consumed(c *Cursor, emit func(Binding)) {
+func copiedTerms(c *Cursor, slab []Term) []Term {
+	row, _ := c.Next()
+	return append(slab, row...) // ok: the terms are copied out
+}
+
+func consumed(c *Cursor, emit func(Row)) {
 	row, ok := c.Next()
 	if ok {
 		emit(row) // ok: immediate consumption, no retention

@@ -181,7 +181,7 @@ func (r *Runner) apply(delta []*products.Product, only Op) ([]Outcome, error) {
 	// The event: every hotspot subject of the delta, and which product
 	// wrote it.
 	f := strabon.Flush{Since: delta[0].AcquiredAt.Add(-r.PersistenceWindow)}
-	var seed []stsparql.Binding
+	var seed []stsparql.Row // binds ?h
 	owner := make(map[string]int)
 	out := make([]Outcome, len(delta))
 	for i, p := range delta {
@@ -192,7 +192,7 @@ func (r *Runner) apply(delta []*products.Product, only Op) ([]Outcome, error) {
 		for _, h := range p.Hotspots {
 			uri := products.HotspotURI(h)
 			owner[uri] = i
-			seed = append(seed, stsparql.Binding{"h": rdf.NewIRI(uri)})
+			seed = append(seed, stsparql.Row{rdf.NewIRI(uri)})
 		}
 		out[i].Refined = len(p.Hotspots)
 	}
@@ -262,20 +262,19 @@ func (r *Runner) apply(delta []*products.Product, only Op) ([]Outcome, error) {
 // applied once. Virtual hotspots are numbered in sorted-WKT order, so
 // every store topology mints the same URIs.
 func (r *Runner) persist(tx *strabon.FlushTx, rules *ruleSet, p *products.Product) (confirmed, reinstated int, err error) {
-	window := stsparql.Binding{
-		"since": rdf.NewLiteral(xsdTime(p.AcquiredAt.Add(-r.PersistenceWindow))),
-		"now":   rdf.NewLiteral(xsdTime(p.AcquiredAt)),
-		"min":   rdf.NewInteger(int64(r.PersistenceMin)),
+	// The window binds ?since ?now ?min; the confirmation seed binds
+	// ?h ?pixel and the window, one row per fresh hotspot.
+	window := stsparql.Row{
+		rdf.NewLiteral(xsdTime(p.AcquiredAt.Add(-r.PersistenceWindow))),
+		rdf.NewLiteral(xsdTime(p.AcquiredAt)),
+		rdf.NewInteger(int64(r.PersistenceMin)),
 	}
 	fresh := make(map[string]bool, len(p.Hotspots))
-	seed := make([]stsparql.Binding, len(p.Hotspots))
+	seed := make([]stsparql.Row, len(p.Hotspots))
 	for i, h := range p.Hotspots {
 		pixel := rdf.NewGeometry(geom.WKT(h.Geometry))
 		fresh[pixel.Value] = true
-		seed[i] = stsparql.Binding{"h": rdf.NewIRI(products.HotspotURI(h)), "pixel": pixel}
-		for k, v := range window {
-			seed[i][k] = v
-		}
+		seed[i] = append(stsparql.Row{rdf.NewIRI(products.HotspotURI(h)), pixel}, window...)
 	}
 	plan, err := tx.Plan(rules.confirm, seed)
 	if err != nil {
@@ -283,13 +282,14 @@ func (r *Runner) persist(tx *strabon.FlushTx, rules *ruleSet, p *products.Produc
 	}
 	confirmed = plan.InsertCount() / 2
 
-	res, err := tx.Select(rules.persistent, []stsparql.Binding{window})
+	res, err := tx.Select(rules.persistent, []stsparql.Row{window})
 	if err != nil {
 		return 0, 0, err
 	}
 	var absent []rdf.Term
+	geo := res.Col("hGeo")
 	for _, row := range res.Rows {
-		if g := row["hGeo"]; !fresh[g.Value] {
+		if g := row[geo]; !fresh[g.Value] {
 			absent = append(absent, g)
 		}
 	}

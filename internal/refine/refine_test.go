@@ -1,6 +1,7 @@
 package refine_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -148,7 +149,7 @@ func TestRefineInCoastClipsGeometry(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	g, err := geom.ParseWKT(res.Rows[0]["g"].Value)
+	g, err := geom.ParseWKT(res.Rows[0][res.Col("g")].Value)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestTimePersistenceConfirmsAndReinstates(t *testing.T) {
 	if len(res2.Rows) != 1 {
 		t.Fatalf("rows = %d", len(res2.Rows))
 	}
-	if conf, _ := res2.Rows[0]["conf"].Float(); conf != 1.0 {
+	if conf, _ := res2.Rows[0][res2.Col("conf")].Float(); conf != 1.0 {
 		t.Fatalf("confidence = %g, want raised to 1.0", conf)
 	}
 }
@@ -354,7 +355,7 @@ WHERE {
 
 	// Time Persistence.
 	query := func(text string) *stsparql.Result {
-		res, err := o.store.Query(text)
+		res, err := strabon.MaterialiseQuery(context.Background(), o.store, text)
 		if err != nil {
 			t.Fatalf("oracle: %v\n%s", err, text)
 		}
@@ -393,7 +394,7 @@ WHERE {
 }
 GROUP BY ?hGeo
 HAVING (COUNT(?h) >= %d)`, xsd(since), xsd(p.AcquiredAt), o.min)).Rows {
-		if g := row["hGeo"]; !fresh[g.Value] {
+		if g := row[0]; !fresh[g.Value] { // ?hGeo
 			absent = append(absent, g)
 		}
 	}
@@ -421,13 +422,13 @@ INSERT DATA {
 // (hotspots, virtual hotspots, shapefiles), sorted.
 func acquisitionTriples(t *testing.T, st strabon.API) []string {
 	t.Helper()
-	res, err := st.Query(`SELECT ?s ?p ?o WHERE { ?s noa:hasAcquisitionDateTime ?t ; ?p ?o . }`)
+	res, err := strabon.MaterialiseQuery(context.Background(), st, `SELECT ?s ?p ?o WHERE { ?s noa:hasAcquisitionDateTime ?t ; ?p ?o . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([]string, len(res.Rows))
 	for i, row := range res.Rows {
-		out[i] = rdf.Triple{S: row["s"], P: row["p"], O: row["o"]}.String()
+		out[i] = rdf.Triple{S: row[0], P: row[1], O: row[2]}.String() // ?s ?p ?o
 	}
 	sort.Strings(out)
 	return out

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/auxdata"
+	"repro/internal/ontology"
+	"repro/internal/rdf"
 	"repro/internal/strabon"
 	"repro/internal/stsparql"
 )
@@ -67,5 +69,50 @@ func TestRulePlansAreDeltaDriven(t *testing.T) {
 	if first := strings.Split(persistent, "\n")[1]; !strings.HasPrefix(first, "  scan[time-range] {?h ") ||
 		!strings.Contains(first, "hasAcquisitionDateTime> ?hAt} [?since, ?now] est=") {
 		t.Fatalf("persistent: first operator is not the seed's time range:\n%s", persistent)
+	}
+}
+
+// TestSeedRowsMatchTheSeedList pins the positional seed contract on the
+// rules' three seed shapes — ?h; ?h ?pixel ?since ?now ?min; ?since
+// ?now ?min: a row as wide as the seed list runs, and a row one term
+// short or one term long is refused instead of binding the wrong
+// variables.
+func TestSeedRowsMatchTheSeedList(t *testing.T) {
+	s := strabon.New()
+	s.LoadTriples(auxdata.Generate(42).AllTriples())
+	rules, err := NewRunner(s).compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := stsparql.NewEvaluatorWithCache(s, s.GeomCache())
+	h := rdf.NewIRI(ontology.NOA + "Hotspot_x")
+	pixel := rdf.NewGeometry("POLYGON ((22.3 38.3, 22.34 38.3, 22.34 38.34, 22.3 38.34, 22.3 38.3))")
+	window := stsparql.Row{rdf.NewLiteral("2007-08-24T11:00:00"), rdf.NewLiteral("2007-08-24T12:00:00"), rdf.NewInteger(2)}
+	run := func(p *stsparql.Prepared, row stsparql.Row) error {
+		if p == rules.persistent {
+			_, err := ev.SelectPrepared(p, []stsparql.Row{row})
+			return err
+		}
+		_, err := ev.PlanPrepared(p, []stsparql.Row{row})
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		p    *stsparql.Prepared
+		row  stsparql.Row
+	}{
+		{"?h", rules.scoped[0].prepared, stsparql.Row{h}},
+		{"?h ?pixel ?since ?now ?min", rules.confirm, append(stsparql.Row{h, pixel}, window...)},
+		{"?since ?now ?min", rules.persistent, window},
+	} {
+		if err := run(tc.p, tc.row); err != nil {
+			t.Fatalf("%s: a full row is refused: %v", tc.name, err)
+		}
+		if err := run(tc.p, tc.row[:len(tc.row)-1]); err == nil {
+			t.Errorf("%s: a short row runs", tc.name)
+		}
+		if err := run(tc.p, append(tc.row.Clone(), h)); err == nil {
+			t.Errorf("%s: a long row runs", tc.name)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 func snapOf(rows int) *stsparql.RowSnapshot {
 	s := stsparql.NewRowSnapshot([]string{"x"})
 	for i := 0; i < rows; i++ {
-		s.Append(stsparql.Binding{})
+		s.Append(stsparql.Row{{}})
 	}
 	return s
 }

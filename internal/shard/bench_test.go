@@ -48,7 +48,7 @@ func BenchmarkShardedQueries(b *testing.B) {
 					Confidence: 1.0, AcquiredAt: at, Sensor: "MSG1", Chain: "bench", Producer: "noa",
 				})
 				st.InsertAll(p.Triples())
-				res, err := st.Query(q)
+				res, err := runQuery(st, q)
 				if err != nil {
 					b.Fatal(err)
 				}

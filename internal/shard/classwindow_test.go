@@ -157,7 +157,7 @@ func TestClassWindowMatchesTypeProbe(t *testing.T) {
 			if !strings.Contains(plan, "join[window class=") {
 				t.Fatalf("%s on %s: no class-filtered window in the plan:\n%s", name, tp.name, plan)
 			}
-			got, err := tp.api.Query(text)
+			got, err := runQuery(tp.api, text)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestClassWindowMatchesTypeProbe(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"hotspots-of-a-municipality", "municipality-four-slices"} {
-		got, err := split.Query(classWindowQueries[name])
+		got, err := runQuery(split, classWindowQueries[name])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,14 +30,14 @@ func TestGoldenEquivalence(t *testing.T) {
 
 	for _, tc := range corpus {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := single.Query(tc.query)
+			res, err := runQuery(single, tc.query)
 			if err != nil {
 				t.Fatalf("single store: %v", err)
 			}
 			got := renderGolden(res, tc.ordered)
 			compareGolden(t, filepath.Join("testdata", "golden", tc.name+".txt"), got)
 
-			shRes, err := sh.Query(tc.query)
+			shRes, err := runQuery(sh, tc.query)
 			if err != nil {
 				t.Fatalf("sharded store: %v", err)
 			}
@@ -48,7 +48,7 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 	for _, tc := range askCorpus {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := single.Query(tc.query)
+			res, err := runQuery(single, tc.query)
 			if err != nil {
 				t.Fatal(err)
 			}

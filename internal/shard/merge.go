@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 
@@ -22,10 +23,13 @@ import (
 // over the store's one dictionary, but each keeps an overflow table of
 // its own for the terms it computes, so IDs do not compare across
 // streams. A worker copies each row's terms positionally — in its
-// stream's header order — into one growing slab per chunk, and the merge
-// reads them in place: the ordered merge evaluates each stream head's
-// ORDER BY keys once, and Next fills one reused Binding view. Partial-
-// aggregate recombination still takes map rows (AggMerge).
+// stream's header order — into one slab per chunk, and the merge reads
+// them in place: Next hands out the slab row itself when the stream's
+// header is the merged one (always, for an explicit projection), and a
+// copy through the stream's column permutation otherwise (SELECT *,
+// whose shard headers list only the variables their rows bind). The
+// ordered merge evaluates each stream head's ORDER BY keys once;
+// partial-aggregate recombination takes the slab rows as they are.
 
 // fanMode selects the merge strategy.
 type fanMode int
@@ -53,7 +57,7 @@ type fanPlan struct {
 	shardQ *stsparql.Query // per-shard AST (possibly rewritten)
 	key    string          // plan-cache key (distinct per rewrite)
 	agg    *stsparql.AggMerge
-	order  *stsparql.OrderKeys
+	order  []stsparql.OrderKey // fanOrdered: the keys the streams are sorted by
 
 	distinct      bool     // re-deduplicate at the merger
 	offset, limit int      // merger-side slice; limit -1 = none
@@ -79,7 +83,7 @@ func planFanout(src string, q *stsparql.Query) (*fanPlan, bool) {
 	fp := &fanPlan{mode: fanConcat, distinct: sel.Distinct, offset: sel.Offset, limit: sel.Limit}
 	if len(sel.OrderBy) > 0 {
 		fp.mode = fanOrdered
-		fp.order = stsparql.NewOrderKeys(sel.OrderBy)
+		fp.order = sel.OrderBy
 	}
 	if sel.Offset > 0 || sel.Limit >= 0 {
 		// Per-shard rewrite: each shard computes the first OFFSET+LIMIT
@@ -109,7 +113,7 @@ func planFanout(src string, q *stsparql.Query) (*fanPlan, bool) {
 // aggregates, empty prunes).
 type listCursor struct {
 	vars    []string
-	rows    []stsparql.Binding
+	rows    []stsparql.Row
 	pos     int
 	yielded int
 	ask     bool
@@ -136,7 +140,7 @@ func (c *listCursor) CacheVector() (resultcache.GenVector, bool) {
 	return c.vec, c.hasVec && c.cacheable
 }
 
-func (c *listCursor) Next() (stsparql.Binding, bool) {
+func (c *listCursor) Next() (stsparql.Row, bool) {
 	if c.pos >= len(c.rows) {
 		return nil, false
 	}
@@ -154,7 +158,7 @@ func (c *listCursor) Close() error {
 func askResult(ok bool) *listCursor {
 	return &listCursor{
 		vars: []string{"ask"},
-		rows: []stsparql.Binding{{"ask": rdf.NewBoolean(ok)}},
+		rows: []stsparql.Row{{rdf.NewBoolean(ok)}},
 		ask:  true,
 	}
 }
@@ -179,8 +183,14 @@ type shardStream struct {
 	buf   chunk
 	pos   int
 
+	// perm maps each merged column to the stream's column (-1: the
+	// stream has no such variable); nil when the headers are equal. row
+	// is the reused copy a permuted row is made in.
+	perm []int
+	row  stsparql.Row
+
 	// ordered merge: the stream's lookahead row and its key values
-	head    []rdf.Term
+	head    stsparql.Row
 	key     []stsparql.Value
 	hasHead bool
 	drained bool
@@ -197,7 +207,7 @@ type mergeCursor struct {
 
 	streams []*shardStream
 	vars    []string
-	view    stsparql.Binding // the row Next hands out, refilled per call
+	order   *stsparql.OrderKeys // fanOrdered
 
 	cur int         // concat: current stream
 	agg *listCursor // fanAgg: recombined output
@@ -252,6 +262,18 @@ func startMerge(ctx context.Context, fp *fanPlan, evs []*stsparql.Evaluator, cs 
 			m.vars = append(m.vars, v)
 		}
 		sort.Strings(m.vars)
+		for _, st := range m.streams {
+			if !slices.Equal(st.vars, m.vars) {
+				st.perm = make([]int, len(m.vars))
+				for j, v := range m.vars {
+					st.perm[j] = slices.Index(st.vars, v)
+				}
+				st.row = make(stsparql.Row, len(m.vars))
+			}
+		}
+	}
+	if fp.mode == fanOrdered {
+		m.order = stsparql.NewOrderKeys(fp.order, m.vars)
 	}
 	return m
 }
@@ -284,9 +306,7 @@ func (m *mergeCursor) run(ev *stsparql.Evaluator, c *stsparql.Compiled, st *shar
 			}
 			return
 		}
-		for _, v := range vars {
-			out.terms = append(out.terms, row[v])
-		}
+		out.terms = append(out.terms, row...)
 		if out.n++; out.n == chunkRows {
 			select {
 			case st.ch <- out:
@@ -298,16 +318,28 @@ func (m *mergeCursor) run(ev *stsparql.Evaluator, c *stsparql.Compiled, st *shar
 	}
 }
 
-// nextRow returns one stream's next row, pulling a fresh chunk when the
-// buffered one is spent. ok=false means the stream is exhausted, its
-// worker failed, or the context fired — the latter two set m.err.
-func (m *mergeCursor) nextRow(st *shardStream) ([]rdf.Term, bool) {
+// nextRow returns one stream's next row in the merged header's column
+// order, pulling a fresh chunk when the buffered one is spent. The row
+// is the slab's own when the stream needs no permutation — chunks are
+// never reused, so it stays valid — and otherwise the stream's reused
+// copy. ok=false means the stream is exhausted, its worker failed, or
+// the context fired — the latter two set m.err.
+func (m *mergeCursor) nextRow(st *shardStream) (stsparql.Row, bool) {
 	for {
 		if st.pos < st.buf.n {
 			w := len(st.vars)
-			row := st.buf.terms[st.pos*w : (st.pos+1)*w]
+			row := st.buf.terms[st.pos*w : (st.pos+1)*w : (st.pos+1)*w]
 			st.pos++
-			return row, true
+			if st.perm == nil {
+				return row, true
+			}
+			for j, c := range st.perm {
+				st.row[j] = rdf.Term{}
+				if c >= 0 {
+					st.row[j] = row[c]
+				}
+			}
+			return st.row, true
 		}
 		select {
 		case c, ok := <-st.ch:
@@ -326,26 +358,12 @@ func (m *mergeCursor) nextRow(st *shardStream) ([]rdf.Term, bool) {
 	}
 }
 
-// fill makes the view hold one of st's rows.
-func (m *mergeCursor) fill(st *shardStream, row []rdf.Term) stsparql.Binding {
-	if m.view == nil {
-		m.view = make(stsparql.Binding, len(st.vars))
-	}
-	clear(m.view)
-	for i, v := range st.vars {
-		if !row[i].IsZero() {
-			m.view[v] = row[i]
-		}
-	}
-	return m.view
-}
-
 func (m *mergeCursor) Vars() []string { return m.vars }
 func (m *mergeCursor) IsAsk() bool    { return false }
 func (m *mergeCursor) Err() error     { return m.err }
 func (m *mergeCursor) Rows() int      { return m.yielded }
 
-func (m *mergeCursor) Next() (stsparql.Binding, bool) {
+func (m *mergeCursor) Next() (stsparql.Row, bool) {
 	if m.closed || m.done || m.err != nil {
 		return nil, false
 	}
@@ -369,13 +387,12 @@ func (m *mergeCursor) Next() (stsparql.Binding, bool) {
 			m.shutdown()
 			return nil, false
 		}
-		var st *shardStream
-		var terms []rdf.Term
+		var row stsparql.Row
 		var ok bool
 		if m.plan.mode == fanOrdered {
-			st, terms, ok = m.pullOrdered()
+			row, ok = m.pullOrdered()
 		} else {
-			st, terms, ok = m.pullConcat()
+			row, ok = m.pullConcat()
 		}
 		if !ok {
 			if m.err == nil {
@@ -384,12 +401,11 @@ func (m *mergeCursor) Next() (stsparql.Binding, bool) {
 			m.shutdown() // exhausted (or failed): release locks now
 			return nil, false
 		}
-		row := m.fill(st, terms)
 		if m.plan.distinct {
 			if m.seen == nil {
 				m.seen = make(map[string]bool)
 			}
-			m.kb = stsparql.RowKey(m.kb[:0], row, m.vars)
+			m.kb = stsparql.RowKey(m.kb[:0], row)
 			if m.seen[string(m.kb)] {
 				continue
 			}
@@ -407,67 +423,66 @@ func (m *mergeCursor) Next() (stsparql.Binding, bool) {
 
 // pullConcat streams the shards one after another — shard order, with
 // every worker prefetching into its buffer concurrently.
-func (m *mergeCursor) pullConcat() (*shardStream, []rdf.Term, bool) {
+func (m *mergeCursor) pullConcat() (stsparql.Row, bool) {
 	for m.cur < len(m.streams) {
-		st := m.streams[m.cur]
-		row, ok := m.nextRow(st)
+		row, ok := m.nextRow(m.streams[m.cur])
 		if !ok {
 			if m.err != nil {
-				return nil, nil, false
+				return nil, false
 			}
 			m.cur++
 			continue
 		}
-		return st, row, true
+		return row, true
 	}
-	return nil, nil, false
+	return nil, false
 }
 
 // pullOrdered k-way merges the pre-sorted shard streams: one lookahead
 // row per stream, its ORDER BY keys evaluated once when it becomes the
 // head, emitting the smallest (ties to the lower shard, keeping the merge
 // deterministic).
-func (m *mergeCursor) pullOrdered() (*shardStream, []rdf.Term, bool) {
+func (m *mergeCursor) pullOrdered() (stsparql.Row, bool) {
 	var best *shardStream
 	for _, st := range m.streams {
 		if !st.drained && !st.hasHead {
 			row, ok := m.nextRow(st)
 			if !ok {
 				if m.err != nil {
-					return nil, nil, false
+					return nil, false
 				}
 				st.drained = true
 				continue
 			}
 			st.head, st.hasHead = row, true
-			st.key = m.plan.order.Eval(st.key[:0], m.fill(st, row))
+			st.key = m.order.Eval(st.key[:0], row)
 		}
-		if st.hasHead && (best == nil || m.plan.order.Compare(st.key, best.key) < 0) {
+		if st.hasHead && (best == nil || m.order.Compare(st.key, best.key) < 0) {
 			best = st
 		}
 	}
 	if best == nil {
-		return nil, nil, false
+		return nil, false
 	}
 	best.hasHead = false
-	return best, best.head, true
+	return best.head, true
 }
 
 // finalizeAgg is the barrier of the aggregate merge: every shard's
 // partial rows are drained, the read locks released, and the groups
 // recombined into the final materialised result.
 func (m *mergeCursor) finalizeAgg() bool {
-	var rows []stsparql.Binding
+	var rows []stsparql.Row
 	for _, st := range m.streams {
 		for {
-			terms, ok := m.nextRow(st)
+			row, ok := m.nextRow(st)
 			if !ok {
 				if m.err != nil {
 					return false
 				}
 				break
 			}
-			rows = append(rows, m.fill(st, terms).Clone())
+			rows = append(rows, row)
 		}
 	}
 	m.shutdown() // partials shipped: recombination needs no locks
@@ -476,7 +491,6 @@ func (m *mergeCursor) finalizeAgg() bool {
 		m.err = err
 		return false
 	}
-	m.vars = res.Vars
 	m.agg = &listCursor{vars: res.Vars, rows: res.Rows}
 	return true
 }
@@ -533,7 +547,7 @@ func (c *unionCursor) Vars() []string { return c.inner.Vars() }
 func (c *unionCursor) IsAsk() bool    { return false }
 func (c *unionCursor) Rows() int      { return c.yielded }
 
-func (c *unionCursor) Next() (stsparql.Binding, bool) {
+func (c *unionCursor) Next() (stsparql.Row, bool) {
 	if c.closed || c.err != nil {
 		return nil, false
 	}

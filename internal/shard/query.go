@@ -51,14 +51,6 @@ func (s *Store) QueryStreamCtx(ctx context.Context, src string) (strabon.QueryCu
 	}
 }
 
-// Query materialises a SELECT or ASK through the canonical streaming
-// path (strabon.MaterialiseQuery), which re-reads the header after the
-// drain — SELECT * and merged-aggregate headers are only final once the
-// rows are known.
-func (s *Store) Query(src string) (*stsparql.Result, error) {
-	return strabon.MaterialiseQuery(context.Background(), s, src)
-}
-
 // unionStream evaluates once over the union view of every member store
 // — the exact fallback for queries the analysis cannot decompose.
 func (s *Store) unionStream(ctx context.Context, src string, q *stsparql.Query, cacheable bool) (strabon.QueryCursor, error) {

@@ -125,13 +125,13 @@ WHERE {
 // sorted — URIs of virtual hotspots included.
 func hotspotTriples(t *testing.T, st strabon.API) []string {
 	t.Helper()
-	res, err := st.Query(`SELECT ?h ?p ?o WHERE { ?h a noa:Hotspot ; ?p ?o . }`)
+	res, err := runQuery(st, `SELECT ?h ?p ?o WHERE { ?h a noa:Hotspot ; ?p ?o . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([]string, len(res.Rows))
 	for i, row := range res.Rows {
-		out[i] = rdf.Triple{S: row["h"], P: row["p"], O: row["o"]}.String()
+		out[i] = rdf.Triple{S: row[0], P: row[1], O: row[2]}.String() // ?h ?p ?o
 	}
 	sort.Strings(out)
 	return out
@@ -228,14 +228,14 @@ func TestNoPartialRefinementVisible(t *testing.T) {
   FILTER( !bound(?c) ) }`,
 	}
 	rows := func(st strabon.API, q string) map[string]bool {
-		res, err := st.Query(q)
+		res, err := runQuery(st, q)
 		if err != nil {
 			t.Error(err)
 			return nil
 		}
 		out := make(map[string]bool, len(res.Rows))
 		for _, row := range res.Rows {
-			out[string(stsparql.RowKey(nil, row, res.Vars))] = true
+			out[string(stsparql.RowKey(nil, row))] = true
 		}
 		return out
 	}
@@ -369,14 +369,14 @@ func TestReaderComputesWhatWriterInterns(t *testing.T) {
 		`SELECT DISTINCT ?c ?n WHERE { ` + where + ` OPTIONAL { ?h <` + ex + `note> ?n } }`,
 	}
 	rows := func(st strabon.API, q string) []string {
-		res, err := st.Query(q)
+		res, err := runQuery(st, q)
 		if err != nil {
 			t.Error(err)
 			return nil
 		}
 		out := make([]string, len(res.Rows))
 		for i, row := range res.Rows {
-			out[i] = string(stsparql.RowKey(nil, row, res.Vars))
+			out[i] = string(stsparql.RowKey(nil, row))
 		}
 		sort.Strings(out)
 		return out

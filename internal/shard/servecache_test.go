@@ -209,7 +209,7 @@ func TestShardResultCacheInvalidation(t *testing.T) {
 
 	// The cache never serves a stale live window: a final read must see
 	// every concurrent insert.
-	want, err := sh.Query(`SELECT (COUNT(?h) AS ?n) WHERE {
+	want, err := runQuery(sh, `SELECT (COUNT(?h) AS ?n) WHERE {
   ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at .
   FILTER( str(?at) >= "2007-08-25T13:00:00" )
   FILTER( str(?at) <= "2007-08-25T13:59:00" )
@@ -218,8 +218,8 @@ func TestShardResultCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := serve(t, ep, live)
-	if got := final.Header().Get("X-Rows"); got != want.Rows[0]["n"].Value {
-		t.Fatalf("served live window has %s rows, store has %s", got, want.Rows[0]["n"].Value)
+	if got := final.Header().Get("X-Rows"); got != at(want, 0, "n").Value {
+		t.Fatalf("served live window has %s rows, store has %s", got, at(want, 0, "n").Value)
 	}
 }
 
@@ -251,11 +251,11 @@ func TestShardObservedRangePruning(t *testing.T) {
 		!strings.Contains(out, "observed time ranges prune") {
 		t.Fatalf("wide window not pruned by observed ranges:\n%s", out)
 	}
-	want, err := single.Query(wide)
+	want, err := runQuery(single, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sh.Query(wide)
+	got, err := runQuery(sh, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +273,11 @@ func TestShardObservedRangePruning(t *testing.T) {
 	if !strings.Contains(out, "shard fan-out: 0/4 slices") {
 		t.Fatalf("window over empty slices not pruned to zero:\n%s", out)
 	}
-	res, err := sh.Query(empty)
+	res, err := runQuery(sh, empty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0]["n"].Value != "0" {
+	if len(res.Rows) != 1 || at(res, 0, "n").Value != "0" {
 		t.Fatalf("empty-window count: %+v", res.Rows)
 	}
 }

@@ -980,9 +980,3 @@ func (s *Store) GensValid(v resultcache.GenVector) bool {
 	}
 	return true
 }
-
-// TimedQuery evaluates a query and reports its wall-clock duration
-// through the shared wrapper (see strabon.TimedQuery).
-func (s *Store) TimedQuery(src string) (*stsparql.Result, time.Duration, error) {
-	return strabon.TimedQuery(s, src)
-}

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -81,6 +83,14 @@ func fixtureProducts() []*products.Product {
 	}
 	return out
 }
+
+// runQuery materialises src through the streaming path.
+func runQuery(s strabon.Streamer, src string) (*stsparql.Result, error) {
+	return strabon.MaterialiseQuery(context.Background(), s, src)
+}
+
+// at returns row i's term for variable v of a result.
+func at(res *stsparql.Result, i int, v string) rdf.Term { return res.Rows[i][res.Col(v)] }
 
 // loadFixture populates one store (single or sharded) identically.
 func loadFixture(st strabon.API) {
@@ -199,6 +209,74 @@ SELECT ?h ?u WHERE {
 	// Disjoint windows on two different time variables (of two
 	// different subjects): conflating them into one window pruned this
 	// to zero shards and returned nothing.
+	// The aggregate shapes, pinned before the aggregate became one
+	// ID-row path: a computed key, DISTINCT aggregates, per-group
+	// AVG/MIN/MAX, ordering and slicing over groups, HAVING arithmetic,
+	// DISTINCT over aggregates, an unbound key and empty inputs.
+	{"group-computed-key", `
+SELECT ?cf (COUNT(?h) AS ?n) WHERE {
+  ?h a noa:Hotspot ; noa:hasConfirmation ?cf .
+} GROUP BY (str(?cf))`, false},
+	{"count-distinct-star", `
+SELECT (COUNT(DISTINCT *) AS ?n) (COUNT(*) AS ?all) WHERE {
+  ?h a noa:Hotspot .
+  { ?h noa:hasConfirmation ?c } UNION { ?h noa:hasConfirmation ?c }
+}`, false},
+	{"count-distinct-var", `
+SELECT ?cf (COUNT(DISTINCT ?g) AS ?locs) WHERE {
+  ?h a noa:Hotspot ; noa:hasConfirmation ?cf ; strdf:hasGeometry ?g .
+} GROUP BY ?cf`, false},
+	{"avg-min-max-per-group", `
+SELECT ?g (AVG(?c) AS ?avg) (MIN(?c) AS ?lo) (MAX(str(?at)) AS ?last) WHERE {
+  ?h a noa:Hotspot ; strdf:hasGeometry ?g ;
+     noa:hasConfidence ?c ; noa:hasAcquisitionDateTime ?at .
+} GROUP BY ?g`, false},
+	{"group-order-limit-offset", `
+SELECT ?at (COUNT(?h) AS ?n) WHERE {
+  ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at .
+} GROUP BY ?at ORDER BY DESC(?n) ?at LIMIT 3 OFFSET 1`, true},
+	{"having-arith-computed-projection", `
+SELECT ?g (COUNT(?h) * 2 AS ?twice) WHERE {
+  ?h a noa:Hotspot ; strdf:hasGeometry ?g .
+} GROUP BY ?g HAVING (COUNT(?h) + 1 > 3)`, false},
+	{"distinct-count-per-time", `
+SELECT DISTINCT (COUNT(?h) AS ?n) WHERE {
+  ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at .
+} GROUP BY ?at`, false},
+	{"group-unbound-key", `
+SELECT ?c (COUNT(?h) AS ?n) WHERE {
+  ?h a noa:Hotspot .
+  OPTIONAL { ?h noa:hasConfidence ?c . FILTER( ?c > 0.7 ) }
+} GROUP BY ?c`, false},
+	{"group-empty-input", `
+SELECT ?g (COUNT(?h) AS ?n) WHERE {
+  ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at ; strdf:hasGeometry ?g .
+  FILTER( str(?at) >= "2007-08-25T20:00:00" )
+} GROUP BY ?g`, false},
+	{"ungrouped-empty-sum-min", `
+SELECT (SUM(?c) AS ?s) (MIN(?c) AS ?lo) (COUNT(?h) AS ?n) WHERE {
+  ?h a noa:Hotspot ; noa:hasConfidence ?c ; noa:hasAcquisitionDateTime ?at .
+  FILTER( str(?at) >= "2007-08-25T20:00:00" )
+}`, false},
+	// SELECT * fanned out over slices whose headers differ: the
+	// OPTIONAL binds ?g only east of x=16, which the 10:xx acquisitions
+	// never reach, so a slice holding only those reports no ?g column.
+	{"select-star-optional", `
+SELECT * WHERE {
+  ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at .
+  OPTIONAL { ?h strdf:hasGeometry ?g .
+    FILTER( strdf:anyInteract(?g, "POLYGON ((16 0, 20 0, 20 10, 16 10, 16 0))"^^strdf:WKT) ) }
+  FILTER( str(?at) >= "2007-08-25T10:00:00" )
+  FILTER( str(?at) <= "2007-08-25T11:45:00" )
+}`, false},
+	{"select-star-optional-ordered", `
+SELECT * WHERE {
+  ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at .
+  OPTIONAL { ?h strdf:hasGeometry ?g .
+    FILTER( strdf:anyInteract(?g, "POLYGON ((16 0, 20 0, 20 10, 16 10, 16 0))"^^strdf:WKT) ) }
+  FILTER( str(?at) >= "2007-08-25T10:00:00" )
+  FILTER( str(?at) <= "2007-08-25T11:45:00" )
+} ORDER BY DESC(?g) ?at ?h`, true},
 	{"disjoint-windows-two-anchors", `
 SELECT ?h1 ?h2 WHERE {
   ?h1 a noa:Hotspot ; noa:hasAcquisitionDateTime ?t1 .
@@ -229,7 +307,7 @@ func renderRows(res *stsparql.Result) ([]string, []string) {
 	for i, row := range res.Rows {
 		var b strings.Builder
 		for _, v := range vars {
-			if t, ok := row[v]; ok && !t.IsZero() {
+			if t := row[res.Col(v)]; !t.IsZero() {
 				fmt.Fprintf(&b, "%s=%s|", v, t.String())
 			} else {
 				fmt.Fprintf(&b, "%s=_|", v)
@@ -269,30 +347,90 @@ func TestShardEquivalence(t *testing.T) {
 		loadFixture(sh)
 		t.Run(fmt.Sprintf("slices=%d", slices), func(t *testing.T) {
 			for _, tc := range corpus {
-				want, err := single.Query(tc.query)
+				want, err := runQuery(single, tc.query)
 				if err != nil {
 					t.Fatalf("%s: single store: %v", tc.name, err)
 				}
-				got, err := sh.Query(tc.query)
+				got, err := runQuery(sh, tc.query)
 				if err != nil {
 					t.Fatalf("%s: sharded store: %v", tc.name, err)
 				}
 				assertEquivalent(t, tc.name, want, got, tc.ordered)
 			}
 			for _, tc := range askCorpus {
-				got, err := sh.Query(tc.query)
+				got, err := runQuery(sh, tc.query)
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
 				if len(got.Rows) != 1 {
 					t.Fatalf("%s: want 1 ask row, got %d", tc.name, len(got.Rows))
 				}
-				verdict := got.Rows[0]["ask"].Value == "true"
+				verdict := at(got, 0, "ask").Value == "true"
 				if verdict != tc.want {
 					t.Fatalf("%s: ask=%v want %v", tc.name, verdict, tc.want)
 				}
 			}
 		})
+	}
+}
+
+// TestCursorHeaderFinalAtOpen pins what positional rows rest on: a
+// cursor's header is final when it opens. For every merge shape — a
+// SELECT * whose slices report different headers, the union-view
+// fallback, the grouped and the ordered fan-out, ASK — the Vars read
+// before the first Next are the Vars after Close, and every row holds
+// one term per header variable.
+func TestCursorHeaderFinalAtOpen(t *testing.T) {
+	text := map[string]string{}
+	for _, tc := range corpus {
+		text[tc.name] = tc.query
+	}
+	for _, tc := range askCorpus {
+		text[tc.name] = tc.query
+	}
+	shapes := []struct{ name, query, route string }{
+		{"select *", text["select-star-optional"], "merge=concat"},
+		{"union view", text["cross-acquisition-join"], "shard union"},
+		{"grouped fan-out", text["aggregate-by-sensor"], "merge=partial-aggregate"},
+		{"ordered fan-out", text["select-star-optional-ordered"], "merge=ordered"},
+		{"ask", text["ask-hit"], "merge=ask"},
+	}
+	stores := map[string]strabon.API{"single": strabon.New()}
+	for _, n := range []int{1, 2, 4} {
+		stores[fmt.Sprintf("slices=%d", n)] = newSharded(n)
+	}
+	for name, st := range stores {
+		loadFixture(st)
+		for _, sh := range shapes {
+			t.Run(name+"/"+sh.name, func(t *testing.T) {
+				if s, ok := st.(*Store); ok && s.Slices() > 1 {
+					if plan, err := s.Explain(sh.query); err != nil || !strings.Contains(plan, sh.route) {
+						t.Fatalf("the query does not take the %s route (%v):\n%s", sh.route, err, plan)
+					}
+				}
+				cur, err := st.QueryStreamCtx(context.Background(), sh.query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				open := slices.Clone(cur.Vars())
+				rows := 0
+				for row, ok := cur.Next(); ok; row, ok = cur.Next() {
+					if len(row) != len(open) {
+						t.Fatalf("row %v has %d terms for header %v", row, len(row), open)
+					}
+					rows++
+				}
+				if err := cur.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(open, cur.Vars()) {
+					t.Fatalf("header %v at open, %v after Close", open, cur.Vars())
+				}
+				if rows == 0 || len(open) == 0 {
+					t.Fatalf("%d rows under header %v: the shape is not exercised", rows, open)
+				}
+			})
+		}
 	}
 }
 
@@ -361,11 +499,11 @@ WHERE  { <%[1]s> noa:hasConfidence ?c . }`
 		`SELECT ?s ?p ?o WHERE { ?s ?p ?o . }`,
 		`SELECT ?h ?m WHERE { ?h noa:isInMunicipality ?m . }`,
 	} {
-		want, err := single.Query(q)
+		want, err := runQuery(single, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sh.Query(q)
+		got, err := runQuery(sh, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,11 +530,11 @@ func TestShardSplitSubjectFallback(t *testing.T) {
 		}
 	}
 	q := `SELECT ?h ?at ?c WHERE { ?h noa:hasAcquisitionDateTime ?at ; noa:hasConfidence ?c . }`
-	want, err := single.Query(q)
+	want, err := runQuery(single, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sh.Query(q)
+	got, err := runQuery(sh, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,11 +581,11 @@ WHERE { ?h noa:isExtractedFrom ?x ; noa:hasAcquisitionDateTime ?at . }`
 		}
 	}
 	q := `SELECT ?s ?p ?o WHERE { ?s ?p ?o . }`
-	want, err := single.Query(q)
+	want, err := runQuery(single, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sh.Query(q)
+	got, err := runQuery(sh, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,11 +607,11 @@ func TestShardGroupWithConflictingTimes(t *testing.T) {
 	sh.InsertAll(group)
 	q := `SELECT ?h ?at WHERE { ?h noa:hasAcquisitionDateTime ?at .
   FILTER( str(?at) >= "2007-08-25T12:30:00" ) FILTER( str(?at) <= "2007-08-25T13:30:00" ) }`
-	want, err := single.Query(q)
+	want, err := runQuery(single, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sh.Query(q)
+	got, err := runQuery(sh, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,11 +637,11 @@ func TestShardMalformedTimeLiteral(t *testing.T) {
 		}
 	}
 	q := `SELECT ?h ?at WHERE { ?h noa:hasAcquisitionDateTime ?at . }`
-	want, err := single.Query(q)
+	want, err := runQuery(single, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sh.Query(q)
+	got, err := runQuery(sh, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,11 +673,11 @@ func TestShardSubselectFilterScoping(t *testing.T) {
       FILTER( str(?at) <= "2007-08-25T10:30:00" )
     } }
 }`
-	want, err := single.Query(q)
+	want, err := runQuery(single, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sh.Query(q)
+	got, err := runQuery(sh, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -691,14 +829,14 @@ func TestShardStatsAndCursors(t *testing.T) {
 
 	q := `SELECT ?h WHERE { ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at .
   FILTER( str(?at) >= "2007-08-25T10:00:00" ) FILTER( str(?at) <= "2007-08-25T10:45:00" ) }`
-	if _, err := sh.Query(q); err != nil {
+	if _, err := runQuery(sh, q); err != nil {
 		t.Fatal(err)
 	}
 	if ps := sh.PlanStats(); ps.Hits != 0 || ps.Declined == 0 || ps.Entries != 0 {
 		t.Fatalf("a first sighting should be declined: %+v", ps)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := sh.Query(q); err != nil {
+		if _, err := runQuery(sh, q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -94,8 +94,8 @@ func TestShardZonedTimeLiteral(t *testing.T) {
 		t.Fatalf("typed window finds %d rows, want the zoned hotspot alone", n)
 	}
 	found := false
-	for _, row := range wantLexical.Rows {
-		found = found || row["h"].Value == "http://example.org/zoned"
+	for i := range wantLexical.Rows {
+		found = found || at(wantLexical, i, "h").Value == "http://example.org/zoned"
 	}
 	if !found {
 		t.Fatal("lexical window misses the zoned hotspot on the oracle")
@@ -113,7 +113,7 @@ func TestShardZonedTimeLiteral(t *testing.T) {
 			q    string
 			want *stsparql.Result
 		}{{lexical, wantLexical}, {typed, wantTyped}} {
-			got, err := st.Query(tc.q)
+			got, err := runQuery(st, tc.q)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -302,7 +302,7 @@ func TestTimeRangeDifferential(t *testing.T) {
 			q := genQuery(r)
 			want := oracleQuery(t, single, q)
 			for _, st := range stores {
-				got, err := st.Query(q)
+				got, err := runQuery(st, q)
 				if err != nil {
 					t.Fatalf("seed %d: %T: %s: %v", seed, st, q, err)
 				}
@@ -336,20 +336,21 @@ var seededQueries = []string{
 
 // genSeedWindow draws the seed of one window: canonical plain bounds
 // (lexical), typed ones (chronological), a zoned plain bound (which
-// bounds nothing), or since after now (empty).
-func genSeedWindow(r *rand.Rand) stsparql.Binding {
+// bounds nothing), or since after now (empty). The row binds ?since
+// ?now.
+func genSeedWindow(r *rand.Rand) stsparql.Row {
 	since := day.Add(9*time.Hour + 30*time.Minute + time.Duration(r.Intn(240))*time.Minute)
 	now := since.Add(time.Duration(r.Intn(120)) * time.Minute)
 	lit := func(at time.Time) rdf.Term { return rdf.NewLiteral(at.Format("2006-01-02T15:04:05")) }
 	switch r.Intn(4) {
 	case 0:
-		return stsparql.Binding{"since": lit(since), "now": lit(now)}
+		return stsparql.Row{lit(since), lit(now)}
 	case 1:
-		return stsparql.Binding{"since": rdf.NewDateTime(since.Format("2006-01-02T15:04:05")), "now": rdf.NewDateTime(now.Format("2006-01-02T15:04:05"))}
+		return stsparql.Row{rdf.NewDateTime(since.Format("2006-01-02T15:04:05")), rdf.NewDateTime(now.Format("2006-01-02T15:04:05"))}
 	case 2:
-		return stsparql.Binding{"since": rdf.NewLiteral(since.Format("2006-01-02T15:04:05") + "+02:00"), "now": lit(now)}
+		return stsparql.Row{rdf.NewLiteral(since.Format("2006-01-02T15:04:05") + "+02:00"), lit(now)}
 	default:
-		return stsparql.Binding{"since": lit(now.Add(time.Minute)), "now": lit(since)}
+		return stsparql.Row{lit(now.Add(time.Minute)), lit(since)}
 	}
 }
 
@@ -377,7 +378,7 @@ func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Tri
 		{S: born, P: iri(rdf.RDFType), O: iri(nsNOA + "Hotspot")},
 		{S: born, P: iri(nsNOA + "hasAcquisitionDateTime"), O: rdf.NewDateTime(day.Add(11*time.Hour + time.Duration(r.Intn(120))*time.Minute).Format("2006-01-02T15:04:05"))},
 	}
-	seeds := make([]stsparql.Binding, 6)
+	seeds := make([]stsparql.Row, 6)
 	for i := range seeds {
 		seeds[i] = genSeedWindow(r)
 	}
@@ -399,7 +400,7 @@ func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Tri
 	for qi, q := range seededQueries {
 		p := prepare(q, "since", "now")
 		for _, sd := range seeds {
-			res, err := oracle.SelectPrepared(p, []stsparql.Binding{sd})
+			res, err := oracle.SelectPrepared(p, []stsparql.Row{sd})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -417,7 +418,7 @@ func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Tri
 		prepared := make([]*stsparql.Prepared, len(seededQueries))
 		f := strabon.Flush{Since: day.Add(9 * time.Hour), At: []time.Time{day.Add(15 * time.Hour)}}
 		err := st.ApplyFlush(f, func(tx *strabon.FlushTx) error {
-			plan, err := tx.Plan(del, []stsparql.Binding{{"victim": victim}})
+			plan, err := tx.Plan(del, []stsparql.Row{{victim}})
 			if err != nil {
 				return err
 			}
@@ -426,7 +427,7 @@ func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Tri
 			for qi, q := range seededQueries {
 				prepared[qi] = prepare(q, "since", "now")
 				for si, sd := range seeds {
-					got, err := tx.Select(prepared[qi], []stsparql.Binding{sd})
+					got, err := tx.Select(prepared[qi], []stsparql.Row{sd})
 					if err != nil {
 						return err
 					}

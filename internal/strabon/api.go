@@ -25,8 +25,6 @@ type API interface {
 	LoadTurtle(src string) (int, error)
 	InsertAll(groups ...[]rdf.Triple) []int
 
-	Query(src string) (*stsparql.Result, error)
-	TimedQuery(src string) (*stsparql.Result, time.Duration, error)
 	QueryStreamCtx(ctx context.Context, src string) (QueryCursor, error)
 	Explain(src string) (string, error)
 	// ExplainAnalyze executes a SELECT or ASK with per-operator
@@ -86,13 +84,14 @@ func NewFlushTx(inserted []int, o *Overlay, cache *stsparql.Cache) *FlushTx {
 }
 
 // Plan runs a prepared DELETE/INSERT rule over the seed rows against
-// the flush's current state, without applying it.
-func (tx *FlushTx) Plan(rule *stsparql.Prepared, seed []stsparql.Binding) (*stsparql.UpdatePlan, error) {
+// the flush's current state, without applying it. Seed rows bind the
+// rule's seed variables positionally (see stsparql.PlanPrepared).
+func (tx *FlushTx) Plan(rule *stsparql.Prepared, seed []stsparql.Row) (*stsparql.UpdatePlan, error) {
 	return tx.ev.PlanPrepared(rule, seed)
 }
 
 // Select runs a prepared SELECT over the seed rows.
-func (tx *FlushTx) Select(q *stsparql.Prepared, seed []stsparql.Binding) (*stsparql.Result, error) {
+func (tx *FlushTx) Select(q *stsparql.Prepared, seed []stsparql.Row) (*stsparql.Result, error) {
 	return tx.ev.SelectPrepared(q, seed)
 }
 
@@ -107,15 +106,17 @@ func (tx *FlushTx) Apply(plan *stsparql.UpdatePlan) stsparql.UpdateStats {
 // creation until Close — close promptly. See Store.QueryStream for the
 // single-store semantics.
 //
-// The Binding a streaming cursor yields is a view — of the engine's
-// current batch, or of the fan-out merge's current row — reused on the
-// next Next: it is only valid until the next call to Next (or Close).
-// Callers that retain rows past that must copy them: materialising
-// wrappers Clone them, fan-out workers copy their terms into chunks.
+// Vars is final when the cursor opens, and each Row Next yields holds
+// one term per header variable, in header order. The Row is a view —
+// of the engine's current batch, or of the fan-out merge's current
+// row — that may change at the next Next: it is only valid until the
+// next call to Next (or Close). Callers that retain rows past that
+// must copy them: MaterialiseQuery copies them into one slab, fan-out
+// workers copy their terms into chunks.
 type QueryCursor interface {
 	Vars() []string
 	IsAsk() bool
-	Next() (stsparql.Binding, bool)
+	Next() (stsparql.Row, bool)
 	Err() error
 	Rows() int
 	Close() error
@@ -127,37 +128,27 @@ type QueryCursor interface {
 }
 
 // Streamer is the canonical query surface: one context-first streaming
-// entrypoint. Query, TimedQuery and QueryStream on both the single and
-// the sharded store are thin wrappers over it, shared through the
-// package-level helpers below — the streaming call is the only place a
-// query is actually executed.
+// entrypoint. QueryStream on both the single and the sharded store, and
+// the package-level helpers below, are thin wrappers over it — the
+// streaming call is the only place a query is actually executed.
 type Streamer interface {
 	QueryStreamCtx(ctx context.Context, src string) (QueryCursor, error)
 }
 
 // MaterialiseQuery drains one streaming evaluation into an owned
-// Result — the single materialising wrapper behind every Query method.
-// Cursor rows are batch views reused on the next pull, so each is
-// cloned out. The header is re-read after the drain: SELECT * and
-// merged-aggregate headers are only final once the rows are known.
+// Result — the single materialising wrapper over a store. Cursor rows
+// are views reused on the next pull, so they are copied out into one
+// slab.
 func MaterialiseQuery(ctx context.Context, s Streamer, src string) (*stsparql.Result, error) {
 	cur, err := s.QueryStreamCtx(ctx, src)
 	if err != nil {
 		return nil, err
 	}
 	defer cur.Close()
-	res := &stsparql.Result{Vars: cur.Vars()}
-	for {
-		row, ok := cur.Next()
-		if !ok {
-			break
-		}
-		res.Rows = append(res.Rows, row.Clone())
-	}
+	res := stsparql.ReadAll(cur)
 	if err := cur.Close(); err != nil {
 		return nil, err
 	}
-	res.Vars = cur.Vars()
 	return res, nil
 }
 
@@ -231,7 +222,7 @@ func (c *ctxCursor) Rows() int      { return c.cur.Rows() }
 // CacheVector forwards the wrapped cursor's cache metadata.
 func (c *ctxCursor) CacheVector() (resultcache.GenVector, bool) { return c.cur.CacheVector() }
 
-func (c *ctxCursor) Next() (stsparql.Binding, bool) {
+func (c *ctxCursor) Next() (stsparql.Row, bool) {
 	if c.err != nil {
 		return nil, false
 	}

@@ -439,7 +439,7 @@ func (ep *Endpoint) serveCached(w http.ResponseWriter, media string, ent *result
 		enc = NewJSONRowWriter(w, snap.Vars())
 	}
 	flusher, _ := w.(http.Flusher)
-	var row stsparql.Binding
+	var row stsparql.Row
 	var writeErr error
 	for i := 0; i < snap.Len(); i++ {
 		row = snap.Row(i, row)

@@ -23,7 +23,9 @@ import (
 // head, TSV header line) is written with the first row — or by End for
 // an empty result — and End closes the document.
 type RowWriter interface {
-	Row(stsparql.Binding) error
+	// Row encodes one row: one term per header variable, in header
+	// order.
+	Row(stsparql.Row) error
 	End() error
 }
 
@@ -41,9 +43,10 @@ type jsonRowWriter struct {
 	rows int
 }
 
-// jsonKey is one header variable with its encoded `"name":` prefix.
+// jsonKey is one header variable: the row column it reads (its first in
+// the header) and its encoded `"name":` prefix.
 type jsonKey struct {
-	name   string
+	col    int
 	prefix []byte
 }
 
@@ -55,12 +58,12 @@ func NewJSONRowWriter(w io.Writer, vars []string) RowWriter {
 	sorted := slices.Clone(vars)
 	slices.Sort(sorted)
 	for _, v := range slices.Compact(sorted) {
-		jw.keys = append(jw.keys, jsonKey{name: v, prefix: append(appendJSONString(nil, v), ':')})
+		jw.keys = append(jw.keys, jsonKey{col: slices.Index(vars, v), prefix: append(appendJSONString(nil, v), ':')})
 	}
 	return jw
 }
 
-func (jw *jsonRowWriter) Row(row stsparql.Binding) error {
+func (jw *jsonRowWriter) Row(row stsparql.Row) error {
 	buf := jw.buf
 	if jw.rows > 0 {
 		buf = append(buf, ',')
@@ -69,8 +72,8 @@ func (jw *jsonRowWriter) Row(row stsparql.Binding) error {
 	buf = append(buf, '{')
 	sep := false
 	for _, k := range jw.keys {
-		t, ok := row[k.name]
-		if !ok || t.IsZero() {
+		t := row[k.col]
+		if t.IsZero() {
 			continue
 		}
 		if sep {
@@ -183,13 +186,13 @@ func (tw *tsvRowWriter) begin() error {
 	return err
 }
 
-func (tw *tsvRowWriter) Row(row stsparql.Binding) error {
+func (tw *tsvRowWriter) Row(row stsparql.Row) error {
 	if err := tw.begin(); err != nil {
 		return err
 	}
-	for i, v := range tw.vars {
+	for i, t := range row {
 		tw.cols[i] = ""
-		if t, ok := row[v]; ok && !t.IsZero() {
+		if !t.IsZero() {
 			tw.cols[i] = t.String()
 		}
 	}
@@ -211,7 +214,7 @@ func WriteResultTSV(w io.Writer, res *stsparql.Result) error {
 	return writeRows(NewTSVRowWriter(w, res.Vars), res.Rows)
 }
 
-func writeRows(rw RowWriter, rows []stsparql.Binding) error {
+func writeRows(rw RowWriter, rows []stsparql.Row) error {
 	for _, row := range rows {
 		if err := rw.Row(row); err != nil {
 			return err

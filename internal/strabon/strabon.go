@@ -9,14 +9,14 @@
 //
 // # Locking discipline
 //
-// The store is safe for concurrent use through its endpoint API (Query,
-// Update, LoadTriples, InsertAll, ApplyFlush, ...). Internally a single
-// RWMutex guards the triple store, the spatial index with its geometry
-// entry table and the time index, and a writer mutex serialises the
-// write paths among themselves:
+// The store is safe for concurrent use through its endpoint API
+// (QueryStreamCtx, Update, LoadTriples, InsertAll, ApplyFlush, ...).
+// Internally a single RWMutex guards the triple store, the spatial
+// index with its geometry entry table and the time index, and a writer
+// mutex serialises the write paths among themselves:
 //
-//   - Query and QueryStream evaluate under a read lock, so any number
-//     of queries run concurrently. A streaming cursor HOLDS the read
+//   - QueryStream and QueryStreamCtx evaluate under a read lock, so any
+//     number of queries run concurrently. A streaming cursor HOLDS the read
 //     lock from QueryStream until Close: writers queue behind open
 //     cursors, which is what makes a half-consumed result set immune to
 //     concurrent mutation. Clients must Close cursors promptly.
@@ -57,7 +57,6 @@
 package strabon
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -452,7 +451,7 @@ func (c *Cursor) IsAsk() bool { return c.ask }
 
 // Next yields the next solution; ok=false once exhausted or on error
 // (check Err).
-func (c *Cursor) Next() (stsparql.Binding, bool) {
+func (c *Cursor) Next() (stsparql.Row, bool) {
 	if c.closed {
 		return nil, false
 	}
@@ -520,22 +519,13 @@ func (s *Store) QueryStream(src string) (*Cursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows := []stsparql.Binding{{"ask": rdf.NewBoolean(ok)}}
+		rows := []stsparql.Row{{rdf.NewBoolean(ok)}}
 		return &Cursor{inner: stsparql.MaterialisedCursor([]string{"ask"}, rows), ask: true,
 			vec: vec, cacheable: c.Cacheable()}, nil
 	default:
 		s.mu.RUnlock()
 		return nil, fmt.Errorf("strabon: Query wants SELECT or ASK; use Update for updates")
 	}
-}
-
-// Query parses and evaluates a SELECT or ASK request, materialising the
-// full result through the canonical streaming path (MaterialiseQuery).
-// ASK results are returned as a single-row result with variable "ask".
-// Queries run under the read lock and may execute concurrently with
-// each other.
-func (s *Store) Query(src string) (*stsparql.Result, error) {
-	return MaterialiseQuery(context.Background(), s, src)
 }
 
 // Explain parses a request and renders the evaluation plan the engine
@@ -615,10 +605,4 @@ func (s *Store) TimedUpdate(src string) (stsparql.UpdateStats, time.Duration, er
 	start := time.Now()
 	st, err := s.Update(src)
 	return st, time.Since(start), err
-}
-
-// TimedQuery evaluates a query and reports its wall-clock duration
-// through the shared wrapper (see TimedQuery in api.go).
-func (s *Store) TimedQuery(src string) (*stsparql.Result, time.Duration, error) {
-	return TimedQuery(s, src)
 }

@@ -1,6 +1,7 @@
 package strabon
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -28,6 +29,14 @@ coast:Coastline_1 a coast:Coastline ;
   strdf:hasGeometry "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))"^^strdf:geometry .
 `
 
+// runQuery materialises src through the streaming path.
+func runQuery(s Streamer, src string) (*stsparql.Result, error) {
+	return MaterialiseQuery(context.Background(), s, src)
+}
+
+// at returns row i's term for variable v of a result.
+func at(res *stsparql.Result, i int, v string) rdf.Term { return res.Rows[i][res.Col(v)] }
+
 func TestLoadTurtleAndQuery(t *testing.T) {
 	s := New()
 	n, err := s.LoadTurtle(fixtureTurtle)
@@ -37,7 +46,7 @@ func TestLoadTurtleAndQuery(t *testing.T) {
 	if n != 8 {
 		t.Fatalf("loaded %d triples, want 8", n)
 	}
-	res, err := s.Query(`SELECT ?h WHERE { ?h a noa:Hotspot . }`)
+	res, err := runQuery(s, `SELECT ?h WHERE { ?h a noa:Hotspot . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +60,7 @@ func TestSpatialQueryUsesIndex(t *testing.T) {
 	if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Query(`
+	res, err := runQuery(s, `
 SELECT ?h WHERE {
   ?h a noa:Hotspot ;
      strdf:hasGeometry ?g .
@@ -82,11 +91,11 @@ SELECT ?h ?c WHERE {
 			t.Fatal(err)
 		}
 	}
-	r1, err := indexed.Query(query)
+	r1, err := runQuery(indexed, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := plain.Query(query)
+	r2, err := runQuery(plain, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,18 +170,18 @@ func TestAskThroughQuery(t *testing.T) {
 	if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Query(`ASK { ?h a noa:Hotspot . }`)
+	res, err := runQuery(s, `ASK { ?h a noa:Hotspot . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := res.Rows[0]["ask"].Bool(); !v {
+	if v, _ := at(res, 0, "ask").Bool(); !v {
 		t.Fatal("ask should be true")
 	}
 }
 
 func TestQueryRejectsUpdate(t *testing.T) {
 	s := New()
-	if _, err := s.Query(`DELETE WHERE { ?s ?p ?o }`); err == nil {
+	if _, err := runQuery(s, `DELETE WHERE { ?s ?p ?o }`); err == nil {
 		t.Fatal("Query should reject updates")
 	}
 	if _, err := s.Update(`SELECT ?s WHERE { ?s ?p ?o }`); err == nil {
@@ -185,7 +194,7 @@ func TestTimedOperations(t *testing.T) {
 	if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
 		t.Fatal(err)
 	}
-	res, d, err := s.TimedQuery(`SELECT ?h WHERE { ?h a noa:Hotspot . }`)
+	res, d, err := TimedQuery(s, `SELECT ?h WHERE { ?h a noa:Hotspot . }`)
 	if err != nil || d <= 0 || len(res.Rows) != 2 {
 		t.Fatalf("timed query: rows=%d d=%v err=%v", len(res.Rows), d, err)
 	}
@@ -220,11 +229,11 @@ SELECT ?c WHERE {
   ?c a e:Cell ; strdf:hasGeometry ?g .
   FILTER( strdf:within(?g, "POLYGON ((4.5 4.5, 10.5 4.5, 10.5 10.5, 4.5 10.5, 4.5 4.5))"^^strdf:WKT) )
 }`
-	r1, err := indexed.Query(q)
+	r1, err := runQuery(indexed, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := plain.Query(q)
+	r2, err := runQuery(plain, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +251,7 @@ func TestGeometryCacheGrows(t *testing.T) {
 	if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
 		t.Fatal(err)
 	}
-	_, err := s.Query(`
+	_, err := runQuery(s, `
 SELECT ?h WHERE {
   ?h a noa:Hotspot ; strdf:hasGeometry ?g .
   FILTER( strdf:area(?g) > 0.5 )
@@ -254,7 +263,7 @@ SELECT ?h WHERE {
 		t.Fatal("geometry cache empty after spatial query")
 	}
 	before := s.cache.Size()
-	if _, err := s.Query(`
+	if _, err := runQuery(s, `
 SELECT ?h WHERE {
   ?h a noa:Hotspot ; strdf:hasGeometry ?g .
   FILTER( strdf:area(?g) > 0.5 )
@@ -293,14 +302,14 @@ WHERE {
 	if stats.Inserted != 1 {
 		t.Fatalf("inserted = %d, want 1 (only the land hotspot)", stats.Inserted)
 	}
-	res, err := s.Query(`SELECT ?m WHERE { noa:Hotspot_1 noa:isInMunicipality ?m . }`)
+	res, err := runQuery(s, `SELECT ?m WHERE { noa:Hotspot_1 noa:isInMunicipality ?m . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	if got := res.Rows[0]["m"].Value; got != "http://teleios.di.uoa.gr/ontologies/gagOntology.owl#munA" {
+	if got := at(res, 0, "m").Value; got != "http://teleios.di.uoa.gr/ontologies/gagOntology.owl#munA" {
 		t.Fatalf("municipality = %q", got)
 	}
 }
@@ -311,7 +320,7 @@ func TestStatsCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := s.Query(`SELECT ?h WHERE { ?h a noa:Hotspot . }`); err != nil {
+		if _, err := runQuery(s, `SELECT ?h WHERE { ?h a noa:Hotspot . }`); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,15 +338,15 @@ func TestAreaFunctionThroughEndpoint(t *testing.T) {
 	if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Query(`
+	res, err := runQuery(s, `
 SELECT ?h (strdf:area(?g) AS ?a) WHERE { ?h a noa:Hotspot ; strdf:hasGeometry ?g . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range res.Rows {
-		a, ok := row["a"].Float()
+	for i := range res.Rows {
+		a, ok := at(res, i, "a").Float()
 		if !ok || math.Abs(a-1) > 1e-9 {
-			t.Fatalf("area = %v", row["a"])
+			t.Fatalf("area = %v", at(res, i, "a"))
 		}
 	}
 }
@@ -380,11 +389,11 @@ SELECT ?h WHERE {
   ?h a noa:Hotspot ; strdf:hasGeometry ?g .
   FILTER( strdf:anyInteract(?g, "POLYGON ((10 0, 20 0, 20 3, 10 3, 10 0))"^^strdf:WKT) )
 }`
-	rb, err := batched.Query(q)
+	rb, err := runQuery(batched, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := plain.Query(q)
+	rp, err := runQuery(plain, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,10 +441,10 @@ func TestApplyFlushIsOneTransition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := func(subjects ...rdf.Term) []stsparql.Binding {
-		var rows []stsparql.Binding
+	seed := func(subjects ...rdf.Term) []stsparql.Row {
+		var rows []stsparql.Row
 		for _, s := range subjects {
-			rows = append(rows, stsparql.Binding{"h": s})
+			rows = append(rows, stsparql.Row{s})
 		}
 		return rows
 	}
@@ -512,7 +521,7 @@ func TestConcurrentEndpointSmoke(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				switch w % 3 {
 				case 0:
-					if _, err := s.Query(`SELECT ?h WHERE { ?h a noa:Hotspot . }`); err != nil {
+					if _, err := runQuery(s, `SELECT ?h WHERE { ?h a noa:Hotspot . }`); err != nil {
 						t.Error(err)
 						return
 					}

@@ -33,7 +33,7 @@ func TestQueryStreamBasics(t *testing.T) {
 	}
 	n := 0
 	for row, ok := cur.Next(); ok; row, ok = cur.Next() {
-		if row["h"].IsZero() || row["c"].IsZero() {
+		if row[0].IsZero() || row[1].IsZero() {
 			t.Fatalf("incomplete row %v", row)
 		}
 		n++
@@ -61,7 +61,7 @@ func TestQueryStreamBasics(t *testing.T) {
 		t.Fatal("IsAsk = false")
 	}
 	row, ok := ask.Next()
-	if !ok || row["ask"].Value != "true" {
+	if !ok || row[0].Value != "true" {
 		t.Fatalf("ask row = %v (ok=%v)", row, ok)
 	}
 	if err := ask.Close(); err != nil {
@@ -121,7 +121,7 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = `SELECT ?h WHERE { ?h a noa:Hotspot . }`
-	if _, err := s.Query(q); err != nil {
+	if _, err := runQuery(s, q); err != nil {
 		t.Fatal(err)
 	}
 	ps := s.PlanStats()
@@ -129,7 +129,7 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 		t.Fatalf("after a first sighting: %+v", ps)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := s.Query(q); err != nil {
+		if _, err := runQuery(s, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 	if _, err := s.Update(`INSERT DATA { noa:hx a noa:Hotspot . }`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Query(q)
+	res, err := runQuery(s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 	if ps.Misses != 3 || ps.Evictions != 1 || ps.Entries != 1 {
 		t.Fatalf("after invalidation: %+v", ps)
 	}
-	if _, err := s.Query(q); err != nil {
+	if _, err := runQuery(s, q); err != nil {
 		t.Fatal(err)
 	}
 	if ps = s.PlanStats(); ps.Hits != 3 {
@@ -164,7 +164,7 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 
 	// Disabling the cache stops caching without breaking queries.
 	s.SetPlanCacheSize(0)
-	if _, err := s.Query(q); err != nil {
+	if _, err := runQuery(s, q); err != nil {
 		t.Fatal(err)
 	}
 	if ps = s.PlanStats(); ps.Hits != 0 || ps.Misses != 0 {
@@ -287,7 +287,7 @@ func BenchmarkStreamedSelect(b *testing.B) {
 	b.Run("full/materialised", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := s.Query(full)
+			res, err := runQuery(s, full)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -320,7 +320,7 @@ func BenchmarkStreamedSelect(b *testing.B) {
 }
 
 // TestCursorRowViewLifetime enforces the QueryCursor contract: a
-// streamed Binding is a view into the engine's current batch, valid
+// streamed Row is a view into the engine's current batch, valid
 // only until the next Next. A retained view row is allowed to change
 // out from under the caller; Clone is the escape hatch that owns the
 // values.
@@ -340,12 +340,12 @@ func TestCursorRowViewLifetime(t *testing.T) {
 		t.Fatal("no rows")
 	}
 	clone := first.Clone()
-	firstH := first["h"].Value
+	firstH := first[0].Value // ?h
 
 	// Drain the rest through the same view.
 	mutated := false
 	for row, more := cur.Next(); more; row, more = cur.Next() {
-		if row["h"].Value != firstH {
+		if row[0].Value != firstH {
 			mutated = true
 		}
 	}
@@ -353,12 +353,12 @@ func TestCursorRowViewLifetime(t *testing.T) {
 		t.Fatal("every streamed row carried the first row's value — the view was never advanced")
 	}
 	// The retained view now shows some later row, not the first one...
-	if first["h"].Value == firstH {
+	if first[0].Value == firstH {
 		t.Fatalf("retained view row still reads %q after further Next calls; the reuse contract is not exercised", firstH)
 	}
 	// ...while the clone still owns the first row's values.
-	if clone["h"].Value != firstH {
-		t.Fatalf("clone = %q, want %q", clone["h"].Value, firstH)
+	if clone[0].Value != firstH {
+		t.Fatalf("clone = %q, want %q", clone[0].Value, firstH)
 	}
 	if err := cur.Close(); err != nil {
 		t.Fatal(err)

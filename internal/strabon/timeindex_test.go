@@ -61,7 +61,7 @@ func TestTimeIndexFollowsEveryWritePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = s.ApplyFlush(Flush{Groups: [][]rdf.Triple{stamped(7, minute(55)), stamped(8, minute(15))}}, func(tx *FlushTx) error {
-		plan, err := tx.Plan(rule, []stsparql.Binding{{"h": groups[2][0].S}, {"h": stamped(8, minute(15))[0].S}})
+		plan, err := tx.Plan(rule, []stsparql.Row{{groups[2][0].S}, {stamped(8, minute(15))[0].S}})
 		if err == nil {
 			tx.Apply(plan)
 		}
@@ -160,7 +160,7 @@ func TestStoreTimeRangePlans(t *testing.T) {
 		"equality": {`FILTER( str(?at) = "2007-08-24T18:25:00" )`, 1},
 	} {
 		q := `SELECT ?h ?g WHERE { ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at ; strdf:hasGeometry ?g . ` + tc.filter + ` }`
-		res, err := s.Query(q)
+		res, err := runQuery(s, q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // Columnar batches: the unit of exchange between physical operators.
-// Instead of pulling one map-backed Binding at a time, operators pull
+// Instead of pulling one row at a time, operators pull
 // *Batch slabs of up to batchSizeMax rows in a columnar layout — one
 // []termID column per variable of the plan segment's schema, with a
 // selection vector so filters and slices mark rows dead without moving
@@ -143,16 +143,6 @@ func (b *Batch) setRow(r int, probe rowRef) {
 		}
 		return
 	}
-	if probe.m != nil {
-		for c, name := range b.schema.names {
-			if t, ok := probe.m[name]; ok && !t.IsZero() {
-				b.cols[c][r] = b.dict.encode(t)
-			} else {
-				b.cols[c][r] = 0
-			}
-		}
-		return
-	}
 	for c, name := range b.schema.names {
 		if probe.b != nil {
 			if bc, ok := probe.b.schema.col(name); ok {
@@ -196,35 +186,31 @@ func (b *Batch) materialiseSel() {
 	b.sel = sel
 }
 
-// binding decodes physical row i into a fresh owned Binding, skipping
-// unbound columns — the late-materialisation point used by blocking
-// operators and the result-owning wrappers.
-func (b *Batch) binding(i int) Binding {
-	row := make(Binding, len(b.schema.names))
-	for c, name := range b.schema.names {
-		if id := b.cols[c][i]; id != 0 {
-			row[name] = b.dict.decode(id)
-		}
-	}
-	return row
-}
-
-// rowRef is a view of one row for expression evaluation: either a
-// map-backed Binding (m != nil) or a physical row of a batch.
+// rowRef is a view of one row for expression evaluation: a physical
+// row of a batch, or — for the result mergers, which hold rows as
+// terms — a positional term row.
 type rowRef struct {
-	m Binding
 	b *Batch
 	i int
+	t *termRow
 }
 
-func mapRow(b Binding) rowRef { return rowRef{m: b} }
+// termRow is a row of terms whose columns follow schema.
+type termRow struct {
+	schema *varSchema
+	terms  Row
+}
 
 // lookup returns the bound, non-zero term for a variable, decoding
 // batch-backed rows through the evaluation dictionary.
 func (r rowRef) lookup(name string) (rdf.Term, bool) {
-	if r.m != nil {
-		t, ok := r.m[name]
-		return t, ok && !t.IsZero()
+	if r.t != nil {
+		c, ok := r.t.schema.index[name]
+		if !ok {
+			return rdf.Term{}, false
+		}
+		t := r.t.terms[c]
+		return t, !t.IsZero()
 	}
 	if r.b == nil {
 		return rdf.Term{}, false
@@ -240,8 +226,8 @@ func (r rowRef) lookup(name string) (rdf.Term, bool) {
 	return r.b.dict.decode(id), true
 }
 
-// lookupID returns the row's ID for a variable (0 = unbound). Map-backed
-// rows encode through the batchless path only when a dict is supplied.
+// lookupID returns a batch row's ID for a variable (0 = unbound, and
+// for term rows, which carry no IDs).
 func (r rowRef) lookupID(name string) termID {
 	if r.b != nil {
 		if c, ok := r.b.schema.index[name]; ok {
@@ -253,8 +239,7 @@ func (r rowRef) lookupID(name string) termID {
 }
 
 // rowKey appends a composite fixed-width ID key of the row's values for
-// vars to dst — the batch counterpart of bindingKey, 8 bytes per
-// variable with 0 encoding unbound.
+// vars to dst — 8 bytes per variable with 0 encoding unbound.
 func rowKey(dst []byte, row rowRef, vars []string) []byte {
 	for _, v := range vars {
 		dst = appendIDKey(dst, row.lookupID(v))
@@ -294,20 +279,20 @@ func (it *batchesIter) next() (*Batch, error) {
 
 func (it *batchesIter) close() {}
 
-// seedIter builds the one-batch seed of a pipeline from map rows.
-func seedIter(dict *execDict, schema *varSchema, rows []Binding) batchIter {
-	return &batchesIter{batches: []*Batch{batchFromBindings(dict, schema, rows)}}
-}
-
-// batchFromBindings encodes map rows into a single batch (variables
-// outside the schema are dropped).
-func batchFromBindings(dict *execDict, schema *varSchema, rows []Binding) *Batch {
+// seedIter builds the one-batch seed of a pipeline: row r binds vars[j]
+// to r[j] (variables outside the schema are dropped).
+func seedIter(dict *execDict, schema *varSchema, vars []string, rows []Row) batchIter {
 	b := newBatch(dict, schema, len(rows))
 	for _, row := range rows {
-		b.beginRow(mapRow(row))
+		r := b.beginRow(rowRef{})
+		for j, v := range vars {
+			if c, ok := schema.col(v); ok {
+				b.cols[c][r] = dict.encode(row[j])
+			}
+		}
 		b.commitRow()
 	}
-	return b
+	return &batchesIter{batches: []*Batch{b}}
 }
 
 // cloneBatch copies the live rows of src into a fresh owned batch —
@@ -325,20 +310,29 @@ func cloneBatch(src *Batch) *Batch {
 	return out
 }
 
-// drainMaterialise pulls an iterator to exhaustion, decoding every live
-// row into an owned Binding.
-func drainMaterialise(in batchIter) ([]Binding, error) {
-	var rows []Binding
+// drainBatch pulls an iterator to exhaustion, copying every live row
+// into one owned batch (over no columns when the input yields no
+// batch at all).
+func drainBatch(dict *execDict, in batchIter) (*Batch, error) {
+	var out *Batch
 	for {
 		b, err := in.next()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			return rows, nil
+			break
+		}
+		if out == nil {
+			out = newBatch(dict, b.schema, max(b.live(), batchSizeMin))
 		}
 		for ord := 0; ord < b.live(); ord++ {
-			rows = append(rows, b.binding(b.row(ord)))
+			out.beginRow(rowRef{b: b, i: b.row(ord)})
+			out.commitRow()
 		}
 	}
+	if out == nil {
+		out = newBatch(dict, newSchema(nil), 1)
+	}
+	return out, nil
 }

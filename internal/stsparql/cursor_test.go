@@ -54,22 +54,22 @@ func TestRunCursorMatchesSelect(t *testing.T) {
 	if fmt.Sprint(cur.Vars()) != fmt.Sprint(want.Vars) {
 		t.Fatalf("vars = %v, want %v", cur.Vars(), want.Vars)
 	}
-	var got []Binding
+	got := &Result{Vars: cur.Vars()}
 	for row, ok := cur.Next(); ok; row, ok = cur.Next() {
-		got = append(got, row)
+		got.Rows = append(got.Rows, row.Clone())
 	}
 	if err := cur.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want.Rows) {
-		t.Fatalf("rows = %d, want %d", len(got), len(want.Rows))
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("rows = %d, want %d", len(got.Rows), len(want.Rows))
 	}
 	seen := map[string]bool{}
-	for _, row := range want.Rows {
-		seen[row["h"].Value+"|"+row["c"].Value] = true
+	for i := range want.Rows {
+		seen[want.at(i, "h").Value+"|"+want.at(i, "c").Value] = true
 	}
-	for _, row := range got {
-		if !seen[row["h"].Value+"|"+row["c"].Value] {
+	for i, row := range got.Rows {
+		if !seen[got.at(i, "h").Value+"|"+got.at(i, "c").Value] {
 			t.Fatalf("unexpected row %v", row)
 		}
 	}
@@ -158,7 +158,7 @@ func TestRunAskCursor(t *testing.T) {
 		t.Fatalf("vars = %v", cur.Vars())
 	}
 	row, ok := cur.Next()
-	if !ok || row["ask"].Value != "true" {
+	if !ok || row[0].Value != "true" {
 		t.Fatalf("ask row = %v (ok=%v)", row, ok)
 	}
 	if _, ok := cur.Next(); ok {
@@ -192,11 +192,8 @@ func TestCompiledPlanReuse(t *testing.T) {
 	}
 }
 
-func drainCursor(cur Cursor) ([]Binding, error) {
+func drainCursor(cur Cursor) ([]Row, error) {
 	defer cur.Close()
-	var rows []Binding
-	for row, ok := cur.Next(); ok; row, ok = cur.Next() {
-		rows = append(rows, row)
-	}
-	return rows, cur.Close()
+	res := ReadAll(cur)
+	return res.Rows, cur.Close()
 }

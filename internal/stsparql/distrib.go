@@ -28,11 +28,16 @@ import (
 // evaluator compares.
 func ParseDateTime(s string) (time.Time, bool) { return parseDateTime(s) }
 
-// RowKey appends a composite key of the row's values for vars to dst —
-// the engine's binding-key encoding, exported for result mergers that
-// deduplicate or group rows across shard streams.
-func RowKey(dst []byte, row Binding, vars []string) []byte {
-	return bindingKey(dst, row, vars)
+// RowKey appends a composite key of the row's terms to dst, for result
+// mergers that deduplicate rows across shard streams: rows of one
+// header have equal keys exactly when their terms are equal column for
+// column (unbound encoding distinctly from every bound term).
+func RowKey(dst []byte, row Row) []byte {
+	for _, t := range row {
+		dst = appendTermKey(dst, t)
+		dst = append(dst, 0x1f)
+	}
+	return dst
 }
 
 // emptySource is a Source with no triples and an empty dictionary,
@@ -53,16 +58,19 @@ func (emptySource) MatchIDs(s, p, o rdf.ID, visit func(rdf.EncodedTriple) bool) 
 type OrderKeys struct {
 	keys []OrderKey
 	e    *Evaluator
+	row  termRow
 }
 
-// NewOrderKeys returns the evaluator of keys.
-func NewOrderKeys(keys []OrderKey) *OrderKeys {
-	return &OrderKeys{keys: keys, e: NewEvaluator(emptySource{})}
+// NewOrderKeys returns the evaluator of keys over rows whose columns
+// follow vars.
+func NewOrderKeys(keys []OrderKey, vars []string) *OrderKeys {
+	return &OrderKeys{keys: keys, e: NewEvaluator(emptySource{}), row: termRow{schema: newSchema(vars)}}
 }
 
 // Eval appends the row's key values to dst.
-func (o *OrderKeys) Eval(dst []Value, row Binding) []Value {
-	return o.e.appendKeys(dst, o.keys, mapRow(row))
+func (o *OrderKeys) Eval(dst []Value, row Row) []Value {
+	o.row.terms = row
+	return o.e.appendKeys(dst, o.keys, rowRef{t: &o.row})
 }
 
 // Compare compares two rows' key values from Eval: negative when a sorts
@@ -99,6 +107,8 @@ func IsGrouped(sel *SelectQuery) bool {
 type aggPart struct {
 	call *CallExpr
 	vars []string // 1 column (count/sum/min/max) or 2 (avg: sum, count)
+	col  int      // the partial row's column of vars[0]
+	idx  int      // position in AggMerge.parts
 }
 
 // AggMerge is the distributed-evaluation plan of a grouped SELECT:
@@ -158,6 +168,7 @@ func PlanAggMerge(sel *SelectQuery) (*AggMerge, bool) {
 		partial.Projection = append(partial.Projection, SelectItem{Var: k})
 	}
 	for i, p := range m.parts {
+		p.col, p.idx = len(partial.Projection), i
 		if p.call.Name == "avg" {
 			// AVG = SUM / count-of-NUMERIC-values (the engine skips
 			// non-numeric bound values in both), so the denominator
@@ -225,227 +236,169 @@ func (m *AggMerge) collect(expr Expr, keySet map[string]bool) bool {
 func (m *AggMerge) Partial() *Query { return m.partial }
 
 // Vars is the final result header (the original SELECT's projection).
-func (m *AggMerge) Vars() []string {
-	vars := make([]string, len(m.q.Projection))
-	for i, item := range m.q.Projection {
-		vars[i] = item.Var
-	}
-	return vars
-}
+func (m *AggMerge) Vars() []string { return projectionVars(m.q) }
 
 // mergedGroup accumulates one group's partials across shards.
 type mergedGroup struct {
-	key  Binding // GROUP BY variable bindings
-	vals []Value // merged value per part (zero Value = nothing seen yet)
-	seen []bool
-	cnts []float64 // avg denominators
+	key   Row // the GROUP BY values, in key order
+	parts []mergedPart
 }
 
-// Finalize recombines the partial rows shipped by every shard into the
-// final result: groups are merged by key, HAVING filters complete
-// groups, the original projection is evaluated with aggregate calls
-// replaced by their merged values, and DISTINCT / ORDER BY / OFFSET /
-// LIMIT re-apply at the end.
-func (m *AggMerge) Finalize(rows []Binding) (*Result, error) {
+// mergedPart is one aggregate call's running merge.
+type mergedPart struct {
+	val  Value // merged value (meaningful once seen)
+	seen bool
+	cnt  float64 // avg denominator
+}
+
+// Finalize recombines the partial rows shipped by every shard — each
+// in the column order of the Partial query's header — into the final
+// result: groups are merged by key, HAVING filters complete groups, the
+// original projection is evaluated with aggregate calls replaced by
+// their merged values, and the engine's distinct, order and slice
+// operators apply DISTINCT / ORDER BY / OFFSET / LIMIT at the end.
+func (m *AggMerge) Finalize(rows []Row) (*Result, error) {
 	e := NewEvaluator(emptySource{})
-	groups := make(map[string]*mergedGroup)
-	var order []string
+	groups := make(map[string]int)
+	var merged []mergedGroup
 	var kb []byte
+	nk := len(m.keys)
 	for _, row := range rows {
-		kb = bindingKey(kb[:0], row, m.keys)
+		kb = RowKey(kb[:0], row[:nk])
 		g, ok := groups[string(kb)]
 		if !ok {
-			g = &mergedGroup{
-				key:  Binding{},
-				vals: make([]Value, len(m.parts)),
-				seen: make([]bool, len(m.parts)),
-				cnts: make([]float64, len(m.parts)),
-			}
-			for _, k := range m.keys {
-				if t, bound := row[k]; bound {
-					g.key[k] = t
-				}
-			}
+			g = len(merged)
 			groups[string(kb)] = g
-			order = append(order, string(kb))
+			merged = append(merged, mergedGroup{key: row[:nk], parts: make([]mergedPart, len(m.parts))})
 		}
 		for i, p := range m.parts {
-			m.combine(e, g, i, p, row)
+			m.combine(e, &merged[g].parts[i], p, row)
 		}
 	}
 	// An ungrouped aggregate always yields its implicit group, even over
 	// zero partial rows (a window pruned to zero shards): COUNT()=0.
-	if len(order) == 0 && len(m.keys) == 0 {
-		groups[""] = &mergedGroup{
-			key:  Binding{},
-			vals: make([]Value, len(m.parts)),
-			seen: make([]bool, len(m.parts)),
-			cnts: make([]float64, len(m.parts)),
-		}
-		order = append(order, "")
+	if len(merged) == 0 && nk == 0 {
+		merged = append(merged, mergedGroup{parts: make([]mergedPart, len(m.parts))})
 	}
 
-	vars := e.projectionVars(m.q, nil)
-	var out []Binding
-	for _, k := range order {
-		g := groups[k]
-		vals := m.groupValues(g)
-		ok := true
-		for _, h := range m.q.Having {
-			v := m.evalMerged(e, h, vals, g.key)
-			pass, err := v.effectiveBool()
-			if err != nil || !pass {
-				ok = false
-				break
-			}
+	vars := m.Vars()
+	out := newBatch(e.dict, newSchema(vars), len(merged))
+	rep := &termRow{schema: newSchema(m.keys)}
+	vals := make([]Value, len(m.parts))
+	agg := func(c *CallExpr) Value {
+		if p, ok := m.byCall[c]; ok {
+			return vals[p.idx]
 		}
-		if !ok {
+		return errValue("stsparql: unplanned aggregate %q in merge", c.Name)
+	}
+	for _, g := range merged {
+		m.groupValues(g.parts, vals)
+		rep.terms = g.key
+		if !e.having(m.q.Having, rowRef{t: rep}, agg) {
 			continue
 		}
-		row := Binding{}
-		for v, t := range g.key {
-			row[v] = t
-		}
-		for _, item := range m.q.Projection {
+		r := out.beginRow(rowRef{})
+		for c, item := range m.q.Projection {
+			var t rdf.Term
+			var ok bool
 			if item.Expr == nil {
-				if t, bound := g.key[item.Var]; bound {
-					row[item.Var] = t
-				}
-				continue
+				t, ok = rowRef{t: rep}.lookup(item.Var)
+			} else {
+				t, ok = e.evalGrouped(item.Expr, rowRef{t: rep}, agg).asTerm()
 			}
-			if t, bound := m.evalMerged(e, item.Expr, vals, g.key).asTerm(); bound {
-				row[item.Var] = t
+			if ok {
+				out.cols[c][r] = e.dict.encode(t)
 			}
 		}
-		out = append(out, row)
+		out.commitRow()
 	}
+	var it batchIter = &batchesIter{batches: []*Batch{out}}
 	if m.q.Distinct {
-		out = distinctRows(out, vars)
+		it = (&distinctOp{}).open(e, it)
 	}
 	if len(m.q.OrderBy) > 0 {
-		it := (&orderOp{keys: m.q.OrderBy}).open(e, seedIter(e.dict, bindingsSchema(out), out))
-		var err error
-		if out, err = drainMaterialise(it); err != nil {
-			return nil, err
-		}
+		it = (&orderOp{keys: m.q.OrderBy}).open(e, it)
 	}
-	if m.q.Offset > 0 {
-		if m.q.Offset >= len(out) {
-			out = nil
-		} else {
-			out = out[m.q.Offset:]
-		}
+	if m.q.Offset > 0 || m.q.Limit >= 0 {
+		it = (&sliceOp{offset: m.q.Offset, limit: m.q.Limit}).open(e, it)
 	}
-	if m.q.Limit >= 0 && m.q.Limit < len(out) {
-		out = out[:m.q.Limit]
-	}
-	return &Result{Vars: vars, Rows: out}, nil
+	cur := &planCursor{it: it, vars: vars}
+	res := ReadAll(cur)
+	return res, cur.Close()
 }
 
-// combine folds one partial row into a group's merged value for part i.
-func (m *AggMerge) combine(e *Evaluator, g *mergedGroup, i int, p *aggPart, row Binding) {
-	get := func(v string) (Value, bool) {
-		t, ok := row[v]
-		if !ok || t.IsZero() {
+// combine folds one partial row into a group's merged value for part p.
+func (m *AggMerge) combine(e *Evaluator, acc *mergedPart, p *aggPart, row Row) {
+	get := func(k int) (Value, bool) {
+		t := row[p.col+k]
+		if t.IsZero() {
 			return Value{}, false
 		}
 		return termToValue(t, e.cache), true
 	}
 	switch p.call.Name {
 	case "count", "sum":
-		v, ok := get(p.vars[0])
+		v, ok := get(0)
 		if !ok || v.Kind != VNum {
 			return
 		}
-		if !g.seen[i] {
-			g.vals[i], g.seen[i] = numValue(0), true
+		if !acc.seen {
+			acc.val, acc.seen = numValue(0), true
 		}
-		g.vals[i] = numValue(g.vals[i].Num + v.Num)
+		acc.val = numValue(acc.val.Num + v.Num)
 	case "min", "max":
-		v, ok := get(p.vars[0])
+		v, ok := get(0)
 		if !ok {
 			return
 		}
-		if !g.seen[i] {
-			g.vals[i], g.seen[i] = v, true
+		if !acc.seen {
+			acc.val, acc.seen = v, true
 			return
 		}
-		c, err := v.compare(g.vals[i])
+		c, err := v.compare(acc.val)
 		if err != nil {
 			return
 		}
 		if (p.call.Name == "min" && c < 0) || (p.call.Name == "max" && c > 0) {
-			g.vals[i] = v
+			acc.val = v
 		}
 	case "avg":
-		s, okS := get(p.vars[0])
-		c, okC := get(p.vars[1])
+		s, okS := get(0)
+		c, okC := get(1)
 		if !okS || !okC || s.Kind != VNum || c.Kind != VNum {
 			return
 		}
-		if !g.seen[i] {
-			g.vals[i], g.seen[i] = numValue(0), true
+		if !acc.seen {
+			acc.val, acc.seen = numValue(0), true
 		}
-		g.vals[i] = numValue(g.vals[i].Num + s.Num)
-		g.cnts[i] += c.Num
+		acc.val = numValue(acc.val.Num + s.Num)
+		acc.cnt += c.Num
 	}
 }
 
-// groupValues renders the merged value of every aggregate call for one
-// complete group, applying the AVG = SUM/COUNT recombination and the
-// engine's empty-input conventions (COUNT/SUM/AVG of nothing are 0,
-// MIN/MAX of nothing are unbound).
-func (m *AggMerge) groupValues(g *mergedGroup) map[*CallExpr]Value {
-	vals := make(map[*CallExpr]Value, len(m.parts))
+// groupValues renders into vals the merged value of every aggregate
+// call for one complete group's parts, applying the AVG = SUM/COUNT
+// recombination and the engine's empty-input conventions (COUNT/SUM/AVG
+// of nothing are 0, MIN/MAX of nothing are unbound).
+func (m *AggMerge) groupValues(parts []mergedPart, vals []Value) {
 	for i, p := range m.parts {
+		acc := parts[i]
 		switch p.call.Name {
 		case "count", "sum":
-			if !g.seen[i] {
-				vals[p.call] = numValue(0)
-				continue
+			vals[i] = numValue(0)
+			if acc.seen {
+				vals[i] = acc.val
 			}
-			vals[p.call] = g.vals[i]
 		case "min", "max":
-			if !g.seen[i] {
-				vals[p.call] = unboundValue()
-				continue
+			vals[i] = unboundValue()
+			if acc.seen {
+				vals[i] = acc.val
 			}
-			vals[p.call] = g.vals[i]
 		case "avg":
-			if !g.seen[i] || g.cnts[i] == 0 {
-				vals[p.call] = numValue(0)
-				continue
+			vals[i] = numValue(0)
+			if acc.seen && acc.cnt != 0 {
+				vals[i] = numValue(acc.val.Num / acc.cnt)
 			}
-			vals[p.call] = numValue(g.vals[i].Num / g.cnts[i])
 		}
-	}
-	return vals
-}
-
-// evalMerged evaluates a projection/HAVING expression with aggregate
-// calls replaced by their merged group values — the merger-side
-// counterpart of evalAggExpr.
-func (m *AggMerge) evalMerged(e *Evaluator, expr Expr, vals map[*CallExpr]Value, rep Binding) Value {
-	switch v := expr.(type) {
-	case *CallExpr:
-		if v.isAggregate() {
-			if val, ok := vals[v]; ok {
-				return val
-			}
-			return errValue("stsparql: unplanned aggregate %q in merge", v.Name)
-		}
-		args := make([]Value, len(v.Args))
-		for i, a := range v.Args {
-			args[i] = m.evalMerged(e, a, vals, rep)
-		}
-		return e.applyFunction(v, args)
-	case *BinaryExpr:
-		return e.applyBinary(v.Op,
-			m.evalMerged(e, v.L, vals, rep),
-			m.evalMerged(e, v.R, vals, rep))
-	case *UnaryExpr:
-		return e.applyUnary(v.Op, m.evalMerged(e, v.X, vals, rep))
-	default:
-		return e.evalExpr(expr, mapRow(rep))
 	}
 }

@@ -62,11 +62,9 @@ func TestOrderTopKMatchesFullSort(t *testing.T) {
 					t.Fatalf("%s k=%d off=%d: rows=%d want %d", dir, k, offset, len(limited.Rows), len(want))
 				}
 				for i := range want {
-					if limited.Rows[i]["s"].Value != want[i]["s"].Value ||
-						limited.Rows[i]["v"].Value != want[i]["v"].Value {
-						t.Fatalf("%s k=%d off=%d row %d: got %v/%v want %v/%v", dir, k, offset, i,
-							limited.Rows[i]["s"].Value, limited.Rows[i]["v"].Value,
-							want[i]["s"].Value, want[i]["v"].Value)
+					if string(RowKey(nil, limited.Rows[i])) != string(RowKey(nil, want[i])) {
+						t.Fatalf("%s k=%d off=%d row %d: got %v want %v", dir, k, offset, i,
+							limited.Rows[i], want[i])
 					}
 				}
 			}
@@ -79,26 +77,26 @@ func TestOrderTopKMatchesFullSort(t *testing.T) {
 // earliest-arriving rows among equal keys and emit them in arrival
 // order, exactly like the stable full sort.
 func TestOrderTopKStableTies(t *testing.T) {
-	var rows []Binding
+	var rows []oracleRow
+	var pos []Row // rows over vars
+	vars := []string{"s", "v"}
 	for i := 0; i < 40; i++ {
-		rows = append(rows, Binding{
-			"s": rdf.NewIRI(fmt.Sprintf("http://example.org/r%02d", i)),
-			"v": rdf.NewInteger(int64(i % 4)),
-		})
+		s, v := rdf.NewIRI(fmt.Sprintf("http://example.org/r%02d", i)), rdf.NewInteger(int64(i%4))
+		rows = append(rows, oracleRow{"s": s, "v": v})
+		pos = append(pos, Row{s, v})
 	}
 	keys := []OrderKey{{Expr: &VarExpr{Name: "v"}}}
 	e := NewEvaluator(emptySource{})
 
-	sorted := make([]Binding, len(rows))
+	sorted := make([]oracleRow, len(rows))
 	copy(sorted, rows)
 	e.orderRows(sorted, keys)
 
 	for _, k := range []int{1, 2, 5, 13, 40, 100} {
 		op := &orderOp{keys: keys, topK: k}
-		it := op.open(e, seedIter(e.dict, bindingsSchema(rows), rows))
-		got, err := drainMaterialise(it)
-		it.close()
-		if err != nil {
+		cur := &planCursor{it: op.open(e, seedIter(e.dict, newSchema(vars), vars, pos)), vars: vars}
+		got := ReadAll(cur).Rows
+		if err := cur.Close(); err != nil {
 			t.Fatal(err)
 		}
 		want := sorted
@@ -109,8 +107,8 @@ func TestOrderTopKStableTies(t *testing.T) {
 			t.Fatalf("k=%d: rows=%d want %d", k, len(got), len(want))
 		}
 		for i := range want {
-			if got[i]["s"].Value != want[i]["s"].Value {
-				t.Fatalf("k=%d row %d: got %s want %s", k, i, got[i]["s"].Value, want[i]["s"].Value)
+			if got[i][0].Value != want[i]["s"].Value {
+				t.Fatalf("k=%d row %d: got %s want %s", k, i, got[i][0].Value, want[i]["s"].Value)
 			}
 		}
 	}
@@ -165,7 +163,7 @@ func TestAggMergeRecombination(t *testing.T) {
 		if !ok {
 			t.Fatalf("query %d: PlanAggMerge rejected", qi)
 		}
-		var partials []Binding
+		var partials []Row
 		for _, st := range []*rdf.Store{a, b} {
 			res, err := NewEvaluator(st).Select(am.Partial().Select)
 			if err != nil {
@@ -184,18 +182,15 @@ func TestAggMergeRecombination(t *testing.T) {
 		if len(merged.Rows) != len(want.Rows) {
 			t.Fatalf("query %d: rows=%d want %d", qi, len(merged.Rows), len(want.Rows))
 		}
-		index := func(rows []Binding, vars []string) map[string]bool {
-			out := make(map[string]bool)
-			var kb []byte
-			for _, r := range rows {
-				kb = RowKey(kb[:0], r, vars)
-				out[string(kb)] = true
-			}
-			return out
+		if fmt.Sprint(merged.Vars) != fmt.Sprint(want.Vars) {
+			t.Fatalf("query %d: vars=%v want %v", qi, merged.Vars, want.Vars)
 		}
-		wantSet := index(want.Rows, want.Vars)
+		wantSet := make(map[string]bool)
+		for _, r := range want.Rows {
+			wantSet[string(RowKey(nil, r))] = true
+		}
 		for _, r := range merged.Rows {
-			if k := string(RowKey(nil, r, want.Vars)); !wantSet[k] {
+			if k := string(RowKey(nil, r)); !wantSet[k] {
 				t.Fatalf("query %d: merged row %v not in direct result", qi, r)
 			}
 		}
@@ -221,7 +216,7 @@ func TestAggMergeRecombination(t *testing.T) {
 		if !ok {
 			t.Fatal("PlanAggMerge rejected avg")
 		}
-		var partials []Binding
+		var partials []Row
 		for _, st := range []*rdf.Store{a, b} {
 			res, err := NewEvaluator(st).Select(am.Partial().Select)
 			if err != nil {
@@ -238,11 +233,11 @@ func TestAggMergeRecombination(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(merged.Rows) != 1 || len(want.Rows) != 1 ||
-			merged.Rows[0]["avg"].Value != want.Rows[0]["avg"].Value {
+			merged.at(0, "avg").Value != want.at(0, "avg").Value {
 			t.Fatalf("mixed-type AVG: merged=%v want=%v", merged.Rows, want.Rows)
 		}
-		if want.Rows[0]["avg"].Value != "3" {
-			t.Fatalf("single-store AVG over {2, \"x\", 4} = %s, want 3", want.Rows[0]["avg"].Value)
+		if want.at(0, "avg").Value != "3" {
+			t.Fatalf("single-store AVG over {2, \"x\", 4} = %s, want 3", want.at(0, "avg").Value)
 		}
 	}
 
@@ -256,7 +251,7 @@ func TestAggMergeRecombination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0]["n"].Value != "0" {
+	if len(res.Rows) != 1 || res.at(0, "n").Value != "0" {
 		t.Fatalf("implicit group over nothing: %+v", res.Rows)
 	}
 }
@@ -285,9 +280,9 @@ func TestAggMergeRejections(t *testing.T) {
 // TestOrderMatchesOracle holds it to the map-row comparator.
 func TestOrderKeysCompare(t *testing.T) {
 	q := mustParse(t, `SELECT ?s ?v WHERE { ?s <http://example.org/val> ?v . } ORDER BY DESC(?v)`)
-	ok := NewOrderKeys(q.Select.OrderBy)
-	lo := ok.Eval(nil, Binding{"v": rdf.NewInteger(1)})
-	hi := ok.Eval(nil, Binding{"v": rdf.NewInteger(5)})
+	ok := NewOrderKeys(q.Select.OrderBy, []string{"s", "v"})
+	lo := ok.Eval(nil, Row{{}, rdf.NewInteger(1)})
+	hi := ok.Eval(nil, Row{{}, rdf.NewInteger(5)})
 	if ok.Compare(hi, lo) >= 0 {
 		t.Fatal("DESC: higher value must sort first")
 	}

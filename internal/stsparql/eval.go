@@ -2,7 +2,7 @@ package stsparql
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/rdf"
@@ -57,27 +57,47 @@ var GeometryPredicates = map[string]bool{
 	"http://teleios.di.uoa.gr/ontologies/noaOntology.owl#hasGeometry": true,
 }
 
-// Binding maps variable names to RDF terms.
-type Binding map[string]rdf.Term
+// Row is one solution: its terms in the column order of the header
+// (Vars) of whatever produced it; the zero Term is an unbound column.
+type Row []rdf.Term
 
-func (b Binding) clone() Binding {
-	out := make(Binding, len(b)+2)
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
-// Clone returns an independent copy of the binding. Rows yielded by a
+// Clone returns an independent copy of the row. Rows yielded by a
 // Cursor are views into the engine's current batch and are only valid
 // until the next call to Next (or Close); callers that retain a row
 // beyond that must Clone it first.
-func (b Binding) Clone() Binding { return b.clone() }
+func (r Row) Clone() Row { return slices.Clone(r) }
 
-// Result is the outcome of a materialised SELECT evaluation.
+// Result is the outcome of a materialised SELECT evaluation: every row
+// has one term per header variable.
 type Result struct {
 	Vars []string
-	Rows []Binding
+	Rows []Row
+}
+
+// Col returns the column of variable v in the result's rows, or -1.
+func (r *Result) Col(v string) int { return slices.Index(r.Vars, v) }
+
+// ReadAll drains a cursor into an owned Result, copying each row out of
+// the cursor's reused view into one slab. It leaves the cursor open:
+// the caller closes it and checks the error.
+func ReadAll(cur Cursor) *Result {
+	res := &Result{Vars: cur.Vars()}
+	w := len(res.Vars)
+	var slab []rdf.Term
+	n := 0
+	for {
+		row, ok := cur.Next()
+		if !ok {
+			break
+		}
+		slab = append(slab, row...)
+		n++
+	}
+	res.Rows = make([]Row, n)
+	for i := range res.Rows {
+		res.Rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	return res
 }
 
 // Cursor is the pull side of a running query: Next yields solutions one
@@ -88,11 +108,13 @@ type Result struct {
 // strabon.Store.QueryStream) additionally hold their lock until Close.
 // A cursor is single-goroutine, like the Evaluator that produced it.
 type Cursor interface {
-	// Vars is the result header: the projected variable list.
+	// Vars is the result header: the projected variable list. It is
+	// final when the cursor opens.
 	Vars() []string
-	// Next returns the next solution; ok=false once the result set is
-	// exhausted or evaluation failed (check Err).
-	Next() (Binding, bool)
+	// Next returns the next solution, one term per header variable;
+	// ok=false once the result set is exhausted or evaluation failed
+	// (check Err).
+	Next() (Row, bool)
 	// Err reports the first evaluation error, if any.
 	Err() error
 	// Close terminates the evaluation, releasing scans in flight. It is
@@ -101,22 +123,23 @@ type Cursor interface {
 }
 
 // planCursor adapts an opened batch pipeline to the public Cursor API:
-// Next is a thin row-view over the current batch. The yielded Binding is
-// one reused map, refilled from the batch columns per row — valid only
-// until the next call to Next (or Close); retainers must Clone it.
+// Next is a thin row-view over the current batch, whose columns are the
+// header's. The yielded Row is one reused slice, refilled by decoding
+// the batch columns per row — valid only until the next call to Next
+// (or Close); retainers must Clone it.
 type planCursor struct {
 	it     batchIter
 	vars   []string
 	cur    *Batch
 	ord    int
-	view   Binding
+	view   Row
 	err    error
 	closed bool
 }
 
 func (c *planCursor) Vars() []string { return c.vars }
 
-func (c *planCursor) Next() (Binding, bool) {
+func (c *planCursor) Next() (Row, bool) {
 	if c.closed || c.err != nil {
 		return nil, false
 	}
@@ -135,13 +158,10 @@ func (c *planCursor) Next() (Binding, bool) {
 	i := c.cur.row(c.ord)
 	c.ord++
 	if c.view == nil {
-		c.view = make(Binding, len(c.cur.schema.names))
+		c.view = make(Row, len(c.vars))
 	}
-	clear(c.view)
-	for col, name := range c.cur.schema.names {
-		if id := c.cur.cols[col][i]; id != 0 {
-			c.view[name] = c.cur.dict.decode(id)
-		}
+	for j := range c.view {
+		c.view[j] = c.cur.dict.decode(c.cur.cols[j][i])
 	}
 	return c.view, true
 }
@@ -161,13 +181,13 @@ func (c *planCursor) Close() error {
 // invalidated by Next, unlike a streaming cursor's views.
 type sliceCursor struct {
 	vars []string
-	rows []Binding
+	rows []Row
 	pos  int
 }
 
 func (c *sliceCursor) Vars() []string { return c.vars }
 
-func (c *sliceCursor) Next() (Binding, bool) {
+func (c *sliceCursor) Next() (Row, bool) {
 	if c.pos >= len(c.rows) {
 		return nil, false
 	}
@@ -181,7 +201,7 @@ func (c *sliceCursor) Close() error { return nil }
 
 // MaterialisedCursor returns a Cursor over pre-computed rows. Used for
 // results that are cheap to hold whole (ASK verdicts, test fixtures).
-func MaterialisedCursor(vars []string, rows []Binding) Cursor {
+func MaterialisedCursor(vars []string, rows []Row) Cursor {
 	return &sliceCursor{vars: vars, rows: rows}
 }
 
@@ -218,10 +238,12 @@ type Evaluator struct {
 	// applyFunction must not retain the slice it is handed.
 	argScratch []Value
 
-	// seed and subRes carry one prepared run's state (see prepare.go):
-	// the seed rows its sub-selects share, and their per-run solutions.
-	seed   []Binding
-	subRes map[*subSelectOp][]Binding
+	// seedVars, seed and subRes carry one prepared run's state (see
+	// prepare.go): the seed rows its sub-selects share, binding seedVars
+	// positionally, and the sub-selects' per-run solutions.
+	seedVars []string
+	seed     []Row
+	subRes   map[*subSelectOp]*Result
 
 	// trace, when armed (SetTrace), collects per-operator actuals for
 	// EXPLAIN ANALYZE. The disabled path costs one nil check per
@@ -243,11 +265,15 @@ func newEvaluator(src Source, cache *geomCache) *Evaluator {
 // the source needs by now: the dictionary watermark is pinned (see
 // iddict.go), and a prepared run parks its seed where its sub-selects
 // read it and leave their per-run solutions.
-func (e *Evaluator) begin(seed []Binding) {
+func (e *Evaluator) begin(vars []string, seed []Row) {
 	e.dict.pin()
-	e.seed = seed
+	e.seedVars, e.seed = vars, seed
 	clear(e.subRes)
 }
+
+// unitSeed is the seed of an unprepared evaluation: one row binding
+// nothing.
+var unitSeed = []Row{{}}
 
 // Run compiles a SELECT or ASK query and returns a streaming cursor
 // over its solutions (an ASK yields one row binding "ask" to a boolean,
@@ -264,8 +290,7 @@ func (e *Evaluator) Run(q *Query) (Cursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows := []Binding{{"ask": rdf.NewBoolean(ok)}}
-		return MaterialisedCursor([]string{"ask"}, rows), nil
+		return MaterialisedCursor([]string{"ask"}, []Row{{rdf.NewBoolean(ok)}}), nil
 	default:
 		return nil, fmt.Errorf("stsparql: Run wants SELECT or ASK")
 	}
@@ -273,16 +298,16 @@ func (e *Evaluator) Run(q *Query) (Cursor, error) {
 
 // Select evaluates a SELECT query, materialising the full result.
 func (e *Evaluator) Select(q *SelectQuery) (*Result, error) {
-	e.begin(nil)
-	return e.newPlanner().planSelect(q, false).run(e, []Binding{{}})
+	e.begin(nil, nil)
+	return e.newPlanner().planSelect(q, false).run(e, nil, unitSeed)
 }
 
 // Ask evaluates an ASK query; the pull pipeline stops at the first
 // live batch (whose first slab is batchSizeMin rows).
 func (e *Evaluator) Ask(q *AskQuery) (bool, error) {
-	e.begin(nil)
+	e.begin(nil, nil)
 	plan := e.newPlanner().planGroupRoot(q.Where, false)
-	it := plan.open(e, seedIter(e.dict, plan.schema, []Binding{{}}))
+	it := plan.open(e, seedIter(e.dict, plan.schema, nil, unitSeed))
 	defer it.close()
 	b, err := nextLive(it)
 	return b != nil, err
@@ -363,18 +388,18 @@ func (e *Evaluator) tplSlots(tpls []TriplePattern, schema *varSchema) [][3]tplSl
 // fully drained — no LIMIT, no early exit — so their joins use buffered
 // scans.
 func (e *Evaluator) PlanUpdate(q *UpdateQuery) (*UpdatePlan, error) {
-	e.begin(nil)
+	e.begin(nil, nil)
 	where := e.newPlanner().planGroupRoot(q.Where, true)
-	return e.planUpdate(q, where, []Binding{{}})
+	return e.planUpdate(q, where, nil, unitSeed)
 }
 
 // planUpdate drains the WHERE pipeline batch by batch and instantiates
 // both templates per solution row straight off the ID columns. SPARQL
 // Update semantics: both instantiations are computed against the
 // pre-update state; ApplyPlan then deletes before it inserts.
-func (e *Evaluator) planUpdate(q *UpdateQuery, where *groupPlan, seed []Binding) (*UpdatePlan, error) {
+func (e *Evaluator) planUpdate(q *UpdateQuery, where *groupPlan, vars []string, seed []Row) (*UpdatePlan, error) {
 	plan := &UpdatePlan{dict: e.dict}
-	it := where.open(e, seedIter(e.dict, where.schema, seed))
+	it := where.open(e, seedIter(e.dict, where.schema, vars, seed))
 	defer it.close()
 	del, ins := e.tplSlots(q.Delete, where.schema), e.tplSlots(q.Insert, where.schema)
 	seenD, seenI := make(map[idTriple]struct{}), make(map[idTriple]struct{})
@@ -453,11 +478,6 @@ func (e *Evaluator) Update(q *UpdateQuery) (UpdateStats, error) {
 
 // --- projection / modifier helpers (used by the tail operators) ---
 
-func (b Binding) has(v string) bool {
-	t, ok := b[v]
-	return ok && !t.IsZero()
-}
-
 func projectionHasAggregates(q *SelectQuery) bool {
 	for _, item := range q.Projection {
 		if item.Expr != nil && containsAggregate(item.Expr) {
@@ -467,44 +487,14 @@ func projectionHasAggregates(q *SelectQuery) bool {
 	return false
 }
 
-func (e *Evaluator) projectionVars(q *SelectQuery, rows []Binding) []string {
-	if !q.Star {
-		vars := make([]string, len(q.Projection))
-		for i, item := range q.Projection {
-			vars[i] = item.Var
-		}
-		return vars
+// projectionVars is the header of an explicit projection (SELECT *
+// derives its header from the rows, see projectOp).
+func projectionVars(q *SelectQuery) []string {
+	vars := make([]string, len(q.Projection))
+	for i, item := range q.Projection {
+		vars[i] = item.Var
 	}
-	set := make(map[string]bool)
-	for _, row := range rows {
-		for k := range row {
-			set[k] = true
-		}
-	}
-	vars := make([]string, 0, len(set))
-	for k := range set {
-		vars = append(vars, k)
-	}
-	sort.Strings(vars)
 	return vars
-}
-
-// distinctRows deduplicates a materialised row slice over the given
-// variables — the same reused-key-buffer encoding the streaming
-// distinct operator (ops.go) applies row by row; kept as the reference
-// implementation its micro-benchmarks pin.
-func distinctRows(rows []Binding, vars []string) []Binding {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	var key []byte
-	for _, row := range rows {
-		key = bindingKey(key[:0], row, vars)
-		if !seen[string(key)] {
-			seen[string(key)] = true
-			out = append(out, row)
-		}
-	}
-	return out
 }
 
 // appendKeys appends the row's ORDER BY key values to dst.
@@ -538,193 +528,141 @@ func compareKeys(a, b []Value, keys []OrderKey) int {
 
 // --- grouping & aggregates ---
 
-// aggGroup is one group of the grouping phase: the key bindings visible
-// in the output row and the group's member rows.
-type aggGroup struct {
-	key  Binding
-	rows []Binding
-}
-
-func (e *Evaluator) aggregate(q *SelectQuery, rows []Binding) ([]Binding, error) {
-	groups := make(map[string]*aggGroup)
-	var order []string
+// aggregate groups the input and evaluates HAVING and the aggregate
+// projection per group, in group arrival order. The live input rows
+// are copied into one owned batch, and a group is the list of its
+// member rows' indices. Groups key on the IDs of their GROUP BY values —
+// a variable's column, or a computed key interned through the
+// evaluation dictionary — so equal terms always share a group.
+//
+// The output batch has a column per GROUP BY variable and per
+// projected variable, sorted by name: a group's key and plain variables
+// take its first member's values (its representative), computed items
+// their value.
+func (e *Evaluator) aggregate(q *SelectQuery, in batchIter) (*Batch, error) {
+	rows, err := drainBatch(e.dict, in)
+	if err != nil {
+		return nil, err
+	}
+	groups := make(map[string]int)
+	var members [][]int32 // per group, its rows in arrival order
 	var kb []byte
-	for _, row := range rows {
+	for i := 0; i < rows.n; i++ {
+		row := rowRef{b: rows, i: i}
 		kb = kb[:0]
-		key := Binding{}
 		for _, ge := range q.GroupBy {
-			v := e.evalExpr(ge, mapRow(row))
-			t, _ := v.asTerm()
-			kb = appendTermKey(kb, t)
-			kb = append(kb, '|')
 			if ve, ok := ge.(*VarExpr); ok {
-				key[ve.Name] = t
+				kb = appendIDKey(kb, row.lookupID(ve.Name))
+				continue
 			}
+			t, _ := e.evalExpr(ge, row).asTerm()
+			kb = appendIDKey(kb, e.dict.encode(t))
 		}
-		k := string(kb)
-		g, ok := groups[k]
+		g, ok := groups[string(kb)]
 		if !ok {
-			g = &aggGroup{key: key}
-			groups[k] = g
-			order = append(order, k)
+			g = len(members)
+			groups[string(kb)] = g
+			members = append(members, nil)
 		}
-		g.rows = append(g.rows, row)
+		members[g] = append(members[g], int32(i))
 	}
 	// With no GROUP BY, all rows form one implicit group (even zero rows
 	// for COUNT(*) = 0).
-	if len(q.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = &aggGroup{key: Binding{}}
-		order = append(order, "")
+	if len(q.GroupBy) == 0 && len(members) == 0 {
+		members = append(members, nil)
 	}
-	return e.evalGroups(q, groups, order)
-}
 
-// aggregateBatches is the batch-drain grouping path used by the
-// aggregate operator. When every GROUP BY key is a plain variable, rows
-// group on fixed-width ID tuples straight off the batch columns — one
-// 8-byte append per key, no term materialisation until a group's first
-// row (its key bindings) and its member rows are recorded. Computed
-// group keys fall back to the materialised term-key path.
-func (e *Evaluator) aggregateBatches(q *SelectQuery, in batchIter) ([]Binding, error) {
-	vars := make([]string, 0, len(q.GroupBy))
-	simple := true
+	names := map[string]bool{}
 	for _, ge := range q.GroupBy {
-		ve, ok := ge.(*VarExpr)
-		if !ok {
-			simple = false
-			break
-		}
-		vars = append(vars, ve.Name)
-	}
-	if !simple {
-		rows, err := drainMaterialise(in)
-		if err != nil {
-			return nil, err
-		}
-		return e.aggregate(q, rows)
-	}
-	groups := make(map[string]*aggGroup)
-	var order []string
-	var kb []byte
-	for {
-		b, err := in.next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		for ord := 0; ord < b.live(); ord++ {
-			i := b.row(ord)
-			row := rowRef{b: b, i: i}
-			kb = kb[:0]
-			for _, v := range vars {
-				kb = appendIDKey(kb, row.lookupID(v))
-			}
-			g, ok := groups[string(kb)]
-			if !ok {
-				key := Binding{}
-				for _, v := range vars {
-					t, _ := row.lookup(v)
-					key[v] = t
-				}
-				g = &aggGroup{key: key}
-				groups[string(kb)] = g
-				order = append(order, string(kb))
-			}
-			g.rows = append(g.rows, b.binding(i))
+		if ve, ok := ge.(*VarExpr); ok {
+			names[ve.Name] = true
 		}
 	}
-	if len(q.GroupBy) == 0 && len(groups) == 0 {
-		groups[""] = &aggGroup{key: Binding{}}
-		order = append(order, "")
+	for _, item := range q.Projection {
+		names[item.Var] = true
 	}
-	return e.evalGroups(q, groups, order)
-}
-
-// evalGroups applies HAVING and the aggregate projection to grouped
-// rows, in group arrival order.
-func (e *Evaluator) evalGroups(q *SelectQuery, groups map[string]*aggGroup, order []string) ([]Binding, error) {
-	var out []Binding
-	for _, k := range order {
-		g := groups[k]
-		row := Binding{}
-		// Group keys are visible in the output row.
-		for v, t := range g.key {
-			row[v] = t
+	out := newBatch(e.dict, schemaOf(names), len(members))
+	var mem []int32 // the group agg evaluates over
+	agg := func(c *CallExpr) Value { return e.aggregateCall(c, rows, mem) }
+	for _, mem = range members {
+		rep := rowRef{} // an empty group binds nothing
+		if len(mem) > 0 {
+			rep = rowRef{b: rows, i: int(mem[0])}
 		}
-		// Representative bindings for non-aggregate var references.
-		var rep Binding
-		if len(g.rows) > 0 {
-			rep = g.rows[0]
-		} else {
-			rep = Binding{}
-		}
-		ok := true
-		for _, h := range q.Having {
-			v := e.evalAggExpr(h, g.rows, rep)
-			pass, err := v.effectiveBool()
-			if err != nil || !pass {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !e.having(q.Having, rep, agg) {
 			continue
 		}
-		for _, item := range q.Projection {
-			if item.Expr == nil {
-				if t, bound := rep[item.Var]; bound {
-					row[item.Var] = t
-				}
-				continue
-			}
-			v := e.evalAggExpr(item.Expr, g.rows, rep)
-			if t, okT := v.asTerm(); okT {
-				row[item.Var] = t
+		r := out.beginRow(rowRef{})
+		for _, ge := range q.GroupBy {
+			if ve, ok := ge.(*VarExpr); ok {
+				c, _ := out.schema.col(ve.Name)
+				out.cols[c][r] = rep.lookupID(ve.Name)
 			}
 		}
-		out = append(out, row)
+		for _, item := range q.Projection {
+			c, _ := out.schema.col(item.Var)
+			if item.Expr == nil {
+				if id := rep.lookupID(item.Var); id != 0 {
+					out.cols[c][r] = id
+				}
+			} else if t, ok := e.evalGrouped(item.Expr, rep, agg).asTerm(); ok {
+				out.cols[c][r] = e.dict.encode(t)
+			}
+		}
+		out.commitRow()
 	}
 	return out, nil
 }
 
-// evalAggExpr evaluates an expression in aggregate context: aggregate
-// calls consume the group's rows, everything else evaluates against the
-// representative binding.
-func (e *Evaluator) evalAggExpr(expr Expr, rows []Binding, rep Binding) Value {
+// having reports whether a group passes every HAVING constraint.
+func (e *Evaluator) having(conds []Expr, rep rowRef, agg func(*CallExpr) Value) bool {
+	for _, h := range conds {
+		pass, err := e.evalGrouped(h, rep, agg).effectiveBool()
+		if err != nil || !pass {
+			return false
+		}
+	}
+	return true
+}
+
+// evalGrouped evaluates an expression in aggregate context: agg
+// supplies the value of each aggregate call — computed over the group's
+// member rows by the aggregate operator, recombined from partials by a
+// distributed merge — and everything else evaluates against the
+// group's representative row.
+func (e *Evaluator) evalGrouped(expr Expr, rep rowRef, agg func(*CallExpr) Value) Value {
 	switch v := expr.(type) {
 	case *CallExpr:
 		if v.isAggregate() {
-			return e.evalAggregateCall(v, rows)
+			return agg(v)
 		}
 		base := len(e.argScratch)
 		for _, a := range v.Args {
-			e.argScratch = append(e.argScratch, e.evalAggExpr(a, rows, rep))
+			e.argScratch = append(e.argScratch, e.evalGrouped(a, rep, agg))
 		}
 		res := e.applyFunction(v, e.argScratch[base:])
 		e.argScratch = e.argScratch[:base]
 		return res
 	case *BinaryExpr:
-		return e.applyBinary(v.Op,
-			e.evalAggExpr(v.L, rows, rep),
-			e.evalAggExpr(v.R, rows, rep))
+		return e.applyBinary(v.Op, e.evalGrouped(v.L, rep, agg), e.evalGrouped(v.R, rep, agg))
 	case *UnaryExpr:
-		return e.applyUnary(v.Op, e.evalAggExpr(v.X, rows, rep))
+		return e.applyUnary(v.Op, e.evalGrouped(v.X, rep, agg))
 	default:
-		return e.evalExpr(expr, mapRow(rep))
+		return e.evalExpr(expr, rep)
 	}
 }
 
-func (e *Evaluator) evalAggregateCall(c *CallExpr, rows []Binding) Value {
+// aggregateCall evaluates one aggregate call over the member rows mem
+// of rows.
+func (e *Evaluator) aggregateCall(c *CallExpr, rows *Batch, mem []int32) Value {
 	collect := func() []Value {
+		if len(c.Args) == 0 {
+			return nil
+		}
 		var vals []Value
-		seen := make(map[string]bool)
-		for _, row := range rows {
-			if len(c.Args) == 0 {
-				continue
-			}
-			v := e.evalExpr(c.Args[0], mapRow(row))
+		var seen map[string]bool
+		for _, i := range mem {
+			v := e.evalExpr(c.Args[0], rowRef{b: rows, i: int(i)})
 			if v.Kind == VUnbound || v.Kind == VErr {
 				continue
 			}
@@ -733,6 +671,9 @@ func (e *Evaluator) evalAggregateCall(c *CallExpr, rows []Binding) Value {
 				k := t.String()
 				if seen[k] {
 					continue
+				}
+				if seen == nil {
+					seen = make(map[string]bool)
 				}
 				seen[k] = true
 			}
@@ -744,9 +685,20 @@ func (e *Evaluator) evalAggregateCall(c *CallExpr, rows []Binding) Value {
 	case "count":
 		if c.Star {
 			if c.Distinct {
-				return numValue(float64(len(distinctAll(rows))))
+				// Distinct over every column: ID equality is term
+				// equality within the evaluation.
+				seen := make(map[string]struct{}, len(mem))
+				var kb []byte
+				for _, i := range mem {
+					kb = kb[:0]
+					for _, col := range rows.cols {
+						kb = appendIDKey(kb, col[i])
+					}
+					seen[string(kb)] = struct{}{}
+				}
+				return numValue(float64(len(seen)))
 			}
-			return numValue(float64(len(rows)))
+			return numValue(float64(len(mem)))
 		}
 		return numValue(float64(len(collect())))
 	case "#numcount":
@@ -833,42 +785,6 @@ func (e *Evaluator) evalAggregateCall(c *CallExpr, rows []Binding) Value {
 	default:
 		return errValue("stsparql: unknown aggregate %q", c.Name)
 	}
-}
-
-// distinctAll deduplicates rows over every variable any row binds. The
-// variable union is collected and sorted once, then each row's key is
-// built into a reused buffer (missing variables encode distinctly from
-// every bound term).
-func distinctAll(rows []Binding) []Binding {
-	varSet := make(map[string]bool)
-	for _, row := range rows {
-		for k := range row {
-			varSet[k] = true
-		}
-	}
-	vars := make([]string, 0, len(varSet))
-	for k := range varSet {
-		vars = append(vars, k)
-	}
-	sort.Strings(vars)
-
-	seen := make(map[string]bool, len(rows))
-	var out []Binding
-	var key []byte
-	for _, row := range rows {
-		key = key[:0]
-		for _, v := range vars {
-			if t, ok := row[v]; ok {
-				key = appendTermKey(key, t)
-			}
-			key = append(key, '|')
-		}
-		if !seen[string(key)] {
-			seen[string(key)] = true
-			out = append(out, row)
-		}
-	}
-	return out
 }
 
 func geomParts(g geom.Geometry) ([]geom.Point, []geom.LineString, []geom.Polygon) {

@@ -7,9 +7,8 @@ import (
 	"repro/internal/rdf"
 )
 
-// evalExpr evaluates an expression under a row view — either a
-// map-backed Binding (via mapRow) or a physical batch row, looked up
-// column-wise without materialising a map.
+// evalExpr evaluates an expression under a row view — a physical batch
+// row or a merger's term row, looked up column-wise.
 func (e *Evaluator) evalExpr(expr Expr, row rowRef) Value {
 	switch v := expr.(type) {
 	case *VarExpr:

@@ -140,10 +140,10 @@ func renderResultGolden(res *Result, ordered bool) string {
 	vars := append([]string(nil), res.Vars...)
 	sort.Strings(vars)
 	rows := make([]string, len(res.Rows))
-	for i, row := range res.Rows {
+	for i := range res.Rows {
 		var b strings.Builder
 		for _, v := range vars {
-			if t, ok := row[v]; ok && !t.IsZero() {
+			if t := res.at(i, v); !t.IsZero() {
 				fmt.Fprintf(&b, "%s=%s|", v, t.String())
 			} else {
 				fmt.Fprintf(&b, "%s=_|", v)

@@ -1,11 +1,6 @@
 package stsparql
 
-import (
-	"fmt"
-	"testing"
-
-	"repro/internal/rdf"
-)
+import "testing"
 
 // These tests pin the solution-modifier semantics — ORDER BY, LIMIT,
 // OFFSET, DISTINCT and their interactions — so the plan/operator engine
@@ -57,8 +52,8 @@ ORDER BY DESC(?c) ?h OFFSET 1 LIMIT 1`)
 	}
 	// Full order: (1.0, Hotspot_coast), (1.0, Hotspot_land), (0.5, Hotspot_sea);
 	// OFFSET 1 LIMIT 1 picks the middle row.
-	if got := res.Rows[0]["h"].Value; got != noaNS+"Hotspot_land" {
-		t.Fatalf("row = %v", res.Rows[0]["h"])
+	if got := res.at(0, "h").Value; got != noaNS+"Hotspot_land" {
+		t.Fatalf("row = %v", res.at(0, "h"))
 	}
 }
 
@@ -90,8 +85,8 @@ SELECT ?x ?pop WHERE {
 	// The two bound rows compare against each other; 2500 sorts before
 	// 1000 under DESC wherever the unbound block ends up.
 	var popOrder []int64
-	for _, row := range res.Rows {
-		if v, ok := row["pop"].Integer(); ok {
+	for i := range res.Rows {
+		if v, ok := res.at(i, "pop").Integer(); ok {
 			popOrder = append(popOrder, v)
 		}
 	}
@@ -139,8 +134,8 @@ ORDER BY ?c LIMIT 1`)
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(res.Rows))
 	}
-	if v, _ := res.Rows[0]["c"].Float(); v != 0.5 {
-		t.Fatalf("min confidence = %v", res.Rows[0]["c"])
+	if v, _ := res.at(0, "c").Float(); v != 0.5 {
+		t.Fatalf("min confidence = %v", res.at(0, "c"))
 	}
 }
 
@@ -166,44 +161,8 @@ ORDER BY DESC(?c) OFFSET 1`)
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1 (two distinct confidences, skip one)", len(res.Rows))
 	}
-	if v, _ := res.Rows[0]["c"].Float(); v != 0.5 {
-		t.Fatalf("row = %v", res.Rows[0]["c"])
-	}
-}
-
-// --- distinct hot-path micro-benchmarks (see distinctRows/distinctAll) ---
-
-func distinctBenchRows(n int) ([]Binding, []string) {
-	vars := []string{"h", "g", "c", "sensor"}
-	rows := make([]Binding, 0, n)
-	for i := 0; i < n; i++ {
-		rows = append(rows, Binding{
-			"h":      rdf.NewIRI(fmt.Sprintf("http://e/h%d", i%(n/2+1))),
-			"g":      rdf.NewGeometry(fmt.Sprintf("POLYGON ((%d 0, %d 0, %d 1, %d 1, %d 0))", i, i+1, i+1, i, i)),
-			"c":      rdf.NewFloat(float64(i%7) / 7),
-			"sensor": rdf.NewTypedLiteral("MSG2", rdf.XSDString),
-		})
-	}
-	return rows, vars
-}
-
-func BenchmarkDistinctRows(b *testing.B) {
-	rows, vars := distinctBenchRows(2000)
-	work := make([]Binding, len(rows))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, rows)
-		distinctRows(work, vars)
-	}
-}
-
-func BenchmarkDistinctAll(b *testing.B) {
-	rows, _ := distinctBenchRows(2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		distinctAll(rows)
+	if v, _ := res.at(0, "c").Float(); v != 0.5 {
+		t.Fatalf("row = %v", res.at(0, "c"))
 	}
 }
 

@@ -396,18 +396,6 @@ func (op *joinOp) explain(b *strings.Builder, indent string) {
 	fmt.Fprintf(b, " est=%s\n", formatEst(op.est))
 }
 
-// bindingKey appends a composite key of the row's values for vars to dst.
-// Missing vars are encoded distinctly from any bound value. This is the
-// term-level key used for map-backed rows (materialised deduplication,
-// the shard merger's RowKey); batch rows key on IDs via rowKey.
-func bindingKey(dst []byte, row Binding, vars []string) []byte {
-	for _, v := range vars {
-		dst = appendTermKey(dst, row[v])
-		dst = append(dst, 0x1f)
-	}
-	return dst
-}
-
 // appendTermKey appends a unique byte encoding of a term without the
 // quoting cost of Term.String. The zero term (unbound) encodes as a lone
 // sentinel byte.
@@ -776,9 +764,9 @@ func (op *nestedGroupOp) explain(b *strings.Builder, indent string) {
 
 // subSelectOp evaluates a nested SELECT once and joins its solutions
 // with the input rows on their shared variables. The sub-evaluation is
-// lazy (an empty input never runs it) and cached on the operator as
-// decoded terms — overflow IDs are private to one evaluator — so
-// OPTIONAL re-entry and cached plans reuse the solution set.
+// lazy (an empty input never runs it) and cached on the operator as a
+// Result of decoded terms — overflow IDs are private to one evaluator —
+// so OPTIONAL re-entry and cached plans reuse the solution set.
 type subSelectOp struct {
 	sub    *selectPlan
 	schema *varSchema
@@ -787,7 +775,7 @@ type subSelectOp struct {
 	seeded bool
 
 	once sync.Once
-	res  []Binding
+	res  *Result
 	err  error
 }
 
@@ -795,29 +783,22 @@ func (op *subSelectOp) open(e *Evaluator, in batchIter) batchIter {
 	return &subSelectIter{op: op, e: e, in: in, target: batchSizeMin}
 }
 
-func (op *subSelectOp) solutions(e *Evaluator) ([]Binding, error) {
+func (op *subSelectOp) solutions(e *Evaluator) (*Result, error) {
 	if op.seeded {
-		if rows, ok := e.subRes[op]; ok {
-			return rows, nil
+		if res, ok := e.subRes[op]; ok {
+			return res, nil
 		}
-		res, err := op.sub.run(e, e.seed)
+		res, err := op.sub.run(e, e.seedVars, e.seed)
 		if err != nil {
 			return nil, err
 		}
 		if e.subRes == nil {
-			e.subRes = make(map[*subSelectOp][]Binding)
+			e.subRes = make(map[*subSelectOp]*Result)
 		}
-		e.subRes[op] = res.Rows
-		return res.Rows, nil
+		e.subRes[op] = res
+		return res, nil
 	}
-	op.once.Do(func() {
-		res, err := op.sub.run(e, []Binding{{}})
-		if err != nil {
-			op.err = err
-			return
-		}
-		op.res = res.Rows
-	})
+	op.once.Do(func() { op.res, op.err = op.sub.run(e, nil, unitSeed) })
 	return op.res, op.err
 }
 
@@ -830,6 +811,7 @@ type subSelectIter struct {
 	inOrd   int
 	target  int
 	out     *Batch
+	cols    []int // output column of each solution column; -1 = none
 }
 
 func (it *subSelectIter) next() (*Batch, error) {
@@ -849,6 +831,16 @@ func (it *subSelectIter) next() (*Batch, error) {
 		if err != nil {
 			return nil, err
 		}
+		if it.cols == nil {
+			it.cols = make([]int, len(res.Vars))
+			for j, v := range res.Vars {
+				if c, ok := it.op.schema.col(v); ok {
+					it.cols[j] = c
+				} else {
+					it.cols[j] = -1
+				}
+			}
+		}
 		if out == nil {
 			if it.out == nil || it.out.cap < it.target {
 				it.out = newBatch(it.e.dict, it.op.schema, it.target)
@@ -857,12 +849,12 @@ func (it *subSelectIter) next() (*Batch, error) {
 			}
 			out = it.out
 		}
-		for _, cand := range res {
+		for _, cand := range res.Rows {
 			r := out.beginRow(probe)
 			compatible := true
-			for k, v := range cand {
-				c, has := out.schema.col(k)
-				if !has {
+			for j, v := range cand {
+				c := it.cols[j]
+				if c < 0 || v.IsZero() {
 					continue
 				}
 				if ex := out.cols[c][r]; ex != 0 {
@@ -911,9 +903,9 @@ func (op *subSelectOp) explain(b *strings.Builder, indent string) {
 }
 
 // aggregateOp groups rows and evaluates aggregate projections and HAVING
-// constraints. Blocking: grouping needs the full input, drained batch by
-// batch and keyed on fixed-width ID tuples when every GROUP BY key is a
-// plain variable (see Evaluator.aggregateBatches).
+// constraints. Blocking: grouping needs the full input, drained into one
+// owned batch and keyed on fixed-width ID tuples (see
+// Evaluator.aggregate).
 type aggregateOp struct {
 	q *SelectQuery
 }
@@ -931,28 +923,16 @@ type aggregateIter struct {
 
 func (it *aggregateIter) next() (*Batch, error) {
 	if it.out == nil {
-		grouped, err := it.e.aggregateBatches(it.op.q, it.in)
+		grouped, err := it.e.aggregate(it.op.q, it.in)
 		if err != nil {
 			return nil, err
 		}
-		it.out = &batchesIter{batches: []*Batch{batchFromBindings(it.e.dict, bindingsSchema(grouped), grouped)}}
+		it.out = &batchesIter{batches: []*Batch{grouped}}
 	}
 	return it.out.next()
 }
 
 func (it *aggregateIter) close() { it.in.close() }
-
-// bindingsSchema derives a schema from the variable union of
-// materialised rows (aggregate output and SELECT * headers).
-func bindingsSchema(rows []Binding) *varSchema {
-	set := make(map[string]bool)
-	for _, row := range rows {
-		for k := range row {
-			set[k] = true
-		}
-	}
-	return schemaOf(set)
-}
 
 func (op *aggregateOp) explain(b *strings.Builder, indent string) {
 	fmt.Fprintf(b, "%saggregate", indent)
@@ -970,12 +950,13 @@ func (op *aggregateOp) explain(b *strings.Builder, indent string) {
 }
 
 // projectOp applies the SELECT projection, rewriting each input batch
-// into a batch over the projection's schema — an ID-to-ID column copy
-// for plain variables, with expression results encoded through the
-// evaluation dictionary. An explicit projection streams through one
-// reused output slab; SELECT * is the one blocking modifier — the
-// header depends on the rows, so it materialises at open, which is what
-// lets a cursor report Vars before iteration.
+// into a batch whose columns are the header's, in order — an ID-to-ID
+// column copy for plain variables, with expression results encoded
+// through the evaluation dictionary. An explicit projection streams
+// through one reused output slab; SELECT * is the one blocking modifier
+// — its header is the sorted set of variables some row binds, so it
+// drains at open, which is what keeps the header final before the
+// first row.
 type projectOp struct {
 	q       *SelectQuery
 	grouped bool
@@ -984,16 +965,25 @@ type projectOp struct {
 func (op *projectOp) open(e *Evaluator, in batchIter) batchIter {
 	it := &projectIter{op: op, e: e, in: in}
 	if op.q.Star {
-		rows, err := drainMaterialise(in)
+		rows, err := drainBatch(e.dict, in)
 		if err != nil {
 			it.err = err
 			return it
 		}
-		it.vars = e.projectionVars(op.q, rows)
-		it.star = &batchesIter{batches: []*Batch{batchFromBindings(e.dict, newSchema(it.vars), rows)}}
+		var cols []int // the columns some row binds, in schema (name) order
+		for c, name := range rows.schema.names {
+			if slices.ContainsFunc(rows.cols[c][:rows.n], func(id termID) bool { return id != 0 }) {
+				it.vars, cols = append(it.vars, name), append(cols, c)
+			}
+		}
+		out := &Batch{schema: newSchema(it.vars), dict: e.dict, n: rows.n, cap: rows.cap}
+		for _, c := range cols {
+			out.cols = append(out.cols, rows.cols[c])
+		}
+		it.star = &batchesIter{batches: []*Batch{out}}
 		return it
 	}
-	it.vars = e.projectionVars(op.q, nil)
+	it.vars = projectionVars(op.q)
 	it.schema = newSchema(it.vars)
 	return it
 }
@@ -1031,11 +1021,7 @@ func (it *projectIter) next() (*Batch, error) {
 		i := b.row(ord)
 		in := rowRef{b: b, i: i}
 		r := out.beginRow(rowRef{})
-		for _, item := range it.op.q.Projection {
-			c, has := it.schema.col(item.Var)
-			if !has {
-				continue
-			}
+		for c, item := range it.op.q.Projection {
 			if item.Expr != nil && !it.op.grouped {
 				if t, ok := it.e.evalExpr(item.Expr, in).asTerm(); ok {
 					out.cols[c][r] = out.dict.encode(t)
@@ -1533,19 +1519,11 @@ func (sc *patScan) resolve(i int, tv TermOrVar) (rdf.ID, bool) {
 	if !tv.IsVar() {
 		return sc.consts[i], true
 	}
-	if sc.probe.b != nil {
-		if id := sc.probe.lookupID(tv.Var); id != 0 {
-			if id >= overflowBase {
-				return 0, false
-			}
-			return rdf.ID(id), true
+	if id := sc.probe.lookupID(tv.Var); id != 0 {
+		if id >= overflowBase {
+			return 0, false
 		}
-		return 0, true
-	}
-	if sc.probe.m != nil {
-		if t, ok := sc.probe.m[tv.Var]; ok && !t.IsZero() {
-			return sc.e.dict.storeID(t)
-		}
+		return rdf.ID(id), true
 	}
 	return 0, true
 }

@@ -2,7 +2,9 @@ package stsparql
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -12,10 +14,36 @@ import (
 
 // The references the ORDER BY path is held to: the map-row sort the
 // order operator ran before (orderRows and its comparator, the bounded
-// heap of drainTopK), kept verbatim apart from drainTopK's receiver, and
-// Term.String for the term comparison kernel.
+// heap of drainTopK), kept verbatim apart from drainTopK's receiver and
+// the map row type, which the engine no longer has, and Term.String for
+// the term comparison kernel.
 
-func (e *Evaluator) orderRows(rows []Binding, keys []OrderKey) {
+// oracleRow is the map row the oracles sort: variable name to term,
+// unbound variables absent.
+type oracleRow map[string]rdf.Term
+
+// mapRow views a map row for expression evaluation.
+func mapRow(b oracleRow) rowRef {
+	vars := slices.Sorted(maps.Keys(b))
+	terms := make(Row, len(vars))
+	for i, v := range vars {
+		terms[i] = b[v]
+	}
+	return rowRef{t: &termRow{schema: newSchema(vars), terms: terms}}
+}
+
+// binding decodes physical row i of a batch into a map row.
+func (b *Batch) binding(i int) oracleRow {
+	row := make(oracleRow, len(b.schema.names))
+	for c, name := range b.schema.names {
+		if id := b.cols[c][i]; id != 0 {
+			row[name] = b.dict.decode(id)
+		}
+	}
+	return row
+}
+
+func (e *Evaluator) orderRows(rows []oracleRow, keys []OrderKey) {
 	sort.SliceStable(rows, func(i, j int) bool {
 		return e.compareOrderKeys(rows[i], rows[j], keys) < 0
 	})
@@ -24,7 +52,7 @@ func (e *Evaluator) orderRows(rows []Binding, keys []OrderKey) {
 // compareOrderKeys compares two rows under the ORDER BY keys: negative
 // when a sorts before b, zero when the keys tie (incomparable values
 // tie, like orderRows always did).
-func (e *Evaluator) compareOrderKeys(a, b Binding, keys []OrderKey) int {
+func (e *Evaluator) compareOrderKeys(a, b oracleRow, keys []OrderKey) int {
 	for _, k := range keys {
 		va := e.evalExpr(k.Expr, mapRow(a))
 		vb := e.evalExpr(k.Expr, mapRow(b))
@@ -44,7 +72,7 @@ func (e *Evaluator) compareOrderKeys(a, b Binding, keys []OrderKey) int {
 // reproduce the stable sort exactly: among equal keys the earliest
 // arrivals win, and the final order breaks key ties by arrival.
 type seqRow struct {
-	row Binding
+	row oracleRow
 	seq int
 }
 
@@ -53,7 +81,7 @@ type seqRow struct {
 // (by key, later arrival losing ties), so each new row either replaces
 // it or is dropped. O(n log k) comparisons, O(k) memory — also the
 // per-shard pre-merge truncation of the sharded store's ordered merge.
-func oracleDrainTopK(e *Evaluator, in batchIter, keys []OrderKey, k int) ([]Binding, *varSchema, error) {
+func oracleDrainTopK(e *Evaluator, in batchIter, keys []OrderKey, k int) ([]oracleRow, *varSchema, error) {
 	// after reports whether a sorts strictly after b in the final order.
 	after := func(a, b seqRow) bool {
 		if c := e.compareOrderKeys(a.row, b.row, keys); c != 0 {
@@ -113,7 +141,7 @@ func oracleDrainTopK(e *Evaluator, in batchIter, keys []OrderKey, k int) ([]Bind
 		}
 	}
 	sort.Slice(heap, func(i, j int) bool { return after(heap[j], heap[i]) })
-	rows := make([]Binding, len(heap))
+	rows := make([]oracleRow, len(heap))
 	for i, e := range heap {
 		rows[i] = e.row
 	}
@@ -193,10 +221,10 @@ var orderCases = []string{
 	"ASC(str(?x))", "DESC(str(?y)) ?x", "ASC(?n + 1)", "?n ?x", "?nobody ?x", "ASC(lang(?x)) ?y",
 }
 
-func genOrderRows(g orderGen, n int) []Binding {
-	rows := make([]Binding, n)
+func genOrderRows(g orderGen, n int) []oracleRow {
+	rows := make([]oracleRow, n)
 	for i := range rows {
-		row := Binding{"s": rdf.NewIRI(fmt.Sprintf("http://example.org/s%03d", i))}
+		row := oracleRow{"s": rdf.NewIRI(fmt.Sprintf("http://example.org/s%03d", i))}
 		for _, v := range []string{"x", "y", "n"} {
 			t := g.term()
 			if v == "n" && g.r.Intn(3) > 0 {
@@ -211,15 +239,40 @@ func genOrderRows(g orderGen, n int) []Binding {
 	return rows
 }
 
-func sameRows(t *testing.T, what string, got, want []Binding) {
+// orderVars is the header of the generated rows, in schema order.
+var orderVars = []string{"n", "s", "x", "y"}
+
+// positional converts map rows to rows over orderVars.
+func positional(rows []oracleRow) []Row {
+	out := make([]Row, len(rows))
+	for i, m := range rows {
+		out[i] = make(Row, len(orderVars))
+		for j, v := range orderVars {
+			out[i][j] = m[v]
+		}
+	}
+	return out
+}
+
+// drainOrdered reads an opened pipeline over the orderVars schema.
+func drainOrdered(t *testing.T, it batchIter) []Row {
+	t.Helper()
+	cur := &planCursor{it: it, vars: orderVars}
+	res := ReadAll(cur)
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return res.Rows
+}
+
+func sameRows(t *testing.T, what string, got []Row, want []oracleRow) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d rows, oracle %d", what, len(got), len(want))
 	}
-	vars := []string{"s", "x", "y", "n"}
-	for i := range want {
-		if g, w := string(RowKey(nil, got[i], vars)), string(RowKey(nil, want[i], vars)); g != w {
-			t.Fatalf("%s: row %d is %v, oracle %v", what, i, got[i], want[i])
+	for i, w := range positional(want) {
+		if string(RowKey(nil, got[i])) != string(RowKey(nil, w)) {
+			t.Fatalf("%s: row %d is %v, oracle %v", what, i, got[i], w)
 		}
 	}
 }
@@ -232,42 +285,33 @@ func TestOrderMatchesOracle(t *testing.T) {
 	e := NewEvaluator(emptySource{})
 	for round := 0; round < 40; round++ {
 		rows := genOrderRows(g, g.r.Intn(120))
-		schema := bindingsSchema(rows)
+		pos := positional(rows)
+		schema := newSchema(orderVars)
 		for _, clause := range orderCases {
 			keys := mustParse(t, "SELECT * WHERE { ?s ?p ?o } ORDER BY "+clause).Select.OrderBy
-			want := append([]Binding(nil), rows...)
+			want := append([]oracleRow(nil), rows...)
 			e.orderRows(want, keys)
 
 			op := &orderOp{keys: keys}
-			it := op.open(e, seedIter(e.dict, schema, rows))
-			got, err := drainMaterialise(it)
-			it.close()
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := drainOrdered(t, op.open(e, seedIter(e.dict, schema, orderVars, pos)))
 			sameRows(t, "sort by "+clause, got, want)
 
 			for _, k := range []int{1, 2, 7, len(rows) / 2, len(rows), len(rows) + 3} {
 				if k < 1 {
 					continue
 				}
-				oracle, _, err := oracleDrainTopK(e, seedIter(e.dict, schema, rows), keys, k)
+				oracle, _, err := oracleDrainTopK(e, seedIter(e.dict, schema, orderVars, pos), keys, k)
 				if err != nil {
 					t.Fatal(err)
 				}
 				op := &orderOp{keys: keys, topK: k}
-				it := op.open(e, seedIter(e.dict, schema, rows))
-				got, err := drainMaterialise(it)
-				it.close()
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := drainOrdered(t, op.open(e, seedIter(e.dict, schema, orderVars, pos)))
 				sameRows(t, fmt.Sprintf("top %d by %s", k, clause), got, oracle)
 			}
 
-			ok := NewOrderKeys(keys)
+			ok := NewOrderKeys(keys, orderVars)
 			for i := 0; i+1 < len(rows); i++ {
-				a, b := ok.Eval(nil, rows[i]), ok.Eval(nil, rows[i+1])
+				a, b := ok.Eval(nil, pos[i]), ok.Eval(nil, pos[i+1])
 				if got, want := ok.Compare(a, b), e.compareOrderKeys(rows[i], rows[i+1], keys); got != want {
 					t.Fatalf("OrderKeys.Compare by %s = %d, oracle %d\n%v\n%v", clause, got, want, rows[i], rows[i+1])
 				}

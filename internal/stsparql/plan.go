@@ -109,13 +109,6 @@ func (g *groupPlan) open(e *Evaluator, in batchIter) batchIter {
 	return cur
 }
 
-// run is the materialising wrapper used by update planning and ASK.
-func (g *groupPlan) run(e *Evaluator, seed []Binding) ([]Binding, error) {
-	it := g.open(e, seedIter(e.dict, g.schema, seed))
-	defer it.close()
-	return drainMaterialise(it)
-}
-
 func (g *groupPlan) explain(b *strings.Builder, indent string) {
 	for _, op := range g.ops {
 		op.explain(b, indent)
@@ -131,11 +124,12 @@ type selectPlan struct {
 	proj  *projectOp
 }
 
-// open wires the full pipeline over the seed rows and returns the output
-// iterator together with the projection's output variable list (the
-// result header), which is known once the projection has opened.
-func (p *selectPlan) open(e *Evaluator, seed []Binding) (batchIter, []string) {
-	cur := p.where.open(e, seedIter(e.dict, p.where.schema, seed))
+// open wires the full pipeline over the seed rows, which bind seedVars
+// positionally, and returns the output iterator together with the
+// projection's output variable list (the result header), which is known
+// once the projection has opened.
+func (p *selectPlan) open(e *Evaluator, seedVars []string, seed []Row) (batchIter, []string) {
+	cur := p.where.open(e, seedIter(e.dict, p.where.schema, seedVars, seed))
 	var vars []string
 	for _, op := range p.tail {
 		cur = op.open(e, cur)
@@ -149,15 +143,16 @@ func (p *selectPlan) open(e *Evaluator, seed []Binding) (batchIter, []string) {
 	return cur, vars
 }
 
-// run is the materialising wrapper behind Evaluator.Select.
-func (p *selectPlan) run(e *Evaluator, seed []Binding) (*Result, error) {
-	it, vars := p.open(e, seed)
-	defer it.close()
-	rows, err := drainMaterialise(it)
-	if err != nil {
+// run is the materialising wrapper behind Select, SelectPrepared and
+// sub-selects.
+func (p *selectPlan) run(e *Evaluator, seedVars []string, seed []Row) (*Result, error) {
+	it, vars := p.open(e, seedVars, seed)
+	cur := &planCursor{it: it, vars: vars}
+	res := ReadAll(cur)
+	if err := cur.Close(); err != nil {
 		return nil, err
 	}
-	return &Result{Vars: vars, Rows: rows}, nil
+	return res, nil
 }
 
 func (p *selectPlan) explain(b *strings.Builder, indent string) {

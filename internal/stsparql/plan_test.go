@@ -394,8 +394,8 @@ SELECT ?a ?b WHERE { ?a a e:Thing ; e:linksTo ?b . ?b a e:Thing . }`)
 		t.Fatalf("rows = %d, want 200", len(res.Rows))
 	}
 	seen := map[string]bool{}
-	for _, row := range res.Rows {
-		k := row["a"].Value + "->" + row["b"].Value
+	for i := range res.Rows {
+		k := res.at(i, "a").Value + "->" + res.at(i, "b").Value
 		if seen[k] {
 			t.Fatalf("duplicate solution %s", k)
 		}

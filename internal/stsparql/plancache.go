@@ -83,8 +83,8 @@ func (e *Evaluator) RunCompiled(c *Compiled) (Cursor, error) {
 	if c.sel == nil {
 		return nil, fmt.Errorf("stsparql: RunCompiled wants a SELECT")
 	}
-	e.begin(nil)
-	it, vars := c.sel.open(e, []Binding{{}})
+	e.begin(nil, nil)
+	it, vars := c.sel.open(e, nil, unitSeed)
 	return &planCursor{it: it, vars: vars}, nil
 }
 
@@ -93,8 +93,8 @@ func (e *Evaluator) AskCompiled(c *Compiled) (bool, error) {
 	if c.ask == nil {
 		return false, fmt.Errorf("stsparql: AskCompiled wants an ASK")
 	}
-	e.begin(nil)
-	it := c.ask.open(e, seedIter(e.dict, c.ask.schema, []Binding{{}}))
+	e.begin(nil, nil)
+	it := c.ask.open(e, seedIter(e.dict, c.ask.schema, nil, unitSeed))
 	defer it.close()
 	b, err := nextLive(it)
 	return b != nil, err

@@ -39,7 +39,7 @@ type Prepared struct {
 }
 
 // Prepare parses src as a request whose WHERE clause runs over seed
-// rows binding seedVars. Planning is deferred to the first run, which
+// rows binding seedVars, positionally and in this order. Planning is deferred to the first run, which
 // supplies the source whose statistics rank the joins.
 func Prepare(src string, ns *rdf.Namespaces, seedVars ...string) (*Prepared, error) {
 	q, err := Parse(src, ns)
@@ -65,28 +65,47 @@ func (p *Prepared) plan(e *Evaluator) {
 }
 
 // PlanPrepared runs a prepared DELETE/INSERT over the seed rows and
-// returns its computed plan; an empty seed does no work.
-func (e *Evaluator) PlanPrepared(p *Prepared, seed []Binding) (*UpdatePlan, error) {
+// returns its computed plan; an empty seed does no work. Each seed row
+// binds the prepared seed variables positionally.
+func (e *Evaluator) PlanPrepared(p *Prepared, seed []Row) (*UpdatePlan, error) {
 	if p.query.Update == nil {
 		return nil, fmt.Errorf("stsparql: PlanPrepared wants a DELETE/INSERT")
+	}
+	if err := p.checkSeed(seed); err != nil {
+		return nil, err
 	}
 	if len(seed) == 0 {
 		return &UpdatePlan{dict: e.dict}, nil
 	}
 	p.plan(e)
-	e.begin(seed)
-	return e.planUpdate(p.query.Update, p.where, seed)
+	e.begin(p.seed, seed)
+	return e.planUpdate(p.query.Update, p.where, p.seed, seed)
 }
 
 // SelectPrepared runs a prepared SELECT over the seed rows,
-// materialising the result.
-func (e *Evaluator) SelectPrepared(p *Prepared, seed []Binding) (*Result, error) {
+// materialising the result. Each seed row binds the prepared seed
+// variables positionally.
+func (e *Evaluator) SelectPrepared(p *Prepared, seed []Row) (*Result, error) {
 	if p.query.Select == nil {
 		return nil, fmt.Errorf("stsparql: SelectPrepared wants a SELECT")
 	}
+	if err := p.checkSeed(seed); err != nil {
+		return nil, err
+	}
 	p.plan(e)
-	e.begin(seed)
-	return p.sel.run(e, seed)
+	e.begin(p.seed, seed)
+	return p.sel.run(e, p.seed, seed)
+}
+
+// checkSeed rejects a seed row whose width is not the seed list's: a
+// positional row that is short or long would bind the wrong variables.
+func (p *Prepared) checkSeed(seed []Row) error {
+	for i, row := range seed {
+		if len(row) != len(p.seed) {
+			return fmt.Errorf("stsparql: seed row %d has %d terms, want %d (?%s)", i, len(row), len(p.seed), strings.Join(p.seed, " ?"))
+		}
+	}
+	return nil
 }
 
 // Explain renders the prepared plan as planned against e's source (the

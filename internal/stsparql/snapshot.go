@@ -4,10 +4,10 @@ import "repro/internal/rdf"
 
 // RowSnapshot is a compact, immutable copy of a materialised result:
 // the header plus a flat row-major cell slab. The streaming cursors
-// yield Bindings that are views into the engine's current columnar
-// batch, reused on the next pull — a snapshot copies each row's terms
-// out of that view as it streams past (the result-cache tee of the
-// endpoint), so the retained result shares nothing with the engine.
+// yield Rows that are views, reused on the next pull — a snapshot
+// copies each row's terms out of that view as it streams past (the
+// result-cache tee of the endpoint), so the retained result shares
+// nothing with the engine.
 //
 // A cell keeps a term's lexical value and an index into the snapshot's
 // table of term shapes — the (Kind, Datatype, Lang) combinations, of
@@ -42,10 +42,10 @@ func NewRowSnapshot(vars []string) *RowSnapshot {
 	return s
 }
 
-// Append copies one row out of the (reused) cursor view.
-func (s *RowSnapshot) Append(row Binding) {
-	for _, v := range s.vars {
-		t := row[v] // zero Term when unbound
+// Append copies one row — one term per header variable — out of the
+// (reused) cursor view.
+func (s *RowSnapshot) Append(row Row) {
+	for _, t := range row {
 		s.cells = append(s.cells, snapCell{value: t.Value, shape: s.shapeOf(t)})
 		s.bytes += int64(len(t.Value)) + 24
 	}
@@ -84,20 +84,18 @@ func (s *RowSnapshot) Len() int { return s.rows }
 // result cache's byte bound is enforced in.
 func (s *RowSnapshot) Bytes() int64 { return s.bytes }
 
-// Row fills dst with row i's bindings and returns it. dst is cleared
-// first so one map can be reused across the whole replay (the same
-// reuse contract the streaming cursors have); a nil dst allocates one.
-// Unbound columns stay absent.
-func (s *RowSnapshot) Row(i int, dst Binding) Binding {
-	if dst == nil {
-		dst = make(Binding, len(s.vars))
+// Row fills dst with row i's terms, column by column, and returns it,
+// so one row can be reused across the whole replay (the same reuse
+// contract the streaming cursors have); a dst too short for the header
+// is replaced. Unbound columns are the zero Term.
+func (s *RowSnapshot) Row(i int, dst Row) Row {
+	w := len(s.vars)
+	if cap(dst) < w {
+		dst = make(Row, w)
 	}
-	clear(dst)
-	base := i * len(s.vars)
-	for j, v := range s.vars {
-		if t := s.term(base + j); !t.IsZero() {
-			dst[v] = t
-		}
+	dst = dst[:w]
+	for j := range dst {
+		dst[j] = s.term(i*w + j)
 	}
 	return dst
 }
@@ -105,9 +103,9 @@ func (s *RowSnapshot) Row(i int, dst Binding) Binding {
 // Result materialises the snapshot into an owned Result (the ASK and
 // non-streamed replay path).
 func (s *RowSnapshot) Result() *Result {
-	res := &Result{Vars: s.vars}
-	for i := 0; i < s.rows; i++ {
-		res.Rows = append(res.Rows, s.Row(i, Binding{}))
+	res := &Result{Vars: s.vars, Rows: make([]Row, s.rows)}
+	for i := range res.Rows {
+		res.Rows[i] = s.Row(i, nil)
 	}
 	return res
 }

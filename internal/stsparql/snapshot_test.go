@@ -10,14 +10,14 @@ import (
 
 // TestRowSnapshotRebuildsTerms pins the replay contract of the compact
 // cell layout: every term comes back field for field — kind, datatype
-// and language included — an unbound column stays absent, and the
-// shape table holds one entry per distinct (Kind, Datatype, Lang).
+// and language included — an unbound column stays the zero Term, and
+// the shape table holds one entry per distinct (Kind, Datatype, Lang).
 func TestRowSnapshotRebuildsTerms(t *testing.T) {
-	rows := []Binding{
-		{"a": rdf.NewIRI("http://e/x"), "b": rdf.NewGeometry("POINT (1 2)"), "c": rdf.NewLangLiteral("Αθήνα", "el")},
-		{"a": rdf.NewIRI("http://e/y"), "c": rdf.NewLiteral("plain")},
-		{"b": rdf.NewDateTime("2007-08-25T10:00:00"), "c": rdf.NewLangLiteral("Athens", "en")},
-		{"a": rdf.NewBlank("n1"), "b": rdf.NewGeometry("POINT (3 4)"), "c": rdf.NewLiteral("")},
+	rows := []Row{
+		{rdf.NewIRI("http://e/x"), rdf.NewGeometry("POINT (1 2)"), rdf.NewLangLiteral("Αθήνα", "el")},
+		{rdf.NewIRI("http://e/y"), {}, rdf.NewLiteral("plain")},
+		{{}, rdf.NewDateTime("2007-08-25T10:00:00"), rdf.NewLangLiteral("Athens", "en")},
+		{rdf.NewBlank("n1"), rdf.NewGeometry("POINT (3 4)"), rdf.NewLiteral("")},
 	}
 	snap := NewRowSnapshot([]string{"a", "b", "c"})
 	for _, row := range rows {
@@ -26,7 +26,7 @@ func TestRowSnapshotRebuildsTerms(t *testing.T) {
 	if snap.Len() != len(rows) {
 		t.Fatalf("Len = %d, want %d", snap.Len(), len(rows))
 	}
-	var dst Binding
+	var dst Row
 	for i, want := range rows {
 		if dst = snap.Row(i, dst); !reflect.DeepEqual(dst, want) {
 			t.Errorf("row %d = %v, want %v", i, dst, want)

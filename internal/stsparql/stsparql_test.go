@@ -61,6 +61,15 @@ func fixtureStore() *rdf.Store {
 	return s
 }
 
+// at returns row i's term for variable v (the zero Term when v is not
+// in the header).
+func (r *Result) at(i int, v string) rdf.Term {
+	if c := r.Col(v); c >= 0 {
+		return r.Rows[i][c]
+	}
+	return rdf.Term{}
+}
+
 func mustParse(t *testing.T, src string) *Query {
 	t.Helper()
 	q, err := Parse(src, nil)
@@ -142,9 +151,9 @@ SELECT ?h ?conf WHERE {
 	if len(res.Rows) != 3 {
 		t.Fatalf("got %d rows", len(res.Rows))
 	}
-	for _, row := range res.Rows {
-		if _, ok := row["conf"].Float(); !ok {
-			t.Fatalf("conf not numeric: %v", row["conf"])
+	for i := range res.Rows {
+		if _, ok := res.at(i, "conf").Float(); !ok {
+			t.Fatalf("conf not numeric: %v", res.at(i, "conf"))
 		}
 	}
 }
@@ -185,8 +194,8 @@ SELECT ?h ?g WHERE {
 	if len(res.Rows) != 1 {
 		t.Fatalf("got %d rows, want 1 (only the fully-on-land hotspot)", len(res.Rows))
 	}
-	if res.Rows[0]["h"].Value != noaNS+"Hotspot_land" {
-		t.Fatalf("wrong hotspot: %v", res.Rows[0]["h"])
+	if res.at(0, "h").Value != noaNS+"Hotspot_land" {
+		t.Fatalf("wrong hotspot: %v", res.at(0, "h"))
 	}
 }
 
@@ -221,8 +230,8 @@ SELECT ?h WHERE {
 	if len(res.Rows) != 1 {
 		t.Fatalf("got %d rows, want 1 (the sea hotspot)", len(res.Rows))
 	}
-	if res.Rows[0]["h"].Value != noaNS+"Hotspot_sea" {
-		t.Fatalf("wrong hotspot: %v", res.Rows[0]["h"])
+	if res.at(0, "h").Value != noaNS+"Hotspot_sea" {
+		t.Fatalf("wrong hotspot: %v", res.at(0, "h"))
 	}
 }
 
@@ -235,8 +244,8 @@ SELECT ?h ?pop WHERE {
 	if len(res.Rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(res.Rows))
 	}
-	for _, row := range res.Rows {
-		if row.has("pop") {
+	for i := range res.Rows {
+		if !res.at(i, "pop").IsZero() {
 			t.Fatal("no hotspot has a population")
 		}
 	}
@@ -261,8 +270,8 @@ SELECT ?sensor (COUNT(?h) AS ?n) WHERE {
 	if len(res.Rows) != 1 {
 		t.Fatalf("got %d groups", len(res.Rows))
 	}
-	if n, _ := res.Rows[0]["n"].Float(); n != 3 {
-		t.Fatalf("count = %v", res.Rows[0]["n"])
+	if n, _ := res.at(0, "n").Float(); n != 3 {
+		t.Fatalf("count = %v", res.at(0, "n"))
 	}
 
 	res2 := runSelect(t, fixtureStore(), `
@@ -281,11 +290,10 @@ WHERE { ?m a gag:Municipality ; gag:hasPopulation ?p . }`)
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	row := res.Rows[0]
 	check := func(v string, want float64) {
-		got, ok := row[v].Float()
+		got, ok := res.at(0, v).Float()
 		if !ok || math.Abs(got-want) > 1e-9 {
-			t.Fatalf("%s = %v, want %g", v, row[v], want)
+			t.Fatalf("%s = %v, want %g", v, res.at(0, v), want)
 		}
 	}
 	check("s", 3500)
@@ -304,7 +312,7 @@ SELECT (strdf:union(?mGeo) AS ?all) WHERE {
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	g, err := geom.ParseWKT(res.Rows[0]["all"].Value)
+	g, err := geom.ParseWKT(res.at(0, "all").Value)
 	if err != nil {
 		t.Fatalf("union WKT: %v", err)
 	}
@@ -332,7 +340,7 @@ HAVING strdf:overlap(?hGeo, strdf:union(?cGeo))`)
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(res.Rows))
 	}
-	difTerm := res.Rows[0]["dif"]
+	difTerm := res.at(0, "dif")
 	g, err := geom.ParseWKT(difTerm.Value)
 	if err != nil {
 		t.Fatalf("dif WKT: %v (%q)", err, difTerm.Value)
@@ -362,8 +370,8 @@ ORDER BY DESC(?p) LIMIT 1`)
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	if p, _ := res.Rows[0]["p"].Integer(); p != 2500 {
-		t.Fatalf("top population = %v", res.Rows[0]["p"])
+	if p, _ := res.at(0, "p").Integer(); p != 2500 {
+		t.Fatalf("top population = %v", res.at(0, "p"))
 	}
 }
 
@@ -450,7 +458,7 @@ SELECT ?g WHERE { <`+noaNS+`Hotspot_coast> strdf:hasGeometry ?g . }`)
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	g, err := geom.ParseWKT(res.Rows[0]["g"].Value)
+	g, err := geom.ParseWKT(res.at(0, "g").Value)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,8 +523,8 @@ ORDER BY ?x`)
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	if v, _ := res.Rows[0]["x"].Float(); v != 2100 {
-		t.Fatalf("x = %v", res.Rows[0]["x"])
+	if v, _ := res.at(0, "x").Float(); v != 2100 {
+		t.Fatalf("x = %v", res.at(0, "x"))
 	}
 }
 
@@ -547,13 +555,13 @@ SELECT ?m (strdf:boundary(?g) AS ?b) (strdf:area(?g) AS ?a) WHERE {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	for _, row := range res.Rows {
-		if a, _ := row["a"].Float(); math.Abs(a-50) > 1e-6 {
-			t.Fatalf("area = %v", row["a"])
+	for i := range res.Rows {
+		if a, _ := res.at(i, "a").Float(); math.Abs(a-50) > 1e-6 {
+			t.Fatalf("area = %v", res.at(i, "a"))
 		}
-		bg, err := geom.ParseWKT(row["b"].Value)
+		bg, err := geom.ParseWKT(res.at(i, "b").Value)
 		if err != nil || bg.Dimension() != 1 {
-			t.Fatalf("boundary = %v (%v)", row["b"], err)
+			t.Fatalf("boundary = %v (%v)", res.at(i, "b"), err)
 		}
 	}
 }

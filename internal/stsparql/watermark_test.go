@@ -68,7 +68,7 @@ func TestComputedTermKeepsOneID(t *testing.T) {
 			t.Fatal(err)
 		}
 		interned(t, src)
-		if len(res.Rows) != 1 || !res.Rows[0]["x"].Equal(computed) {
+		if len(res.Rows) != 1 || !res.at(0, "x").Equal(computed) {
 			t.Fatalf("DISTINCT over one computed value gave %d rows: %v", len(res.Rows), res.Rows)
 		}
 	})
@@ -80,7 +80,7 @@ func TestComputedTermKeepsOneID(t *testing.T) {
 			t.Fatal(err)
 		}
 		interned(t, src)
-		if len(res.Rows) != 1 || res.Rows[0]["n"].Value != fmt.Sprint(n) {
+		if len(res.Rows) != 1 || res.at(0, "n").Value != fmt.Sprint(n) {
 			t.Fatalf("GROUP BY one computed value gave %v, want one group of %d", res.Rows, n)
 		}
 	})
@@ -149,15 +149,15 @@ func TestPatternConstantMissesUntilNextEvaluation(t *testing.T) {
 	iri := func(format string, a ...any) rdf.Term { return rdf.NewIRI("http://e/" + fmt.Sprintf(format, a...)) }
 	for name, tc := range map[string]struct {
 		query string
-		bound func(Binding) bool // after the flush: is the row complete
-		first int                // rows of the evaluation the flush interrupts
+		bound func(Row) bool // after the flush: is the row complete
+		first int            // rows of the evaluation the flush interrupts
 	}{
 		// One scan object serves every probe row of the join.
-		"bind join": {`SELECT ?s WHERE { ?s e:p ?o . ?s e:q e:fresh }`, func(Binding) bool { return true }, 0},
+		"bind join": {`SELECT ?s WHERE { ?s e:p ?o . ?s e:q e:fresh }`, func(Row) bool { return true }, 0},
 		// OPTIONAL re-opens its sub-plan, and with it the scan, per outer
 		// row: some opens precede the flush and some follow it.
 		"optional": {`SELECT ?s ?f WHERE { ?s e:p ?o . OPTIONAL { ?s e:q ?f . ?f e:r e:fresh } }`,
-			func(row Binding) bool { return !row["f"].IsZero() }, n},
+			func(row Row) bool { return !row[1].IsZero() }, n}, // ?s ?f
 	} {
 		t.Run(name, func(t *testing.T) {
 			store := rdf.NewStore()
@@ -174,13 +174,13 @@ func TestPatternConstantMissesUntilNextEvaluation(t *testing.T) {
 			if strings.Contains(out.String(), "join[hash]") {
 				t.Fatalf("the fixture plans a hash join, which scans once whatever the scan caches:\n%s", &out)
 			}
-			run := func() []Binding {
+			run := func() []Row {
 				cur, err := NewEvaluator(src).RunCompiled(plan)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer cur.Close()
-				var rows []Binding
+				var rows []Row
 				for row, ok := cur.Next(); ok; row, ok = cur.Next() {
 					rows = append(rows, row.Clone())
 				}

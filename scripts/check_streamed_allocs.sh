@@ -22,6 +22,10 @@
 #   BenchmarkOrderedWindowJoin (internal/shard) — the heavy cold request:
 #     a new four-slice window join with ORDER BY, through the order
 #     operator and the ordered merge.
+#   BenchmarkPreparedGroupedSelect (internal/stsparql) — a prepared
+#     grouped SELECT over a seed row, shaped like the refinement's Time
+#     Persistence query: seed encoding, the aggregate operator (member
+#     rows as indices into one owned batch) and materialisation.
 #
 # Byte gates for the acquisition's front half: B/op, limit 1.1x. These
 # benchmarks run one deterministic stage each (no free-running writer),
@@ -84,6 +88,8 @@ check ./internal/shard 'BenchmarkShardedQueries/sharded4' \
     internal/shard/testdata/sharded_fanout_allocs.baseline allocs/op 11 10
 check ./internal/shard 'BenchmarkOrderedWindowJoin' \
     internal/shard/testdata/ordered_window_join_allocs.baseline allocs/op 11 10
+check ./internal/stsparql 'BenchmarkPreparedGroupedSelect' \
+    internal/stsparql/testdata/prepared_grouped_select_allocs.baseline allocs/op 11 10
 check . 'BenchmarkTable2SciQLChain' \
     testdata/table2_sciql_chain_bytes.baseline B/op 11 10
 check ./internal/seviri 'BenchmarkSimulatorAcquire' \
