@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test fuzz bench bench-endpoint bench-stream bench-shard bench-batch alloc-gate lint fmt
+.PHONY: build test soak fuzz bench bench-endpoint bench-stream bench-shard bench-batch alloc-gate lint fmt
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,12 @@ test:
 	$(GO) test -race -count=2 -run 'TestEndpointConcurrent|TestConcurrentEndpointSmoke|TestEndpointStreamsDuringWrites' ./internal/strabon
 	$(GO) test -race -count=2 -run 'TestShardStreamsDuringWrites|TestShardedPipelineMatchesSingle|TestNoPartialRefinementVisible|TestShardResultCacheInvalidation|TestTimeRangeDifferential|TestShardZonedTimeLiteral|TestReaderComputesWhatWriterInterns' ./internal/shard
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Two days of MSG1 Steps (576 acquisitions) with a per-block table of
+# stage and rule medians, store triples, dictionary bytes, live heap and
+# retained vault bytes; what CI's soak step runs.
+soak:
+	$(GO) test -run TestSoak -v ./internal/core
 
 # Fuzz smoke: each target mutates its corpus for 15 s. The geometry
 # target holds the predicate kernel to the oracle copies in

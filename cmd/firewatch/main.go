@@ -65,6 +65,7 @@ func main() {
 		qlog = obs.NewQueryLog(256)
 		svc.Metrics = core.NewPipelineMetrics(reg)
 		svc.Refiner.Metrics = refine.NewMetrics(reg)
+		svc.Vault.RegisterMetrics(reg)
 		opsLn, err := net.Listen("tcp", *opsAddr)
 		fail(err)
 		go http.Serve(opsLn, obs.NewOpsMux(reg, qlog))

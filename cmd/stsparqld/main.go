@@ -110,6 +110,7 @@ func main() {
 		if reg != nil {
 			svc.Metrics = core.NewPipelineMetrics(reg)
 			svc.Refiner.Metrics = refine.NewMetrics(reg)
+			svc.Vault.RegisterMetrics(reg)
 		}
 		sens := seviri.MSG1
 		if *sensor == "MSG2" {

@@ -49,11 +49,11 @@ import (
 // refinement rules on them become visible together, or not at all. The
 // four hotspot-by-hotspot rules run once over the whole batch, seeded
 // with the hotspot subjects the batch wrote; Time Persistence reads the
-// preceding hour of history — the batch's own earlier products and their
-// reinstated hotspots included — and so runs product by product, in
-// acquisition order, inside the same flush. That keeps the refined
-// output identical to the sequential run for every worker count and
-// flush size — the invariant the stress test in pipeline_test.go pins.
+// preceding hour of detections — the batch's own earlier products
+// included — and so runs product by product, in acquisition order,
+// inside the same flush. That keeps the refined output identical to the
+// sequential run for every worker count and flush size — the invariant
+// the stress test in pipeline_test.go pins.
 
 // errAborted marks jobs skipped after an earlier acquisition failed.
 var errAborted = errors.New("core: pipeline aborted")

@@ -145,12 +145,16 @@ func (r *Runner) RefineInCoast(p *products.Product) (int, error) {
 // the same geographic location during the last hour(s) ... attributing a
 // level of confidence to each detected pixel". Two effects:
 //
-//  1. The product's hotspots whose location was sighted at least
-//     PersistenceMin times within the window are confirmed (confidence
-//     raised to 1.0).
+//  1. The product's hotspots whose location the product's chain
+//     detected at least PersistenceMin times within the window are
+//     confirmed (confidence raised to 1.0).
 //  2. Persistent locations missing from the product are reinstated as
 //     virtual hotspots — this is what grows the refined chain's hotspot
 //     count in Table 1 and cuts the omission error.
+//
+// Only detections count: a virtual hotspot is never evidence, so a
+// location the chain stops detecting drops out once its detections leave
+// the window.
 func (r *Runner) TimePersistence(p *products.Product) (int, error) {
 	return r.only(p, OpTimePersistence)
 }
@@ -238,9 +242,9 @@ func (r *Runner) apply(delta []*products.Product, only Op) ([]Outcome, error) {
 		if !all && only != OpTimePersistence {
 			return nil
 		}
-		// Time Persistence reads the history before each acquisition —
-		// the virtual hotspots of the delta's earlier products included
-		// — so it runs product by product, in order.
+		// Time Persistence reads the hour before each acquisition — the
+		// detections of the delta's earlier products included — so it
+		// runs product by product, in order.
 		for i, p := range delta {
 			t0 := time.Now()
 			confirmed, reinstated, err := r.persist(tx, rules, p)
@@ -262,12 +266,13 @@ func (r *Runner) apply(delta []*products.Product, only Op) ([]Outcome, error) {
 // applied once. Virtual hotspots are numbered in sorted-WKT order, so
 // every store topology mints the same URIs.
 func (r *Runner) persist(tx *strabon.FlushTx, rules *ruleSet, p *products.Product) (confirmed, reinstated int, err error) {
-	// The window binds ?since ?now ?min; the confirmation seed binds
-	// ?h ?pixel and the window, one row per fresh hotspot.
+	// The window binds ?since ?now ?min ?chain; the confirmation seed
+	// binds ?h ?pixel and the window, one row per fresh hotspot.
 	window := stsparql.Row{
 		rdf.NewLiteral(xsdTime(p.AcquiredAt.Add(-r.PersistenceWindow))),
 		rdf.NewLiteral(xsdTime(p.AcquiredAt)),
 		rdf.NewInteger(int64(r.PersistenceMin)),
+		rdf.NewTypedLiteral(p.Chain, rdf.XSDString),
 	}
 	fresh := make(map[string]bool, len(p.Hotspots))
 	seed := make([]stsparql.Row, len(p.Hotspots))

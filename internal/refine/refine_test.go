@@ -263,7 +263,8 @@ func randSrc() *rand.Rand { return rand.New(rand.NewSource(9)) }
 // every rule a text unique per acquisition, scoped by
 // FILTER( str(?at) = "…" ), run through the atomic Update one at a
 // time; Time Persistence one sightings query per fresh hotspot and one
-// Update per confirmation and per virtual hotspot. It is slow, walks
+// Update per confirmation and per virtual hotspot, counting only the
+// product's chain's detections. It is slow, walks
 // the whole store per rule and shares nothing with the prepared, seeded
 // rules but the engine — which is what makes it a reference. The one
 // deliberate difference from the historical code: virtual hotspots are
@@ -370,11 +371,12 @@ WHERE {
 SELECT ?h WHERE {
   ?h a noa:Hotspot ;
      noa:hasAcquisitionDateTime ?at ;
+     noa:isFromProcessingChain "%s"^^xsd:string ;
      strdf:hasGeometry ?g .
   FILTER( str(?at) >= "%s" )
   FILTER( str(?at) < "%s" )
   FILTER( strdf:anyInteract(?g, "%s"^^strdf:WKT) )
-}`, xsd(since), xsd(p.AcquiredAt), wkt))
+}`, p.Chain, xsd(since), xsd(p.AcquiredAt), wkt))
 		if len(sightings.Rows) >= o.min {
 			persisted += update(fmt.Sprintf(`
 DELETE { <%[1]s> noa:hasConfidence ?c . <%[1]s> noa:hasConfirmation ?cf }
@@ -388,12 +390,13 @@ SELECT DISTINCT ?hGeo (COUNT(?h) AS ?n)
 WHERE {
   ?h a noa:Hotspot ;
      noa:hasAcquisitionDateTime ?at ;
+     noa:isFromProcessingChain "%s"^^xsd:string ;
      strdf:hasGeometry ?hGeo .
   FILTER( str(?at) >= "%s" )
   FILTER( str(?at) < "%s" )
 }
 GROUP BY ?hGeo
-HAVING (COUNT(?h) >= %d)`, xsd(since), xsd(p.AcquiredAt), o.min)).Rows {
+HAVING (COUNT(?h) >= %d)`, p.Chain, xsd(since), xsd(p.AcquiredAt), o.min)).Rows {
 		if g := row[0]; !fresh[g.Value] { // ?hGeo
 			absent = append(absent, g)
 		}

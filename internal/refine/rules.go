@@ -83,7 +83,10 @@ WHERE {
 	// Time Persistence, effect 1: a spatial join of the fresh hotspots
 	// against the window's history, grouped per fresh hotspot. The seed
 	// binds, per hotspot, ?h, its pixel as the chain detected it (?pixel),
-	// the window [?since, ?now) and the confirmation threshold ?min.
+	// the window [?since, ?now), the confirmation threshold ?min and the
+	// product's processing chain ?chain. Only that chain's detections
+	// count: a virtual hotspot Time Persistence minted is never evidence,
+	// or a location that persisted once would be reinstated for ever.
 	ruleConfirm = `
 DELETE { ?h noa:hasConfidence ?conf . ?h noa:hasConfirmation ?status }
 INSERT { ?h noa:hasConfidence 1.0 . ?h noa:hasConfirmation noa:confirmed }
@@ -92,6 +95,7 @@ WHERE {
     WHERE {
       ?p a noa:Hotspot ;
          noa:hasAcquisitionDateTime ?pAt ;
+         noa:isFromProcessingChain ?chain ;
          strdf:hasGeometry ?pGeo .
       FILTER( str(?pAt) >= ?since )
       FILTER( str(?pAt) < ?now )
@@ -103,14 +107,15 @@ WHERE {
      noa:hasConfirmation ?status .
 }`
 
-	// Time Persistence, effect 2: the locations sighted at least ?min
-	// times within [?since, ?now). Those absent from the fresh product are
-	// reinstated as virtual hotspots.
+	// Time Persistence, effect 2: the locations ?chain detected at least
+	// ?min times within [?since, ?now). Those absent from the fresh
+	// product are reinstated as virtual hotspots.
 	queryPersistent = `
 SELECT DISTINCT ?hGeo (COUNT(?h) AS ?n)
 WHERE {
   ?h a noa:Hotspot ;
      noa:hasAcquisitionDateTime ?hAt ;
+     noa:isFromProcessingChain ?chain ;
      strdf:hasGeometry ?hGeo .
   FILTER( str(?hAt) >= ?since )
   FILTER( str(?hAt) < ?now )
@@ -145,7 +150,7 @@ func (r *Runner) compiled() (*ruleSet, error) {
 			}
 			return p
 		}
-		window := []string{"since", "now", "min"}
+		window := []string{"since", "now", "min", "chain"}
 		r.rules = &ruleSet{
 			scoped: []scopedRule{
 				{OpMunicipalities, false, prepare(ruleMunicipalities, "h")},

@@ -22,7 +22,9 @@ import (
 // bounded by the seed's [?since, ?now], and the confirm join opens with
 // whichever of that scan and the R-tree window around ?pixel its
 // estimates pick, checking the class before the spatial predicate
-// either way.
+// either way. Both count only the seeded ?chain's detections, through an
+// existence probe on the candidate, never a per-row string filter; the
+// confirm join probes it before the exact geometry test.
 func TestRulePlansAreDeltaDriven(t *testing.T) {
 	s := strabon.New()
 	s.LoadTriples(auxdata.Generate(42).AllTriples())
@@ -60,7 +62,8 @@ func TestRulePlansAreDeltaDriven(t *testing.T) {
 		}
 	}
 	confirm := rules.confirm.Explain(ev)
-	inOrder("confirm", confirm, "sub-select", "rdf-syntax-ns#type", "filter[pushed] strdf:anyinteract", "aggregate group=?h", "join[bind] {?h ")
+	inOrder("confirm", confirm, "sub-select", "rdf-syntax-ns#type", "isFromProcessingChain> ?chain} on p,chain",
+		"filter[pushed] strdf:anyinteract", "aggregate group=?h", "join[bind] {?h ")
 	if first := strings.TrimSpace(strings.Split(confirm, "\n")[3]); !strings.HasPrefix(first, "join[window] {?p ") &&
 		!strings.HasPrefix(first, "scan[time-range] {?p ") {
 		t.Fatalf("confirm: the sub-select opens with neither access path:\n%s", confirm)
@@ -70,13 +73,14 @@ func TestRulePlansAreDeltaDriven(t *testing.T) {
 		!strings.Contains(first, "hasAcquisitionDateTime> ?hAt} [?since, ?now] est=") {
 		t.Fatalf("persistent: first operator is not the seed's time range:\n%s", persistent)
 	}
+	inOrder("persistent", persistent, "isFromProcessingChain> ?chain} on h,chain", "aggregate group=?hGeo")
 }
 
 // TestSeedRowsMatchTheSeedList pins the positional seed contract on the
-// rules' three seed shapes — ?h; ?h ?pixel ?since ?now ?min; ?since
-// ?now ?min: a row as wide as the seed list runs, and a row one term
-// short or one term long is refused instead of binding the wrong
-// variables.
+// rules' three seed shapes — ?h; ?h ?pixel ?since ?now ?min ?chain;
+// ?since ?now ?min ?chain: a row as wide as the seed list runs, and a
+// row one term short or one term long is refused instead of binding the
+// wrong variables.
 func TestSeedRowsMatchTheSeedList(t *testing.T) {
 	s := strabon.New()
 	s.LoadTriples(auxdata.Generate(42).AllTriples())
@@ -87,7 +91,8 @@ func TestSeedRowsMatchTheSeedList(t *testing.T) {
 	ev := stsparql.NewEvaluatorWithCache(s, s.GeomCache())
 	h := rdf.NewIRI(ontology.NOA + "Hotspot_x")
 	pixel := rdf.NewGeometry("POLYGON ((22.3 38.3, 22.34 38.3, 22.34 38.34, 22.3 38.34, 22.3 38.3))")
-	window := stsparql.Row{rdf.NewLiteral("2007-08-24T11:00:00"), rdf.NewLiteral("2007-08-24T12:00:00"), rdf.NewInteger(2)}
+	window := stsparql.Row{rdf.NewLiteral("2007-08-24T11:00:00"), rdf.NewLiteral("2007-08-24T12:00:00"), rdf.NewInteger(2),
+		rdf.NewTypedLiteral("sciql", rdf.XSDString)}
 	run := func(p *stsparql.Prepared, row stsparql.Row) error {
 		if p == rules.persistent {
 			_, err := ev.SelectPrepared(p, []stsparql.Row{row})
@@ -102,8 +107,8 @@ func TestSeedRowsMatchTheSeedList(t *testing.T) {
 		row  stsparql.Row
 	}{
 		{"?h", rules.scoped[0].prepared, stsparql.Row{h}},
-		{"?h ?pixel ?since ?now ?min", rules.confirm, append(stsparql.Row{h, pixel}, window...)},
-		{"?since ?now ?min", rules.persistent, window},
+		{"?h ?pixel ?since ?now ?min ?chain", rules.confirm, append(stsparql.Row{h, pixel}, window...)},
+		{"?since ?now ?min ?chain", rules.persistent, window},
 	} {
 		if err := run(tc.p, tc.row); err != nil {
 			t.Fatalf("%s: a full row is refused: %v", tc.name, err)

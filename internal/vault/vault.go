@@ -6,10 +6,18 @@
 // query that touches an acquisition, and cached with LRU eviction. The
 // vault registers the table function hrit_load_image(uri) with the SciQL
 // engine, the function the paper's loading section describes.
+//
+// Files attached from disk stay on disk. Files attached from memory (the
+// simulator's downlink) are held only until the vault no longer needs
+// them: the raw bytes of the newest 2 × capacity acquisitions a Load has
+// decoded are kept, older ones are released and keep only their headers.
+// An acquisition no Load has decoded yet — one still in flight — is never
+// released.
 package vault
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,6 +28,7 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/hrit"
+	"repro/internal/obs"
 	"repro/internal/sciql"
 )
 
@@ -33,10 +42,23 @@ type Entry struct {
 	raw []byte
 }
 
+// ErrReleased is returned (wrapped) by Load for an acquisition attached
+// from memory whose raw bytes the vault has released and whose image is
+// no longer cached.
+var ErrReleased = errors.New("vault: acquisition released")
+
 // acquisitionKey identifies one (product, channel, timestamp) image.
 type acquisitionKey struct {
 	Channel string
 	Stamp   int64
+}
+
+// acquisition is the catalog record of one image: its segments, one per
+// segment number, and whether its in-memory bytes were released.
+type acquisition struct {
+	segs     []Entry
+	decoded  bool // a Load has assembled it at least once
+	released bool
 }
 
 // Stats reports vault activity.
@@ -47,16 +69,25 @@ type Stats struct {
 	CacheMiss int
 	Evictions int
 	BytesRead int64
+	// RetainedBytes is the raw HRIT held in memory: every memory-attached
+	// file not yet released.
+	RetainedBytes int64
+	// Released counts acquisitions whose in-memory bytes were dropped.
+	Released int
 }
 
 // Vault is the external-file catalog with lazy array materialisation.
 type Vault struct {
-	mu      sync.Mutex
-	entries map[acquisitionKey][]Entry
+	mu   sync.Mutex
+	acqs map[acquisitionKey]*acquisition
 
 	cacheCap int
 	cache    map[acquisitionKey]*list.Element
 	lru      *list.List // of cacheItem
+
+	// retained lists the decoded acquisitions that still hold in-memory
+	// bytes, oldest decode first; at most 2 × cacheCap.
+	retained []acquisitionKey
 
 	stats Stats
 }
@@ -73,12 +104,16 @@ func New(capacity int) *Vault {
 		capacity = 1
 	}
 	return &Vault{
-		entries:  make(map[acquisitionKey][]Entry),
+		acqs:     make(map[acquisitionKey]*acquisition),
 		cacheCap: capacity,
 		cache:    make(map[acquisitionKey]*list.Element),
 		lru:      list.New(),
 	}
 }
+
+// Capacity is the number of assembled acquisitions the cache holds; the
+// raw bytes of twice as many decoded ones are retained.
+func (v *Vault) Capacity() int { return v.cacheCap }
 
 // AttachDir scans a directory for .hrit files and attaches them. Only
 // headers are parsed; pixel data stays on disk.
@@ -112,6 +147,8 @@ func (v *Vault) AttachBytes(name string, raw []byte) error {
 	return v.attach(name, raw, true)
 }
 
+// attach catalogs one segment file. A segment that arrives again (a
+// ground-station retransmission) is already catalogued and is ignored.
 func (v *Vault) attach(name string, raw []byte, keep bool) error {
 	hdr, _, err := hrit.DecodeHeader(raw)
 	if err != nil {
@@ -124,8 +161,21 @@ func (v *Vault) attach(name string, raw []byte, keep bool) error {
 	key := acquisitionKey{Channel: hdr.Channel, Stamp: hdr.Timestamp.UnixNano()}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.entries[key] = append(v.entries[key], e)
+	a := v.acqs[key]
+	if a == nil {
+		a = &acquisition{}
+		v.acqs[key] = a
+	}
+	for _, old := range a.segs {
+		if old.Header.SegmentNo == hdr.SegmentNo {
+			return nil
+		}
+	}
+	a.segs = append(a.segs, e)
 	v.stats.Attached++
+	if keep {
+		v.stats.RetainedBytes += int64(len(raw))
+	}
 	return nil
 }
 
@@ -135,7 +185,7 @@ func (v *Vault) Acquisitions(channel string) []time.Time {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	var out []time.Time
-	for k := range v.entries {
+	for k := range v.acqs {
 		if k.Channel == channel {
 			out = append(out, time.Unix(0, k.Stamp).UTC())
 		}
@@ -144,16 +194,17 @@ func (v *Vault) Acquisitions(channel string) []time.Time {
 	return out
 }
 
-// Complete reports whether all segments of an acquisition have arrived.
+// Complete reports whether all segments of an acquisition have arrived:
+// as many distinct segment numbers as the header's total (attach keeps
+// one entry per segment number).
 func (v *Vault) Complete(channel string, ts time.Time) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	key := acquisitionKey{Channel: channel, Stamp: ts.UnixNano()}
-	es := v.entries[key]
-	if len(es) == 0 {
+	a := v.acqs[acquisitionKey{Channel: channel, Stamp: ts.UnixNano()}]
+	if a == nil || len(a.segs) == 0 {
 		return false
 	}
-	return len(es) == es[0].Header.TotalSegments
+	return len(a.segs) == a.segs[0].Header.TotalSegments
 }
 
 // Stats returns a snapshot of vault statistics.
@@ -163,9 +214,22 @@ func (v *Vault) Stats() Stats {
 	return v.stats
 }
 
+// RegisterMetrics exports the vault's memory on a registry, read at
+// scrape time: vault_retained_bytes and vault_released_total.
+func (v *Vault) RegisterMetrics(reg *obs.Registry) {
+	reg.NewGaugeFunc("vault_retained_bytes",
+		"Raw HRIT bytes the vault holds in memory (memory-attached files not yet released).",
+		func() float64 { return float64(v.Stats().RetainedBytes) })
+	reg.NewCollectFunc("vault_released_total",
+		"Acquisitions whose in-memory raw bytes the vault released.", "counter", nil,
+		func() []obs.Sample { return []obs.Sample{{Value: float64(v.Stats().Released)}} })
+}
+
 // Load materialises the full image (raw counts) for an acquisition,
 // assembling and decompressing its segments on first touch and serving
-// the LRU cache afterwards.
+// the LRU cache afterwards. An acquisition whose in-memory bytes were
+// released loads only while its image is cached; otherwise the error
+// wraps ErrReleased.
 func (v *Vault) Load(channel string, ts time.Time) (*array.Dense, error) {
 	key := acquisitionKey{Channel: channel, Stamp: ts.UnixNano()}
 	v.mu.Lock()
@@ -177,9 +241,17 @@ func (v *Vault) Load(channel string, ts time.Time) (*array.Dense, error) {
 		return img, nil
 	}
 	v.stats.CacheMiss++
-	entries := append([]Entry(nil), v.entries[key]...)
+	var entries []Entry
+	released := false
+	if a := v.acqs[key]; a != nil {
+		entries = append(entries, a.segs...)
+		released = a.released
+	}
 	v.mu.Unlock()
 
+	if released {
+		return nil, fmt.Errorf("vault: %s @ %s: %w", channel, ts.Format(time.RFC3339), ErrReleased)
+	}
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("vault: no segments for %s @ %s", channel, ts.Format(time.RFC3339))
 	}
@@ -209,6 +281,7 @@ func (v *Vault) Load(channel string, ts time.Time) (*array.Dense, error) {
 	v.mu.Lock()
 	v.stats.Loads++
 	v.stats.BytesRead += bytesRead
+	v.retain(key)
 	// Concurrent misses on the same key both decode; only the first may
 	// insert, or a duplicate lru element would later evict the live
 	// cache mapping.
@@ -227,6 +300,35 @@ func (v *Vault) Load(channel string, ts time.Time) (*array.Dense, error) {
 	}
 	v.mu.Unlock()
 	return img, nil
+}
+
+// retain records a decode of key: a decoded acquisition holding in-memory
+// bytes joins the retention queue, and the oldest beyond 2 × cacheCap
+// release theirs. Callers hold v.mu.
+func (v *Vault) retain(key acquisitionKey) {
+	a := v.acqs[key]
+	if a.decoded {
+		return
+	}
+	a.decoded = true
+	for _, e := range a.segs {
+		if e.raw != nil {
+			v.retained = append(v.retained, key)
+			break
+		}
+	}
+	for len(v.retained) > 2*v.cacheCap {
+		old := v.acqs[v.retained[0]]
+		v.retained = v.retained[1:]
+		for i := range old.segs {
+			if old.segs[i].raw != nil {
+				v.stats.RetainedBytes -= int64(len(old.segs[i].raw))
+				old.segs[i].raw = nil
+			}
+		}
+		old.released = true
+		v.stats.Released++
+	}
 }
 
 // LoadTemperature loads an acquisition and calibrates counts to kelvin.
