@@ -27,11 +27,13 @@ soak:
 # to internal/sciql/oracle_test.go, the row-writer target the SPARQL-JSON
 # encoder to internal/strabon/results_oracle_test.go; the dictionary
 # target checks encode/decode round trips, and the parse target that any
-# text the stSPARQL parser accepts plans and routes without a panic.
+# text the stSPARQL parser accepts plans and routes without a panic; the
+# store target holds the triple index to a naive set of triples.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIntersectsMatchesOracle -fuzztime 15s ./internal/geom
 	$(GO) test -run '^$$' -fuzz FuzzEvaluatorMatchesOracle -fuzztime 15s ./internal/sciql
 	$(GO) test -run '^$$' -fuzz FuzzDictionaryRoundTrip -fuzztime 15s ./internal/rdf
+	$(GO) test -run '^$$' -fuzz FuzzStoreOps -fuzztime 15s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz FuzzJSONRowWriter -fuzztime 15s ./internal/strabon
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/shard
 
@@ -67,7 +69,9 @@ bench-batch:
 # and the cached replay in internal/strabon, both cases of the
 # sharded-queries join and the ordered window join in internal/shard;
 # and if the front half's B/op rises 1.1x above its baseline: the SciQL
-# chain (root package) and the downlink simulator (internal/seviri).
+# chain (root package) and the downlink simulator (internal/seviri); and if
+# the triple store retains 1.1x more bytes per triple than its baseline
+# (internal/rdf).
 alloc-gate:
 	./scripts/check_streamed_allocs.sh
 

@@ -99,7 +99,7 @@ func TestProductTriplesLinkage(t *testing.T) {
 	}
 	tid, _ := s.Dict().Lookup(rdf.NewIRI(rdf.RDFType))
 	shpID, ok := s.Dict().Lookup(rdf.NewIRI(ontology.ClassShapefile))
-	if !ok || len(s.Subjects(tid, shpID)) != 1 {
+	if !ok || s.Count(rdf.Wildcard, tid, shpID) != 1 {
 		t.Fatal("shapefile individual missing")
 	}
 	exID, ok := s.Dict().Lookup(rdf.NewIRI(ontology.PropExtractedFrom))

@@ -56,9 +56,9 @@ type Dictionary struct {
 	chunks atomic.Pointer[[]*dictChunk]
 	n      atomic.Uint32
 
-	// bytes approximates the retained heap footprint (term strings, key
-	// strings and fixed per-entry overhead), maintained on Encode so the
-	// /metrics dictionary gauges are O(1).
+	// bytes approximates the retained heap footprint (key strings, which
+	// hold the term values, and fixed per-entry overhead), maintained on
+	// Encode so the /metrics dictionary gauges are O(1).
 	bytes atomic.Int64
 }
 
@@ -105,11 +105,14 @@ func (d *Dictionary) Encode(t Term) ID {
 		d.chunks.Store(&grown)
 		dir = grown
 	}
+	// The key ends with the value, so the stored term's value is the
+	// key's suffix: a term's text is kept once.
+	k := string(b)
+	t.Value = k[len(k)-len(t.Value):]
 	dir[n>>dictChunkBits][n&dictChunkMask] = t
 	d.n.Store(n + 1)
-	k := string(b)
 	d.byKey[k] = ID(n + 1)
-	d.bytes.Add(int64(len(k) + len(t.Value) + len(t.Datatype) + len(t.Lang) + dictEntryOverhead))
+	d.bytes.Add(int64(len(k) + dictEntryOverhead))
 	return ID(n + 1)
 }
 
@@ -172,6 +175,6 @@ func (d *Dictionary) DecodeTriple(t EncodedTriple) Triple {
 func (d *Dictionary) Len() int { return int(d.n.Load()) }
 
 // ApproxBytes reports the approximate retained heap footprint of the
-// dictionary: interned term and key strings plus fixed per-entry
-// overhead.
+// dictionary: interned key strings (a term's value is its key's suffix)
+// plus fixed per-entry overhead.
 func (d *Dictionary) ApproxBytes() int { return int(d.bytes.Load()) }

@@ -126,7 +126,7 @@ func TestStoreAddRemove(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	if !s.Has(t1) {
+	if s.CountPattern(t1.S, t1.P, t1.O) != 1 {
 		t.Fatal("Has should find the triple")
 	}
 	if !s.Remove(t1) {
@@ -135,7 +135,7 @@ func TestStoreAddRemove(t *testing.T) {
 	if s.Remove(t1) {
 		t.Fatal("second remove should fail")
 	}
-	if s.Len() != 0 || s.Has(t1) {
+	if s.Len() != 0 || s.CountPattern(t1.S, t1.P, t1.O) != 0 {
 		t.Fatal("store should be empty")
 	}
 }
@@ -219,9 +219,14 @@ func TestStoreSubjects(t *testing.T) {
 	}
 	tid, _ := s.Dict().Lookup(typ)
 	hid, _ := s.Dict().Lookup(hotspot)
-	subs := s.Subjects(tid, hid)
-	if len(subs) != 5 {
-		t.Fatalf("subjects = %d, want 5", len(subs))
+	subs := s.SubjectSet(tid, hid)
+	if subs.Len() != 5 || s.Count(Wildcard, tid, hid) != 5 {
+		t.Fatalf("subjects = %d, want 5", subs.Len())
+	}
+	for i := 0; i < 5; i++ {
+		if id, _ := s.Dict().Lookup(NewIRI(fmt.Sprintf("http://e/h%d", i))); !subs.Has(id) {
+			t.Fatalf("subject h%d missing from the set", i)
+		}
 	}
 }
 
@@ -376,7 +381,7 @@ func TestTurtleRoundTrip(t *testing.T) {
 		s.Add(tp)
 	}
 	for _, tp := range back {
-		if !s.Has(tp) {
+		if s.CountPattern(tp.S, tp.P, tp.O) != 1 {
 			t.Fatalf("roundtrip invented triple %v", tp)
 		}
 	}

@@ -1,66 +1,170 @@
 package rdf
 
+import (
+	"maps"
+	"slices"
+)
+
 // EncodedTriple is a dictionary-encoded statement.
 type EncodedTriple struct {
 	S, P, O ID
 }
 
-// index is a two-level map from first key to second key to a set of third
-// keys. Three instances in different orders give the SPO, POS and OSP
-// access paths of the store.
-type index map[ID]map[ID]map[ID]struct{}
+// spillSize is the length past which a set leaves its sorted slice for a
+// map, so the few very large sets — the subjects of one class, the
+// (subject, predicate) pairs of a class object — keep O(1) insert and
+// delete. A map shrinks back to a slice at half this size.
+const spillSize = 64
 
-func (ix index) add(a, b, c ID) bool {
-	m1, ok := ix[a]
-	if !ok {
-		m1 = make(map[ID]map[ID]struct{})
-		ix[a] = m1
+// set is a set of K: a sorted slice while small, a map past spillSize.
+// Nearly every set of the store holds a handful of elements, so the slice
+// is what they cost: no map header, no buckets.
+type set[K ID | uint64] struct {
+	sorted []K
+	big    map[K]struct{}
+}
+
+// IDSet is a set of IDs: the subjects of one (predicate, object) pair.
+type IDSet = set[ID]
+
+// Len reports the number of elements.
+func (st set[K]) Len() int {
+	if st.big != nil {
+		return len(st.big)
 	}
-	m2, ok := m1[b]
-	if !ok {
-		m2 = make(map[ID]struct{})
-		m1[b] = m2
+	return len(st.sorted)
+}
+
+// Has reports whether k is an element.
+func (st set[K]) Has(k K) bool {
+	if st.big != nil {
+		_, ok := st.big[k]
+		return ok
 	}
-	if _, exists := m2[c]; exists {
+	_, ok := slices.BinarySearch(st.sorted, k)
+	return ok
+}
+
+func (st *set[K]) add(k K) bool {
+	if st.big != nil {
+		if _, ok := st.big[k]; ok {
+			return false
+		}
+		st.big[k] = struct{}{}
+		return true
+	}
+	i, ok := slices.BinarySearch(st.sorted, k)
+	if ok {
 		return false
 	}
-	m2[c] = struct{}{}
+	if len(st.sorted) < spillSize {
+		st.sorted = slices.Insert(st.sorted, i, k)
+		return true
+	}
+	st.big = make(map[K]struct{}, 2*spillSize)
+	for _, e := range st.sorted {
+		st.big[e] = struct{}{}
+	}
+	st.big[k] = struct{}{}
+	st.sorted = nil
 	return true
 }
 
-func (ix index) remove(a, b, c ID) bool {
-	m1, ok := ix[a]
-	if !ok {
-		return false
-	}
-	m2, ok := m1[b]
-	if !ok {
-		return false
-	}
-	if _, exists := m2[c]; !exists {
-		return false
-	}
-	delete(m2, c)
-	if len(m2) == 0 {
-		delete(m1, b)
-		if len(m1) == 0 {
-			delete(ix, a)
+func (st *set[K]) remove(k K) bool {
+	if st.big == nil {
+		i, ok := slices.BinarySearch(st.sorted, k)
+		if ok {
+			st.sorted = slices.Delete(st.sorted, i, i+1)
 		}
+		return ok
+	}
+	if _, ok := st.big[k]; !ok {
+		return false
+	}
+	delete(st.big, k)
+	if len(st.big) <= spillSize/2 {
+		st.sorted = slices.Sorted(maps.Keys(st.big))
+		st.big = nil
+	}
+	return true
+}
+
+// each visits the elements — in order while the set is a slice — until
+// visit returns false, and reports whether it ran to the end.
+func (st set[K]) each(visit func(K) bool) bool {
+	if st.big != nil {
+		for k := range st.big {
+			if !visit(k) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, k := range st.sorted {
+		if !visit(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// eachLow visits the low halves of the packed pairs whose high half is hi.
+func eachLow(st set[uint64], hi ID, visit func(lo ID) bool) bool {
+	if st.big != nil {
+		return st.each(func(k uint64) bool { return ID(k>>32) != hi || visit(ID(k)) })
+	}
+	i, _ := slices.BinarySearch(st.sorted, pack(hi, 0))
+	for _, k := range st.sorted[i:] {
+		if ID(k>>32) != hi {
+			break
+		}
+		if !visit(ID(k)) {
+			return false
+		}
+	}
+	return true
+}
+
+func pack(hi, lo ID) uint64 { return uint64(hi)<<32 | uint64(lo) }
+
+func unpack(k uint64) (hi, lo ID) { return ID(k >> 32), ID(k) }
+
+func addTo[K ID | uint64](m map[ID]set[K], key ID, k K) bool {
+	st := m[key]
+	if !st.add(k) {
+		return false
+	}
+	m[key] = st
+	return true
+}
+
+func removeFrom[K ID | uint64](m map[ID]set[K], key ID, k K) bool {
+	st := m[key]
+	if !st.remove(k) {
+		return false
+	}
+	if st.Len() == 0 {
+		delete(m, key)
+	} else {
+		m[key] = st
 	}
 	return true
 }
 
 // Store is an in-memory dictionary-encoded triple store with three
 // complete orderings, the classic layout of RDF column stores (and of
-// Strabon's underlying schema). Alongside the indexes it maintains cheap
-// cardinality statistics — triples and distinct subjects per predicate —
-// kept up to date on every Add/Remove, so a query planner can cost join
-// orders in O(1) per estimate.
+// Strabon's underlying schema), kept as sorted ID sets: spo maps a
+// subject to its packed (predicate, object) pairs, osp an object to its
+// packed (subject, predicate) pairs, and pos a predicate and object to
+// their subjects. Alongside the indexes it
+// maintains cheap cardinality statistics — triples and distinct subjects
+// per predicate — kept up to date on every Add/Remove, so a query planner
+// can cost join orders in O(1) per estimate.
 type Store struct {
 	dict *Dictionary
-	spo  index
-	pos  index
-	osp  index
+	spo  map[ID]set[uint64]
+	pos  map[ID]map[ID]IDSet
+	osp  map[ID]set[uint64]
 	size int
 
 	// predCount counts triples per predicate; predSubj counts distinct
@@ -77,9 +181,9 @@ func NewStore() *Store { return NewStoreOver(NewDictionary()) }
 func NewStoreOver(dict *Dictionary) *Store {
 	return &Store{
 		dict:      dict,
-		spo:       make(index),
-		pos:       make(index),
-		osp:       make(index),
+		spo:       make(map[ID]set[uint64]),
+		pos:       make(map[ID]map[ID]IDSet),
+		osp:       make(map[ID]set[uint64]),
 		predCount: make(map[ID]int),
 		predSubj:  make(map[ID]int),
 	}
@@ -96,14 +200,19 @@ func (s *Store) Add(t Triple) bool { return s.AddEncoded(s.dict.EncodeTriple(t))
 
 // AddEncoded inserts an already-encoded triple.
 func (s *Store) AddEncoded(t EncodedTriple) bool {
-	if !s.spo.add(t.S, t.P, t.O) {
+	if !addTo(s.spo, t.S, pack(t.P, t.O)) {
 		return false
 	}
-	s.pos.add(t.P, t.O, t.S)
-	s.osp.add(t.O, t.S, t.P)
+	po := s.pos[t.P]
+	if po == nil {
+		po = make(map[ID]IDSet)
+		s.pos[t.P] = po
+	}
+	addTo(po, t.O, t.S)
+	addTo(s.osp, t.O, pack(t.S, t.P))
 	s.size++
 	s.predCount[t.P]++
-	if len(s.spo[t.S][t.P]) == 1 {
+	if s.Count(t.S, t.P, Wildcard) == 1 {
 		s.predSubj[t.P]++
 	}
 	return true
@@ -117,27 +226,24 @@ func (s *Store) Remove(t Triple) bool {
 
 // RemoveEncoded deletes an encoded triple.
 func (s *Store) RemoveEncoded(t EncodedTriple) bool {
-	if !s.spo.remove(t.S, t.P, t.O) {
+	if !removeFrom(s.spo, t.S, pack(t.P, t.O)) {
 		return false
 	}
-	s.pos.remove(t.P, t.O, t.S)
-	s.osp.remove(t.O, t.S, t.P)
+	po := s.pos[t.P]
+	if removeFrom(po, t.O, t.S); len(po) == 0 {
+		delete(s.pos, t.P)
+	}
+	removeFrom(s.osp, t.O, pack(t.S, t.P))
 	s.size--
 	if s.predCount[t.P]--; s.predCount[t.P] == 0 {
 		delete(s.predCount, t.P)
 	}
-	if _, ok := s.spo[t.S][t.P]; !ok {
+	if s.Count(t.S, t.P, Wildcard) == 0 {
 		if s.predSubj[t.P]--; s.predSubj[t.P] == 0 {
 			delete(s.predSubj, t.P)
 		}
 	}
 	return true
-}
-
-// Has reports whether the triple is present.
-func (s *Store) Has(t Triple) bool {
-	enc, ok := s.dict.LookupTriple(t)
-	return ok && s.Count(enc.S, enc.P, enc.O) > 0
 }
 
 // MatchIDs streams every encoded triple matching the pattern, where
@@ -148,60 +254,46 @@ func (s *Store) Has(t Triple) bool {
 func (s *Store) MatchIDs(sub, pred, obj ID, visit func(EncodedTriple) bool) bool {
 	switch {
 	case sub != Wildcard && pred != Wildcard && obj != Wildcard:
-		if _, ok := s.spo[sub][pred][obj]; ok {
+		if s.spo[sub].Has(pack(pred, obj)) {
 			return visit(EncodedTriple{sub, pred, obj})
 		}
 	case sub != Wildcard && pred != Wildcard:
-		for o := range s.spo[sub][pred] {
-			if !visit(EncodedTriple{sub, pred, o}) {
-				return false
-			}
+		return eachLow(s.spo[sub], pred, func(o ID) bool { return visit(EncodedTriple{sub, pred, o}) })
+	case sub != Wildcard && obj != Wildcard:
+		// Walk whichever of the subject's pairs and the object's is shorter.
+		po, sp := s.spo[sub], s.osp[obj]
+		if sp.Len() < po.Len() {
+			return eachLow(sp, sub, func(p ID) bool { return visit(EncodedTriple{sub, p, obj}) })
 		}
+		return po.each(func(k uint64) bool {
+			p, o := unpack(k)
+			return o != obj || visit(EncodedTriple{sub, p, obj})
+		})
 	case sub != Wildcard:
-		for p, m2 := range s.spo[sub] {
-			if obj != Wildcard {
-				// S and O bound: scan predicates of subject.
-				if _, ok := m2[obj]; ok && !visit(EncodedTriple{sub, p, obj}) {
-					return false
-				}
-				continue
-			}
-			for o := range m2 {
-				if !visit(EncodedTriple{sub, p, o}) {
-					return false
-				}
-			}
-		}
+		return s.spo[sub].each(func(k uint64) bool {
+			p, o := unpack(k)
+			return visit(EncodedTriple{sub, p, o})
+		})
 	case pred != Wildcard && obj != Wildcard:
-		for sid := range s.pos[pred][obj] {
-			if !visit(EncodedTriple{sid, pred, obj}) {
-				return false
-			}
-		}
+		return s.pos[pred][obj].each(func(sid ID) bool { return visit(EncodedTriple{sid, pred, obj}) })
 	case pred != Wildcard:
-		for o, m2 := range s.pos[pred] {
-			for sid := range m2 {
-				if !visit(EncodedTriple{sid, pred, o}) {
-					return false
-				}
+		for o, subs := range s.pos[pred] {
+			if !subs.each(func(sid ID) bool { return visit(EncodedTriple{sid, pred, o}) }) {
+				return false
 			}
 		}
 	case obj != Wildcard:
-		for sid, m2 := range s.osp[obj] {
-			for p := range m2 {
-				if !visit(EncodedTriple{sid, p, obj}) {
-					return false
-				}
-			}
-		}
+		return s.osp[obj].each(func(k uint64) bool {
+			sid, p := unpack(k)
+			return visit(EncodedTriple{sid, p, obj})
+		})
 	default:
-		for sid, m1 := range s.spo {
-			for p, m2 := range m1 {
-				for o := range m2 {
-					if !visit(EncodedTriple{sid, p, o}) {
-						return false
-					}
-				}
+		for sid, po := range s.spo {
+			if !po.each(func(k uint64) bool {
+				p, o := unpack(k)
+				return visit(EncodedTriple{sid, p, o})
+			}) {
+				return false
 			}
 		}
 	}
@@ -221,46 +313,26 @@ func (s *Store) Triples() []Triple {
 
 // --- cardinality statistics (the planner's cost inputs) ---
 
-// Count returns the exact number of triples matching an encoded pattern
-// without enumerating them: every case is answered from index map
-// lengths or the maintained per-predicate counters. Worst case is O(number
-// of predicates of one subject or object), typically a handful.
+// Count returns the exact number of triples matching an encoded pattern.
+// With the subject unbound, or bound alone, the answer is a set length
+// or a maintained per-predicate counter; otherwise Count counts the
+// subject's matches, a run of its sorted pairs — typically a handful.
 func (s *Store) Count(sub, pred, obj ID) int {
 	switch {
-	case sub != Wildcard && pred != Wildcard && obj != Wildcard:
-		if _, ok := s.spo[sub][pred][obj]; ok {
-			return 1
-		}
-		return 0
-	case sub != Wildcard && pred != Wildcard:
-		return len(s.spo[sub][pred])
-	case pred != Wildcard && obj != Wildcard:
-		return len(s.pos[pred][obj])
-	case sub != Wildcard && obj != Wildcard:
-		n := 0
-		for _, m2 := range s.spo[sub] {
-			if _, ok := m2[obj]; ok {
-				n++
-			}
-		}
-		return n
-	case sub != Wildcard:
-		n := 0
-		for _, m2 := range s.spo[sub] {
-			n += len(m2)
-		}
-		return n
-	case pred != Wildcard:
-		return s.predCount[pred]
-	case obj != Wildcard:
-		n := 0
-		for _, m2 := range s.osp[obj] {
-			n += len(m2)
-		}
-		return n
-	default:
+	case sub == Wildcard && pred == Wildcard && obj == Wildcard:
 		return s.size
+	case sub == Wildcard && pred == Wildcard:
+		return s.osp[obj].Len()
+	case sub == Wildcard && obj == Wildcard:
+		return s.predCount[pred]
+	case sub == Wildcard:
+		return s.pos[pred][obj].Len()
+	case pred == Wildcard && obj == Wildcard:
+		return s.spo[sub].Len()
 	}
+	n := 0
+	s.MatchIDs(sub, pred, obj, func(EncodedTriple) bool { n++; return true })
+	return n
 }
 
 // CountPattern returns the exact number of triples matching a term
@@ -304,21 +376,6 @@ func (s *Store) StoreCard() (triples, subjects, predicates, objects int) {
 }
 
 // SubjectSet returns the set of subjects carrying (pred, obj), both
-// bound: the store's own index entry, nil when there is none. Callers
+// bound: the store's own index entry, empty when there is none. Callers
 // only read it, and only while the store is not being written.
-func (s *Store) SubjectSet(pred, obj ID) map[ID]struct{} { return s.pos[pred][obj] }
-
-// Subjects returns the distinct subject IDs with predicate pred and object
-// obj (either may be Wildcard).
-func (s *Store) Subjects(pred, obj ID) []ID {
-	seen := make(map[ID]struct{})
-	var out []ID
-	s.MatchIDs(Wildcard, pred, obj, func(t EncodedTriple) bool {
-		if _, dup := seen[t.S]; !dup {
-			seen[t.S] = struct{}{}
-			out = append(out, t.S)
-		}
-		return true
-	})
-	return out
-}
+func (s *Store) SubjectSet(pred, obj ID) IDSet { return s.pos[pred][obj] }

@@ -143,6 +143,8 @@ func (t Term) Bool() (bool, bool) {
 // elides the string copy, so the lookup does not allocate. Literal
 // fields are length-prefixed rather than separator-joined so that no
 // byte content (NULs included) can make two distinct terms collide.
+// The value always comes last: the dictionary keeps a term's value as
+// its key's suffix.
 func (t Term) appendKey(b []byte) []byte {
 	switch t.Kind {
 	case TermIRI:

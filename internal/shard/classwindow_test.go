@@ -24,13 +24,13 @@ type blindSource interface {
 	stsparql.TimeRangeSource
 }
 
-func (b classBlind) SubjectSets(p, o rdf.ID, dst []map[rdf.ID]struct{}) []map[rdf.ID]struct{} {
-	all := make(map[rdf.ID]struct{})
+func (b classBlind) SubjectSets(p, o rdf.ID, dst []rdf.IDSet) []rdf.IDSet {
+	all := rdf.NewStore()
 	b.MatchIDs(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
-		all[t.S] = struct{}{}
+		all.AddEncoded(rdf.EncodedTriple{S: t.S, P: p, O: o})
 		return true
 	})
-	return append(dst, all)
+	return append(dst, all.SubjectSet(p, o))
 }
 
 // classWindowQueries each plan a window join whose BGP types the

@@ -161,7 +161,7 @@ func (o *Overlay) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.Encod
 // SubjectSets implements stsparql.SpatialSource: the base's sets and the
 // private store's. A subject whose (p, o) the flush deleted stays in
 // them — the sets only need to be a superset.
-func (o *Overlay) SubjectSets(p, obj rdf.ID, dst []map[rdf.ID]struct{}) []map[rdf.ID]struct{} {
+func (o *Overlay) SubjectSets(p, obj rdf.ID, dst []rdf.IDSet) []rdf.IDSet {
 	return o.all.SubjectSets(p, obj, dst)
 }
 

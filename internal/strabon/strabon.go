@@ -322,8 +322,8 @@ func (s *Store) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.Encoded
 }
 
 // SubjectSets implements stsparql.SpatialSource.
-func (s *Store) SubjectSets(p, o rdf.ID, dst []map[rdf.ID]struct{}) []map[rdf.ID]struct{} {
-	if set := s.triples.SubjectSet(p, o); len(set) > 0 {
+func (s *Store) SubjectSets(p, o rdf.ID, dst []rdf.IDSet) []rdf.IDSet {
+	if set := s.triples.SubjectSet(p, o); set.Len() > 0 {
 		dst = append(dst, set)
 	}
 	return dst

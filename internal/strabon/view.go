@@ -104,7 +104,7 @@ func (v View) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTr
 
 // SubjectSets implements stsparql.SpatialSource: every member's sets, so
 // a subject typed in one member and located in another still passes.
-func (v View) SubjectSets(p, o rdf.ID, dst []map[rdf.ID]struct{}) []map[rdf.ID]struct{} {
+func (v View) SubjectSets(p, o rdf.ID, dst []rdf.IDSet) []rdf.IDSet {
 	for _, m := range v {
 		dst = m.SubjectSets(p, o, dst)
 	}

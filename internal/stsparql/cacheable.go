@@ -6,8 +6,9 @@ package stsparql
 // obligated to produce the same rows. Two plan shapes break that:
 //
 //   - SAMPLE: the engine returns the first value collected for the
-//     group, and collection order follows rdf.Store scan order — Go map
-//     iteration, randomised per run. Two evaluations at one generation
+//     group, and collection order follows rdf.Store scan order — sorted
+//     within a small ID set, but Go map iteration across keys and inside
+//     a large set, randomised per run. Two evaluations at one generation
 //     may legitimately answer differently, so pinning one answer in a
 //     cache would silently freeze an arbitrary representative.
 //   - Plans reading live store statistics mid-flight. Today statistics

@@ -46,7 +46,7 @@ type SpatialSource interface {
 	// holds its locks. Their union must hold every subject a scan of
 	// (?x, p, o) finds, and may hold more: a window scan drops the
 	// candidates in none of them, the type pattern still runs.
-	SubjectSets(p, o rdf.ID, dst []map[rdf.ID]struct{}) []map[rdf.ID]struct{}
+	SubjectSets(p, o rdf.ID, dst []rdf.IDSet) []rdf.IDSet
 }
 
 // GeometryPredicates lists the predicate IRIs treated as geometry

@@ -1393,7 +1393,7 @@ type patScan struct {
 	// source's (rdf:type, class) subject sets — none when the class or
 	// rdf:type is a term no visible triple carries — and counts the rest.
 	classOn   bool
-	classSets []map[rdf.ID]struct{}
+	classSets []rdf.IDSet
 	dropped   int64
 
 	visit       func(rdf.EncodedTriple) bool // bound bind
@@ -1488,8 +1488,8 @@ func (sc *patScan) windowBind(t rdf.EncodedTriple) bool {
 }
 
 func (sc *patScan) inClass(s rdf.ID) bool {
-	for _, set := range sc.classSets {
-		if _, ok := set[s]; ok {
+	for i := range sc.classSets {
+		if sc.classSets[i].Has(s) {
 			return true
 		}
 	}

@@ -20,8 +20,8 @@ var _ SpatialSource = spatialFixture{}
 
 func (s spatialFixture) SpatialIndexEnabled() bool { return true }
 
-func (s spatialFixture) SubjectSets(p, o rdf.ID, dst []map[rdf.ID]struct{}) []map[rdf.ID]struct{} {
-	if set := s.SubjectSet(p, o); set != nil {
+func (s spatialFixture) SubjectSets(p, o rdf.ID, dst []rdf.IDSet) []rdf.IDSet {
+	if set := s.SubjectSet(p, o); set.Len() > 0 {
 		dst = append(dst, set)
 	}
 	return dst
