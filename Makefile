@@ -37,9 +37,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJSONRowWriter -fuzztime 15s ./internal/strabon
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/shard
 
-# Full benchmark sweep; CI runs the 1x smoke variant of the end-to-end
-# and pipeline benchmarks plus the served-query and streamed-select
-# smokes.
+# Full benchmark sweep of the root package; CI runs every one of these
+# benchmarks once (-benchtime=1x) plus the served-query and
+# streamed-select smokes.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 

@@ -1,7 +1,6 @@
 // Package repro holds the benchmark harness regenerating the paper's
 // evaluation (Section 4): one benchmark per table and figure, plus the
-// ablation benchmarks for the design choices called out in DESIGN.md.
-// Run with:
+// end-to-end acquisition and the pipeline worker variants. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -11,20 +10,14 @@
 package repro
 
 import (
-	"context"
-	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/array"
 	"repro/internal/auxdata"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/hrit"
-	"repro/internal/rdf"
 	"repro/internal/refine"
 	"repro/internal/seviri"
-	"repro/internal/strabon"
 	"repro/internal/vault"
 )
 
@@ -91,7 +84,7 @@ func BenchmarkTable2SciQLChain(b *testing.B) {
 
 // --- Figure 8: refinement operation response times ---
 
-func figure8Setup(b *testing.B) (*core.Service, *refine.Runner, []*core.AcquisitionReport) {
+func figure8Setup(b *testing.B) (*core.Service, *refine.Runner) {
 	b.Helper()
 	cfg := seviri.DefaultScenarioConfig()
 	cfg.Days = 1
@@ -105,12 +98,12 @@ func figure8Setup(b *testing.B) (*core.Service, *refine.Runner, []*core.Acquisit
 	if err := svc.RunWindow(seviri.MSG1, from, 30*time.Minute); err != nil {
 		b.Fatal(err)
 	}
-	return svc, svc.Refiner, nil
+	return svc, svc.Refiner
 }
 
 // benchRefineOp times one refinement operation against a stored product.
 func benchRefineOp(b *testing.B, run func(*refine.Runner, *core.Service, time.Time) error) {
-	svc, runner, _ := figure8Setup(b)
+	svc, runner := figure8Setup(b)
 	at := svc.PlainProducts[len(svc.PlainProducts)-1].AcquiredAt
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -160,18 +153,6 @@ func BenchmarkFigure8TimePersistence(b *testing.B) {
 	})
 }
 
-// BenchmarkFigure8Store times product RDF-ization + bulk load.
-func BenchmarkFigure8Store(b *testing.B) {
-	svc, runner, _ := figure8Setup(b)
-	p := svc.PlainProducts[len(svc.PlainProducts)-1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runner.StoreProduct(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Figures 2/6/7: map generation ---
 
 // BenchmarkFigure6ThematicMap times the five-query overlay map build.
@@ -190,183 +171,6 @@ func BenchmarkFigure6ThematicMap(b *testing.B) {
 		}
 		if len(m.SVG(800)) == 0 {
 			b.Fatal("empty SVG")
-		}
-	}
-}
-
-// --- Ablations (DESIGN.md section 4) ---
-
-// BenchmarkAblationRTreeOn measures the spatial join with index pruning.
-func BenchmarkAblationRTreeOn(b *testing.B) {
-	benchSpatialJoin(b, strabon.New())
-}
-
-// BenchmarkAblationRTreeOff measures the same join with full scans.
-func BenchmarkAblationRTreeOff(b *testing.B) {
-	benchSpatialJoin(b, strabon.NewWithoutIndex())
-}
-
-func benchSpatialJoin(b *testing.B, st *strabon.Store) {
-	b.Helper()
-	world := auxdata.Generate(42)
-	st.LoadTriples(world.AllTriples())
-	// One hotspot joined against every municipality.
-	st.LoadTriples([]rdf.Triple{
-		{S: rdf.NewIRI("http://e/h1"), P: rdf.NewIRI(rdf.RDFType),
-			O: rdf.NewIRI("http://teleios.di.uoa.gr/ontologies/noaOntology.owl#Hotspot")},
-		{S: rdf.NewIRI("http://e/h1"),
-			P: rdf.NewIRI("http://strdf.di.uoa.gr/ontology#hasGeometry"),
-			O: rdf.NewGeometry("POLYGON ((22.3 38.3, 22.34 38.3, 22.34 38.34, 22.3 38.34, 22.3 38.3))")},
-	})
-	q := `
-SELECT ?m WHERE {
-  ?h a noa:Hotspot ; strdf:hasGeometry ?hg .
-  ?m a gag:Municipality ; strdf:hasGeometry ?mg .
-  FILTER( strdf:anyInteract(?hg, ?mg) )
-}`
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := strabon.MaterialiseQuery(context.Background(), st, q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationWindowSAT measures the summed-area-table window mean.
-func BenchmarkAblationWindowSAT(b *testing.B) {
-	img := benchImage()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		img.WindowMean(1)
-	}
-}
-
-// BenchmarkAblationWindowNaive measures the per-pixel rescan variant.
-func BenchmarkAblationWindowNaive(b *testing.B) {
-	img := benchImage()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		img.WindowMeanNaive(1)
-	}
-}
-
-func benchImage() *array.Dense {
-	img := array.New(150, 125)
-	for i := range img.Values() {
-		img.Values()[i] = float64(i % 317)
-	}
-	return img
-}
-
-// BenchmarkAblationVaultLazy measures attach-then-first-touch loading.
-func BenchmarkAblationVaultLazy(b *testing.B) {
-	files := benchHRITFiles(b, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := vault.New(4)
-		for j, raw := range files {
-			if err := v.AttachBytes(fmt.Sprintf("s%d", j), raw); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Touch one of the four attached acquisitions: lazy loading pays
-		// only for what queries touch.
-		if _, err := v.Load(hrit.ChannelIR039, benchBase); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationVaultEager measures decode-everything-at-attach.
-func BenchmarkAblationVaultEager(b *testing.B) {
-	files := benchHRITFiles(b, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := vault.New(8)
-		for j, raw := range files {
-			if err := v.AttachBytes(fmt.Sprintf("s%d", j), raw); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, ts := range v.Acquisitions(hrit.ChannelIR039) {
-			if _, err := v.Load(hrit.ChannelIR039, ts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-var benchBase = time.Date(2010, 8, 22, 12, 0, 0, 0, time.UTC)
-
-func benchHRITFiles(b *testing.B, compressed bool) [][]byte {
-	b.Helper()
-	var out [][]byte
-	counts := make([]uint16, 164*137)
-	for i := range counts {
-		counts[i] = uint16((i * 13) % 1024)
-	}
-	for a := 0; a < 4; a++ {
-		segs, err := hrit.Split(counts, 164, 4, hrit.SegmentHeader{
-			ProductName: "MSG1-SEVIRI",
-			Channel:     hrit.ChannelIR039,
-			Timestamp:   benchBase.Add(time.Duration(a) * 5 * time.Minute),
-			Compressed:  compressed,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range segs {
-			raw, err := hrit.Encode(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			out = append(out, raw)
-		}
-	}
-	return out
-}
-
-// BenchmarkAblationHRITCompressed measures decode cost with the wavelet
-// stage on.
-func BenchmarkAblationHRITCompressed(b *testing.B) {
-	benchHRITDecode(b, true)
-}
-
-// BenchmarkAblationHRITPlain measures decode cost with plain 10-bit
-// packing.
-func BenchmarkAblationHRITPlain(b *testing.B) {
-	benchHRITDecode(b, false)
-}
-
-func benchHRITDecode(b *testing.B, compressed bool) {
-	b.Helper()
-	files := benchHRITFiles(b, compressed)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := hrit.Decode(files[i%len(files)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationDictionary measures dictionary-encoded pattern
-// matching vs. the term-level API.
-func BenchmarkAblationDictionary(b *testing.B) {
-	s := rdf.NewStore()
-	for i := 0; i < 20000; i++ {
-		s.Add(rdf.Triple{
-			S: rdf.NewIRI(fmt.Sprintf("http://e/s%d", i%500)),
-			P: rdf.NewIRI(fmt.Sprintf("http://e/p%d", i%7)),
-			O: rdf.NewIRI(fmt.Sprintf("http://e/o%d", i)),
-		})
-	}
-	p3, _ := s.Dict().Lookup(rdf.NewIRI("http://e/p3"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		s.MatchIDs(0, p3, 0, func(rdf.EncodedTriple) bool { n++; return true })
-		if n == 0 {
-			b.Fatal("no matches")
 		}
 	}
 }

@@ -6,9 +6,7 @@
 package array
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -36,16 +34,6 @@ func NewWithOrigin(x0, y0, w, h int) *Dense {
 	a := New(w, h)
 	a.x0, a.y0 = x0, y0
 	return a
-}
-
-// FromValues builds an array from row-major values.
-func FromValues(w, h int, vals []float64) (*Dense, error) {
-	if len(vals) != w*h {
-		return nil, fmt.Errorf("array: %d values for %dx%d array", len(vals), w, h)
-	}
-	a := New(w, h)
-	copy(a.vals, vals)
-	return a, nil
 }
 
 // Width returns the x extent.
@@ -165,31 +153,6 @@ func (a *Dense) Map(f func(v float64) float64) *Dense {
 	return out
 }
 
-// Zip combines two arrays cell-wise. The arrays must share width/height;
-// origins may differ (cells are aligned positionally, the SciQL dimension
-// join after both sides were cropped to the same window).
-func Zip(a, b *Dense, f func(av, bv float64) float64) (*Dense, error) {
-	if a.w != b.w || a.h != b.h {
-		return nil, fmt.Errorf("array: Zip on %dx%d vs %dx%d", a.w, a.h, b.w, b.h)
-	}
-	out := a.Clone()
-	for i := range out.vals {
-		out.vals[i] = f(a.vals[i], b.vals[i])
-	}
-	if b.valid != nil {
-		if out.valid == nil {
-			out.valid = make([]bool, out.w*out.h)
-			for i := range out.valid {
-				out.valid[i] = true
-			}
-		}
-		for i := range out.valid {
-			out.valid[i] = out.valid[i] && b.valid[i]
-		}
-	}
-	return out, nil
-}
-
 // Fill sets every cell to v.
 func (a *Dense) Fill(v float64) {
 	for i := range a.vals {
@@ -229,102 +192,6 @@ func (a *Dense) Summary() Stats {
 	return s
 }
 
-// WindowMean computes, for every cell, the mean over the (2r+1)×(2r+1)
-// window centred on it (clamped at edges), using a summed-area table:
-// O(1) per cell regardless of radius. This is the workhorse of the SciQL
-// structural grouping "GROUP BY a[x-1:x+2][y-1:y+2]" in the paper's
-// classification query.
-func (a *Dense) WindowMean(r int) *Dense {
-	sat := make([]float64, (a.w+1)*(a.h+1))
-	summedAreaTable(sat, a.vals, a.w, a.h)
-	cnt := a.countTable(r)
-	out := NewWithOrigin(a.x0, a.y0, a.w, a.h)
-	for y := 0; y < a.h; y++ {
-		for x := 0; x < a.w; x++ {
-			out.vals[y*a.w+x] = windowSum(sat, a.w, a.h, x, y, r) / cnt[y*a.w+x]
-		}
-	}
-	return out
-}
-
-// WindowMeanNaive is the rescan implementation used by the ablation
-// benchmark: O(r²) per cell.
-func (a *Dense) WindowMeanNaive(r int) *Dense {
-	out := NewWithOrigin(a.x0, a.y0, a.w, a.h)
-	for y := 0; y < a.h; y++ {
-		for x := 0; x < a.w; x++ {
-			var sum float64
-			n := 0
-			for dy := -r; dy <= r; dy++ {
-				for dx := -r; dx <= r; dx++ {
-					xx, yy := x+dx, y+dy
-					if xx < 0 || xx >= a.w || yy < 0 || yy >= a.h {
-						continue
-					}
-					sum += a.vals[yy*a.w+xx]
-					n++
-				}
-			}
-			out.vals[y*a.w+x] = sum / float64(n)
-		}
-	}
-	return out
-}
-
-// WindowStdDev computes the windowed standard deviation per cell:
-// sqrt(mean(v²) − mean(v)²), exactly the formulation in the paper's
-// Figure 4 query.
-func (a *Dense) WindowStdDev(r int) *Dense {
-	mean := a.WindowMean(r)
-	sq := a.Map(func(v float64) float64 { return v * v })
-	meanSq := sq.WindowMean(r)
-	out := NewWithOrigin(a.x0, a.y0, a.w, a.h)
-	for i := range out.vals {
-		d := meanSq.vals[i] - mean.vals[i]*mean.vals[i]
-		if d < 0 {
-			d = 0 // numerical noise
-		}
-		out.vals[i] = math.Sqrt(d)
-	}
-	return out
-}
-
-// summedAreaTable fills sat with the (w+1)×(h+1) inclusive prefix-sum
-// table of the w×h row-major src.
-func summedAreaTable(sat, src []float64, w, h int) {
-	w1 := w + 1
-	clear(sat[:w1])
-	for y := 0; y < h; y++ {
-		sat[(y+1)*w1] = 0
-		var rowSum float64
-		for x := 0; x < w; x++ {
-			rowSum += src[y*w+x]
-			sat[(y+1)*w1+(x+1)] = sat[y*w1+(x+1)] + rowSum
-		}
-	}
-}
-
-// windowSum sums the clamped window around (x, y) from a SAT.
-func windowSum(sat []float64, w, h, x, y, r int) float64 {
-	x0, y0 := max(x-r, 0), max(y-r, 0)
-	x1, y1 := min(x+r, w-1), min(y+r, h-1)
-	w1 := w + 1
-	return sat[(y1+1)*w1+(x1+1)] - sat[y0*w1+(x1+1)] - sat[(y1+1)*w1+x0] + sat[y0*w1+x0]
-}
-
-// countTable precomputes the clamped window population per cell.
-func (a *Dense) countTable(r int) []float64 {
-	out := make([]float64, a.w*a.h)
-	for y := 0; y < a.h; y++ {
-		ny := min(y+r, a.h-1) - max(y-r, 0) + 1
-		for x := 0; x < a.w; x++ {
-			nx := min(x+r, a.w-1) - max(x-r, 0) + 1
-			out[y*a.w+x] = float64(nx * ny)
-		}
-	}
-	return out
-}
-
 // Resample maps this array onto a new grid of size w×h using the inverse
 // transform inv: for each destination cell, inv returns the source
 // coordinates, and the value is bilinearly interpolated. Cells mapping
@@ -350,91 +217,4 @@ func (a *Dense) Resample(w, h int, inv func(dx, dy int) (sx, sy float64)) *Dense
 		}
 	}
 	return out
-}
-
-const denseMagic = uint32(0x53714C41) // "SqLA"
-
-// WriteTo serialises the array in a compact binary format.
-func (a *Dense) WriteTo(w io.Writer) (int64, error) {
-	hdr := []any{
-		denseMagic,
-		int32(a.x0), int32(a.y0), int32(a.w), int32(a.h),
-		int32(boolToInt(a.valid != nil)),
-	}
-	var n int64
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return n, err
-		}
-		n += 4
-	}
-	if err := binary.Write(w, binary.LittleEndian, a.vals); err != nil {
-		return n, err
-	}
-	n += int64(8 * len(a.vals))
-	if a.valid != nil {
-		bits := packBools(a.valid)
-		if err := binary.Write(w, binary.LittleEndian, bits); err != nil {
-			return n, err
-		}
-		n += int64(len(bits))
-	}
-	return n, nil
-}
-
-// ReadFrom deserialises an array written by WriteTo.
-func ReadFrom(r io.Reader) (*Dense, error) {
-	var magic uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return nil, err
-	}
-	if magic != denseMagic {
-		return nil, fmt.Errorf("array: bad magic %#x", magic)
-	}
-	var x0, y0, w, h, hasValid int32
-	for _, p := range []*int32{&x0, &y0, &w, &h, &hasValid} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
-	}
-	if w < 0 || h < 0 || int64(w)*int64(h) > 1<<31 {
-		return nil, fmt.Errorf("array: unreasonable dimensions %dx%d", w, h)
-	}
-	a := NewWithOrigin(int(x0), int(y0), int(w), int(h))
-	if err := binary.Read(r, binary.LittleEndian, a.vals); err != nil {
-		return nil, err
-	}
-	if hasValid != 0 {
-		bits := make([]byte, (len(a.vals)+7)/8)
-		if err := binary.Read(r, binary.LittleEndian, bits); err != nil {
-			return nil, err
-		}
-		a.valid = unpackBools(bits, len(a.vals))
-	}
-	return a, nil
-}
-
-func packBools(bs []bool) []byte {
-	out := make([]byte, (len(bs)+7)/8)
-	for i, b := range bs {
-		if b {
-			out[i/8] |= 1 << (i % 8)
-		}
-	}
-	return out
-}
-
-func unpackBools(bits []byte, n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = bits[i/8]&(1<<(i%8)) != 0
-	}
-	return out
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

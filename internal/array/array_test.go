@@ -1,7 +1,6 @@
 package array
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,17 +38,11 @@ func TestOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestFromValues(t *testing.T) {
-	a, err := FromValues(2, 2, []float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Get(0, 0) != 1 || a.Get(1, 0) != 2 || a.Get(0, 1) != 3 || a.Get(1, 1) != 4 {
-		t.Fatal("row-major layout broken")
-	}
-	if _, err := FromValues(2, 2, []float64{1}); err == nil {
-		t.Fatal("length mismatch should error")
-	}
+// fromValues builds a w×h array from row-major values.
+func fromValues(w, h int, vals []float64) *Dense {
+	a := New(w, h)
+	copy(a.Values(), vals)
+	return a
 }
 
 func TestSliceKeepsAbsoluteCoordinates(t *testing.T) {
@@ -116,30 +109,19 @@ func TestValidityMask(t *testing.T) {
 	}
 }
 
-func TestMapAndZip(t *testing.T) {
-	a, _ := FromValues(2, 2, []float64{1, 2, 3, 4})
+func TestMap(t *testing.T) {
+	a := fromValues(2, 2, []float64{1, 2, 3, 4})
 	b := a.Map(func(v float64) float64 { return v * 10 })
-	if b.Get(1, 1) != 40 {
-		t.Fatalf("Map = %g", b.Get(1, 1))
+	if b.Get(1, 1) != 40 || b.Get(0, 1) != 30 {
+		t.Fatalf("Map = %g, %g", b.Get(1, 1), b.Get(0, 1))
 	}
 	if a.Get(1, 1) != 4 {
 		t.Fatal("Map must not mutate source")
 	}
-	z, err := Zip(a, b, func(x, y float64) float64 { return y - x })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z.Get(0, 1) != 27 {
-		t.Fatalf("Zip = %g", z.Get(0, 1))
-	}
-	c := New(3, 2)
-	if _, err := Zip(a, c, func(x, y float64) float64 { return 0 }); err == nil {
-		t.Fatal("shape mismatch should error")
-	}
 }
 
 func TestSummary(t *testing.T) {
-	a, _ := FromValues(2, 2, []float64{1, 2, 3, 4})
+	a := fromValues(2, 2, []float64{1, 2, 3, 4})
 	s := a.Summary()
 	if s.Min != 1 || s.Max != 4 || math.Abs(s.Mean-2.5) > 1e-12 || s.Count != 4 {
 		t.Fatalf("summary = %+v", s)
@@ -150,19 +132,38 @@ func TestSummary(t *testing.T) {
 	}
 }
 
+// windowMean is the mean over the (2r+1)×(2r+1) window centred on each
+// cell, clamped at the edges, through the summed-area-table kernel.
+func windowMean(a *Dense, r int) []float64 {
+	w, h := a.Width(), a.Height()
+	out := make([]float64, w*h)
+	sat := make([]float64, (w+1)*(h+1))
+	WindowAvg(out, sat, a.Values(), w, h, WindowSpec{XLo: -r, XHi: r + 1, YLo: -r, YHi: r + 1})
+	return out
+}
+
 func TestWindowMeanMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	a := New(37, 23)
 	for i := range a.Values() {
 		a.Values()[i] = r.Float64() * 100
 	}
+	w, h := a.Width(), a.Height()
 	for _, radius := range []int{1, 2, 3} {
-		fast := a.WindowMean(radius)
-		naive := a.WindowMeanNaive(radius)
-		for i := range fast.Values() {
-			if math.Abs(fast.Values()[i]-naive.Values()[i]) > 1e-9 {
-				t.Fatalf("radius %d cell %d: fast %g vs naive %g",
-					radius, i, fast.Values()[i], naive.Values()[i])
+		fast := windowMean(a, radius)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				var sum float64
+				n := 0
+				for yy := max(y-radius, 0); yy <= min(y+radius, h-1); yy++ {
+					for xx := max(x-radius, 0); xx <= min(x+radius, w-1); xx++ {
+						sum += a.Get(xx, yy)
+						n++
+					}
+				}
+				if naive := sum / float64(n); math.Abs(fast[y*w+x]-naive) > 1e-9 {
+					t.Fatalf("radius %d cell (%d,%d): fast %g vs naive %g", radius, x, y, fast[y*w+x], naive)
+				}
 			}
 		}
 	}
@@ -171,19 +172,30 @@ func TestWindowMeanMatchesNaive(t *testing.T) {
 func TestWindowMeanConstant(t *testing.T) {
 	a := New(10, 10)
 	a.Fill(5)
-	m := a.WindowMean(1)
-	for _, v := range m.Values() {
+	for _, v := range windowMean(a, 1) {
 		if math.Abs(v-5) > 1e-12 {
 			t.Fatalf("mean of constant field = %g", v)
 		}
 	}
 }
 
+// windowStdDev is the paper's Figure 4 formulation over 3×3 windows:
+// sqrt(mean(v²) − mean(v)²).
+func windowStdDev(a *Dense) *Dense {
+	mean := windowMean(a, 1)
+	meanSq := windowMean(a.Map(func(v float64) float64 { return v * v }), 1)
+	out := New(a.Width(), a.Height())
+	for i := range out.Values() {
+		out.Values()[i] = math.Sqrt(max(meanSq[i]-mean[i]*mean[i], 0))
+	}
+	return out
+}
+
 func TestWindowStdDev(t *testing.T) {
 	// Constant field: zero deviation everywhere.
 	a := New(8, 8)
 	a.Fill(300)
-	sd := a.WindowStdDev(1)
+	sd := windowStdDev(a)
 	for _, v := range sd.Values() {
 		if v > 1e-9 {
 			t.Fatalf("stddev of constant = %g", v)
@@ -191,7 +203,7 @@ func TestWindowStdDev(t *testing.T) {
 	}
 	// A single hot pixel produces positive deviation in its neighbourhood.
 	a.Set(4, 4, 400)
-	sd = a.WindowStdDev(1)
+	sd = windowStdDev(a)
 	if sd.Get(4, 4) < 10 {
 		t.Fatalf("stddev at hot pixel = %g", sd.Get(4, 4))
 	}
@@ -244,49 +256,6 @@ func TestResampleShift(t *testing.T) {
 	})
 	if got := out.Get(3, 5); math.Abs(got-3.5) > 1e-9 {
 		t.Fatalf("shifted value = %g, want 3.5", got)
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	a := NewWithOrigin(5, 7, 13, 9)
-	r := rand.New(rand.NewSource(9))
-	for i := range a.Values() {
-		a.Values()[i] = r.NormFloat64()
-	}
-	a.Invalidate(6, 8)
-	var buf bytes.Buffer
-	if _, err := a.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Width() != 13 || back.Height() != 9 {
-		t.Fatalf("dims = %dx%d", back.Width(), back.Height())
-	}
-	if x0, y0 := back.Origin(); x0 != 5 || y0 != 7 {
-		t.Fatalf("origin = (%d,%d)", x0, y0)
-	}
-	for i := range a.Values() {
-		if a.Values()[i] != back.Values()[i] {
-			t.Fatalf("value %d drifted", i)
-		}
-	}
-	if back.Valid(6, 8) {
-		t.Fatal("validity mask lost")
-	}
-	if !back.Valid(5, 7) {
-		t.Fatal("valid cell became invalid")
-	}
-}
-
-func TestReadFromRejectsGarbage(t *testing.T) {
-	if _, err := ReadFrom(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
-		t.Fatal("garbage should not parse")
-	}
-	if _, err := ReadFrom(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input should error")
 	}
 }
 

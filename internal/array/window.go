@@ -36,6 +36,21 @@ func WindowSum(dst, sat, src []float64, w, h int, spec WindowSpec) {
 	}
 }
 
+// summedAreaTable fills sat with the (w+1)×(h+1) inclusive prefix-sum
+// table of the w×h row-major src.
+func summedAreaTable(sat, src []float64, w, h int) {
+	w1 := w + 1
+	clear(sat[:w1])
+	for y := 0; y < h; y++ {
+		sat[(y+1)*w1] = 0
+		var rowSum float64
+		for x := 0; x < w; x++ {
+			rowSum += src[y*w+x]
+			sat[(y+1)*w1+(x+1)] = sat[y*w1+(x+1)] + rowSum
+		}
+	}
+}
+
 // windowPopulation is the clamped population of the window at (x, y).
 func windowPopulation(x, y, w, h int, spec WindowSpec) int {
 	ny := min(y+spec.YHi-1, h-1) - max(y+spec.YLo, 0) + 1

@@ -64,8 +64,12 @@ func regionThresholds(tr georef.Transform, at time.Time) detect.Thresholds {
 }
 
 // SciQLChain is the TELEIOS chain: vault ingestion plus the Figure 4
-// classification query on the SciQL engine. Georeferencing runs as a
-// registered array kernel between the two SciQL stages (see DESIGN.md).
+// classification query on the SciQL engine. Georeferencing runs as an
+// array kernel between the two SciQL stages: it is a bilinear resample
+// through the precalculated polynomial, a per-cell gather from computed
+// source coordinates that the SciQL subset has no operator for, so the
+// chain applies it to the cropped arrays and registers the results as
+// the classification query's input arrays.
 type SciQLChain struct {
 	Vault     *vault.Vault
 	Engine    *sciql.Engine

@@ -5,18 +5,13 @@
 // the 3×3 windowed standard deviations of both bands, with day/night
 // threshold sets interpolated across twilight by solar zenith angle.
 //
-// Two implementations are provided: Classify, the building block the
-// SciQL chain reproduces declaratively, and LegacyChain (see legacy.go),
-// the imperative baseline standing in for the paper's "legacy C"
-// implementation in the Table 2 comparison.
+// The SciQL chain states this classification declaratively (the paper's
+// Figure 4 query, filled in with ForZenith's thresholds); LegacyClassify
+// (see legacy.go) is the imperative baseline standing in for the paper's
+// "legacy C" implementation in the Table 2 comparison.
 package detect
 
-import (
-	"fmt"
-
-	"repro/internal/array"
-	"repro/internal/solar"
-)
+import "repro/internal/solar"
 
 // Confidence levels of the classification, as in the paper: "The value 2
 // denotes fire, value 1 denotes potential fire while 0 denotes no fire."
@@ -89,39 +84,4 @@ func ClassifyPixel(t039, t108, std039, std108 float64, th Thresholds) int {
 		return PotentialFire
 	}
 	return NoFire
-}
-
-// Classify runs the full contextual classification over co-registered
-// temperature arrays. The zenith function supplies the per-pixel solar
-// zenith angle ("computed on a per-pixel basis given the image
-// acquisition timestamp and the exact location of the pixel"); pass nil
-// for uniform day thresholds.
-func Classify(t039, t108 *array.Dense, zenith func(x, y int) float64) (*array.Dense, error) {
-	if t039.Width() != t108.Width() || t039.Height() != t108.Height() {
-		return nil, fmt.Errorf("detect: band shape mismatch %dx%d vs %dx%d",
-			t039.Width(), t039.Height(), t108.Width(), t108.Height())
-	}
-	std039 := t039.WindowStdDev(1)
-	std108 := t108.WindowStdDev(1)
-	x0, y0 := t039.Origin()
-	bx0, by0 := t108.Origin()
-	out := array.NewWithOrigin(x0, y0, t039.Width(), t039.Height())
-	for y := 0; y < t039.Height(); y++ {
-		for x := 0; x < t039.Width(); x++ {
-			ax, ay := x0+x, y0+y
-			th := DayThresholds
-			if zenith != nil {
-				th = ForZenith(zenith(x, y))
-			}
-			c := ClassifyPixel(
-				t039.Get(ax, ay),
-				t108.Get(bx0+x, by0+y),
-				std039.Get(ax, ay),
-				std108.Get(ax, ay),
-				th,
-			)
-			out.Set(ax, ay, float64(c))
-		}
-	}
-	return out, nil
 }

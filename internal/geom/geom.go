@@ -417,14 +417,6 @@ func (e Envelope) Center() Point {
 	return Point{(e.MinX + e.MaxX) / 2, (e.MinY + e.MaxY) / 2}
 }
 
-// ExpandPoint grows the envelope to include p.
-func (e Envelope) ExpandPoint(p Point) Envelope {
-	return Envelope{
-		MinX: math.Min(e.MinX, p.X), MinY: math.Min(e.MinY, p.Y),
-		MaxX: math.Max(e.MaxX, p.X), MaxY: math.Max(e.MaxY, p.Y),
-	}
-}
-
 // Expand grows the envelope to include o.
 func (e Envelope) Expand(o Envelope) Envelope {
 	if o.IsEmpty() {
@@ -467,18 +459,6 @@ func (e Envelope) ContainsPoint(p Point) bool {
 	return !e.IsEmpty() &&
 		e.MinX-Epsilon <= p.X && p.X <= e.MaxX+Epsilon &&
 		e.MinY-Epsilon <= p.Y && p.Y <= e.MaxY+Epsilon
-}
-
-// Intersection returns the overlapping region of two envelopes.
-func (e Envelope) Intersection(o Envelope) Envelope {
-	r := Envelope{
-		MinX: math.Max(e.MinX, o.MinX), MinY: math.Max(e.MinY, o.MinY),
-		MaxX: math.Min(e.MaxX, o.MaxX), MaxY: math.Min(e.MaxY, o.MaxY),
-	}
-	if r.IsEmpty() {
-		return EmptyEnvelope()
-	}
-	return r
 }
 
 // ToRing converts the envelope to a CCW rectangle ring.

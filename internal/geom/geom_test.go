@@ -29,7 +29,7 @@ func TestEnvelopeOperations(t *testing.T) {
 	if !e.IsEmpty() {
 		t.Fatal("EmptyEnvelope not empty")
 	}
-	e = e.ExpandPoint(Point{1, 2}).ExpandPoint(Point{4, 6})
+	e = e.Expand(Point{1, 2}.Envelope()).Expand(Point{4, 6}.Envelope())
 	if e.Width() != 3 || e.Height() != 4 {
 		t.Fatalf("extent = %gx%g, want 3x4", e.Width(), e.Height())
 	}
@@ -43,16 +43,9 @@ func TestEnvelopeOperations(t *testing.T) {
 	if !e.Intersects(o) {
 		t.Fatal("envelopes should intersect")
 	}
-	inter := e.Intersection(o)
-	if inter.MinX != 3 || inter.MinY != 5 || inter.MaxX != 4 || inter.MaxY != 6 {
-		t.Fatalf("intersection = %+v", inter)
-	}
 	far := Envelope{MinX: 100, MinY: 100, MaxX: 101, MaxY: 101}
 	if e.Intersects(far) {
 		t.Fatal("disjoint envelopes reported intersecting")
-	}
-	if !e.Intersection(far).IsEmpty() {
-		t.Fatal("disjoint intersection should be empty")
 	}
 	if !e.Buffer(1).ContainsPoint(Point{0.5, 1.5}) {
 		t.Fatal("buffered envelope should contain nearby point")
@@ -569,21 +562,6 @@ func TestConvexHull(t *testing.T) {
 	}
 	if h := ConvexHull(nil); h != nil {
 		t.Fatal("nil hull should be nil")
-	}
-}
-
-func TestSimplify(t *testing.T) {
-	// A line with a tiny zigzag that should vanish at tolerance 0.5.
-	l := LineString{{0, 0}, {1, 0.01}, {2, -0.02}, {3, 0.01}, {4, 0}}
-	s := Simplify(l, 0.5)
-	if len(s) != 2 {
-		t.Fatalf("simplified to %d points, want 2", len(s))
-	}
-	// A real corner must survive.
-	corner := LineString{{0, 0}, {2, 2}, {4, 0}}
-	s2 := Simplify(corner, 0.5)
-	if len(s2) != 3 {
-		t.Fatalf("corner simplified to %d points, want 3", len(s2))
 	}
 }
 

@@ -260,8 +260,9 @@ func toPolys(g Geometry) []Polygon {
 func clipPolygons(a, b Polygon, op boolOp) MultiPolygon {
 	a = a.Normalized()
 	b = b.Normalized()
-	// Hole-free fast path plus the hole algebra described in DESIGN.md:
-	// a = shellA - holesA, b = shellB - holesB.
+	// Clip the shells alone (the hole-free case), then fold the holes
+	// back in by set algebra over a = shellA - holesA and
+	// b = shellB - holesB, so the shell clipper never sees a hole:
 	base := clipShells(Polygon{Shell: a.Shell}, Polygon{Shell: b.Shell}, op)
 	switch op {
 	case opIntersection:

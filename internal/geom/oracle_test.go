@@ -122,6 +122,18 @@ func oracleExpandPoint(e Envelope, p Point) Envelope {
 	}
 }
 
+// oracleEnvelopeIntersection is the old Envelope.Intersection.
+func oracleEnvelopeIntersection(e, o Envelope) Envelope {
+	r := Envelope{
+		MinX: math.Max(e.MinX, o.MinX), MinY: math.Max(e.MinY, o.MinY),
+		MaxX: math.Min(e.MaxX, o.MaxX), MaxY: math.Min(e.MaxY, o.MaxY),
+	}
+	if r.IsEmpty() {
+		return EmptyEnvelope()
+	}
+	return r
+}
+
 // oracleRingEnvelope is the old Ring.Envelope and LineString.Envelope.
 func oracleRingEnvelope(r []Point) Envelope {
 	e := EmptyEnvelope()
@@ -323,7 +335,7 @@ func oracleContains(g1, g2 Geometry) bool {
 	if g1 == nil || g2 == nil || g1.IsEmpty() || g2.IsEmpty() {
 		return false
 	}
-	if !oracleEnvelope(g1).Contains(oracleEnvelope(g2).Intersection(oracleEnvelope(g1))) ||
+	if !oracleEnvelope(g1).Contains(oracleEnvelopeIntersection(oracleEnvelope(g2), oracleEnvelope(g1))) ||
 		!oracleEnvelope(g1).Contains(oracleEnvelope(g2)) {
 		return false
 	}

@@ -8,12 +8,7 @@
 // are all precalculated.").
 package georef
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/array"
-)
+import "repro/internal/array"
 
 // Poly2 is a bivariate polynomial of total degree two:
 // f(u, v) = C0 + C1·u + C2·v + C3·u² + C4·u·v + C5·v².
@@ -58,96 +53,4 @@ func (t Transform) Apply(src *array.Dense) *array.Dense {
 		u, v := float64(dx), float64(dy)
 		return t.SrcX.Eval(u, v), t.SrcY.Eval(u, v)
 	})
-}
-
-// ControlPoint ties a destination pixel to its known source position;
-// used to fit the polynomial coefficients ("calculated by hand" once in
-// the paper, refit when the satellite drifts).
-type ControlPoint struct {
-	DstX, DstY float64 // destination pixel
-	SrcX, SrcY float64 // corresponding source pixel
-}
-
-// Fit estimates the two polynomials from at least six control points by
-// linear least squares (normal equations on the monomial basis).
-func Fit(points []ControlPoint) (sx, sy Poly2, err error) {
-	if len(points) < 6 {
-		return sx, sy, fmt.Errorf("georef: need >= 6 control points, got %d", len(points))
-	}
-	basis := func(u, v float64) [6]float64 {
-		return [6]float64{1, u, v, u * u, u * v, v * v}
-	}
-	// Normal equations: A^T A c = A^T b, shared A for both axes.
-	var ata [6][6]float64
-	var atbX, atbY [6]float64
-	for _, p := range points {
-		b := basis(p.DstX, p.DstY)
-		for i := 0; i < 6; i++ {
-			for j := 0; j < 6; j++ {
-				ata[i][j] += b[i] * b[j]
-			}
-			atbX[i] += b[i] * p.SrcX
-			atbY[i] += b[i] * p.SrcY
-		}
-	}
-	cx, err := solve6(ata, atbX)
-	if err != nil {
-		return sx, sy, err
-	}
-	cy, err := solve6(ata, atbY)
-	if err != nil {
-		return sx, sy, err
-	}
-	return cx, cy, nil
-}
-
-// solve6 solves a 6×6 linear system with partial-pivot Gaussian
-// elimination.
-func solve6(a [6][6]float64, b [6]float64) (Poly2, error) {
-	const n = 6
-	// Augment.
-	var m [n][n + 1]float64
-	for i := 0; i < n; i++ {
-		copy(m[i][:n], a[i][:])
-		m[i][n] = b[i]
-	}
-	for col := 0; col < n; col++ {
-		// Pivot.
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[piv][col]) {
-				piv = r
-			}
-		}
-		if math.Abs(m[piv][col]) < 1e-12 {
-			return Poly2{}, fmt.Errorf("georef: degenerate control point configuration")
-		}
-		m[col], m[piv] = m[piv], m[col]
-		// Eliminate.
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := m[r][col] / m[col][col]
-			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-		}
-	}
-	var out Poly2
-	for i := 0; i < n; i++ {
-		out[i] = m[i][n] / m[i][i]
-	}
-	return out, nil
-}
-
-// ResidualRMS reports the fit quality over the control points (pixels).
-func ResidualRMS(points []ControlPoint, sx, sy Poly2) float64 {
-	var sum float64
-	for _, p := range points {
-		dx := sx.Eval(p.DstX, p.DstY) - p.SrcX
-		dy := sy.Eval(p.DstX, p.DstY) - p.SrcY
-		sum += dx*dx + dy*dy
-	}
-	return math.Sqrt(sum / float64(len(points)))
 }

@@ -16,48 +16,6 @@ func TestPolyEval(t *testing.T) {
 	}
 }
 
-func TestFitRecoversPolynomial(t *testing.T) {
-	truthX := Poly2{5, 1.01, 0.02, 0.0001, 0.00005, 0}
-	truthY := Poly2{3, -0.01, 0.99, 0, 0.00002, 0.0001}
-	var pts []ControlPoint
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			dx, dy := float64(i*20), float64(j*20)
-			pts = append(pts, ControlPoint{
-				DstX: dx, DstY: dy,
-				SrcX: truthX.Eval(dx, dy),
-				SrcY: truthY.Eval(dx, dy),
-			})
-		}
-	}
-	sx, sy, err := Fit(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range truthX {
-		if math.Abs(sx[i]-truthX[i]) > 1e-6 || math.Abs(sy[i]-truthY[i]) > 1e-6 {
-			t.Fatalf("coefficient %d drifted: %g vs %g / %g vs %g", i, sx[i], truthX[i], sy[i], truthY[i])
-		}
-	}
-	if rms := ResidualRMS(pts, sx, sy); rms > 1e-6 {
-		t.Fatalf("residual RMS = %g", rms)
-	}
-}
-
-func TestFitValidation(t *testing.T) {
-	if _, _, err := Fit(nil); err == nil {
-		t.Fatal("no control points should fail")
-	}
-	// Collinear points: degenerate normal equations.
-	var pts []ControlPoint
-	for i := 0; i < 8; i++ {
-		pts = append(pts, ControlPoint{DstX: float64(i), DstY: 0, SrcX: float64(i), SrcY: 0})
-	}
-	if _, _, err := Fit(pts); err == nil {
-		t.Fatal("collinear control points should fail")
-	}
-}
-
 func TestTransformGeoPixel(t *testing.T) {
 	tr := Transform{
 		DstWidth: 100, DstHeight: 80,

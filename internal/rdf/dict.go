@@ -166,11 +166,6 @@ func (d *Dictionary) LookupTriple(t Triple) (enc EncodedTriple, ok bool) {
 	return enc, ok
 }
 
-// DecodeTriple decodes an encoded triple.
-func (d *Dictionary) DecodeTriple(t EncodedTriple) Triple {
-	return Triple{S: d.Decode(t.S), P: d.Decode(t.P), O: d.Decode(t.O)}
-}
-
 // Len reports the number of interned terms.
 func (d *Dictionary) Len() int { return int(d.n.Load()) }
 

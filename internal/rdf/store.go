@@ -300,17 +300,6 @@ func (s *Store) MatchIDs(sub, pred, obj ID, visit func(EncodedTriple) bool) bool
 	return true
 }
 
-// Triples returns all triples, decoded. Intended for tests and small
-// exports; large scans should use MatchIDs.
-func (s *Store) Triples() []Triple {
-	out := make([]Triple, 0, s.size)
-	s.MatchIDs(Wildcard, Wildcard, Wildcard, func(t EncodedTriple) bool {
-		out = append(out, s.dict.DecodeTriple(t))
-		return true
-	})
-	return out
-}
-
 // --- cardinality statistics (the planner's cost inputs) ---
 
 // Count returns the exact number of triples matching an encoded pattern.

@@ -110,15 +110,6 @@ func (t Term) IsZero() bool {
 	return t.Value == "" && t.Datatype == "" && t.Lang == "" && t.Kind == TermIRI
 }
 
-// Integer parses the literal as an integer.
-func (t Term) Integer() (int64, bool) {
-	if t.Kind != TermLiteral {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(strings.TrimSpace(t.Value), 10, 64)
-	return v, err == nil
-}
-
 // Float parses the literal as a float.
 func (t Term) Float() (float64, bool) {
 	if t.Kind != TermLiteral {
@@ -191,9 +182,6 @@ func (t Term) Equal(o Term) bool {
 type Triple struct {
 	S, P, O Term
 }
-
-// NewTriple builds a triple.
-func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 
 // String renders the triple in N-Triples-like syntax.
 func (tr Triple) String() string {

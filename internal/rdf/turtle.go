@@ -2,13 +2,12 @@ package rdf
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// Namespaces manages prefix -> IRI bindings for Turtle I/O and for the
+// Namespaces manages prefix -> IRI bindings for Turtle parsing and for the
 // stSPARQL parser. It is safe for concurrent use: strabon parses queries
 // (reads) concurrently with Turtle loads (which may Bind new prefixes).
 type Namespaces struct {
@@ -63,37 +62,6 @@ func (n *Namespaces) Expand(qname string) (string, error) {
 		return "", fmt.Errorf("rdf: unknown prefix %q", qname[:i])
 	}
 	return base + qname[i+1:], nil
-}
-
-// Shrink renders an IRI with the best matching prefix, or "" if none fits.
-func (n *Namespaces) Shrink(iri string) string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	bestPrefix, bestBase := "", ""
-	for p, base := range n.prefixes {
-		if strings.HasPrefix(iri, base) && len(base) > len(bestBase) {
-			bestPrefix, bestBase = p, base
-		}
-	}
-	if bestBase == "" {
-		return ""
-	}
-	local := iri[len(bestBase):]
-	if strings.ContainsAny(local, "/#:") {
-		return ""
-	}
-	return bestPrefix + ":" + local
-}
-
-// Prefixes returns a copy of the bindings.
-func (n *Namespaces) Prefixes() map[string]string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make(map[string]string, len(n.prefixes))
-	for k, v := range n.prefixes {
-		out[k] = v
-	}
-	return out
 }
 
 // ParseTurtle parses a Turtle document into triples. It supports the
@@ -394,92 +362,4 @@ func (p *turtleParser) stringLiteral() (Term, error) {
 		p.pos++
 	}
 	return Term{}, p.errf("unterminated string literal")
-}
-
-// WriteTurtle serialises triples as Turtle, grouping by subject and using
-// the namespace table for prefixed names. Output is deterministic.
-func WriteTurtle(triples []Triple, ns *Namespaces) string {
-	if ns == nil {
-		ns = NewNamespaces()
-	}
-	var b strings.Builder
-	// Emit prefix directives for prefixes actually used.
-	used := make(map[string]bool)
-	renderTerm := func(t Term) string {
-		switch t.Kind {
-		case TermIRI:
-			if q := ns.Shrink(t.Value); q != "" {
-				used[q[:strings.Index(q, ":")]] = true
-				return q
-			}
-			return "<" + t.Value + ">"
-		case TermBlank:
-			return "_:" + t.Value
-		default:
-			s := strconv.Quote(t.Value)
-			if t.Lang != "" {
-				return s + "@" + t.Lang
-			}
-			if t.Datatype != "" && t.Datatype != XSDString {
-				if q := ns.Shrink(t.Datatype); q != "" {
-					used[q[:strings.Index(q, ":")]] = true
-					return s + "^^" + q
-				}
-				return s + "^^<" + t.Datatype + ">"
-			}
-			return s
-		}
-	}
-
-	// Group triples by subject, preserving first-seen subject order.
-	type group struct {
-		subj  string
-		lines []string
-	}
-	order := make(map[string]int)
-	var groups []*group
-	for _, t := range triples {
-		sk := renderTerm(t.S)
-		pk := renderTerm(t.P)
-		if t.P.Value == RDFType {
-			pk = "a"
-		}
-		ok := renderTerm(t.O)
-		idx, seen := order[sk]
-		if !seen {
-			idx = len(groups)
-			order[sk] = idx
-			groups = append(groups, &group{subj: sk})
-		}
-		groups[idx].lines = append(groups[idx].lines, pk+" "+ok)
-	}
-
-	var body strings.Builder
-	for _, g := range groups {
-		body.WriteString(g.subj)
-		for i, l := range g.lines {
-			if i == 0 {
-				body.WriteString(" ")
-			} else {
-				body.WriteString(" ;\n    ")
-			}
-			body.WriteString(l)
-		}
-		body.WriteString(" .\n")
-	}
-
-	prefixes := ns.Prefixes()
-	var names []string
-	for p := range used {
-		names = append(names, p)
-	}
-	sort.Strings(names)
-	for _, p := range names {
-		fmt.Fprintf(&b, "@prefix %s: <%s> .\n", p, prefixes[p])
-	}
-	if len(names) > 0 {
-		b.WriteString("\n")
-	}
-	b.WriteString(body.String())
-	return b.String()
 }

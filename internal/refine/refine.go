@@ -107,12 +107,6 @@ func (r *Runner) Apply(delta []*products.Product) ([]Outcome, error) {
 	return r.apply(delta, "")
 }
 
-// StoreProduct inserts the product's RDF-ization without refining it
-// (the "Store" series on its own).
-func (r *Runner) StoreProduct(p *products.Product) (int, error) {
-	return r.Store.LoadTriples(p.Triples()), nil
-}
-
 // Municipalities associates each hotspot of an already stored product
 // with the municipalities its pixel interacts with — the operation the
 // paper singles out as the slowest ("labeled as Municipalities ... there

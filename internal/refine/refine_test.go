@@ -115,9 +115,7 @@ func TestMunicipalityAssociation(t *testing.T) {
 		Sensor: "MSG1", Chain: "sciql", AcquiredAt: at,
 		Hotspots: []products.Hotspot{hotspotAt(22.5, 37.5, at, "h1")},
 	}
-	if _, err := r.StoreProduct(p); err != nil {
-		t.Fatal(err)
-	}
+	r.Store.LoadTriples(p.Triples())
 	n, err := r.Municipalities(p)
 	if err != nil {
 		t.Fatal(err)
@@ -136,9 +134,7 @@ func TestRefineInCoastClipsGeometry(t *testing.T) {
 		Sensor: "MSG1", Chain: "sciql", AcquiredAt: at,
 		Hotspots: []products.Hotspot{hotspotAt(22.0, 38.0, at, "coastal")},
 	}
-	if _, err := r.StoreProduct(p); err != nil {
-		t.Fatal(err)
-	}
+	r.Store.LoadTriples(p.Triples())
 	if _, err := r.RefineInCoast(p); err != nil {
 		t.Fatal(err)
 	}
@@ -172,16 +168,12 @@ func TestTimePersistenceConfirmsAndReinstates(t *testing.T) {
 			Sensor: "MSG1", Chain: "sciql", AcquiredAt: at,
 			Hotspots: []products.Hotspot{hotspotAt(loc[0], loc[1], at, "p")},
 		}
-		if _, err := r.StoreProduct(p); err != nil {
-			t.Fatal(err)
-		}
+		r.Store.LoadTriples(p.Triples())
 	}
 	// Fresh acquisition WITHOUT the persistent hotspot: reinstatement.
 	at := base.Add(20 * time.Minute)
 	empty := &products.Product{Sensor: "MSG1", Chain: "sciql", AcquiredAt: at}
-	if _, err := r.StoreProduct(empty); err != nil {
-		t.Fatal(err)
-	}
+	r.Store.LoadTriples(empty.Triples())
 	n, err := r.TimePersistence(empty)
 	if err != nil {
 		t.Fatal(err)
@@ -205,9 +197,7 @@ func TestTimePersistenceConfirmsAndReinstates(t *testing.T) {
 		Sensor: "MSG1", Chain: "sciql", AcquiredAt: at2,
 		Hotspots: []products.Hotspot{h},
 	}
-	if _, err := r.StoreProduct(withHot); err != nil {
-		t.Fatal(err)
-	}
+	r.Store.LoadTriples(withHot.Triples())
 	if _, err := r.TimePersistence(withHot); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 // Package rtree implements an in-memory R-tree spatial index with
 // quadratic-split insertion and sort-tile-recursive (STR) bulk loading.
 // Strabon uses it to accelerate the spatial joins of the refinement
-// queries; the ablation benchmarks compare query plans with and without
-// it.
+// queries.
 package rtree
 
 import (
@@ -41,14 +40,6 @@ func New() *Tree { return &Tree{} }
 
 // Len reports the number of indexed items.
 func (t *Tree) Len() int { return t.size }
-
-// Bounds returns the bounding box of the whole index.
-func (t *Tree) Bounds() geom.Envelope {
-	if t.root == nil {
-		return geom.EmptyEnvelope()
-	}
-	return t.root.box
-}
 
 // Insert adds an item to the index.
 func (t *Tree) Insert(box geom.Envelope, data any) {
@@ -209,16 +200,6 @@ func searchNode(n *node, window geom.Envelope, visit func(Item) bool) bool {
 		}
 	}
 	return true
-}
-
-// SearchSlice collects the payloads of all items intersecting the window.
-func (t *Tree) SearchSlice(window geom.Envelope) []any {
-	var out []any
-	t.Search(window, func(it Item) bool {
-		out = append(out, it.Data)
-		return true
-	})
-	return out
 }
 
 // Delete removes the first item whose box equals the given box and whose
@@ -401,73 +382,4 @@ func strPackNodes(children []*node) []*node {
 		}
 	}
 	return out
-}
-
-// Nearest returns the payloads of the k items nearest to p by box
-// distance, closest first.
-func (t *Tree) Nearest(p geom.Point, k int) []any {
-	if t.root == nil || k <= 0 {
-		return nil
-	}
-	type cand struct {
-		dist float64
-		data any
-	}
-	var best []cand
-	worst := math.Inf(1)
-	var walk func(n *node)
-	walk = func(n *node) {
-		if boxDistance(n.box, p) > worst && len(best) >= k {
-			return
-		}
-		if n.leaf {
-			for _, it := range n.items {
-				d := boxDistance(it.Box, p)
-				if len(best) < k || d < worst {
-					best = append(best, cand{d, it.Data})
-					sort.Slice(best, func(i, j int) bool { return best[i].dist < best[j].dist })
-					if len(best) > k {
-						best = best[:k]
-					}
-					if len(best) == k {
-						worst = best[k-1].dist
-					}
-				}
-			}
-			return
-		}
-		// Visit children nearest-first.
-		kids := append([]*node(nil), n.children...)
-		sort.Slice(kids, func(i, j int) bool {
-			return boxDistance(kids[i].box, p) < boxDistance(kids[j].box, p)
-		})
-		for _, c := range kids {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	out := make([]any, len(best))
-	for i, c := range best {
-		out[i] = c.data
-	}
-	return out
-}
-
-func boxDistance(b geom.Envelope, p geom.Point) float64 {
-	dx := math.Max(0, math.Max(b.MinX-p.X, p.X-b.MaxX))
-	dy := math.Max(0, math.Max(b.MinY-p.Y, p.Y-b.MaxY))
-	return math.Hypot(dx, dy)
-}
-
-// Height returns the tree height (0 for empty).
-func (t *Tree) Height() int {
-	h := 0
-	for n := t.root; n != nil; {
-		h++
-		if n.leaf {
-			break
-		}
-		n = n.children[0]
-	}
-	return h
 }

@@ -13,15 +13,25 @@ func box(x, y, w, h float64) geom.Envelope {
 	return geom.Envelope{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}
 }
 
+// searchSlice collects the payloads of all items intersecting the window.
+func searchSlice(t *Tree, window geom.Envelope) []any {
+	var out []any
+	t.Search(window, func(it Item) bool {
+		out = append(out, it.Data)
+		return true
+	})
+	return out
+}
+
 func TestEmptyTree(t *testing.T) {
 	tr := New()
 	if tr.Len() != 0 {
 		t.Fatal("new tree not empty")
 	}
-	if !tr.Bounds().IsEmpty() {
-		t.Fatal("empty tree bounds not empty")
+	if tr.root != nil {
+		t.Fatal("empty tree has a root")
 	}
-	got := tr.SearchSlice(box(0, 0, 100, 100))
+	got := searchSlice(tr, box(0, 0, 100, 100))
 	if len(got) != 0 {
 		t.Fatal("search on empty tree returned items")
 	}
@@ -41,7 +51,7 @@ func TestInsertAndSearch(t *testing.T) {
 		t.Fatalf("len = %d", tr.Len())
 	}
 	// Window covering the 2x2 block at (0,0)..(2,2).
-	got := tr.SearchSlice(box(-0.1, -0.1, 1.7, 1.7))
+	got := searchSlice(tr, box(-0.1, -0.1, 1.7, 1.7))
 	want := map[int]bool{0: true, 1: true, 10: true, 11: true}
 	if len(got) != len(want) {
 		t.Fatalf("got %d items: %v", len(got), got)
@@ -116,7 +126,7 @@ func TestDeleteAll(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatalf("len = %d after deleting all", tr.Len())
 	}
-	if got := tr.SearchSlice(box(-10, -10, 100, 100)); len(got) != 0 {
+	if got := searchSlice(tr, box(-10, -10, 100, 100)); len(got) != 0 {
 		t.Fatalf("emptied tree still returns %d items", len(got))
 	}
 }
@@ -140,8 +150,8 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 	}
 	for q := 0; q < 50; q++ {
 		w := box(r.Float64()*90, r.Float64()*90, 10, 10)
-		a := toInts(bulk.SearchSlice(w))
-		b := toInts(inc.SearchSlice(w))
+		a := toInts(searchSlice(bulk, w))
+		b := toInts(searchSlice(inc, w))
 		sort.Ints(a)
 		sort.Ints(b)
 		if fmt.Sprint(a) != fmt.Sprint(b) {
@@ -166,28 +176,9 @@ func TestBulkLoadEmptyAndTiny(t *testing.T) {
 	if tr.Len() != 1 {
 		t.Fatal("bulk load of one item")
 	}
-	got := tr.SearchSlice(box(0, 0, 3, 3))
+	got := searchSlice(tr, box(0, 0, 3, 3))
 	if len(got) != 1 || got[0] != "a" {
 		t.Fatalf("got %v", got)
-	}
-}
-
-func TestNearest(t *testing.T) {
-	tr := New()
-	for i := 0; i < 10; i++ {
-		tr.Insert(box(float64(i*10), 0, 1, 1), i)
-	}
-	got := toInts(tr.Nearest(geom.Point{X: 0, Y: 0}, 3))
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("nearest = %v", got)
-	}
-	// k larger than size.
-	all := tr.Nearest(geom.Point{X: 0, Y: 0}, 100)
-	if len(all) != 10 {
-		t.Fatalf("nearest with big k returned %d", len(all))
-	}
-	if tr.Nearest(geom.Point{}, 0) != nil {
-		t.Fatal("k=0 should return nil")
 	}
 }
 
@@ -195,7 +186,7 @@ func TestBoundsGrow(t *testing.T) {
 	tr := New()
 	tr.Insert(box(0, 0, 1, 1), 1)
 	tr.Insert(box(50, 50, 1, 1), 2)
-	b := tr.Bounds()
+	b := tr.root.box
 	if b.MinX != 0 || b.MaxX != 51 || b.MaxY != 51 {
 		t.Fatalf("bounds = %+v", b)
 	}
@@ -206,11 +197,15 @@ func TestHeightGrows(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		tr.Insert(box(float64(i%50), float64(i/50), 0.5, 0.5), i)
 	}
-	if h := tr.Height(); h < 2 {
+	h := 1
+	for n := tr.root; !n.leaf; n = n.children[0] {
+		h++
+	}
+	if h < 2 {
 		t.Fatalf("height = %d for 2000 items", h)
 	}
 	// All items findable after many splits.
-	got := tr.SearchSlice(box(-1, -1, 100, 100))
+	got := searchSlice(tr, box(-1, -1, 100, 100))
 	if len(got) != 2000 {
 		t.Fatalf("full scan found %d items", len(got))
 	}
@@ -252,7 +247,7 @@ func TestPropertyRandomInsertSearchDelete(t *testing.T) {
 				want = append(want, rc.i)
 			}
 		}
-		got := toInts(tr.SearchSlice(w))
+		got := toInts(searchSlice(tr, w))
 		sort.Ints(want)
 		sort.Ints(got)
 		if fmt.Sprint(want) != fmt.Sprint(got) {
@@ -291,8 +286,8 @@ func TestInsertAllMatchesInsert(t *testing.T) {
 	}
 	for q := 0; q < 50; q++ {
 		w := box(r.Float64()*90, r.Float64()*90, 10, 10)
-		a := toInts(batch.SearchSlice(w))
-		b := toInts(inc.SearchSlice(w))
+		a := toInts(searchSlice(batch, w))
+		b := toInts(searchSlice(inc, w))
 		sort.Ints(a)
 		sort.Ints(b)
 		if fmt.Sprint(a) != fmt.Sprint(b) {

@@ -66,26 +66,6 @@ func (e *Engine) Exec(src string) (*Frame, error) {
 	return e.ExecStmt(stmt)
 }
 
-// ExecScript executes a ';'-separated script, returning the frame of the
-// final SELECT (if any).
-func (e *Engine) ExecScript(src string) (*Frame, error) {
-	stmts, err := ParseScript(src)
-	if err != nil {
-		return nil, err
-	}
-	var last *Frame
-	for _, s := range stmts {
-		f, err := e.ExecStmt(s)
-		if err != nil {
-			return nil, err
-		}
-		if f != nil {
-			last = f
-		}
-	}
-	return last, nil
-}
-
 // ExecStmt executes a parsed statement.
 func (e *Engine) ExecStmt(stmt Stmt) (*Frame, error) {
 	switch s := stmt.(type) {

@@ -24,26 +24,6 @@ func ParseStmt(src string) (Stmt, error) {
 	return s, nil
 }
 
-// ParseScript parses a ';'-separated sequence of statements.
-func ParseScript(src string) ([]Stmt, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &sparser{toks: toks}
-	var out []Stmt
-	for p.cur().kind != tEOF {
-		s, err := p.statement()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-		for p.accept(tPunct, ";") {
-		}
-	}
-	return out, nil
-}
-
 type sparser struct {
 	toks []tok
 	pos  int

@@ -273,21 +273,6 @@ func TestInsertSelectIntoDeclaredArray(t *testing.T) {
 	}
 }
 
-func TestExecScript(t *testing.T) {
-	e := NewEngine()
-	f, err := e.ExecScript(`
-CREATE ARRAY a (x INTEGER DIMENSION [0:2], y INTEGER DIMENSION [0:2], v FLOAT);
-INSERT INTO a VALUES (0,0,1), (1,1,2);
-SELECT v FROM a;
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f == nil || f.W != 2 {
-		t.Fatalf("script result = %+v", f)
-	}
-}
-
 // figure4Query is the paper's Figure 4 hotspot-classification query with
 // its two listing typos fixed (stray ';' and the v018_mean alias).
 const figure4Query = `

@@ -100,28 +100,9 @@ func NewSimulator(sc *Scenario) *Simulator {
 	return s
 }
 
-// Transform exposes the chain's georeferencing transform (known a priori
-// in the operational service; Fit can re-derive it from control points).
+// Transform exposes the chain's georeferencing transform, known a priori
+// as in the operational service.
 func (s *Simulator) Transform() georef.Transform { return s.geoToRaw }
-
-// ControlPoints samples ground control points tying geo pixels to raw
-// pixels, for refitting the polynomial after satellite drift.
-func (s *Simulator) ControlPoints(n int) []georef.ControlPoint {
-	out := make([]georef.ControlPoint, 0, n)
-	side := int(math.Sqrt(float64(n))) + 1
-	for i := 0; i < side; i++ {
-		for j := 0; j < side && len(out) < n; j++ {
-			dx := float64(i) * float64(s.GeoWidth-1) / float64(side-1)
-			dy := float64(j) * float64(s.GeoHeight-1) / float64(side-1)
-			out = append(out, georef.ControlPoint{
-				DstX: dx, DstY: dy,
-				SrcX: s.geoToRaw.SrcX.Eval(dx, dy),
-				SrcY: s.geoToRaw.SrcY.Eval(dx, dy),
-			})
-		}
-	}
-	return out
-}
 
 // GeoTemperatures renders the two brightness-temperature fields on the
 // geographic grid at time t (the physical scene before scan distortion).

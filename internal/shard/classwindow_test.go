@@ -89,7 +89,7 @@ func blindRows(t *testing.T, src blindSource, text string, release func()) []str
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := stsparql.NewEvaluator(classBlind{src}).Select(q.Select)
+	res, err := selectAll(stsparql.NewEvaluator(classBlind{src}), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestClassWindowMatchesTypeProbe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := stsparql.NewEvaluator(o).Select(q.Select)
+		res, err := selectAll(stsparql.NewEvaluator(o), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestClassWindowMatchesTypeProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := stsparql.NewEvaluator(o).Select(q.Select)
+	res, err := selectAll(stsparql.NewEvaluator(o), q)
 	if err != nil {
 		t.Fatal(err)
 	}

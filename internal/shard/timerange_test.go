@@ -27,12 +27,24 @@ func oracleQuery(t *testing.T, st *strabon.Store, q string) *stsparql.Result {
 	}
 	st.RLock()
 	defer st.RUnlock()
-	ev := stsparql.NewEvaluatorWithCache(capabilityFree{strabon.View{st}}, st.GeomCache())
-	res, err := ev.Select(parsed.Select)
+	res, err := selectAll(stsparql.NewEvaluatorWithCache(capabilityFree{strabon.View{st}}, st.GeomCache()), parsed)
 	if err != nil {
 		t.Fatalf("oracle %s: %v", q, err)
 	}
 	return res
+}
+
+// selectAll compiles a SELECT on ev and drains it into a Result.
+func selectAll(ev *stsparql.Evaluator, q *stsparql.Query) (*stsparql.Result, error) {
+	cur, err := ev.RunCompiled(ev.Compile(q))
+	if err != nil {
+		return nil, err
+	}
+	res := stsparql.ReadAll(cur)
+	if err := cur.Close(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // verifyTimeIndexes checks every member store's time index against its

@@ -176,9 +176,6 @@ func (o *Overlay) MatchTimeRangeIDs(p rdf.ID, w stsparql.TimeWindow, visit func(
 	return o.all.MatchTimeRangeIDs(p, w, o.visible(visit))
 }
 
-// SpatialIndexEnabled implements stsparql.SpatialSource.
-func (o *Overlay) SpatialIndexEnabled() bool { return o.base.SpatialIndexEnabled() }
-
 // The statistics ignore the deleted set: they rank join orders and
 // never affect results.
 

@@ -60,7 +60,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/rdf"
@@ -94,8 +93,7 @@ type Store struct {
 	// unlock turns it into exactly one generation bump.
 	mutated bool
 
-	indexOn bool
-	index   *rtree.Tree
+	index *rtree.Tree
 	// geomEntries remembers what was inserted in the index, keyed by the
 	// encoded geometry triple, so RemoveEncoded can delete the exact
 	// entry again. The R-tree payload is the entry itself: a window hit
@@ -129,7 +127,7 @@ type Stats struct {
 	IndexHits     int
 }
 
-// New returns an empty store with the spatial index enabled and a
+// New returns an empty store with a spatial index and a
 // default-sized plan cache.
 func New() *Store {
 	return newStore(rdf.NewDictionary(), rdf.NewNamespaces(), stsparql.NewCache())
@@ -149,7 +147,6 @@ func newStore(dict *rdf.Dictionary, ns *rdf.Namespaces, cache *stsparql.Cache) *
 		ns:          ns,
 		cache:       cache,
 		plans:       stsparql.NewPlanCache(defaultPlanCacheSize),
-		indexOn:     true,
 		index:       rtree.New(),
 		geomEntries: make(map[rdf.EncodedTriple]*indexedGeom),
 		times:       make(map[rdf.ID]*timeRun),
@@ -176,14 +173,6 @@ func (s *Store) PlanStats() stsparql.PlanCacheStats {
 		return stsparql.PlanCacheStats{}
 	}
 	return s.plans.Stats()
-}
-
-// NewWithoutIndex returns a store with spatial index acceleration
-// disabled; used by the ablation benchmarks.
-func NewWithoutIndex() *Store {
-	s := New()
-	s.indexOn = false
-	return s
 }
 
 // Namespaces exposes the store's prefix table.
@@ -305,9 +294,6 @@ func (s *Store) PredicateCard(pred rdf.Term) (triples, distinctS, distinctO int)
 func (s *Store) StoreCard() (triples, subjects, predicates, objects int) {
 	return s.triples.StoreCard()
 }
-
-// SpatialIndexEnabled implements stsparql.SpatialSource.
-func (s *Store) SpatialIndexEnabled() bool { return s.indexOn }
 
 // MatchGeometryWindowIDs implements stsparql.SpatialSource: it streams
 // the encoded geometry triples whose envelope intersects the window,
@@ -597,12 +583,4 @@ func (s *Store) parseUpdate(src string) (*stsparql.Query, error) {
 	s.stats.Updates++
 	s.statsMu.Unlock()
 	return q, nil
-}
-
-// TimedUpdate executes an update and reports its wall-clock duration,
-// the measurement unit of the paper's Figure 8.
-func (s *Store) TimedUpdate(src string) (stsparql.UpdateStats, time.Duration, error) {
-	start := time.Now()
-	st, err := s.Update(src)
-	return st, time.Since(start), err
 }

@@ -80,17 +80,6 @@ func (v View) StoreCard() (triples, subjects, predicates, objects int) {
 	return
 }
 
-// SpatialIndexEnabled implements stsparql.SpatialSource: the window
-// path is available only when every member can serve it.
-func (v View) SpatialIndexEnabled() bool {
-	for _, m := range v {
-		if !m.SpatialIndexEnabled() {
-			return false
-		}
-	}
-	return true
-}
-
 // MatchGeometryWindowIDs implements stsparql.SpatialSource: every
 // member's R-tree is searched, with early stop propagating.
 func (v View) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) bool {

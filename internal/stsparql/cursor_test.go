@@ -37,16 +37,16 @@ func wideStore(n int) *rdf.Store {
 }
 
 // TestRunCursorMatchesSelect checks the streaming cursor yields exactly
-// the rows the materialising wrapper returns.
+// the rows ReadAll materialises from it.
 func TestRunCursorMatchesSelect(t *testing.T) {
 	src := clcFixture()
 	q := mustParse(t, `SELECT ?h ?c WHERE { ?h a noa:Hotspot ; noa:hasConfidence ?c . }`)
 
-	want, err := NewEvaluator(src).Select(q.Select)
+	want, err := selectAll(NewEvaluator(src), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := NewEvaluator(src).Run(q)
+	cur, err := openSelect(NewEvaluator(src), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCursorLimitStopsScan(t *testing.T) {
 	const n = 10000
 	src := &countingSource{Source: wideStore(n)}
 	q := mustParse(t, `PREFIX e: <http://e/> SELECT ?s ?o WHERE { ?s e:p ?o } LIMIT 10`)
-	cur, err := NewEvaluator(src).Run(q)
+	cur, err := openSelect(NewEvaluator(src), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCursorEarlyCloseStopsScan(t *testing.T) {
 	const n = 10000
 	src := &countingSource{Source: wideStore(n)}
 	q := mustParse(t, `PREFIX e: <http://e/> SELECT ?s ?o WHERE { ?s e:p ?o }`)
-	cur, err := NewEvaluator(src).Run(q)
+	cur, err := openSelect(NewEvaluator(src), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestAskStopsAtFirstSolution(t *testing.T) {
 	const n = 10000
 	src := &countingSource{Source: wideStore(n)}
 	q := mustParse(t, `PREFIX e: <http://e/> ASK { ?s e:p ?o }`)
-	ok, err := NewEvaluator(src).Ask(q.Ask)
+	ok, err := ask(NewEvaluator(src), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,27 +142,6 @@ func TestAskStopsAtFirstSolution(t *testing.T) {
 	}
 	if src.visited >= n/10 {
 		t.Fatalf("ask visited %d of %d triples; should stop at the first", src.visited, n)
-	}
-}
-
-// TestRunAskCursor checks the unified Run entry point wraps an ASK
-// verdict as a single-row cursor.
-func TestRunAskCursor(t *testing.T) {
-	src := clcFixture()
-	cur, err := NewEvaluator(src).Run(mustParse(t, `ASK { ?h a noa:Hotspot }`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	if fmt.Sprint(cur.Vars()) != "[ask]" {
-		t.Fatalf("vars = %v", cur.Vars())
-	}
-	row, ok := cur.Next()
-	if !ok || row[0].Value != "true" {
-		t.Fatalf("ask row = %v (ok=%v)", row, ok)
-	}
-	if _, ok := cur.Next(); ok {
-		t.Fatal("ask cursor yielded a second row")
 	}
 }
 

@@ -36,16 +36,16 @@ func TestOrderTopKMatchesFullSort(t *testing.T) {
 		} else {
 			dir = "ASC(?v) ?s"
 		}
-		full, err := NewEvaluator(src).Select(mustParse(t, fmt.Sprintf(
-			`SELECT ?s ?v WHERE { ?s <http://example.org/val> ?v . } ORDER BY %s`, dir)).Select)
+		full, err := selectAll(NewEvaluator(src), mustParse(t, fmt.Sprintf(
+			`SELECT ?s ?v WHERE { ?s <http://example.org/val> ?v . } ORDER BY %s`, dir)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []int{0, 1, 3, 10, 49, 50, 80} {
 			for _, offset := range []int{0, 5} {
-				limited, err := NewEvaluator(src).Select(mustParse(t, fmt.Sprintf(
+				limited, err := selectAll(NewEvaluator(src), mustParse(t, fmt.Sprintf(
 					`SELECT ?s ?v WHERE { ?s <http://example.org/val> ?v . } ORDER BY %s LIMIT %d OFFSET %d`,
-					dir, k, offset)).Select)
+					dir, k, offset)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,7 +165,7 @@ func TestAggMergeRecombination(t *testing.T) {
 		}
 		var partials []Row
 		for _, st := range []*rdf.Store{a, b} {
-			res, err := NewEvaluator(st).Select(am.Partial().Select)
+			res, err := selectAll(NewEvaluator(st), am.Partial())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +175,7 @@ func TestAggMergeRecombination(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewEvaluator(all).Select(q.Select)
+		want, err := selectAll(NewEvaluator(all), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestAggMergeRecombination(t *testing.T) {
 		}
 		var partials []Row
 		for _, st := range []*rdf.Store{a, b} {
-			res, err := NewEvaluator(st).Select(am.Partial().Select)
+			res, err := selectAll(NewEvaluator(st), am.Partial())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +228,7 @@ func TestAggMergeRecombination(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewEvaluator(all).Select(q.Select)
+		want, err := selectAll(NewEvaluator(all), q)
 		if err != nil {
 			t.Fatal(err)
 		}

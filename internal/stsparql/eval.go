@@ -35,8 +35,6 @@ type UpdatableSource interface {
 // which the engine uses to prune spatial-join candidates.
 type SpatialSource interface {
 	Source
-	// SpatialIndexEnabled reports whether the window path may be used.
-	SpatialIndexEnabled() bool
 	// MatchGeometryWindowIDs streams the encoded (subject,
 	// hasGeometry-pred, geometry) triples whose geometry envelope
 	// intersects env, reporting like MatchIDs whether it ran to its end.
@@ -274,44 +272,6 @@ func (e *Evaluator) begin(vars []string, seed []Row) {
 // unitSeed is the seed of an unprepared evaluation: one row binding
 // nothing.
 var unitSeed = []Row{{}}
-
-// Run compiles a SELECT or ASK query and returns a streaming cursor
-// over its solutions (an ASK yields one row binding "ask" to a boolean,
-// computed at the first solution — it never enumerates the rest). The
-// cursor must be Closed. Select and Ask are materialising wrappers over
-// the same pipeline.
-func (e *Evaluator) Run(q *Query) (Cursor, error) {
-	c := e.Compile(q)
-	switch {
-	case c.IsSelect():
-		return e.RunCompiled(c)
-	case c.IsAsk():
-		ok, err := e.AskCompiled(c)
-		if err != nil {
-			return nil, err
-		}
-		return MaterialisedCursor([]string{"ask"}, []Row{{rdf.NewBoolean(ok)}}), nil
-	default:
-		return nil, fmt.Errorf("stsparql: Run wants SELECT or ASK")
-	}
-}
-
-// Select evaluates a SELECT query, materialising the full result.
-func (e *Evaluator) Select(q *SelectQuery) (*Result, error) {
-	e.begin(nil, nil)
-	return e.newPlanner().planSelect(q, false).run(e, nil, unitSeed)
-}
-
-// Ask evaluates an ASK query; the pull pipeline stops at the first
-// live batch (whose first slab is batchSizeMin rows).
-func (e *Evaluator) Ask(q *AskQuery) (bool, error) {
-	e.begin(nil, nil)
-	plan := e.newPlanner().planGroupRoot(q.Where, false)
-	it := plan.open(e, seedIter(e.dict, plan.schema, nil, unitSeed))
-	defer it.close()
-	b, err := nextLive(it)
-	return b != nil, err
-}
 
 // UpdatePlan is a computed but not yet applied DELETE/INSERT request: the
 // WHERE solutions have been matched and both templates instantiated

@@ -115,7 +115,7 @@ func TestModifierGoldenCursor(t *testing.T) {
 	for _, tc := range modifierCorpus {
 		t.Run(tc.name, func(t *testing.T) {
 			want := renderResultGolden(runSelect(t, s, tc.query), tc.ordered)
-			cur, err := NewEvaluator(s).Run(mustParse(t, tc.query))
+			cur, err := openSelect(NewEvaluator(s), mustParse(t, tc.query))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -84,9 +84,9 @@ SELECT ?x ?pop WHERE {
 	}
 	// The two bound rows compare against each other; 2500 sorts before
 	// 1000 under DESC wherever the unbound block ends up.
-	var popOrder []int64
+	var popOrder []float64
 	for i := range res.Rows {
-		if v, ok := res.at(i, "pop").Integer(); ok {
+		if v, ok := res.at(i, "pop").Float(); ok {
 			popOrder = append(popOrder, v)
 		}
 	}

@@ -1410,7 +1410,7 @@ func newPatScan(e *Evaluator, op *joinOp, filters []*FilterElement, out func() *
 			sc.consts[i], sc.miss = id, sc.miss || !ok
 		}
 	}
-	sc.indexed = e.spatial != nil && op.pat.O.IsVar() && e.spatial.SpatialIndexEnabled()
+	sc.indexed = e.spatial != nil && op.pat.O.IsVar()
 	sc.geomPred = !op.pat.P.IsVar() && GeometryPredicates[op.pat.P.Term.Value]
 	if sc.indexed && !op.class.IsZero() {
 		sc.classOn = true

@@ -55,9 +55,8 @@ const (
 
 // planner compiles queries for one evaluator.
 type planner struct {
-	e       *Evaluator
-	stats   StatSource // nil when the source keeps no statistics
-	spatial bool
+	e     *Evaluator
+	stats StatSource // nil when the source keeps no statistics
 	// firstBatch is the first-batch size hint for the SELECT currently
 	// being compiled: when a pushed LIMIT bounds the reachable rows below
 	// batchSizeMin, scans open with a batch of that size so the early
@@ -79,7 +78,6 @@ func (e *Evaluator) newPlanner() *planner {
 		p.stats = st
 		p.totalTriples, p.totalSubj, p.totalPred, p.totalObj = st.StoreCard()
 	}
-	p.spatial = e.spatial != nil && e.spatial.SpatialIndexEnabled()
 	return p
 }
 
@@ -143,7 +141,7 @@ func (p *selectPlan) open(e *Evaluator, seedVars []string, seed []Row) (batchIte
 	return cur, vars
 }
 
-// run is the materialising wrapper behind Select, SelectPrepared and
+// run is the materialising wrapper behind SelectPrepared and
 // sub-selects.
 func (p *selectPlan) run(e *Evaluator, seedVars []string, seed []Row) (*Result, error) {
 	it, vars := p.open(e, seedVars, seed)
@@ -399,7 +397,7 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 				score++ // bound predicates: the POS index is effective
 			}
 			window := false
-			if p.spatial && score < 6 && !pat.P.IsVar() && GeometryPredicates[pat.P.Term.Value] &&
+			if p.e.spatial != nil && score < 6 && !pat.P.IsVar() && GeometryPredicates[pat.P.Term.Value] &&
 				pat.O.IsVar() && !bound[pat.O.Var] &&
 				spatialJoinReady(filters, applied, pat.O.Var, bound) {
 				score = 6

@@ -18,8 +18,6 @@ type spatialFixture struct {
 
 var _ SpatialSource = spatialFixture{}
 
-func (s spatialFixture) SpatialIndexEnabled() bool { return true }
-
 func (s spatialFixture) SubjectSets(p, o rdf.ID, dst []rdf.IDSet) []rdf.IDSet {
 	if set := s.SubjectSet(p, o); set.Len() > 0 {
 		dst = append(dst, set)
@@ -326,7 +324,7 @@ SELECT ?h ?p ?m WHERE {
 func runSelectSrc(t *testing.T, src Source, q string) *Result {
 	t.Helper()
 	parsed := mustParse(t, q)
-	res, err := NewEvaluator(src).Select(parsed.Select)
+	res, err := selectAll(NewEvaluator(src), parsed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +384,7 @@ func TestHashJoinMatchesBindJoin(t *testing.T) {
 	q := mustParse(t, `
 PREFIX e: <http://e/>
 SELECT ?a ?b WHERE { ?a a e:Thing ; e:linksTo ?b . ?b a e:Thing . }`)
-	res, err := NewEvaluator(s).Select(q.Select)
+	res, err := selectAll(NewEvaluator(s), q)
 	if err != nil {
 		t.Fatal(err)
 	}

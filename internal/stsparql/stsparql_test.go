@@ -79,13 +79,32 @@ func mustParse(t *testing.T, src string) *Query {
 	return q
 }
 
+// openSelect compiles a SELECT on e and opens its cursor.
+func openSelect(e *Evaluator, q *Query) (Cursor, error) { return e.RunCompiled(e.Compile(q)) }
+
+// selectAll compiles a SELECT on e and drains it into a Result.
+func selectAll(e *Evaluator, q *Query) (*Result, error) {
+	cur, err := openSelect(e, q)
+	if err != nil {
+		return nil, err
+	}
+	res := ReadAll(cur)
+	if err := cur.Close(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// ask compiles an ASK on e and evaluates it.
+func ask(e *Evaluator, q *Query) (bool, error) { return e.AskCompiled(e.Compile(q)) }
+
 func runSelect(t *testing.T, s *rdf.Store, src string) *Result {
 	t.Helper()
 	q := mustParse(t, src)
 	if q.Select == nil {
 		t.Fatalf("not a SELECT: %s", src)
 	}
-	res, err := NewEvaluator(s).Select(q.Select)
+	res, err := selectAll(NewEvaluator(s), q)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -370,7 +389,7 @@ ORDER BY DESC(?p) LIMIT 1`)
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	if p, _ := res.at(0, "p").Integer(); p != 2500 {
+	if p := res.at(0, "p"); p.Value != "2500" {
 		t.Fatalf("top population = %v", res.at(0, "p"))
 	}
 }
@@ -378,12 +397,12 @@ ORDER BY DESC(?p) LIMIT 1`)
 func TestAsk(t *testing.T) {
 	s := fixtureStore()
 	q := mustParse(t, `ASK { ?h a noa:Hotspot . }`)
-	got, err := NewEvaluator(s).Ask(q.Ask)
+	got, err := ask(NewEvaluator(s), q)
 	if err != nil || !got {
 		t.Fatalf("ask = %v, %v", got, err)
 	}
 	q2 := mustParse(t, `ASK { ?h a noa:Volcano . }`)
-	got2, err := NewEvaluator(s).Ask(q2.Ask)
+	got2, err := ask(NewEvaluator(s), q2)
 	if err != nil || got2 {
 		t.Fatalf("ask2 = %v, %v", got2, err)
 	}

@@ -63,7 +63,7 @@ func TestComputedTermKeepsOneID(t *testing.T) {
 	t.Run("distinct", func(t *testing.T) {
 		src := newSource(midScan)
 		q := mustParse(t, `PREFIX e: <http://e/> SELECT DISTINCT (str(?o) AS ?x) WHERE { ?s e:p ?o }`)
-		res, err := NewEvaluator(src).Select(q.Select)
+		res, err := selectAll(NewEvaluator(src), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestComputedTermKeepsOneID(t *testing.T) {
 	t.Run("group by", func(t *testing.T) {
 		src := newSource(midScan)
 		q := mustParse(t, `PREFIX e: <http://e/> SELECT ?x (COUNT(?s) AS ?n) WHERE { `+computedJoin+` } GROUP BY ?x`)
-		res, err := NewEvaluator(src).Select(q.Select)
+		res, err := selectAll(NewEvaluator(src), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestComputedTermKeepsOneID(t *testing.T) {
 	t.Run("filter", func(t *testing.T) {
 		src := newSource(midScan)
 		q := mustParse(t, `PREFIX e: <http://e/> SELECT ?s WHERE { `+computedJoin+` FILTER( ?x = "http://e/o" ) }`)
-		res, err := NewEvaluator(src).Select(q.Select)
+		res, err := selectAll(NewEvaluator(src), q)
 		if err != nil {
 			t.Fatal(err)
 		}
