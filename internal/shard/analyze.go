@@ -6,217 +6,63 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/strabon"
 	"repro/internal/stsparql"
 )
 
-// ExplainAnalyze executes a SELECT or ASK through the real routed
-// paths — fan-out with per-shard workers and the merge cursor, or the
-// union-view fallback — with every member evaluator's operators
-// instrumented, and renders the routing header (same shape as Explain)
-// followed by each shard's plan annotated with actuals and the merge
-// output count. Locking mirrors QueryStreamCtx exactly: read locks on
-// the relevant members for the duration of the drain, released before
-// rendering (the merge shutdown waits for the workers, so the trace
-// atomics are quiescent by the time they are read).
+// ExplainAnalyze runs a SELECT or ASK through the query path with
+// tracing on — the same routing, locks, evaluators and cursor as
+// QueryStreamCtx, each evaluator's operators instrumented — and renders
+// the routing header (Explain's, marked "(analyze)") followed by each
+// evaluation's plan annotated with actuals and the merged output count.
 func (s *Store) ExplainAnalyze(ctx context.Context, src string) (string, error) {
-	q, err := stsparql.Parse(src, s.ns)
+	q, err := s.parseQuery(ctx, src)
 	if err != nil {
 		return "", err
 	}
-	if q.Update != nil {
-		return "", fmt.Errorf("shard: ExplainAnalyze wants SELECT or ASK")
-	}
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	s.countQuery()
-	var where *stsparql.GroupPattern
-	if q.Select != nil {
-		where = q.Select.Where
-	} else {
-		where = q.Ask.Where
-	}
-	n := len(s.slices)
-	dec := s.analyzeGroup(where)
-	if !dec.fanout {
-		return s.analyzeUnion(ctx, src, q, n)
-	}
-	if q.Select == nil {
-		return s.analyzeAskFanout(ctx, src, q, dec, where, n)
-	}
-	fp, ok := planFanout(src, q)
-	if !ok {
-		return s.analyzeUnion(ctx, src, q, n)
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "shard fan-out: %d/%d slices %v merge=%s (analyze)\n",
-		len(dec.shards), n, dec.shards, fp.mode)
-	if len(dec.shards) < len(dec.keyShards) {
-		fmt.Fprintf(&b, "  (observed time ranges prune %v of window candidates %v)\n",
-			diffInts(dec.keyShards, dec.shards), dec.keyShards)
-	}
 	start := time.Now()
-	if len(dec.shards) == 0 {
-		b.WriteString("  (no slice intersects the query window)\n")
-		rows := 0
-		if fp.mode == fanAgg {
-			// The implicit group still owes its row (COUNT over nothing = 0).
-			res, err := fp.agg.Finalize(nil)
-			if err != nil {
-				return "", err
-			}
-			rows = len(res.Rows)
-		}
-		fmt.Fprintf(&b, "total: rows=%d time=%v\n", rows, time.Since(start).Round(time.Microsecond))
-		return b.String(), nil
+	r := s.routeQuery(src, q)
+	type traced struct {
+		idx int
+		c   *stsparql.Compiled
+		tr  *stsparql.ExecTrace
 	}
-	release := s.lockRead(dec.shards)
-	if !s.recheckFanout(where, dec) {
-		release()
-		return s.analyzeUnion(ctx, src, q, n)
-	}
-	evs := make([]*stsparql.Evaluator, len(dec.shards))
-	cs := make([]*stsparql.Compiled, len(dec.shards))
-	trs := make([]*stsparql.ExecTrace, len(dec.shards))
-	for i, idx := range dec.shards {
-		evs[i] = stsparql.NewEvaluatorWithCache(s.view(idx), s.cache)
-		cs[i] = evs[i].CompileASTCached(fp.key, s.genFor(idx), s.sliceCache(idx), fp.shardQ)
-		trs[i] = stsparql.NewExecTrace(cs[i])
-		evs[i].SetTrace(trs[i])
-	}
-	m := startMerge(ctx, fp, evs, cs, release)
-	rows, err := drainMerged(ctx, m)
-	if err != nil {
-		return "", err
-	}
-	// Workers have exited (Close waits on them), so the per-shard trace
-	// counters are final.
-	for i, idx := range dec.shards {
-		fmt.Fprintf(&b, "  shard[%d]:\n", idx)
-		b.WriteString(indentLines(trs[i].Render(cs[i]), "  "))
-	}
-	fmt.Fprintf(&b, "merge[%s]: rows=%d\n", fp.mode, rows)
-	fmt.Fprintf(&b, "total: rows=%d time=%v\n", rows, time.Since(start).Round(time.Microsecond))
-	return b.String(), nil
-}
-
-// analyzeUnion is the instrumented union-view fallback: one traced
-// evaluation over static plus every slice, under all member read locks.
-func (s *Store) analyzeUnion(ctx context.Context, src string, q *stsparql.Query, n int) (string, error) {
-	release := s.lockAllRead()
-	defer release()
-	ev := stsparql.NewEvaluatorWithCache(s.viewAll(), s.cache)
-	c := ev.CompileASTCached(src, s.genAll(), s.unionCache(), q)
-	tr := stsparql.NewExecTrace(c)
-	ev.SetTrace(tr)
-	var b strings.Builder
-	fmt.Fprintf(&b, "shard union: single evaluation over static+%d slices (analyze)\n", n)
-	start := time.Now()
-	switch {
-	case c.IsSelect():
-		cur, err := ev.RunCompiled(c)
-		if err != nil {
-			return "", err
-		}
-		rows, err := drainShardInner(ctx, cur)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(tr.Render(c))
-		fmt.Fprintf(&b, "total: rows=%d time=%v\n", rows, time.Since(start).Round(time.Microsecond))
-	case c.IsAsk():
-		ok, err := ev.AskCompiled(c)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(tr.Render(c))
-		fmt.Fprintf(&b, "total: ask=%v time=%v\n", ok, time.Since(start).Round(time.Microsecond))
-	default:
-		return "", fmt.Errorf("shard: unsupported query form")
-	}
-	return b.String(), nil
-}
-
-// analyzeAskFanout mirrors askFanout — eager shard-by-shard evaluation
-// under one lock acquisition, stopping at the first shard with a
-// solution — with each shard's plan traced and rendered.
-func (s *Store) analyzeAskFanout(ctx context.Context, src string, q *stsparql.Query, dec decision, where *stsparql.GroupPattern, n int) (string, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "shard fan-out: %d/%d slices %v merge=ask (analyze)\n", len(dec.shards), n, dec.shards)
-	if len(dec.shards) < len(dec.keyShards) {
-		fmt.Fprintf(&b, "  (observed time ranges prune %v of window candidates %v)\n",
-			diffInts(dec.keyShards, dec.shards), dec.keyShards)
-	}
-	start := time.Now()
-	if len(dec.shards) == 0 {
-		b.WriteString("  (no slice intersects the query window)\n")
-		fmt.Fprintf(&b, "total: ask=false time=%v\n", time.Since(start).Round(time.Microsecond))
-		return b.String(), nil
-	}
-	release := s.lockRead(dec.shards)
-	if !s.recheckFanout(where, dec) {
-		release()
-		return s.analyzeUnion(ctx, src, q, n)
-	}
-	defer release()
-	verdict := false
-	for _, idx := range dec.shards {
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
-		ev := stsparql.NewEvaluatorWithCache(s.view(idx), s.cache)
-		c := ev.CompileASTCached(src, s.genFor(idx), s.sliceCache(idx), q)
+	var evals []traced
+	cur, err := s.open(ctx, r, func(idx int, ev *stsparql.Evaluator, c *stsparql.Compiled) {
 		tr := stsparql.NewExecTrace(c)
 		ev.SetTrace(tr)
-		ok, err := ev.AskCompiled(c)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "  shard[%d]: ask=%v\n", idx, ok)
-		b.WriteString(indentLines(tr.Render(c), "  "))
-		if ok {
-			verdict = true
-			break
-		}
+		evals = append(evals, traced{idx, c, tr})
+	})
+	if err != nil {
+		return "", err
 	}
-	fmt.Fprintf(&b, "total: ask=%v time=%v\n", verdict, time.Since(start).Round(time.Microsecond))
+	// Drain closes the cursor, and a fan-out's Close waits for its
+	// workers, so the trace counters are final.
+	rows, verdict, err := strabon.Drain(cur)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	s.writeRoute(&b, r, " (analyze)")
+	for i, e := range evals {
+		switch {
+		case e.idx < 0:
+			b.WriteString(e.tr.Render(e.c))
+			continue
+		case cur.IsAsk():
+			// Shards answer in order until one says yes: only the last
+			// one evaluated can.
+			fmt.Fprintf(&b, "  shard[%d]: ask=%v\n", e.idx, i == len(evals)-1 && verdict == "true")
+		default:
+			fmt.Fprintf(&b, "  shard[%d]:\n", e.idx)
+		}
+		b.WriteString(indentLines(e.tr.Render(e.c), "  "))
+	}
+	if r.fp != nil && len(evals) > 0 {
+		fmt.Fprintf(&b, "merge[%s]: rows=%d\n", r.fp.mode, rows)
+	}
+	b.WriteString(strabon.Total(rows, verdict, start))
 	return b.String(), nil
-}
-
-// drainMerged pulls the merge cursor dry and closes it (Close waits for
-// the workers and releases the shard read locks), returning the merged
-// row count. mergeCursor.Next checks ctx itself on every pull.
-func drainMerged(ctx context.Context, m *mergeCursor) (int, error) {
-	defer m.Close()
-	n := 0
-	for {
-		if _, ok := m.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if err := m.Close(); err != nil {
-		return n, err
-	}
-	return n, ctx.Err()
-}
-
-// drainShardInner pulls a member-level cursor dry under per-row context
-// checks and closes it.
-func drainShardInner(ctx context.Context, cur stsparql.Cursor) (int, error) {
-	defer cur.Close()
-	n := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return n, err
-		}
-		if _, ok := cur.Next(); !ok {
-			break
-		}
-		n++
-	}
-	return n, cur.Close()
 }
 
 // indentLines prefixes every non-empty line of s.

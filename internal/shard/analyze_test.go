@@ -72,6 +72,45 @@ func TestShardExplainAnalyzeFanout(t *testing.T) {
 	}
 }
 
+// TestShardExplainAnalyzeMatchesStream holds EXPLAIN ANALYZE to the
+// query path on every corpus text at 1, 2 and 4 slices: its total is
+// what QueryStreamCtx yields, and its header is Explain's routing line
+// marked "(analyze)".
+func TestShardExplainAnalyzeMatchesStream(t *testing.T) {
+	for _, n := range []int{1, 2, 4} {
+		sh := newSharded(n)
+		loadFixture(sh)
+		check := func(name, text, total string) {
+			plan, err := sh.Explain(text)
+			if err != nil {
+				t.Fatalf("%s on sharded%d: %v", name, n, err)
+			}
+			out, err := sh.ExplainAnalyze(context.Background(), text)
+			if err != nil {
+				t.Fatalf("%s on sharded%d: %v", name, n, err)
+			}
+			planHead, _, _ := strings.Cut(plan, "\n")
+			outHead, _, _ := strings.Cut(out, "\n")
+			if outHead != planHead+" (analyze)" {
+				t.Errorf("%s on sharded%d: analyze header %q, Explain header %q", name, n, outHead, planHead)
+			}
+			if !strings.Contains(out, "\n"+total+" time=") {
+				t.Errorf("%s on sharded%d: want %q, the query path's count:\n%s", name, n, total, out)
+			}
+		}
+		for _, c := range corpus {
+			check(c.name, c.query, "total: rows="+itoa(drainCount(t, sh, c.query)))
+		}
+		for _, c := range askCorpus {
+			res, err := runQuery(sh, c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(c.name, c.query, "total: ask="+res.Rows[0][0].Value)
+		}
+	}
+}
+
 func TestShardExplainAnalyzeUnionFallback(t *testing.T) {
 	sh := newSharded(4)
 	loadFixture(sh)

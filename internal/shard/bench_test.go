@@ -31,6 +31,9 @@ func BenchmarkShardedQueries(b *testing.B) {
 		mk   func() strabon.API
 	}{
 		{"single", func() strabon.API { return strabon.New() }},
+		{"sharded1", func() strabon.API {
+			return New(Config{Slices: 1, Width: time.Hour, Epoch: day})
+		}},
 		{"sharded4", func() strabon.API {
 			return New(Config{Slices: 4, Width: time.Hour, Epoch: day})
 		}},

@@ -14,7 +14,7 @@ import (
 
 // Fan-out execution: one worker goroutine per relevant shard pulls that
 // shard's cursor and feeds a buffered channel; the merge cursor combines
-// the streams per the query shape. The caller (fanoutStream) acquires
+// the streams per the query shape. The caller (routeQuery) acquires
 // the read locks before the workers start and the merge cursor releases
 // them at shutdown — after every worker has exited, since workers scan
 // the locked stores.
@@ -109,60 +109,6 @@ func planFanout(src string, q *stsparql.Query) (*fanPlan, bool) {
 	return fp, true
 }
 
-// listCursor is a materialised QueryCursor (ASK verdicts, recombined
-// aggregates, empty prunes).
-type listCursor struct {
-	vars    []string
-	rows    []stsparql.Row
-	pos     int
-	yielded int
-	ask     bool
-	err     error
-
-	vec       resultcache.GenVector
-	hasVec    bool
-	cacheable bool
-}
-
-func (c *listCursor) Vars() []string { return c.vars }
-func (c *listCursor) IsAsk() bool    { return c.ask }
-func (c *listCursor) Err() error     { return c.err }
-func (c *listCursor) Rows() int      { return c.yielded }
-
-// setCacheVector attaches the generation vector the rows were derived
-// under; cacheable=false (SAMPLE plans) keeps the result out of caches.
-func (c *listCursor) setCacheVector(v resultcache.GenVector, cacheable bool) {
-	c.vec, c.hasVec, c.cacheable = v, true, cacheable
-}
-
-// CacheVector implements strabon.CacheInfo.
-func (c *listCursor) CacheVector() (resultcache.GenVector, bool) {
-	return c.vec, c.hasVec && c.cacheable
-}
-
-func (c *listCursor) Next() (stsparql.Row, bool) {
-	if c.pos >= len(c.rows) {
-		return nil, false
-	}
-	r := c.rows[c.pos]
-	c.pos++
-	c.yielded++
-	return r, true
-}
-
-func (c *listCursor) Close() error {
-	c.pos = len(c.rows)
-	return c.err
-}
-
-func askResult(ok bool) *listCursor {
-	return &listCursor{
-		vars: []string{"ask"},
-		rows: []stsparql.Row{{rdf.NewBoolean(ok)}},
-		ask:  true,
-	}
-}
-
 // chunkRows is the rows per worker-to-merger transfer, amortising the
 // channel synchronisation over many rows.
 const chunkRows = 128
@@ -209,8 +155,8 @@ type mergeCursor struct {
 	vars    []string
 	order   *stsparql.OrderKeys // fanOrdered
 
-	cur int         // concat: current stream
-	agg *listCursor // fanAgg: recombined output
+	cur int             // concat: current stream
+	agg stsparql.Cursor // fanAgg: recombined output
 
 	seen             map[string]bool
 	kb               []byte
@@ -225,8 +171,8 @@ type mergeCursor struct {
 	closed bool
 }
 
-// CacheVector implements strabon.CacheInfo: the generation vector
-// fanoutStream captured under the shard read locks, before the workers
+// CacheVector implements strabon.QueryCursor: the generation vector
+// routeQuery captured under the shard read locks, before the workers
 // started reading.
 func (m *mergeCursor) CacheVector() (resultcache.GenVector, bool) {
 	return m.vec, m.cacheable
@@ -491,7 +437,7 @@ func (m *mergeCursor) finalizeAgg() bool {
 		m.err = err
 		return false
 	}
-	m.agg = &listCursor{vars: res.Vars, rows: res.Rows}
+	m.agg = stsparql.MaterialisedCursor(res.Vars, res.Rows)
 	return true
 }
 
@@ -519,69 +465,4 @@ func (m *mergeCursor) Close() error {
 	return m.err
 }
 
-// unionCursor wraps a single union-view evaluation, holding every
-// member read lock until Close.
-type unionCursor struct {
-	inner   stsparql.Cursor
-	ctx     context.Context
-	release func()
-	yielded int
-	err     error
-	closed  bool
-
-	vec       resultcache.GenVector
-	cacheable bool
-}
-
-// CacheVector implements strabon.CacheInfo: the full generation vector
-// captured under every member's read lock.
-func (c *unionCursor) CacheVector() (resultcache.GenVector, bool) {
-	return c.vec, c.cacheable
-}
-
-var _ strabon.QueryCursor = (*unionCursor)(nil)
 var _ strabon.QueryCursor = (*mergeCursor)(nil)
-var _ strabon.QueryCursor = (*listCursor)(nil)
-
-func (c *unionCursor) Vars() []string { return c.inner.Vars() }
-func (c *unionCursor) IsAsk() bool    { return false }
-func (c *unionCursor) Rows() int      { return c.yielded }
-
-func (c *unionCursor) Next() (stsparql.Row, bool) {
-	if c.closed || c.err != nil {
-		return nil, false
-	}
-	if err := c.ctx.Err(); err != nil {
-		c.err = err
-		c.releaseNow()
-		return nil, false
-	}
-	row, ok := c.inner.Next()
-	if ok {
-		c.yielded++
-	}
-	return row, ok
-}
-
-func (c *unionCursor) Err() error {
-	if c.err != nil {
-		return c.err
-	}
-	return c.inner.Err()
-}
-
-func (c *unionCursor) releaseNow() {
-	c.inner.Close()
-	if c.release != nil {
-		c.release()
-		c.release = nil
-	}
-}
-
-func (c *unionCursor) Close() error {
-	if !c.closed {
-		c.closed = true
-		c.releaseNow()
-	}
-	return c.Err()
-}

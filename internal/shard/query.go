@@ -5,9 +5,15 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/resultcache"
 	"repro/internal/strabon"
 	"repro/internal/stsparql"
 )
+
+// A query runs in two steps that QueryStreamCtx, Explain and
+// ExplainAnalyze share: routeQuery decides where it evaluates and takes
+// the read locks that evaluation needs, and open starts the evaluation
+// and hands the locks to the cursor it returns.
 
 // QueryStream parses, routes and starts a SELECT or ASK, returning a
 // streaming cursor. See QueryStreamCtx.
@@ -18,9 +24,19 @@ func (s *Store) QueryStream(src string) (strabon.QueryCursor, error) {
 // QueryStreamCtx routes a query per the fan-out analysis and returns a
 // streaming cursor over the merged result. The cursor holds read locks
 // on the static store and every shard it fans out to (all of them for a
-// union-view evaluation) until Close; cancelling ctx stops the merge at
+// union-view evaluation) until Close; cancelling ctx stops the cursor at
 // the next row pull and releases the locks.
 func (s *Store) QueryStreamCtx(ctx context.Context, src string) (strabon.QueryCursor, error) {
+	q, err := s.parseQuery(ctx, src)
+	if err != nil {
+		return nil, err
+	}
+	return s.open(ctx, s.routeQuery(src, q), nil)
+}
+
+// parseQuery parses a SELECT or ASK, refuses a context already done and
+// counts the query.
+func (s *Store) parseQuery(ctx context.Context, src string) (*stsparql.Query, error) {
 	q, err := stsparql.Parse(src, s.ns)
 	if err != nil {
 		return nil, err
@@ -32,53 +48,67 @@ func (s *Store) QueryStreamCtx(ctx context.Context, src string) (strabon.QueryCu
 		return nil, err
 	}
 	s.countQuery()
-	// Result-cacheability is an AST property (SAMPLE shapes); the
-	// cursor pairs it with the generation vector captured under locks.
-	cacheable := stsparql.Cacheable(q)
-	switch {
-	case q.Select != nil:
-		dec := s.analyzeGroup(q.Select.Where)
-		if !dec.fanout {
-			return s.unionStream(ctx, src, q, cacheable)
-		}
-		return s.fanoutStream(ctx, src, q, dec, q.Select.Where, cacheable)
-	default: // ASK
-		dec := s.analyzeGroup(q.Ask.Where)
-		if !dec.fanout {
-			return s.unionStream(ctx, src, q, cacheable)
-		}
-		return s.askFanout(ctx, src, q, dec, q.Ask.Where, cacheable)
+	return q, nil
+}
+
+// routed is one query's routing verdict, re-checked under the read
+// locks its evaluation runs under.
+type routed struct {
+	src string
+	q   *stsparql.Query
+	// dec.fanout is false for the union view; dec.shards are the slices
+	// a fan-out evaluates.
+	dec decision
+	// fp is a fanned-out SELECT's per-shard query and merge strategy; nil
+	// for the union view and for an ASK.
+	fp *fanPlan
+	// release frees the read locks. It is nil when a fan-out reads no
+	// slice: the result reads no slice data, so no lock is taken.
+	release func()
+	// vec is the generation vector the result derives from.
+	vec resultcache.GenVector
+}
+
+func (r *routed) unlock() {
+	if r.release != nil {
+		r.release()
 	}
 }
 
-// unionStream evaluates once over the union view of every member store
-// — the exact fallback for queries the analysis cannot decompose.
-func (s *Store) unionStream(ctx context.Context, src string, q *stsparql.Query, cacheable bool) (strabon.QueryCursor, error) {
-	release := s.lockAllRead()
-	vec := s.fullVector()
-	ev := stsparql.NewEvaluatorWithCache(s.viewAll(), s.cache)
-	c := ev.CompileASTCached(src, s.genAll(), s.unionCache(), q)
-	switch {
-	case c.IsSelect():
-		cur, err := ev.RunCompiled(c)
-		if err != nil {
-			release()
-			return nil, err
-		}
-		return &unionCursor{inner: cur, ctx: ctx, release: release, vec: vec, cacheable: cacheable}, nil
-	case c.IsAsk():
-		ok, err := ev.AskCompiled(c)
-		release()
-		if err != nil {
-			return nil, err
-		}
-		res := askResult(ok)
-		res.setCacheVector(vec, cacheable)
-		return res, nil
-	default:
-		release()
-		return nil, fmt.Errorf("shard: unsupported query form")
+// routeQuery runs the fan-out analysis, takes the read locks of the
+// evaluation it chooses and re-checks the choice under them (see
+// recheckFanout): a write landing between the analysis and the locks
+// sends the query to the union view. A fan-out's cache vector is
+// captured BEFORE the recheck: a write racing past the analysis
+// publishes its routing knowledge before bumping any member generation,
+// so either the recheck sees it (union fallback) or the vector predates
+// it (the cache entry invalidates). That ordering is what makes the
+// lock-free path of a window that excludes every slice sound.
+func (s *Store) routeQuery(src string, q *stsparql.Query) routed {
+	var where *stsparql.GroupPattern
+	if q.Select != nil {
+		where = q.Select.Where
+	} else {
+		where = q.Ask.Where
 	}
+	r := routed{src: src, q: q, dec: s.analyzeGroup(where)}
+	if r.dec.fanout && q.Select != nil {
+		r.fp, r.dec.fanout = planFanout(src, q)
+	}
+	if r.dec.fanout {
+		if len(r.dec.shards) > 0 {
+			r.release = s.lockRead(r.dec.shards)
+		}
+		r.vec = s.fanVector(r.dec.keyShards)
+		if s.recheckFanout(where, r.dec) {
+			return r
+		}
+		r.unlock()
+	}
+	r.dec, r.fp = decision{}, nil
+	r.release = s.lockAllRead()
+	r.vec = s.fullVector()
+	return r
 }
 
 // recheckFanout re-runs the routing analysis with the member read locks
@@ -86,8 +116,7 @@ func (s *Store) unionStream(ctx context.Context, src string, q *stsparql.Query, 
 // knowledge only grows toward the union fallback (the split latch is
 // one-way, predicate provenance only gains members), so a write landing
 // between the unlocked analysis and the lock acquisition can invalidate
-// a fan-out decision — never create one. On mismatch the caller
-// releases and evaluates over the union view.
+// a fan-out decision — never create one.
 func (s *Store) recheckFanout(where *stsparql.GroupPattern, dec decision) bool {
 	dec2 := s.analyzeGroup(where)
 	if !dec2.fanout || len(dec2.shards) != len(dec.shards) {
@@ -101,163 +130,145 @@ func (s *Store) recheckFanout(where *stsparql.GroupPattern, dec decision) bool {
 	return true
 }
 
-// fanoutStream compiles the (possibly rewritten) per-shard query against
-// every relevant slice view and merges the concurrent shard cursors.
-func (s *Store) fanoutStream(ctx context.Context, src string, q *stsparql.Query, dec decision, where *stsparql.GroupPattern, cacheable bool) (strabon.QueryCursor, error) {
-	fp, ok := planFanout(src, q)
-	if !ok {
-		return s.unionStream(ctx, src, q, cacheable)
-	}
-	if len(dec.shards) == 0 {
-		// The window (or the observed ranges) excludes every slice; the
-		// result reads no slice data, so no locks are needed. The cache
-		// vector is captured BEFORE the recheck: a write racing past the
-		// analysis publishes its routing knowledge before bumping any
-		// member generation, so either the recheck sees it (union
-		// fallback) or the vector predates it (entry invalidates).
-		vec := s.fanVector(dec.keyShards)
-		if !s.recheckFanout(where, dec) {
-			return s.unionStream(ctx, src, q, cacheable)
+// open starts the evaluation r routes to and returns its cursor, which
+// owns r's read locks: one evaluation over the union view, a merge of
+// concurrent per-slice evaluations, or an ASK answered shard by shard.
+// hook, if not nil, sees every evaluator open creates, with its plan,
+// before it runs — its slice index, or -1 for the union view;
+// ExplainAnalyze attaches its traces there.
+func (s *Store) open(ctx context.Context, r routed, hook func(idx int, ev *stsparql.Evaluator, c *stsparql.Compiled)) (strabon.QueryCursor, error) {
+	// Result-cacheability is an AST property (SAMPLE shapes); the
+	// cursor pairs it with the generation vector captured under locks.
+	cacheable := stsparql.Cacheable(r.q)
+	compile := func(idx int, key string, q *stsparql.Query) (*stsparql.Evaluator, *stsparql.Compiled) {
+		var ev *stsparql.Evaluator
+		var c *stsparql.Compiled
+		if idx < 0 {
+			ev = stsparql.NewEvaluatorWithCache(s.viewAll(), s.cache)
+			c = ev.CompileASTCached(key, s.genAll(), s.unionCache(), q)
+		} else {
+			ev = stsparql.NewEvaluatorWithCache(s.view(idx), s.cache)
+			c = ev.CompileASTCached(key, s.genFor(idx), s.sliceCache(idx), q)
 		}
-		// Grouped queries still owe their implicit group (COUNT over
-		// nothing = 0).
-		cur := &listCursor{vars: fp.vars}
-		if fp.mode == fanAgg {
-			res, err := fp.agg.Finalize(nil)
+		if hook != nil {
+			hook(idx, ev, c)
+		}
+		return ev, c
+	}
+
+	if r.q.Ask != nil {
+		// Eager, under one lock acquisition, stopping at the first shard
+		// with a solution. Cancellation is honoured between shards — the
+		// blast radius of a cancelled context is one shard's evaluation.
+		defer r.unlock()
+		idxs := r.dec.shards
+		if !r.dec.fanout {
+			idxs = []int{-1}
+		}
+		verdict := false
+		for _, idx := range idxs {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			ev, c := compile(idx, r.src, r.q)
+			ok, err := ev.AskCompiled(c)
 			if err != nil {
 				return nil, err
 			}
-			cur = &listCursor{vars: res.Vars, rows: res.Rows}
+			if verdict = ok; ok {
+				break
+			}
 		}
-		cur.setCacheVector(vec, cacheable)
-		return cur, nil
+		return strabon.NewCursor(ctx, stsparql.AskCursor(verdict), true, nil, r.vec, cacheable), nil
 	}
-	release := s.lockRead(dec.shards)
-	vec := s.fanVector(dec.keyShards)
-	if !s.recheckFanout(where, dec) {
-		release()
-		return s.unionStream(ctx, src, q, cacheable)
-	}
-	evs := make([]*stsparql.Evaluator, len(dec.shards))
-	cs := make([]*stsparql.Compiled, len(dec.shards))
-	for i, idx := range dec.shards {
-		evs[i] = stsparql.NewEvaluatorWithCache(s.view(idx), s.cache)
-		cs[i] = evs[i].CompileASTCached(fp.key, s.genFor(idx), s.sliceCache(idx), fp.shardQ)
-	}
-	m := startMerge(ctx, fp, evs, cs, release)
-	m.vec, m.cacheable = vec, cacheable
-	return m, nil
-}
 
-// askFanout evaluates an ASK shard by shard under one lock acquisition,
-// stopping at the first shard with a solution. Cancellation is honoured
-// between shards — the blast radius of a cancelled context is one
-// shard's eager evaluation.
-func (s *Store) askFanout(ctx context.Context, src string, q *stsparql.Query, dec decision, where *stsparql.GroupPattern, cacheable bool) (strabon.QueryCursor, error) {
-	if len(dec.shards) == 0 {
-		// Lock-free path; see fanoutStream for the capture-ordering
-		// argument.
-		vec := s.fanVector(dec.keyShards)
-		if !s.recheckFanout(where, dec) {
-			return s.unionStream(ctx, src, q, cacheable)
-		}
-		res := askResult(false)
-		res.setCacheVector(vec, cacheable)
-		return res, nil
-	}
-	release := s.lockRead(dec.shards)
-	vec := s.fanVector(dec.keyShards)
-	if !s.recheckFanout(where, dec) {
-		release()
-		return s.unionStream(ctx, src, q, cacheable)
-	}
-	defer release()
-	for _, idx := range dec.shards {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ev := stsparql.NewEvaluatorWithCache(s.view(idx), s.cache)
-		c := ev.CompileASTCached(src, s.genFor(idx), s.sliceCache(idx), q)
-		ok, err := ev.AskCompiled(c)
+	switch {
+	case !r.dec.fanout:
+		ev, c := compile(-1, r.src, r.q)
+		cur, err := ev.RunCompiled(c)
 		if err != nil {
+			r.unlock()
 			return nil, err
 		}
-		if ok {
-			res := askResult(true)
-			res.setCacheVector(vec, cacheable)
-			return res, nil
+		return strabon.NewCursor(ctx, cur, false, r.release, r.vec, cacheable), nil
+	case len(r.dec.shards) == 0:
+		// The window (or the observed ranges) excludes every slice.
+		// Grouped queries still owe their implicit group (COUNT over
+		// nothing = 0).
+		rows := stsparql.MaterialisedCursor(r.fp.vars, nil)
+		if r.fp.mode == fanAgg {
+			res, err := r.fp.agg.Finalize(nil)
+			if err != nil {
+				return nil, err
+			}
+			rows = stsparql.MaterialisedCursor(res.Vars, res.Rows)
 		}
+		return strabon.NewCursor(ctx, rows, false, nil, r.vec, cacheable), nil
 	}
-	res := askResult(false)
-	res.setCacheVector(vec, cacheable)
-	return res, nil
+	evs := make([]*stsparql.Evaluator, len(r.dec.shards))
+	cs := make([]*stsparql.Compiled, len(r.dec.shards))
+	for i, idx := range r.dec.shards {
+		evs[i], cs[i] = compile(idx, r.fp.key, r.fp.shardQ)
+	}
+	m := startMerge(ctx, r.fp, evs, cs, r.release)
+	m.vec, m.cacheable = r.vec, cacheable
+	return m, nil
 }
 
 // Explain renders the routing decision — fan-out with the relevant
 // shard set and merge strategy, or the union-view fallback — followed
-// by the member-level evaluation plan.
+// by the member-level evaluation plan, taken under the read locks the
+// query would run under.
 func (s *Store) Explain(src string) (string, error) {
 	q, err := stsparql.Parse(src, s.ns)
 	if err != nil {
 		return "", err
 	}
+	var r routed
+	if q.Update != nil {
+		// Updates always plan over the union view (see Update).
+		r = routed{q: q, release: s.lockAllRead()}
+	} else {
+		r = s.routeQuery(src, q)
+	}
+	defer r.unlock()
 	var b strings.Builder
+	s.writeRoute(&b, r, "")
+	ev, query := stsparql.NewEvaluatorWithCache(s.viewAll(), s.cache), q
+	if r.dec.fanout {
+		if len(r.dec.shards) == 0 {
+			return b.String(), nil
+		}
+		ev = stsparql.NewEvaluatorWithCache(s.view(r.dec.shards[0]), s.cache)
+		if r.fp != nil {
+			query = r.fp.shardQ
+		}
+	}
+	plan, err := ev.Explain(query)
+	b.WriteString(plan)
+	return b.String(), err
+}
+
+// writeRoute renders the routing header Explain opens with;
+// ExplainAnalyze repeats it with mark " (analyze)" on its first line.
+func (s *Store) writeRoute(b *strings.Builder, r routed, mark string) {
 	n := len(s.slices)
-
-	// inner appends the member-level plan to the routing header and
-	// returns the whole rendering.
-	inner := func(idxs []int, query *stsparql.Query) (string, error) {
-		var ev *stsparql.Evaluator
-		var release func()
-		if idxs == nil {
-			release = s.lockAllRead()
-			ev = stsparql.NewEvaluatorWithCache(s.viewAll(), s.cache)
-		} else {
-			release = s.lockRead(idxs[:1])
-			ev = stsparql.NewEvaluatorWithCache(s.view(idxs[0]), s.cache)
-		}
-		defer release()
-		plan, err := ev.Explain(query)
-		b.WriteString(plan)
-		return b.String(), err
+	if !r.dec.fanout {
+		fmt.Fprintf(b, "shard union: single evaluation over static+%d slices%s\n", n, mark)
+		return
 	}
-
-	// Updates always plan over the union view (see Update).
-	var where *stsparql.GroupPattern
-	switch {
-	case q.Select != nil:
-		where = q.Select.Where
-	case q.Ask != nil:
-		where = q.Ask.Where
-	case q.Update != nil:
-		fmt.Fprintf(&b, "shard union: single evaluation over static+%d slices\n", n)
-		return inner(nil, q)
+	merge := "ask"
+	if r.fp != nil {
+		merge = r.fp.mode.String()
 	}
-	dec := s.analyzeGroup(where)
-
-	shardQ, merge := q, "ask"
-	if dec.fanout && q.Select != nil {
-		fp, ok := planFanout(src, q)
-		if !ok {
-			dec.fanout = false
-		} else {
-			shardQ, merge = fp.shardQ, fp.mode.String()
-		}
+	fmt.Fprintf(b, "shard fan-out: %d/%d slices %v merge=%s%s\n", len(r.dec.shards), n, r.dec.shards, merge, mark)
+	if len(r.dec.shards) < len(r.dec.keyShards) {
+		fmt.Fprintf(b, "  (observed time ranges prune %v of window candidates %v)\n",
+			diffInts(r.dec.keyShards, r.dec.shards), r.dec.keyShards)
 	}
-	if !dec.fanout {
-		fmt.Fprintf(&b, "shard union: single evaluation over static+%d slices\n", n)
-		return inner(nil, q)
-	}
-	fmt.Fprintf(&b, "shard fan-out: %d/%d slices %v merge=%s\n", len(dec.shards), n, dec.shards, merge)
-	if len(dec.shards) < len(dec.keyShards) {
-		fmt.Fprintf(&b, "  (observed time ranges prune %v of window candidates %v)\n",
-			diffInts(dec.keyShards, dec.shards), dec.keyShards)
-	}
-	if len(dec.shards) == 0 {
+	if len(r.dec.shards) == 0 {
 		b.WriteString("  (no slice intersects the query window)\n")
-		return b.String(), nil
 	}
-	return inner(dec.shards, shardQ)
 }
 
 // diffInts returns the members of a absent from b (both ascending).

@@ -90,10 +90,9 @@ type scopeInfo struct {
 func newScope() *scopeInfo { return &scopeInfo{timeVars: make(map[string]bool)} }
 
 type walker struct {
-	timePred string
-	pats     []*patCtx
-	root     *scopeInfo
-	bad      bool
+	pats []*patCtx
+	root *scopeInfo
+	bad  bool
 }
 
 func (w *walker) walk(gp *stsparql.GroupPattern, sc *scopeInfo, required bool) {
@@ -105,7 +104,7 @@ func (w *walker) walk(gp *stsparql.GroupPattern, sc *scopeInfo, required bool) {
 		case *stsparql.BGPElement:
 			for _, p := range v.Patterns {
 				w.pats = append(w.pats, &patCtx{pat: p, required: required})
-				if !p.P.IsVar() && p.P.Term.Value == w.timePred && p.O.IsVar() {
+				if !p.P.IsVar() && p.P.Term.Value == timePredicate && p.O.IsVar() {
 					sc.timeVars[p.O.Var] = true
 				}
 			}
@@ -188,7 +187,7 @@ func (s *Store) analyzeGroup(gp *stsparql.GroupPattern) decision {
 	if s.split.Load() {
 		return union
 	}
-	w := &walker{timePred: s.cfg.TimePredicate, root: newScope()}
+	w := &walker{root: newScope()}
 	w.walk(gp, w.root, true)
 	if w.bad || len(w.pats) == 0 {
 		return union

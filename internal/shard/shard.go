@@ -79,17 +79,18 @@ type Config struct {
 	Width time.Duration
 	// Epoch aligns bucket boundaries (default 2000-01-01T00:00:00Z).
 	Epoch time.Time
-	// TimePredicate is the acquisition-timestamp predicate routing
-	// triple groups (default noa:hasAcquisitionDateTime).
-	TimePredicate string
-	// PlanCacheSize bounds each per-shard compiled-plan cache
-	// (default 256; <0 disables).
-	PlanCacheSize int
 }
+
+// timePredicate is the acquisition-timestamp predicate routing triple
+// groups.
+const timePredicate = ontology.PropAcquisitionDateTime
+
+// planCacheSize bounds each compiled-plan cache until SetPlanCacheSize
+// replaces them.
+const planCacheSize = 256
 
 // Store is the sharded Strabon store. It implements strabon.API.
 type Store struct {
-	cfg    Config
 	width  int64 // bucket width, seconds
 	epoch  int64 // bucket origin, unix seconds
 	static *strabon.Store
@@ -171,14 +172,7 @@ func New(cfg Config) *Store {
 	if cfg.Epoch.IsZero() {
 		cfg.Epoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 	}
-	if cfg.TimePredicate == "" {
-		cfg.TimePredicate = ontology.PropAcquisitionDateTime
-	}
-	if cfg.PlanCacheSize == 0 {
-		cfg.PlanCacheSize = 256
-	}
 	s := &Store{
-		cfg:         cfg,
 		width:       int64(cfg.Width / time.Second),
 		epoch:       cfg.Epoch.Unix(),
 		slicePreds:  make(map[string]bool),
@@ -196,7 +190,7 @@ func New(cfg Config) *Store {
 	for i := 0; i < cfg.Slices; i++ {
 		s.slices = append(s.slices, strabon.NewMember(s.static))
 	}
-	s.resetPlanCaches(cfg.PlanCacheSize)
+	s.resetPlanCaches(planCacheSize)
 	return s
 }
 
@@ -297,7 +291,7 @@ func (s *Store) Stats() strabon.Stats {
 // range is read off the slice's time index — the first and last entry of
 // the routing predicate's run — so it follows deletions too.
 func (s *Store) ShardStats() []strabon.ShardStat {
-	timePred := rdf.NewIRI(s.cfg.TimePredicate)
+	timePred := rdf.NewIRI(timePredicate)
 	out := make([]strabon.ShardStat, 0, len(s.slices)+1)
 	for i, m := range s.members() {
 		st := strabon.ShardStat{
@@ -350,7 +344,7 @@ func (s *Store) sliceOf(bucket int64) int {
 // timePredID is the dictionary ID of the routing predicate, or
 // rdf.Wildcard while no triple has carried it.
 func (s *Store) timePredID() rdf.ID {
-	id, _ := s.dict.Lookup(rdf.NewIRI(s.cfg.TimePredicate))
+	id, _ := s.dict.Lookup(rdf.NewIRI(timePredicate))
 	return id
 }
 
@@ -398,7 +392,7 @@ func (s *Store) track(groups [][]rdf.EncodedTriple, targets []int) {
 				preds[p] = true
 				grew = true
 			}
-			timed := targets[gi] >= 0 && p == s.cfg.TimePredicate
+			timed := targets[gi] >= 0 && p == timePredicate
 			if p != rdf.RDFType && !timed {
 				continue
 			}

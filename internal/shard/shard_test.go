@@ -85,7 +85,7 @@ func fixtureProducts() []*products.Product {
 }
 
 // runQuery materialises src through the streaming path.
-func runQuery(s strabon.Streamer, src string) (*stsparql.Result, error) {
+func runQuery(s strabon.API, src string) (*stsparql.Result, error) {
 	return strabon.MaterialiseQuery(context.Background(), s, src)
 }
 

@@ -3,77 +3,61 @@ package strabon
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/stsparql"
 )
 
-// ExplainAnalyze compiles a SELECT or ASK, executes it to exhaustion
-// under the store read lock, and renders the plan tree annotated with
-// per-operator actuals (rows out, batches, cumulative wall time) next
-// to the optimizer's estimates — EXPLAIN ANALYZE. The evaluation is
-// real: it takes the same read lock, runs the same compiled plan (plan
-// cache included) and drains the same cursor path a query would, under
-// ctx like any streamed evaluation.
+// ExplainAnalyze runs a SELECT or ASK through the query path with
+// tracing on and renders the plan tree annotated with per-operator
+// actuals (rows out, batches, cumulative wall time) next to the
+// optimizer's estimates — EXPLAIN ANALYZE. The evaluation is the
+// query's own: the same read lock, the same compiled plan (plan cache
+// included) and the same cursor, drained under ctx.
 func (s *Store) ExplainAnalyze(ctx context.Context, src string) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ev := stsparql.NewEvaluatorWithCache(s, s.cache)
-	c, err := ev.CompileCached(src, s.ns, s.plans, s.gen.Load())
+	var tr *stsparql.ExecTrace
+	var c *stsparql.Compiled
+	start := time.Now()
+	cur, err := s.queryStream(ctx, src, func(ev *stsparql.Evaluator, compiled *stsparql.Compiled) {
+		c, tr = compiled, stsparql.NewExecTrace(compiled)
+		ev.SetTrace(tr)
+	})
 	if err != nil {
 		return "", err
 	}
-	s.statsMu.Lock()
-	s.stats.Queries++
-	s.statsMu.Unlock()
-	tr := stsparql.NewExecTrace(c)
-	ev.SetTrace(tr)
-	var b strings.Builder
-	start := time.Now()
-	switch {
-	case c.IsSelect():
-		cur, err := ev.RunCompiled(c)
-		if err != nil {
-			return "", err
-		}
-		rows, err := drainTraced(ctx, cur)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString("select (analyze)\n")
-		b.WriteString(tr.Render(c))
-		fmt.Fprintf(&b, "total: rows=%d time=%v\n", rows, time.Since(start).Round(time.Microsecond))
-	case c.IsAsk():
-		ok, err := ev.AskCompiled(c)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString("ask (analyze)\n")
-		b.WriteString(tr.Render(c))
-		fmt.Fprintf(&b, "total: ask=%v time=%v\n", ok, time.Since(start).Round(time.Microsecond))
-	default:
-		return "", fmt.Errorf("strabon: ExplainAnalyze wants SELECT or ASK")
+	rows, verdict, err := Drain(cur)
+	if err != nil {
+		return "", err
 	}
-	return b.String(), nil
+	form := "select"
+	if cur.IsAsk() {
+		form = "ask"
+	}
+	return fmt.Sprintf("%s (analyze)\n%s%s", form, tr.Render(c), Total(rows, verdict, start)), nil
 }
 
-// drainTraced pulls a cursor to exhaustion under per-row context checks
-// and closes it, returning the row count.
-func drainTraced(ctx context.Context, cur stsparql.Cursor) (int, error) {
+// Drain pulls a query cursor dry and closes it, returning the rows it
+// yielded and, for an ASK, the verdict's lexical form ("true" or
+// "false"). Both stores' ExplainAnalyze count their totals with it.
+func Drain(cur QueryCursor) (rows int, verdict string, err error) {
 	defer cur.Close()
-	n := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return n, err
+	for row, ok := cur.Next(); ok; row, ok = cur.Next() {
+		if rows++; cur.IsAsk() {
+			verdict = row[0].Value
 		}
-		if _, ok := cur.Next(); !ok {
-			break
-		}
-		n++
 	}
-	return n, cur.Close()
+	return rows, verdict, cur.Close()
+}
+
+// Total renders the last line of an EXPLAIN ANALYZE from what Drain
+// returned: the ASK verdict, or else the rows, and the time since start.
+func Total(rows int, verdict string, start time.Time) string {
+	elapsed := time.Since(start).Round(time.Microsecond)
+	if verdict != "" {
+		return fmt.Sprintf("total: ask=%s time=%v\n", verdict, elapsed)
+	}
+	return fmt.Sprintf("total: rows=%d time=%v\n", rows, elapsed)
 }

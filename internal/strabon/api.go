@@ -127,19 +127,11 @@ type QueryCursor interface {
 	CacheVector() (resultcache.GenVector, bool)
 }
 
-// Streamer is the canonical query surface: one context-first streaming
-// entrypoint. QueryStream on both the single and the sharded store, and
-// the package-level helpers below, are thin wrappers over it — the
-// streaming call is the only place a query is actually executed.
-type Streamer interface {
-	QueryStreamCtx(ctx context.Context, src string) (QueryCursor, error)
-}
-
 // MaterialiseQuery drains one streaming evaluation into an owned
 // Result — the single materialising wrapper over a store. Cursor rows
 // are views reused on the next pull, so they are copied out into one
 // slab.
-func MaterialiseQuery(ctx context.Context, s Streamer, src string) (*stsparql.Result, error) {
+func MaterialiseQuery(ctx context.Context, s API, src string) (*stsparql.Result, error) {
 	cur, err := s.QueryStreamCtx(ctx, src)
 	if err != nil {
 		return nil, err
@@ -150,20 +142,6 @@ func MaterialiseQuery(ctx context.Context, s Streamer, src string) (*stsparql.Re
 		return nil, err
 	}
 	return res, nil
-}
-
-// TimedQuery materialises a query and reports its wall-clock duration,
-// including a full iteration over the result rows (the paper's metric:
-// "elapsed time from query submission till a complete iteration over
-// each query's results"). With the streaming cursor the iteration is
-// the evaluation itself.
-func TimedQuery(s Streamer, src string) (*stsparql.Result, time.Duration, error) {
-	start := time.Now()
-	res, err := MaterialiseQuery(context.Background(), s, src)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, time.Since(start), nil
 }
 
 // ShardStat describes one shard of a sharded backend for /stats and
@@ -187,63 +165,6 @@ type ShardStat struct {
 // backend offers them.
 type ShardStatser interface {
 	ShardStats() []ShardStat
-}
-
-// QueryStreamCtx is QueryStream bound to a context: once ctx is
-// cancelled (client gone, deadline hit) the cursor stops yielding rows,
-// reports the context error, and — because every consumer closes a
-// drained cursor — the store read lock is released at the next pull
-// instead of whenever the abandoned client would have finished.
-func (s *Store) QueryStreamCtx(ctx context.Context, src string) (QueryCursor, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cur, err := s.QueryStream(src)
-	if err != nil {
-		return nil, err
-	}
-	if ctx.Done() == nil {
-		return cur, nil
-	}
-	return &ctxCursor{cur: cur, ctx: ctx}, nil
-}
-
-// ctxCursor wraps a cursor with per-pull context checks.
-type ctxCursor struct {
-	cur *Cursor
-	ctx context.Context
-	err error
-}
-
-func (c *ctxCursor) Vars() []string { return c.cur.Vars() }
-func (c *ctxCursor) IsAsk() bool    { return c.cur.IsAsk() }
-func (c *ctxCursor) Rows() int      { return c.cur.Rows() }
-
-// CacheVector forwards the wrapped cursor's cache metadata.
-func (c *ctxCursor) CacheVector() (resultcache.GenVector, bool) { return c.cur.CacheVector() }
-
-func (c *ctxCursor) Next() (stsparql.Row, bool) {
-	if c.err != nil {
-		return nil, false
-	}
-	if err := c.ctx.Err(); err != nil {
-		c.err = err
-		c.cur.Close() // release the read lock immediately
-		return nil, false
-	}
-	return c.cur.Next()
-}
-
-func (c *ctxCursor) Err() error {
-	if c.err != nil {
-		return c.err
-	}
-	return c.cur.Err()
-}
-
-func (c *ctxCursor) Close() error {
-	c.cur.Close()
-	return c.Err()
 }
 
 // --- composite-store hooks ---

@@ -57,6 +57,7 @@
 package strabon
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -402,23 +403,45 @@ func (s *Store) LoadTurtle(src string) (int, error) {
 	return s.LoadTriples(triples), nil
 }
 
-// Cursor streams the solutions of one query. A SELECT cursor holds the
-// store's read lock from QueryStream until Close — close promptly; an
-// ASK cursor is pre-materialised and holds no lock. Rows yielded so far
-// are counted and reported at Close (Rows), the bookkeeping hook the
-// endpoint's streamed responses use.
+// Cursor streams the solutions of one query, for the single store and
+// the sharded store alike. A SELECT cursor holds its store's read
+// lock(s) from QueryStream until Close — close promptly; an ASK cursor
+// is pre-materialised and holds no lock. Bound to a context that can be
+// cancelled (client gone, deadline hit), it checks the context on every
+// pull: once it fires the cursor stops yielding rows, reports the
+// context error and releases its locks at that pull, instead of
+// whenever the abandoned client would have closed it. Rows yielded so
+// far are counted (Rows), the bookkeeping hook the endpoint's streamed
+// responses use.
 type Cursor struct {
-	inner  stsparql.Cursor
-	ask    bool
-	rows   int
-	unlock func() // releases the read lock; nil once released
-	closed bool
+	inner   stsparql.Cursor
+	ctx     context.Context // nil: not cancellable, never checked
+	ask     bool
+	rows    int
+	release func() // releases the read locks; nil once released
+	err     error  // the context error that stopped the cursor
+	closed  bool
 
-	// Result-cache metadata, captured under the read lock at open time:
-	// the store generation the rows derive from, and the plan-time
+	// Result-cache metadata, captured under the read locks at open
+	// time: the generations the rows derive from, and the plan-time
 	// cacheability verdict. See CacheVector.
 	vec       resultcache.GenVector
 	cacheable bool
+}
+
+var _ QueryCursor = (*Cursor)(nil)
+
+// NewCursor returns the cursor over one evaluation's inner cursor. ask
+// marks inner as an ASK verdict (one row binding "ask"); release, if
+// not nil, frees the read locks the evaluation runs under and is
+// called once, when the cursor closes or its context fires; vec and
+// cacheable are what CacheVector reports.
+func NewCursor(ctx context.Context, inner stsparql.Cursor, ask bool, release func(), vec resultcache.GenVector, cacheable bool) *Cursor {
+	c := &Cursor{inner: inner, ask: ask, release: release, vec: vec, cacheable: cacheable}
+	if ctx.Done() != nil {
+		c.ctx = ctx
+	}
+	return c
 }
 
 // CacheVector implements QueryCursor: the generation vector this
@@ -435,11 +458,18 @@ func (c *Cursor) Vars() []string { return c.inner.Vars() }
 // binding "ask").
 func (c *Cursor) IsAsk() bool { return c.ask }
 
-// Next yields the next solution; ok=false once exhausted or on error
-// (check Err).
+// Next yields the next solution; ok=false once exhausted, on error or
+// once the context fired (check Err).
 func (c *Cursor) Next() (stsparql.Row, bool) {
-	if c.closed {
+	if c.closed || c.err != nil {
 		return nil, false
+	}
+	if c.ctx != nil {
+		if err := c.ctx.Err(); err != nil {
+			c.err = err
+			c.releaseNow()
+			return nil, false
+		}
 	}
 	row, ok := c.inner.Next()
 	if ok {
@@ -448,34 +478,65 @@ func (c *Cursor) Next() (stsparql.Row, bool) {
 	return row, ok
 }
 
-// Err reports the first evaluation error, if any.
-func (c *Cursor) Err() error { return c.inner.Err() }
-
-// Rows reports how many solutions have been yielded so far.
-func (c *Cursor) Rows() int { return c.rows }
-
-// Close terminates the evaluation and releases the store read lock. It
-// is idempotent and returns Err().
-func (c *Cursor) Close() error {
-	if !c.closed {
-		c.closed = true
-		c.inner.Close()
-		if c.unlock != nil {
-			c.unlock()
-			c.unlock = nil
-		}
+// Err reports the context error that stopped the cursor, or else the
+// first evaluation error, if any.
+func (c *Cursor) Err() error {
+	if c.err != nil {
+		return c.err
 	}
 	return c.inner.Err()
 }
 
+// Rows reports how many solutions have been yielded so far.
+func (c *Cursor) Rows() int { return c.rows }
+
+// releaseNow terminates the evaluation and frees the read locks.
+func (c *Cursor) releaseNow() {
+	c.inner.Close()
+	if c.release != nil {
+		c.release()
+		c.release = nil
+	}
+}
+
+// Close terminates the evaluation and releases the read locks. It is
+// idempotent and returns Err().
+func (c *Cursor) Close() error {
+	if !c.closed {
+		c.closed = true
+		c.releaseNow()
+	}
+	return c.Err()
+}
+
 // QueryStream parses, plans and starts a SELECT or ASK request,
-// returning a streaming cursor over its solutions. Parsing and planning
-// consult the plan cache: a repeated query at an unchanged store
-// generation reuses its compiled plan. The returned cursor holds the
-// store read lock until Close (ASK verdicts are computed eagerly — the
-// pipeline stops at the first solution — and release the lock before
-// returning).
+// returning a streaming cursor over its solutions. See QueryStreamCtx.
 func (s *Store) QueryStream(src string) (*Cursor, error) {
+	return s.queryStream(context.Background(), src, nil)
+}
+
+// QueryStreamCtx is QueryStream bound to a context: the cursor checks
+// ctx on every pull (see Cursor), and a context already done is refused
+// before anything is planned.
+func (s *Store) QueryStreamCtx(ctx context.Context, src string) (QueryCursor, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	cur, err := s.queryStream(ctx, src, nil)
+	if err != nil {
+		return nil, err
+	}
+	return cur, nil
+}
+
+// queryStream is the query path. Parsing and planning consult the plan
+// cache: a repeated query at an unchanged store generation reuses its
+// compiled plan. The returned cursor holds the store read lock until
+// Close (ASK verdicts are computed eagerly — the pipeline stops at the
+// first solution — and release the lock before returning). hook, if not
+// nil, sees the evaluator and its plan before the evaluation starts;
+// ExplainAnalyze attaches its trace there.
+func (s *Store) queryStream(ctx context.Context, src string, hook func(*stsparql.Evaluator, *stsparql.Compiled)) (*Cursor, error) {
 	s.mu.RLock()
 	ev := stsparql.NewEvaluatorWithCache(s, s.cache)
 	c, err := ev.CompileCached(src, s.ns, s.plans, s.gen.Load())
@@ -483,11 +544,13 @@ func (s *Store) QueryStream(src string) (*Cursor, error) {
 		s.mu.RUnlock()
 		return nil, err
 	}
-	// Counted after the parse, like the pre-cursor Query: malformed
-	// requests are not served queries.
+	// Counted after the parse: malformed requests are not served queries.
 	s.statsMu.Lock()
 	s.stats.Queries++
 	s.statsMu.Unlock()
+	if hook != nil {
+		hook(ev, c)
+	}
 	// Captured under the read lock: the generation every row of this
 	// evaluation derives from.
 	vec := resultcache.GenVector{Gens: []resultcache.SliceGen{{Slice: -1, Gen: s.gen.Load()}}}
@@ -498,16 +561,14 @@ func (s *Store) QueryStream(src string) (*Cursor, error) {
 			s.mu.RUnlock()
 			return nil, err
 		}
-		return &Cursor{inner: cur, unlock: s.mu.RUnlock, vec: vec, cacheable: c.Cacheable()}, nil
+		return NewCursor(ctx, cur, false, s.mu.RUnlock, vec, c.Cacheable()), nil
 	case c.IsAsk():
 		ok, err := ev.AskCompiled(c)
 		s.mu.RUnlock()
 		if err != nil {
 			return nil, err
 		}
-		rows := []stsparql.Row{{rdf.NewBoolean(ok)}}
-		return &Cursor{inner: stsparql.MaterialisedCursor([]string{"ask"}, rows), ask: true,
-			vec: vec, cacheable: c.Cacheable()}, nil
+		return NewCursor(ctx, stsparql.AskCursor(ok), true, nil, vec, c.Cacheable()), nil
 	default:
 		s.mu.RUnlock()
 		return nil, fmt.Errorf("strabon: Query wants SELECT or ASK; use Update for updates")

@@ -32,7 +32,7 @@ coast:Coastline_1 a coast:Coastline ;
 `
 
 // runQuery materialises src through the streaming path.
-func runQuery(s Streamer, src string) (*stsparql.Result, error) {
+func runQuery(s API, src string) (*stsparql.Result, error) {
 	return MaterialiseQuery(context.Background(), s, src)
 }
 
@@ -228,17 +228,6 @@ func TestQueryRejectsUpdate(t *testing.T) {
 	}
 	if _, err := s.Update(`SELECT ?s WHERE { ?s ?p ?o }`); err == nil {
 		t.Fatal("Update should reject queries")
-	}
-}
-
-func TestTimedOperations(t *testing.T) {
-	s := New()
-	if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
-		t.Fatal(err)
-	}
-	res, d, err := TimedQuery(s, `SELECT ?h WHERE { ?h a noa:Hotspot . }`)
-	if err != nil || d <= 0 || len(res.Rows) != 2 {
-		t.Fatalf("timed query: rows=%d d=%v err=%v", len(res.Rows), d, err)
 	}
 }
 

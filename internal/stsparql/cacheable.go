@@ -3,21 +3,18 @@ package stsparql
 // Result cacheability, marked at plan time. A query's materialised
 // result may be served from a cache until the data it read mutates —
 // but only if re-evaluating against the unchanged data would be
-// obligated to produce the same rows. Two plan shapes break that:
-//
-//   - SAMPLE: the engine returns the first value collected for the
-//     group, and collection order follows rdf.Store scan order — sorted
-//     within a small ID set, but Go map iteration across keys and inside
-//     a large set, randomised per run. Two evaluations at one generation
-//     may legitimately answer differently, so pinning one answer in a
-//     cache would silently freeze an arbitrary representative.
-//   - Plans reading live store statistics mid-flight. Today statistics
-//     are consulted only at plan time (the plan cache's generation key
-//     already covers that); any future operator that re-reads
-//     StatSource during execution must flip planReadsLiveStats below.
+// obligated to produce the same rows. SAMPLE breaks that: the engine
+// returns the first value collected for the group, and collection order
+// follows rdf.Store scan order — sorted within a small ID set, but Go
+// map iteration across keys and inside a large set, randomised per run.
+// Two evaluations at one generation may legitimately answer
+// differently, so pinning one answer in a cache would silently freeze
+// an arbitrary representative.
 //
 // Everything else the engine evaluates is a deterministic function of
-// the source contents, which the generation vector pins.
+// the source contents, which the generation vector pins. Store
+// statistics are read at plan time only, which the plan cache's
+// generation key covers.
 
 // Cacheable reports whether a parsed query's result may be cached and
 // replayed at an unchanged store generation. Update requests are never
@@ -33,12 +30,6 @@ func Cacheable(q *Query) bool {
 	}
 	return false
 }
-
-// planReadsLiveStats reports whether the compiled plan consults live
-// store statistics during execution (not just at plan time). No
-// current operator does; kept as the explicit hook the cacheability
-// contract names.
-func planReadsLiveStats(*Compiled) bool { return false }
 
 // Cacheable reports whether this compiled plan's result may be cached.
 func (c *Compiled) Cacheable() bool { return c.cacheable }

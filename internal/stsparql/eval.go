@@ -198,9 +198,16 @@ func (c *sliceCursor) Err() error   { return nil }
 func (c *sliceCursor) Close() error { return nil }
 
 // MaterialisedCursor returns a Cursor over pre-computed rows. Used for
-// results that are cheap to hold whole (ASK verdicts, test fixtures).
+// results that are cheap to hold whole (recombined aggregates, test
+// fixtures).
 func MaterialisedCursor(vars []string, rows []Row) Cursor {
 	return &sliceCursor{vars: vars, rows: rows}
+}
+
+// AskCursor returns the one-row result of an ASK: the verdict bound to
+// "ask".
+func AskCursor(ok bool) Cursor {
+	return &sliceCursor{vars: []string{"ask"}, rows: []Row{{rdf.NewBoolean(ok)}}}
 }
 
 // UpdateStats reports the effect of an update request.

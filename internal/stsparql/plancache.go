@@ -53,7 +53,7 @@ func (e *Evaluator) Compile(q *Query) *Compiled {
 	case q.Ask != nil:
 		c.ask = e.newPlanner().planGroupRoot(q.Ask.Where, false)
 	}
-	c.cacheable = Cacheable(q) && !planReadsLiveStats(c)
+	c.cacheable = Cacheable(q)
 	return c
 }
 

@@ -15,6 +15,10 @@
 #     the serving tier's hot path.
 #   BenchmarkShardedQueries/single (internal/shard) — the join-heavy
 #     spatial workload on one store, one live-slice write per query.
+#   BenchmarkShardedQueries/sharded1 (internal/shard) — the same join on
+#     a one-slice sharded store: what a one-slice shard costs over the
+#     single store, the figure to lower once N = 1 skips what routing
+#     cannot change.
 #   BenchmarkShardedQueries/sharded4 (internal/shard) — the same join
 #     fanned out over composite static+slice views: what the serving
 #     stack runs. A jump here means a composite source left ID space
@@ -94,6 +98,8 @@ check ./internal/strabon 'BenchmarkCachedReplay' \
     internal/strabon/testdata/cached_replay_allocs.baseline allocs/op 11 10
 check ./internal/shard 'BenchmarkShardedQueries/single' \
     internal/shard/testdata/sharded_single_allocs.baseline allocs/op 11 10
+check ./internal/shard 'BenchmarkShardedQueries/sharded1' \
+    internal/shard/testdata/sharded_one_allocs.baseline allocs/op 11 10
 check ./internal/shard 'BenchmarkShardedQueries/sharded4' \
     internal/shard/testdata/sharded_fanout_allocs.baseline allocs/op 11 10
 check ./internal/shard 'BenchmarkOrderedWindowJoin' \
