@@ -18,6 +18,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/refine"
 	"repro/internal/seviri"
+	"repro/internal/shard"
 	"repro/internal/vault"
 )
 
@@ -40,7 +41,7 @@ func table2Setup(b *testing.B) (*core.Service, *vault.Vault, []time.Time) {
 	cfg := seviri.DefaultScenarioConfig()
 	cfg.Start = time.Date(2010, 8, 22, 0, 0, 0, 0, time.UTC)
 	cfg.Days = 1
-	svc, err := core.NewService(42, cfg)
+	svc, err := core.NewServiceWithStore(42, cfg, shard.New(shard.Config{Slices: 1}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func figure8Setup(b *testing.B) (*core.Service, *refine.Runner) {
 	b.Helper()
 	cfg := seviri.DefaultScenarioConfig()
 	cfg.Days = 1
-	svc, err := core.NewService(42, cfg)
+	svc, err := core.NewServiceWithStore(42, cfg, shard.New(shard.Config{Slices: 1}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func BenchmarkFigure6ThematicMap(b *testing.B) {
 func BenchmarkEndToEndAcquisition(b *testing.B) {
 	cfg := seviri.DefaultScenarioConfig()
 	cfg.Days = 1
-	svc, err := core.NewService(42, cfg)
+	svc, err := core.NewServiceWithStore(42, cfg, shard.New(shard.Config{Slices: 1}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func benchmarkPipelineWorkers(b *testing.B, workers int) {
 	var elapsed time.Duration
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		svc, err := core.NewService(42, cfg)
+		svc, err := core.NewServiceWithStore(42, cfg, shard.New(shard.Config{Slices: 1}))
 		if err != nil {
 			b.Fatal(err)
 		}

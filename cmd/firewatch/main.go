@@ -38,7 +38,7 @@ func main() {
 		window     = flag.Duration("window", time.Hour, "monitored span")
 		workers    = flag.Int("workers", 0, "acquisition pipeline workers (0 = NumCPU)")
 		serve      = flag.String("serve", "", "optional HTTP listen address, e.g. :8080")
-		shards     = flag.Int("shards", 1, "time-range store shards (1 = single store)")
+		shards     = flag.Int("shards", 1, "time-range store shards")
 		shardWidth = flag.Duration("shard-width", time.Hour, "time span of one shard routing bucket")
 		opsAddr    = flag.String("ops-addr", "", "serve /metrics, /debug/queries and pprof on this separate address (empty = off)")
 	)
@@ -49,9 +49,8 @@ func main() {
 		sens = seviri.MSG2
 	}
 	cfg := seviri.DefaultScenarioConfig()
-	var st strabon.API = strabon.New()
+	st := shard.New(shard.Config{Slices: *shards, Width: *shardWidth, Epoch: cfg.Start})
 	if *shards > 1 {
-		st = shard.New(shard.Config{Slices: *shards, Width: *shardWidth, Epoch: cfg.Start})
 		fmt.Printf("firewatch: sharded store: %d slices of %v\n", *shards, *shardWidth)
 	}
 	svc, err := core.NewServiceWithStore(*seed, cfg, st)

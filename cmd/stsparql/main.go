@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/auxdata"
+	"repro/internal/shard"
 	"repro/internal/strabon"
 	"repro/internal/stsparql"
 )
@@ -55,7 +56,7 @@ func main() {
 	// -repeat runs — so parsed WKT is reused instead of re-parsing the
 	// same coastline literals. Its plan cache does the same for compiled
 	// plans: run 1 parses and plans, runs 2..N hit the cache.
-	st := strabon.New()
+	st := shard.New(shard.Config{Slices: 1})
 	cache := st.GeomCache()
 	if *seed != 0 {
 		world := auxdata.Generate(*seed)
@@ -181,7 +182,7 @@ func renderTable(cur strabon.QueryCursor) error {
 	return w.Flush()
 }
 
-func reportCaches(cache *stsparql.Cache, st *strabon.Store) {
+func reportCaches(cache *stsparql.Cache, st *shard.Store) {
 	fmt.Fprintf(os.Stderr, "geometry cache: %d parsed WKT literals\n", cache.Size())
 	ps := st.PlanStats()
 	fmt.Fprintf(os.Stderr, "plan cache: %d hits, %d misses, %d evictions (%d entries)\n",

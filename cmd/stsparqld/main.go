@@ -63,7 +63,7 @@ func main() {
 		window     = flag.Duration("window", time.Hour, "live mode monitored span")
 		workers    = flag.Int("workers", 0, "live mode pipeline workers (0 = NumCPU)")
 		planCache  = flag.Int("plan-cache", 256, "compiled-plan cache entries (0 disables plan caching)")
-		shards     = flag.Int("shards", 1, "time-range shards (1 = single store)")
+		shards     = flag.Int("shards", 1, "time-range shards")
 		shardWidth = flag.Duration("shard-width", time.Hour, "time span of one shard routing bucket")
 		queryTO    = flag.Duration("query-timeout", 0, "per-query evaluation timeout, queue wait included (0 = none)")
 		resCache   = flag.Int("result-cache", 256, "result cache entries (0 disables result caching)")
@@ -78,16 +78,9 @@ func main() {
 	flag.Parse()
 
 	cfg := seviri.DefaultScenarioConfig()
-	var st strabon.API
+	st := shard.New(shard.Config{Slices: *shards, Width: *shardWidth, Epoch: cfg.Start})
 	if *shards > 1 {
-		st = shard.New(shard.Config{
-			Slices: *shards,
-			Width:  *shardWidth,
-			Epoch:  cfg.Start,
-		})
 		fmt.Fprintf(os.Stderr, "stsparqld: sharded store: %d slices of %v\n", *shards, *shardWidth)
-	} else {
-		st = strabon.New()
 	}
 
 	// The observability surface: a registry + slow-query log shared by

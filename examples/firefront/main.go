@@ -14,11 +14,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/seviri"
+	"repro/internal/shard"
 )
 
 func main() {
 	cfg := seviri.DefaultScenarioConfig()
-	svc, err := core.NewService(7, cfg)
+	svc, err := core.NewServiceWithStore(7, cfg, shard.New(shard.Config{Slices: 1}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/seviri"
+	"repro/internal/shard"
 	"repro/internal/strabon"
 )
 
@@ -19,7 +20,7 @@ func main() {
 	// A deterministic synthetic world + fire scenario (the paper's severe
 	// fire days of August 2007).
 	cfg := seviri.DefaultScenarioConfig()
-	svc, err := core.NewService(42, cfg)
+	svc, err := core.NewServiceWithStore(42, cfg, shard.New(shard.Config{Slices: 1}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/refine"
 	"repro/internal/seviri"
+	"repro/internal/shard"
 )
 
 // newTestService builds a small service over a fixed seed.
@@ -18,7 +19,7 @@ func newTestService(t *testing.T) *Service {
 	cfg.Days = 1
 	cfg.FiresPerDay = 5
 	cfg.ArtifactsPerDay = 3
-	s, err := NewService(42, cfg)
+	s, err := NewServiceWithStore(42, cfg, shard.New(shard.Config{Slices: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,17 +64,12 @@ type Service struct {
 	PlainProducts []*products.Product
 }
 
-// NewService assembles the full stack over a world seed: synthetic
-// geography, fire scenario, simulator, vault, SciQL chain, and a Strabon
-// store pre-loaded with every auxiliary dataset.
-func NewService(seed int64, cfg seviri.ScenarioConfig) (*Service, error) {
-	return NewServiceWithStore(seed, cfg, strabon.New())
-}
-
-// NewServiceWithStore assembles the stack over a caller-provided Strabon
-// backend — the hook the serving binaries use to run the service over a
-// sharded store (-shards N). The auxiliary world datasets are loaded
-// into st.
+// NewServiceWithStore assembles the full stack over a world seed and a
+// Strabon backend: synthetic geography, fire scenario, simulator, vault,
+// SciQL chain, and st pre-loaded with every auxiliary dataset. Programs
+// pass a sharded store (shard.New; one slice unless they partition by
+// time); core cannot build one itself, since the shard package's tests
+// import core.
 func NewServiceWithStore(seed int64, cfg seviri.ScenarioConfig, st strabon.API) (*Service, error) {
 	world := auxdata.Generate(seed)
 	scenario := seviri.GenerateScenario(world, seed+1, cfg)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/refine"
 	"repro/internal/seviri"
+	"repro/internal/shard"
 )
 
 // raceDetector is set by race_test.go in -race builds.
@@ -40,7 +41,7 @@ func TestSoak(t *testing.T) {
 	}
 	cfg := seviri.DefaultScenarioConfig()
 	cfg.Days = days
-	svc, err := NewService(7, cfg)
+	svc, err := NewServiceWithStore(7, cfg, shard.New(shard.Config{Slices: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,9 @@
 //     path that reads before it commits, never takes a write lock
 //     while still holding the read lock it took on the same mutex.
 //   - genorder: in package shard's write paths, routing knowledge must
-//     be tracked BEFORE member-store generations bump, or the result
-//     cache validates against stale routing vectors.
+//     be tracked BEFORE member-store generations bump, and time
+//     summaries published BEFORE member write locks release, or the
+//     result cache validates against stale routing vectors.
 //
 // Deliberate exceptions are annotated in source as
 //

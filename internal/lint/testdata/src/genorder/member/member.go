@@ -7,3 +7,5 @@ type Store struct{}
 func (s *Store) Add(x string) bool          { return true }
 func (s *Store) Remove(x string) bool       { return true }
 func (s *Store) InsertAll(xs ...string) int { return 0 }
+func (s *Store) Lock()                      {}
+func (s *Store) Unlock()                    {}

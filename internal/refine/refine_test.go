@@ -437,7 +437,7 @@ func scenarioProducts(t *testing.T, seed int64, n int) (*auxdata.World, []*produ
 	t.Helper()
 	cfg := seviri.DefaultScenarioConfig()
 	cfg.Days = 1
-	svc, err := core.NewService(seed, cfg)
+	svc, err := core.NewServiceWithStore(seed, cfg, shard.New(shard.Config{Slices: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

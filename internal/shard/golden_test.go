@@ -65,10 +65,14 @@ var timeWindowText = regexp.MustCompile(`FILTER\(\s*str\(\?\w+\)\s*(>=|<=|=)\s*"
 // TestGoldenPlans pins the single store's plan for every corpus text.
 // The time-range scan is the only access path that may differ from the
 // plans of the scan-and-filter engine: a text carrying a time window
-// opens with it, and no other text mentions it.
+// opens with it, and no other text mentions it. A one-slice sharded
+// store evaluates every text once over its union view and plans it the
+// same: after its one route line, its Explain is the same golden.
 func TestGoldenPlans(t *testing.T) {
 	single := strabon.New()
 	loadFixture(single)
+	sh := newSharded(1)
+	loadFixture(sh)
 	texts := map[string]string{}
 	for _, tc := range corpus {
 		texts[tc.name] = tc.query
@@ -81,7 +85,19 @@ func TestGoldenPlans(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		compareGolden(t, filepath.Join("testdata", "golden", name+".plan"), plan)
+		golden := filepath.Join("testdata", "golden", name+".plan")
+		compareGolden(t, golden, plan)
+		shPlan, err := sh.Explain(query)
+		if err != nil {
+			t.Fatalf("%s on one slice: %v", name, err)
+		}
+		route, body, _ := strings.Cut(shPlan, "\n")
+		if route != "shard union: single evaluation over static+1 slices" {
+			t.Errorf("%s: one slice routes as %q", name, route)
+		}
+		if !*updateGolden {
+			compareGolden(t, golden, body)
+		}
 		first := strings.TrimSpace(strings.SplitN(plan, "\n", 3)[1])
 		if windowed := timeWindowText.MatchString(query); windowed != strings.HasPrefix(first, "scan[time-range]") ||
 			(!windowed && strings.Contains(plan, "time-range")) {

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/resultcache"
@@ -76,58 +77,46 @@ func (r *routed) unlock() {
 }
 
 // routeQuery runs the fan-out analysis, takes the read locks of the
-// evaluation it chooses and re-checks the choice under them (see
-// recheckFanout): a write landing between the analysis and the locks
-// sends the query to the union view. A fan-out's cache vector is
-// captured BEFORE the recheck: a write racing past the analysis
-// publishes its routing knowledge before bumping any member generation,
-// so either the recheck sees it (union fallback) or the vector predates
-// it (the cache entry invalidates). That ordering is what makes the
-// lock-free path of a window that excludes every slice sound.
+// evaluation it chooses and re-runs the analysis under them: a write
+// landing between the two that changes the slices — or the window
+// candidates the cache vector lists — sends the query to the union
+// view. A fan-out's cache vector is captured BEFORE the re-analysis: a
+// write racing past the analysis publishes its routing knowledge before
+// bumping any member generation, so either the re-analysis sees it
+// (union fallback) or the vector predates it (the cache entry
+// invalidates). That ordering is what makes the lock-free path of a
+// window that excludes every slice sound. With one slice the slice view
+// is the union view: routing could not change where the query runs, so
+// it is skipped.
 func (s *Store) routeQuery(src string, q *stsparql.Query) routed {
-	var where *stsparql.GroupPattern
-	if q.Select != nil {
-		where = q.Select.Where
-	} else {
-		where = q.Ask.Where
-	}
-	r := routed{src: src, q: q, dec: s.analyzeGroup(where)}
-	if r.dec.fanout && q.Select != nil {
-		r.fp, r.dec.fanout = planFanout(src, q)
-	}
-	if r.dec.fanout {
-		if len(r.dec.shards) > 0 {
-			r.release = s.lockRead(r.dec.shards)
+	r := routed{src: src, q: q}
+	if len(s.slices) > 1 {
+		var where *stsparql.GroupPattern
+		if q.Select != nil {
+			where = q.Select.Where
+		} else {
+			where = q.Ask.Where
 		}
-		r.vec = s.fanVector(r.dec.keyShards)
-		if s.recheckFanout(where, r.dec) {
-			return r
+		r.dec = s.analyzeGroup(where)
+		if r.dec.fanout && q.Select != nil {
+			r.fp, r.dec.fanout = planFanout(src, q)
 		}
-		r.unlock()
+		if r.dec.fanout {
+			if len(r.dec.shards) > 0 {
+				r.release = s.lockRead(r.dec.shards)
+			}
+			r.vec = s.fanVector(r.dec.keyShards)
+			if again := s.analyzeGroup(where); again.fanout && slices.Equal(again.shards, r.dec.shards) &&
+				slices.Equal(again.keyShards, r.dec.keyShards) {
+				return r
+			}
+			r.unlock()
+		}
+		r.dec, r.fp = decision{}, nil
 	}
-	r.dec, r.fp = decision{}, nil
 	r.release = s.lockAllRead()
 	r.vec = s.fullVector()
 	return r
-}
-
-// recheckFanout re-runs the routing analysis with the member read locks
-// held and reports whether the pre-lock decision still stands. Routing
-// knowledge only grows toward the union fallback (the split latch is
-// one-way, predicate provenance only gains members), so a write landing
-// between the unlocked analysis and the lock acquisition can invalidate
-// a fan-out decision — never create one.
-func (s *Store) recheckFanout(where *stsparql.GroupPattern, dec decision) bool {
-	dec2 := s.analyzeGroup(where)
-	if !dec2.fanout || len(dec2.shards) != len(dec.shards) {
-		return false
-	}
-	for i := range dec.shards {
-		if dec2.shards[i] != dec.shards[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // open starts the evaluation r routes to and returns its cursor, which

@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"sort"
-
 	"repro/internal/rdf"
 	"repro/internal/stsparql"
 )
@@ -61,7 +59,6 @@ type decision struct {
 	// the set partial result-cache vectors are built from. shards ⊆
 	// keyShards always.
 	keyShards []int
-	pruned    bool // len(shards) < len(slices)
 }
 
 type patCtx struct {
@@ -281,32 +278,29 @@ func (s *Store) analyzeGroup(gp *stsparql.GroupPattern) decision {
 		fanout:    true,
 		shards:    shards,
 		keyShards: keyShards,
-		pruned:    len(shards) < len(s.slices),
 	}
 }
 
-// refineObserved drops candidate slices the observed data ranges prove
-// irrelevant: a slice that never received a routed group (its range is
-// unset) cannot satisfy the required slice-classed pattern, and a slice
-// whose whole observed acquisition range lies outside some window
-// cannot contribute a solution inside it. Sound because every routed
-// insert extends its slice's range in track() BEFORE the data becomes
-// visible, and ranges only grow — a concurrent write that would
-// re-admit a dropped slice publishes the wider range first, so the
-// under-lock recheckFanout re-analysis sees it, finds the locked slice
-// set no longer covers the re-derived one, and falls back to the union
-// view.
+// refineObserved drops candidate slices their published time summaries
+// prove irrelevant: an empty slice cannot satisfy the required
+// slice-classed pattern, and a slice whose acquisition times all lie
+// outside some window cannot contribute a solution inside it — unless
+// it holds time literals its index could not place. Sound because a
+// write publishes its slice's summary before the Unlock that makes the
+// data visible: a concurrent write that would re-admit a dropped slice
+// (or drop an admitted one) publishes first, so routeQuery's under-lock
+// re-analysis sees it, finds the locked slice set no longer matches the
+// re-derived one, and falls back to the union view.
 func (s *Store) refineObserved(cand []int, wins []stsparql.TimeWindow) []int {
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
 	out := make([]int, 0, len(cand))
 	for _, i := range cand {
-		if s.sliceMin[i].IsZero() {
-			continue // never received a routed group: nothing to read
+		sp := s.spans[i].Load()
+		if sp == nil || sp.triples == 0 {
+			continue // nothing to read
 		}
 		drop := false
 		for _, w := range wins {
-			if s.sliceMin[i].Unix() > w.Hi || s.sliceMax[i].Unix() < w.Lo {
+			if sp.Other == 0 && (sp.Entries == 0 || sp.MinUnix > w.Hi || sp.MaxUnix < w.Lo) {
 				drop = true
 				break
 			}
@@ -416,12 +410,16 @@ func subselProjects(sel *stsparql.SelectQuery, v string) bool {
 
 // usableWindows drops the windows that may not prune: groups route by
 // the INSTANT of their time literal, so a lexical window — string order
-// — agrees with the routing only while every slice-routed time literal
-// is canonical (see stsparql.TimeWindow).
+// — agrees with the routing only while every slice's time literals are
+// canonical and indexed (see stsparql.TimeWindow).
 func (s *Store) usableWindows(wins []stsparql.TimeWindow) []stsparql.TimeWindow {
-	s.routeMu.RLock()
-	loose := s.looseTimes
-	s.routeMu.RUnlock()
+	loose := false
+	for i := range s.spans {
+		if sp := s.spans[i].Load(); sp != nil && sp.loose() {
+			loose = true
+			break
+		}
+	}
 	if !loose {
 		return wins
 	}
@@ -434,60 +432,32 @@ func (s *Store) usableWindows(wins []stsparql.TimeWindow) []stsparql.TimeWindow 
 	return out
 }
 
-// shardSetFor intersects the windows' slice sets: a solution's owning
-// slice must satisfy every extracted window.
+// shardSetFor lists, ascending, the slices whose buckets intersect
+// every window: a solution's owning slice must satisfy all of them. An
+// unbounded side touches every slice (buckets are round-robin over the
+// slices); an empty window touches none.
 func (s *Store) shardSetFor(wins []stsparql.TimeWindow) []int {
-	keep := make(map[int]bool, len(s.slices))
-	for i := range s.slices {
-		keep[i] = true
-	}
+	n := int64(len(s.slices))
+	hits := make([]int, n) // windows each slice intersects
 	for _, w := range wins {
-		in := make(map[int]bool)
-		for _, idx := range s.shardsFor(w) {
-			in[idx] = true
-		}
-		for idx := range keep {
-			if !in[idx] {
-				delete(keep, idx)
+		lo, hi := s.bucketOf(w.Lo), s.bucketOf(w.Hi)
+		switch {
+		case w.Hi < w.Lo: // empty
+		case !w.Bounded() || hi-lo+1 >= n:
+			for i := range hits {
+				hits[i]++
+			}
+		default:
+			for b := lo; b <= hi; b++ {
+				hits[s.sliceOf(b)]++
 			}
 		}
 	}
-	out := make([]int, 0, len(keep))
-	for idx := range keep {
-		out = append(out, idx)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// shardsFor maps one window to the slice indices whose buckets
-// intersect it. An unbounded side touches every slice (buckets are
-// round-robin over the slices); an empty window touches none.
-func (s *Store) shardsFor(w stsparql.TimeWindow) []int {
-	all := make([]int, len(s.slices))
-	for i := range all {
-		all[i] = i
-	}
-	if !w.Bounded() {
-		return all
-	}
-	if w.Hi < w.Lo {
-		return nil
-	}
-	b1, b2 := s.bucketOf(w.Lo), s.bucketOf(w.Hi)
-	if b2-b1+1 >= int64(len(s.slices)) {
-		return all
-	}
-	seen := make(map[int]bool)
-	var out []int
-	for b := b1; b <= b2; b++ {
-		n := int64(len(s.slices))
-		idx := int(((b % n) + n) % n)
-		if !seen[idx] {
-			seen[idx] = true
-			out = append(out, idx)
+	out := make([]int, 0, n)
+	for i, h := range hits {
+		if h == len(wins) {
+			out = append(out, i)
 		}
 	}
-	sort.Ints(out)
 	return out
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/products"
+	"repro/internal/rdf"
 	"repro/internal/resultcache"
 	"repro/internal/strabon"
 	"repro/internal/stsparql"
@@ -223,11 +224,54 @@ func TestShardResultCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestShardCacheRefusesZonedLexicalWindow pins the one invalidation only
+// the routing-knowledge generation can deliver. A lexical window's
+// cached vector lists the static store and the window's slices; a zoned
+// literal that lexically falls inside the window routes by its instant
+// to a slice the vector does not list, so no listed generation moves.
+// The literal turns the slice's time run non-canonical, which stops
+// lexical windows from pruning — the cached entry must go with it.
+func TestShardCacheRefusesZonedLexicalWindow(t *testing.T) {
+	sh := newSharded(4)
+	loadFixture(sh)
+	ep := strabon.NewEndpoint(sh)
+	ep.Results = resultcache.New(64, 8<<20)
+	target := "/sparql?format=tsv&query=" + url.QueryEscape(`SELECT ?h ?at WHERE {
+  ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at .
+  FILTER( str(?at) >= "2007-08-25T10:50:00" ) FILTER( str(?at) <= "2007-08-25T11:10:00" ) }`)
+
+	serve(t, ep, target)
+	serve(t, ep, target)
+	if st := ep.Results.Stats(); st.Hits != 1 {
+		t.Fatalf("second request was not a hit: %+v", st)
+	}
+
+	// 11:00+02:00 is 09:00 UTC: bucket 9, slice 1. The window's buckets
+	// are 10 and 11, slices 2 and 3.
+	sh.InsertAll([]rdf.Triple{
+		{S: iri("http://example.org/zoned"), P: iri(rdf.RDFType), O: iri(nsNOA + "Hotspot")},
+		{S: iri("http://example.org/zoned"), P: iri(nsNOA + "hasAcquisitionDateTime"),
+			O: rdf.NewDateTime("2007-08-25T11:00:00+02:00")},
+	})
+	before := ep.Results.Stats()
+	w := serve(t, ep, target)
+	if w.Code != http.StatusOK {
+		t.Fatalf("third request: %d %s", w.Code, w.Body)
+	}
+	if st := ep.Results.Stats(); st.Hits != before.Hits {
+		t.Fatalf("third request hit the cache after the zoned insert: %+v", st)
+	}
+	if !strings.Contains(w.Body.String(), "http://example.org/zoned") {
+		t.Fatalf("third request misses the zoned hotspot:\n%s", w.Body)
+	}
+}
+
 // TestShardObservedRangePruning checks satellite fan-out pruning by
 // observed slice contents: with data only in hours 10-11 (slices 2,3),
-// a window spanning hours 10-13 keeps only the populated slices, and a
-// window over empty slices prunes to nothing — both visibly in Explain
-// and without changing results.
+// a window spanning hours 10-13 keeps only the populated slices, a
+// window over empty slices prunes to nothing, and deleting one hour's
+// acquisitions drops its slice as well — all visibly in Explain and
+// without changing results.
 func TestShardObservedRangePruning(t *testing.T) {
 	single := strabon.New()
 	sh := newSharded(4)
@@ -280,4 +324,33 @@ func TestShardObservedRangePruning(t *testing.T) {
 	if len(res.Rows) != 1 || at(res, 0, "n").Value != "0" {
 		t.Fatalf("empty-window count: %+v", res.Rows)
 	}
+
+	// Ranges follow deletions: with the 11:00-11:45 acquisitions gone,
+	// slice 3 holds no acquisition time and the wide window drops it too.
+	gone := `DELETE { ?x ?p ?o } WHERE { ?x noa:hasAcquisitionDateTime ?at ; ?p ?o .
+  FILTER( str(?at) >= "2007-08-25T11:00:00" ) FILTER( str(?at) <= "2007-08-25T11:59:00" ) }`
+	for _, st := range []strabon.API{single, sh} {
+		if _, err := st.Update(gone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err = sh.Explain(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "shard fan-out: 1/4 slices [2]") {
+		t.Fatalf("wide window not pruned further after the delete:\n%s", out)
+	}
+	want, err = runQuery(single, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = runQuery(sh, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) == 0 {
+		t.Fatal("wide window empty after the delete")
+	}
+	assertEquivalent(t, "observed-pruned-window-after-delete", want, got, false)
 }

@@ -32,9 +32,10 @@
 //
 // Queries the analysis cannot prove decomposable evaluate exactly once
 // over the union view of every member store — always correct, just not
-// parallel. Either way results are row-for-row identical to a single
-// store's (up to ORDER-BY-mandated order), the property the equivalence
-// suite pins.
+// parallel. At one slice every query does, unanalysed: the slice view
+// is the union view, so routing could only add cost. Either way results
+// are row-for-row identical to a single store's (up to ORDER-BY-mandated
+// order), the property the equivalence suite pins.
 //
 // # Locking
 //
@@ -95,8 +96,12 @@ type Store struct {
 	epoch  int64 // bucket origin, unix seconds
 	static *strabon.Store
 	slices []*strabon.Store
-	ns     *rdf.Namespaces
-	cache  *stsparql.Cache // shared geometry-parse cache
+	// members lists every member store, static first then slices
+	// ascending — the canonical order of lock acquisition and routed
+	// application, and the union view.
+	members []*strabon.Store
+	ns      *rdf.Namespaces
+	cache   *stsparql.Cache // shared geometry-parse cache
 	// dict is the one term dictionary every member encodes into. Appends
 	// happen under writeMu only; see rdf.Dictionary for what readers may
 	// do beside them.
@@ -111,29 +116,26 @@ type Store struct {
 
 	// Routing knowledge, updated at insert time and read by the query
 	// analysis: which predicates (and rdf:type objects) have ever been
-	// routed to slices vs the static store, and the observed
-	// acquisition-time range per slice. Guarded by routeMu.
+	// routed to slices vs the static store. Guarded by routeMu.
 	routeMu     sync.RWMutex
 	slicePreds  map[string]bool
 	staticPreds map[string]bool
 	sliceTypes  map[string]bool
 	staticTypes map[string]bool
-	sliceMin    []time.Time
-	sliceMax    []time.Time
-	// looseTimes latches once a slice-routed group carries a time literal
-	// that is not a canonical xsd:dateTime: from then on lexical windows
-	// no longer prune (see usableWindows).
-	looseTimes bool
+
+	// spans holds each slice's time summary as its time index last
+	// published it (see publishSpan); nil until the slice's first write.
+	spans []atomic.Pointer[timeSpan]
 
 	// knowGen is the routing-knowledge generation: it advances whenever
-	// the predicate or rdf:type provenance sets above gain a member or
-	// looseTimes latches — the events that can flip a query's fan-out
-	// verdict or widen its slice set without touching any member store
-	// the query read. Partial result-cache vectors are pinned to it (see
-	// fanVector); in steady state the vocabulary is fixed and it never
-	// moves. Pure observed-range extension does NOT advance it: the write
-	// extending a range bumps its own slice's generation, which the
-	// affected vectors carry.
+	// the predicate or rdf:type provenance sets above gain a member or a
+	// slice's time run turns loose — the events that can flip a query's
+	// fan-out verdict or widen its slice set without touching any member
+	// store the query read. Partial result-cache vectors are pinned to it
+	// (see fanVector); in steady state the vocabulary is fixed and it
+	// never moves. A slice's range moving does NOT advance it: the write
+	// moving it bumps its own slice's generation, which the affected
+	// vectors carry.
 	knowGen atomic.Uint64
 
 	// writeMu serialises the write paths: routing is check-then-act
@@ -179,17 +181,18 @@ func New(cfg Config) *Store {
 		staticPreds: make(map[string]bool),
 		sliceTypes:  make(map[string]bool),
 		staticTypes: make(map[string]bool),
-		sliceMin:    make([]time.Time, cfg.Slices),
-		sliceMax:    make([]time.Time, cfg.Slices),
+		spans:       make([]atomic.Pointer[timeSpan], cfg.Slices),
 	}
 	if s.width < 1 {
 		s.width = 1
 	}
 	s.static = strabon.New()
 	s.ns, s.cache, s.dict = s.static.Namespaces(), s.static.GeomCache(), s.static.Dict()
+	s.members = []*strabon.Store{s.static}
 	for i := 0; i < cfg.Slices; i++ {
 		s.slices = append(s.slices, strabon.NewMember(s.static))
 	}
+	s.members = append(s.members, s.slices...)
 	s.resetPlanCaches(planCacheSize)
 	return s
 }
@@ -251,11 +254,14 @@ func (s *Store) unionCache() *stsparql.PlanCache {
 // Namespaces exposes the shared prefix table.
 func (s *Store) Namespaces() *rdf.Namespaces { return s.ns }
 
+// GeomCache exposes the geometry-parse cache every member shares.
+func (s *Store) GeomCache() *stsparql.Cache { return s.cache }
+
 // Len reports the total number of triples across every shard.
 func (s *Store) Len() int {
-	n := s.static.Len()
-	for _, sl := range s.slices {
-		n += sl.Len()
+	n := 0
+	for _, m := range s.members {
+		n += m.Len()
 	}
 	return n
 }
@@ -275,9 +281,8 @@ func (s *Store) Stats() strabon.Stats {
 		out.TriplesLoaded += st.TriplesLoaded
 		out.IndexHits += st.IndexHits
 	}
-	add(s.static.Stats())
-	for _, sl := range s.slices {
-		add(sl.Stats())
+	for _, m := range s.members {
+		add(m.Stats())
 	}
 	s.statsMu.Lock()
 	out.Queries += s.queries
@@ -288,21 +293,19 @@ func (s *Store) Stats() strabon.Stats {
 
 // ShardStats reports per-shard cardinality, generation and observed
 // temporal range for /stats and the /metrics per-shard gauges. The
-// range is read off the slice's time index — the first and last entry of
-// the routing predicate's run — so it follows deletions too.
+// range is the slice's published time summary (see publishSpan), so it
+// follows deletions too. The static store has none: routing sends every
+// group with a parseable acquisition time to a slice.
 func (s *Store) ShardStats() []strabon.ShardStat {
-	timePred := rdf.NewIRI(timePredicate)
-	out := make([]strabon.ShardStat, 0, len(s.slices)+1)
-	for i, m := range s.members() {
-		st := strabon.ShardStat{
-			Name:    fmt.Sprintf("s%d", i-1),
-			Triples: m.Len(),
-			Gen:     m.Generation(),
+	out := make([]strabon.ShardStat, 0, len(s.members))
+	for i, m := range s.members {
+		st := strabon.ShardStat{Name: "static", Triples: m.Len(), Gen: m.Generation()}
+		if i > 0 {
+			st.Name = fmt.Sprintf("s%d", i-1)
+			if sp := s.spans[i-1].Load(); sp != nil {
+				st.TimeEntries, st.MinUnix, st.MaxUnix = sp.Entries, sp.MinUnix, sp.MaxUnix
+			}
 		}
-		if i == 0 {
-			st.Name = "static"
-		}
-		st.TimeEntries, st.MinUnix, st.MaxUnix = m.TimeIndexStats(timePred)
 		if st.TimeEntries > 0 {
 			st.Range = time.Unix(st.MinUnix, 0).UTC().Format("2006-01-02T15:04:05") +
 				"/" + time.Unix(st.MaxUnix, 0).UTC().Format("2006-01-02T15:04:05")
@@ -366,17 +369,12 @@ func (s *Store) groupTime(group []rdf.EncodedTriple, timePred rdf.ID) (time.Time
 }
 
 // track records routing knowledge for inserted groups: predicate and
-// rdf:type-object membership per side, and the observed acquisition-
-// time range per slice — every parseable time object in a slice-routed
-// group extends that slice's range, rule and update inserts (which may
-// carry no routing timestamp of their own) included, and one that is
-// not a canonical xsd:dateTime latches looseTimes. targets[i] is the
-// slice index of groups[i], or -1 for static. Deletions never untrack —
-// the sets are conservative supersets and the ranges conservative
-// envelopes, which only costs fan-out/pruning opportunities, never
-// correctness. Growth of the predicate or type sets, and the looseTimes
-// latch, advance knowGen, invalidating partial result-cache vectors
-// whose fan-out verdict the new knowledge could flip.
+// rdf:type-object membership per side. targets[i] is the slice index of
+// groups[i], or -1 for static. Deletions never untrack — the sets are
+// conservative supersets, which only costs fan-out opportunities, never
+// correctness. Growth of either set advances knowGen, invalidating
+// partial result-cache vectors whose fan-out verdict the new knowledge
+// could flip.
 func (s *Store) track(groups [][]rdf.EncodedTriple, targets []int) {
 	s.routeMu.Lock()
 	defer s.routeMu.Unlock()
@@ -392,29 +390,12 @@ func (s *Store) track(groups [][]rdf.EncodedTriple, targets []int) {
 				preds[p] = true
 				grew = true
 			}
-			timed := targets[gi] >= 0 && p == timePredicate
-			if p != rdf.RDFType && !timed {
+			if p != rdf.RDFType {
 				continue
 			}
-			o := s.dict.Decode(enc.O)
-			if p == rdf.RDFType && o.IsIRI() && !types[o.Value] {
+			if o := s.dict.Decode(enc.O); o.IsIRI() && !types[o.Value] {
 				types[o.Value] = true
 				grew = true
-			}
-			if i := targets[gi]; timed {
-				if at, ok := stsparql.ParseDateTime(o.Value); ok {
-					if s.sliceMin[i].IsZero() || at.Before(s.sliceMin[i]) {
-						s.sliceMin[i] = at
-					}
-					if at.After(s.sliceMax[i]) {
-						s.sliceMax[i] = at
-					}
-				}
-				if !s.looseTimes {
-					if _, canonical, _ := stsparql.TimeKey(o); !canonical {
-						s.looseTimes, grew = true, true
-					}
-				}
 			}
 		}
 	}
@@ -458,7 +439,7 @@ func (s *Store) probe(h *held, fn func(slice int, m *strabon.Store) bool) {
 		}
 		return
 	}
-	for i, m := range s.members() {
+	for i, m := range s.members {
 		m.RLock()
 		stop := fn(i-1, m)
 		m.RUnlock()
@@ -565,7 +546,7 @@ func (s *Store) insertRouted(groups [][]rdf.EncodedTriple, probeOwner bool) []in
 	s.track(groups, targets)
 
 	counts := make([]int, len(groups))
-	for i, m := range s.members() {
+	for i, m := range s.members {
 		var idxs []int
 		var batch [][]rdf.EncodedTriple
 		for gi, tg := range targets {
@@ -579,6 +560,9 @@ func (s *Store) insertRouted(groups [][]rdf.EncodedTriple, probeOwner bool) []in
 		}
 		m.Lock()
 		res := m.InsertEncodedLocked(batch...)
+		if i > 0 {
+			s.publishSpan(i - 1)
+		}
 		m.Unlock()
 		for j, gi := range idxs {
 			counts[gi] = res[j]
@@ -787,10 +771,12 @@ func (s *Store) route(inserts []rdf.EncodedTriple, h *held) (groups [][]rdf.Enco
 
 // commit applies routed deletes and inserts under the write locks h
 // names: deletes try each write-held store (the partition means at most
-// one can hold the triple), inserts land in bulk per target. The
-// track() registration happens BEFORE the first member-store mutation:
-// routing knowledge must already cover the new data when the member
-// generations move (genorder invariant, enforced by reprolint).
+// one can hold the triple), inserts land in bulk per target, and every
+// written slice then publishes its time summary. The track()
+// registration happens BEFORE the first member-store mutation, and the
+// publication before the caller's lockWrite release: routing knowledge
+// must already cover the new data when the member generations move
+// (genorder invariant, enforced by reprolint).
 func (s *Store) commit(deletes []rdf.EncodedTriple, groups [][]rdf.EncodedTriple, targets []int, h *held) stsparql.UpdateStats {
 	var stats stsparql.UpdateStats
 	s.track(groups, targets)
@@ -825,9 +811,40 @@ func (s *Store) commit(deletes []rdf.EncodedTriple, groups [][]rdf.EncodedTriple
 	for _, i := range h.slices {
 		if h.write[i] {
 			land(i, s.slices[i])
+			s.publishSpan(i)
 		}
 	}
 	return stats
+}
+
+// timeSpan is a slice's time summary as the router reads it: the
+// slice's size and its time index's span of the routing predicate.
+type timeSpan struct {
+	triples int
+	strabon.TimeSpan
+}
+
+// loose reports a time literal whose instant order and text order may
+// disagree, or that is not indexed at all: lexical windows stop pruning
+// (see usableWindows).
+func (sp *timeSpan) loose() bool { return sp.NonCanonical > 0 || sp.Other > 0 }
+
+// publishSpan reads slice i's time summary off its time index and
+// publishes it to the router. The caller holds slice i's write lock and
+// calls it after the hold's last mutation, before the Unlock that bumps
+// the slice's generation: a reader that sees the new generation sees the
+// summary too. A run that turns loose advances knowGen here, after the
+// summary and before the generation: a lexical window stops pruning, so
+// partial vectors that do not list this slice must fail validation too.
+func (s *Store) publishSpan(i int) {
+	m := s.slices[i]
+	sp := &timeSpan{
+		triples:  m.CountIDs(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard),
+		TimeSpan: m.TimeSpanLocked(s.timePredID()),
+	}
+	if old := s.spans[i].Swap(sp); sp.loose() && (old == nil || !old.loose()) {
+		s.knowGen.Add(1)
+	}
 }
 
 // --- lock helpers ---
@@ -835,15 +852,13 @@ func (s *Store) commit(deletes []rdf.EncodedTriple, groups [][]rdf.EncodedTriple
 // lockAllRead read-locks every member store in fixed order (static,
 // then slices ascending) and returns the matching unlock.
 func (s *Store) lockAllRead() func() {
-	s.static.RLock()
-	for _, sl := range s.slices {
-		sl.RLock()
+	for _, m := range s.members {
+		m.RLock()
 	}
 	return func() {
-		for i := len(s.slices) - 1; i >= 0; i-- {
-			s.slices[i].RUnlock()
+		for i := len(s.members) - 1; i >= 0; i-- {
+			s.members[i].RUnlock()
 		}
-		s.static.RUnlock()
 	}
 }
 
@@ -897,9 +912,9 @@ func (s *Store) genFor(idx int) uint64 {
 // genAll composes the union view's generation. Caller must hold every
 // member lock.
 func (s *Store) genAll() uint64 {
-	g := s.static.Generation()
-	for _, sl := range s.slices {
-		g += sl.Generation()
+	g := uint64(0)
+	for _, m := range s.members {
+		g += m.Generation()
 	}
 	return g
 }
@@ -920,22 +935,22 @@ func (s *Store) genAll() uint64 {
 // fullVector captures the union view's per-member generations. Caller
 // must hold every member's read lock.
 func (s *Store) fullVector() resultcache.GenVector {
-	gens := make([]resultcache.SliceGen, 0, len(s.slices)+1)
-	gens = append(gens, resultcache.SliceGen{Slice: -1, Gen: s.static.Generation()})
-	for i, sl := range s.slices {
-		gens = append(gens, resultcache.SliceGen{Slice: i, Gen: sl.Generation()})
+	gens := make([]resultcache.SliceGen, 0, len(s.members))
+	for i, m := range s.members {
+		gens = append(gens, resultcache.SliceGen{Slice: i - 1, Gen: m.Generation()})
 	}
 	return resultcache.GenVector{Gens: gens, Know: s.knowGen.Load()}
 }
 
 // fanVector captures the generations of the static store plus the
-// fan-out's candidate slices. Capture must precede recheckFanout —
-// every write path tracks its routing knowledge BEFORE bumping the
-// member generation, so a write racing the analysis either shows up in
-// the recheck (union fallback) or post-dates the captured vector (the
-// cache entry fails validation). That ordering is what makes the
-// lock-free empty-prune path sound; the locked fan-out paths capture
-// under their read locks anyway.
+// fan-out's candidate slices. Capture must precede the re-analysis
+// under the read locks (see routeQuery) — every write path tracks its
+// routing knowledge and publishes its slices' time summaries BEFORE
+// bumping the member generation, so a write racing the analysis either
+// shows up in the re-analysis (union fallback) or post-dates the
+// captured vector (the cache entry fails validation). That ordering is
+// what makes the lock-free empty-prune path sound; the locked fan-out
+// paths capture under their read locks anyway.
 func (s *Store) fanVector(keyShards []int) resultcache.GenVector {
 	gens := make([]resultcache.SliceGen, 0, len(keyShards)+1)
 	gens = append(gens, resultcache.SliceGen{Slice: -1, Gen: s.static.Generation()})

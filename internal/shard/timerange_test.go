@@ -56,7 +56,7 @@ func verifyTimeIndexes(t *testing.T, st strabon.API) {
 	case *strabon.Store:
 		members = append(members, v)
 	case *Store:
-		members = v.members()
+		members = v.members
 	}
 	for i, m := range members {
 		m.RLock()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/rdf"
 )
 
 // Telemetry is the endpoint's observability bundle: the /metrics
@@ -133,7 +132,7 @@ func EnableTelemetry(ep *Endpoint, reg *obs.Registry, qlog *obs.QueryLog) *Telem
 				}
 				return out
 			case *Store:
-				n, _, _ := st.TimeIndexStats(rdf.Term{})
+				n, _, _ := st.TimeIndexStats()
 				return []obs.Sample{{LabelValues: []string{"single"}, Value: float64(n)}}
 			}
 			return nil

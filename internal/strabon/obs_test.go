@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/rdf"
 	"repro/internal/resultcache"
 )
 
@@ -44,7 +43,7 @@ func obsEndpointOver(st API) *Endpoint {
 type shardReporting struct{ *Store }
 
 func (s shardReporting) ShardStats() []ShardStat {
-	n, lo, hi := s.TimeIndexStats(rdf.Term{})
+	n, lo, hi := s.TimeIndexStats()
 	return []ShardStat{{Name: "static", Triples: s.Len(), Gen: s.Generation(), TimeEntries: n, MinUnix: lo, MaxUnix: hi}}
 }
 

@@ -153,20 +153,12 @@ func (s *Store) MatchTimeRangeIDs(p rdf.ID, w stsparql.TimeWindow, visit func(rd
 }
 
 // TimeIndexStats reports the time index's size and the instants of its
-// first and last entry (unix seconds; zero when empty) — over the run
-// of predicate p, or over every run when p is the zero term.
-func (s *Store) TimeIndexStats(p rdf.Term) (entries int, minUnix, maxUnix int64) {
+// first and last entry (unix seconds; zero when empty) over every run.
+func (s *Store) TimeIndexStats() (entries int, minUnix, maxUnix int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	only, filtered := rdf.Wildcard, !p.IsZero()
-	if filtered {
-		var ok bool
-		if only, ok = s.triples.Dict().Lookup(p); !ok {
-			return 0, 0, 0
-		}
-	}
-	for pid, run := range s.times {
-		if (filtered && pid != only) || len(run.entries) == 0 {
+	for _, run := range s.times {
+		if len(run.entries) == 0 {
 			continue
 		}
 		first, last := run.entries[0].unix, run.entries[len(run.entries)-1].unix
@@ -179,6 +171,35 @@ func (s *Store) TimeIndexStats(p rdf.Term) (entries int, minUnix, maxUnix int64)
 		entries += len(run.entries)
 	}
 	return entries, minUnix, maxUnix
+}
+
+// TimeSpan is what the time index knows of one predicate: its entry
+// count, the instants of its first and last entry (unix seconds; zero
+// when empty), and how many of its literals are non-canonical or not
+// indexed at all (see timeRun).
+type TimeSpan struct {
+	Entries          int
+	MinUnix, MaxUnix int64
+	NonCanonical     int
+	Other            int
+}
+
+// TimeSpanLocked reports the time index's span of predicate p. The
+// caller holds the store lock (composite-store use: the sharded store
+// reads it under a member's write lock).
+func (s *Store) TimeSpanLocked(p rdf.ID) TimeSpan {
+	run := s.times[p]
+	if run == nil {
+		if p == rdf.Wildcard {
+			return TimeSpan{}
+		}
+		return TimeSpan{Other: s.triples.Count(rdf.Wildcard, p, rdf.Wildcard)}
+	}
+	sp := TimeSpan{Entries: len(run.entries), NonCanonical: run.nonCanonical, Other: run.other}
+	if n := len(run.entries); n > 0 {
+		sp.MinUnix, sp.MaxUnix = run.entries[0].unix, run.entries[n-1].unix
+	}
+	return sp
 }
 
 // VerifyTimeIndex recounts the index from the triples (caller holds the

@@ -42,7 +42,7 @@ func TestTimeIndexFollowsEveryWritePath(t *testing.T) {
 	s.InsertAll(groups...)
 	verified(t, s, "after an out-of-order bulk load")
 	unix := func(m int) int64 { u, _, _ := stsparql.TimeKey(minute(m)); return u }
-	if n, lo, hi := s.TimeIndexStats(rdf.NewIRI(acqTime)); n != 6 || lo != unix(10) || hi != unix(50) {
+	if n, lo, hi := s.TimeIndexStats(); n != 6 || lo != unix(10) || hi != unix(50) {
 		t.Fatalf("TimeIndexStats = %d [%d, %d], want 6 [%d, %d]", n, lo, hi, unix(10), unix(50))
 	}
 
@@ -52,7 +52,7 @@ func TestTimeIndexFollowsEveryWritePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	verified(t, s, "after a delete of the two oldest")
-	if n, lo, hi := s.TimeIndexStats(rdf.Term{}); n != 5 || lo != unix(20) || hi != unix(50) {
+	if n, lo, hi := s.TimeIndexStats(); n != 5 || lo != unix(20) || hi != unix(50) {
 		t.Fatalf("TimeIndexStats = %d [%d, %d], want 5 [%d, %d]", n, lo, hi, unix(20), unix(50))
 	}
 
@@ -71,7 +71,7 @@ func TestTimeIndexFollowsEveryWritePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	verified(t, s, "after a flush that inserts two groups and deletes one old, one new hotspot")
-	if n, lo, hi := s.TimeIndexStats(rdf.NewIRI(acqTime)); n != 5 || lo != unix(20) || hi != unix(55) {
+	if n, lo, hi := s.TimeIndexStats(); n != 5 || lo != unix(20) || hi != unix(55) {
 		t.Fatalf("TimeIndexStats = %d [%d, %d], want 5 [%d, %d]", n, lo, hi, unix(20), unix(55))
 	}
 }

@@ -16,9 +16,9 @@
 #   BenchmarkShardedQueries/single (internal/shard) — the join-heavy
 #     spatial workload on one store, one live-slice write per query.
 #   BenchmarkShardedQueries/sharded1 (internal/shard) — the same join on
-#     a one-slice sharded store: what a one-slice shard costs over the
-#     single store, the figure to lower once N = 1 skips what routing
-#     cannot change.
+#     a one-slice sharded store, the store every program runs at one
+#     slice: N = 1 skips routing and evaluates once over the union view,
+#     so it should cost what the single store costs.
 #   BenchmarkShardedQueries/sharded4 (internal/shard) — the same join
 #     fanned out over composite static+slice views: what the serving
 #     stack runs. A jump here means a composite source left ID space
