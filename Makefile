@@ -52,7 +52,7 @@ bench-endpoint:
 bench-stream:
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamedSelect' -benchmem ./internal/strabon
 
-# Sharded vs single-store cost of the time-constrained join, one
+# One-slice vs four-slice cost of the time-constrained join, one
 # live-slice write per query, and the heavy ordered four-slice join.
 bench-shard:
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedQueries|BenchmarkOrderedWindowJoin' -benchmem ./internal/shard

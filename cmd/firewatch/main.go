@@ -27,7 +27,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/refine"
 	"repro/internal/seviri"
-	"repro/internal/shard"
 	"repro/internal/strabon"
 )
 
@@ -49,7 +48,7 @@ func main() {
 		sens = seviri.MSG2
 	}
 	cfg := seviri.DefaultScenarioConfig()
-	st := shard.New(shard.Config{Slices: *shards, Width: *shardWidth, Epoch: cfg.Start})
+	st := strabon.NewSharded(strabon.Config{Slices: *shards, Width: *shardWidth, Epoch: cfg.Start})
 	if *shards > 1 {
 		fmt.Printf("firewatch: sharded store: %d slices of %v\n", *shards, *shardWidth)
 	}

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/auxdata"
-	"repro/internal/shard"
 	"repro/internal/strabon"
 	"repro/internal/stsparql"
 )
@@ -56,7 +55,7 @@ func main() {
 	// -repeat runs — so parsed WKT is reused instead of re-parsing the
 	// same coastline literals. Its plan cache does the same for compiled
 	// plans: run 1 parses and plans, runs 2..N hit the cache.
-	st := shard.New(shard.Config{Slices: 1})
+	st := strabon.New()
 	cache := st.GeomCache()
 	if *seed != 0 {
 		world := auxdata.Generate(*seed)
@@ -182,7 +181,7 @@ func renderTable(cur strabon.QueryCursor) error {
 	return w.Flush()
 }
 
-func reportCaches(cache *stsparql.Cache, st *shard.Store) {
+func reportCaches(cache *stsparql.Cache, st *strabon.Store) {
 	fmt.Fprintf(os.Stderr, "geometry cache: %d parsed WKT literals\n", cache.Size())
 	ps := st.PlanStats()
 	fmt.Fprintf(os.Stderr, "plan cache: %d hits, %d misses, %d evictions (%d entries)\n",

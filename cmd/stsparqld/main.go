@@ -11,8 +11,8 @@
 //	stsparqld -addr :7575 -plan-cache 1024
 //	stsparqld -addr :7575 -live -shards 4 -shard-width 1h
 //
-// With -shards N the backend is the sharded store (internal/shard):
-// the acquisition history partitions into N time-range slices — each
+// With -shards N the store (internal/strabon) partitions
+// the acquisition history into N time-range slices — each
 // with its own lock, R-tree and plan cache — behind the same endpoint;
 // time-constrained queries prune to the matching slices and fan out
 // concurrently, and live writes lock only the slice they land in.
@@ -49,7 +49,6 @@ import (
 	"repro/internal/refine"
 	"repro/internal/resultcache"
 	"repro/internal/seviri"
-	"repro/internal/shard"
 	"repro/internal/strabon"
 )
 
@@ -78,7 +77,7 @@ func main() {
 	flag.Parse()
 
 	cfg := seviri.DefaultScenarioConfig()
-	st := shard.New(shard.Config{Slices: *shards, Width: *shardWidth, Epoch: cfg.Start})
+	st := strabon.NewSharded(strabon.Config{Slices: *shards, Width: *shardWidth, Epoch: cfg.Start})
 	if *shards > 1 {
 		fmt.Fprintf(os.Stderr, "stsparqld: sharded store: %d slices of %v\n", *shards, *shardWidth)
 	}

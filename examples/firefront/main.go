@@ -14,12 +14,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/seviri"
-	"repro/internal/shard"
+	"repro/internal/strabon"
 )
 
 func main() {
 	cfg := seviri.DefaultScenarioConfig()
-	svc, err := core.NewServiceWithStore(7, cfg, shard.New(shard.Config{Slices: 1}))
+	svc, err := core.NewServiceWithStore(7, cfg, strabon.New())
 	if err != nil {
 		log.Fatal(err)
 	}

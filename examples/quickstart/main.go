@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/seviri"
-	"repro/internal/shard"
 	"repro/internal/strabon"
 )
 
@@ -20,7 +19,7 @@ func main() {
 	// A deterministic synthetic world + fire scenario (the paper's severe
 	// fire days of August 2007).
 	cfg := seviri.DefaultScenarioConfig()
-	svc, err := core.NewServiceWithStore(42, cfg, shard.New(shard.Config{Slices: 1}))
+	svc, err := core.NewServiceWithStore(42, cfg, strabon.New())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/refine"
 	"repro/internal/seviri"
-	"repro/internal/shard"
+	"repro/internal/strabon"
 )
 
 // newTestService builds a small service over a fixed seed.
@@ -19,7 +19,7 @@ func newTestService(t *testing.T) *Service {
 	cfg.Days = 1
 	cfg.FiresPerDay = 5
 	cfg.ArtifactsPerDay = 3
-	s, err := NewServiceWithStore(42, cfg, shard.New(shard.Config{Slices: 1}))
+	s, err := NewServiceWithStore(42, cfg, strabon.New())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,11 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/seviri"
-	"repro/internal/shard"
 	"repro/internal/strabon"
 )
 
-// TestPersistenceInvariant checks, after a day of Steps on the single
-// store and on four time shards, what Time Persistence promises about
+// TestPersistenceInvariant checks, after a day of Steps on one slice
+// and on four, what Time Persistence promises about
 // every virtual hotspot left in the store:
 //
 //   - a location with no detection for one window has no virtual hotspot
@@ -35,10 +34,10 @@ func TestPersistenceInvariant(t *testing.T) {
 	var virtuals [][]string
 	for _, tc := range []struct {
 		name string
-		st   strabon.API
+		st   *strabon.Store
 	}{
-		{"single", strabon.New()},
-		{"shards=4", shard.New(shard.Config{Slices: 4, Width: time.Hour, Epoch: cfg.Start})},
+		{"shards=1", strabon.New()},
+		{"shards=4", strabon.NewSharded(strabon.Config{Slices: 4, Width: time.Hour, Epoch: cfg.Start})},
 	} {
 		svc, err := NewServiceWithStore(7, cfg, tc.st)
 		if err != nil {
@@ -55,7 +54,7 @@ func TestPersistenceInvariant(t *testing.T) {
 		t.Fatal("the day minted no virtual hotspot: nothing was checked")
 	}
 	if !slices.Equal(virtuals[0], virtuals[1]) {
-		t.Fatalf("single store minted %d virtual hotspots, four shards %d", len(virtuals[0]), len(virtuals[1]))
+		t.Fatalf("one slice minted %d virtual hotspots, four %d", len(virtuals[0]), len(virtuals[1]))
 	}
 }
 

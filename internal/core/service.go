@@ -33,7 +33,7 @@ type Service struct {
 	Sim     *seviri.Simulator
 	Vault   *vault.Vault
 	Chain   Chain
-	Strabon strabon.API
+	Strabon *strabon.Store
 	Refiner *refine.Runner
 
 	// NewChain builds a processing chain private to one pipeline worker;
@@ -67,10 +67,9 @@ type Service struct {
 // NewServiceWithStore assembles the full stack over a world seed and a
 // Strabon backend: synthetic geography, fire scenario, simulator, vault,
 // SciQL chain, and st pre-loaded with every auxiliary dataset. Programs
-// pass a sharded store (shard.New; one slice unless they partition by
-// time); core cannot build one itself, since the shard package's tests
-// import core.
-func NewServiceWithStore(seed int64, cfg seviri.ScenarioConfig, st strabon.API) (*Service, error) {
+// pass strabon.New(), or strabon.NewSharded when they partition by
+// time.
+func NewServiceWithStore(seed int64, cfg seviri.ScenarioConfig, st *strabon.Store) (*Service, error) {
 	world := auxdata.Generate(seed)
 	scenario := seviri.GenerateScenario(world, seed+1, cfg)
 	sim := seviri.NewSimulator(scenario)

@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/refine"
 	"repro/internal/seviri"
-	"repro/internal/shard"
+	"repro/internal/strabon"
 )
 
 // raceDetector is set by race_test.go in -race builds.
@@ -41,7 +41,7 @@ func TestSoak(t *testing.T) {
 	}
 	cfg := seviri.DefaultScenarioConfig()
 	cfg.Days = days
-	svc, err := NewServiceWithStore(7, cfg, shard.New(shard.Config{Slices: 1}))
+	svc, err := NewServiceWithStore(7, cfg, strabon.New())
 	if err != nil {
 		t.Fatal(err)
 	}

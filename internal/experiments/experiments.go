@@ -16,7 +16,7 @@ import (
 	"repro/internal/products"
 	"repro/internal/refine"
 	"repro/internal/seviri"
-	"repro/internal/shard"
+	"repro/internal/strabon"
 	"repro/internal/vault"
 )
 
@@ -34,7 +34,7 @@ type Table1Result struct {
 func Table1(seed int64, days int) (*Table1Result, error) {
 	cfg := seviri.DefaultScenarioConfig()
 	cfg.Days = days
-	svc, err := core.NewServiceWithStore(seed, cfg, shard.New(shard.Config{Slices: 1}))
+	svc, err := core.NewServiceWithStore(seed, cfg, strabon.New())
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ func Table2(seed int64, images int) (*Table2Result, error) {
 	cfg.Start = time.Date(2010, 8, 22, 0, 0, 0, 0, time.UTC)
 	cfg.Days = 1
 	cfg.FiresPerDay = 10
-	svc, err := core.NewServiceWithStore(seed, cfg, shard.New(shard.Config{Slices: 1}))
+	svc, err := core.NewServiceWithStore(seed, cfg, strabon.New())
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +195,7 @@ func Figure8(seed int64, window time.Duration) (*Figure8Result, error) {
 	for _, sensor := range []seviri.Sensor{seviri.MSG1, seviri.MSG2} {
 		cfg := seviri.DefaultScenarioConfig()
 		cfg.Days = 1
-		svc, err := core.NewServiceWithStore(seed, cfg, shard.New(shard.Config{Slices: 1}))
+		svc, err := core.NewServiceWithStore(seed, cfg, strabon.New())
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +287,7 @@ func (r *Figure8Result) MunicipalitiesSlowest() bool {
 func CollectProducts(seed int64, window time.Duration) (*core.Service, []*products.Product, error) {
 	cfg := seviri.DefaultScenarioConfig()
 	cfg.Days = 1
-	svc, err := core.NewServiceWithStore(seed, cfg, shard.New(shard.Config{Slices: 1}))
+	svc, err := core.NewServiceWithStore(seed, cfg, strabon.New())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,37 +7,47 @@ import (
 	"go/types"
 )
 
-// genorder: the result cache validates generation vectors lock-free
-// (PR 7), which is only sound because every shard write path registers
-// its routing knowledge — track() — BEFORE any member-store generation
-// bumps. Invert the order and a validator racing the write can see the
-// new generation while the fan-out verdict it validates against was
-// computed from pre-write routing knowledge: a stale cached result
-// survives.
+// genorder: the result cache validates generation vectors lock-free,
+// which is only sound because every write path of the store's router
+// registers its routing knowledge — track() — BEFORE any member
+// generation bumps. Invert the order and a validator racing the write
+// can see the new generation while the fan-out verdict it validates
+// against was computed from pre-write routing knowledge: a stale cached
+// result survives.
 //
-// The analyzer checks, within each function of a package named shard
-// that calls track(), that no member-store mutation (a method named
-// Add, Remove, RemoveEncoded, InsertAll, InsertEncodedLocked, or ApplyPlan
-// on a Store type declared in another package) and no direct generation bump (.Add on a field
-// named gen or knowGen) lexically precedes the first track() call.
-// Functions without a track() call — pure helpers, read paths — are
-// out of scope, as is track itself.
+// The analyzer checks, within each function of the router's package
+// (package strabon) that calls track(), that no member mutation (a
+// method named Add, addEncoded, Remove, RemoveEncoded, InsertAll,
+// InsertEncodedLocked, or ApplyPlan on the package's member type) and no
+// direct generation bump (.Add on a field named gen or knowGen)
+// lexically precedes the first track() call. Functions without a
+// track() call — pure helpers, read paths — are out of scope, as is
+// track itself.
 //
 // A slice's time summary (publishSpan) and the knowGen bump it may
-// cause must likewise precede the Unlock that bumps the member's
+// cause must likewise precede the release that bumps the member's
 // generation: no publishSpan call and no knowGen.Add may follow a
-// non-deferred Unlock on a member Store in the same function, and the
-// release lockWrite returns must be deferred (defer s.lockWrite(h)()),
-// so that everything the hold publishes precedes it.
+// non-deferred release of a member's write lock (m.unlock() or
+// m.mu.Unlock()) in the same function, and the release lockWrite
+// returns must be deferred (defer s.lockWrite(h)()), so that everything
+// the hold publishes precedes it.
 
 var analyzerGenOrder = &Analyzer{
 	Name: "genorder",
-	Doc:  "shard write paths must track routing knowledge before bumping member-store generations, and publish time summaries before releasing member write locks",
+	Doc:  "the store's write paths must track routing knowledge before bumping member generations, and publish time summaries before releasing member write locks",
 	Run:  runGenOrder,
 }
 
+// routerPackage names the package whose write paths genorder checks,
+// and memberType the type of its members.
+const (
+	routerPackage = "strabon"
+	memberType    = "member"
+)
+
 var mutatingMethods = map[string]bool{
 	"Add":           true,
+	"addEncoded":    true,
 	"Remove":        true,
 	"RemoveEncoded": true,
 	"InsertAll":     true,
@@ -49,7 +59,7 @@ var mutatingMethods = map[string]bool{
 func runGenOrder(prog *Program) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range prog.Pkgs {
-		if pkg.Name != "shard" {
+		if pkg.Name != routerPackage {
 			continue
 		}
 		for _, file := range pkg.Files {
@@ -74,7 +84,7 @@ func genOrderFunc(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 	})
 
 	var diags []Diagnostic
-	released := false // a member Unlock has run: the generation moved
+	released := false // a member write lock was released: the generation moved
 	walkParents(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -90,11 +100,11 @@ func genOrderFunc(pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 			if callee(call) == "Add" {
 				what = "generation bump knowGen.Add"
 			}
-			msg = what + " follows a member-store Unlock: publish BEFORE the Unlock bumps the generation, or the router reads a summary older than the data"
+			msg = what + " follows a member write-lock release: publish BEFORE the release bumps the generation, or the router reads a summary older than the data"
 		case callee(call) == "lockWrite" && !deferredResult(call, stack):
 			msg = "lockWrite's release is not deferred: defer it, so that everything the hold publishes precedes it"
 		}
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Unlock" && memberStore(pkg, sel) != nil {
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && memberRelease(pkg, sel) {
 			_, deferred := parent.(*ast.DeferStmt)
 			released = released || !deferred
 		}
@@ -117,14 +127,29 @@ func callee(call *ast.CallExpr) string {
 	return ""
 }
 
-// memberStore reports a selector on a Store type declared in another
-// package — a member store.
-func memberStore(pkg *Package, sel *ast.SelectorExpr) *types.Named {
-	if n := recvNamed(pkg.Info, sel); n != nil && n.Obj().Name() == "Store" &&
-		n.Obj().Pkg() != nil && n.Obj().Pkg() != pkg.Types {
-		return n
+// isMember reports a type that is the package's member type.
+func isMember(pkg *Package, t types.Type) bool {
+	n := namedOf(t)
+	return n != nil && n.Obj().Name() == memberType && n.Obj().Pkg() == pkg.Types
+}
+
+// memberMethod reports a method call on a member.
+func memberMethod(pkg *Package, sel *ast.SelectorExpr) bool {
+	s, ok := pkg.Info.Selections[sel]
+	return ok && isMember(pkg, s.Recv())
+}
+
+// memberRelease reports the release of a member's write lock: m.unlock(),
+// which publishes the generation, or m.mu.Unlock() directly.
+func memberRelease(pkg *Package, sel *ast.SelectorExpr) bool {
+	switch sel.Sel.Name {
+	case "unlock":
+		return memberMethod(pkg, sel)
+	case "Unlock":
+		mu, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+		return ok && mu.Sel.Name == "mu" && isMember(pkg, pkg.Info.TypeOf(mu.X))
 	}
-	return nil
+	return false
 }
 
 // counter names the generation counter field (gen or knowGen) a call
@@ -138,13 +163,11 @@ func counter(call *ast.CallExpr) string {
 	return ""
 }
 
-// genBump describes a generation bump — a mutating method on a member
-// Store, or a direct .Add on a generation counter — or returns "".
+// genBump describes a generation bump — a mutating method on a member,
+// or a direct .Add on a generation counter — or returns "".
 func genBump(pkg *Package, call *ast.CallExpr) string {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && mutatingMethods[sel.Sel.Name] {
-		if n := memberStore(pkg, sel); n != nil {
-			return fmt.Sprintf("member-store mutation %s.Store.%s", n.Obj().Pkg().Name(), sel.Sel.Name)
-		}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && mutatingMethods[sel.Sel.Name] && memberMethod(pkg, sel) {
+		return fmt.Sprintf("member mutation %s.%s", memberType, sel.Sel.Name)
 	}
 	if name := counter(call); name != "" {
 		return "generation bump " + name + ".Add"

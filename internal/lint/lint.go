@@ -19,13 +19,13 @@
 //     iterator's next is owned by the producer and reused on the next
 //     pull; retaining one requires an interposing cloneBatch call.
 //   - lockdiscipline: no write-lock acquisition (writeMu, RWMutex
-//     write Lock, Store.Lock, lockWrite) is reachable from the reader
+//     write Lock, member.Lock, lockWrite) is reachable from the reader
 //     entry points (QueryStream, QueryStreamCtx, Explain) via a static
 //     call-graph walk; and the flush entry point (ApplyFlush), a write
 //     path that reads before it commits, never takes a write lock
 //     while still holding the read lock it took on the same mutex.
-//   - genorder: in package shard's write paths, routing knowledge must
-//     be tracked BEFORE member-store generations bump, and time
+//   - genorder: in package strabon's write paths, routing knowledge
+//     must be tracked BEFORE member generations bump, and time
 //     summaries published BEFORE member write locks release, or the
 //     result cache validates against stale routing vectors.
 //

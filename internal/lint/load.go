@@ -135,7 +135,7 @@ func checkPackage(fset *token.FileSet, imp *exportImporter, path, dir string, fi
 }
 
 // displayPath renders file paths relative to the working directory
-// when possible, so diagnostics read `internal/shard/shard.go:663`.
+// when possible, so diagnostics read `internal/strabon/strabon.go:663`.
 func displayPath(p string) string {
 	wd, err := os.Getwd()
 	if err != nil {

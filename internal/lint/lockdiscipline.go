@@ -11,7 +11,7 @@ import (
 
 // lockdiscipline: the serving tier's scaling story rests on readers
 // never blocking on writers (PRs 4/7): query paths take member read
-// locks only, and the shard store's writeMu — which serialises
+// locks only, and the store's writeMu — which serialises
 // check-then-act routing against application — is a writer-only
 // mutex. A read path that acquires any write lock deadlocks against
 // its own read locks or serialises every concurrent reader.
@@ -25,7 +25,7 @@ import (
 //
 //   - .Lock() on a field named writeMu,
 //   - .Lock() on a sync.RWMutex (the write side; readers use RLock),
-//   - .Lock() on a type named Store (the exported member write lock),
+//   - .Lock() on a type named member (a member store's write lock),
 //   - any call to a function named lockWrite or lockAllWrite.
 //
 // The flush entry point — methods named ApplyFlush — is the opposite
@@ -341,8 +341,8 @@ func forbiddenLock(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
 		if typeIs(tv.Type, "sync", "RWMutex") {
 			return "RWMutex write Lock", true
 		}
-		if n := namedOf(tv.Type); n != nil && n.Obj().Name() == "Store" {
-			return "Store.Lock (member write lock)", true
+		if n := namedOf(tv.Type); n != nil && n.Obj().Name() == memberType {
+			return "member.Lock (member write lock)", true
 		}
 	}
 	return "", false

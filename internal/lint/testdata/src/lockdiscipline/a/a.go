@@ -3,16 +3,21 @@
 // acquisition through any call chain.
 package a
 
-import (
-	"sync"
+import "sync"
 
-	"member"
-)
+// member stands in for a member store: its Lock is the write lock that
+// reader paths must never reach.
+type member struct{}
+
+func (m *member) Lock()    {}
+func (m *member) Unlock()  {}
+func (m *member) RLock()   {}
+func (m *member) RUnlock() {}
 
 type Store struct {
 	mu      sync.RWMutex
 	writeMu sync.Mutex
-	m       *member.Store
+	m       *member
 }
 
 // QueryStream is a reader entry; badHelper reaches an RWMutex write

@@ -9,7 +9,7 @@
 // five rules of rules.go evaluated over the event's bindings, and the
 // action — every delete and insert the rules derive — is applied
 // together with the flush's own insert as a single transition of the
-// store (strabon.API.ApplyFlush). Runner.Apply is the one
+// store (strabon.Store.ApplyFlush). Runner.Apply is the one
 // implementation; the per-operation methods run one rule of it.
 package refine
 
@@ -59,10 +59,9 @@ type Timing struct {
 	Affected int
 }
 
-// Runner executes the refinement rules against a Strabon store — the
-// single strabon.Store or the sharded store, through strabon.API.
+// Runner executes the refinement rules against a Strabon store.
 type Runner struct {
-	Store strabon.API
+	Store *strabon.Store
 	// PersistenceWindow is the look-back of the Time Persistence
 	// heuristic (the paper: "during the last hour(s)").
 	PersistenceWindow time.Duration
@@ -79,7 +78,7 @@ type Runner struct {
 }
 
 // NewRunner returns a Runner with the paper's defaults.
-func NewRunner(s strabon.API) *Runner {
+func NewRunner(s *strabon.Store) *Runner {
 	return &Runner{Store: s, PersistenceWindow: time.Hour, PersistenceMin: 2}
 }
 

@@ -18,7 +18,6 @@ import (
 	"repro/internal/rdf"
 	. "repro/internal/refine"
 	"repro/internal/seviri"
-	"repro/internal/shard"
 	"repro/internal/strabon"
 	"repro/internal/stsparql"
 )
@@ -261,7 +260,7 @@ func randSrc() *rand.Rand { return rand.New(rand.NewSource(9)) }
 // numbered in sorted-WKT order (they used to be numbered in GROUP BY
 // emission order, which depends on the store topology).
 type oracle struct {
-	store  strabon.API
+	store  *strabon.Store
 	window time.Duration
 	min    int
 }
@@ -413,7 +412,7 @@ INSERT DATA {
 // acquisitionTriples fingerprints everything the pipeline and the rules
 // wrote: every triple of every subject carrying an acquisition time
 // (hotspots, virtual hotspots, shapefiles), sorted.
-func acquisitionTriples(t *testing.T, st strabon.API) []string {
+func acquisitionTriples(t *testing.T, st *strabon.Store) []string {
 	t.Helper()
 	res, err := strabon.MaterialiseQuery(context.Background(), st, `SELECT ?s ?p ?o WHERE { ?s noa:hasAcquisitionDateTime ?t ; ?p ?o . }`)
 	if err != nil {
@@ -437,7 +436,7 @@ func scenarioProducts(t *testing.T, seed int64, n int) (*auxdata.World, []*produ
 	t.Helper()
 	cfg := seviri.DefaultScenarioConfig()
 	cfg.Days = 1
-	svc, err := core.NewServiceWithStore(seed, cfg, shard.New(shard.Config{Slices: 1}))
+	svc, err := core.NewServiceWithStore(seed, cfg, strabon.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,10 +513,10 @@ func applyVersusOracle(t *testing.T, seed int64, perSeed int) (deleted, persiste
 		deleted, persisted = deleted+want[i][2], persisted+want[i][5]
 	}
 
-	stores := map[string]func() strabon.API{"single": func() strabon.API { return strabon.New() }}
+	stores := map[string]func() *strabon.Store{}
 	for _, n := range []int{1, 2, 4} {
-		stores[fmt.Sprintf("shard%d", n)] = func() strabon.API {
-			return shard.New(shard.Config{Slices: n, Width: 10 * time.Minute, Epoch: epoch})
+		stores[fmt.Sprintf("shard%d", n)] = func() *strabon.Store {
+			return strabon.NewSharded(strabon.Config{Slices: n, Width: 10 * time.Minute, Epoch: epoch})
 		}
 	}
 	for name, mk := range stores {

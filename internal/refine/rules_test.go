@@ -1,6 +1,7 @@
 package refine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -32,7 +33,23 @@ func TestRulePlansAreDeltaDriven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := stsparql.NewEvaluatorWithCache(s, s.GeomCache())
+	// Each rule plans on its first run, against the flush's overlay;
+	// Explain then renders that plan.
+	inFlush(t, s, func(tx *strabon.FlushTx) {
+		h, pixel, window := seedTerms()
+		for _, r := range rules.scoped {
+			if _, err := tx.Plan(r.prepared, []stsparql.Row{{h}}); err != nil {
+				t.Fatalf("%s: %v", r.op, err)
+			}
+		}
+		if _, err := tx.Plan(rules.confirm, []stsparql.Row{append(stsparql.Row{h, pixel}, window...)}); err != nil {
+			t.Fatalf("confirm: %v", err)
+		}
+		if _, err := tx.Select(rules.persistent, []stsparql.Row{window}); err != nil {
+			t.Fatalf("persistent: %v", err)
+		}
+	})
+	ev := stsparql.NewEvaluator(rdf.NewStore())
 	inOrder := func(name, plan string, parts ...string) {
 		t.Helper()
 		rest := plan
@@ -88,17 +105,15 @@ func TestSeedRowsMatchTheSeedList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := stsparql.NewEvaluatorWithCache(s, s.GeomCache())
-	h := rdf.NewIRI(ontology.NOA + "Hotspot_x")
-	pixel := rdf.NewGeometry("POLYGON ((22.3 38.3, 22.34 38.3, 22.34 38.34, 22.3 38.34, 22.3 38.3))")
-	window := stsparql.Row{rdf.NewLiteral("2007-08-24T11:00:00"), rdf.NewLiteral("2007-08-24T12:00:00"), rdf.NewInteger(2),
-		rdf.NewTypedLiteral("sciql", rdf.XSDString)}
-	run := func(p *stsparql.Prepared, row stsparql.Row) error {
-		if p == rules.persistent {
-			_, err := ev.SelectPrepared(p, []stsparql.Row{row})
-			return err
-		}
-		_, err := ev.PlanPrepared(p, []stsparql.Row{row})
+	h, pixel, window := seedTerms()
+	run := func(p *stsparql.Prepared, row stsparql.Row) (err error) {
+		inFlush(t, s, func(tx *strabon.FlushTx) {
+			if p == rules.persistent {
+				_, err = tx.Select(p, []stsparql.Row{row})
+				return
+			}
+			_, err = tx.Plan(p, []stsparql.Row{row})
+		})
 		return err
 	}
 	for _, tc := range []struct {
@@ -119,5 +134,31 @@ func TestSeedRowsMatchTheSeedList(t *testing.T) {
 		if err := run(tc.p, append(tc.row.Clone(), h)); err == nil {
 			t.Errorf("%s: a long row runs", tc.name)
 		}
+	}
+}
+
+// seedTerms are one seed of every shape the rules take: a hotspot, its
+// pixel, and a persistence window (?since ?now ?min ?chain).
+func seedTerms() (h, pixel rdf.Term, window stsparql.Row) {
+	h = rdf.NewIRI(ontology.NOA + "Hotspot_x")
+	pixel = rdf.NewGeometry("POLYGON ((22.3 38.3, 22.34 38.3, 22.34 38.34, 22.3 38.34, 22.3 38.3))")
+	window = stsparql.Row{rdf.NewLiteral("2007-08-24T11:00:00"), rdf.NewLiteral("2007-08-24T12:00:00"), rdf.NewInteger(2),
+		rdf.NewTypedLiteral("sciql", rdf.XSDString)}
+	return h, pixel, window
+}
+
+var errDiscard = errors.New("discard the flush")
+
+// inFlush hands fn the store as the rules of a flush see it, then
+// discards the flush: prepared rules run, and plan, against the flush's
+// overlay, the source they run on in service.
+func inFlush(t *testing.T, s *strabon.Store, fn func(tx *strabon.FlushTx)) {
+	t.Helper()
+	err := s.ApplyFlush(strabon.Flush{}, func(tx *strabon.FlushTx) error {
+		fn(tx)
+		return errDiscard
+	})
+	if err != errDiscard {
+		t.Fatalf("ApplyFlush = %v, want the discarding rules' error", err)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/strabon"
 )
 
 const analyzeWindowSelect = `
@@ -21,7 +19,7 @@ SELECT ?h ?g WHERE {
 // rows — the reference ExplainAnalyze's totals must agree with.
 func drainCount(t *testing.T, sh *Store, q string) int {
 	t.Helper()
-	cur, err := sh.QueryStream(q)
+	cur, err := sh.QueryStreamCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +199,7 @@ var (
 // fan-out's sections (the window itself drops fewer candidates the
 // fewer slices a section's view holds).
 func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
-	single := strabon.New()
-	loadFixture(single)
-	stores := map[string]strabon.API{"single": single}
+	stores := map[string]*Store{}
 	for _, n := range []int{1, 2, 4} {
 		sh := newSharded(n)
 		loadFixture(sh)
@@ -211,7 +207,7 @@ func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
 	}
 	for name, text := range map[string]string{"one-acquisition": corpusQuery("spatial-join-municipality"), "four-slices": spatialJoinFourSlices} {
 		wantTyped := -1
-		for _, topo := range []string{"single", "sharded1", "sharded2", "sharded4"} {
+		for _, topo := range []string{"sharded1", "sharded2", "sharded4"} {
 			out, err := stores[topo].ExplainAnalyze(context.Background(), text)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", name, topo, err)
@@ -258,7 +254,7 @@ func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
 				wantTyped = typed
 			}
 			if typed != wantTyped || tested > typed {
-				t.Errorf("%s on %s: %d rows reach the exact test and %d pass, the single store sends %d", name, topo, typed, tested, wantTyped)
+				t.Errorf("%s on %s: %d rows reach the exact test and %d pass, the one-slice store sends %d", name, topo, typed, tested, wantTyped)
 			}
 		}
 	}

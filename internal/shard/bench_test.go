@@ -1,23 +1,23 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/geom"
 	"repro/internal/products"
-	"repro/internal/strabon"
 )
 
-// BenchmarkShardedQueries compares single-store vs sharded query cost
+// BenchmarkShardedQueries compares the query cost of one slice and four
 // on the paper's dominant workload shape — "hotspots in acquisition
 // window X" joined against reference data — beside a writer appending
 // acquisitions to the live slice. The write is issued from the loop,
 // one before every query, so allocs/op repeats exactly (CI gates it):
-// on the sharded store the historical window prunes to one slice that
-// no write touches, so its compiled plan survives; on the single store
-// every write invalidates it.
+// at four slices the historical window prunes to one slice that no
+// write touches, so its compiled plan survives; at one slice every
+// write invalidates it.
 func BenchmarkShardedQueries(b *testing.B) {
 	q := `SELECT ?h ?m WHERE {
   ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at ; strdf:hasGeometry ?hg .
@@ -28,13 +28,12 @@ func BenchmarkShardedQueries(b *testing.B) {
 }`
 	for _, tc := range []struct {
 		name string
-		mk   func() strabon.API
+		mk   func() *Store
 	}{
-		{"single", func() strabon.API { return strabon.New() }},
-		{"sharded1", func() strabon.API {
+		{"sharded1", func() *Store {
 			return New(Config{Slices: 1, Width: time.Hour, Epoch: day})
 		}},
-		{"sharded4", func() strabon.API {
+		{"sharded4", func() *Store {
 			return New(Config{Slices: 4, Width: time.Hour, Epoch: day})
 		}},
 	} {
@@ -85,7 +84,7 @@ func BenchmarkOrderedWindowJoin(b *testing.B) {
   FILTER( strdf:anyInteract(?hg, ?mg) )
 }
 ORDER BY ?h ?m`, lo.Format("2006-01-02T15:04:05"), lo.Add(4*time.Hour).Format("2006-01-02T15:04:05"))
-		cur, err := st.QueryStream(text)
+		cur, err := st.QueryStreamCtx(context.Background(), text)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +104,7 @@ ORDER BY ?h ?m`, lo.Format("2006-01-02T15:04:05"), lo.Add(4*time.Hour).Format("2
 
 // loadBenchStore loads the reference data and twelve hours of
 // quarter-hourly acquisitions, six hotspots each.
-func loadBenchStore(st strabon.API) {
+func loadBenchStore(st *Store) {
 	st.LoadTriples(staticTriples())
 	for i := 0; i < 12*4; i++ {
 		at := day.Add(time.Duration(i) * 15 * time.Minute)

@@ -5,33 +5,12 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/rdf"
 	"repro/internal/strabon"
 	"repro/internal/stsparql"
 )
-
-// classBlind is a source whose subject sets hold every subject it
-// knows: its window scans' class check passes every candidate, so its
-// plans are the class-filtered plans with the filter off.
-type classBlind struct {
-	blindSource
-}
-
-type blindSource interface {
-	stsparql.StatSource
-	stsparql.SpatialSource
-	stsparql.TimeRangeSource
-}
-
-func (b classBlind) SubjectSets(p, o rdf.ID, dst []rdf.IDSet) []rdf.IDSet {
-	all := rdf.NewStore()
-	b.MatchIDs(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
-		all.AddEncoded(rdf.EncodedTriple{S: t.S, P: p, O: o})
-		return true
-	})
-	return append(dst, all.SubjectSet(p, o))
-}
 
 // classWindowQueries each plan a window join whose BGP types the
 // window's subject: against municipalities (the benchmark's shape, in
@@ -80,16 +59,32 @@ func renderSorted(res *stsparql.Result) []string {
 	return rows
 }
 
-// blindRows evaluates text over src with the class filter off, holding
-// whatever locks release frees.
-func blindRows(t *testing.T, src blindSource, text string, release func()) []string {
+// flatCopy copies every triple of st into a plain rdf.Store: a source
+// with no R-tree, no time index and no class sets, over which the
+// capability-free engine is the reference a class-filtered window join
+// is held to.
+func flatCopy(t *testing.T, st *Store) *rdf.Store {
 	t.Helper()
-	defer release()
+	res, err := runQuery(st, `SELECT ?s ?p ?o WHERE { ?s ?p ?o . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := rdf.NewStore()
+	for _, row := range res.Rows {
+		flat.Add(rdf.Triple{S: row[0], P: row[1], O: row[2]})
+	}
+	return flat
+}
+
+// referenceRows evaluates text over src with the capability-free
+// engine.
+func referenceRows(t *testing.T, src stsparql.StatSource, text string) []string {
+	t.Helper()
 	q, err := stsparql.Parse(text, rdf.NewNamespaces())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := selectAll(stsparql.NewEvaluator(classBlind{src}), q)
+	res, err := selectAll(stsparql.NewEvaluator(capabilityFree{src}), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,59 +107,48 @@ func crossMemberSubject() [][]rdf.Triple {
 }
 
 // TestClassWindowMatchesTypeProbe: a class-filtered window join finds
-// exactly the rows of the same plan with the filter off, on every
-// topology — including a subject typed in one member and located in
-// another, and a flush overlay that moved a geometry into its private
-// store while the type stayed in the base.
+// exactly the rows the capability-free engine finds, on every topology
+// — including a subject typed in one member and located in another, and
+// a flush overlay that moved a geometry into its private store while
+// the type stayed in the base.
 func TestClassWindowMatchesTypeProbe(t *testing.T) {
 	type topo struct {
-		name  string
-		api   strabon.API
-		blind func() (blindSource, func())
+		name string
+		st   *Store
 	}
 	var topos []topo
-	single := strabon.New()
-	loadFixture(single)
-	topos = append(topos, topo{"single", single, func() (blindSource, func()) {
-		single.RLock()
-		return strabon.View{single}, single.RUnlock
-	}})
 	for _, n := range []int{1, 2, 4} {
 		sh := newSharded(n)
 		loadFixture(sh)
-		topos = append(topos, topo{fmt.Sprintf("sharded%d", n), sh, func() (blindSource, func()) {
-			return sh.viewAll(), sh.lockAllRead()
-		}})
+		topos = append(topos, topo{fmt.Sprintf("sharded%d", n), sh})
 	}
 	split := newSharded(4)
 	loadFixture(split)
 	for _, g := range crossMemberSubject() {
 		split.InsertAll(g)
 	}
-	if !split.split.Load() {
-		t.Fatal("the cross-member subject did not latch the union-view fallback")
+	if plan, err := split.Explain(corpusQuery("window-select")); err != nil || !strings.HasPrefix(plan, "shard union") {
+		t.Fatalf("the cross-member subject did not latch the union-view fallback (%v):\n%s", err, plan)
 	}
-	topos = append(topos, topo{"union-fallback", split, func() (blindSource, func()) {
-		return split.viewAll(), split.lockAllRead()
-	}})
+	topos = append(topos, topo{"union-fallback", split})
 
 	for _, tp := range topos {
+		flat := flatCopy(t, tp.st)
 		for name, text := range classWindowQueries {
-			plan, err := tp.api.Explain(text)
+			plan, err := tp.st.Explain(text)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !strings.Contains(plan, "join[window class=") {
 				t.Fatalf("%s on %s: no class-filtered window in the plan:\n%s", name, tp.name, plan)
 			}
-			got, err := runQuery(tp.api, text)
+			got, err := runQuery(tp.st, text)
 			if err != nil {
 				t.Fatal(err)
 			}
-			src, release := tp.blind()
-			want := blindRows(t, src, text, release)
+			want := referenceRows(t, flat, text)
 			if g := renderSorted(got); strings.Join(g, "\n") != strings.Join(want, "\n") {
-				t.Errorf("%s on %s: class-filtered rows differ from the type probe's:\n got  %v\n want %v", name, tp.name, g, want)
+				t.Errorf("%s on %s: class-filtered rows differ from the reference's:\n got  %v\n want %v", name, tp.name, g, want)
 			}
 			if len(want) == 0 && name != "optional-coast" {
 				t.Errorf("%s on %s: no rows; the comparison shows nothing", name, tp.name)
@@ -183,41 +167,52 @@ func TestClassWindowMatchesTypeProbe(t *testing.T) {
 
 	// A flush overlay: the base keeps mun2's type, the flush replaces its
 	// geometry (a clipped one, say) — the new geometry lives in the
-	// overlay's private store, the type in the base.
+	// overlay's private store, the type in the base. The rules query the
+	// overlay, then discard the flush.
 	sh := newSharded(2)
 	loadFixture(sh)
-	release := sh.lockAllRead()
-	defer release()
-	o, _ := strabon.NewOverlay(sh.viewAll(), nil)
+	swap := `DELETE { <http://example.org/mun2> strdf:hasGeometry ?g }
+INSERT { <http://example.org/mun2> strdf:hasGeometry "POLYGON ((10 0, 15 0, 15 7, 10 7, 10 0))"^^strdf:WKT }
+WHERE { <http://example.org/mun2> strdf:hasGeometry ?g . }`
+	flat := flatCopy(t, sh)
 	mun2, hasGeom := iri("http://example.org/mun2"), iri(nsStRDF+"hasGeometry")
-	if !o.Remove(rdf.Triple{S: mun2, P: hasGeom, O: rdf.NewGeometry("POLYGON ((10 0, 15 0, 15 10, 10 10, 10 0))")}) ||
-		!o.Add(rdf.Triple{S: mun2, P: hasGeom, O: rdf.NewGeometry("POLYGON ((10 0, 15 0, 15 7, 10 7, 10 0))")}) {
-		t.Fatal("overlay did not take the geometry swap")
+	if !flat.Remove(rdf.Triple{S: mun2, P: hasGeom, O: rdf.NewGeometry("POLYGON ((10 0, 15 0, 15 10, 10 10, 10 0))")}) ||
+		!flat.Add(rdf.Triple{S: mun2, P: hasGeom, O: rdf.NewGeometry("POLYGON ((10 0, 15 0, 15 7, 10 7, 10 0))")}) {
+		t.Fatal("the reference copy did not take the geometry swap")
 	}
-	for name, text := range classWindowQueries {
-		q, err := stsparql.Parse(text, sh.ns)
+	prepare := func(src string) *stsparql.Prepared {
+		p, err := stsparql.Prepare(src, sh.Namespaces())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := selectAll(stsparql.NewEvaluator(o), q)
+		return p
+	}
+	noSeed := []stsparql.Row{{}}
+	f := strabon.Flush{At: []time.Time{day.Add(13 * time.Hour)}, Since: day}
+	err := sh.ApplyFlush(f, func(tx *strabon.FlushTx) error {
+		plan, err := tx.Plan(prepare(swap), noSeed)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		got := renderSorted(res)
-		want := blindRows(t, o, text, func() {})
-		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Errorf("%s on the overlay: class-filtered rows differ from the type probe's:\n got  %v\n want %v", name, got, want)
+		if st := tx.Apply(plan); st.Deleted != 1 || st.Inserted != 1 {
+			t.Fatalf("the overlay took %+v of the geometry swap", st)
 		}
-	}
-	q, err := stsparql.Parse(spatialJoinFourSlices, sh.ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := selectAll(stsparql.NewEvaluator(o), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows := strings.Join(renderSorted(res), "\n"); !strings.Contains(rows, "m=<http://example.org/mun2>") {
-		t.Errorf("the municipality whose geometry moved into the overlay lost its hotspots:\n%s", rows)
+		for name, text := range classWindowQueries {
+			res, err := tx.Select(prepare(text), noSeed)
+			if err != nil {
+				return err
+			}
+			got, want := renderSorted(res), referenceRows(t, flat, text)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("%s on the overlay: class-filtered rows differ from the reference's:\n got  %v\n want %v", name, got, want)
+			}
+			if name == "municipality-four-slices" && !strings.Contains(strings.Join(got, "\n"), "m=<http://example.org/mun2>") {
+				t.Errorf("the municipality whose geometry moved into the overlay lost its hotspots:\n%v", got)
+			}
+		}
+		return errDiscard
+	})
+	if err != errDiscard {
+		t.Fatalf("ApplyFlush = %v, want the discarding rules' error", err)
 	}
 }

@@ -3,7 +3,7 @@ package shard
 import (
 	"testing"
 
-	"repro/internal/strabon"
+	"repro/internal/rdf"
 	"repro/internal/stsparql"
 )
 
@@ -51,10 +51,10 @@ func FuzzParse(f *testing.F) {
 	for _, text := range benchmarkShapes {
 		f.Add(text)
 	}
-	single, sh := strabon.New(), newSharded(2)
-	ev := stsparql.NewEvaluator(single)
+	sh := newSharded(2)
+	ev := stsparql.NewEvaluator(rdf.NewStore())
 	f.Fuzz(func(t *testing.T, text string) {
-		q, err := stsparql.Parse(text, single.Namespaces())
+		q, err := stsparql.Parse(text, sh.Namespaces())
 		if err != nil {
 			return
 		}

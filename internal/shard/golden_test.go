@@ -19,20 +19,20 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden result 
 // TestGoldenEquivalence pins the full corpus row-for-row against golden
 // files materialised from the row-at-a-time engine before the batch
 // rewrite: any divergence in the batched path — rows, values, headers,
-// ORDER-BY sequences — fails here even if single and sharded stores
-// drift in the same direction (which the live equivalence suite cannot
-// see).
+// ORDER-BY sequences — fails here even if one-slice and two-slice
+// stores drift in the same direction (which the live equivalence suite
+// cannot see).
 func TestGoldenEquivalence(t *testing.T) {
-	single := strabon.New()
-	loadFixture(single)
+	one := strabon.New()
+	loadFixture(one)
 	sh := newSharded(2)
 	loadFixture(sh)
 
 	for _, tc := range corpus {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := runQuery(single, tc.query)
+			res, err := runQuery(one, tc.query)
 			if err != nil {
-				t.Fatalf("single store: %v", err)
+				t.Fatalf("one-slice store: %v", err)
 			}
 			got := renderGolden(res, tc.ordered)
 			compareGolden(t, filepath.Join("testdata", "golden", tc.name+".txt"), got)
@@ -48,7 +48,7 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 	for _, tc := range askCorpus {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := runQuery(single, tc.query)
+			res, err := runQuery(one, tc.query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,17 +62,19 @@ func TestGoldenEquivalence(t *testing.T) {
 // time to a window.
 var timeWindowText = regexp.MustCompile(`FILTER\(\s*str\(\?\w+\)\s*(>=|<=|=)\s*"`)
 
-// TestGoldenPlans pins the single store's plan for every corpus text.
-// The time-range scan is the only access path that may differ from the
-// plans of the scan-and-filter engine: a text carrying a time window
-// opens with it, and no other text mentions it. A one-slice sharded
-// store evaluates every text once over its union view and plans it the
-// same: after its one route line, its Explain is the same golden.
+// TestGoldenPlans pins the plan of every corpus text on a one-slice
+// store: one route line — at one slice every text evaluates once over
+// the union view — then the golden plan. The time-range scan is the
+// only access path that may differ from the plans of the
+// scan-and-filter engine: a text carrying a time window opens with it,
+// and no other text mentions it. On four slices every text routes, and
+// a windowed text that fans out opens its slices' plan with the same
+// scan.
 func TestGoldenPlans(t *testing.T) {
-	single := strabon.New()
-	loadFixture(single)
-	sh := newSharded(1)
-	loadFixture(sh)
+	one := strabon.New()
+	loadFixture(one)
+	four := newSharded(4)
+	loadFixture(four)
 	texts := map[string]string{}
 	for _, tc := range corpus {
 		texts[tc.name] = tc.query
@@ -81,29 +83,51 @@ func TestGoldenPlans(t *testing.T) {
 		texts[tc.name] = tc.query
 	}
 	for name, query := range texts {
-		plan, err := single.Explain(query)
+		out, err := one.Explain(query)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		golden := filepath.Join("testdata", "golden", name+".plan")
-		compareGolden(t, golden, plan)
-		shPlan, err := sh.Explain(query)
-		if err != nil {
-			t.Fatalf("%s on one slice: %v", name, err)
-		}
-		route, body, _ := strings.Cut(shPlan, "\n")
+		route, plan, _ := strings.Cut(out, "\n")
 		if route != "shard union: single evaluation over static+1 slices" {
 			t.Errorf("%s: one slice routes as %q", name, route)
 		}
-		if !*updateGolden {
-			compareGolden(t, golden, body)
-		}
-		first := strings.TrimSpace(strings.SplitN(plan, "\n", 3)[1])
-		if windowed := timeWindowText.MatchString(query); windowed != strings.HasPrefix(first, "scan[time-range]") ||
+		compareGolden(t, filepath.Join("testdata", "golden", name+".plan"), plan)
+		windowed := timeWindowText.MatchString(query)
+		if first := planFirstOp(plan); windowed != strings.HasPrefix(first, "scan[time-range]") ||
 			(!windowed && strings.Contains(plan, "time-range")) {
 			t.Errorf("%s: carries a time window: %v, but plans\n%s", name, windowed, plan)
 		}
+
+		out, err = four.Explain(query)
+		if err != nil {
+			t.Fatalf("%s on four slices: %v", name, err)
+		}
+		route, plan, _ = strings.Cut(out, "\n")
+		switch {
+		case strings.HasPrefix(route, "shard union: "):
+		case strings.HasPrefix(route, "shard fan-out: "):
+			if first := planFirstOp(plan); windowed && first != "" && !strings.HasPrefix(first, "scan[time-range]") {
+				t.Errorf("%s: a windowed fan-out does not open with the time-range scan:\n%s", name, out)
+			}
+		default:
+			t.Errorf("%s: four slices route as %q", name, route)
+		}
 	}
+}
+
+// planFirstOp is the first operator line of a plan: the line after its
+// form line, routing notes skipped.
+func planFirstOp(plan string) string {
+	var ops []string
+	for _, line := range strings.Split(plan, "\n") {
+		if line = strings.TrimSpace(line); !strings.HasPrefix(line, "(") {
+			ops = append(ops, line)
+		}
+	}
+	if len(ops) < 2 {
+		return ""
+	}
+	return ops[1]
 }
 
 // renderGolden canonicalises a result: header line, then one line per

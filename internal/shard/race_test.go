@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -122,7 +123,7 @@ WHERE {
 
 // hotspotTriples fingerprints every triple of every hotspot in a store,
 // sorted — URIs of virtual hotspots included.
-func hotspotTriples(t *testing.T, st strabon.API) []string {
+func hotspotTriples(t *testing.T, st *Store) []string {
 	t.Helper()
 	res, err := runQuery(st, `SELECT ?h ?p ?o WHERE { ?h a noa:Hotspot ; ?p ?o . }`)
 	if err != nil {
@@ -138,42 +139,63 @@ func hotspotTriples(t *testing.T, st strabon.API) []string {
 
 // TestShardedPipelineMatchesSingle runs the full acquisition pipeline —
 // batched flushes of insert + refinement + time persistence — over a
-// single store and over sharded stores of 1, 2 and 4 slices narrower
-// than the persistence window, and requires identical refined output:
-// the same refined products AND the same hotspot triples, virtual
-// hotspot URIs included.
+// one-slice store and over stores of 2, 3 and 4 slices narrower than
+// the persistence window, and requires identical refined output: the
+// same refined products AND the same hotspot triples, virtual hotspot
+// URIs included.
 func TestShardedPipelineMatchesSingle(t *testing.T) {
 	cfg := seviri.DefaultScenarioConfig()
-	run := func(st strabon.API) *core.Service {
-		// Every flush must leave the members' time indexes exact.
-		svc, err := core.NewServiceWithStore(42, cfg, verifyingStore{st, t})
+	run := func(st *Store) *core.Service {
+		svc, err := core.NewServiceWithStore(42, cfg, st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc.Strabon = st
 		svc.Workers = 4
+		// The members' time indexes must stay exact: a reader checks
+		// them between flushes while the pipeline runs, and once after.
+		done, failed := make(chan struct{}), make(chan error, 1)
+		go func() {
+			defer close(failed)
+			for {
+				if err := st.VerifyTimeIndexes(); err != nil {
+					failed <- err
+					return
+				}
+				select {
+				case <-done:
+					return
+				case <-time.After(time.Millisecond):
+				}
+			}
+		}()
 		from := cfg.Start.Add(11 * time.Hour)
-		if err := svc.RunWindow(seviri.MSG1, from, 30*time.Minute); err != nil {
+		err = svc.RunWindow(seviri.MSG1, from, 30*time.Minute)
+		close(done)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := <-failed; err != nil {
+			t.Fatal(err)
+		}
+		verifyTimeIndexes(t, st)
 		return svc
 	}
-	single := run(strabon.New())
-	rp1, err := single.RefinedProducts()
+	one := run(strabon.New())
+	rp1, err := one.RefinedProducts()
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, t1 := core.SortedHotspotKeys(rp1), hotspotTriples(t, single.Strabon)
+	k1, t1 := core.SortedHotspotKeys(rp1), hotspotTriples(t, one.Strabon)
 
-	for _, n := range []int{1, 2, 3, 4} {
+	for _, n := range []int{2, 3, 4} {
 		sharded := run(New(Config{Slices: n, Width: 10 * time.Minute, Epoch: cfg.Start}))
-		if len(single.Reports) != len(sharded.Reports) {
-			t.Fatalf("N=%d: report counts differ: %d vs %d", n, len(single.Reports), len(sharded.Reports))
+		if len(one.Reports) != len(sharded.Reports) {
+			t.Fatalf("N=%d: report counts differ: %d vs %d", n, len(one.Reports), len(sharded.Reports))
 		}
-		for i := range single.Reports {
-			if single.Reports[i].Refined != sharded.Reports[i].Refined {
-				t.Fatalf("N=%d: acquisition %d refined count: single=%d sharded=%d",
-					n, i, single.Reports[i].Refined, sharded.Reports[i].Refined)
+		for i := range one.Reports {
+			if one.Reports[i].Refined != sharded.Reports[i].Refined {
+				t.Fatalf("N=%d: acquisition %d refined count: one slice %d, N slices %d",
+					n, i, one.Reports[i].Refined, sharded.Reports[i].Refined)
 			}
 		}
 		rp2, err := sharded.RefinedProducts()
@@ -181,20 +203,21 @@ func TestShardedPipelineMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if k2 := core.SortedHotspotKeys(rp2); !slices.Equal(k1, k2) {
-			t.Fatalf("N=%d: refined products differ: single %d hotspots, sharded %d", n, len(k1), len(k2))
+			t.Fatalf("N=%d: refined products differ: one slice %d hotspots, N slices %d", n, len(k1), len(k2))
 		}
 		if t2 := hotspotTriples(t, sharded.Strabon); !slices.Equal(t1, t2) {
-			t.Fatalf("N=%d: hotspot triples differ: single %d, sharded %d", n, len(t1), len(t2))
+			t.Fatalf("N=%d: hotspot triples differ: one slice %d, N slices %d", n, len(t1), len(t2))
 		}
-		if single.Strabon.Len() != sharded.Strabon.Len() {
-			t.Fatalf("N=%d: store sizes differ: single=%d sharded=%d", n, single.Strabon.Len(), sharded.Strabon.Len())
+		if one.Strabon.Len() != sharded.Strabon.Len() {
+			t.Fatalf("N=%d: store sizes differ: one slice %d, N slices %d", n, one.Strabon.Len(), sharded.Strabon.Len())
 		}
 
 		// The pipeline's write patterns (flushed product inserts, rule
 		// effects, virtual hotspots) must never trip the co-location
-		// safety latch — fan-out has to survive real operation.
-		if sharded.Strabon.(*Store).split.Load() {
-			t.Fatalf("N=%d: pipeline writes tripped the split latch; queries degraded to union-only", n)
+		// safety latch — fan-out has to survive real operation: once it
+		// trips, every query takes the union view.
+		if plan, err := sharded.Strabon.Explain(`SELECT ?h ?at WHERE { ?h noa:hasAcquisitionDateTime ?at . }`); err != nil || !strings.HasPrefix(plan, "shard fan-out") {
+			t.Fatalf("N=%d: pipeline writes tripped the split latch; queries degraded to union-only (%v):\n%s", n, err, plan)
 		}
 	}
 }
@@ -221,7 +244,7 @@ func TestNoPartialRefinementVisible(t *testing.T) {
   OPTIONAL { ?c a coast:Coastline ; strdf:hasGeometry ?cg . FILTER( strdf:anyInteract(?g, ?cg) ) }
   FILTER( !bound(?c) ) }`,
 	}
-	rows := func(st strabon.API, q string) map[string]bool {
+	rows := func(st *Store, q string) map[string]bool {
 		res, err := runQuery(st, q)
 		if err != nil {
 			t.Error(err)
@@ -233,19 +256,11 @@ func TestNoPartialRefinementVisible(t *testing.T) {
 		}
 		return out
 	}
-	gens := func(st strabon.API) []uint64 {
-		if sh, ok := st.(*Store); ok {
-			var out []uint64
-			for _, ss := range sh.ShardStats() {
-				out = append(out, ss.Gen)
-			}
-			return out // static first, then slices
-		}
-		return []uint64{0, st.(*strabon.Store).Generation()}
-	}
-	for name, mk := range map[string]func() strabon.API{
-		"single": func() strabon.API { return strabon.New() },
-		"shard4": func() strabon.API { return New(Config{Slices: 4, Width: 10 * time.Minute, Epoch: cfg.Start}) },
+	// A flush lands in the slice of its acquisition's 10-minute bucket.
+	sliceOf := func(st *Store, at time.Time) int { return int(at.Sub(cfg.Start)/(10*time.Minute)) % st.Slices() }
+	for name, mk := range map[string]func() *Store{
+		"shard1": func() *Store { return New(Config{Slices: 1, Width: 10 * time.Minute, Epoch: cfg.Start}) },
+		"shard4": func() *Store { return New(Config{Slices: 4, Width: 10 * time.Minute, Epoch: cfg.Start}) },
 	} {
 		for _, flush := range []int{1, 4} {
 			st := mk()
@@ -254,7 +269,7 @@ func TestNoPartialRefinementVisible(t *testing.T) {
 				t.Fatal(err)
 			}
 			svc.Workers, svc.FlushBatch = 4, flush
-			before := gens(st)
+			before := memberGens(st)
 
 			seen := make([]map[string]bool, len(polls))
 			done := make(chan struct{})
@@ -296,18 +311,14 @@ func TestNoPartialRefinementVisible(t *testing.T) {
 				t.Fatalf("%s flush=%d: the reader never saw a hotspot", name, flush)
 			}
 
-			after := gens(st)
+			after := memberGens(st)
 			if after[0] != before[0] {
 				t.Fatalf("%s flush=%d: the static store's generation moved %d -> %d", name, flush, before[0], after[0])
 			}
 			want := make([]uint64, len(after))
 			var moved, total uint64
 			for _, rep := range svc.Reports {
-				i := 1
-				if sh, ok := st.(*Store); ok {
-					i += sh.sliceFor(rep.At)
-				}
-				want[i]++
+				want[1+sliceOf(st, rep.At)]++
 				total++
 			}
 			for i := 1; i < len(after); i++ {
@@ -331,7 +342,7 @@ func TestNoPartialRefinementVisible(t *testing.T) {
 // the 12:00 slice intern exactly those literals into the shared
 // dictionary, under locks the readers do not hold. Every DISTINCT and
 // GROUP BY over the computed value, and every scan whose pattern names a
-// term the flushes intern, must still answer what the untouched single
+// term the flushes intern, must still answer what the untouched
 // store answers. Under -race this is also the dictionary's
 // appender-beside-readers contract end to end.
 func TestReaderComputesWhatWriterInterns(t *testing.T) {
@@ -362,7 +373,7 @@ func TestReaderComputesWhatWriterInterns(t *testing.T) {
 		// belong to the 12:00 slice.
 		`SELECT DISTINCT ?c ?n WHERE { ` + where + ` OPTIONAL { ?h <` + ex + `note> ?n } }`,
 	}
-	rows := func(st strabon.API, q string) []string {
+	rows := func(st *Store, q string) []string {
 		res, err := runQuery(st, q)
 		if err != nil {
 			t.Error(err)
@@ -384,7 +395,7 @@ func TestReaderComputesWhatWriterInterns(t *testing.T) {
 		}
 	}
 
-	for name, st := range map[string]strabon.API{"single": strabon.New(), "shard4": newSharded(4)} {
+	for name, st := range map[string]*Store{"shard1": strabon.New(), "shard4": newSharded(4)} {
 		st.InsertAll(base...)
 		done := make(chan struct{})
 		var wg sync.WaitGroup
@@ -400,7 +411,7 @@ func TestReaderComputesWhatWriterInterns(t *testing.T) {
 					}
 					k := i % len(queries)
 					if got := rows(st, queries[k]); !slices.Equal(got, want[k]) {
-						t.Errorf("%s: query %d answered %d rows beside the writer, the single store %d", name, k, len(got), len(want[k]))
+						t.Errorf("%s: query %d answered %d rows beside the writer, the untouched store %d", name, k, len(got), len(want[k]))
 						return
 					}
 				}
@@ -424,17 +435,11 @@ func TestReaderComputesWhatWriterInterns(t *testing.T) {
 		}
 		close(done)
 		wg.Wait()
-		if _, ok := dictOf(st).Lookup(rdf.NewLiteral(tag(tags - 1).Value)); !ok {
-			t.Fatalf("%s: the flushes interned nothing the readers compute", name)
+		last := fmt.Sprintf(`ASK { ?w <%snote> "%s" }`, ex, tag(tags-1).Value)
+		if res, err := runQuery(st, last); err != nil || res.Rows[0][0].Value != "true" {
+			t.Fatalf("%s: the flushes stored nothing the readers compute (%v)", name, err)
 		}
 	}
-}
-
-func dictOf(st strabon.API) *rdf.Dictionary {
-	if sh, ok := st.(*Store); ok {
-		return sh.dict
-	}
-	return st.(*strabon.Store).Dict()
 }
 
 // TestFailedFlushLeavesTriplesUntouched pins what a failing flush
@@ -442,9 +447,10 @@ func dictOf(st strabon.API) *rdf.Dictionary {
 // dictionary: the terms it interned (append-only, referenced by
 // nothing) and not one triple, index entry or generation.
 func TestFailedFlushLeavesTriplesUntouched(t *testing.T) {
-	for name, st := range map[string]strabon.API{"single": strabon.New(), "shard4": newSharded(4)} {
+	for name, st := range map[string]*Store{"shard1": strabon.New(), "shard4": newSharded(4)} {
 		loadFixture(st)
-		triples, entries := hotspotTriples(t, st), dictOf(st).Len()
+		entries, _ := st.DictStats()
+		triples := hotspotTriples(t, st)
 		size, gens := st.Len(), fmt.Sprint(memberGens(st))
 
 		at := day.Add(12 * time.Hour)
@@ -464,7 +470,7 @@ func TestFailedFlushLeavesTriplesUntouched(t *testing.T) {
 		if err != failure {
 			t.Fatalf("%s: ApplyFlush = %v, want the rules' error", name, err)
 		}
-		if dictOf(st).Len() <= entries {
+		if n, _ := st.DictStats(); n <= entries {
 			t.Fatalf("%s: the failed flush interned nothing — its overlay no longer shares the store's dictionary?", name)
 		}
 		if st.Len() != size || fmt.Sprint(memberGens(st)) != gens || !slices.Equal(hotspotTriples(t, st), triples) {
@@ -476,13 +482,10 @@ func TestFailedFlushLeavesTriplesUntouched(t *testing.T) {
 }
 
 // memberGens lists the generations of a store's members (static first).
-func memberGens(st strabon.API) []uint64 {
-	if sh, ok := st.(*Store); ok {
-		var out []uint64
-		for _, m := range sh.members {
-			out = append(out, m.Generation())
-		}
-		return out
+func memberGens(st *Store) []uint64 {
+	var out []uint64
+	for _, ss := range st.ShardStats() {
+		out = append(out, ss.Gen)
 	}
-	return []uint64{st.(*strabon.Store).Generation()}
+	return out
 }

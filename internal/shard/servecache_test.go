@@ -273,9 +273,9 @@ func TestShardCacheRefusesZonedLexicalWindow(t *testing.T) {
 // acquisitions drops its slice as well — all visibly in Explain and
 // without changing results.
 func TestShardObservedRangePruning(t *testing.T) {
-	single := strabon.New()
+	one := strabon.New()
 	sh := newSharded(4)
-	for _, st := range []strabon.API{single, sh} {
+	for _, st := range []*Store{one, sh} {
 		st.LoadTriples(staticTriples())
 		for _, p := range fixtureProducts()[:8] { // 10:00-11:45 only
 			st.InsertAll(p.Triples())
@@ -295,7 +295,7 @@ func TestShardObservedRangePruning(t *testing.T) {
 		!strings.Contains(out, "observed time ranges prune") {
 		t.Fatalf("wide window not pruned by observed ranges:\n%s", out)
 	}
-	want, err := runQuery(single, wide)
+	want, err := runQuery(one, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestShardObservedRangePruning(t *testing.T) {
 	// slice 3 holds no acquisition time and the wide window drops it too.
 	gone := `DELETE { ?x ?p ?o } WHERE { ?x noa:hasAcquisitionDateTime ?at ; ?p ?o .
   FILTER( str(?at) >= "2007-08-25T11:00:00" ) FILTER( str(?at) <= "2007-08-25T11:59:00" ) }`
-	for _, st := range []strabon.API{single, sh} {
+	for _, st := range []*Store{one, sh} {
 		if _, err := st.Update(gone); err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func TestShardObservedRangePruning(t *testing.T) {
 	if !strings.Contains(out, "shard fan-out: 1/4 slices [2]") {
 		t.Fatalf("wide window not pruned further after the delete:\n%s", out)
 	}
-	want, err = runQuery(single, wide)
+	want, err = runQuery(one, wide)
 	if err != nil {
 		t.Fatal(err)
 	}

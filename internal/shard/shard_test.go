@@ -16,10 +16,11 @@ import (
 	"repro/internal/stsparql"
 )
 
-// The equivalence suite: a sharded store must answer every corpus query
-// row-for-row identically to a single strabon.Store over the same data
-// (up to ORDER-BY-mandated order), for 1, 2 and 4 slices — the
-// acceptance bar of the sharding subsystem.
+// The equivalence suite: a store of 2 or 4 slices must answer every
+// corpus query row-for-row identically to a one-slice store over the
+// same data (up to ORDER-BY-mandated order) — the acceptance bar of the
+// router. These tests drive strabon.Store through its exported API,
+// under the names the frozen benchmark module also uses (see shard.go).
 
 var day = time.Date(2007, 8, 25, 0, 0, 0, 0, time.UTC)
 
@@ -85,15 +86,15 @@ func fixtureProducts() []*products.Product {
 }
 
 // runQuery materialises src through the streaming path.
-func runQuery(s strabon.API, src string) (*stsparql.Result, error) {
+func runQuery(s *Store, src string) (*stsparql.Result, error) {
 	return strabon.MaterialiseQuery(context.Background(), s, src)
 }
 
 // at returns row i's term for variable v of a result.
 func at(res *stsparql.Result, i int, v string) rdf.Term { return res.Rows[i][res.Col(v)] }
 
-// loadFixture populates one store (single or sharded) identically.
-func loadFixture(st strabon.API) {
+// loadFixture populates a store, whatever its slice count, identically.
+func loadFixture(st *Store) {
 	st.LoadTriples(staticTriples())
 	for _, p := range fixtureProducts() {
 		st.InsertAll(p.Triples())
@@ -323,33 +324,33 @@ func assertEquivalent(t *testing.T, name string, want, got *stsparql.Result, ord
 	wantVars, wantRows := renderRows(want)
 	gotVars, gotRows := renderRows(got)
 	if strings.Join(wantVars, ",") != strings.Join(gotVars, ",") {
-		t.Fatalf("%s: vars mismatch: single=%v sharded=%v", name, wantVars, gotVars)
+		t.Fatalf("%s: vars mismatch: want=%v got=%v", name, wantVars, gotVars)
 	}
 	if !ordered {
 		sort.Strings(wantRows)
 		sort.Strings(gotRows)
 	}
 	if len(wantRows) != len(gotRows) {
-		t.Fatalf("%s: row count mismatch: single=%d sharded=%d", name, len(wantRows), len(gotRows))
+		t.Fatalf("%s: row count mismatch: want=%d got=%d", name, len(wantRows), len(gotRows))
 	}
 	for i := range wantRows {
 		if wantRows[i] != gotRows[i] {
-			t.Fatalf("%s: row %d mismatch:\nsingle:  %s\nsharded: %s", name, i, wantRows[i], gotRows[i])
+			t.Fatalf("%s: row %d mismatch:\nwant: %s\ngot:  %s", name, i, wantRows[i], gotRows[i])
 		}
 	}
 }
 
 func TestShardEquivalence(t *testing.T) {
-	single := strabon.New()
-	loadFixture(single)
+	one := strabon.New()
+	loadFixture(one)
 	for _, slices := range []int{1, 2, 4} {
 		sh := newSharded(slices)
 		loadFixture(sh)
 		t.Run(fmt.Sprintf("slices=%d", slices), func(t *testing.T) {
 			for _, tc := range corpus {
-				want, err := runQuery(single, tc.query)
+				want, err := runQuery(one, tc.query)
 				if err != nil {
-					t.Fatalf("%s: single store: %v", tc.name, err)
+					t.Fatalf("%s: one-slice store: %v", tc.name, err)
 				}
 				got, err := runQuery(sh, tc.query)
 				if err != nil {
@@ -395,7 +396,7 @@ func TestCursorHeaderFinalAtOpen(t *testing.T) {
 		{"ordered fan-out", text["select-star-optional-ordered"], "merge=ordered"},
 		{"ask", text["ask-hit"], "merge=ask"},
 	}
-	stores := map[string]strabon.API{"single": strabon.New()}
+	stores := map[string]*Store{}
 	for _, n := range []int{1, 2, 4} {
 		stores[fmt.Sprintf("slices=%d", n)] = newSharded(n)
 	}
@@ -403,8 +404,8 @@ func TestCursorHeaderFinalAtOpen(t *testing.T) {
 		loadFixture(st)
 		for _, sh := range shapes {
 			t.Run(name+"/"+sh.name, func(t *testing.T) {
-				if s, ok := st.(*Store); ok && s.Slices() > 1 {
-					if plan, err := s.Explain(sh.query); err != nil || !strings.Contains(plan, sh.route) {
+				if st.Slices() > 1 {
+					if plan, err := st.Explain(sh.query); err != nil || !strings.Contains(plan, sh.route) {
 						t.Fatalf("the query does not take the %s route (%v):\n%s", sh.route, err, plan)
 					}
 				}
@@ -437,8 +438,8 @@ func TestCursorHeaderFinalAtOpen(t *testing.T) {
 // TestShardUpdateEquivalence applies the refinement-shaped updates —
 // a windowed spatial INSERT, a DELETE with OPTIONAL against static data,
 // an atomic per-subject Update and an INSERT DATA with a routing
-// timestamp — to a single and
-// a sharded store and compares the full dataset afterwards.
+// timestamp — to a one-slice and a four-slice store and compares the
+// full dataset afterwards.
 func TestShardUpdateEquivalence(t *testing.T) {
 	updates := []string{
 		// Municipalities-style scoped insert over a range spanning two
@@ -475,13 +476,13 @@ WHERE {
 INSERT { <%[1]s> noa:hasConfidence 1.0 }
 WHERE  { <%[1]s> noa:hasConfidence ?c . }`
 
-	single := strabon.New()
-	loadFixture(single)
+	one := strabon.New()
+	loadFixture(one)
 	sh := newSharded(4)
 	loadFixture(sh)
 
 	uri := products.HotspotURI(fixtureProducts()[0].Hotspots[0])
-	for _, st := range []strabon.API{single, sh} {
+	for _, st := range []*Store{one, sh} {
 		for i, u := range updates {
 			if _, err := st.Update(u); err != nil {
 				t.Fatalf("update %d: %v", i, err)
@@ -492,14 +493,14 @@ WHERE  { <%[1]s> noa:hasConfidence ?c . }`
 		}
 	}
 
-	if single.Len() != sh.Len() {
-		t.Fatalf("triple count diverged: single=%d sharded=%d", single.Len(), sh.Len())
+	if one.Len() != sh.Len() {
+		t.Fatalf("triple count diverged: one slice %d, four %d", one.Len(), sh.Len())
 	}
 	for _, q := range []string{
 		`SELECT ?s ?p ?o WHERE { ?s ?p ?o . }`,
 		`SELECT ?h ?m WHERE { ?h noa:isInMunicipality ?m . }`,
 	} {
-		want, err := runQuery(single, q)
+		want, err := runQuery(one, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,11 +516,11 @@ WHERE  { <%[1]s> noa:hasConfidence ?c . }`
 // writes place one subject's triples in two different slices
 // (conflicting timestamps through the public Update API), fan-out is
 // permanently disabled and the union view keeps results identical to a
-// single store.
+// one-slice store.
 func TestShardSplitSubjectFallback(t *testing.T) {
-	single := strabon.New()
+	one := strabon.New()
 	sh := newSharded(4)
-	for _, st := range []strabon.API{single, sh} {
+	for _, st := range []*Store{one, sh} {
 		for _, u := range []string{
 			`INSERT DATA { <http://example.org/split1> noa:hasAcquisitionDateTime "2007-08-25T10:00:00"^^xsd:dateTime ; noa:hasConfidence 0.9 . }`,
 			`INSERT DATA { <http://example.org/split1> noa:hasAcquisitionDateTime "2007-08-25T13:00:00"^^xsd:dateTime . }`,
@@ -530,7 +531,7 @@ func TestShardSplitSubjectFallback(t *testing.T) {
 		}
 	}
 	q := `SELECT ?h ?at ?c WHERE { ?h noa:hasAcquisitionDateTime ?at ; noa:hasConfidence ?c . }`
-	want, err := runQuery(single, q)
+	want, err := runQuery(one, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +540,7 @@ func TestShardSplitSubjectFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want.Rows) != 2 {
-		t.Fatalf("single store rows = %d, want 2", len(want.Rows))
+		t.Fatalf("one-slice store rows = %d, want 2", len(want.Rows))
 	}
 	assertEquivalent(t, "split-subject join", want, got, false)
 	out, err := sh.Explain(q)
@@ -556,7 +557,7 @@ func TestShardSplitSubjectFallback(t *testing.T) {
 // variable) must remove it wherever it lives, not just in the anchoring
 // slice or the static store.
 func TestShardDeleteCrossSlice(t *testing.T) {
-	mk := func(st strabon.API) {
+	mk := func(st *Store) {
 		// h1 (10:00 bucket) links to h2 (13:00 bucket) which carries a
 		// confirmation; the link crosses slices.
 		h1 := []rdf.Triple{
@@ -569,19 +570,19 @@ func TestShardDeleteCrossSlice(t *testing.T) {
 		}
 		st.InsertAll(h1, h2)
 	}
-	single := strabon.New()
-	mk(single)
+	one := strabon.New()
+	mk(one)
 	sh := newSharded(4)
 	mk(sh)
 	u := `DELETE { ?x noa:hasConfirmation noa:unconfirmed }
 WHERE { ?h noa:isExtractedFrom ?x ; noa:hasAcquisitionDateTime ?at . }`
-	for _, st := range []strabon.API{single, sh} {
+	for _, st := range []*Store{one, sh} {
 		if _, err := st.Update(u); err != nil {
 			t.Fatal(err)
 		}
 	}
 	q := `SELECT ?s ?p ?o WHERE { ?s ?p ?o . }`
-	want, err := runQuery(single, q)
+	want, err := runQuery(one, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,13 +602,13 @@ func TestShardGroupWithConflictingTimes(t *testing.T) {
 		{S: iri("http://example.org/twotimes"), P: iri(nsNOA + "hasAcquisitionDateTime"), O: rdf.NewDateTime("2007-08-25T10:00:00")},
 		{S: iri("http://example.org/twotimes"), P: iri(nsNOA + "hasAcquisitionDateTime"), O: rdf.NewDateTime("2007-08-25T13:00:00")},
 	}
-	single := strabon.New()
-	single.InsertAll(group)
+	one := strabon.New()
+	one.InsertAll(group)
 	sh := newSharded(4)
 	sh.InsertAll(group)
 	q := `SELECT ?h ?at WHERE { ?h noa:hasAcquisitionDateTime ?at .
   FILTER( str(?at) >= "2007-08-25T12:30:00" ) FILTER( str(?at) <= "2007-08-25T13:30:00" ) }`
-	want, err := runQuery(single, q)
+	want, err := runQuery(one, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,7 +617,7 @@ func TestShardGroupWithConflictingTimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want.Rows) != 1 {
-		t.Fatalf("single store rows = %d, want 1", len(want.Rows))
+		t.Fatalf("one-slice store rows = %d, want 1", len(want.Rows))
 	}
 	assertEquivalent(t, "conflicting-times group", want, got, false)
 }
@@ -626,18 +627,18 @@ func TestShardGroupWithConflictingTimes(t *testing.T) {
 // and time-pattern queries must then stop fanning out (the static copy
 // would be returned once per slice view otherwise).
 func TestShardMalformedTimeLiteral(t *testing.T) {
-	single := strabon.New()
-	loadFixture(single)
+	one := strabon.New()
+	loadFixture(one)
 	sh := newSharded(4)
 	loadFixture(sh)
 	bad := `INSERT DATA { <http://example.org/badtime> noa:hasAcquisitionDateTime "25/08/2007 15:20" . }`
-	for _, st := range []strabon.API{single, sh} {
+	for _, st := range []*Store{one, sh} {
 		if _, err := st.Update(bad); err != nil {
 			t.Fatal(err)
 		}
 	}
 	q := `SELECT ?h ?at WHERE { ?h noa:hasAcquisitionDateTime ?at . }`
-	want, err := runQuery(single, q)
+	want, err := runQuery(one, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,9 +659,9 @@ func TestShardSubselectFilterScoping(t *testing.T) {
 		{S: iri("http://example.org/mun0"), P: iri("http://example.org/founded"),
 			O: rdf.NewLiteral("2007-08-25T10:10:00")},
 	}
-	single := strabon.New()
-	loadFixture(single)
-	single.LoadTriples(founded)
+	one := strabon.New()
+	loadFixture(one)
+	one.LoadTriples(founded)
 	sh := newSharded(4)
 	loadFixture(sh)
 	sh.LoadTriples(founded)
@@ -673,7 +674,7 @@ func TestShardSubselectFilterScoping(t *testing.T) {
       FILTER( str(?at) <= "2007-08-25T10:30:00" )
     } }
 }`
-	want, err := runQuery(single, q)
+	want, err := runQuery(one, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -808,23 +809,14 @@ func TestShardStatsAndCursors(t *testing.T) {
 	if populated != 4 {
 		t.Fatalf("want 4 populated slices, got %d", populated)
 	}
-	// One dictionary per topology: every member, and the overlay a
-	// flush refines over, encode into the same one, so the store's
-	// DictStats is the exact distinct-term count a single store reports
-	// for the same data.
-	release := sh.lockAllRead()
-	o, _ := strabon.NewOverlay(sh.viewAll(), nil)
-	for _, src := range []stsparql.Source{sh.static, sh.slices[0], sh.slices[3], sh.view(2), sh.viewAll(), o} {
-		if src.Dict() != sh.dict {
-			t.Fatalf("%T encodes into a dictionary of its own", src)
-		}
-	}
-	release()
-	single := strabon.New()
-	loadFixture(single)
+	// One dictionary per store (strabon's TestMembersShareOneDictionary),
+	// so DictStats is the exact distinct-term count, whatever the slice
+	// count.
+	one := strabon.New()
+	loadFixture(one)
 	entries, bytes := sh.DictStats()
-	if wantE, wantB := single.DictStats(); entries != wantE || bytes != wantB || entries == 0 {
-		t.Fatalf("DictStats (%d, %d) != the single store's (%d, %d)", entries, bytes, wantE, wantB)
+	if wantE, wantB := one.DictStats(); entries != wantE || bytes != wantB || entries == 0 {
+		t.Fatalf("DictStats (%d, %d) != the one-slice store's (%d, %d)", entries, bytes, wantE, wantB)
 	}
 
 	q := `SELECT ?h WHERE { ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at .
@@ -846,7 +838,7 @@ func TestShardStatsAndCursors(t *testing.T) {
 
 	// Early Close: take two rows, close, then write — a leaked read
 	// lock would deadlock the insert.
-	cur, err := sh.QueryStream(`SELECT ?h ?at WHERE { ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at . }`)
+	cur, err := sh.QueryStreamCtx(context.Background(), `SELECT ?h ?at WHERE { ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at . }`)
 	if err != nil {
 		t.Fatal(err)
 	}

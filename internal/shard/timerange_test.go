@@ -18,16 +18,15 @@ import (
 // oracle the time-range access path is compared against.
 type capabilityFree struct{ stsparql.StatSource }
 
-// oracleQuery evaluates q over st with no index in play.
-func oracleQuery(t *testing.T, st *strabon.Store, q string) *stsparql.Result {
+// oracleQuery evaluates q with no index in play, over a flat copy of
+// st's triples.
+func oracleQuery(t *testing.T, st *Store, q string) *stsparql.Result {
 	t.Helper()
 	parsed, err := stsparql.Parse(q, st.Namespaces())
 	if err != nil {
 		t.Fatalf("parse %s: %v", q, err)
 	}
-	st.RLock()
-	defer st.RUnlock()
-	res, err := selectAll(stsparql.NewEvaluatorWithCache(capabilityFree{strabon.View{st}}, st.GeomCache()), parsed)
+	res, err := selectAll(stsparql.NewEvaluator(capabilityFree{flatCopy(t, st)}), parsed)
 	if err != nil {
 		t.Fatalf("oracle %s: %v", q, err)
 	}
@@ -47,38 +46,13 @@ func selectAll(ev *stsparql.Evaluator, q *stsparql.Query) (*stsparql.Result, err
 	return res, nil
 }
 
-// verifyTimeIndexes checks every member store's time index against its
+// verifyTimeIndexes checks every member's time index against its
 // triples.
-func verifyTimeIndexes(t *testing.T, st strabon.API) {
+func verifyTimeIndexes(t *testing.T, st *Store) {
 	t.Helper()
-	members := []*strabon.Store{}
-	switch v := st.(type) {
-	case *strabon.Store:
-		members = append(members, v)
-	case *Store:
-		members = v.members
+	if err := st.VerifyTimeIndexes(); err != nil {
+		t.Fatal(err)
 	}
-	for i, m := range members {
-		m.RLock()
-		err := m.VerifyTimeIndex()
-		m.RUnlock()
-		if err != nil {
-			t.Fatalf("member %d of %T: %v", i, st, err)
-		}
-	}
-}
-
-// verifyingStore checks the time indexes after every flush the
-// acquisition pipeline commits.
-type verifyingStore struct {
-	strabon.API
-	t *testing.T
-}
-
-func (v verifyingStore) ApplyFlush(f strabon.Flush, rules func(*strabon.FlushTx) error) error {
-	err := v.API.ApplyFlush(f, rules)
-	verifyTimeIndexes(v.t, v.API)
-	return err
 }
 
 // TestShardZonedTimeLiteral is the topology-divergence regression: a
@@ -98,10 +72,14 @@ func TestShardZonedTimeLiteral(t *testing.T) {
 	typed := `SELECT ?h ?at WHERE { ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at .
   FILTER( ?at >= "2007-08-25T08:50:00"^^xsd:dateTime ) FILTER( ?at <= "2007-08-25T09:10:00"^^xsd:dateTime ) }`
 
-	single := strabon.New()
-	loadFixture(single)
-	single.InsertAll(zoned)
-	wantLexical, wantTyped := oracleQuery(t, single, lexical), oracleQuery(t, single, typed)
+	stores := map[string]*Store{}
+	for _, n := range []int{1, 2, 4} {
+		sh := newSharded(n)
+		loadFixture(sh)
+		sh.InsertAll(zoned)
+		stores[fmt.Sprintf("slices=%d", n)] = sh
+	}
+	wantLexical, wantTyped := oracleQuery(t, stores["slices=1"], lexical), oracleQuery(t, stores["slices=1"], typed)
 	if n := len(wantTyped.Rows); n != 1 {
 		t.Fatalf("typed window finds %d rows, want the zoned hotspot alone", n)
 	}
@@ -113,13 +91,6 @@ func TestShardZonedTimeLiteral(t *testing.T) {
 		t.Fatal("lexical window misses the zoned hotspot on the oracle")
 	}
 
-	stores := map[string]strabon.API{"single": single}
-	for _, n := range []int{1, 2, 4} {
-		sh := newSharded(n)
-		loadFixture(sh)
-		sh.InsertAll(zoned)
-		stores[fmt.Sprintf("slices=%d", n)] = sh
-	}
 	for name, st := range stores {
 		for _, tc := range []struct {
 			q    string
@@ -278,8 +249,8 @@ func genQuery(r *rand.Rand) string {
 // TestTimeRangeDifferential compares the time-range access path with
 // the capability-free engine on generated input: random small
 // acquisition histories — loaded out of order, partly deleted again —
-// times random windows in every recognised form, on a single store and
-// on sharded stores of 1, 2 and 4 slices. Row sets must be equal and
+// times random windows in every recognised form, on stores of 1, 2 and
+// 4 slices. Row sets must be equal and
 // every member's time index exact. Each history is also read through
 // prepared requests whose windows are seed variables, inside a flush
 // whose overlay has deleted and added entries in the window
@@ -298,8 +269,7 @@ func TestTimeRangeDifferential(t *testing.T) {
 		gone := fmt.Sprintf("DELETE { ?h ?p ?o } WHERE { ?h ?p ?o . FILTER( ?h = <%shot%d> || ?h = <%shot%d> ) }",
 			nsEx, r.Intn(len(groups)), nsEx, r.Intn(len(groups)))
 
-		single := strabon.New()
-		stores := []strabon.API{single, newSharded(1), newSharded(2), newSharded(4)}
+		stores := []*Store{newSharded(1), newSharded(2), newSharded(4)}
 		for _, st := range stores {
 			half := len(groups) / 2
 			st.InsertAll(groups[:half]...)
@@ -312,19 +282,15 @@ func TestTimeRangeDifferential(t *testing.T) {
 		}
 		for k := 0; k < 25; k++ {
 			q := genQuery(r)
-			want := oracleQuery(t, single, q)
+			want := oracleQuery(t, stores[0], q)
 			for _, st := range stores {
 				got, err := runQuery(st, q)
 				if err != nil {
 					t.Fatalf("seed %d: %T: %s: %v", seed, st, q, err)
 				}
-				name := fmt.Sprintf("seed %d, single store\n%s", seed, q)
-				if sh, ok := st.(*Store); ok {
-					name = fmt.Sprintf("seed %d, %d slices\n%s", seed, sh.Slices(), q)
-				}
-				assertEquivalent(t, name, want, got, false)
+				assertEquivalent(t, fmt.Sprintf("seed %d, %d slices\n%s", seed, st.Slices(), q), want, got, false)
 			}
-			if plan, err := single.Explain(q); err != nil {
+			if plan, err := stores[0].Explain(q); err != nil {
 				t.Fatal(err)
 			} else if strings.Contains(plan, "scan[time-range]") {
 				ranged++
@@ -371,10 +337,9 @@ var errDiscard = errors.New("discard the flush")
 // checkSeededWindows runs the seeded queries inside a flush on every
 // store — over its Overlay, after the flush deleted one hotspot and added
 // another inside the history's hours — and compares each result with
-// the capability-free engine over a single store holding the same
-// state. The flush is then discarded. Over a canonical history every
+// the capability-free engine over a flat copy of the same state. The flush is then discarded. Over a canonical history every
 // plan must read the time index.
-func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Triple, gone string, stores []strabon.API) {
+func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Triple, gone string, stores []*Store) {
 	t.Helper()
 	ns := stores[0].Namespaces()
 	prepare := func(src string, vars ...string) *stsparql.Prepared {
@@ -396,7 +361,7 @@ func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Tri
 	}
 
 	// The oracle: the same state, applied directly, read without indexes.
-	mod := strabon.New()
+	mod := newSharded(1)
 	half := len(groups) / 2
 	mod.InsertAll(groups[:half]...)
 	mod.InsertAll(groups[half:]...)
@@ -407,8 +372,8 @@ func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Tri
 	}
 	mod.InsertAll(added)
 	want := make([][]*stsparql.Result, len(seededQueries))
-	mod.RLock()
-	oracle := stsparql.NewEvaluatorWithCache(capabilityFree{strabon.View{mod}}, mod.GeomCache())
+	flat := flatCopy(t, mod)
+	oracle := stsparql.NewEvaluator(capabilityFree{flat})
 	for qi, q := range seededQueries {
 		p := prepare(q, "since", "now")
 		for _, sd := range seeds {
@@ -419,14 +384,10 @@ func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Tri
 			want[qi] = append(want[qi], res)
 		}
 	}
-	mod.RUnlock()
 
 	del := prepare(`DELETE { ?victim ?p ?o } WHERE { ?victim ?p ?o }`, "victim")
 	for _, st := range stores {
-		name := fmt.Sprintf("seed %d, single store", seed)
-		if sh, ok := st.(*Store); ok {
-			name = fmt.Sprintf("seed %d, %d slices", seed, sh.Slices())
-		}
+		name := fmt.Sprintf("seed %d, %d slices", seed, st.Slices())
 		prepared := make([]*stsparql.Prepared, len(seededQueries))
 		f := strabon.Flush{Since: day.Add(9 * time.Hour), At: []time.Time{day.Add(15 * time.Hour)}}
 		err := st.ApplyFlush(f, func(tx *strabon.FlushTx) error {
@@ -455,7 +416,7 @@ func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Tri
 			if seed%2 == 1 {
 				break // a mixed history holds objects no index serves
 			}
-			if plan := p.Explain(stsparql.NewEvaluator(capabilityFree{strabon.View{mod}})); !strings.Contains(plan, "scan[time-range]") || !strings.Contains(plan, "[?since, ?now]") {
+			if plan := p.Explain(stsparql.NewEvaluator(capabilityFree{flat})); !strings.Contains(plan, "scan[time-range]") || !strings.Contains(plan, "[?since, ?now]") {
 				t.Fatalf("%s: %s planned without the seeded time range:\n%s", name, seededQueries[qi], plan)
 			}
 		}

@@ -3,46 +3,84 @@ package strabon
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/stsparql"
 )
 
 // ExplainAnalyze runs a SELECT or ASK through the query path with
-// tracing on and renders the plan tree annotated with per-operator
-// actuals (rows out, batches, cumulative wall time) next to the
-// optimizer's estimates — EXPLAIN ANALYZE. The evaluation is the
-// query's own: the same read lock, the same compiled plan (plan cache
-// included) and the same cursor, drained under ctx.
+// tracing on — the same routing, locks, evaluators and cursor as
+// QueryStreamCtx, each evaluator's operators instrumented — and renders
+// the routing header (Explain's, marked "(analyze)") followed by each
+// evaluation's plan annotated with actuals and the merged output count.
 func (s *Store) ExplainAnalyze(ctx context.Context, src string) (string, error) {
-	if err := ctx.Err(); err != nil {
+	q, err := s.parseQuery(ctx, src)
+	if err != nil {
 		return "", err
 	}
-	var tr *stsparql.ExecTrace
-	var c *stsparql.Compiled
 	start := time.Now()
-	cur, err := s.queryStream(ctx, src, func(ev *stsparql.Evaluator, compiled *stsparql.Compiled) {
-		c, tr = compiled, stsparql.NewExecTrace(compiled)
+	r := s.routeQuery(src, q)
+	type traced struct {
+		idx int
+		c   *stsparql.Compiled
+		tr  *stsparql.ExecTrace
+	}
+	var evals []traced
+	cur, err := s.open(ctx, r, func(idx int, ev *stsparql.Evaluator, c *stsparql.Compiled) {
+		tr := stsparql.NewExecTrace(c)
 		ev.SetTrace(tr)
+		evals = append(evals, traced{idx, c, tr})
 	})
 	if err != nil {
 		return "", err
 	}
-	rows, verdict, err := Drain(cur)
+	// Drain closes the cursor, and a fan-out's Close waits for its
+	// workers, so the trace counters are final.
+	rows, verdict, err := drain(cur)
 	if err != nil {
 		return "", err
 	}
-	form := "select"
-	if cur.IsAsk() {
-		form = "ask"
+	var b strings.Builder
+	s.writeRoute(&b, r, " (analyze)")
+	for i, e := range evals {
+		switch {
+		case e.idx < 0:
+			b.WriteString(e.tr.Render(e.c))
+			continue
+		case cur.IsAsk():
+			// Shards answer in order until one says yes: only the last
+			// one evaluated can.
+			fmt.Fprintf(&b, "  shard[%d]: ask=%v\n", e.idx, i == len(evals)-1 && verdict == "true")
+		default:
+			fmt.Fprintf(&b, "  shard[%d]:\n", e.idx)
+		}
+		b.WriteString(indentLines(e.tr.Render(e.c), "  "))
 	}
-	return fmt.Sprintf("%s (analyze)\n%s%s", form, tr.Render(c), Total(rows, verdict, start)), nil
+	if r.fp != nil && len(evals) > 0 {
+		fmt.Fprintf(&b, "merge[%s]: rows=%d\n", r.fp.mode, rows)
+	}
+	b.WriteString(total(rows, verdict, start))
+	return b.String(), nil
 }
 
-// Drain pulls a query cursor dry and closes it, returning the rows it
+// indentLines prefixes every non-empty line of s.
+func indentLines(s, prefix string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(s, "\n") {
+		if line == "" {
+			continue
+		}
+		b.WriteString(prefix)
+		b.WriteString(line)
+	}
+	return b.String()
+}
+
+// drain pulls a query cursor dry and closes it, returning the rows it
 // yielded and, for an ASK, the verdict's lexical form ("true" or
-// "false"). Both stores' ExplainAnalyze count their totals with it.
-func Drain(cur QueryCursor) (rows int, verdict string, err error) {
+// "false").
+func drain(cur QueryCursor) (rows int, verdict string, err error) {
 	defer cur.Close()
 	for row, ok := cur.Next(); ok; row, ok = cur.Next() {
 		if rows++; cur.IsAsk() {
@@ -52,9 +90,9 @@ func Drain(cur QueryCursor) (rows int, verdict string, err error) {
 	return rows, verdict, cur.Close()
 }
 
-// Total renders the last line of an EXPLAIN ANALYZE from what Drain
+// total renders the last line of an EXPLAIN ANALYZE from what drain
 // returned: the ASK verdict, or else the rows, and the time since start.
-func Total(rows int, verdict string, start time.Time) string {
+func total(rows int, verdict string, start time.Time) string {
 	elapsed := time.Since(start).Round(time.Microsecond)
 	if verdict != "" {
 		return fmt.Sprintf("total: ask=%s time=%v\n", verdict, elapsed)

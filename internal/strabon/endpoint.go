@@ -52,11 +52,10 @@ import (
 // queries run under r.Context(), optionally capped by QueryTimeout, so
 // a gone or stalled client releases the lock at the next row pull.
 //
-// The endpoint serves any API backend: the single Store or the sharded
-// store (internal/shard), whose per-shard cardinalities /stats includes
-// when available.
+// /stats includes the per-member cardinalities of the store
+// (ShardStats).
 type Endpoint struct {
-	store API
+	store *Store
 
 	// QueryTimeout, when positive, caps how long one /sparql evaluation
 	// may hold store read locks; 0 means no cap beyond the client's own
@@ -101,9 +100,8 @@ type EndpointStats struct {
 	Rows     int // result rows served by queries
 }
 
-// NewEndpoint returns an endpoint over a store backend (the single
-// Store, or internal/shard's sharded store).
-func NewEndpoint(s API) *Endpoint { return &Endpoint{store: s} }
+// NewEndpoint returns an endpoint over a store.
+func NewEndpoint(s *Store) *Endpoint { return &Endpoint{store: s} }
 
 // Stats returns a snapshot of the endpoint counters.
 func (ep *Endpoint) Stats() EndpointStats {
@@ -555,6 +553,7 @@ func (ep *Endpoint) serveStats(w http.ResponseWriter, r *http.Request) {
 		Store:     ep.store.Stats(),
 		Endpoint:  ep.Stats(),
 		PlanCache: ep.store.PlanStats(),
+		Shards:    ep.store.ShardStats(),
 	}
 	doc.Dict.Entries, doc.Dict.Bytes = ep.store.DictStats()
 	if ep.Results != nil {
@@ -564,9 +563,6 @@ func (ep *Endpoint) serveStats(w http.ResponseWriter, r *http.Request) {
 	if ep.Admission != nil {
 		ad := ep.Admission.Stats()
 		doc.Admission = &ad
-	}
-	if ss, ok := ep.store.(ShardStatser); ok {
-		doc.Shards = ss.ShardStats()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(doc)

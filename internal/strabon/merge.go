@@ -1,4 +1,4 @@
-package shard
+package strabon
 
 import (
 	"context"
@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/rdf"
 	"repro/internal/resultcache"
-	"repro/internal/strabon"
 	"repro/internal/stsparql"
 )
 
@@ -171,7 +170,7 @@ type mergeCursor struct {
 	closed bool
 }
 
-// CacheVector implements strabon.QueryCursor: the generation vector
+// CacheVector implements QueryCursor: the generation vector
 // routeQuery captured under the shard read locks, before the workers
 // started reading.
 func (m *mergeCursor) CacheVector() (resultcache.GenVector, bool) {
@@ -465,4 +464,4 @@ func (m *mergeCursor) Close() error {
 	return m.err
 }
 
-var _ strabon.QueryCursor = (*mergeCursor)(nil)
+var _ QueryCursor = (*mergeCursor)(nil)

@@ -36,8 +36,8 @@ type Telemetry struct {
 // EnableTelemetry wires a registry and slow-query log onto the
 // endpoint: live latency/row instruments for the request path, plus
 // scrape-time collectors over the endpoint's existing stat sources
-// (result cache, admission, plan cache, per-shard state when the
-// backend is sharded). Call once, before serving.
+// (result cache, admission, plan cache, per-member state). Call once,
+// before serving.
 func EnableTelemetry(ep *Endpoint, reg *obs.Registry, qlog *obs.QueryLog) *Telemetry {
 	t := &Telemetry{Registry: reg, Queries: qlog}
 	t.latency = reg.NewHistogramVec("strabon_query_seconds",
@@ -120,67 +120,58 @@ func EnableTelemetry(ep *Endpoint, reg *obs.Registry, qlog *obs.QueryLog) *Telem
 			func() float64 { return float64(ad.Stats().Queued) })
 	}
 
+	ss := ep.store
+	shardLabels := []string{"shard"}
 	reg.NewCollectFunc("strabon_time_index_entries",
 		"Entries in the store's time index (per member store of a sharded backend).",
 		"gauge", []string{"store"}, func() []obs.Sample {
-			switch st := ep.store.(type) {
-			case ShardStatser:
-				sts := st.ShardStats()
-				out := make([]obs.Sample, len(sts))
-				for i, s := range sts {
-					out[i] = obs.Sample{LabelValues: []string{s.Name}, Value: float64(s.TimeEntries)}
-				}
-				return out
-			case *Store:
-				n, _, _ := st.TimeIndexStats()
-				return []obs.Sample{{LabelValues: []string{"single"}, Value: float64(n)}}
+			sts := ss.ShardStats()
+			out := make([]obs.Sample, len(sts))
+			for i, s := range sts {
+				out[i] = obs.Sample{LabelValues: []string{s.Name}, Value: float64(s.TimeEntries)}
 			}
-			return nil
+			return out
 		})
-
-	if ss, ok := ep.store.(ShardStatser); ok {
-		shardLabels := []string{"shard"}
-		reg.NewCollectFunc("strabon_shard_triples",
-			"Triples per shard.", "gauge", shardLabels, func() []obs.Sample {
-				sts := ss.ShardStats()
-				out := make([]obs.Sample, len(sts))
-				for i, st := range sts {
-					out[i] = obs.Sample{LabelValues: []string{st.Name}, Value: float64(st.Triples)}
+	reg.NewCollectFunc("strabon_shard_triples",
+		"Triples per shard.", "gauge", shardLabels, func() []obs.Sample {
+			sts := ss.ShardStats()
+			out := make([]obs.Sample, len(sts))
+			for i, st := range sts {
+				out[i] = obs.Sample{LabelValues: []string{st.Name}, Value: float64(st.Triples)}
+			}
+			return out
+		})
+	reg.NewCollectFunc("strabon_shard_generation",
+		"Mutation generation per shard.", "gauge", shardLabels, func() []obs.Sample {
+			sts := ss.ShardStats()
+			out := make([]obs.Sample, len(sts))
+			for i, st := range sts {
+				out[i] = obs.Sample{LabelValues: []string{st.Name}, Value: float64(st.Gen)}
+			}
+			return out
+		})
+	reg.NewCollectFunc("strabon_shard_observed_min_time_seconds",
+		"Oldest observed timestamp per shard (unix seconds; absent when empty).",
+		"gauge", shardLabels, func() []obs.Sample {
+			var out []obs.Sample
+			for _, st := range ss.ShardStats() {
+				if st.MinUnix != 0 {
+					out = append(out, obs.Sample{LabelValues: []string{st.Name}, Value: float64(st.MinUnix)})
 				}
-				return out
-			})
-		reg.NewCollectFunc("strabon_shard_generation",
-			"Mutation generation per shard.", "gauge", shardLabels, func() []obs.Sample {
-				sts := ss.ShardStats()
-				out := make([]obs.Sample, len(sts))
-				for i, st := range sts {
-					out[i] = obs.Sample{LabelValues: []string{st.Name}, Value: float64(st.Gen)}
+			}
+			return out
+		})
+	reg.NewCollectFunc("strabon_shard_observed_max_time_seconds",
+		"Newest observed timestamp per shard (unix seconds; absent when empty).",
+		"gauge", shardLabels, func() []obs.Sample {
+			var out []obs.Sample
+			for _, st := range ss.ShardStats() {
+				if st.MaxUnix != 0 {
+					out = append(out, obs.Sample{LabelValues: []string{st.Name}, Value: float64(st.MaxUnix)})
 				}
-				return out
-			})
-		reg.NewCollectFunc("strabon_shard_observed_min_time_seconds",
-			"Oldest observed timestamp per shard (unix seconds; absent when empty).",
-			"gauge", shardLabels, func() []obs.Sample {
-				var out []obs.Sample
-				for _, st := range ss.ShardStats() {
-					if st.MinUnix != 0 {
-						out = append(out, obs.Sample{LabelValues: []string{st.Name}, Value: float64(st.MinUnix)})
-					}
-				}
-				return out
-			})
-		reg.NewCollectFunc("strabon_shard_observed_max_time_seconds",
-			"Newest observed timestamp per shard (unix seconds; absent when empty).",
-			"gauge", shardLabels, func() []obs.Sample {
-				var out []obs.Sample
-				for _, st := range ss.ShardStats() {
-					if st.MaxUnix != 0 {
-						out = append(out, obs.Sample{LabelValues: []string{st.Name}, Value: float64(st.MaxUnix)})
-					}
-				}
-				return out
-			})
-	}
+			}
+			return out
+		})
 
 	ep.Metrics = t
 	return t

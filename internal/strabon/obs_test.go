@@ -29,22 +29,12 @@ func newObsEndpoint(t *testing.T) (*Endpoint, *Store) {
 	return obsEndpointOver(s), s
 }
 
-func obsEndpointOver(st API) *Endpoint {
+func obsEndpointOver(st *Store) *Endpoint {
 	ep := NewEndpoint(st)
 	ep.Results = resultcache.New(64, 1<<20)
 	ep.Admission = NewAdmission(4, 16)
 	EnableTelemetry(ep, obs.NewRegistry(), obs.NewQueryLog(32))
 	return ep
-}
-
-// shardReporting lends the single store the one optional capability,
-// ShardStatser (its real implementer, internal/shard, imports this
-// package), so a scrape runs the per-shard collectors too.
-type shardReporting struct{ *Store }
-
-func (s shardReporting) ShardStats() []ShardStat {
-	n, lo, hi := s.TimeIndexStats()
-	return []ShardStat{{Name: "static", Triples: s.Len(), Gen: s.Generation(), TimeEntries: n, MinUnix: lo, MaxUnix: hi}}
 }
 
 func obsGet(t *testing.T, srv *httptest.Server, path string) (int, string, http.Header) {
@@ -107,7 +97,7 @@ func TestStatsJSONShape(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	ep, store := newObsEndpoint(t)
+	ep, _ := newObsEndpoint(t)
 	srv := httptest.NewServer(ep)
 	defer srv.Close()
 
@@ -139,7 +129,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"strabon_store_triples 8",
 		"strabon_plan_cache_entries 0", // one compile of one text: declined
 		"# TYPE strabon_dict_entries gauge",
-		`strabon_time_index_entries{store="single"} 0`,
+		`strabon_time_index_entries{store="static"} 0`,
+		`strabon_time_index_entries{store="s0"} 0`,
+		`strabon_shard_triples{shard="static"} 8`,
+		`strabon_shard_triples{shard="s0"} 0`,
 		"# TYPE strabon_dict_bytes gauge",
 		"# TYPE strabon_query_seconds histogram",
 	} {
@@ -160,16 +153,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// Over a backend that reports shards the scrape stays clean and
-	// declares every family a dashboard names, the per-shard ones
-	// included.
-	shardSrv := httptest.NewServer(obsEndpointOver(shardReporting{store}))
-	defer shardSrv.Close()
-	obsGet(t, shardSrv, "/sparql?query="+hot)
-	code, body, _ = obsGet(t, shardSrv, "/metrics")
-	if code != 200 {
-		t.Fatalf("/metrics over a shard-reporting backend -> %d", code)
-	}
+	// The scrape declares every family a dashboard names, the per-shard
+	// ones included.
 	for _, family := range []string{
 		"strabon_query_seconds", "strabon_http_requests_total", "strabon_result_rows_total",
 		"strabon_result_cache_hits_total", "strabon_admission_admitted_total",
@@ -177,7 +162,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"strabon_shard_triples", "strabon_shard_generation", "strabon_time_index_entries",
 	} {
 		if !strings.Contains(body, "# TYPE "+family+" ") {
-			t.Errorf("/metrics over a shard-reporting backend does not declare %s", family)
+			t.Errorf("/metrics does not declare %s", family)
 		}
 	}
 }
@@ -251,7 +236,7 @@ func TestExplainAnalyzeEndpoint(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/explain?analyze=1 -> %d: %s", code, body)
 	}
-	for _, want := range []string{"select (analyze)", "actual rows=", "total: rows=2"} {
+	for _, want := range []string{"shard union: single evaluation over static+1 slices (analyze)", "actual rows=", "total: rows=2"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("analyze output lacks %q:\n%s", want, body)
 		}
@@ -281,7 +266,7 @@ func TestStoreExplainAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(ask, "ask (analyze)") || !strings.Contains(ask, "total: ask=true") {
+	if !strings.Contains(ask, "slices (analyze)") || !strings.Contains(ask, "total: ask=true") {
 		t.Fatalf("ask analyze output:\n%s", ask)
 	}
 

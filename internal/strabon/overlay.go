@@ -6,7 +6,7 @@ import (
 	"repro/internal/stsparql"
 )
 
-// Overlay is the working copy of one ApplyFlush: the base stores as the
+// Overlay is the working copy of one ApplyFlush: the base members as the
 // flush found them — read-locked, never touched — plus everything the
 // flush has done so far, held privately: the triples it added (its
 // groups, then whatever the rules inserted) and the base triples the
@@ -28,8 +28,8 @@ import (
 // not the hotspot history.
 type Overlay struct {
 	base  View
-	added *Store // private: no lock needed
-	all   View   // base + added
+	added *member // private: no lock needed
+	all   View    // base + added
 	// addLog lists what was ever added, goneLog what was ever deleted
 	// from the base, in order; Effect replays them so a commit is
 	// deterministic. gone is the live deleted set, masked out of every
@@ -44,11 +44,11 @@ var _ stsparql.StatSource = (*Overlay)(nil)
 var _ stsparql.SpatialSource = (*Overlay)(nil)
 var _ stsparql.TimeRangeSource = (*Overlay)(nil)
 
-// NewOverlay starts a working copy over the read-locked base stores
+// newOverlay starts a working copy over the read-locked base members
 // holding the flush's groups (encoded in the base's dictionary), and
 // reports how many triples of each group the base did not already hold.
-func NewOverlay(base View, groups [][]rdf.EncodedTriple) (*Overlay, []int) {
-	o := &Overlay{base: base, added: NewMember(base[0]), gone: make(map[rdf.EncodedTriple]struct{})}
+func newOverlay(base View, groups [][]rdf.EncodedTriple) (*Overlay, []int) {
+	o := &Overlay{base: base, added: newMember(base.Dict()), gone: make(map[rdf.EncodedTriple]struct{})}
 	o.all = append(append(View(nil), base...), o.added)
 	counts := make([]int, len(groups))
 	for gi, g := range groups {

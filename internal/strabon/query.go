@@ -1,4 +1,4 @@
-package shard
+package strabon
 
 import (
 	"context"
@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/resultcache"
-	"repro/internal/strabon"
 	"repro/internal/stsparql"
 )
 
@@ -16,18 +15,12 @@ import (
 // the read locks that evaluation needs, and open starts the evaluation
 // and hands the locks to the cursor it returns.
 
-// QueryStream parses, routes and starts a SELECT or ASK, returning a
-// streaming cursor. See QueryStreamCtx.
-func (s *Store) QueryStream(src string) (strabon.QueryCursor, error) {
-	return s.QueryStreamCtx(context.Background(), src)
-}
-
 // QueryStreamCtx routes a query per the fan-out analysis and returns a
 // streaming cursor over the merged result. The cursor holds read locks
 // on the static store and every shard it fans out to (all of them for a
 // union-view evaluation) until Close; cancelling ctx stops the cursor at
 // the next row pull and releases the locks.
-func (s *Store) QueryStreamCtx(ctx context.Context, src string) (strabon.QueryCursor, error) {
+func (s *Store) QueryStreamCtx(ctx context.Context, src string) (QueryCursor, error) {
 	q, err := s.parseQuery(ctx, src)
 	if err != nil {
 		return nil, err
@@ -43,12 +36,12 @@ func (s *Store) parseQuery(ctx context.Context, src string) (*stsparql.Query, er
 		return nil, err
 	}
 	if q.Update != nil {
-		return nil, fmt.Errorf("shard: Query wants SELECT or ASK; use Update for updates")
+		return nil, fmt.Errorf("strabon: Query wants SELECT or ASK; use Update for updates")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s.countQuery()
+	s.queries.Add(1)
 	return q, nil
 }
 
@@ -125,7 +118,7 @@ func (s *Store) routeQuery(src string, q *stsparql.Query) routed {
 // hook, if not nil, sees every evaluator open creates, with its plan,
 // before it runs — its slice index, or -1 for the union view;
 // ExplainAnalyze attaches its traces there.
-func (s *Store) open(ctx context.Context, r routed, hook func(idx int, ev *stsparql.Evaluator, c *stsparql.Compiled)) (strabon.QueryCursor, error) {
+func (s *Store) open(ctx context.Context, r routed, hook func(idx int, ev *stsparql.Evaluator, c *stsparql.Compiled)) (QueryCursor, error) {
 	// Result-cacheability is an AST property (SAMPLE shapes); the
 	// cursor pairs it with the generation vector captured under locks.
 	cacheable := stsparql.Cacheable(r.q)
@@ -168,7 +161,7 @@ func (s *Store) open(ctx context.Context, r routed, hook func(idx int, ev *stspa
 				break
 			}
 		}
-		return strabon.NewCursor(ctx, stsparql.AskCursor(verdict), true, nil, r.vec, cacheable), nil
+		return newCursor(ctx, stsparql.AskCursor(verdict), true, nil, r.vec, cacheable), nil
 	}
 
 	switch {
@@ -179,7 +172,7 @@ func (s *Store) open(ctx context.Context, r routed, hook func(idx int, ev *stspa
 			r.unlock()
 			return nil, err
 		}
-		return strabon.NewCursor(ctx, cur, false, r.release, r.vec, cacheable), nil
+		return newCursor(ctx, cur, false, r.release, r.vec, cacheable), nil
 	case len(r.dec.shards) == 0:
 		// The window (or the observed ranges) excludes every slice.
 		// Grouped queries still owe their implicit group (COUNT over
@@ -192,7 +185,7 @@ func (s *Store) open(ctx context.Context, r routed, hook func(idx int, ev *stspa
 			}
 			rows = stsparql.MaterialisedCursor(res.Vars, res.Rows)
 		}
-		return strabon.NewCursor(ctx, rows, false, nil, r.vec, cacheable), nil
+		return newCursor(ctx, rows, false, nil, r.vec, cacheable), nil
 	}
 	evs := make([]*stsparql.Evaluator, len(r.dec.shards))
 	cs := make([]*stsparql.Compiled, len(r.dec.shards))
@@ -273,4 +266,110 @@ func diffInts(a, b []int) []int {
 		}
 	}
 	return out
+}
+
+// Cursor streams the solutions of one evaluation: the union view's, or
+// an ASK's. A SELECT cursor holds the read locks its evaluation runs
+// under from QueryStreamCtx until Close — close promptly; an ASK cursor
+// is pre-materialised and holds no lock. Bound to a context that can be
+// cancelled (client gone, deadline hit), it checks the context on every
+// pull: once it fires the cursor stops yielding rows, reports the
+// context error and releases its locks at that pull, instead of
+// whenever the abandoned client would have closed it. Rows yielded so
+// far are counted (Rows), the bookkeeping hook the endpoint's streamed
+// responses use.
+type Cursor struct {
+	inner   stsparql.Cursor
+	ctx     context.Context // nil: not cancellable, never checked
+	ask     bool
+	rows    int
+	release func() // releases the read locks; nil once released
+	err     error  // the context error that stopped the cursor
+	closed  bool
+
+	// Result-cache metadata, captured under the read locks at open
+	// time: the generations the rows derive from, and the plan-time
+	// cacheability verdict. See CacheVector.
+	vec       resultcache.GenVector
+	cacheable bool
+}
+
+var _ QueryCursor = (*Cursor)(nil)
+
+// newCursor returns the cursor over one evaluation's inner cursor. ask
+// marks inner as an ASK verdict (one row binding "ask"); release, if
+// not nil, frees the read locks the evaluation runs under and is
+// called once, when the cursor closes or its context fires; vec and
+// cacheable are what CacheVector reports.
+func newCursor(ctx context.Context, inner stsparql.Cursor, ask bool, release func(), vec resultcache.GenVector, cacheable bool) *Cursor {
+	c := &Cursor{inner: inner, ask: ask, release: release, vec: vec, cacheable: cacheable}
+	if ctx.Done() != nil {
+		c.ctx = ctx
+	}
+	return c
+}
+
+// CacheVector implements QueryCursor: the generation vector this
+// cursor's rows were derived from, and whether the result may be
+// cached at all (false for non-deterministic plans such as SAMPLE).
+func (c *Cursor) CacheVector() (resultcache.GenVector, bool) {
+	return c.vec, c.cacheable
+}
+
+// Vars is the result header.
+func (c *Cursor) Vars() []string { return c.inner.Vars() }
+
+// IsAsk reports whether the cursor carries an ASK verdict (a single row
+// binding "ask").
+func (c *Cursor) IsAsk() bool { return c.ask }
+
+// Next yields the next solution; ok=false once exhausted, on error or
+// once the context fired (check Err).
+func (c *Cursor) Next() (stsparql.Row, bool) {
+	if c.closed || c.err != nil {
+		return nil, false
+	}
+	if c.ctx != nil {
+		if err := c.ctx.Err(); err != nil {
+			c.err = err
+			c.releaseNow()
+			return nil, false
+		}
+	}
+	row, ok := c.inner.Next()
+	if ok {
+		c.rows++
+	}
+	return row, ok
+}
+
+// Err reports the context error that stopped the cursor, or else the
+// first evaluation error, if any.
+func (c *Cursor) Err() error {
+	if c.err != nil {
+		return c.err
+	}
+	return c.inner.Err()
+}
+
+// Rows reports how many solutions have been yielded so far.
+func (c *Cursor) Rows() int { return c.rows }
+
+// releaseNow terminates the evaluation and frees the read locks.
+func (c *Cursor) releaseNow() {
+	c.inner.Close()
+	if c.release != nil {
+		c.release()
+		c.release = nil
+	}
+}
+
+// Close terminates the evaluation and releases the read locks. It is
+// idempotent and returns Err().
+func (c *Cursor) Close() error {
+	if !c.closed {
+		c.closed = true
+		c.releaseNow()
+	}
+	return c.Err()
 }

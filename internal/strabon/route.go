@@ -1,4 +1,4 @@
-package shard
+package strabon
 
 import (
 	"repro/internal/rdf"
@@ -7,7 +7,7 @@ import (
 
 // This file is the fan-out analysis: it decides, per query, whether
 // per-shard evaluation plus cursor merging is provably equivalent to a
-// single-store evaluation, and which slices a time-constrained query
+// union-view evaluation, and which slices a time-constrained query
 // can prune to.
 //
 // Fan-out over the slice views (static + one slice each) is exact iff

@@ -11,7 +11,7 @@ import (
 	"repro/internal/resultcache"
 )
 
-// TestEndpointResultCache drives the serving tier over the single
+// TestEndpointResultCache drives the serving tier over a one-slice
 // store: a repeated query is served from the cache byte-for-byte, a
 // write invalidates it, and /stats reports the cache counters.
 func TestEndpointResultCache(t *testing.T) {

@@ -5,35 +5,71 @@
 // time index over xsd:dateTime objects (stSPARQL's two dimensions, each
 // an access path the planner can see) and the stSPARQL engine, exposing
 // an endpoint-style API used by the refinement step of the
-// fire-monitoring service.
+// fire-monitoring service and by the HTTP Endpoint.
+//
+// # Partitioning
+//
+// A Store is a set of members — each with its own RWMutex, triple
+// indexes, R-tree and time index, all encoding into ONE term dictionary:
+// a static member for the georeference datasets (municipalities,
+// coastline, land cover) and N time-range slices for the acquisition
+// history (New builds one slice, NewSharded N). Writes route by
+// acquisition timestamp: a triple group carrying a
+// noa:hasAcquisitionDateTime literal goes to the slice owning that
+// timestamp's time bucket (bucket = (t-epoch)/width, assigned to slices
+// round-robin), and everything else goes to the static member. Data is
+// partitioned, never replicated — the union of the members is exactly
+// the dataset.
+//
+// # Evaluation
+//
+// At one slice every query evaluates once, unanalysed, over the union
+// View of the two members. With more slices a query is first analysed
+// (route.go): if every solution provably derives from the triples of
+// one slice plus the static data — the dominant workload shape,
+// "hotspots in acquisition window X" joined against reference datasets
+// — the compiled plan fans out to the relevant slices concurrently, each
+// evaluated over a View of static + that slice, and the per-slice
+// cursors merge (merge.go): streaming concatenation for plain SELECTs,
+// k-way ordered merge for ORDER BY (each slice pre-truncated to its
+// top-k by the engine's bounded-heap order operator), and
+// partial-aggregate recombination (COUNT/SUM/MIN/MAX, AVG as SUM+COUNT)
+// for grouped queries, with DISTINCT and OFFSET/LIMIT re-applied at the
+// merger. Time-constrained queries prune the fan-out to the slices
+// intersecting their window. Queries the analysis cannot prove
+// decomposable evaluate exactly once over the union view — always
+// correct, just not parallel. Either way the rows are those of one
+// evaluation over all the data (up to ORDER-BY-mandated order), the
+// property the equivalence suite pins at 1, 2 and 4 slices.
 //
 // # Locking discipline
 //
-// The store is safe for concurrent use through its endpoint API
-// (QueryStreamCtx, Update, LoadTriples, InsertAll, ApplyFlush, ...).
-// Internally a single RWMutex guards the triple store, the spatial
-// index with its geometry entry table and the time index, and a writer
-// mutex serialises the write paths among themselves:
+// Locks are member-local, and a writer mutex (writeMu) serialises the
+// write paths among themselves; readers never take it.
 //
-//   - QueryStream and QueryStreamCtx evaluate under a read lock, so any
-//     number of queries run concurrently. A streaming cursor HOLDS the read
-//     lock from QueryStream until Close: writers queue behind open
-//     cursors, which is what makes a half-consumed result set immune to
-//     concurrent mutation. Clients must Close cursors promptly.
-//   - Update and InsertAll take the writer mutex, then the write lock;
-//     mutations are serialised. A write-lock hold that changed anything
-//     bumps the store generation exactly once, on release, invalidating
-//     cached query plans and results.
-//   - The stsparql interface methods (MatchIDs, Add, Remove,
-//     MatchGeometryWindowIDs, MatchTimeRangeIDs, ...) do NOT lock: they
-//     are called by the evaluator while an endpoint method already holds
-//     the lock. External callers must go through the endpoint API.
-//   - The term dictionary is not under the RWMutex at all: one
-//     rdf.Dictionary serves a whole store topology (a sharded store's
-//     members, a flush's overlay) and synchronises itself. Appends are
-//     serialised by the topology's writer mutex.
-//   - Endpoint statistics live behind a separate mutex so read-locked
-//     queries can still count index hits.
+//   - A query takes the read locks of the static member and of the
+//     slices it evaluates over (all of them for the union view), in fixed
+//     order — static, then slices ascending — and its cursor HOLDS them
+//     until Close: writers to those members queue behind open cursors,
+//     which is what makes a half-consumed result set immune to
+//     concurrent mutation. Clients must Close cursors promptly; a cursor
+//     bound to a cancelled context releases them at its next pull.
+//   - Write paths take writeMu first and member write locks in the same
+//     fixed order: InsertAll locks one target at a time, Update
+//     write-locks every member, and ApplyFlush (below) only the slices
+//     its acquisitions land in. A write to the live slice therefore
+//     leaves every other slice readable. A write-lock hold that changed
+//     anything bumps its member's generation exactly once, on release,
+//     invalidating cached plans and results that read the member.
+//   - The members' stsparql source methods (MatchIDs, CountPattern,
+//     MatchGeometryWindowIDs, MatchTimeRangeIDs, ...) and their write
+//     methods do NOT lock: the Store calls them with the member's lock
+//     already held.
+//   - The term dictionary is under no member lock: the members, and a
+//     flush's overlay, share one rdf.Dictionary, which synchronises
+//     itself. Appends are serialised by writeMu.
+//   - Endpoint statistics are atomic counters, so read-locked queries
+//     count index hits without a lock of their own.
 //
 // # The flush contract
 //
@@ -41,84 +77,238 @@
 // and the refinement of exactly those products, as one transition of
 // the store. Readers see a flush entirely or not at all — never a raw
 // hotspot the rules are about to delete, an unclipped coastal pixel or a
-// confidence about to be confirmed — and the generation moves once per
-// flush, however many rules ran.
+// confidence about to be confirmed — and each member the flush writes
+// moves its generation once, however many rules ran.
 //
 // It gets there without making readers wait for the refinement. Under
-// the writer mutex (no other writer from here to the commit) and the
-// READ lock, the flush's triples go into a private Overlay; the rules
-// evaluate over store + overlay and apply to the overlay, each seeing
-// the effects of those before it. Only the overlay's net effect — the
-// refined products — is then committed under the write lock, a hold of
-// a bulk insert's length. The read lock is released before the write
-// lock is taken (RWMutex does not upgrade; reprolint's lockdiscipline
-// checks it); the writer mutex is what keeps the state from moving in
-// between. A flush whose rules fail commits nothing.
+// writeMu (no other writer from here to the commit) and the READ locks
+// of the static member and the slices the rules look at, the flush's
+// triples go into a private Overlay; the rules evaluate over the members
+// + overlay and apply to the overlay, each seeing the effects of those
+// before it. Only the overlay's net effect — the refined products — is
+// then routed and committed under the write locks of the slices the
+// acquisitions land in, a hold of a bulk insert's length. The read
+// locks are released before the write locks are taken (RWMutex does not
+// upgrade; reprolint's lockdiscipline checks it); writeMu is what keeps
+// the state from moving in between. A flush whose rules fail commits
+// nothing. It never stalls a reader of older history, and stalls a
+// reader of the live slice for the length of a bulk insert only.
 package strabon
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
-	"repro/internal/geom"
+	"repro/internal/ontology"
 	"repro/internal/rdf"
 	"repro/internal/resultcache"
-	"repro/internal/rtree"
 	"repro/internal/stsparql"
 )
 
-// Store is a spatially indexed RDF store with an stSPARQL endpoint. See
-// the package comment for the locking discipline.
+// Config sizes a Store.
+type Config struct {
+	// Slices is the number of time-range slices (at least 1).
+	Slices int
+	// Width is the time span of one routing bucket (default 1h).
+	// Buckets are assigned to slices round-robin, so any query window
+	// narrower than Width*Slices prunes to fewer than Slices shards.
+	Width time.Duration
+	// Epoch aligns bucket boundaries (default 2000-01-01T00:00:00Z).
+	Epoch time.Time
+}
+
+// timePredicate is the acquisition-timestamp predicate routing triple
+// groups.
+const timePredicate = ontology.PropAcquisitionDateTime
+
+// planCacheSize bounds each compiled-plan cache until SetPlanCacheSize
+// replaces them: the endpoint's repeated thematic-query catalogue is far
+// smaller than this.
+const planCacheSize = 256
+
+// Store is a spatially indexed, time-partitioned RDF store with an
+// stSPARQL endpoint. See the package comment for partitioning, locking
+// and the flush contract.
 type Store struct {
-	mu sync.RWMutex
-	// writeMu serialises the write paths among themselves. ApplyFlush
-	// holds it from its read phase to its commit, so the state it refined
-	// against is the state it commits onto; readers never take it.
-	writeMu sync.Mutex
-	triples *rdf.Store
+	width  int64 // bucket width, seconds
+	epoch  int64 // bucket origin, unix seconds
+	static *member
+	slices []*member
+	// members lists every member store, static first then slices
+	// ascending — the canonical order of lock acquisition and routed
+	// application, and the union view.
+	members []*member
 	ns      *rdf.Namespaces
-	cache   *stsparql.Cache
+	cache   *stsparql.Cache // shared geometry-parse cache
+	// dict is the one term dictionary every member encodes into. Appends
+	// happen under writeMu only; see rdf.Dictionary for what readers may
+	// do beside them.
+	dict *rdf.Dictionary
 
-	// plans caches compiled query plans keyed by query text, guarded by
-	// mu; gen is the mutation generation plan- and result-cache entries
-	// are pinned to. gen is atomic so composite stores and cache
-	// validators can read the generation of a store they do NOT hold
-	// locked (observed-range-pruned slices, result-cache Get): it is
-	// only advanced under the write lock, so a read-locked observer
-	// still sees a stable value.
-	plans *stsparql.PlanCache
-	gen   atomic.Uint64
-	// mutated records that the current write-lock hold changed a triple;
-	// unlock turns it into exactly one generation bump.
-	mutated bool
+	// Compiled-plan caches: one per slice view plus one for the union
+	// view. Guarded by planMu only for replacement (SetPlanCacheSize);
+	// the caches themselves are concurrency-safe.
+	planMu  sync.RWMutex
+	caches  []*stsparql.PlanCache
+	unionPC *stsparql.PlanCache
 
-	index *rtree.Tree
-	// geomEntries remembers what was inserted in the index, keyed by the
-	// encoded geometry triple, so RemoveEncoded can delete the exact
-	// entry again. The R-tree payload is the entry itself: a window hit
-	// reads its triple without a lookup.
-	geomEntries map[rdf.EncodedTriple]*indexedGeom
-	// times is the time index, keyed by predicate (see timeindex.go).
-	times map[rdf.ID]*timeRun
+	// Routing knowledge, updated at insert time and read by the query
+	// analysis: which predicates (and rdf:type objects) have ever been
+	// routed to slices vs the static store. Guarded by routeMu.
+	routeMu     sync.RWMutex
+	slicePreds  map[string]bool
+	staticPreds map[string]bool
+	sliceTypes  map[string]bool
+	staticTypes map[string]bool
 
-	statsMu sync.Mutex
-	stats   Stats
+	// spans holds each slice's time summary as its time index last
+	// published it (see publishSpan); nil until the slice's first write.
+	spans []atomic.Pointer[timeSpan]
+
+	// knowGen is the routing-knowledge generation: it advances whenever
+	// the predicate or rdf:type provenance sets above gain a member or a
+	// slice's time run turns loose — the events that can flip a query's
+	// fan-out verdict or widen its slice set without touching any member
+	// store the query read. Partial result-cache vectors are pinned to it
+	// (see fanVector); in steady state the vocabulary is fixed and it
+	// never moves. A slice's range moving does NOT advance it: the write
+	// moving it bumps its own slice's generation, which the affected
+	// vectors carry.
+	knowGen atomic.Uint64
+
+	// writeMu serialises the write paths: routing is check-then-act
+	// (probe a subject's home, then insert), so concurrent writers
+	// could otherwise split one subject across slices without the
+	// latch below noticing. Readers never take it — the member-local
+	// claim (writes don't block reads of other slices) is about
+	// queries, and those only take member read locks.
+	writeMu sync.Mutex
+
+	// split latches when a write is observed to violate co-location —
+	// a subject landing away from its existing home, or one group
+	// carrying acquisition times in different buckets — the invariants
+	// the fan-out analysis needs. Once set, every query takes the
+	// exact union view: correctness is preserved under arbitrary API
+	// use, and only fan-out parallelism is lost (the well-formed
+	// producers never trigger it).
+	split atomic.Bool
+
+	// queries and updates count the requests served; the members count
+	// the rest of Stats.
+	queries, updates atomic.Int64
 }
 
-var _ stsparql.SpatialSource = (*Store)(nil)
+// New returns an empty store of one slice: every query evaluates once
+// over static + slice, the way the paper's single Strabon does.
+func New() *Store { return NewSharded(Config{}) }
 
-// defaultPlanCacheSize bounds the compiled-plan cache: the endpoint's
-// repeated thematic-query catalogue is far smaller than this.
-const defaultPlanCacheSize = 256
-
-type indexedGeom struct {
-	env geom.Envelope
-	// enc is the dictionary encoding of the geometry triple, so window
-	// scans can stay in ID space (MatchGeometryWindowIDs).
-	enc rdf.EncodedTriple
+// NewSharded returns an empty store partitioned as cfg says.
+func NewSharded(cfg Config) *Store {
+	if cfg.Slices < 1 {
+		cfg.Slices = 1
+	}
+	if cfg.Width <= 0 {
+		cfg.Width = time.Hour
+	}
+	if cfg.Epoch.IsZero() {
+		cfg.Epoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	}
+	s := &Store{
+		width:       int64(cfg.Width / time.Second),
+		epoch:       cfg.Epoch.Unix(),
+		slicePreds:  make(map[string]bool),
+		staticPreds: make(map[string]bool),
+		sliceTypes:  make(map[string]bool),
+		staticTypes: make(map[string]bool),
+		spans:       make([]atomic.Pointer[timeSpan], cfg.Slices),
+	}
+	if s.width < 1 {
+		s.width = 1
+	}
+	s.ns, s.cache, s.dict = rdf.NewNamespaces(), stsparql.NewCache(), rdf.NewDictionary()
+	s.static = newMember(s.dict)
+	s.members = []*member{s.static}
+	for i := 0; i < cfg.Slices; i++ {
+		s.slices = append(s.slices, newMember(s.dict))
+	}
+	s.members = append(s.members, s.slices...)
+	s.resetPlanCaches(planCacheSize)
+	return s
 }
+
+func (s *Store) resetPlanCaches(n int) {
+	s.planMu.Lock()
+	defer s.planMu.Unlock()
+	if n <= 0 {
+		s.caches = make([]*stsparql.PlanCache, len(s.slices))
+		s.unionPC = nil
+		return
+	}
+	s.caches = make([]*stsparql.PlanCache, len(s.slices))
+	for i := range s.caches {
+		s.caches[i] = stsparql.NewPlanCache(n)
+	}
+	s.unionPC = stsparql.NewPlanCache(n)
+}
+
+// SetPlanCacheSize replaces every per-shard plan cache; n <= 0 disables
+// plan caching. Counters restart.
+func (s *Store) SetPlanCacheSize(n int) { s.resetPlanCaches(n) }
+
+// PlanStats sums the per-shard plan cache counters.
+func (s *Store) PlanStats() stsparql.PlanCacheStats {
+	s.planMu.RLock()
+	defer s.planMu.RUnlock()
+	var out stsparql.PlanCacheStats
+	add := func(pc *stsparql.PlanCache) {
+		if pc == nil {
+			return
+		}
+		st := pc.Stats()
+		out.Hits += st.Hits
+		out.Misses += st.Misses
+		out.Evictions += st.Evictions
+		out.Declined += st.Declined
+		out.Entries += st.Entries
+	}
+	for _, pc := range s.caches {
+		add(pc)
+	}
+	add(s.unionPC)
+	return out
+}
+
+func (s *Store) sliceCache(i int) *stsparql.PlanCache {
+	s.planMu.RLock()
+	defer s.planMu.RUnlock()
+	return s.caches[i]
+}
+
+func (s *Store) unionCache() *stsparql.PlanCache {
+	s.planMu.RLock()
+	defer s.planMu.RUnlock()
+	return s.unionPC
+}
+
+// Namespaces exposes the shared prefix table.
+func (s *Store) Namespaces() *rdf.Namespaces { return s.ns }
+
+// GeomCache exposes the geometry-parse cache every member shares.
+func (s *Store) GeomCache() *stsparql.Cache { return s.cache }
+
+// Len reports the total number of triples across every shard.
+func (s *Store) Len() int {
+	n := 0
+	for _, m := range s.members {
+		n += m.Len()
+	}
+	return n
+}
+
+// Slices reports the configured slice count.
+func (s *Store) Slices() int { return len(s.slices) }
 
 // Stats counts endpoint activity.
 type Stats struct {
@@ -128,225 +318,315 @@ type Stats struct {
 	IndexHits     int
 }
 
-// New returns an empty store with a spatial index and a
-// default-sized plan cache.
-func New() *Store {
-	return newStore(rdf.NewDictionary(), rdf.NewNamespaces(), stsparql.NewCache())
+// Stats returns a snapshot of the endpoint statistics.
+func (s *Store) Stats() Stats {
+	st := Stats{Queries: int(s.queries.Load()), Updates: int(s.updates.Load())}
+	for _, m := range s.members {
+		st.TriplesLoaded += int(m.loaded.Load())
+		st.IndexHits += int(m.indexHits.Load())
+	}
+	return st
 }
 
-// NewMember returns an empty store that is one more member of the
-// topology of belongs to: it encodes into the same dictionary — IDs
-// compare across members, and a View of them scans in one ID space —
-// and shares the geometry-parse cache and the prefix table. The members
-// of a sharded store and a flush's private overlay store are built so.
-// Whoever builds a topology serialises its writers (see rdf.Dictionary).
-func NewMember(of *Store) *Store { return newStore(of.triples.Dict(), of.ns, of.cache) }
+// ShardStats reports per-shard cardinality, generation and observed
+// temporal range for /stats and the /metrics per-shard gauges. The
+// range is the slice's published time summary (see publishSpan), so it
+// follows deletions too. The static store has none: routing sends every
+// group with a parseable acquisition time to a slice.
+func (s *Store) ShardStats() []ShardStat {
+	out := make([]ShardStat, 0, len(s.members))
+	for i, m := range s.members {
+		st := ShardStat{Name: "static", Triples: m.Len(), Gen: m.Generation()}
+		if i > 0 {
+			st.Name = fmt.Sprintf("s%d", i-1)
+			if sp := s.spans[i-1].Load(); sp != nil {
+				st.TimeEntries, st.MinUnix, st.MaxUnix = sp.Entries, sp.MinUnix, sp.MaxUnix
+			}
+		}
+		if st.TimeEntries > 0 {
+			st.Range = time.Unix(st.MinUnix, 0).UTC().Format("2006-01-02T15:04:05") +
+				"/" + time.Unix(st.MaxUnix, 0).UTC().Format("2006-01-02T15:04:05")
+		}
+		out = append(out, st)
+	}
+	return out
+}
 
-func newStore(dict *rdf.Dictionary, ns *rdf.Namespaces, cache *stsparql.Cache) *Store {
-	return &Store{
-		triples:     rdf.NewStoreOver(dict),
-		ns:          ns,
-		cache:       cache,
-		plans:       stsparql.NewPlanCache(defaultPlanCacheSize),
-		index:       rtree.New(),
-		geomEntries: make(map[rdf.EncodedTriple]*indexedGeom),
-		times:       make(map[rdf.ID]*timeRun),
+// VerifyTimeIndexes recounts every member's time index from its triples,
+// each under the member's read lock, and reports the first disagreement
+// — the time index's consistency check.
+func (s *Store) VerifyTimeIndexes() error {
+	for i, m := range s.members {
+		m.mu.RLock()
+		err := m.verifyTimeIndex()
+		m.mu.RUnlock()
+		if err != nil {
+			return fmt.Errorf("member %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// DictStats reports the size of the term dictionary the members share:
+// the distinct terms interned and the approximate heap bytes they pin.
+func (s *Store) DictStats() (entries, bytes int) { return s.dict.Len(), s.dict.ApproxBytes() }
+
+// --- routing ---
+
+// bucket maps a timestamp to its time bucket index.
+func (s *Store) bucket(t time.Time) int64 { return s.bucketOf(t.Unix()) }
+
+// bucketOf maps a unix-seconds instant to its time bucket index.
+func (s *Store) bucketOf(unix int64) int64 {
+	d := unix - s.epoch
+	b := d / s.width
+	if d%s.width < 0 {
+		b--
+	}
+	return b
+}
+
+// sliceFor maps a timestamp to its owning slice (buckets round-robin
+// over the slices).
+func (s *Store) sliceFor(t time.Time) int { return s.sliceOf(s.bucket(t)) }
+
+// sliceOf maps a time bucket to its owning slice.
+func (s *Store) sliceOf(bucket int64) int {
+	n := int64(len(s.slices))
+	return int(((bucket % n) + n) % n)
+}
+
+// timePredID is the dictionary ID of the routing predicate, or
+// rdf.Wildcard while no triple has carried it.
+func (s *Store) timePredID() rdf.ID {
+	id, _ := s.dict.Lookup(rdf.NewIRI(timePredicate))
+	return id
+}
+
+// groupTime finds the routing timestamp of a triple group: the object of
+// its first acquisition-time triple — the one term of a routed write
+// that is decoded. Routing is group-atomic — every triple of one
+// acquisition's product lands in the same slice — which is what keeps
+// subject-connected data co-located (the assumption the fan-out
+// analysis leans on).
+func (s *Store) groupTime(group []rdf.EncodedTriple, timePred rdf.ID) (time.Time, bool) {
+	for _, t := range group {
+		if t.P == timePred {
+			if at, ok := stsparql.ParseDateTime(s.dict.Decode(t.O).Value); ok {
+				return at, true
+			}
+		}
+	}
+	return time.Time{}, false
+}
+
+// track records routing knowledge for inserted groups: predicate and
+// rdf:type-object membership per side. targets[i] is the slice index of
+// groups[i], or -1 for static. Deletions never untrack — the sets are
+// conservative supersets, which only costs fan-out opportunities, never
+// correctness. Growth of either set advances knowGen, invalidating
+// partial result-cache vectors whose fan-out verdict the new knowledge
+// could flip.
+func (s *Store) track(groups [][]rdf.EncodedTriple, targets []int) {
+	s.routeMu.Lock()
+	defer s.routeMu.Unlock()
+	grew := false
+	for gi, group := range groups {
+		preds, types := s.slicePreds, s.sliceTypes
+		if targets[gi] < 0 {
+			preds, types = s.staticPreds, s.staticTypes
+		}
+		for _, enc := range group {
+			p := s.dict.Decode(enc.P).Value
+			if !preds[p] {
+				preds[p] = true
+				grew = true
+			}
+			if p != rdf.RDFType {
+				continue
+			}
+			if o := s.dict.Decode(enc.O); o.IsIRI() && !types[o.Value] {
+				types[o.Value] = true
+				grew = true
+			}
+		}
+	}
+	if grew {
+		s.knowGen.Add(1)
 	}
 }
 
-// SetPlanCacheSize replaces the compiled-plan cache with one holding at
-// most n entries; n <= 0 disables plan caching. Counters restart.
-func (s *Store) SetPlanCacheSize(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n <= 0 {
-		s.plans = nil
+// held names the member stores a write path has locked while it routes
+// and commits: the slices it may read (ascending; the static store
+// always), which of them it may write, and whether it may write the
+// static store. A nil *held means no lock is held — probes then
+// read-lock members briefly, one at a time.
+type held struct {
+	slices      []int
+	write       []bool // indexed by slice
+	staticWrite bool
+}
+
+// writable reports whether target (slice index, or -1 for static) is
+// write-locked.
+func (h *held) writable(target int) bool {
+	if target < 0 {
+		return h.staticWrite
+	}
+	return h.write[target]
+}
+
+// probe runs fn over the member stores a routing probe may read: every
+// member, each briefly read-locked, when h is nil; otherwise exactly
+// the held ones, as they are. fn returns true to stop.
+func (s *Store) probe(h *held, fn func(slice int, m *member) bool) {
+	if h != nil {
+		if fn(-1, s.static) {
+			return
+		}
+		for _, i := range h.slices {
+			if fn(i, s.slices[i]) {
+				return
+			}
+		}
 		return
 	}
-	s.plans = stsparql.NewPlanCache(n)
-}
-
-// PlanStats returns a snapshot of the plan cache counters.
-func (s *Store) PlanStats() stsparql.PlanCacheStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.plans == nil {
-		return stsparql.PlanCacheStats{}
+	for i, m := range s.members {
+		m.mu.RLock()
+		stop := fn(i-1, m)
+		m.mu.RUnlock()
+		if stop {
+			return
+		}
 	}
-	return s.plans.Stats()
 }
 
-// Namespaces exposes the store's prefix table.
-func (s *Store) Namespaces() *rdf.Namespaces { return s.ns }
-
-// Len reports the number of triples.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.triples.Len()
-}
-
-// Stats returns a snapshot of endpoint statistics.
-func (s *Store) Stats() Stats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.stats
-}
-
-// --- stsparql.Source / UpdatableSource / StatSource / SpatialSource ---
-// The engine scans, joins and deduplicates on the dictionary's IDs and
-// materialises terms late. These run with the store lock already held
-// by the calling endpoint method; they must not lock s.mu themselves.
-
-// Dict implements stsparql.Source, exposing the topology's append-only
-// term dictionary (IDs are stable for its life; decode is lock-free).
-func (s *Store) Dict() *rdf.Dictionary { return s.triples.Dict() }
-
-// MatchIDs implements stsparql.Source: it streams encoded triples
-// matching an encoded pattern (rdf.Wildcard components match anything).
-func (s *Store) MatchIDs(sub, pred, obj rdf.ID, visit func(rdf.EncodedTriple) bool) bool {
-	return s.triples.MatchIDs(sub, pred, obj, visit)
-}
-
-// Add implements stsparql.UpdatableSource (write lock held).
-func (s *Store) Add(t rdf.Triple) bool { return s.addEncoded(s.triples.Dict().EncodeTriple(t)) }
-
-// addEncoded adds an already-encoded triple, maintaining the spatial
-// and time indexes. Like every mutation it only marks the hold mutated;
-// the generation moves once, when the write lock is released.
-func (s *Store) addEncoded(enc rdf.EncodedTriple) bool {
-	if !s.triples.AddEncoded(enc) {
+// groupSplits reports whether inserting the group into target (slice
+// index, or -1 for static) would place a subject's triples outside the
+// store where that subject already lives, as far as h can see.
+func (s *Store) groupSplits(group []rdf.EncodedTriple, target int, h *held) bool {
+	seen := make(map[rdf.ID]bool)
+	var subjects []rdf.ID
+	for _, t := range group {
+		if !seen[t.S] {
+			seen[t.S] = true
+			subjects = append(subjects, t.S)
+		}
+	}
+	found := false
+	s.probe(h, func(slice int, m *member) bool {
+		if slice == target {
+			return false
+		}
+		for _, sub := range subjects {
+			if m.CountIDs(sub, rdf.Wildcard, rdf.Wildcard) > 0 {
+				found = true
+				return true
+			}
+		}
 		return false
-	}
-	s.mutated = true
-	if item, ok := s.geomItem(enc); ok {
-		s.index.Insert(item.Box, item.Data)
-	}
-	if s.timeAdd(enc) {
-		s.settleTimes()
-	}
-	return true
-}
-
-// geomItem prepares the spatial-index entry for a geometry triple,
-// recording it in geomEntries. ok is false for non-geometry triples.
-func (s *Store) geomItem(enc rdf.EncodedTriple) (rtree.Item, bool) {
-	d := s.triples.Dict()
-	o := d.Decode(enc.O)
-	if !o.IsGeometry() || !stsparql.GeometryPredicates[d.Decode(enc.P).Value] {
-		return rtree.Item{}, false
-	}
-	g, err := geom.ParseWKT(o.Value)
-	if err != nil {
-		return rtree.Item{}, false
-	}
-	e := &indexedGeom{env: g.Envelope(), enc: enc}
-	s.geomEntries[enc] = e
-	return rtree.Item{Box: e.env, Data: e}, true
-}
-
-// Remove implements stsparql.UpdatableSource (write lock held).
-func (s *Store) Remove(t rdf.Triple) bool {
-	enc, ok := s.triples.Dict().LookupTriple(t)
-	return ok && s.RemoveEncoded(enc)
-}
-
-// RemoveEncoded removes an encoded triple and its index entries (write
-// lock held).
-func (s *Store) RemoveEncoded(enc rdf.EncodedTriple) bool {
-	if !s.triples.RemoveEncoded(enc) {
-		return false
-	}
-	s.mutated = true
-	if e, ok := s.geomEntries[enc]; ok {
-		s.index.Delete(e.env, e)
-		delete(s.geomEntries, enc)
-	}
-	s.timeRemove(enc)
-	return true
-}
-
-// unlock releases the write lock, first publishing the hold's mutations
-// as one generation bump: however many triples a hold adds and removes
-// — a bulk load, an update, a whole refined flush — plan- and
-// result-cache entries pinned to the store are invalidated once.
-func (s *Store) unlock() {
-	if s.mutated {
-		s.mutated = false
-		s.gen.Add(1)
-	}
-	s.mu.Unlock()
-}
-
-// CountPattern implements stsparql.StatSource.
-func (s *Store) CountPattern(sub, pred, obj rdf.Term) int {
-	return s.triples.CountPattern(sub, pred, obj)
-}
-
-// CountIDs is CountPattern for an already-encoded pattern.
-func (s *Store) CountIDs(sub, pred, obj rdf.ID) int { return s.triples.Count(sub, pred, obj) }
-
-// PredicateCard implements stsparql.StatSource.
-func (s *Store) PredicateCard(pred rdf.Term) (triples, distinctS, distinctO int) {
-	return s.triples.PredicateCard(pred)
-}
-
-// StoreCard implements stsparql.StatSource.
-func (s *Store) StoreCard() (triples, subjects, predicates, objects int) {
-	return s.triples.StoreCard()
-}
-
-// MatchGeometryWindowIDs implements stsparql.SpatialSource: it streams
-// the encoded geometry triples whose envelope intersects the window,
-// without decoding a single term.
-func (s *Store) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) bool {
-	s.statsMu.Lock()
-	s.stats.IndexHits++
-	s.statsMu.Unlock()
-	return s.index.Search(env, func(it rtree.Item) bool {
-		return visit(it.Data.(*indexedGeom).enc)
 	})
+	return found
 }
 
-// SubjectSets implements stsparql.SpatialSource.
-func (s *Store) SubjectSets(p, o rdf.ID, dst []rdf.IDSet) []rdf.IDSet {
-	if set := s.triples.SubjectSet(p, o); set.Len() > 0 {
-		dst = append(dst, set)
+// routeGroup decides where one group lands — the slice owning its
+// acquisition timestamp, else (when probeOwner) the slice already
+// holding its first subject, else the static store — and latches the
+// split flag when the group carries acquisition-time values in
+// different routing buckets: the whole group lands in one slice, so
+// window pruning for the other value would look in the wrong one.
+func (s *Store) routeGroup(g []rdf.EncodedTriple, timePred rdf.ID, probeOwner bool, h *held) int {
+	at, ok := s.groupTime(g, timePred)
+	if !ok {
+		if probeOwner && len(g) > 0 {
+			return s.findOwner(g[0].S, h)
+		}
+		return -1
 	}
-	return dst
+	if !s.split.Load() {
+		want := s.bucket(at)
+		for _, t := range g {
+			if t.P != timePred {
+				continue
+			}
+			if other, ok := stsparql.ParseDateTime(s.dict.Decode(t.O).Value); !ok || s.bucket(other) != want {
+				s.split.Store(true)
+				break
+			}
+		}
+	}
+	return s.sliceFor(at)
 }
 
-// DictStats implements API: the distinct terms the topology's
-// dictionary holds and the approximate bytes they retain.
-func (s *Store) DictStats() (entries, bytes int) {
-	d := s.triples.Dict()
-	return d.Len(), d.ApproxBytes()
+// findOwner locates the slice already holding a subject's triples, as
+// far as h can see. Returns -1 when no slice knows the subject.
+func (s *Store) findOwner(sub rdf.ID, h *held) int {
+	owner := -1
+	s.probe(h, func(slice int, m *member) bool {
+		if slice >= 0 && m.CountIDs(sub, rdf.Wildcard, rdf.Wildcard) > 0 {
+			owner = slice
+		}
+		return owner >= 0
+	})
+	return owner
 }
 
-// --- endpoint API ---
+// --- write paths ---
 
-// LoadTriples bulk-inserts triples.
-func (s *Store) LoadTriples(triples []rdf.Triple) int {
-	counts := s.InsertAll(triples)
-	return counts[0]
-}
-
-// InsertAll bulk-inserts several triple groups under one write-lock
-// acquisition, returning the number of new triples per group — the
-// bulk-load path (auxiliary datasets, a prior archive).
+// InsertAll bulk-inserts triple groups, routing each group by its
+// acquisition timestamp (groups without one go to the static store) and
+// batching one bulk insert per target store. The write lock taken is the
+// target slice's own — inserts into the live slice leave every other
+// shard readable.
 func (s *Store) InsertAll(groups ...[]rdf.Triple) []int {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	enc := EncodeGroups(s.triples.Dict(), groups)
-	s.mu.Lock()
-	defer s.unlock()
-	return s.InsertEncodedLocked(enc...)
+	return s.insertRouted(encodeGroups(s.dict, groups), false)
 }
 
-// EncodeGroups interns triple groups into a topology's dictionary. It
-// needs the topology's writer mutex and no member lock, so a bulk write
-// encodes before it takes the write lock it lands under.
-func EncodeGroups(d *rdf.Dictionary, groups [][]rdf.Triple) [][]rdf.EncodedTriple {
+// insertRouted routes and lands encoded groups; the caller holds
+// writeMu.
+func (s *Store) insertRouted(groups [][]rdf.EncodedTriple, probeOwner bool) []int {
+	timePred := s.timePredID()
+	targets := make([]int, len(groups))
+	for gi, g := range groups {
+		targets[gi] = s.routeGroup(g, timePred, probeOwner, nil)
+		if !s.split.Load() && s.groupSplits(g, targets[gi], nil) {
+			s.split.Store(true)
+		}
+	}
+	s.track(groups, targets)
+
+	counts := make([]int, len(groups))
+	for i, m := range s.members {
+		var idxs []int
+		var batch [][]rdf.EncodedTriple
+		for gi, tg := range targets {
+			if tg == i-1 {
+				idxs = append(idxs, gi)
+				batch = append(batch, groups[gi])
+			}
+		}
+		if len(idxs) == 0 {
+			continue
+		}
+		m.mu.Lock()
+		res := m.InsertEncodedLocked(batch...)
+		if i > 0 {
+			s.publishSpan(i - 1)
+		}
+		m.unlock()
+		for j, gi := range idxs {
+			counts[gi] = res[j]
+		}
+	}
+	return counts
+}
+
+// encodeGroups interns triple groups into the store's dictionary. It
+// needs writeMu and no member lock, so a bulk write encodes before it
+// takes the write lock it lands under.
+func encodeGroups(d *rdf.Dictionary, groups [][]rdf.Triple) [][]rdf.EncodedTriple {
 	out := make([][]rdf.EncodedTriple, len(groups))
 	for gi, group := range groups {
 		out[gi] = d.EncodeTriples(group)
@@ -354,44 +634,37 @@ func EncodeGroups(d *rdf.Dictionary, groups [][]rdf.Triple) [][]rdf.EncodedTripl
 	return out
 }
 
-// InsertEncodedLocked bulk-inserts encoded triple groups for a caller
-// holding the write lock (InsertAll and the ApplyFlush commit here, the
-// sharded store's routed writes), returning the number of new triples
-// per group. Geometry triples are gathered across the groups and
-// bulk-loaded into the R-tree once, instead of one quadratic-split
-// insertion per triple; the time index takes its entries as appends and
-// is sorted once, and only if the load brought data older than what it
-// held.
-func (s *Store) InsertEncodedLocked(groups ...[]rdf.EncodedTriple) []int {
-	counts := make([]int, len(groups))
-	total := 0
-	var items []rtree.Item
-	unsorted := false
-	for gi, group := range groups {
-		for _, enc := range group {
-			if !s.triples.AddEncoded(enc) {
-				continue
-			}
-			counts[gi]++
-			total++
-			if item, ok := s.geomItem(enc); ok {
-				items = append(items, item)
-			}
-			unsorted = s.timeAdd(enc) || unsorted
+// groupBySubject splits triples into per-subject groups, preserving
+// first-seen subject order — the grouping unit of routed loads and
+// routed update-plan application.
+func groupBySubject(triples []rdf.EncodedTriple) [][]rdf.EncodedTriple {
+	var order []rdf.ID
+	bySubj := make(map[rdf.ID][]rdf.EncodedTriple)
+	for _, t := range triples {
+		if _, ok := bySubj[t.S]; !ok {
+			order = append(order, t.S)
 		}
+		bySubj[t.S] = append(bySubj[t.S], t)
 	}
-	if total > 0 {
-		s.mutated = true
+	groups := make([][]rdf.EncodedTriple, len(order))
+	for i, k := range order {
+		groups[i] = bySubj[k]
 	}
-	s.index.InsertAll(items)
-	if unsorted {
-		s.settleTimes()
-	}
+	return groups
+}
 
-	s.statsMu.Lock()
-	s.stats.TriplesLoaded += total
-	s.statsMu.Unlock()
-	return counts
+// LoadTriples bulk-inserts a mixed triple set: triples are grouped by
+// subject and each subject group routes like an InsertAll group, with a
+// subject-ownership probe for groups carrying no timestamp (so later
+// additions to an already-stored acquisition follow it to its slice).
+func (s *Store) LoadTriples(triples []rdf.Triple) int {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	total := 0
+	for _, n := range s.insertRouted(groupBySubject(s.dict.EncodeTriples(triples)), true) {
+		total += n
+	}
+	return total
 }
 
 // LoadTurtle parses and loads a Turtle document.
@@ -403,235 +676,7 @@ func (s *Store) LoadTurtle(src string) (int, error) {
 	return s.LoadTriples(triples), nil
 }
 
-// Cursor streams the solutions of one query, for the single store and
-// the sharded store alike. A SELECT cursor holds its store's read
-// lock(s) from QueryStream until Close — close promptly; an ASK cursor
-// is pre-materialised and holds no lock. Bound to a context that can be
-// cancelled (client gone, deadline hit), it checks the context on every
-// pull: once it fires the cursor stops yielding rows, reports the
-// context error and releases its locks at that pull, instead of
-// whenever the abandoned client would have closed it. Rows yielded so
-// far are counted (Rows), the bookkeeping hook the endpoint's streamed
-// responses use.
-type Cursor struct {
-	inner   stsparql.Cursor
-	ctx     context.Context // nil: not cancellable, never checked
-	ask     bool
-	rows    int
-	release func() // releases the read locks; nil once released
-	err     error  // the context error that stopped the cursor
-	closed  bool
-
-	// Result-cache metadata, captured under the read locks at open
-	// time: the generations the rows derive from, and the plan-time
-	// cacheability verdict. See CacheVector.
-	vec       resultcache.GenVector
-	cacheable bool
-}
-
-var _ QueryCursor = (*Cursor)(nil)
-
-// NewCursor returns the cursor over one evaluation's inner cursor. ask
-// marks inner as an ASK verdict (one row binding "ask"); release, if
-// not nil, frees the read locks the evaluation runs under and is
-// called once, when the cursor closes or its context fires; vec and
-// cacheable are what CacheVector reports.
-func NewCursor(ctx context.Context, inner stsparql.Cursor, ask bool, release func(), vec resultcache.GenVector, cacheable bool) *Cursor {
-	c := &Cursor{inner: inner, ask: ask, release: release, vec: vec, cacheable: cacheable}
-	if ctx.Done() != nil {
-		c.ctx = ctx
-	}
-	return c
-}
-
-// CacheVector implements QueryCursor: the generation vector this
-// cursor's rows were derived from, and whether the result may be
-// cached at all (false for non-deterministic plans such as SAMPLE).
-func (c *Cursor) CacheVector() (resultcache.GenVector, bool) {
-	return c.vec, c.cacheable
-}
-
-// Vars is the result header.
-func (c *Cursor) Vars() []string { return c.inner.Vars() }
-
-// IsAsk reports whether the cursor carries an ASK verdict (a single row
-// binding "ask").
-func (c *Cursor) IsAsk() bool { return c.ask }
-
-// Next yields the next solution; ok=false once exhausted, on error or
-// once the context fired (check Err).
-func (c *Cursor) Next() (stsparql.Row, bool) {
-	if c.closed || c.err != nil {
-		return nil, false
-	}
-	if c.ctx != nil {
-		if err := c.ctx.Err(); err != nil {
-			c.err = err
-			c.releaseNow()
-			return nil, false
-		}
-	}
-	row, ok := c.inner.Next()
-	if ok {
-		c.rows++
-	}
-	return row, ok
-}
-
-// Err reports the context error that stopped the cursor, or else the
-// first evaluation error, if any.
-func (c *Cursor) Err() error {
-	if c.err != nil {
-		return c.err
-	}
-	return c.inner.Err()
-}
-
-// Rows reports how many solutions have been yielded so far.
-func (c *Cursor) Rows() int { return c.rows }
-
-// releaseNow terminates the evaluation and frees the read locks.
-func (c *Cursor) releaseNow() {
-	c.inner.Close()
-	if c.release != nil {
-		c.release()
-		c.release = nil
-	}
-}
-
-// Close terminates the evaluation and releases the read locks. It is
-// idempotent and returns Err().
-func (c *Cursor) Close() error {
-	if !c.closed {
-		c.closed = true
-		c.releaseNow()
-	}
-	return c.Err()
-}
-
-// QueryStream parses, plans and starts a SELECT or ASK request,
-// returning a streaming cursor over its solutions. See QueryStreamCtx.
-func (s *Store) QueryStream(src string) (*Cursor, error) {
-	return s.queryStream(context.Background(), src, nil)
-}
-
-// QueryStreamCtx is QueryStream bound to a context: the cursor checks
-// ctx on every pull (see Cursor), and a context already done is refused
-// before anything is planned.
-func (s *Store) QueryStreamCtx(ctx context.Context, src string) (QueryCursor, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cur, err := s.queryStream(ctx, src, nil)
-	if err != nil {
-		return nil, err
-	}
-	return cur, nil
-}
-
-// queryStream is the query path. Parsing and planning consult the plan
-// cache: a repeated query at an unchanged store generation reuses its
-// compiled plan. The returned cursor holds the store read lock until
-// Close (ASK verdicts are computed eagerly — the pipeline stops at the
-// first solution — and release the lock before returning). hook, if not
-// nil, sees the evaluator and its plan before the evaluation starts;
-// ExplainAnalyze attaches its trace there.
-func (s *Store) queryStream(ctx context.Context, src string, hook func(*stsparql.Evaluator, *stsparql.Compiled)) (*Cursor, error) {
-	s.mu.RLock()
-	ev := stsparql.NewEvaluatorWithCache(s, s.cache)
-	c, err := ev.CompileCached(src, s.ns, s.plans, s.gen.Load())
-	if err != nil {
-		s.mu.RUnlock()
-		return nil, err
-	}
-	// Counted after the parse: malformed requests are not served queries.
-	s.statsMu.Lock()
-	s.stats.Queries++
-	s.statsMu.Unlock()
-	if hook != nil {
-		hook(ev, c)
-	}
-	// Captured under the read lock: the generation every row of this
-	// evaluation derives from.
-	vec := resultcache.GenVector{Gens: []resultcache.SliceGen{{Slice: -1, Gen: s.gen.Load()}}}
-	switch {
-	case c.IsSelect():
-		cur, err := ev.RunCompiled(c)
-		if err != nil {
-			s.mu.RUnlock()
-			return nil, err
-		}
-		return NewCursor(ctx, cur, false, s.mu.RUnlock, vec, c.Cacheable()), nil
-	case c.IsAsk():
-		ok, err := ev.AskCompiled(c)
-		s.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		return NewCursor(ctx, stsparql.AskCursor(ok), true, nil, vec, c.Cacheable()), nil
-	default:
-		s.mu.RUnlock()
-		return nil, fmt.Errorf("strabon: Query wants SELECT or ASK; use Update for updates")
-	}
-}
-
-// Explain parses a request and renders the evaluation plan the engine
-// would choose for it — join order, join strategies (bind / hash /
-// R-tree window) and cardinality estimates — without executing it. It
-// runs under the read lock because the planner consults live statistics.
-func (s *Store) Explain(src string) (string, error) {
-	q, err := stsparql.Parse(src, s.ns)
-	if err != nil {
-		return "", err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ev := stsparql.NewEvaluatorWithCache(s, s.cache)
-	return ev.Explain(q)
-}
-
-// Update parses and executes a DELETE/INSERT request atomically: match
-// and application both happen under the write lock.
-func (s *Store) Update(src string) (stsparql.UpdateStats, error) {
-	q, err := s.parseUpdate(src)
-	if err != nil {
-		return stsparql.UpdateStats{}, err
-	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.mu.Lock()
-	defer s.unlock()
-	ev := stsparql.NewEvaluatorWithCache(s, s.cache)
-	return ev.Update(q.Update)
-}
-
-// ApplyFlush implements API. The rules run over an Overlay of the store
-// under the READ lock — queries proceed beside them — and the overlay's
-// net effect is committed under one short hold of the write lock, with
-// one generation bump. writeMu keeps every other writer out from the
-// first read to the commit, so the flush is atomic to readers and
-// writers alike.
-func (s *Store) ApplyFlush(f Flush, rules func(*FlushTx) error) error {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	groups := EncodeGroups(s.triples.Dict(), f.Groups)
-	s.mu.RLock()
-	o, inserted := NewOverlay(View{s}, groups)
-	err := rules(NewFlushTx(inserted, o, s.cache))
-	s.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	deletes, inserts := o.Effect()
-	s.mu.Lock()
-	defer s.unlock()
-	for _, t := range deletes {
-		s.RemoveEncoded(t)
-	}
-	s.InsertEncodedLocked(inserts)
-	return nil
-}
-
+// parseUpdate parses an update request.
 func (s *Store) parseUpdate(src string) (*stsparql.Query, error) {
 	q, err := stsparql.Parse(src, s.ns)
 	if err != nil {
@@ -640,8 +685,345 @@ func (s *Store) parseUpdate(src string) (*stsparql.Query, error) {
 	if q.Update == nil {
 		return nil, fmt.Errorf("strabon: Update wants DELETE/INSERT")
 	}
-	s.statsMu.Lock()
-	s.stats.Updates++
-	s.statsMu.Unlock()
 	return q, nil
+}
+
+// Update executes a DELETE/INSERT request atomically across shards:
+// match and application both run under every member's write lock (taken
+// in fixed order), with deletes applied wherever the triple lives and
+// inserts routed like loads.
+func (s *Store) Update(src string) (stsparql.UpdateStats, error) {
+	q, err := s.parseUpdate(src)
+	if err != nil {
+		return stsparql.UpdateStats{}, err
+	}
+	s.updates.Add(1)
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	h := &held{write: make([]bool, len(s.slices)), staticWrite: true}
+	for i := range s.slices {
+		h.slices = append(h.slices, i)
+		h.write[i] = true
+	}
+	defer s.lockWrite(h)()
+	ev := stsparql.NewEvaluatorWithCache(s.viewAll(), s.cache)
+	plan, err := ev.PlanUpdate(q.Update)
+	if err != nil {
+		return stsparql.UpdateStats{}, err
+	}
+	groups, targets, err := s.route(s.dict.EncodeTriples(plan.Inserts()), h)
+	if err != nil {
+		return stsparql.UpdateStats{}, err
+	}
+	var deletes []rdf.EncodedTriple
+	for _, t := range plan.Deletes() {
+		if enc, ok := s.dict.LookupTriple(t); ok { // a term never interned is in no triple
+			deletes = append(deletes, enc)
+		}
+	}
+	stats := s.commit(deletes, groups, targets, h)
+	stats.Matched = plan.Matched
+	return stats, nil
+}
+
+// ApplyFlush is the acquisition pipeline's write: it inserts the
+// flush's triple groups and runs rules — the refinement of what was
+// just written — as ONE transition of the store (see the flush contract
+// in the package comment). The slices the groups (routed by acquisition
+// timestamp, like InsertAll) and f.At land in are the flush's write set;
+// those plus the slices covering [f.Since, latest acquisition] and the
+// static store are read-locked while the rules run over an Overlay of
+// them —
+// readers proceed beside the refinement. The overlay's net effect is
+// then routed and committed under the write locks of the write set
+// alone: one short hold, one generation bump per written slice, readers
+// of every other slice never stalled. writeMu is held throughout, so
+// the state the rules read is the state the commit lands on.
+func (s *Store) ApplyFlush(f Flush, rules func(*FlushTx) error) error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+
+	h := &held{write: make([]bool, len(s.slices))}
+	latest := f.Since
+	lands := func(at time.Time) {
+		if at.After(latest) {
+			latest = at
+		}
+		h.write[s.sliceFor(at)] = true
+	}
+	groups := encodeGroups(s.dict, f.Groups)
+	timePred := s.timePredID()
+	for gi, g := range groups {
+		at, ok := s.groupTime(g, timePred)
+		if !ok {
+			return fmt.Errorf("strabon: flush group %d carries no acquisition timestamp", gi)
+		}
+		lands(at)
+	}
+	for _, at := range f.At {
+		lands(at)
+	}
+	reads := append([]bool(nil), h.write...)
+	if !f.Since.IsZero() {
+		for b, n := s.bucket(f.Since), 0; b <= s.bucket(latest) && n < len(s.slices); b, n = b+1, n+1 {
+			reads[s.sliceOf(b)] = true
+		}
+	}
+	base := View{s.static}
+	for i, r := range reads {
+		if r {
+			h.slices = append(h.slices, i)
+			base = append(base, s.slices[i])
+		}
+	}
+
+	// Read phase: refine the overlay, then route its net effect — both
+	// only read the held members.
+	release := s.lockRead(h.slices)
+	o, inserted := newOverlay(base, groups)
+	err := rules(newFlushTx(inserted, o, s.cache))
+	var deletes []rdf.EncodedTriple
+	var routed [][]rdf.EncodedTriple
+	var targets []int
+	if err == nil {
+		var inserts []rdf.EncodedTriple
+		deletes, inserts = o.Effect()
+		routed, targets, err = s.route(inserts, h)
+	}
+	release()
+	if err != nil {
+		return err
+	}
+
+	// Write phase: the write set only.
+	defer s.lockWrite(h)()
+	s.commit(deletes, routed, targets, h)
+	return nil
+}
+
+// route groups the triples a write path is about to insert by subject
+// and decides where each group lands — by timestamp, then owning slice,
+// then static — reading only the members h holds. A group routed to a
+// store h may not write fails the whole write before anything is
+// applied. Co-location violations latch the split flag here, BEFORE the
+// first member-store mutation.
+func (s *Store) route(inserts []rdf.EncodedTriple, h *held) (groups [][]rdf.EncodedTriple, targets []int, err error) {
+	groups = groupBySubject(inserts)
+	targets = make([]int, len(groups))
+	timePred := s.timePredID()
+	for i, g := range groups {
+		targets[i] = s.routeGroup(g, timePred, true, h)
+		if !h.writable(targets[i]) {
+			return nil, nil, fmt.Errorf("strabon: write of %s lands outside the stores the write path holds", s.dict.Decode(g[0].S))
+		}
+		if !s.split.Load() && s.groupSplits(g, targets[i], h) {
+			s.split.Store(true)
+		}
+	}
+	return groups, targets, nil
+}
+
+// commit applies routed deletes and inserts under the write locks h
+// names: deletes try each write-held store (the partition means at most
+// one can hold the triple), inserts land in bulk per target, and every
+// written slice then publishes its time summary. The track()
+// registration happens BEFORE the first member-store mutation, and the
+// publication before the caller's lockWrite release: routing knowledge
+// must already cover the new data when the member generations move
+// (genorder invariant, enforced by reprolint).
+func (s *Store) commit(deletes []rdf.EncodedTriple, groups [][]rdf.EncodedTriple, targets []int, h *held) stsparql.UpdateStats {
+	var stats stsparql.UpdateStats
+	s.track(groups, targets)
+
+	for _, t := range deletes {
+		removed := false
+		for _, i := range h.slices {
+			if h.write[i] && s.slices[i].RemoveEncoded(t) {
+				removed = true
+				break
+			}
+		}
+		if removed || (h.staticWrite && s.static.RemoveEncoded(t)) {
+			stats.Deleted++
+		}
+	}
+
+	land := func(target int, st *member) {
+		var batch [][]rdf.EncodedTriple
+		for i, tg := range targets {
+			if tg == target {
+				batch = append(batch, groups[i])
+			}
+		}
+		for _, n := range st.InsertEncodedLocked(batch...) {
+			stats.Inserted += n
+		}
+	}
+	if h.staticWrite {
+		land(-1, s.static)
+	}
+	for _, i := range h.slices {
+		if h.write[i] {
+			land(i, s.slices[i])
+			s.publishSpan(i)
+		}
+	}
+	return stats
+}
+
+// publishSpan reads slice i's time summary off its time index and
+// publishes it to the router. The caller holds slice i's write lock and
+// calls it after the hold's last mutation, before the Unlock that bumps
+// the slice's generation: a reader that sees the new generation sees the
+// summary too. A run that turns loose advances knowGen here, after the
+// summary and before the generation: a lexical window stops pruning, so
+// partial vectors that do not list this slice must fail validation too.
+func (s *Store) publishSpan(i int) {
+	sp := s.slices[i].span(s.timePredID())
+	if old := s.spans[i].Swap(sp); sp.loose() && (old == nil || !old.loose()) {
+		s.knowGen.Add(1)
+	}
+}
+
+// --- lock helpers ---
+
+// lockAllRead read-locks every member store in fixed order (static,
+// then slices ascending) and returns the matching unlock.
+func (s *Store) lockAllRead() func() {
+	for _, m := range s.members {
+		m.mu.RLock()
+	}
+	return func() {
+		for i := len(s.members) - 1; i >= 0; i-- {
+			s.members[i].mu.RUnlock()
+		}
+	}
+}
+
+// lockRead read-locks the static store plus the given slices (ascending
+// indices) and returns the matching unlock.
+func (s *Store) lockRead(idxs []int) func() {
+	s.static.mu.RLock()
+	for _, i := range idxs {
+		s.slices[i].mu.RLock()
+	}
+	return func() {
+		for j := len(idxs) - 1; j >= 0; j-- {
+			s.slices[idxs[j]].mu.RUnlock()
+		}
+		s.static.mu.RUnlock()
+	}
+}
+
+// lockWrite write-locks the stores h may write, in fixed order — static
+// if staticWrite, then the write slices ascending — and returns the
+// matching unlock. Write paths only: the caller holds writeMu and no
+// member read lock.
+func (s *Store) lockWrite(h *held) func() {
+	if h.staticWrite {
+		s.static.mu.Lock()
+	}
+	for _, i := range h.slices {
+		if h.write[i] {
+			s.slices[i].mu.Lock()
+		}
+	}
+	return func() {
+		for j := len(h.slices) - 1; j >= 0; j-- {
+			if i := h.slices[j]; h.write[i] {
+				s.slices[i].unlock()
+			}
+		}
+		if h.staticWrite {
+			s.static.unlock()
+		}
+	}
+}
+
+// genFor composes the plan-invalidation generation of one slice view.
+// Generations only grow, so the sum moves whenever any member mutates.
+// Caller must hold the member locks.
+func (s *Store) genFor(idx int) uint64 {
+	return s.static.Generation() + s.slices[idx].Generation()
+}
+
+// genAll composes the union view's generation. Caller must hold every
+// member lock.
+func (s *Store) genAll() uint64 {
+	g := uint64(0)
+	for _, m := range s.members {
+		g += m.Generation()
+	}
+	return g
+}
+
+// --- result-cache generation vectors ---
+//
+// A cached result stays valid while every member store it could have
+// read is unchanged. Full (union-view) vectors list the static store
+// and every slice. Partial vectors list only the fan-out's candidate
+// slices — the window-derived keyShards set, which is pure bucket
+// arithmetic over the immutable width/epoch and therefore stable
+// across time for the same query text — plus the static store, and are
+// additionally pinned to knowGen and the unsplit state: growth of
+// routing knowledge or a co-location violation can widen the set of
+// slices a re-evaluation would read, which the listed generations
+// alone cannot witness.
+
+// fullVector captures the union view's per-member generations. Caller
+// must hold every member's read lock.
+func (s *Store) fullVector() resultcache.GenVector {
+	gens := make([]resultcache.SliceGen, 0, len(s.members))
+	for i, m := range s.members {
+		gens = append(gens, resultcache.SliceGen{Slice: i - 1, Gen: m.Generation()})
+	}
+	return resultcache.GenVector{Gens: gens, Know: s.knowGen.Load()}
+}
+
+// fanVector captures the generations of the static store plus the
+// fan-out's candidate slices. Capture must precede the re-analysis
+// under the read locks (see routeQuery) — every write path tracks its
+// routing knowledge and publishes its slices' time summaries BEFORE
+// bumping the member generation, so a write racing the analysis either
+// shows up in the re-analysis (union fallback) or post-dates the
+// captured vector (the cache entry fails validation). That ordering is
+// what makes the lock-free empty-prune path sound; the locked fan-out
+// paths capture under their read locks anyway.
+func (s *Store) fanVector(keyShards []int) resultcache.GenVector {
+	gens := make([]resultcache.SliceGen, 0, len(keyShards)+1)
+	gens = append(gens, resultcache.SliceGen{Slice: -1, Gen: s.static.Generation()})
+	for _, i := range keyShards {
+		gens = append(gens, resultcache.SliceGen{Slice: i, Gen: s.slices[i].Generation()})
+	}
+	return resultcache.GenVector{Gens: gens, Know: s.knowGen.Load(), Partial: true}
+}
+
+// GensValid checks a cached result's generation vector against the live
+// state: a cached result is valid iff every member generation its vector lists is unchanged — and, for
+// partial vectors, the routing knowledge that scoped the fan-out to
+// those members is unchanged too. Lock-free: generations are atomics,
+// so validation runs on every cache Get without touching any RWMutex.
+func (s *Store) GensValid(v resultcache.GenVector) bool {
+	if v.Partial {
+		if s.split.Load() || v.Know != s.knowGen.Load() {
+			return false
+		}
+	} else if len(v.Gens) != len(s.slices)+1 {
+		return false
+	}
+	for _, g := range v.Gens {
+		switch {
+		case g.Slice == -1:
+			if g.Gen != s.static.Generation() {
+				return false
+			}
+		case g.Slice < 0 || g.Slice >= len(s.slices):
+			return false
+		default:
+			if g.Gen != s.slices[g.Slice].Generation() {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/rdf"
@@ -32,23 +33,22 @@ coast:Coastline_1 a coast:Coastline ;
 `
 
 // runQuery materialises src through the streaming path.
-func runQuery(s API, src string) (*stsparql.Result, error) {
+func runQuery(s *Store, src string) (*stsparql.Result, error) {
 	return MaterialiseQuery(context.Background(), s, src)
 }
 
-// oracleQuery evaluates src over st through a source that offers only
-// statistics — no R-tree window, no time index: the plain scan-and-filter
-// engine the indexed store's answers are held to. It returns the rows
-// and the plan they ran on.
+// oracleQuery evaluates src over st's members through a source that
+// offers only statistics — no R-tree window, no time index: the plain
+// scan-and-filter engine the indexed store's answers are held to. It
+// returns the rows and the plan they ran on.
 func oracleQuery(t *testing.T, st *Store, src string) (*stsparql.Result, string) {
 	t.Helper()
 	q, err := stsparql.Parse(src, st.Namespaces())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.RLock()
-	defer st.RUnlock()
-	ev := stsparql.NewEvaluatorWithCache(struct{ stsparql.StatSource }{View{st}}, st.GeomCache())
+	defer st.lockAllRead()()
+	ev := stsparql.NewEvaluatorWithCache(struct{ stsparql.StatSource }{st.viewAll()}, st.GeomCache())
 	plan, err := ev.Explain(q)
 	if err != nil {
 		t.Fatal(err)
@@ -63,6 +63,9 @@ func oracleQuery(t *testing.T, st *Store, src string) (*stsparql.Result, string)
 	}
 	return res, plan
 }
+
+// at returns row i's term for variable v of a result.
+func at(res *stsparql.Result, i int, v string) rdf.Term { return res.Rows[i][res.Col(v)] }
 
 // assertWindowPlans checks that the indexed store plans src with an
 // R-tree window and the oracle's plan does not.
@@ -79,9 +82,6 @@ func assertWindowPlans(t *testing.T, st *Store, src, oraclePlan string) {
 		t.Fatalf("oracle planned a window:\n%s", oraclePlan)
 	}
 }
-
-// at returns row i's term for variable v of a result.
-func at(res *stsparql.Result, i int, v string) rdf.Term { return res.Rows[i][res.Col(v)] }
 
 func TestLoadTurtleAndQuery(t *testing.T) {
 	s := New()
@@ -174,19 +174,22 @@ WHERE {
 		t.Fatalf("deleted = %d, want 3", stats.Deleted)
 	}
 	// The index must no longer return the deleted geometry.
-	found := 0
-	s.MatchGeometryWindowIDs(geom.Envelope{MinX: 19, MinY: 19, MaxX: 22, MaxY: 22},
-		func(rdf.EncodedTriple) bool { found++; return true })
-	if found != 0 {
+	if found := windowHits(s, geom.Envelope{MinX: 19, MinY: 19, MaxX: 22, MaxY: 22}); found != 0 {
 		t.Fatalf("index still holds %d deleted entries", found)
 	}
 	// The remaining hotspot and the coastline must still be indexed.
-	found = 0
-	s.MatchGeometryWindowIDs(geom.Envelope{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5},
-		func(rdf.EncodedTriple) bool { found++; return true })
-	if found != 2 {
+	if found := windowHits(s, geom.Envelope{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5}); found != 2 {
 		t.Fatalf("index returned %d entries, want hotspot + coastline", found)
 	}
+}
+
+// windowHits counts the geometry triples the members' R-trees return
+// for a window.
+func windowHits(s *Store, env geom.Envelope) int {
+	defer s.lockAllRead()()
+	found := 0
+	s.viewAll().MatchGeometryWindowIDs(env, func(rdf.EncodedTriple) bool { found++; return true })
+	return found
 }
 
 func TestInsertedGeometriesBecomeIndexed(t *testing.T) {
@@ -199,10 +202,7 @@ INSERT DATA {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := 0
-	s.MatchGeometryWindowIDs(geom.Envelope{MinX: 4, MinY: 4, MaxX: 7, MaxY: 7},
-		func(rdf.EncodedTriple) bool { found++; return true })
-	if found != 1 {
+	if found := windowHits(s, geom.Envelope{MinX: 4, MinY: 4, MaxX: 7, MaxY: 7}); found != 1 {
 		t.Fatalf("found %d indexed geometries, want 1", found)
 	}
 }
@@ -363,8 +363,9 @@ func TestStatsCounting(t *testing.T) {
 	if _, err := s.Update(`INSERT DATA { noa:y a noa:Hotspot . }`); err != nil {
 		t.Fatal(err)
 	}
+	// Every write path counts the triples it lands, an update's too.
 	st := s.Stats()
-	if st.Queries != 3 || st.Updates != 1 || st.TriplesLoaded != 8 {
+	if st.Queries != 3 || st.Updates != 1 || st.TriplesLoaded != 9 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -452,21 +453,43 @@ WHERE {
   ?h ?p ?o .
 }`
 
-// TestApplyFlushIsOneTransition pins the flush contract on the single
-// store: the groups and every rule effect land under one hold, the
-// generation advances exactly once however many triples moved, a seeded
-// rule touches the seeded subjects only, and the effect equals the same
-// delete run as an ad-hoc Update.
+// withTime stamps a hotspot group with an acquisition time, so the store
+// routes it to the slice owning that time.
+func withTime(g []rdf.Triple, at string) []rdf.Triple {
+	return append(g, rdf.Triple{S: g[0].S,
+		P: rdf.NewIRI("http://teleios.di.uoa.gr/ontologies/noaOntology.owl#hasAcquisitionDateTime"),
+		O: rdf.NewDateTime(at)})
+}
+
+// TestApplyFlushIsOneTransition pins the flush contract: the groups and
+// every rule effect land under one hold, the generation of the slice
+// they land in advances exactly once however many triples moved (the
+// static store's not at all), a seeded rule touches the seeded subjects
+// only, and the effect equals the same delete run as an ad-hoc Update.
 func TestApplyFlushIsOneTransition(t *testing.T) {
+	const stamp = "2007-08-25T10:00:00"
+	at, _ := stsparql.ParseDateTime(stamp)
+	earlier := withTime(hotspotGroup(6, 50), stamp) // in the sea, stored before the flushes
 	mk := func() *Store {
 		s := New()
-		if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
+		if _, err := s.LoadTurtle(`
+@prefix noa: <http://teleios.di.uoa.gr/ontologies/noaOntology.owl#> .
+@prefix strdf: <http://strdf.di.uoa.gr/ontology#> .
+@prefix coast: <http://teleios.di.uoa.gr/ontologies/coastlineOntology.owl#> .
+
+noa:Hotspot_1 a noa:Hotspot ;
+  strdf:hasGeometry "POLYGON ((2 2, 3 2, 3 3, 2 3, 2 2))"^^strdf:geometry .
+
+coast:Coastline_1 a coast:Coastline ;
+  strdf:hasGeometry "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0))"^^strdf:geometry .
+`); err != nil {
 			t.Fatal(err)
 		}
+		s.InsertAll(earlier)
 		return s
 	}
 	a, b := mk(), mk()
-	inSea := hotspotGroup(7, 40) // far from the coastline, like Hotspot_2
+	inSea := withTime(hotspotGroup(7, 40), stamp) // far from the coastline
 	a.InsertAll(inSea)
 	stA, err := a.Update(seaRule)
 	if err != nil {
@@ -484,16 +507,20 @@ func TestApplyFlushIsOneTransition(t *testing.T) {
 		}
 		return rows
 	}
-	gen := b.Generation()
+	gens := func() (static, slice uint64) {
+		ss := b.ShardStats()
+		return ss[0].Gen, ss[1].Gen
+	}
+	static, gen := gens()
 	deleted := 0
-	onLand := hotspotGroup(8, 3) // inside the coastline polygon
+	onLand := withTime(hotspotGroup(8, 3), stamp) // inside the coastline polygon
 	a.InsertAll(onLand)
 	err = b.ApplyFlush(Flush{Groups: [][]rdf.Triple{inSea, onLand}}, func(tx *FlushTx) error {
 		if tx.Inserted[0] != len(inSea) || tx.Inserted[1] != len(onLand) {
 			t.Errorf("Inserted = %v, want [%d %d]", tx.Inserted, len(inSea), len(onLand))
 		}
-		// Seeded with the flushed subjects only: Hotspot_2 is in the sea
-		// too, but it is not part of this flush.
+		// Seeded with the flushed subjects only: the earlier hotspot is
+		// in the sea too, but it is not part of this flush.
 		plan, err := tx.Plan(rule, seed(inSea[0].S, onLand[0].S))
 		if err != nil {
 			return err
@@ -507,12 +534,12 @@ func TestApplyFlushIsOneTransition(t *testing.T) {
 	if deleted != len(inSea) {
 		t.Fatalf("seeded rule deleted %d triples, want the flushed hotspot's %d", deleted, len(inSea))
 	}
-	if got := b.Generation(); got != gen+1 {
-		t.Fatalf("generation moved %d -> %d over one flush, want exactly +1", gen, got)
+	if gotStatic, got := gens(); got != gen+1 || gotStatic != static {
+		t.Fatalf("generations moved static %d -> %d, slice %d -> %d over one flush, want slice +1 only", static, gotStatic, gen, got)
 	}
 	// An empty seed does no work and leaves the generation alone.
-	gen = b.Generation()
-	if err := b.ApplyFlush(Flush{}, func(tx *FlushTx) error {
+	_, gen = gens()
+	if err := b.ApplyFlush(Flush{At: []time.Time{at}}, func(tx *FlushTx) error {
 		plan, err := tx.Plan(rule, nil)
 		if err == nil {
 			tx.Apply(plan)
@@ -521,12 +548,12 @@ func TestApplyFlushIsOneTransition(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Generation(); got != gen {
+	if _, got := gens(); got != gen {
 		t.Fatalf("an empty flush moved the generation %d -> %d", gen, got)
 	}
 	// Seeding the remaining sea hotspot converges on the Update's state.
-	if err := b.ApplyFlush(Flush{}, func(tx *FlushTx) error {
-		plan, err := tx.Plan(rule, seed(rdf.NewIRI("http://teleios.di.uoa.gr/ontologies/noaOntology.owl#Hotspot_2")))
+	if err := b.ApplyFlush(Flush{At: []time.Time{at}}, func(tx *FlushTx) error {
+		plan, err := tx.Plan(rule, seed(earlier[0].S))
 		if err != nil {
 			return err
 		}
@@ -577,5 +604,32 @@ WHERE  { ?h a noa:Hotspot . FILTER( strdf:area("POLYGON ((0 0, 1 0, 1 1, 0 1, 0 
 	wg.Wait()
 	if s.Len() == 0 {
 		t.Fatal("store emptied")
+	}
+}
+
+// TestMembersShareOneDictionary: every member of a store, every view
+// over them and the overlay a flush refines over encode into the
+// store's one dictionary, so IDs compare across all of them and
+// DictStats is the exact distinct-term count whatever the slice count.
+func TestMembersShareOneDictionary(t *testing.T) {
+	s := NewSharded(Config{Slices: 4})
+	if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		s.InsertAll(withTime(hotspotGroup(i, float64(i)), fmt.Sprintf("2007-08-24T1%d:00:00", i)))
+	}
+	release := s.lockAllRead()
+	defer release()
+	o, _ := newOverlay(s.viewAll(), nil)
+	for _, src := range []stsparql.Source{s.static, s.slices[0], s.slices[3], s.view(2), s.viewAll(), o} {
+		if src.Dict() != s.dict {
+			t.Fatalf("%T encodes into a dictionary of its own", src)
+		}
+	}
+	for i, m := range s.members {
+		if m.triples.Len() == 0 {
+			t.Fatalf("member %d holds nothing: the fixture does not reach every member", i)
+		}
 	}
 }

@@ -24,7 +24,7 @@ func TestQueryStreamBasics(t *testing.T) {
 	if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
 		t.Fatal(err)
 	}
-	cur, err := s.QueryStream(`SELECT ?h ?c WHERE { ?h a noa:Hotspot ; noa:hasConfidence ?c . }`)
+	cur, err := s.QueryStreamCtx(context.Background(), `SELECT ?h ?c WHERE { ?h a noa:Hotspot ; noa:hasConfidence ?c . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestQueryStreamBasics(t *testing.T) {
 	}
 
 	// ASK arrives pre-materialised and holds no lock.
-	ask, err := s.QueryStream(`ASK { ?h a noa:Hotspot }`)
+	ask, err := s.QueryStreamCtx(context.Background(), `ASK { ?h a noa:Hotspot }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestQueryStreamBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := s.QueryStream(`DELETE WHERE { ?s ?p ?o }`); err == nil {
+	if _, err := s.QueryStreamCtx(context.Background(), `DELETE WHERE { ?s ?p ?o }`); err == nil {
 		t.Fatal("QueryStream accepted an update")
 	}
 }
@@ -81,7 +81,7 @@ func TestQueryStreamHoldsLockUntilClose(t *testing.T) {
 	if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
 		t.Fatal(err)
 	}
-	cur, err := s.QueryStream(`SELECT ?h WHERE { ?h a noa:Hotspot . }`)
+	cur, err := s.QueryStreamCtx(context.Background(), `SELECT ?h WHERE { ?h a noa:Hotspot . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func BenchmarkStreamedSelect(b *testing.B) {
 	stream := func(b *testing.B, q string, want int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cur, err := s.QueryStream(q)
+			cur, err := s.QueryStreamCtx(context.Background(), q)
 			if err != nil {
 				b.Fatal(err)
 			}

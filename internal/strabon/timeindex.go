@@ -9,16 +9,16 @@ import (
 )
 
 // The time index: the valid-time access path beside the R-tree. Per
-// predicate whose objects are xsd:dateTime literals the store keeps the
+// predicate whose objects are xsd:dateTime literals a member keeps the
 // (instant, subject, object) entries of its triples as one run sorted by
 // instant, so "the hotspots of this acquisition window" is two binary
 // searches and a slice walk instead of a predicate scan and a string
 // comparison per row. Acquisitions arrive in order, so maintenance is an
 // append; a bulk load that does bring older data sorts the run once.
-// Like the spatial index it is guarded by the store's RWMutex and exact
-// under every write path (Add, Remove, InsertEncodedLocked and through them
-// the ApplyFlush commit), inside the write-lock hold whose release
-// publishes the generation.
+// Like the spatial index it is guarded by the member's RWMutex and exact
+// under every write path (addEncoded, RemoveEncoded, InsertEncodedLocked
+// and through them every Store write), inside the write-lock hold whose
+// release publishes the generation.
 
 type timeEntry struct {
 	unix int64
@@ -54,17 +54,17 @@ func (r *timeRun) span(w stsparql.TimeWindow) (i, j int) {
 
 // timeAdd indexes a triple just added to the store (write lock held)
 // and reports whether its run now needs settling.
-func (s *Store) timeAdd(enc rdf.EncodedTriple) bool {
-	run := s.times[enc.P]
-	unix, canonical, ok := stsparql.TimeKey(s.triples.Dict().Decode(enc.O))
+func (m *member) timeAdd(enc rdf.EncodedTriple) bool {
+	run := m.times[enc.P]
+	unix, canonical, ok := stsparql.TimeKey(m.triples.Dict().Decode(enc.O))
 	if run == nil {
 		if !ok {
 			return false
 		}
 		// The predicate's first dateTime: whatever it carried before is
 		// unindexed.
-		run = &timeRun{other: s.triples.Count(rdf.Wildcard, enc.P, rdf.Wildcard) - 1}
-		s.times[enc.P] = run
+		run = &timeRun{other: m.triples.Count(rdf.Wildcard, enc.P, rdf.Wildcard) - 1}
+		m.times[enc.P] = run
 	}
 	if !ok {
 		run.other++
@@ -81,8 +81,8 @@ func (s *Store) timeAdd(enc rdf.EncodedTriple) bool {
 }
 
 // settleTimes sorts the runs out-of-order inserts left unsorted.
-func (s *Store) settleTimes() {
-	for _, run := range s.times {
+func (m *member) settleTimes() {
+	for _, run := range m.times {
 		if run.unsorted {
 			sort.Slice(run.entries, func(i, j int) bool { return run.entries[i].unix < run.entries[j].unix })
 			run.unsorted = false
@@ -91,12 +91,12 @@ func (s *Store) settleTimes() {
 }
 
 // timeRemove drops a triple just removed from the store from its run.
-func (s *Store) timeRemove(enc rdf.EncodedTriple) {
-	run := s.times[enc.P]
+func (m *member) timeRemove(enc rdf.EncodedTriple) {
+	run := m.times[enc.P]
 	if run == nil {
 		return
 	}
-	unix, canonical, ok := stsparql.TimeKey(s.triples.Dict().Decode(enc.O))
+	unix, canonical, ok := stsparql.TimeKey(m.triples.Dict().Decode(enc.O))
 	if !ok {
 		run.other--
 		return
@@ -114,20 +114,20 @@ func (s *Store) timeRemove(enc rdf.EncodedTriple) {
 }
 
 // --- stsparql.TimeRangeSource ---
-// Like the other source methods these run with the store lock already
-// held by the calling endpoint method.
+// Like the other source methods these run with the member's lock
+// already held by the Store.
 
 // CountTimeRange implements stsparql.TimeRangeSource. A predicate the
-// store holds no triple of is served trivially, so a composite view's
+// member holds no triple of is served trivially, so a composite view's
 // empty members never veto the others.
-func (s *Store) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {
-	pid, ok := s.triples.Dict().Lookup(p)
+func (m *member) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {
+	pid, ok := m.triples.Dict().Lookup(p)
 	if !ok {
 		return 0, true
 	}
-	run := s.times[pid]
+	run := m.times[pid]
 	if run == nil {
-		return 0, s.triples.Count(rdf.Wildcard, pid, rdf.Wildcard) == 0
+		return 0, m.triples.Count(rdf.Wildcard, pid, rdf.Wildcard) == 0
 	}
 	if !run.serves(w) {
 		return 0, false
@@ -138,10 +138,10 @@ func (s *Store) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {
 
 // MatchTimeRangeIDs implements stsparql.TimeRangeSource: the index
 // range when it is exact for w, the whole predicate otherwise.
-func (s *Store) MatchTimeRangeIDs(p rdf.ID, w stsparql.TimeWindow, visit func(rdf.EncodedTriple) bool) bool {
-	run := s.times[p]
+func (m *member) MatchTimeRangeIDs(p rdf.ID, w stsparql.TimeWindow, visit func(rdf.EncodedTriple) bool) bool {
+	run := m.times[p]
 	if run == nil || !run.serves(w) {
-		return s.triples.MatchIDs(rdf.Wildcard, p, rdf.Wildcard, visit)
+		return m.triples.MatchIDs(rdf.Wildcard, p, rdf.Wildcard, visit)
 	}
 	i, j := run.span(w)
 	for _, e := range run.entries[i:j] {
@@ -152,66 +152,52 @@ func (s *Store) MatchTimeRangeIDs(p rdf.ID, w stsparql.TimeWindow, visit func(rd
 	return true
 }
 
-// TimeIndexStats reports the time index's size and the instants of its
-// first and last entry (unix seconds; zero when empty) over every run.
-func (s *Store) TimeIndexStats() (entries int, minUnix, maxUnix int64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, run := range s.times {
-		if len(run.entries) == 0 {
-			continue
-		}
-		first, last := run.entries[0].unix, run.entries[len(run.entries)-1].unix
-		if entries == 0 || first < minUnix {
-			minUnix = first
-		}
-		if entries == 0 || last > maxUnix {
-			maxUnix = last
-		}
-		entries += len(run.entries)
-	}
-	return entries, minUnix, maxUnix
-}
-
-// TimeSpan is what the time index knows of one predicate: its entry
-// count, the instants of its first and last entry (unix seconds; zero
-// when empty), and how many of its literals are non-canonical or not
-// indexed at all (see timeRun).
-type TimeSpan struct {
+// timeSpan is what a member's time index knows of one predicate: its
+// entry count, the instants of its first and last entry (unix seconds;
+// zero when empty), and how many of its literals are non-canonical or
+// not indexed at all (see timeRun); triples is the member's size. The
+// router publishes one per slice (see publishSpan).
+type timeSpan struct {
+	triples          int
 	Entries          int
 	MinUnix, MaxUnix int64
 	NonCanonical     int
 	Other            int
 }
 
-// TimeSpanLocked reports the time index's span of predicate p. The
-// caller holds the store lock (composite-store use: the sharded store
-// reads it under a member's write lock).
-func (s *Store) TimeSpanLocked(p rdf.ID) TimeSpan {
-	run := s.times[p]
+// loose reports a time literal whose instant order and text order may
+// disagree, or that is not indexed at all: lexical windows stop pruning
+// (see usableWindows).
+func (sp *timeSpan) loose() bool { return sp.NonCanonical > 0 || sp.Other > 0 }
+
+// span reports the member's time summary over predicate p. The caller
+// holds the member's lock.
+func (m *member) span(p rdf.ID) *timeSpan {
+	sp := &timeSpan{triples: m.triples.Len()}
+	run := m.times[p]
 	if run == nil {
-		if p == rdf.Wildcard {
-			return TimeSpan{}
+		if p != rdf.Wildcard {
+			sp.Other = m.triples.Count(rdf.Wildcard, p, rdf.Wildcard)
 		}
-		return TimeSpan{Other: s.triples.Count(rdf.Wildcard, p, rdf.Wildcard)}
+		return sp
 	}
-	sp := TimeSpan{Entries: len(run.entries), NonCanonical: run.nonCanonical, Other: run.other}
+	sp.Entries, sp.NonCanonical, sp.Other = len(run.entries), run.nonCanonical, run.other
 	if n := len(run.entries); n > 0 {
 		sp.MinUnix, sp.MaxUnix = run.entries[0].unix, run.entries[n-1].unix
 	}
 	return sp
 }
 
-// VerifyTimeIndex recounts the index from the triples (caller holds the
-// store lock): every run settled and in order, every entry a distinct
-// triple the store still holds under the instant its literal parses to,
-// and entries, non-canonical entries and unindexed objects agreeing
-// with a scan of the store.
-func (s *Store) VerifyTimeIndex() error {
-	d := s.triples.Dict()
+// verifyTimeIndex recounts the index from the triples (caller holds the
+// member's lock): every run settled and in order, every entry a distinct
+// triple the member still holds under the instant its literal parses
+// to, and entries, non-canonical entries and unindexed objects agreeing
+// with a scan of the member.
+func (m *member) verifyTimeIndex() error {
+	d := m.triples.Dict()
 	type tally struct{ indexed, nonCanonical, other int }
 	want := make(map[rdf.ID]*tally)
-	s.triples.MatchIDs(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
+	m.triples.MatchIDs(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
 		c := want[t.P]
 		if c == nil {
 			c = &tally{}
@@ -229,11 +215,11 @@ func (s *Store) VerifyTimeIndex() error {
 		return true
 	})
 	for pid, c := range want {
-		if c.indexed > 0 && s.times[pid] == nil {
+		if c.indexed > 0 && m.times[pid] == nil {
 			return fmt.Errorf("time index misses predicate %s", d.Decode(pid))
 		}
 	}
-	for pid, run := range s.times {
+	for pid, run := range m.times {
 		p := d.Decode(pid)
 		c := want[pid]
 		if c == nil {
@@ -252,7 +238,7 @@ func (s *Store) VerifyTimeIndex() error {
 				return fmt.Errorf("time index of %s out of order at entry %d", p, i)
 			}
 			t := rdf.Triple{S: d.Decode(e.s), P: p, O: d.Decode(e.o)}
-			if seen[[2]rdf.ID{e.s, e.o}] || s.triples.Count(e.s, pid, e.o) == 0 {
+			if seen[[2]rdf.ID{e.s, e.o}] || m.triples.Count(e.s, pid, e.o) == 0 {
 				return fmt.Errorf("time index of %s holds a removed or repeated triple %s", p, t)
 			}
 			seen[[2]rdf.ID{e.s, e.o}] = true

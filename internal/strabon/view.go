@@ -6,17 +6,16 @@ import (
 	"repro/internal/stsparql"
 )
 
-// View is a composite triple source over several member stores of one
-// topology, presented to the engine as a single stsparql Source /
-// StatSource / SpatialSource / TimeRangeSource: the sharded store's
-// static store plus some slices, or a flush's base stores (see
-// Overlay). The members were built over one dictionary (NewMember), so
-// their scans emit IDs of one space, and they partition the data
+// View is a composite triple source over several members of one Store,
+// presented to the engine as a single stsparql Source / StatSource /
+// SpatialSource / TimeRangeSource: the static store plus some slices, or
+// a flush's base members (see Overlay). The members were built over one
+// dictionary (newMember), so their scans emit IDs of one space, and they partition the data
 // (nothing is replicated), so concatenating their scans and summing
 // their statistics is exact. The caller holds every member's lock for
 // the lifetime of the evaluation — the view itself calls only the
 // unlocked stsparql interface methods.
-type View []*Store
+type View []*member
 
 var _ stsparql.StatSource = View{}
 var _ stsparql.SpatialSource = View{}
@@ -124,3 +123,10 @@ func (v View) MatchTimeRangeIDs(p rdf.ID, w stsparql.TimeWindow, visit func(rdf.
 	}
 	return true
 }
+
+// view returns the composite source of one slice evaluation: the static
+// store plus that slice.
+func (s *Store) view(idx int) View { return View{s.static, s.slices[idx]} }
+
+// viewAll returns the union view over every member.
+func (s *Store) viewAll() View { return s.members }

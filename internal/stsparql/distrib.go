@@ -8,7 +8,7 @@ import (
 )
 
 // This file holds the engine-side helpers of distributed (sharded) query
-// evaluation — see internal/shard. A sharded store fans a query out to
+// evaluation — see internal/strabon. A sharded store fans a query out to
 // per-shard evaluations and merges their cursors; the pieces that need
 // engine internals live here:
 //

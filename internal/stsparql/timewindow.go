@@ -12,7 +12,7 @@ import (
 // comparing a time variable with constants (or a prepared rule's seed
 // variables). ExtractTimeWindows folds them into one inclusive window
 // per variable, and both consumers read the same result: the sharded
-// store's router prunes slices with it (internal/shard/route.go) and
+// store's router prunes slices with it (internal/strabon/route.go) and
 // the planner turns `?s <p> ?t` into a time-range scan over the source's
 // dateTime index (plan.go). A window is always a SUPERSET of what its
 // filters accept — strict bounds relax to inclusive ones, sub-second

@@ -9,16 +9,15 @@
 #
 # Gated benchmarks:
 #   BenchmarkStreamedSelect/full/streamed (internal/strabon) — the
-#     single-store streaming drain, the purest view of per-batch cost.
+#     streaming drain of strabon.New(), the one-slice store, the purest
+#     view of per-batch cost.
 #   BenchmarkCachedReplay (internal/strabon) — a result-cache hit through
 #     the endpoint: request parsing and the JSON encoder over 100 rows,
 #     the serving tier's hot path.
-#   BenchmarkShardedQueries/single (internal/shard) — the join-heavy
-#     spatial workload on one store, one live-slice write per query.
-#   BenchmarkShardedQueries/sharded1 (internal/shard) — the same join on
-#     a one-slice sharded store, the store every program runs at one
-#     slice: N = 1 skips routing and evaluates once over the union view,
-#     so it should cost what the single store costs.
+#   BenchmarkShardedQueries/sharded1 (internal/shard) — the join-heavy
+#     spatial workload on a one-slice store, one live-slice write per
+#     query: the store every program runs by default, which skips
+#     routing and evaluates once over the union view.
 #   BenchmarkShardedQueries/sharded4 (internal/shard) — the same join
 #     fanned out over composite static+slice views: what the serving
 #     stack runs. A jump here means a composite source left ID space
@@ -96,8 +95,6 @@ check ./internal/strabon 'BenchmarkStreamedSelect/full/streamed' \
     internal/strabon/testdata/streamed_select_allocs.baseline
 check ./internal/strabon 'BenchmarkCachedReplay' \
     internal/strabon/testdata/cached_replay_allocs.baseline allocs/op 11 10
-check ./internal/shard 'BenchmarkShardedQueries/single' \
-    internal/shard/testdata/sharded_single_allocs.baseline allocs/op 11 10
 check ./internal/shard 'BenchmarkShardedQueries/sharded1' \
     internal/shard/testdata/sharded_one_allocs.baseline allocs/op 11 10
 check ./internal/shard 'BenchmarkShardedQueries/sharded4' \
