@@ -133,7 +133,7 @@ func main() {
 }
 
 // render streams the cursor's rows to stdout in the requested format.
-func render(cur strabon.QueryCursor, format string) error {
+func render(cur *strabon.Cursor, format string) error {
 	switch format {
 	case "json":
 		return renderRows(cur, strabon.NewJSONRowWriter(os.Stdout, cur.Vars()))
@@ -148,7 +148,7 @@ func render(cur strabon.QueryCursor, format string) error {
 	}
 }
 
-func renderRows(cur strabon.QueryCursor, rw strabon.RowWriter) error {
+func renderRows(cur *strabon.Cursor, rw strabon.RowWriter) error {
 	for row, ok := cur.Next(); ok; row, ok = cur.Next() {
 		if err := rw.Row(row); err != nil {
 			return err
@@ -160,7 +160,7 @@ func renderRows(cur strabon.QueryCursor, rw strabon.RowWriter) error {
 // renderTable prints the fixed-width table incrementally: rows go to a
 // buffered writer flushed every tableFlushRows rows, never holding more
 // than one flush interval in memory.
-func renderTable(cur strabon.QueryCursor) error {
+func renderTable(cur *strabon.Cursor) error {
 	w := bufio.NewWriter(os.Stdout)
 	for _, v := range cur.Vars() {
 		fmt.Fprintf(w, "%-40s", "?"+v)

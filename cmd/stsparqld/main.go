@@ -13,16 +13,16 @@
 //
 // With -shards N the store (internal/strabon) partitions
 // the acquisition history into N time-range slices — each
-// with its own lock, R-tree and plan cache — behind the same endpoint;
-// time-constrained queries prune to the matching slices and fan out
-// concurrently, and live writes lock only the slice they land in.
+// with its own lock and R-tree — behind the same endpoint;
+// time-constrained queries read and lock only the matching slices,
+// and live writes lock only the slice they land in.
 // /stats then reports per-shard cardinalities.
 //
 // Endpoints: /sparql (GET/POST query; JSON or format=tsv), /update
 // (POST), /explain, /stats. SELECT responses stream row by row with
 // X-Rows/X-Elapsed-Us trailers; repeated queries skip parse+plan
-// through the generation-invalidated plan cache(s) (-plan-cache sizes
-// them, 0 disables). Queries run under the request context, optionally
+// through the generation-invalidated plan cache (-plan-cache sizes
+// it, 0 disables). Queries run under the request context, optionally
 // capped by -query-timeout, so an abandoned or slow client cannot hold
 // store read locks indefinitely.
 //

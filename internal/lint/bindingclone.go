@@ -7,9 +7,8 @@ import (
 )
 
 // bindingclone: the Row a streaming cursor's Next yields is a thin
-// view — one slice refilled from the engine's current columnar batch,
-// or the fan-out merge's reused permuted row — that changes at the next
-// pull. Retaining such a row — appending it to a slice, storing it into
+// view — one slice refilled from the engine's current columnar batch —
+// that changes at the next pull. Retaining such a row — appending it to a slice, storing it into
 // a struct field, map, or array element, or sending it over a channel
 // — without an interposing Clone() means the retained row mutates under
 // the holder at the next Next.

@@ -11,8 +11,9 @@ import (
 // which is only sound because every write path of the store's router
 // registers its routing knowledge — track() — BEFORE any member
 // generation bumps. Invert the order and a validator racing the write
-// can see the new generation while the fan-out verdict it validates
-// against was computed from pre-write routing knowledge: a stale cached
+// can see the new generation while the routing verdict — the slice
+// set a partial vector lists — it validates against was computed from
+// pre-write routing knowledge: a stale cached
 // result survives.
 //
 // The analyzer checks, within each function of the router's package

@@ -12,9 +12,9 @@
 //     Closed, returned, or handed to an owner — a leaked cursor pins a
 //     store read lock forever.
 //   - bindingclone: a Row yielded by Cursor.Next is a view into the
-//     engine's current batch (or the fan-out merge's current row),
-//     reused on the next pull; retaining one (struct field, slice,
-//     map, channel) requires an interposing Clone call.
+//     engine's current batch, reused on the next pull; retaining one
+//     (struct field, slice, map, channel) requires an interposing
+//     Clone call.
 //   - batchview: the columnar analogue — a *Batch yielded by a batch
 //     iterator's next is owned by the producer and reused on the next
 //     pull; retaining one requires an interposing cloneBatch call.

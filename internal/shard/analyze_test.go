@@ -46,19 +46,16 @@ func TestShardExplainAnalyzeFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range []string{
-		"shard fan-out:", "(analyze)", "shard[", "actual rows=", "merge[",
-	} {
-		if !strings.Contains(out, sub) {
-			t.Errorf("analyze output lacks %q:\n%s", sub, out)
-		}
+	// The window spans two hour-buckets: one plan reads both slices
+	// through one view, its window scanned once.
+	if head, _, _ := strings.Cut(out, "\n"); head != "shard fan-out: 2/4 slices [2 3] (analyze)" {
+		t.Errorf("analyze header %q:\n%s", head, out)
 	}
-	// The window spans two hour-buckets: both shards report a section.
-	if n := strings.Count(out, "  shard["); n != 2 {
-		t.Errorf("got %d shard sections, want 2:\n%s", n, out)
+	if n := strings.Count(out, "scan[time-range]"); n != 1 {
+		t.Errorf("got %d window scans, want the one plan's:\n%s", n, out)
 	}
-	if !strings.Contains(out, "merge[concat]: rows="+itoa(want)) {
-		t.Errorf("merge count disagrees with QueryStream drain (%d rows):\n%s", want, out)
+	if !strings.Contains(out, "  project ?h ?g (actual rows="+itoa(want)+" ") {
+		t.Errorf("plan output count disagrees with QueryStream drain (%d rows):\n%s", want, out)
 	}
 	if !strings.Contains(out, "total: rows="+itoa(want)) {
 		t.Errorf("total disagrees with QueryStream drain (%d rows):\n%s", want, out)
@@ -141,10 +138,14 @@ ASK {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range []string{"merge=ask (analyze)", "shard[", "ask=true", "total: ask=true"} {
-		if !strings.Contains(out, sub) {
-			t.Errorf("ask analyze output lacks %q:\n%s", sub, out)
-		}
+	if head, _, _ := strings.Cut(out, "\n"); head != "shard fan-out: 1/4 slices [2] (analyze)" {
+		t.Errorf("ask analyze header %q:\n%s", head, out)
+	}
+	if n := strings.Count(out, "scan[time-range]"); n != 1 {
+		t.Errorf("got %d window scans, want the one plan's:\n%s", n, out)
+	}
+	if !strings.Contains(out, "\ntotal: ask=true ") {
+		t.Errorf("ask analyze output lacks the verdict:\n%s", out)
 	}
 }
 
@@ -195,9 +196,8 @@ var (
 // class against the `?m a gag:Municipality` pattern's subject sets, so
 // every row it stages passes the type probe that still follows it, and
 // the exact anyInteract test directly behind the probe sees only
-// municipalities — the same rows whatever the topology, summed over a
-// fan-out's sections (the window itself drops fewer candidates the
-// fewer slices a section's view holds).
+// municipalities — the same rows whatever the topology (the window
+// itself drops fewer candidates the fewer slices the view holds).
 func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
 	stores := map[string]*Store{}
 	for _, n := range []int{1, 2, 4} {

@@ -14,10 +14,11 @@ import (
 // on the paper's dominant workload shape — "hotspots in acquisition
 // window X" joined against reference data — beside a writer appending
 // acquisitions to the live slice. The write is issued from the loop,
-// one before every query, so allocs/op repeats exactly (CI gates it):
-// at four slices the historical window prunes to one slice that no
-// write touches, so its compiled plan survives; at one slice every
-// write invalidates it.
+// one before every query, so allocs/op repeats exactly (CI gates it).
+// At four slices the historical window prunes to one slice that no
+// write touches: the query reads, and read-locks, the static member and
+// that slice only. The plan cache is pinned to every member's
+// generation, so on both stores each write invalidates the plan.
 func BenchmarkShardedQueries(b *testing.B) {
 	q := `SELECT ?h ?m WHERE {
   ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at ; strdf:hasGeometry ?hg .
@@ -66,9 +67,10 @@ func BenchmarkShardedQueries(b *testing.B) {
 
 // BenchmarkOrderedWindowJoin is the heavy cold request of the serving
 // benchmark: a four-hour window join against the municipalities, ordered,
-// fanned out to all four slices and merged — new text every time, so it
-// pays parse, plan, scans, the order operator and the ordered merge. The
-// cursor is drained row by row, as the endpoint's encoder drains it.
+// over all four slices — new text every time, so it pays parse, plan,
+// scans and the order operator of one evaluation over the static member
+// and the four slices. The cursor is drained row by row, as the
+// endpoint's encoder drains it.
 func BenchmarkOrderedWindowJoin(b *testing.B) {
 	st := New(Config{Slices: 4, Width: time.Hour, Epoch: day})
 	loadBenchStore(st)

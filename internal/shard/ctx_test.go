@@ -13,13 +13,14 @@ import (
 )
 
 // Tests for cancellation on the sharded store: a cancelled context stops
-// a union-view cursor, a streaming fan-out and a recombined aggregate at
+// a union-view cursor, a fanned-out SELECT and a fanned-out aggregate at
 // the next pull and releases every member read lock, so an abandoned
 // client cannot block writers of the static store or the live slice.
 
-// cancelTexts routes to each of the sharded store's cursor kinds; the
-// test holds each text to the route its name gives — on more than one
-// slice: one slice evaluates every text once over the union view.
+// cancelTexts routes to each of the sharded store's routes; the test
+// holds each text to the route its name gives, evaluated by one plan —
+// on more than one slice: one slice evaluates every text once over the
+// union view.
 var cancelTexts = []struct {
 	name, route, text string
 }{
@@ -28,9 +29,9 @@ SELECT ?h1 ?h2 WHERE {
   ?h1 noa:isDerivedFromSensor ?s .
   ?h2 noa:isDerivedFromSensor ?s .
 }`},
-	{"fanout-concat", "merge=concat", `
+	{"fanout-concat", "shard fan-out:", `
 SELECT ?h ?at WHERE { ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at . }`},
-	{"fanout-aggregate", "merge=partial-aggregate", `
+	{"fanout-aggregate", "shard fan-out:", `
 SELECT ?at (COUNT(?h) AS ?n) WHERE {
   ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at .
 } GROUP BY ?at`},
@@ -50,8 +51,8 @@ func TestShardQueryStreamCtxCancelReleasesLocks(t *testing.T) {
 				if n == 1 {
 					route = "shard union:"
 				}
-				if first, _, _ := strings.Cut(plan, "\n"); !strings.Contains(first, route) {
-					t.Fatalf("routed as %q, want %q", first, route)
+				if first, _, _ := strings.Cut(plan, "\n"); !strings.HasPrefix(first, route) || planCount(plan) != 1 {
+					t.Fatalf("routed as %q to %d plans, want %q to one:\n%s", first, planCount(plan), route, plan)
 				}
 
 				ctx, cancel := context.WithCancel(context.Background())

@@ -252,7 +252,7 @@ func TestNoPartialRefinementVisible(t *testing.T) {
 		}
 		out := make(map[string]bool, len(res.Rows))
 		for _, row := range res.Rows {
-			out[string(stsparql.RowKey(nil, row))] = true
+			out[rowKey(row)] = true
 		}
 		return out
 	}
@@ -381,7 +381,7 @@ func TestReaderComputesWhatWriterInterns(t *testing.T) {
 		}
 		out := make([]string, len(res.Rows))
 		for i, row := range res.Rows {
-			out[i] = string(stsparql.RowKey(nil, row))
+			out[i] = rowKey(row)
 		}
 		sort.Strings(out)
 		return out
@@ -488,4 +488,90 @@ func memberGens(st *Store) []uint64 {
 		out = append(out, ss.Gen)
 	}
 	return out
+}
+
+// rowKey renders a row for comparison: two rows of one header have equal
+// keys exactly when their terms are equal column for column.
+func rowKey(row stsparql.Row) string {
+	var b strings.Builder
+	for _, t := range row {
+		fmt.Fprintf(&b, "%d%q%q%q|", t.Kind, t.Value, t.Datatype, t.Lang)
+	}
+	return b.String()
+}
+
+// TestWindowedCursorLocksOnlyItsSlices pins what the slices exist for:
+// an open cursor over a window of historical slices read-locks the
+// static member and those slices only. On four hour-wide slices the
+// window 10:00–11:45 reads slices 2 and 3; an InsertAll and an
+// ApplyFlush into the 13:00 slice (1) complete while the cursor is
+// open, and an InsertAll into the 10:00 slice (2) waits until Close.
+func TestWindowedCursorLocksOnlyItsSlices(t *testing.T) {
+	sh := newSharded(4)
+	loadFixture(sh)
+	if plan, err := sh.Explain(analyzeWindowSelect); err != nil || !strings.HasPrefix(plan, "shard fan-out: 2/4 slices [2 3]\n") {
+		t.Fatalf("the window does not read slices 2 and 3 (%v):\n%s", err, plan)
+	}
+	product := func(id string, at time.Time) []rdf.Triple {
+		p := &products.Product{Sensor: "MSG1", Chain: "test", AcquiredAt: at}
+		p.Hotspots = append(p.Hotspots, products.Hotspot{
+			ID: id, Geometry: geom.NewSquare(3, 5, 0.5), Confidence: 1.0,
+			AcquiredAt: at, Sensor: "MSG1", Chain: "test", Producer: "noa",
+		})
+		return p.Triples()
+	}
+	// async runs write in the background and reports on the returned
+	// channel when it has completed.
+	async := func(write func()) <-chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			write()
+		}()
+		return done
+	}
+
+	cur, err := sh.QueryStreamCtx(context.Background(), analyzeWindowSelect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if _, ok := cur.Next(); !ok {
+		t.Fatalf("no first row: %v", cur.Err())
+	}
+
+	live := day.Add(13*time.Hour + 50*time.Minute)
+	select {
+	case <-async(func() { sh.InsertAll(product("live_insert", live)) }):
+	case <-time.After(5 * time.Second):
+		t.Fatal("InsertAll into the live slice waited for a cursor that does not read it")
+	}
+	flush := strabon.Flush{Groups: [][]rdf.Triple{product("live_flush", live)}, At: []time.Time{live}, Since: day.Add(13 * time.Hour)}
+	var flushErr error
+	select {
+	case <-async(func() { flushErr = sh.ApplyFlush(flush, func(*strabon.FlushTx) error { return nil }) }):
+		if flushErr != nil {
+			t.Fatal(flushErr)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ApplyFlush into the live slice waited for a cursor that does not read it")
+	}
+
+	read := async(func() { sh.InsertAll(product("read_insert", day.Add(10*time.Hour+50*time.Minute))) })
+	select {
+	case <-read:
+		t.Fatal("InsertAll into a slice the open cursor reads completed before Close")
+	case <-time.After(100 * time.Millisecond):
+	}
+	for _, ok := cur.Next(); ok; _, ok = cur.Next() {
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-read:
+	case <-time.After(5 * time.Second):
+		t.Fatal("InsertAll into the cursor's slice still blocked after Close")
+	}
+	verifyTimeIndexes(t, sh)
 }

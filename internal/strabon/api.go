@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/rdf"
-	"repro/internal/resultcache"
 	"repro/internal/stsparql"
 )
 
@@ -54,32 +53,6 @@ func (tx *FlushTx) Select(q *stsparql.Prepared, seed []stsparql.Row) (*stsparql.
 // inserts. Later rules of the flush see it; the store does at commit.
 func (tx *FlushTx) Apply(plan *stsparql.UpdatePlan) stsparql.UpdateStats {
 	return stsparql.ApplyPlan(tx.overlay, plan)
-}
-
-// QueryCursor is the streaming result surface of a query: a Cursor over
-// one evaluation, or the merge of a fan-out's. A cursor holds its
-// backing read locks from creation until Close — close promptly. See
-// Store.QueryStreamCtx.
-//
-// Vars is final when the cursor opens, and each Row Next yields holds
-// one term per header variable, in header order. The Row is a view —
-// of the engine's current batch, or of the fan-out merge's current
-// row — that may change at the next Next: it is only valid until the
-// next call to Next (or Close). Callers that retain rows past that
-// must copy them: MaterialiseQuery copies them into one slab, fan-out
-// workers copy their terms into chunks.
-type QueryCursor interface {
-	Vars() []string
-	IsAsk() bool
-	Next() (stsparql.Row, bool)
-	Err() error
-	Rows() int
-	Close() error
-	// CacheVector reports what the rows were derived from: the
-	// generation vector captured while the evaluation held its read
-	// locks, and whether the result is deterministic enough to cache at
-	// all (false for SAMPLE-bearing plans).
-	CacheVector() (resultcache.GenVector, bool)
 }
 
 // MaterialiseQuery drains one streaming evaluation into an owned

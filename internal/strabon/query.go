@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/resultcache"
@@ -11,16 +12,16 @@ import (
 )
 
 // A query runs in two steps that QueryStreamCtx, Explain and
-// ExplainAnalyze share: routeQuery decides where it evaluates and takes
-// the read locks that evaluation needs, and open starts the evaluation
-// and hands the locks to the cursor it returns.
+// ExplainAnalyze share: routeQuery decides which members it reads and
+// takes their read locks, and open evaluates it once over the View of
+// those members and hands the locks to the cursor it returns.
 
 // QueryStreamCtx routes a query per the fan-out analysis and returns a
-// streaming cursor over the merged result. The cursor holds read locks
-// on the static store and every shard it fans out to (all of them for a
-// union-view evaluation) until Close; cancelling ctx stops the cursor at
+// streaming cursor over its one evaluation. The cursor holds read locks
+// on the static store and every slice the evaluation reads (all of them
+// for the union view) until Close; cancelling ctx stops the cursor at
 // the next row pull and releases the locks.
-func (s *Store) QueryStreamCtx(ctx context.Context, src string) (QueryCursor, error) {
+func (s *Store) QueryStreamCtx(ctx context.Context, src string) (*Cursor, error) {
 	q, err := s.parseQuery(ctx, src)
 	if err != nil {
 		return nil, err
@@ -51,36 +52,60 @@ type routed struct {
 	src string
 	q   *stsparql.Query
 	// dec.fanout is false for the union view; dec.shards are the slices
-	// a fan-out evaluates.
+	// a fan-out reads beside the static member.
 	dec decision
-	// fp is a fanned-out SELECT's per-shard query and merge strategy; nil
-	// for the union view and for an ASK.
-	fp *fanPlan
-	// release frees the read locks. It is nil when a fan-out reads no
-	// slice: the result reads no slice data, so no lock is taken.
+	// release frees the read locks.
 	release func()
 	// vec is the generation vector the result derives from.
 	vec resultcache.GenVector
 }
 
-func (r *routed) unlock() {
-	if r.release != nil {
-		r.release()
+// view returns the source r's evaluation reads: the static member plus
+// a fan-out's slices, or every member.
+func (s *Store) view(r routed) View {
+	if !r.dec.fanout {
+		return s.viewAll()
 	}
+	v := make(View, 0, len(r.dec.shards)+1)
+	v = append(v, s.static)
+	for _, i := range r.dec.shards {
+		v = append(v, s.slices[i])
+	}
+	return v
+}
+
+// planKey is the plan-cache key of r's evaluation: the text for the
+// union view, and the text plus the slice set for a fan-out, whose plan
+// is made for that view's statistics and access paths. One text can
+// route to two views at one store generation: a write publishes its
+// routing knowledge before its generation moves.
+func (r routed) planKey() string {
+	if !r.dec.fanout {
+		return r.src
+	}
+	var b strings.Builder
+	b.Grow(len(r.src) + 1 + 3*len(r.dec.shards))
+	b.WriteString(r.src)
+	b.WriteByte(0)
+	for _, i := range r.dec.shards {
+		b.WriteString(strconv.Itoa(i))
+		b.WriteByte(',')
+	}
+	return b.String()
 }
 
 // routeQuery runs the fan-out analysis, takes the read locks of the
-// evaluation it chooses and re-runs the analysis under them: a write
-// landing between the two that changes the slices — or the window
-// candidates the cache vector lists — sends the query to the union
-// view. A fan-out's cache vector is captured BEFORE the re-analysis: a
-// write racing past the analysis publishes its routing knowledge before
-// bumping any member generation, so either the re-analysis sees it
-// (union fallback) or the vector predates it (the cache entry
-// invalidates). That ordering is what makes the lock-free path of a
-// window that excludes every slice sound. With one slice the slice view
-// is the union view: routing could not change where the query runs, so
-// it is skipped.
+// members the evaluation it chooses reads — the static member and the
+// fan-out's slices, or every member — and re-runs the analysis under
+// them: a write landing between the two that changes the slices — or
+// the window candidates the cache vector lists — sends the query to the
+// union view. A fan-out's cache vector is captured BEFORE the
+// re-analysis: a write racing past the analysis publishes its routing
+// knowledge before bumping any member generation, so either the
+// re-analysis sees it (union fallback) or the vector predates it (the
+// cache entry invalidates). With one slice the slice view is the union
+// view: routing could not change what the query reads, so it is
+// skipped.
 func (s *Store) routeQuery(src string, q *stsparql.Query) routed {
 	r := routed{src: src, q: q}
 	if len(s.slices) > 1 {
@@ -91,116 +116,55 @@ func (s *Store) routeQuery(src string, q *stsparql.Query) routed {
 			where = q.Ask.Where
 		}
 		r.dec = s.analyzeGroup(where)
-		if r.dec.fanout && q.Select != nil {
-			r.fp, r.dec.fanout = planFanout(src, q)
-		}
 		if r.dec.fanout {
-			if len(r.dec.shards) > 0 {
-				r.release = s.lockRead(r.dec.shards)
-			}
+			r.release = s.lockRead(r.dec.shards)
 			r.vec = s.fanVector(r.dec.keyShards)
 			if again := s.analyzeGroup(where); again.fanout && slices.Equal(again.shards, r.dec.shards) &&
 				slices.Equal(again.keyShards, r.dec.keyShards) {
 				return r
 			}
-			r.unlock()
+			r.release()
 		}
-		r.dec, r.fp = decision{}, nil
+		r.dec = decision{}
 	}
 	r.release = s.lockAllRead()
 	r.vec = s.fullVector()
 	return r
 }
 
-// open starts the evaluation r routes to and returns its cursor, which
-// owns r's read locks: one evaluation over the union view, a merge of
-// concurrent per-slice evaluations, or an ASK answered shard by shard.
-// hook, if not nil, sees every evaluator open creates, with its plan,
-// before it runs — its slice index, or -1 for the union view;
-// ExplainAnalyze attaches its traces there.
-func (s *Store) open(ctx context.Context, r routed, hook func(idx int, ev *stsparql.Evaluator, c *stsparql.Compiled)) (QueryCursor, error) {
+// open evaluates r once over its view and returns the cursor, which owns
+// r's read locks; an ASK is answered here and its locks released. hook,
+// if not nil, sees the evaluator and its plan before it runs;
+// ExplainAnalyze attaches its trace there.
+func (s *Store) open(ctx context.Context, r routed, hook func(ev *stsparql.Evaluator, c *stsparql.Compiled)) (*Cursor, error) {
+	ev := stsparql.NewEvaluatorWithCache(s.view(r), s.cache)
+	c := ev.CompileASTCached(r.planKey(), s.genAll(), s.planCache(), r.q)
+	if hook != nil {
+		hook(ev, c)
+	}
 	// Result-cacheability is an AST property (SAMPLE shapes); the
 	// cursor pairs it with the generation vector captured under locks.
 	cacheable := stsparql.Cacheable(r.q)
-	compile := func(idx int, key string, q *stsparql.Query) (*stsparql.Evaluator, *stsparql.Compiled) {
-		var ev *stsparql.Evaluator
-		var c *stsparql.Compiled
-		if idx < 0 {
-			ev = stsparql.NewEvaluatorWithCache(s.viewAll(), s.cache)
-			c = ev.CompileASTCached(key, s.genAll(), s.unionCache(), q)
-		} else {
-			ev = stsparql.NewEvaluatorWithCache(s.view(idx), s.cache)
-			c = ev.CompileASTCached(key, s.genFor(idx), s.sliceCache(idx), q)
-		}
-		if hook != nil {
-			hook(idx, ev, c)
-		}
-		return ev, c
-	}
-
 	if r.q.Ask != nil {
-		// Eager, under one lock acquisition, stopping at the first shard
-		// with a solution. Cancellation is honoured between shards — the
-		// blast radius of a cancelled context is one shard's evaluation.
-		defer r.unlock()
-		idxs := r.dec.shards
-		if !r.dec.fanout {
-			idxs = []int{-1}
-		}
-		verdict := false
-		for _, idx := range idxs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			ev, c := compile(idx, r.src, r.q)
-			ok, err := ev.AskCompiled(c)
-			if err != nil {
-				return nil, err
-			}
-			if verdict = ok; ok {
-				break
-			}
+		defer r.release()
+		verdict, err := ev.AskCompiled(c)
+		if err != nil {
+			return nil, err
 		}
 		return newCursor(ctx, stsparql.AskCursor(verdict), true, nil, r.vec, cacheable), nil
 	}
-
-	switch {
-	case !r.dec.fanout:
-		ev, c := compile(-1, r.src, r.q)
-		cur, err := ev.RunCompiled(c)
-		if err != nil {
-			r.unlock()
-			return nil, err
-		}
-		return newCursor(ctx, cur, false, r.release, r.vec, cacheable), nil
-	case len(r.dec.shards) == 0:
-		// The window (or the observed ranges) excludes every slice.
-		// Grouped queries still owe their implicit group (COUNT over
-		// nothing = 0).
-		rows := stsparql.MaterialisedCursor(r.fp.vars, nil)
-		if r.fp.mode == fanAgg {
-			res, err := r.fp.agg.Finalize(nil)
-			if err != nil {
-				return nil, err
-			}
-			rows = stsparql.MaterialisedCursor(res.Vars, res.Rows)
-		}
-		return newCursor(ctx, rows, false, nil, r.vec, cacheable), nil
+	cur, err := ev.RunCompiled(c)
+	if err != nil {
+		r.release()
+		return nil, err
 	}
-	evs := make([]*stsparql.Evaluator, len(r.dec.shards))
-	cs := make([]*stsparql.Compiled, len(r.dec.shards))
-	for i, idx := range r.dec.shards {
-		evs[i], cs[i] = compile(idx, r.fp.key, r.fp.shardQ)
-	}
-	m := startMerge(ctx, r.fp, evs, cs, r.release)
-	m.vec, m.cacheable = r.vec, cacheable
-	return m, nil
+	return newCursor(ctx, cur, false, r.release, r.vec, cacheable), nil
 }
 
-// Explain renders the routing decision — fan-out with the relevant
-// shard set and merge strategy, or the union-view fallback — followed
-// by the member-level evaluation plan, taken under the read locks the
-// query would run under.
+// Explain renders the routing decision — fan-out with the slice set the
+// query reads, or the union-view fallback — followed by the evaluation
+// plan over that view, taken under the read locks the query would run
+// under.
 func (s *Store) Explain(src string) (string, error) {
 	q, err := stsparql.Parse(src, s.ns)
 	if err != nil {
@@ -213,20 +177,10 @@ func (s *Store) Explain(src string) (string, error) {
 	} else {
 		r = s.routeQuery(src, q)
 	}
-	defer r.unlock()
+	defer r.release()
 	var b strings.Builder
 	s.writeRoute(&b, r, "")
-	ev, query := stsparql.NewEvaluatorWithCache(s.viewAll(), s.cache), q
-	if r.dec.fanout {
-		if len(r.dec.shards) == 0 {
-			return b.String(), nil
-		}
-		ev = stsparql.NewEvaluatorWithCache(s.view(r.dec.shards[0]), s.cache)
-		if r.fp != nil {
-			query = r.fp.shardQ
-		}
-	}
-	plan, err := ev.Explain(query)
+	plan, err := stsparql.NewEvaluatorWithCache(s.view(r), s.cache).Explain(q)
 	b.WriteString(plan)
 	return b.String(), err
 }
@@ -239,11 +193,7 @@ func (s *Store) writeRoute(b *strings.Builder, r routed, mark string) {
 		fmt.Fprintf(b, "shard union: single evaluation over static+%d slices%s\n", n, mark)
 		return
 	}
-	merge := "ask"
-	if r.fp != nil {
-		merge = r.fp.mode.String()
-	}
-	fmt.Fprintf(b, "shard fan-out: %d/%d slices %v merge=%s%s\n", len(r.dec.shards), n, r.dec.shards, merge, mark)
+	fmt.Fprintf(b, "shard fan-out: %d/%d slices %v%s\n", len(r.dec.shards), n, r.dec.shards, mark)
 	if len(r.dec.shards) < len(r.dec.keyShards) {
 		fmt.Fprintf(b, "  (observed time ranges prune %v of window candidates %v)\n",
 			diffInts(r.dec.keyShards, r.dec.shards), r.dec.keyShards)
@@ -268,16 +218,22 @@ func diffInts(a, b []int) []int {
 	return out
 }
 
-// Cursor streams the solutions of one evaluation: the union view's, or
-// an ASK's. A SELECT cursor holds the read locks its evaluation runs
-// under from QueryStreamCtx until Close — close promptly; an ASK cursor
-// is pre-materialised and holds no lock. Bound to a context that can be
+// Cursor streams the solutions of a query's one evaluation. A SELECT
+// cursor holds the read locks its evaluation runs under from
+// QueryStreamCtx until Close — close promptly; an ASK cursor is
+// pre-materialised and holds no lock. Bound to a context that can be
 // cancelled (client gone, deadline hit), it checks the context on every
 // pull: once it fires the cursor stops yielding rows, reports the
 // context error and releases its locks at that pull, instead of
 // whenever the abandoned client would have closed it. Rows yielded so
 // far are counted (Rows), the bookkeeping hook the endpoint's streamed
 // responses use.
+//
+// Vars is final when the cursor opens, and each Row Next yields holds
+// one term per header variable, in header order. The Row is a view of
+// the engine's current batch that may change at the next Next: it is
+// only valid until the next call to Next (or Close). Callers that
+// retain rows past that must copy them, as MaterialiseQuery does.
 type Cursor struct {
 	inner   stsparql.Cursor
 	ctx     context.Context // nil: not cancellable, never checked
@@ -294,8 +250,6 @@ type Cursor struct {
 	cacheable bool
 }
 
-var _ QueryCursor = (*Cursor)(nil)
-
 // newCursor returns the cursor over one evaluation's inner cursor. ask
 // marks inner as an ASK verdict (one row binding "ask"); release, if
 // not nil, frees the read locks the evaluation runs under and is
@@ -309,9 +263,10 @@ func newCursor(ctx context.Context, inner stsparql.Cursor, ask bool, release fun
 	return c
 }
 
-// CacheVector implements QueryCursor: the generation vector this
-// cursor's rows were derived from, and whether the result may be
-// cached at all (false for non-deterministic plans such as SAMPLE).
+// CacheVector reports the generation vector this cursor's rows were
+// derived from, captured while the evaluation held its read locks, and
+// whether the result may be cached at all (false for non-deterministic
+// plans such as SAMPLE).
 func (c *Cursor) CacheVector() (resultcache.GenVector, bool) {
 	return c.vec, c.cacheable
 }

@@ -5,17 +5,16 @@ import (
 	"repro/internal/stsparql"
 )
 
-// This file is the fan-out analysis: it decides, per query, whether
-// per-shard evaluation plus cursor merging is provably equivalent to a
-// union-view evaluation, and which slices a time-constrained query
-// can prune to.
+// This file is the fan-out analysis: it decides, per query, which
+// slices an evaluation must read to give the union view's answer, and
+// proves that reading only those is exact.
 //
-// Fan-out over the slice views (static + one slice each) is exact iff
-// every solution row is produced by exactly one view. Two failure modes
-// must be excluded: a row derivable from static data alone would be
-// produced by EVERY view (duplicates), and a row needing partitioned
-// triples from two different slices would be produced by NO view
-// (missed). The analysis therefore requires:
+// A fanned-out query is evaluated once over the View of the static
+// member and the slices it keeps. That is exact iff no solution needs a
+// triple of a slice left out — which holds when every solution derives
+// from the triples of ONE slice plus the static data, and the query's
+// time window says which slices that one can be. The analysis proves
+// the first part by requiring:
 //
 //  1. at least one conjunctive (non-OPTIONAL, non-UNION-branch) pattern
 //     that can only match slice-routed triples — so every solution
@@ -33,13 +32,20 @@ import (
 //  4. any grouped sub-select over slice data keyed (at least partly)
 //     by the anchor variable, so no group spans slices.
 //
+// The second part is window pruning (shardSetFor, refineObserved): the
+// anchor's acquisition time routed its group, so a window on it names
+// the buckets — and the slices — its triples can live in. The same
+// proof scopes the result cache: a fanned-out result derives from the
+// static member and the window's candidate slices only (fanVector).
+//
 // Pattern provenance comes from routing knowledge tracked at insert
 // time: which predicates — and which rdf:type objects — have gone to
 // slices vs the static store. A pattern whose predicate lives on both
 // sides (strdf:hasGeometry, rdf:type) is resolved through its subject's
 // rdf:type constraint when the query states one (`?m a gag:Municipality`
 // pins ?m's triples static). Queries failing any test evaluate exactly
-// once over the union view instead — correct, just not fanned out.
+// once over the union view instead — correct, just read-locking every
+// slice.
 
 type cls int
 
@@ -118,8 +124,9 @@ func (w *walker) walk(gp *stsparql.GroupPattern, sc *scopeInfo, required bool) {
 		case *stsparql.GroupPattern:
 			w.walk(v, sc, required)
 		case *stsparql.SubSelectElement:
-			// A per-shard LIMIT/OFFSET inside a sub-select would slice
-			// each shard's solutions instead of the global set.
+			// A LIMIT/OFFSET inside a sub-select picks among the
+			// solutions of every slice: over fewer slices it would
+			// pick others.
 			if v.Select.Limit >= 0 || v.Select.Offset > 0 {
 				w.bad = true
 				return

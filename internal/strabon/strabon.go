@@ -23,24 +23,21 @@
 //
 // # Evaluation
 //
-// At one slice every query evaluates once, unanalysed, over the union
-// View of the two members. With more slices a query is first analysed
-// (route.go): if every solution provably derives from the triples of
-// one slice plus the static data — the dominant workload shape,
-// "hotspots in acquisition window X" joined against reference datasets
-// — the compiled plan fans out to the relevant slices concurrently, each
-// evaluated over a View of static + that slice, and the per-slice
-// cursors merge (merge.go): streaming concatenation for plain SELECTs,
-// k-way ordered merge for ORDER BY (each slice pre-truncated to its
-// top-k by the engine's bounded-heap order operator), and
-// partial-aggregate recombination (COUNT/SUM/MIN/MAX, AVG as SUM+COUNT)
-// for grouped queries, with DISTINCT and OFFSET/LIMIT re-applied at the
-// merger. Time-constrained queries prune the fan-out to the slices
-// intersecting their window. Queries the analysis cannot prove
-// decomposable evaluate exactly once over the union view — always
-// correct, just not parallel. Either way the rows are those of one
+// Every query is one evaluation, by one plan, over one View. At one
+// slice it is the union View of the two members, unanalysed. With more
+// slices a query is first analysed (route.go): if every solution
+// provably derives from the triples of one slice plus the static data —
+// the dominant workload shape, "hotspots in acquisition window X"
+// joined against reference datasets — it fans out: its time window
+// prunes the slices to those that can hold a solution, and it
+// evaluates over the View of the static member and those slices,
+// read-locking nothing else. Queries the analysis cannot prove
+// evaluate over the union view. Either way the rows are those of one
 // evaluation over all the data (up to ORDER-BY-mandated order), the
-// property the equivalence suite pins at 1, 2 and 4 slices.
+// property the equivalence suite pins at 1, 2 and 4 slices; what the
+// fan-out buys is the slices it leaves unread — writable while its
+// cursor is open — and a result-cache vector that only lists the
+// slices it could have read.
 //
 // # Locking discipline
 //
@@ -123,8 +120,8 @@ type Config struct {
 // groups.
 const timePredicate = ontology.PropAcquisitionDateTime
 
-// planCacheSize bounds each compiled-plan cache until SetPlanCacheSize
-// replaces them: the endpoint's repeated thematic-query catalogue is far
+// planCacheSize bounds the compiled-plan cache until SetPlanCacheSize
+// replaces it: the endpoint's repeated thematic-query catalogue is far
 // smaller than this.
 const planCacheSize = 256
 
@@ -147,12 +144,12 @@ type Store struct {
 	// do beside them.
 	dict *rdf.Dictionary
 
-	// Compiled-plan caches: one per slice view plus one for the union
-	// view. Guarded by planMu only for replacement (SetPlanCacheSize);
-	// the caches themselves are concurrency-safe.
-	planMu  sync.RWMutex
-	caches  []*stsparql.PlanCache
-	unionPC *stsparql.PlanCache
+	// plans is the compiled-plan cache of every evaluation, keyed by
+	// text and view (see routed.planKey). planMu guards it only for
+	// replacement (SetPlanCacheSize); the cache itself is
+	// concurrency-safe.
+	planMu sync.RWMutex
+	plans  *stsparql.PlanCache
 
 	// Routing knowledge, updated at insert time and read by the query
 	// analysis: which predicates (and rdf:type objects) have ever been
@@ -191,8 +188,8 @@ type Store struct {
 	// carrying acquisition times in different buckets — the invariants
 	// the fan-out analysis needs. Once set, every query takes the
 	// exact union view: correctness is preserved under arbitrary API
-	// use, and only fan-out parallelism is lost (the well-formed
-	// producers never trigger it).
+	// use, and only the fan-out's narrower locks and cache vectors are
+	// lost (the well-formed producers never trigger it).
 	split atomic.Bool
 
 	// queries and updates count the requests served; the members count
@@ -234,62 +231,35 @@ func NewSharded(cfg Config) *Store {
 		s.slices = append(s.slices, newMember(s.dict))
 	}
 	s.members = append(s.members, s.slices...)
-	s.resetPlanCaches(planCacheSize)
+	s.SetPlanCacheSize(planCacheSize)
 	return s
 }
 
-func (s *Store) resetPlanCaches(n int) {
+// SetPlanCacheSize replaces the compiled-plan cache; n <= 0 disables
+// plan caching. Counters restart.
+func (s *Store) SetPlanCacheSize(n int) {
+	var pc *stsparql.PlanCache
+	if n > 0 {
+		pc = stsparql.NewPlanCache(n)
+	}
 	s.planMu.Lock()
 	defer s.planMu.Unlock()
-	if n <= 0 {
-		s.caches = make([]*stsparql.PlanCache, len(s.slices))
-		s.unionPC = nil
-		return
-	}
-	s.caches = make([]*stsparql.PlanCache, len(s.slices))
-	for i := range s.caches {
-		s.caches[i] = stsparql.NewPlanCache(n)
-	}
-	s.unionPC = stsparql.NewPlanCache(n)
+	s.plans = pc
 }
 
-// SetPlanCacheSize replaces every per-shard plan cache; n <= 0 disables
-// plan caching. Counters restart.
-func (s *Store) SetPlanCacheSize(n int) { s.resetPlanCaches(n) }
-
-// PlanStats sums the per-shard plan cache counters.
+// PlanStats reports the plan cache counters.
 func (s *Store) PlanStats() stsparql.PlanCacheStats {
-	s.planMu.RLock()
-	defer s.planMu.RUnlock()
-	var out stsparql.PlanCacheStats
-	add := func(pc *stsparql.PlanCache) {
-		if pc == nil {
-			return
-		}
-		st := pc.Stats()
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Evictions += st.Evictions
-		out.Declined += st.Declined
-		out.Entries += st.Entries
+	pc := s.planCache()
+	if pc == nil {
+		return stsparql.PlanCacheStats{}
 	}
-	for _, pc := range s.caches {
-		add(pc)
-	}
-	add(s.unionPC)
-	return out
+	return pc.Stats()
 }
 
-func (s *Store) sliceCache(i int) *stsparql.PlanCache {
+func (s *Store) planCache() *stsparql.PlanCache {
 	s.planMu.RLock()
 	defer s.planMu.RUnlock()
-	return s.caches[i]
-}
-
-func (s *Store) unionCache() *stsparql.PlanCache {
-	s.planMu.RLock()
-	defer s.planMu.RUnlock()
-	return s.unionPC
+	return s.plans
 }
 
 // Namespaces exposes the shared prefix table.
@@ -940,15 +910,11 @@ func (s *Store) lockWrite(h *held) func() {
 	}
 }
 
-// genFor composes the plan-invalidation generation of one slice view.
-// Generations only grow, so the sum moves whenever any member mutates.
-// Caller must hold the member locks.
-func (s *Store) genFor(idx int) uint64 {
-	return s.static.Generation() + s.slices[idx].Generation()
-}
-
-// genAll composes the union view's generation. Caller must hold every
-// member lock.
+// genAll composes the plan-invalidation generation: the sum of every
+// member's. Generations only grow, so the sum moves whenever any member
+// mutates, and an equal sum means every member is unchanged. Caller
+// holds the read locks of the members its evaluation reads; another
+// member moving meanwhile only costs plan-cache misses.
 func (s *Store) genAll() uint64 {
 	g := uint64(0)
 	for _, m := range s.members {
@@ -987,8 +953,8 @@ func (s *Store) fullVector() resultcache.GenVector {
 // bumping the member generation, so a write racing the analysis either
 // shows up in the re-analysis (union fallback) or post-dates the
 // captured vector (the cache entry fails validation). That ordering is
-// what makes the lock-free empty-prune path sound; the locked fan-out
-// paths capture under their read locks anyway.
+// what makes listing the candidates the observed ranges pruned sound:
+// the evaluation holds no lock on them.
 func (s *Store) fanVector(keyShards []int) resultcache.GenVector {
 	gens := make([]resultcache.SliceGen, 0, len(keyShards)+1)
 	gens = append(gens, resultcache.SliceGen{Slice: -1, Gen: s.static.Generation()})

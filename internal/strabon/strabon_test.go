@@ -622,7 +622,7 @@ func TestMembersShareOneDictionary(t *testing.T) {
 	release := s.lockAllRead()
 	defer release()
 	o, _ := newOverlay(s.viewAll(), nil)
-	for _, src := range []stsparql.Source{s.static, s.slices[0], s.slices[3], s.view(2), s.viewAll(), o} {
+	for _, src := range []stsparql.Source{s.static, s.slices[0], s.slices[3], s.view(routed{dec: decision{fanout: true, shards: []int{2}}}), s.viewAll(), o} {
 		if src.Dict() != s.dict {
 			t.Fatalf("%T encodes into a dictionary of its own", src)
 		}

@@ -124,9 +124,5 @@ func (v View) MatchTimeRangeIDs(p rdf.ID, w stsparql.TimeWindow, visit func(rdf.
 	return true
 }
 
-// view returns the composite source of one slice evaluation: the static
-// store plus that slice.
-func (s *Store) view(idx int) View { return View{s.static, s.slices[idx]} }
-
 // viewAll returns the union view over every member.
 func (s *Store) viewAll() View { return s.members }

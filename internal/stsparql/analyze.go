@@ -20,9 +20,9 @@ import (
 // iterator's time is inclusive: it covers the operator and everything
 // upstream of it, like PostgreSQL's actual time.
 
-// OpStats accumulates one operator's actuals. Counters are atomic:
-// fan-out sub-plans re-opened per probe row (OPTIONAL, UNION) and
-// sub-selects shared across shard workers all add into the same entry.
+// OpStats accumulates one operator's actuals: sub-plans re-opened per
+// probe row (OPTIONAL, UNION) and shared sub-selects add into the same
+// entry. Counters are atomic.
 type OpStats struct {
 	Rows    atomic.Int64 // live rows emitted
 	Batches atomic.Int64 // batches emitted
@@ -36,8 +36,7 @@ type OpStats struct {
 // ExecTrace maps a compiled plan's operators to their runtime actuals.
 // Build it with NewExecTrace, arm it with Evaluator.SetTrace, run the
 // plan, then Render the annotated tree. One trace may be armed on
-// several evaluators at once (shard fan-out workers); the counters are
-// atomic.
+// several evaluators at once; the counters are atomic.
 type ExecTrace struct {
 	stats map[operator]*OpStats
 }

@@ -160,10 +160,6 @@ var aggregateNames = map[string]bool{
 	"sample":       true,
 	"strdf:union":  true,
 	"strdf:extent": true,
-	// #numcount counts numeric values only — AVG's true denominator,
-	// used by distributed partial aggregation (distrib.go). The '#'
-	// makes it unreachable from query text (comment character).
-	"#numcount": true,
 }
 
 // isAggregate reports whether the call is an aggregate function

@@ -186,32 +186,16 @@ func (b *Batch) materialiseSel() {
 	b.sel = sel
 }
 
-// rowRef is a view of one row for expression evaluation: a physical
-// row of a batch, or — for the result mergers, which hold rows as
-// terms — a positional term row.
+// rowRef is a view of one physical row of a batch for expression
+// evaluation; the zero rowRef binds nothing.
 type rowRef struct {
 	b *Batch
 	i int
-	t *termRow
 }
 
-// termRow is a row of terms whose columns follow schema.
-type termRow struct {
-	schema *varSchema
-	terms  Row
-}
-
-// lookup returns the bound, non-zero term for a variable, decoding
-// batch-backed rows through the evaluation dictionary.
+// lookup returns the bound, non-zero term for a variable, decoded
+// through the evaluation dictionary.
 func (r rowRef) lookup(name string) (rdf.Term, bool) {
-	if r.t != nil {
-		c, ok := r.t.schema.index[name]
-		if !ok {
-			return rdf.Term{}, false
-		}
-		t := r.t.terms[c]
-		return t, !t.IsZero()
-	}
 	if r.b == nil {
 		return rdf.Term{}, false
 	}
@@ -226,14 +210,12 @@ func (r rowRef) lookup(name string) (rdf.Term, bool) {
 	return r.b.dict.decode(id), true
 }
 
-// lookupID returns a batch row's ID for a variable (0 = unbound, and
-// for term rows, which carry no IDs).
+// lookupID returns a row's ID for a variable (0 = unbound).
 func (r rowRef) lookupID(name string) termID {
 	if r.b != nil {
 		if c, ok := r.b.schema.index[name]; ok {
 			return r.b.cols[c][r.i]
 		}
-		return 0
 	}
 	return 0
 }

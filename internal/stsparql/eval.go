@@ -197,13 +197,6 @@ func (c *sliceCursor) Next() (Row, bool) {
 func (c *sliceCursor) Err() error   { return nil }
 func (c *sliceCursor) Close() error { return nil }
 
-// MaterialisedCursor returns a Cursor over pre-computed rows. Used for
-// results that are cheap to hold whole (recombined aggregates, test
-// fixtures).
-func MaterialisedCursor(vars []string, rows []Row) Cursor {
-	return &sliceCursor{vars: vars, rows: rows}
-}
-
 // AskCursor returns the one-row result of an ASK: the verdict bound to
 // "ask".
 func AskCursor(ok bool) Cursor {
@@ -445,6 +438,12 @@ func (e *Evaluator) Update(q *UpdateQuery) (UpdateStats, error) {
 
 // --- projection / modifier helpers (used by the tail operators) ---
 
+// IsGrouped reports whether the SELECT evaluates through the aggregate
+// operator (GROUP BY, HAVING, or aggregate projections).
+func IsGrouped(sel *SelectQuery) bool {
+	return len(sel.GroupBy) > 0 || len(sel.Having) > 0 || projectionHasAggregates(sel)
+}
+
 func projectionHasAggregates(q *SelectQuery) bool {
 	for _, item := range q.Projection {
 		if item.Expr != nil && containsAggregate(item.Expr) {
@@ -473,9 +472,9 @@ func (e *Evaluator) appendKeys(dst []Value, keys []OrderKey, row rowRef) []Value
 }
 
 // compareKeys compares two rows' evaluated ORDER BY keys — the one
-// comparator of the order operator (AggMerge's too), its top-k heap and
-// the sharded store's ordered merge: negative when a sorts before b,
-// zero when every key ties (unbound and incomparable values tie).
+// comparator of the order operator and its top-k heap: negative when a
+// sorts before b, zero when every key ties (unbound and incomparable
+// values tie).
 func compareKeys(a, b []Value, keys []OrderKey) int {
 	for i, k := range keys {
 		if a[i].Kind == VUnbound || b[i].Kind == VUnbound {
@@ -593,10 +592,9 @@ func (e *Evaluator) having(conds []Expr, rep rowRef, agg func(*CallExpr) Value) 
 }
 
 // evalGrouped evaluates an expression in aggregate context: agg
-// supplies the value of each aggregate call — computed over the group's
-// member rows by the aggregate operator, recombined from partials by a
-// distributed merge — and everything else evaluates against the
-// group's representative row.
+// supplies the value of each aggregate call, computed over the group's
+// member rows by the aggregate operator, and everything else evaluates
+// against the group's representative row.
 func (e *Evaluator) evalGrouped(expr Expr, rep rowRef, agg func(*CallExpr) Value) Value {
 	switch v := expr.(type) {
 	case *CallExpr:
@@ -668,16 +666,6 @@ func (e *Evaluator) aggregateCall(c *CallExpr, rows *Batch, mem []int32) Value {
 			return numValue(float64(len(mem)))
 		}
 		return numValue(float64(len(collect())))
-	case "#numcount":
-		// Internal: the count of numeric values — AVG's denominator,
-		// shipped as a partial by distributed aggregation.
-		n := 0
-		for _, v := range collect() {
-			if v.Kind == VNum {
-				n++
-			}
-		}
-		return numValue(float64(n))
 	case "sum", "avg":
 		vals := collect()
 		var sum float64

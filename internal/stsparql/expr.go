@@ -8,7 +8,7 @@ import (
 )
 
 // evalExpr evaluates an expression under a row view — a physical batch
-// row or a merger's term row, looked up column-wise.
+// row, looked up column-wise.
 func (e *Evaluator) evalExpr(expr Expr, row rowRef) Value {
 	switch v := expr.(type) {
 	case *VarExpr:

@@ -8,7 +8,7 @@ import (
 
 // ID-native execution: batches carry fixed-width term IDs, not rdf.Term
 // structs, and terms materialise late — at the cursor row views, ORDER
-// BY comparators, aggregate evaluation and the shard fan-out boundary.
+// BY comparators and aggregate evaluation.
 // The execDict is the per-evaluation codec behind that: it resolves the
 // engine's uint64 IDs to terms and interns terms the evaluation computes
 // itself (projection expressions, constants, sub-select solutions).
@@ -101,8 +101,8 @@ func (d *execDict) storeID(t rdf.Term) (rdf.ID, bool) {
 }
 
 // appendIDKey appends the fixed-width encoding of one ID to a composite
-// key buffer — the ID-native replacement for appendTermKey in hash
-// join, DISTINCT and grouping keys (8 bytes per variable, unbound = 0).
+// key buffer — hash join, DISTINCT and grouping keys (8 bytes per
+// variable, unbound = 0).
 func appendIDKey(dst []byte, id termID) []byte {
 	return binary.LittleEndian.AppendUint64(dst, uint64(id))
 }

@@ -396,22 +396,6 @@ func (op *joinOp) explain(b *strings.Builder, indent string) {
 	fmt.Fprintf(b, " est=%s\n", formatEst(op.est))
 }
 
-// appendTermKey appends a unique byte encoding of a term without the
-// quoting cost of Term.String. The zero term (unbound) encodes as a lone
-// sentinel byte.
-func appendTermKey(dst []byte, t rdf.Term) []byte {
-	if t.IsZero() {
-		return append(dst, 0x00)
-	}
-	dst = append(dst, byte('1'+t.Kind))
-	dst = append(dst, t.Value...)
-	dst = append(dst, 0x00)
-	dst = append(dst, t.Datatype...)
-	dst = append(dst, 0x00)
-	dst = append(dst, t.Lang...)
-	return dst
-}
-
 // filterOp keeps the rows satisfying a FILTER condition; evaluation
 // errors drop the row, per SPARQL semantics. The filter runs a tight
 // loop over the batch, compacting its selection vector in place — rows
@@ -1197,9 +1181,7 @@ func (it *orderIter) after(keys []Value, seq, j int) bool {
 // drain pulls the input to exhaustion. Without a bound every row is
 // kept; with topK the kept slots form a max-heap under after — the root
 // is the worst kept row — so a new row either replaces the root or is
-// dropped: O(n log k) comparisons, O(k) memory. That is also the
-// per-shard pre-merge truncation of the sharded store's ordered merge.
-// It returns the heap.
+// dropped: O(n log k) comparisons, O(k) memory. It returns the heap.
 func (it *orderIter) drain() ([]int32, error) {
 	k := it.op.topK
 	var heap []int32 // topK: kept slots, worst at the root

@@ -168,7 +168,7 @@ func (p *selectPlan) explain(b *strings.Builder, indent string) {
 // row (OPTIONAL and UNION), and plans that are always fully drained
 // (update WHERE clauses, see PlanUpdate).
 func (p *planner) planSelect(q *SelectQuery, buffered bool) *selectPlan {
-	grouped := len(q.GroupBy) > 0 || len(q.Having) > 0 || projectionHasAggregates(q)
+	grouped := IsGrouped(q)
 	pushed := !grouped && !q.Distinct && len(q.OrderBy) == 0 && !q.Star
 
 	// A pushed LIMIT below batchSizeMin bounds the rows the pipeline

@@ -78,6 +78,23 @@ func (e *Evaluator) CompileCached(src string, ns *rdf.Namespaces, cache *PlanCac
 	return c, nil
 }
 
+// CompileASTCached returns the cached plan for key at gen, or compiles q
+// against this evaluator's source and stores it. Unlike CompileCached
+// the query is already parsed, so key must identify both the text and
+// the source the plan is made for. cache may be nil.
+func (e *Evaluator) CompileASTCached(key string, gen uint64, cache *PlanCache, q *Query) *Compiled {
+	if cache != nil {
+		if c, ok := cache.get(key, gen); ok {
+			return c
+		}
+	}
+	c := e.Compile(q)
+	if cache != nil && (c.sel != nil || c.ask != nil) {
+		cache.put(key, gen, c)
+	}
+	return c
+}
+
 // RunCompiled opens a cursor over a compiled SELECT.
 func (e *Evaluator) RunCompiled(c *Compiled) (Cursor, error) {
 	if c.sel == nil {

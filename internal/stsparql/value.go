@@ -102,6 +102,12 @@ func termToValue(t rdf.Term, cache *geomCache) Value {
 	}
 }
 
+// ParseDateTime parses the ISO dateTime forms appearing in the
+// datasets — the engine's literal parsing, exported so the store's
+// routing and window pruning accept exactly the forms the evaluator
+// compares.
+func ParseDateTime(s string) (time.Time, bool) { return parseDateTime(s) }
+
 // parseDateTime accepts the ISO forms appearing in the datasets. The
 // layout is dispatched on the literal's length first: this runs per row
 // under filter evaluation, and every failed time.Parse attempt

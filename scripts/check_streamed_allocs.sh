@@ -2,10 +2,9 @@
 # Allocation gates. For the batch execution engine: fails when a gated
 # benchmark allocates more than its committed allocs/op baseline times a
 # factor — 1.5x for the streamed select, 1.1x for the rest. Every gate
-# runs at GOMAXPROCS 1: the shard benchmarks fan out to goroutines, and
-# only one P makes their channel waits — and the runtime's allocations
-# for them — repeat, so allocs/op is exact even at the CI smoke
-# benchtime; a regression means a per-row allocation crept back.
+# runs at GOMAXPROCS 1, so the runtime's own allocations repeat and
+# allocs/op is exact even at the CI smoke benchtime; a regression means
+# a per-row allocation crept back.
 #
 # Gated benchmarks:
 #   BenchmarkStreamedSelect/full/streamed (internal/strabon) — the
@@ -19,12 +18,13 @@
 #     query: the store every program runs by default, which skips
 #     routing and evaluates once over the union view.
 #   BenchmarkShardedQueries/sharded4 (internal/shard) — the same join
-#     fanned out over composite static+slice views: what the serving
-#     stack runs. A jump here means a composite source left ID space
-#     (an intern or a closure per scanned triple).
+#     on four slices, its window pruned to one: one evaluation over the
+#     composite view of the static member and that slice, what the
+#     serving stack runs. A jump here means a composite source left ID
+#     space (an intern or a closure per scanned triple).
 #   BenchmarkOrderedWindowJoin (internal/shard) — the heavy cold request:
-#     a new four-slice window join with ORDER BY, through the order
-#     operator and the ordered merge.
+#     a new window join with ORDER BY over all four slices, one
+#     evaluation over the five-member view through the order operator.
 #   BenchmarkPreparedGroupedSelect (internal/stsparql) — a prepared
 #     grouped SELECT over a seed row, shaped like the refinement's Time
 #     Persistence query: seed encoding, the aggregate operator (member
