@@ -8,6 +8,8 @@ package array
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 )
 
 // Dense is a two-dimensional array of float64 cells. The x dimension is
@@ -36,6 +38,13 @@ func NewWithOrigin(x0, y0, w, h int) *Dense {
 	return a
 }
 
+// FromValues wraps row-major w×h cells whose dimensions start at
+// (x0, y0) as an array, adopting vals and valid (nil = fully valid),
+// which must hold w·h cells, rather than copying them.
+func FromValues(x0, y0, w, h int, vals []float64, valid []bool) *Dense {
+	return &Dense{x0: x0, y0: y0, w: w, h: h, vals: vals, valid: valid}
+}
+
 // Width returns the x extent.
 func (a *Dense) Width() int { return a.w }
 
@@ -51,6 +60,10 @@ func (a *Dense) Len() int { return a.w * a.h }
 // Values exposes the underlying row-major cell slice. Mutating it mutates
 // the array; kernels use it to avoid per-cell bounds checks.
 func (a *Dense) Values() []float64 { return a.vals }
+
+// Validity exposes the row-major validity mask, nil when every cell is
+// valid. Like Values it is the array's own slice.
+func (a *Dense) Validity() []bool { return a.valid }
 
 // contains reports whether dimension coordinates are in range.
 func (a *Dense) contains(x, y int) bool {
@@ -197,24 +210,56 @@ func (a *Dense) Summary() Stats {
 // coordinates, and the value is bilinearly interpolated. Cells mapping
 // outside the source are invalidated. This is the georeferencing kernel.
 func (a *Dense) Resample(w, h int, inv func(dx, dy int) (sx, sy float64)) *Dense {
-	out := New(w, h)
-	out.valid = make([]bool, w*h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			sx, sy := inv(x, y)
-			fx, fy := sx-float64(a.x0), sy-float64(a.y0)
-			ix, iy := int(math.Floor(fx)), int(math.Floor(fy))
-			if ix < 0 || iy < 0 || ix >= a.w-1 || iy >= a.h-1 {
-				continue
-			}
-			tx, ty := fx-float64(ix), fy-float64(iy)
-			v00 := a.vals[iy*a.w+ix]
-			v10 := a.vals[iy*a.w+ix+1]
-			v01 := a.vals[(iy+1)*a.w+ix]
-			v11 := a.vals[(iy+1)*a.w+ix+1]
-			out.vals[y*w+x] = v00*(1-tx)*(1-ty) + v10*tx*(1-ty) + v01*(1-tx)*ty + v11*tx*ty
-			out.valid[y*w+x] = true
+	return ResampleAll([]*Dense{a}, w, h, 1, inv)[0]
+}
+
+// ResampleAll resamples every source onto the w×h grid like Resample,
+// calling inv once per destination cell for all of them; parts
+// goroutines each take a band of the destination rows.
+func ResampleAll(srcs []*Dense, w, h, parts int, inv func(dx, dy int) (sx, sy float64)) []*Dense {
+	outs := make([]*Dense, len(srcs))
+	for i := range outs {
+		outs[i] = New(w, h)
+		outs[i].valid = make([]bool, w*h)
+	}
+	var wg sync.WaitGroup
+	for p := 1; p < parts; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resampleRows(srcs, outs, h*p/parts, h*(p+1)/parts, inv)
+		}()
+	}
+	resampleRows(srcs, outs, 0, h/max(parts, 1), inv)
+	wg.Wait()
+	for _, o := range outs {
+		if !slices.Contains(o.valid, false) {
+			o.valid = nil // every cell mapped inside its source
 		}
 	}
-	return out
+	return outs
+}
+
+// resampleRows fills rows [y0, y1) of each outs[i] from srcs[i].
+func resampleRows(srcs, outs []*Dense, y0, y1 int, inv func(dx, dy int) (sx, sy float64)) {
+	w := outs[0].w
+	for y := y0; y < y1; y++ {
+		for x := 0; x < w; x++ {
+			sx, sy := inv(x, y)
+			for i, a := range srcs {
+				fx, fy := sx-float64(a.x0), sy-float64(a.y0)
+				ix, iy := int(math.Floor(fx)), int(math.Floor(fy))
+				if ix < 0 || iy < 0 || ix >= a.w-1 || iy >= a.h-1 {
+					continue
+				}
+				tx, ty := fx-float64(ix), fy-float64(iy)
+				v00 := a.vals[iy*a.w+ix]
+				v10 := a.vals[iy*a.w+ix+1]
+				v01 := a.vals[(iy+1)*a.w+ix]
+				v11 := a.vals[(iy+1)*a.w+ix+1]
+				outs[i].vals[y*w+x] = v00*(1-tx)*(1-ty) + v10*tx*(1-ty) + v01*(1-tx)*ty + v11*tx*ty
+				outs[i].valid[y*w+x] = true
+			}
+		}
+	}
 }

@@ -18,6 +18,18 @@ type WindowSpec struct {
 // which must hold (w+1)·(h+1) cells. dst may be src: the table holds
 // every cell before the first is written.
 func WindowSum(dst, sat, src []float64, w, h int, spec WindowSpec) {
+	windowSums(dst, sat, src, w, h, spec, false)
+}
+
+// WindowAvg is WindowSum divided by the window population; like it, dst
+// may be src.
+func WindowAvg(dst, sat, src []float64, w, h int, spec WindowSpec) {
+	windowSums(dst, sat, src, w, h, spec, true)
+}
+
+// windowSums is WindowSum, each sum divided by its window's population
+// when avg is set.
+func windowSums(dst, sat, src []float64, w, h int, spec WindowSpec, avg bool) {
 	summedAreaTable(sat, src, w, h)
 	w1 := w + 1
 	for y := 0; y < h; y++ {
@@ -30,8 +42,12 @@ func WindowSum(dst, sat, src []float64, w, h int, spec WindowSpec) {
 				dst[y*w+x] = 0
 				continue
 			}
-			dst[y*w+x] = sat[(y1+1)*w1+(x1+1)] - sat[y0*w1+(x1+1)] -
+			sum := sat[(y1+1)*w1+(x1+1)] - sat[y0*w1+(x1+1)] -
 				sat[(y1+1)*w1+x0] + sat[y0*w1+x0]
+			if avg {
+				sum /= float64((x1 - x0 + 1) * (y1 - y0 + 1))
+			}
+			dst[y*w+x] = sum
 		}
 	}
 }
@@ -51,37 +67,12 @@ func summedAreaTable(sat, src []float64, w, h int) {
 	}
 }
 
-// windowPopulation is the clamped population of the window at (x, y).
-func windowPopulation(x, y, w, h int, spec WindowSpec) int {
-	ny := min(y+spec.YHi-1, h-1) - max(y+spec.YLo, 0) + 1
-	if ny < 0 {
-		ny = 0
-	}
-	nx := min(x+spec.XHi-1, w-1) - max(x+spec.XLo, 0) + 1
-	if nx < 0 {
-		nx = 0
-	}
-	return nx * ny
-}
-
 // WindowCount writes the clamped population of the window per cell.
 func WindowCount(dst []float64, w, h int, spec WindowSpec) {
 	for y := 0; y < h; y++ {
+		ny := max(min(y+spec.YHi-1, h-1)-max(y+spec.YLo, 0)+1, 0)
 		for x := 0; x < w; x++ {
-			dst[y*w+x] = float64(windowPopulation(x, y, w, h, spec))
-		}
-	}
-}
-
-// WindowAvg is WindowSum divided by the window population; like it, dst
-// may be src.
-func WindowAvg(dst, sat, src []float64, w, h int, spec WindowSpec) {
-	WindowSum(dst, sat, src, w, h, spec)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if n := float64(windowPopulation(x, y, w, h, spec)); n > 0 {
-				dst[y*w+x] /= n
-			}
+			dst[y*w+x] = float64(ny * max(min(x+spec.XHi-1, w-1)-max(x+spec.XLo, 0)+1, 0))
 		}
 	}
 }

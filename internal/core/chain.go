@@ -57,10 +57,16 @@ func cropWindow(tr georef.Transform) (x0, x1, y0, y1 int) {
 
 // regionThresholds picks the acquisition's threshold set from the solar
 // zenith angle at the region centre (both chains share this policy so
-// Table 1/2 compare like with like).
-func regionThresholds(tr georef.Transform, at time.Time) detect.Thresholds {
+// Table 1/2 compare like with like) and binds it to the Figure 4 query's
+// parameters — the paper's "common small changes, such as changing
+// threshold values, are as easy as changing a few tuples".
+func regionThresholds(tr georef.Transform, at time.Time) map[string]float64 {
 	lon, lat := tr.PixelToGeo(tr.DstWidth/2, tr.DstHeight/2)
-	return detect.ForZenith(solar.ZenithAngle(at, lon, lat))
+	th := detect.ForZenith(solar.ZenithAngle(at, lon, lat))
+	return map[string]float64{
+		"t039": th.T039, "diff_fire": th.DiffFire, "diff_potential": th.DiffPotential,
+		"std039_fire": th.Std039Fire, "std039_pot": th.Std039Pot, "std108_max": th.Std108Max,
+	}
 }
 
 // SciQLChain is the TELEIOS chain: vault ingestion plus the Figure 4
@@ -75,30 +81,33 @@ type SciQLChain struct {
 	Engine    *sciql.Engine
 	Transform georef.Transform
 	ChainName string
+
+	classify sciql.Stmt // Figure 4, parsed once
 }
 
 // NewSciQLChain wires a chain over a vault and scan geometry.
 func NewSciQLChain(v *vault.Vault, tr georef.Transform) *SciQLChain {
 	e := sciql.NewEngine()
 	v.Register(e)
-	return &SciQLChain{Vault: v, Engine: e, Transform: tr, ChainName: "sciql"}
+	classify, err := sciql.ParseStmt(classificationQuery)
+	if err != nil {
+		panic(fmt.Sprintf("core: Figure 4 does not parse: %v", err))
+	}
+	return &SciQLChain{Vault: v, Engine: e, Transform: tr, ChainName: "sciql", classify: classify}
 }
 
 // Name implements Chain.
 func (c *SciQLChain) Name() string { return c.ChainName }
 
-// classificationQuery renders the Figure 4 query with the acquisition's
-// threshold set substituted — the paper's "common small changes, such as
-// changing threshold values, are as easy as changing a few tuples".
-func classificationQuery(th detect.Thresholds) string {
-	return fmt.Sprintf(`
+// classificationQuery is the Figure 4 query, its thresholds parameters.
+const classificationQuery = `
 SELECT [x], [y],
 CASE
- WHEN v039 > %g AND v039 - v108 > %g AND v039_std_dev > %g AND
-      v108_std_dev < %g
+ WHEN v039 > :t039 AND v039 - v108 > :diff_fire AND v039_std_dev > :std039_fire AND
+      v108_std_dev < :std108_max
  THEN 2
- WHEN v039 > %g AND v039 - v108 > %g AND v039_std_dev > %g AND
-      v108_std_dev < %g
+ WHEN v039 > :t039 AND v039 - v108 > :diff_potential AND v039_std_dev > :std039_pot AND
+      v108_std_dev < :std108_max
  THEN 1
  ELSE 0
 END AS confidence
@@ -118,25 +127,18 @@ FROM (
   ) AS image_array
   GROUP BY image_array[x-1:x+2][y-1:y+2]
  ) AS tmp1
-) AS tmp2`,
-		th.T039, th.DiffFire, th.Std039Fire, th.Std108Max,
-		th.T039, th.DiffPotential, th.Std039Pot, th.Std108Max)
-}
+) AS tmp2`
 
 // Process implements Chain.
 func (c *SciQLChain) Process(sensor string, at time.Time) (*products.Product, error) {
 	x0, x1, y0, y1 := cropWindow(c.Transform)
 
 	// Stage 1 (SciQL): lazy vault load + crop by range query. The two
-	// channels decode concurrently, and the solar/threshold prep for
-	// stage 3 overlaps with them: these are the independent per-
+	// channels decode concurrently: these are the independent per-
 	// acquisition stages of the real-time budget. The concurrent Execs
 	// only read the engine catalog (their FROM is a table function), so
 	// they are safe against each other; catalog mutation resumes after
 	// the join.
-	thCh := make(chan detect.Thresholds, 1)
-	go func() { thCh <- regionThresholds(c.Transform, at) }()
-
 	channels := []string{hrit.ChannelIR039, hrit.ChannelIR108}
 	cropped := make([]*array.Dense, len(channels))
 	errs := make([]error, len(channels))
@@ -168,21 +170,14 @@ func (c *SciQLChain) Process(sensor string, at time.Time) (*products.Product, er
 	}
 
 	// Stage 2 (array kernel): georeference with the precalculated
-	// polynomial, one kernel per channel in parallel.
-	var geo039, geo108 *array.Dense
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		geo039 = c.Transform.Apply(cropped[0])
-	}()
-	geo108 = c.Transform.Apply(cropped[1])
-	wg.Wait()
-	c.Engine.RegisterArray("hrit_T039_image_array", geo039, "v")
-	c.Engine.RegisterArray("hrit_T108_image_array", geo108, "v")
+	// polynomial, both channels at once, two goroutines splitting the
+	// destination rows.
+	geo := c.Transform.ApplyAll(2, cropped...)
+	c.Engine.RegisterArray("hrit_T039_image_array", geo[0], "v")
+	c.Engine.RegisterArray("hrit_T108_image_array", geo[1], "v")
 
 	// Stage 3 (SciQL): the Figure 4 classification query.
-	th := <-thCh
-	frame, err := c.Engine.Exec(classificationQuery(th))
+	frame, err := c.Engine.ExecParams(c.classify, regionThresholds(c.Transform, at))
 	if err != nil {
 		return nil, fmt.Errorf("core: sciql classify: %w", err)
 	}

@@ -49,8 +49,17 @@ func (t Transform) GeoToPixel(lon, lat float64) (x, y int) {
 // interpolation. Destination cells mapping outside the source become
 // invalid.
 func (t Transform) Apply(src *array.Dense) *array.Dense {
-	return src.Resample(t.DstWidth, t.DstHeight, func(dx, dy int) (float64, float64) {
-		u, v := float64(dx), float64(dy)
-		return t.SrcX.Eval(u, v), t.SrcY.Eval(u, v)
-	})
+	return src.Resample(t.DstWidth, t.DstHeight, t.inverse)
+}
+
+// ApplyAll resamples the channels of one scan like Apply, evaluating the
+// polynomials once per pixel for all; parts goroutines split the rows.
+func (t Transform) ApplyAll(parts int, srcs ...*array.Dense) []*array.Dense {
+	return array.ResampleAll(srcs, t.DstWidth, t.DstHeight, parts, t.inverse)
+}
+
+// inverse maps a destination pixel to its source coordinates.
+func (t Transform) inverse(dx, dy int) (float64, float64) {
+	u, v := float64(dx), float64(dy)
+	return t.SrcX.Eval(u, v), t.SrcY.Eval(u, v)
 }

@@ -27,6 +27,9 @@ type set[K ID | uint64] struct {
 // IDSet is a set of IDs: the subjects of one (predicate, object) pair.
 type IDSet = set[ID]
 
+// SortedIDSet is the set of ids, which must be sorted and distinct.
+func SortedIDSet(ids []ID) IDSet { return IDSet{sorted: ids} }
+
 // Len reports the number of elements.
 func (st set[K]) Len() int {
 	if st.big != nil {

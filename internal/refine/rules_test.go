@@ -2,11 +2,15 @@ package refine
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/auxdata"
+	"repro/internal/geom"
 	"repro/internal/ontology"
+	"repro/internal/products"
 	"repro/internal/rdf"
 	"repro/internal/strabon"
 	"repro/internal/stsparql"
@@ -84,6 +88,34 @@ func TestRulePlansAreDeltaDriven(t *testing.T) {
 	if first := strings.TrimSpace(strings.Split(confirm, "\n")[3]); !strings.HasPrefix(first, "join[window] {?p ") &&
 		!strings.HasPrefix(first, "scan[time-range] {?p ") {
 		t.Fatalf("confirm: the sub-select opens with neither access path:\n%s", confirm)
+	}
+	// Over an hour of detections around the fresh pixel the confirm join
+	// opens with the R-tree window, which checks the class, the seeded
+	// chain and the seed's hour on each candidate before staging it.
+	hist := strabon.New()
+	hist.LoadTriples(auxdata.Generate(42).AllTriples())
+	at := time.Date(2007, 8, 24, 11, 0, 0, 0, time.UTC)
+	for i := 0; i < 400; i++ {
+		h := products.Hotspot{ID: fmt.Sprint("hist", i), Geometry: geom.NewSquare(22.3+0.04*float64(i%20), 38.3+0.04*float64(i/20), 0.04),
+			AcquiredAt: at.Add(time.Duration(i%12) * 5 * time.Minute), Sensor: "MSG1", Chain: "sciql", Producer: "noa"}
+		hist.InsertAll(h.Triples())
+	}
+	histRules, err := NewRunner(hist).compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = hist.ApplyFlush(strabon.Flush{Since: at, At: []time.Time{at.Add(time.Hour)}}, func(tx *strabon.FlushTx) error {
+		h, pixel, window := seedTerms()
+		_, err := tx.Plan(histRules.confirm, []stsparql.Row{append(stsparql.Row{h, pixel}, window...)})
+		return err
+	})
+	if err != nil {
+		t.Fatalf("confirm: %v", err)
+	}
+	confirm = histRules.confirm.Explain(ev)
+	if first := strings.TrimSpace(strings.Split(confirm, "\n")[3]); !strings.HasPrefix(first, "join[window class=<"+ontology.ClassHotspot+"> <"+
+		ontology.PropProcessingChain+">=?chain time=[?since, ?now]] {?p ") {
+		t.Fatalf("confirm over a history: the sub-select does not open with the filtered window:\n%s", confirm)
 	}
 	persistent := rules.persistent.Explain(ev)
 	if first := strings.Split(persistent, "\n")[1]; !strings.HasPrefix(first, "  scan[time-range] {?h ") ||

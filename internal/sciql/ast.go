@@ -126,6 +126,12 @@ type NumLit struct{ V float64 }
 
 func (*NumLit) expr() {}
 
+// ParamRef is a named parameter (":t039"), bound to a value when the
+// statement runs (Engine.ExecParams).
+type ParamRef struct{ Name string }
+
+func (*ParamRef) expr() {}
+
 // ColRef references a value column, optionally qualified ("T039.v").
 type ColRef struct {
 	Qualifier string

@@ -67,7 +67,11 @@ func (e *Engine) Exec(src string) (*Frame, error) {
 }
 
 // ExecStmt executes a parsed statement.
-func (e *Engine) ExecStmt(stmt Stmt) (*Frame, error) {
+func (e *Engine) ExecStmt(stmt Stmt) (*Frame, error) { return e.ExecParams(stmt, nil) }
+
+// ExecParams executes a parsed statement with its :name parameters bound
+// to params: a statement parsed once runs with new values each time.
+func (e *Engine) ExecParams(stmt Stmt, params map[string]float64) (*Frame, error) {
 	switch s := stmt.(type) {
 	case *CreateArray:
 		return nil, e.createArray(s)
@@ -81,13 +85,13 @@ func (e *Engine) ExecStmt(stmt Stmt) (*Frame, error) {
 	case *InsertValues:
 		return nil, e.insertValues(s)
 	case *InsertSelect:
-		f, err := e.newEvaluator().result(s.Sel)
+		f, err := e.newEvaluator(params).result(s.Sel)
 		if err != nil {
 			return nil, err
 		}
 		return nil, e.storeInto(s.Name, f)
 	case *Select:
-		return e.newEvaluator().result(s)
+		return e.newEvaluator(params).result(s)
 	default:
 		return nil, fmt.Errorf("sciql: unsupported statement %T", stmt)
 	}
@@ -145,6 +149,10 @@ func (e *Engine) insertValues(s *InsertValues) error {
 		f = nf
 		e.arrays[s.Name] = f
 	}
+	if f.adopted { // the cells are a registered array's: write a copy
+		f = &Frame{X0: f.X0, Y0: f.Y0, W: f.W, H: f.H, valid: f.valid, cols: []Column{{Name: f.cols[0].Name, Data: slices.Clone(f.cols[0].Data)}}}
+		e.arrays[s.Name] = f
+	}
 	for _, row := range s.Rows {
 		x, y := int(row[0]), int(row[1])
 		if x < f.X0 || x >= f.X0+f.W || y < f.Y0 || y >= f.Y0+f.H {
@@ -185,13 +193,14 @@ func (e *Engine) storeInto(name string, f *Frame) error {
 // comment): it owns the columns it computes, recycles them through its
 // free list, and dies with the statement.
 type evaluator struct {
-	e     *Engine
-	free  [][]float64
-	owned map[*float64]bool // buffers handed out and not yet released
+	e      *Engine
+	params map[string]float64
+	free   [][]float64
+	owned  map[*float64]bool // buffers handed out and not yet released
 }
 
-func (e *Engine) newEvaluator() *evaluator {
-	return &evaluator{e: e, owned: make(map[*float64]bool)}
+func (e *Engine) newEvaluator(params map[string]float64) *evaluator {
+	return &evaluator{e: e, params: params, owned: make(map[*float64]bool)}
 }
 
 // key identifies a buffer by its first cell; empty buffers are never
@@ -237,15 +246,16 @@ func (ev *evaluator) release(buf []float64) {
 }
 
 // result evaluates a statement's top-level SELECT. Its frame outlives the
-// statement, so columns it shares with the catalog or a table function
-// are copied out.
+// statement and owns its columns, so columns it shares with the catalog,
+// a table function or another of its columns are copied out.
 func (ev *evaluator) result(s *Select) (*Frame, error) {
 	f, err := ev.evalSelect(s)
 	if err != nil {
 		return nil, err
 	}
 	for i, c := range f.cols {
-		if k := key(c.Data); k != nil && !ev.owned[k] {
+		k := key(c.Data)
+		if k != nil && (!ev.owned[k] || slices.ContainsFunc(f.cols[:i], func(o Column) bool { return key(o.Data) == k })) {
 			f.cols[i].Data = append([]float64(nil), c.Data...)
 		}
 	}
@@ -633,6 +643,12 @@ func (ev *evaluator) eval(f *Frame, expr Expr, win *GroupSpec) (operand, error) 
 	switch v := expr.(type) {
 	case *NumLit:
 		return scalar(v.V), nil
+	case *ParamRef:
+		p, ok := ev.params[v.Name]
+		if !ok {
+			return operand{}, fmt.Errorf("sciql: parameter :%s is not bound", v.Name)
+		}
+		return scalar(p), nil
 	case *ColRef:
 		col, err := f.Resolve(v.Qualifier, v.Name)
 		return operand{col: col}, err

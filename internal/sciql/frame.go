@@ -2,6 +2,7 @@ package sciql
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/array"
 )
@@ -11,10 +12,11 @@ import (
 // Frame with the declared value columns; subquery results are Frames with
 // computed columns.
 type Frame struct {
-	X0, Y0 int // dimension origin
-	W, H   int
-	cols   []Column
-	valid  []bool // nil = fully valid
+	X0, Y0  int // dimension origin
+	W, H    int
+	cols    []Column
+	valid   []bool // nil = fully valid; never written in place
+	adopted bool   // over a Dense's own cells (FromDense): read only
 }
 
 // Column is one named value column, optionally qualified by the alias of
@@ -91,36 +93,20 @@ func (f *Frame) MaskInvalid(mask []float64) {
 	f.valid = valid
 }
 
-// FromDense wraps a storage array as a single-column frame.
+// FromDense wraps a storage array as a single-column frame over its own
+// values and validity, read-only: the evaluator writes only columns it
+// computed, and its result copies out every column it does not own.
 func FromDense(d *array.Dense, colName string) *Frame {
 	x0, y0 := d.Origin()
 	f := NewFrame(x0, y0, d.Width(), d.Height())
-	f.cols = []Column{{Name: colName, Data: append([]float64(nil), d.Values()...)}}
-	f.valid = denseValidity(d)
+	f.cols = []Column{{Name: colName, Data: d.Values()}}
+	f.valid, f.adopted = d.Validity(), true
 	return f
 }
 
-func denseValidity(d *array.Dense) []bool {
-	x0, y0 := d.Origin()
-	any := false
-	out := make([]bool, d.Len())
-	for y := 0; y < d.Height(); y++ {
-		for x := 0; x < d.Width(); x++ {
-			v := d.Valid(x0+x, y0+y)
-			out[y*d.Width()+x] = v
-			if !v {
-				any = true
-			}
-		}
-	}
-	if !any {
-		return nil
-	}
-	return out
-}
-
 // Dense extracts a column as a storage array. With a single column the
-// name may be empty.
+// name may be empty. The array takes the cells over unless the frame
+// adopted them (FromDense), and gets its own copy of the validity.
 func (f *Frame) Dense(colName string) (*array.Dense, error) {
 	var data []float64
 	switch {
@@ -135,16 +121,8 @@ func (f *Frame) Dense(colName string) (*array.Dense, error) {
 			return nil, err
 		}
 	}
-	d := array.NewWithOrigin(f.X0, f.Y0, f.W, f.H)
-	copy(d.Values(), data)
-	if f.valid != nil {
-		for y := 0; y < f.H; y++ {
-			for x := 0; x < f.W; x++ {
-				if !f.valid[y*f.W+x] {
-					d.Invalidate(f.X0+x, f.Y0+y)
-				}
-			}
-		}
+	if f.adopted {
+		data = slices.Clone(data)
 	}
-	return d, nil
+	return array.FromValues(f.X0, f.Y0, f.W, f.H, data, slices.Clone(f.valid)), nil
 }

@@ -8,7 +8,8 @@
 // An expression evaluates to a column or a broadcast scalar. Columns are
 // temporaries of their statement — an operator writes into one its
 // operands released, a subquery's unprojected columns are recycled — and
-// none outlives Exec; catalog arrays are shared read-only, never cloned.
+// none outlives Exec; input arrays are adopted read-only, never cloned,
+// and ":name" parameters are bound per run (Engine.ExecParams).
 // oracle_test.go holds this to the allocating evaluator, bit for bit.
 package sciql
 

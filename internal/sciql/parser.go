@@ -647,6 +647,10 @@ func (p *sparser) primary() (Expr, error) {
 			}
 			return e, nil
 		}
+		if t.text == ":" && p.peekAt(1).kind == tIdent {
+			p.advance()
+			return &ParamRef{Name: p.advance().text}, nil
+		}
 		if t.text == "[" {
 			// Dimension reference in expression position.
 			p.advance()

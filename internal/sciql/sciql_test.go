@@ -2,6 +2,8 @@ package sciql
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/array"
@@ -432,5 +434,120 @@ func TestScalarFunctions(t *testing.T) {
 	}
 	if get("a") != 9 || get("s") != 3 || get("p") != 8 || get("fl") != 1 {
 		t.Fatalf("scalar results: %g %g %g %g", get("a"), get("s"), get("p"), get("fl"))
+	}
+}
+
+// TestAdoptedArraysStayUntouched: a catalog array and a table function's
+// array are adopted, not copied, so nothing a statement does may write
+// them — neither Figure 4 over both, nor a WHERE residual masking cells,
+// nor a caller mutating an array a result handed over, nor an INSERT
+// into the registered name. Values and validity must stay bit-identical.
+func TestAdoptedArraysStayUntouched(t *testing.T) {
+	image := func(seed float64) *array.Dense {
+		d := array.NewWithOrigin(3, 5, 12, 9)
+		for i := range d.Values() {
+			d.Values()[i] = 290 + math.Mod(float64(i)*seed, 37)
+		}
+		d.Invalidate(4, 6)
+		d.Invalidate(10, 12)
+		return d
+	}
+	registered, returned := image(7.3), image(11.9)
+	want := []*array.Dense{registered.Clone(), returned.Clone()}
+	e := NewEngine()
+	e.RegisterArray("hrit_T039_image_array", registered, "v")
+	e.RegisterFunc("load108", func([]string) (*Frame, error) { return FromDense(returned, "v"), nil })
+	unchanged := func(when string) {
+		t.Helper()
+		for i, d := range []*array.Dense{registered, returned} {
+			if !slices.EqualFunc(d.Values(), want[i].Values(), func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) ||
+				!slices.Equal(d.Validity(), want[i].Validity()) {
+				t.Fatalf("%s: adopted array %d changed", when, i)
+			}
+		}
+	}
+
+	mustExec(t, e, strings.Replace(figure4Query, "hrit_T108_image_array AS T108", "load108('x') AS T108", 1))
+	unchanged("Figure 4")
+	for _, src := range []string{"hrit_T039_image_array AS a", "load108('x') AS a"} {
+		f := mustExec(t, e, `SELECT [x], [y], v * 2 AS w, v FROM `+src+` WHERE v > 300 AND x >= 4`)
+		unchanged("a masking WHERE over " + src)
+		for _, col := range []string{"v", "w"} {
+			d, err := f.Dense(col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Invalidate(5, 7)
+			d.Values()[0] = -1
+			unchanged("mutating the handed-over " + col + " of " + src)
+		}
+	}
+	twice := mustExec(t, e, `SELECT [x], [y], w AS p, w AS q FROM (SELECT [x], [y], v * 2 AS w FROM hrit_T039_image_array) AS s`)
+	p, err := twice.Dense("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := twice.Dense("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Values()[0] = -1; q.Values()[0] == -1 {
+		t.Fatal("two result columns of one computed column share their cells")
+	}
+	d, err := FromDense(registered, "v").Dense("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Values()[1] = -1
+	d.Invalidate(3, 5)
+	unchanged("mutating the Dense of an adopting frame")
+	mustExec(t, e, `INSERT INTO hrit_T039_image_array VALUES (3, 5, -1)`)
+	unchanged("an INSERT into the registered array")
+	if got := mustExec(t, e, `SELECT v FROM hrit_T039_image_array`); mustDense(t, got).Get(3, 5) != -1 {
+		t.Fatal("the INSERT did not reach the catalog")
+	}
+}
+
+func mustDense(t *testing.T, f *Frame) *array.Dense {
+	t.Helper()
+	d, err := f.Dense("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestParamsBindLikeLiterals: Figure 4 parsed once with its thresholds as
+// parameters returns, bound to the paper's values, what the literal text
+// returns, bit for bit; a parameter left unbound is an error.
+func TestParamsBindLikeLiterals(t *testing.T) {
+	e := NewEngine()
+	t039, t108 := array.New(16, 16), array.New(16, 16)
+	for i := range t039.Values() {
+		t039.Values()[i] = 300 + math.Mod(float64(i)*7.7, 45)
+		t108.Values()[i] = 285 + math.Mod(float64(i)*3.1, 12)
+	}
+	e.RegisterArray("hrit_T039_image_array", t039, "v")
+	e.RegisterArray("hrit_T108_image_array", t108, "v")
+	want := mustDense(t, mustExec(t, e, figure4Query))
+	text := strings.NewReplacer("> 310", "> :t", "> 10 ", "> :fire ", "> 8 ", "> :pot ", "> 4 ", "> :sf ", "> 2.5 ", "> :sp ", "< 2", "< :max").Replace(figure4Query)
+	stmt, err := ParseStmt(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]float64{"t": 310, "fire": 10, "pot": 8, "sf": 4, "sp": 2.5, "max": 2}
+	for range 2 {
+		f, err := e.ExecParams(stmt, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := mustDense(t, f)
+		if !slices.Equal(got.Values(), want.Values()) || !slices.Equal(got.Validity(), want.Validity()) {
+			t.Fatal("the bound parameters classify differently from the literals")
+		}
+	}
+	delete(params, "pot")
+	if _, err := e.ExecParams(stmt, params); err == nil || !strings.Contains(err.Error(), ":pot") {
+		t.Fatalf("an unbound parameter ran: %v", err)
 	}
 }

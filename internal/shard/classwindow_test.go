@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/geom"
+	"repro/internal/products"
 	"repro/internal/rdf"
 	"repro/internal/strabon"
 	"repro/internal/stsparql"
@@ -15,8 +17,17 @@ import (
 // classWindowQueries each plan a window join whose BGP types the
 // window's subject: against municipalities (the benchmark's shape, in
 // one slice and across four), against hotspots, against the static
-// coastline only, and inside an OPTIONAL.
+// coastline only, inside an OPTIONAL, and around a constant area for one
+// chain's hotspots of one hour — the confirm rule's class, chain and time
+// filters.
 var classWindowQueries = map[string]string{
+	"chain-hotspots-of-an-hour": `
+SELECT ?h ?at WHERE {
+  ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at ;
+     noa:isFromProcessingChain "test"^^<http://www.w3.org/2001/XMLSchema#string> ; strdf:hasGeometry ?hg .
+  FILTER( str(?at) >= "2007-08-25T11:00:00" && str(?at) < "2007-08-25T12:00:00" )
+  FILTER( strdf:anyInteract(?hg, "POLYGON ((4 0, 10 0, 10 10, 4 10, 4 0))"^^strdf:WKT) )
+}`,
 	"municipality-one-acquisition": corpusQuery("spatial-join-municipality"),
 	"municipality-four-slices":     spatialJoinFourSlices,
 	"hotspots-of-a-municipality": `
@@ -91,6 +102,103 @@ func referenceRows(t *testing.T, src stsparql.StatSource, text string) []string 
 	return renderSorted(res)
 }
 
+// flatWindows serves a window join's capabilities over a flat copy by
+// brute force, so the subject filters run against sets and ranges the
+// store's indexes had no hand in: a window visits every geometry triple
+// (a superset, as SpatialSource allows) and the subject sets are the
+// copy's own. chainBlind widens the set of every (p, o) but rdf:type to
+// all of p's subjects, so a filter such as the seeded chain's passes any
+// subject carrying p. Without the time methods of flatTimes it is
+// time-blind: no time filter resolves.
+type flatWindows struct {
+	*rdf.Store
+	chainBlind bool
+}
+
+func (f flatWindows) MatchGeometryWindowIDs(_ geom.Envelope, visit func(rdf.EncodedTriple) bool) bool {
+	for p := range stsparql.GeometryPredicates {
+		if id, ok := f.Dict().Lookup(iri(p)); ok && !f.MatchIDs(rdf.Wildcard, id, rdf.Wildcard, visit) {
+			return false
+		}
+	}
+	return true
+}
+
+func (f flatWindows) SubjectSets(p, o rdf.ID, dst []rdf.IDSet) []rdf.IDSet {
+	if !f.chainBlind || f.Dict().Decode(p).Value == rdf.RDFType {
+		return append(dst, f.SubjectSet(p, o))
+	}
+	seen := make(map[rdf.ID]bool)
+	f.MatchIDs(rdf.Wildcard, p, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
+		if !seen[t.O] {
+			seen[t.O] = true
+			dst = append(dst, f.SubjectSet(p, t.O))
+		}
+		return true
+	})
+	return dst
+}
+
+// flatTimes adds time ranges to flatWindows: p's triples whose instant
+// lies in the window, when every object of p is a time literal (and a
+// canonical one, for a lexical window).
+type flatTimes struct{ flatWindows }
+
+func (f flatTimes) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {
+	pid, ok := f.Dict().Lookup(p)
+	if !ok {
+		return 0, true
+	}
+	n, served := 0, true
+	f.MatchIDs(rdf.Wildcard, pid, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
+		unix, canonical, ok := stsparql.TimeKey(f.Dict().Decode(t.O))
+		if served = ok && (canonical || !w.Lexical); served && unix >= w.Lo && unix <= w.Hi {
+			n++
+		}
+		return served
+	})
+	return n, served
+}
+
+func (f flatTimes) MatchTimeRangeIDs(p rdf.ID, w stsparql.TimeWindow, visit func(rdf.EncodedTriple) bool) bool {
+	_, served := f.CountTimeRange(f.Dict().Decode(p), w)
+	return f.MatchIDs(rdf.Wildcard, p, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
+		if unix, _, _ := stsparql.TimeKey(f.Dict().Decode(t.O)); served && (unix < w.Lo || unix > w.Hi) {
+			return true
+		}
+		return visit(t)
+	})
+}
+
+// filteredSources are the flat copy behind every combination of subject
+// filters a window scan can run with, by name.
+func filteredSources(flat *rdf.Store) map[string]stsparql.Source {
+	return map[string]stsparql.Source{
+		"all filters": flatTimes{flatWindows{flat, false}},
+		"time-blind":  flatWindows{flat, false},
+		"chain-blind": flatTimes{flatWindows{flat, true}},
+	}
+}
+
+// checkFilteredSources evaluates text over each of filteredSources and
+// compares the rows with want, the capability-free engine's.
+func checkFilteredSources(t *testing.T, flat *rdf.Store, text, where string, want []string) {
+	t.Helper()
+	q, err := stsparql.Parse(text, rdf.NewNamespaces())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range filteredSources(flat) {
+		res, err := selectAll(stsparql.NewEvaluator(src), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderSorted(res); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s over the %s copy: rows differ from the reference's:\n got  %v\n want %v", where, name, got, want)
+		}
+	}
+}
+
 // crossMemberSubject is a municipality whose type triple carries no
 // acquisition time (it lands in the static store) and whose geometry
 // comes in a timestamped group (it lands in a slice): its type and its
@@ -142,6 +250,9 @@ func TestClassWindowMatchesTypeProbe(t *testing.T) {
 			if !strings.Contains(plan, "join[window class=") {
 				t.Fatalf("%s on %s: no class-filtered window in the plan:\n%s", name, tp.name, plan)
 			}
+			if name == "chain-hotspots-of-an-hour" && !strings.Contains(plan, `isFromProcessingChain>="test" time=[2007-08-25T11:00:00, 2007-08-25T12:00:00]] {?h `) {
+				t.Fatalf("%s on %s: the window does not filter by chain and hour:\n%s", name, tp.name, plan)
+			}
 			got, err := runQuery(tp.st, text)
 			if err != nil {
 				t.Fatal(err)
@@ -153,6 +264,7 @@ func TestClassWindowMatchesTypeProbe(t *testing.T) {
 			if len(want) == 0 && name != "optional-coast" {
 				t.Errorf("%s on %s: no rows; the comparison shows nothing", name, tp.name)
 			}
+			checkFilteredSources(t, flat, text, name+" on "+tp.name, want)
 		}
 	}
 	for _, name := range []string{"hotspots-of-a-municipality", "municipality-four-slices"} {
@@ -167,8 +279,10 @@ func TestClassWindowMatchesTypeProbe(t *testing.T) {
 
 	// A flush overlay: the base keeps mun2's type, the flush replaces its
 	// geometry (a clipped one, say) — the new geometry lives in the
-	// overlay's private store, the type in the base. The rules query the
-	// overlay, then discard the flush.
+	// overlay's private store, the type in the base. The same flush
+	// deletes an in-window hotspot of the chain and adds a virtual one
+	// of another chain in the window. The rules query the overlay, then
+	// discard the flush.
 	sh := newSharded(2)
 	loadFixture(sh)
 	swap := `DELETE { <http://example.org/mun2> strdf:hasGeometry ?g }
@@ -180,12 +294,27 @@ WHERE { <http://example.org/mun2> strdf:hasGeometry ?g . }`
 		!flat.Add(rdf.Triple{S: mun2, P: hasGeom, O: rdf.NewGeometry("POLYGON ((10 0, 15 0, 15 7, 10 7, 10 0))")}) {
 		t.Fatal("the reference copy did not take the geometry swap")
 	}
-	prepare := func(src string) *stsparql.Prepared {
-		p, err := stsparql.Prepare(src, sh.Namespaces())
+	prepare := func(src string, seed ...string) *stsparql.Prepared {
+		p, err := stsparql.Prepare(src, sh.Namespaces(), seed...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
+	}
+	gone := fixtureProducts()[7].Hotspots[0]
+	virtual := gone
+	virtual.ID, virtual.Chain, virtual.AcquiredAt = "virtual", "persistence", gone.AcquiredAt.Add(-5*time.Minute)
+	goneID, _ := flat.Dict().Lookup(iri(products.HotspotURI(gone)))
+	var goneTriples []rdf.Triple
+	flat.MatchIDs(goneID, rdf.Wildcard, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
+		goneTriples = append(goneTriples, rdf.Triple{S: flat.Dict().Decode(t.S), P: flat.Dict().Decode(t.P), O: flat.Dict().Decode(t.O)})
+		return true
+	})
+	for _, tr := range goneTriples {
+		flat.Remove(tr)
+	}
+	for _, tr := range virtual.Triples() {
+		flat.Add(tr)
 	}
 	noSeed := []stsparql.Row{{}}
 	f := strabon.Flush{At: []time.Time{day.Add(13 * time.Hour)}, Since: day}
@@ -196,6 +325,14 @@ WHERE { <http://example.org/mun2> strdf:hasGeometry ?g . }`
 		}
 		if st := tx.Apply(plan); st.Deleted != 1 || st.Inserted != 1 {
 			t.Fatalf("the overlay took %+v of the geometry swap", st)
+		}
+		plan, err = tx.Plan(prepare(`DELETE { ?h ?p ?o } WHERE { ?h ?p ?o }`, "h"), []stsparql.Row{{iri(products.HotspotURI(gone))}})
+		if err != nil {
+			return err
+		}
+		plan.Insert(virtual.Triples()...)
+		if st := tx.Apply(plan); st.Deleted != len(goneTriples) || st.Inserted != len(virtual.Triples()) {
+			t.Fatalf("the overlay took %+v of the hotspot swap", st)
 		}
 		for name, text := range classWindowQueries {
 			res, err := tx.Select(prepare(text), noSeed)
@@ -209,6 +346,7 @@ WHERE { <http://example.org/mun2> strdf:hasGeometry ?g . }`
 			if name == "municipality-four-slices" && !strings.Contains(strings.Join(got, "\n"), "m=<http://example.org/mun2>") {
 				t.Errorf("the municipality whose geometry moved into the overlay lost its hotspots:\n%v", got)
 			}
+			checkFilteredSources(t, flat, text, name+" on the overlay", want)
 		}
 		return errDiscard
 	})

@@ -155,8 +155,8 @@ func genLiteral(r *rand.Rand, mixed bool) rdf.Term {
 }
 
 // genHistory builds a small acquisition history: one group per hotspot,
-// each with its acquisition time and, for some, a second dateTime
-// property.
+// each with its acquisition time, place and chain and, for some, a
+// second dateTime property.
 func genHistory(r *rand.Rand, mixed bool) [][]rdf.Triple {
 	groups := make([][]rdf.Triple, 6+r.Intn(10))
 	for i := range groups {
@@ -168,8 +168,22 @@ func genHistory(r *rand.Rand, mixed bool) [][]rdf.Triple {
 		if r.Intn(2) == 0 {
 			groups[i] = append(groups[i], rdf.Triple{S: h, P: iri(nsEx + "observedAt"), O: genLiteral(r, mixed)})
 		}
+		// One of three places and one of two chains, for the seeded
+		// window join of checkSeededWindows.
+		groups[i] = append(groups[i],
+			rdf.Triple{S: h, P: iri(nsStRDF + "hasGeometry"), O: place(i % 3)},
+			rdf.Triple{S: h, P: iri(nsNOA + "isFromProcessingChain"), O: chains[i%4/3]})
 	}
 	return groups
+}
+
+// chains are the processing chains of a generated history: the
+// detections of the first, and the virtual hotspots of the second.
+var chains = []rdf.Term{rdf.NewTypedLiteral("sciql", rdf.XSDString), rdf.NewTypedLiteral("persistence", rdf.XSDString)}
+
+// place is the pixel of the i-th place of a generated history.
+func place(i int) rdf.Term {
+	return rdf.NewGeometry(fmt.Sprintf("POLYGON ((%d 0, %d 0, %d 1, %d 1, %d 0))", 2*i, 2*i+1, 2*i+1, 2*i, 2*i))
 }
 
 // genConst draws a window constant around the history's four hours.
@@ -312,6 +326,13 @@ var seededQueries = []string{
 	`SELECT ?h ?t WHERE { ?h noa:hasAcquisitionDateTime ?t . FILTER( ?since <= str(?t) ) FILTER( ?now > str(?t) ) }`,
 }
 
+// seededWindowJoin is the confirm rule's sub-select: one chain's
+// detections of the seed's window around the seed's pixel. It plans as
+// an R-tree window filtered by class, chain and time.
+const seededWindowJoin = `SELECT ?p ?t WHERE {
+  ?p a noa:Hotspot ; noa:hasAcquisitionDateTime ?t ; noa:isFromProcessingChain ?chain ; strdf:hasGeometry ?g .
+  FILTER( str(?t) >= ?since ) FILTER( str(?t) < ?now ) FILTER( strdf:anyInteract(?g, ?pixel) ) }`
+
 // genSeedWindow draws the seed of one window: canonical plain bounds
 // (lexical), typed ones (chronological), a zoned plain bound (which
 // bounds nothing), or since after now (empty). The row binds ?since
@@ -354,11 +375,20 @@ func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Tri
 	added := []rdf.Triple{
 		{S: born, P: iri(rdf.RDFType), O: iri(nsNOA + "Hotspot")},
 		{S: born, P: iri(nsNOA + "hasAcquisitionDateTime"), O: rdf.NewDateTime(day.Add(11*time.Hour + time.Duration(r.Intn(120))*time.Minute).Format("2006-01-02T15:04:05"))},
+		{S: born, P: iri(nsStRDF + "hasGeometry"), O: place(0)},
+		{S: born, P: iri(nsNOA + "isFromProcessingChain"), O: chains[1]},
 	}
 	seeds := make([]stsparql.Row, 6)
 	for i := range seeds {
 		seeds[i] = genSeedWindow(r)
 	}
+	// The window join's seeds: each window, with the detections' chain
+	// and one of the places.
+	joinSeeds := make([]stsparql.Row, len(seeds))
+	for i, sd := range seeds {
+		joinSeeds[i] = append(sd.Clone(), chains[0], place(i%3))
+	}
+	joinVars := []string{"since", "now", "chain", "pixel"}
 
 	// The oracle: the same state, applied directly, read without indexes.
 	mod := newSharded(1)
@@ -384,11 +414,32 @@ func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Tri
 			want[qi] = append(want[qi], res)
 		}
 	}
+	var wantJoin []*stsparql.Result
+	join := prepare(seededWindowJoin, joinVars...)
+	for _, sd := range joinSeeds {
+		res, err := oracle.SelectPrepared(join, []stsparql.Row{sd})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJoin = append(wantJoin, res)
+	}
+	// The join without each of its filters, over the same state.
+	for name, src := range filteredSources(flat) {
+		ev, p := stsparql.NewEvaluator(src), prepare(seededWindowJoin, joinVars...)
+		for si, sd := range joinSeeds {
+			got, err := ev.SelectPrepared(p, []stsparql.Row{sd})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertEquivalent(t, fmt.Sprintf("seed %d, %s copy\nseed %v", seed, name, sd), wantJoin[si], got, false)
+		}
+	}
 
 	del := prepare(`DELETE { ?victim ?p ?o } WHERE { ?victim ?p ?o }`, "victim")
 	for _, st := range stores {
 		name := fmt.Sprintf("seed %d, %d slices", seed, st.Slices())
 		prepared := make([]*stsparql.Prepared, len(seededQueries))
+		join := prepare(seededWindowJoin, joinVars...)
 		f := strabon.Flush{Since: day.Add(9 * time.Hour), At: []time.Time{day.Add(15 * time.Hour)}}
 		err := st.ApplyFlush(f, func(tx *strabon.FlushTx) error {
 			plan, err := tx.Plan(del, []stsparql.Row{{victim}})
@@ -407,6 +458,13 @@ func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Tri
 					assertEquivalent(t, fmt.Sprintf("%s, overlay\n%s\nseed %v", name, q, sd), want[qi][si], got, false)
 				}
 			}
+			for si, sd := range joinSeeds {
+				got, err := tx.Select(join, []stsparql.Row{sd})
+				if err != nil {
+					return err
+				}
+				assertEquivalent(t, fmt.Sprintf("%s, overlay\n%s\nseed %v", name, seededWindowJoin, sd), wantJoin[si], got, false)
+			}
 			return errDiscard
 		})
 		if !errors.Is(err, errDiscard) {
@@ -419,6 +477,9 @@ func checkSeededWindows(t *testing.T, seed int, r *rand.Rand, groups [][]rdf.Tri
 			if plan := p.Explain(stsparql.NewEvaluator(capabilityFree{flat})); !strings.Contains(plan, "scan[time-range]") || !strings.Contains(plan, "[?since, ?now]") {
 				t.Fatalf("%s: %s planned without the seeded time range:\n%s", name, seededQueries[qi], plan)
 			}
+		}
+		if plan := join.Explain(stsparql.NewEvaluator(capabilityFree{flat})); !strings.Contains(plan, "isFromProcessingChain>=?chain time=[?since, ?now]] {?p ") {
+			t.Fatalf("%s: the window join does not filter by the seeded chain and window:\n%s", name, plan)
 		}
 	}
 }

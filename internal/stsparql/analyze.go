@@ -2,6 +2,7 @@ package stsparql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -28,9 +29,9 @@ type OpStats struct {
 	Batches atomic.Int64 // batches emitted
 	Opens   atomic.Int64 // times the operator was opened
 	Nanos   atomic.Int64 // cumulative wall time in next(), inclusive of upstream
-	// ClassDropped counts the candidates a class-filtered window join
-	// dropped before staging them.
-	ClassDropped atomic.Int64
+	// Dropped counts the candidates a window join's subject filters
+	// dropped before staging, by the refusing filter's kind.
+	Dropped [3]atomic.Int64
 }
 
 // ExecTrace maps a compiled plan's operators to their runtime actuals.
@@ -192,8 +193,12 @@ func (t *ExecTrace) annotate(b *strings.Builder, op operator) {
 	if n := st.Opens.Load(); n > 1 {
 		fmt.Fprintf(b, " opens=%d", n)
 	}
-	if j, ok := op.(*joinOp); ok && !j.class.IsZero() {
-		fmt.Fprintf(b, " class-dropped=%d", st.ClassDropped.Load())
+	if j, ok := op.(*joinOp); ok {
+		for k, label := range [3]string{"class", "set", "time"} {
+			if slices.ContainsFunc(j.subjects, func(f subjectFilter) bool { return f.kind == k }) {
+				fmt.Fprintf(b, " %s-dropped=%d", label, st.Dropped[k].Load())
+			}
+		}
 	}
 	b.WriteString(")")
 }

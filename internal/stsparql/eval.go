@@ -3,6 +3,7 @@ package stsparql
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/rdf"
@@ -243,6 +244,11 @@ type Evaluator struct {
 	seed     []Row
 	subRes   map[*subSelectOp]*Result
 
+	// One evaluation's memos, valid while begin's pin holds: the window
+	// scans' subject sets (subjectSets) and parsed dateTimes (dateTime).
+	subjects map[subjectKey][]rdf.IDSet
+	times    map[termID]time.Time
+
 	// trace, when armed (SetTrace), collects per-operator actuals for
 	// EXPLAIN ANALYZE. The disabled path costs one nil check per
 	// operator at open time — nothing per row or batch.
@@ -267,6 +273,8 @@ func (e *Evaluator) begin(vars []string, seed []Row) {
 	e.dict.pin()
 	e.seedVars, e.seed = vars, seed
 	clear(e.subRes)
+	clear(e.subjects)
+	clear(e.times)
 }
 
 // unitSeed is the seed of an unprepared evaluation: one row binding

@@ -2,6 +2,7 @@ package stsparql
 
 import (
 	"strings"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/rdf"
@@ -12,9 +13,13 @@ import (
 func (e *Evaluator) evalExpr(expr Expr, row rowRef) Value {
 	switch v := expr.(type) {
 	case *VarExpr:
-		t, ok := row.lookup(v.Name)
-		if !ok {
+		id := row.lookupID(v.Name)
+		if id == 0 {
 			return unboundValue()
+		}
+		t := row.b.dict.decode(id)
+		if t.Datatype == rdf.XSDDateTime && t.IsLiteral() {
+			return e.dateTime(id, t)
 		}
 		return termToValue(t, e.cache)
 	case *ConstExpr:
@@ -74,6 +79,24 @@ func (e *Evaluator) evalExpr(expr Expr, row rowRef) Value {
 	default:
 		return errValue("stsparql: unknown expression node %T", expr)
 	}
+}
+
+// dateTime is termToValue for the xsd:dateTime literal t with ID id,
+// parsing it once per evaluation: a window filter compares every
+// candidate's instant, often only for str() to read the text back. A
+// malformed literal is not kept, and stays an error at every read.
+func (e *Evaluator) dateTime(id termID, t rdf.Term) Value {
+	if tm, ok := e.times[id]; ok {
+		return Value{Kind: VTime, Time: tm, Term: t}
+	}
+	v := termToValue(t, e.cache)
+	if v.Kind == VTime {
+		if e.times == nil {
+			e.times = make(map[termID]time.Time)
+		}
+		e.times[id] = v.Time
+	}
+	return v
 }
 
 func (e *Evaluator) applyUnary(op string, x Value) Value {

@@ -86,9 +86,9 @@ type joinOp struct {
 	first int
 	// trange is the index range of a joinTimeRange scan.
 	trange *TimeWindow
-	// class, for a window join, is the C of the BGP's `?x rdf:type C` on
-	// the pattern's subject (see windowClass); zero when there is none.
-	class rdf.Term
+	// subjects, for a window join, are the filters the BGP's remaining
+	// patterns put on the pattern's subject (see windowFilters).
+	subjects []subjectFilter
 }
 
 // streams reports whether probe rows scan through a pull coroutine: no
@@ -365,9 +365,11 @@ func (it *joinIter) close() {
 		return
 	}
 	it.closed = true
-	if it.e.trace != nil && it.scan != nil && it.scan.dropped > 0 {
+	if it.e.trace != nil && it.scan != nil {
 		if st, ok := it.e.trace.stats[it.op]; ok {
-			st.ClassDropped.Add(it.scan.dropped)
+			for k, n := range it.scan.dropped {
+				st.Dropped[k].Add(n)
+			}
 		}
 	}
 	if it.stop != nil {
@@ -382,8 +384,8 @@ func (op *joinOp) explain(b *strings.Builder, indent string) {
 	if op.strategy == joinTimeRange {
 		kind = "scan"
 	}
-	if !op.class.IsZero() {
-		strategy += " class=" + op.class.String()
+	for _, f := range op.subjects {
+		strategy += " " + f.String()
 	}
 	fmt.Fprintf(b, "%s%s[%s] {%s %s %s}", indent, kind, strategy,
 		termOrVarString(op.pat.S), termOrVarString(op.pat.P), termOrVarString(op.pat.O))
@@ -1371,12 +1373,12 @@ type patScan struct {
 	miss     bool
 	indexed  bool
 	geomPred bool
-	// A class-filtered window keeps only candidates in one of the
-	// source's (rdf:type, class) subject sets — none when the class or
-	// rdf:type is a term no visible triple carries — and counts the rest.
-	classOn   bool
-	classSets []rdf.IDSet
-	dropped   int64
+	// A window scan keeps only the candidates its subject filters admit
+	// and counts the rest by kind; sets are each filter's (subjectSets),
+	// a constant object's from the open, the others' per probe row.
+	subjects []subjectFilter
+	sets     [][]rdf.IDSet
+	dropped  [3]int64
 
 	visit       func(rdf.EncodedTriple) bool // bound bind
 	visitWindow func(rdf.EncodedTriple) bool // bound windowBind
@@ -1394,12 +1396,12 @@ func newPatScan(e *Evaluator, op *joinOp, filters []*FilterElement, out func() *
 	}
 	sc.indexed = e.spatial != nil && op.pat.O.IsVar()
 	sc.geomPred = !op.pat.P.IsVar() && GeometryPredicates[op.pat.P.Term.Value]
-	if sc.indexed && !op.class.IsZero() {
-		sc.classOn = true
-		typ, okT := e.dict.storeID(rdfType)
-		class, okC := e.dict.storeID(op.class)
-		if okT && okC {
-			sc.classSets = e.spatial.SubjectSets(typ, class, nil)
+	if sc.indexed && len(op.subjects) > 0 {
+		sc.subjects, sc.sets = op.subjects, make([][]rdf.IDSet, len(op.subjects))
+		for i, f := range op.subjects {
+			if f.time == nil && !f.o.IsVar() { // a constant object: no probe row needed
+				sc.sets[i] = e.subjectSets(f, rowRef{})
+			}
 		}
 	}
 	return sc
@@ -1441,6 +1443,11 @@ func (sc *patScan) run(probe rowRef) {
 	if sc.indexed && pid != 0 && oid == 0 &&
 		(sc.geomPred || sc.pat.P.IsVar() && GeometryPredicates[sc.e.dict.decode(termID(pid)).Value]) {
 		if env, found := sc.e.spatialWindowFor(sc.pat.O.Var, probe, sc.filters); found {
+			for i, f := range sc.subjects {
+				if f.time != nil || f.o.IsVar() {
+					sc.sets[i] = sc.e.subjectSets(f, probe)
+				}
+			}
 			sc.e.spatial.MatchGeometryWindowIDs(env, sc.visitWindow)
 			return
 		}
@@ -1452,9 +1459,84 @@ func (sc *patScan) run(probe rowRef) {
 	sc.e.src.MatchIDs(sid, pid, oid, sc.visit)
 }
 
+// subjectKey is (p, o) for a set filter, p and the window under the
+// probe row for a time filter.
+type subjectKey struct {
+	p, o rdf.ID
+	w    TimeWindow
+}
+
+// subjectSets returns the sets of filter f under the probe row: a
+// constant object's (p, o) sets, or — built once per distinct object or
+// window per evaluation, however many probe rows share it — a bound
+// variable's, or the subjects of p's time index over the window. An
+// empty list passes no candidate (a term no visible triple carries), nil
+// passes all (an unbound object, or a window the index cannot serve,
+// rather than scan p).
+func (e *Evaluator) subjectSets(f subjectFilter, probe rowRef) []rdf.IDSet {
+	p, okP := e.dict.storeID(f.p)
+	k := subjectKey{p: p}
+	switch {
+	case !okP:
+		return []rdf.IDSet{}
+	case f.time != nil:
+		k.w = f.time.under(probe)
+	case !f.o.IsVar():
+		o, ok := e.dict.storeID(f.o.Term)
+		if !ok {
+			return []rdf.IDSet{}
+		}
+		return e.spatial.SubjectSets(p, o, []rdf.IDSet{})
+	default:
+		id := probe.lookupID(f.o.Var)
+		if id == 0 || id >= overflowBase {
+			return nil
+		}
+		k.o = rdf.ID(id)
+	}
+	if sets, ok := e.subjects[k]; ok {
+		return sets
+	}
+	n, served := 0, f.time != nil && e.timed != nil
+	if served {
+		n, served = e.timed.CountTimeRange(f.p, k.w)
+	}
+	var sets []rdf.IDSet
+	switch {
+	case f.time == nil:
+		sets = e.spatial.SubjectSets(k.p, k.o, []rdf.IDSet{})
+	case served:
+		ids := make([]rdf.ID, 0, n)
+		e.timed.MatchTimeRangeIDs(k.p, k.w, func(t rdf.EncodedTriple) bool {
+			ids = append(ids, t.S)
+			return true
+		})
+		slices.Sort(ids)
+		sets = []rdf.IDSet{rdf.SortedIDSet(slices.Compact(ids))}
+	}
+	if e.subjects == nil {
+		e.subjects = make(map[subjectKey][]rdf.IDSet)
+	}
+	e.subjects[k] = sets
+	return sets
+}
+
+// inSets reports whether x is in one of sets; nil sets hold everything.
+func inSets(sets []rdf.IDSet, x rdf.ID) bool {
+	if sets == nil {
+		return true
+	}
+	for i := range sets {
+		if sets[i].Has(x) {
+			return true
+		}
+	}
+	return false
+}
+
 // windowBind filters R-tree window candidates down to the pattern
 // before binding (the window over-approximates): one integer compare
-// per component, and a map lookup per subject set for the class.
+// per component, and a set lookup per subject filter.
 func (sc *patScan) windowBind(t rdf.EncodedTriple) bool {
 	if sc.pid != 0 && t.P != sc.pid {
 		return true
@@ -1462,20 +1544,13 @@ func (sc *patScan) windowBind(t rdf.EncodedTriple) bool {
 	if sc.sid != 0 && t.S != sc.sid {
 		return true
 	}
-	if sc.classOn && !sc.inClass(t.S) {
-		sc.dropped++
-		return true
-	}
-	return sc.bind(t)
-}
-
-func (sc *patScan) inClass(s rdf.ID) bool {
-	for i := range sc.classSets {
-		if sc.classSets[i].Has(s) {
+	for i := range sc.sets {
+		if !inSets(sc.sets[i], t.S) {
+			sc.dropped[sc.subjects[i].kind]++
 			return true
 		}
 	}
-	return false
+	return sc.bind(t)
 }
 
 // bind stages one matched triple's bindings — three ID stores per row,

@@ -2,6 +2,7 @@ package stsparql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -428,7 +429,7 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 		// planner sticks to bind joins.
 		switch {
 		case bestWindow:
-			op.strategy, op.class = joinWindow, windowClass(pat, remaining, bound)
+			op.strategy, op.subjects = joinWindow, windowFilters(pat, remaining, bound, wins)
 		case bestRange != nil:
 			op.strategy, op.trange = joinTimeRange, bestRange
 		case p.stats != nil && len(op.shared) == 0 && inEst >= crossJoinHashMinRows:
@@ -479,20 +480,58 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 	return ops, inEst
 }
 
-// windowClass returns the constant C of a `?x rdf:type C` pattern the
-// BGP still has to place for a window pattern's fresh subject ?x — the
-// class the window scan checks its candidates against before staging
-// them — or the zero term. The type pattern stays in the plan.
-func windowClass(pat TriplePattern, remaining []TriplePattern, bound map[string]bool) rdf.Term {
-	if !pat.S.IsVar() || bound[pat.S.Var] {
-		return rdf.Term{}
+// subjectFilter is a BGP pattern on a window scan's fresh subject ?x
+// that the scan checks candidates against before staging them: `?x <p>
+// o`, o a constant or a variable bound before the scan, or `?x <p> ?t`
+// with ?t confined to a window by the group's filters (see subjectSets).
+// Its sets hold a superset of the subjects the pattern matches, and the
+// pattern and filters stay in the plan, so dropping the rest is sound.
+type subjectFilter struct {
+	kind int // filterClass, filterSet or filterTime: the order checked in
+	p    rdf.Term
+	o    TermOrVar
+	time *TimeWindow // a time filter's window on o
+}
+
+// Subject-filter kinds; a class filter is `?x rdf:type C`.
+const (
+	filterClass = iota
+	filterSet
+	filterTime
+)
+
+func (f subjectFilter) String() string {
+	switch f.kind {
+	case filterClass:
+		return "class=" + f.o.Term.String()
+	case filterTime:
+		return "time=" + f.time.String()
 	}
-	for _, p := range remaining {
-		if p.S.IsVar() && p.S.Var == pat.S.Var && !p.P.IsVar() && p.P.Term.Equal(rdfType) && !p.O.IsVar() {
-			return p.O.Term
+	return f.p.String() + "=" + termOrVarString(f.o)
+}
+
+// windowFilters returns the subject filters the BGP's remaining patterns
+// put on a window pattern's fresh subject, in kind order.
+func windowFilters(pat TriplePattern, remaining []TriplePattern, bound map[string]bool, wins map[string]*TimeWindow) []subjectFilter {
+	if !pat.S.IsVar() || bound[pat.S.Var] {
+		return nil
+	}
+	var fs []subjectFilter
+	for _, r := range remaining {
+		if !r.S.IsVar() || r.S.Var != pat.S.Var || r.P.IsVar() {
+			continue
+		}
+		switch {
+		case !r.O.IsVar() && r.P.Term.Equal(rdfType):
+			fs = append(fs, subjectFilter{filterClass, r.P.Term, r.O, nil})
+		case !r.O.IsVar() || bound[r.O.Var]:
+			fs = append(fs, subjectFilter{filterSet, r.P.Term, r.O, nil})
+		case r.O.Var != pat.S.Var && wins[r.O.Var] != nil:
+			fs = append(fs, subjectFilter{filterTime, r.P.Term, r.O, wins[r.O.Var]})
 		}
 	}
-	return rdf.Term{}
+	slices.SortStableFunc(fs, func(a, b subjectFilter) int { return a.kind - b.kind })
+	return fs
 }
 
 var rdfType = rdf.NewIRI(rdf.RDFType)

@@ -3,6 +3,7 @@ package stsparql
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -199,6 +200,50 @@ SELECT ?h WHERE {
 }`)
 	if len(res.Rows) != 1 {
 		t.Fatalf("got %d rows, want 1", len(res.Rows))
+	}
+}
+
+// TestMalformedDateTimeStaysAnError: an xsd:dateTime literal the engine
+// cannot parse is an error wherever its value is read — str() and every
+// comparison — however often one evaluation reads it, although the parse
+// runs once per literal and evaluation.
+func TestMalformedDateTimeStaysAnError(t *testing.T) {
+	s := rdf.NewStore()
+	at := iri(noaNS + "hasAcquisitionDateTime")
+	for _, h := range []string{"bad1", "bad2"} {
+		s.Add(rdf.Triple{S: iri(noaNS + h), P: at, O: rdf.NewDateTime("24/08/2007 18:15")})
+	}
+	s.Add(rdf.Triple{S: iri(noaNS + "good"), P: at, O: rdf.NewDateTime("2007-08-24T18:15:00")})
+	for _, tc := range []struct{ filter, want string }{
+		{`str(?at) >= "2007"`, "good"},
+		{`?at > "2000-01-01T00:00:00"^^xsd:dateTime`, "good"},
+		{`?at >= "2000-01-01T00:00:00"`, "good"},
+		{`!(?at > "2000-01-01T00:00:00"^^xsd:dateTime)`, ""},
+		{`?at = ?at`, "good"},
+	} {
+		res := runSelect(t, s, `SELECT ?h WHERE { ?h noa:hasAcquisitionDateTime ?at . FILTER( `+tc.filter+` ) }`)
+		var got string
+		for i := range res.Rows {
+			got += strings.TrimPrefix(res.at(i, "h").Value, noaNS)
+		}
+		if got != tc.want {
+			t.Errorf("FILTER( %s ) kept %q, want %q", tc.filter, got, tc.want)
+		}
+	}
+	res := runSelect(t, s, `SELECT ?h (str(?at) AS ?s) WHERE { ?h noa:hasAcquisitionDateTime ?at . }`)
+	for i := range res.Rows {
+		h, str := res.at(i, "h").Value, res.at(i, "s")
+		if good := h == noaNS+"good"; good == str.IsZero() {
+			t.Errorf("%s: str(?at) = %v", h, str)
+		}
+	}
+	e := NewEvaluator(s)
+	e.begin(nil, nil)
+	bad := rdf.NewDateTime("24/08/2007 18:15")
+	for range 2 {
+		if got, want := e.dateTime(e.dict.encode(bad), bad), termToValue(bad, e.cache); got.Kind != VErr || got.Err().Error() != want.Err().Error() {
+			t.Errorf("the memoised value %+v is not termToValue's %+v", got, want)
+		}
 	}
 }
 

@@ -36,7 +36,9 @@
 # per operator crept back in.
 #
 #   BenchmarkTable2SciQLChain (root package) — vault load, crop,
-#     georeference and the Figure 4 query over recycled temporaries.
+#     georeference and the Figure 4 query over recycled temporaries:
+#     input arrays adopted, not copied, Figure 4 parsed once per chain,
+#     both channels georeferenced in one pass.
 #   BenchmarkSimulatorAcquire (internal/seviri) — the downlink
 #     simulator, its grid-only scene part computed once per simulator.
 #
