@@ -12,7 +12,7 @@ test:
 	$(GO) test -race ./...
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race -count=2 -run 'TestEndpointConcurrent|TestConcurrentEndpointSmoke|TestEndpointStreamsDuringWrites' ./internal/strabon
-	$(GO) test -race -count=2 -run 'TestShardStreamsDuringWrites|TestShardedPipelineMatchesSingle|TestNoPartialRefinementVisible|TestShardResultCacheInvalidation|TestTimeRangeDifferential|TestClassWindowMatchesTypeProbe|TestShardZonedTimeLiteral|TestShardCacheRefusesZonedLexicalWindow|TestReaderComputesWhatWriterInterns|TestWindowedCursorLocksOnlyItsSlices' ./internal/shard
+	$(GO) test -race -count=2 -run 'TestShardStreamsDuringWrites|TestShardedPipelineMatchesSingle|TestNoPartialRefinementVisible|TestShardResultCacheInvalidation|TestTimeRangeDifferential|TestClassWindowMatchesTypeProbe|TestWindowNarrowingKeepsCrossMemberSubjects|TestShardZonedTimeLiteral|TestShardCacheRefusesZonedLexicalWindow|TestReaderComputesWhatWriterInterns|TestWindowedCursorLocksOnlyItsSlices' ./internal/shard
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Two days of MSG1 Steps (576 acquisitions) with a per-block table of

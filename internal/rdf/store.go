@@ -92,9 +92,9 @@ func (st *set[K]) remove(k K) bool {
 	return true
 }
 
-// each visits the elements — in order while the set is a slice — until
+// Each visits the elements — in order while the set is a slice — until
 // visit returns false, and reports whether it ran to the end.
-func (st set[K]) each(visit func(K) bool) bool {
+func (st set[K]) Each(visit func(K) bool) bool {
 	if st.big != nil {
 		for k := range st.big {
 			if !visit(k) {
@@ -114,7 +114,7 @@ func (st set[K]) each(visit func(K) bool) bool {
 // eachLow visits the low halves of the packed pairs whose high half is hi.
 func eachLow(st set[uint64], hi ID, visit func(lo ID) bool) bool {
 	if st.big != nil {
-		return st.each(func(k uint64) bool { return ID(k>>32) != hi || visit(ID(k)) })
+		return st.Each(func(k uint64) bool { return ID(k>>32) != hi || visit(ID(k)) })
 	}
 	i, _ := slices.BinarySearch(st.sorted, pack(hi, 0))
 	for _, k := range st.sorted[i:] {
@@ -268,31 +268,31 @@ func (s *Store) MatchIDs(sub, pred, obj ID, visit func(EncodedTriple) bool) bool
 		if sp.Len() < po.Len() {
 			return eachLow(sp, sub, func(p ID) bool { return visit(EncodedTriple{sub, p, obj}) })
 		}
-		return po.each(func(k uint64) bool {
+		return po.Each(func(k uint64) bool {
 			p, o := unpack(k)
 			return o != obj || visit(EncodedTriple{sub, p, obj})
 		})
 	case sub != Wildcard:
-		return s.spo[sub].each(func(k uint64) bool {
+		return s.spo[sub].Each(func(k uint64) bool {
 			p, o := unpack(k)
 			return visit(EncodedTriple{sub, p, o})
 		})
 	case pred != Wildcard && obj != Wildcard:
-		return s.pos[pred][obj].each(func(sid ID) bool { return visit(EncodedTriple{sid, pred, obj}) })
+		return s.pos[pred][obj].Each(func(sid ID) bool { return visit(EncodedTriple{sid, pred, obj}) })
 	case pred != Wildcard:
 		for o, subs := range s.pos[pred] {
-			if !subs.each(func(sid ID) bool { return visit(EncodedTriple{sid, pred, o}) }) {
+			if !subs.Each(func(sid ID) bool { return visit(EncodedTriple{sid, pred, o}) }) {
 				return false
 			}
 		}
 	case obj != Wildcard:
-		return s.osp[obj].each(func(k uint64) bool {
+		return s.osp[obj].Each(func(k uint64) bool {
 			sid, p := unpack(k)
 			return visit(EncodedTriple{sid, p, obj})
 		})
 	default:
 		for sid, po := range s.spo {
-			if !po.each(func(k uint64) bool {
+			if !po.Each(func(k uint64) bool {
 				p, o := unpack(k)
 				return visit(EncodedTriple{sid, p, o})
 			}) {

@@ -188,7 +188,7 @@ SELECT ?h ?m WHERE {
 
 var (
 	analyzedRows = regexp.MustCompile(`\(actual rows=(\d+) `)
-	classDropped = regexp.MustCompile(` class-dropped=(\d+)\)`)
+	windowCounts = regexp.MustCompile(` searched=(\d+)/(\d+) class-dropped=(\d+)\)`)
 )
 
 // TestSpatialJoinChecksTypeBeforeGeometry reads the planner's ordering
@@ -196,8 +196,11 @@ var (
 // class against the `?m a gag:Municipality` pattern's subject sets, so
 // every row it stages passes the type probe that still follows it, and
 // the exact anyInteract test directly behind the probe sees only
-// municipalities — the same rows whatever the topology (the window
-// itself drops fewer candidates the fewer slices the view holds).
+// municipalities — the same rows whatever the topology. The window
+// searches only the static member's R-tree, the one member that holds a
+// municipality's geometry, so it drops the same non-municipality
+// candidates (the static coastline and land cover) on 1, 2 and 4
+// slices, and never a hotspot.
 func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
 	stores := map[string]*Store{}
 	for _, n := range []int{1, 2, 4} {
@@ -206,7 +209,7 @@ func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
 		stores["sharded"+itoa(n)] = sh
 	}
 	for name, text := range map[string]string{"one-acquisition": corpusQuery("spatial-join-municipality"), "four-slices": spatialJoinFourSlices} {
-		wantTyped := -1
+		wantTyped, wantDropped := -1, -1
 		for _, topo := range []string{"sharded1", "sharded2", "sharded4"} {
 			out, err := stores[topo].ExplainAnalyze(context.Background(), text)
 			if err != nil {
@@ -215,7 +218,7 @@ func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
 			if name == "four-slices" && topo == "sharded4" && !strings.Contains(out, "shard fan-out: 4/4 slices") {
 				t.Fatalf("the four-slice text does not fan out to four slices:\n%s", out)
 			}
-			var window, dropped, typed, tested int
+			var window, dropped, typed, tested, searched int
 			prev := ""
 			for _, line := range strings.Split(out, "\n") {
 				m := analyzedRows.FindStringSubmatch(line)
@@ -226,9 +229,16 @@ func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
 				switch {
 				case strings.Contains(line, "join[window class=<http://teleios.di.uoa.gr/ontologies/gagOntology.owl#Municipality>]"):
 					window += n
-					if d := classDropped.FindStringSubmatch(line); d != nil {
-						k, _ := strconv.Atoi(d[1])
-						dropped += k
+					c := windowCounts.FindStringSubmatch(line)
+					if c == nil {
+						t.Fatalf("%s on %s: the window line has no searched= and class-dropped= counts:\n%s", name, topo, out)
+					}
+					k, _ := strconv.Atoi(c[1])
+					d, _ := strconv.Atoi(c[3])
+					searched += k
+					dropped += d
+					if c[2] == "1" {
+						t.Errorf("%s on %s: the window's view holds one member, want the static member and its slices:\n%s", name, topo, out)
 					}
 					prev = "window"
 				case strings.Contains(line, "gagOntology.owl#Municipality>}"):
@@ -247,14 +257,17 @@ func TestSpatialJoinChecksTypeBeforeGeometry(t *testing.T) {
 					prev = ""
 				}
 			}
-			if typed == 0 || typed != window || dropped == 0 {
-				t.Errorf("%s on %s: the window staged %d rows and dropped %d, %d passed the type probe: want every staged row typed and some dropped\n%s", name, topo, window, dropped, typed, out)
+			if typed == 0 || typed != window || searched != 1 {
+				t.Errorf("%s on %s: the window searched %d member R-trees and staged %d rows, %d passed the type probe: want one R-tree searched and every staged row typed\n%s", name, topo, searched, window, typed, out)
 			}
 			if wantTyped < 0 {
-				wantTyped = typed
+				wantTyped, wantDropped = typed, dropped
 			}
 			if typed != wantTyped || tested > typed {
 				t.Errorf("%s on %s: %d rows reach the exact test and %d pass, the one-slice store sends %d", name, topo, typed, tested, wantTyped)
+			}
+			if dropped != wantDropped {
+				t.Errorf("%s on %s: the window dropped %d candidates, %d on one slice: a slice's R-tree was searched\n%s", name, topo, dropped, wantDropped, out)
 			}
 		}
 	}

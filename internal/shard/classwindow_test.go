@@ -115,7 +115,13 @@ type flatWindows struct {
 	chainBlind bool
 }
 
-func (f flatWindows) MatchGeometryWindowIDs(_ geom.Envelope, visit func(rdf.EncodedTriple) bool) bool {
+// WindowSkip: the copy is one member, always searched.
+func (f flatWindows) WindowSkip(rdf.ID, [][]rdf.IDSet) (uint64, int) { return 0, 1 }
+
+func (f flatWindows) MatchGeometryWindowIDs(_ geom.Envelope, skip uint64, visit func(rdf.EncodedTriple) bool) bool {
+	if skip&1 != 0 {
+		return true
+	}
 	for p := range stsparql.GeometryPredicates {
 		if id, ok := f.Dict().Lookup(iri(p)); ok && !f.MatchIDs(rdf.Wildcard, id, rdf.Wildcard, visit) {
 			return false

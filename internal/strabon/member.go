@@ -1,6 +1,7 @@
 package strabon
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -179,12 +180,54 @@ func (m *member) StoreCard() (triples, subjects, predicates, objects int) {
 
 // MatchGeometryWindowIDs implements stsparql.SpatialSource: it streams
 // the encoded geometry triples whose envelope intersects the window,
-// without decoding a single term.
-func (m *member) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) bool {
+// without decoding a single term — unless skip's bit 0 skips the member.
+func (m *member) MatchGeometryWindowIDs(env geom.Envelope, skip uint64, visit func(rdf.EncodedTriple) bool) bool {
+	if skip&1 != 0 {
+		return true
+	}
 	m.indexHits.Add(1)
 	return m.index.Search(env, func(it rtree.Item) bool {
 		return visit(it.Data.(*indexedGeom).enc)
 	})
+}
+
+// WindowSkip implements stsparql.SpatialSource for a source of one
+// member.
+func (m *member) WindowSkip(p rdf.ID, fixed [][]rdf.IDSet) (skip uint64, members int) {
+	for _, sets := range fixed {
+		if held, _ := m.holdsSubject(p, sets); !held {
+			return 1, 1
+		}
+	}
+	return 0, 1
+}
+
+// holdsSubject reports whether m holds a (s, p, ·) triple with s in one
+// of sets (nil sets hold every subject), and how many lookups it took.
+// It works from the smaller side and stops at the first hit: one SPO
+// probe per subject when the sets hold fewer subjects than m holds p
+// triples, else one set lookup per p triple.
+func (m *member) holdsSubject(p rdf.ID, sets []rdf.IDSet) (held bool, looked int) {
+	if sets == nil {
+		return true, 0
+	}
+	n := 0
+	for _, set := range sets {
+		n += set.Len()
+	}
+	if n < m.triples.Count(rdf.Wildcard, p, rdf.Wildcard) {
+		for _, set := range sets {
+			if !set.Each(func(s rdf.ID) bool { looked++; return m.triples.Count(s, p, rdf.Wildcard) == 0 }) {
+				return true, looked
+			}
+		}
+		return false, looked
+	}
+	held = !m.triples.MatchIDs(rdf.Wildcard, p, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
+		looked++
+		return !slices.ContainsFunc(sets, func(set rdf.IDSet) bool { return set.Has(t.S) })
+	})
+	return held, looked
 }
 
 // SubjectSets implements stsparql.SpatialSource.

@@ -154,8 +154,15 @@ func (o *Overlay) MatchIDs(sub, pred, obj rdf.ID, visit func(rdf.EncodedTriple) 
 }
 
 // MatchGeometryWindowIDs implements stsparql.SpatialSource.
-func (o *Overlay) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) bool {
-	return o.all.MatchGeometryWindowIDs(env, o.visible(visit))
+func (o *Overlay) MatchGeometryWindowIDs(env geom.Envelope, skip uint64, visit func(rdf.EncodedTriple) bool) bool {
+	return o.all.MatchGeometryWindowIDs(env, skip, o.visible(visit))
+}
+
+// WindowSkip implements stsparql.SpatialSource over the base members and
+// the private one. It ignores the deleted set: a member holding only
+// deleted triples is searched, and the mask drops what it finds.
+func (o *Overlay) WindowSkip(p rdf.ID, fixed [][]rdf.IDSet) (skip uint64, members int) {
+	return o.all.WindowSkip(p, fixed)
 }
 
 // SubjectSets implements stsparql.SpatialSource: the base's sets and the

@@ -188,7 +188,7 @@ WHERE {
 func windowHits(s *Store, env geom.Envelope) int {
 	defer s.lockAllRead()()
 	found := 0
-	s.viewAll().MatchGeometryWindowIDs(env, func(rdf.EncodedTriple) bool { found++; return true })
+	s.viewAll().MatchGeometryWindowIDs(env, 0, func(rdf.EncodedTriple) bool { found++; return true })
 	return found
 }
 

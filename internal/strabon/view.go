@@ -79,15 +79,27 @@ func (v View) StoreCard() (triples, subjects, predicates, objects int) {
 	return
 }
 
-// MatchGeometryWindowIDs implements stsparql.SpatialSource: every
-// member's R-tree is searched, with early stop propagating.
-func (v View) MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) bool {
-	for _, m := range v {
-		if !m.MatchGeometryWindowIDs(env, visit) {
+// MatchGeometryWindowIDs implements stsparql.SpatialSource: the R-tree
+// of every member outside skip is searched, with early stop propagating.
+// (A shift past 63 is 0: the members past the 64th are never skipped.)
+func (v View) MatchGeometryWindowIDs(env geom.Envelope, skip uint64, visit func(rdf.EncodedTriple) bool) bool {
+	for i, m := range v {
+		if !m.MatchGeometryWindowIDs(env, skip>>i, visit) {
 			return false
 		}
 	}
 	return true
+}
+
+// WindowSkip implements stsparql.SpatialSource: each member is checked
+// on its own against the fixed sets, which are the view's union — so a
+// subject typed in one member keeps the member holding its geometry.
+func (v View) WindowSkip(p rdf.ID, fixed [][]rdf.IDSet) (skip uint64, members int) {
+	for i, m := range v {
+		bit, _ := m.WindowSkip(p, fixed)
+		skip |= bit << i
+	}
+	return skip, len(v)
 }
 
 // SubjectSets implements stsparql.SpatialSource: every member's sets, so

@@ -32,6 +32,9 @@ type OpStats struct {
 	// Dropped counts the candidates a window join's subject filters
 	// dropped before staging, by the refusing filter's kind.
 	Dropped [3]atomic.Int64
+	// Searched and Members count the member R-trees a window scan
+	// searched and the members its source holds (SpatialSource.WindowSkip).
+	Searched, Members atomic.Int64
 }
 
 // ExecTrace maps a compiled plan's operators to their runtime actuals.
@@ -194,6 +197,9 @@ func (t *ExecTrace) annotate(b *strings.Builder, op operator) {
 		fmt.Fprintf(b, " opens=%d", n)
 	}
 	if j, ok := op.(*joinOp); ok {
+		if n := st.Members.Load(); j.strategy == joinWindow && n > 0 {
+			fmt.Fprintf(b, " searched=%d/%d", st.Searched.Load(), n)
+		}
 		for k, label := range [3]string{"class", "set", "time"} {
 			if slices.ContainsFunc(j.subjects, func(f subjectFilter) bool { return f.kind == k }) {
 				fmt.Fprintf(b, " %s-dropped=%d", label, st.Dropped[k].Load())

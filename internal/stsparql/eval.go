@@ -38,8 +38,16 @@ type SpatialSource interface {
 	Source
 	// MatchGeometryWindowIDs streams the encoded (subject,
 	// hasGeometry-pred, geometry) triples whose geometry envelope
-	// intersects env, reporting like MatchIDs whether it ran to its end.
-	MatchGeometryWindowIDs(env geom.Envelope, visit func(rdf.EncodedTriple) bool) bool
+	// intersects env from the source's member stores outside skip (bit
+	// i: the i-th member; members past the 64th are always searched),
+	// reporting like MatchIDs whether it ran to its end.
+	MatchGeometryWindowIDs(env geom.Envelope, skip uint64, visit func(rdf.EncodedTriple) bool) bool
+	// WindowSkip returns, as a skip mask, the members whose windows on
+	// p (rdf.Wildcard: any predicate) can yield no candidate the fixed
+	// subject sets admit — those holding, for some entry of fixed, no
+	// (s, p, ·) triple with s in one of its sets (a nil entry admits
+	// every subject) — and the number of members.
+	WindowSkip(p rdf.ID, fixed [][]rdf.IDSet) (skip uint64, members int)
 	// SubjectSets appends to dst the subject sets of (p, o), one per
 	// member store holding any — read-only, valid while the evaluation
 	// holds its locks. Their union must hold every subject a scan of
@@ -673,6 +681,9 @@ func (e *Evaluator) aggregateCall(c *CallExpr, rows *Batch, mem []int32) Value {
 			}
 			return numValue(float64(len(mem)))
 		}
+		if v, ok := c.Args[0].(*VarExpr); ok {
+			return numValue(float64(countBound(rows, mem, v.Name, c.Distinct)))
+		}
 		return numValue(float64(len(collect())))
 	case "sum", "avg":
 		vals := collect()
@@ -748,6 +759,29 @@ func (e *Evaluator) aggregateCall(c *CallExpr, rows *Batch, mem []int32) Value {
 	default:
 		return errValue("stsparql: unknown aggregate %q", c.Name)
 	}
+}
+
+// countBound is COUNT of a plain variable: the member rows binding it,
+// or its distinct IDs (ID equality is term equality within the
+// evaluation). Nothing is decoded: a variable bound to an ill-typed
+// literal evaluates to that literal, not to an error (SPARQL 1.1
+// §18.5.1.1), so every bound row counts.
+func countBound(rows *Batch, mem []int32, name string, distinct bool) int {
+	c, ok := rows.schema.col(name)
+	if !ok {
+		return 0
+	}
+	n, seen := 0, map[termID]struct{}{}
+	for _, i := range mem {
+		id := rows.cols[c][i]
+		if _, dup := seen[id]; id != 0 && !dup {
+			n++
+			if distinct {
+				seen[id] = struct{}{}
+			}
+		}
+	}
+	return n
 }
 
 func geomParts(g geom.Geometry) ([]geom.Point, []geom.LineString, []geom.Polygon) {

@@ -3,6 +3,7 @@ package stsparql
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -370,6 +371,8 @@ func (it *joinIter) close() {
 			for k, n := range it.scan.dropped {
 				st.Dropped[k].Add(n)
 			}
+			st.Searched.Add(int64(it.scan.searched))
+			st.Members.Add(int64(it.scan.members))
 		}
 	}
 	if it.stop != nil {
@@ -1379,6 +1382,12 @@ type patScan struct {
 	subjects []subjectFilter
 	sets     [][]rdf.IDSet
 	dropped  [3]int64
+	// A scan that can run windows asks its source once, when it opens,
+	// which members the constant-object filters rule out (WindowSkip):
+	// skip goes to every window, and a scan with no member left to
+	// search runs none.
+	skip              uint64
+	searched, members int
 
 	visit       func(rdf.EncodedTriple) bool // bound bind
 	visitWindow func(rdf.EncodedTriple) bool // bound windowBind
@@ -1403,6 +1412,10 @@ func newPatScan(e *Evaluator, op *joinOp, filters []*FilterElement, out func() *
 				sc.sets[i] = e.subjectSets(f, rowRef{})
 			}
 		}
+	}
+	if sc.indexed && !sc.miss && (sc.geomPred || op.pat.P.IsVar()) {
+		sc.skip, sc.members = e.spatial.WindowSkip(sc.consts[1], sc.sets)
+		sc.searched = sc.members - bits.OnesCount64(sc.skip)
 	}
 	return sc
 }
@@ -1448,7 +1461,9 @@ func (sc *patScan) run(probe rowRef) {
 					sc.sets[i] = sc.e.subjectSets(f, probe)
 				}
 			}
-			sc.e.spatial.MatchGeometryWindowIDs(env, sc.visitWindow)
+			if sc.searched > 0 {
+				sc.e.spatial.MatchGeometryWindowIDs(env, sc.skip, sc.visitWindow)
+			}
 			return
 		}
 	}

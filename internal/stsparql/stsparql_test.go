@@ -367,6 +367,49 @@ WHERE { ?m a gag:Municipality ; gag:hasPopulation ?p . }`)
 	check("n", 2)
 }
 
+// TestCountCountsBoundValues pins COUNT of a variable to SPARQL 1.1
+// §18.5.1.1: it counts the rows binding the variable, and a variable
+// bound to an ill-typed literal is bound, not an error. COUNT(DISTINCT
+// ?v) counts distinct terms, and rows an OPTIONAL left unbound do not
+// count.
+func TestCountCountsBoundValues(t *testing.T) {
+	s := rdf.NewStore()
+	ex := "http://example.org/"
+	for i, v := range []rdf.Term{
+		rdf.NewTypedLiteral("abc", rdf.XSDInteger),
+		rdf.NewTypedLiteral("2", rdf.XSDInteger),
+		rdf.NewDateTime("notatime"),
+	} {
+		s.Add(rdf.Triple{S: iri(fmt.Sprintf("%ss%d", ex, i)), P: iri(ex + "v"), O: v})
+	}
+	s.Add(rdf.Triple{S: iri(ex + "s3"), P: iri(ex + "v"), O: rdf.NewTypedLiteral("2", rdf.XSDInteger)})
+	s.Add(rdf.Triple{S: iri(ex + "s3"), P: iri(ex + "w"), O: rdf.NewLiteral("x")})
+	s.Add(rdf.Triple{S: iri(ex + "s4"), P: iri(ex + "w"), O: rdf.NewLiteral("x")})
+	for _, tc := range []struct {
+		query string
+		want  map[string]float64
+	}{
+		{`SELECT (COUNT(?v) AS ?n) (COUNT(*) AS ?m) WHERE { ?s <http://example.org/v> ?v . FILTER( ?s != <http://example.org/s3> ) }`,
+			map[string]float64{"n": 3, "m": 3}},
+		{`SELECT (COUNT(DISTINCT ?v) AS ?n) (COUNT(?v) AS ?m) WHERE { ?s <http://example.org/v> ?v . }`,
+			map[string]float64{"n": 3, "m": 4}},
+		{`SELECT (COUNT(?x) AS ?n) (COUNT(*) AS ?m) (COUNT(DISTINCT ?x) AS ?d) WHERE { ?s <http://example.org/w> ?w . OPTIONAL { ?s <http://example.org/v> ?x } }`,
+			map[string]float64{"n": 1, "m": 2, "d": 1}},
+		{`SELECT (COUNT(?nowhere) AS ?n) WHERE { ?s <http://example.org/v> ?v . }`,
+			map[string]float64{"n": 0}},
+	} {
+		res := runSelect(t, s, tc.query)
+		if len(res.Rows) != 1 {
+			t.Fatalf("%s: %d rows, want one", tc.query, len(res.Rows))
+		}
+		for v, want := range tc.want {
+			if got, ok := res.at(0, v).Float(); !ok || got != want {
+				t.Errorf("%s: ?%s = %v, want %g", tc.query, v, res.at(0, v), want)
+			}
+		}
+	}
+}
+
 func TestSpatialUnionAggregate(t *testing.T) {
 	// strdf:union over both municipality polygons covers the island.
 	res := runSelect(t, fixtureStore(), `

@@ -28,7 +28,8 @@
 #   BenchmarkPreparedGroupedSelect (internal/stsparql) — a prepared
 #     grouped SELECT over a seed row, shaped like the refinement's Time
 #     Persistence query: seed encoding, the aggregate operator (member
-#     rows as indices into one owned batch) and materialisation.
+#     rows as indices into one owned batch; COUNT of a variable reads
+#     its ID column) and materialisation.
 #
 # Byte gates for the acquisition's front half: B/op, limit 1.1x. These
 # benchmarks run one deterministic stage each (no free-running writer),
