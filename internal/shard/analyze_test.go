@@ -106,6 +106,45 @@ func TestShardExplainAnalyzeMatchesStream(t *testing.T) {
 	}
 }
 
+var (
+	analyzeNotes = regexp.MustCompile(`(?m) \((actual [^)]*|never executed)\)$`)
+	totalLine    = regexp.MustCompile(`(?m)^total: .*\n`)
+	queryKind    = regexp.MustCompile(`(?m)^(select|ask)\n`)
+)
+
+// TestExplainAnalyzeIsExplain pins that EXPLAIN ANALYZE renders the plan
+// EXPLAIN does: on every corpus text at 1 and 4 slices, its output with
+// the "(analyze)" mark, the per-operator actuals and the total line
+// stripped is Explain's without the select/ask line.
+func TestExplainAnalyzeIsExplain(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		sh := newSharded(n)
+		loadFixture(sh)
+		var texts []string
+		for _, c := range corpus {
+			texts = append(texts, c.query)
+		}
+		for _, c := range askCorpus {
+			texts = append(texts, c.query)
+		}
+		for _, text := range texts {
+			plan, err := sh.Explain(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := sh.ExplainAnalyze(context.Background(), text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = strings.Replace(out, " (analyze)", "", 1)
+			out = totalLine.ReplaceAllString(analyzeNotes.ReplaceAllString(out, ""), "")
+			if want := queryKind.ReplaceAllString(plan, ""); out != want {
+				t.Errorf("sharded%d: stripped EXPLAIN ANALYZE differs from EXPLAIN:\n%s\n---\n%s", n, out, want)
+			}
+		}
+	}
+}
+
 func TestShardExplainAnalyzeUnionFallback(t *testing.T) {
 	sh := newSharded(4)
 	loadFixture(sh)

@@ -63,13 +63,13 @@ type Endpoint struct {
 	QueryTimeout time.Duration
 
 	// Results, when set, caches materialised query results keyed by the
-	// query text. A hit replays the stored rows through the same
-	// RowWriter pipeline — byte-identical to a fresh evaluation,
-	// trailers included — without taking any store lock or admission
-	// slot. Entries carry the generation vector of the slices their
-	// evaluation read and are validated against the store (GensValid)
-	// on every Get, so a write to any of those slices invalidates
-	// exactly the results that read it.
+	// query text. A hit is a Cursor over the stored snapshot, answered
+	// by the one response path a miss takes — byte-identical to a fresh
+	// evaluation, trailers included — without taking any store lock or
+	// admission slot. Entries carry the generation vector of the slices
+	// their evaluation read and are validated against the store
+	// (GensValid) on every Get, so a write to any of those slices
+	// invalidates exactly the results that read it.
 	Results *resultcache.Cache
 
 	// Admission, when set, gates the cache-miss path: bounded concurrent
@@ -77,9 +77,10 @@ type Endpoint struct {
 	// Retry-After.
 	Admission *Admission
 
-	// MaxRows and MaxBytes, when positive, bound one streamed response
-	// on the miss path (budget overruns abort the stream with an
-	// X-Error trailer). Cache hits replay results that already fit.
+	// MaxRows and MaxBytes, when positive, bound one streamed response,
+	// hit or miss (budget overruns abort the stream with an X-Error
+	// trailer; an aborted result is not cached, so a hit replays one
+	// that fit).
 	MaxRows  int
 	MaxBytes int64
 
@@ -221,11 +222,14 @@ func (ep *Endpoint) serveQuery(w http.ResponseWriter, r *http.Request) {
 	// key is the query text alone (the cached row set is
 	// format-independent; each hit renders it in the request's format),
 	// and validation checks the entry's generation vector against the
-	// live store without taking any lock.
+	// live store without taking any lock. A hit is a cursor over the
+	// snapshot — no locks, no release, no deadline, not cacheable —
+	// answered by the same respond a miss is.
 	if ep.Results != nil {
 		if ent, ok := ep.Results.Get(q, ep.store.GensValid); ok {
 			start := time.Now()
-			rows := ep.serveCached(w, media, ent, start)
+			hit := Cursor{inner: ent.Snap.Cursor(), ask: ent.Ask}
+			rows, _ := ep.respond(w, media, q, &hit, start)
 			ep.Metrics.recordQuery(traceID, q, "hit", rows, time.Since(start), "")
 			return
 		}
@@ -242,21 +246,10 @@ func (ep *Endpoint) serveQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Admission gates the miss path only — evaluations hold store read
 	// locks, replays don't. The wait shares the query deadline.
+	if !ep.admit(ctx, w, traceID, q) {
+		return
+	}
 	if ep.Admission != nil {
-		waitStart := time.Now()
-		if err := ep.Admission.Acquire(ctx); err != nil {
-			ep.count(0, true)
-			if errors.Is(err, ErrAdmissionFull) {
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, "busy: admission queue full", http.StatusTooManyRequests)
-				ep.Metrics.recordQuery(traceID, q, "rejected", 0, time.Since(reqStart), "")
-			} else {
-				http.Error(w, "queue wait cancelled: "+err.Error(), http.StatusServiceUnavailable)
-				ep.Metrics.recordQuery(traceID, q, "error", 0, time.Since(reqStart), "")
-			}
-			return
-		}
-		ep.Metrics.observeWait(time.Since(waitStart))
 		defer ep.Admission.Release()
 	}
 
@@ -268,25 +261,58 @@ func (ep *Endpoint) serveQuery(w http.ResponseWriter, r *http.Request) {
 		ep.Metrics.recordQuery(traceID, q, "error", 0, time.Since(reqStart), "")
 		return
 	}
-	defer cur.Close()
+	rows, failed := ep.respond(w, media, q, cur, start)
+	ep.recordMiss(traceID, q, rows, time.Since(reqStart), failed)
+}
 
-	// Pull the first row before committing to a status code: blocking
-	// plans (aggregates, ORDER BY) surface their evaluation errors here,
-	// keeping them 400s instead of mid-stream aborts.
-	first, hasFirst := cur.Next()
+// admit takes an admission slot when the endpoint has an Admission,
+// answering 429 with Retry-After on a full queue and 503 on a wait the
+// request's context cancelled; false means the request was answered.
+// The caller releases the slot.
+func (ep *Endpoint) admit(ctx context.Context, w http.ResponseWriter, traceID, q string) bool {
+	if ep.Admission == nil {
+		return true
+	}
+	waitStart := time.Now()
+	if err := ep.Admission.Acquire(ctx); err != nil {
+		ep.count(0, true)
+		if errors.Is(err, ErrAdmissionFull) {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, "busy: admission queue full", http.StatusTooManyRequests)
+			ep.Metrics.recordQuery(traceID, q, "rejected", 0, time.Since(waitStart), "")
+		} else {
+			http.Error(w, "queue wait cancelled: "+err.Error(), http.StatusServiceUnavailable)
+			ep.Metrics.recordQuery(traceID, q, "error", 0, time.Since(waitStart), "")
+		}
+		return false
+	}
+	ep.Metrics.observeWait(time.Since(waitStart))
+	return true
+}
+
+// respond answers a query from its cursor — a miss's evaluation or a
+// hit's replay alike, so the two render the same bytes — and closes it.
+// It returns the rows served and whether the request failed.
+//
+// The first row is pulled before committing to a status code: blocking
+// plans (aggregates, ORDER BY) surface their evaluation errors there,
+// keeping them 400s instead of mid-stream aborts. An ASK (one row)
+// carries X-Rows and X-Elapsed-Us as plain headers; a SELECT declares
+// them, with X-Error, as trailers and streams, flushing every
+// streamFlushRows rows and aborting on MaxRows/MaxBytes. A cursor that
+// vouches for its result (CacheVector: a miss with a deterministic plan)
+// is teed into a snapshot that is Put once the stream completed cleanly.
+func (ep *Endpoint) respond(w http.ResponseWriter, media, q string, cur *Cursor, start time.Time) (int, bool) {
+	defer cur.Close()
+	row, ok := cur.Next()
 	if err := cur.Err(); err != nil {
-		cur.Close()
 		ep.count(0, true)
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		ep.Metrics.recordQuery(traceID, q, "error", 0, time.Since(reqStart), "")
-		return
+		return 0, true
 	}
 
-	// Tee rows into a snapshot when the cursor vouches for the result:
-	// it carries the generation vector captured under its read locks and
-	// the plan is deterministic (no SAMPLE). The header is read here —
-	// the same point the row encoder reads it — so a replay renders
-	// identical bytes.
+	// The header is read here — the same point the row encoder reads
+	// it — so a replay renders identical bytes.
 	var snap *stsparql.RowSnapshot
 	var vec resultcache.GenVector
 	if ep.Results != nil {
@@ -296,36 +322,13 @@ func (ep *Endpoint) serveQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	h := w.Header()
 	if cur.IsAsk() {
-		// ASK: a single pre-materialised row — keep the plain headers.
-		res := &stsparql.Result{Vars: cur.Vars()}
-		if hasFirst {
-			res.Rows = append(res.Rows, first.Clone())
-			if snap != nil {
-				snap.Append(first)
-			}
-		}
-		closeErr := cur.Close()
-		if snap != nil && closeErr == nil {
-			ep.Results.Put(q, &resultcache.Entry{Ask: true, Snap: snap}, vec)
-		}
-		w.Header().Set("X-Rows", fmt.Sprint(len(res.Rows)))
+		h.Set("X-Rows", fmt.Sprint(cur.Rows()))
 		setElapsed(w, start)
-		if media == mediaTSV {
-			w.Header().Set("Content-Type", mediaTSV+"; charset=utf-8")
-			_ = WriteResultTSV(w, res)
-		} else {
-			w.Header().Set("Content-Type", mediaJSON)
-			_ = WriteResultJSON(w, res)
-		}
-		ep.count(len(res.Rows), false)
-		ep.recordMiss(traceID, q, len(res.Rows), time.Since(reqStart), false)
-		return
+	} else {
+		h.Set("Trailer", "X-Rows, X-Elapsed-Us, X-Error")
 	}
-
-	// Streamed SELECT: declare the trailers, then encode rows from the
-	// cursor, flushing every streamFlushRows rows.
-	w.Header().Set("Trailer", "X-Rows, X-Elapsed-Us, X-Error")
 	var sink io.Writer = w
 	var cw *countWriter
 	if ep.MaxBytes > 0 {
@@ -334,15 +337,15 @@ func (ep *Endpoint) serveQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	var enc RowWriter
 	if media == mediaTSV {
-		w.Header().Set("Content-Type", mediaTSV+"; charset=utf-8")
+		h.Set("Content-Type", mediaTSV+"; charset=utf-8")
 		enc = NewTSVRowWriter(sink, cur.Vars())
 	} else {
-		w.Header().Set("Content-Type", mediaJSON)
+		h.Set("Content-Type", mediaJSON)
 		enc = NewJSONRowWriter(sink, cur.Vars())
 	}
 	flusher, _ := w.(http.Flusher)
 	var writeErr, budgetErr error
-	for ok := hasFirst; ok; first, ok = cur.Next() {
+	for ; ok; row, ok = cur.Next() {
 		if ep.MaxRows > 0 && cur.Rows() > ep.MaxRows {
 			budgetErr = fmt.Errorf("row budget exceeded (%d rows)", ep.MaxRows)
 			break
@@ -352,12 +355,12 @@ func (ep *Endpoint) serveQuery(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if snap != nil {
-			snap.Append(first)
+			snap.Append(row)
 			if bound := ep.Results.MaxEntryBytes(); bound > 0 && snap.Bytes() > bound {
 				snap = nil // result outgrew the per-entry bound: stop teeing
 			}
 		}
-		if writeErr = enc.Row(first); writeErr != nil {
+		if writeErr = enc.Row(row); writeErr != nil {
 			break // client gone: stop pulling rows
 		}
 		if cur.Rows()%streamFlushRows == 0 && flusher != nil {
@@ -370,21 +373,23 @@ func (ep *Endpoint) serveQuery(w http.ResponseWriter, r *http.Request) {
 	closeErr := cur.Close() // rows are final once the cursor is closed
 	rows := cur.Rows()
 	if snap != nil && closeErr == nil && writeErr == nil && budgetErr == nil {
-		ep.Results.Put(q, &resultcache.Entry{Snap: snap}, vec)
+		ep.Results.Put(q, &resultcache.Entry{Ask: cur.IsAsk(), Snap: snap}, vec)
 	}
-	w.Header().Set("X-Rows", fmt.Sprint(rows))
-	setElapsed(w, start)
-	failed := false
+	if !cur.IsAsk() {
+		h.Set("X-Rows", fmt.Sprint(rows))
+		setElapsed(w, start)
+	}
+	failed := writeErr != nil
 	switch {
 	case closeErr != nil:
-		w.Header().Set("X-Error", closeErr.Error())
+		h.Set("X-Error", closeErr.Error())
 		failed = true
 	case budgetErr != nil:
-		w.Header().Set("X-Error", budgetErr.Error())
+		h.Set("X-Error", budgetErr.Error())
 		failed = true
 	}
-	ep.count(rows, failed || writeErr != nil)
-	ep.recordMiss(traceID, q, rows, time.Since(reqStart), failed || writeErr != nil)
+	ep.count(rows, failed)
+	return rows, failed
 }
 
 // recordMiss lands a completed (or failed) evaluation in the telemetry:
@@ -405,56 +410,6 @@ func (ep *Endpoint) recordMiss(traceID, q string, rows int, elapsed time.Duratio
 		plan, _ = ep.store.Explain(q) // a query that fails to plan logs without one
 	}
 	tel.recordQuery(traceID, q, outcome, rows, elapsed, plan)
-}
-
-// serveCached replays a cached result through the same encoding
-// pipeline a fresh evaluation streams through, so the response bytes —
-// headers, body and trailers — match a miss of the same query, with
-// only X-Elapsed-Us reflecting the replay. Returns the rows served.
-func (ep *Endpoint) serveCached(w http.ResponseWriter, media string, ent *resultcache.Entry, start time.Time) int {
-	snap := ent.Snap
-	if ent.Ask {
-		res := snap.Result()
-		w.Header().Set("X-Rows", fmt.Sprint(len(res.Rows)))
-		setElapsed(w, start)
-		if media == mediaTSV {
-			w.Header().Set("Content-Type", mediaTSV+"; charset=utf-8")
-			_ = WriteResultTSV(w, res)
-		} else {
-			w.Header().Set("Content-Type", mediaJSON)
-			_ = WriteResultJSON(w, res)
-		}
-		ep.count(len(res.Rows), false)
-		return len(res.Rows)
-	}
-	w.Header().Set("Trailer", "X-Rows, X-Elapsed-Us, X-Error")
-	var enc RowWriter
-	if media == mediaTSV {
-		w.Header().Set("Content-Type", mediaTSV+"; charset=utf-8")
-		enc = NewTSVRowWriter(w, snap.Vars())
-	} else {
-		w.Header().Set("Content-Type", mediaJSON)
-		enc = NewJSONRowWriter(w, snap.Vars())
-	}
-	flusher, _ := w.(http.Flusher)
-	var row stsparql.Row
-	var writeErr error
-	for i := 0; i < snap.Len(); i++ {
-		row = snap.Row(i, row)
-		if writeErr = enc.Row(row); writeErr != nil {
-			break
-		}
-		if (i+1)%streamFlushRows == 0 && flusher != nil {
-			flusher.Flush()
-		}
-	}
-	if writeErr == nil {
-		writeErr = enc.End()
-	}
-	w.Header().Set("X-Rows", fmt.Sprint(snap.Len()))
-	setElapsed(w, start)
-	ep.count(snap.Len(), writeErr != nil)
-	return snap.Len()
 }
 
 // countWriter counts bytes on their way to the client for the
@@ -504,11 +459,19 @@ func (ep *Endpoint) serveExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	var plan string
 	if analyzeParam(r) {
+		// ANALYZE evaluates under the store's read locks, so it queues
+		// for admission like a miss; a plain EXPLAIN only plans.
 		ctx := r.Context()
 		if ep.QueryTimeout > 0 {
 			var cancel func()
 			ctx, cancel = context.WithTimeout(ctx, ep.QueryTimeout)
 			defer cancel()
+		}
+		if !ep.admit(ctx, w, r.Header.Get(obs.RequestIDHeader), q) {
+			return
+		}
+		if ep.Admission != nil {
+			defer ep.Admission.Release()
 		}
 		plan, err = ep.store.ExplainAnalyze(ctx, q)
 	} else {

@@ -221,7 +221,8 @@ func diffInts(a, b []int) []int {
 // Cursor streams the solutions of a query's one evaluation. A SELECT
 // cursor holds the read locks its evaluation runs under from
 // QueryStreamCtx until Close — close promptly; an ASK cursor is
-// pre-materialised and holds no lock. Bound to a context that can be
+// pre-materialised and holds no lock, and neither does the endpoint's
+// cache-hit cursor, a replay of a stored snapshot. Bound to a context that can be
 // cancelled (client gone, deadline hit), it checks the context on every
 // pull: once it fires the cursor stops yielding rows, reports the
 // context error and releases its locks at that pull, instead of

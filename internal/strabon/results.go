@@ -15,9 +15,9 @@ import (
 // Result serialisation in the two formats the endpoint speaks: SPARQL
 // 1.1 Query Results JSON and W3C TSV. Both are written row by row
 // through RowWriter, so the endpoint (and cmd/stsparql) can encode a
-// cursor's rows as they are pulled instead of materialising the result;
-// WriteResultJSON / WriteResultTSV remain as materialised-result
-// wrappers.
+// cursor's rows as they are pulled instead of materialising the result
+// — a cache hit's replay included; WriteResultJSON remains as the
+// materialised-result wrapper.
 
 // RowWriter encodes one result set incrementally: any prologue (JSON
 // head, TSV header line) is written with the first row — or by End for
@@ -205,17 +205,8 @@ func (tw *tsvRowWriter) End() error { return tw.begin() }
 // WriteResultJSON writes a materialised result set in the SPARQL 1.1
 // Query Results JSON format.
 func WriteResultJSON(w io.Writer, res *stsparql.Result) error {
-	return writeRows(NewJSONRowWriter(w, res.Vars), res.Rows)
-}
-
-// WriteResultTSV writes a materialised result set in the W3C SPARQL TSV
-// format.
-func WriteResultTSV(w io.Writer, res *stsparql.Result) error {
-	return writeRows(NewTSVRowWriter(w, res.Vars), res.Rows)
-}
-
-func writeRows(rw RowWriter, rows []stsparql.Row) error {
-	for _, row := range rows {
+	rw := NewJSONRowWriter(w, res.Vars)
+	for _, row := range res.Rows {
 		if err := rw.Row(row); err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -140,9 +141,9 @@ func TestEndpointAdmission429(t *testing.T) {
 	}
 }
 
-// TestEndpointBudgets checks the miss-path response budgets abort the
-// stream with an X-Error trailer and keep the truncated result out of
-// the cache.
+// TestEndpointBudgets checks the response budgets abort the stream with
+// an X-Error trailer and keep the truncated result out of the cache, and
+// that a hit, which runs them too, replays a result stored under them.
 func TestEndpointBudgets(t *testing.T) {
 	target := "/sparql?query=" + url.QueryEscape(`SELECT ?h WHERE { ?h a noa:Hotspot . }`)
 
@@ -162,5 +163,58 @@ func TestEndpointBudgets(t *testing.T) {
 	w2 := get(t, ep2, target)
 	if !strings.Contains(w2.Header().Get("X-Error"), "byte budget exceeded") {
 		t.Fatalf("byte budget trailer: %v", w2.Header())
+	}
+
+	// A hit runs the budgets too: a result stored under them replays in
+	// full, with its miss's bytes.
+	_, ep3 := endpointFixture(t)
+	ep3.Results = resultcache.New(16, 1<<20)
+	miss := get(t, ep3, target)
+	rows, err := strconv.Atoi(miss.Header().Get("X-Rows"))
+	if err != nil || rows < 2 || miss.Header().Get("X-Error") != "" {
+		t.Fatalf("unbudgeted miss: X-Rows %q, X-Error %q", miss.Header().Get("X-Rows"), miss.Header().Get("X-Error"))
+	}
+	// The budgets are checked before each row, so a response exactly at
+	// them passes; a hit rejects rows or bytes beyond them just the same.
+	ep3.MaxRows = rows
+	ep3.MaxBytes = int64(miss.Body.Len())
+	hit := get(t, ep3, target)
+	if st := ep3.Results.Stats(); st.Hits != 1 {
+		t.Fatalf("second request was not a hit: %+v", st)
+	}
+	if hit.Header().Get("X-Error") != "" || hit.Header().Get("X-Rows") != miss.Header().Get("X-Rows") ||
+		hit.Body.String() != miss.Body.String() {
+		t.Fatalf("budgeted hit differs from its miss: X-Error %q X-Rows %q\n%s\n---\n%s",
+			hit.Header().Get("X-Error"), hit.Header().Get("X-Rows"), hit.Body, miss.Body)
+	}
+	ep3.MaxRows = rows - 1
+	if w := get(t, ep3, target); !strings.Contains(w.Header().Get("X-Error"), "row budget exceeded") {
+		t.Fatalf("hit over the row budget: %v", w.Header())
+	}
+}
+
+// TestExplainAnalyzeAdmission holds EXPLAIN ANALYZE, which evaluates
+// under the store's read locks, to the admission gate a miss queues
+// for; a plain EXPLAIN only plans and stays ungated.
+func TestExplainAnalyzeAdmission(t *testing.T) {
+	_, ep := endpointFixture(t)
+	ep.Admission = NewAdmission(1, 0)
+	if err := ep.Admission.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	target := "/explain?query=" + url.QueryEscape(`SELECT ?h WHERE { ?h a noa:Hotspot . }`)
+	w := get(t, ep, target+"&analyze=1")
+	if w.Code != http.StatusTooManyRequests || w.Header().Get("Retry-After") != "1" {
+		t.Fatalf("analyze on a saturated gate: %d %v %s", w.Code, w.Header(), w.Body)
+	}
+	if w := get(t, ep, target); w.Code != http.StatusOK {
+		t.Fatalf("plain explain on a saturated gate: %d %s", w.Code, w.Body)
+	}
+	ep.Admission.Release()
+	if w := get(t, ep, target+"&analyze=1"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "total: rows=") {
+		t.Fatalf("analyze on a free gate: %d %s", w.Code, w.Body)
+	}
+	if st := ep.Admission.Stats(); st.Rejected != 1 || st.Active != 0 {
+		t.Fatalf("admission stats: %+v", st)
 	}
 }

@@ -46,49 +46,17 @@ type ExecTrace struct {
 }
 
 // NewExecTrace registers every operator of a compiled SELECT or ASK
-// plan. The map is complete before any evaluation starts and is never
-// mutated afterwards, so traced iterators read it without locks.
+// plan, walking it as Render (and EXPLAIN) does. The map is complete
+// before any evaluation starts and is never mutated afterwards, so
+// traced iterators read it without locks.
 func NewExecTrace(c *Compiled) *ExecTrace {
 	t := &ExecTrace{stats: make(map[operator]*OpStats)}
-	switch {
-	case c.sel != nil:
-		t.registerSelect(c.sel)
-	case c.ask != nil:
-		t.registerGroup(c.ask)
-	}
-	return t
-}
-
-func (t *ExecTrace) registerSelect(p *selectPlan) {
-	t.registerGroup(p.where)
-	for _, op := range p.tail {
-		t.registerOp(op)
-	}
-}
-
-func (t *ExecTrace) registerGroup(g *groupPlan) {
-	for _, op := range g.ops {
-		t.registerOp(op)
-	}
-}
-
-func (t *ExecTrace) registerOp(op operator) {
-	if _, ok := t.stats[op]; ok {
-		return
-	}
-	t.stats[op] = &OpStats{}
-	switch v := op.(type) {
-	case *optionalOp:
-		t.registerGroup(v.sub)
-	case *unionOp:
-		for _, br := range v.branches {
-			t.registerGroup(br)
+	c.explain(&planText{note: func(_ *strings.Builder, op operator) {
+		if t.stats[op] == nil {
+			t.stats[op] = &OpStats{}
 		}
-	case *nestedGroupOp:
-		t.registerGroup(v.sub)
-	case *subSelectOp:
-		t.registerSelect(v.sub)
-	}
+	}})
+	return t
 }
 
 // wrap interposes a traced iterator over one operator's output. Called
@@ -128,7 +96,7 @@ func (it *tracedIter) close() { it.in.close() }
 // evaluators.
 func (e *Evaluator) SetTrace(t *ExecTrace) { e.trace = t }
 
-// Render walks the compiled plan in Explain order and prints each
+// Render is EXPLAIN's rendering of the compiled plan with each
 // operator's line annotated with its actuals:
 //
 //	join[bind] {?h a noa:Hotspot} est=1000 (actual rows=9731 batches=12 time=1.2ms)
@@ -139,47 +107,9 @@ func (e *Evaluator) SetTrace(t *ExecTrace) { e.trace = t }
 // re-openings. Operators the evaluation never opened are annotated
 // "(never executed)".
 func (t *ExecTrace) Render(c *Compiled) string {
-	var b strings.Builder
-	switch {
-	case c.sel != nil:
-		t.renderGroup(&b, c.sel.where, "  ")
-		for _, op := range c.sel.tail {
-			t.renderOp(&b, op, "  ")
-		}
-	case c.ask != nil:
-		t.renderGroup(&b, c.ask, "  ")
-	}
+	b := planText{note: t.annotate}
+	c.explain(&b)
 	return b.String()
-}
-
-func (t *ExecTrace) renderGroup(b *strings.Builder, g *groupPlan, indent string) {
-	for _, op := range g.ops {
-		t.renderOp(b, op, indent)
-	}
-}
-
-func (t *ExecTrace) renderOp(b *strings.Builder, op operator, indent string) {
-	b.WriteString(indent)
-	b.WriteString(opLabel(op))
-	t.annotate(b, op)
-	b.WriteByte('\n')
-	sub := indent + "  "
-	switch v := op.(type) {
-	case *optionalOp:
-		t.renderGroup(b, v.sub, sub)
-	case *unionOp:
-		for _, br := range v.branches {
-			fmt.Fprintf(b, "%s branch\n", indent)
-			t.renderGroup(b, br, sub)
-		}
-	case *nestedGroupOp:
-		t.renderGroup(b, v.sub, sub)
-	case *subSelectOp:
-		t.renderGroup(b, v.sub.where, sub)
-		for _, tailOp := range v.sub.tail {
-			t.renderOp(b, tailOp, sub)
-		}
-	}
 }
 
 func (t *ExecTrace) annotate(b *strings.Builder, op operator) {
@@ -207,17 +137,4 @@ func (t *ExecTrace) annotate(b *strings.Builder, op operator) {
 		}
 	}
 	b.WriteString(")")
-}
-
-// opLabel is the operator's own Explain line — the first line of its
-// explain output (sub-plan operators print their header first and then
-// recurse, so the first line is always the operator itself).
-func opLabel(op operator) string {
-	var tmp strings.Builder
-	op.explain(&tmp, "")
-	s := tmp.String()
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		s = s[:i]
-	}
-	return s
 }

@@ -166,22 +166,23 @@ var aggregateNames = map[string]bool{
 // application.
 func (c *CallExpr) isAggregate() bool { return aggregateNames[c.Name] }
 
-// containsAggregate walks an expression tree for aggregate calls.
-func containsAggregate(e Expr) bool {
+// anyCall reports whether some call in the expression tree — at any
+// depth, arguments included — satisfies pred.
+func anyCall(e Expr, pred func(*CallExpr) bool) bool {
 	switch v := e.(type) {
 	case *CallExpr:
-		if v.isAggregate() {
+		if pred(v) {
 			return true
 		}
 		for _, a := range v.Args {
-			if containsAggregate(a) {
+			if anyCall(a, pred) {
 				return true
 			}
 		}
 	case *BinaryExpr:
-		return containsAggregate(v.L) || containsAggregate(v.R)
+		return anyCall(v.L, pred) || anyCall(v.R, pred)
 	case *UnaryExpr:
-		return containsAggregate(v.X)
+		return anyCall(v.X, pred)
 	}
 	return false
 }

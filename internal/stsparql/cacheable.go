@@ -36,22 +36,22 @@ func (c *Compiled) Cacheable() bool { return c.cacheable }
 
 func selectCacheable(sel *SelectQuery) bool {
 	for _, item := range sel.Projection {
-		if item.Expr != nil && exprHasSample(item.Expr) {
+		if item.Expr != nil && anyCall(item.Expr, isSample) {
 			return false
 		}
 	}
 	for _, g := range sel.GroupBy {
-		if exprHasSample(g) {
+		if anyCall(g, isSample) {
 			return false
 		}
 	}
 	for _, h := range sel.Having {
-		if exprHasSample(h) {
+		if anyCall(h, isSample) {
 			return false
 		}
 	}
 	for _, k := range sel.OrderBy {
-		if exprHasSample(k.Expr) {
+		if anyCall(k.Expr, isSample) {
 			return false
 		}
 	}
@@ -65,7 +65,7 @@ func groupCacheable(gp *GroupPattern) bool {
 	for _, el := range gp.Elements {
 		switch v := el.(type) {
 		case *FilterElement:
-			if exprHasSample(v.Cond) {
+			if anyCall(v.Cond, isSample) {
 				return false
 			}
 		case *OptionalElement:
@@ -91,22 +91,5 @@ func groupCacheable(gp *GroupPattern) bool {
 	return true
 }
 
-// exprHasSample walks an expression tree for SAMPLE aggregate calls.
-func exprHasSample(e Expr) bool {
-	switch v := e.(type) {
-	case *CallExpr:
-		if v.Name == "sample" {
-			return true
-		}
-		for _, a := range v.Args {
-			if exprHasSample(a) {
-				return true
-			}
-		}
-	case *BinaryExpr:
-		return exprHasSample(v.L) || exprHasSample(v.R)
-	case *UnaryExpr:
-		return exprHasSample(v.X)
-	}
-	return false
-}
+// isSample reports a SAMPLE aggregate call.
+func isSample(c *CallExpr) bool { return c.Name == "sample" }

@@ -184,32 +184,12 @@ func (c *planCursor) Close() error {
 	return c.err
 }
 
-// sliceCursor yields pre-computed owned rows; its rows are NOT
-// invalidated by Next, unlike a streaming cursor's views.
-type sliceCursor struct {
-	vars []string
-	rows []Row
-	pos  int
-}
-
-func (c *sliceCursor) Vars() []string { return c.vars }
-
-func (c *sliceCursor) Next() (Row, bool) {
-	if c.pos >= len(c.rows) {
-		return nil, false
-	}
-	row := c.rows[c.pos]
-	c.pos++
-	return row, true
-}
-
-func (c *sliceCursor) Err() error   { return nil }
-func (c *sliceCursor) Close() error { return nil }
-
 // AskCursor returns the one-row result of an ASK: the verdict bound to
-// "ask".
+// "ask", replayed from a one-row snapshot.
 func AskCursor(ok bool) Cursor {
-	return &sliceCursor{vars: []string{"ask"}, rows: []Row{{rdf.NewBoolean(ok)}}}
+	snap := NewRowSnapshot([]string{"ask"})
+	snap.Append(Row{rdf.NewBoolean(ok)})
+	return snap.Cursor()
 }
 
 // UpdateStats reports the effect of an update request.
@@ -462,7 +442,7 @@ func IsGrouped(sel *SelectQuery) bool {
 
 func projectionHasAggregates(q *SelectQuery) bool {
 	for _, item := range q.Projection {
-		if item.Expr != nil && containsAggregate(item.Expr) {
+		if item.Expr != nil && anyCall(item.Expr, (*CallExpr).isAggregate) {
 			return true
 		}
 	}
@@ -811,25 +791,4 @@ func geomParts(g geom.Geometry) ([]geom.Point, []geom.LineString, []geom.Polygon
 		return pts, ls, ps
 	}
 	return nil, nil, nil
-}
-
-// usesBoundFn reports whether the expression calls bound(); such filters
-// must wait for the end of the group (OPTIONAL may bind later).
-func usesBoundFn(e Expr) bool {
-	switch v := e.(type) {
-	case *CallExpr:
-		if v.Name == "bound" {
-			return true
-		}
-		for _, a := range v.Args {
-			if usesBoundFn(a) {
-				return true
-			}
-		}
-	case *BinaryExpr:
-		return usesBoundFn(v.L) || usesBoundFn(v.R)
-	case *UnaryExpr:
-		return usesBoundFn(v.X)
-	}
-	return false
 }

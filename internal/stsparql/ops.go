@@ -45,9 +45,9 @@ type operator interface {
 	// open wires the operator over its input batches and returns the
 	// pull iterator of its output.
 	open(e *Evaluator, in batchIter) batchIter
-	// explain renders the operator (and any sub-plans) at the given
-	// indentation.
-	explain(b *strings.Builder, indent string)
+	// explain renders the operator's line at the given indentation,
+	// closed by b.end, and then any sub-plans.
+	explain(b *planText, indent string)
 }
 
 // Join strategies a joinOp can be planned with.
@@ -382,7 +382,7 @@ func (it *joinIter) close() {
 	it.in.close()
 }
 
-func (op *joinOp) explain(b *strings.Builder, indent string) {
+func (op *joinOp) explain(b *planText, indent string) {
 	kind, strategy := "join", op.strategy
 	if op.strategy == joinTimeRange {
 		kind = "scan"
@@ -398,7 +398,8 @@ func (op *joinOp) explain(b *strings.Builder, indent string) {
 	if len(op.shared) > 0 {
 		fmt.Fprintf(b, " on %s", strings.Join(op.shared, ","))
 	}
-	fmt.Fprintf(b, " est=%s\n", formatEst(op.est))
+	fmt.Fprintf(b, " est=%s", formatEst(op.est))
+	b.end(op)
 }
 
 // filterOp keeps the rows satisfying a FILTER condition; evaluation
@@ -516,12 +517,13 @@ func (it *filterIter) filterIDs(b *Batch, keep []int32) []int32 {
 
 func (it *filterIter) close() { it.in.close() }
 
-func (op *filterOp) explain(b *strings.Builder, indent string) {
+func (op *filterOp) explain(b *planText, indent string) {
 	label := "filter"
 	if op.eager {
 		label = "filter[pushed]"
 	}
-	fmt.Fprintf(b, "%s%s %s\n", indent, label, exprString(op.cond))
+	fmt.Fprintf(b, "%s%s %s", indent, label, exprString(op.cond))
+	b.end(op)
 }
 
 // optionalOp left-joins each row against a sub-plan: rows with no
@@ -643,8 +645,9 @@ func (it *optionalIter) close() {
 	it.in.close()
 }
 
-func (op *optionalOp) explain(b *strings.Builder, indent string) {
-	fmt.Fprintf(b, "%soptional\n", indent)
+func (op *optionalOp) explain(b *planText, indent string) {
+	fmt.Fprintf(b, "%soptional", indent)
+	b.end(op)
 	op.sub.explain(b, indent+"  ")
 }
 
@@ -728,8 +731,9 @@ func (it *unionIter) close() {
 	it.in.close()
 }
 
-func (op *unionOp) explain(b *strings.Builder, indent string) {
-	fmt.Fprintf(b, "%sunion\n", indent)
+func (op *unionOp) explain(b *planText, indent string) {
+	fmt.Fprintf(b, "%sunion", indent)
+	b.end(op)
 	for _, br := range op.branches {
 		fmt.Fprintf(b, "%s branch\n", indent)
 		br.explain(b, indent+"  ")
@@ -746,8 +750,9 @@ func (op *nestedGroupOp) open(e *Evaluator, in batchIter) batchIter {
 	return op.sub.open(e, in)
 }
 
-func (op *nestedGroupOp) explain(b *strings.Builder, indent string) {
-	fmt.Fprintf(b, "%sgroup\n", indent)
+func (op *nestedGroupOp) explain(b *planText, indent string) {
+	fmt.Fprintf(b, "%sgroup", indent)
+	b.end(op)
 	op.sub.explain(b, indent+"  ")
 }
 
@@ -886,8 +891,9 @@ func (it *subSelectIter) nextProbeRow() (rowRef, bool, error) {
 
 func (it *subSelectIter) close() { it.in.close() }
 
-func (op *subSelectOp) explain(b *strings.Builder, indent string) {
-	fmt.Fprintf(b, "%ssub-select\n", indent)
+func (op *subSelectOp) explain(b *planText, indent string) {
+	fmt.Fprintf(b, "%ssub-select", indent)
+	b.end(op)
 	op.sub.explain(b, indent+"  ")
 }
 
@@ -923,7 +929,7 @@ func (it *aggregateIter) next() (*Batch, error) {
 
 func (it *aggregateIter) close() { it.in.close() }
 
-func (op *aggregateOp) explain(b *strings.Builder, indent string) {
+func (op *aggregateOp) explain(b *planText, indent string) {
 	fmt.Fprintf(b, "%saggregate", indent)
 	if len(op.q.GroupBy) > 0 {
 		keys := make([]string, len(op.q.GroupBy))
@@ -935,7 +941,7 @@ func (op *aggregateOp) explain(b *strings.Builder, indent string) {
 	if len(op.q.Having) > 0 {
 		fmt.Fprintf(b, " having=%d", len(op.q.Having))
 	}
-	b.WriteByte('\n')
+	b.end(op)
 }
 
 // projectOp applies the SELECT projection, rewriting each input batch
@@ -1028,9 +1034,10 @@ func (it *projectIter) next() (*Batch, error) {
 
 func (it *projectIter) close() { it.in.close() }
 
-func (op *projectOp) explain(b *strings.Builder, indent string) {
+func (op *projectOp) explain(b *planText, indent string) {
 	if op.q.Star {
-		fmt.Fprintf(b, "%sproject *\n", indent)
+		fmt.Fprintf(b, "%sproject *", indent)
+		b.end(op)
 		return
 	}
 	items := make([]string, len(op.q.Projection))
@@ -1041,7 +1048,8 @@ func (op *projectOp) explain(b *strings.Builder, indent string) {
 			items[i] = "?" + item.Var
 		}
 	}
-	fmt.Fprintf(b, "%sproject %s\n", indent, strings.Join(items, " "))
+	fmt.Fprintf(b, "%sproject %s", indent, strings.Join(items, " "))
+	b.end(op)
 }
 
 // distinctOp deduplicates rows over the projected variables, streaming:
@@ -1099,8 +1107,9 @@ func (it *distinctIter) next() (*Batch, error) {
 
 func (it *distinctIter) close() { it.in.close() }
 
-func (op *distinctOp) explain(b *strings.Builder, indent string) {
-	fmt.Fprintf(b, "%sdistinct\n", indent)
+func (op *distinctOp) explain(b *planText, indent string) {
+	fmt.Fprintf(b, "%sdistinct", indent)
+	b.end(op)
 }
 
 // orderOp sorts rows by the ORDER BY keys (stable; incomparable values
@@ -1243,7 +1252,7 @@ func (it *orderIter) drain() ([]int32, error) {
 
 func (it *orderIter) close() { it.in.close() }
 
-func (op *orderOp) explain(b *strings.Builder, indent string) {
+func (op *orderOp) explain(b *planText, indent string) {
 	keys := make([]string, len(op.keys))
 	for i, k := range op.keys {
 		keys[i] = exprString(k.Expr)
@@ -1255,7 +1264,7 @@ func (op *orderOp) explain(b *strings.Builder, indent string) {
 	if op.topK > 0 {
 		fmt.Fprintf(b, " top=%d", op.topK)
 	}
-	b.WriteByte('\n')
+	b.end(op)
 }
 
 // sliceOp applies OFFSET and LIMIT by trimming the selection vectors of
@@ -1331,12 +1340,13 @@ func (it *sliceIter) next() (*Batch, error) {
 
 func (it *sliceIter) close() { it.in.close() }
 
-func (op *sliceOp) explain(b *strings.Builder, indent string) {
+func (op *sliceOp) explain(b *planText, indent string) {
 	label := "slice"
 	if op.pushed {
 		label = "slice[pushed]"
 	}
-	fmt.Fprintf(b, "%s%s offset=%d limit=%d\n", indent, label, op.offset, op.limit)
+	fmt.Fprintf(b, "%s%s offset=%d limit=%d", indent, label, op.offset, op.limit)
+	b.end(op)
 }
 
 // --- pattern scanning (shared by bind joins and hash build sides) ---

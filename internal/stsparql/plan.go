@@ -108,7 +108,23 @@ func (g *groupPlan) open(e *Evaluator, in batchIter) batchIter {
 	return cur
 }
 
-func (g *groupPlan) explain(b *strings.Builder, indent string) {
+// planText accumulates a rendered plan, one line per operator. Each
+// operator closes its own line with end, where note — EXPLAIN ANALYZE's
+// actuals, or its registration of the operator — sees it first.
+type planText struct {
+	strings.Builder
+	note func(b *strings.Builder, op operator) // nil: plain EXPLAIN
+}
+
+// end annotates op's line through note and closes it.
+func (b *planText) end(op operator) {
+	if b.note != nil {
+		b.note(&b.Builder, op)
+	}
+	b.WriteByte('\n')
+}
+
+func (g *groupPlan) explain(b *planText, indent string) {
 	for _, op := range g.ops {
 		op.explain(b, indent)
 	}
@@ -154,7 +170,7 @@ func (p *selectPlan) run(e *Evaluator, seedVars []string, seed []Row) (*Result, 
 	return res, nil
 }
 
-func (p *selectPlan) explain(b *strings.Builder, indent string) {
+func (p *selectPlan) explain(b *planText, indent string) {
 	p.where.explain(b, indent)
 	for _, op := range p.tail {
 		op.explain(b, indent)
@@ -359,8 +375,8 @@ func (p *planner) planGroup(gp *GroupPattern, bound map[string]bool, inEst float
 //
 // One ordering rule places the filters, for a rule's prepared plan and a
 // query's alike: a filter is pushed behind the pattern that binds the
-// last of its variables — except a costly one (costlyFilter: it calls a
-// strdf: function, an exact geometry test per row), which waits while a
+// last of its variables — except a costly one (isSpatialCall: it calls
+// a strdf: function, an exact geometry test per row), which waits while a
 // ground pattern remains (hasGroundPattern: every component constant or
 // certainly bound, so the join is an index probe that only drops rows).
 // The class ranking below scores such a pattern 7 and picks it next, so
@@ -467,8 +483,8 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 					break
 				}
 			}
-			if all && !usesBoundFn(f.Cond) {
-				if costlyFilter(f.Cond) && hasGroundPattern(remaining, bound) {
+			if all && !anyCall(f.Cond, isBoundCall) {
+				if anyCall(f.Cond, isSpatialCall) && hasGroundPattern(remaining, bound) {
 					continue // the cheap existence check runs first
 				}
 				applied[f] = true
@@ -575,26 +591,14 @@ func (p *planner) timeRangeFor(pat TriplePattern, wins map[string]*TimeWindow, b
 	return w, n, ok
 }
 
-// costlyFilter reports whether a filter calls a spatial function: orders
-// of magnitude dearer per row than an index probe.
-func costlyFilter(e Expr) bool {
-	switch v := e.(type) {
-	case *CallExpr:
-		if strings.HasPrefix(v.Name, "strdf:") {
-			return true
-		}
-		for _, a := range v.Args {
-			if costlyFilter(a) {
-				return true
-			}
-		}
-	case *BinaryExpr:
-		return costlyFilter(v.L) || costlyFilter(v.R)
-	case *UnaryExpr:
-		return costlyFilter(v.X)
-	}
-	return false
-}
+// isSpatialCall reports a call of a spatial function: orders of
+// magnitude dearer per row than an index probe, which makes a filter
+// calling one costly.
+func isSpatialCall(c *CallExpr) bool { return strings.HasPrefix(c.Name, "strdf:") }
+
+// isBoundCall reports a bound() call; a filter making one must wait for
+// the end of its group (OPTIONAL may bind later).
+func isBoundCall(c *CallExpr) bool { return c.Name == "bound" }
 
 // hasGroundPattern reports whether some remaining pattern has every
 // component constant or certainly bound — a pure existence check, which
@@ -744,7 +748,7 @@ func spatialJoinReadyExpr(expr Expr, v string, bound map[string]bool) bool {
 // planner's cumulative row estimates.
 func (e *Evaluator) Explain(q *Query) (string, error) {
 	p := e.newPlanner()
-	var b strings.Builder
+	var b planText
 	switch {
 	case q.Select != nil:
 		b.WriteString("select\n")

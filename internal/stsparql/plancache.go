@@ -36,6 +36,17 @@ type Compiled struct {
 	cacheable bool
 }
 
+// explain renders the compiled plan's operators, indented under the
+// select/ask line EXPLAIN opens with.
+func (c *Compiled) explain(b *planText) {
+	switch {
+	case c.sel != nil:
+		c.sel.explain(b, "  ")
+	case c.ask != nil:
+		c.ask.explain(b, "  ")
+	}
+}
+
 // IsSelect reports whether the compiled query is a SELECT.
 func (c *Compiled) IsSelect() bool { return c.sel != nil }
 

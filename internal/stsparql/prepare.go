@@ -112,7 +112,7 @@ func (p *Prepared) checkSeed(seed []Row) error {
 // first run's source when the plan already exists).
 func (p *Prepared) Explain(e *Evaluator) string {
 	p.plan(e)
-	var b strings.Builder
+	var b planText
 	if p.where != nil {
 		fmt.Fprintf(&b, "update delete=%d insert=%d seed=%s\n", len(p.query.Update.Delete), len(p.query.Update.Insert), strings.Join(p.seed, ","))
 		p.where.explain(&b, "  ")

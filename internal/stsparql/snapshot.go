@@ -13,7 +13,7 @@ import "repro/internal/rdf"
 // table of term shapes — the (Kind, Datatype, Lang) combinations, of
 // which a result has a handful (IRI, geometry literal, dateTime, …) —
 // so a cached row costs 24 bytes a column, not the 56 of an rdf.Term.
-// Row and Result put the terms back together exactly: an unbound column
+// Its Cursor puts the terms back together exactly: an unbound column
 // is the zero Term again, which the result encoders skip, so replaying
 // through them is byte-identical to the original streamed encoding.
 type RowSnapshot struct {
@@ -74,38 +74,38 @@ func (s *RowSnapshot) term(i int) rdf.Term {
 	return t
 }
 
-// Vars is the result header.
-func (s *RowSnapshot) Vars() []string { return s.vars }
-
-// Len is the number of rows.
-func (s *RowSnapshot) Len() int { return s.rows }
-
 // Bytes is the snapshot's estimated memory footprint, the unit the
 // result cache's byte bound is enforced in.
 func (s *RowSnapshot) Bytes() int64 { return s.bytes }
 
-// Row fills dst with row i's terms, column by column, and returns it,
-// so one row can be reused across the whole replay (the same reuse
-// contract the streaming cursors have); a dst too short for the header
-// is replaced. Unbound columns are the zero Term.
-func (s *RowSnapshot) Row(i int, dst Row) Row {
-	w := len(s.vars)
-	if cap(dst) < w {
-		dst = make(Row, w)
-	}
-	dst = dst[:w]
-	for j := range dst {
-		dst[j] = s.term(i*w + j)
-	}
-	return dst
+// Cursor replays the snapshot row by row, through one reused row (the
+// view contract of the streaming cursors), each term rebuilt from its
+// cell; an unbound column is the zero Term. It holds nothing to
+// release: Err and Close are always nil.
+func (s *RowSnapshot) Cursor() Cursor { return &snapCursor{snap: s} }
+
+type snapCursor struct {
+	snap *RowSnapshot
+	row  Row
+	pos  int
 }
 
-// Result materialises the snapshot into an owned Result (the ASK and
-// non-streamed replay path).
-func (s *RowSnapshot) Result() *Result {
-	res := &Result{Vars: s.vars, Rows: make([]Row, s.rows)}
-	for i := range res.Rows {
-		res.Rows[i] = s.Row(i, nil)
+func (c *snapCursor) Vars() []string { return c.snap.vars }
+
+func (c *snapCursor) Next() (Row, bool) {
+	s := c.snap
+	if c.pos >= s.rows {
+		return nil, false
 	}
-	return res
+	if c.row == nil {
+		c.row = make(Row, len(s.vars))
+	}
+	for j := range c.row {
+		c.row[j] = s.term(c.pos*len(s.vars) + j)
+	}
+	c.pos++
+	return c.row, true
 }
+
+func (c *snapCursor) Err() error   { return nil }
+func (c *snapCursor) Close() error { return nil }

@@ -169,7 +169,7 @@ func TestPatternConstantMissesUntilNextEvaluation(t *testing.T) {
 					rdf.Triple{S: iri("fresh"), P: iri("r"), O: iri("fresh")})
 			}
 			plan := NewEvaluator(src).Compile(mustParse(t, `PREFIX e: <http://e/> `+tc.query))
-			var out strings.Builder
+			var out planText
 			plan.sel.explain(&out, "")
 			if strings.Contains(out.String(), "join[hash]") {
 				t.Fatalf("the fixture plans a hash join, which scans once whatever the scan caches:\n%s", &out)
