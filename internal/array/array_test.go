@@ -133,12 +133,17 @@ func TestSummary(t *testing.T) {
 }
 
 // windowMean is the mean over the (2r+1)×(2r+1) window centred on each
-// cell, clamped at the edges, through the summed-area-table kernel.
+// cell, clamped at the edges, through the summed-area-table kernels.
 func windowMean(a *Dense, r int) []float64 {
 	w, h := a.Width(), a.Height()
 	out := make([]float64, w*h)
 	sat := make([]float64, (w+1)*(h+1))
-	WindowAvg(out, sat, a.Values(), w, h, WindowSpec{XLo: -r, XHi: r + 1, YLo: -r, YHi: r + 1})
+	SummedAreaTable(sat, a.Values(), w, h)
+	spec := WindowSpec{XLo: -r, XHi: r + 1, YLo: -r, YHi: r + 1}
+	for i := range out {
+		sum, n := spec.Sum(sat, w, h, i%w, i/w)
+		out[i] = sum / float64(n)
+	}
 	return out
 }
 

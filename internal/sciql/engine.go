@@ -190,102 +190,67 @@ func (e *Engine) storeInto(name string, f *Frame) error {
 // --- SELECT evaluation ---
 
 // An evaluator runs the SELECT blocks of one statement (see the package
-// comment): it owns the columns it computes, recycles them through its
-// free list, and dies with the statement.
+// comment). What it keeps dies with the statement: the summed-area table
+// (or MIN/MAX argument column) a window aggregate builds on its first
+// read, and the temporaries its operators freed for reuse.
 type evaluator struct {
 	e      *Engine
 	params map[string]float64
-	free   [][]float64
-	owned  map[*float64]bool // buffers handed out and not yet released
+	aggs   map[*FuncExpr][]float64
+	spare  [][]float64
 }
 
 func (e *Engine) newEvaluator(params map[string]float64) *evaluator {
-	return &evaluator{e: e, params: params, owned: make(map[*float64]bool)}
+	return &evaluator{e: e, params: params, aggs: make(map[*FuncExpr][]float64)}
 }
 
-// key identifies a buffer by its first cell; empty buffers are never
-// tracked.
-func key(buf []float64) *float64 {
-	if cap(buf) == 0 {
-		return nil
-	}
-	return &buf[:1][0]
-}
-
-// get returns an n-cell temporary of unspecified contents: the smallest
-// free buffer that fits, else a fresh one.
-func (ev *evaluator) get(n int) []float64 {
-	best := -1
-	for i, b := range ev.free {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(ev.free[best])) {
-			best = i
-		}
-	}
-	var buf []float64
-	if best < 0 {
-		buf = make([]float64, n)
-	} else {
-		buf = ev.free[best][:n]
-		ev.free[best] = ev.free[len(ev.free)-1]
-		ev.free = ev.free[:len(ev.free)-1]
-	}
-	if k := key(buf); k != nil {
-		ev.owned[k] = true
-	}
-	return buf
-}
-
-// release returns an owned buffer to the free list; anything else — a
-// catalog or table-function column, a buffer already released — is left
-// alone.
-func (ev *evaluator) release(buf []float64) {
-	if k := key(buf); k != nil && ev.owned[k] {
-		delete(ev.owned, k)
-		ev.free = append(ev.free, buf)
-	}
-}
-
-// result evaluates a statement's top-level SELECT. Its frame outlives the
-// statement and owns its columns, so columns it shares with the catalog,
-// a table function or another of its columns are copied out.
+// result evaluates a statement's top-level SELECT and computes its
+// columns at every cell. Its frame outlives the statement and owns its
+// columns, so a column read straight from a source — the catalog, a table
+// function — is copied out.
 func (ev *evaluator) result(s *Select) (*Frame, error) {
 	f, err := ev.evalSelect(s)
 	if err != nil {
 		return nil, err
 	}
 	for i, c := range f.cols {
-		k := key(c.Data)
-		if k != nil && (!ev.owned[k] || slices.ContainsFunc(f.cols[:i], func(o Column) bool { return key(o.Data) == k })) {
-			f.cols[i].Data = append([]float64(nil), c.Data...)
+		o, err := ev.read(c, nil)
+		if err != nil {
+			return nil, err
 		}
+		if o = materialise(o, f.Len()); !o.tmp {
+			o.col = slices.Clone(o.col)
+		}
+		f.cols[i] = Column{Qualifier: c.Qualifier, Name: c.Name, Data: o.col}
 	}
 	return f, nil
 }
 
+// evalSelect evaluates a SELECT block's FROM and WHERE; its items become
+// deferred columns over the source frame, a bare column reference the
+// source's column itself.
 func (ev *evaluator) evalSelect(s *Select) (*Frame, error) {
 	base, err := ev.evalFrom(s.From)
 	if err != nil {
 		return nil, err
 	}
-	n := base.Len()
 
 	// WHERE: split the conjunction into dimension-range constraints
 	// (cropping, the paper's range query) and residual cell predicates
 	// (validity masking).
 	if s.Where != nil {
-		crop, residual := splitWhere(s.Where)
-		if crop != nil {
-			base = ev.crop(base, crop.x0, crop.x1, crop.y0, crop.y1)
-			n = base.Len()
+		box, residual := splitWhere(s.Where)
+		if box != nil {
+			base = crop(base, box.x0, box.x1, box.y0, box.y1)
 		}
-		if residual != nil && n > 0 {
-			mask, err := ev.eval(base, residual, nil)
+		if residual != nil && base.Len() > 0 {
+			mask, err := ev.eval(base, residual, nil, nil)
 			if err != nil {
 				return nil, err
 			}
-			mask = ev.materialise(mask, n)
+			mask = materialise(mask, base.Len())
 			base.MaskInvalid(mask.col)
-			ev.done(operand{}, mask)
+			ev.free(mask)
 		}
 	}
 
@@ -303,31 +268,32 @@ func (ev *evaluator) evalSelect(s *Select) (*Frame, error) {
 		if item.Dim != "" {
 			continue // dimension projections are implicit in the array result
 		}
-		col, err := ev.eval(base, item.Expr, s.GroupBy)
-		if err != nil {
-			return nil, err
-		}
+		var col Column
 		name := item.Alias
-		if name == "" {
-			if cr, ok := item.Expr.(*ColRef); ok {
+		if cr, ok := item.Expr.(*ColRef); ok {
+			if col, err = base.column(cr.Qualifier, cr.Name); err != nil {
+				return nil, err
+			}
+			if name == "" {
 				name = cr.Name
-			} else {
+			}
+		} else {
+			// Evaluating at no cell visits every node, so the item's errors
+			// surface here, in the order the oracle meets them.
+			if _, err := ev.eval(base, item.Expr, s.GroupBy, []int32{}); err != nil {
+				return nil, err
+			}
+			col.def = &deferred{src: base, expr: item.Expr, win: s.GroupBy}
+			if name == "" {
 				anon++
 				name = fmt.Sprintf("col%d", anon)
 			}
 		}
-		if err := out.AddColumn("", name, ev.materialise(col, n).col); err != nil {
-			return nil, err
-		}
+		col.Qualifier, col.Name = "", name
+		out.cols = append(out.cols, col)
 	}
 	if len(out.cols) == 0 {
 		return nil, fmt.Errorf("sciql: SELECT projects no value columns")
-	}
-	// The source's columns this block did not project are dead.
-	for _, c := range base.cols {
-		if !slices.ContainsFunc(out.cols, func(o Column) bool { return key(o.Data) == key(c.Data) }) {
-			ev.release(c.Data)
-		}
 	}
 	return out, nil
 }
@@ -358,7 +324,7 @@ func (ev *evaluator) evalFrom(fc FromClause) (*Frame, error) {
 		}
 		f.Requalify(alias)
 		if src.Slice != nil {
-			return ev.crop(&f, src.Slice.X0, src.Slice.X1, src.Slice.Y0, src.Slice.Y1), nil
+			return crop(&f, src.Slice.X0, src.Slice.X1, src.Slice.Y0, src.Slice.Y1), nil
 		}
 		return &f, nil
 	case *FuncRef:
@@ -393,7 +359,7 @@ func (ev *evaluator) evalFrom(fc FromClause) (*Frame, error) {
 		if !isDimEquiJoin(src.On) {
 			return nil, fmt.Errorf("sciql: only dimension equi-joins (x = x AND y = y) are supported")
 		}
-		return ev.joinFrames(l, r), nil
+		return joinFrames(l, r), nil
 	default:
 		return nil, fmt.Errorf("sciql: unsupported FROM clause %T", fc)
 	}
@@ -418,20 +384,25 @@ func isDimEquiJoin(e Expr) bool {
 
 // joinFrames aligns two frames on the overlap of their domains and merges
 // their columns.
-func (ev *evaluator) joinFrames(l, r *Frame) *Frame {
+func joinFrames(l, r *Frame) *Frame {
 	x0 := max(l.X0, r.X0)
 	y0 := max(l.Y0, r.Y0)
 	x1 := min(l.X0+l.W, r.X0+r.W)
 	y1 := min(l.Y0+l.H, r.Y0+r.H)
-	lc := ev.crop(l, x0, x1, y0, y1)
-	rc := ev.crop(r, x0, x1, y0, y1)
+	lc := crop(l, x0, x1, y0, y1)
+	rc := crop(r, x0, x1, y0, y1)
 	out := NewFrame(lc.X0, lc.Y0, lc.W, lc.H)
 	out.cols = append(out.cols, lc.cols...)
 	out.cols = append(out.cols, rc.cols...)
-	if lc.valid != nil || rc.valid != nil {
+	switch { // validity is never written in place, so it may be shared
+	case lc.valid == nil:
+		out.valid = rc.valid
+	case rc.valid == nil:
+		out.valid = lc.valid
+	default:
 		out.valid = make([]bool, out.Len())
-		for i := range out.valid {
-			out.valid[i] = lc.Valid(i) && rc.Valid(i)
+		for i, ok := range lc.valid {
+			out.valid[i] = ok && rc.valid[i]
 		}
 	}
 	return out
@@ -439,8 +410,8 @@ func (ev *evaluator) joinFrames(l, r *Frame) *Frame {
 
 // crop returns the sub-frame covering [x0,x1) × [y0,y1) in absolute
 // dimension coordinates, clamped to the frame: f itself when that is the
-// whole frame, else a copy into temporaries, releasing f's columns.
-func (ev *evaluator) crop(f *Frame, x0, x1, y0, y1 int) *Frame {
+// whole frame, else a frame whose columns are cuts of f's.
+func crop(f *Frame, x0, x1, y0, y1 int) *Frame {
 	x0 = max(x0, f.X0)
 	y0 = max(y0, f.Y0)
 	x1 = min(x1, f.X0+f.W)
@@ -448,27 +419,19 @@ func (ev *evaluator) crop(f *Frame, x0, x1, y0, y1 int) *Frame {
 	if x0 == f.X0 && y0 == f.Y0 && x1 == f.X0+f.W && y1 == f.Y0+f.H && f.Len() > 0 {
 		return f
 	}
-	defer func() {
-		for _, c := range f.cols {
-			ev.release(c.Data)
-		}
-	}()
 	if x1 <= x0 || y1 <= y0 {
 		return NewFrame(x0, y0, 0, 0)
 	}
 	out := NewFrame(x0, y0, x1-x0, y1-y0)
+	off := (y0-f.Y0)*f.W + (x0 - f.X0)
 	for _, c := range f.cols {
-		data := ev.get(out.Len())
-		for y := 0; y < out.H; y++ {
-			srcOff := (y0-f.Y0+y)*f.W + (x0 - f.X0)
-			copy(data[y*out.W:(y+1)*out.W], c.Data[srcOff:srcOff+out.W])
-		}
-		out.cols = append(out.cols, Column{Qualifier: c.Qualifier, Name: c.Name, Data: data})
+		k := &cut{c: c, off: off, srcW: f.W, w: out.W, h: out.H}
+		out.cols = append(out.cols, Column{Qualifier: c.Qualifier, Name: c.Name, cut: k})
 	}
 	if f.valid != nil {
 		out.valid = make([]bool, out.Len())
 		for y := 0; y < out.H; y++ {
-			srcOff := (y0-f.Y0+y)*f.W + (x0 - f.X0)
+			srcOff := off + y*f.W
 			copy(out.valid[y*out.W:(y+1)*out.W], f.valid[srcOff:srcOff+out.W])
 		}
 	}
@@ -527,8 +490,14 @@ func collectCrop(e Expr, box *cropBox) Expr {
 	return e
 }
 
-// dimComparison matches "dim OP number" or "number OP dim".
+// dimComparison matches "dim OP number" or "number OP dim" for an OP
+// that bounds a range: <> and arithmetic stay cell predicates.
 func dimComparison(v *BinExpr) (dim string, lit float64, op string, ok bool) {
+	switch v.Op {
+	case "=", "<", "<=", ">", ">=":
+	default:
+		return "", 0, "", false
+	}
 	if d, okD := v.L.(*DimRef); okD {
 		if n, okN := v.R.(*NumLit); okN {
 			return d.Name, n.V, v.Op, true
@@ -571,19 +540,26 @@ func applyDimBound(box *cropBox, dim, op string, v float64) {
 		*hi = min(*hi, int(math.Ceil(v)))
 	case "<=":
 		*hi = min(*hi, int(math.Floor(v))+1)
-	case "=":
-		*lo = max(*lo, int(v))
-		*hi = min(*hi, int(v)+1)
+	case "=": // >= and <= at once: no cell when v is not whole
+		*lo = max(*lo, int(math.Ceil(v)))
+		*hi = min(*hi, int(math.Floor(v))+1)
 	}
 }
 
-// --- expression evaluation (vectorised per column) ---
+// --- expression evaluation over a selection ---
 
-// operand is an evaluated expression: a column of the frame's cells, or
-// a broadcast scalar held as a one-cell column. Kernels read cell i of
-// an operand at col[i&o.mask()], so a scalar is read at 0 by every cell.
-// tmp marks a column this evaluation computed that nothing else
-// references: its consumer may write into it, and releases it.
+// An expression is evaluated at a selection (see the package comment):
+// ascending linear cell indices of its frame, nil for every cell. A zero
+// divisor, the square root of a negative and the logarithm of x <= 0 all
+// yield 0. Every node is visited at any selection, the empty one
+// included, so errors do not depend on the data.
+
+// operand is an evaluated expression: one value per selected cell, in
+// the selection's order, or a broadcast scalar held as a one-value
+// column. Kernels read value k of an operand at col[k&o.mask()], so a
+// scalar is read at 0 by every cell. tmp marks values this evaluation
+// computed that nothing else references: its consumer may write into
+// them, and frees them when done.
 type operand struct {
 	col    []float64
 	scalar bool
@@ -599,13 +575,53 @@ func (o operand) mask() int {
 
 func scalar(v float64) operand { return operand{col: []float64{v}, scalar: true} }
 
-// dest picks what an elementwise operator over ops writes: a scalar when
-// every operand is one, else the first temporary column among them, else
-// a fresh temporary.
-func (ev *evaluator) dest(n int, ops ...operand) operand {
-	all := true
+// size is the number of cells of f that sel selects.
+func size(f *Frame, sel []int32) int {
+	if sel == nil {
+		return f.Len()
+	}
+	return len(sel)
+}
+
+// cell is the k-th cell sel selects.
+func cell(sel []int32, k int) int32 {
+	if sel == nil {
+		return int32(k)
+	}
+	return sel[k]
+}
+
+// alloc returns m values of unspecified contents: a freed temporary that
+// fits, else fresh ones.
+func (ev *evaluator) alloc(m int) []float64 {
+	for i, b := range ev.spare {
+		if m > 0 && cap(b) >= m {
+			ev.spare[i] = ev.spare[len(ev.spare)-1]
+			ev.spare = ev.spare[:len(ev.spare)-1]
+			return b[:m]
+		}
+	}
+	return make([]float64, m)
+}
+
+// free keeps the temporaries among ops for a later alloc: their consumer
+// is done with them.
+func (ev *evaluator) free(ops ...operand) {
 	for _, o := range ops {
+		if o.tmp && cap(o.col) > 0 {
+			ev.spare = append(ev.spare, o.col)
+		}
+	}
+}
+
+// dest picks what an elementwise operator over ops, m values each,
+// writes: the first temporary among them, freeing the others for a later
+// alloc; a scalar when every operand is one; else m values of its own.
+func (ev *evaluator) dest(m int, ops ...operand) operand {
+	all := true
+	for i, o := range ops {
 		if o.tmp {
+			ev.free(ops[i+1:]...)
 			return o
 		}
 		all = all && o.scalar
@@ -613,33 +629,63 @@ func (ev *evaluator) dest(n int, ops ...operand) operand {
 	if all {
 		return scalar(0)
 	}
-	return operand{col: ev.get(n), tmp: true}
+	return operand{col: ev.alloc(m), tmp: true}
 }
 
-// done releases the temporaries among ops that the operator did not
-// write its result into.
-func (ev *evaluator) done(out operand, ops ...operand) {
-	for _, o := range ops {
-		if o.tmp && key(o.col) != key(out.col) {
-			ev.release(o.col)
-		}
-	}
-}
-
-// materialise turns a scalar into a temporary column of n cells.
-func (ev *evaluator) materialise(o operand, n int) operand {
+// materialise broadcasts a scalar to n values.
+func materialise(o operand, n int) operand {
 	if !o.scalar {
 		return o
 	}
-	col := ev.get(n)
+	col := make([]float64, n)
 	for i := range col {
 		col[i] = o.col[0]
 	}
 	return operand{col: col, tmp: true}
 }
 
-func (ev *evaluator) eval(f *Frame, expr Expr, win *GroupSpec) (operand, error) {
-	n := f.Len()
+// read evaluates a column at sel: a deferred column's expression, a
+// cut's source column at the cells they stand for, else the selected
+// cells gathered (no copy for every cell).
+func (ev *evaluator) read(c Column, sel []int32) (operand, error) {
+	switch {
+	case c.def != nil:
+		return ev.eval(c.def.src, c.def.expr, c.def.win, sel)
+	case c.cut != nil:
+		return ev.readCut(c.cut, sel)
+	case sel == nil:
+		return operand{col: c.Data}, nil
+	}
+	out := ev.alloc(len(sel))
+	for k, i := range sel {
+		out[k] = c.Data[i]
+	}
+	return operand{col: out, tmp: true}, nil
+}
+
+// readCut reads a crop's column at sel, copying stored rows whole for
+// every cell.
+func (ev *evaluator) readCut(k *cut, sel []int32) (operand, error) {
+	if sel == nil && k.c.def == nil && k.c.cut == nil {
+		out := ev.alloc(k.w * k.h)
+		for y := 0; y < k.h; y++ {
+			copy(out[y*k.w:(y+1)*k.w], k.c.Data[k.off+y*k.srcW:])
+		}
+		return operand{col: out, tmp: true}, nil
+	}
+	at := make([]int32, len(sel))
+	if sel == nil {
+		at = make([]int32, k.w*k.h)
+	}
+	for j := range at {
+		i := int(cell(sel, j))
+		at[j] = int32(k.off + i/k.w*k.srcW + i%k.w)
+	}
+	return ev.read(k.c, at)
+}
+
+func (ev *evaluator) eval(f *Frame, expr Expr, win *GroupSpec, sel []int32) (operand, error) {
+	m := size(f, sel)
 	switch v := expr.(type) {
 	case *NumLit:
 		return scalar(v.V), nil
@@ -650,98 +696,227 @@ func (ev *evaluator) eval(f *Frame, expr Expr, win *GroupSpec) (operand, error) 
 		}
 		return scalar(p), nil
 	case *ColRef:
-		col, err := f.Resolve(v.Qualifier, v.Name)
-		return operand{col: col}, err
+		c, err := f.column(v.Qualifier, v.Name)
+		if err != nil {
+			return operand{}, err
+		}
+		return ev.read(c, sel)
 	case *DimRef:
 		if v.Name != "x" && v.Name != "y" {
 			return operand{}, fmt.Errorf("sciql: unknown dimension %q", v.Name)
 		}
-		col := ev.get(n)
-		for i := range col {
+		col := ev.alloc(m)
+		for k := range col {
+			i := int(cell(sel, k))
 			if v.Name == "x" {
-				col[i] = float64(f.X0 + i%f.W)
+				col[k] = float64(f.X0 + i%f.W)
 			} else {
-				col[i] = float64(f.Y0 + i/f.W)
+				col[k] = float64(f.Y0 + i/f.W)
 			}
 		}
 		return operand{col: col, tmp: true}, nil
 	case *UnaryExpr:
-		if v.Op == "NOT" { // cell for cell, NOT x is x = 0
-			return ev.eval(f, &BinExpr{Op: "=", L: v.X, R: &NumLit{}}, win)
+		if v.Op == "NOT" {
+			return ev.eval(f, isZero(v.X), win, sel)
 		}
-		x, err := ev.eval(f, v.X, win)
+		x, err := ev.eval(f, v.X, win, sel)
 		if err != nil {
 			return operand{}, err
 		}
 		if v.Op != "-" {
 			return operand{}, fmt.Errorf("sciql: unknown unary operator %q", v.Op)
 		}
-		out, xc, xm := ev.dest(n, x), x.col, x.mask()
+		out, xc, xm := ev.dest(m, x), x.col, x.mask()
 		for i := range out.col {
 			out.col[i] = -xc[i&xm]
 		}
 		return out, nil
 	case *BinExpr:
-		l, err := ev.eval(f, v.L, win)
+		if v.Op == "AND" || v.Op == "OR" { // 1 at the cells the filter passes
+			at, err := ev.filter(f, v, win, sel)
+			if err != nil {
+				return operand{}, err
+			}
+			out := operand{col: ev.alloc(m), tmp: true}
+			clear(out.col)
+			scatter(out.col, sel, at, scalar(1))
+			return out, nil
+		}
+		l, err := ev.eval(f, v.L, win, sel)
 		if err != nil {
 			return operand{}, err
 		}
-		r, err := ev.eval(f, v.R, win)
+		r, err := ev.eval(f, v.R, win, sel)
 		if err != nil {
 			return operand{}, err
 		}
-		out := ev.dest(n, l, r)
+		out := ev.dest(m, l, r)
 		if err := applyBinOp(v.Op, out.col, l, r); err != nil {
 			return operand{}, err
 		}
-		ev.done(out, l, r)
 		return out, nil
-	case *BetweenExpr: // cell for cell, (x >= lo) AND (x <= hi)
-		return ev.eval(f, &BinExpr{Op: "AND", L: &BinExpr{Op: ">=", L: v.X, R: v.Lo}, R: &BinExpr{Op: "<=", L: v.X, R: v.Hi}}, win)
+	case *BetweenExpr:
+		return ev.eval(f, between(v), win, sel)
 	case *CaseExpr:
-		out := operand{col: ev.get(n), tmp: true}
-		decided := make([]bool, n)
-		for _, w := range v.Whens {
-			cond, err := ev.eval(f, w.Cond, win)
-			if err != nil {
-				return operand{}, err
-			}
-			then, err := ev.eval(f, w.Then, win)
-			if err != nil {
-				return operand{}, err
-			}
-			cc, cm, tc, tm := cond.col, cond.mask(), then.col, then.mask()
-			for i := range out.col {
-				if !decided[i] && cc[i&cm] != 0 {
-					out.col[i] = tc[i&tm]
-					decided[i] = true
-				}
-			}
-			ev.done(out, cond, then)
-		}
-		els := scalar(0)
-		if v.Else != nil {
-			var err error
-			if els, err = ev.eval(f, v.Else, win); err != nil {
-				return operand{}, err
-			}
-		}
-		ec, em := els.col, els.mask()
-		for i := range out.col {
-			if !decided[i] {
-				out.col[i] = ec[i&em]
-			}
-		}
-		ev.done(out, els)
-		return out, nil
+		return ev.evalCase(f, v, win, sel)
 	case *FuncExpr:
-		return ev.evalFunc(f, v, win)
+		return ev.evalFunc(f, v, win, sel)
 	default:
 		return operand{}, fmt.Errorf("sciql: unsupported expression %T", expr)
 	}
 }
 
-// applyBinOp writes l op r into out, cell by cell.
+// isZero is NOT x, and between x BETWEEN lo AND hi, as what they are
+// cell for cell.
+func isZero(x Expr) Expr { return &BinExpr{Op: "=", L: x, R: &NumLit{}} }
+
+func between(v *BetweenExpr) Expr {
+	return &BinExpr{Op: "AND", L: &BinExpr{Op: ">=", L: v.X, R: v.Lo}, R: &BinExpr{Op: "<=", L: v.X, R: v.Hi}}
+}
+
+// filter returns the cells of sel (nil for every cell) at which expr is
+// non-zero, NaN included: ascending, never nil. AND filters the cells
+// its left side passes by its right side; a OR b fails where a = 0 AND
+// b = 0.
+func (ev *evaluator) filter(f *Frame, expr Expr, win *GroupSpec, sel []int32) ([]int32, error) {
+	switch v := expr.(type) {
+	case *BinExpr:
+		switch v.Op {
+		case "AND":
+			yes, err := ev.filter(f, v.L, win, sel)
+			if err != nil {
+				return nil, err
+			}
+			return ev.filter(f, v.R, win, yes)
+		case "OR":
+			no, err := ev.filter(f, &BinExpr{Op: "AND", L: isZero(v.L), R: isZero(v.R)}, win, sel)
+			if err != nil {
+				return nil, err
+			}
+			return minus(nil, sel, no, f.Len()), nil
+		}
+	case *BetweenExpr:
+		return ev.filter(f, between(v), win, sel)
+	}
+	o, err := ev.eval(f, expr, win, sel)
+	if err != nil {
+		return nil, err
+	}
+	c, cm, m := o.col, o.mask(), size(f, sel)
+	n := 0
+	for k := 0; k < m; k++ {
+		n += b2i(c[k&cm] != 0)
+	}
+	if n == 0 {
+		ev.free(o)
+		return []int32{}, nil
+	}
+	at := make([]int32, n+1) // each cell is written, then kept or not
+	n = 0
+	for k := 0; k < m; k++ {
+		at[n] = cell(sel, k)
+		n += b2i(c[k&cm] != 0)
+	}
+	ev.free(o)
+	return at[:n], nil
+}
+
+// minus returns the cells of sel (nil for all n) that are not in at, a
+// subset of sel, written into dst's array when dst is not nil (dst may
+// be sel).
+func minus(dst, sel, at []int32, n int) []int32 {
+	if sel != nil {
+		n = len(sel)
+	}
+	if dst == nil {
+		dst = make([]int32, 0, n-len(at))
+	}
+	if sel == nil {
+		next := int32(0)
+		for _, i := range at {
+			for ; next < i; next++ {
+				dst = append(dst, next)
+			}
+			next = i + 1
+		}
+		for ; next < int32(n); next++ {
+			dst = append(dst, next)
+		}
+		return dst
+	}
+	k := 0
+	for _, i := range at {
+		j := k
+		for sel[j] != i {
+			j++
+		}
+		dst, k = append(dst, sel[k:j]...), j+1
+	}
+	return append(dst, sel[k:]...)
+}
+
+// scatter writes vals, one per cell of at (ascending, within sel), into
+// out, one per cell of sel.
+func scatter(out []float64, sel, at []int32, vals operand) {
+	vc, vm := vals.col, vals.mask()
+	if sel == nil {
+		for j, i := range at {
+			out[i] = vc[j&vm]
+		}
+		return
+	}
+	k := 0
+	for j, i := range at {
+		for sel[k] != i {
+			k++
+		}
+		out[k] = vc[j&vm]
+	}
+}
+
+// evalCase filters each WHEN's condition only at the cells no earlier
+// WHEN decided, evaluates its THEN only at the cells it passes, and ELSE
+// at the cells left over. The result is written last, into what the
+// conditions freed.
+func (ev *evaluator) evalCase(f *Frame, v *CaseExpr, win *GroupSpec, sel []int32) (operand, error) {
+	type arm struct {
+		at   []int32
+		vals operand
+	}
+	arms := make([]arm, 0, len(v.Whens)+1)
+	open, own := sel, false // the undecided cells; own: a list of evalCase's
+	for _, w := range v.Whens {
+		yes, err := ev.filter(f, w.Cond, win, open)
+		if err != nil {
+			return operand{}, err
+		}
+		then, err := ev.eval(f, w.Then, win, yes)
+		if err != nil {
+			return operand{}, err
+		}
+		arms = append(arms, arm{yes, then})
+		var dst []int32
+		if own {
+			dst = open[:0]
+		}
+		open, own = minus(dst, open, yes, f.Len()), true
+	}
+	els := scalar(0)
+	if v.Else != nil {
+		var err error
+		if els, err = ev.eval(f, v.Else, win, open); err != nil {
+			return operand{}, err
+		}
+	}
+	out := ev.alloc(size(f, sel))
+	for _, a := range append(arms, arm{open, els}) {
+		scatter(out, sel, a.at, a.vals)
+		ev.free(a.vals)
+	}
+	return operand{col: out, tmp: true}, nil
+}
+
+// applyBinOp writes l op r into out, value by value.
 func applyBinOp(op string, out []float64, l, r operand) error {
 	lc, lm, rc, rm := l.col, l.mask(), r.col, r.mask()
 	switch op {
@@ -754,8 +929,11 @@ func applyBinOp(op string, out []float64, l, r operand) error {
 			out[i] = lc[i&lm] - rc[i&rm]
 		}
 	case "*":
+		// The conversion rounds each product before a sum reads it
+		// (sqr_mean - mean*mean, v*v into a summed-area table), which a
+		// platform that fuses multiply-add (arm64) may otherwise skip.
 		for i := range out {
-			out[i] = lc[i&lm] * rc[i&rm]
+			out[i] = float64(lc[i&lm] * rc[i&rm])
 		}
 	case "/":
 		for i := range out {
@@ -783,78 +961,36 @@ func applyBinOp(op string, out []float64, l, r operand) error {
 		}
 	case ">", ">=": // l > r is r < l
 		return applyBinOp(strings.Replace(op, ">", "<", 1), out, r, l)
-	case "AND":
-		for i := range out {
-			out[i] = b2f(lc[i&lm] != 0 && rc[i&rm] != 0)
-		}
-	case "OR":
-		for i := range out {
-			out[i] = b2f(lc[i&lm] != 0 || rc[i&rm] != 0)
-		}
 	default:
 		return fmt.Errorf("sciql: unknown operator %q", op)
 	}
 	return nil
 }
 
-func b2f(b bool) float64 {
+// b2f and b2i turn a comparison into a number without a branch, which a
+// selective comparison would mispredict cell by cell.
+func b2f(b bool) float64 { return float64(b2i(b)) }
+
+func b2i(b bool) int {
+	var i int
 	if b {
-		return 1
+		i = 1
 	}
-	return 0
+	return i
 }
 
-func (ev *evaluator) evalFunc(f *Frame, fn *FuncExpr, win *GroupSpec) (operand, error) {
-	n := f.Len()
+func (ev *evaluator) evalFunc(f *Frame, fn *FuncExpr, win *GroupSpec, sel []int32) (operand, error) {
 	if aggregateFns[fn.Name] {
-		if win == nil {
-			return operand{}, fmt.Errorf("sciql: aggregate %s outside structural GROUP BY", fn.Name)
-		}
-		spec := array.WindowSpec{XLo: win.XLo, XHi: win.XHi, YLo: win.YLo, YHi: win.YHi}
-		if fn.Name == "COUNT" {
-			out := operand{col: ev.get(n), tmp: true}
-			array.WindowCount(out.col, f.W, f.H, spec)
-			return out, nil
-		}
-		if len(fn.Args) != 1 {
-			return operand{}, fmt.Errorf("sciql: %s wants one argument", fn.Name)
-		}
-		arg, err := ev.eval(f, fn.Args[0], win)
-		if err != nil {
-			return operand{}, err
-		}
-		arg = ev.materialise(arg, n)
-		var out operand
-		switch fn.Name {
-		case "AVG", "SUM":
-			// The summed-area table holds the whole argument before a cell
-			// is written, so a temporary argument takes the result.
-			out = ev.dest(n, arg)
-			sat := ev.get((f.W + 1) * (f.H + 1))
-			if fn.Name == "AVG" {
-				array.WindowAvg(out.col, sat, arg.col, f.W, f.H, spec)
-			} else {
-				array.WindowSum(out.col, sat, arg.col, f.W, f.H, spec)
-			}
-			ev.release(sat)
-		case "MIN":
-			out = operand{col: ev.get(n), tmp: true}
-			array.WindowMin(out.col, arg.col, f.W, f.H, spec)
-		case "MAX":
-			out = operand{col: ev.get(n), tmp: true}
-			array.WindowMax(out.col, arg.col, f.W, f.H, spec)
-		}
-		ev.done(out, arg)
-		return out, nil
+		return ev.aggregate(f, fn, win, sel)
 	}
-	// Scalar functions.
 	args := make([]operand, len(fn.Args))
 	for i, a := range fn.Args {
 		var err error
-		if args[i], err = ev.eval(f, a, win); err != nil {
+		if args[i], err = ev.eval(f, a, win, sel); err != nil {
 			return operand{}, err
 		}
 	}
+	m := size(f, sel)
 	var g func(float64) float64
 	switch fn.Name {
 	case "SQRT":
@@ -883,12 +1019,11 @@ func (ev *evaluator) evalFunc(f *Frame, fn *FuncExpr, win *GroupSpec) (operand, 
 		if len(args) != 2 {
 			return operand{}, fmt.Errorf("sciql: POWER wants two arguments")
 		}
-		out := ev.dest(n, args...)
+		out := ev.dest(m, args...)
 		bc, bm, ec, em := args[0].col, args[0].mask(), args[1].col, args[1].mask()
 		for i := range out.col {
 			out.col[i] = math.Pow(bc[i&bm], ec[i&em])
 		}
-		ev.done(out, args...)
 		return out, nil
 	default:
 		return operand{}, fmt.Errorf("sciql: unknown function %s", fn.Name)
@@ -897,9 +1032,63 @@ func (ev *evaluator) evalFunc(f *Frame, fn *FuncExpr, win *GroupSpec) (operand, 
 		return operand{}, fmt.Errorf("sciql: %s wants one argument", fn.Name)
 	}
 	x := args[0]
-	out, xc, xm := ev.dest(n, x), x.col, x.mask()
+	out, xc, xm := ev.dest(m, x), x.col, x.mask()
 	for i := range out.col {
 		out.col[i] = g(xc[i&xm])
 	}
 	return out, nil
+}
+
+// aggregate reads a structural-group aggregate at the selected cells.
+// The first read at any cell builds, over every cell, a summed-area table
+// (AVG, SUM) or the argument column (MIN, MAX) that the statement keeps,
+// so every window sum adds the cells it always added, in the same order.
+func (ev *evaluator) aggregate(f *Frame, fn *FuncExpr, win *GroupSpec, sel []int32) (operand, error) {
+	if win == nil {
+		return operand{}, fmt.Errorf("sciql: aggregate %s outside structural GROUP BY", fn.Name)
+	}
+	src, built := ev.aggs[fn]
+	if fn.Name != "COUNT" && !built {
+		if len(fn.Args) != 1 {
+			return operand{}, fmt.Errorf("sciql: %s wants one argument", fn.Name)
+		}
+		at := sel // the empty selection only checks the argument
+		if len(sel) > 0 {
+			at = nil
+		}
+		arg, err := ev.eval(f, fn.Args[0], win, at)
+		if err != nil || at != nil {
+			ev.free(arg)
+			return operand{col: []float64{}, tmp: true}, err
+		}
+		arg = materialise(arg, f.Len())
+		src = arg.col
+		if fn.Name == "AVG" || fn.Name == "SUM" {
+			src = ev.alloc((f.W + 1) * (f.H + 1))
+			array.SummedAreaTable(src, arg.col, f.W, f.H)
+			ev.free(arg)
+		}
+		ev.aggs[fn] = src
+	}
+	spec := array.WindowSpec{XLo: win.XLo, XHi: win.XHi, YLo: win.YLo, YHi: win.YHi}
+	out := ev.alloc(size(f, sel))
+	for k := range out {
+		i := int(cell(sel, k))
+		x, y := i%f.W, i/f.W
+		switch fn.Name {
+		case "COUNT":
+			out[k] = float64(spec.Count(f.W, f.H, x, y))
+		case "MIN":
+			out[k] = spec.Extreme(src, f.W, f.H, x, y, func(a, b float64) bool { return a < b })
+		case "MAX":
+			out[k] = spec.Extreme(src, f.W, f.H, x, y, func(a, b float64) bool { return a > b })
+		default:
+			sum, n := spec.Sum(src, f.W, f.H, x, y)
+			if fn.Name == "AVG" && n > 0 {
+				sum /= float64(n)
+			}
+			out[k] = sum
+		}
+	}
+	return operand{col: out, tmp: true}, nil
 }

@@ -9,8 +9,9 @@ import (
 
 // Frame is the executor's working relation: a rectangular 2-D domain with
 // named value columns, all sharing the domain. A stored SciQL array is a
-// Frame with the declared value columns; subquery results are Frames with
-// computed columns.
+// Frame with the declared value columns; a subquery's result is a Frame
+// whose computed columns are deferred, and a statement's result computes
+// every column.
 type Frame struct {
 	X0, Y0  int // dimension origin
 	W, H    int
@@ -20,11 +21,29 @@ type Frame struct {
 }
 
 // Column is one named value column, optionally qualified by the alias of
-// the source that produced it.
+// the source that produced it. A deferred column and a cut have no Data.
 type Column struct {
 	Qualifier string
 	Name      string
 	Data      []float64
+	def       *deferred
+	cut       *cut
+}
+
+// cut is a column of a crop: the w×h cells of a wider frame's column c
+// from its linear index off, the source frame srcW cells wide.
+type cut struct {
+	c               Column
+	off, srcW, w, h int
+}
+
+// deferred is a subquery item not computed yet: its expression over the
+// subquery's source frame, which has the item's domain, evaluated only at
+// the cells a consumer selects.
+type deferred struct {
+	src  *Frame
+	expr Expr
+	win  *GroupSpec
 }
 
 // NewFrame returns an empty frame with the given domain.
@@ -45,9 +64,14 @@ func (f *Frame) AddColumn(qualifier, name string, data []float64) error {
 	return nil
 }
 
-// Resolve finds a column by optional qualifier and name.
+// Resolve finds a column's cells by optional qualifier and name.
 func (f *Frame) Resolve(qualifier, name string) ([]float64, error) {
-	var found []float64
+	c, err := f.column(qualifier, name)
+	return c.Data, err
+}
+
+func (f *Frame) column(qualifier, name string) (Column, error) {
+	var found Column
 	matches := 0
 	for _, c := range f.cols {
 		if c.Name != name {
@@ -56,17 +80,17 @@ func (f *Frame) Resolve(qualifier, name string) ([]float64, error) {
 		if qualifier != "" && c.Qualifier != qualifier {
 			continue
 		}
-		found = c.Data
+		found = c
 		matches++
 	}
 	switch {
 	case matches == 0:
 		if qualifier != "" {
-			return nil, fmt.Errorf("sciql: unknown column %s.%s", qualifier, name)
+			return Column{}, fmt.Errorf("sciql: unknown column %s.%s", qualifier, name)
 		}
-		return nil, fmt.Errorf("sciql: unknown column %q", name)
+		return Column{}, fmt.Errorf("sciql: unknown column %q", name)
 	case matches > 1 && qualifier == "":
-		return nil, fmt.Errorf("sciql: ambiguous column %q", name)
+		return Column{}, fmt.Errorf("sciql: ambiguous column %q", name)
 	default:
 		return found, nil
 	}

@@ -5,10 +5,17 @@
 // "GROUP BY a[x-1:x+2][y-1:y+2]" that generalises window queries. The
 // classification query of the paper's Figure 4 runs verbatim.
 //
-// An expression evaluates to a column or a broadcast scalar. Columns are
-// temporaries of their statement — an operator writes into one its
-// operands released, a subquery's unprojected columns are recycled — and
-// none outlives Exec; input arrays are adopted read-only, never cloned,
+// An expression is evaluated at a selection, the cells still in play:
+// AND evaluates its right side only where its left side holds, CASE each
+// WHEN only at the cells no earlier WHEN decided and each THEN only where
+// its WHEN holds. A subquery's computed columns are deferred (an item's
+// expression over the source frame; a window aggregate's summed-area
+// table, built over every cell on first read) and a crop's columns are
+// cuts of its source's, each read only at the cells a consumer selects;
+// the statement's result computes its columns at every cell. A cell
+// expression cannot fail or act per cell, so each cell runs the
+// operations, in the order, of a full-column evaluation. Nothing an
+// evaluation builds outlives Exec; input arrays are adopted read-only,
 // and ":name" parameters are bound per run (Engine.ExecParams).
 // oracle_test.go holds this to the allocating evaluator, bit for bit.
 package sciql

@@ -697,8 +697,9 @@ func checkAgainstOracle(t testing.TB, setup func(*Engine), stmts ...string) {
 // --- the generator ---
 
 // genCatalog registers the arrays generated statements read: origins at
-// zero and off it, cells with invalid positions, zeros (divisors) and
-// negatives (square roots), a two-column frame and a table function.
+// zero and off it, cells with invalid positions, zeros (divisors),
+// negatives (square roots), NaN and infinities (in b and m.q), a
+// two-column frame and a table function.
 func genCatalog(e *Engine) {
 	r := rand.New(rand.NewSource(99))
 	mk := func(x0, y0, w, h int, invalid int) *array.Dense {
@@ -719,11 +720,18 @@ func genCatalog(e *Engine) {
 		}
 		return d
 	}
+	// NaN is non-zero to AND, OR and CASE, and unequal to everything.
+	special := func(d *array.Dense) *array.Dense {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			d.Values()[r.Intn(d.Len())] = v
+		}
+		return d
+	}
 	e.RegisterArray("a", mk(0, 0, 7, 5, 4), "v")
-	e.RegisterArray("b", mk(0, 0, 7, 5, 0), "v")
+	e.RegisterArray("b", special(mk(0, 0, 7, 5, 0)), "v")
 	e.RegisterArray("c", mk(2, 1, 6, 5, 3), "v")
 	m := FromDense(mk(1, 0, 6, 4, 0), "p")
-	q := mk(1, 0, 6, 4, 0)
+	q := special(mk(1, 0, 6, 4, 0))
 	if err := m.AddColumn("", "q", q.Values()); err != nil {
 		panic(err)
 	}
@@ -850,10 +858,40 @@ func (g *stmtGen) where(cols []string) string {
 	return " WHERE " + strings.Join(parts, " AND ")
 }
 
+// selective draws a Figure 4 shaped statement: window aggregates of a
+// grouped subquery and a cell expression over them one level up, read
+// only under a CASE whose WHENs are AND/OR chains led by a selective
+// comparison, and such a chain as a value.
+func (g *stmtGen) selective() []string {
+	r := g.r
+	src := g.source(1)
+	aggs := []string{"AVG", "SUM", "MIN", "MAX"}
+	t1 := fmt.Sprintf("SELECT [x], [y], %s AS z, %s(%s) AS g0, %s(%s) AS g1 FROM %s GROUP BY %s[x-1:x+2][y-1:y+2]",
+		src.cols[0], aggs[r.Intn(4)], g.expr(src.cols, 1, false), aggs[r.Intn(4)], g.expr(src.cols, 1, false), src.from, src.target)
+	t2 := "SELECT [x], [y], z, g0, SQRT(g1 - g0 * g0) AS sd FROM (" + t1 + ") AS t1"
+	cols := []string{"z", "g0", "sd"}
+	chain := func() string {
+		c := "z " + []string{">", ">=", "="}[r.Intn(3)] + " " + []string{"25", "29", "0", "2"}[r.Intn(4)]
+		for k := r.Intn(3); k >= 0; k-- {
+			c += " " + []string{"AND", "AND", "OR"}[r.Intn(3)] + " " + g.expr(cols, 1, false)
+		}
+		return c
+	}
+	els := ""
+	if r.Intn(3) != 0 {
+		els = " ELSE " + g.expr(cols, 1, false)
+	}
+	return []string{fmt.Sprintf("SELECT [x], [y], CASE WHEN %s THEN sd WHEN %s THEN %s%s END AS c, (%s) AS flag FROM (%s) AS t2",
+		chain(), chain(), g.expr(cols, 1, false), els, chain(), t2)}
+}
+
 // statements draws one SELECT, sometimes stored with INSERT SELECT and
 // read back around a write to the array it may have been read from.
 func (g *stmtGen) statements() []string {
 	r := g.r
+	if r.Intn(4) == 0 {
+		return g.selective()
+	}
 	src := g.source(2)
 	grouped := r.Intn(3) == 0
 	items := []string{"[x]", "[y]"}
@@ -880,25 +918,48 @@ func (g *stmtGen) statements() []string {
 }
 
 // figure4Catalog registers the two georeferenced bands of the
-// classification query: a fire, a potential fire and noise over a
-// background of the given temperatures.
-func figure4Catalog(bg039, bg108 float64) func(*Engine) {
+// classification query, w×h: over a background of the given
+// temperatures with noise, a fire, a potential fire, one more fire per
+// 2000 cells and an invalid corner.
+func figure4Catalog(w, h int, bg039, bg108 float64) func(*Engine) {
 	return func(e *Engine) {
 		r := rand.New(rand.NewSource(int64(bg039)))
-		t039, t108 := array.New(24, 20), array.New(24, 20)
+		t039, t108 := array.New(w, h), array.New(w, h)
 		for i := range t039.Values() {
 			t039.Values()[i] = bg039 + r.NormFloat64()
 			t108.Values()[i] = bg108 + r.NormFloat64()*0.5
 		}
-		t039.Set(8, 8, bg039+45)
-		t108.Set(8, 8, bg108+4)
-		t039.Set(16, 12, bg039+9)
-		t108.Set(16, 12, bg108+1)
+		t039.Set(w/3, 2*h/5, bg039+45)
+		t108.Set(w/3, 2*h/5, bg108+4)
+		t039.Set(2*w/3, 3*h/5, bg039+9)
+		t108.Set(2*w/3, 3*h/5, bg108+1)
+		for k := 1; k < w*h/2000; k++ {
+			x, y := r.Intn(w), r.Intn(h)
+			t039.Set(x, y, bg039+30+r.Float64()*20)
+			t108.Set(x, y, bg108+3)
+		}
 		t039.Invalidate(0, 0)
 		e.RegisterArray("hrit_T039_image_array", t039, "v")
 		e.RegisterArray("hrit_T108_image_array", t108, "v")
 	}
 }
+
+// figure4Thresholds renders Figure 4 with other thresholds, literals or
+// parameters, in the order of detect.Thresholds: t039, diff_fire,
+// diff_potential, std039_fire, std039_pot, std108_max.
+func figure4Thresholds(th ...string) string {
+	return strings.NewReplacer("> 310", "> "+th[0], "> 10 ", "> "+th[1]+" ", "> 8 ", "> "+th[2]+" ",
+		"> 4 ", "> "+th[3]+" ", "> 2.5 ", "> "+th[4]+" ", "< 2", "< "+th[5]).Replace(figure4Query)
+}
+
+// The service grid's catalogs: by day hardly a cell passes v039 > t039;
+// at night (the night thresholds) most cells do, and hardly any passes
+// the v039 - v108 conjunct after it.
+var (
+	figure4Day   = figure4Catalog(150, 125, 295, 290)
+	figure4Night = figure4Catalog(150, 125, 290.4, 288)
+	nightQuery   = figure4Thresholds("290", "8", "6", "3", "2", "2")
+)
 
 // corpus holds the statements of sciql_test.go, each over the catalog it
 // is written against.
@@ -943,9 +1004,12 @@ var corpus = []struct {
 		`SELECT SQRT(1, 2) AS bad FROM a`,
 		`SELECT NOSUCH(v) AS bad FROM a`,
 	}},
-	{figure4Catalog(295, 290), []string{figure4Query}}, // day
-	{figure4Catalog(288, 286), []string{figure4Query}}, // twilight
-	{figure4Catalog(281, 283), []string{figure4Query}}, // night
+	{figure4Catalog(24, 20, 295, 290), []string{figure4Query}}, // day
+	{figure4Catalog(24, 20, 288, 286), []string{figure4Query}}, // twilight
+	{figure4Catalog(24, 20, 281, 283), []string{figure4Query}}, // night
+	{figure4Day, []string{figure4Query}},
+	{figure4Catalog(150, 125, 300.4, 294), []string{figure4Thresholds("300", "9", "7", "3.5", "2.25", "2")}}, // twilight
+	{figure4Night, []string{nightQuery}},
 }
 
 // TestEvaluatorMatchesOracle holds the evaluator to the oracle over the

@@ -94,6 +94,22 @@ func TestWhereCropping(t *testing.T) {
 	if f2.W != 3 || f2.H != 3 {
 		t.Fatalf("between crop = %dx%d", f2.W, f2.H)
 	}
+	// Whole equality crops to one column; <> and arithmetic on a
+	// dimension are cell predicates, masking cells of a whole frame.
+	if f := mustExec(t, e, `SELECT v FROM img WHERE x = 3`); f.X0 != 3 || f.W != 1 || f.H != 10 || mustDense(t, f).Get(3, 4) != 43 {
+		t.Fatalf("x = 3 gives origin(%d,%d) %dx%d", f.X0, f.Y0, f.W, f.H)
+	}
+	ne := mustExec(t, e, `SELECT v FROM img WHERE x <> 1`)
+	if d := mustDense(t, ne); ne.W != 10 || ne.H != 10 || d.Valid(1, 4) || !d.Valid(2, 4) {
+		t.Fatalf("x <> 1 gives %dx%d, (1,4) valid %v, (2,4) valid %v", ne.W, ne.H, d.Valid(1, 4), d.Valid(2, 4))
+	}
+	if d := mustDense(t, mustExec(t, e, `SELECT v FROM img WHERE x * 0`)); d.Valid(5, 5) {
+		t.Fatal("x * 0 left a cell valid")
+	}
+	// An equality no whole coordinate meets holds at no cell.
+	if f := mustExec(t, e, `SELECT 1 AS one FROM img WHERE x = 1.5`); f.Len() != 0 {
+		t.Fatalf("x = 1.5 gives origin(%d,%d) %dx%d, want no cell", f.X0, f.Y0, f.W, f.H)
+	}
 }
 
 func TestFromSliceSyntax(t *testing.T) {

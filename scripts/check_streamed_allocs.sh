@@ -30,6 +30,10 @@
 #     Persistence query: seed encoding, the aggregate operator (member
 #     rows as indices into one owned batch; COUNT of a variable reads
 #     its ID column) and materialisation.
+#   BenchmarkFigure4/day and /night (internal/sciql) — the Figure 4
+#     classification query alone at the service grid: selections,
+#     deferred subquery columns and the summed-area tables they build.
+#     A jump here means a per-operator or per-cell temporary crept back.
 #
 # Byte gates for the acquisition's front half: B/op, limit 1.1x. These
 # benchmarks run one deterministic stage each (no free-running writer),
@@ -106,6 +110,10 @@ check ./internal/shard 'BenchmarkOrderedWindowJoin' \
     internal/shard/testdata/ordered_window_join_allocs.baseline allocs/op 11 10
 check ./internal/stsparql 'BenchmarkPreparedGroupedSelect' \
     internal/stsparql/testdata/prepared_grouped_select_allocs.baseline allocs/op 11 10
+check ./internal/sciql 'BenchmarkFigure4/day' \
+    internal/sciql/testdata/figure4_day_allocs.baseline allocs/op 11 10
+check ./internal/sciql 'BenchmarkFigure4/night' \
+    internal/sciql/testdata/figure4_night_allocs.baseline allocs/op 11 10
 check . 'BenchmarkTable2SciQLChain' \
     testdata/table2_sciql_chain_bytes.baseline B/op 11 10
 check ./internal/seviri 'BenchmarkSimulatorAcquire' \
