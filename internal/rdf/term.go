@@ -42,6 +42,10 @@ const (
 	XSDBoolean  = "http://www.w3.org/2001/XMLSchema#boolean"
 	XSDDateTime = "http://www.w3.org/2001/XMLSchema#dateTime"
 
+	// RDFLangString is rdf:langString, the datatype of a language-tagged
+	// literal.
+	RDFLangString = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
+
 	// StRDFGeometry is the strdf:geometry datatype of stRDF literals.
 	StRDFGeometry = "http://strdf.di.uoa.gr/ontology#geometry"
 	// StRDFWKT is the strdf:WKT alias accepted by Strabon.

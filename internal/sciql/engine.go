@@ -410,7 +410,8 @@ func joinFrames(l, r *Frame) *Frame {
 
 // crop returns the sub-frame covering [x0,x1) × [y0,y1) in absolute
 // dimension coordinates, clamped to the frame: f itself when that is the
-// whole frame, else a frame whose columns are cuts of f's.
+// whole frame, else a frame whose columns are cuts of f's — zero-size
+// when the box holds no cell, so its columns still resolve.
 func crop(f *Frame, x0, x1, y0, y1 int) *Frame {
 	x0 = max(x0, f.X0)
 	y0 = max(y0, f.Y0)
@@ -420,7 +421,7 @@ func crop(f *Frame, x0, x1, y0, y1 int) *Frame {
 		return f
 	}
 	if x1 <= x0 || y1 <= y0 {
-		return NewFrame(x0, y0, 0, 0)
+		x1, y1 = x0, y0
 	}
 	out := NewFrame(x0, y0, x1-x0, y1-y0)
 	off := (y0-f.Y0)*f.W + (x0 - f.X0)
@@ -428,7 +429,7 @@ func crop(f *Frame, x0, x1, y0, y1 int) *Frame {
 		k := &cut{c: c, off: off, srcW: f.W, w: out.W, h: out.H}
 		out.cols = append(out.cols, Column{Qualifier: c.Qualifier, Name: c.Name, cut: k})
 	}
-	if f.valid != nil {
+	if f.valid != nil && out.Len() > 0 {
 		out.valid = make([]bool, out.Len())
 		for y := 0; y < out.H; y++ {
 			srcOff := off + y*f.W

@@ -181,7 +181,7 @@ func oracleCrop(f *Frame, x0, x1, y0, y1 int) *Frame {
 	x1 = min(x1, f.X0+f.W)
 	y1 = min(y1, f.Y0+f.H)
 	if x1 <= x0 || y1 <= y0 {
-		return NewFrame(x0, y0, 0, 0)
+		x1, y1 = x0, y0 // no cell: a zero-size frame that keeps the columns
 	}
 	out := NewFrame(x0, y0, x1-x0, y1-y0)
 	for _, c := range f.cols {
@@ -192,7 +192,7 @@ func oracleCrop(f *Frame, x0, x1, y0, y1 int) *Frame {
 		}
 		out.cols = append(out.cols, Column{Qualifier: c.Qualifier, Name: c.Name, Data: data})
 	}
-	if f.valid != nil {
+	if f.valid != nil && out.Len() > 0 {
 		out.valid = make([]bool, out.Len())
 		for y := 0; y < out.H; y++ {
 			srcOff := (y0-f.Y0+y)*f.W + (x0 - f.X0)

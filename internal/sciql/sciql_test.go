@@ -110,6 +110,17 @@ func TestWhereCropping(t *testing.T) {
 	if f := mustExec(t, e, `SELECT 1 AS one FROM img WHERE x = 1.5`); f.Len() != 0 {
 		t.Fatalf("x = 1.5 gives origin(%d,%d) %dx%d, want no cell", f.X0, f.Y0, f.W, f.H)
 	}
+	// A crop to no cell keeps the source's columns: projecting one, or
+	// grouping over the source, gives an empty frame, not an error.
+	for _, q := range []string{
+		`SELECT v FROM img WHERE x > 100`,
+		`SELECT v FROM img WHERE x = 1.5`,
+		`SELECT [x], [y], AVG(v) AS a FROM img WHERE x > 100 GROUP BY img[x-1:x+2][y-1:y+2]`,
+	} {
+		if f := mustExec(t, e, q); f.Len() != 0 {
+			t.Fatalf("%s gives origin(%d,%d) %dx%d, want no cell", q, f.X0, f.Y0, f.W, f.H)
+		}
+	}
 }
 
 func TestFromSliceSyntax(t *testing.T) {

@@ -193,40 +193,39 @@ type rowRef struct {
 	i int
 }
 
-// lookup returns the bound, non-zero term for a variable, decoded
-// through the evaluation dictionary.
-func (r rowRef) lookup(name string) (rdf.Term, bool) {
-	if r.b == nil {
-		return rdf.Term{}, false
+// id returns the row's ID in column c: 0 (unbound) for c < 0 — a
+// variable the schema does not hold — and for the zero rowRef.
+func (r rowRef) id(c int) termID {
+	if r.b == nil || c < 0 {
+		return 0
 	}
-	c, ok := r.b.schema.index[name]
-	if !ok {
-		return rdf.Term{}, false
-	}
-	id := r.b.cols[c][r.i]
-	if id == 0 {
-		return rdf.Term{}, false
-	}
-	return r.b.dict.decode(id), true
+	return r.b.cols[c][r.i]
 }
 
-// lookupID returns a row's ID for a variable (0 = unbound).
-func (r rowRef) lookupID(name string) termID {
-	if r.b != nil {
-		if c, ok := r.b.schema.index[name]; ok {
-			return r.b.cols[c][r.i]
-		}
+// term decodes the row's term in column c (the zero Term when unbound).
+func (r rowRef) term(c int) rdf.Term {
+	if id := r.id(c); id != 0 {
+		return r.b.dict.decode(id)
 	}
-	return 0
+	return rdf.Term{}
 }
 
-// rowKey appends a composite fixed-width ID key of the row's values for
-// vars to dst — 8 bytes per variable with 0 encoding unbound.
-func rowKey(dst []byte, row rowRef, vars []string) []byte {
-	for _, v := range vars {
-		dst = appendIDKey(dst, row.lookupID(v))
+// rowKey appends a composite fixed-width ID key of the row's values in
+// columns cols to dst — 8 bytes per column with 0 encoding unbound.
+func rowKey(dst []byte, row rowRef, cols []int) []byte {
+	for _, c := range cols {
+		dst = appendIDKey(dst, row.id(c))
 	}
 	return dst
+}
+
+// slotsOf returns the columns of names in s (-1 where s has none).
+func slotsOf(s *varSchema, names []string) []int {
+	cols := make([]int, len(names))
+	for i, n := range names {
+		cols[i] = slotOf(s, n)
+	}
+	return cols
 }
 
 // batchIter is the pull side of an opened operator pipeline: next

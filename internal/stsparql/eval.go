@@ -3,7 +3,6 @@ package stsparql
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/rdf"
@@ -219,11 +218,19 @@ type Evaluator struct {
 	timed   TimeRangeSource
 
 	// argScratch is the function-call argument stack of expression
-	// evaluation: evalExpr frames append their argument Values and
-	// truncate back on return, so per-row filter evaluation allocates
-	// nothing once the slice has grown to the plan's deepest call.
+	// evaluation: call nodes append their argument Values and truncate
+	// back on return, so per-row filter evaluation allocates nothing
+	// once the slice has grown to the plan's deepest call.
 	// applyFunction must not retain the slice it is handed.
 	argScratch []Value
+	// group is the group aggregate nodes compute over while the
+	// aggregate operator evaluates one (see aggregate).
+	group struct {
+		rows *Batch
+		mem  []int32
+	}
+	// memo holds the typed nodes' memos (exprMemos).
+	memo exprMemos
 
 	// seedVars, seed and subRes carry one prepared run's state (see
 	// prepare.go): the seed rows its sub-selects share, binding seedVars
@@ -232,10 +239,9 @@ type Evaluator struct {
 	seed     []Row
 	subRes   map[*subSelectOp]*Result
 
-	// One evaluation's memos, valid while begin's pin holds: the window
-	// scans' subject sets (subjectSets) and parsed dateTimes (dateTime).
+	// One evaluation's memo, valid while begin's pin holds: the window
+	// scans' subject sets (subjectSets).
 	subjects map[subjectKey][]rdf.IDSet
-	times    map[termID]time.Time
 
 	// trace, when armed (SetTrace), collects per-operator actuals for
 	// EXPLAIN ANALYZE. The disabled path costs one nil check per
@@ -262,7 +268,6 @@ func (e *Evaluator) begin(vars []string, seed []Row) {
 	e.seedVars, e.seed = vars, seed
 	clear(e.subRes)
 	clear(e.subjects)
-	clear(e.times)
 }
 
 // unitSeed is the seed of an unprepared evaluation: one row binding
@@ -459,10 +464,19 @@ func projectionVars(q *SelectQuery) []string {
 	return vars
 }
 
+// compileKeys compiles ORDER BY keys against schema.
+func compileKeys(keys []OrderKey, schema *varSchema, cache *geomCache) []cexpr {
+	prog := make([]cexpr, len(keys))
+	for i, k := range keys {
+		prog[i] = compileExpr(k.Expr, schema, cache)
+	}
+	return prog
+}
+
 // appendKeys appends the row's ORDER BY key values to dst.
-func (e *Evaluator) appendKeys(dst []Value, keys []OrderKey, row rowRef) []Value {
+func (e *Evaluator) appendKeys(dst []Value, keys []cexpr, row rowRef) []Value {
 	for _, k := range keys {
-		dst = append(dst, e.evalExpr(k.Expr, row))
+		dst = append(dst, k.eval(e, row))
 	}
 	return dst
 }
@@ -497,11 +511,11 @@ func compareKeys(a, b []Value, keys []OrderKey) int {
 // a variable's column, or a computed key interned through the
 // evaluation dictionary — so equal terms always share a group.
 //
-// The output batch has a column per GROUP BY variable and per
-// projected variable, sorted by name: a group's key and plain variables
-// take its first member's values (its representative), computed items
-// their value.
-func (e *Evaluator) aggregate(q *SelectQuery, in batchIter) (*Batch, error) {
+// The output batch (schema op.out) has a column per GROUP BY variable
+// and per projected variable: a group's key and plain variables take
+// its first member's values (its representative), computed items their
+// value.
+func (e *Evaluator) aggregate(op *aggregateOp, in batchIter) (*Batch, error) {
 	rows, err := drainBatch(e.dict, in)
 	if err != nil {
 		return nil, err
@@ -512,12 +526,12 @@ func (e *Evaluator) aggregate(q *SelectQuery, in batchIter) (*Batch, error) {
 	for i := 0; i < rows.n; i++ {
 		row := rowRef{b: rows, i: i}
 		kb = kb[:0]
-		for _, ge := range q.GroupBy {
-			if ve, ok := ge.(*VarExpr); ok {
-				kb = appendIDKey(kb, row.lookupID(ve.Name))
+		for _, k := range op.keys {
+			if k.x == nil {
+				kb = appendIDKey(kb, row.id(k.col))
 				continue
 			}
-			t, _ := e.evalExpr(ge, row).asTerm()
+			t, _ := k.x.eval(e, row).asTerm()
 			kb = appendIDKey(kb, e.dict.encode(t))
 		}
 		g, ok := groups[string(kb)]
@@ -530,45 +544,35 @@ func (e *Evaluator) aggregate(q *SelectQuery, in batchIter) (*Batch, error) {
 	}
 	// With no GROUP BY, all rows form one implicit group (even zero rows
 	// for COUNT(*) = 0).
-	if len(q.GroupBy) == 0 && len(members) == 0 {
+	if len(op.keys) == 0 && len(members) == 0 {
 		members = append(members, nil)
 	}
 
-	names := map[string]bool{}
-	for _, ge := range q.GroupBy {
-		if ve, ok := ge.(*VarExpr); ok {
-			names[ve.Name] = true
-		}
-	}
-	for _, item := range q.Projection {
-		names[item.Var] = true
-	}
-	out := newBatch(e.dict, schemaOf(names), len(members))
-	var mem []int32 // the group agg evaluates over
-	agg := func(c *CallExpr) Value { return e.aggregateCall(c, rows, mem) }
-	for _, mem = range members {
+	out := newBatch(e.dict, op.out, len(members))
+	defer func() { e.group.rows, e.group.mem = nil, nil }()
+	e.group.rows = rows
+	for _, mem := range members {
+		e.group.mem = mem
 		rep := rowRef{} // an empty group binds nothing
 		if len(mem) > 0 {
 			rep = rowRef{b: rows, i: int(mem[0])}
 		}
-		if !e.having(q.Having, rep, agg) {
+		if !e.having(op.having, rep) {
 			continue
 		}
 		r := out.beginRow(rowRef{})
-		for _, ge := range q.GroupBy {
-			if ve, ok := ge.(*VarExpr); ok {
-				c, _ := out.schema.col(ve.Name)
-				out.cols[c][r] = rep.lookupID(ve.Name)
+		for _, k := range op.keys {
+			if k.x == nil {
+				out.cols[k.out][r] = rep.id(k.col)
 			}
 		}
-		for _, item := range q.Projection {
-			c, _ := out.schema.col(item.Var)
-			if item.Expr == nil {
-				if id := rep.lookupID(item.Var); id != 0 {
-					out.cols[c][r] = id
+		for _, item := range op.items {
+			if item.x == nil {
+				if id := rep.id(item.col); id != 0 {
+					out.cols[item.out][r] = id
 				}
-			} else if t, ok := e.evalGrouped(item.Expr, rep, agg).asTerm(); ok {
-				out.cols[c][r] = e.dict.encode(t)
+			} else if t, ok := item.x.eval(e, rep).asTerm(); ok {
+				out.cols[item.out][r] = e.dict.encode(t)
 			}
 		}
 		out.commitRow()
@@ -576,54 +580,29 @@ func (e *Evaluator) aggregate(q *SelectQuery, in batchIter) (*Batch, error) {
 	return out, nil
 }
 
-// having reports whether a group passes every HAVING constraint.
-func (e *Evaluator) having(conds []Expr, rep rowRef, agg func(*CallExpr) Value) bool {
+// having reports whether the group under evaluation passes every
+// HAVING constraint.
+func (e *Evaluator) having(conds []cexpr, rep rowRef) bool {
 	for _, h := range conds {
-		pass, err := e.evalGrouped(h, rep, agg).effectiveBool()
-		if err != nil || !pass {
+		if h.test(e, rep) != triTrue {
 			return false
 		}
 	}
 	return true
 }
 
-// evalGrouped evaluates an expression in aggregate context: agg
-// supplies the value of each aggregate call, computed over the group's
-// member rows by the aggregate operator, and everything else evaluates
-// against the group's representative row.
-func (e *Evaluator) evalGrouped(expr Expr, rep rowRef, agg func(*CallExpr) Value) Value {
-	switch v := expr.(type) {
-	case *CallExpr:
-		if v.isAggregate() {
-			return agg(v)
-		}
-		base := len(e.argScratch)
-		for _, a := range v.Args {
-			e.argScratch = append(e.argScratch, e.evalGrouped(a, rep, agg))
-		}
-		res := e.applyFunction(v, e.argScratch[base:])
-		e.argScratch = e.argScratch[:base]
-		return res
-	case *BinaryExpr:
-		return e.applyBinary(v.Op, e.evalGrouped(v.L, rep, agg), e.evalGrouped(v.R, rep, agg))
-	case *UnaryExpr:
-		return e.applyUnary(v.Op, e.evalGrouped(v.X, rep, agg))
-	default:
-		return e.evalExpr(expr, rep)
-	}
-}
-
 // aggregateCall evaluates one aggregate call over the member rows mem
 // of rows.
-func (e *Evaluator) aggregateCall(c *CallExpr, rows *Batch, mem []int32) Value {
+func (e *Evaluator) aggregateCall(n *aggNode, rows *Batch, mem []int32) Value {
+	c := n.c
 	collect := func() []Value {
-		if len(c.Args) == 0 {
+		if n.arg == nil {
 			return nil
 		}
 		var vals []Value
 		var seen map[string]bool
 		for _, i := range mem {
-			v := e.evalExpr(c.Args[0], rowRef{b: rows, i: int(i)})
+			v := n.arg.eval(e, rowRef{b: rows, i: int(i)})
 			if v.Kind == VUnbound || v.Kind == VErr {
 				continue
 			}
@@ -661,8 +640,8 @@ func (e *Evaluator) aggregateCall(c *CallExpr, rows *Batch, mem []int32) Value {
 			}
 			return numValue(float64(len(mem)))
 		}
-		if v, ok := c.Args[0].(*VarExpr); ok {
-			return numValue(float64(countBound(rows, mem, v.Name, c.Distinct)))
+		if _, ok := c.Args[0].(*VarExpr); ok {
+			return numValue(float64(countBound(rows, mem, n.countCol, c.Distinct)))
 		}
 		return numValue(float64(len(collect())))
 	case "sum", "avg":
@@ -746,9 +725,8 @@ func (e *Evaluator) aggregateCall(c *CallExpr, rows *Batch, mem []int32) Value {
 // evaluation). Nothing is decoded: a variable bound to an ill-typed
 // literal evaluates to that literal, not to an error (SPARQL 1.1
 // §18.5.1.1), so every bound row counts.
-func countBound(rows *Batch, mem []int32, name string, distinct bool) int {
-	c, ok := rows.schema.col(name)
-	if !ok {
+func countBound(rows *Batch, mem []int32, c int, distinct bool) int {
+	if c < 0 {
 		return 0
 	}
 	n, seen := 0, map[termID]struct{}{}

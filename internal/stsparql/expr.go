@@ -2,102 +2,10 @@ package stsparql
 
 import (
 	"strings"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/rdf"
 )
-
-// evalExpr evaluates an expression under a row view — a physical batch
-// row, looked up column-wise.
-func (e *Evaluator) evalExpr(expr Expr, row rowRef) Value {
-	switch v := expr.(type) {
-	case *VarExpr:
-		id := row.lookupID(v.Name)
-		if id == 0 {
-			return unboundValue()
-		}
-		t := row.b.dict.decode(id)
-		if t.Datatype == rdf.XSDDateTime && t.IsLiteral() {
-			return e.dateTime(id, t)
-		}
-		return termToValue(t, e.cache)
-	case *ConstExpr:
-		return termToValue(v.Term, e.cache)
-	case *UnaryExpr:
-		return e.applyUnary(v.Op, e.evalExpr(v.X, row))
-	case *BinaryExpr:
-		// Short-circuit logical operators.
-		switch v.Op {
-		case "&&":
-			l, err := e.evalExpr(v.L, row).effectiveBool()
-			if err != nil {
-				return errValue("%v", err)
-			}
-			if !l {
-				return boolValue(false)
-			}
-			r, err := e.evalExpr(v.R, row).effectiveBool()
-			if err != nil {
-				return errValue("%v", err)
-			}
-			return boolValue(r)
-		case "||":
-			l, err := e.evalExpr(v.L, row).effectiveBool()
-			if err == nil && l {
-				return boolValue(true)
-			}
-			r, err2 := e.evalExpr(v.R, row).effectiveBool()
-			if err2 != nil {
-				return errValue("%v", err2)
-			}
-			return boolValue(r)
-		}
-		return e.applyBinary(v.Op, e.evalExpr(v.L, row), e.evalExpr(v.R, row))
-	case *CallExpr:
-		if v.Name == "bound" {
-			if len(v.Args) != 1 {
-				return errValue("stsparql: bound() wants one variable")
-			}
-			ve, ok := v.Args[0].(*VarExpr)
-			if !ok {
-				return errValue("stsparql: bound() wants a variable")
-			}
-			_, present := row.lookup(ve.Name)
-			return boolValue(present)
-		}
-		if v.isAggregate() {
-			return errValue("stsparql: aggregate %q outside grouped query", v.Name)
-		}
-		base := len(e.argScratch)
-		for _, a := range v.Args {
-			e.argScratch = append(e.argScratch, e.evalExpr(a, row))
-		}
-		res := e.applyFunction(v, e.argScratch[base:])
-		e.argScratch = e.argScratch[:base]
-		return res
-	default:
-		return errValue("stsparql: unknown expression node %T", expr)
-	}
-}
-
-// dateTime is termToValue for the xsd:dateTime literal t with ID id,
-// parsing it once per evaluation: a window filter compares every
-// candidate's instant, often only for str() to read the text back. A
-// malformed literal is not kept, and stays an error at every read.
-func (e *Evaluator) dateTime(id termID, t rdf.Term) Value {
-	if tm, ok := e.times[id]; ok {
-		return Value{Kind: VTime, Time: tm, Term: t}
-	}
-	v := termToValue(t, e.cache)
-	if v.Kind == VTime {
-		if e.times == nil {
-			e.times = make(map[termID]time.Time)
-		}
-		e.times[id] = v.Time
-	}
-	return v
-}
 
 func (e *Evaluator) applyUnary(op string, x Value) Value {
 	switch op {
@@ -206,7 +114,7 @@ func (e *Evaluator) applyFunction(c *CallExpr, args []Value) Value {
 		}
 	case "datatype":
 		if len(args) == 1 {
-			return Value{Kind: VTerm, Term: rdf.NewIRI(args[0].Term.Datatype)}
+			return Value{Kind: VTerm, Term: rdf.NewIRI(datatypeOf(args[0]))}
 		}
 	case "isiri", "isuri":
 		if len(args) == 1 {
@@ -251,6 +159,24 @@ func (e *Evaluator) applyFunction(c *CallExpr, args []Value) Value {
 		return e.applySpatialFunction(strings.TrimPrefix(strings.TrimPrefix(name, "strdf:"), "geof:"), args)
 	}
 	return errValue("stsparql: unknown function %q", name)
+}
+
+// datatypeOf is the datatype IRI of a value's term (SPARQL 1.1
+// §17.4.2.7): its declared datatype, rdf:langString for a
+// language-tagged literal, xsd:string for a simple literal — the term
+// of a string the query computed included. Anything else, an IRI or a
+// blank node, has none: the empty IRI, which binds nothing.
+func datatypeOf(v Value) string {
+	t := v.Term
+	switch {
+	case t.IsZero() && v.Kind == VStr:
+		return rdf.XSDString
+	case !t.IsLiteral() || t.Datatype != "":
+		return t.Datatype
+	case t.Lang != "":
+		return rdf.RDFLangString
+	}
+	return rdf.XSDString
 }
 
 func (e *Evaluator) applySpatialFunction(local string, args []Value) Value {

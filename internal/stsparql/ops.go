@@ -67,8 +67,12 @@ const (
 // yields a candidate envelope, and hash falls back to bind for
 // single-row inputs (the build cost would dominate).
 type joinOp struct {
-	pat      TriplePattern
-	filters  []*FilterElement // group filters, for spatial-window detection
+	pat TriplePattern
+	// window lists, in the order a window scan tries them, the
+	// geometries the group's spatial filters join the pattern's object
+	// against (see windowArgs): compiled against schema, evaluated under
+	// the probe row.
+	window   []cexpr
 	strategy string
 	shared   []string   // pattern vars certainly bound by the input rows
 	est      float64    // estimated output rows (Explain annotation)
@@ -85,8 +89,10 @@ type joinOp struct {
 	// scans open with a batch of that size and still grow geometrically
 	// if the slice turns out not to stop them.
 	first int
-	// trange is the index range of a joinTimeRange scan.
+	// trange is the index range of a joinTimeRange scan, its variable
+	// bounds read from columns trCols.
 	trange *TimeWindow
+	trCols boundCols
 	// subjects, for a window join, are the filters the BGP's remaining
 	// patterns put on the pattern's subject (see windowFilters).
 	subjects []subjectFilter
@@ -114,7 +120,8 @@ func (op *joinOp) firstTarget() int {
 }
 
 // makeTable scans the pattern once and indexes it by shared-var ID key.
-func (op *joinOp) makeTable(e *Evaluator) (*Batch, map[string][]int32) {
+// It also returns, per build column, its column in the join's schema.
+func (op *joinOp) makeTable(e *Evaluator) (*Batch, map[string][]int32, []int) {
 	var names []string
 	for _, tv := range []TermOrVar{op.pat.S, op.pat.P, op.pat.O} {
 		if tv.IsVar() && !containsVar(names, tv.Var) {
@@ -123,14 +130,15 @@ func (op *joinOp) makeTable(e *Evaluator) (*Batch, map[string][]int32) {
 	}
 	sort.Strings(names)
 	b := newBatch(e.dict, newSchema(names), batchSizeMax)
-	newPatScan(e, op, nil, func() *Batch { return b }, alwaysScan).run(rowRef{})
+	newPatScan(e, op, nil, b.schema, func() *Batch { return b }, alwaysScan).run(rowRef{})
 	table := make(map[string][]int32)
 	var kb []byte
+	shared := slotsOf(b.schema, op.shared)
 	for r := 0; r < b.n; r++ {
-		kb = rowKey(kb[:0], rowRef{b: b, i: r}, op.shared)
+		kb = rowKey(kb[:0], rowRef{b: b, i: r}, shared)
 		table[string(kb)] = append(table[string(kb)], int32(r))
 	}
-	return b, table
+	return b, table, slotsOf(op.schema, names)
 }
 
 type joinIter struct {
@@ -155,8 +163,10 @@ type joinIter struct {
 	// variables, indexed by shared-var ID key. It lives as long as the
 	// iterator — a cached plan pins none (a repeat at the same generation
 	// is the result cache's to absorb).
-	build *Batch
-	table map[string][]int32
+	build     *Batch
+	table     map[string][]int32
+	buildOut  []int // each build column's column in the output
+	probeCols []int // the shared variables' columns in the probe rows
 
 	scan    *patScan // reused per-probe-row bind scan
 	scanOut *Batch   // output batch the reused scan appends to
@@ -214,7 +224,7 @@ func (it *joinIter) next() (*Batch, error) {
 			it.probeHash(probe, out)
 		} else {
 			if it.scan == nil {
-				it.scan = newPatScan(it.e, it.op, it.op.filters, func() *Batch { return it.scanOut }, alwaysScan)
+				it.scan = newPatScan(it.e, it.op, it.op.window, it.op.schema, func() *Batch { return it.scanOut }, alwaysScan)
 			}
 			it.scanOut = out
 			it.scan.run(probe)
@@ -303,7 +313,7 @@ func (it *joinIter) startStream(probe rowRef) {
 	it.pull, it.stop = iter.Pull(func(yield func(*Batch) bool) {
 		target := op.firstTarget()
 		out := newBatch(e.dict, op.schema, target)
-		newPatScan(e, op, op.filters, func() *Batch { return out }, func() bool {
+		newPatScan(e, op, op.window, op.schema, func() *Batch { return out }, func() bool {
 			if out.n >= target {
 				if !yield(out) {
 					return false
@@ -330,20 +340,17 @@ func (it *joinIter) startStream(probe rowRef) {
 // within an evaluation.
 func (it *joinIter) probeHash(probe rowRef, out *Batch) {
 	if it.table == nil {
-		it.build, it.table = it.op.makeTable(it.e)
+		it.build, it.table, it.buildOut = it.op.makeTable(it.e)
+		it.probeCols = slotsOf(it.op.schema, it.op.shared)
 	}
-	it.kb = rowKey(it.kb[:0], probe, it.op.shared)
+	it.kb = rowKey(it.kb[:0], probe, it.probeCols)
 	build := it.build
 	for _, bi := range it.table[string(it.kb)] {
 		r := out.beginRow(probe)
 		ok := true
-		for c, name := range build.schema.names {
+		for c, oc := range it.buildOut {
 			val := build.cols[c][bi]
-			if val == 0 {
-				continue
-			}
-			oc, has := out.schema.col(name)
-			if !has {
+			if val == 0 || oc < 0 {
 				continue
 			}
 			if ex := out.cols[oc][r]; ex != 0 {
@@ -411,20 +418,22 @@ func (op *joinOp) explain(b *planText, indent string) {
 // integer compare, with no term materialisation.
 type filterOp struct {
 	cond  Expr
-	eager bool // pushed into a BGP by the planner (Explain annotation)
+	prog  cexpr // cond compiled against the group's schema
+	eager bool  // pushed into a BGP by the planner (Explain annotation)
 
 	// Plan-time constant-equality detection: FILTER(?v = <iri>) and its
 	// negation. IRI constants only — IRI equality is term identity, so
 	// the ID comparison is exact; literals need value semantics and fall
 	// through to expression evaluation.
 	idVar   string
+	idCol   int
 	idConst rdf.Term
 	idNeg   bool
 }
 
-// newFilterOp builds a filter, detecting the constant-IRI equality
-// shape at plan time.
-func newFilterOp(cond Expr, eager bool) *filterOp {
+// newFilterOp builds a filter over batches of schema, compiling its
+// condition and detecting the constant-IRI equality shape.
+func newFilterOp(cond Expr, eager bool, schema *varSchema, cache *geomCache) *filterOp {
 	op := &filterOp{cond: cond, eager: eager}
 	if be, ok := cond.(*BinaryExpr); ok && (be.Op == "=" || be.Op == "!=") {
 		var ve *VarExpr
@@ -437,9 +446,11 @@ func newFilterOp(cond Expr, eager bool) *filterOp {
 			ce, _ = be.L.(*ConstExpr)
 		}
 		if ve != nil && ce != nil && ce.Term.IsIRI() && !ce.Term.IsZero() {
-			op.idVar, op.idConst, op.idNeg = ve.Name, ce.Term, be.Op == "!="
+			op.idVar, op.idCol, op.idConst, op.idNeg = ve.Name, slotOf(schema, ve.Name), ce.Term, be.Op == "!="
+			return op
 		}
 	}
+	op.prog = compileExpr(cond, schema, cache)
 	return op
 }
 
@@ -482,8 +493,7 @@ func (it *filterIter) next() (*Batch, error) {
 		} else {
 			for ord := 0; ord < n; ord++ {
 				i := b.row(ord)
-				v := it.e.evalExpr(it.op.cond, rowRef{b: b, i: i})
-				if pass, err := v.effectiveBool(); err == nil && pass {
+				if it.op.prog.test(it.e, rowRef{b: b, i: i}) == triTrue {
 					keep = append(keep, int32(i))
 				}
 			}
@@ -499,8 +509,8 @@ func (it *filterIter) next() (*Batch, error) {
 // An unbound row (ID 0) drops for both = and != — SPARQL comparison
 // with unbound is an error, and errors drop the row.
 func (it *filterIter) filterIDs(b *Batch, keep []int32) []int32 {
-	c, ok := b.schema.col(it.op.idVar)
-	if !ok {
+	c := it.op.idCol
+	if c < 0 {
 		return keep
 	}
 	col := b.cols[c]
@@ -900,9 +910,61 @@ func (op *subSelectOp) explain(b *planText, indent string) {
 // aggregateOp groups rows and evaluates aggregate projections and HAVING
 // constraints. Blocking: grouping needs the full input, drained into one
 // owned batch and keyed on fixed-width ID tuples (see
-// Evaluator.aggregate).
+// Evaluator.aggregate). Its expressions are compiled against the input
+// schema: the GROUP BY keys as plain expressions, HAVING and the
+// computed projections in aggregate context.
 type aggregateOp struct {
-	q *SelectQuery
+	q      *SelectQuery
+	keys   []groupKey
+	having []cexpr
+	items  []groupItem
+	out    *varSchema // a column per GROUP BY variable and projected variable, sorted by name
+}
+
+// groupKey is one GROUP BY key: a variable's input column (col >= 0,
+// out its output column), or a computed expression.
+type groupKey struct {
+	col, out int
+	x        cexpr
+}
+
+// groupItem is one projected variable: its output column and either its
+// input column (x nil: a plain variable, the representative's value) or
+// its computed expression.
+type groupItem struct {
+	out, col int
+	x        cexpr
+}
+
+func newAggregateOp(q *SelectQuery, in *varSchema, cache *geomCache) *aggregateOp {
+	names := map[string]bool{}
+	for _, ge := range q.GroupBy {
+		if ve, ok := ge.(*VarExpr); ok {
+			names[ve.Name] = true
+		}
+	}
+	for _, item := range q.Projection {
+		names[item.Var] = true
+	}
+	op := &aggregateOp{q: q, out: schemaOf(names),
+		keys: make([]groupKey, len(q.GroupBy)), having: make([]cexpr, len(q.Having)), items: make([]groupItem, len(q.Projection))}
+	for i, ge := range q.GroupBy {
+		if ve, ok := ge.(*VarExpr); ok {
+			op.keys[i] = groupKey{col: slotOf(in, ve.Name), out: slotOf(op.out, ve.Name)}
+		} else {
+			op.keys[i] = groupKey{col: -1, out: -1, x: compileExpr(ge, in, cache)}
+		}
+	}
+	for i, h := range q.Having {
+		op.having[i] = compileGrouped(h, in, cache)
+	}
+	for i, item := range q.Projection {
+		op.items[i] = groupItem{out: slotOf(op.out, item.Var), col: slotOf(in, item.Var)}
+		if item.Expr != nil {
+			op.items[i].x = compileGrouped(item.Expr, in, cache)
+		}
+	}
+	return op
 }
 
 func (op *aggregateOp) open(e *Evaluator, in batchIter) batchIter {
@@ -918,7 +980,7 @@ type aggregateIter struct {
 
 func (it *aggregateIter) next() (*Batch, error) {
 	if it.out == nil {
-		grouped, err := it.e.aggregate(it.op.q, it.in)
+		grouped, err := it.e.aggregate(it.op, it.in)
 		if err != nil {
 			return nil, err
 		}
@@ -955,6 +1017,33 @@ func (op *aggregateOp) explain(b *planText, indent string) {
 type projectOp struct {
 	q       *SelectQuery
 	grouped bool
+	// An explicit projection's output schema and, per item, its input
+	// column (a plain variable, or a grouped row's computed binding) or
+	// its expression compiled against the input schema.
+	schema *varSchema
+	items  []projItem
+}
+
+type projItem struct {
+	col int
+	x   cexpr
+}
+
+// newProjectOp builds the projection of q over batches of schema in.
+func newProjectOp(q *SelectQuery, grouped bool, in *varSchema, cache *geomCache) *projectOp {
+	op := &projectOp{q: q, grouped: grouped}
+	if q.Star {
+		return op
+	}
+	op.schema = newSchema(projectionVars(q))
+	op.items = make([]projItem, len(q.Projection))
+	for i, item := range q.Projection {
+		op.items[i].col = slotOf(in, item.Var)
+		if item.Expr != nil && !grouped {
+			op.items[i].x = compileExpr(item.Expr, in, cache)
+		}
+	}
+	return op
 }
 
 func (op *projectOp) open(e *Evaluator, in batchIter) batchIter {
@@ -978,20 +1067,18 @@ func (op *projectOp) open(e *Evaluator, in batchIter) batchIter {
 		it.star = &batchesIter{batches: []*Batch{out}}
 		return it
 	}
-	it.vars = projectionVars(op.q)
-	it.schema = newSchema(it.vars)
+	it.vars = op.schema.names
 	return it
 }
 
 type projectIter struct {
-	op     *projectOp
-	e      *Evaluator
-	in     batchIter
-	vars   []string
-	schema *varSchema
-	star   *batchesIter // materialised output of a SELECT *
-	out    *Batch       // reused output slab
-	err    error
+	op   *projectOp
+	e    *Evaluator
+	in   batchIter
+	vars []string
+	star *batchesIter // materialised output of a SELECT *
+	out  *Batch       // reused output slab
+	err  error
 }
 
 func (it *projectIter) next() (*Batch, error) {
@@ -1007,7 +1094,7 @@ func (it *projectIter) next() (*Batch, error) {
 	}
 	n := b.live()
 	if it.out == nil || it.out.cap < n {
-		it.out = newBatch(it.e.dict, it.schema, max(n, b.cap))
+		it.out = newBatch(it.e.dict, it.op.schema, max(n, b.cap))
 	} else {
 		it.out.reset()
 	}
@@ -1016,16 +1103,16 @@ func (it *projectIter) next() (*Batch, error) {
 		i := b.row(ord)
 		in := rowRef{b: b, i: i}
 		r := out.beginRow(rowRef{})
-		for c, item := range it.op.q.Projection {
-			if item.Expr != nil && !it.op.grouped {
-				if t, ok := it.e.evalExpr(item.Expr, in).asTerm(); ok {
+		for c, item := range it.op.items {
+			if item.x != nil {
+				if t, ok := item.x.eval(it.e, in).asTerm(); ok {
 					out.cols[c][r] = out.dict.encode(t)
 				}
 				continue
 			}
 			// Plain variables, and grouped rows (which already carry the
 			// computed aggregate bindings), copy through as IDs.
-			out.cols[c][r] = in.lookupID(item.Var)
+			out.cols[c][r] = in.id(item.col)
 		}
 		out.commitRow()
 	}
@@ -1092,7 +1179,10 @@ func (it *distinctIter) next() (*Batch, error) {
 		}
 		for ord := 0; ord < n; ord++ {
 			i := b.row(ord)
-			it.kb = rowKey(it.kb[:0], rowRef{b: b, i: i}, b.schema.names)
+			it.kb = it.kb[:0]
+			for _, col := range b.cols {
+				it.kb = appendIDKey(it.kb, col[i])
+			}
 			if !it.seen[string(it.kb)] {
 				it.seen[string(it.kb)] = true
 				keep = append(keep, int32(i))
@@ -1121,6 +1211,9 @@ func (op *distinctOp) explain(b *planText, indent string) {
 // rows, a bounded heap over their slots deciding which.
 type orderOp struct {
 	keys []OrderKey
+	// prog is the keys' expressions compiled against the projection's
+	// schema; nil under SELECT *, whose schema the first batch brings.
+	prog []cexpr
 	// topK > 0 bounds how many rows of the sorted output are reachable
 	// (OFFSET+LIMIT). The input is still fully drained, but memory stays
 	// O(topK) and the final sort is over topK rows, not the input.
@@ -1135,6 +1228,7 @@ type orderIter struct {
 	op   *orderOp
 	e    *Evaluator
 	in   batchIter
+	prog []cexpr
 	done bool
 
 	// The kept rows: slot i of rows has its key values at
@@ -1208,13 +1302,16 @@ func (it *orderIter) drain() ([]int32, error) {
 		}
 		if it.rows == nil {
 			it.rows = newBatch(it.e.dict, b.schema, batchSizeMin)
+			if it.prog = it.op.prog; it.prog == nil {
+				it.prog = compileKeys(it.op.keys, b.schema, it.e.cache)
+			}
 		}
 		for ord := 0; ord < b.live(); ord, arrival = ord+1, arrival+1 {
 			row := rowRef{b: b, i: b.row(ord)}
 			if k == 0 || it.rows.n < k {
 				it.rows.beginRow(row)
 				it.rows.commitRow()
-				it.vals = it.e.appendKeys(it.vals, it.op.keys, row)
+				it.vals = it.e.appendKeys(it.vals, it.prog, row)
 				it.seq = append(it.seq, arrival)
 				if k == 0 {
 					continue
@@ -1225,7 +1322,7 @@ func (it *orderIter) drain() ([]int32, error) {
 				}
 				continue
 			}
-			cand = it.e.appendKeys(cand[:0], it.op.keys, row)
+			cand = it.e.appendKeys(cand[:0], it.prog, row)
 			if it.after(cand, arrival, int(heap[0])) {
 				continue // sorts after the worst kept row: unreachable
 			}
@@ -1363,12 +1460,17 @@ func (op *sliceOp) explain(b *planText, indent string) {
 // coroutine yields full batches from onRow and swaps in a fresh slab —
 // and onRow, run after each appended row, reports whether to continue.
 type patScan struct {
-	e       *Evaluator
-	pat     TriplePattern
-	trange  *TimeWindow // non-nil for a time-range scan
-	filters []*FilterElement
-	out     func() *Batch
-	onRow   func() bool
+	e      *Evaluator
+	op     *joinOp
+	pat    TriplePattern
+	trange *TimeWindow // non-nil for a time-range scan
+	window []cexpr     // the op's window geometries; nil for a hash build
+	out    func() *Batch
+	onRow  func() bool
+	// in and outc are the pattern components' columns in the probe row
+	// and in the output batch (-1: a constant, or a variable the batch
+	// does not hold).
+	in, outc [3]int
 
 	probe    rowRef // current probe row
 	sid, pid rdf.ID // subject and predicate resolved under probe
@@ -1403,15 +1505,17 @@ type patScan struct {
 	visitWindow func(rdf.EncodedTriple) bool // bound windowBind
 }
 
-func newPatScan(e *Evaluator, op *joinOp, filters []*FilterElement, out func() *Batch, onRow func() bool) *patScan {
-	sc := &patScan{e: e, pat: op.pat, trange: op.trange, filters: filters, out: out, onRow: onRow}
+func newPatScan(e *Evaluator, op *joinOp, window []cexpr, outSchema *varSchema, out func() *Batch, onRow func() bool) *patScan {
+	sc := &patScan{e: e, op: op, pat: op.pat, trange: op.trange, window: window, out: out, onRow: onRow}
 	sc.visit = sc.bind
-	sc.visitWindow = sc.windowBind
 	for i, tv := range [3]TermOrVar{op.pat.S, op.pat.P, op.pat.O} {
-		if !tv.IsVar() {
-			id, ok := e.dict.storeID(tv.Term)
-			sc.consts[i], sc.miss = id, sc.miss || !ok
+		sc.in[i], sc.outc[i] = -1, -1
+		if tv.IsVar() {
+			sc.in[i], sc.outc[i] = slotOf(op.schema, tv.Var), slotOf(outSchema, tv.Var)
+			continue
 		}
+		id, ok := e.dict.storeID(tv.Term)
+		sc.consts[i], sc.miss = id, sc.miss || !ok
 	}
 	sc.indexed = e.spatial != nil && op.pat.O.IsVar()
 	sc.geomPred = !op.pat.P.IsVar() && GeometryPredicates[op.pat.P.Term.Value]
@@ -1426,6 +1530,7 @@ func newPatScan(e *Evaluator, op *joinOp, filters []*FilterElement, out func() *
 	if sc.indexed && !sc.miss && (sc.geomPred || op.pat.P.IsVar()) {
 		sc.skip, sc.members = e.spatial.WindowSkip(sc.consts[1], sc.sets)
 		sc.searched = sc.members - bits.OnesCount64(sc.skip)
+		sc.visitWindow = sc.windowBind
 	}
 	return sc
 }
@@ -1447,15 +1552,15 @@ func (sc *patScan) run(probe rowRef) {
 		return
 	}
 	sc.probe = probe
-	sid, ok := sc.resolve(0, sc.pat.S)
+	sid, ok := sc.resolve(0)
 	if !ok {
 		return
 	}
-	pid, ok := sc.resolve(1, sc.pat.P)
+	pid, ok := sc.resolve(1)
 	if !ok {
 		return
 	}
-	oid, ok := sc.resolve(2, sc.pat.O)
+	oid, ok := sc.resolve(2)
 	if !ok {
 		return
 	}
@@ -1465,7 +1570,7 @@ func (sc *patScan) run(probe rowRef) {
 	// left to decode per row.
 	if sc.indexed && pid != 0 && oid == 0 &&
 		(sc.geomPred || sc.pat.P.IsVar() && GeometryPredicates[sc.e.dict.decode(termID(pid)).Value]) {
-		if env, found := sc.e.spatialWindowFor(sc.pat.O.Var, probe, sc.filters); found {
+		if env, found := sc.windowEnv(probe); found {
 			for i, f := range sc.subjects {
 				if f.time != nil || f.o.IsVar() {
 					sc.sets[i] = sc.e.subjectSets(f, probe)
@@ -1478,7 +1583,7 @@ func (sc *patScan) run(probe rowRef) {
 		}
 	}
 	if sc.trange != nil && sid == 0 && oid == 0 && sc.e.timed != nil {
-		sc.e.timed.MatchTimeRangeIDs(pid, sc.trange.under(probe), sc.visit)
+		sc.e.timed.MatchTimeRangeIDs(pid, sc.op.trCols.under(*sc.trange, probe), sc.visit)
 		return
 	}
 	sc.e.src.MatchIDs(sid, pid, oid, sc.visit)
@@ -1505,7 +1610,7 @@ func (e *Evaluator) subjectSets(f subjectFilter, probe rowRef) []rdf.IDSet {
 	case !okP:
 		return []rdf.IDSet{}
 	case f.time != nil:
-		k.w = f.time.under(probe)
+		k.w = f.timeCols.under(*f.time, probe)
 	case !f.o.IsVar():
 		o, ok := e.dict.storeID(f.o.Term)
 		if !ok {
@@ -1513,7 +1618,7 @@ func (e *Evaluator) subjectSets(f subjectFilter, probe rowRef) []rdf.IDSet {
 		}
 		return e.spatial.SubjectSets(p, o, []rdf.IDSet{})
 	default:
-		id := probe.lookupID(f.o.Var)
+		id := probe.id(f.col)
 		if id == 0 || id >= overflowBase {
 			return nil
 		}
@@ -1585,7 +1690,7 @@ func (sc *patScan) windowBind(t rdf.EncodedTriple) bool {
 func (sc *patScan) bind(t rdf.EncodedTriple) bool {
 	b := sc.out()
 	r := b.beginRow(sc.probe)
-	if !stageBinding(b, r, sc.pat.S, termID(t.S)) || !stageBinding(b, r, sc.pat.P, termID(t.P)) || !stageBinding(b, r, sc.pat.O, termID(t.O)) {
+	if !stageBinding(b, r, sc.outc[0], termID(t.S)) || !stageBinding(b, r, sc.outc[1], termID(t.P)) || !stageBinding(b, r, sc.outc[2], termID(t.O)) {
 		return true
 	}
 	b.commitRow()
@@ -1594,14 +1699,15 @@ func (sc *patScan) bind(t rdf.EncodedTriple) bool {
 
 // resolve resolves component i of the pattern to a store ID under the
 // current probe row: constants to the ID found at open, bound variables
-// to their ID, free variables to the wildcard. ok=false means the
-// variable is bound to a term no indexed triple can carry (a dictionary
-// miss or an evaluation-local overflow ID): the scan matches nothing.
-func (sc *patScan) resolve(i int, tv TermOrVar) (rdf.ID, bool) {
-	if !tv.IsVar() {
+// to their ID (read from their column), free variables to the wildcard.
+// ok=false means the variable is bound to a term no indexed triple can
+// carry (a dictionary miss or an evaluation-local overflow ID): the scan
+// matches nothing.
+func (sc *patScan) resolve(i int) (rdf.ID, bool) {
+	if sc.consts[i] != 0 {
 		return sc.consts[i], true
 	}
-	if id := sc.probe.lookupID(tv.Var); id != 0 {
+	if id := sc.probe.id(sc.in[i]); id != 0 {
 		if id >= overflowBase {
 			return 0, false
 		}
@@ -1614,14 +1720,11 @@ func (sc *patScan) resolve(i int, tv TermOrVar) (rdf.ID, bool) {
 // function so passing it allocates no closure.
 func alwaysScan() bool { return true }
 
-// stageBinding binds one pattern component into the staged row r of b,
-// reporting false on a conflicting repeated-variable binding.
-func stageBinding(b *Batch, r int, tv TermOrVar, id termID) bool {
-	if !tv.IsVar() {
-		return true
-	}
-	c, ok := b.schema.col(tv.Var)
-	if !ok {
+// stageBinding binds one pattern component, in column c (-1: nothing
+// to bind), into the staged row r of b, reporting false on a
+// conflicting repeated-variable binding.
+func stageBinding(b *Batch, r int, c int, id termID) bool {
+	if c < 0 {
 		return true
 	}
 	if ex := b.cols[c][r]; ex != 0 {
@@ -1631,13 +1734,13 @@ func stageBinding(b *Batch, r int, tv TermOrVar, id termID) bool {
 	return true
 }
 
-// spatialWindowFor inspects pending filters for a spatial predicate
-// constraining variable v against a geometry already computable under
-// the probe row; it returns the candidate envelope.
-func (e *Evaluator) spatialWindowFor(v string, probe rowRef, filters []*FilterElement) (geom.Envelope, bool) {
-	for _, f := range filters {
-		if env, ok := e.findSpatialConstraint(f.Cond, v, probe); ok {
-			return env, true
+// windowEnv returns the candidate envelope of a window scan: that of
+// the first of the op's window geometries that evaluates to a geometry
+// under the probe row.
+func (sc *patScan) windowEnv(probe rowRef) (geom.Envelope, bool) {
+	for _, x := range sc.window {
+		if v := x.eval(sc.e, probe); v.Kind == VGeom {
+			return v.Geom.Envelope(), true
 		}
 	}
 	return geom.Envelope{}, false
@@ -1657,26 +1760,25 @@ var spatialJoinFns = map[string]bool{
 	"strdf:covers":      true,
 }
 
-func (e *Evaluator) findSpatialConstraint(expr Expr, v string, probe rowRef) (geom.Envelope, bool) {
-	switch n := expr.(type) {
+// windowArgs appends to out, compiled, the geometries the spatial join
+// calls of a filter condition test variable v against: for each
+// spatialJoinFns call with v for an argument, the other argument,
+// through && conjunctions, left to right. A window scan on v tries them
+// in this order.
+func windowArgs(x Expr, v string, c *compiler, out []cexpr) []cexpr {
+	switch n := x.(type) {
 	case *CallExpr:
 		if spatialJoinFns[n.Name] && len(n.Args) == 2 {
 			for i := 0; i < 2; i++ {
 				if ve, ok := n.Args[i].(*VarExpr); ok && ve.Name == v {
-					other := e.evalExpr(n.Args[1-i], probe)
-					if other.Kind == VGeom {
-						return other.Geom.Envelope(), true
-					}
+					out = append(out, c.compile(n.Args[1-i]))
 				}
 			}
 		}
 	case *BinaryExpr:
 		if n.Op == "&&" {
-			if env, ok := e.findSpatialConstraint(n.L, v, probe); ok {
-				return env, true
-			}
-			return e.findSpatialConstraint(n.R, v, probe)
+			out = windowArgs(n.R, v, c, windowArgs(n.L, v, c, out))
 		}
 	}
-	return geom.Envelope{}, false
+	return out
 }

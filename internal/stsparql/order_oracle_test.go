@@ -16,7 +16,8 @@ import (
 // order operator ran before (orderRows and its comparator, the bounded
 // heap of drainTopK), kept verbatim apart from drainTopK's receiver and
 // the map row type, which the engine no longer has — mapRow views one
-// as a one-row batch — and Term.String for the term comparison kernel.
+// as a one-row batch, and evalOn compiles the key against it — and
+// Term.String for the term comparison kernel.
 
 // oracleRow is the map row the oracles sort: variable name to term,
 // unbound variables absent.
@@ -33,6 +34,12 @@ func (e *Evaluator) mapRow(b oracleRow) rowRef {
 	}
 	batch.commitRow()
 	return rowRef{b: batch, i: r}
+}
+
+// evalOn evaluates an expression at a mapRow view, compiled against
+// the view's schema.
+func (e *Evaluator) evalOn(x Expr, row rowRef) Value {
+	return compileExpr(x, row.b.schema, e.cache).eval(e, row)
 }
 
 // rowText renders a row for comparison: two rows of one header have
@@ -67,8 +74,8 @@ func (e *Evaluator) orderRows(rows []oracleRow, keys []OrderKey) {
 // tie, like orderRows always did).
 func (e *Evaluator) compareOrderKeys(a, b oracleRow, keys []OrderKey) int {
 	for _, k := range keys {
-		va := e.evalExpr(k.Expr, e.mapRow(a))
-		vb := e.evalExpr(k.Expr, e.mapRow(b))
+		va := e.evalOn(k.Expr, e.mapRow(a))
+		vb := e.evalOn(k.Expr, e.mapRow(b))
 		c, err := va.compare(vb)
 		if err != nil || c == 0 {
 			continue

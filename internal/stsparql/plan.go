@@ -200,11 +200,13 @@ func (p *planner) planSelect(q *SelectQuery, buffered bool) *selectPlan {
 	}
 	where := p.planGroupRoot(q.Where, buffered)
 	p.firstBatch = saved
-	proj := &projectOp{q: q, grouped: grouped}
 	var tail []operator
+	in := where.schema
 	if grouped {
-		tail = append(tail, &aggregateOp{q: q})
+		agg := newAggregateOp(q, in, p.e.cache)
+		tail, in = append(tail, agg), agg.out
 	}
+	proj := newProjectOp(q, grouped, in, p.e.cache)
 	tail = append(tail, proj)
 	if q.Distinct {
 		tail = append(tail, &distinctOp{proj: proj})
@@ -217,7 +219,11 @@ func (p *planner) planSelect(q *SelectQuery, buffered bool) *selectPlan {
 		if q.Limit >= 0 {
 			topK = q.Offset + q.Limit
 		}
-		tail = append(tail, &orderOp{keys: q.OrderBy, topK: topK})
+		order := &orderOp{keys: q.OrderBy, topK: topK}
+		if !q.Star {
+			order.prog = compileKeys(q.OrderBy, proj.schema, p.e.cache)
+		}
+		tail = append(tail, order)
 	}
 	if q.Offset > 0 || q.Limit >= 0 {
 		// LIMIT/OFFSET pushdown: with no blocking or row-set modifier
@@ -363,7 +369,7 @@ func (p *planner) planGroup(gp *GroupPattern, bound map[string]bool, inEst float
 	// into a BGP are pure pruning and need not re-run.
 	for _, f := range filters {
 		if !applied[f] {
-			g.ops = append(g.ops, newFilterOp(f.Cond, false))
+			g.ops = append(g.ops, newFilterOp(f.Cond, false, schema, p.e.cache))
 		}
 	}
 	return g
@@ -434,10 +440,16 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 		pat := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
 
-		op := &joinOp{pat: pat, filters: filters, strategy: joinBind, buffered: buffered, schema: schema, first: p.firstBatch}
+		op := &joinOp{pat: pat, strategy: joinBind, buffered: buffered, schema: schema, first: p.firstBatch}
 		for _, tv := range []TermOrVar{pat.S, pat.P, pat.O} {
 			if tv.IsVar() && bound[tv.Var] && !containsVar(op.shared, tv.Var) {
 				op.shared = append(op.shared, tv.Var)
+			}
+		}
+		if pat.O.IsVar() && (pat.P.IsVar() || GeometryPredicates[pat.P.Term.Value]) {
+			c := &compiler{schema: schema, cache: p.e.cache}
+			for _, f := range filters {
+				op.window = windowArgs(f.Cond, pat.O.Var, c, op.window)
 			}
 		}
 		// Hash joins need real cardinalities: without statistics the
@@ -445,9 +457,9 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 		// planner sticks to bind joins.
 		switch {
 		case bestWindow:
-			op.strategy, op.subjects = joinWindow, windowFilters(pat, remaining, bound, wins)
+			op.strategy, op.subjects = joinWindow, windowFilters(pat, remaining, bound, wins, schema)
 		case bestRange != nil:
-			op.strategy, op.trange = joinTimeRange, bestRange
+			op.strategy, op.trange, op.trCols = joinTimeRange, bestRange, windowCols(bestRange, schema)
 		case p.stats != nil && len(op.shared) == 0 && inEst >= crossJoinHashMinRows:
 			// Disconnected pattern: bind degenerates to a rescan per row.
 			op.strategy = joinHash
@@ -488,7 +500,7 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 					continue // the cheap existence check runs first
 				}
 				applied[f] = true
-				ops = append(ops, newFilterOp(f.Cond, true))
+				ops = append(ops, newFilterOp(f.Cond, true, schema, p.e.cache))
 				inEst *= eagerFilterSelectivity
 			}
 		}
@@ -507,6 +519,10 @@ type subjectFilter struct {
 	p    rdf.Term
 	o    TermOrVar
 	time *TimeWindow // a time filter's window on o
+	// The probe row's columns of a variable o (col) and of a time
+	// filter's variable bounds (timeCols).
+	col      int
+	timeCols boundCols
 }
 
 // Subject-filter kinds; a class filter is `?x rdf:type C`.
@@ -527,8 +543,9 @@ func (f subjectFilter) String() string {
 }
 
 // windowFilters returns the subject filters the BGP's remaining patterns
-// put on a window pattern's fresh subject, in kind order.
-func windowFilters(pat TriplePattern, remaining []TriplePattern, bound map[string]bool, wins map[string]*TimeWindow) []subjectFilter {
+// put on a window pattern's fresh subject, in kind order, their columns
+// those of schema.
+func windowFilters(pat TriplePattern, remaining []TriplePattern, bound map[string]bool, wins map[string]*TimeWindow, schema *varSchema) []subjectFilter {
 	if !pat.S.IsVar() || bound[pat.S.Var] {
 		return nil
 	}
@@ -537,14 +554,21 @@ func windowFilters(pat TriplePattern, remaining []TriplePattern, bound map[strin
 		if !r.S.IsVar() || r.S.Var != pat.S.Var || r.P.IsVar() {
 			continue
 		}
+		f := subjectFilter{p: r.P.Term, o: r.O, col: -1, timeCols: boundCols{-1, -1}}
+		if r.O.IsVar() {
+			f.col = slotOf(schema, r.O.Var)
+		}
 		switch {
 		case !r.O.IsVar() && r.P.Term.Equal(rdfType):
-			fs = append(fs, subjectFilter{filterClass, r.P.Term, r.O, nil})
+			f.kind = filterClass
 		case !r.O.IsVar() || bound[r.O.Var]:
-			fs = append(fs, subjectFilter{filterSet, r.P.Term, r.O, nil})
+			f.kind = filterSet
 		case r.O.Var != pat.S.Var && wins[r.O.Var] != nil:
-			fs = append(fs, subjectFilter{filterTime, r.P.Term, r.O, wins[r.O.Var]})
+			f.kind, f.time, f.timeCols = filterTime, wins[r.O.Var], windowCols(wins[r.O.Var], schema)
+		default:
+			continue
 		}
+		fs = append(fs, f)
 	}
 	slices.SortStableFunc(fs, func(a, b subjectFilter) int { return a.kind - b.kind })
 	return fs

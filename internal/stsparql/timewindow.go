@@ -57,17 +57,27 @@ func (w TimeWindow) String() string {
 	return "[" + side(w.Lo, math.MinInt64, w.LoVar) + ", " + side(w.Hi, math.MaxInt64, w.HiVar) + "]"
 }
 
-// under evaluates the variable bounds under a probe row: a value bounds
-// as a constant of its term would (timeTermOf); one that bounds nothing
-// leaves its side as the constants left it.
-func (w TimeWindow) under(probe rowRef) TimeWindow {
+// boundCols are the columns, in one schema, of a window's variable
+// bounds (-1: none).
+type boundCols struct{ lo, hi int }
+
+func windowCols(w *TimeWindow, s *varSchema) boundCols {
+	if w == nil {
+		return boundCols{-1, -1}
+	}
+	return boundCols{slotOf(s, w.LoVar), slotOf(s, w.HiVar)}
+}
+
+// under evaluates w's variable bounds under a probe row, reading them
+// from columns c: a value bounds as a constant of its term would
+// (timeTermOf); one that bounds nothing — unbound included — leaves its
+// side as the constants left it.
+func (c boundCols) under(w TimeWindow, probe rowRef) TimeWindow {
 	out := TimeWindow{Lo: w.Lo, Hi: w.Hi, Lexical: w.Lexical}
-	lo, _ := probe.lookup(w.LoVar) // the zero term when unbound: it bounds nothing
-	if u, lexical, ok := timeTermOf(lo); ok {
+	if u, lexical, ok := timeTermOf(probe.term(c.lo)); ok {
 		out.Lo, out.Lexical = max(out.Lo, u), out.Lexical || lexical
 	}
-	hi, _ := probe.lookup(w.HiVar)
-	if u, lexical, ok := timeTermOf(hi); ok {
+	if u, lexical, ok := timeTermOf(probe.term(c.hi)); ok {
 		out.Hi, out.Lexical = min(out.Hi, u), out.Lexical || lexical
 	}
 	return out

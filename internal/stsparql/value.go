@@ -282,14 +282,19 @@ func (v Value) equalValue(o Value) (bool, error) {
 	return c == 0, nil
 }
 
-// geomCache caches parsed WKT so repeated spatial joins do not re-parse
-// the same coastline literal thousands of times. It also caches computed
-// envelopes for index pre-filtering. The cache is safe for concurrent use:
-// a store may run several read-locked evaluations at once, all sharing one
-// cache (see strabon's locking discipline).
+// geomCache caches parsed geometries so repeated spatial joins do not
+// re-parse the same coastline literal thousands of times: by WKT text,
+// and by store term ID for the one dictionary it first serves (a store
+// ID names one term for the dictionary's life, and a shared cache
+// serves one store). An ID lookup hashes one integer instead of the
+// whole text. The cache is safe for concurrent use: a store may run
+// several read-locked evaluations at once, all sharing one cache (see
+// strabon's locking discipline).
 type geomCache struct {
 	mu    sync.RWMutex
 	geoms map[string]geom.Geometry
+	dict  *rdf.Dictionary // the dictionary ids' keys are IDs of
+	ids   map[rdf.ID]geom.Geometry
 }
 
 func newGeomCache() *geomCache {
@@ -310,6 +315,33 @@ func (c *geomCache) parse(wkt string) (geom.Geometry, error) {
 	//lint:allow lockdiscipline fill-on-miss on the shared geometry cache's own mutex, not a store lock; held only for one map insert
 	c.mu.Lock()
 	c.geoms[wkt] = g
+	c.mu.Unlock()
+	return g, nil
+}
+
+// byID returns the geometry of wkt, the lexical form of term id of
+// dictionary d. A cache already serving another dictionary reads the
+// text instead.
+func (c *geomCache) byID(d *rdf.Dictionary, id rdf.ID, wkt string) (geom.Geometry, error) {
+	c.mu.RLock()
+	g, ok := c.ids[id]
+	mine := c.dict == d
+	c.mu.RUnlock()
+	if ok && mine {
+		return g, nil
+	}
+	g, err := c.parse(wkt)
+	if err != nil {
+		return nil, err
+	}
+	//lint:allow lockdiscipline fill-on-miss on the shared geometry cache's own mutex, not a store lock; held only for one map insert
+	c.mu.Lock()
+	if c.dict == nil {
+		c.dict, c.ids = d, make(map[rdf.ID]geom.Geometry)
+	}
+	if c.dict == d {
+		c.ids[id] = g
+	}
 	c.mu.Unlock()
 	return g, nil
 }
