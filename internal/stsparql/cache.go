@@ -12,11 +12,11 @@ type Cache struct {
 // NewCache returns an empty shared cache.
 func NewCache() *Cache { return &Cache{inner: newGeomCache()} }
 
-// Size reports the number of cached geometries.
+// Size reports the number of cached geometries, by text and by term ID.
 func (c *Cache) Size() int {
 	c.inner.mu.RLock()
 	defer c.inner.mu.RUnlock()
-	return len(c.inner.geoms)
+	return len(c.inner.geoms) + len(c.inner.ids)
 }
 
 // NewEvaluatorWithCache returns an evaluator over src that shares the

@@ -30,9 +30,9 @@ import (
 //
 // Both memos live as long as the evaluator (exprMemos).
 //
-// Each falls back to the generic node it replaces for every case its
-// fast path does not decide, so it answers exactly as the generic node
-// does (TestTypedNodesMatchGeneric). Every other node evaluates as the
+// Each answers every row as the generic nodes it replaces do, falling
+// back to their code where its fast path does not decide
+// (TestTypedNodesMatchGeneric). Every other node evaluates as the
 // expression tree always did, through applyUnary, applyBinary and
 // applyFunction.
 
@@ -65,6 +65,19 @@ func triOf(v Value) tri {
 	return triFalse
 }
 
+// errUndecided is the value of a test that errs. An evaluation error
+// only ever drops a row, leaves a projection unbound or ties a sort key,
+// so which error it is does not matter.
+var errUndecided = errValue("stsparql: expression has no boolean value")
+
+// triValue is the value of a test result.
+func triValue(t tri) Value {
+	if t == triErr {
+		return errUndecided
+	}
+	return boolValue(t == triTrue)
+}
+
 // compiler compiles expressions against one schema.
 type compiler struct {
 	schema *varSchema
@@ -84,10 +97,8 @@ func compileGrouped(x Expr, schema *varSchema, cache *geomCache) cexpr {
 	return (&compiler{schema: schema, cache: cache, grouped: true}).compile(x)
 }
 
-// slot returns a variable's column, or -1 when the schema has none (the
-// variable is unbound in every row).
-func (c *compiler) slot(name string) int { return slotOf(c.schema, name) }
-
+// slotOf returns a variable's column, or -1 when the schema has none
+// (the variable is unbound in every row).
 func slotOf(s *varSchema, name string) int {
 	if col, ok := s.col(name); ok {
 		return col
@@ -98,7 +109,7 @@ func slotOf(s *varSchema, name string) int {
 func (c *compiler) compile(x Expr) cexpr {
 	switch v := x.(type) {
 	case *VarExpr:
-		return varNode(c.slot(v.Name))
+		return varNode(slotOf(c.schema, v.Name))
 	case *ConstExpr:
 		return &constNode{v: termToValue(v.Term, c.cache)}
 	case *UnaryExpr:
@@ -152,7 +163,7 @@ func (c *compiler) bound(v *CallExpr) cexpr {
 	if !ok {
 		return &constNode{v: errValue("stsparql: bound() wants a variable")}
 	}
-	return &boundNode{col: c.slot(ve.Name)}
+	return &boundNode{col: slotOf(c.schema, ve.Name)}
 }
 
 func (c *compiler) aggregate(v *CallExpr) cexpr {
@@ -161,7 +172,7 @@ func (c *compiler) aggregate(v *CallExpr) cexpr {
 		// The argument evaluates per member row, outside aggregate context.
 		n.arg = compileExpr(v.Args[0], c.schema, c.cache)
 		if ve, ok := v.Args[0].(*VarExpr); ok {
-			n.countCol = c.slot(ve.Name)
+			n.countCol = slotOf(c.schema, ve.Name)
 		}
 	}
 	return n
@@ -238,20 +249,7 @@ func (n *binaryNode) test(e *Evaluator, r rowRef) tri { return triOf(n.eval(e, r
 // left side does not decide.
 type andNode struct{ l, r cexpr }
 
-func (n *andNode) eval(e *Evaluator, r rowRef) Value {
-	l, err := n.l.eval(e, r).effectiveBool()
-	if err != nil {
-		return errValue("%v", err)
-	}
-	if !l {
-		return boolValue(false)
-	}
-	rb, err := n.r.eval(e, r).effectiveBool()
-	if err != nil {
-		return errValue("%v", err)
-	}
-	return boolValue(rb)
-}
+func (n *andNode) eval(e *Evaluator, r rowRef) Value { return triValue(n.test(e, r)) }
 
 func (n *andNode) test(e *Evaluator, r rowRef) tri {
 	if l := n.l.test(e, r); l != triTrue {
@@ -262,17 +260,7 @@ func (n *andNode) test(e *Evaluator, r rowRef) tri {
 
 type orNode struct{ l, r cexpr }
 
-func (n *orNode) eval(e *Evaluator, r rowRef) Value {
-	l, err := n.l.eval(e, r).effectiveBool()
-	if err == nil && l {
-		return boolValue(true)
-	}
-	rb, err2 := n.r.eval(e, r).effectiveBool()
-	if err2 != nil {
-		return errValue("%v", err2)
-	}
-	return boolValue(rb)
-}
+func (n *orNode) eval(e *Evaluator, r rowRef) Value { return triValue(n.test(e, r)) }
 
 func (n *orNode) test(e *Evaluator, r rowRef) tri {
 	if n.l.test(e, r) == triTrue {
@@ -317,8 +305,8 @@ func (n *aggNode) test(e *Evaluator, r rowRef) tri { return triOf(n.eval(e, r)) 
 // --- term values by ID ---
 
 // termValue is termToValue for the term t with ID id: a dateTime parses
-// once per evaluation (termMemo), a geometry literal reads the shared
-// cache by ID instead of hashing its text.
+// once (termMemo), a geometry literal reads the shared cache by ID
+// instead of hashing its text.
 func (e *Evaluator) termValue(id termID, t rdf.Term) Value {
 	if t.IsLiteral() {
 		switch t.Datatype {
@@ -338,10 +326,11 @@ func (e *Evaluator) termValue(id termID, t rdf.Term) Value {
 // exprMemos are an evaluator's memos of what its typed nodes compute
 // per term ID, each a direct-mapped table — a slot keeps the last key
 // hashed to it, a miss recomputes — held in the Evaluator itself, so
-// they cost no allocation of their own. They live as long as the evaluator and need no invalidation: within
-// one evaluator an ID never changes meaning (store IDs hold for the
-// store's life, overflow IDs for the evaluator's), and what is memoised
-// is a function of the term alone.
+// they cost no allocation of their own. They live as long as the
+// evaluator and need no invalidation: within one evaluator an ID never
+// changes meaning (store IDs hold for the store's life, overflow IDs
+// for the evaluator's), and what is memoised is a function of the
+// terms alone.
 type exprMemos struct {
 	terms [1 << memoBits]termMemo
 	pairs [1 << memoBits]pairMemo
@@ -416,26 +405,19 @@ type operand struct {
 func (c *compiler) operand(x Expr) (operand, bool) {
 	switch x := x.(type) {
 	case *VarExpr:
-		return operand{isVar: true, col: c.slot(x.Name)}, true
+		return operand{isVar: true, col: slotOf(c.schema, x.Name)}, true
 	case *ConstExpr:
 		return operand{col: -1, v: termToValue(x.Term, c.cache)}, true
 	}
 	return operand{}, false
 }
 
-// value is what the generic node evaluates the operand to.
-func (o *operand) value(e *Evaluator, r rowRef) Value {
-	if o.isVar {
-		return varNode(o.col).eval(e, r)
-	}
-	return o.v
-}
-
 // strCmpNode is str(?v) op X for a comparison op, X a constant whose
 // value is a string or a variable. A row where ?v is bound to a
-// well-formed term and X is a string compares the two strings; every
-// other row — ?v unbound or malformed, X unbound or not a string — is
-// answered as the generic nodes answer it (generic).
+// well-formed term and X is a string compares the two strings; ?v
+// unbound or malformed, or X unbound, is an error, as it is to the
+// generic nodes, and an X of another kind is answered as they answer it
+// (generic).
 type strCmpNode struct {
 	op   string
 	str  *CallExpr // the str() call
@@ -462,7 +444,7 @@ func (c *compiler) strCompare(v *BinaryExpr) cexpr {
 	if !ok || !x.isVar && x.v.Kind != VStr {
 		return nil
 	}
-	return &strCmpNode{op: v.Op, str: call, col: c.slot(arg.Name), x: x, xstr: x.v.Str}
+	return &strCmpNode{op: v.Op, str: call, col: slotOf(c.schema, arg.Name), x: x, xstr: x.v.Str}
 }
 
 func (n *strCmpNode) test(e *Evaluator, r rowRef) tri {
@@ -508,60 +490,27 @@ func (n *strCmpNode) test(e *Evaluator, r rowRef) tri {
 	return triFalse
 }
 
-func (n *strCmpNode) eval(e *Evaluator, r rowRef) Value {
-	switch n.test(e, r) {
-	case triTrue:
-		return boolValue(true)
-	case triFalse:
-		return boolValue(false)
-	}
-	return n.generic(e, r) // the error, as the generic nodes word it
-}
+func (n *strCmpNode) eval(e *Evaluator, r rowRef) Value { return triValue(n.test(e, r)) }
 
-// generic is applyBinary(op, str(?v), X), as the generic nodes evaluate it.
+// generic is applyBinary(op, str(?v), X) for a variable X, as the
+// generic nodes evaluate it.
 func (n *strCmpNode) generic(e *Evaluator, r rowRef) Value {
 	base := len(e.argScratch)
 	e.argScratch = append(e.argScratch, varNode(n.col).eval(e, r))
 	l := e.applyFunction(n.str, e.argScratch[base:])
 	e.argScratch = e.argScratch[:base]
-	return e.applyBinary(n.op, l, n.x.value(e, r))
+	return e.applyBinary(n.op, l, varNode(n.x.col).eval(e, r))
 }
 
 // --- two-argument spatial predicates ---
-
-// spatialPreds are the boolean strdf:/geof: functions of two
-// geometries, by local name (applySpatialFunction's table).
-var spatialPreds = map[string]func(a, b geom.Geometry) bool{
-	"anyinteract":  geom.Intersects,
-	"intersects":   geom.Intersects,
-	"sfintersects": geom.Intersects,
-	"contains":     geom.Contains,
-	"sfcontains":   geom.Contains,
-	"within":       geom.Within,
-	"sfwithin":     geom.Within,
-	"inside":       geom.Within,
-	"coveredby":    geom.CoveredBy,
-	"covers":       func(a, b geom.Geometry) bool { return geom.CoveredBy(b, a) },
-	"disjoint":     geom.Disjoint,
-	"sfdisjoint":   geom.Disjoint,
-	"touches":      geom.Touches,
-	"touch":        geom.Touches,
-	"sftouches":    geom.Touches,
-	"overlap":      geom.Overlaps,
-	"overlaps":     geom.Overlaps,
-	"sfoverlaps":   geom.Overlaps,
-	"equals":       geom.Equals,
-	"sfequals":     geom.Equals,
-}
 
 // spatialNode is a two-argument spatial predicate over variables and
 // constant geometries, at least one a variable. A row binding every
 // variable argument to a literal whose text parses as a geometry reads
 // the geometries by ID and tests them once per distinct ID pair (the
-// evaluator's pairMemo); any other row is answered as the generic call
-// node answers it (generic).
+// evaluator's pairMemo); any other row is an error, as it is to the
+// generic call node.
 type spatialNode struct {
-	call   *CallExpr
 	pred   func(a, b geom.Geometry) bool
 	args   [2]operand
 	consts [2]geom.Geometry // the constant arguments' geometries
@@ -577,7 +526,7 @@ func (c *compiler) spatialPredicate(v *CallExpr) cexpr {
 			return nil
 		}
 	}
-	n := &spatialNode{call: v, pred: spatialPreds[local]}
+	n := &spatialNode{pred: spatialPreds[local]}
 	if n.pred == nil {
 		return nil
 	}
@@ -588,7 +537,7 @@ func (c *compiler) spatialPredicate(v *CallExpr) cexpr {
 		}
 		if n.args[i].isVar {
 			vars++
-		} else if n.consts[i], ok = constGeometry(n.args[i].v, c.cache); !ok {
+		} else if n.consts[i], ok = argGeometry(n.args[i].v, c.cache); !ok {
 			return nil
 		}
 	}
@@ -596,19 +545,6 @@ func (c *compiler) spatialPredicate(v *CallExpr) cexpr {
 		return nil
 	}
 	return n
-}
-
-// constGeometry is applySpatialFunction's reading of a constant
-// argument: a geometry, or a string holding WKT.
-func constGeometry(v Value, cache *geomCache) (geom.Geometry, bool) {
-	switch v.Kind {
-	case VGeom:
-		return v.Geom, true
-	case VStr:
-		g, err := cache.parse(v.Str)
-		return g, err == nil
-	}
-	return nil, false
 }
 
 func (n *spatialNode) test(e *Evaluator, r rowRef) tri {
@@ -642,27 +578,7 @@ func (n *spatialNode) test(e *Evaluator, r rowRef) tri {
 	return res
 }
 
-func (n *spatialNode) eval(e *Evaluator, r rowRef) Value {
-	switch n.test(e, r) {
-	case triTrue:
-		return boolValue(true)
-	case triFalse:
-		return boolValue(false)
-	}
-	return n.generic(e, r) // the error, as the generic call words it
-}
-
-// generic applies the function to the evaluated arguments, as the
-// generic call node does.
-func (n *spatialNode) generic(e *Evaluator, r rowRef) Value {
-	base := len(e.argScratch)
-	for i := range n.args {
-		e.argScratch = append(e.argScratch, n.args[i].value(e, r))
-	}
-	res := e.applyFunction(n.call, e.argScratch[base:])
-	e.argScratch = e.argScratch[:base]
-	return res
-}
+func (n *spatialNode) eval(e *Evaluator, r rowRef) Value { return triValue(n.test(e, r)) }
 
 // literalGeometry returns the geometry a spatial function reads from
 // the term with ID id: a geometry literal's, or a plain string's WKT.

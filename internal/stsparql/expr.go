@@ -179,51 +179,62 @@ func datatypeOf(v Value) string {
 	return rdf.XSDString
 }
 
+// spatialPreds are the boolean strdf:/geof: functions of two
+// geometries, by local name.
+var spatialPreds = map[string]func(a, b geom.Geometry) bool{
+	"anyinteract":  geom.Intersects,
+	"intersects":   geom.Intersects,
+	"sfintersects": geom.Intersects,
+	"contains":     geom.Contains,
+	"sfcontains":   geom.Contains,
+	"within":       geom.Within,
+	"sfwithin":     geom.Within,
+	"inside":       geom.Within,
+	"coveredby":    geom.CoveredBy,
+	"covers":       func(a, b geom.Geometry) bool { return geom.CoveredBy(b, a) },
+	"disjoint":     geom.Disjoint,
+	"sfdisjoint":   geom.Disjoint,
+	"touches":      geom.Touches,
+	"touch":        geom.Touches,
+	"sftouches":    geom.Touches,
+	"overlap":      geom.Overlaps,
+	"overlaps":     geom.Overlaps,
+	"sfoverlaps":   geom.Overlaps,
+	"equals":       geom.Equals,
+	"sfequals":     geom.Equals,
+}
+
+// argGeometry is a spatial function's reading of an argument: a
+// geometry, or a string holding WKT — bare WKT strings are tolerated
+// (the paper's FILTERs sometimes wrap constants in strdf:WKT, sometimes
+// in strdf:geometry).
+func argGeometry(a Value, cache *geomCache) (geom.Geometry, bool) {
+	switch a.Kind {
+	case VGeom:
+		return a.Geom, true
+	case VStr:
+		g, err := cache.parse(a.Str)
+		return g, err == nil
+	}
+	return nil, false
+}
+
 func (e *Evaluator) applySpatialFunction(local string, args []Value) Value {
 	geomArg := func(i int) (geom.Geometry, bool) {
 		if i >= len(args) {
 			return nil, false
 		}
-		a := args[i]
-		switch a.Kind {
-		case VGeom:
-			return a.Geom, true
-		case VStr:
-			// Tolerate bare WKT strings (the paper's FILTERs sometimes
-			// wrap constants in strdf:WKT, sometimes in strdf:geometry).
-			g, err := e.cache.parse(a.Str)
-			return g, err == nil
-		default:
-			return nil, false
-		}
+		return argGeometry(args[i], e.cache)
 	}
-	bin := func(f func(a, b geom.Geometry) bool) Value {
+	if pred := spatialPreds[local]; pred != nil {
 		g1, ok1 := geomArg(0)
 		g2, ok2 := geomArg(1)
 		if !ok1 || !ok2 {
 			return errValue("stsparql: strdf:%s wants two geometries", local)
 		}
-		return boolValue(f(g1, g2))
+		return boolValue(pred(g1, g2))
 	}
 	switch local {
-	case "anyinteract", "intersects", "sfintersects":
-		return bin(geom.Intersects)
-	case "contains", "sfcontains":
-		return bin(geom.Contains)
-	case "within", "sfwithin", "inside":
-		return bin(geom.Within)
-	case "coveredby":
-		return bin(geom.CoveredBy)
-	case "covers":
-		return bin(func(a, b geom.Geometry) bool { return geom.CoveredBy(b, a) })
-	case "disjoint", "sfdisjoint":
-		return bin(geom.Disjoint)
-	case "touches", "touch", "sftouches":
-		return bin(geom.Touches)
-	case "overlap", "overlaps", "sfoverlaps":
-		return bin(geom.Overlaps)
-	case "equals", "sfequals":
-		return bin(geom.Equals)
 	case "intersection":
 		g1, ok1 := geomArg(0)
 		g2, ok2 := geomArg(1)

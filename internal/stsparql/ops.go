@@ -418,14 +418,15 @@ func (op *joinOp) explain(b *planText, indent string) {
 // integer compare, with no term materialisation.
 type filterOp struct {
 	cond  Expr
-	prog  cexpr // cond compiled against the group's schema
-	eager bool  // pushed into a BGP by the planner (Explain annotation)
+	eager bool // pushed into a BGP by the planner (Explain annotation)
+	// prog is cond compiled against the group's schema; nil for the
+	// constant-equality shape.
+	prog cexpr
 
 	// Plan-time constant-equality detection: FILTER(?v = <iri>) and its
-	// negation. IRI constants only — IRI equality is term identity, so
-	// the ID comparison is exact; literals need value semantics and fall
-	// through to expression evaluation.
-	idVar   string
+	// negation, ?v in column idCol. IRI constants only — IRI equality is
+	// term identity, so the ID comparison is exact; literals need value
+	// semantics and fall through to expression evaluation.
 	idCol   int
 	idConst rdf.Term
 	idNeg   bool
@@ -446,7 +447,7 @@ func newFilterOp(cond Expr, eager bool, schema *varSchema, cache *geomCache) *fi
 			ce, _ = be.L.(*ConstExpr)
 		}
 		if ve != nil && ce != nil && ce.Term.IsIRI() && !ce.Term.IsZero() {
-			op.idVar, op.idCol, op.idConst, op.idNeg = ve.Name, slotOf(schema, ve.Name), ce.Term, be.Op == "!="
+			op.idCol, op.idConst, op.idNeg = slotOf(schema, ve.Name), ce.Term, be.Op == "!="
 			return op
 		}
 	}
@@ -456,7 +457,7 @@ func newFilterOp(cond Expr, eager bool, schema *varSchema, cache *geomCache) *fi
 
 func (op *filterOp) open(e *Evaluator, in batchIter) batchIter {
 	it := &filterIter{op: op, e: e, in: in}
-	if op.idVar != "" {
+	if op.prog == nil {
 		// Encode (not merely look up) so the constant also matches terms
 		// the evaluation computed itself.
 		it.constID = e.dict.encode(op.idConst)
@@ -488,7 +489,7 @@ func (it *filterIter) next() (*Batch, error) {
 			}
 			keep = it.selBuf[:0]
 		}
-		if it.op.idVar != "" {
+		if it.op.prog == nil {
 			keep = it.filterIDs(b, keep)
 		} else {
 			for ord := 0; ord < n; ord++ {
@@ -1015,8 +1016,7 @@ func (op *aggregateOp) explain(b *planText, indent string) {
 // drains at open, which is what keeps the header final before the
 // first row.
 type projectOp struct {
-	q       *SelectQuery
-	grouped bool
+	q *SelectQuery
 	// An explicit projection's output schema and, per item, its input
 	// column (a plain variable, or a grouped row's computed binding) or
 	// its expression compiled against the input schema.
@@ -1031,7 +1031,7 @@ type projItem struct {
 
 // newProjectOp builds the projection of q over batches of schema in.
 func newProjectOp(q *SelectQuery, grouped bool, in *varSchema, cache *geomCache) *projectOp {
-	op := &projectOp{q: q, grouped: grouped}
+	op := &projectOp{q: q}
 	if q.Star {
 		return op
 	}

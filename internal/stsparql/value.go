@@ -320,17 +320,20 @@ func (c *geomCache) parse(wkt string) (geom.Geometry, error) {
 }
 
 // byID returns the geometry of wkt, the lexical form of term id of
-// dictionary d. A cache already serving another dictionary reads the
-// text instead.
+// dictionary d, parsed once per ID and kept by ID only. A cache already
+// serving another dictionary reads the text instead.
 func (c *geomCache) byID(d *rdf.Dictionary, id rdf.ID, wkt string) (geom.Geometry, error) {
 	c.mu.RLock()
 	g, ok := c.ids[id]
-	mine := c.dict == d
+	other := c.dict != nil && c.dict != d
 	c.mu.RUnlock()
-	if ok && mine {
+	switch {
+	case other:
+		return c.parse(wkt)
+	case ok:
 		return g, nil
 	}
-	g, err := c.parse(wkt)
+	g, err := geom.ParseWKT(wkt)
 	if err != nil {
 		return nil, err
 	}
