@@ -21,7 +21,7 @@ import (
 // join evaluate on every candidate row:
 //
 //   - str(?v) op X, X a constant string or a variable (strCmpNode):
-//     compares the lexical form the evaluation memoises per term ID
+//     compares the lexical form the evaluator memoises per term ID
 //     (termMemo), which also records whether the term's typed value is
 //     well-formed — a malformed dateTime still drops the row;
 //   - a two-argument strdf:/geof: predicate (spatialNode): reads each
@@ -32,9 +32,8 @@ import (
 //
 // Each answers every row as the generic nodes it replaces do, falling
 // back to their code where its fast path does not decide
-// (TestTypedNodesMatchGeneric). Every other node evaluates as the
-// expression tree always did, through applyUnary, applyBinary and
-// applyFunction.
+// (TestTypedNodesMatchGeneric). Every other node applies applyUnary,
+// applyBinary or applyFunction to its evaluated operands.
 
 // cexpr is a compiled expression.
 type cexpr interface {
@@ -82,10 +81,11 @@ func triValue(t tri) Value {
 type compiler struct {
 	schema *varSchema
 	cache  *geomCache // constants' geometries parse through it
-	// grouped compiles in aggregate context, the rules evalGrouped
-	// applied: an aggregate call computes over the current group
-	// (Evaluator.group), every operator — && and || included — applies
-	// to both evaluated sides, and bound() is no special form.
+	// grouped compiles in aggregate context (HAVING, aggregate
+	// projections): an aggregate call computes over the current group
+	// (Evaluator.group), every operator applies to both evaluated sides
+	// — && and ||, which applyBinary does not know, fail — and bound()
+	// is no special form.
 	grouped bool
 }
 
