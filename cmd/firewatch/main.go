@@ -145,10 +145,7 @@ func main() {
 		return
 	}
 	windowDone.Store(true)
-	stStats := svc.Strabon.Stats()
-	ps := svc.Strabon.PlanStats()
-	fmt.Printf("firewatch: served %d queries during the window (plan cache: %d hits, %d misses, %d evictions)\n",
-		stStats.Queries, ps.Hits, ps.Misses, ps.Evictions)
+	fmt.Printf("firewatch: served %d queries during the window\n", svc.Strabon.Stats().Queries)
 	fmt.Println("firewatch: window complete, continuing to serve (interrupt to stop)")
 	select {}
 }

@@ -4,11 +4,11 @@
 //
 //	stsparql -query 'SELECT ?m WHERE { ?m a gag:Municipality . }'
 //	stsparql -load extra.ttl -query-file q.rq -format json
-//	stsparql -repeat 5 -query '...'   # plan + geometry caches persist across runs
+//	stsparql -repeat 5 -query '...'   # the geometry cache persists across runs
 //	echo 'ASK { ?h a noa:Hotspot }' | stsparql
 //
-// Timing, result counts, geometry-cache occupancy and plan-cache
-// hit/miss counters go to stderr; results (table, json or tsv) go to
+// Timing, result counts and geometry-cache occupancy go to stderr;
+// results (table, json or tsv) go to
 // stdout. All three formats render incrementally from the store's
 // streaming cursor — rows are printed as the engine produces them and
 // flushed every few rows, so a LIMITed query over a huge store prints
@@ -44,7 +44,7 @@ func main() {
 		explain   = flag.Bool("explain", false, "print the evaluation plan instead of executing")
 		analyze   = flag.Bool("analyze", false, "execute the query and print the plan annotated with per-operator actuals (EXPLAIN ANALYZE)")
 		format    = flag.String("format", "table", "result format: table, json or tsv")
-		repeat    = flag.Int("repeat", 1, "evaluate the query N times (the plan and geometry caches make repeats cheap)")
+		repeat    = flag.Int("repeat", 1, "evaluate the query N times (the geometry cache makes repeats cheaper)")
 	)
 	flag.Parse()
 	if *repeat < 1 {
@@ -53,8 +53,7 @@ func main() {
 
 	// The store's geometry cache serves every evaluation — across
 	// -repeat runs — so parsed WKT is reused instead of re-parsing the
-	// same coastline literals. Its plan cache does the same for compiled
-	// plans: run 1 parses and plans, runs 2..N hit the cache.
+	// same coastline literals. Every run parses and plans afresh.
 	st := strabon.New()
 	cache := st.GeomCache()
 	if *seed != 0 {
@@ -90,7 +89,7 @@ func main() {
 		plan, err := st.ExplainAnalyze(context.Background(), q)
 		fail(err)
 		fmt.Print(plan)
-		reportCaches(cache, st)
+		reportCache(cache)
 		return
 	}
 	if *explain {
@@ -108,7 +107,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "update run %d: matched %d, deleted %d, inserted %d in %v\n",
 				i+1, stats.Matched, stats.Deleted, stats.Inserted, time.Since(start).Round(time.Microsecond))
 		}
-		reportCaches(cache, st)
+		reportCache(cache)
 		return
 	}
 
@@ -129,7 +128,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "run %d: %d rows in %v\n",
 			i+1, cur.Rows(), time.Since(start).Round(time.Microsecond))
 	}
-	reportCaches(cache, st)
+	reportCache(cache)
 }
 
 // render streams the cursor's rows to stdout in the requested format.
@@ -181,11 +180,8 @@ func renderTable(cur *strabon.Cursor) error {
 	return w.Flush()
 }
 
-func reportCaches(cache *stsparql.Cache, st *strabon.Store) {
+func reportCache(cache *stsparql.Cache) {
 	fmt.Fprintf(os.Stderr, "geometry cache: %d parsed WKT literals\n", cache.Size())
-	ps := st.PlanStats()
-	fmt.Fprintf(os.Stderr, "plan cache: %d hits, %d misses, %d evictions (%d entries)\n",
-		ps.Hits, ps.Misses, ps.Evictions, ps.Entries)
 }
 
 func truncate(s string, n int) string {

@@ -8,7 +8,6 @@
 //	stsparqld -addr :7575
 //	stsparqld -addr :7575 -load extra.ttl
 //	stsparqld -addr :7575 -live -window 1h -workers 4
-//	stsparqld -addr :7575 -plan-cache 1024
 //	stsparqld -addr :7575 -live -shards 4 -shard-width 1h
 //
 // With -shards N the store (internal/strabon) partitions
@@ -20,11 +19,9 @@
 //
 // Endpoints: /sparql (GET/POST query; JSON or format=tsv), /update
 // (POST), /explain, /stats. SELECT responses stream row by row with
-// X-Rows/X-Elapsed-Us trailers; repeated queries skip parse+plan
-// through the generation-invalidated plan cache (-plan-cache sizes
-// it, 0 disables). Queries run under the request context, optionally
-// capped by -query-timeout, so an abandoned or slow client cannot hold
-// store read locks indefinitely.
+// X-Rows/X-Elapsed-Us trailers. Queries run under the request context,
+// optionally capped by -query-timeout, so an abandoned or slow client
+// cannot hold store read locks indefinitely.
 //
 // The serving tier layers on top: a generation-keyed result cache
 // (-result-cache entries, -result-cache-bytes budget) replays repeated
@@ -61,7 +58,6 @@ func main() {
 		sensor     = flag.String("sensor", "MSG1", "live mode sensor stream: MSG1 or MSG2")
 		window     = flag.Duration("window", time.Hour, "live mode monitored span")
 		workers    = flag.Int("workers", 0, "live mode pipeline workers (0 = NumCPU)")
-		planCache  = flag.Int("plan-cache", 256, "compiled-plan cache entries (0 disables plan caching)")
 		shards     = flag.Int("shards", 1, "time-range shards")
 		shardWidth = flag.Duration("shard-width", time.Hour, "time span of one shard routing bucket")
 		queryTO    = flag.Duration("query-timeout", 0, "per-query evaluation timeout, queue wait included (0 = none)")
@@ -133,8 +129,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "stsparqld: loaded %d triples from %s\n", n, *load)
 	}
 
-	st.SetPlanCacheSize(*planCache)
-
 	ep := strabon.NewEndpoint(st)
 	ep.QueryTimeout = *queryTO
 	ep.MaxRows = *maxRows
@@ -155,8 +149,8 @@ func main() {
 	}
 	ln, err := net.Listen("tcp", *addr)
 	fail(err)
-	fmt.Fprintf(os.Stderr, "stsparqld: serving stSPARQL on %s (/sparql, /update, /explain, /stats; plan cache %d entries, result cache %d entries)\n",
-		*addr, *planCache, *resCache)
+	fmt.Fprintf(os.Stderr, "stsparqld: serving stSPARQL on %s (/sparql, /update, /explain, /stats; result cache %d entries)\n",
+		*addr, *resCache)
 	fail(http.Serve(ln, ep))
 }
 

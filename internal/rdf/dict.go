@@ -34,7 +34,7 @@ const Wildcard ID = 0
 //     published atomically after the term it counts.
 //   - An ID observed under any member's read lock decodes forever, and
 //     never changes meaning. Removing a triple does not remove its
-//     terms, so cached plans and ID-keyed operator state survive store
+//     terms, so prepared plans and ID-keyed operator state survive store
 //     generations — they are invalidated for staleness of results, never
 //     because an ID was reused. Neither does a failed flush: the terms
 //     it interned stay behind, referenced by no triple.

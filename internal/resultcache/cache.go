@@ -1,8 +1,7 @@
 // Package resultcache is a bounded, generation-keyed cache of
 // materialised query results — the read-scaling tier of the serving
-// roadmap. Where the plan cache (stsparql.PlanCache) skips parse+plan
-// for a repeated query, this cache skips the evaluation itself: the
-// endpoint stores the format-independent row set of a finished query
+// roadmap. It skips parse, plan and evaluation for a repeated query:
+// the endpoint stores the format-independent row set of a finished query
 // and replays it through the ordinary result encoders on the next
 // request for the same text.
 //

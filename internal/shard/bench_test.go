@@ -17,8 +17,7 @@ import (
 // one before every query, so allocs/op repeats exactly (CI gates it).
 // At four slices the historical window prunes to one slice that no
 // write touches: the query reads, and read-locks, the static member and
-// that slice only. The plan cache is pinned to every member's
-// generation, so on both stores each write invalidates the plan.
+// that slice only.
 func BenchmarkShardedQueries(b *testing.B) {
 	q := `SELECT ?h ?m WHERE {
   ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at ; strdf:hasGeometry ?hg .

@@ -503,20 +503,18 @@ func (ep *Endpoint) serveStats(w http.ResponseWriter, r *http.Request) {
 		Bytes   int `json:"bytes"`
 	}
 	doc := struct {
-		Triples     int                     `json:"triples"`
-		Store       Stats                   `json:"store"`
-		Dict        dictStats               `json:"dictionary"`
-		Endpoint    EndpointStats           `json:"endpoint"`
-		PlanCache   stsparql.PlanCacheStats `json:"plan_cache"`
-		ResultCache *resultcache.Stats      `json:"result_cache,omitempty"`
-		Admission   *AdmissionStats         `json:"admission,omitempty"`
-		Shards      []ShardStat             `json:"shards,omitempty"`
+		Triples     int                `json:"triples"`
+		Store       Stats              `json:"store"`
+		Dict        dictStats          `json:"dictionary"`
+		Endpoint    EndpointStats      `json:"endpoint"`
+		ResultCache *resultcache.Stats `json:"result_cache,omitempty"`
+		Admission   *AdmissionStats    `json:"admission,omitempty"`
+		Shards      []ShardStat        `json:"shards,omitempty"`
 	}{
-		Triples:   ep.store.Len(),
-		Store:     ep.store.Stats(),
-		Endpoint:  ep.Stats(),
-		PlanCache: ep.store.PlanStats(),
-		Shards:    ep.store.ShardStats(),
+		Triples:  ep.store.Len(),
+		Store:    ep.store.Stats(),
+		Endpoint: ep.Stats(),
+		Shards:   ep.store.ShardStats(),
 	}
 	doc.Dict.Entries, doc.Dict.Bytes = ep.store.DictStats()
 	if ep.Results != nil {

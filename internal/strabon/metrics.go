@@ -12,8 +12,8 @@ import (
 // instruments the request path updates. A nil *Telemetry disables
 // everything — the request path pays one nil check.
 //
-// Snapshot state (result-cache stats, admission depths, plan-cache
-// stats, per-shard cardinalities) is rendered at scrape time through
+// Snapshot state (result-cache stats, admission depths, per-shard
+// cardinalities) is rendered at scrape time through
 // collect funcs, so the request path never maintains duplicates of
 // counters other subsystems already keep. Scrape-time collectors take
 // only the short internal mutexes of the subsystems they snapshot —
@@ -36,7 +36,7 @@ type Telemetry struct {
 // EnableTelemetry wires a registry and slow-query log onto the
 // endpoint: live latency/row instruments for the request path, plus
 // scrape-time collectors over the endpoint's existing stat sources
-// (result cache, admission, plan cache, per-member state). Call once,
+// (result cache, admission, per-member state). Call once,
 // before serving.
 func EnableTelemetry(ep *Endpoint, reg *obs.Registry, qlog *obs.QueryLog) *Telemetry {
 	t := &Telemetry{Registry: reg, Queries: qlog}
@@ -59,18 +59,6 @@ func EnableTelemetry(ep *Endpoint, reg *obs.Registry, qlog *obs.QueryLog) *Telem
 	reg.NewGaugeFunc("strabon_dict_bytes",
 		"Approximate heap bytes pinned by the store dictionary.",
 		func() float64 { _, bytes := ep.store.DictStats(); return float64(bytes) })
-
-	reg.NewCollectFunc("strabon_plan_cache_hits_total",
-		"Plan cache hits.", "counter", nil, func() []obs.Sample {
-			return []obs.Sample{{Value: float64(ep.store.PlanStats().Hits)}}
-		})
-	reg.NewCollectFunc("strabon_plan_cache_misses_total",
-		"Plan cache misses.", "counter", nil, func() []obs.Sample {
-			return []obs.Sample{{Value: float64(ep.store.PlanStats().Misses)}}
-		})
-	reg.NewGaugeFunc("strabon_plan_cache_entries",
-		"Compiled plans resident in the plan cache.",
-		func() float64 { return float64(ep.store.PlanStats().Entries) })
 
 	if ep.Results != nil {
 		rc := ep.Results

@@ -71,7 +71,7 @@ func TestStatsJSONShape(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("stats not JSON: %v\n%s", err, body)
 	}
-	for _, key := range []string{"triples", "store", "dictionary", "endpoint", "plan_cache", "result_cache", "admission"} {
+	for _, key := range []string{"triples", "store", "dictionary", "endpoint", "result_cache", "admission"} {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("/stats lacks %q: %s", key, body)
 		}
@@ -127,7 +127,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"strabon_admission_admitted_total 2",  // ...and passes the admission gate too
 		"strabon_admission_wait_seconds_count 2",
 		"strabon_store_triples 8",
-		"strabon_plan_cache_entries 0", // one compile of one text: declined
 		"# TYPE strabon_dict_entries gauge",
 		`strabon_time_index_entries{store="static"} 0`,
 		`strabon_time_index_entries{store="s0"} 0`,

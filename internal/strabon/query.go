@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 
 	"repro/internal/resultcache"
@@ -74,26 +73,6 @@ func (s *Store) view(r routed) View {
 	return v
 }
 
-// planKey is the plan-cache key of r's evaluation: the text for the
-// union view, and the text plus the slice set for a fan-out, whose plan
-// is made for that view's statistics and access paths. One text can
-// route to two views at one store generation: a write publishes its
-// routing knowledge before its generation moves.
-func (r routed) planKey() string {
-	if !r.dec.fanout {
-		return r.src
-	}
-	var b strings.Builder
-	b.Grow(len(r.src) + 1 + 3*len(r.dec.shards))
-	b.WriteString(r.src)
-	b.WriteByte(0)
-	for _, i := range r.dec.shards {
-		b.WriteString(strconv.Itoa(i))
-		b.WriteByte(',')
-	}
-	return b.String()
-}
-
 // routeQuery runs the fan-out analysis, takes the read locks of the
 // members the evaluation it chooses reads — the static member and the
 // fan-out's slices, or every member — and re-runs the analysis under
@@ -138,7 +117,7 @@ func (s *Store) routeQuery(src string, q *stsparql.Query) routed {
 // ExplainAnalyze attaches its trace there.
 func (s *Store) open(ctx context.Context, r routed, hook func(ev *stsparql.Evaluator, c *stsparql.Compiled)) (*Cursor, error) {
 	ev := stsparql.NewEvaluatorWithCache(s.view(r), s.cache)
-	c := ev.CompileASTCached(r.planKey(), s.genAll(), s.planCache(), r.q)
+	c := ev.Compile(r.q)
 	if hook != nil {
 		hook(ev, c)
 	}

@@ -57,7 +57,7 @@
 //     its acquisitions land in. A write to the live slice therefore
 //     leaves every other slice readable. A write-lock hold that changed
 //     anything bumps its member's generation exactly once, on release,
-//     invalidating cached plans and results that read the member.
+//     invalidating cached results that read the member.
 //   - The members' stsparql source methods (MatchIDs, CountPattern,
 //     MatchGeometryWindowIDs, MatchTimeRangeIDs, ...) and their write
 //     methods do NOT lock: the Store calls them with the member's lock
@@ -120,11 +120,6 @@ type Config struct {
 // groups.
 const timePredicate = ontology.PropAcquisitionDateTime
 
-// planCacheSize bounds the compiled-plan cache until SetPlanCacheSize
-// replaces it: the endpoint's repeated thematic-query catalogue is far
-// smaller than this.
-const planCacheSize = 256
-
 // Store is a spatially indexed, time-partitioned RDF store with an
 // stSPARQL endpoint. See the package comment for partitioning, locking
 // and the flush contract.
@@ -143,13 +138,6 @@ type Store struct {
 	// happen under writeMu only; see rdf.Dictionary for what readers may
 	// do beside them.
 	dict *rdf.Dictionary
-
-	// plans is the compiled-plan cache of every evaluation, keyed by
-	// text and view (see routed.planKey). planMu guards it only for
-	// replacement (SetPlanCacheSize); the cache itself is
-	// concurrency-safe.
-	planMu sync.RWMutex
-	plans  *stsparql.PlanCache
 
 	// Routing knowledge, updated at insert time and read by the query
 	// analysis: which predicates (and rdf:type objects) have ever been
@@ -231,36 +219,13 @@ func NewSharded(cfg Config) *Store {
 		s.slices = append(s.slices, newMember(s.dict))
 	}
 	s.members = append(s.members, s.slices...)
-	s.SetPlanCacheSize(planCacheSize)
 	return s
 }
 
-// SetPlanCacheSize replaces the compiled-plan cache; n <= 0 disables
-// plan caching. Counters restart.
-func (s *Store) SetPlanCacheSize(n int) {
-	var pc *stsparql.PlanCache
-	if n > 0 {
-		pc = stsparql.NewPlanCache(n)
-	}
-	s.planMu.Lock()
-	defer s.planMu.Unlock()
-	s.plans = pc
-}
-
-// PlanStats reports the plan cache counters.
-func (s *Store) PlanStats() stsparql.PlanCacheStats {
-	pc := s.planCache()
-	if pc == nil {
-		return stsparql.PlanCacheStats{}
-	}
-	return pc.Stats()
-}
-
-func (s *Store) planCache() *stsparql.PlanCache {
-	s.planMu.RLock()
-	defer s.planMu.RUnlock()
-	return s.plans
-}
+// PlanStats returns the zero value: no plan is kept between
+// evaluations. Only the frozen benchmark harness (benchmark/layers.go)
+// still calls it; ROADMAP step 8(6) deletes it with that call.
+func (s *Store) PlanStats() stsparql.PlanCacheStats { return stsparql.PlanCacheStats{} }
 
 // Namespaces exposes the shared prefix table.
 func (s *Store) Namespaces() *rdf.Namespaces { return s.ns }
@@ -908,19 +873,6 @@ func (s *Store) lockWrite(h *held) func() {
 			s.static.unlock()
 		}
 	}
-}
-
-// genAll composes the plan-invalidation generation: the sum of every
-// member's. Generations only grow, so the sum moves whenever any member
-// mutates, and an equal sum means every member is unchanged. Caller
-// holds the read locks of the members its evaluation reads; another
-// member moving meanwhile only costs plan-cache misses.
-func (s *Store) genAll() uint64 {
-	g := uint64(0)
-	for _, m := range s.members {
-		g += m.Generation()
-	}
-	return g
 }
 
 // --- result-cache generation vectors ---

@@ -16,8 +16,8 @@ import (
 )
 
 // Tests for the cursor-based query surface: QueryStream's streaming and
-// locking discipline, the generation-invalidated plan cache, and the
-// endpoint's chunked responses with trailer bookkeeping.
+// locking discipline, and the endpoint's chunked responses with trailer
+// bookkeeping.
 
 func TestQueryStreamBasics(t *testing.T) {
 	s := New()
@@ -108,67 +108,6 @@ func TestQueryStreamHoldsLockUntilClose(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("update still blocked after cursor close")
-	}
-}
-
-// TestPlanCacheHitsAndInvalidation pins the admission and generation
-// discipline: a text's first compile is declined, its second cached,
-// repeats hit, any mutation invalidates, and /stats-visible counters
-// move accordingly.
-func TestPlanCacheHitsAndInvalidation(t *testing.T) {
-	s := New()
-	if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
-		t.Fatal(err)
-	}
-	const q = `SELECT ?h WHERE { ?h a noa:Hotspot . }`
-	if _, err := runQuery(s, q); err != nil {
-		t.Fatal(err)
-	}
-	ps := s.PlanStats()
-	if ps.Misses != 1 || ps.Declined != 1 || ps.Entries != 0 {
-		t.Fatalf("after a first sighting: %+v", ps)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := runQuery(s, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ps = s.PlanStats()
-	if ps.Misses != 2 || ps.Hits != 2 || ps.Entries != 1 || ps.Declined != 1 {
-		t.Fatalf("after repeats: %+v", ps)
-	}
-
-	// A mutation bumps the generation: the stale plan is dropped and
-	// replanned once — a text seen before enters at once — then hits
-	// resume.
-	if _, err := s.Update(`INSERT DATA { noa:hx a noa:Hotspot . }`); err != nil {
-		t.Fatal(err)
-	}
-	res, err := runQuery(s, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("post-update rows = %d, want 3 (stale plan served?)", len(res.Rows))
-	}
-	ps = s.PlanStats()
-	if ps.Misses != 3 || ps.Evictions != 1 || ps.Entries != 1 {
-		t.Fatalf("after invalidation: %+v", ps)
-	}
-	if _, err := runQuery(s, q); err != nil {
-		t.Fatal(err)
-	}
-	if ps = s.PlanStats(); ps.Hits != 3 {
-		t.Fatalf("after re-repeat: %+v", ps)
-	}
-
-	// Disabling the cache stops caching without breaking queries.
-	s.SetPlanCacheSize(0)
-	if _, err := runQuery(s, q); err != nil {
-		t.Fatal(err)
-	}
-	if ps = s.PlanStats(); ps.Hits != 0 || ps.Misses != 0 {
-		t.Fatalf("disabled cache counted: %+v", ps)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // runs, and renders the plan tree annotated with them next to the
 // optimizer's estimates.
 //
-// Plans are immutable and shared (plan cache, concurrent runs), so the
+// Plans are immutable and may be shared (concurrent runs), so the
 // trace never touches the operators themselves: it is keyed by operator
 // identity and armed on one Evaluator. The wrap happens once per
 // operator at open time — a single nil check on the disabled path, so

@@ -1,6 +1,6 @@
 package stsparql
 
-// Result cacheability, marked at plan time. A query's materialised
+// Result cacheability, decided on the parsed query. A query's materialised
 // result may be served from a cache until the data it read mutates —
 // but only if re-evaluating against the unchanged data would be
 // obligated to produce the same rows. SAMPLE breaks that: the engine
@@ -13,8 +13,8 @@ package stsparql
 //
 // Everything else the engine evaluates is a deterministic function of
 // the source contents, which the generation vector pins. Store
-// statistics are read at plan time only, which the plan cache's
-// generation key covers.
+// statistics are read at plan time only, and every query is planned
+// for its own evaluation, so they rank joins without changing results.
 
 // Cacheable reports whether a parsed query's result may be cached and
 // replayed at an unchanged store generation. Update requests are never
@@ -30,9 +30,6 @@ func Cacheable(q *Query) bool {
 	}
 	return false
 }
-
-// Cacheable reports whether this compiled plan's result may be cached.
-func (c *Compiled) Cacheable() bool { return c.cacheable }
 
 func selectCacheable(sel *SelectQuery) bool {
 	for _, item := range sel.Projection {

@@ -1,16 +1,12 @@
 package stsparql
 
-import (
-	"testing"
-
-	"repro/internal/rdf"
-)
+import "testing"
 
 // TestCacheableShapes enumerates the plan shapes the result cache must
 // refuse — every position a SAMPLE aggregate can hide in, plus updates
 // — against the deterministic shapes that stay cacheable. The verdict
-// is made at plan time; a wrong true here would let the serving tier
-// pin one arbitrary SAMPLE representative forever.
+// is made on the parsed query; a wrong true here would let the serving
+// tier pin one arbitrary SAMPLE representative forever.
 func TestCacheableShapes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -48,13 +44,6 @@ func TestCacheableShapes(t *testing.T) {
 			q := mustParse(t, tc.src)
 			if got := Cacheable(q); got != tc.want {
 				t.Fatalf("Cacheable = %v, want %v for:\n%s", got, tc.want, tc.src)
-			}
-			// The compiled plan carries the same verdict (updates
-			// don't compile into plans at all).
-			if q.Update == nil {
-				if c := NewEvaluator(rdf.NewStore()).Compile(q); c.Cacheable() != tc.want {
-					t.Fatalf("Compiled.Cacheable = %v, want %v", c.Cacheable(), tc.want)
-				}
 			}
 		})
 	}

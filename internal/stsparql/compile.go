@@ -13,7 +13,7 @@ import (
 // varSchema of the batches that operator reads: a variable becomes its
 // column slot, so the row loop reads b.cols[c][i] and never looks a
 // name up, and a constant becomes its Value. The compiled tree is part
-// of the plan — immutable, shared by every evaluation of a cached or
+// of the plan — immutable, shared by every evaluation of a compiled or
 // prepared plan — and keeps its per-evaluation state in the Evaluator.
 //
 // Two shapes compile to typed nodes that work on term IDs, because they
@@ -83,9 +83,8 @@ type compiler struct {
 	cache  *geomCache // constants' geometries parse through it
 	// grouped compiles in aggregate context (HAVING, aggregate
 	// projections): an aggregate call computes over the current group
-	// (Evaluator.group), every operator applies to both evaluated sides
-	// — && and ||, which applyBinary does not know, fail — and bound()
-	// is no special form.
+	// (Evaluator.group), and every other node reads the group's first
+	// member row, as it would outside that context.
 	grouped bool
 }
 
@@ -118,29 +117,25 @@ func (c *compiler) compile(x Expr) cexpr {
 		}
 		return &unaryNode{op: v.Op, x: c.compile(v.X)}
 	case *BinaryExpr:
-		if !c.grouped {
-			switch v.Op {
-			case "&&":
-				return &andNode{l: c.compile(v.L), r: c.compile(v.R)}
-			case "||":
-				return &orNode{l: c.compile(v.L), r: c.compile(v.R)}
-			}
+		switch v.Op {
+		case "&&":
+			return &andNode{l: c.compile(v.L), r: c.compile(v.R)}
+		case "||":
+			return &orNode{l: c.compile(v.L), r: c.compile(v.R)}
 		}
 		if n := c.strCompare(v); n != nil {
 			return n
 		}
 		return &binaryNode{op: v.Op, l: c.compile(v.L), r: c.compile(v.R)}
 	case *CallExpr:
-		if c.grouped && v.isAggregate() {
-			return c.aggregate(v)
+		if v.isAggregate() {
+			if c.grouped {
+				return c.aggregate(v)
+			}
+			return &constNode{v: errValue("stsparql: aggregate %q outside grouped query", v.Name)}
 		}
-		if !c.grouped {
-			if v.Name == "bound" {
-				return c.bound(v)
-			}
-			if v.isAggregate() {
-				return &constNode{v: errValue("stsparql: aggregate %q outside grouped query", v.Name)}
-			}
+		if v.Name == "bound" {
+			return c.bound(v)
 		}
 		if n := c.spatialPredicate(v); n != nil {
 			return n

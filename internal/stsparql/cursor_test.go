@@ -146,8 +146,9 @@ func TestAskStopsAtFirstSolution(t *testing.T) {
 }
 
 // TestCompiledPlanReuse runs one compiled SELECT several times (and from
-// several evaluators) over the same source, as the plan cache does, and
-// checks the runs are independent and identical.
+// several evaluators) over the same source — plans are shared across
+// evaluators, as a Prepared plan's are — and checks the runs are
+// independent and identical.
 func TestCompiledPlanReuse(t *testing.T) {
 	src := clcFixture()
 	q := mustParse(t, `SELECT ?h ?m WHERE {
@@ -167,6 +168,68 @@ func TestCompiledPlanReuse(t *testing.T) {
 		}
 		if len(rows) != 2 {
 			t.Fatalf("run %d: rows = %d, want 2", i, len(rows))
+		}
+	}
+}
+
+// TestSubSelectSolvedOncePerEvaluation: a sub-select keeps its solutions
+// in the evaluator's per-evaluation memo. Under an OPTIONAL that opens it
+// once per outer row it is solved once; every evaluation — on the same
+// evaluator or another — solves it afresh (counted by the triples the
+// scans visit); and a prepared SELECT run over several seeds gets each
+// seed's solutions.
+func TestSubSelectSolvedOncePerEvaluation(t *testing.T) {
+	src := &countingSource{Source: fixtureStore()}
+	ev := NewEvaluator(src)
+	c := ev.Compile(mustParse(t, `SELECT ?h ?m WHERE {
+  ?h a noa:Hotspot .
+  OPTIONAL { { SELECT ?m WHERE { ?m a gag:Municipality . } } }
+}`))
+	tr := NewExecTrace(c)
+	for i, e := range []*Evaluator{ev, ev, NewEvaluator(src)} {
+		e.SetTrace(tr)
+		cur, err := e.RunCompiled(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := drainCursor(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 6 {
+			t.Fatalf("evaluation %d: rows = %d, want 3 hotspots x 2 municipalities", i, len(rows))
+		}
+		// Each evaluation visits the 3 hotspots and, solving the
+		// sub-select once, the 2 municipalities.
+		if want := 5 * (i + 1); src.visited != want {
+			t.Fatalf("after evaluation %d: %d triples visited, want %d", i, src.visited, want)
+		}
+	}
+	opened := int64(0)
+	for op, st := range tr.stats {
+		if _, sub := op.(*subSelectOp); sub {
+			opened += st.Opens.Load()
+		}
+	}
+	if opened != 9 {
+		t.Fatalf("sub-select opened %d times over 3 evaluations, want once per outer row (9)", opened)
+	}
+
+	ev.SetTrace(nil)
+	p, err := Prepare(`SELECT ?c WHERE { { SELECT ?h ?c WHERE { ?h noa:hasConfidence ?c . } } }`, nil, "h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ h, want string }{{"Hotspot_land", "1"}, {"Hotspot_sea", "0.5"}, {"Hotspot_coast", "1"}} {
+		res, err := ev.SelectPrepared(p, []Row{{iri(noaNS + tc.h)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
+			t.Fatalf("seed %s: rows = %d, want 1", tc.h, len(res.Rows))
+		}
+		if c, _ := res.at(0, "c").Float(); fmt.Sprint(c) != tc.want {
+			t.Fatalf("seed %s: ?c = %v, want %s", tc.h, res.at(0, "c"), tc.want)
 		}
 	}
 }

@@ -204,7 +204,7 @@ type UpdateStats struct {
 // not safe for concurrent use; create one per goroutine (the geometry
 // cache may be shared through NewEvaluatorWithCache, and a Compiled
 // plan may be run by several evaluators over the same unchanged
-// source — see plancache.go).
+// source — see compiled.go).
 type Evaluator struct {
 	src   Source
 	cache *geomCache
@@ -232,9 +232,10 @@ type Evaluator struct {
 	// memo holds the typed nodes' memos (exprMemos).
 	memo exprMemos
 
-	// seedVars, seed and subRes carry one prepared run's state (see
-	// prepare.go): the seed rows its sub-selects share, binding seedVars
-	// positionally, and the sub-selects' per-run solutions.
+	// seedVars, seed and subRes carry one evaluation's state: the seed
+	// rows its sub-selects take, binding seedVars positionally (a
+	// prepared run's, see prepare.go, or the unit seed), and the
+	// sub-selects' solutions.
 	seedVars []string
 	seed     []Row
 	subRes   map[*subSelectOp]*Result
@@ -261,8 +262,8 @@ func newEvaluator(src Source, cache *geomCache) *Evaluator {
 
 // begin starts one top-level evaluation — callers hold whatever locks
 // the source needs by now: the dictionary watermark is pinned (see
-// iddict.go), and a prepared run parks its seed where its sub-selects
-// read it and leave their per-run solutions.
+// iddict.go), and the seed is parked where the sub-selects read it and
+// leave their solutions for this evaluation.
 func (e *Evaluator) begin(vars []string, seed []Row) {
 	e.dict.pin()
 	e.seedVars, e.seed = vars, seed
@@ -349,7 +350,7 @@ func (e *Evaluator) tplSlots(tpls []TriplePattern, schema *varSchema) [][3]tplSl
 // fully drained — no LIMIT, no early exit — so their joins use buffered
 // scans.
 func (e *Evaluator) PlanUpdate(q *UpdateQuery) (*UpdatePlan, error) {
-	e.begin(nil, nil)
+	e.begin(nil, unitSeed)
 	where := e.newPlanner().planGroupRoot(q.Where, true)
 	return e.planUpdate(q, where, nil, unitSeed)
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/rdf"
@@ -35,10 +34,9 @@ import (
 // one slab across calls instead of allocating per batch.
 //
 // Operator values themselves are immutable once planned — all
-// per-execution state lives in the iterators open returns — so a
-// compiled plan can be cached and run concurrently (see plancache.go).
-// The one operator-level cache, a sub-select's solution set, holds
-// decoded terms and is guarded by sync.Once.
+// per-execution state lives in the iterators open returns and in the
+// evaluator's per-evaluation memos — so a compiled plan can be run
+// repeatedly and concurrently (see compiled.go).
 
 // operator is one stage of a compiled query pipeline.
 type operator interface {
@@ -161,8 +159,8 @@ type joinIter struct {
 
 	// Hash build side, built on first use: one batch over the pattern's
 	// variables, indexed by shared-var ID key. It lives as long as the
-	// iterator — a cached plan pins none (a repeat at the same generation
-	// is the result cache's to absorb).
+	// iterator — a plan pins none (a repeat at the same generation is
+	// the result cache's to absorb).
 	build     *Batch
 	table     map[string][]int32
 	buildOut  []int // each build column's column in the output
@@ -767,21 +765,16 @@ func (op *nestedGroupOp) explain(b *planText, indent string) {
 	op.sub.explain(b, indent+"  ")
 }
 
-// subSelectOp evaluates a nested SELECT once and joins its solutions
-// with the input rows on their shared variables. The sub-evaluation is
-// lazy (an empty input never runs it) and cached on the operator as a
-// Result of decoded terms — overflow IDs are private to one evaluator —
-// so OPTIONAL re-entry and cached plans reuse the solution set.
+// subSelectOp evaluates a nested SELECT once per evaluation and joins
+// its solutions with the input rows on their shared variables. The
+// sub-evaluation is lazy (an empty input never runs it) and its
+// solutions — a Result of decoded terms, since overflow IDs are private
+// to one evaluator — are kept in the evaluator's per-evaluation memo
+// (subRes), so OPTIONAL re-entry reuses them. A prepared plan's
+// sub-select takes the run's seed rows, an unprepared one the unit seed.
 type subSelectOp struct {
 	sub    *selectPlan
 	schema *varSchema
-	// seeded marks a prepared plan's sub-select (prepare.go): it runs
-	// over the evaluator's current seed rows, once per run.
-	seeded bool
-
-	once sync.Once
-	res  *Result
-	err  error
 }
 
 func (op *subSelectOp) open(e *Evaluator, in batchIter) batchIter {
@@ -789,22 +782,18 @@ func (op *subSelectOp) open(e *Evaluator, in batchIter) batchIter {
 }
 
 func (op *subSelectOp) solutions(e *Evaluator) (*Result, error) {
-	if op.seeded {
-		if res, ok := e.subRes[op]; ok {
-			return res, nil
-		}
-		res, err := op.sub.run(e, e.seedVars, e.seed)
-		if err != nil {
-			return nil, err
-		}
-		if e.subRes == nil {
-			e.subRes = make(map[*subSelectOp]*Result)
-		}
-		e.subRes[op] = res
+	if res, ok := e.subRes[op]; ok {
 		return res, nil
 	}
-	op.once.Do(func() { op.res, op.err = op.sub.run(e, nil, unitSeed) })
-	return op.res, op.err
+	res, err := op.sub.run(e, e.seedVars, e.seed)
+	if err != nil {
+		return nil, err
+	}
+	if e.subRes == nil {
+		e.subRes = make(map[*subSelectOp]*Result)
+	}
+	e.subRes[op] = res
+	return res, nil
 }
 
 type subSelectIter struct {
@@ -1483,7 +1472,7 @@ type patScan struct {
 	// Evaluator.begin pins the dictionary watermark for the whole
 	// evaluation — a constant that misses at open misses until its end —
 	// and it lives here, in per-evaluation state, because the joinOp is
-	// shared by every evaluation running the cached plan.
+	// shared by every evaluation running the plan.
 	consts   [3]rdf.ID
 	miss     bool
 	indexed  bool

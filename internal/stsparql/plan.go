@@ -348,13 +348,13 @@ func (p *planner) planGroup(gp *GroupPattern, bound map[string]bool, inEst float
 			sub := p.planGroup(v, bound, inEst, buffered, schema)
 			g.ops = append(g.ops, &nestedGroupOp{sub: sub})
 		case *SubSelectElement:
-			// A sub-select evaluates once (its solutions are cached on
-			// the operator), so its own pipeline may stream even when
-			// the enclosing group is re-executed per row. It carries its
-			// own schema; only its projected solution rows join back into
-			// the enclosing layout.
+			// A sub-select evaluates once per evaluation (its solutions
+			// are kept in the evaluator's memo), so its own pipeline may
+			// stream even when the enclosing group is re-executed per
+			// row. It carries its own schema; only its projected
+			// solution rows join back into the enclosing layout.
 			sub := p.planSelect(v.Select, false)
-			g.ops = append(g.ops, &subSelectOp{sub: sub, schema: schema, seeded: p.seed != nil})
+			g.ops = append(g.ops, &subSelectOp{sub: sub, schema: schema})
 			// The sub-select's projected variables are NOT certainly bound:
 			// a projection can come from an OPTIONAL-only variable or an
 			// erroring expression, leaving it unbound in some rows. Marking

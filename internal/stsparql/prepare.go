@@ -10,7 +10,7 @@ import (
 
 // Prepared requests: parse and plan once, run many times over seed rows.
 //
-// A Compiled plan (plancache.go) is pinned to one source generation; a
+// A Compiled plan (compiled.go) is made for one state of the source; a
 // Prepared plan is the opposite trade. It is planned once with a set of
 // seed variables certainly bound — so the joins order themselves around
 // the seed instead of opening with a full scan — and then runs against
@@ -21,9 +21,9 @@ import (
 // condition does work proportional to the event, not to the store.
 //
 // Because a Prepared outlives store generations, its operators keep no
-// state across runs: hash-join build sides are built per run, and a
-// sub-select — which takes the same seed as the enclosing group — is
-// solved once per run. Statistics are read at plan time only; they rank
+// state across runs — no plan does: hash-join build sides are built per
+// run, and a sub-select — which takes the same seed as the enclosing
+// group — is solved once per run. Statistics are read at plan time only; they rank
 // join orders and never affect results.
 
 // Prepared is a parsed SELECT or DELETE/INSERT request planned for

@@ -3,6 +3,8 @@ package stsparql
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -344,6 +346,52 @@ SELECT ?sensor (COUNT(?h) AS ?n) WHERE {
 } GROUP BY ?sensor HAVING (COUNT(?h) > 5)`)
 	if len(res2.Rows) != 0 {
 		t.Fatalf("HAVING should reject the group")
+	}
+}
+
+// TestHavingLogicalAndBound: in aggregate context (HAVING and aggregate
+// projections) && and || take SPARQL's three-valued logic and bound()
+// reads a group key, as they do in every other context. The fixture's
+// hotspots group by confidence into 1.0 (two hotspots) and 0.5 (one).
+func TestHavingLogicalAndBound(t *testing.T) {
+	const byConf = `SELECT ?c (COUNT(?h) AS ?n) WHERE { ?h a noa:Hotspot ; noa:hasConfidence ?c . } GROUP BY ?c `
+	for _, tc := range []struct {
+		name, src string
+		want      []string // ?n of the surviving groups, sorted
+	}{
+		{"and", byConf + `HAVING (COUNT(?h) >= 1 && COUNT(?h) < 2)`, []string{"1"}},
+		{"or", byConf + `HAVING (COUNT(?h) >= 2 || COUNT(?h) < 1)`, []string{"2"}},
+		{"or with a group key", byConf + `HAVING (COUNT(?h) > 5 || ?c > 0.7)`, []string{"2"}},
+		{"and short of both", byConf + `HAVING (COUNT(?h) >= 1 && COUNT(?h) > 5)`, nil},
+		{"bound group key", byConf + `HAVING (bound(?c))`, []string{"1", "2"}},
+		{"not bound group key", byConf + `HAVING (!bound(?c))`, nil},
+		{"unbound group key", `SELECT (COUNT(?h) AS ?n) WHERE { ?h a noa:Hotspot . OPTIONAL { ?h noa:hasNothing ?s } }
+GROUP BY ?s HAVING (!bound(?s) && COUNT(?h) = 3)`, []string{"3"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := runSelect(t, fixtureStore(), tc.src)
+			var got []string
+			for i := range res.Rows {
+				got = append(got, res.at(i, "n").Value)
+			}
+			sort.Strings(got)
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("groups' counts = %v, want %v", got, tc.want)
+			}
+		})
+	}
+
+	res := runSelect(t, fixtureStore(), `SELECT ?c ((COUNT(?h) > 1 && bound(?c)) AS ?many) ((COUNT(?h) > 1 || !bound(?c)) AS ?either)
+WHERE { ?h a noa:Hotspot ; noa:hasConfidence ?c . } GROUP BY ?c`)
+	if len(res.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	}
+	for i := range res.Rows {
+		c, _ := res.at(i, "c").Float()
+		want := fmt.Sprint(c == 1)
+		if many, either := res.at(i, "many").Value, res.at(i, "either").Value; many != want || either != want {
+			t.Fatalf("?c=%v: ?many=%q ?either=%q, want %q", c, many, either, want)
+		}
 	}
 }
 
