@@ -503,9 +503,10 @@ func rowKey(row stsparql.Row) string {
 // TestWindowedCursorLocksOnlyItsSlices pins what the slices exist for:
 // an open cursor over a window of historical slices read-locks the
 // static member and those slices only. On four hour-wide slices the
-// window 10:00–11:45 reads slices 2 and 3; an InsertAll and an
-// ApplyFlush into the 13:00 slice (1) complete while the cursor is
-// open, and an InsertAll into the 10:00 slice (2) waits until Close.
+// window 10:00–11:45 reads slices 2 and 3; an InsertAll, an ApplyFlush
+// and an Update whose writes land in the 13:00 slice (1) complete while
+// the cursor is open, and an InsertAll into the 10:00 slice (2) waits
+// until Close.
 func TestWindowedCursorLocksOnlyItsSlices(t *testing.T) {
 	sh := newSharded(4)
 	loadFixture(sh)
@@ -555,6 +556,23 @@ func TestWindowedCursorLocksOnlyItsSlices(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ApplyFlush into the live slice waited for a cursor that does not read it")
+	}
+	// The Update's WHERE reads every member; what it inserts follows its
+	// subjects into the live slice.
+	var upd stsparql.UpdateStats
+	var updErr error
+	select {
+	case <-async(func() {
+		upd, updErr = sh.Update(`INSERT { ?h noa:hasConfidence 0.9 } WHERE {
+  ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at .
+  FILTER( str(?at) >= "2007-08-25T13:00:00" && str(?at) < "2007-08-25T14:00:00" )
+}`)
+	}):
+		if updErr != nil || upd.Inserted == 0 {
+			t.Fatalf("Update into the live slice: %+v, %v", upd, updErr)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Update into the live slice waited for a cursor that does not read it")
 	}
 
 	read := async(func() { sh.InsertAll(product("read_insert", day.Add(10*time.Hour+50*time.Minute))) })

@@ -11,19 +11,21 @@ import (
 // Flush describes one ApplyFlush: the triple groups to insert (one per
 // product, each carrying its acquisition timestamp; may be empty when
 // the products are already stored), the acquisition times the rules
-// write at, and how far back in valid time they read. The store
-// commits into the slices owning At and the groups' timestamps, and
-// shows the rules those slices plus the ones covering [Since, latest
-// At]; rules reaching outside that reach nothing.
+// write at, and how far back in valid time they read. The store shows
+// the rules the static member, the slices owning At and the groups'
+// timestamps, and the ones covering [Since, latest At]; rules reaching
+// outside that reach nothing. Their net effect commits wherever it
+// routes.
 type Flush struct {
 	Groups [][]rdf.Triple
 	At     []time.Time
 	Since  time.Time
 }
 
-// FlushTx is the store as the rules of one ApplyFlush see it: the
-// flush's Overlay, an evaluator over it, and plan application onto it.
-// It is only valid inside the rules callback.
+// FlushTx is the store as the rules of one write transaction see it —
+// an ApplyFlush's, or the one rule of an Update: its Overlay, an
+// evaluator over it, and plan application onto it. It is only valid
+// inside the rules callback.
 type FlushTx struct {
 	// Inserted is the number of new triples per group of the flush.
 	Inserted []int

@@ -46,7 +46,9 @@ import (
 //
 // Handlers take no locks of their own: the store's read-lock discipline
 // lets any number of /sparql and /explain requests run concurrently with
-// each other and with the planning phases of scoped updates. A streamed
+// each other and with an /update's WHERE clause, which the store
+// matches under read locks; only the update's commit write-locks, and
+// only the members its effect touches. A streamed
 // response holds the store read lock for as long as the client keeps
 // reading (until the cursor closes) — bounded by the request context:
 // queries run under r.Context(), optionally capped by QueryTimeout, so

@@ -6,24 +6,24 @@ import (
 	"repro/internal/stsparql"
 )
 
-// Overlay is the working copy of one ApplyFlush: the base members as the
-// flush found them — read-locked, never touched — plus everything the
-// flush has done so far, held privately: the triples it added (its
-// groups, then whatever the rules inserted) and the base triples the
-// rules deleted. The rules evaluate over it and apply to it, each
-// seeing the effect of those before; nobody else sees anything until
-// the store commits the overlay's net effect (Effect) under its write
-// lock(s).
+// Overlay is the working copy of one write transaction with rules — an
+// ApplyFlush, or an Update: the base members as the write found them —
+// read-locked, never touched — plus everything it has done so far, held
+// privately: the triples it added (its groups, then whatever the rules
+// inserted) and the base triples the rules deleted. The rules evaluate
+// over it and apply to it, each seeing the effect of those before;
+// nobody else sees anything until the store commits the overlay's net
+// effect (Effect) under the write locks of the members it touches.
 //
 // The overlay lives in the base's ID space: its private store is one
 // more member over the same dictionary, so what it hands the commit is
-// already encoded. A flush that fails is simply dropped — its triples
-// with it; the terms it interned stay in the append-only dictionary,
-// referenced by nothing.
+// already encoded. A write whose rules fail is simply dropped — its
+// triples with it; the terms it interned stay in the append-only
+// dictionary, referenced by nothing.
 //
 // It implements the engine's source interfaces like a View does, and
 // stsparql.UpdatableSource on top. Its time ranges are the base's minus
-// what the flush deleted, then the private store's: a rule windowed by
+// what the rules deleted, then the private store's: a rule windowed by
 // its seed variables reads the window's hour through the time indexes,
 // not the hotspot history.
 type Overlay struct {

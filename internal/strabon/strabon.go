@@ -17,7 +17,8 @@
 // acquisition timestamp: a triple group carrying a
 // noa:hasAcquisitionDateTime literal goes to the slice owning that
 // timestamp's time bucket (bucket = (t-epoch)/width, assigned to slices
-// round-robin), and everything else goes to the static member. Data is
+// round-robin), a group without one to the slice already holding its
+// subject, and everything else to the static member. Data is
 // partitioned, never replicated — the union of the members is exactly
 // the dataset.
 //
@@ -51,13 +52,18 @@
 //     which is what makes a half-consumed result set immune to
 //     concurrent mutation. Clients must Close cursors promptly; a cursor
 //     bound to a cancelled context releases them at its next pull.
-//   - Write paths take writeMu first and member write locks in the same
-//     fixed order: InsertAll locks one target at a time, Update
-//     write-locks every member, and ApplyFlush (below) only the slices
-//     its acquisitions land in. A write to the live slice therefore
-//     leaves every other slice readable. A write-lock hold that changed
-//     anything bumps its member's generation exactly once, on release,
-//     invalidating cached results that read the member.
+//   - Every write — InsertAll, LoadTriples, Update, ApplyFlush — is one
+//     transaction of one shape (transact): under writeMu it read-locks
+//     a read set (every member; a flush only the static member and the
+//     slices its rules look at), runs its rules, if any, over an
+//     Overlay, routes the net effect, releases the read locks, and then
+//     write-locks, in the same fixed order, exactly the members the
+//     effect touches — the routed targets and the member holding each
+//     deleted triple — for the commit. A write to the live slice
+//     therefore leaves every other slice readable, and an Update's
+//     WHERE clause runs beside the queries. A write-lock hold that
+//     changed anything bumps its member's generation exactly once, on
+//     release, invalidating cached results that read the member.
 //   - The members' stsparql source methods (MatchIDs, CountPattern,
 //     MatchGeometryWindowIDs, MatchTimeRangeIDs, ...) and their write
 //     methods do NOT lock: the Store calls them with the member's lock
@@ -83,9 +89,11 @@
 // triples go into a private Overlay; the rules evaluate over the members
 // + overlay and apply to the overlay, each seeing the effects of those
 // before it. Only the overlay's net effect — the refined products — is
-// then routed and committed under the write locks of the slices the
-// acquisitions land in, a hold of a bulk insert's length. The read
-// locks are released before the write locks are taken (RWMutex does not
+// then routed and committed, in the one commit every write goes
+// through, under the write locks of the members it touches: the slices
+// the acquisitions land in, and the static member too if a rule deleted
+// a static triple. That hold has a bulk insert's length. The read locks
+// are released before the write locks are taken (RWMutex does not
 // upgrade; reprolint's lockdiscipline checks it); writeMu is what keeps
 // the state from moving in between. A flush whose rules fail commits
 // nothing. It never stalls a reader of older history, and stalls a
@@ -94,6 +102,7 @@ package strabon
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -356,8 +365,8 @@ func (s *Store) groupTime(group []rdf.EncodedTriple, timePred rdf.ID) (time.Time
 }
 
 // track records routing knowledge for inserted groups: predicate and
-// rdf:type-object membership per side. targets[i] is the slice index of
-// groups[i], or -1 for static. Deletions never untrack — the sets are
+// rdf:type-object membership per side. targets[i] is the member index
+// of groups[i] (0: static). Deletions never untrack — the sets are
 // conservative supersets, which only costs fan-out opportunities, never
 // correctness. Growth of either set advances knowGen, invalidating
 // partial result-cache vectors whose fan-out verdict the new knowledge
@@ -368,7 +377,7 @@ func (s *Store) track(groups [][]rdf.EncodedTriple, targets []int) {
 	grew := false
 	for gi, group := range groups {
 		preds, types := s.slicePreds, s.sliceTypes
-		if targets[gi] < 0 {
+		if targets[gi] == 0 {
 			preds, types = s.staticPreds, s.staticTypes
 		}
 		for _, enc := range group {
@@ -391,55 +400,24 @@ func (s *Store) track(groups [][]rdf.EncodedTriple, targets []int) {
 	}
 }
 
-// held names the member stores a write path has locked while it routes
-// and commits: the slices it may read (ascending; the static store
-// always), which of them it may write, and whether it may write the
-// static store. A nil *held means no lock is held — probes then
-// read-lock members briefly, one at a time.
-type held struct {
-	slices      []int
-	write       []bool // indexed by slice
-	staticWrite bool
-}
-
-// writable reports whether target (slice index, or -1 for static) is
-// write-locked.
-func (h *held) writable(target int) bool {
-	if target < 0 {
-		return h.staticWrite
-	}
-	return h.write[target]
-}
-
-// probe runs fn over the member stores a routing probe may read: every
-// member, each briefly read-locked, when h is nil; otherwise exactly
-// the held ones, as they are. fn returns true to stop.
-func (s *Store) probe(h *held, fn func(slice int, m *member) bool) {
-	if h != nil {
-		if fn(-1, s.static) {
-			return
-		}
-		for _, i := range h.slices {
-			if fn(i, s.slices[i]) {
-				return
-			}
-		}
+// probe runs fn over the members a write transaction has read-locked —
+// the static member, then the given slices — by member index (0: static,
+// i+1: slice i), until fn returns true.
+func (s *Store) probe(reads []int, fn func(mi int, m *member) bool) {
+	if fn(0, s.static) {
 		return
 	}
-	for i, m := range s.members {
-		m.mu.RLock()
-		stop := fn(i-1, m)
-		m.mu.RUnlock()
-		if stop {
+	for _, i := range reads {
+		if fn(i+1, s.slices[i]) {
 			return
 		}
 	}
 }
 
-// groupSplits reports whether inserting the group into target (slice
-// index, or -1 for static) would place a subject's triples outside the
-// store where that subject already lives, as far as h can see.
-func (s *Store) groupSplits(group []rdf.EncodedTriple, target int, h *held) bool {
+// groupSplits reports whether inserting the group into member target
+// would place a subject's triples outside the member where that subject
+// already lives, as far as the read-locked members show.
+func (s *Store) groupSplits(group []rdf.EncodedTriple, target int, reads []int) bool {
 	seen := make(map[rdf.ID]bool)
 	var subjects []rdf.ID
 	for _, t := range group {
@@ -449,8 +427,8 @@ func (s *Store) groupSplits(group []rdf.EncodedTriple, target int, h *held) bool
 		}
 	}
 	found := false
-	s.probe(h, func(slice int, m *member) bool {
-		if slice == target {
+	s.probe(reads, func(mi int, m *member) bool {
+		if mi == target {
 			return false
 		}
 		for _, sub := range subjects {
@@ -464,19 +442,37 @@ func (s *Store) groupSplits(group []rdf.EncodedTriple, target int, h *held) bool
 	return found
 }
 
-// routeGroup decides where one group lands — the slice owning its
-// acquisition timestamp, else (when probeOwner) the slice already
-// holding its first subject, else the static store — and latches the
-// split flag when the group carries acquisition-time values in
-// different routing buckets: the whole group lands in one slice, so
-// window pruning for the other value would look in the wrong one.
-func (s *Store) routeGroup(g []rdf.EncodedTriple, timePred rdf.ID, probeOwner bool, h *held) int {
+// routeGroup decides which member one group lands in — the slice owning
+// its acquisition timestamp, else the member already holding its first
+// subject, else the static store — and latches the split flag when the
+// group carries acquisition-time values in different routing buckets:
+// the whole group lands in one slice, so window pruning for the other
+// value would look in the wrong one. A transaction that read only some
+// slices cannot see a subject living in the others, so it also latches
+// split when a group lands in a slice it did not read, or finds no
+// member holding a timeless group's subject.
+func (s *Store) routeGroup(g []rdf.EncodedTriple, timePred rdf.ID, reads []int) int {
+	partial := len(reads) < len(s.slices)
 	at, ok := s.groupTime(g, timePred)
 	if !ok {
-		if probeOwner && len(g) > 0 {
-			return s.findOwner(g[0].S, h)
+		owner := -1
+		s.probe(reads, func(mi int, m *member) bool {
+			if m.CountIDs(g[0].S, rdf.Wildcard, rdf.Wildcard) > 0 {
+				owner = mi
+			}
+			return owner >= 0
+		})
+		if owner < 0 {
+			owner = 0
+			if partial {
+				s.split.Store(true)
+			}
 		}
-		return -1
+		return owner
+	}
+	target := s.sliceFor(at)
+	if partial && !slices.Contains(reads, target) {
+		s.split.Store(true)
 	}
 	if !s.split.Load() {
 		want := s.bucket(at)
@@ -490,71 +486,20 @@ func (s *Store) routeGroup(g []rdf.EncodedTriple, timePred rdf.ID, probeOwner bo
 			}
 		}
 	}
-	return s.sliceFor(at)
-}
-
-// findOwner locates the slice already holding a subject's triples, as
-// far as h can see. Returns -1 when no slice knows the subject.
-func (s *Store) findOwner(sub rdf.ID, h *held) int {
-	owner := -1
-	s.probe(h, func(slice int, m *member) bool {
-		if slice >= 0 && m.CountIDs(sub, rdf.Wildcard, rdf.Wildcard) > 0 {
-			owner = slice
-		}
-		return owner >= 0
-	})
-	return owner
+	return 1 + target
 }
 
 // --- write paths ---
 
-// InsertAll bulk-inserts triple groups, routing each group by its
-// acquisition timestamp (groups without one go to the static store) and
-// batching one bulk insert per target store. The write lock taken is the
-// target slice's own — inserts into the live slice leave every other
-// shard readable.
+// InsertAll bulk-inserts triple groups and reports the new triples per
+// group. Each group routes whole — by its acquisition timestamp, else
+// to its first subject's slice, else to the static store — and the
+// write locks taken are its targets' own: inserts into the live slice
+// leave every other slice readable.
 func (s *Store) InsertAll(groups ...[]rdf.Triple) []int {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	return s.insertRouted(encodeGroups(s.dict, groups), false)
-}
-
-// insertRouted routes and lands encoded groups; the caller holds
-// writeMu.
-func (s *Store) insertRouted(groups [][]rdf.EncodedTriple, probeOwner bool) []int {
-	timePred := s.timePredID()
-	targets := make([]int, len(groups))
-	for gi, g := range groups {
-		targets[gi] = s.routeGroup(g, timePred, probeOwner, nil)
-		if !s.split.Load() && s.groupSplits(g, targets[gi], nil) {
-			s.split.Store(true)
-		}
-	}
-	s.track(groups, targets)
-
-	counts := make([]int, len(groups))
-	for i, m := range s.members {
-		var idxs []int
-		var batch [][]rdf.EncodedTriple
-		for gi, tg := range targets {
-			if tg == i-1 {
-				idxs = append(idxs, gi)
-				batch = append(batch, groups[gi])
-			}
-		}
-		if len(idxs) == 0 {
-			continue
-		}
-		m.mu.Lock()
-		res := m.InsertEncodedLocked(batch...)
-		if i > 0 {
-			s.publishSpan(i - 1)
-		}
-		m.unlock()
-		for j, gi := range idxs {
-			counts[gi] = res[j]
-		}
-	}
+	counts, _ := s.transact(s.allSlices(), encodeGroups(s.dict, groups), nil)
 	return counts
 }
 
@@ -570,8 +515,8 @@ func encodeGroups(d *rdf.Dictionary, groups [][]rdf.Triple) [][]rdf.EncodedTripl
 }
 
 // groupBySubject splits triples into per-subject groups, preserving
-// first-seen subject order — the grouping unit of routed loads and
-// routed update-plan application.
+// first-seen subject order — the grouping unit of loads and of a
+// transaction's net effect.
 func groupBySubject(triples []rdf.EncodedTriple) [][]rdf.EncodedTriple {
 	var order []rdf.ID
 	bySubj := make(map[rdf.ID][]rdf.EncodedTriple)
@@ -589,14 +534,13 @@ func groupBySubject(triples []rdf.EncodedTriple) [][]rdf.EncodedTriple {
 }
 
 // LoadTriples bulk-inserts a mixed triple set: triples are grouped by
-// subject and each subject group routes like an InsertAll group, with a
-// subject-ownership probe for groups carrying no timestamp (so later
-// additions to an already-stored acquisition follow it to its slice).
+// subject and each subject group routes like an InsertAll group.
 func (s *Store) LoadTriples(triples []rdf.Triple) int {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	counts, _ := s.transact(s.allSlices(), groupBySubject(s.dict.EncodeTriples(triples)), nil)
 	total := 0
-	for _, n := range s.insertRouted(groupBySubject(s.dict.EncodeTriples(triples)), true) {
+	for _, n := range counts {
 		total += n
 	}
 	return total
@@ -623,10 +567,11 @@ func (s *Store) parseUpdate(src string) (*stsparql.Query, error) {
 	return q, nil
 }
 
-// Update executes a DELETE/INSERT request atomically across shards:
-// match and application both run under every member's write lock (taken
-// in fixed order), with deletes applied wherever the triple lives and
-// inserts routed like loads.
+// Update executes a DELETE/INSERT request as one write transaction whose
+// rule is the request: its WHERE clause is matched over an Overlay of
+// every member under their read locks, and the net effect — deletes
+// wherever the triple lives, inserts routed like loads — commits under
+// the write locks of the members it touches.
 func (s *Store) Update(src string) (stsparql.UpdateStats, error) {
 	q, err := s.parseUpdate(src)
 	if err != nil {
@@ -635,56 +580,36 @@ func (s *Store) Update(src string) (stsparql.UpdateStats, error) {
 	s.updates.Add(1)
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	h := &held{write: make([]bool, len(s.slices)), staticWrite: true}
-	for i := range s.slices {
-		h.slices = append(h.slices, i)
-		h.write[i] = true
-	}
-	defer s.lockWrite(h)()
-	ev := stsparql.NewEvaluatorWithCache(s.viewAll(), s.cache)
-	plan, err := ev.PlanUpdate(q.Update)
-	if err != nil {
-		return stsparql.UpdateStats{}, err
-	}
-	groups, targets, err := s.route(s.dict.EncodeTriples(plan.Inserts()), h)
-	if err != nil {
-		return stsparql.UpdateStats{}, err
-	}
-	var deletes []rdf.EncodedTriple
-	for _, t := range plan.Deletes() {
-		if enc, ok := s.dict.LookupTriple(t); ok { // a term never interned is in no triple
-			deletes = append(deletes, enc)
+	var stats stsparql.UpdateStats
+	_, err = s.transact(s.allSlices(), nil, func(tx *FlushTx) error {
+		plan, err := tx.ev.PlanUpdate(q.Update)
+		if err == nil {
+			stats = tx.Apply(plan)
 		}
-	}
-	stats := s.commit(deletes, groups, targets, h)
-	stats.Matched = plan.Matched
-	return stats, nil
+		return err
+	})
+	return stats, err
 }
 
 // ApplyFlush is the acquisition pipeline's write: it inserts the
 // flush's triple groups and runs rules — the refinement of what was
 // just written — as ONE transition of the store (see the flush contract
-// in the package comment). The slices the groups (routed by acquisition
-// timestamp, like InsertAll) and f.At land in are the flush's write set;
-// those plus the slices covering [f.Since, latest acquisition] and the
-// static store are read-locked while the rules run over an Overlay of
-// them —
-// readers proceed beside the refinement. The overlay's net effect is
-// then routed and committed under the write locks of the write set
-// alone: one short hold, one generation bump per written slice, readers
-// of every other slice never stalled. writeMu is held throughout, so
-// the state the rules read is the state the commit lands on.
+// in the package comment). The rules see the static store and the
+// slices the groups (routed by acquisition timestamp, like InsertAll)
+// and f.At land in, plus those covering [f.Since, latest acquisition]:
+// only those are read-locked while the rules run, so readers of every
+// other slice proceed beside the refinement.
 func (s *Store) ApplyFlush(f Flush, rules func(*FlushTx) error) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 
-	h := &held{write: make([]bool, len(s.slices))}
+	reads := make([]bool, len(s.slices))
 	latest := f.Since
 	lands := func(at time.Time) {
 		if at.After(latest) {
 			latest = at
 		}
-		h.write[s.sliceFor(at)] = true
+		reads[s.sliceFor(at)] = true
 	}
 	groups := encodeGroups(s.dict, f.Groups)
 	timePred := s.timePredID()
@@ -698,112 +623,130 @@ func (s *Store) ApplyFlush(f Flush, rules func(*FlushTx) error) error {
 	for _, at := range f.At {
 		lands(at)
 	}
-	reads := append([]bool(nil), h.write...)
 	if !f.Since.IsZero() {
 		for b, n := s.bucket(f.Since), 0; b <= s.bucket(latest) && n < len(s.slices); b, n = b+1, n+1 {
 			reads[s.sliceOf(b)] = true
 		}
 	}
-	base := View{s.static}
+	var readSet []int
 	for i, r := range reads {
 		if r {
-			h.slices = append(h.slices, i)
-			base = append(base, s.slices[i])
+			readSet = append(readSet, i)
 		}
 	}
-
-	// Read phase: refine the overlay, then route its net effect — both
-	// only read the held members.
-	release := s.lockRead(h.slices)
-	o, inserted := newOverlay(base, groups)
-	err := rules(newFlushTx(inserted, o, s.cache))
-	var deletes []rdf.EncodedTriple
-	var routed [][]rdf.EncodedTriple
-	var targets []int
-	if err == nil {
-		var inserts []rdf.EncodedTriple
-		deletes, inserts = o.Effect()
-		routed, targets, err = s.route(inserts, h)
-	}
-	release()
-	if err != nil {
-		return err
-	}
-
-	// Write phase: the write set only.
-	defer s.lockWrite(h)()
-	s.commit(deletes, routed, targets, h)
-	return nil
+	_, err := s.transact(readSet, groups, rules)
+	return err
 }
 
-// route groups the triples a write path is about to insert by subject
-// and decides where each group lands — by timestamp, then owning slice,
-// then static — reading only the members h holds. A group routed to a
-// store h may not write fails the whole write before anything is
-// applied. Co-location violations latch the split flag here, BEFORE the
-// first member-store mutation.
-func (s *Store) route(inserts []rdf.EncodedTriple, h *held) (groups [][]rdf.EncodedTriple, targets []int, err error) {
-	groups = groupBySubject(inserts)
+// allSlices lists every slice index: the read set of a write that may
+// meet any of the data.
+func (s *Store) allSlices() []int {
+	out := make([]int, len(s.slices))
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// transact is the one write transaction every store write is. The
+// caller holds writeMu, so nothing else writes from the first read to
+// the commit. Under the read locks of the static member and the reads
+// slices, rules — when there are any — run over an Overlay holding the
+// groups and replace them with its net effect, grouped by subject; the
+// effect is routed (route) and the read locks released. Then exactly
+// the members the effect touches are write-locked and it is committed:
+// one hold, one generation bump per written member. A failing rule
+// commits nothing. It returns the new triples per committed group.
+func (s *Store) transact(reads []int, groups [][]rdf.EncodedTriple, rules func(*FlushTx) error) ([]int, error) {
+	release := s.lockRead(reads)
+	var deletes []rdf.EncodedTriple
+	if rules != nil {
+		base := View{s.static}
+		for _, i := range reads {
+			base = append(base, s.slices[i])
+		}
+		o, inserted := newOverlay(base, groups)
+		if err := rules(newFlushTx(inserted, o, s.cache)); err != nil {
+			release()
+			return nil, err
+		}
+		var inserts []rdf.EncodedTriple
+		deletes, inserts = o.Effect()
+		groups = groupBySubject(inserts)
+	}
+	targets, holders, touched := s.route(reads, groups, deletes)
+	release()
+
+	defer s.lockWrite(touched)()
+	return s.commit(deletes, holders, groups, targets, touched), nil
+}
+
+// route decides where each group lands (a member index, 0 for static)
+// and which member holds each deleted triple, reading only the members
+// the transaction read-locked. touched marks both: the members the
+// commit writes. Co-location violations latch the split flag here,
+// BEFORE the first member-store mutation.
+func (s *Store) route(reads []int, groups [][]rdf.EncodedTriple, deletes []rdf.EncodedTriple) (targets, holders []int, touched []bool) {
+	touched = make([]bool, len(s.members))
 	targets = make([]int, len(groups))
 	timePred := s.timePredID()
-	for i, g := range groups {
-		targets[i] = s.routeGroup(g, timePred, true, h)
-		if !h.writable(targets[i]) {
-			return nil, nil, fmt.Errorf("strabon: write of %s lands outside the stores the write path holds", s.dict.Decode(g[0].S))
+	for gi, g := range groups {
+		if len(g) == 0 {
+			continue
 		}
-		if !s.split.Load() && s.groupSplits(g, targets[i], h) {
+		targets[gi] = s.routeGroup(g, timePred, reads)
+		touched[targets[gi]] = true
+		if !s.split.Load() && s.groupSplits(g, targets[gi], reads) {
 			s.split.Store(true)
 		}
 	}
-	return groups, targets, nil
+	holders = make([]int, len(deletes))
+	for di, t := range deletes {
+		s.probe(reads, func(mi int, m *member) bool {
+			if m.CountIDs(t.S, t.P, t.O) == 0 {
+				return false
+			}
+			holders[di] = mi
+			return true
+		})
+		touched[holders[di]] = true
+	}
+	return targets, holders, touched
 }
 
-// commit applies routed deletes and inserts under the write locks h
-// names: deletes try each write-held store (the partition means at most
-// one can hold the triple), inserts land in bulk per target, and every
-// written slice then publishes its time summary. The track()
-// registration happens BEFORE the first member-store mutation, and the
-// publication before the caller's lockWrite release: routing knowledge
-// must already cover the new data when the member generations move
-// (genorder invariant, enforced by reprolint).
-func (s *Store) commit(deletes []rdf.EncodedTriple, groups [][]rdf.EncodedTriple, targets []int, h *held) stsparql.UpdateStats {
-	var stats stsparql.UpdateStats
+// commit applies routed deletes and inserts under the write locks of the
+// touched members: each delete in the member holding it, inserts in bulk
+// per target, and every touched slice then publishes its time summary.
+// The track() registration happens BEFORE the first member-store
+// mutation, and the publication before the caller's lockWrite release:
+// routing knowledge must already cover the new data when the member
+// generations move (genorder invariant, enforced by reprolint).
+func (s *Store) commit(deletes []rdf.EncodedTriple, holders []int, groups [][]rdf.EncodedTriple, targets []int, touched []bool) []int {
 	s.track(groups, targets)
-
-	for _, t := range deletes {
-		removed := false
-		for _, i := range h.slices {
-			if h.write[i] && s.slices[i].RemoveEncoded(t) {
-				removed = true
-				break
-			}
-		}
-		if removed || (h.staticWrite && s.static.RemoveEncoded(t)) {
-			stats.Deleted++
-		}
+	for di, t := range deletes {
+		s.members[holders[di]].RemoveEncoded(t)
 	}
-
-	land := func(target int, st *member) {
+	counts := make([]int, len(groups))
+	for mi, m := range s.members {
+		if !touched[mi] {
+			continue
+		}
+		var idxs []int
 		var batch [][]rdf.EncodedTriple
-		for i, tg := range targets {
-			if tg == target {
-				batch = append(batch, groups[i])
+		for gi, tg := range targets {
+			if tg == mi && len(groups[gi]) > 0 {
+				idxs = append(idxs, gi)
+				batch = append(batch, groups[gi])
 			}
 		}
-		for _, n := range st.InsertEncodedLocked(batch...) {
-			stats.Inserted += n
+		for j, n := range m.InsertEncodedLocked(batch...) {
+			counts[idxs[j]] = n
+		}
+		if mi > 0 {
+			s.publishSpan(mi - 1)
 		}
 	}
-	if h.staticWrite {
-		land(-1, s.static)
-	}
-	for _, i := range h.slices {
-		if h.write[i] {
-			land(i, s.slices[i])
-			s.publishSpan(i)
-		}
-	}
-	return stats
+	return counts
 }
 
 // publishSpan reads slice i's time summary off its time index and
@@ -850,27 +793,20 @@ func (s *Store) lockRead(idxs []int) func() {
 	}
 }
 
-// lockWrite write-locks the stores h may write, in fixed order — static
-// if staticWrite, then the write slices ascending — and returns the
-// matching unlock. Write paths only: the caller holds writeMu and no
-// member read lock.
-func (s *Store) lockWrite(h *held) func() {
-	if h.staticWrite {
-		s.static.mu.Lock()
-	}
-	for _, i := range h.slices {
-		if h.write[i] {
-			s.slices[i].mu.Lock()
+// lockWrite write-locks the touched members in fixed order — static,
+// then slices ascending — and returns the matching unlock. Write paths
+// only: the caller holds writeMu and no member read lock.
+func (s *Store) lockWrite(touched []bool) func() {
+	for mi, m := range s.members {
+		if touched[mi] {
+			m.mu.Lock()
 		}
 	}
 	return func() {
-		for j := len(h.slices) - 1; j >= 0; j-- {
-			if i := h.slices[j]; h.write[i] {
-				s.slices[i].unlock()
+		for mi := len(s.members) - 1; mi >= 0; mi-- {
+			if touched[mi] {
+				s.members[mi].unlock()
 			}
-		}
-		if h.staticWrite {
-			s.static.unlock()
 		}
 	}
 }

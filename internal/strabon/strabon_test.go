@@ -568,6 +568,229 @@ coast:Coastline_1 a coast:Coastline ;
 	}
 }
 
+// TestFlushDeletesStaticTriple: a flush rule may delete a static triple
+// it reads, and the commit removes it from the static member — in one
+// generation bump of that member, the slices untouched.
+func TestFlushDeletesStaticTriple(t *testing.T) {
+	s := NewSharded(Config{Slices: 2})
+	if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
+		t.Fatal(err)
+	}
+	rule, err := stsparql.Prepare(`DELETE { ?c a coast:Coastline } WHERE { ?c a coast:Coastline }`, s.Namespaces(), "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coast := rdf.NewIRI("http://teleios.di.uoa.gr/ontologies/coastlineOntology.owl#Coastline_1")
+	gens := func() (g []uint64) {
+		for _, ss := range s.ShardStats() {
+			g = append(g, ss.Gen)
+		}
+		return g
+	}
+	before, n := gens(), s.Len()
+	at, _ := stsparql.ParseDateTime("2007-08-24T12:00:00")
+	deleted := 0
+	if err := s.ApplyFlush(Flush{At: []time.Time{at}}, func(tx *FlushTx) error {
+		plan, err := tx.Plan(rule, []stsparql.Row{{coast}})
+		if err == nil {
+			deleted = tx.Apply(plan).Deleted
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if deleted != 1 {
+		t.Fatalf("the rule deleted %d triples, want 1", deleted)
+	}
+	res, err := runQuery(s, `SELECT ?c WHERE { ?c a coast:Coastline }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 || s.Len() != n-1 {
+		t.Fatalf("after the flush: %d coastlines, %d triples (was %d): the static triple stayed", len(res.Rows), s.Len(), n)
+	}
+	if after := gens(); after[0] != before[0]+1 || after[1] != before[1] || after[2] != before[2] {
+		t.Fatalf("generations %v -> %v, want static +1 only", before, after)
+	}
+}
+
+// TestFlushWriteBeyondItsReadsLatchesSplit: a flush reads only some
+// slices, so it cannot see whether a subject it writes about lives in
+// another. A rule's insert that lands in a slice the flush did not read,
+// or about a subject no member it read holds, commits and latches split:
+// every later query takes the exact union view.
+func TestFlushWriteBeyondItsReadsLatchesSplit(t *testing.T) {
+	for _, insert := range []string{
+		`<http://e/batch_h1> noa:hasConfidence 0.7`, // its subject lives in the 10:00 slice
+		`<http://e/batch_h2> noa:hasAcquisitionDateTime "2007-08-24T11:00:00"^^xsd:dateTime`,
+	} {
+		s := NewSharded(Config{Slices: 4})
+		if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
+			t.Fatal(err)
+		}
+		s.InsertAll(withTime(hotspotGroup(1, 1), "2007-08-24T10:00:00"))
+		rule, err := stsparql.Prepare(`INSERT { `+insert+` } WHERE { ?c a coast:Coastline }`, s.Namespaces(), "c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := s.Len()
+		at, _ := stsparql.ParseDateTime("2007-08-24T12:00:00")
+		if err := s.ApplyFlush(Flush{At: []time.Time{at}}, func(tx *FlushTx) error {
+			plan, err := tx.Plan(rule, []stsparql.Row{{rdf.NewIRI("http://teleios.di.uoa.gr/ontologies/coastlineOntology.owl#Coastline_1")}})
+			if err == nil {
+				tx.Apply(plan)
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != n+1 || !s.split.Load() {
+			t.Errorf("INSERT { %s }: %d triples (was %d), split %v; want one more and split latched", insert, s.Len(), n, s.split.Load())
+		}
+	}
+}
+
+// TestTimelessGroupFollowsItsSubject: a group carrying no acquisition
+// time lands in the member already holding its subject, whether it
+// arrives through InsertAll or LoadTriples, and does not latch split.
+func TestTimelessGroupFollowsItsSubject(t *testing.T) {
+	hotspot := withTime(hotspotGroup(1, 1), "2007-08-24T13:00:00")
+	extra := []rdf.Triple{{S: hotspot[0].S,
+		P: rdf.NewIRI("http://teleios.di.uoa.gr/ontologies/noaOntology.owl#hasConfidence"),
+		O: rdf.NewTypedLiteral("0.5", rdf.XSDDouble)}}
+	// holder reports the one member holding t.
+	holder := func(s *Store, tr rdf.Triple) int {
+		defer s.lockAllRead()()
+		enc, ok := s.dict.LookupTriple(tr)
+		if !ok {
+			t.Fatalf("%v was never stored", tr)
+		}
+		at := -1
+		for i, m := range s.members {
+			if m.CountIDs(enc.S, enc.P, enc.O) > 0 {
+				if at >= 0 {
+					t.Fatalf("%v is in members %d and %d", tr, at, i)
+				}
+				at = i
+			}
+		}
+		return at
+	}
+	for _, path := range []struct {
+		name  string
+		write func(*Store)
+	}{
+		{"InsertAll", func(s *Store) { s.InsertAll(extra) }},
+		{"LoadTriples", func(s *Store) { s.LoadTriples(extra) }},
+	} {
+		s := NewSharded(Config{Slices: 4})
+		s.InsertAll(hotspot)
+		path.write(s)
+		if got, want := holder(s, extra[0]), holder(s, hotspot[0]); got != want {
+			t.Errorf("%s: the timeless triple landed in member %d, its subject lives in %d", path.name, got, want)
+		}
+		if s.split.Load() {
+			t.Errorf("%s latched split", path.name)
+		}
+	}
+}
+
+// TestWriteTransactionsBesideQueries runs every write path at once on
+// four slices — InsertAll of timestamped groups, LoadTriples and
+// Update of timeless triples about stored subjects, and flushes whose
+// rule rewrites a static triple — beside windowed and union queries.
+// Run under -race it checks the one write transaction's locking; after
+// it, the members still partition the data, every time index recounts
+// and no write split a subject.
+func TestWriteTransactionsBesideQueries(t *testing.T) {
+	s := NewSharded(Config{Slices: 4})
+	if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 12
+	stamp := func(i int) string { return fmt.Sprintf("2007-08-24T%02d:%02d:00", 8+i%6, i) }
+	hotspot1 := rdf.NewIRI("http://teleios.di.uoa.gr/ontologies/noaOntology.owl#Hotspot_1")
+	for i := 0; i < rounds; i++ { // the subjects the timeless triples are about
+		s.InsertAll(withTime(hotspotGroup(100+i, float64(i)), stamp(i)))
+	}
+	var wg sync.WaitGroup
+	writers := []func(i int){
+		func(i int) { s.InsertAll(withTime(hotspotGroup(200+i, float64(i)), stamp(i+3))) },
+		func(i int) {
+			s.LoadTriples([]rdf.Triple{{S: rdf.NewIRI(fmt.Sprintf("http://e/batch_h%d", 100+i)),
+				P: rdf.NewIRI("http://teleios.di.uoa.gr/ontologies/noaOntology.owl#hasConfidence"), O: rdf.NewInteger(int64(i))}})
+		},
+		func(i int) {
+			if _, err := s.Update(`INSERT { ?h noa:isConfirmed true } WHERE { ?h noa:hasConfidence ?c . FILTER( ?c > 3 ) }`); err != nil {
+				t.Error(err)
+			}
+		},
+		func(i int) {
+			at, _ := stsparql.ParseDateTime(stamp(i))
+			rule, err := stsparql.Prepare(fmt.Sprintf(`DELETE { ?h noa:hasConfidence ?c } INSERT { ?h noa:hasConfidence %d }
+WHERE { ?h noa:hasConfidence ?c }`, i+2), s.Namespaces(), "h")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := s.ApplyFlush(Flush{At: []time.Time{at}}, func(tx *FlushTx) error {
+				plan, err := tx.Plan(rule, []stsparql.Row{{hotspot1}})
+				if err == nil {
+					tx.Apply(plan)
+				}
+				return err
+			}); err != nil {
+				t.Error(err)
+			}
+		},
+	}
+	for _, write := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				write(i)
+			}
+		}()
+	}
+	for _, q := range []string{
+		`SELECT ?h ?at WHERE { ?h a noa:Hotspot ; noa:hasAcquisitionDateTime ?at . FILTER( str(?at) >= "2007-08-24T09:00:00" && str(?at) < "2007-08-24T10:00:00" ) }`,
+		`SELECT ?h ?c WHERE { ?h noa:hasConfidence ?c }`,
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := runQuery(s, q); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	res, err := runQuery(s, `SELECT ?c WHERE { noa:Hotspot_1 noa:hasConfidence ?c }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Value != fmt.Sprint(rounds+1) {
+		t.Fatalf("Hotspot_1's confidence after %d flushes: %v", rounds, res.Rows)
+	}
+	if s.split.Load() {
+		t.Fatal("a write split a subject")
+	}
+	if err := s.VerifyTimeIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.lockAllRead()()
+	s.viewAll().MatchIDs(rdf.Wildcard, rdf.Wildcard, rdf.Wildcard, func(tr rdf.EncodedTriple) bool {
+		if n := s.viewAll().CountIDs(tr.S, tr.P, tr.O); n != 1 {
+			t.Fatalf("%v is held by %d members", tr, n)
+		}
+		return true
+	})
+}
+
 // TestConcurrentEndpointSmoke hammers the endpoint from many goroutines —
 // queries, updates and batch inserts at once. Run under -race it
 // validates the store's locking discipline.

@@ -310,7 +310,7 @@ func (e *Evaluator) termValue(id termID, t rdf.Term) Value {
 		case rdf.StRDFGeometry, rdf.StRDFWKT:
 			g, err := e.geomOf(id, t)
 			if err != nil {
-				return errValue("stsparql: %v", err)
+				return termError(t, "stsparql: %v", err)
 			}
 			return Value{Kind: VGeom, Geom: g, Term: t}
 		}
@@ -408,11 +408,11 @@ func (c *compiler) operand(x Expr) (operand, bool) {
 }
 
 // strCmpNode is str(?v) op X for a comparison op, X a constant whose
-// value is a string or a variable. A row where ?v is bound to a
-// well-formed term and X is a string compares the two strings; ?v
-// unbound or malformed, or X unbound, is an error, as it is to the
-// generic nodes, and an X of another kind is answered as they answer it
-// (generic).
+// value is a string or a variable. A row where ?v is bound — a
+// malformed typed literal included, whose str() is its lexical form —
+// and X is a string compares the two strings; ?v or X unbound is an
+// error, as it is to the generic nodes, and an X of another kind is
+// answered as they answer it (generic).
 type strCmpNode struct {
 	op   string
 	str  *CallExpr // the str() call
@@ -448,9 +448,6 @@ func (n *strCmpNode) test(e *Evaluator, r rowRef) tri {
 		return triErr // str() of unbound
 	}
 	m := e.termMemo(id)
-	if m.kind == VErr {
-		return triErr
-	}
 	s, x := m.s, n.xstr // read s before X's memo may take m's slot
 	if n.x.isVar {
 		xid := r.id(n.x.col)

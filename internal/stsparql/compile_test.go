@@ -174,6 +174,9 @@ func TestTypedNodeShapes(t *testing.T) {
 // computes is a simple literal.
 func TestDatatype(t *testing.T) {
 	const ex = "http://example.org/"
+	// A malformed typed literal is an error to comparisons and
+	// arithmetic, but the term functions read its lexical form and
+	// datatype (SPARQL 1.1 §17.4.2).
 	cases := []struct {
 		o         rdf.Term
 		want, str string
@@ -183,8 +186,11 @@ func TestDatatype(t *testing.T) {
 		{rdf.NewTypedLiteral("s", rdf.XSDString), rdf.XSDString, rdf.XSDString},
 		{rdf.NewInteger(3), rdf.XSDInteger, rdf.XSDString},
 		{rdf.NewDateTime("2007-08-24T12:00:00"), rdf.XSDDateTime, rdf.XSDString},
-		{rdf.NewDateTime("24/08/2007"), "", ""}, // malformed: an error, so unbound
+		{rdf.NewDateTime("24/08/2007"), rdf.XSDDateTime, rdf.XSDString},
+		{rdf.NewTypedLiteral("seven", rdf.XSDInteger), rdf.XSDInteger, rdf.XSDString},
+		{rdf.NewTypedLiteral("maybe", rdf.XSDBoolean), rdf.XSDBoolean, rdf.XSDString},
 		{rdf.NewGeometry("POINT (1 1)"), rdf.StRDFGeometry, rdf.XSDString},
+		{rdf.NewGeometry("POINT (one 1)"), rdf.StRDFGeometry, rdf.XSDString},
 		{rdf.NewIRI(ex + "o"), "", rdf.XSDString},
 		{rdf.NewBlank("b"), "", rdf.XSDString},
 	}
@@ -192,7 +198,8 @@ func TestDatatype(t *testing.T) {
 	for i, c := range cases {
 		s.Add(rdf.Triple{S: iri(fmt.Sprintf("%ss%d", ex, i)), P: iri(ex + "p"), O: c.o})
 	}
-	res := runSelect(t, s, `SELECT ?s (datatype(?o) AS ?d) (datatype(str(?o)) AS ?sd) WHERE { ?s <`+ex+`p> ?o }`)
+	res := runSelect(t, s, `SELECT ?s (datatype(?o) AS ?d) (datatype(str(?o)) AS ?sd) (str(?o) AS ?str)
+  (lang(?o) AS ?lang) (isLiteral(?o) AS ?lit) (?o + 1 AS ?sum) (str(?o + 1) AS ?strSum) WHERE { ?s <`+ex+`p> ?o }`)
 	if len(res.Rows) != len(cases) {
 		t.Fatalf("%d rows, want %d", len(res.Rows), len(cases))
 	}
@@ -205,6 +212,20 @@ func TestDatatype(t *testing.T) {
 		}
 		if got := res.at(i, "sd"); got.Value != c.str {
 			t.Errorf("datatype(str(%v)) = %v, want <%s>", c.o, got, c.str)
+		}
+		if got := res.at(i, "str"); got.Value != c.o.Value || got.Datatype != "" {
+			t.Errorf("str(%v) = %v, want %q", c.o, got, c.o.Value)
+		}
+		if got := res.at(i, "lang"); c.o.IsLiteral() && got.Value != c.o.Lang {
+			t.Errorf("lang(%v) = %v, want %q", c.o, got, c.o.Lang)
+		}
+		if got, _ := res.at(i, "lit").Bool(); got != c.o.IsLiteral() {
+			t.Errorf("isLiteral(%v) = %v", c.o, res.at(i, "lit"))
+		}
+		if _, ok := c.o.Float(); !ok && c.o.Datatype == rdf.XSDInteger {
+			if sum, strSum := res.at(i, "sum"), res.at(i, "strSum"); !sum.IsZero() || !strSum.IsZero() {
+				t.Errorf("%v + 1 = %v and str() of it %v, want both unbound", c.o, sum, strSum)
+			}
 		}
 	}
 }

@@ -30,10 +30,10 @@ func (e *Evaluator) applyUnary(op string, x Value) Value {
 
 func (e *Evaluator) applyBinary(op string, l, r Value) Value {
 	if l.Kind == VErr {
-		return l
+		return l.failed()
 	}
 	if r.Kind == VErr {
-		return r
+		return r.failed()
 	}
 	switch op {
 	case "=", "!=":
@@ -84,12 +84,12 @@ func (e *Evaluator) applyBinary(op string, l, r Value) Value {
 
 // applyFunction dispatches builtin and strdf: extension functions.
 func (e *Evaluator) applyFunction(c *CallExpr, args []Value) Value {
+	name := c.Name
 	for _, a := range args {
-		if a.Kind == VErr {
-			return a
+		if a.Kind == VErr && (a.Term.IsZero() || !termFunctions[name]) {
+			return a.failed()
 		}
 	}
-	name := c.Name
 	switch name {
 	case "str":
 		if len(args) != 1 {
@@ -160,6 +160,11 @@ func (e *Evaluator) applyFunction(c *CallExpr, args []Value) Value {
 	}
 	return errValue("stsparql: unknown function %q", name)
 }
+
+// termFunctions read only the term of their argument, so a malformed
+// typed literal — an error to every other function — is an argument
+// they answer for.
+var termFunctions = map[string]bool{"str": true, "lang": true, "datatype": true, "isliteral": true}
 
 // datatypeOf is the datatype IRI of a value's term (SPARQL 1.1
 // §17.4.2.7): its declared datatype, rdf:langString for a

@@ -51,6 +51,11 @@ func errValue(format string, args ...any) Value {
 	return Value{Kind: VErr, err: fmt.Errorf(format, args...)}
 }
 
+// failed is the error a computation over the error value v yields: v's
+// error without the term a malformed literal keeps (termError), which
+// belongs to that literal and not to what is computed from it.
+func (v Value) failed() Value { return Value{Kind: VErr, err: v.err} }
+
 func unboundValue() Value { return Value{Kind: VUnbound} }
 
 func boolValue(b bool) Value { return Value{Kind: VBool, Bool: b} }
@@ -63,6 +68,16 @@ func geomValue(g geom.Geometry) Value { return Value{Kind: VGeom, Geom: g} }
 
 // Err returns the error carried by a VErr value.
 func (v Value) Err() error { return v.err }
+
+// termError is the value of a typed literal whose lexical form does not
+// parse: an error to comparisons and arithmetic that keeps the term, so
+// the term functions (str, lang, datatype, isLiteral) still read its
+// lexical form and datatype (SPARQL 1.1 §17.4.2).
+func termError(t rdf.Term, format string, args ...any) Value {
+	v := errValue(format, args...)
+	v.Term = t
+	return v
+}
 
 // termToValue converts an RDF term into an expression value, parsing
 // typed literals into their native representation.
@@ -79,21 +94,21 @@ func termToValue(t rdf.Term, cache *geomCache) Value {
 			if f, ok := t.Float(); ok {
 				return Value{Kind: VNum, Num: f, Term: t}
 			}
-			return errValue("stsparql: malformed numeric literal %q", t.Value)
+			return termError(t, "stsparql: malformed numeric literal %q", t.Value)
 		case rdf.XSDBoolean:
 			if b, ok := t.Bool(); ok {
 				return Value{Kind: VBool, Bool: b, Term: t}
 			}
-			return errValue("stsparql: malformed boolean literal %q", t.Value)
+			return termError(t, "stsparql: malformed boolean literal %q", t.Value)
 		case rdf.XSDDateTime:
 			if tm, ok := parseDateTime(t.Value); ok {
 				return Value{Kind: VTime, Time: tm, Term: t}
 			}
-			return errValue("stsparql: malformed dateTime literal %q", t.Value)
+			return termError(t, "stsparql: malformed dateTime literal %q", t.Value)
 		case rdf.StRDFGeometry, rdf.StRDFWKT:
 			g, err := cache.parse(t.Value)
 			if err != nil {
-				return errValue("stsparql: %v", err)
+				return termError(t, "stsparql: %v", err)
 			}
 			return Value{Kind: VGeom, Geom: g, Term: t}
 		default:
@@ -131,6 +146,9 @@ func parseDateTime(s string) (time.Time, bool) {
 // asTerm converts a value back to an RDF term for projection or template
 // instantiation.
 func (v Value) asTerm() (rdf.Term, bool) {
+	if v.Kind == VErr {
+		return rdf.Term{}, false
+	}
 	if !v.Term.IsZero() {
 		return v.Term, true
 	}
