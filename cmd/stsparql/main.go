@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/auxdata"
 	"repro/internal/strabon"
-	"repro/internal/stsparql"
 )
 
 // tableFlushRows is how often the incremental table rendering flushes
@@ -51,11 +50,10 @@ func main() {
 		*repeat = 1
 	}
 
-	// The store's geometry cache serves every evaluation — across
-	// -repeat runs — so parsed WKT is reused instead of re-parsing the
-	// same coastline literals. Every run parses and plans afresh.
+	// The store's geometry table serves every evaluation — across
+	// -repeat runs — so a geometry literal is parsed once instead of
+	// once per run. Every run parses and plans the query afresh.
 	st := strabon.New()
-	cache := st.GeomCache()
 	if *seed != 0 {
 		world := auxdata.Generate(*seed)
 		n := st.LoadTriples(world.AllTriples())
@@ -89,7 +87,7 @@ func main() {
 		plan, err := st.ExplainAnalyze(context.Background(), q)
 		fail(err)
 		fmt.Print(plan)
-		reportCache(cache)
+		reportCache(st)
 		return
 	}
 	if *explain {
@@ -107,7 +105,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "update run %d: matched %d, deleted %d, inserted %d in %v\n",
 				i+1, stats.Matched, stats.Deleted, stats.Inserted, time.Since(start).Round(time.Microsecond))
 		}
-		reportCache(cache)
+		reportCache(st)
 		return
 	}
 
@@ -128,7 +126,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "run %d: %d rows in %v\n",
 			i+1, cur.Rows(), time.Since(start).Round(time.Microsecond))
 	}
-	reportCache(cache)
+	reportCache(st)
 }
 
 // render streams the cursor's rows to stdout in the requested format.
@@ -180,8 +178,8 @@ func renderTable(cur *strabon.Cursor) error {
 	return w.Flush()
 }
 
-func reportCache(cache *stsparql.Cache) {
-	fmt.Fprintf(os.Stderr, "geometry cache: %d parsed WKT literals\n", cache.Size())
+func reportCache(st *strabon.Store) {
+	fmt.Fprintf(os.Stderr, "geometry cache: %d parsed geometries\n", st.Stats().Geometries)
 }
 
 func truncate(s string, n int) string {

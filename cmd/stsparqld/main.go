@@ -20,8 +20,9 @@
 // Endpoints: /sparql (GET/POST query; JSON or format=tsv), /update
 // (POST), /explain, /stats. SELECT responses stream row by row with
 // X-Rows/X-Elapsed-Us trailers. Queries run under the request context,
-// optionally capped by -query-timeout, so an abandoned or slow client
-// cannot hold store read locks indefinitely.
+// optionally capped by -query-timeout; both are checked at row pulls,
+// so a client that stays connected but stops reading holds its
+// cursor's store read locks until it disconnects (ROADMAP item 20).
 //
 // The serving tier layers on top: a generation-keyed result cache
 // (-result-cache entries, -result-cache-bytes budget) replays repeated

@@ -49,10 +49,13 @@ import (
 // each other and with an /update's WHERE clause, which the store
 // matches under read locks; only the update's commit write-locks, and
 // only the members its effect touches. A streamed
-// response holds the store read lock for as long as the client keeps
-// reading (until the cursor closes) — bounded by the request context:
-// queries run under r.Context(), optionally capped by QueryTimeout, so
-// a gone or stalled client releases the lock at the next row pull.
+// response holds the store read locks until the cursor closes. Queries
+// run under r.Context(), optionally capped by QueryTimeout, and both
+// are checked at row pulls only: a gone client, or one past the
+// timeout, releases the locks at the next pull, but a client that
+// stays connected and stops reading blocks the handler in a socket
+// write and holds the cursor's read locks until it disconnects
+// (ROADMAP item 20).
 //
 // /stats includes the per-member cardinalities of the store
 // (ShardStats).

@@ -14,7 +14,9 @@ import (
 // member is one partition of a Store — its static store, one of its
 // time slices, or a flush's private overlay store: the triple indexes,
 // the R-tree over strdf:hasGeometry objects and the time index over
-// xsd:dateTime objects, under one RWMutex. Members know nothing of
+// xsd:dateTime objects, under one RWMutex. The R-tree holds one entry
+// per geometry triple, under the envelope of the geometry the store's
+// table (geoms) parsed for the triple's object. Members know nothing of
 // routing or queries; the Store takes their locks (see the package
 // comment) and the engine reads them through a View.
 type member struct {
@@ -32,12 +34,10 @@ type member struct {
 	// unlock turns it into exactly one generation bump.
 	mutated bool
 
+	// index's payloads are the encoded geometry triples themselves, so
+	// window scans stay in ID space (MatchGeometryWindowIDs).
 	index *rtree.Tree
-	// geomEntries remembers what was inserted in the index, keyed by the
-	// encoded geometry triple, so RemoveEncoded can delete the exact
-	// entry again. The R-tree payload is the entry itself: a window hit
-	// reads its triple without a lookup.
-	geomEntries map[rdf.EncodedTriple]*indexedGeom
+	geoms *stsparql.Cache // the store's geometry table
 	// times is the time index, keyed by predicate (see timeindex.go).
 	times map[rdf.ID]*timeRun
 
@@ -51,23 +51,16 @@ type member struct {
 var _ stsparql.SpatialSource = (*member)(nil)
 var _ stsparql.TimeRangeSource = (*member)(nil)
 
-type indexedGeom struct {
-	env geom.Envelope
-	// enc is the dictionary encoding of the geometry triple, so window
-	// scans can stay in ID space (MatchGeometryWindowIDs).
-	enc rdf.EncodedTriple
-}
-
 // newMember returns an empty member encoding into dict — IDs compare
 // across the members of one Store, and a View of them scans in one ID
-// space. Whoever builds a topology serialises its writers (see
-// rdf.Dictionary).
-func newMember(dict *rdf.Dictionary) *member {
+// space — and indexing geometries through geoms, the table over dict.
+// Whoever builds a topology serialises its writers (see rdf.Dictionary).
+func newMember(dict *rdf.Dictionary, geoms *stsparql.Cache) *member {
 	return &member{
-		triples:     rdf.NewStoreOver(dict),
-		index:       rtree.New(),
-		geomEntries: make(map[rdf.EncodedTriple]*indexedGeom),
-		times:       make(map[rdf.ID]*timeRun),
+		triples: rdf.NewStoreOver(dict),
+		index:   rtree.New(),
+		geoms:   geoms,
+		times:   make(map[rdf.ID]*timeRun),
 	}
 }
 
@@ -116,21 +109,20 @@ func (m *member) addEncoded(enc rdf.EncodedTriple) bool {
 	return true
 }
 
-// geomItem prepares the spatial-index entry for a geometry triple,
-// recording it in geomEntries. ok is false for non-geometry triples.
+// geomItem is the spatial-index entry of a geometry triple: the triple
+// under the envelope of its object's geometry, read from the store's
+// table. ok is false for a non-geometry triple and for a literal whose
+// WKT does not parse: neither is indexed.
 func (m *member) geomItem(enc rdf.EncodedTriple) (rtree.Item, bool) {
 	d := m.triples.Dict()
-	o := d.Decode(enc.O)
-	if !o.IsGeometry() || !stsparql.GeometryPredicates[d.Decode(enc.P).Value] {
+	if !d.Decode(enc.O).IsGeometry() || !stsparql.GeometryPredicates[d.Decode(enc.P).Value] {
 		return rtree.Item{}, false
 	}
-	g, err := geom.ParseWKT(o.Value)
+	g, err := m.geoms.Geometry(enc.O)
 	if err != nil {
 		return rtree.Item{}, false
 	}
-	e := &indexedGeom{env: g.Envelope(), enc: enc}
-	m.geomEntries[enc] = e
-	return rtree.Item{Box: e.env, Data: e}, true
+	return rtree.Item{Box: g.Envelope(), Data: enc}, true
 }
 
 // RemoveEncoded removes an encoded triple and its index entries (write
@@ -140,9 +132,8 @@ func (m *member) RemoveEncoded(enc rdf.EncodedTriple) bool {
 		return false
 	}
 	m.mutated = true
-	if e, ok := m.geomEntries[enc]; ok {
-		m.index.Delete(e.env, e)
-		delete(m.geomEntries, enc)
+	if item, ok := m.geomItem(enc); ok {
+		m.index.Delete(item.Box, item.Data)
 	}
 	m.timeRemove(enc)
 	return true
@@ -187,7 +178,7 @@ func (m *member) MatchGeometryWindowIDs(env geom.Envelope, skip uint64, visit fu
 	}
 	m.indexHits.Add(1)
 	return m.index.Search(env, func(it rtree.Item) bool {
-		return visit(it.Data.(*indexedGeom).enc)
+		return visit(it.Data.(rdf.EncodedTriple))
 	})
 }
 

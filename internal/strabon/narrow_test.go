@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ontology"
 	"repro/internal/rdf"
+	"repro/internal/stsparql"
 )
 
 // TestWindowSkipChecksFromTheSmallerSide covers the member check behind
@@ -28,7 +29,7 @@ func TestWindowSkipChecksFromTheSmallerSide(t *testing.T) {
 		return out
 	}
 	located, elsewhere := ids("located", 8), ids("elsewhere", 20)
-	m := newMember(dict)
+	m := newMember(dict, stsparql.NewCache(dict))
 	for i, s := range located {
 		m.addEncoded(rdf.EncodedTriple{S: s, P: p, O: dict.Encode(rdf.NewGeometry(fmt.Sprintf("POINT (%d 0)", i)))})
 	}
@@ -67,7 +68,7 @@ func TestWindowSkipChecksFromTheSmallerSide(t *testing.T) {
 		t.Errorf("a predicate the member does not hold: held=%v after %d lookups", held, looked)
 	}
 
-	empty, other := newMember(dict), newMember(dict)
+	empty, other := newMember(dict, stsparql.NewCache(dict)), newMember(dict, stsparql.NewCache(dict))
 	other.addEncoded(rdf.EncodedTriple{S: elsewhere[3], P: p, O: dict.Encode(rdf.NewGeometry("POINT (9 9)"))})
 	v := View{empty, m, other}
 	for _, tc := range []struct {

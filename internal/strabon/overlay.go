@@ -45,10 +45,12 @@ var _ stsparql.SpatialSource = (*Overlay)(nil)
 var _ stsparql.TimeRangeSource = (*Overlay)(nil)
 
 // newOverlay starts a working copy over the read-locked base members
-// holding the flush's groups (encoded in the base's dictionary), and
-// reports how many triples of each group the base did not already hold.
-func newOverlay(base View, groups [][]rdf.EncodedTriple) (*Overlay, []int) {
-	o := &Overlay{base: base, added: newMember(base.Dict()), gone: make(map[rdf.EncodedTriple]struct{})}
+// holding the flush's groups (encoded in the base's dictionary), its
+// private store indexing geometries through the store's table geoms,
+// and reports how many triples of each group the base did not already
+// hold.
+func newOverlay(base View, geoms *stsparql.Cache, groups [][]rdf.EncodedTriple) (*Overlay, []int) {
+	o := &Overlay{base: base, added: newMember(base.Dict(), geoms), gone: make(map[rdf.EncodedTriple]struct{})}
 	o.all = append(append(View(nil), base...), o.added)
 	counts := make([]int, len(groups))
 	for gi, g := range groups {

@@ -142,7 +142,7 @@ type Store struct {
 	// application, and the union view.
 	members []*member
 	ns      *rdf.Namespaces
-	cache   *stsparql.Cache // shared geometry-parse cache
+	cache   *stsparql.Cache // the geometry table members index through and evaluators read
 	// dict is the one term dictionary every member encodes into. Appends
 	// happen under writeMu only; see rdf.Dictionary for what readers may
 	// do beside them.
@@ -221,11 +221,12 @@ func NewSharded(cfg Config) *Store {
 	if s.width < 1 {
 		s.width = 1
 	}
-	s.ns, s.cache, s.dict = rdf.NewNamespaces(), stsparql.NewCache(), rdf.NewDictionary()
-	s.static = newMember(s.dict)
+	s.ns, s.dict = rdf.NewNamespaces(), rdf.NewDictionary()
+	s.cache = stsparql.NewCache(s.dict)
+	s.static = newMember(s.dict, s.cache)
 	s.members = []*member{s.static}
 	for i := 0; i < cfg.Slices; i++ {
-		s.slices = append(s.slices, newMember(s.dict))
+		s.slices = append(s.slices, newMember(s.dict, s.cache))
 	}
 	s.members = append(s.members, s.slices...)
 	return s
@@ -238,9 +239,6 @@ func (s *Store) PlanStats() stsparql.PlanCacheStats { return stsparql.PlanCacheS
 
 // Namespaces exposes the shared prefix table.
 func (s *Store) Namespaces() *rdf.Namespaces { return s.ns }
-
-// GeomCache exposes the geometry-parse cache every member shares.
-func (s *Store) GeomCache() *stsparql.Cache { return s.cache }
 
 // Len reports the total number of triples across every shard.
 func (s *Store) Len() int {
@@ -260,11 +258,12 @@ type Stats struct {
 	Updates       int
 	TriplesLoaded int
 	IndexHits     int
+	Geometries    int // parsed geometries in the store's table
 }
 
 // Stats returns a snapshot of the endpoint statistics.
 func (s *Store) Stats() Stats {
-	st := Stats{Queries: int(s.queries.Load()), Updates: int(s.updates.Load())}
+	st := Stats{Queries: int(s.queries.Load()), Updates: int(s.updates.Load()), Geometries: s.cache.Size()}
 	for _, m := range s.members {
 		st.TriplesLoaded += int(m.loaded.Load())
 		st.IndexHits += int(m.indexHits.Load())
@@ -416,7 +415,13 @@ func (s *Store) probe(reads []int, fn func(mi int, m *member) bool) {
 
 // groupSplits reports whether inserting the group into member target
 // would place a subject's triples outside the member where that subject
-// already lives, as far as the read-locked members show.
+// already lives, as far as the read-locked members show. A group bound
+// for a slice looks in the static member for the subject's rdf:type
+// triples only. Every view includes the static member (see view), so
+// the subject's other static triples — a timeless triple written before
+// its timestamped group — are read beside any slice; a static type,
+// though, pins the subject's triples static for the fan-out analysis
+// (classify), which would then miss those in the slice.
 func (s *Store) groupSplits(group []rdf.EncodedTriple, target int, reads []int) bool {
 	seen := make(map[rdf.ID]bool)
 	var subjects []rdf.ID
@@ -426,13 +431,18 @@ func (s *Store) groupSplits(group []rdf.EncodedTriple, target int, reads []int) 
 			subjects = append(subjects, t.S)
 		}
 	}
+	typ, _ := s.dict.Lookup(rdf.NewIRI(rdf.RDFType)) // the wildcard while no type is stored
 	found := false
 	s.probe(reads, func(mi int, m *member) bool {
 		if mi == target {
 			return false
 		}
+		p := rdf.Wildcard
+		if mi == 0 && target > 0 {
+			p = typ
+		}
 		for _, sub := range subjects {
-			if m.CountIDs(sub, rdf.Wildcard, rdf.Wildcard) > 0 {
+			if m.CountIDs(sub, p, rdf.Wildcard) > 0 {
 				found = true
 				return true
 			}
@@ -665,7 +675,7 @@ func (s *Store) transact(reads []int, groups [][]rdf.EncodedTriple, rules func(*
 		for _, i := range reads {
 			base = append(base, s.slices[i])
 		}
-		o, inserted := newOverlay(base, groups)
+		o, inserted := newOverlay(base, s.cache, groups)
 		if err := rules(newFlushTx(inserted, o, s.cache)); err != nil {
 			release()
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -48,7 +49,7 @@ func oracleQuery(t *testing.T, st *Store, src string) (*stsparql.Result, string)
 		t.Fatal(err)
 	}
 	defer st.lockAllRead()()
-	ev := stsparql.NewEvaluatorWithCache(struct{ stsparql.StatSource }{st.viewAll()}, st.GeomCache())
+	ev := stsparql.NewEvaluatorWithCache(struct{ stsparql.StatSource }{st.viewAll()}, st.cache)
 	plan, err := ev.Explain(q)
 	if err != nil {
 		t.Fatal(err)
@@ -280,35 +281,6 @@ func sortedCol(res *stsparql.Result, v string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func TestGeometryCacheGrows(t *testing.T) {
-	s := New()
-	if _, err := s.LoadTurtle(fixtureTurtle); err != nil {
-		t.Fatal(err)
-	}
-	_, err := runQuery(s, `
-SELECT ?h WHERE {
-  ?h a noa:Hotspot ; strdf:hasGeometry ?g .
-  FILTER( strdf:area(?g) > 0.5 )
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.cache.Size() == 0 {
-		t.Fatal("geometry cache empty after spatial query")
-	}
-	before := s.cache.Size()
-	if _, err := runQuery(s, `
-SELECT ?h WHERE {
-  ?h a noa:Hotspot ; strdf:hasGeometry ?g .
-  FILTER( strdf:area(?g) > 0.5 )
-}`); err != nil {
-		t.Fatal(err)
-	}
-	if s.cache.Size() != before {
-		t.Fatalf("cache grew on repeat query: %d -> %d", before, s.cache.Size())
-	}
 }
 
 func TestMunicipalityAssociationPattern(t *testing.T) {
@@ -695,6 +667,52 @@ func TestTimelessGroupFollowsItsSubject(t *testing.T) {
 	}
 }
 
+// TestTimelessTripleBeforeItsGroupKeepsFanout: a timeless triple
+// written before its subject's timestamped group lands in the static
+// member, and the group then routes to a slice. Every view includes the
+// static member, so that is no split: the flag stays down and windowed
+// and unwindowed queries answer as the one-slice store does. A static
+// rdf:type triple is different — a query typing the subject by a
+// static class reads its triples in the static member only — and still
+// latches split.
+func TestTimelessTripleBeforeItsGroupKeepsFanout(t *testing.T) {
+	group := withTime(hotspotGroup(1, 1), "2007-08-24T13:00:00")
+	timeless := []rdf.Triple{{S: group[0].S,
+		P: rdf.NewIRI("http://teleios.di.uoa.gr/ontologies/noaOntology.owl#hasConfidence"),
+		O: rdf.NewTypedLiteral("0.5", rdf.XSDDouble)}}
+	sharded, single := NewSharded(Config{Slices: 4}), New()
+	for _, s := range []*Store{sharded, single} {
+		s.LoadTriples(timeless)
+		s.InsertAll(group)
+	}
+	if sharded.split.Load() {
+		t.Fatal("a timeless triple stored before its subject's group latched split")
+	}
+	for _, q := range []string{
+		`SELECT ?h ?c ?at WHERE { ?h noa:hasConfidence ?c ; noa:hasAcquisitionDateTime ?at .
+  FILTER( str(?at) >= "2007-08-24T13:00:00" && str(?at) < "2007-08-24T14:00:00" ) }`,
+		`SELECT ?h ?c WHERE { ?h a noa:Hotspot ; noa:hasConfidence ?c }`,
+	} {
+		want, err := runQuery(single, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := runQuery(sharded, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) != 1 || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+			t.Fatalf("%s\nsharded %v, one slice %v", q, got.Rows, want.Rows)
+		}
+	}
+	typed := NewSharded(Config{Slices: 4})
+	typed.LoadTriples([]rdf.Triple{{S: group[0].S, P: rdf.NewIRI(rdf.RDFType), O: rdf.NewIRI("http://e/Site")}})
+	typed.InsertAll(group)
+	if !typed.split.Load() {
+		t.Fatal("a static type triple of a subject whose group went to a slice did not latch split")
+	}
+}
+
 // TestWriteTransactionsBesideQueries runs every write path at once on
 // four slices — InsertAll of timestamped groups, LoadTriples and
 // Update of timeless triples about stored subjects, and flushes whose
@@ -832,7 +850,8 @@ WHERE  { ?h a noa:Hotspot . FILTER( strdf:area("POLYGON ((0 0, 1 0, 1 1, 0 1, 0 
 
 // TestMembersShareOneDictionary: every member of a store, every view
 // over them and the overlay a flush refines over encode into the
-// store's one dictionary, so IDs compare across all of them and
+// store's one dictionary, every member indexes through the store's one
+// geometry table, so IDs compare across all of them and
 // DictStats is the exact distinct-term count whatever the slice count.
 func TestMembersShareOneDictionary(t *testing.T) {
 	s := NewSharded(Config{Slices: 4})
@@ -844,10 +863,15 @@ func TestMembersShareOneDictionary(t *testing.T) {
 	}
 	release := s.lockAllRead()
 	defer release()
-	o, _ := newOverlay(s.viewAll(), nil)
+	o, _ := newOverlay(s.viewAll(), s.cache, nil)
 	for _, src := range []stsparql.Source{s.static, s.slices[0], s.slices[3], s.view(routed{dec: decision{fanout: true, shards: []int{2}}}), s.viewAll(), o} {
 		if src.Dict() != s.dict {
 			t.Fatalf("%T encodes into a dictionary of its own", src)
+		}
+	}
+	for i, m := range append(slices.Clone(s.members), o.added) {
+		if m.geoms != s.cache {
+			t.Fatalf("member %d parses geometries into a table of its own", i)
 		}
 	}
 	for i, m := range s.members {

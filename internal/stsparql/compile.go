@@ -25,7 +25,7 @@ import (
 //     (termMemo), which also records whether the term's typed value is
 //     well-formed — a malformed dateTime still drops the row;
 //   - a two-argument strdf:/geof: predicate (spatialNode): reads each
-//     geometry by term ID (geomCache.byID) and memoises its verdict per
+//     geometry by term ID (Cache.Geometry) and memoises its verdict per
 //     (node, ID, ID) (pairMemo).
 //
 // Both memos live as long as the evaluator (exprMemos).
@@ -80,7 +80,7 @@ func triValue(t tri) Value {
 // compiler compiles expressions against one schema.
 type compiler struct {
 	schema *varSchema
-	cache  *geomCache // constants' geometries parse through it
+	cache  *Cache // constants' geometries parse through it
 	// grouped compiles in aggregate context (HAVING, aggregate
 	// projections): an aggregate call computes over the current group
 	// (Evaluator.group), and every other node reads the group's first
@@ -88,11 +88,11 @@ type compiler struct {
 	grouped bool
 }
 
-func compileExpr(x Expr, schema *varSchema, cache *geomCache) cexpr {
+func compileExpr(x Expr, schema *varSchema, cache *Cache) cexpr {
 	return (&compiler{schema: schema, cache: cache}).compile(x)
 }
 
-func compileGrouped(x Expr, schema *varSchema, cache *geomCache) cexpr {
+func compileGrouped(x Expr, schema *varSchema, cache *Cache) cexpr {
 	return (&compiler{schema: schema, cache: cache, grouped: true}).compile(x)
 }
 
@@ -378,11 +378,12 @@ func (e *Evaluator) dateTime(id termID, t rdf.Term) Value {
 }
 
 // geomOf returns the geometry of a literal's lexical form: by ID from
-// the shared cache for a store term, by text for a term the evaluation
-// computed (its overflow ID means nothing beyond this evaluator).
+// the store's geometry table for a store term, by text for a term the
+// evaluation computed (its overflow ID means nothing beyond this
+// evaluator).
 func (e *Evaluator) geomOf(id termID, t rdf.Term) (geom.Geometry, error) {
 	if id < overflowBase {
-		return e.cache.byID(e.dict.store, rdf.ID(id), t.Value)
+		return e.cache.Geometry(rdf.ID(id))
 	}
 	return e.cache.parse(t.Value)
 }

@@ -146,7 +146,7 @@ func TestTypedNodesMatchGeneric(t *testing.T) {
 // them; the rest stay generic.
 func TestTypedNodeShapes(t *testing.T) {
 	schema := newSchema([]string{"a", "b"})
-	cache := newGeomCache()
+	cache := NewCache(nil)
 	va := &VarExpr{Name: "a"}
 	str := &CallExpr{Name: "str", Args: []Expr{va}}
 	generic := []Expr{

@@ -207,7 +207,7 @@ type UpdateStats struct {
 // source — see compiled.go).
 type Evaluator struct {
 	src   Source
-	cache *geomCache
+	cache *Cache
 
 	// dict is this evaluator's term codec (see iddict.go): batches carry
 	// IDs, and every encode/decode of an evaluation goes through it.
@@ -250,15 +250,9 @@ type Evaluator struct {
 	trace *ExecTrace
 }
 
-// NewEvaluator returns an evaluator over src.
-func NewEvaluator(src Source) *Evaluator { return newEvaluator(src, newGeomCache()) }
-
-func newEvaluator(src Source, cache *geomCache) *Evaluator {
-	e := &Evaluator{src: src, cache: cache, dict: &execDict{store: src.Dict()}}
-	e.spatial, _ = src.(SpatialSource)
-	e.timed, _ = src.(TimeRangeSource)
-	return e
-}
+// NewEvaluator returns an evaluator over src with a geometry cache of
+// its own.
+func NewEvaluator(src Source) *Evaluator { return NewEvaluatorWithCache(src, NewCache(src.Dict())) }
 
 // begin starts one top-level evaluation — callers hold whatever locks
 // the source needs by now: the dictionary watermark is pinned (see
@@ -466,7 +460,7 @@ func projectionVars(q *SelectQuery) []string {
 }
 
 // compileKeys compiles ORDER BY keys against schema.
-func compileKeys(keys []OrderKey, schema *varSchema, cache *geomCache) []cexpr {
+func compileKeys(keys []OrderKey, schema *varSchema, cache *Cache) []cexpr {
 	prog := make([]cexpr, len(keys))
 	for i, k := range keys {
 		prog[i] = compileExpr(k.Expr, schema, cache)

@@ -213,7 +213,7 @@ var spatialPreds = map[string]func(a, b geom.Geometry) bool{
 // geometry, or a string holding WKT — bare WKT strings are tolerated
 // (the paper's FILTERs sometimes wrap constants in strdf:WKT, sometimes
 // in strdf:geometry).
-func argGeometry(a Value, cache *geomCache) (geom.Geometry, bool) {
+func argGeometry(a Value, cache *Cache) (geom.Geometry, bool) {
 	switch a.Kind {
 	case VGeom:
 		return a.Geom, true

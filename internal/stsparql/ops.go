@@ -432,7 +432,7 @@ type filterOp struct {
 
 // newFilterOp builds a filter over batches of schema, compiling its
 // condition and detecting the constant-IRI equality shape.
-func newFilterOp(cond Expr, eager bool, schema *varSchema, cache *geomCache) *filterOp {
+func newFilterOp(cond Expr, eager bool, schema *varSchema, cache *Cache) *filterOp {
 	op := &filterOp{cond: cond, eager: eager}
 	if be, ok := cond.(*BinaryExpr); ok && (be.Op == "=" || be.Op == "!=") {
 		var ve *VarExpr
@@ -926,7 +926,7 @@ type groupItem struct {
 	x        cexpr
 }
 
-func newAggregateOp(q *SelectQuery, in *varSchema, cache *geomCache) *aggregateOp {
+func newAggregateOp(q *SelectQuery, in *varSchema, cache *Cache) *aggregateOp {
 	names := map[string]bool{}
 	for _, ge := range q.GroupBy {
 		if ve, ok := ge.(*VarExpr); ok {
@@ -1019,7 +1019,7 @@ type projItem struct {
 }
 
 // newProjectOp builds the projection of q over batches of schema in.
-func newProjectOp(q *SelectQuery, grouped bool, in *varSchema, cache *geomCache) *projectOp {
+func newProjectOp(q *SelectQuery, grouped bool, in *varSchema, cache *Cache) *projectOp {
 	op := &projectOp{q: q}
 	if q.Star {
 		return op

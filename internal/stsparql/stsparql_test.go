@@ -762,3 +762,18 @@ func TestUpdateOnNonUpdatableSource(t *testing.T) {
 
 // readOnlySource hides the store's Add/Remove behind the plain Source.
 type readOnlySource struct{ Source }
+
+// TestEvaluatorRefusesAnotherDictionarysCache: a geometry cache keys
+// its parses by the IDs of one dictionary, so an evaluator over a
+// source of another dictionary refuses it at construction instead of
+// reading other terms' geometries.
+func TestEvaluatorRefusesAnotherDictionarysCache(t *testing.T) {
+	s := rdf.NewStore()
+	NewEvaluatorWithCache(s, NewCache(s.Dict()))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an evaluator took the cache of another dictionary")
+		}
+	}()
+	NewEvaluatorWithCache(s, NewCache(rdf.NewDictionary()))
+}

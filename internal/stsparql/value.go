@@ -11,7 +11,6 @@ package stsparql
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/geom"
@@ -81,7 +80,7 @@ func termError(t rdf.Term, format string, args ...any) Value {
 
 // termToValue converts an RDF term into an expression value, parsing
 // typed literals into their native representation.
-func termToValue(t rdf.Term, cache *geomCache) Value {
+func termToValue(t rdf.Term, cache *Cache) Value {
 	if t.IsZero() {
 		return unboundValue()
 	}
@@ -298,71 +297,4 @@ func (v Value) equalValue(o Value) (bool, error) {
 		return false, err
 	}
 	return c == 0, nil
-}
-
-// geomCache caches parsed geometries so repeated spatial joins do not
-// re-parse the same coastline literal thousands of times: by WKT text,
-// and by store term ID for the one dictionary it first serves (a store
-// ID names one term for the dictionary's life, and a shared cache
-// serves one store). An ID lookup hashes one integer instead of the
-// whole text. The cache is safe for concurrent use: a store may run
-// several read-locked evaluations at once, all sharing one cache (see
-// strabon's locking discipline).
-type geomCache struct {
-	mu    sync.RWMutex
-	geoms map[string]geom.Geometry
-	dict  *rdf.Dictionary // the dictionary ids' keys are IDs of
-	ids   map[rdf.ID]geom.Geometry
-}
-
-func newGeomCache() *geomCache {
-	return &geomCache{geoms: make(map[string]geom.Geometry)}
-}
-
-func (c *geomCache) parse(wkt string) (geom.Geometry, error) {
-	c.mu.RLock()
-	g, ok := c.geoms[wkt]
-	c.mu.RUnlock()
-	if ok {
-		return g, nil
-	}
-	g, err := geom.ParseWKT(wkt)
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow lockdiscipline fill-on-miss on the shared geometry cache's own mutex, not a store lock; held only for one map insert
-	c.mu.Lock()
-	c.geoms[wkt] = g
-	c.mu.Unlock()
-	return g, nil
-}
-
-// byID returns the geometry of wkt, the lexical form of term id of
-// dictionary d, parsed once per ID and kept by ID only. A cache already
-// serving another dictionary reads the text instead.
-func (c *geomCache) byID(d *rdf.Dictionary, id rdf.ID, wkt string) (geom.Geometry, error) {
-	c.mu.RLock()
-	g, ok := c.ids[id]
-	other := c.dict != nil && c.dict != d
-	c.mu.RUnlock()
-	switch {
-	case other:
-		return c.parse(wkt)
-	case ok:
-		return g, nil
-	}
-	g, err := geom.ParseWKT(wkt)
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow lockdiscipline fill-on-miss on the shared geometry cache's own mutex, not a store lock; held only for one map insert
-	c.mu.Lock()
-	if c.dict == nil {
-		c.dict, c.ids = d, make(map[rdf.ID]geom.Geometry)
-	}
-	if c.dict == d {
-		c.ids[id] = g
-	}
-	c.mu.Unlock()
-	return g, nil
 }
