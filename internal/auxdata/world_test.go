@@ -137,7 +137,7 @@ func TestRDFExports(t *testing.T) {
 			t.Fatalf("class %s missing", class)
 		}
 		tid, _ := s.Dict().Lookup(rdf.NewIRI(rdf.RDFType))
-		if s.Count(rdf.Wildcard, tid, cid) == 0 {
+		if s.CountIDs(rdf.Wildcard, tid, cid) == 0 {
 			t.Fatalf("no instances of %s", class)
 		}
 	}

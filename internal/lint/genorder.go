@@ -18,8 +18,8 @@ import (
 //
 // The analyzer checks, within each function of the router's package
 // (package strabon) that calls track(), that no member mutation (a
-// method named Add, addEncoded, Remove, RemoveEncoded, InsertAll,
-// InsertEncodedLocked, or ApplyPlan on the package's member type) and no
+// method named Add, addEncoded, Remove, RemoveEncoded, InsertAll or
+// InsertEncodedLocked on the package's member type) and no
 // direct generation bump (.Add on a field named gen or knowGen)
 // lexically precedes the first track() call. Functions without a
 // track() call — pure helpers, read paths — are out of scope, as is
@@ -54,7 +54,6 @@ var mutatingMethods = map[string]bool{
 	"InsertAll":     true,
 
 	"InsertEncodedLocked": true,
-	"ApplyPlan":           true,
 }
 
 func runGenOrder(prog *Program) []Diagnostic {

@@ -71,7 +71,7 @@ func TestHotspotTriples(t *testing.T) {
 		ontology.PropSensor, ontology.PropProducedBy, ontology.PropProcessingChain,
 	} {
 		pid, ok := s.Dict().Lookup(rdf.NewIRI(pred))
-		if !ok || s.Count(0, pid, 0) != 1 {
+		if !ok || s.CountIDs(0, pid, 0) != 1 {
 			t.Fatalf("predicate %s missing", pred)
 		}
 	}
@@ -99,11 +99,11 @@ func TestProductTriplesLinkage(t *testing.T) {
 	}
 	tid, _ := s.Dict().Lookup(rdf.NewIRI(rdf.RDFType))
 	shpID, ok := s.Dict().Lookup(rdf.NewIRI(ontology.ClassShapefile))
-	if !ok || s.Count(rdf.Wildcard, tid, shpID) != 1 {
+	if !ok || s.CountIDs(rdf.Wildcard, tid, shpID) != 1 {
 		t.Fatal("shapefile individual missing")
 	}
 	exID, ok := s.Dict().Lookup(rdf.NewIRI(ontology.PropExtractedFrom))
-	if !ok || s.Count(0, exID, 0) != 1 {
+	if !ok || s.CountIDs(0, exID, 0) != 1 {
 		t.Fatal("hotspot not linked to its shapefile")
 	}
 	if p.Filename() == "" {

@@ -215,7 +215,7 @@ func (s *Store) AddEncoded(t EncodedTriple) bool {
 	addTo(s.osp, t.O, pack(t.S, t.P))
 	s.size++
 	s.predCount[t.P]++
-	if s.Count(t.S, t.P, Wildcard) == 1 {
+	if s.CountIDs(t.S, t.P, Wildcard) == 1 {
 		s.predSubj[t.P]++
 	}
 	return true
@@ -241,7 +241,7 @@ func (s *Store) RemoveEncoded(t EncodedTriple) bool {
 	if s.predCount[t.P]--; s.predCount[t.P] == 0 {
 		delete(s.predCount, t.P)
 	}
-	if s.Count(t.S, t.P, Wildcard) == 0 {
+	if s.CountIDs(t.S, t.P, Wildcard) == 0 {
 		if s.predSubj[t.P]--; s.predSubj[t.P] == 0 {
 			delete(s.predSubj, t.P)
 		}
@@ -305,11 +305,12 @@ func (s *Store) MatchIDs(sub, pred, obj ID, visit func(EncodedTriple) bool) bool
 
 // --- cardinality statistics (the planner's cost inputs) ---
 
-// Count returns the exact number of triples matching an encoded pattern.
-// With the subject unbound, or bound alone, the answer is a set length
-// or a maintained per-predicate counter; otherwise Count counts the
-// subject's matches, a run of its sorted pairs — typically a handful.
-func (s *Store) Count(sub, pred, obj ID) int {
+// CountIDs returns the exact number of triples matching an encoded
+// pattern. With the subject unbound, or bound alone, the answer is a set
+// length or a maintained per-predicate counter; otherwise CountIDs
+// counts the subject's matches, a run of its sorted pairs — typically a
+// handful.
+func (s *Store) CountIDs(sub, pred, obj ID) int {
 	switch {
 	case sub == Wildcard && pred == Wildcard && obj == Wildcard:
 		return s.size
@@ -327,38 +328,10 @@ func (s *Store) Count(sub, pred, obj ID) int {
 	return n
 }
 
-// CountPattern returns the exact number of triples matching a term
-// pattern (zero Terms are wildcards) in near-constant time. Terms absent
-// from the dictionary match nothing.
-func (s *Store) CountPattern(sub, pred, obj Term) int {
-	var sid, pid, oid ID
-	var ok bool
-	if !sub.IsZero() {
-		if sid, ok = s.dict.Lookup(sub); !ok {
-			return 0
-		}
-	}
-	if !pred.IsZero() {
-		if pid, ok = s.dict.Lookup(pred); !ok {
-			return 0
-		}
-	}
-	if !obj.IsZero() {
-		if oid, ok = s.dict.Lookup(obj); !ok {
-			return 0
-		}
-	}
-	return s.Count(sid, pid, oid)
-}
-
 // PredicateCard reports per-predicate cardinalities: total triples,
 // distinct subjects and distinct objects. All three are O(1).
-func (s *Store) PredicateCard(pred Term) (triples, distinctS, distinctO int) {
-	pid, ok := s.dict.Lookup(pred)
-	if !ok {
-		return 0, 0, 0
-	}
-	return s.predCount[pid], s.predSubj[pid], len(s.pos[pid])
+func (s *Store) PredicateCard(pred ID) (triples, distinctS, distinctO int) {
+	return s.predCount[pred], s.predSubj[pred], len(s.pos[pred])
 }
 
 // StoreCard reports store-level cardinalities: total triples and the

@@ -109,7 +109,7 @@ func (c *indexChecker) check(tr EncodedTriple) {
 				c.t.Fatalf("MatchIDs(%d, %d, %d) found %v, which is not in the store", sub, pred, obj, t)
 			}
 		}
-		if n := c.s.Count(sub, pred, obj); n != len(want) {
+		if n := c.s.CountIDs(sub, pred, obj); n != len(want) {
 			c.t.Fatalf("Count(%d, %d, %d) = %d, want %d", sub, pred, obj, n, len(want))
 		}
 	}
@@ -124,7 +124,7 @@ func (c *indexChecker) check(tr EncodedTriple) {
 			predSubs[t.S], predObjs[t.O] = true, true
 		}
 	}
-	if n, ds, do := c.s.PredicateCard(c.s.Dict().Decode(tr.P)); n != predTriples || ds != len(predSubs) || do != len(predObjs) {
+	if n, ds, do := c.s.PredicateCard(tr.P); n != predTriples || ds != len(predSubs) || do != len(predObjs) {
 		c.t.Fatalf("PredicateCard(%d) = (%d, %d, %d), want (%d, %d, %d)", tr.P, n, ds, do, predTriples, len(predSubs), len(predObjs))
 	}
 	if n, ds, dp, do := c.s.StoreCard(); n != len(c.ref) || ds != len(subs) || dp != len(preds) || do != len(objs) {

@@ -200,6 +200,11 @@ func (r *Runner) apply(delta []*products.Product, only Op) ([]Outcome, error) {
 
 	start := time.Now()
 	err = r.Store.ApplyFlush(f, func(tx *strabon.FlushTx) error {
+		// A product's refined count drops by its hotspots whose type
+		// triple a delete rule removes, found by ID.
+		dict := tx.Dict()
+		typ, _ := dict.Lookup(rdf.NewIRI(rdf.RDFType))
+		hotspot, _ := dict.Lookup(rdf.NewIRI(ontology.ClassHotspot))
 		if all {
 			// The store applied the insert before calling the rules.
 			d := share(time.Since(start))
@@ -220,8 +225,11 @@ func (r *Runner) apply(delta []*products.Product, only Op) ([]Outcome, error) {
 			affected := st.Inserted
 			if rule.deletes {
 				affected = st.Deleted
-				for _, t := range plan.Deletes() {
-					if i, ok := owner[t.S.Value]; ok && t.P.Value == rdf.RDFType && t.O.Value == ontology.ClassHotspot {
+				for _, t := range plan.DeleteIDs() {
+					if t.P != typ || t.O != hotspot {
+						continue
+					}
+					if i, ok := owner[dict.Decode(t.S).Value]; ok {
 						out[i].Refined--
 					}
 				}

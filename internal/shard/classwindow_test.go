@@ -89,7 +89,7 @@ func flatCopy(t *testing.T, st *Store) *rdf.Store {
 
 // referenceRows evaluates text over src with the capability-free
 // engine.
-func referenceRows(t *testing.T, src stsparql.StatSource, text string) []string {
+func referenceRows(t *testing.T, src stsparql.Source, text string) []string {
 	t.Helper()
 	q, err := stsparql.Parse(text, rdf.NewNamespaces())
 	if err != nil {
@@ -150,13 +150,12 @@ func (f flatWindows) SubjectSets(p, o rdf.ID, dst []rdf.IDSet) []rdf.IDSet {
 // canonical one, for a lexical window).
 type flatTimes struct{ flatWindows }
 
-func (f flatTimes) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {
-	pid, ok := f.Dict().Lookup(p)
-	if !ok {
-		return 0, true
-	}
+var _ stsparql.SpatialSource = flatWindows{}
+var _ stsparql.TimeRangeSource = flatTimes{}
+
+func (f flatTimes) CountTimeRange(p rdf.ID, w stsparql.TimeWindow) (int, bool) {
 	n, served := 0, true
-	f.MatchIDs(rdf.Wildcard, pid, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
+	f.MatchIDs(rdf.Wildcard, p, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
 		unix, canonical, ok := stsparql.TimeKey(f.Dict().Decode(t.O))
 		if served = ok && (canonical || !w.Lexical); served && unix >= w.Lo && unix <= w.Hi {
 			n++
@@ -167,7 +166,7 @@ func (f flatTimes) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool)
 }
 
 func (f flatTimes) MatchTimeRangeIDs(p rdf.ID, w stsparql.TimeWindow, visit func(rdf.EncodedTriple) bool) bool {
-	_, served := f.CountTimeRange(f.Dict().Decode(p), w)
+	_, served := f.CountTimeRange(p, w)
 	return f.MatchIDs(rdf.Wildcard, p, rdf.Wildcard, func(t rdf.EncodedTriple) bool {
 		if unix, _, _ := stsparql.TimeKey(f.Dict().Decode(t.O)); served && (unix < w.Lo || unix > w.Hi) {
 			return true

@@ -16,7 +16,7 @@ import (
 // capabilityFree hides every optional capability of a source — the time
 // index above all — leaving the plain scan-and-filter engine as the
 // oracle the time-range access path is compared against.
-type capabilityFree struct{ stsparql.StatSource }
+type capabilityFree struct{ stsparql.Source }
 
 // oracleQuery evaluates q with no index in play, over a flat copy of
 // st's triples.

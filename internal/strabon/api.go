@@ -54,8 +54,12 @@ func (tx *FlushTx) Select(q *stsparql.Prepared, seed []stsparql.Row) (*stsparql.
 // Apply applies a computed plan to the flush's state: deletes, then
 // inserts. Later rules of the flush see it; the store does at commit.
 func (tx *FlushTx) Apply(plan *stsparql.UpdatePlan) stsparql.UpdateStats {
-	return stsparql.ApplyPlan(tx.overlay, plan)
+	return tx.overlay.apply(plan)
 }
+
+// Dict is the store's term dictionary: the ID space of every plan's
+// effect.
+func (tx *FlushTx) Dict() *rdf.Dictionary { return tx.overlay.Dict() }
 
 // MaterialiseQuery drains one streaming evaluation into an owned
 // Result — the single materialising wrapper over a store. Cursor rows

@@ -116,9 +116,23 @@ func (ep *Endpoint) Stats() EndpointStats {
 	return ep.stats
 }
 
+// endpointRoute names the endpoint a request path routes to — "/sparql"
+// for the root too — or "other" for a path that routes nowhere. It is
+// also the request counter's label, so clients sending arbitrary paths
+// leave one "other" series, not a series per path.
+func endpointRoute(path string) string {
+	switch path = strings.TrimSuffix(path, "/"); path {
+	case "", "/sparql":
+		return "/sparql"
+	case "/update", "/explain", "/stats", "/metrics", "/debug/queries":
+		return path
+	}
+	return "other"
+}
+
 // ServeHTTP implements http.Handler.
 func (ep *Endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	path := strings.TrimSuffix(r.URL.Path, "/")
+	path := endpointRoute(r.URL.Path)
 	if ep.Metrics != nil {
 		// Resolve the trace ID once (minting is not idempotent) and pin it
 		// on the inbound headers so the handlers below see the same ID.
@@ -128,7 +142,7 @@ func (ep *Endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		ep.Metrics.countRequest(path)
 	}
 	switch path {
-	case "", "/sparql":
+	case "/sparql":
 		ep.serveQuery(w, r)
 	case "/update":
 		ep.serveUpdate(w, r)

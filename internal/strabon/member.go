@@ -77,7 +77,7 @@ func (m *member) Len() int {
 // capture) observe the latest published one.
 func (m *member) Generation() uint64 { return m.gen.Load() }
 
-// --- stsparql.Source / StatSource / SpatialSource ---
+// --- stsparql.Source / SpatialSource ---
 // The engine scans, joins and deduplicates on the dictionary's IDs and
 // materialises terms late. These, and the write methods below, run with
 // the member's lock already held by the Store; they never lock m.mu.
@@ -151,20 +151,15 @@ func (m *member) unlock() {
 	m.mu.Unlock()
 }
 
-// CountPattern implements stsparql.StatSource.
-func (m *member) CountPattern(sub, pred, obj rdf.Term) int {
-	return m.triples.CountPattern(sub, pred, obj)
-}
+// CountIDs implements stsparql.Source.
+func (m *member) CountIDs(sub, pred, obj rdf.ID) int { return m.triples.CountIDs(sub, pred, obj) }
 
-// CountIDs is CountPattern for an already-encoded pattern.
-func (m *member) CountIDs(sub, pred, obj rdf.ID) int { return m.triples.Count(sub, pred, obj) }
-
-// PredicateCard implements stsparql.StatSource.
-func (m *member) PredicateCard(pred rdf.Term) (triples, distinctS, distinctO int) {
+// PredicateCard implements stsparql.Source.
+func (m *member) PredicateCard(pred rdf.ID) (triples, distinctS, distinctO int) {
 	return m.triples.PredicateCard(pred)
 }
 
-// StoreCard implements stsparql.StatSource.
+// StoreCard implements stsparql.Source.
 func (m *member) StoreCard() (triples, subjects, predicates, objects int) {
 	return m.triples.StoreCard()
 }
@@ -206,9 +201,9 @@ func (m *member) holdsSubject(p rdf.ID, sets []rdf.IDSet) (held bool, looked int
 	for _, set := range sets {
 		n += set.Len()
 	}
-	if n < m.triples.Count(rdf.Wildcard, p, rdf.Wildcard) {
+	if n < m.triples.CountIDs(rdf.Wildcard, p, rdf.Wildcard) {
 		for _, set := range sets {
-			if !set.Each(func(s rdf.ID) bool { looked++; return m.triples.Count(s, p, rdf.Wildcard) == 0 }) {
+			if !set.Each(func(s rdf.ID) bool { looked++; return m.triples.CountIDs(s, p, rdf.Wildcard) == 0 }) {
 				return true, looked
 			}
 		}

@@ -44,7 +44,7 @@ func EnableTelemetry(ep *Endpoint, reg *obs.Registry, qlog *obs.QueryLog) *Telem
 		"Query latency by outcome (hit, miss, rejected, error).",
 		[]string{"outcome"}, nil)
 	t.requests = reg.NewCounterVec("strabon_http_requests_total",
-		"HTTP requests by endpoint path.", []string{"path"})
+		"HTTP requests by endpoint (\"other\": a path that routes nowhere).", []string{"path"})
 	t.rows = reg.NewCounter("strabon_result_rows_total",
 		"Result rows served by queries.")
 	t.admissionWait = reg.NewHistogram("strabon_admission_wait_seconds",
@@ -165,7 +165,7 @@ func EnableTelemetry(ep *Endpoint, reg *obs.Registry, qlog *obs.QueryLog) *Telem
 	return t
 }
 
-// countRequest bumps the per-path request counter.
+// countRequest bumps the request counter of a route (see endpointRoute).
 func (t *Telemetry) countRequest(path string) {
 	if t == nil {
 		return

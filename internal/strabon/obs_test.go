@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -163,6 +164,42 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, "# TYPE "+family+" ") {
 			t.Errorf("/metrics does not declare %s", family)
 		}
+	}
+}
+
+// TestRequestLabelsBounded: the request counter labels a request by the
+// endpoint it routes to, so a client sending many distinct paths that
+// route nowhere grows /metrics by one "other" series, not one per path.
+func TestRequestLabelsBounded(t *testing.T) {
+	ep, _ := newObsEndpoint(t)
+	serve := func(path string) (int, string) {
+		w := httptest.NewRecorder()
+		ep.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		return w.Code, w.Body.String()
+	}
+	for i := 0; i < 500; i++ {
+		if code, _ := serve(fmt.Sprintf("/no/such/path-%d", i)); code != http.StatusNotFound {
+			t.Fatalf("unknown path -> %d, want 404", code)
+		}
+	}
+	serve("/")
+	serve("/stats/")
+	_, body := serve("/metrics")
+	var series []string
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "strabon_http_requests_total{") {
+			series = append(series, line)
+		}
+	}
+	want := []string{
+		`strabon_http_requests_total{path="/metrics"} 1`,
+		`strabon_http_requests_total{path="/sparql"} 1`,
+		`strabon_http_requests_total{path="/stats"} 1`,
+		`strabon_http_requests_total{path="other"} 500`,
+	}
+	slices.Sort(series)
+	if !slices.Equal(series, want) {
+		t.Fatalf("request series:\n%s\nwant:\n%s", strings.Join(series, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -21,15 +21,20 @@ import (
 // triples with it; the terms it interned stay in the append-only
 // dictionary, referenced by nothing.
 //
-// It implements the engine's source interfaces like a View does, and
-// stsparql.UpdatableSource on top. Its time ranges are the base's minus
+// It is the View of the base members plus the private one, with the
+// three scans — MatchIDs, MatchGeometryWindowIDs, MatchTimeRangeIDs —
+// masking what the rules deleted. Its time ranges are the base's minus
 // what the rules deleted, then the private store's: a rule windowed by
 // its seed variables reads the window's hour through the time indexes,
-// not the hotspot history.
+// not the hotspot history. The rest of the View — statistics, subject
+// sets, window skips, time-range counts — ignores the deleted set: an
+// upper bound, which ranks join orders and narrows windows but never
+// affects results (a member holding only deleted triples is searched,
+// and the mask drops what it finds).
 type Overlay struct {
+	View  // base + added
 	base  View
 	added *member // private: no lock needed
-	all   View    // base + added
 	// addLog lists what was ever added, goneLog what was ever deleted
 	// from the base, in order; Effect replays them so a commit is
 	// deterministic. gone is the live deleted set, masked out of every
@@ -39,8 +44,6 @@ type Overlay struct {
 	goneLog []rdf.EncodedTriple
 }
 
-var _ stsparql.UpdatableSource = (*Overlay)(nil)
-var _ stsparql.StatSource = (*Overlay)(nil)
 var _ stsparql.SpatialSource = (*Overlay)(nil)
 var _ stsparql.TimeRangeSource = (*Overlay)(nil)
 
@@ -51,7 +54,7 @@ var _ stsparql.TimeRangeSource = (*Overlay)(nil)
 // hold.
 func newOverlay(base View, geoms *stsparql.Cache, groups [][]rdf.EncodedTriple) (*Overlay, []int) {
 	o := &Overlay{base: base, added: newMember(base.Dict(), geoms), gone: make(map[rdf.EncodedTriple]struct{})}
-	o.all = append(append(View(nil), base...), o.added)
+	o.View = append(append(View(nil), base...), o.added)
 	counts := make([]int, len(groups))
 	for gi, g := range groups {
 		// A subject the base has never seen — every hotspot of a new
@@ -105,34 +108,29 @@ func (o *Overlay) Effect() (deletes, inserts []rdf.EncodedTriple) {
 	return deletes, inserts
 }
 
-// Dict implements stsparql.Source.
-func (o *Overlay) Dict() *rdf.Dictionary { return o.base.Dict() }
-
-// Add implements stsparql.UpdatableSource.
-func (o *Overlay) Add(t rdf.Triple) bool {
-	enc := o.Dict().EncodeTriple(t)
-	if _, was := o.gone[enc]; was {
-		delete(o.gone, enc)
-		return true
+// apply applies a computed plan in store IDs: deletes, then inserts.
+// Deleting drops a triple the overlay added and masks a base triple;
+// inserting unmasks a deleted triple and adds one the base lacks.
+func (o *Overlay) apply(plan *stsparql.UpdatePlan) stsparql.UpdateStats {
+	st := stsparql.UpdateStats{Matched: plan.Matched}
+	for _, t := range plan.DeleteIDs() {
+		if o.added.RemoveEncoded(t) {
+			st.Deleted++
+		} else if _, was := o.gone[t]; !was && o.inBase(t) {
+			o.gone[t] = struct{}{}
+			o.goneLog = append(o.goneLog, t)
+			st.Deleted++
+		}
 	}
-	return !o.inBase(enc) && o.add(enc)
-}
-
-// Remove implements stsparql.UpdatableSource.
-func (o *Overlay) Remove(t rdf.Triple) bool {
-	enc, ok := o.Dict().LookupTriple(t)
-	if !ok {
-		return false
+	for _, t := range plan.InsertIDs() {
+		if _, was := o.gone[t]; was {
+			delete(o.gone, t)
+			st.Inserted++
+		} else if !o.inBase(t) && o.add(t) {
+			st.Inserted++
+		}
 	}
-	if o.added.RemoveEncoded(enc) {
-		return true
-	}
-	if _, was := o.gone[enc]; was || !o.inBase(enc) {
-		return false
-	}
-	o.gone[enc] = struct{}{}
-	o.goneLog = append(o.goneLog, enc)
-	return true
+	return st
 }
 
 // visible wraps a base visitor so it skips the triples the flush deleted.
@@ -149,56 +147,18 @@ func (o *Overlay) visible(visit func(rdf.EncodedTriple) bool) func(rdf.EncodedTr
 }
 
 // MatchIDs implements stsparql.Source. (A deleted base triple is never
-// also an added one — re-adding it just undeletes it — so the filter
-// can run over both.)
+// also an added one — re-adding it just undeletes it — so the mask can
+// run over both.)
 func (o *Overlay) MatchIDs(sub, pred, obj rdf.ID, visit func(rdf.EncodedTriple) bool) bool {
-	return o.all.MatchIDs(sub, pred, obj, o.visible(visit))
+	return o.View.MatchIDs(sub, pred, obj, o.visible(visit))
 }
 
 // MatchGeometryWindowIDs implements stsparql.SpatialSource.
 func (o *Overlay) MatchGeometryWindowIDs(env geom.Envelope, skip uint64, visit func(rdf.EncodedTriple) bool) bool {
-	return o.all.MatchGeometryWindowIDs(env, skip, o.visible(visit))
-}
-
-// WindowSkip implements stsparql.SpatialSource over the base members and
-// the private one. It ignores the deleted set: a member holding only
-// deleted triples is searched, and the mask drops what it finds.
-func (o *Overlay) WindowSkip(p rdf.ID, fixed [][]rdf.IDSet) (skip uint64, members int) {
-	return o.all.WindowSkip(p, fixed)
-}
-
-// SubjectSets implements stsparql.SpatialSource: the base's sets and the
-// private store's. A subject whose (p, o) the flush deleted stays in
-// them — the sets only need to be a superset.
-func (o *Overlay) SubjectSets(p, obj rdf.ID, dst []rdf.IDSet) []rdf.IDSet {
-	return o.all.SubjectSets(p, obj, dst)
-}
-
-// CountTimeRange implements stsparql.TimeRangeSource. Like the
-// statistics it ignores the deleted set: an upper bound.
-func (o *Overlay) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {
-	return o.all.CountTimeRange(p, w)
+	return o.View.MatchGeometryWindowIDs(env, skip, o.visible(visit))
 }
 
 // MatchTimeRangeIDs implements stsparql.TimeRangeSource.
 func (o *Overlay) MatchTimeRangeIDs(p rdf.ID, w stsparql.TimeWindow, visit func(rdf.EncodedTriple) bool) bool {
-	return o.all.MatchTimeRangeIDs(p, w, o.visible(visit))
-}
-
-// The statistics ignore the deleted set: they rank join orders and
-// never affect results.
-
-// CountPattern implements stsparql.StatSource.
-func (o *Overlay) CountPattern(sub, pred, obj rdf.Term) int {
-	return o.all.CountPattern(sub, pred, obj)
-}
-
-// PredicateCard implements stsparql.StatSource.
-func (o *Overlay) PredicateCard(pred rdf.Term) (triples, distinctS, distinctO int) {
-	return o.all.PredicateCard(pred)
-}
-
-// StoreCard implements stsparql.StatSource.
-func (o *Overlay) StoreCard() (triples, subjects, predicates, objects int) {
-	return o.all.StoreCard()
+	return o.View.MatchTimeRangeIDs(p, w, o.visible(visit))
 }

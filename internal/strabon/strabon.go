@@ -64,7 +64,7 @@
 //     WHERE clause runs beside the queries. A write-lock hold that
 //     changed anything bumps its member's generation exactly once, on
 //     release, invalidating cached results that read the member.
-//   - The members' stsparql source methods (MatchIDs, CountPattern,
+//   - The members' stsparql source methods (MatchIDs, CountIDs,
 //     MatchGeometryWindowIDs, MatchTimeRangeIDs, ...) and their write
 //     methods do NOT lock: the Store calls them with the member's lock
 //     already held.

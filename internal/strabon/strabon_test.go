@@ -49,7 +49,7 @@ func oracleQuery(t *testing.T, st *Store, src string) (*stsparql.Result, string)
 		t.Fatal(err)
 	}
 	defer st.lockAllRead()()
-	ev := stsparql.NewEvaluatorWithCache(struct{ stsparql.StatSource }{st.viewAll()}, st.cache)
+	ev := stsparql.NewEvaluatorWithCache(struct{ stsparql.Source }{st.viewAll()}, st.cache)
 	plan, err := ev.Explain(q)
 	if err != nil {
 		t.Fatal(err)

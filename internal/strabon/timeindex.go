@@ -63,7 +63,7 @@ func (m *member) timeAdd(enc rdf.EncodedTriple) bool {
 		}
 		// The predicate's first dateTime: whatever it carried before is
 		// unindexed.
-		run = &timeRun{other: m.triples.Count(rdf.Wildcard, enc.P, rdf.Wildcard) - 1}
+		run = &timeRun{other: m.triples.CountIDs(rdf.Wildcard, enc.P, rdf.Wildcard) - 1}
 		m.times[enc.P] = run
 	}
 	if !ok {
@@ -120,14 +120,10 @@ func (m *member) timeRemove(enc rdf.EncodedTriple) {
 // CountTimeRange implements stsparql.TimeRangeSource. A predicate the
 // member holds no triple of is served trivially, so a composite view's
 // empty members never veto the others.
-func (m *member) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {
-	pid, ok := m.triples.Dict().Lookup(p)
-	if !ok {
-		return 0, true
-	}
-	run := m.times[pid]
+func (m *member) CountTimeRange(p rdf.ID, w stsparql.TimeWindow) (int, bool) {
+	run := m.times[p]
 	if run == nil {
-		return 0, m.triples.Count(rdf.Wildcard, pid, rdf.Wildcard) == 0
+		return 0, m.triples.CountIDs(rdf.Wildcard, p, rdf.Wildcard) == 0
 	}
 	if !run.serves(w) {
 		return 0, false
@@ -177,7 +173,7 @@ func (m *member) span(p rdf.ID) *timeSpan {
 	run := m.times[p]
 	if run == nil {
 		if p != rdf.Wildcard {
-			sp.Other = m.triples.Count(rdf.Wildcard, p, rdf.Wildcard)
+			sp.Other = m.triples.CountIDs(rdf.Wildcard, p, rdf.Wildcard)
 		}
 		return sp
 	}
@@ -238,7 +234,7 @@ func (m *member) verifyTimeIndex() error {
 				return fmt.Errorf("time index of %s out of order at entry %d", p, i)
 			}
 			t := rdf.Triple{S: d.Decode(e.s), P: p, O: d.Decode(e.o)}
-			if seen[[2]rdf.ID{e.s, e.o}] || m.triples.Count(e.s, pid, e.o) == 0 {
+			if seen[[2]rdf.ID{e.s, e.o}] || m.triples.CountIDs(e.s, pid, e.o) == 0 {
 				return fmt.Errorf("time index of %s holds a removed or repeated triple %s", p, t)
 			}
 			seen[[2]rdf.ID{e.s, e.o}] = true

@@ -7,17 +7,16 @@ import (
 )
 
 // View is a composite triple source over several members of one Store,
-// presented to the engine as a single stsparql Source / StatSource /
-// SpatialSource / TimeRangeSource: the static store plus some slices, or
-// a flush's base members (see Overlay). The members were built over one
-// dictionary (newMember), so their scans emit IDs of one space, and they partition the data
-// (nothing is replicated), so concatenating their scans and summing
-// their statistics is exact. The caller holds every member's lock for
-// the lifetime of the evaluation — the view itself calls only the
-// unlocked stsparql interface methods.
+// presented to the engine as a single stsparql Source / SpatialSource /
+// TimeRangeSource: the static store plus some slices, or a flush's base
+// members (see Overlay). The members were built over one dictionary
+// (newMember), so their scans emit IDs of one space, and they partition
+// the data (nothing is replicated), so concatenating their scans and
+// summing their statistics is exact. The caller holds every member's
+// lock for the lifetime of the evaluation — the view itself calls only
+// the unlocked stsparql interface methods.
 type View []*member
 
-var _ stsparql.StatSource = View{}
 var _ stsparql.SpatialSource = View{}
 var _ stsparql.TimeRangeSource = View{}
 
@@ -35,17 +34,7 @@ func (v View) MatchIDs(sub, pred, obj rdf.ID, visit func(rdf.EncodedTriple) bool
 	return true
 }
 
-// CountPattern implements stsparql.StatSource (exact: members are
-// disjoint).
-func (v View) CountPattern(sub, pred, obj rdf.Term) int {
-	n := 0
-	for _, m := range v {
-		n += m.CountPattern(sub, pred, obj)
-	}
-	return n
-}
-
-// CountIDs is CountPattern for an already-encoded pattern.
+// CountIDs implements stsparql.Source (exact: members are disjoint).
 func (v View) CountIDs(sub, pred, obj rdf.ID) int {
 	n := 0
 	for _, m := range v {
@@ -54,10 +43,10 @@ func (v View) CountIDs(sub, pred, obj rdf.ID) int {
 	return n
 }
 
-// PredicateCard implements stsparql.StatSource. The distinct counts sum
+// PredicateCard implements stsparql.Source. The distinct counts sum
 // member-wise — an overestimate when a subject or object spans members,
 // which only skews estimates, never results.
-func (v View) PredicateCard(pred rdf.Term) (triples, distinctS, distinctO int) {
+func (v View) PredicateCard(pred rdf.ID) (triples, distinctS, distinctO int) {
 	for _, m := range v {
 		t, ds, do := m.PredicateCard(pred)
 		triples += t
@@ -67,7 +56,7 @@ func (v View) PredicateCard(pred rdf.Term) (triples, distinctS, distinctO int) {
 	return
 }
 
-// StoreCard implements stsparql.StatSource.
+// StoreCard implements stsparql.Source.
 func (v View) StoreCard() (triples, subjects, predicates, objects int) {
 	for _, m := range v {
 		t, s2, p2, o2 := m.StoreCard()
@@ -113,7 +102,7 @@ func (v View) SubjectSets(p, o rdf.ID, dst []rdf.IDSet) []rdf.IDSet {
 
 // CountTimeRange implements stsparql.TimeRangeSource: the view serves a
 // time range when every member does, and the counts add up.
-func (v View) CountTimeRange(p rdf.Term, w stsparql.TimeWindow) (int, bool) {
+func (v View) CountTimeRange(p rdf.ID, w stsparql.TimeWindow) (int, bool) {
 	total := 0
 	for _, m := range v {
 		n, ok := m.CountTimeRange(p, w)

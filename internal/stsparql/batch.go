@@ -1,6 +1,7 @@
 package stsparql
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/rdf"
@@ -30,19 +31,14 @@ const (
 
 // varSchema is the ordered variable layout of a plan segment, fixed at
 // plan (or open) time: every batch flowing through the segment uses the
-// same column order, so probe rows copy column-to-column.
+// same column order, so probe rows copy column-to-column. A schema holds
+// a handful of variables, so a column is found by a scan of the names,
+// not through a map.
 type varSchema struct {
 	names []string
-	index map[string]int
 }
 
-func newSchema(names []string) *varSchema {
-	s := &varSchema{names: names, index: make(map[string]int, len(names))}
-	for i, n := range names {
-		s.index[n] = i
-	}
-	return s
-}
+func newSchema(names []string) *varSchema { return &varSchema{names: names} }
 
 // schemaOf builds a schema over the sorted, deduplicated variable set.
 func schemaOf(set map[string]bool) *varSchema {
@@ -55,8 +51,8 @@ func schemaOf(set map[string]bool) *varSchema {
 }
 
 func (s *varSchema) col(name string) (int, bool) {
-	c, ok := s.index[name]
-	return c, ok
+	c := slices.Index(s.names, name)
+	return c, c >= 0
 }
 
 // Batch is a columnar slab of bindings, carrying the evaluation's term

@@ -1,7 +1,6 @@
 package stsparql
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/geom"
@@ -9,8 +8,13 @@ import (
 )
 
 // Source is the triple source queries run against: dictionary-encoded
-// triples and the dictionary they are encoded in. The engine scans,
-// joins and deduplicates on the source's IDs and decodes late.
+// triples, the dictionary they are encoded in, and the cardinality
+// statistics the planner costs join orders with. Every method speaks
+// the dictionary's IDs — a pattern constant the dictionary lacks is the
+// caller's miss, never the source's — so the engine scans, joins,
+// deduplicates and plans on IDs and decodes late. Spatial windows
+// (SpatialSource) and time ranges (TimeRangeSource) are the optional
+// extensions.
 type Source interface {
 	// Dict exposes the source's term dictionary. It must honour the
 	// rdf.Dictionary contract: append-only, IDs stable, safe to read
@@ -20,14 +24,20 @@ type Source interface {
 	// rdf.Wildcard components match anything. visit returns false to
 	// stop; MatchIDs reports whether the scan ran to its end.
 	MatchIDs(s, p, o rdf.ID, visit func(rdf.EncodedTriple) bool) bool
-}
 
-// UpdatableSource additionally supports mutation, required by
-// DELETE/INSERT requests.
-type UpdatableSource interface {
-	Source
-	Add(rdf.Triple) bool
-	Remove(rdf.Triple) bool
+	// The statistics must be cheap (O(1)-ish; rdf.Store maintains them
+	// incrementally). They rank join orders and never affect results.
+
+	// CountIDs returns the number of triples matching an encoded
+	// pattern (exact on a store; an overlay's counts ignore what its
+	// flush deleted).
+	CountIDs(s, p, o rdf.ID) int
+	// PredicateCard reports triples, distinct subjects and distinct
+	// objects for one predicate.
+	PredicateCard(p rdf.ID) (triples, distinctS, distinctO int)
+	// StoreCard reports total triples and distinct subject / predicate /
+	// object counts.
+	StoreCard() (triples, subjects, predicates, objects int)
 }
 
 // SpatialSource is an optional Source extension: a store that maintains a
@@ -273,8 +283,10 @@ var unitSeed = []Row{{}}
 // WHERE solutions have been matched and both templates instantiated
 // against the pre-update state. It is ID-native: template instances are
 // ID tuples of the evaluation's dictionary, deduplicated on the tuple,
-// and terms materialise only when the plan is applied or inspected. A
-// plan is meant to be applied to the state it was computed against.
+// and it hands its effect over in store IDs (DeleteIDs, InsertIDs),
+// which the caller applies: deletes before inserts, per SPARQL Update
+// semantics. A plan is meant to be applied to the state it was computed
+// against.
 type UpdatePlan struct {
 	Matched int // WHERE solutions
 
@@ -285,26 +297,32 @@ type UpdatePlan struct {
 
 type idTriple [3]termID
 
-func (t idTriple) decode(d *execDict) rdf.Triple {
-	return rdf.Triple{S: d.decode(t[0]), P: d.decode(t[1]), O: d.decode(t[2])}
-}
-
-// Deletes decodes the triples the plan removes.
-func (p *UpdatePlan) Deletes() []rdf.Triple { return p.decode(p.deletes) }
-
-// Inserts decodes the triples the plan adds.
-func (p *UpdatePlan) Inserts() []rdf.Triple { return p.decode(p.inserts) }
-
-// InsertCount reports how many distinct triples the plan adds.
-func (p *UpdatePlan) InsertCount() int { return len(p.inserts) }
-
-func (p *UpdatePlan) decode(ts []idTriple) []rdf.Triple {
-	out := make([]rdf.Triple, len(ts))
-	for i, t := range ts {
-		out[i] = t.decode(p.dict)
+// DeleteIDs returns the triples the plan removes, in store IDs. A triple
+// naming a term the evaluation computed (an overflow ID) is left out: no
+// stored triple can carry it.
+func (p *UpdatePlan) DeleteIDs() []rdf.EncodedTriple {
+	out := make([]rdf.EncodedTriple, 0, len(p.deletes))
+	for _, t := range p.deletes {
+		if t[0] < overflowBase && t[1] < overflowBase && t[2] < overflowBase {
+			out = append(out, rdf.EncodedTriple{S: rdf.ID(t[0]), P: rdf.ID(t[1]), O: rdf.ID(t[2])})
+		}
 	}
 	return out
 }
+
+// InsertIDs returns the triples the plan adds, in store IDs: a term the
+// evaluation computed is interned into the store dictionary, once. The
+// caller serialises the dictionary's appenders (see rdf.Dictionary).
+func (p *UpdatePlan) InsertIDs() []rdf.EncodedTriple {
+	out := make([]rdf.EncodedTriple, len(p.inserts))
+	for i, t := range p.inserts {
+		out[i] = rdf.EncodedTriple{S: p.dict.intern(t[0]), P: p.dict.intern(t[1]), O: p.dict.intern(t[2])}
+	}
+	return out
+}
+
+// InsertCount reports how many distinct triples the plan adds.
+func (p *UpdatePlan) InsertCount() int { return len(p.inserts) }
 
 // Insert appends ground triples to the plan's insert set — data a caller
 // derived from the same pre-update state and wants applied in the same
@@ -352,7 +370,7 @@ func (e *Evaluator) PlanUpdate(q *UpdateQuery) (*UpdatePlan, error) {
 // planUpdate drains the WHERE pipeline batch by batch and instantiates
 // both templates per solution row straight off the ID columns. SPARQL
 // Update semantics: both instantiations are computed against the
-// pre-update state; ApplyPlan then deletes before it inserts.
+// pre-update state, and the caller deletes before it inserts.
 func (e *Evaluator) planUpdate(q *UpdateQuery, where *groupPlan, vars []string, seed []Row) (*UpdatePlan, error) {
 	plan := &UpdatePlan{dict: e.dict}
 	it := where.open(e, seedIter(e.dict, where.schema, vars, seed))
@@ -400,36 +418,6 @@ func (e *Evaluator) planUpdate(q *UpdateQuery, where *groupPlan, vars []string, 
 			plan.inserts = emit(b, i, ins, seenI, plan.inserts)
 		}
 	}
-}
-
-// ApplyPlan applies a computed update plan to a source: deletes before
-// inserts, per SPARQL Update semantics.
-func ApplyPlan(up UpdatableSource, plan *UpdatePlan) UpdateStats {
-	stats := UpdateStats{Matched: plan.Matched}
-	for _, t := range plan.deletes {
-		if up.Remove(t.decode(plan.dict)) {
-			stats.Deleted++
-		}
-	}
-	for _, t := range plan.inserts {
-		if up.Add(t.decode(plan.dict)) {
-			stats.Inserted++
-		}
-	}
-	return stats
-}
-
-// Update executes a DELETE/INSERT request against an updatable source.
-func (e *Evaluator) Update(q *UpdateQuery) (UpdateStats, error) {
-	up, ok := e.src.(UpdatableSource)
-	if !ok {
-		return UpdateStats{}, fmt.Errorf("stsparql: source is not updatable")
-	}
-	plan, err := e.PlanUpdate(q)
-	if err != nil {
-		return UpdateStats{}, err
-	}
-	return ApplyPlan(up, plan), nil
 }
 
 // --- projection / modifier helpers (used by the tail operators) ---

@@ -91,6 +91,16 @@ func (d *execDict) decode(id termID) rdf.Term {
 	return d.over[id-overflowBase]
 }
 
+// intern returns the store ID of one of the evaluation's IDs, interning
+// an overflow term into the store dictionary — what applying a plan's
+// inserts does, with the store's appenders serialised.
+func (d *execDict) intern(id termID) rdf.ID {
+	if id < overflowBase {
+		return rdf.ID(id)
+	}
+	return d.store.Encode(d.over[id-overflowBase])
+}
+
 // storeID resolves a term against the store dictionary as of the pin —
 // also the scan path's constant resolution. ok=false means no triple
 // this evaluation can see carries the term, so a pattern bound to it

@@ -33,8 +33,11 @@ type lexer struct {
 	toks []token
 }
 
+// lex tokenises src. The token slice is sized up front from the text —
+// about one token per four bytes, at most 128 — so a typical query
+// lexes into one allocation.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1}
+	l := &lexer{src: src, line: 1, toks: make([]token, 0, min(len(src)/4+1, 128))}
 	for {
 		tok, err := l.next()
 		if err != nil {

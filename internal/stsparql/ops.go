@@ -1618,7 +1618,7 @@ func (e *Evaluator) subjectSets(f subjectFilter, probe rowRef) []rdf.IDSet {
 	}
 	n, served := 0, f.time != nil && e.timed != nil
 	if served {
-		n, served = e.timed.CountTimeRange(f.p, k.w)
+		n, served = e.timed.CountTimeRange(k.p, k.w)
 	}
 	var sets []rdf.IDSet
 	switch {

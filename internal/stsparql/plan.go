@@ -12,28 +12,13 @@ import (
 // This file is the logical planner of the stSPARQL engine: it compiles a
 // parsed query into the operator pipeline of ops.go. The planner orders
 // basic graph patterns by cardinality estimates drawn from the source's
-// maintained statistics (StatSource), pushes filters down to the
-// earliest point where their variables are certainly bound, routes
-// R-tree-servable geometry patterns through window scans and
-// time-windowed patterns through the source's dateTime index (the
-// filters stay behind as residuals), and picks hash joins for large or
-// disconnected intermediate results. Explain renders the chosen plan.
-
-// StatSource is an optional Source extension providing the cardinality
-// statistics the planner costs join orders with. All methods must be
-// cheap (O(1)-ish); rdf.Store maintains them incrementally.
-type StatSource interface {
-	Source
-	// CountPattern returns the exact number of triples matching a term
-	// pattern (zero Terms are wildcards).
-	CountPattern(s, p, o rdf.Term) int
-	// PredicateCard reports triples, distinct subjects and distinct
-	// objects for one predicate.
-	PredicateCard(p rdf.Term) (triples, distinctS, distinctO int)
-	// StoreCard reports total triples and distinct subject / predicate /
-	// object counts.
-	StoreCard() (triples, subjects, predicates, objects int)
-}
+// maintained statistics (Source.CountIDs, PredicateCard, StoreCard),
+// pushes filters down to the earliest point where their variables are
+// certainly bound, routes R-tree-servable geometry patterns through
+// window scans and time-windowed patterns through the source's dateTime
+// index (the filters stay behind as residuals), and picks hash joins
+// for large or disconnected intermediate results. Explain renders the
+// chosen plan.
 
 const (
 	// spatialWindowSelectivity scales the estimate of a geometry pattern
@@ -56,8 +41,7 @@ const (
 
 // planner compiles queries for one evaluator.
 type planner struct {
-	e     *Evaluator
-	stats StatSource // nil when the source keeps no statistics
+	e *Evaluator
 	// firstBatch is the first-batch size hint for the SELECT currently
 	// being compiled: when a pushed LIMIT bounds the reachable rows below
 	// batchSizeMin, scans open with a batch of that size so the early
@@ -70,15 +54,12 @@ type planner struct {
 	// keep no state across runs.
 	seed []string
 
-	totalTriples, totalSubj, totalPred, totalObj int
+	totalSubj, totalPred, totalObj int
 }
 
 func (e *Evaluator) newPlanner() *planner {
 	p := &planner{e: e}
-	if st, ok := e.src.(StatSource); ok {
-		p.stats = st
-		p.totalTriples, p.totalSubj, p.totalPred, p.totalObj = st.StoreCard()
-	}
+	_, p.totalSubj, p.totalPred, p.totalObj = e.src.StoreCard()
 	return p
 }
 
@@ -391,7 +372,7 @@ func (p *planner) planGroup(gp *GroupPattern, bound map[string]bool, inEst float
 // and the exact geometry only on the municipalities among them.
 func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, applied map[*FilterElement]bool, bound map[string]bool, inEst float64, buffered bool, schema *varSchema) ([]operator, float64) {
 	remaining := append([]TriplePattern(nil), patterns...)
-	var ops []operator
+	ops := make([]operator, 0, len(patterns)+len(filters))
 	wins := p.timeWindows(patterns, filters, bound)
 
 	for len(remaining) > 0 {
@@ -452,24 +433,21 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 				op.window = windowArgs(f.Cond, pat.O.Var, c, op.window)
 			}
 		}
-		// Hash joins need real cardinalities: without statistics the
-		// pseudo-estimates rank patterns but do not measure rows, so the
-		// planner sticks to bind joins.
 		switch {
 		case bestWindow:
 			op.strategy, op.subjects = joinWindow, windowFilters(pat, remaining, bound, wins, schema)
 		case bestRange != nil:
 			op.strategy, op.trange, op.trCols = joinTimeRange, bestRange, windowCols(bestRange, schema)
-		case p.stats != nil && len(op.shared) == 0 && inEst >= crossJoinHashMinRows:
+		case len(op.shared) == 0 && inEst >= crossJoinHashMinRows:
 			// Disconnected pattern: bind degenerates to a rescan per row.
 			op.strategy = joinHash
-		case p.stats != nil && len(op.shared) > 0 && inEst >= hashJoinMinRows &&
-			p.scanAllEstimate(pat) <= inEst*maxf(bestEst, 1):
+		case len(op.shared) > 0 && inEst >= hashJoinMinRows &&
+			float64(p.count(pat)) <= inEst*max(bestEst, 1):
+			// The build side materialises the pattern's matches with only
+			// its constants bound.
 			op.strategy = joinHash
 		}
-		if p.stats != nil {
-			inEst *= maxf(bestEst, 1.0/16)
-		}
+		inEst *= max(bestEst, 1.0/16)
 		op.est = inEst
 		ops = append(ops, op)
 
@@ -611,7 +589,11 @@ func (p *planner) timeRangeFor(pat TriplePattern, wins map[string]*TimeWindow, b
 	if w == nil {
 		return nil, 0, false
 	}
-	n, ok := p.e.timed.CountTimeRange(pat.P.Term, *w)
+	pid, ok := p.statID(pat.P)
+	if !ok {
+		return w, 0, true // no triple carries p: served, and empty
+	}
+	n, ok := p.e.timed.CountTimeRange(pid, *w)
 	return w, n, ok
 }
 
@@ -642,6 +624,30 @@ func hasGroundPattern(remaining []TriplePattern, bound map[string]bool) bool {
 	return false
 }
 
+// statID resolves a pattern component for the statistics: a variable is
+// the wildcard, a constant its store ID. Constants resolve through the
+// dictionary's Lookup, not the evaluation's pin: a plan may be compiled
+// outside an evaluation. ok is false for a constant the dictionary
+// lacks, which no triple carries.
+func (p *planner) statID(tv TermOrVar) (rdf.ID, bool) {
+	if tv.IsVar() {
+		return rdf.Wildcard, true
+	}
+	return p.e.src.Dict().Lookup(tv.Term)
+}
+
+// count is the exact number of the pattern's matches with only its
+// constants bound: 0 when one of them misses.
+func (p *planner) count(pat TriplePattern) int {
+	sid, okS := p.statID(pat.S)
+	pid, okP := p.statID(pat.P)
+	oid, okO := p.statID(pat.O)
+	if !okS || !okP || !okO {
+		return 0
+	}
+	return p.e.src.CountIDs(sid, pid, oid)
+}
+
 // estimateFanout estimates how many matches one input row finds in the
 // pattern. Components are either constants (usable in exact counts),
 // certainly-bound variables (whose value is unknown at plan time —
@@ -651,71 +657,32 @@ func (p *planner) estimateFanout(pat TriplePattern, bound map[string]bool) float
 	pBound := pat.P.IsVar() && bound[pat.P.Var]
 	oBound := pat.O.IsVar() && bound[pat.O.Var]
 
-	if p.stats == nil {
-		// No statistics: order by boundness, the old evaluator's
-		// heuristic, expressed as a pseudo-estimate.
-		est := 1e9
-		for _, c := range []struct {
-			tv      TermOrVar
-			isBound bool
-		}{{pat.S, sBound}, {pat.P, pBound}, {pat.O, oBound}} {
-			if !c.tv.IsVar() || c.isBound {
-				est /= 1000
-			}
-		}
-		if !pat.P.IsVar() {
-			est /= 2
-		}
-		return est
-	}
-
-	term := func(tv TermOrVar) rdf.Term {
-		if tv.IsVar() {
-			return rdf.Term{}
-		}
-		return tv.Term
-	}
-	base := float64(p.stats.CountPattern(term(pat.S), term(pat.P), term(pat.O)))
+	base := float64(p.count(pat))
 	if !sBound && !pBound && !oBound {
 		return base // exact
 	}
 	var distinctS, distinctO int
-	if !pat.P.IsVar() {
-		_, distinctS, distinctO = p.stats.PredicateCard(pat.P.Term)
+	if pid, ok := p.statID(pat.P); ok && pid != rdf.Wildcard {
+		_, distinctS, distinctO = p.e.src.PredicateCard(pid)
 	}
 	if sBound {
 		if !pat.P.IsVar() {
-			base /= float64(maxi(distinctS, 1))
+			base /= float64(max(distinctS, 1))
 		} else {
-			base /= float64(maxi(p.totalSubj, 1))
+			base /= float64(max(p.totalSubj, 1))
 		}
 	}
 	if oBound {
 		if !pat.P.IsVar() {
-			base /= float64(maxi(distinctO, 1))
+			base /= float64(max(distinctO, 1))
 		} else {
-			base /= float64(maxi(p.totalObj, 1))
+			base /= float64(max(p.totalObj, 1))
 		}
 	}
 	if pBound {
-		base /= float64(maxi(p.totalPred, 1))
+		base /= float64(max(p.totalPred, 1))
 	}
 	return base
-}
-
-// scanAllEstimate estimates the cost of materialising the pattern's
-// matches with only its constants bound — the hash join's build side.
-func (p *planner) scanAllEstimate(pat TriplePattern) float64 {
-	if p.stats == nil {
-		return 1e9
-	}
-	term := func(tv TermOrVar) rdf.Term {
-		if tv.IsVar() {
-			return rdf.Term{}
-		}
-		return tv.Term
-	}
-	return float64(p.stats.CountPattern(term(pat.S), term(pat.P), term(pat.O)))
 }
 
 // spatialJoinReady reports whether a pending filter spatially joins
@@ -855,18 +822,4 @@ func containsVar(vars []string, v string) bool {
 		}
 	}
 	return false
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

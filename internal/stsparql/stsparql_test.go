@@ -101,6 +101,27 @@ func selectAll(e *Evaluator, q *Query) (*Result, error) {
 // ask compiles an ASK on e and evaluates it.
 func ask(e *Evaluator, q *Query) (bool, error) { return e.AskCompiled(e.Compile(q)) }
 
+// update plans q over s and applies the plan to s, deletes before
+// inserts.
+func update(s *rdf.Store, q *UpdateQuery) (UpdateStats, error) {
+	plan, err := NewEvaluator(s).PlanUpdate(q)
+	if err != nil {
+		return UpdateStats{}, err
+	}
+	stats := UpdateStats{Matched: plan.Matched}
+	for _, t := range plan.DeleteIDs() {
+		if s.RemoveEncoded(t) {
+			stats.Deleted++
+		}
+	}
+	for _, t := range plan.InsertIDs() {
+		if s.AddEncoded(t) {
+			stats.Inserted++
+		}
+	}
+	return stats, nil
+}
+
 func runSelect(t *testing.T, s *rdf.Store, src string) *Result {
 	t.Helper()
 	q := mustParse(t, src)
@@ -572,7 +593,7 @@ WHERE {
 		t.Fatal("not an update")
 	}
 	before := s.Len()
-	stats, err := NewEvaluator(s).Update(q.Update)
+	stats, err := update(s, q.Update)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +628,7 @@ WHERE {
   HAVING strdf:overlap(?hGeo, strdf:union(?cGeo))
 }`
 	q := mustParse(t, src)
-	stats, err := NewEvaluator(s).Update(q.Update)
+	stats, err := update(s, q.Update)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -636,7 +657,7 @@ INSERT DATA {
   noa:h1 a noa:Hotspot ;
     noa:hasConfidence 0.5 .
 }`)
-	stats, err := NewEvaluator(s).Update(q.Update)
+	stats, err := update(s, q.Update)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +670,7 @@ func TestDeleteWhereShorthand(t *testing.T) {
 	s := fixtureStore()
 	q := mustParse(t, `
 DELETE WHERE { ?h a noa:Hotspot . }`)
-	stats, err := NewEvaluator(s).Update(q.Update)
+	stats, err := update(s, q.Update)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,17 +772,6 @@ SELECT ?p ?o WHERE { <`+noaNS+`Hotspot_land> ?p ?o . }`)
 		t.Fatalf("rows = %d, want 5", len(res.Rows))
 	}
 }
-
-func TestUpdateOnNonUpdatableSource(t *testing.T) {
-	q := mustParse(t, `DELETE WHERE { ?s ?p ?o }`)
-	ev := NewEvaluator(readOnlySource{fixtureStore()})
-	if _, err := ev.Update(q.Update); err == nil {
-		t.Fatal("update on read-only source should fail")
-	}
-}
-
-// readOnlySource hides the store's Add/Remove behind the plain Source.
-type readOnlySource struct{ Source }
 
 // TestEvaluatorRefusesAnotherDictionarysCache: a geometry cache keys
 // its parses by the IDs of one dictionary, so an evaluator over a

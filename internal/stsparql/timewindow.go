@@ -252,7 +252,7 @@ type TimeRangeSource interface {
 	// is lexical — and if so at most how many MatchTimeRangeIDs will
 	// visit (exact on a store; an overlay counts what its flush deleted).
 	// Variable bounds are not read: the count is over the constant ones.
-	CountTimeRange(p rdf.Term, w TimeWindow) (n int, ok bool)
+	CountTimeRange(p rdf.ID, w TimeWindow) (n int, ok bool)
 	// MatchTimeRangeIDs streams a superset of the encoded triples
 	// (?s, p, ?t) whose ?t can satisfy w: the index range when
 	// CountTimeRange says ok, every triple of p otherwise. Like MatchIDs

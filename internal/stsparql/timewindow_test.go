@@ -123,11 +123,11 @@ type timedFixture struct {
 	scans *int
 }
 
-func (f timedFixture) CountTimeRange(p rdf.Term, w TimeWindow) (int, bool) {
+var _ TimeRangeSource = timedFixture{}
+
+func (f timedFixture) CountTimeRange(p rdf.ID, w TimeWindow) (int, bool) {
 	n := 0
-	if pid, ok := f.Dict().Lookup(p); ok {
-		f.match(pid, w, func(rdf.EncodedTriple) bool { n++; return true })
-	}
+	f.match(p, w, func(rdf.EncodedTriple) bool { n++; return true })
 	return n, true
 }
 
