@@ -11,7 +11,7 @@ build:
 test:
 	$(GO) test -race ./...
 	$(GO) test -shuffle=on ./...
-	$(GO) test -race -count=2 -run 'TestEndpointConcurrent|TestConcurrentEndpointSmoke|TestEndpointStreamsDuringWrites|TestWriteTransactionsBesideQueries|TestGeometryParsedOncePerTerm|TestUpdateEffectInStoreIDs|TestRequestLabelsBounded' ./internal/strabon
+	$(GO) test -race -count=2 -run 'TestEndpointConcurrent|TestConcurrentEndpointSmoke|TestEndpointStreamsDuringWrites|TestWriteTransactionsBesideQueries|TestGeometryParsedOncePerTerm|TestUpdateEffectInStoreIDs|TestRequestLabelsBounded|TestRecordedBodyConcurrentHits' ./internal/strabon
 	$(GO) test -race -count=2 -run 'TestShardStreamsDuringWrites|TestShardedPipelineMatchesSingle|TestNoPartialRefinementVisible|TestShardResultCacheInvalidation|TestTimeRangeDifferential|TestClassWindowMatchesTypeProbe|TestWindowNarrowingKeepsCrossMemberSubjects|TestShardZonedTimeLiteral|TestShardCacheRefusesZonedLexicalWindow|TestReaderComputesWhatWriterInterns|TestWindowedCursorLocksOnlyItsSlices' ./internal/shard
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 

@@ -3,7 +3,9 @@
 // roadmap. It skips parse, plan and evaluation for a repeated query:
 // the endpoint stores the format-independent row set of a finished query
 // and replays it through the ordinary result encoders on the next
-// request for the same text.
+// request for the same text. That replay records what it rendered, once
+// per result format, and later requests in that format write the
+// recorded bytes without rebuilding a term.
 //
 // Invalidation is by generation vector, not TTL. Every entry carries
 // the (slice, generation) pairs of exactly the member stores its rows
@@ -28,6 +30,7 @@ package resultcache
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/stsparql"
 )
@@ -59,14 +62,38 @@ type GenVector struct {
 }
 
 // Entry is one cached result: an ASK verdict or a SELECT row set,
-// stored format-independently (the endpoint re-encodes per request).
+// stored format-independently, plus at most one recorded Body per
+// result format — the bytes the first complete replay in that format
+// rendered, which later hits write as they are (Record).
 type Entry struct {
 	Ask  bool
 	Snap *stsparql.RowSnapshot
 
-	vec   GenVector
-	bytes int64
+	bodies [2]atomic.Pointer[Body] // by Format
+	vec    GenVector
+	bytes  int64
 }
+
+// Format indexes an entry's recorded bodies: one per result format.
+type Format uint8
+
+const (
+	JSON Format = iota
+	TSV
+)
+
+// Body is one entry rendered in one format: the exact bytes a complete
+// replay wrote — head, rows and end — and the offset just past each row.
+type Body struct {
+	Bytes []byte
+	Ends  []int
+}
+
+// size is the body's footprint, in the unit of the cache's byte bound.
+func (b *Body) size() int64 { return int64(cap(b.Bytes)+8*cap(b.Ends)) + 48 }
+
+// Body returns the entry's recorded body in format f, or nil.
+func (e *Entry) Body(f Format) *Body { return e.bodies[f].Load() }
 
 // Stats is a snapshot of cache effectiveness counters. Invalidations
 // counts entries dropped because their generation vector went stale;
@@ -170,6 +197,35 @@ func (c *Cache) Put(key string, e *Entry, vec GenVector) {
 		c.bytes += e.bytes
 		c.admitted++
 	}
+	c.evictLocked()
+}
+
+// Record publishes b as e's body in format f and charges its bytes to
+// the cache, evicting from the LRU tail while over the byte bound. It
+// keeps b only if e is still the entry under key, holds no body in f
+// yet, and b fits the per-entry admission bound; it reports whether b
+// was kept.
+func (c *Cache) Record(key string, e *Entry, f Format, b *Body) bool {
+	n := b.size()
+	if bound := c.MaxEntryBytes(); bound > 0 && n > bound {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok || el.Value.(*cacheEntry).e != e || e.bodies[f].Load() != nil {
+		return false
+	}
+	e.bodies[f].Store(b)
+	e.bytes += n
+	c.bytes += n
+	c.evictLocked()
+	return true
+}
+
+// evictLocked drops entries from the LRU tail while the cache is over
+// either bound.
+func (c *Cache) evictLocked() {
 	for c.lru.Len() > c.maxEntries || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
 		back := c.lru.Back()
 		if back == nil {

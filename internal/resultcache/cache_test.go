@@ -129,3 +129,148 @@ func TestCacheSweepsStaleEntries(t *testing.T) {
 		}
 	}
 }
+
+func bodyOf(n int) *Body { return &Body{Bytes: make([]byte, n), Ends: []int{n}} }
+
+// plainBytes is what one single-row entry under a one-letter key costs.
+func plainBytes() int64 {
+	c := New(1, 0)
+	c.Put("k", &Entry{Snap: snapOf(1)}, vec(1))
+	return c.Stats().Bytes
+}
+
+// TestCacheChargesRecordedBodies: a recorded body is charged when it is
+// recorded and released with its entry — on eviction, invalidation,
+// sweep and replacement by Put — so Stats.Bytes is back at 0 once the
+// cache is empty.
+func TestCacheChargesRecordedBodies(t *testing.T) {
+	plain := plainBytes()
+	live := uint64(1)
+	valid := func(v GenVector) bool { return v.Gens[0].Gen >= live }
+	c := New(2, 0)
+	put := func(key string) *Entry {
+		e := &Entry{Snap: snapOf(1)}
+		c.Put(key, e, vec(live))
+		return e
+	}
+	record := func(key string, e *Entry) {
+		t.Helper()
+		for _, f := range []Format{JSON, TSV} {
+			before, b := c.Stats().Bytes, bodyOf(100+int(f))
+			if !c.Record(key, e, f, b) || e.Body(f) != b {
+				t.Fatalf("%s: body in format %d not kept", key, f)
+			}
+			if got := c.Stats().Bytes - before; got != b.size() {
+				t.Fatalf("%s: recording charged %d bytes, want %d", key, got, b.size())
+			}
+		}
+	}
+	wantBytes := func(step string, want int64) {
+		t.Helper()
+		if got := c.Stats().Bytes; got != want {
+			t.Fatalf("after %s: Stats.Bytes = %d, want %d", step, got, want)
+		}
+	}
+
+	record("a", put("a"))
+	put("b")
+	put("c") // the entry bound evicts a, bodies and all
+	wantBytes("eviction", 2*plain)
+
+	record("b", mustGet(t, c, "b", valid))
+	record("c", mustGet(t, c, "c", valid))
+	c.Put("b", &Entry{Snap: snapOf(1)}, vec(live)) // replaces b's entry
+	wantBytes("replacement", 2*plain+bodyOf(100).size()+bodyOf(101).size())
+
+	live = 2
+	c.Get("c", valid) // stale: dropped with its bodies
+	wantBytes("invalidation", plain)
+
+	c = New(8, 0)
+	live = 1
+	record("x", put("x"))
+	live = 2
+	c.Get("y", valid) // two admissions, one entry: sweeps x
+	wantBytes("sweep", 0)
+	if st := c.Stats(); st.Entries != 0 || st.Invalidations != 1 {
+		t.Fatalf("sweep: %+v", st)
+	}
+}
+
+// mustGet returns the live entry under key.
+func mustGet(t *testing.T, c *Cache, key string, valid func(GenVector) bool) *Entry {
+	t.Helper()
+	e, ok := c.Get(key, valid)
+	if !ok {
+		t.Fatalf("%s: no live entry", key)
+	}
+	return e
+}
+
+// TestCacheRecordRefuses: a body is kept only on the live entry under
+// its key, once per format, and within the per-entry bound; a refused
+// body is neither published nor charged.
+func TestCacheRecordRefuses(t *testing.T) {
+	c := New(4, 4096)
+	old := &Entry{Snap: snapOf(1)}
+	c.Put("q", old, vec(1))
+	cur := &Entry{Snap: snapOf(1)}
+	c.Put("q", cur, vec(1)) // old is no longer under q
+	gone := &Entry{Snap: snapOf(1)}
+	c.Put("g", gone, vec(2))
+	c.Get("g", func(v GenVector) bool { return v.Gens[0].Gen == 1 }) // invalidates g
+	base := c.Stats().Bytes
+
+	for _, tc := range []struct {
+		name string
+		key  string
+		e    *Entry
+		b    *Body
+	}{
+		{"replaced entry", "q", old, bodyOf(10)},
+		{"invalidated entry", "g", gone, bodyOf(10)},
+		{"above MaxEntryBytes", "q", cur, bodyOf(int(c.MaxEntryBytes()))},
+	} {
+		if c.Record(tc.key, tc.e, JSON, tc.b) || tc.e.Body(JSON) != nil {
+			t.Fatalf("%s: body kept", tc.name)
+		}
+		if got := c.Stats().Bytes; got != base {
+			t.Fatalf("%s: Stats.Bytes %d, want %d", tc.name, got, base)
+		}
+	}
+
+	first := bodyOf(10)
+	if !c.Record("q", cur, JSON, first) {
+		t.Fatal("first body refused")
+	}
+	if c.Record("q", cur, JSON, bodyOf(10)) || cur.Body(JSON) != first {
+		t.Fatal("a second body replaced the first")
+	}
+	if got, want := c.Stats().Bytes, base+first.size(); got != want {
+		t.Fatalf("Stats.Bytes %d, want %d", got, want)
+	}
+}
+
+// TestCacheRecordEvicts: a recorded body counts against the byte bound
+// like the entries do — recording past it evicts from the LRU tail.
+func TestCacheRecordEvicts(t *testing.T) {
+	c := New(8, 2048)
+	for _, k := range []string{"a", "b", "c"} {
+		c.Put(k, &Entry{Snap: snapOf(1)}, vec(1))
+	}
+	for _, k := range []string{"c", "b"} {
+		e := mustGet(t, c, k, always)
+		if !c.Record(k, e, TSV, bodyOf(400)) || !c.Record(k, e, JSON, bodyOf(400)) {
+			t.Fatalf("%s: bodies within the per-entry bound refused", k)
+		}
+		if st := c.Stats(); st.Bytes > 2048 {
+			t.Fatalf("recording past the byte bound: %+v", st)
+		}
+	}
+	if st := c.Stats(); st.Evictions == 0 {
+		t.Fatalf("no eviction: %+v", st)
+	}
+	if _, ok := c.Get("a", always); ok {
+		t.Fatal("the least recently used entry survived")
+	}
+}

@@ -31,11 +31,13 @@ func serve(t testing.TB, ep *strabon.Endpoint, target string) *httptest.Response
 	return w
 }
 
-// TestServedCacheByteIdentity requests every corpus query twice per
-// format over an endpoint with the result cache on: the second response
-// (the replay) must match the first byte for byte — body, headers and
-// trailers — with only X-Elapsed-Us allowed to differ. Cacheable plans
-// must actually hit; the SAMPLE plan must never be stored.
+// TestServedCacheByteIdentity requests every corpus query three times
+// per format over an endpoint with the result cache on: a miss, the hit
+// that records the body it renders, and a hit that writes that recorded
+// body. All three must match byte for byte — body, headers and trailers
+// — with only X-Elapsed-Us allowed to differ. Cacheable plans must
+// actually hit; the SAMPLE plan must never be stored. A last pass asks
+// JSON then TSV on one endpoint, so that one entry holds both bodies.
 func TestServedCacheByteIdentity(t *testing.T) {
 	sh := newSharded(4)
 	loadFixture(sh)
@@ -51,9 +53,13 @@ func TestServedCacheByteIdentity(t *testing.T) {
 	queries = append(queries, q{"sample-uncacheable",
 		`SELECT (SAMPLE(?c) AS ?s) WHERE { ?h noa:hasConfidence ?c . }`})
 
-	for _, format := range []string{"json", "tsv"} {
-		// A fresh endpoint (and cache) per format so each pair is one
-		// miss followed by one replay of that miss.
+	target := func(format, query string) string {
+		return "/sparql?format=" + format + "&query=" + url.QueryEscape(query)
+	}
+	cached := map[string]bool{}
+	for format, f := range map[string]resultcache.Format{"json": resultcache.JSON, "tsv": resultcache.TSV} {
+		// A fresh endpoint (and cache) per format so each triple is one
+		// miss followed by two replays of that miss.
 		ep := strabon.NewEndpoint(sh)
 		ep.Results = resultcache.New(256, 32<<20)
 		for _, tc := range queries {
@@ -61,17 +67,15 @@ func TestServedCacheByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			cacheable := stsparql.Cacheable(parsed)
-
-			target := "/sparql?format=" + format + "&query=" + url.QueryEscape(tc.query)
 			before := ep.Results.Stats()
-			w1 := serve(t, ep, target)
-			w2 := serve(t, ep, target)
-			if w1.Code != http.StatusOK || w2.Code != http.StatusOK {
-				t.Fatalf("%s/%s: status %d / %d: %s", tc.name, format, w1.Code, w2.Code, w1.Body)
+			var ws [3]*httptest.ResponseRecorder // miss, recording hit, replaying hit
+			for i := range ws {
+				if ws[i] = serve(t, ep, target(format, tc.query)); ws[i].Code != http.StatusOK {
+					t.Fatalf("%s/%s: request %d: status %d: %s", tc.name, format, i, ws[i].Code, ws[i].Body)
+				}
 			}
 			hits := ep.Results.Stats().Hits - before.Hits
-			if !cacheable {
+			if !stsparql.Cacheable(parsed) {
 				// An uncacheable plan (SAMPLE) may legitimately answer
 				// differently per evaluation — the only contract is
 				// that it is never served from the cache.
@@ -80,19 +84,54 @@ func TestServedCacheByteIdentity(t *testing.T) {
 				}
 				continue
 			}
-			if hits != 1 {
-				t.Fatalf("%s/%s: second request was not a cache hit (%d hits)", tc.name, format, hits)
+			if hits != 2 {
+				t.Fatalf("%s/%s: the repeats were not cache hits (%d hits)", tc.name, format, hits)
 			}
-			if w1.Body.String() != w2.Body.String() {
-				t.Fatalf("%s/%s: replay body differs:\n%s\n---\n%s", tc.name, format, w1.Body, w2.Body)
+			for i, w := range ws[1:] {
+				sameResponse(t, fmt.Sprintf("%s/%s: replay %d", tc.name, format, i+1), ws[0], w)
 			}
-			h1, h2 := w1.Header().Clone(), w2.Header().Clone()
-			h1.Del("X-Elapsed-Us")
-			h2.Del("X-Elapsed-Us")
-			if !reflect.DeepEqual(h1, h2) {
-				t.Fatalf("%s/%s: replay headers differ:\n%v\n---\n%v", tc.name, format, h1, h2)
+			if ent, ok := ep.Results.Get(tc.query, sh.GensValid); !ok || ent.Body(f) == nil {
+				t.Fatalf("%s/%s: no body recorded (cached %v)", tc.name, format, ok)
+			}
+			cached[tc.name] = true
+		}
+	}
+
+	// One entry, both bodies: JSON (a miss, then two hits) before TSV
+	// (three hits). An unordered result may come out of a new evaluation
+	// in another order, so each format's responses are held to the first
+	// of them.
+	ep := strabon.NewEndpoint(sh)
+	ep.Results = resultcache.New(256, 32<<20)
+	for _, tc := range queries {
+		if !cached[tc.name] {
+			continue
+		}
+		for _, format := range []string{"json", "tsv"} {
+			first := serve(t, ep, target(format, tc.query))
+			for i := 0; i < 2; i++ {
+				sameResponse(t, tc.name+"/"+format+" on a shared entry", first, serve(t, ep, target(format, tc.query)))
 			}
 		}
+		ent, ok := ep.Results.Get(tc.query, sh.GensValid)
+		if !ok || ent.Body(resultcache.JSON) == nil || ent.Body(resultcache.TSV) == nil {
+			t.Fatalf("%s: the entry does not hold a body per format (cached %v)", tc.name, ok)
+		}
+	}
+}
+
+// sameResponse fails unless got matches want byte for byte — status,
+// body, headers and trailers — but for X-Elapsed-Us.
+func sameResponse(t *testing.T, what string, want, got *httptest.ResponseRecorder) {
+	t.Helper()
+	if got.Code != want.Code || got.Body.String() != want.Body.String() {
+		t.Fatalf("%s: body differs (status %d / %d):\n%s\n---\n%s", what, want.Code, got.Code, want.Body, got.Body)
+	}
+	h1, h2 := want.Header().Clone(), got.Header().Clone()
+	h1.Del("X-Elapsed-Us")
+	h2.Del("X-Elapsed-Us")
+	if !reflect.DeepEqual(h1, h2) {
+		t.Fatalf("%s: headers differ:\n%v\n---\n%v", what, h1, h2)
 	}
 }
 

@@ -1,6 +1,7 @@
 package strabon
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -68,9 +69,10 @@ type Endpoint struct {
 	QueryTimeout time.Duration
 
 	// Results, when set, caches materialised query results keyed by the
-	// query text. A hit is a Cursor over the stored snapshot, answered
-	// by the one response path a miss takes — byte-identical to a fresh
-	// evaluation, trailers included — without taking any store lock or
+	// query text. A hit replays the stored snapshot — or, from its second
+	// request in a format on, the body the first one rendered — through
+	// the one response path a miss takes, byte-identical to a fresh
+	// evaluation, trailers included, without taking any store lock or
 	// admission slot. Entries carry the generation vector of the slices
 	// their evaluation read and are validated against the store
 	// (GensValid) on every Get, so a write to any of those slices
@@ -84,8 +86,8 @@ type Endpoint struct {
 
 	// MaxRows and MaxBytes, when positive, bound one streamed response,
 	// hit or miss (budget overruns abort the stream with an X-Error
-	// trailer; an aborted result is not cached, so a hit replays one
-	// that fit).
+	// trailer; an aborted result is not cached, nor is an aborted hit's
+	// rendering recorded, so a hit replays one that fit).
 	MaxRows  int
 	MaxBytes int64
 
@@ -239,16 +241,16 @@ func (ep *Endpoint) serveQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Result-cache lookup, ahead of plan compilation and admission: the
 	// key is the query text alone (the cached row set is
-	// format-independent; each hit renders it in the request's format),
-	// and validation checks the entry's generation vector against the
-	// live store without taking any lock. A hit is a cursor over the
-	// snapshot — no locks, no release, no deadline, not cacheable —
-	// answered by the same respond a miss is.
+	// format-independent), and validation checks the entry's generation
+	// vector against the live store without taking any lock. A hit takes
+	// no lock, release, deadline or admission slot, and is answered by
+	// the same respond a miss is: the first hit in a format renders the
+	// snapshot and records the bytes onto the entry, and later hits in
+	// that format write those bytes (replay).
 	if ep.Results != nil {
 		if ent, ok := ep.Results.Get(q, ep.store.GensValid); ok {
 			start := time.Now()
-			hit := Cursor{inner: ent.Snap.Cursor(), ask: ent.Ask}
-			rows, _ := ep.respond(w, media, q, &hit, start)
+			rows, _ := ep.respond(w, media, q, ep.replay(ent, media), start)
 			ep.Metrics.recordQuery(traceID, q, "hit", rows, time.Since(start), "")
 			return
 		}
@@ -280,7 +282,7 @@ func (ep *Endpoint) serveQuery(w http.ResponseWriter, r *http.Request) {
 		ep.Metrics.recordQuery(traceID, q, "error", 0, time.Since(reqStart), "")
 		return
 	}
-	rows, failed := ep.respond(w, media, q, cur, start)
+	rows, failed := ep.respond(w, media, q, ep.encode(cur, media), start)
 	ep.recordMiss(traceID, q, rows, time.Since(reqStart), failed)
 }
 
@@ -309,92 +311,71 @@ func (ep *Endpoint) admit(ctx context.Context, w http.ResponseWriter, traceID, q
 	return true
 }
 
-// respond answers a query from its cursor — a miss's evaluation or a
-// hit's replay alike, so the two render the same bytes — and closes it.
-// It returns the rows served and whether the request failed.
+// respond answers a query from its spans — a miss's evaluation or a
+// hit's replay alike, so the two render the same bytes — and closes
+// them. It returns the rows served and whether the request failed.
 //
 // The first row is pulled before committing to a status code: blocking
 // plans (aggregates, ORDER BY) surface their evaluation errors there,
 // keeping them 400s instead of mid-stream aborts. An ASK (one row)
 // carries X-Rows and X-Elapsed-Us as plain headers; a SELECT declares
-// them, with X-Error, as trailers and streams, flushing every
-// streamFlushRows rows and aborting on MaxRows/MaxBytes. A cursor that
-// vouches for its result (CacheVector: a miss with a deterministic plan)
-// is teed into a snapshot that is Put once the stream completed cleanly.
-func (ep *Endpoint) respond(w http.ResponseWriter, media, q string, cur *Cursor, start time.Time) (int, bool) {
-	defer cur.Close()
-	row, ok := cur.Next()
-	if err := cur.Err(); err != nil {
-		ep.count(0, true)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return 0, true
-	}
-
-	// The header is read here — the same point the row encoder reads
-	// it — so a replay renders identical bytes.
-	var snap *stsparql.RowSnapshot
-	var vec resultcache.GenVector
-	if ep.Results != nil {
-		if v, cacheOK := cur.CacheVector(); cacheOK {
-			vec = v
-			snap = stsparql.NewRowSnapshot(cur.Vars())
+// them, with X-Error, as trailers and streams one Write per row,
+// flushing every streamFlushRows rows and aborting on MaxRows/MaxBytes,
+// both checked before each row. Only a clean completion writes the end
+// of the document and keeps what the spans teed (spans.keep).
+func (ep *Endpoint) respond(w http.ResponseWriter, media, q string, src *spans, start time.Time) (int, bool) {
+	defer src.close()
+	span, ok := src.next()
+	if !ok {
+		if err := src.close(); err != nil {
+			ep.count(0, true)
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return 0, true
 		}
 	}
 
 	h := w.Header()
-	if cur.IsAsk() {
-		h.Set("X-Rows", fmt.Sprint(cur.Rows()))
+	if src.ask {
+		h.Set("X-Rows", fmt.Sprint(src.rows))
 		setElapsed(w, start)
 	} else {
 		h.Set("Trailer", "X-Rows, X-Elapsed-Us, X-Error")
 	}
-	var sink io.Writer = w
-	var cw *countWriter
-	if ep.MaxBytes > 0 {
-		cw = &countWriter{w: w}
-		sink = cw
-	}
-	var enc RowWriter
 	if media == mediaTSV {
 		h.Set("Content-Type", mediaTSV+"; charset=utf-8")
-		enc = NewTSVRowWriter(sink, cur.Vars())
 	} else {
 		h.Set("Content-Type", mediaJSON)
-		enc = NewJSONRowWriter(sink, cur.Vars())
 	}
 	flusher, _ := w.(http.Flusher)
+	var sent int64
 	var writeErr, budgetErr error
-	for ; ok; row, ok = cur.Next() {
-		if ep.MaxRows > 0 && cur.Rows() > ep.MaxRows {
+	for ; ok; span, ok = src.next() {
+		if ep.MaxRows > 0 && src.rows > ep.MaxRows {
 			budgetErr = fmt.Errorf("row budget exceeded (%d rows)", ep.MaxRows)
 			break
 		}
-		if cw != nil && cw.n > ep.MaxBytes {
+		if ep.MaxBytes > 0 && sent > ep.MaxBytes {
 			budgetErr = fmt.Errorf("byte budget exceeded (%d bytes)", ep.MaxBytes)
 			break
 		}
-		if snap != nil {
-			snap.Append(row)
-			if bound := ep.Results.MaxEntryBytes(); bound > 0 && snap.Bytes() > bound {
-				snap = nil // result outgrew the per-entry bound: stop teeing
-			}
-		}
-		if writeErr = enc.Row(row); writeErr != nil {
+		n, err := w.Write(span)
+		sent += int64(n)
+		if writeErr = err; err != nil {
 			break // client gone: stop pulling rows
 		}
-		if cur.Rows()%streamFlushRows == 0 && flusher != nil {
+		if src.rows%streamFlushRows == 0 && flusher != nil {
 			flusher.Flush()
 		}
 	}
 	if writeErr == nil && budgetErr == nil {
-		writeErr = enc.End()
+		_, writeErr = w.Write(src.end())
 	}
-	closeErr := cur.Close() // rows are final once the cursor is closed
-	rows := cur.Rows()
-	if snap != nil && closeErr == nil && writeErr == nil && budgetErr == nil {
-		ep.Results.Put(q, &resultcache.Entry{Ask: cur.IsAsk(), Snap: snap}, vec)
+	closeErr := src.close() // rows are final once the cursor is closed
+	rows := src.rows
+	if closeErr == nil && writeErr == nil && budgetErr == nil {
+		src.keep(ep.Results, q)
 	}
-	if !cur.IsAsk() {
+	if !src.ask {
 		h.Set("X-Rows", fmt.Sprint(rows))
 		setElapsed(w, start)
 	}
@@ -409,6 +390,138 @@ func (ep *Endpoint) respond(w http.ResponseWriter, media, q string, cur *Cursor,
 	}
 	ep.count(rows, failed)
 	return rows, failed
+}
+
+// spans is one response's bytes as respond walks them, a span per row,
+// the first carrying the document head. Over a cursor, each row is
+// encoded into out as it is pulled: a cacheable miss tees it into snap,
+// and a hit's first rendering in a format keeps out whole, with each
+// row's end, as the body to record onto ent. Over a recorded body (cur
+// nil), out and ends are that body, and no term is rebuilt.
+type spans struct {
+	cur  *Cursor
+	enc  RowWriter
+	out  appendWriter
+	ends []int
+	pos  int // where the next span starts in out
+	rows int
+	ask  bool
+
+	// Kept on a clean completion (keep) unless it outgrew bound, the
+	// cache's per-entry bound: a miss's snapshot, Put under vec, or the
+	// hit's rendering, recorded onto ent in format.
+	snap   *stsparql.RowSnapshot
+	vec    resultcache.GenVector
+	ent    *resultcache.Entry
+	format resultcache.Format
+	bound  int64
+}
+
+// encode returns the spans of cur's rows rendered in media.
+func (ep *Endpoint) encode(cur *Cursor, media string) *spans {
+	s := &spans{cur: cur, ask: cur.IsAsk(), bound: ep.Results.MaxEntryBytes()}
+	if media == mediaTSV {
+		s.enc = NewTSVRowWriter(&s.out, cur.Vars())
+	} else {
+		s.enc = NewJSONRowWriter(&s.out, cur.Vars())
+	}
+	if vec, ok := cur.CacheVector(); ok && ep.Results != nil {
+		s.vec, s.snap = vec, stsparql.NewRowSnapshot(cur.Vars())
+	}
+	return s
+}
+
+// replay returns the spans of a cache hit: the entry's body in media's
+// format or, until one is recorded, its snapshot encoded into a body to
+// record, sized from the snapshot and never past the per-entry bound.
+func (ep *Endpoint) replay(ent *resultcache.Entry, media string) *spans {
+	f := resultcache.JSON
+	if media == mediaTSV {
+		f = resultcache.TSV
+	}
+	if b := ent.Body(f); b != nil {
+		return &spans{out: b.Bytes, ends: b.Ends, ask: ent.Ask}
+	}
+	s := ep.encode(&Cursor{inner: ent.Snap.Cursor(), ask: ent.Ask}, media)
+	s.ent, s.format = ent, f
+	size := 2 * ent.Snap.Bytes() // JSON measured 1–1.7x the snapshot, TSV 0.4–1x
+	if s.bound > 0 {
+		size = min(size, s.bound)
+	}
+	s.out = make(appendWriter, 0, size)
+	s.ends = make([]int, 0, ent.Snap.Rows())
+	return s
+}
+
+// next returns the next row's span; false once the rows are exhausted or
+// the cursor failed.
+func (s *spans) next() ([]byte, bool) {
+	i := s.rows
+	if s.cur != nil {
+		row, ok := s.cur.Next()
+		if !ok {
+			return nil, false
+		}
+		if s.snap != nil {
+			s.snap.Append(row)
+			if s.bound > 0 && s.snap.Bytes() > s.bound {
+				s.snap = nil // result outgrew the per-entry bound: stop teeing
+			}
+		}
+		if s.ent == nil { // not recording: each span starts afresh
+			s.out, s.ends, s.pos = s.out[:0], s.ends[:0], 0
+		}
+		s.enc.Row(row) // into memory: cannot fail
+		s.ends = append(s.ends, len(s.out))
+		i = len(s.ends) - 1
+		if s.bound > 0 && int64(len(s.out)) > s.bound {
+			s.ent = nil // body outgrew the per-entry bound: stop recording
+		}
+	} else if i == len(s.ends) {
+		return nil, false
+	}
+	span := s.out[s.pos:s.ends[i]]
+	s.pos = s.ends[i]
+	s.rows++
+	return span, true
+}
+
+// end returns the bytes that close the document.
+func (s *spans) end() []byte {
+	if s.cur != nil {
+		if s.ent == nil {
+			s.out, s.pos = s.out[:0], 0
+		}
+		s.enc.End()
+	}
+	return s.out[s.pos:]
+}
+
+func (s *spans) close() error {
+	if s.cur == nil {
+		return nil
+	}
+	return s.cur.Close()
+}
+
+// keep stores what a clean completion produced: a miss's snapshot as a
+// new entry, or a hit's rendering, copied to its length, as its entry's
+// body.
+func (s *spans) keep(c *resultcache.Cache, q string) {
+	switch {
+	case s.snap != nil:
+		c.Put(q, &resultcache.Entry{Ask: s.ask, Snap: s.snap}, s.vec)
+	case s.ent != nil:
+		c.Record(q, s.ent, s.format, &resultcache.Body{Bytes: bytes.Clone(s.out), Ends: s.ends})
+	}
+}
+
+// appendWriter is an io.Writer appending to itself.
+type appendWriter []byte
+
+func (a *appendWriter) Write(p []byte) (int, error) {
+	*a = append(*a, p...)
+	return len(p), nil
 }
 
 // recordMiss lands a completed (or failed) evaluation in the telemetry:
@@ -429,19 +542,6 @@ func (ep *Endpoint) recordMiss(traceID, q string, rows int, elapsed time.Duratio
 		plan, _ = ep.store.Explain(q) // a query that fails to plan logs without one
 	}
 	tel.recordQuery(traceID, q, outcome, rows, elapsed, plan)
-}
-
-// countWriter counts bytes on their way to the client for the
-// response byte budget.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 func (ep *Endpoint) serveUpdate(w http.ResponseWriter, r *http.Request) {

@@ -78,6 +78,9 @@ func (s *RowSnapshot) term(i int) rdf.Term {
 // result cache's byte bound is enforced in.
 func (s *RowSnapshot) Bytes() int64 { return s.bytes }
 
+// Rows is the number of rows the snapshot holds.
+func (s *RowSnapshot) Rows() int { return s.rows }
+
 // Cursor replays the snapshot row by row, through one reused row (the
 // view contract of the streaming cursors), each term rebuilt from its
 // cell; an unbound column is the zero Term. It holds nothing to

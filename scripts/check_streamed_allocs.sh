@@ -11,8 +11,10 @@
 #     streaming drain of strabon.New(), the one-slice store, the purest
 #     view of per-batch cost.
 #   BenchmarkCachedReplay (internal/strabon) — a result-cache hit through
-#     the endpoint: request parsing and the JSON encoder over 100 rows,
-#     the serving tier's hot path.
+#     the endpoint over 100 rows, the serving tier's hot path: request
+#     parsing and the write of the entry's recorded JSON body; of the
+#     three timed hits, the first renders the snapshot through the JSON
+#     encoder and records that body.
 #   BenchmarkShardedQueries/sharded1 (internal/shard) — the join-heavy
 #     spatial workload on a one-slice store, one live-slice write per
 #     query: the store every program runs by default, which skips
