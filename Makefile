@@ -36,6 +36,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStoreOps -fuzztime 15s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz FuzzJSONRowWriter -fuzztime 15s ./internal/strabon
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 15s ./internal/shard
+	$(GO) test -run '^$$' -fuzz FuzzTermRoundTrip -fuzztime 15s ./internal/stsparql
 
 # Full benchmark sweep of the root package; CI runs every one of these
 # benchmarks once (-benchtime=1x) plus the served-query and

@@ -1,7 +1,8 @@
 // Package rdf implements the RDF data model used by the Strabon
 // substrate: IRIs, blank nodes and typed literals, a dictionary encoder
 // that maps terms to dense integer identifiers, an in-memory triple store
-// with SPO/POS/OSP orderings, and a Turtle reader/writer.
+// with SPO/POS/OSP orderings, and the N-Triples-style term syntax the
+// stsparql package's lexer reads back.
 //
 // The model follows stRDF (Koubarakis et al.): geometries are literals of
 // datatype strdf:geometry (or strdf:WKT) whose lexical form is OGC
@@ -166,7 +167,7 @@ func (t Term) String() string {
 	case TermBlank:
 		return "_:" + t.Value
 	default:
-		s := strconv.Quote(t.Value)
+		s := quote(t.Value)
 		if t.Lang != "" {
 			return s + "@" + t.Lang
 		}
@@ -175,6 +176,37 @@ func (t Term) String() string {
 		}
 		return s
 	}
+}
+
+// quote quotes s in escapes SPARQL and Turtle decode: \t \n \r \" \\
+// by name, every other rune strconv.Quote escapes as \uXXXX or
+// \UXXXXXXXX, and invalid UTF-8 as U+FFFD. Text strconv.Quote leaves
+// bare stays bare.
+func quote(s string) string {
+	var b strings.Builder
+	b.Grow(len(s) + 2)
+	b.WriteByte('"')
+	for _, r := range s { // an invalid byte ranges as utf8.RuneError
+		switch {
+		case r == '"' || r == '\\':
+			b.WriteByte('\\')
+			b.WriteByte(byte(r))
+		case r == '\t':
+			b.WriteString(`\t`)
+		case r == '\n':
+			b.WriteString(`\n`)
+		case r == '\r':
+			b.WriteString(`\r`)
+		case strconv.IsPrint(r):
+			b.WriteRune(r)
+		case r <= 0xFFFF:
+			fmt.Fprintf(&b, `\u%04x`, r)
+		default:
+			fmt.Fprintf(&b, `\U%08x`, r)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
 }
 
 // Equal reports exact term equality.

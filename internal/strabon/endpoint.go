@@ -175,23 +175,22 @@ const maxRequestBody = 1 << 20
 
 // requestText extracts the query/update text per the SPARQL protocol:
 // the named form/URL parameter, or the raw body for direct-POST content
-// types.
+// types. The form is parsed first in every case — ParseForm reads a
+// body only for form content types — so r.Form holds the URL's
+// parameters (format=, analyze=) for a direct POST too.
 func requestText(w http.ResponseWriter, r *http.Request, param, directType string) (string, error) {
 	if r.Body != nil {
 		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	}
-	if r.Method == http.MethodPost {
-		ct := r.Header.Get("Content-Type")
-		if strings.HasPrefix(ct, directType) {
-			raw, err := io.ReadAll(r.Body)
-			if err != nil {
-				return "", err
-			}
-			return string(raw), nil
-		}
-	}
 	if err := r.ParseForm(); err != nil {
 		return "", err
+	}
+	if r.Method == http.MethodPost && strings.HasPrefix(r.Header.Get("Content-Type"), directType) {
+		raw, err := io.ReadAll(r.Body)
+		if err != nil {
+			return "", err
+		}
+		return string(raw), nil
 	}
 	return r.Form.Get(param), nil
 }
@@ -577,7 +576,8 @@ func (ep *Endpoint) serveExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var plan string
-	if analyzeParam(r) {
+	// analyze=1 or analyze=true, in the form or the query string.
+	if v := r.Form.Get("analyze"); v == "1" || v == "true" {
 		// ANALYZE evaluates under the store's read locks, so it queues
 		// for admission like a miss; a plain EXPLAIN only plans.
 		ctx := r.Context()
@@ -604,16 +604,6 @@ func (ep *Endpoint) serveExplain(w http.ResponseWriter, r *http.Request) {
 	ep.count(0, false)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, plan)
-}
-
-// analyzeParam reports whether the request asked for EXPLAIN ANALYZE
-// (analyze=1 or analyze=true, form or query string).
-func analyzeParam(r *http.Request) bool {
-	v := r.Form.Get("analyze")
-	if v == "" {
-		v = r.URL.Query().Get("analyze")
-	}
-	return v == "1" || v == "true"
 }
 
 func (ep *Endpoint) serveStats(w http.ResponseWriter, r *http.Request) {
@@ -666,11 +656,7 @@ var resultMediaTypes = []string{mediaJSON, mediaTSV}
 // types the endpoint cannot produce — the caller answers 406 listing
 // the supported set.
 func negotiateFormat(r *http.Request) (media string, ok bool) {
-	f := r.Form.Get("format")
-	if f == "" {
-		f = r.URL.Query().Get("format")
-	}
-	switch f {
+	switch r.Form.Get("format") {
 	case "tsv":
 		return mediaTSV, true
 	case "json":

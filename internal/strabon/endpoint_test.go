@@ -128,6 +128,24 @@ func TestEndpointPostForms(t *testing.T) {
 	if w2.Code != http.StatusOK || w2.Header().Get("X-Rows") != "2" {
 		t.Fatalf("direct POST: %d %s", w2.Code, w2.Body)
 	}
+
+	// A direct POST reads format= and analyze= from the URL.
+	w3 := httptest.NewRecorder()
+	req3 := httptest.NewRequest(http.MethodPost, "/sparql?format=tsv",
+		strings.NewReader(`SELECT ?h WHERE { ?h a noa:Hotspot . }`))
+	req3.Header.Set("Content-Type", "application/sparql-query")
+	ep.ServeHTTP(w3, req3)
+	if w3.Code != http.StatusOK || !strings.HasPrefix(w3.Header().Get("Content-Type"), mediaTSV) || !strings.HasPrefix(w3.Body.String(), "?h\n") {
+		t.Fatalf("direct POST format=tsv: %d %q %s", w3.Code, w3.Header().Get("Content-Type"), w3.Body)
+	}
+	w4 := httptest.NewRecorder()
+	req4 := httptest.NewRequest(http.MethodPost, "/explain?analyze=1",
+		strings.NewReader(`SELECT ?h WHERE { ?h a noa:Hotspot . }`))
+	req4.Header.Set("Content-Type", "application/sparql-query")
+	ep.ServeHTTP(w4, req4)
+	if w4.Code != http.StatusOK || !strings.Contains(w4.Body.String(), "actual rows=") {
+		t.Fatalf("direct POST analyze=1: %d %s", w4.Code, w4.Body)
+	}
 }
 
 func TestEndpointUpdateAndStats(t *testing.T) {

@@ -556,9 +556,11 @@ func (s *Store) LoadTriples(triples []rdf.Triple) int {
 	return total
 }
 
-// LoadTurtle parses and loads a Turtle document.
+// LoadTurtle parses and loads a Turtle document. Its prefix directives
+// bind into the store's namespace table, the one write to it: a query's
+// PREFIX declarations bind for that query only.
 func (s *Store) LoadTurtle(src string) (int, error) {
-	triples, err := rdf.ParseTurtle(src, s.ns)
+	triples, err := stsparql.ParseTurtle(src, s.ns)
 	if err != nil {
 		return 0, err
 	}

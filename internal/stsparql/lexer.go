@@ -1,8 +1,11 @@
 package stsparql
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -21,7 +24,7 @@ const (
 type token struct {
 	kind     tokenKind
 	text     string
-	datatype string // for tokString: the raw ^^ target (IRI or qname)
+	datatype string // for tokString: the ^^ target, an <IRI> or a prefixed name
 	lang     string
 	line     int
 }
@@ -30,22 +33,30 @@ type lexer struct {
 	src  string
 	pos  int
 	line int
-	toks []token
 }
 
 // lex tokenises src. The token slice is sized up front from the text —
 // about one token per four bytes, at most 128 — so a typical query
 // lexes into one allocation.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1, toks: make([]token, 0, min(len(src)/4+1, 128))}
+	l := &lexer{src: src, line: 1}
+	return l.tokens(make([]token, 0, min(len(src)/4+1, 128)), false)
+}
+
+// tokens appends to toks the tokens through EOF or, when dotEnds, through
+// the next '.' and an EOF token after it.
+func (l *lexer) tokens(toks []token, dotEnds bool) ([]token, error) {
 	for {
 		tok, err := l.next()
 		if err != nil {
 			return nil, err
 		}
-		l.toks = append(l.toks, tok)
+		toks = append(toks, tok)
 		if tok.kind == tokEOF {
-			return l.toks, nil
+			return toks, nil
+		}
+		if dotEnds && tok.kind == tokPunct && tok.text == "." {
+			return append(toks, token{kind: tokEOF, line: l.line}), nil
 		}
 	}
 }
@@ -74,9 +85,14 @@ func (l *lexer) skipWS() {
 }
 
 func isWordByte(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
-		c >= '0' && c <= '9' || c == '_' || c == '-' || c == ':' || c == '.'
+	return isAlnum(c) || c == '_' || c == '-' || c == ':' || c == '.' || c == '%'
 }
+
+func isAlpha(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
+
+func isAlnum(c byte) bool { return isAlpha(c) || c >= '0' && c <= '9' }
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func (l *lexer) next() (token, error) {
 	l.skipWS()
@@ -88,7 +104,7 @@ func (l *lexer) next() (token, error) {
 	case c == '?' || c == '$':
 		l.pos++
 		start := l.pos
-		for l.pos < len(l.src) && isWordByte(l.src[l.pos]) && l.src[l.pos] != ':' && l.src[l.pos] != '.' {
+		for l.pos < len(l.src) && (isAlnum(l.src[l.pos]) || l.src[l.pos] == '_' || l.src[l.pos] == '-') {
 			l.pos++
 		}
 		if l.pos == start {
@@ -96,162 +112,189 @@ func (l *lexer) next() (token, error) {
 		}
 		return token{kind: tokVar, text: l.src[start:l.pos], line: l.line}, nil
 	case c == '<':
-		// Could be IRI or operator "<", "<=". IRI if followed by non-space
-		// non-'=' characters ending in '>': scan ahead.
-		if j := strings.IndexByte(l.src[l.pos:], '>'); j > 0 {
-			candidate := l.src[l.pos+1 : l.pos+j]
-			if !strings.ContainsAny(candidate, " \t\n<") && (strings.Contains(candidate, ":") || candidate == "") {
-				l.pos += j + 1
-				return token{kind: tokIRI, text: candidate, line: l.line}, nil
-			}
+		if iri, ok := l.iri(); ok {
+			return token{kind: tokIRI, text: iri, line: l.line}, nil
 		}
-		l.pos++
-		if l.pos < len(l.src) && l.src[l.pos] == '=' {
-			l.pos++
-			return token{kind: tokOp, text: "<=", line: l.line}, nil
-		}
-		return token{kind: tokOp, text: "<", line: l.line}, nil
+		return l.op()
 	case c == '"' || c == '\'':
 		return l.stringToken(c)
-	case c >= '0' && c <= '9':
+	case isDigit(c) || (c == '-' || c == '+') && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
+		// A sign before digits belongs to the number; the parser reads a
+		// signed number after an operand as the operator (see
+		// parseAdditive).
 		start := l.pos
+		l.pos++
 		for l.pos < len(l.src) {
-			c := l.src[l.pos]
-			if c >= '0' && c <= '9' || c == '.' || c == 'e' || c == 'E' {
+			c, prev := l.src[l.pos], l.src[l.pos-1]
+			if isDigit(c) || c == '.' || c == 'e' || c == 'E' || (c == '-' || c == '+') && (prev == 'e' || prev == 'E') {
 				l.pos++
 			} else {
 				break
 			}
 		}
-		text := l.src[start:l.pos]
 		// A trailing dot is punctuation, not part of the number.
-		if strings.HasSuffix(text, ".") {
-			text = text[:len(text)-1]
+		if l.src[l.pos-1] == '.' {
 			l.pos--
+		}
+		text := l.src[start:l.pos]
+		if _, err := strconv.ParseFloat(text, 64); err != nil && !errors.Is(err, strconv.ErrRange) {
+			return token{}, l.errf("bad number %q", text)
 		}
 		return token{kind: tokNumber, text: text, line: l.line}, nil
-	case c == '(' || c == ')' || c == '{' || c == '}' || c == '.' || c == ';' || c == ',':
+	case strings.IndexByte("(){}.;,", c) >= 0:
 		l.pos++
-		return token{kind: tokPunct, text: string(c), line: l.line}, nil
-	case c == '=':
-		l.pos++
-		return token{kind: tokOp, text: "=", line: l.line}, nil
-	case c == '!':
-		l.pos++
-		if l.pos < len(l.src) && l.src[l.pos] == '=' {
-			l.pos++
-			return token{kind: tokOp, text: "!=", line: l.line}, nil
-		}
-		return token{kind: tokOp, text: "!", line: l.line}, nil
-	case c == '>':
-		l.pos++
-		if l.pos < len(l.src) && l.src[l.pos] == '=' {
-			l.pos++
-			return token{kind: tokOp, text: ">=", line: l.line}, nil
-		}
-		return token{kind: tokOp, text: ">", line: l.line}, nil
-	case c == '&':
-		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '&' {
-			l.pos += 2
-			return token{kind: tokOp, text: "&&", line: l.line}, nil
-		}
-		return token{}, l.errf("stray '&'")
-	case c == '|':
-		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '|' {
-			l.pos += 2
-			return token{kind: tokOp, text: "||", line: l.line}, nil
-		}
-		return token{}, l.errf("stray '|'")
-	case c == '+' || c == '*' || c == '/':
-		l.pos++
-		return token{kind: tokOp, text: string(c), line: l.line}, nil
-	case c == '-':
-		// Negative number literal or minus operator.
-		if l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9' {
-			l.pos++
-			t, err := l.next()
-			if err != nil {
-				return token{}, err
-			}
-			t.text = "-" + t.text
-			return t, nil
-		}
-		l.pos++
-		return token{kind: tokOp, text: "-", line: l.line}, nil
+		return token{kind: tokPunct, text: l.src[l.pos-1 : l.pos], line: l.line}, nil
+	case strings.IndexByte("=!>&|+-*/", c) >= 0:
+		return l.op()
 	default:
 		start := l.pos
-		for l.pos < len(l.src) && isWordByte(l.src[l.pos]) {
-			l.pos++
+		if c == '@' {
+			l.pos++ // a Turtle directive: @prefix is one word
 		}
-		if l.pos == start {
+		if l.word() == "" {
 			return token{}, l.errf("unexpected character %q", string(c))
 		}
-		text := l.src[start:l.pos]
-		// Trailing dots belong to the triple terminator, not the name —
-		// except inside decimal-looking names, which don't occur here.
-		for strings.HasSuffix(text, ".") && !strings.HasSuffix(text, "..") {
-			// "gn:P.PPLA"-style names keep interior dots; only strip if the
-			// dot is final and the remaining char is not part of the name.
-			text = text[:len(text)-1]
-			l.pos--
-		}
-		return token{kind: tokWord, text: text, line: l.line}, nil
+		return token{kind: tokWord, text: l.src[start:l.pos], line: l.line}, nil
 	}
 }
 
+// iri scans the IRI at l.pos, or reports false when that '<' is an
+// operator: an IRI holds a ':' (or is empty) and no whitespace or '<'
+// before its '>'.
+func (l *lexer) iri() (string, bool) {
+	j := strings.IndexByte(l.src[l.pos:], '>')
+	if j < 0 {
+		return "", false
+	}
+	iri := l.src[l.pos+1 : l.pos+j]
+	if strings.ContainsAny(iri, " \t\n<") || iri != "" && !strings.Contains(iri, ":") {
+		return "", false
+	}
+	l.pos += j + 1
+	return iri, true
+}
+
+// op lexes an operator, longest match first.
+func (l *lexer) op() (token, error) {
+	for _, op := range [...]string{"<=", ">=", "!=", "&&", "||"} {
+		if strings.HasPrefix(l.src[l.pos:], op) {
+			l.pos += 2
+			return token{kind: tokOp, text: op, line: l.line}, nil
+		}
+	}
+	if c := l.src[l.pos]; c == '&' || c == '|' {
+		return token{}, l.errf("stray %q", string(c))
+	}
+	l.pos++
+	return token{kind: tokOp, text: l.src[l.pos-1 : l.pos], line: l.line}, nil
+}
+
+// word scans a keyword or a prefixed name. Final dots end the triple,
+// not the name (as in Turtle, a name may hold dots but not end in one).
+func (l *lexer) word() string {
+	start := l.pos
+	for l.pos < len(l.src) && isWordByte(l.src[l.pos]) {
+		l.pos++
+	}
+	for l.pos > start && l.src[l.pos-1] == '.' {
+		l.pos--
+	}
+	return l.src[start:l.pos]
+}
+
+// stringToken decodes a quoted literal with its ^^datatype or @language
+// tag. A literal without escapes is a slice of the source; the first
+// escape starts a decoded copy.
 func (l *lexer) stringToken(quote byte) (token, error) {
 	l.pos++ // opening quote
-	var b strings.Builder
+	seg := l.pos
+	var buf []byte // the decoded text so far, once an escape appeared
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
-		if c == '\\' && l.pos+1 < len(l.src) {
-			l.pos++
-			switch l.src[l.pos] {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			default:
-				b.WriteByte(l.src[l.pos])
+		switch {
+		case c == '\\':
+			buf = append(buf, l.src[seg:l.pos]...)
+			var err error
+			if buf, err = l.escape(buf); err != nil {
+				return token{}, err
 			}
-			l.pos++
+			seg = l.pos
 			continue
-		}
-		if c == quote {
-			l.pos++
-			tok := token{kind: tokString, text: b.String(), line: l.line}
-			// ^^datatype
-			if l.pos+1 < len(l.src) && l.src[l.pos] == '^' && l.src[l.pos+1] == '^' {
-				l.pos += 2
-				if l.pos < len(l.src) && l.src[l.pos] == '<' {
-					j := strings.IndexByte(l.src[l.pos:], '>')
-					if j < 0 {
-						return token{}, l.errf("unterminated datatype IRI")
-					}
-					tok.datatype = l.src[l.pos+1 : l.pos+j]
-					l.pos += j + 1
-				} else {
-					start := l.pos
-					for l.pos < len(l.src) && isWordByte(l.src[l.pos]) {
-						l.pos++
-					}
-					tok.datatype = l.src[start:l.pos]
-				}
-			} else if l.pos < len(l.src) && l.src[l.pos] == '@' {
-				l.pos++
-				start := l.pos
-				for l.pos < len(l.src) && (l.src[l.pos] >= 'a' && l.src[l.pos] <= 'z' || l.src[l.pos] == '-') {
-					l.pos++
-				}
-				tok.lang = l.src[start:l.pos]
+		case c == quote:
+			tok := token{kind: tokString, text: l.src[seg:l.pos], line: l.line}
+			if buf != nil {
+				tok.text = string(append(buf, tok.text...))
 			}
-			return tok, nil
-		}
-		if c == '\n' {
+			l.pos++
+			return l.literalSuffix(tok)
+		case c == '\n':
 			l.line++
 		}
-		b.WriteByte(c)
 		l.pos++
 	}
 	return token{}, l.errf("unterminated string literal")
+}
+
+// escape decodes the string escape at l.pos onto buf: SPARQL 1.1 §19.7
+// and Turtle's ECHAR and UCHAR.
+func (l *lexer) escape(buf []byte) ([]byte, error) {
+	if l.pos+1 >= len(l.src) {
+		return nil, l.errf("unterminated string literal")
+	}
+	c := l.src[l.pos+1]
+	l.pos += 2
+	if i := strings.IndexByte(`tbnrf"'\`, c); i >= 0 {
+		return append(buf, "\t\b\n\r\f\"'\\"[i]), nil
+	}
+	if c != 'u' && c != 'U' {
+		return nil, l.errf("unknown string escape \\%c", c)
+	}
+	n := 4
+	if c == 'U' {
+		n = 8
+	}
+	if l.pos+n <= len(l.src) {
+		v, err := strconv.ParseUint(l.src[l.pos:l.pos+n], 16, 32)
+		if r := rune(v); err == nil && utf8.ValidRune(r) {
+			l.pos += n
+			return utf8.AppendRune(buf, r), nil
+		}
+	}
+	return nil, l.errf("bad \\%c escape", c)
+}
+
+// literalSuffix reads a literal's ^^datatype — an IRI, kept with its
+// angle brackets, or a prefixed name — or its language tag,
+// [a-zA-Z]+(-[a-zA-Z0-9]+)*.
+func (l *lexer) literalSuffix(tok token) (token, error) {
+	switch {
+	case strings.HasPrefix(l.src[l.pos:], "^^"):
+		l.pos += 2
+		start := l.pos
+		if l.pos < len(l.src) && l.src[l.pos] == '<' {
+			if _, ok := l.iri(); ok {
+				tok.datatype = l.src[start:l.pos]
+			}
+		} else {
+			tok.datatype = l.word()
+		}
+		if tok.datatype == "" {
+			return token{}, l.errf("datatype wants an IRI")
+		}
+	case strings.HasPrefix(l.src[l.pos:], "@"):
+		l.pos++
+		start := l.pos
+		for l.pos < len(l.src) && isAlpha(l.src[l.pos]) {
+			l.pos++
+		}
+		if l.pos == start {
+			return token{}, l.errf("bad language tag")
+		}
+		for l.pos+1 < len(l.src) && l.src[l.pos] == '-' && isAlnum(l.src[l.pos+1]) {
+			for l.pos++; l.pos < len(l.src) && isAlnum(l.src[l.pos]); l.pos++ {
+			}
+		}
+		tok.lang = l.src[start:l.pos]
+	}
+	return tok, nil
 }

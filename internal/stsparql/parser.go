@@ -8,16 +8,21 @@ import (
 	"repro/internal/rdf"
 )
 
+// defaultNamespaces serves requests parsed without a namespace table.
+// Parse only reads a table, so one is shared.
+var defaultNamespaces = rdf.NewNamespaces()
+
 // Parse parses an stSPARQL query or update request. The namespace table
 // provides prefix bindings in addition to any PREFIX declarations in the
-// request itself; pass nil for the default TELEIOS namespaces.
+// request itself, which bind for this request only and are consulted
+// first; pass nil for the default TELEIOS namespaces.
 func Parse(src string, ns *rdf.Namespaces) (*Query, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	if ns == nil {
-		ns = rdf.NewNamespaces()
+		ns = defaultNamespaces
 	}
 	p := &parser{toks: toks, ns: ns}
 	q, err := p.parseQuery()
@@ -31,9 +36,10 @@ func Parse(src string, ns *rdf.Namespaces) (*Query, error) {
 }
 
 type parser struct {
-	toks []token
-	pos  int
-	ns   *rdf.Namespaces
+	toks     []token
+	pos      int
+	ns       *rdf.Namespaces
+	prefixes map[string]string // the request's own PREFIX declarations
 }
 
 func (p *parser) cur() token { return p.toks[p.pos] }
@@ -97,17 +103,15 @@ func (p *parser) expectPunct(s string) error {
 
 func (p *parser) parseQuery() (*Query, error) {
 	// Prologue.
-	for p.isKeyword("PREFIX") {
-		p.advance()
-		name := p.advance()
-		if name.kind != tokWord || !strings.HasSuffix(name.text, ":") {
-			return nil, p.errf("PREFIX wants 'name:'")
+	for p.acceptKeyword("PREFIX") {
+		name, iri, err := p.prefixDecl()
+		if err != nil {
+			return nil, err
 		}
-		iri := p.advance()
-		if iri.kind != tokIRI {
-			return nil, p.errf("PREFIX wants an IRI")
+		if p.prefixes == nil {
+			p.prefixes = make(map[string]string)
 		}
-		p.ns.Bind(strings.TrimSuffix(name.text, ":"), iri.text)
+		p.prefixes[name] = iri
 	}
 	switch {
 	case p.isKeyword("SELECT"):
@@ -133,6 +137,30 @@ func (p *parser) parseQuery() (*Query, error) {
 	default:
 		return nil, p.errf("expected SELECT, ASK, DELETE or INSERT")
 	}
+}
+
+// prefixDecl parses the "name: <iri>" of a PREFIX or @prefix directive.
+func (p *parser) prefixDecl() (name, iri string, err error) {
+	n := p.advance()
+	if n.kind != tokWord || !strings.HasSuffix(n.text, ":") {
+		return "", "", p.errf("PREFIX wants 'name:'")
+	}
+	i := p.advance()
+	if i.kind != tokIRI {
+		return "", "", p.errf("PREFIX wants an IRI")
+	}
+	return strings.TrimSuffix(n.text, ":"), i.text, nil
+}
+
+// expand resolves a prefixed name: the request's own PREFIX
+// declarations first, then the namespace table.
+func (p *parser) expand(qname string) (string, error) {
+	if i := strings.IndexByte(qname, ':'); i >= 0 {
+		if base, ok := p.prefixes[qname[:i]]; ok {
+			return base + qname[i+1:], nil
+		}
+	}
+	return p.ns.Expand(qname)
 }
 
 func (p *parser) parseSelect() (*SelectQuery, error) {
@@ -224,30 +252,14 @@ projDone:
 		for {
 			var key OrderKey
 			switch {
-			case p.acceptKeyword("ASC"):
-				if err := p.expectPunct("("); err != nil {
-					return nil, err
-				}
-				e, err := p.parseExpr()
+			case p.isKeyword("ASC") || p.isKeyword("DESC"):
+				key.Desc = p.isKeyword("DESC")
+				p.advance()
+				e, err := p.parseBracketed()
 				if err != nil {
 					return nil, err
 				}
-				if err := p.expectPunct(")"); err != nil {
-					return nil, err
-				}
-				key = OrderKey{Expr: e}
-			case p.acceptKeyword("DESC"):
-				if err := p.expectPunct("("); err != nil {
-					return nil, err
-				}
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectPunct(")"); err != nil {
-					return nil, err
-				}
-				key = OrderKey{Expr: e, Desc: true}
+				key.Expr = e
 			case p.cur().kind == tokVar:
 				key = OrderKey{Expr: &VarExpr{Name: p.advance().text}}
 			default:
@@ -293,15 +305,8 @@ func (p *parser) parseGroupByKey() (Expr, error) {
 	if p.cur().kind == tokVar {
 		return &VarExpr{Name: p.advance().text}, nil
 	}
-	if p.acceptPunct("(") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
+	if p.isPunct("(") {
+		return p.parseBracketed()
 	}
 	return nil, p.errf("GROUP BY wants a variable or parenthesised expression")
 }
@@ -352,6 +357,13 @@ func (p *parser) parseUpdate() (*UpdateQuery, error) {
 		up.Insert = tpl
 	}
 	if dataForm {
+		// SPARQL 1.1 Update §3.1.1–3.1.2: the data forms hold ground
+		// triples only.
+		for _, tpl := range [][]TriplePattern{up.Delete, up.Insert} {
+			if err := p.checkGround(tpl); err != nil {
+				return nil, err
+			}
+		}
 		return up, nil
 	}
 	if err := p.expectKeyword("WHERE"); err != nil {
@@ -414,7 +426,8 @@ func (p *parser) parseGroupPattern() (*GroupPattern, error) {
 			p.advance() // tolerate stray separators
 		case p.isKeyword("FILTER"):
 			p.advance()
-			cond, err := p.parseFilterCondition()
+			// "FILTER (expr)" or "FILTER fn(args)", possibly negated.
+			cond, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
@@ -460,23 +473,6 @@ func (p *parser) parseGroupPattern() (*GroupPattern, error) {
 			gp.Elements = append(gp.Elements, &BGPElement{Patterns: pats})
 		}
 	}
-}
-
-// parseFilterCondition accepts "FILTER (expr)" and "FILTER fn(args)".
-func (p *parser) parseFilterCondition() (Expr, error) {
-	if p.isPunct("(") {
-		p.advance()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-	// Builtin-call form, possibly negated.
-	return p.parseUnary()
 }
 
 // parseTriplesStatement parses one subject with its predicate-object list.
@@ -530,64 +526,41 @@ func (p *parser) parseVerb() (TermOrVar, error) {
 
 func (p *parser) parseTermOrVar() (TermOrVar, error) {
 	t := p.cur()
-	switch t.kind {
-	case tokVar:
+	var term rdf.Term
+	var err error
+	switch {
+	case t.kind == tokVar:
 		p.advance()
 		return TermOrVar{Var: t.text}, nil
-	case tokIRI:
-		p.advance()
-		return TermOrVar{Term: rdf.NewIRI(t.text)}, nil
-	case tokString:
-		p.advance()
-		term, err := p.literalTerm(t)
-		if err != nil {
-			return TermOrVar{}, err
-		}
-		return TermOrVar{Term: term}, nil
-	case tokNumber:
-		p.advance()
-		return TermOrVar{Term: numberTerm(t.text)}, nil
-	case tokWord:
-		switch strings.ToLower(t.text) {
-		case "true":
-			p.advance()
-			return TermOrVar{Term: rdf.NewBoolean(true)}, nil
-		case "false":
-			p.advance()
-			return TermOrVar{Term: rdf.NewBoolean(false)}, nil
-		}
-		if strings.HasPrefix(t.text, "_:") {
-			p.advance()
-			return TermOrVar{Term: rdf.NewBlank(strings.TrimPrefix(t.text, "_:"))}, nil
-		}
-		iri, err := p.ns.Expand(t.text)
-		if err != nil {
-			return TermOrVar{}, p.errf("%v", err)
-		}
-		p.advance()
-		return TermOrVar{Term: rdf.NewIRI(iri)}, nil
+	case t.kind == tokIRI:
+		term = rdf.NewIRI(t.text)
+	case t.kind == tokNumber:
+		term = numberTerm(t.text)
+	case t.kind == tokString && t.lang != "":
+		term = rdf.NewLangLiteral(t.text, t.lang)
+	case t.kind == tokString && strings.HasPrefix(t.datatype, "<"):
+		term = rdf.NewTypedLiteral(t.text, t.datatype[1:len(t.datatype)-1])
+	case t.kind == tokString && t.datatype != "":
+		term = rdf.NewLiteral(t.text)
+		term.Datatype, err = p.expand(t.datatype)
+	case t.kind == tokString:
+		term = rdf.NewLiteral(t.text)
+	case t.kind == tokWord && (strings.EqualFold(t.text, "true") || strings.EqualFold(t.text, "false")):
+		term = rdf.NewBoolean(strings.EqualFold(t.text, "true"))
+	case t.kind == tokWord && strings.HasPrefix(t.text, "_:"):
+		term = rdf.NewBlank(t.text[2:])
+	case t.kind == tokWord:
+		var iri string
+		iri, err = p.expand(t.text)
+		term = rdf.NewIRI(iri)
 	default:
 		return TermOrVar{}, p.errf("expected term or variable")
 	}
-}
-
-func (p *parser) literalTerm(t token) (rdf.Term, error) {
-	switch {
-	case t.lang != "":
-		return rdf.NewLangLiteral(t.text, t.lang), nil
-	case t.datatype != "":
-		dt := t.datatype
-		if !strings.Contains(dt, "://") {
-			expanded, err := p.ns.Expand(dt)
-			if err != nil {
-				return rdf.Term{}, p.errf("%v", err)
-			}
-			dt = expanded
-		}
-		return rdf.NewTypedLiteral(t.text, dt), nil
-	default:
-		return rdf.NewLiteral(t.text), nil
+	if err != nil {
+		return TermOrVar{}, p.errf("%v", err)
 	}
+	p.advance()
+	return TermOrVar{Term: term}, nil
 }
 
 func numberTerm(text string) rdf.Term {
@@ -657,15 +630,26 @@ func (p *parser) parseAdditive() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for t := p.cur(); t.kind == tokOp && (t.text == "+" || t.text == "-"); t = p.cur() {
-		p.advance()
-		r, err := p.parseMultiplicative()
+	for {
+		t := p.cur()
+		var r Expr
+		switch {
+		case t.kind == tokOp && (t.text == "+" || t.text == "-"):
+			p.advance()
+			r, err = p.parseMultiplicative()
+		case t.kind == tokNumber && (t.text[0] == '+' || t.text[0] == '-'):
+			// A signed number directly after an operand is the operator
+			// and the number's magnitude (SPARQL 1.1 grammar rule [116]).
+			p.advance()
+			r, err = p.multiplicativeFrom(&ConstExpr{Term: numberTerm(t.text[1:])})
+		default:
+			return l, nil
+		}
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: t.text, L: l, R: r}
+		l = &BinaryExpr{Op: t.text[:1], L: l, R: r}
 	}
-	return l, nil
 }
 
 func (p *parser) parseMultiplicative() (Expr, error) {
@@ -673,6 +657,12 @@ func (p *parser) parseMultiplicative() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.multiplicativeFrom(l)
+}
+
+// multiplicativeFrom continues a multiplicative expression whose first
+// operand is l.
+func (p *parser) multiplicativeFrom(l Expr) (Expr, error) {
 	for t := p.cur(); t.kind == tokOp && (t.text == "*" || t.text == "/"); t = p.cur() {
 		p.advance()
 		r, err := p.parseUnary()
@@ -696,82 +686,59 @@ func (p *parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
+// parseBracketed parses "( expr )".
+func (p *parser) parseBracketed() (Expr, error) {
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	return e, p.expectPunct(")")
+}
+
+// parsePrimary parses a bracketed expression, a function call, or a
+// variable or term as parseTermOrVar reads them.
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
-	switch t.kind {
-	case tokPunct:
-		if t.text == "(" {
+	switch {
+	case t.kind == tokPunct && t.text == "(":
+		return p.parseBracketed()
+	case t.kind == tokWord && p.toks[p.pos+1].kind == tokPunct && p.toks[p.pos+1].text == "(":
+		p.advance() // name
+		p.advance() // '('
+		call := &CallExpr{Name: strings.ToLower(t.text)}
+		if p.acceptKeyword("DISTINCT") {
+			call.Distinct = true
+		}
+		if p.cur().kind == tokOp && p.cur().text == "*" {
 			p.advance()
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
-		return nil, p.errf("unexpected %q in expression", t.text)
-	case tokVar:
-		p.advance()
-		return &VarExpr{Name: t.text}, nil
-	case tokNumber:
-		p.advance()
-		return &ConstExpr{Term: numberTerm(t.text)}, nil
-	case tokString:
-		p.advance()
-		term, err := p.literalTerm(t)
-		if err != nil {
-			return nil, err
-		}
-		return &ConstExpr{Term: term}, nil
-	case tokIRI:
-		p.advance()
-		return &ConstExpr{Term: rdf.NewIRI(t.text)}, nil
-	case tokWord:
-		word := t.text
-		lower := strings.ToLower(word)
-		if lower == "true" || lower == "false" {
-			p.advance()
-			return &ConstExpr{Term: rdf.NewBoolean(lower == "true")}, nil
-		}
-		// Function call?
-		if p.toks[p.pos+1].kind == tokPunct && p.toks[p.pos+1].text == "(" {
-			p.advance() // name
-			p.advance() // '('
-			call := &CallExpr{Name: lower}
-			if p.acceptKeyword("DISTINCT") {
-				call.Distinct = true
-			}
-			if p.cur().kind == tokOp && p.cur().text == "*" {
-				p.advance()
-				call.Star = true
-			} else if !p.isPunct(")") {
-				for {
-					arg, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					call.Args = append(call.Args, arg)
-					if p.acceptPunct(",") {
-						continue
-					}
+			call.Star = true
+		} else if !p.isPunct(")") {
+			for {
+				arg, err := p.parseExpr()
+				if err != nil {
+					return nil, err
+				}
+				call.Args = append(call.Args, arg)
+				if !p.acceptPunct(",") {
 					break
 				}
 			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			return call, nil
 		}
-		// Bare prefixed name as constant IRI.
-		iri, err := p.ns.Expand(word)
-		if err != nil {
-			return nil, p.errf("%v", err)
+		if err := p.expectPunct(")"); err != nil {
+			return nil, err
 		}
-		p.advance()
-		return &ConstExpr{Term: rdf.NewIRI(iri)}, nil
+		return call, nil
+	}
+	tv, err := p.parseTermOrVar()
+	switch {
+	case err != nil:
+		return nil, err
+	case tv.IsVar():
+		return &VarExpr{Name: tv.Var}, nil
 	default:
-		return nil, p.errf("unexpected token in expression")
+		return &ConstExpr{Term: tv.Term}, nil
 	}
 }
