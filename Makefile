@@ -70,7 +70,8 @@ bench-batch:
 # and the cached replay in internal/strabon, both cases of the
 # sharded-queries join and the ordered window join in internal/shard;
 # and if the front half's B/op rises 1.1x above its baseline: the SciQL
-# chain (root package) and the downlink simulator (internal/seviri); and if
+# chain (root package), the downlink simulator (internal/seviri) and the
+# HRIT decode (internal/hrit, allocs/op as well); and if
 # the triple store retains 1.1x more bytes per triple than its baseline
 # (internal/rdf).
 alloc-gate:

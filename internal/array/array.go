@@ -157,15 +157,6 @@ func (a *Dense) Slice(x0, x1, y0, y1 int) *Dense {
 	return out
 }
 
-// Map applies f to every cell, returning a new array with the same domain.
-func (a *Dense) Map(f func(v float64) float64) *Dense {
-	out := a.Clone()
-	for i, v := range out.vals {
-		out.vals[i] = f(v)
-	}
-	return out
-}
-
 // Fill sets every cell to v.
 func (a *Dense) Fill(v float64) {
 	for i := range a.vals {

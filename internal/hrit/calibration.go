@@ -1,10 +1,6 @@
 package hrit
 
-import (
-	"fmt"
-
-	"repro/internal/array"
-)
+import "fmt"
 
 // Calibration converts raw 10-bit detector counts to brightness
 // temperatures in kelvin and back, the step the paper describes as "the
@@ -55,9 +51,4 @@ func (c Calibration) TempToCount(t float64) uint16 {
 		return 1023
 	}
 	return uint16(v + 0.5)
-}
-
-// CalibrateArray converts an array of raw counts into temperatures.
-func (c Calibration) CalibrateArray(counts *array.Dense) *array.Dense {
-	return counts.Map(func(v float64) float64 { return c.Offset + c.Slope*v })
 }

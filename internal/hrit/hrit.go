@@ -213,40 +213,54 @@ func Decode(raw []byte) (Segment, error) {
 	return Segment{Header: h, Counts: counts}, nil
 }
 
-// Assemble reorders a full acquisition's segments (which may arrive in
-// any order) and concatenates them into the complete image. All segments
-// must share channel, timestamp, column count and total.
-func Assemble(segs []Segment) (*array.Dense, error) {
+// AssembleCounts reorders a full acquisition's segments (which may
+// arrive in any order) and concatenates their counts into the complete
+// image, columns wide and lines high. All segments must share channel,
+// timestamp, column count and total, and each must start on the line
+// after its predecessor's last.
+func AssembleCounts(segs []Segment) (counts []uint16, columns, lines int, err error) {
 	if len(segs) == 0 {
-		return nil, fmt.Errorf("hrit: no segments")
+		return nil, 0, 0, fmt.Errorf("hrit: no segments")
 	}
 	ref := segs[0].Header
 	if len(segs) != ref.TotalSegments {
-		return nil, fmt.Errorf("hrit: %d of %d segments present", len(segs), ref.TotalSegments)
+		return nil, 0, 0, fmt.Errorf("hrit: %d of %d segments present", len(segs), ref.TotalSegments)
 	}
 	sorted := append([]Segment(nil), segs...)
 	sort.Slice(sorted, func(i, j int) bool {
 		return sorted[i].Header.SegmentNo < sorted[j].Header.SegmentNo
 	})
-	totalLines := 0
 	for i, s := range sorted {
 		h := s.Header
 		if h.Channel != ref.Channel || !h.Timestamp.Equal(ref.Timestamp) ||
 			h.Columns != ref.Columns || h.TotalSegments != ref.TotalSegments {
-			return nil, fmt.Errorf("hrit: segment %d does not belong to this acquisition", h.SegmentNo)
+			return nil, 0, 0, fmt.Errorf("hrit: segment %d does not belong to this acquisition", h.SegmentNo)
 		}
 		if h.SegmentNo != i+1 {
-			return nil, fmt.Errorf("hrit: missing segment %d", i+1)
+			return nil, 0, 0, fmt.Errorf("hrit: missing segment %d", i+1)
 		}
-		totalLines += h.Lines
+		if h.FirstLine != lines {
+			return nil, 0, 0, fmt.Errorf("hrit: segment %d starts at line %d, not %d", h.SegmentNo, h.FirstLine, lines)
+		}
+		lines += h.Lines
 	}
-	img := array.New(ref.Columns, totalLines)
-	vals := img.Values()
+	counts = make([]uint16, 0, ref.Columns*lines)
 	for _, s := range sorted {
-		off := s.Header.FirstLine * ref.Columns
-		for i, c := range s.Counts {
-			vals[off+i] = float64(c)
-		}
+		counts = append(counts, s.Counts...)
+	}
+	return counts, ref.Columns, lines, nil
+}
+
+// Assemble is AssembleCounts as a float64 image of raw counts.
+func Assemble(segs []Segment) (*array.Dense, error) {
+	counts, columns, lines, err := AssembleCounts(segs)
+	if err != nil {
+		return nil, err
+	}
+	img := array.New(columns, lines)
+	vals := img.Values()
+	for i, c := range counts {
+		vals[i] = float64(c)
 	}
 	return img, nil
 }

@@ -202,6 +202,15 @@ func TestAssembleDetectsMissingSegment(t *testing.T) {
 	if _, err := Assemble([]Segment{segs[0], segs[1], other[2]}); err == nil {
 		t.Fatal("mixed acquisitions should fail")
 	}
+	// A segment whose first line does not follow its predecessor's last
+	// (past the image, or over an earlier segment) fails.
+	for _, first := range []int{1000, 0} {
+		moved := append([]Segment(nil), segs...)
+		moved[2].Header.FirstLine = first
+		if _, err := Assemble(moved); err == nil {
+			t.Fatalf("segment 3 at line %d should fail", first)
+		}
+	}
 }
 
 func TestSplitValidation(t *testing.T) {

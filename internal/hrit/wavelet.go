@@ -79,50 +79,28 @@ func levelDims(w, h int) [][2]int {
 
 // haarForward applies the multi-level integer Haar lifting transform in
 // place: each level transforms the current low-pass quadrant's rows then
-// columns, leaving the Mallat layout (ss quadrant top-left).
+// columns, leaving the Mallat layout (ss quadrant top-left). One scratch
+// plane serves every level: a row lifts through its first cw values, the
+// column pass through its first cw×ch.
 func haarForward(c []int32, w, h int) {
-	buf := make([]int32, max(w, h))
+	scratch := make([]int32, w*h)
 	for _, dims := range levelDims(w, h) {
 		cw, ch := dims[0], dims[1]
 		for y := 0; y < ch; y++ {
-			row := buf[:cw]
-			copy(row, c[y*w:y*w+cw])
-			liftForward(row)
-			copy(c[y*w:y*w+cw], row)
+			liftForward(c[y*w:y*w+cw], scratch)
 		}
-		for x := 0; x < cw; x++ {
-			col := buf[:ch]
-			for y := 0; y < ch; y++ {
-				col[y] = c[y*w+x]
-			}
-			liftForward(col)
-			for y := 0; y < ch; y++ {
-				c[y*w+x] = col[y]
-			}
-		}
+		liftColumnsForward(c, w, cw, ch, scratch)
 	}
 }
 
 func haarInverse(c []int32, w, h int) {
 	dims := levelDims(w, h)
-	buf := make([]int32, max(w, h))
+	scratch := make([]int32, w*h)
 	for i := len(dims) - 1; i >= 0; i-- {
 		cw, ch := dims[i][0], dims[i][1]
-		for x := 0; x < cw; x++ {
-			col := buf[:ch]
-			for y := 0; y < ch; y++ {
-				col[y] = c[y*w+x]
-			}
-			liftInverse(col)
-			for y := 0; y < ch; y++ {
-				c[y*w+x] = col[y]
-			}
-		}
+		liftColumnsInverse(c, w, cw, ch, scratch)
 		for y := 0; y < ch; y++ {
-			row := buf[:cw]
-			copy(row, c[y*w:y*w+cw])
-			liftInverse(row)
-			copy(c[y*w:y*w+cw], row)
+			liftInverse(c[y*w:y*w+cw], scratch)
 		}
 	}
 }
@@ -130,41 +108,81 @@ func haarInverse(c []int32, w, h int) {
 // liftForward rearranges pairs (a, b) into low-pass s = a + floor(d/2)
 // and high-pass d = b − a, laid out [s..., (odd tail), d...]. The odd
 // tail sample joins the low-pass band so multi-level recursion covers it.
-func liftForward(v []int32) {
+// tmp holds at least len(v) values.
+func liftForward(v, tmp []int32) {
 	n := len(v) / 2
 	if n == 0 {
 		return
 	}
 	sLen := n + len(v)%2
-	s := make([]int32, sLen)
-	d := make([]int32, n)
 	for i := 0; i < n; i++ {
 		a, b := v[2*i], v[2*i+1]
-		d[i] = b - a
-		s[i] = a + (d[i] >> 1)
+		d := b - a
+		tmp[i], tmp[sLen+i] = a+(d>>1), d
 	}
 	if len(v)%2 == 1 {
-		s[n] = v[len(v)-1]
+		tmp[n] = v[len(v)-1]
 	}
-	copy(v[:sLen], s)
-	copy(v[sLen:], d)
+	copy(v, tmp[:len(v)])
 }
 
-func liftInverse(v []int32) {
+func liftInverse(v, tmp []int32) {
 	n := len(v) / 2
 	if n == 0 {
 		return
 	}
 	sLen := n + len(v)%2
-	out := make([]int32, len(v))
 	for i := 0; i < n; i++ {
 		s, d := v[i], v[sLen+i]
 		a := s - (d >> 1)
-		b := a + d
-		out[2*i], out[2*i+1] = a, b
+		tmp[2*i], tmp[2*i+1] = a, a+d
 	}
 	if len(v)%2 == 1 {
-		out[len(v)-1] = v[n]
+		tmp[len(v)-1] = v[n]
 	}
-	copy(v, out)
+	copy(v, tmp[:len(v)])
+}
+
+// liftColumnsForward lifts every column of the cw×ch quadrant of the
+// w-wide plane c at once, a pair of rows at a time: rows 2r and 2r+1
+// give low-band row r and high-band row sLen+r of tmp, which then
+// replaces the quadrant. It is liftForward down each column.
+func liftColumnsForward(c []int32, w, cw, ch int, tmp []int32) {
+	n := ch / 2
+	sLen := n + ch%2
+	for r := 0; r < n; r++ {
+		a, b := c[2*r*w:2*r*w+cw], c[(2*r+1)*w:(2*r+1)*w+cw]
+		s, d := tmp[r*cw:(r+1)*cw], tmp[(sLen+r)*cw:(sLen+r+1)*cw]
+		for x := range a {
+			dx := b[x] - a[x]
+			s[x], d[x] = a[x]+(dx>>1), dx
+		}
+	}
+	if ch%2 == 1 {
+		copy(tmp[n*cw:(n+1)*cw], c[(ch-1)*w:(ch-1)*w+cw])
+	}
+	for y := 0; y < ch; y++ {
+		copy(c[y*w:y*w+cw], tmp[y*cw:(y+1)*cw])
+	}
+}
+
+// liftColumnsInverse undoes liftColumnsForward: low-band row r and
+// high-band row sLen+r give rows 2r and 2r+1.
+func liftColumnsInverse(c []int32, w, cw, ch int, tmp []int32) {
+	n := ch / 2
+	sLen := n + ch%2
+	for r := 0; r < n; r++ {
+		s, d := c[r*w:r*w+cw], c[(sLen+r)*w:(sLen+r)*w+cw]
+		a, b := tmp[2*r*cw:(2*r+1)*cw], tmp[(2*r+1)*cw:(2*r+2)*cw]
+		for x := range s {
+			ax := s[x] - (d[x] >> 1)
+			a[x], b[x] = ax, ax+d[x]
+		}
+	}
+	if ch%2 == 1 {
+		copy(tmp[(ch-1)*cw:ch*cw], c[n*w:n*w+cw])
+	}
+	for y := 0; y < ch; y++ {
+		copy(c[y*w:y*w+cw], tmp[y*cw:(y+1)*cw])
+	}
 }

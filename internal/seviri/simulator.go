@@ -45,19 +45,29 @@ type Simulator struct {
 	// "precalculated" polynomial the chain's georeferencing step applies.
 	geoToRaw georef.Transform
 
-	// The grid-only part of the scene (sceneGrid), about 20 KB.
+	// The grid-only part of the scene (sceneGrid): about 20 KB on the geo
+	// grid, 0.36 MB on the raw grid.
 	gridOnce       sync.Once
-	sinLat, cosLat []float64 // per row: the zenith's latitude terms
-	surface        []int8    // per pixel: -1 sea, else its cover's coverBonus
+	sinLat, cosLat []float64    // per row: the zenith's latitude terms
+	surface        []int8       // per pixel: -1 sea, else its cover's coverBonus
+	warp           [][2]float64 // per raw pixel: the geo position rawToGeo samples
 }
 
 // coverBonus lifts the 10.8 µm land base by cover class.
 var coverBonus = map[auxdata.CoverClass]int8{auxdata.CoverUrban: 3, auxdata.CoverAgricultural: 2, auxdata.CoverScrub: 1}
 
 // sceneGrid computes the grid-only part of the scene, once per Simulator:
-// the land/cover class at each pixel centre and the latitude terms.
+// the land/cover class at each pixel centre, the latitude terms and the
+// scan geometry's inverse at each raw pixel.
 func (s *Simulator) sceneGrid() {
 	s.gridOnce.Do(func() {
+		s.warp = make([][2]float64, s.RawWidth*s.RawHeight)
+		for y := 0; y < s.RawHeight; y++ {
+			for x := 0; x < s.RawWidth; x++ {
+				fx, fy := s.rawToGeo(x, y)
+				s.warp[y*s.RawWidth+x] = [2]float64{fx, fy}
+			}
+		}
 		world := s.Scenario.World
 		s.sinLat, s.cosLat = make([]float64, s.GeoHeight), make([]float64, s.GeoHeight)
 		s.surface = make([]int8, s.GeoWidth*s.GeoHeight)
@@ -282,27 +292,26 @@ func (s *Simulator) rawToGeo(u, v int) (float64, float64) {
 }
 
 // warpToRaw resamples both geo-grid bands onto the raw scan grid from
-// one inverse transform per raw pixel, bilinearly; pixels sampling off
-// the geo grid get a sane background, so border pixels calibrate.
+// the inverse transform sceneGrid solved at each raw pixel, bilinearly;
+// pixels sampling off the geo grid get a sane background, so border
+// pixels calibrate.
 func (s *Simulator) warpToRaw(geo039, geo108 *array.Dense) (raw039, raw108 *array.Dense) {
+	s.sceneGrid()
 	gw, gh := geo039.Width(), geo039.Height()
 	g039, g108 := geo039.Values(), geo108.Values()
 	raw039, raw108 = array.New(s.RawWidth, s.RawHeight), array.New(s.RawWidth, s.RawHeight)
 	r039, r108 := raw039.Values(), raw108.Values()
-	for y := 0; y < s.RawHeight; y++ {
-		for x := 0; x < s.RawWidth; x++ {
-			i := y*s.RawWidth + x
-			fx, fy := s.rawToGeo(x, y)
-			ix, iy := int(math.Floor(fx)), int(math.Floor(fy))
-			if ix < 0 || iy < 0 || ix >= gw-1 || iy >= gh-1 {
-				r039[i], r108[i] = 280, 280
-				continue
-			}
-			tx, ty := fx-float64(ix), fy-float64(iy)
-			j := iy*gw + ix
-			r039[i] = g039[j]*(1-tx)*(1-ty) + g039[j+1]*tx*(1-ty) + g039[j+gw]*(1-tx)*ty + g039[j+gw+1]*tx*ty
-			r108[i] = g108[j]*(1-tx)*(1-ty) + g108[j+1]*tx*(1-ty) + g108[j+gw]*(1-tx)*ty + g108[j+gw+1]*tx*ty
+	for i, f := range s.warp {
+		fx, fy := f[0], f[1]
+		ix, iy := int(math.Floor(fx)), int(math.Floor(fy))
+		if ix < 0 || iy < 0 || ix >= gw-1 || iy >= gh-1 {
+			r039[i], r108[i] = 280, 280
+			continue
 		}
+		tx, ty := fx-float64(ix), fy-float64(iy)
+		j := iy*gw + ix
+		r039[i] = g039[j]*(1-tx)*(1-ty) + g039[j+1]*tx*(1-ty) + g039[j+gw]*(1-tx)*ty + g039[j+gw+1]*tx*ty
+		r108[i] = g108[j]*(1-tx)*(1-ty) + g108[j+1]*tx*(1-ty) + g108[j+gw]*(1-tx)*ty + g108[j+gw+1]*tx*ty
 	}
 	return raw039, raw108
 }

@@ -131,7 +131,7 @@ type BinaryExpr struct {
 
 func (*BinaryExpr) exprNode() {}
 
-// UnaryExpr applies ! or unary minus.
+// UnaryExpr applies !, unary minus or unary plus.
 type UnaryExpr struct {
 	Op string
 	X  Expr

@@ -23,6 +23,11 @@ func (e *Evaluator) applyUnary(op string, x Value) Value {
 			return errValue("stsparql: unary minus on non-number")
 		}
 		return numValue(-x.Num)
+	case "+":
+		if x.Kind != VNum {
+			return errValue("stsparql: unary plus on non-number")
+		}
+		return x
 	default:
 		return errValue("stsparql: unknown unary operator %q", op)
 	}

@@ -102,9 +102,10 @@ func (l *lexer) next() (token, error) {
 	c := l.src[l.pos]
 	switch {
 	case c == '?' || c == '$':
+		// VARNAME (SPARQL 1.1 rule [166]) has no '-': "?v-1" is ?v minus 1.
 		l.pos++
 		start := l.pos
-		for l.pos < len(l.src) && (isAlnum(l.src[l.pos]) || l.src[l.pos] == '_' || l.src[l.pos] == '-') {
+		for l.pos < len(l.src) && (isAlnum(l.src[l.pos]) || l.src[l.pos] == '_') {
 			l.pos++
 		}
 		if l.pos == start {

@@ -108,6 +108,52 @@ SELECT ?m WHERE { ?m a gag:Municipality ; gag:hasPopulation ?p . FILTER(?p -1000
 	}
 }
 
+// TestVariableNamesAndUnaryPlus: VARNAME (SPARQL 1.1 rule [166]) has no
+// '-', so a '-' right after a variable is subtraction; unary '+' (rule
+// [119]) applies to a number and leaves it as it is.
+func TestVariableNamesAndUnaryPlus(t *testing.T) {
+	for _, tc := range []struct{ filter, want string }{
+		{`?v-1 > 0`, `((?v - "1"^^<http://www.w3.org/2001/XMLSchema#integer>) > "0"^^<http://www.w3.org/2001/XMLSchema#integer>)`},
+		{`?a-?b > 0`, `((?a - ?b) > "0"^^<http://www.w3.org/2001/XMLSchema#integer>)`},
+		{`?v_1-?w > 0`, `((?v_1 - ?w) > "0"^^<http://www.w3.org/2001/XMLSchema#integer>)`},
+		{`+?v > 2`, `(+?v > "2"^^<http://www.w3.org/2001/XMLSchema#integer>)`},
+		{`-+?v < 0`, `(-+?v < "0"^^<http://www.w3.org/2001/XMLSchema#integer>)`},
+		{`?v * +?w > 0`, `((?v * +?w) > "0"^^<http://www.w3.org/2001/XMLSchema#integer>)`},
+		{`!bound(?v)`, `!bound(?v)`},
+	} {
+		q := mustParse(t, `SELECT ?v WHERE { ?s ?p ?v FILTER(`+tc.filter+`) }`)
+		if got := exprString(q.Select.Where.Elements[1].(*FilterElement).Cond); got != tc.want {
+			t.Errorf("FILTER(%s) parsed as %s, want %s", tc.filter, got, tc.want)
+		}
+	}
+	for _, src := range []string{
+		`SELECT ?a-b WHERE { ?s ?p ?a }`,
+		`SELECT ?v WHERE { ?s ?p ?v- }`,
+		`SELECT ?v WHERE { ?s ?p ?v FILTER(+) }`,
+	} {
+		if _, err := Parse(src, nil); err == nil {
+			t.Errorf("%s: expected a parse error", src)
+		}
+	}
+	st := fixtureStore()
+	for _, tc := range []struct {
+		filter string
+		rows   int
+	}{
+		{`?p-1000 > 0`, 1},
+		{`?p-1000 >= 0`, 2},
+		{`+?p > 1000`, 1},
+		{`+?p = ?p`, 2},
+		{`+?l = ?l`, 0}, // unary plus of a string is an error
+	} {
+		res := runSelect(t, st, `
+SELECT ?m WHERE { ?m a gag:Municipality ; gag:hasPopulation ?p ; rdfs:label ?l . FILTER(`+tc.filter+`) }`)
+		if len(res.Rows) != tc.rows {
+			t.Errorf("FILTER(%s) rows = %d, want %d", tc.filter, len(res.Rows), tc.rows)
+		}
+	}
+}
+
 // TestDataFormsRefuseNonGround: SPARQL 1.1 Update §3.1.1–3.1.2 — the
 // DATA forms hold ground triples only.
 func TestDataFormsRefuseNonGround(t *testing.T) {

@@ -675,7 +675,7 @@ func (p *parser) multiplicativeFrom(l Expr) (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	if t := p.cur(); t.kind == tokOp && (t.text == "!" || t.text == "-") {
+	if t := p.cur(); t.kind == tokOp && (t.text == "!" || t.text == "-" || t.text == "+") {
 		p.advance()
 		x, err := p.parseUnary()
 		if err != nil {

@@ -2,10 +2,11 @@
 // Kersten, Manegold — SSDBM 2012): external HRIT files are attached
 // "as-is"; attaching only parses their header metadata into a catalog
 // ("Extract and store the raw file metadata", the SEVIRI Monitor's first
-// job). Pixel data is converted into SciQL arrays lazily, on the first
-// query that touches an acquisition, and cached with LRU eviction. The
-// vault registers the table function hrit_load_image(uri) with the SciQL
-// engine, the function the paper's loading section describes.
+// job). Pixel data is decoded lazily, on the first query that touches an
+// acquisition, and its 10-bit counts are cached with LRU eviction; every
+// load converts them into a new SciQL array. The vault registers the
+// table function hrit_load_image(uri) with the SciQL engine, the function
+// the paper's loading section describes.
 //
 // Files attached from disk stay on disk. Files attached from memory (the
 // simulator's downlink) are held only until the vault no longer needs
@@ -43,7 +44,7 @@ type Entry struct {
 }
 
 // ErrReleased is returned (wrapped) by Load for an acquisition attached
-// from memory whose raw bytes the vault has released and whose image is
+// from memory whose raw bytes the vault has released and whose counts are
 // no longer cached.
 var ErrReleased = errors.New("vault: acquisition released")
 
@@ -94,11 +95,28 @@ type Vault struct {
 
 type cacheItem struct {
 	key acquisitionKey
-	img *array.Dense
+	img rawImage
 }
 
-// New returns a vault caching up to capacity assembled acquisitions
-// (per channel).
+// rawImage is an assembled acquisition: w×h raw 10-bit counts, row-major.
+// The cache and every load it serves share counts, read only.
+type rawImage struct {
+	counts []uint16
+	w, h   int
+}
+
+// affine returns offset + slope*count of every pixel as a new array.
+func (r rawImage) affine(offset, slope float64) *array.Dense {
+	img := array.New(r.w, r.h)
+	vals := img.Values()
+	for i, c := range r.counts {
+		vals[i] = offset + slope*float64(c)
+	}
+	return img
+}
+
+// New returns a vault caching the counts of up to capacity assembled
+// images, one per channel and acquisition time.
 func New(capacity int) *Vault {
 	if capacity < 1 {
 		capacity = 1
@@ -111,8 +129,8 @@ func New(capacity int) *Vault {
 	}
 }
 
-// Capacity is the number of assembled acquisitions the cache holds; the
-// raw bytes of twice as many decoded ones are retained.
+// Capacity is the number of assembled acquisitions whose counts the
+// cache holds; the raw bytes of twice as many decoded ones are retained.
 func (v *Vault) Capacity() int { return v.cacheCap }
 
 // AttachDir scans a directory for .hrit files and attaches them. Only
@@ -227,10 +245,34 @@ func (v *Vault) RegisterMetrics(reg *obs.Registry) {
 
 // Load materialises the full image (raw counts) for an acquisition,
 // assembling and decompressing its segments on first touch and serving
-// the LRU cache afterwards. An acquisition whose in-memory bytes were
-// released loads only while its image is cached; otherwise the error
-// wraps ErrReleased.
+// the LRU cache of counts afterwards. Each call returns a fresh array
+// the caller owns. An acquisition whose in-memory bytes were released
+// loads only while its counts are cached; otherwise the error wraps
+// ErrReleased.
 func (v *Vault) Load(channel string, ts time.Time) (*array.Dense, error) {
+	img, err := v.image(channel, ts)
+	if err != nil {
+		return nil, err
+	}
+	return img.affine(0, 1), nil
+}
+
+// LoadTemperature loads an acquisition and calibrates counts to kelvin.
+func (v *Vault) LoadTemperature(channel string, ts time.Time) (*array.Dense, error) {
+	img, err := v.image(channel, ts)
+	if err != nil {
+		return nil, err
+	}
+	cal, err := hrit.CalibrationFor(channel)
+	if err != nil {
+		return nil, err
+	}
+	return img.affine(cal.Offset, cal.Slope), nil
+}
+
+// image returns an acquisition's counts from the cache, or assembles
+// them from its segments and caches them.
+func (v *Vault) image(channel string, ts time.Time) (rawImage, error) {
 	key := acquisitionKey{Channel: channel, Stamp: ts.UnixNano()}
 	v.mu.Lock()
 	if el, ok := v.cache[key]; ok {
@@ -250,10 +292,10 @@ func (v *Vault) Load(channel string, ts time.Time) (*array.Dense, error) {
 	v.mu.Unlock()
 
 	if released {
-		return nil, fmt.Errorf("vault: %s @ %s: %w", channel, ts.Format(time.RFC3339), ErrReleased)
+		return rawImage{}, fmt.Errorf("vault: %s @ %s: %w", channel, ts.Format(time.RFC3339), ErrReleased)
 	}
 	if len(entries) == 0 {
-		return nil, fmt.Errorf("vault: no segments for %s @ %s", channel, ts.Format(time.RFC3339))
+		return rawImage{}, fmt.Errorf("vault: no segments for %s @ %s", channel, ts.Format(time.RFC3339))
 	}
 	segs := make([]hrit.Segment, 0, len(entries))
 	var bytesRead int64
@@ -263,22 +305,24 @@ func (v *Vault) Load(channel string, ts time.Time) (*array.Dense, error) {
 			var err error
 			raw, err = os.ReadFile(e.Name)
 			if err != nil {
-				return nil, fmt.Errorf("vault: %w", err)
+				return rawImage{}, fmt.Errorf("vault: %w", err)
 			}
 		}
 		bytesRead += int64(len(raw))
 		seg, err := hrit.Decode(raw)
 		if err != nil {
-			return nil, fmt.Errorf("vault: %s: %w", e.Name, err)
+			return rawImage{}, fmt.Errorf("vault: %s: %w", e.Name, err)
 		}
 		segs = append(segs, seg)
 	}
-	img, err := hrit.Assemble(segs)
+	counts, w, h, err := hrit.AssembleCounts(segs)
 	if err != nil {
-		return nil, fmt.Errorf("vault: %w", err)
+		return rawImage{}, fmt.Errorf("vault: %w", err)
 	}
+	img := rawImage{counts: counts, w: w, h: h}
 
 	v.mu.Lock()
+	defer v.mu.Unlock()
 	v.stats.Loads++
 	v.stats.BytesRead += bytesRead
 	v.retain(key)
@@ -287,18 +331,15 @@ func (v *Vault) Load(channel string, ts time.Time) (*array.Dense, error) {
 	// cache mapping.
 	if el, ok := v.cache[key]; ok {
 		v.lru.MoveToFront(el)
-		v.mu.Unlock()
 		return el.Value.(cacheItem).img, nil
 	}
-	el := v.lru.PushFront(cacheItem{key: key, img: img})
-	v.cache[key] = el
+	v.cache[key] = v.lru.PushFront(cacheItem{key: key, img: img})
 	for v.lru.Len() > v.cacheCap {
 		oldest := v.lru.Back()
 		v.lru.Remove(oldest)
 		delete(v.cache, oldest.Value.(cacheItem).key)
 		v.stats.Evictions++
 	}
-	v.mu.Unlock()
 	return img, nil
 }
 
@@ -329,19 +370,6 @@ func (v *Vault) retain(key acquisitionKey) {
 		old.released = true
 		v.stats.Released++
 	}
-}
-
-// LoadTemperature loads an acquisition and calibrates counts to kelvin.
-func (v *Vault) LoadTemperature(channel string, ts time.Time) (*array.Dense, error) {
-	img, err := v.Load(channel, ts)
-	if err != nil {
-		return nil, err
-	}
-	cal, err := hrit.CalibrationFor(channel)
-	if err != nil {
-		return nil, err
-	}
-	return cal.CalibrateArray(img), nil
 }
 
 // URI renders the vault URI for an acquisition, the argument format of

@@ -3,6 +3,7 @@ package vault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -253,6 +254,9 @@ func TestRetentionFollowsDecodes(t *testing.T) {
 	if _, err := v.Load(hrit.ChannelIR039, at(1)); !errors.Is(err, ErrReleased) {
 		t.Fatalf("load of a released acquisition: err = %v, want ErrReleased", err)
 	}
+	if _, err := v.LoadTemperature(hrit.ChannelIR039, at(1)); !errors.Is(err, ErrReleased) {
+		t.Fatalf("calibrated load of a released acquisition: err = %v, want ErrReleased", err)
+	}
 	// Released acquisitions keep their headers.
 	if got := len(v.Acquisitions(hrit.ChannelIR039)); got != 7 {
 		t.Fatalf("acquisitions = %d, want 7", got)
@@ -387,5 +391,149 @@ func TestConcurrentLoadsNeverReleaseInFlight(t *testing.T) {
 	st := v.Stats()
 	if st.Released != workers*each-4 || st.RetainedBytes != 4*size {
 		t.Fatalf("stats = %+v, want %d released and %d bytes retained", st, workers*each-4, 4*size)
+	}
+}
+
+// attachRamp attaches one acquisition per channel whose counts run
+// through the whole 10-bit range, 32 columns by 32 lines in four
+// compressed segments.
+func attachRamp(t *testing.T, v *Vault, ts time.Time) []uint16 {
+	t.Helper()
+	counts := make([]uint16, 32*32)
+	for i := range counts {
+		counts[i] = uint16((i * 37) % 1024)
+	}
+	for _, ch := range []string{hrit.ChannelIR039, hrit.ChannelIR108} {
+		segs, err := hrit.Split(counts, 32, 4, hrit.SegmentHeader{
+			ProductName: "MSG1-SEVIRI", Channel: ch, Timestamp: ts, Compressed: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sg := range segs {
+			raw, err := hrit.Encode(sg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := v.AttachBytes(fmt.Sprintf("%s_s%d", ch, i), raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return counts
+}
+
+// TestLoadReturnsCallersArray: the cache holds counts, so what Load and
+// LoadTemperature return is the caller's to write; a later load of the
+// same acquisition, served from the cache, is unchanged by it.
+func TestLoadReturnsCallersArray(t *testing.T) {
+	v := New(2)
+	ts := time.Date(2010, 8, 22, 12, 0, 0, 0, time.UTC)
+	counts := attachRamp(t, v, ts)
+	for round := 0; round < 2; round++ {
+		img, err := v.Load(hrit.ChannelIR039, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range counts {
+			if got := img.Values()[i]; got != float64(c) {
+				t.Fatalf("round %d: pixel %d = %g, want %d", round, i, got, c)
+			}
+		}
+		temp, err := v.LoadTemperature(hrit.ChannelIR039, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if temp.Values()[0] != 170 {
+			t.Fatalf("round %d: calibrated pixel 0 = %g, want 170", round, temp.Values()[0])
+		}
+		img.Fill(-1)
+		img.Invalidate(0, 0)
+		temp.Fill(-1)
+	}
+	if st := v.Stats(); st.Loads != 1 || st.CacheHits != 3 {
+		t.Fatalf("stats = %+v, want one decode and three hits", st)
+	}
+}
+
+// TestLoadTemperatureMatchesCalibrateArray: calibrating from the cached
+// counts gives, bit for bit, what calibrating the float64 image of
+// counts gave (the former Calibration.CalibrateArray over Load, kept
+// here as the reference expression), on both channels.
+func TestLoadTemperatureMatchesCalibrateArray(t *testing.T) {
+	v := New(2)
+	ts := time.Date(2010, 8, 22, 12, 0, 0, 0, time.UTC)
+	attachRamp(t, v, ts)
+	for _, ch := range []string{hrit.ChannelIR039, hrit.ChannelIR108} {
+		img, err := v.Load(ch, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cal, err := hrit.CalibrationFor(ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := img.Clone()
+		for i, c := range want.Values() {
+			want.Values()[i] = cal.Offset + cal.Slope*c
+		}
+		got, err := v.LoadTemperature(ch, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Width() != want.Width() || got.Height() != want.Height() {
+			t.Fatalf("%s: %dx%d, want %dx%d", ch, got.Width(), got.Height(), want.Width(), want.Height())
+		}
+		for i, w := range want.Values() {
+			if g := got.Values()[i]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: pixel %d = %v, want %v", ch, i, g, w)
+			}
+		}
+	}
+}
+
+// TestConcurrentFirstLoadsCacheOnce: concurrent first Loads and
+// LoadTemperatures of one acquisition may each decode, but leave one
+// cache entry, and every caller sees the same counts.
+func TestConcurrentFirstLoadsCacheOnce(t *testing.T) {
+	const callers = 8
+	v := New(2)
+	ts := time.Date(2010, 8, 22, 12, 0, 0, 0, time.UTC)
+	counts := attachRamp(t, v, ts)
+	cal, err := hrit.CalibrationFor(hrit.ChannelIR039)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			load, want := v.Load, float64(counts[5])
+			if i%2 == 1 {
+				load, want = v.LoadTemperature, cal.Offset+cal.Slope*float64(counts[5])
+			}
+			img, err := load(hrit.ChannelIR039, ts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := img.Values()[5]; got != want {
+				t.Errorf("caller %d: pixel 5 = %g, want %g", i, got, want)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	v.mu.Lock()
+	entries, lru := len(v.cache), v.lru.Len()
+	v.mu.Unlock()
+	if entries != 1 || lru != 1 {
+		t.Fatalf("cache holds %d keys and %d LRU elements, want 1 and 1", entries, lru)
+	}
+	if st := v.Stats(); st.Loads+st.CacheHits != callers || st.Loads < 1 {
+		t.Fatalf("stats = %+v, want %d decodes and hits together", st, callers)
 	}
 }

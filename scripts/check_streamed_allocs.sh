@@ -47,7 +47,13 @@
 #     input arrays adopted, not copied, Figure 4 parsed once per chain,
 #     both channels georeferenced in one pass.
 #   BenchmarkSimulatorAcquire (internal/seviri) — the downlink
-#     simulator, its grid-only scene part computed once per simulator.
+#     simulator, its grid-only scene part and its warp computed once per
+#     simulator.
+#   BenchmarkDecodeAcquisition (internal/hrit) — a vault cache miss: one
+#     simulated acquisition's eight compressed segments decoded and each
+#     channel's counts assembled. Gated on allocs/op too (limit 1.1x): the
+#     wavelet lifts through one scratch plane per segment, so a slice per
+#     row or column creeping back shows as thousands.
 #
 # A retained-memory gate: B/triple, limit 1.1x. The benchmark loads a
 # product-shaped triple set and reports the whole heap bytes the store
@@ -120,6 +126,10 @@ check . 'BenchmarkTable2SciQLChain' \
     testdata/table2_sciql_chain_bytes.baseline B/op 11 10
 check ./internal/seviri 'BenchmarkSimulatorAcquire' \
     internal/seviri/testdata/simulator_acquire_bytes.baseline B/op 11 10
+check ./internal/hrit 'BenchmarkDecodeAcquisition' \
+    internal/hrit/testdata/decode_acquisition_bytes.baseline B/op 11 10
+check ./internal/hrit 'BenchmarkDecodeAcquisition' \
+    internal/hrit/testdata/decode_acquisition_allocs.baseline allocs/op 11 10
 check ./internal/rdf 'BenchmarkStoreRetained' \
     internal/rdf/testdata/store_retained_bytes.baseline B/triple 11 10
 
