@@ -16,6 +16,7 @@ import (
 	"repro/internal/auxdata"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/products"
 	"repro/internal/refine"
 	"repro/internal/seviri"
 	"repro/internal/strabon"
@@ -85,7 +86,9 @@ func BenchmarkTable2SciQLChain(b *testing.B) {
 
 // --- Figure 8: refinement operation response times ---
 
-func figure8Setup(b *testing.B) (*core.Service, *refine.Runner) {
+// figure8Setup services a half-hour window and returns the runner with
+// the window's last plain product.
+func figure8Setup(b *testing.B) (*refine.Runner, *products.Product) {
 	b.Helper()
 	cfg := seviri.DefaultScenarioConfig()
 	cfg.Days = 1
@@ -93,22 +96,23 @@ func figure8Setup(b *testing.B) (*core.Service, *refine.Runner) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var last *products.Product
+	svc.PlainSink = func(p *products.Product) { last = p }
 	// Pre-load an archive so the store resembles the paper's multi-year
 	// hotspot collection.
 	from := cfg.Start.Add(11 * time.Hour)
 	if err := svc.RunWindow(seviri.MSG1, from, 30*time.Minute); err != nil {
 		b.Fatal(err)
 	}
-	return svc, svc.Refiner
+	return svc.Refiner, last
 }
 
 // benchRefineOp times one refinement operation against a stored product.
-func benchRefineOp(b *testing.B, run func(*refine.Runner, *core.Service, time.Time) error) {
-	svc, runner := figure8Setup(b)
-	at := svc.PlainProducts[len(svc.PlainProducts)-1].AcquiredAt
+func benchRefineOp(b *testing.B, run func(*refine.Runner, *products.Product) error) {
+	runner, product := figure8Setup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := run(runner, svc, at); err != nil {
+		if err := run(runner, product); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,40 +120,40 @@ func benchRefineOp(b *testing.B, run func(*refine.Runner, *core.Service, time.Ti
 
 // BenchmarkFigure8Municipalities times the paper's slowest operation.
 func BenchmarkFigure8Municipalities(b *testing.B) {
-	benchRefineOp(b, func(r *refine.Runner, svc *core.Service, at time.Time) error {
-		_, err := r.Municipalities(svc.PlainProducts[len(svc.PlainProducts)-1])
+	benchRefineOp(b, func(r *refine.Runner, p *products.Product) error {
+		_, err := r.Municipalities(p)
 		return err
 	})
 }
 
 // BenchmarkFigure8DeleteInSea times the sea-hotspot deletion update.
 func BenchmarkFigure8DeleteInSea(b *testing.B) {
-	benchRefineOp(b, func(r *refine.Runner, svc *core.Service, at time.Time) error {
-		_, err := r.DeleteInSea(svc.PlainProducts[len(svc.PlainProducts)-1])
+	benchRefineOp(b, func(r *refine.Runner, p *products.Product) error {
+		_, err := r.DeleteInSea(p)
 		return err
 	})
 }
 
 // BenchmarkFigure8InvalidForFires times the land-cover consistency update.
 func BenchmarkFigure8InvalidForFires(b *testing.B) {
-	benchRefineOp(b, func(r *refine.Runner, svc *core.Service, at time.Time) error {
-		_, err := r.InvalidForFires(svc.PlainProducts[len(svc.PlainProducts)-1])
+	benchRefineOp(b, func(r *refine.Runner, p *products.Product) error {
+		_, err := r.InvalidForFires(p)
 		return err
 	})
 }
 
 // BenchmarkFigure8RefineInCoast times the coastline clipping update.
 func BenchmarkFigure8RefineInCoast(b *testing.B) {
-	benchRefineOp(b, func(r *refine.Runner, svc *core.Service, at time.Time) error {
-		_, err := r.RefineInCoast(svc.PlainProducts[len(svc.PlainProducts)-1])
+	benchRefineOp(b, func(r *refine.Runner, p *products.Product) error {
+		_, err := r.RefineInCoast(p)
 		return err
 	})
 }
 
 // BenchmarkFigure8TimePersistence times the persistence heuristic.
 func BenchmarkFigure8TimePersistence(b *testing.B) {
-	benchRefineOp(b, func(r *refine.Runner, svc *core.Service, at time.Time) error {
-		_, err := r.TimePersistence(svc.PlainProducts[len(svc.PlainProducts)-1])
+	benchRefineOp(b, func(r *refine.Runner, p *products.Product) error {
+		_, err := r.TimePersistence(p)
 		return err
 	})
 }

@@ -25,6 +25,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mapgen"
 	"repro/internal/obs"
+	"repro/internal/products"
 	"repro/internal/refine"
 	"repro/internal/seviri"
 	"repro/internal/strabon"
@@ -55,6 +56,12 @@ func main() {
 	svc, err := core.NewServiceWithStore(*seed, cfg, st)
 	fail(err)
 	svc.Workers = *workers
+	var fires []geom.Geometry // the plain products' hotspots, for the map
+	svc.PlainSink = func(p *products.Product) {
+		for _, h := range p.Hotspots {
+			fires = append(fires, h.Geometry)
+		}
+	}
 
 	var reg *obs.Registry
 	var qlog *obs.QueryLog
@@ -98,7 +105,7 @@ func main() {
 				http.Error(w, "acquisition window in progress", http.StatusServiceUnavailable)
 				return
 			}
-			m := productMap(svc)
+			m := productMap(svc, fires)
 			w.Header().Set("Content-Type", "application/geo+json")
 			fmt.Fprint(w, m.GeoJSON())
 		})
@@ -107,7 +114,7 @@ func main() {
 				http.Error(w, "acquisition window in progress", http.StatusServiceUnavailable)
 				return
 			}
-			m := productMap(svc)
+			m := productMap(svc, fires)
 			w.Header().Set("Content-Type", "image/svg+xml")
 			fmt.Fprint(w, m.SVG(900))
 		})
@@ -150,7 +157,7 @@ func main() {
 	select {}
 }
 
-func productMap(svc *core.Service) *mapgen.Map {
+func productMap(svc *core.Service, fires []geom.Geometry) *mapgen.Map {
 	world := svc.Sim.Scenario.World
 	m := mapgen.New(auxdata.Region, "firewatch: active fire products")
 	var land []geom.Geometry
@@ -158,12 +165,6 @@ func productMap(svc *core.Service) *mapgen.Map {
 		land = append(land, p)
 	}
 	m.AddLayer(mapgen.Layer{Name: "Coastline", Stroke: "#7a6a4f", Fill: "#f3ecd9", Geoms: land})
-	var fires []geom.Geometry
-	for _, p := range svc.PlainProducts {
-		for _, h := range p.Hotspots {
-			fires = append(fires, h.Geometry)
-		}
-	}
 	m.AddLayer(mapgen.Layer{Name: "Hotspots", Stroke: "#990000", Fill: "#ff2200", Opacity: 0.6, Geoms: fires})
 	return m
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/products"
 	"repro/internal/refine"
 	"repro/internal/seviri"
 	"repro/internal/strabon"
@@ -84,6 +85,8 @@ func TestSciQLAndLegacyChainsAgree(t *testing.T) {
 
 func TestRefinementDeletesSeaHotspots(t *testing.T) {
 	s := newTestService(t)
+	var plain *products.Product
+	s.PlainSink = func(p *products.Product) { plain = p }
 	// A glint-heavy midday acquisition.
 	at := time.Date(2007, 8, 24, 11, 0, 0, 0, time.UTC)
 	rep, err := s.Step(seviri.MSG1, at)
@@ -93,7 +96,7 @@ func TestRefinementDeletesSeaHotspots(t *testing.T) {
 	// Count plain hotspots entirely in the sea.
 	world := s.Sim.Scenario.World
 	seaPlain := 0
-	for _, h := range s.PlainProducts[0].Hotspots {
+	for _, h := range plain.Hotspots {
 		if !world.LandAt(h.Geometry.Centroid()) {
 			corners := 0
 			for _, c := range h.Geometry.Shell[:4] {

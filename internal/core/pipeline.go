@@ -256,7 +256,9 @@ func (s *Service) flush(sensor seviri.Sensor, batch []chainResult) error {
 		for _, t := range outcomes[i].Timings {
 			total += t.Duration
 		}
-		s.PlainProducts = append(s.PlainProducts, res.product)
+		if s.PlainSink != nil {
+			s.PlainSink(res.product)
+		}
 		s.Reports = append(s.Reports, AcquisitionReport{
 			Sensor:      sensor.Name,
 			At:          res.at,

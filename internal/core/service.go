@@ -59,9 +59,11 @@ type Service struct {
 	Metrics *PipelineMetrics
 
 	Reports []AcquisitionReport
-	// PlainProducts retains each acquisition's pre-refinement product for
-	// the Table 1 comparison.
-	PlainProducts []*products.Product
+	// PlainSink, when set, receives each serviced acquisition's
+	// pre-refinement product, in acquisition order: Table 1 and the map
+	// figures collect them. The service itself keeps none — the store
+	// holds what refinement left of them.
+	PlainSink func(*products.Product)
 }
 
 // NewServiceWithStore assembles the full stack over a world seed and a
@@ -138,19 +140,19 @@ func (s *Service) RunWindowSequential(sensor seviri.Sensor, from time.Time, span
 }
 
 // RefinedProducts extracts the post-refinement product of every serviced
-// acquisition from the Strabon store (the Table 1 "after refinement"
-// variant).
+// acquisition (Reports) from the Strabon store (the Table 1 "after
+// refinement" variant).
 func (s *Service) RefinedProducts() ([]*products.Product, error) {
 	var out []*products.Product
-	for _, plain := range s.PlainProducts {
-		res, err := s.Refiner.CurrentHotspots(plain.AcquiredAt)
+	for _, rep := range s.Reports {
+		res, err := s.Refiner.CurrentHotspots(rep.At)
 		if err != nil {
 			return nil, err
 		}
 		p := &products.Product{
-			Sensor:     plain.Sensor,
-			Chain:      plain.Chain + "+refined",
-			AcquiredAt: plain.AcquiredAt,
+			Sensor:     rep.Sensor,
+			Chain:      s.Chain.Name() + "+refined",
+			AcquiredAt: rep.At,
 		}
 		gc, cc := res.Col("g"), res.Col("conf")
 		for i, row := range res.Rows {
@@ -160,11 +162,11 @@ func (s *Service) RefinedProducts() ([]*products.Product, error) {
 			}
 			conf, _ := row[cc].Float()
 			p.Hotspots = append(p.Hotspots, products.Hotspot{
-				ID:         fmt.Sprintf("refined_%d_%s", i, plain.AcquiredAt.Format("150405")),
+				ID:         fmt.Sprintf("refined_%d_%s", i, rep.At.Format("150405")),
 				Geometry:   g,
 				Confidence: conf,
-				AcquiredAt: plain.AcquiredAt,
-				Sensor:     plain.Sensor,
+				AcquiredAt: rep.At,
+				Sensor:     rep.Sensor,
 				Chain:      p.Chain,
 				Producer:   "noa",
 			})

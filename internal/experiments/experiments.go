@@ -38,6 +38,8 @@ func Table1(seed int64, days int) (*Table1Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var plain []*products.Product
+	svc.PlainSink = func(p *products.Product) { plain = append(plain, p) }
 	start := cfg.Start
 	// Service the MSG1 stream inside each overpass merge window.
 	for _, op := range modis.OverpassesFor(start, days) {
@@ -54,7 +56,7 @@ func Table1(seed int64, days int) (*Table1Result, error) {
 		return nil, err
 	}
 	return &Table1Result{
-		Plain:   accuracy.Evaluate("Plain chain", svc.PlainProducts, reference),
+		Plain:   accuracy.Evaluate("Plain chain", plain, reference),
 		Refined: accuracy.Evaluate("After refinement", refined, reference),
 	}, nil
 }
@@ -291,9 +293,11 @@ func CollectProducts(seed int64, window time.Duration) (*core.Service, []*produc
 	if err != nil {
 		return nil, nil, err
 	}
+	var plain []*products.Product
+	svc.PlainSink = func(p *products.Product) { plain = append(plain, p) }
 	from := cfg.Start.Add(11 * time.Hour)
 	if err := svc.RunWindow(seviri.MSG1, from, window); err != nil {
 		return nil, nil, err
 	}
-	return svc, svc.PlainProducts, nil
+	return svc, plain, nil
 }

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/rdf"
@@ -38,9 +40,88 @@ ORDER BY DESC(str(?at)) ?h LIMIT 10`,
 }`,
 }
 
+// builtinSeeds calls every row of the builtin table at both ends of its
+// arity range and one past it, in a projection and in a FILTER: the
+// parser accepts the first two (an aggregate only in the projection)
+// and refuses the rest.
+func builtinSeeds() []string {
+	var seeds []string
+	for _, fn := range stsparql.Builtins() {
+		for _, n := range []int{fn.Min, fn.Max, fn.Max + 1} {
+			args := strings.TrimSuffix(strings.Repeat("?o, ", n), ", ")
+			call := fn.Names[0] + "(" + args + ")"
+			seeds = append(seeds,
+				"SELECT ?s ("+call+" AS ?x) WHERE { ?s ?p ?o }",
+				"SELECT ?s WHERE { ?s ?p ?o FILTER("+call+") }")
+		}
+	}
+	return seeds
+}
+
+// unresolved reports whether some call of the query, at any depth, has
+// no row of the builtin table.
+func unresolved(q *stsparql.Query) bool {
+	var inExpr func(x stsparql.Expr) bool
+	inExpr = func(x stsparql.Expr) bool {
+		switch x := x.(type) {
+		case *stsparql.CallExpr:
+			return x.Fn == nil || slices.ContainsFunc(x.Args, inExpr)
+		case *stsparql.BinaryExpr:
+			return inExpr(x.L) || inExpr(x.R)
+		case *stsparql.UnaryExpr:
+			return inExpr(x.X)
+		}
+		return false
+	}
+	var inSelect func(sel *stsparql.SelectQuery) bool
+	var inGroup func(gp *stsparql.GroupPattern) bool
+	inSelect = func(sel *stsparql.SelectQuery) bool {
+		exprs := slices.Concat(sel.GroupBy, sel.Having)
+		for _, item := range sel.Projection {
+			exprs = append(exprs, item.Expr)
+		}
+		for _, k := range sel.OrderBy {
+			exprs = append(exprs, k.Expr)
+		}
+		return slices.ContainsFunc(exprs, inExpr) || inGroup(sel.Where)
+	}
+	inGroup = func(gp *stsparql.GroupPattern) bool {
+		for _, el := range gp.Elements {
+			var found bool
+			switch el := el.(type) {
+			case *stsparql.FilterElement:
+				found = inExpr(el.Cond)
+			case *stsparql.OptionalElement:
+				found = inGroup(el.Pattern)
+			case *stsparql.UnionElement:
+				found = slices.ContainsFunc(el.Branches, inGroup)
+			case *stsparql.GroupPattern:
+				found = inGroup(el)
+			case *stsparql.SubSelectElement:
+				found = inSelect(el.Select)
+			}
+			if found {
+				return true
+			}
+		}
+		return false
+	}
+	switch {
+	case q.Select != nil:
+		return inSelect(q.Select)
+	case q.Ask != nil:
+		return inGroup(q.Ask.Where)
+	case q.Update.Where != nil:
+		return inGroup(q.Update.Where)
+	}
+	return false
+}
+
 // FuzzParse: the parser an HTTP client reaches must not panic on any
 // text, and whatever it accepts must plan — over an empty store and
 // through an empty sharded store's routing — without panicking either.
+// Every call it accepts is resolved to a row of the builtin table, so
+// the parser and the table cannot drift apart.
 func FuzzParse(f *testing.F) {
 	for _, tc := range corpus {
 		f.Add(tc.query)
@@ -48,7 +129,7 @@ func FuzzParse(f *testing.F) {
 	for _, tc := range askCorpus {
 		f.Add(tc.query)
 	}
-	for _, text := range benchmarkShapes {
+	for _, text := range slices.Concat(benchmarkShapes, builtinSeeds()) {
 		f.Add(text)
 	}
 	sh := newSharded(2)
@@ -57,6 +138,9 @@ func FuzzParse(f *testing.F) {
 		q, err := stsparql.Parse(text, sh.Namespaces())
 		if err != nil {
 			return
+		}
+		if unresolved(q) {
+			t.Fatalf("a call did not resolve to a builtin: %s", text)
 		}
 		ev.Compile(q)
 		if _, err := ev.Explain(q); err != nil {

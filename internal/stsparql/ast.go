@@ -8,6 +8,7 @@ type Query struct {
 	Select *SelectQuery
 	Ask    *AskQuery
 	Update *UpdateQuery
+	nondet bool // a call's builtin is nondeterministic (Builtin.nondet)
 }
 
 // SelectQuery is a SELECT with optional grouping, ordering and slicing.
@@ -142,29 +143,21 @@ func (*UnaryExpr) exprNode() {}
 // CallExpr invokes a builtin or strdf: extension function. Distinct is
 // used by aggregate calls (COUNT(DISTINCT ?x)).
 type CallExpr struct {
-	Name     string // lower-cased local name, e.g. "bound", "strdf:anyinteract"
+	Name     string // lower-cased name as written, e.g. "bound", "strdf:anyinteract"
 	Args     []Expr
 	Distinct bool
-	Star     bool // COUNT(*)
+	Star     bool     // COUNT(*)
+	Fn       *Builtin // the row of the builtin table the parser resolved the call to
 }
 
 func (*CallExpr) exprNode() {}
 
-// aggregate names recognised in grouped queries.
-var aggregateNames = map[string]bool{
-	"count":        true,
-	"sum":          true,
-	"avg":          true,
-	"min":          true,
-	"max":          true,
-	"sample":       true,
-	"strdf:union":  true,
-	"strdf:extent": true,
-}
+// isAggregate, isSpatial and isBound read the kind of the call's row.
+func (c *CallExpr) isAggregate() bool { return c.Fn.kind == kindAggregate }
 
-// isAggregate reports whether the call is an aggregate function
-// application.
-func (c *CallExpr) isAggregate() bool { return aggregateNames[c.Name] }
+func (c *CallExpr) isSpatial() bool { return c.Fn.kind == kindSpatial }
+
+func (c *CallExpr) isBound() bool { return c.Fn.kind == kindBound }
 
 // anyCall reports whether some call in the expression tree — at any
 // depth, arguments included — satisfies pred.

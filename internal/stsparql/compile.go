@@ -1,6 +1,7 @@
 package stsparql
 
 import (
+	"regexp"
 	"strings"
 	"time"
 
@@ -32,8 +33,10 @@ import (
 //
 // Each answers every row as the generic nodes it replaces do, falling
 // back to their code where its fast path does not decide
-// (TestTypedNodesMatchGeneric). Every other node applies applyUnary,
-// applyBinary or applyFunction to its evaluated operands.
+// (TestTypedNodesMatchGeneric). A regex with a constant pattern
+// compiles the pattern once (regexNode). Every other node applies
+// applyUnary, applyBinary or its builtin's row (callNode, aggNode) to
+// its evaluated operands.
 
 // cexpr is a compiled expression.
 type cexpr interface {
@@ -128,19 +131,23 @@ func (c *compiler) compile(x Expr) cexpr {
 		}
 		return &binaryNode{op: v.Op, l: c.compile(v.L), r: c.compile(v.R)}
 	case *CallExpr:
-		if v.isAggregate() {
-			if c.grouped {
-				return c.aggregate(v)
-			}
+		switch {
+		case v.isAggregate() && c.grouped:
+			return c.aggregate(v)
+		case v.isAggregate():
 			return &constNode{v: errValue("stsparql: aggregate %q outside grouped query", v.Name)}
-		}
-		if v.Name == "bound" {
+		case v.isBound():
 			return c.bound(v)
+		case v.Fn.pred != nil:
+			if n := c.spatialPredicate(v); n != nil {
+				return n
+			}
+		case v.Fn == fnRegex:
+			if n := c.regex(v); n != nil {
+				return n
+			}
 		}
-		if n := c.spatialPredicate(v); n != nil {
-			return n
-		}
-		n := &callNode{c: v, args: make([]cexpr, len(v.Args))}
+		n := &callNode{fn: v.Fn, args: make([]cexpr, len(v.Args))}
 		for i, a := range v.Args {
 			n.args[i] = c.compile(a)
 		}
@@ -150,20 +157,14 @@ func (c *compiler) compile(x Expr) cexpr {
 	}
 }
 
+// bound compiles bound(?v); its argument is a variable (checkBound).
 func (c *compiler) bound(v *CallExpr) cexpr {
-	if len(v.Args) != 1 {
-		return &constNode{v: errValue("stsparql: bound() wants one variable")}
-	}
-	ve, ok := v.Args[0].(*VarExpr)
-	if !ok {
-		return &constNode{v: errValue("stsparql: bound() wants a variable")}
-	}
-	return &boundNode{col: slotOf(c.schema, ve.Name)}
+	return &boundNode{col: slotOf(c.schema, v.Args[0].(*VarExpr).Name)}
 }
 
 func (c *compiler) aggregate(v *CallExpr) cexpr {
 	n := &aggNode{c: v, countCol: -1}
-	if len(v.Args) > 0 {
+	if !v.Star {
 		// The argument evaluates per member row, outside aggregate context.
 		n.arg = compileExpr(v.Args[0], c.schema, c.cache)
 		if ve, ok := v.Args[0].(*VarExpr); ok {
@@ -264,10 +265,9 @@ func (n *orNode) test(e *Evaluator, r rowRef) tri {
 	return n.r.test(e, r)
 }
 
-// callNode applies a builtin or extension function to its evaluated
-// arguments.
+// callNode applies a builtin's row to its evaluated arguments.
 type callNode struct {
-	c    *CallExpr
+	fn   *Builtin
 	args []cexpr
 }
 
@@ -276,7 +276,7 @@ func (n *callNode) eval(e *Evaluator, r rowRef) Value {
 	for _, a := range n.args {
 		e.argScratch = append(e.argScratch, a.eval(e, r))
 	}
-	res := e.applyFunction(n.c, e.argScratch[base:])
+	res := n.fn.call(e, e.argScratch[base:])
 	e.argScratch = e.argScratch[:base]
 	return res
 }
@@ -292,7 +292,7 @@ type aggNode struct {
 }
 
 func (n *aggNode) eval(e *Evaluator, _ rowRef) Value {
-	return e.aggregateCall(n, e.group.rows, e.group.mem)
+	return n.c.Fn.agg(e, n, e.group.rows, e.group.mem)
 }
 
 func (n *aggNode) test(e *Evaluator, r rowRef) tri { return triOf(n.eval(e, r)) }
@@ -416,8 +416,7 @@ func (c *compiler) operand(x Expr) (operand, bool) {
 // answered as they answer it (generic).
 type strCmpNode struct {
 	op   string
-	str  *CallExpr // the str() call
-	col  int       // ?v
+	col  int // ?v
 	x    operand
 	xstr string // X's string when X is a constant
 }
@@ -429,7 +428,7 @@ func (c *compiler) strCompare(v *BinaryExpr) cexpr {
 		return nil
 	}
 	call, ok := v.L.(*CallExpr)
-	if !ok || call.Name != "str" || len(call.Args) != 1 {
+	if !ok || call.Fn != fnStr {
 		return nil
 	}
 	arg, ok := call.Args[0].(*VarExpr)
@@ -440,7 +439,7 @@ func (c *compiler) strCompare(v *BinaryExpr) cexpr {
 	if !ok || !x.isVar && x.v.Kind != VStr {
 		return nil
 	}
-	return &strCmpNode{op: v.Op, str: call, col: slotOf(c.schema, arg.Name), x: x, xstr: x.v.Str}
+	return &strCmpNode{op: v.Op, col: slotOf(c.schema, arg.Name), x: x, xstr: x.v.Str}
 }
 
 func (n *strCmpNode) test(e *Evaluator, r rowRef) tri {
@@ -490,7 +489,7 @@ func (n *strCmpNode) eval(e *Evaluator, r rowRef) Value { return triValue(n.test
 func (n *strCmpNode) generic(e *Evaluator, r rowRef) Value {
 	base := len(e.argScratch)
 	e.argScratch = append(e.argScratch, varNode(n.col).eval(e, r))
-	l := e.applyFunction(n.str, e.argScratch[base:])
+	l := fnStr.call(e, e.argScratch[base:])
 	e.argScratch = e.argScratch[:base]
 	return e.applyBinary(n.op, l, varNode(n.x.col).eval(e, r))
 }
@@ -510,19 +509,8 @@ type spatialNode struct {
 }
 
 func (c *compiler) spatialPredicate(v *CallExpr) cexpr {
-	if len(v.Args) != 2 {
-		return nil
-	}
-	local, ok := strings.CutPrefix(v.Name, "strdf:")
-	if !ok {
-		if local, ok = strings.CutPrefix(v.Name, "geof:"); !ok {
-			return nil
-		}
-	}
-	n := &spatialNode{pred: spatialPreds[local]}
-	if n.pred == nil {
-		return nil
-	}
+	n := &spatialNode{pred: v.Fn.pred}
+	var ok bool
 	vars := 0
 	for i, a := range v.Args {
 		if n.args[i], ok = c.operand(a); !ok {
@@ -598,3 +586,34 @@ type pairMemo struct {
 	ids [2]termID
 	res tri
 }
+
+// --- regex with a constant pattern ---
+
+// regexNode is a regex call whose pattern and flags are constant: the
+// pattern compiles once, with the plan.
+type regexNode struct {
+	re   *regexp.Regexp
+	text cexpr
+}
+
+func (c *compiler) regex(v *CallExpr) cexpr {
+	pattern, flags, patternConst, flagsConst := regexConsts(v.Args)
+	if !patternConst || !flagsConst {
+		return nil
+	}
+	re, err := compileRegex(pattern, flags)
+	if err != nil {
+		return nil // refused at parse (checkRegex)
+	}
+	return &regexNode{re: re, text: c.compile(v.Args[0])}
+}
+
+func (n *regexNode) eval(e *Evaluator, r rowRef) Value {
+	text := n.text.eval(e, r)
+	if text.Kind == VErr {
+		return text.failed()
+	}
+	return matchRegex(n.re, text)
+}
+
+func (n *regexNode) test(e *Evaluator, r rowRef) tri { return triOf(n.eval(e, r)) }

@@ -231,7 +231,7 @@ type Evaluator struct {
 	// evaluation: call nodes append their argument Values and truncate
 	// back on return, so per-row filter evaluation allocates nothing
 	// once the slice has grown to the plan's deepest call.
-	// applyFunction must not retain the slice it is handed.
+	// A row's apply must not retain the slice it is handed.
 	argScratch []Value
 	// group is the group aggregate nodes compute over while the
 	// aggregate operator evaluates one (see aggregate).
@@ -572,135 +572,6 @@ func (e *Evaluator) having(conds []cexpr, rep rowRef) bool {
 		}
 	}
 	return true
-}
-
-// aggregateCall evaluates one aggregate call over the member rows mem
-// of rows.
-func (e *Evaluator) aggregateCall(n *aggNode, rows *Batch, mem []int32) Value {
-	c := n.c
-	collect := func() []Value {
-		if n.arg == nil {
-			return nil
-		}
-		var vals []Value
-		var seen map[string]bool
-		for _, i := range mem {
-			v := n.arg.eval(e, rowRef{b: rows, i: int(i)})
-			if v.Kind == VUnbound || v.Kind == VErr {
-				continue
-			}
-			if c.Distinct {
-				t, _ := v.asTerm()
-				k := t.String()
-				if seen[k] {
-					continue
-				}
-				if seen == nil {
-					seen = make(map[string]bool)
-				}
-				seen[k] = true
-			}
-			vals = append(vals, v)
-		}
-		return vals
-	}
-	switch c.Name {
-	case "count":
-		if c.Star {
-			if c.Distinct {
-				// Distinct over every column: ID equality is term
-				// equality within the evaluation.
-				seen := make(map[string]struct{}, len(mem))
-				var kb []byte
-				for _, i := range mem {
-					kb = kb[:0]
-					for _, col := range rows.cols {
-						kb = appendIDKey(kb, col[i])
-					}
-					seen[string(kb)] = struct{}{}
-				}
-				return numValue(float64(len(seen)))
-			}
-			return numValue(float64(len(mem)))
-		}
-		if _, ok := c.Args[0].(*VarExpr); ok {
-			return numValue(float64(countBound(rows, mem, n.countCol, c.Distinct)))
-		}
-		return numValue(float64(len(collect())))
-	case "sum", "avg":
-		vals := collect()
-		var sum float64
-		n := 0
-		for _, v := range vals {
-			if v.Kind == VNum {
-				sum += v.Num
-				n++
-			}
-		}
-		if c.Name == "avg" {
-			if n == 0 {
-				return numValue(0)
-			}
-			return numValue(sum / float64(n))
-		}
-		return numValue(sum)
-	case "min", "max":
-		vals := collect()
-		if len(vals) == 0 {
-			return unboundValue()
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c2, err := v.compare(best)
-			if err != nil {
-				continue
-			}
-			if (c.Name == "min" && c2 < 0) || (c.Name == "max" && c2 > 0) {
-				best = v
-			}
-		}
-		return best
-	case "sample":
-		vals := collect()
-		if len(vals) == 0 {
-			return unboundValue()
-		}
-		return vals[0]
-	case "strdf:union":
-		vals := collect()
-		var polys []geom.Polygon
-		var rest geom.Collection
-		for _, v := range vals {
-			if v.Kind != VGeom {
-				continue
-			}
-			_, _, ps := geomParts(v.Geom)
-			if len(ps) > 0 {
-				polys = append(polys, ps...)
-			} else {
-				rest = append(rest, v.Geom)
-			}
-		}
-		u := geom.UnionAllPolygons(polys)
-		if len(rest) == 0 {
-			return geomValue(u)
-		}
-		return geomValue(append(rest, u))
-	case "strdf:extent":
-		vals := collect()
-		env := geom.EmptyEnvelope()
-		for _, v := range vals {
-			if v.Kind == VGeom {
-				env = env.Expand(v.Geom.Envelope())
-			}
-		}
-		if env.IsEmpty() {
-			return unboundValue()
-		}
-		return geomValue(env.ToPolygon())
-	default:
-		return errValue("stsparql: unknown aggregate %q", c.Name)
-	}
 }
 
 // countBound is COUNT of a plain variable: the member rows binding it,

@@ -106,7 +106,9 @@ func (op *joinOp) streams() bool {
 }
 
 func (op *joinOp) open(e *Evaluator, in batchIter) batchIter {
-	return &joinIter{op: op, e: e, in: in, target: op.firstTarget()}
+	it := &joinIter{op: op, e: e, look: hashLookahead{op: op, in: in}, target: op.firstTarget()}
+	it.in = &it.look
+	return it
 }
 
 // firstTarget is the size of the first batch this join fills.
@@ -142,20 +144,15 @@ func (op *joinOp) makeTable(e *Evaluator) (*Batch, map[string][]int32, []int) {
 type joinIter struct {
 	op *joinOp
 	e  *Evaluator
-	in batchIter
-
-	inBatch *Batch // current probe batch
-	inOrd   int    // next live ordinal to probe
+	probeCursor
+	look hashLookahead // the cursor's input
 
 	pull func() (*Batch, bool) // streaming scan of the current probe row
 	stop func()
 
-	pending []*Batch // lookahead batches the hash decision pulled early
-	hash    bool     // lookahead committed to the hash strategy
-	started bool
-	closed  bool
-	target  int    // batch size target, growing geometrically
-	kb      []byte // reused probe key buffer
+	closed bool
+	target int    // batch size target, growing geometrically
+	kb     []byte // reused probe key buffer
 
 	// Hash build side, built on first use: one batch over the pattern's
 	// variables, indexed by shared-var ID key. It lives as long as the
@@ -218,7 +215,7 @@ func (it *joinIter) next() (*Batch, error) {
 		if out == nil {
 			out = it.outBatch()
 		}
-		if it.hash {
+		if it.look.hash {
 			it.probeHash(probe, out)
 		} else {
 			if it.scan == nil {
@@ -236,26 +233,45 @@ func (it *joinIter) next() (*Batch, error) {
 	}
 }
 
+// probeCursor hands out the live rows of its input's batches one at a
+// time: the probe side of the join, OPTIONAL, UNION and sub-select
+// operators.
+type probeCursor struct {
+	in      batchIter
+	inBatch *Batch // current probe batch
+	inOrd   int    // next live ordinal to probe
+}
+
 // nextProbeRow returns the next live input row to extend.
-func (it *joinIter) nextProbeRow() (rowRef, bool, error) {
+func (c *probeCursor) nextProbeRow() (rowRef, bool, error) {
 	for {
-		if it.inBatch != nil && it.inOrd < it.inBatch.live() {
-			i := it.inBatch.row(it.inOrd)
-			it.inOrd++
-			return rowRef{b: it.inBatch, i: i}, true, nil
+		if c.inBatch != nil && c.inOrd < c.inBatch.live() {
+			i := c.inBatch.row(c.inOrd)
+			c.inOrd++
+			return rowRef{b: c.inBatch, i: i}, true, nil
 		}
-		b, err := it.nextInBatch()
+		b, err := nextLive(c.in)
 		if err != nil || b == nil {
 			return rowRef{}, false, err
 		}
-		it.inBatch, it.inOrd = b, 0
+		//lint:allow batchview inBatch is drained before the next pull invalidates it
+		c.inBatch, c.inOrd = b, 0
 	}
 }
 
-// nextInBatch returns the next non-empty input batch. The hash strategy
-// decides on first use whether to engage: a single input row sticks to
-// a bind scan (the build would dominate), two or more build the table.
-func (it *joinIter) nextInBatch() (*Batch, error) {
+// hashLookahead is a join's input. The hash strategy decides on the
+// first pull whether to engage: a single input row sticks to a bind
+// scan (the build would dominate), two or more build the table.
+type hashLookahead struct {
+	op      *joinOp
+	in      batchIter
+	pending []*Batch // lookahead batches the hash decision pulled early
+	hash    bool     // lookahead committed to the hash strategy
+	started bool
+}
+
+// next returns the next non-empty input batch.
+func (it *hashLookahead) next() (*Batch, error) {
 	if len(it.pending) > 0 {
 		b := it.pending[0]
 		it.pending = it.pending[:copy(it.pending, it.pending[1:])]
@@ -288,6 +304,8 @@ func (it *joinIter) nextInBatch() (*Batch, error) {
 	it.started = true
 	return nextLive(it.in)
 }
+
+func (it *hashLookahead) close() { it.in.close() }
 
 // nextLive pulls in until a batch with live rows (or exhaustion).
 func nextLive(in batchIter) (*Batch, error) {
@@ -547,16 +565,13 @@ type optionalOp struct {
 }
 
 func (op *optionalOp) open(e *Evaluator, in batchIter) batchIter {
-	return &optionalIter{op: op, e: e, in: in}
+	return &optionalIter{op: op, e: e, probeCursor: probeCursor{in: in}}
 }
 
 type optionalIter struct {
 	op *optionalOp
 	e  *Evaluator
-	in batchIter
-
-	inBatch *Batch
-	inOrd   int
+	probeCursor
 
 	sub      batchIter
 	subAny   bool
@@ -630,22 +645,6 @@ func (it *optionalIter) flushPass() *Batch {
 	return b
 }
 
-func (it *optionalIter) nextProbeRow() (rowRef, bool, error) {
-	for {
-		if it.inBatch != nil && it.inOrd < it.inBatch.live() {
-			i := it.inBatch.row(it.inOrd)
-			it.inOrd++
-			return rowRef{b: it.inBatch, i: i}, true, nil
-		}
-		b, err := nextLive(it.in)
-		if err != nil || b == nil {
-			return rowRef{}, false, err
-		}
-		//lint:allow batchview inBatch is drained before the next pull invalidates it
-		it.inBatch, it.inOrd = b, 0
-	}
-}
-
 func (it *optionalIter) close() {
 	if it.sub != nil {
 		it.sub.close()
@@ -669,16 +668,13 @@ type unionOp struct {
 }
 
 func (op *unionOp) open(e *Evaluator, in batchIter) batchIter {
-	return &unionIter{op: op, e: e, in: in}
+	return &unionIter{op: op, e: e, probeCursor: probeCursor{in: in}}
 }
 
 type unionIter struct {
 	op *unionOp
 	e  *Evaluator
-	in batchIter
-
-	inBatch *Batch
-	inOrd   int
+	probeCursor
 
 	probe  rowRef
 	hasRow bool
@@ -714,21 +710,12 @@ func (it *unionIter) next() (*Batch, error) {
 			it.branch++
 			continue
 		}
-		it.hasRow = false
-		for {
-			if it.inBatch != nil && it.inOrd < it.inBatch.live() {
-				i := it.inBatch.row(it.inOrd)
-				it.inOrd++
-				it.probe, it.hasRow, it.branch = rowRef{b: it.inBatch, i: i}, true, 0
-				break
-			}
-			b, err := nextLive(it.in)
-			if err != nil || b == nil {
-				return nil, err
-			}
-			//lint:allow batchview inBatch is drained before the next pull invalidates it
-			it.inBatch, it.inOrd = b, 0
+		probe, ok, err := it.nextProbeRow()
+		if err != nil || !ok {
+			it.hasRow = false
+			return nil, err
 		}
+		it.probe, it.hasRow, it.branch = probe, true, 0
 	}
 }
 
@@ -778,7 +765,7 @@ type subSelectOp struct {
 }
 
 func (op *subSelectOp) open(e *Evaluator, in batchIter) batchIter {
-	return &subSelectIter{op: op, e: e, in: in, target: batchSizeMin}
+	return &subSelectIter{op: op, e: e, probeCursor: probeCursor{in: in}, target: batchSizeMin}
 }
 
 func (op *subSelectOp) solutions(e *Evaluator) (*Result, error) {
@@ -799,13 +786,10 @@ func (op *subSelectOp) solutions(e *Evaluator) (*Result, error) {
 type subSelectIter struct {
 	op *subSelectOp
 	e  *Evaluator
-	in batchIter
-
-	inBatch *Batch
-	inOrd   int
-	target  int
-	out     *Batch
-	cols    []int // output column of each solution column; -1 = none
+	probeCursor
+	target int
+	out    *Batch
+	cols   []int // output column of each solution column; -1 = none
 }
 
 func (it *subSelectIter) next() (*Batch, error) {
@@ -870,22 +854,6 @@ func (it *subSelectIter) next() (*Batch, error) {
 			}
 			return out, nil
 		}
-	}
-}
-
-func (it *subSelectIter) nextProbeRow() (rowRef, bool, error) {
-	for {
-		if it.inBatch != nil && it.inOrd < it.inBatch.live() {
-			i := it.inBatch.row(it.inOrd)
-			it.inOrd++
-			return rowRef{b: it.inBatch, i: i}, true, nil
-		}
-		b, err := nextLive(it.in)
-		if err != nil || b == nil {
-			return rowRef{}, false, err
-		}
-		//lint:allow batchview inBatch is drained before the next pull invalidates it
-		it.inBatch, it.inOrd = b, 0
 	}
 }
 
@@ -1735,29 +1703,15 @@ func (sc *patScan) windowEnv(probe rowRef) (geom.Envelope, bool) {
 	return geom.Envelope{}, false
 }
 
-var spatialJoinFns = map[string]bool{
-	"strdf:anyinteract": true,
-	"strdf:intersects":  true,
-	"strdf:contains":    true,
-	"strdf:within":      true,
-	"strdf:overlap":     true,
-	"strdf:overlaps":    true,
-	"strdf:touches":     true,
-	"strdf:touch":       true,
-	"strdf:equals":      true,
-	"strdf:coveredby":   true,
-	"strdf:covers":      true,
-}
-
 // windowArgs appends to out, compiled, the geometries the spatial join
-// calls of a filter condition test variable v against: for each
-// spatialJoinFns call with v for an argument, the other argument,
-// through && conjunctions, left to right. A window scan on v tries them
-// in this order.
+// calls of a filter condition test variable v against: for each call of
+// a window predicate (Builtin.window) with v for an argument, the other
+// argument, through && conjunctions, left to right. A window scan on v
+// tries them in this order.
 func windowArgs(x Expr, v string, c *compiler, out []cexpr) []cexpr {
 	switch n := x.(type) {
 	case *CallExpr:
-		if spatialJoinFns[n.Name] && len(n.Args) == 2 {
+		if n.Fn.window {
 			for i := 0; i < 2; i++ {
 				if ve, ok := n.Args[i].(*VarExpr); ok && ve.Name == v {
 					out = append(out, c.compile(n.Args[1-i]))

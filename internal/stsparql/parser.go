@@ -32,6 +32,7 @@ func Parse(src string, ns *rdf.Namespaces) (*Query, error) {
 	if !p.atEOF() {
 		return nil, p.errf("trailing tokens after query")
 	}
+	q.nondet = p.nondet
 	return q, nil
 }
 
@@ -40,6 +41,8 @@ type parser struct {
 	pos      int
 	ns       *rdf.Namespaces
 	prefixes map[string]string // the request's own PREFIX declarations
+	inFilter bool              // parsing a WHERE-clause FILTER, where aggregates are refused
+	nondet   bool              // some call resolved to a nondeterministic builtin
 }
 
 func (p *parser) cur() token { return p.toks[p.pos] }
@@ -427,7 +430,9 @@ func (p *parser) parseGroupPattern() (*GroupPattern, error) {
 		case p.isKeyword("FILTER"):
 			p.advance()
 			// "FILTER (expr)" or "FILTER fn(args)", possibly negated.
+			p.inFilter = true
 			cond, err := p.parseUnary()
+			p.inFilter = false
 			if err != nil {
 				return nil, err
 			}
@@ -730,6 +735,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.expectPunct(")"); err != nil {
 			return nil, err
 		}
+		if err := resolve(call); err != nil {
+			return nil, p.errf("%v", err)
+		}
+		if p.inFilter && call.isAggregate() {
+			return nil, p.errf("aggregate %s in a FILTER", call.Name)
+		}
+		p.nondet = p.nondet || call.Fn.nondet
 		return call, nil
 	}
 	tv, err := p.parseTermOrVar()

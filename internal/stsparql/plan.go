@@ -362,8 +362,8 @@ func (p *planner) planGroup(gp *GroupPattern, bound map[string]bool, inEst float
 //
 // One ordering rule places the filters, for a rule's prepared plan and a
 // query's alike: a filter is pushed behind the pattern that binds the
-// last of its variables — except a costly one (isSpatialCall: it calls
-// a strdf: function, an exact geometry test per row), which waits while a
+// last of its variables — except a costly one (isSpatial: it calls
+// a spatial function, an exact geometry test per row), which waits while a
 // ground pattern remains (hasGroundPattern: every component constant or
 // certainly bound, so the join is an index probe that only drops rows).
 // The class ranking below scores such a pattern 7 and picks it next, so
@@ -473,8 +473,8 @@ func (p *planner) planBGP(patterns []TriplePattern, filters []*FilterElement, ap
 					break
 				}
 			}
-			if all && !anyCall(f.Cond, isBoundCall) {
-				if anyCall(f.Cond, isSpatialCall) && hasGroundPattern(remaining, bound) {
+			if all && !anyCall(f.Cond, (*CallExpr).isBound) {
+				if anyCall(f.Cond, (*CallExpr).isSpatial) && hasGroundPattern(remaining, bound) {
 					continue // the cheap existence check runs first
 				}
 				applied[f] = true
@@ -597,15 +597,6 @@ func (p *planner) timeRangeFor(pat TriplePattern, wins map[string]*TimeWindow, b
 	return w, n, ok
 }
 
-// isSpatialCall reports a call of a spatial function: orders of
-// magnitude dearer per row than an index probe, which makes a filter
-// calling one costly.
-func isSpatialCall(c *CallExpr) bool { return strings.HasPrefix(c.Name, "strdf:") }
-
-// isBoundCall reports a bound() call; a filter making one must wait for
-// the end of its group (OPTIONAL may bind later).
-func isBoundCall(c *CallExpr) bool { return c.Name == "bound" }
-
 // hasGroundPattern reports whether some remaining pattern has every
 // component constant or certainly bound — a pure existence check, which
 // the class ranking of planBGP picks next.
@@ -704,7 +695,7 @@ func spatialJoinReady(filters []*FilterElement, applied map[*FilterElement]bool,
 func spatialJoinReadyExpr(expr Expr, v string, bound map[string]bool) bool {
 	switch n := expr.(type) {
 	case *CallExpr:
-		if spatialJoinFns[n.Name] && len(n.Args) == 2 {
+		if n.Fn.window {
 			for i := 0; i < 2; i++ {
 				ve, ok := n.Args[i].(*VarExpr)
 				if !ok || ve.Name != v {

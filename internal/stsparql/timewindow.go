@@ -192,7 +192,7 @@ func timeVarOf(e Expr, timeVars map[string]bool) (string, bool) {
 			return v.Name, true
 		}
 	case *CallExpr:
-		if v.Name == "str" && len(v.Args) == 1 {
+		if v.Fn == fnStr {
 			if ve, ok := v.Args[0].(*VarExpr); ok && timeVars[ve.Name] {
 				return ve.Name, true
 			}
